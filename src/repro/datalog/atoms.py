@@ -83,6 +83,23 @@ class Atom:
         # one-off tuple hash is cheap.
         object.__setattr__(self, "_hash", hash((predicate, coerced)))
 
+    @classmethod
+    def trusted(cls, predicate: str, args: Tuple[Term, ...]) -> "Atom":
+        """Build an atom from a non-empty predicate and a tuple of terms.
+
+        For internal callers whose arguments already are terms (the
+        reformulation builds hundreds of thousands of atoms out of parts
+        of existing ones); nothing is validated or coerced.  The result
+        compares and hashes equal to ``Atom(predicate, args)``.
+        """
+        atom = object.__new__(cls)
+        # A frozen dataclass only blocks ``__setattr__``.
+        state = atom.__dict__
+        state["predicate"] = predicate
+        state["args"] = args
+        state["_hash"] = hash((predicate, args))
+        return atom
+
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
 
@@ -94,12 +111,17 @@ class Atom:
     def variables(self) -> Iterator[Variable]:
         """Yield the variables among the arguments, left to right (with repeats)."""
         for arg in self.args:
-            if is_variable(arg):
-                yield arg  # type: ignore[misc]
+            if isinstance(arg, Variable):
+                yield arg
 
     def variable_set(self) -> frozenset[Variable]:
-        """Return the set of distinct variables in the atom."""
-        return frozenset(self.variables())
+        """Return the set of distinct variables in the atom (computed once)."""
+        try:
+            return self._variable_set  # type: ignore[attr-defined]
+        except AttributeError:
+            variables = frozenset(a for a in self.args if isinstance(a, Variable))
+            self.__dict__["_variable_set"] = variables
+            return variables
 
     def constants(self) -> Iterator[Constant]:
         """Yield the constants among the arguments, left to right (with repeats)."""
@@ -110,12 +132,17 @@ class Atom:
     def substitute(self, mapping: Mapping[Variable, Term]) -> "Atom":
         """Return a copy of the atom with variables replaced per ``mapping``.
 
-        Variables not present in ``mapping`` are left unchanged.
+        Variables not present in ``mapping`` are left unchanged; when no
+        argument changes the atom itself is returned.
         """
-        return Atom(
-            self.predicate,
-            tuple(mapping.get(a, a) if is_variable(a) else a for a in self.args),
+        if not mapping:
+            return self
+        args = tuple(
+            mapping.get(a, a) if isinstance(a, Variable) else a for a in self.args
         )
+        if args == self.args:
+            return self
+        return Atom(self.predicate, args)
 
     def rename_predicate(self, new_predicate: str) -> "Atom":
         """Return the same atom under a different predicate name."""
@@ -168,11 +195,14 @@ class ComparisonAtom:
         return frozenset(self.variables())
 
     def substitute(self, mapping: Mapping[Variable, Term]) -> "ComparisonAtom":
-        """Return a copy with variables replaced per ``mapping``."""
+        """Return a copy with variables replaced per ``mapping`` (the atom
+        itself when neither side changes)."""
         left = mapping.get(self.left, self.left) if is_variable(self.left) else self.left
         right = (
             mapping.get(self.right, self.right) if is_variable(self.right) else self.right
         )
+        if left is self.left and right is self.right:
+            return self
         return ComparisonAtom(left, self.op, right)
 
     def flipped(self) -> "ComparisonAtom":

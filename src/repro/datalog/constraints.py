@@ -95,9 +95,17 @@ class ConstraintSet:
     # -- construction ----------------------------------------------------------
 
     def conjoin(self, extra: Iterable[ComparisonAtom] | "ConstraintSet") -> "ConstraintSet":
-        """Return the conjunction of this set with ``extra``."""
+        """Return the conjunction of this set with ``extra``.
+
+        Conjoining with the empty conjunction returns the other operand
+        itself, so labels without comparisons are shared, not rebuilt.
+        """
         extra_atoms = extra.atoms if isinstance(extra, ConstraintSet) else tuple(extra)
-        return ConstraintSet(self.atoms + tuple(extra_atoms))
+        if not extra_atoms:
+            return self
+        if not self.atoms and isinstance(extra, ConstraintSet):
+            return extra
+        return ConstraintSet(self.atoms + extra_atoms)
 
     def substitute(self, mapping: Mapping[Variable, Term]) -> "ConstraintSet":
         """Apply a substitution to every comparison atom."""
@@ -115,8 +123,16 @@ class ConstraintSet:
         checked: a cycle containing a strict edge is a contradiction, and
         ``!=`` within one equality class is a contradiction.  Finally the
         interval of every class implied by constant bounds must be
-        non-empty.
+        non-empty.  The verdict is computed once per (immutable) set.
         """
+        try:
+            return self._satisfiable  # type: ignore[attr-defined]
+        except AttributeError:
+            verdict = not self.atoms or self._decide_satisfiable()
+            self.__dict__["_satisfiable"] = verdict
+            return verdict
+
+    def _decide_satisfiable(self) -> bool:
         uf = _UnionFind()
         strict_edges: List[Tuple[object, object]] = []     # a < b
         nonstrict_edges: List[Tuple[object, object]] = []  # a <= b
@@ -240,6 +256,8 @@ class ConstraintSet:
         over-approximates the true projection, which is exactly what the
         paper's footnote 3 permits.
         """
+        if not self.atoms:
+            return self
         keep = set(variables)
 
         def visible(atom: ComparisonAtom) -> bool:

@@ -72,6 +72,22 @@ class ConjunctiveQuery:
         """Build a CQ from a head name, head arguments, and a body."""
         return cls(Atom(name, head_args), body)
 
+    @classmethod
+    def trusted(cls, head: Atom, body: Tuple[BodyAtom, ...]) -> "ConjunctiveQuery":
+        """Build a query whose safety the caller has already established.
+
+        For internal callers that derive a query from a safe one (a
+        substitution cannot make a safe query unsafe) or that have checked
+        the safety condition themselves; ``body`` must be a tuple.  The
+        result compares and hashes equal to ``cls(head, body)``.
+        """
+        query = object.__new__(cls)
+        # A frozen dataclass only blocks ``__setattr__``.
+        state = query.__dict__
+        state["head"] = head
+        state["body"] = body
+        return query
+
     def _check_safety(self) -> None:
         body_vars = atoms_variables(self.relational_body())
         for var in self.head.variables():
@@ -153,7 +169,7 @@ class ConjunctiveQuery:
 
     def substitute(self, mapping: Mapping[Variable, Term]) -> "ConjunctiveQuery":
         """Apply a substitution to head and body (not capture-avoiding)."""
-        return ConjunctiveQuery(
+        return ConjunctiveQuery.trusted(
             self.head.substitute(mapping),
             tuple(a.substitute(mapping) for a in self.body),
         )

@@ -28,19 +28,24 @@ def apply_substitution_term(term: Term, subst: Mapping[Variable, Term]) -> Term:
     bound by the substitution, so triangular substitutions produced during
     unification resolve to their final values.
     """
-    seen = set()
     current = term
-    while is_variable(current) and current in subst:
-        if current in seen:  # pragma: no cover - cycle guard
+    steps = 0
+    while isinstance(current, Variable):
+        bound = subst.get(current)
+        if bound is None:
             break
-        seen.add(current)
-        current = subst[current]  # type: ignore[index]
+        current = bound
+        steps += 1
+        if steps > len(subst):  # pragma: no cover - cycle guard
+            break
     return current
 
 
 def apply_substitution_atom(atom: Atom, subst: Mapping[Variable, Term]) -> Atom:
     """Apply a substitution to every argument of a relational atom."""
-    return Atom(atom.predicate, [apply_substitution_term(a, subst) for a in atom.args])
+    return Atom.trusted(
+        atom.predicate, tuple(apply_substitution_term(a, subst) for a in atom.args)
+    )
 
 
 def apply_substitution_body(
@@ -75,6 +80,22 @@ def compose(first: Mapping[Variable, Term], second: Mapping[Variable, Term]) -> 
     return {v: t for v, t in result.items() if t != v}
 
 
+def _unify_into(left: Term, right: Term, subst: Substitution) -> bool:
+    """Unify two terms under ``subst``, extending it in place; ``False`` if
+    they are two distinct constants."""
+    left = apply_substitution_term(left, subst)
+    right = apply_substitution_term(right, subst)
+    if left == right:
+        return True
+    if isinstance(left, Variable):
+        subst[left] = right
+    elif isinstance(right, Variable):
+        subst[right] = left
+    else:
+        return False
+    return True
+
+
 def unify_terms(
     left: Term, right: Term, subst: Optional[Substitution] = None
 ) -> Optional[Substitution]:
@@ -84,17 +105,7 @@ def unify_terms(
     (two distinct constants).
     """
     subst = dict(subst) if subst is not None else {}
-    left = apply_substitution_term(left, subst)
-    right = apply_substitution_term(right, subst)
-    if left == right:
-        return subst
-    if is_variable(left):
-        subst[left] = right  # type: ignore[index]
-        return subst
-    if is_variable(right):
-        subst[right] = left  # type: ignore[index]
-        return subst
-    return None  # two different constants
+    return subst if _unify_into(left, right, subst) else None
 
 
 def unify_atoms(
@@ -105,12 +116,12 @@ def unify_atoms(
     Returns ``None`` if the predicates or arities differ or some argument
     pair cannot be unified.
     """
-    if left.predicate != right.predicate or left.arity != right.arity:
+    if left.predicate != right.predicate or len(left.args) != len(right.args):
         return None
-    current: Optional[Substitution] = dict(subst) if subst is not None else {}
+    # One copy for the whole atom; every argument pair extends it in place.
+    current: Substitution = dict(subst) if subst is not None else {}
     for l_arg, r_arg in zip(left.args, right.args):
-        current = unify_terms(l_arg, r_arg, current)
-        if current is None:
+        if not _unify_into(l_arg, r_arg, current):
             return None
     return current
 

@@ -81,72 +81,107 @@ class MCD:
         return f"MCD({self.view_atom} covers [{goals}]{extra})"
 
 
+class PreparedView:
+    """A view renamed apart once, holding what MCD formation reads from it.
+
+    Preparing is the per-view share of MCD construction (renaming, the
+    head/existential split, the body indexed by predicate); a caller that
+    forms MCDs for one view against many queries prepares it once.  The
+    renamed variables must not occur in any query the prepared view is
+    used with.
+    """
+
+    __slots__ = ("view", "head", "head_vars", "existentials", "body_by_predicate")
+
+    def __init__(self, view: View, fresh: FreshVariableFactory):
+        renamed = view.definition.rename_apart(fresh)
+        self.view = view
+        self.head: Atom = renamed.head
+        self.head_vars: FrozenSet[Variable] = renamed.head.variable_set()
+        self.existentials: FrozenSet[Variable] = renamed.body_variables() - self.head_vars
+        by_predicate: Dict[str, List[Atom]] = {}
+        for atom in renamed.relational_body():
+            by_predicate.setdefault(atom.predicate, []).append(atom)
+        self.body_by_predicate: Dict[str, Tuple[Atom, ...]] = {
+            predicate: tuple(atoms) for predicate, atoms in by_predicate.items()
+        }
+
+
+class _UnifierClasses:
+    """The equivalence classes of one unifier, every term resolved once.
+
+    A triangular substitution is a union-find forest (a bound variable's
+    parent is its binding); :meth:`find` follows it to the class
+    representative and remembers the answer, so the many membership
+    questions MCD formation asks about one unifier cost one walk per term.
+    """
+
+    __slots__ = ("_theta", "_roots", "_exported_roots")
+
+    def __init__(self, theta: Substitution, view_head_vars: Iterable[Variable]):
+        self._theta = theta
+        self._roots: Dict[Term, Term] = {}
+        self._exported_roots = {self.find(variable) for variable in view_head_vars}
+
+    def find(self, term: Term) -> Term:
+        root = self._roots.get(term)
+        if root is None:
+            root = self._roots[term] = apply_substitution_term(term, self._theta)
+        return root
+
+    def exported(self, variable: Variable) -> bool:
+        """Does the class of ``variable`` contain a constant or a view head
+        variable?  (Then the view exports it.)"""
+        root = self.find(variable)
+        return not isinstance(root, Variable) or root in self._exported_roots
+
+
 class _MCDBuilder:
     """Backtracking construction of all MCDs for one query/view pair."""
 
-    def __init__(self, query: ConjunctiveQuery, view: View, fresh: FreshVariableFactory):
-        self._query = query
+    def __init__(
+        self,
+        subgoals: Sequence[Atom],
+        distinguished: Iterable[Variable],
+        view: PreparedView,
+        fresh: FreshVariableFactory,
+    ):
+        self._subgoals = subgoals
+        self._distinguished = frozenset(distinguished)
         self._view = view
         self._fresh = fresh
-        self._subgoals: List[Atom] = query.relational_body()
-        self._query_vars = query.all_variables()
-        self._distinguished = set(query.head_variables())
-        # Rename the view apart from the query once per builder.
-        renamed = view.definition.rename_apart(fresh)
-        self._view_head = renamed.head
-        self._view_body: List[Atom] = renamed.relational_body()
-        self._view_head_vars = set(renamed.head.variables())
-        self._view_existentials = renamed.body_variables() - self._view_head_vars
-
-    # -- helpers -----------------------------------------------------------------
-
-    def _resolve(self, term: Term, theta: Substitution) -> Term:
-        return apply_substitution_term(term, theta)
-
-    def _exported(self, variable: Variable, theta: Substitution) -> bool:
-        """Does the equivalence class of ``variable`` under ``theta`` contain a
-        constant or a view head variable?  (Then the view exports it.)"""
-        value = self._resolve(variable, theta)
-        if not is_variable(value):
-            return True
-        return any(self._resolve(v, theta) == value for v in self._view_head_vars)
-
-    def _subgoals_with(self, variable: Variable) -> Set[int]:
-        return {
-            i
-            for i, atom in enumerate(self._subgoals)
-            if variable in atom.variable_set()
-        }
+        subgoals_with: Dict[Variable, Set[int]] = {}
+        for index, atom in enumerate(subgoals):
+            for variable in atom.variable_set():
+                subgoals_with.setdefault(variable, set()).add(index)
+        self._subgoals_with = subgoals_with
+        # Name order makes the choice of a class's query variable deterministic.
+        self._query_vars = sorted(subgoals_with.keys() | self._distinguished)
 
     # -- construction -------------------------------------------------------------
 
     def build_for(self, start_index: int) -> Iterator[MCD]:
         """Yield every MCD whose construction starts at subgoal ``start_index``."""
         start_atom = self._subgoals[start_index]
-        for view_atom in self._view_body:
+        for view_atom in self._view.body_by_predicate.get(start_atom.predicate, ()):
             theta = unify_atoms(start_atom, view_atom)
-            if theta is None:
-                continue
-            used_view_atoms = {id(view_atom)}
-            yield from self._close({start_index}, theta, used_view_atoms, start_index)
+            if theta is not None:
+                yield from self._close({start_index}, theta, start_index)
 
     def _close(
-        self,
-        covered: Set[int],
-        theta: Substitution,
-        used_view_atoms: Set[int],
-        start_index: int,
+        self, covered: Set[int], theta: Substitution, start_index: int
     ) -> Iterator[MCD]:
+        classes = _UnifierClasses(theta, self._view.head_vars)
         # Find variables of covered subgoals that are mapped to view
         # existentials; every subgoal mentioning them must also be covered.
-        required: Set[int] = set()
+        missing: Set[int] = set()
         for index in covered:
             for variable in self._subgoals[index].variable_set():
-                if not self._exported(variable, theta):
-                    required |= self._subgoals_with(variable)
-        missing = required - covered
+                if not classes.exported(variable):
+                    missing |= self._subgoals_with[variable]
+        missing -= covered
         if not missing:
-            mcd = self._finalise(covered, theta, start_index)
+            mcd = self._finalise(covered, classes, start_index)
             if mcd is not None:
                 yield mcd
             return
@@ -154,19 +189,13 @@ class _MCDBuilder:
         # then recurse; different choices yield different MCDs.
         next_index = min(missing)
         target = self._subgoals[next_index]
-        for view_atom in self._view_body:
+        for view_atom in self._view.body_by_predicate.get(target.predicate, ()):
             extended = unify_atoms(target, view_atom, theta)
-            if extended is None:
-                continue
-            yield from self._close(
-                covered | {next_index},
-                extended,
-                used_view_atoms | {id(view_atom)},
-                start_index,
-            )
+            if extended is not None:
+                yield from self._close(covered | {next_index}, extended, start_index)
 
     def _finalise(
-        self, covered: Set[int], theta: Substitution, start_index: int
+        self, covered: Set[int], classes: _UnifierClasses, start_index: int
     ) -> Optional[MCD]:
         # Validity of the unifier: a view *existential* variable may not be
         # identified with a view head variable, with a constant, or with a
@@ -174,109 +203,117 @@ class _MCDBuilder:
         # equalities, so an MCD built on them would be unsound.  (In MiniCon
         # terms: head homomorphisms only ever equate distinguished view
         # variables.)
-        if not self._existentials_stay_separate(theta):
-            return None
+        existential_roots: Set[Term] = set()
+        for existential in self._view.existentials:
+            root = classes.find(existential)
+            if classes.exported(existential) or root in existential_roots:
+                return None
+            existential_roots.add(root)
 
         # Property C1: distinguished query variables occurring in covered
         # subgoals must be exported by the view.
+        covered_vars: Set[Variable] = set()
         for index in covered:
-            for variable in self._subgoals[index].variable_set():
-                if variable in self._distinguished and not self._exported(variable, theta):
-                    return None
+            covered_vars |= self._subgoals[index].variable_set()
+        exported_vars = []
+        for variable in sorted(covered_vars):
+            if classes.exported(variable):
+                exported_vars.append(variable)
+            elif variable in self._distinguished:
+                return None
 
         # Build the view atom of the rewriting: express every head position
         # of the view in terms of query variables/constants when exported,
         # otherwise in terms of one fresh variable per equivalence class.
-        class_fresh: Dict[Term, Variable] = {}
+        class_variable: Dict[Term, Variable] = {}
         args: List[Term] = []
-        for head_arg in self._view_head.args:
-            value = self._resolve(head_arg, theta)
-            if not is_variable(value):
-                args.append(value)
+        for head_arg in self._view.head.args:
+            root = classes.find(head_arg)
+            if not isinstance(root, Variable):
+                args.append(root)
                 continue
-            # Prefer a query variable from the same class.
-            query_var = self._class_query_variable(value, theta)
-            if query_var is not None:
-                args.append(query_var)
-                continue
-            fresh_var = class_fresh.get(value)
-            if fresh_var is None:
-                fresh_var = self._fresh("_mv")
-                class_fresh[value] = fresh_var
-            args.append(fresh_var)
-        view_atom = Atom(self._view.name, args)
-        equalities = self._induced_equalities(covered, theta)
+            variable = class_variable.get(root)
+            if variable is None:
+                # Prefer a query variable from the same class.
+                variable = self._class_query_variable(root, classes)
+                if variable is None:
+                    variable = self._fresh("_mv")
+                class_variable[root] = variable
+            args.append(variable)
         return MCD(
-            view=self._view,
-            view_atom=view_atom,
+            view=self._view.view,
+            view_atom=Atom.trusted(self._view.view.name, tuple(args)),
             covered=frozenset(covered),
             created_for=start_index,
-            equalities=equalities,
+            equalities=self._induced_equalities(exported_vars, classes),
         )
 
+    @staticmethod
     def _induced_equalities(
-        self, covered: Set[int], theta: Substitution
+        exported_vars: Sequence[Variable], classes: _UnifierClasses
     ) -> Tuple[ComparisonAtom, ...]:
         """Equalities the unification forces among *exported* query variables.
 
-        If two exported query variables of covered subgoals end up in the
-        same equivalence class (or an exported variable ends up bound to a
-        constant), the rewriting that uses this MCD only answers the query
-        when those terms are actually equal, so the equality must travel
-        with the MCD.
+        If two exported query variables of covered subgoals (``exported_vars``,
+        in name order) end up in the same equivalence class (or an exported
+        variable ends up bound to a constant), the rewriting that uses this
+        MCD only answers the query when those terms are actually equal, so
+        the equality must travel with the MCD.
         """
-        exported_vars = sorted(
-            {
-                variable
-                for index in covered
-                for variable in self._subgoals[index].variable_set()
-                if self._exported(variable, theta)
-            }
-        )
         by_class: Dict[Term, List[Variable]] = {}
         equalities: List[ComparisonAtom] = []
         for variable in exported_vars:
-            value = self._resolve(variable, theta)
-            if not is_variable(value):
-                equalities.append(ComparisonAtom(variable, "=", value))
+            root = classes.find(variable)
+            if not isinstance(root, Variable):
+                equalities.append(ComparisonAtom(variable, "=", root))
                 continue
-            by_class.setdefault(value, []).append(variable)
+            by_class.setdefault(root, []).append(variable)
         for members in by_class.values():
             representative = members[0]
             for other in members[1:]:
                 equalities.append(ComparisonAtom(representative, "=", other))
         return tuple(equalities)
 
-    def _existentials_stay_separate(self, theta: Substitution) -> bool:
-        """Check that no view existential got merged with a head variable,
-        a constant, or another existential by the unifier."""
-        classes: Dict[Term, List[Variable]] = {}
-        for existential in self._view_existentials:
-            value = self._resolve(existential, theta)
-            if not is_variable(value):
-                return False  # existential forced equal to a constant
-            classes.setdefault(value, []).append(existential)
-        for value, members in classes.items():
-            if len(members) > 1:
-                return False  # two distinct existentials merged
-            if any(self._resolve(head_var, theta) == value for head_var in self._view_head_vars):
-                return False  # existential merged with a head variable
-        return True
+    def _class_query_variable(
+        self, root: Term, classes: _UnifierClasses
+    ) -> Optional[Variable]:
+        """Return a deterministic query variable whose class is ``root``."""
+        first: Optional[Variable] = None
+        for variable in self._query_vars:
+            if classes.find(variable) == root:
+                # Prefer distinguished variables for readability; ties broken by name.
+                if variable in self._distinguished:
+                    return variable
+                if first is None:
+                    first = variable
+        return first
 
-    def _class_query_variable(self, value: Term, theta: Substitution) -> Optional[Variable]:
-        """Return a deterministic query variable whose class under ``theta`` is ``value``."""
-        candidates = [
-            variable
-            for variable in sorted(self._query_vars)
-            if self._resolve(variable, theta) == value
-        ]
-        if not candidates:
-            return None
-        # Prefer distinguished variables for readability; ties broken by name.
-        for variable in candidates:
-            if variable in self._distinguished:
-                return variable
-        return candidates[0]
+
+def form_mcds(
+    subgoals: Sequence[Atom],
+    distinguished: Iterable[Variable],
+    view: PreparedView,
+    fresh: FreshVariableFactory,
+    only_subgoal: Optional[int] = None,
+) -> List[MCD]:
+    """All MCDs of a prepared view for the query ``distinguished :- subgoals``.
+
+    ``only_subgoal`` restricts the result to MCDs *created for* that
+    subgoal index (the PDMS inclusion expansion asks for MCDs of one
+    specific goal node).  ``fresh`` names the view atom's unexported
+    positions.
+    """
+    builder = _MCDBuilder(subgoals, distinguished, view, fresh)
+    indices = range(len(subgoals)) if only_subgoal is None else (only_subgoal,)
+    results: List[MCD] = []
+    seen: Set[Tuple[Tuple[Term, ...], FrozenSet[int]]] = set()
+    for index in indices:
+        for mcd in builder.build_for(index):
+            key = (mcd.view_atom.args, mcd.covered)
+            if key not in seen:
+                seen.add(key)
+                results.append(mcd)
+    return results
 
 
 def create_mcds(
@@ -291,27 +328,18 @@ def create_mcds(
     ----------
     only_subgoal:
         When given, only MCDs *created for* that relational-subgoal index
-        are returned (the PDMS inclusion expansion asks for MCDs of one
-        specific goal node).
+        are returned.
     """
     if fresh is None:
         fresh = FreshVariableFactory()
         fresh.reserve(v.name for v in query.all_variables())
-    builder = _MCDBuilder(query, view, fresh)
-    indices: Iterable[int]
-    if only_subgoal is None:
-        indices = range(len(query.relational_body()))
-    else:
-        indices = [only_subgoal]
-    results: List[MCD] = []
-    seen: Set[Tuple[str, Tuple[Term, ...], FrozenSet[int]]] = set()
-    for index in indices:
-        for mcd in builder.build_for(index):
-            key = (mcd.view_atom.predicate, mcd.view_atom.args, mcd.covered)
-            if key not in seen:
-                seen.add(key)
-                results.append(mcd)
-    return results
+    return form_mcds(
+        query.relational_body(),
+        query.head_variables(),
+        PreparedView(view, fresh),
+        fresh,
+        only_subgoal,
+    )
 
 
 def _equalities_to_substitution(

@@ -29,11 +29,12 @@ oracle in :mod:`repro.pdms.semantics`.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..datalog.atoms import Atom, ComparisonAtom
 from ..datalog.constraints import ConstraintSet
@@ -47,13 +48,12 @@ from ..datalog.unify import (
     unify_atoms,
 )
 from ..errors import ReformulationError
-from ..integration.minicon import MCD, create_mcds
+from ..integration.minicon import MCD, form_mcds
 from .optimizations import DEFAULT_CONFIG, ExpansionOrder, ReformulationConfig
 from .rule_goal_tree import GoalNode, RuleGoalTree, RuleNode, TreeStatistics
 from .system import PDMS, NormalizedCatalogue, NormalizedInclusion, NormalizedRule
 
 _QUERY_ORIGIN = "__query__"
-_CONTEXT_PREDICATE = "__ctx__"
 
 
 # ---------------------------------------------------------------------------
@@ -151,34 +151,10 @@ class _LazySeq:
 # ---------------------------------------------------------------------------
 
 def compute_productive_predicates(catalogue: NormalizedCatalogue) -> frozenset:
-    """Predicates from which the reformulation can possibly reach stored data.
-
-    A predicate is *productive* if it is a stored relation, if some
-    definitional rule for it has an all-productive body, or if it occurs
-    on the right-hand side of an inclusion description whose left-hand
-    side predicate is productive.  Goal nodes over non-productive
-    predicates that also cannot be covered by a sibling (they appear on no
-    inclusion right-hand side) are dead ends.
-    """
-    productive: Set[str] = set(catalogue.stored_relations)
-    changed = True
-    while changed:
-        changed = False
-        for rule in catalogue.rules:
-            if rule.head_predicate in productive:
-                continue
-            body_predicates = rule.rule.predicates()
-            if body_predicates and all(p in productive for p in body_predicates):
-                productive.add(rule.head_predicate)
-                changed = True
-        for inclusion in catalogue.inclusions:
-            if inclusion.head_predicate not in productive:
-                continue
-            for predicate in inclusion.body_predicates():
-                if predicate not in productive:
-                    productive.add(predicate)
-                    changed = True
-    return frozenset(productive)
+    """Predicates from which the reformulation can possibly reach stored data
+    (see :meth:`NormalizedCatalogue.productive_predicates`, which computes
+    the set once per catalogue state)."""
+    return catalogue.productive_predicates()
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +296,15 @@ class ReformulationResult:
 # Tree construction (Step 2)
 # ---------------------------------------------------------------------------
 
+class _MCDContext(NamedTuple):
+    """An MCD query ``distinguished :- subgoals`` over positional variables,
+    with the original variable behind each positional one."""
+
+    distinguished: Tuple[Variable, ...]
+    subgoals: Tuple[Atom, ...]
+    originals: Dict[Variable, Variable]
+
+
 class _TreeBuilder:
     """Builds the rule-goal tree for one query."""
 
@@ -332,9 +317,11 @@ class _TreeBuilder:
         self._fresh.reserve(v.name for v in query.all_variables())
         self._productive: Optional[frozenset] = None
         if config.prune_dead_ends:
-            self._productive = compute_productive_predicates(self._catalogue)
-        self._coverable = frozenset(self._catalogue.inclusions_by_body_predicate)
+            self._productive = self._catalogue.productive_predicates()
+        self._coverable = self._catalogue.coverable_predicates()
         self._mcd_cache: Dict[tuple, List[MCD]] = {}
+        #: Positional variables ``_x0, _x1, ...`` MCD queries are posed over.
+        self._canonical_vars: List[Variable] = []
         self._stats = TreeStatistics()
         self._node_budget = config.max_nodes
         # Provenance accumulators (see ReformulationProvenance).
@@ -368,7 +355,7 @@ class _TreeBuilder:
         self._count_rule()
 
         body_atoms = self._query.relational_body()
-        frontier: deque = deque()
+        frontier: List[GoalNode] = []
         for atom in body_atoms:
             other_vars: Set[Variable] = set()
             for other in body_atoms:
@@ -467,19 +454,28 @@ class _TreeBuilder:
 
     # -- frontier management -------------------------------------------------------
 
-    def _expand_all(self, frontier: deque) -> None:
+    def _expand_all(self, initial: Sequence[GoalNode]) -> None:
         order = self._config.expansion_order
+        if order is ExpansionOrder.FEWEST_OPTIONS_FIRST:
+            # Cheap heuristic on applicable descriptions: the heap pops the
+            # earliest-inserted goal among those with the fewest options.
+            frontier: list = []
+            insertion = itertools.count()
+
+            def push(goal: GoalNode) -> None:
+                heapq.heappush(frontier, (self._option_count(goal), next(insertion), goal))
+
+            def pop() -> GoalNode:
+                return heapq.heappop(frontier)[2]
+        else:
+            frontier = deque()
+            push = frontier.append
+            pop = frontier.popleft if order is ExpansionOrder.BREADTH_FIRST else frontier.pop
+
+        for goal in initial:
+            push(goal)
         while frontier:
-            if order is ExpansionOrder.BREADTH_FIRST:
-                goal = frontier.popleft()
-            elif order is ExpansionOrder.DEPTH_FIRST:
-                goal = frontier.pop()
-            else:  # FEWEST_OPTIONS_FIRST: cheap heuristic on applicable descriptions
-                best_index = min(
-                    range(len(frontier)), key=lambda i: self._option_count(frontier[i])
-                )
-                goal = frontier[best_index]
-                del frontier[best_index]
+            goal = pop()
             if goal.expanded or goal.is_stored:
                 continue
             if self._config.max_depth is not None and goal.depth >= self._config.max_depth:
@@ -487,7 +483,7 @@ class _TreeBuilder:
                 continue
             for child in self._expand(goal):
                 if not child.is_stored and not child.expanded:
-                    frontier.append(child)
+                    push(child)
 
     def _option_count(self, goal: GoalNode) -> int:
         predicate = goal.label.predicate
@@ -599,34 +595,40 @@ class _TreeBuilder:
             return []
 
         siblings = goal.siblings()
-        sibling_atoms = [s.label for s in siblings]
         my_index = siblings.index(goal)
         sibling_vars: Set[Variable] = set()
-        for atom in sibling_atoms:
-            sibling_vars |= atom.variable_set()
+        for sibling in siblings:
+            sibling_vars |= sibling.label.variable_set()
         outside = self._outside_vars(goal)
-        exported = sorted(outside & sibling_vars)
-        pseudo_query = ConjunctiveQuery(
-            Atom(_CONTEXT_PREDICATE, exported), sibling_atoms
-        )
+        # The MCD query "exported :- sibling atoms", posed once per goal
+        # (on the first applicable inclusion) for all of its inclusions.
+        context: Optional[_MCDContext] = None
 
         produced: List[GoalNode] = []
         for inclusion in applicable:
             if inclusion.origin in goal.blocked:
                 continue
-            mcds = self._mcds_for(pseudo_query, inclusion, my_index)
-            for mcd in mcds:
-                covered_nodes = frozenset(siblings[i] for i in mcd.covered)
+            if context is None:
+                context = self._mcd_context(
+                    [s.label for s in siblings], sorted(outside & sibling_vars)
+                )
+            view_comparisons = (
+                inclusion.view.definition.comparison_body()
+                if self._config.prune_unsatisfiable
+                else ()
+            )
+            for mcd in self._mcds_for(context, inclusion, my_index):
                 covered_constraint = goal.constraint
-                for node in covered_nodes:
-                    if node is not goal:
-                        covered_constraint = covered_constraint.conjoin(node.constraint)
+                for index in sorted(mcd.covered):
+                    if index != my_index:
+                        covered_constraint = covered_constraint.conjoin(
+                            siblings[index].constraint
+                        )
                 # Equalities induced by the MCD must be enforced by the
                 # rewriting; the view's own comparison atoms are implied by
                 # the view's contents, so they only participate in the
                 # satisfiability check, not in the output constraint.
                 rule_constraint = covered_constraint.conjoin(mcd.equalities)
-                view_comparisons = inclusion.view.definition.comparison_body()
                 if self._config.prune_unsatisfiable and not rule_constraint.conjoin(
                     view_comparisons
                 ).is_satisfiable():
@@ -638,66 +640,101 @@ class _TreeBuilder:
                     origin=inclusion.origin,
                     parent=goal,
                     constraint=rule_constraint,
-                    covers=covered_nodes,
+                    covers=frozenset(siblings[i] for i in mcd.covered),
                 )
                 goal.add_child(rule_node)
                 self._count_rule()
                 self._used_origins.add(inclusion.origin)
                 uncovered_vars: Set[Variable] = set()
-                for sibling in siblings:
-                    if sibling not in covered_nodes:
+                for index, sibling in enumerate(siblings):
+                    if index not in mcd.covered:
                         uncovered_vars |= sibling.label.variable_set()
+                view_vars = mcd.view_atom.variable_set()
                 child = self._make_goal(
                     mcd.view_atom,
                     parent=rule_node,
                     blocked=goal.blocked | {inclusion.origin},
-                    constraint=rule_constraint.project(mcd.view_atom.variable_set()),
+                    constraint=rule_constraint.project(view_vars),
                     depth=goal.depth + 1,
-                    external=frozenset(
-                        mcd.view_atom.variable_set() & (outside | uncovered_vars)
-                    ),
+                    external=frozenset(view_vars & (outside | uncovered_vars)),
                 )
                 rule_node.add_child(child)
                 produced.append(child)
         return produced
 
+    def _mcd_context(
+        self, atoms: Sequence[Atom], exported: Sequence[Variable]
+    ) -> _MCDContext:
+        """Rename an MCD query's variables to positional names.
+
+        Structurally identical sibling groups get equal contexts whatever
+        their variables are called, which makes the context a memo key; and
+        positional names never collide with a prepared view's variables
+        (see :meth:`NormalizedInclusion.prepared_view`).
+        """
+        canonical_vars = self._canonical_vars
+        mapping: Dict[Variable, Variable] = {}
+        originals: Dict[Variable, Variable] = {}
+
+        def canon(term: Term) -> Term:
+            if not isinstance(term, Variable):
+                return term
+            canonical = mapping.get(term)
+            if canonical is None:
+                position = len(mapping)
+                if position == len(canonical_vars):
+                    canonical_vars.append(Variable(f"_x{position}"))
+                canonical = mapping[term] = canonical_vars[position]
+                originals[canonical] = term
+            return canonical
+
+        distinguished = tuple(canon(variable) for variable in exported)
+        subgoals = tuple(
+            Atom.trusted(atom.predicate, tuple(canon(arg) for arg in atom.args))
+            for atom in atoms
+        )
+        return _MCDContext(distinguished, subgoals, originals)
+
     def _mcds_for(
-        self,
-        pseudo_query: ConjunctiveQuery,
-        inclusion: NormalizedInclusion,
-        my_index: int,
+        self, context: _MCDContext, inclusion: NormalizedInclusion, my_index: int
     ) -> List[MCD]:
-        if not self._config.memoize_mcds:
-            return create_mcds(
-                pseudo_query, inclusion.view, self._fresh, only_subgoal=my_index
-            )
-        key, canonical_query, inverse = self._canonicalise(pseudo_query, my_index, inclusion)
-        cached = self._mcd_cache.get(key)
-        if cached is None:
-            cached = create_mcds(
-                canonical_query,
-                inclusion.view,
+        view = inclusion.prepared_view()
+        memoize = self._config.memoize_mcds
+        key = (view, my_index, context.distinguished, context.subgoals)
+        canonical_mcds = self._mcd_cache.get(key) if memoize else None
+        if canonical_mcds is None:
+            canonical_mcds = form_mcds(
+                context.subgoals,
+                context.distinguished,
+                view,
                 FreshVariableFactory(prefix="_c"),
                 only_subgoal=my_index,
             )
-            self._mcd_cache[key] = cached
+            if memoize:
+                self._mcd_cache[key] = canonical_mcds
         else:
             self._stats.memoization_hits += 1
-        # Translate the canonical MCDs back to the actual variable names.
+
+        # Translate the canonical MCDs back to the actual variable names;
+        # positions the view does not export get one fresh variable each.
+        originals = context.originals
         translated: List[MCD] = []
-        for mcd in cached:
-            fresh_map: Dict[Variable, Variable] = {}
+        for mcd in canonical_mcds:
+            placeholders: Dict[Variable, Variable] = {}
 
             def back(term: Term) -> Term:
-                if not is_variable(term):
+                if not isinstance(term, Variable):
                     return term
-                if term in inverse:
-                    return inverse[term]
-                if term not in fresh_map:
-                    fresh_map[term] = self._fresh("_mv")
-                return fresh_map[term]
+                original = originals.get(term)
+                if original is None:
+                    original = placeholders.get(term)
+                    if original is None:
+                        original = placeholders[term] = self._fresh("_mv")
+                return original
 
-            args = [back(arg) for arg in mcd.view_atom.args]
+            view_atom = Atom.trusted(
+                mcd.view_atom.predicate, tuple(back(arg) for arg in mcd.view_atom.args)
+            )
             equalities = tuple(
                 ComparisonAtom(back(eq.left), eq.op, back(eq.right))
                 for eq in mcd.equalities
@@ -705,7 +742,7 @@ class _TreeBuilder:
             translated.append(
                 MCD(
                     view=mcd.view,
-                    view_atom=Atom(mcd.view_atom.predicate, args),
+                    view_atom=view_atom,
                     covered=mcd.covered,
                     created_for=mcd.created_for,
                     equalities=equalities,
@@ -713,51 +750,26 @@ class _TreeBuilder:
             )
         return translated
 
-    def _canonicalise(
-        self,
-        pseudo_query: ConjunctiveQuery,
-        my_index: int,
-        inclusion: NormalizedInclusion,
-    ) -> Tuple[tuple, ConjunctiveQuery, Dict[Variable, Variable]]:
-        """Rename the pseudo-query's variables to positional names.
-
-        Returns a hashable cache key, the canonical query, and the inverse
-        renaming used to translate cached MCDs back.
-        """
-        mapping: Dict[Variable, Variable] = {}
-        inverse: Dict[Variable, Variable] = {}
-
-        def canon(term: Term) -> Term:
-            if not is_variable(term):
-                return term
-            if term not in mapping:
-                canonical = Variable(f"_x{len(mapping)}")
-                mapping[term] = canonical
-                inverse[canonical] = term
-            return mapping[term]
-
-        head_args = [canon(a) for a in pseudo_query.head.args]
-        body = [
-            Atom(atom.predicate, [canon(a) for a in atom.args])
-            for atom in pseudo_query.relational_body()
-        ]
-        canonical_query = ConjunctiveQuery(Atom(_CONTEXT_PREDICATE, head_args), body)
-        key = (
-            inclusion.origin,
-            inclusion.view.name,
-            my_index,
-            str(canonical_query.head),
-            tuple(str(a) for a in body),
-        )
-        return key, canonical_query, inverse
-
 
 # ---------------------------------------------------------------------------
 # Rewriting assembly (Step 3)
 # ---------------------------------------------------------------------------
 
+#: A partial rewriting: stored atoms chosen so far and the comparisons
+#: (constraint labels, mapping-induced equalities) they must satisfy.
+_Partial = Tuple[Tuple[Atom, ...], ConstraintSet]
+
+
 class _RewritingAssembler:
-    """Assembles conjunctive rewritings from a built rule-goal tree."""
+    """Assembles conjunctive rewritings from a built rule-goal tree.
+
+    The cost of a rewriting is proportional to its atoms plus the
+    comparisons it actually carries: constraint labels without comparisons
+    are shared objects that are never copied, checked or substituted, and
+    every distinct conjunction of comparisons is resolved (satisfiability,
+    equalities turned into a substitution) once, however many rewritings
+    carry it.
+    """
 
     def __init__(
         self, query: ConjunctiveQuery, tree: RuleGoalTree, config: ReformulationConfig
@@ -767,6 +779,12 @@ class _RewritingAssembler:
         self._config = config
         self._rule_cache: Dict[int, _LazySeq] = {}
         self._cache_lock = threading.Lock()
+        #: constraint -> (substitution, substituted residual comparisons),
+        #: or ``None`` when the conjunction is contradictory.
+        self._resolved: Dict[
+            ConstraintSet,
+            Optional[Tuple[Dict[Variable, Term], Tuple[ComparisonAtom, ...]]],
+        ] = {}
 
     # -- public -------------------------------------------------------------------
 
@@ -778,7 +796,9 @@ class _RewritingAssembler:
                 rewriting = self._finalise(atoms, constraint)
                 if rewriting is None:
                     continue
-                key = (frozenset(map(str, rewriting.body)), str(rewriting.head))
+                # Structural, not printed: ``S(x, 5)`` over the constant and
+                # over a variable named ``5`` print alike.
+                key = (rewriting.head, frozenset(rewriting.body))
                 if key in emitted:
                     continue
                 emitted.add(key)
@@ -786,7 +806,7 @@ class _RewritingAssembler:
 
     # -- assembly ------------------------------------------------------------------
 
-    def _goal_options(self, goal: GoalNode) -> List[Tuple[frozenset, object]]:
+    def _goal_options(self, goal: GoalNode) -> List[Tuple[frozenset, Optional[RuleNode]]]:
         """Ways to *use* a goal node: (coverage set, source).
 
         ``source`` is ``None`` for stored leaves (the leaf atom itself is
@@ -795,7 +815,7 @@ class _RewritingAssembler:
         """
         if goal.is_stored:
             return [(frozenset([goal]), None)]
-        options: List[Tuple[frozenset, object]] = []
+        options: List[Tuple[frozenset, Optional[RuleNode]]] = []
         for rule_node in goal.children:
             if rule_node.kind == RuleNode.KIND_INCLUSION:
                 coverage = rule_node.covers | {goal}
@@ -804,7 +824,7 @@ class _RewritingAssembler:
             options.append((coverage, rule_node))
         return options
 
-    def _rule_rewritings(self, rule_node: RuleNode) -> Iterable:
+    def _rule_rewritings(self, rule_node: RuleNode) -> Iterable[_Partial]:
         cached = self._rule_cache.get(rule_node.id)
         if cached is None:
             with self._cache_lock:
@@ -814,9 +834,14 @@ class _RewritingAssembler:
                     self._rule_cache[rule_node.id] = cached
         return cached
 
-    def _rule_rewritings_iter(
-        self, rule_node: RuleNode
-    ) -> Iterator[Tuple[Tuple[Atom, ...], ConstraintSet]]:
+    def _rule_rewritings_iter(self, rule_node: RuleNode) -> Iterator[_Partial]:
+        """The distinct partial rewritings below ``rule_node``, in choice order.
+
+        A repeated partial would repeat, further up, every rewriting its
+        first occurrence already takes part in — each a duplicate the root
+        drops — so dropping it here, before it multiplies, leaves the
+        emitted sequence unchanged.
+        """
         children = rule_node.children
         if not children:
             # A rule node with no children (can happen for definitional rules
@@ -824,42 +849,49 @@ class _RewritingAssembler:
             yield ((), rule_node.constraint)
             return
 
-        options_per_child = {child.id: self._goal_options(child) for child in children}
-        all_children = list(children)
+        # Children as bit positions, lowest id first; per child to cover, the
+        # options able to cover it in (child, option) order:
+        # (child bit, coverage mask, the leaf's own partial, rule node).
+        ranked = sorted(children, key=lambda g: g.id)
+        bit_of = {goal: 1 << rank for rank, goal in enumerate(ranked)}
+        covering: Dict[int, List[Tuple[int, int, Optional[_Partial], Optional[RuleNode]]]]
+        covering = {bit: [] for bit in bit_of.values()}
+        for child in children:
+            for coverage, source in self._goal_options(child):
+                mask = 0
+                for goal in coverage:
+                    mask |= bit_of[goal]
+                leaf = ((child.label,), child.constraint) if source is None else None
+                option = (bit_of[child], mask, leaf, source)
+                for bit in covering:
+                    if mask & bit:
+                        covering[bit].append(option)
 
         def cover(
-            remaining: frozenset,
-            used: frozenset,
-            atoms: Tuple[Atom, ...],
-            constraint: ConstraintSet,
-        ) -> Iterator[Tuple[Tuple[Atom, ...], ConstraintSet]]:
+            remaining: int, used: int, atoms: Tuple[Atom, ...], constraint: ConstraintSet
+        ) -> Iterator[_Partial]:
             if not remaining:
                 yield atoms, constraint
                 return
             # Deterministically attack the first uncovered child.
-            target = min(remaining, key=lambda g: g.id)
-            for child in all_children:
-                if child.id in used:
+            target = remaining & -remaining
+            for child_bit, mask, leaf, source in covering[target]:
+                if child_bit & used:
                     continue
-                for coverage, source in options_per_child[child.id]:
-                    if target not in coverage:
-                        continue
-                    if source is None:
-                        sub_results: Iterable = [((child.label,), child.constraint)]
-                    else:
-                        sub_results = self._rule_rewritings(source)
-                    for sub_atoms, sub_constraint in sub_results:
-                        merged = constraint.conjoin(sub_constraint)
-                        yield from cover(
-                            remaining - coverage,
-                            used | {child.id},
-                            atoms + sub_atoms,
-                            merged,
-                        )
+                sub_results = (leaf,) if source is None else self._rule_rewritings(source)
+                for sub_atoms, sub_constraint in sub_results:
+                    yield from cover(
+                        remaining & ~mask,
+                        used | child_bit,
+                        atoms + sub_atoms,
+                        constraint.conjoin(sub_constraint),
+                    )
 
-        yield from cover(
-            frozenset(children), frozenset(), (), rule_node.constraint
-        )
+        seen: Set[_Partial] = set()
+        for partial in cover((1 << len(ranked)) - 1, 0, (), rule_node.constraint):
+            if partial not in seen:
+                seen.add(partial)
+                yield partial
 
     # -- finalisation -----------------------------------------------------------------
 
@@ -868,44 +900,68 @@ class _RewritingAssembler:
     ) -> Optional[ConjunctiveQuery]:
         if not atoms:
             return None
-        # Discard rewritings whose accumulated constraints are contradictory
-        # (the paper: "If the resulting conjunctive query is unsatisfiable,
-        # we discard it").  This is a correctness matter, not an optimization,
-        # so it does not depend on the configuration.
-        if not constraint.is_satisfiable():
-            return None
-
-        # Turn accumulated equality constraints into a substitution, so that
-        # bindings forced by the mappings (``skill = "Doctor"`` from a
-        # definitional head, ``f1 = f2`` from an MCD) flow into the head and
-        # body instead of dangling as comparisons over missing variables.
-        substitution, residual = self._equalities_to_substitution(constraint)
-        if substitution is None:
-            return None
-        head = self._query.head.substitute(substitution)
-        grounded_atoms = [atom.substitute(substitution) for atom in atoms]
+        head = self._query.head
+        residual: Tuple[ComparisonAtom, ...] = ()
+        if constraint:
+            resolved = self._resolve(constraint)
+            if resolved is None:
+                return None
+            # Bindings forced by the mappings (``skill = "Doctor"`` from a
+            # definitional head, ``f1 = f2`` from an MCD) flow into the head
+            # and body instead of dangling as comparisons over missing
+            # variables.
+            substitution, residual = resolved
+            if substitution:
+                head = head.substitute(substitution)
+                atoms = tuple(atom.substitute(substitution) for atom in atoms)
 
         available: Set[Variable] = set()
-        for atom in grounded_atoms:
-            available.update(atom.variable_set())
-        if not all(v in available for v in head.variables()):
+        for atom in atoms:
+            available |= atom.variable_set()
+        if not head.variable_set() <= available:
             return None
-        body: List = list(dict.fromkeys(grounded_atoms))
+        body: List = list(dict.fromkeys(atoms))
         for comparison in residual:
-            comparison = comparison.substitute(substitution)
-            if comparison.is_ground():
-                if not comparison.evaluate_ground():
-                    return None
-                continue
-            if not all(v in available for v in comparison.variables()):
+            if not comparison.variable_set() <= available:
                 # A required comparison that the chosen stored atoms cannot
                 # express would make the rewriting unsound; discard it.
                 return None
             body.append(comparison)
-        rewriting = ConjunctiveQuery(head, body)
+        # Safe by the two checks above.
+        rewriting = ConjunctiveQuery.trusted(head, tuple(body))
         if self._config.minimize_rewritings:
             rewriting = minimize_query(rewriting)
         return rewriting
+
+    def _resolve(
+        self, constraint: ConstraintSet
+    ) -> Optional[Tuple[Dict[Variable, Term], Tuple[ComparisonAtom, ...]]]:
+        """Resolve a conjunction of comparisons once for every rewriting
+        carrying it: ``None`` if it is contradictory, else the substitution
+        its equalities amount to and the other comparisons under it."""
+        try:
+            return self._resolved[constraint]
+        except KeyError:
+            pass
+        resolved = None
+        # Discard rewritings whose accumulated constraints are contradictory
+        # (the paper: "If the resulting conjunctive query is unsatisfiable,
+        # we discard it").  This is a correctness matter, not an optimization,
+        # so it does not depend on the configuration.
+        if constraint.is_satisfiable():
+            substitution, residual = self._equalities_to_substitution(constraint)
+            if substitution is not None:
+                remaining: List[ComparisonAtom] = []
+                for comparison in residual:
+                    comparison = comparison.substitute(substitution)
+                    if not comparison.is_ground():
+                        remaining.append(comparison)
+                    elif not comparison.evaluate_ground():
+                        break
+                else:
+                    resolved = (substitution, tuple(remaining))
+        self._resolved[constraint] = resolved
+        return resolved
 
     def _equalities_to_substitution(
         self, constraint: ConstraintSet

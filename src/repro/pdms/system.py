@@ -20,11 +20,13 @@ predicates of their right-hand sides (for LAV-style *inclusion expansion*).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..datalog.atoms import Atom
 from ..datalog.queries import ConjunctiveQuery, DatalogRule
+from ..datalog.terms import FreshVariableFactory
 from ..errors import MappingError, PDMSConfigurationError
+from ..integration.minicon import PreparedView
 from ..integration.views import View, ViewKind
 from .mappings import (
     DefinitionalMapping,
@@ -36,6 +38,12 @@ from .peer import Peer, StoredRelation
 
 #: Any of the three peer-mapping flavours.
 AnyPeerMapping = Union[InclusionMapping, EqualityMapping, DefinitionalMapping]
+
+
+def _renamed_query(query: ConjunctiveQuery, predicate: str) -> ConjunctiveQuery:
+    """``query`` under the head predicate ``predicate``: same head arguments,
+    same body, hence as safe as ``query`` is."""
+    return ConjunctiveQuery.trusted(Atom.trusted(predicate, query.head.args), query.body)
 
 
 @dataclass(frozen=True)
@@ -106,8 +114,40 @@ class NormalizedInclusion:
         return self.view.name
 
     def body_predicates(self) -> frozenset[str]:
-        """Predicates of the right-hand-side query."""
-        return self.view.definition.predicates()
+        """Predicates of the right-hand-side query (computed once)."""
+        predicates = self.__dict__.get("_body_predicates")
+        if predicates is None:
+            # A frozen dataclass only blocks ``__setattr__``.
+            predicates = self.__dict__["_body_predicates"] = self.view.definition.predicates()
+        return predicates
+
+    def prepared_view(self) -> PreparedView:
+        """The view renamed apart for MCD formation (prepared once).
+
+        The renamed variables end in ``_<digits>`` after a non-empty stem;
+        the reformulation poses its MCD queries over variables named
+        ``_x<digits>``, which therefore never collide with them.
+        """
+        prepared = self.__dict__.get("_prepared_view")
+        if prepared is None:
+            prepared = self.__dict__["_prepared_view"] = PreparedView(
+                self.view, FreshVariableFactory()
+            )
+        return prepared
+
+
+class _DerivedState:
+    """What the reformulation derives from the catalogue's entries alone.
+
+    Every slot is filled on first use, never eagerly, and the whole object
+    is replaced when the entries change, so a mutation pays nothing for it.
+    """
+
+    __slots__ = ("productive", "coverable")
+
+    def __init__(self) -> None:
+        self.productive: Optional[frozenset] = None
+        self.coverable: Optional[frozenset] = None
 
 
 @dataclass
@@ -117,22 +157,28 @@ class NormalizedCatalogue:
     rules: List[NormalizedRule] = field(default_factory=list)
     inclusions: List[NormalizedInclusion] = field(default_factory=list)
     stored_relations: frozenset = frozenset()
-    rules_by_head: Dict[str, List[NormalizedRule]] = field(default_factory=dict)
-    inclusions_by_body_predicate: Dict[str, List[NormalizedInclusion]] = field(
+    rules_by_head: Dict[str, Tuple[NormalizedRule, ...]] = field(default_factory=dict)
+    inclusions_by_body_predicate: Dict[str, Tuple[NormalizedInclusion, ...]] = field(
         default_factory=dict
+    )
+    _derived: _DerivedState = field(
+        default_factory=_DerivedState, init=False, repr=False, compare=False
     )
 
     def index(self) -> None:
         """(Re)build the by-predicate indexes."""
-        self.rules_by_head = {}
+        rules_by_head: Dict[str, List[NormalizedRule]] = {}
         for rule in self.rules:
-            self.rules_by_head.setdefault(rule.head_predicate, []).append(rule)
-        self.inclusions_by_body_predicate = {}
+            rules_by_head.setdefault(rule.head_predicate, []).append(rule)
+        by_body_predicate: Dict[str, List[NormalizedInclusion]] = {}
         for inclusion in self.inclusions:
             for predicate in inclusion.body_predicates():
-                self.inclusions_by_body_predicate.setdefault(predicate, []).append(
-                    inclusion
-                )
+                by_body_predicate.setdefault(predicate, []).append(inclusion)
+        self.rules_by_head = {p: tuple(rs) for p, rs in rules_by_head.items()}
+        self.inclusions_by_body_predicate = {
+            p: tuple(entries) for p, entries in by_body_predicate.items()
+        }
+        self._derived = _DerivedState()
 
     def add_entries(
         self,
@@ -143,15 +189,17 @@ class NormalizedCatalogue:
         """Append entries and update the indexes in place (incremental add)."""
         for rule in rules:
             self.rules.append(rule)
-            self.rules_by_head.setdefault(rule.head_predicate, []).append(rule)
+            head = rule.head_predicate
+            self.rules_by_head[head] = self.rules_by_head.get(head, ()) + (rule,)
         for inclusion in inclusions:
             self.inclusions.append(inclusion)
+            index = self.inclusions_by_body_predicate
             for predicate in inclusion.body_predicates():
-                self.inclusions_by_body_predicate.setdefault(predicate, []).append(
-                    inclusion
-                )
+                index[predicate] = index.get(predicate, ()) + (inclusion,)
         if stored:
             self.stored_relations = self.stored_relations | frozenset(stored)
+        # Last, so state derived while the entries were changing is dropped too.
+        self._derived = _DerivedState()
 
     def remove_origins(self, origins: frozenset, stored: frozenset) -> None:
         """Drop every entry whose origin is in ``origins``; reset stored set."""
@@ -160,17 +208,60 @@ class NormalizedCatalogue:
         self.stored_relations = stored
         self.index()
 
-    def definitional_for(self, predicate: str) -> Sequence[NormalizedRule]:
+    def definitional_for(self, predicate: str) -> Tuple[NormalizedRule, ...]:
         """Definitional rules whose head is ``predicate``."""
-        return tuple(self.rules_by_head.get(predicate, ()))
+        return self.rules_by_head.get(predicate, ())
 
-    def inclusions_mentioning(self, predicate: str) -> Sequence[NormalizedInclusion]:
+    def inclusions_mentioning(self, predicate: str) -> Tuple[NormalizedInclusion, ...]:
         """Inclusion descriptions whose right-hand side mentions ``predicate``."""
-        return tuple(self.inclusions_by_body_predicate.get(predicate, ()))
+        return self.inclusions_by_body_predicate.get(predicate, ())
 
     def is_stored(self, predicate: str) -> bool:
         """Is ``predicate`` a stored relation?"""
         return predicate in self.stored_relations
+
+    # -- catalogue-derived state (lazy; dropped with every change of entries) ------
+
+    def productive_predicates(self) -> frozenset:
+        """Predicates from which the reformulation can possibly reach stored data.
+
+        A predicate is *productive* if it is a stored relation, if some
+        definitional rule for it has an all-productive body, or if it occurs
+        on the right-hand side of an inclusion description whose left-hand
+        side predicate is productive.  Goal nodes over non-productive
+        predicates that also cannot be covered by a sibling (they appear on no
+        inclusion right-hand side) are dead ends (Section 4.3).
+        """
+        derived = self._derived
+        if derived.productive is None:
+            productive = set(self.stored_relations)
+            changed = True
+            while changed:
+                changed = False
+                for rule in self.rules:
+                    if rule.head_predicate in productive:
+                        continue
+                    body_predicates = rule.rule.predicates()
+                    if body_predicates and all(p in productive for p in body_predicates):
+                        productive.add(rule.head_predicate)
+                        changed = True
+                for inclusion in self.inclusions:
+                    if inclusion.head_predicate not in productive:
+                        continue
+                    for predicate in inclusion.body_predicates():
+                        if predicate not in productive:
+                            productive.add(predicate)
+                            changed = True
+            derived.productive = frozenset(productive)
+        return derived.productive
+
+    def coverable_predicates(self) -> frozenset:
+        """Predicates on some inclusion's right-hand side: a goal over one
+        may be covered by a sibling's inclusion expansion."""
+        derived = self._derived
+        if derived.coverable is None:
+            derived.coverable = frozenset(self.inclusions_by_body_predicate)
+        return derived.coverable
 
 
 class PDMS:
@@ -507,10 +598,11 @@ class PDMS:
         return self._catalogue
 
     def _normalise(self) -> NormalizedCatalogue:
-        catalogue = NormalizedCatalogue(stored_relations=self.stored_relation_names())
+        stored = self.stored_relation_names()
+        catalogue = NormalizedCatalogue(stored_relations=stored)
 
         for mapping in self._peer_mappings:
-            rules, inclusions = self._normalised_mapping_entries(mapping)
+            rules, inclusions = self._normalised_mapping_entries(mapping, stored)
             catalogue.rules.extend(rules)
             catalogue.inclusions.extend(inclusions)
 
@@ -521,9 +613,14 @@ class PDMS:
         return catalogue
 
     def _normalised_mapping_entries(
-        self, mapping: AnyPeerMapping
+        self, mapping: AnyPeerMapping, stored: Optional[frozenset] = None
     ) -> Tuple[List[NormalizedRule], List[NormalizedInclusion]]:
-        """Normalise one peer mapping into catalogue entries (Step 1)."""
+        """Normalise one peer mapping into catalogue entries (Step 1).
+
+        ``stored`` is the system's stored-relation names when the caller
+        already has them (normalising a whole catalogue would otherwise
+        rescan every peer per inclusion).
+        """
         rules: List[NormalizedRule] = []
         inclusions: List[NormalizedInclusion] = []
         if isinstance(mapping, DefinitionalMapping):
@@ -532,17 +629,20 @@ class PDMS:
             )
         elif isinstance(mapping, InclusionMapping):
             self._normalise_inclusion(
-                mapping, mapping.name, exact=False, rules=rules, inclusions=inclusions
+                mapping, mapping.name, exact=False, stored=stored,
+                rules=rules, inclusions=inclusions,
             )
         elif isinstance(mapping, EqualityMapping):
             forward, backward = mapping.as_inclusions()
             # Both directions share the equality's origin so the
             # termination rule treats them as one description.
             self._normalise_inclusion(
-                forward, mapping.name, exact=True, rules=rules, inclusions=inclusions
+                forward, mapping.name, exact=True, stored=stored,
+                rules=rules, inclusions=inclusions,
             )
             self._normalise_inclusion(
-                backward, mapping.name, exact=True, rules=rules, inclusions=inclusions
+                backward, mapping.name, exact=True, stored=stored,
+                rules=rules, inclusions=inclusions,
             )
         return rules, inclusions
 
@@ -550,9 +650,8 @@ class PDMS:
         self, description: StorageDescription
     ) -> NormalizedInclusion:
         """Normalise one storage description into its catalogue inclusion."""
-        head = Atom(description.relation, description.query.head.args)
         view = View(
-            ConjunctiveQuery(head, description.query.body),
+            _renamed_query(description.query, description.relation),
             ViewKind.EXACT if description.exact else ViewKind.CONTAINED,
         )
         return NormalizedInclusion(view, origin=description.name, stored=True)
@@ -562,26 +661,27 @@ class PDMS:
         mapping: InclusionMapping,
         origin: str,
         exact: bool,
+        stored: Optional[frozenset],
         rules: List[NormalizedRule],
         inclusions: List[NormalizedInclusion],
     ) -> None:
         kind = ViewKind.EXACT if exact else ViewKind.CONTAINED
         if mapping.left_is_single_atom():
             head_predicate = mapping.left.relational_body()[0].predicate
-            head = Atom(head_predicate, mapping.right.head.args)
-            view = View(ConjunctiveQuery(head, mapping.right.body), kind)
+            view = View(_renamed_query(mapping.right, head_predicate), kind)
+            if stored is None:
+                stored = self.stored_relation_names()
             inclusions.append(
                 NormalizedInclusion(
                     view,
                     origin=origin,
-                    stored=self.is_stored_relation(head_predicate),
+                    stored=head_predicate in stored,
                 )
             )
             return
         # General left-hand side: introduce a synthetic predicate V.
         synthetic_predicate = f"__ppl_{mapping.name}"
-        view_head = Atom(synthetic_predicate, mapping.right.head.args)
-        view = View(ConjunctiveQuery(view_head, mapping.right.body), kind)
+        view = View(_renamed_query(mapping.right, synthetic_predicate), kind)
         inclusions.append(NormalizedInclusion(view, origin=origin, stored=False))
         rule_head = Atom(synthetic_predicate, mapping.left.head.args)
         rule = DatalogRule(rule_head, mapping.left.body)

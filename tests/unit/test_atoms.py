@@ -87,6 +87,38 @@ class TestComparisonAtom:
         assert comparison.variable_set() == frozenset({Variable("x")})
 
 
+class TestTrustedConstructionAndSharing:
+    def test_trusted_atom_equals_and_hashes_like_a_constructed_one(self):
+        args = (Variable("x"), Constant("a"), Constant(3))
+        trusted, constructed = Atom.trusted("R", args), Atom("R", [Variable("x"), "a", 3])
+        assert trusted == constructed
+        assert hash(trusted) == hash(constructed)
+        assert {trusted: 1}[constructed] == 1
+        assert str(trusted) == str(constructed)
+        assert trusted.variable_set() == constructed.variable_set() == {Variable("x")}
+
+    def test_variable_set_is_computed_once(self):
+        atom = Atom("R", [Variable("x"), Variable("y"), Variable("x"), 1])
+        assert atom.variable_set() == frozenset({Variable("x"), Variable("y")})
+        assert atom.variable_set() is atom.variable_set()
+        assert Atom("R", [1, 2]).variable_set() == frozenset()
+
+    def test_substitute_that_changes_nothing_returns_the_atom(self):
+        atom = Atom("R", [Variable("x"), 1])
+        assert atom.substitute({}) is atom
+        assert atom.substitute({Variable("z"): Constant(2)}) is atom
+        assert atom.substitute({Variable("x"): Variable("x")}) is atom
+        changed = atom.substitute({Variable("x"): Constant(2)})
+        assert changed == Atom("R", [2, 1]) and changed is not atom
+        # Values that are not terms yet are still coerced.
+        assert atom.substitute({Variable("x"): "a"}) == Atom("R", ["a", 1])
+
+    def test_comparison_substitute_that_changes_nothing_returns_the_atom(self):
+        comparison = ComparisonAtom(Variable("x"), "<", Constant(5))
+        assert comparison.substitute({Variable("z"): Constant(1)}) is comparison
+        assert comparison.substitute({Variable("x"): Constant(1)}) == ComparisonAtom(1, "<", 5)
+
+
 class TestHelpers:
     def test_compare_values_same_types(self):
         assert compare_values(1, "<", 2)

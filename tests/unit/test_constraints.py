@@ -81,6 +81,20 @@ class TestAlgebra:
         assert "<" in str(ConstraintSet([c(X, "<", Constant(5))]))
 
 
+    def test_conjoining_the_empty_conjunction_shares_the_operand(self):
+        empty, some = ConstraintSet(), ConstraintSet([c(X, "<", Constant(5))])
+        assert some.conjoin(empty) is some
+        assert some.conjoin([]) is some
+        assert empty.conjoin(some) is some
+        assert empty.conjoin(empty) is empty
+        assert empty.project([X]) is empty
+
+    def test_satisfiability_verdict_is_kept(self):
+        unsat = ConstraintSet([c(X, "<", Constant(1)), c(X, ">", Constant(2))])
+        assert not unsat.is_satisfiable() and not unsat.is_satisfiable()
+        assert unsat == ConstraintSet([c(X, "<", Constant(1)), c(X, ">", Constant(2))])
+
+
 class TestProjection:
     def test_projection_keeps_visible_atoms(self):
         constraints = ConstraintSet([c(X, "<", Constant(5)), c(Y, ">", Constant(1))])

@@ -2,8 +2,9 @@
 
 from repro.datalog import evaluate_union, parse_query
 from repro.datalog.containment import is_contained_in
-from repro.datalog.terms import Variable
+from repro.datalog.terms import FreshVariableFactory, Variable
 from repro.integration import View, ViewSet, create_mcds, minicon_rewrite
+from repro.integration.minicon import PreparedView, form_mcds
 from repro.integration.bucket import expand_view_atoms
 
 
@@ -59,6 +60,36 @@ class TestMCDConstruction:
         mcds = create_mcds(query, view)
         assert len(mcds) == 1
         assert '"medical"' in str(mcds[0].view_atom)
+
+
+    def test_a_view_prepared_once_serves_many_queries(self):
+        """Preparing (renaming apart, indexing the body) is per view, not per
+        query: one prepared view forms the MCDs ``create_mcds`` forms."""
+        view = View(parse_query("SameSkill(a, b) :- Skill(a, s), Skill(b, s)"))
+        queries = [
+            parse_query("Q(f1, f2) :- Skill(f1, s), Skill(f2, s)"),
+            parse_query('Q(g) :- Skill(g, "medical"), Skill(h, "medical")'),
+            parse_query("Q(g) :- Other(g, t)"),
+        ]
+        fresh = FreshVariableFactory()
+        for query in queries:
+            fresh.reserve(v.name for v in query.all_variables())
+        prepared = PreparedView(view, fresh)
+
+        def shape(mcd):
+            # Unexported positions carry fresh variables whose numbers depend
+            # on the factory's history, not on the MCD.
+            args = tuple(
+                None if isinstance(a, Variable) and a.name.startswith("_mv") else a
+                for a in mcd.view_atom.args)
+            return (args, mcd.covered, mcd.created_for, mcd.equalities)
+
+        for query in queries:
+            formed = form_mcds(
+                query.relational_body(), query.head_variables(), prepared, fresh)
+            assert [shape(m) for m in formed] == [
+                shape(m) for m in create_mcds(query, view)]
+        assert formed == []
 
 
 class TestMiniConRewriting:

@@ -86,6 +86,27 @@ class TestConjunctiveQuery:
         assert str(query) == "Q(x) :- R(x, y)"
 
 
+class TestTrustedConstruction:
+    def test_trusted_query_equals_and_hashes_like_a_constructed_one(self):
+        head, body = Atom("Q", [X]), (Atom("R", [X, Y]), ComparisonAtom(Y, "<", Constant(3)))
+        trusted, constructed = ConjunctiveQuery.trusted(head, body), cq(head, body)
+        assert trusted == constructed
+        assert hash(trusted) == hash(constructed)
+        assert str(trusted) == str(constructed)
+        assert trusted.relational_body() == constructed.relational_body()
+
+    def test_trusted_keeps_the_subclass(self):
+        rule = DatalogRule.trusted(Atom("P", [X]), (Atom("R", [X, Y]),))
+        assert isinstance(rule, DatalogRule)
+        assert rule == DatalogRule(Atom("P", [X]), [Atom("R", [X, Y])])
+
+    def test_substitute_shares_unchanged_atoms(self):
+        query = cq(Atom("Q", [X]), [Atom("R", [X, Y]), Atom("S", [Z])])
+        substituted = query.substitute({Y: Constant(1)})
+        assert substituted == cq(Atom("Q", [X]), [Atom("R", [X, 1]), Atom("S", [Z])])
+        assert substituted.head is query.head and substituted.body[1] is query.body[1]
+
+
 class TestUnionQuery:
     def test_disjuncts_must_agree_on_head(self):
         first = cq(Atom("Q", [X]), [Atom("R", [X])])

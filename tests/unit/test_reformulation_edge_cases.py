@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datalog import parse_atom, parse_query
+from repro.datalog import Atom, ConjunctiveQuery, Constant, Variable, parse_atom, parse_query
 from repro.pdms import (
     PDMS,
     DefinitionalMapping,
@@ -60,6 +60,32 @@ class TestConstantsInQueries:
         data = {"stored_r": [(1, 1), (1, 2)]}
         assert answer_query(pdms, query, data) == {(1,)}
         assert certain_answers(pdms, query, data) == {(1,)}
+
+
+class TestRewritingDeduplication:
+    def test_variable_printing_like_a_constant_is_a_distinct_rewriting(self):
+        """``S(x, 5)`` over the constant and over a variable *named* ``5``
+        print alike; deduplicating printed rewritings dropped the second
+        one and with it the answer ``(2,)``."""
+        pdms = PDMS()
+        peer = pdms.add_peer("A")
+        peer.add_relation("R", ["x", "y"])
+        peer.add_relation("U", ["x", "y"])
+        pdms.add_peer_mapping(DefinitionalMapping(
+            parse_query("A:U(a, 5) :- A:R(a, 5)"), name="only_five"))
+        pdms.add_peer_mapping(DefinitionalMapping(
+            parse_query("A:U(a, b) :- A:R(a, b)"), name="everything"))
+        pdms.add_storage_description(
+            StorageDescription("A", "S", parse_query("V(x, y) :- A:R(x, y)")))
+        x, five = Variable("x"), Variable("5")
+        query = ConjunctiveQuery(Atom("Q", [x]), [Atom("A:U", [x, five])])
+
+        rewritings = reformulate(pdms, query).all_rewritings()
+        assert [str(r) for r in rewritings] == ["Q(x) :- S(x, 5)"] * 2
+        assert [r.body[0].args for r in rewritings] == [(x, Constant(5)), (x, five)]
+        data = {"S": [(1, 5), (2, 6)]}
+        assert answer_query(pdms, query, data) == {(1,), (2,)}
+        assert certain_answers(pdms, query, data) == {(1,), (2,)}
 
 
 class TestUnmappedAndEmptyCases:

@@ -59,6 +59,15 @@ class TestUnifyAtoms:
         assert unify_atoms(Atom("R", [Constant(1)]), Atom("R", [Constant(2)])) is None
 
 
+    def test_extends_a_copy_of_the_given_substitution(self):
+        given = {X: Constant(1)}
+        extended = unify_atoms(Atom("R", [X, Y]), Atom("R", [Z, Constant(2)]), given)
+        assert extended == {X: Constant(1), Z: Constant(1), Y: Constant(2)}
+        assert given == {X: Constant(1)}
+        assert unify_atoms(Atom("R", [X, Y]), Atom("R", [Constant(3), Z]), given) is None
+        assert given == {X: Constant(1)}
+
+
 class TestMatchAtom:
     def test_one_way_matching_binds_only_pattern(self):
         result = match_atom(Atom("R", [X, Y]), Atom("R", [Constant(1), Z]))
