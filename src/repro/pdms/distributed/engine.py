@@ -41,7 +41,7 @@ degraded relations are barred from version-keyed caches by the source
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Set, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 import threading
 from collections import OrderedDict
@@ -49,26 +49,18 @@ from collections import OrderedDict
 from ...config import shards as _config_shards
 from ...config import transport_backend as _config_transport_backend
 from ...database.feedback import QErrorLog
-from ...datalog.evaluation import as_fact_source
-from ...datalog.indexing import ensure_indexed
 from ...errors import EvaluationError
 from ...obs.trace import current_span
 from ..execution import (
+    ExecutionEngine,
     PeerFactSource,
     Row,
     evaluate_reformulation,
     federate_if_per_peer,
     register_engine,
 )
-from ..materialization import FragmentCache, data_version_token
-from ..planning import (
-    UnionPlan,
-    _OnceMap,
-    _evaluate_rewriting_plan,
-    _worth_caching,
-    ensure_plan,
-    stream_plan_answers,
-)
+from ..materialization import FragmentCache
+from ..planning import UnionPlan, ensure_plan, plan_answer_batches
 from ..reformulation import ReformulationResult
 from .async_transport import AsyncSocketTransport
 from .sharding import auto_shard
@@ -150,30 +142,33 @@ class DistributedAnswer:
         return iter(self.rows)
 
 
-class DistributedEngine:
-    """Scatter-gather engine over a peer-boundary transport."""
+class DistributedEngine(ExecutionEngine):
+    """Scatter-gather engine over a peer-boundary transport.
+
+    Evaluation is the shared root loop
+    (:func:`~repro.pdms.planning.plan_answer_batches`); this engine only
+    decides what the data source is and, before each root, scatters the
+    root's scans unless the root is already warm in the cache.
+    """
 
     uses_plans = True
 
     def __init__(self, name: str = "distributed"):
         self.name = name
 
-    def stream(
+    def batches(
         self,
         result: ReformulationResult,
         data,
         plan: Optional[UnionPlan] = None,
         cache: Optional[FragmentCache] = None,
         feedback: Optional[QErrorLog] = None,
-    ) -> Iterator[Row]:
-        if plan is not None and plan.result is not result:
-            raise EvaluationError(
-                "the supplied union plan was compiled for a different "
-                "reformulation result"
-            )
+    ) -> Iterator[Iterable[Row]]:
+        if plan is not None:
+            ensure_plan(result, data, plan)  # fail on a foreign plan now, not lazily
         return self._generate(result, data, plan, cache, feedback)
 
-    def _generate(self, result, data, plan, cache, feedback=None) -> Iterator[Row]:
+    def _generate(self, result, data, plan, cache, feedback):
         remote: Optional[RemotePeerFactSource] = None
         owns_source = False
         if isinstance(data, RemotePeerFactSource):
@@ -190,46 +185,43 @@ class DistributedEngine:
             owns_source = True
         source = remote if remote is not None else data
         try:
-            if plan is None:
-                plan = ensure_plan(result, source)
+            plan = ensure_plan(result, source, plan)
             if remote is None:
                 # No peer structure to scatter over: identical to "shared".
-                yield from stream_plan_answers(
+                yield from plan_answer_batches(
                     plan, source, cache=cache, feedback=feedback
                 )
                 return
-            indexed = ensure_indexed(as_fact_source(source))
-            memo = _OnceMap()
-            seen: Set[Row] = set()
-            for rewriting_plan in plan.fragments():
-                root_key = rewriting_plan.root_key
+            failures_seen = remote.failure_count
+
+            def prefetch(evaluation, root_key):
+                nonlocal failures_seen
                 # A fragment already warm in the cache (locally or in the
                 # shared tier) will be served without touching the wire, so
                 # its whole scatter round can be skipped — this is where a
                 # cross-process cache-tier hit beats a cold compute.
-                prefetch_needed = True
-                if cache is not None and _worth_caching(plan.nodes[root_key]):
-                    relations = plan.fragment_relations(root_key)
-                    token = data_version_token(remote, relations)
-                    if token is not None and cache.peek(
-                        root_key, token, relations
-                    ):
-                        prefetch_needed = False
-                if prefetch_needed:
+                if not evaluation.cached(root_key):
                     # Scatter: every stored-relation scan under this root,
                     # one batched RPC per owning peer, concurrently —
                     # pruned to owning shards where the pattern allows.
                     # Gathered rows land in the source's memo, so fragment
                     # evaluation below never blocks on the wire.
                     remote.prefetch(
-                        plan.scan_requests(root_key, shard_map=remote.shard_map)
+                        evaluation.plan.scan_requests(
+                            root_key, shard_map=remote.shard_map
+                        )
                     )
-                for row in _evaluate_rewriting_plan(
-                    plan, rewriting_plan, indexed, memo, cache, feedback=feedback
-                ):
-                    if row not in seen:
-                        seen.add(row)
-                        yield row
+                # A failed scan (ours or a concurrent call's) withdraws the
+                # versions of the relations it degraded: stop trusting the
+                # snapshot, or partial rows would be cached as complete.
+                failures = remote.failure_count
+                if failures != failures_seen:
+                    failures_seen = failures
+                    evaluation.versions.clear()
+
+            yield from plan_answer_batches(
+                plan, remote, cache=cache, feedback=feedback, before_root=prefetch
+            )
         finally:
             if owns_source and remote is not None:
                 remote.close()

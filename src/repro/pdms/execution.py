@@ -64,9 +64,11 @@ from .materialization import FragmentCache, data_version_token
 from .optimizations import ReformulationConfig
 from .planning import (
     UnionPlan,
+    distinct_rows,
     ensure_plan,
+    plan_answer_batches,
     shared_workers_from_env,
-    stream_plan_answers,
+    union_rows,
 )
 from .reformulation import (
     ReformulationResult,
@@ -85,10 +87,13 @@ Row = Tuple[object, ...]
 class ExecutionEngine(Protocol):
     """An execution strategy for a reformulated union of rewritings.
 
-    ``stream`` yields *distinct* answer rows incrementally; consuming only
-    a prefix must not force the full rewriting enumeration.  Engines that
-    consume compiled union plans set ``uses_plans`` so callers holding a
-    plan cache (the service layer) can pass one in.  ``cache`` (optional)
+    ``batches`` yields one *batch* of answer rows per rewriting as the
+    enumeration progresses (rows may repeat within and across batches);
+    consuming only a prefix must not force the full rewriting enumeration.
+    Whole-answer callers union the batches; ``stream`` is the thin row view
+    over them, so first-k consumers stay lazy.  Engines that consume
+    compiled union plans set ``uses_plans`` so callers holding a plan
+    cache (the service layer) can pass one in.  ``cache`` (optional)
     is a cross-call :class:`~repro.pdms.materialization.FragmentCache`;
     every engine routes its repeated work through it at whatever
     granularity fits — shared fragment tables for the union-plan engine,
@@ -103,6 +108,16 @@ class ExecutionEngine(Protocol):
 
     name: str
 
+    def batches(
+        self,
+        result: ReformulationResult,
+        data: FactsLike,
+        plan: Optional[UnionPlan] = None,
+        cache: Optional[FragmentCache] = None,
+        feedback: Optional[QErrorLog] = None,
+    ) -> Iterator[Iterable[Row]]:  # pragma: no cover - protocol
+        ...
+
     def stream(
         self,
         result: ReformulationResult,
@@ -110,11 +125,12 @@ class ExecutionEngine(Protocol):
         plan: Optional[UnionPlan] = None,
         cache: Optional[FragmentCache] = None,
         feedback: Optional[QErrorLog] = None,
-    ) -> Iterator[Row]:  # pragma: no cover - protocol
-        ...
+    ) -> Iterator[Row]:
+        """Distinct answer rows, one at a time, as batches are produced."""
+        return distinct_rows(self.batches(result, data, plan, cache, feedback))
 
 
-class PerRewritingEngine:
+class PerRewritingEngine(ExecutionEngine):
     """Wraps a per-rewriting evaluator into the engine interface.
 
     With a fragment cache, each rewriting's full answer set is cached
@@ -162,26 +178,22 @@ class PerRewritingEngine:
             return evaluate()
         return cache.get_or_compute(key, token, relations, evaluate)
 
-    def stream(
+    def batches(
         self,
         result: ReformulationResult,
         data: FactsLike,
         plan: Optional[UnionPlan] = None,
         cache: Optional[FragmentCache] = None,
         feedback: Optional[QErrorLog] = None,
-    ) -> Iterator[Row]:
-        seen: Set[Row] = set()
+    ) -> Iterator[Iterable[Row]]:
         for rewriting in result.rewritings():
-            for row in self._rows(rewriting, data, cache, feedback):
-                if row not in seen:
-                    seen.add(row)
-                    yield row
+            yield self._rows(rewriting, data, cache, feedback)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PerRewritingEngine({self.name!r})"
 
 
-class SharedPlanEngine:
+class SharedPlanEngine(ExecutionEngine):
     """Evaluates the whole union through one shared union-plan DAG.
 
     Common sub-conjunctions across rewritings are computed once per call;
@@ -192,7 +204,8 @@ class SharedPlanEngine:
     :mod:`repro.database.columnar` batch kernels, ``False`` always the
     row path, ``None`` (the stock ``"shared"`` engine) follows the
     ``REPRO_COLUMNAR`` knob — on by default, so ``"shared"`` uses the
-    kernels under the hood unless explicitly disabled.
+    kernels under the hood unless explicitly disabled.  Every knob is
+    resolved once per call, here, and passed down.
     """
 
     uses_plans = True
@@ -207,28 +220,21 @@ class SharedPlanEngine:
         self._max_workers = max_workers
         self._columnar = columnar
 
-    def stream(
+    def batches(
         self,
         result: ReformulationResult,
         data: FactsLike,
         plan: Optional[UnionPlan] = None,
         cache: Optional[FragmentCache] = None,
         feedback: Optional[QErrorLog] = None,
-    ) -> Iterator[Row]:
+    ) -> Iterator[Iterable[Row]]:
         workers = (
             self._max_workers
             if self._max_workers is not None
             else shared_workers_from_env()
         )
-        if plan is None:
-            plan = ensure_plan(result, data)
-        elif plan.result is not result:
-            raise EvaluationError(
-                "the supplied union plan was compiled for a different "
-                "reformulation result"
-            )
-        return stream_plan_answers(
-            plan,
+        return plan_answer_batches(
+            ensure_plan(result, data, plan),
             data,
             max_workers=workers,
             cache=cache,
@@ -574,7 +580,8 @@ def evaluate_reformulation(
     Streaming evaluation: rewritings are evaluated as they are produced,
     so answers from the first rewritings are found before the enumeration
     completes.  With ``limit``, evaluation stops as soon as ``limit``
-    distinct answers are known and returns that subset.
+    distinct answers are known and returns that subset; without it the
+    per-rewriting batches are merged whole.
 
     ``engine`` selects the evaluation path (see :func:`registered_engines`;
     ``"backtracking"``, ``"plan"``, and ``"shared"`` ship by default); all
@@ -583,16 +590,12 @@ def evaluate_reformulation(
     engine = validate_engine(engine if engine is not None else default_engine())
     if limit is not None and limit < 0:
         raise EvaluationError(f"limit must be non-negative, got {limit}")
-    answers: Set[Row] = set()
     if limit == 0:
-        return answers
-    for row in stream_answers(
-        result, data, engine=engine, plan=plan, cache=cache, feedback=feedback
-    ):
-        answers.add(row)
-        if limit is not None and len(answers) >= limit:
-            break
-    return answers
+        return set()
+    batches = get_engine(engine).batches(
+        result, federate_if_per_peer(data), plan=plan, cache=cache, feedback=feedback
+    )
+    return union_rows(batches, limit)
 
 
 def answer_query(

@@ -376,21 +376,26 @@ class FragmentCache:
         key: str,
         token: object,
         relations: Iterable[str],
-        compute: Callable[[], object],
+        compute: Callable[..., object],
+        *args: object,
     ):
         """The cached result for ``key`` at ``token``, computing on miss.
 
         ``relations`` names the base relations the result reads (for
         explicit invalidation); ``token`` is the caller's data-version
-        token for exactly those relations (see :func:`data_version_token`).
-        On a local miss the shared tier (when attached) is consulted
-        before computing; a freshly computed result that the local policy
-        admitted is offered back to the tier, so the *next* process asking
-        for this fragment at this version skips the compute too.
+        token for exactly those relations (see :func:`data_version_token`);
+        a miss calls ``compute(*args)``.  On a local miss the shared tier
+        (when attached) is consulted before computing; a freshly computed
+        result that the local policy admitted is offered back to the tier,
+        so the *next* process asking for this fragment at this version
+        skips the compute too.
         """
-        with current_span().child(
-            "fragment.cache", key=key[:80], tier=self._tier is not None
-        ) as span:
+        span = current_span()
+        if span.recording:
+            span = span.child(
+                "fragment.cache", key=key[:80], tier=self._tier is not None
+            )
+        with span:
             with self._lock:
                 entry = self._entries.get(key)
                 if entry is not None:
@@ -418,7 +423,7 @@ class FragmentCache:
                 return tier_value
             span.set("outcome", "miss")
             started = self._clock()
-            value = compute()
+            value = compute(*args)
             elapsed = self._clock() - started
             admitted = self._admit(key, token, relations, value, elapsed, misses)
             if span.recording:
@@ -446,9 +451,10 @@ class FragmentCache:
         engine uses this to skip a rewriting's scatter-gather round
         entirely when its root fragment is already warm somewhere.
         """
-        with current_span().child(
-            "fragment.cache", key=key[:80], probe=True
-        ) as span:
+        span = current_span()
+        if span.recording:
+            span = span.child("fragment.cache", key=key[:80], probe=True)
+        with span:
             with self._lock:
                 entry = self._entries.get(key)
                 if entry is not None and entry.token == token:

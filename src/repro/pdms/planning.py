@@ -35,21 +35,27 @@ comparison; both shapes produce identical answers.
 
 Execution
 ---------
-:func:`stream_plan_answers` evaluates fragments against any fact source
-(upgraded to an :class:`~repro.datalog.indexing.IndexedFactSource` so leaf
-scans probe hash indexes) with a compute-once memo; rewriting roots can be
-evaluated on an optional thread pool (``max_workers``) while the answer
-iterator keeps the first-k streaming contract: consuming a prefix never
-forces the remaining fragments.  Compilation itself is incremental — the
-plan ingests rewritings lazily from the (memoized, thread-safe) rewriting
-stream, so a ``limit=k`` call compiles only the prefix it evaluates.
+:func:`plan_answer_batches` — the one root loop every plan engine runs —
+evaluates fragments against any fact source (upgraded to an
+:class:`~repro.datalog.indexing.IndexedFactSource` so leaf scans probe
+hash indexes) with a compute-once memo and yields one *batch* of answer
+rows per rewriting root; rewriting roots can be evaluated on an optional
+worker pool (``max_workers``).  :func:`evaluate_plan` unions the batches
+with C-level set operations; :func:`stream_plan_answers` is the thin row
+view over the same loop and keeps the first-k streaming contract:
+consuming a prefix never forces the remaining fragments.  Compilation
+itself is incremental — the plan ingests rewritings lazily from the
+(memoized, thread-safe) rewriting stream, so a ``limit=k`` call compiles
+only the prefix it evaluates — and memoised per plan (see
+:class:`UnionPlan`), so it costs what the plan's distinct fragments cost.
 
 A :class:`~repro.pdms.materialization.FragmentCache` (optional ``cache``
 argument) adds a second memo level that persists **across** calls: each
 fragment's table is keyed by its canonical key plus the data-version
-token of the relations it reads, so repeated queries over unchanged data
-reuse materialised fragments and a write to one predicate invalidates
-only the fragments that read it.
+token of the relations it reads — assembled from one version snapshot
+per answer (:class:`_Evaluation`) — so repeated queries over unchanged
+data reuse materialised fragments and a write to one predicate
+invalidates only the fragments that read it.
 
 See ``docs/execution.md`` for the architecture notes.
 """
@@ -59,8 +65,10 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple
+from typing import Optional, Sequence, Set, Tuple, Union
 
 from ..config import columnar_enabled, shared_executor
 from ..config import shared_workers as _config_shared_workers
@@ -77,6 +85,7 @@ from ..datalog.queries import ConjunctiveQuery
 from ..datalog.terms import Variable, is_variable
 from ..errors import EvaluationError
 from ..obs.trace import current_span
+from ..database.statistics import source_data_version
 from .materialization import FragmentCache, data_version_token, result_row_count
 from .reformulation import ReformulationResult, _LazySeq
 
@@ -91,8 +100,7 @@ Operand = Tuple[str, object]
 # Plan fragments (the DAG nodes)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScanFragment:
+class ScanFragment(NamedTuple):
     """A leaf: one stored-relation scan in its single-atom canonical form.
 
     ``pattern`` holds one entry per relation position — a constant the row
@@ -111,8 +119,7 @@ class ScanFragment:
     columns: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class JoinFragment:
+class JoinFragment(NamedTuple):
     """An interior node: two child fragments joined on their shared variables.
 
     ``left_key``/``right_key`` name child fragments in the plan's node
@@ -135,8 +142,7 @@ class JoinFragment:
 PlanFragment = Union[ScanFragment, JoinFragment]
 
 
-@dataclass(frozen=True)
-class RewritingPlan:
+class RewritingPlan(NamedTuple):
     """The per-rewriting root: comparisons + head projection over a fragment."""
 
     rewriting: ConjunctiveQuery
@@ -192,7 +198,7 @@ def _render_atom(
     local = dict(namespace)
     parts: List[str] = []
     for arg in atom.args:
-        if is_variable(arg):
+        if isinstance(arg, Variable):
             name = local.get(arg)
             if name is None:
                 name = local[arg] = f"_f{len(local)}"
@@ -221,79 +227,163 @@ def _canonical_parts(
     the namespace-so-far is lexicographically smallest goes next; ties —
     several atoms rendering identically — are explored and the smallest
     complete rendering wins, up to :data:`_TIE_BRANCH_BUDGET` extra
-    branches per top-level call (beyond the budget the first tied atom is
-    taken, trading a little sharing on symmetric bodies for bounded
-    work).  Alpha-equivalent multisets therefore produce the same parts
-    tuple whatever order the atoms arrived in, which is what lets bushy
-    merge trees built along different paths hash-cons to one node.  The
-    returned namespace maps every variable of ``atoms`` to its canonical
-    column name.
+    branches per top-level call (``budget`` is that call's counter; beyond
+    it the first tied atom is taken, trading a little sharing on symmetric
+    bodies for bounded work).  Alpha-equivalent multisets therefore
+    produce the same parts tuple whatever order the atoms arrived in,
+    which is what lets bushy merge trees built along different paths
+    hash-cons to one node.  The returned namespace maps every variable of
+    ``atoms`` to its canonical column name.
     """
-    if not atoms:
-        return (), dict(namespace)
     if budget is None:
         budget = [_TIE_BRANCH_BUDGET]
-    rendered = [
-        (_render_atom(atom, namespace), index) for index, atom in enumerate(atoms)
-    ]
-    best = min(entry[0][0] for entry in rendered)
-    tied = [
-        (extended, index)
-        for (rendering, extended), index in rendered
-        if rendering == best
-    ]
-    if len(tied) > 1:
+    # A rendering starts with "predicate(", so only atoms under the smallest
+    # such head can render smallest: order by head once (stably — ties keep
+    # their arrival order) and each step's candidates are the leading run.
+    # (``startswith``, not equality: a head extending the floor competes.)
+    heads = [atom.predicate + "(" for atom in atoms]
+    order = sorted(range(len(heads)), key=heads.__getitem__)
+    remaining = [atoms[i] for i in order]
+    heads = [heads[i] for i in order]
+    parts: List[str] = []
+    while remaining:
+        run = 1
+        while run < len(heads) and heads[run].startswith(heads[0]):
+            run += 1
+        if run == 1:
+            rendering, namespace = _render_atom(remaining[0], namespace)
+            parts.append(rendering)
+            del remaining[0], heads[0]
+            continue
+        rendered = [(_render_atom(remaining[i], namespace), i) for i in range(run)]
+        best = min([rendering for (rendering, _), _ in rendered])
+        tied = [
+            (extended, index)
+            for (rendering, extended), index in rendered
+            if rendering == best
+        ]
+        parts.append(best)
+        if len(tied) == 1:
+            ((namespace, index),) = tied
+            del remaining[index], heads[index]
+            continue
         affordable = 1 + max(budget[0], 0)
         tied = tied[:affordable]
         budget[0] -= len(tied) - 1
-    options = []
-    for extended, index in tied:
-        rest = tuple(atoms[:index]) + tuple(atoms[index + 1:])
-        rest_parts, final = _canonical_parts(rest, extended, budget)
-        options.append(((best,) + rest_parts, final))
-    return min(options, key=lambda option: option[0])
+        options = [
+            _canonical_parts(remaining[:i] + remaining[i + 1:], extended, budget)
+            for extended, i in tied
+        ]
+        rest_parts, namespace = min(options, key=lambda option: option[0])
+        return tuple(parts) + rest_parts, namespace
+    return tuple(parts), dict(namespace)
 
 
 def _conjunction_key(parts: Sequence[str]) -> str:
     return " & ".join(parts)
 
 
+class _Join(NamedTuple):
+    """The preview of merging two fragments under one column correspondence:
+    the merged fragment's canonical ``key`` and, per child, the position
+    each child column takes in the merged namespace (``width`` columns)."""
+
+    key: str
+    left_map: Tuple[int, ...]
+    right_map: Tuple[int, ...]
+    width: int
+
+
+class _Pair:
+    """Two groups considered for a merge: their common variables and — once
+    previewed — the merged fragment, its estimate and, after the first
+    commit, the merged group itself (reused while no feedback log makes
+    estimates occurrence-dependent)."""
+
+    __slots__ = ("common", "join", "estimate", "merged")
+
+    def __init__(self, common):
+        self.common = common
+        self.join: Optional[_Join] = None
+        self.estimate = 0.0
+        self.merged: Optional[_Group] = None
+
+
 class _Group:
     """One sub-conjunction being assembled during bushy compilation.
 
-    Tracks the committed fragment (``key``), the mapping from the
-    rewriting's variables to the fragment's canonical columns
-    (``varmap``), the atom multiset, and cheap cost-model summaries: the
-    estimated row count and an estimated distinct count per variable
-    (both 0 when no cost model steers compilation).  ``shared`` records
-    whether the fragment already existed before this group touched it —
-    i.e. another rewriting (or an earlier occurrence) referenced it — the
-    signal the merge ordering uses to build join pairs that recur across
-    the union instead of pairs involving a rewriting-unique atom.
+    Tracks the committed fragment (``key``), the rewriting's variables in
+    the fragment's canonical column order (``variables[i]`` is column
+    ``_f{i}``; ``index`` is the inverse), the atom multiset, and cheap
+    cost-model summaries: the estimated row count and an estimated
+    distinct count per column (0 / empty when no cost model steers
+    compilation).  ``shared`` records whether the fragment already existed
+    before this group touched it — i.e. another rewriting (or an earlier
+    occurrence) referenced it — the signal the merge ordering uses to
+    build join pairs that recur across the union instead of pairs
+    involving a rewriting-unique atom.
+
+    Groups are values, so the plan hands the *same* group to every
+    rewriting that contains the same atom or repeats the same merge;
+    ``pairs`` (this group as the left side, keyed by the right group's
+    identity) is where such a rewriting finds its previews and merges.
     """
 
     __slots__ = (
-        "key", "columns", "varmap", "atoms", "estimate", "distinct", "shared",
+        "key", "variables", "index", "atoms", "estimate", "distinct", "shared",
+        "pairs",
     )
 
-    def __init__(self, key, columns, varmap, atoms, estimate, distinct, shared):
+    def __init__(self, key, variables, index, atoms, estimate, distinct, shared):
         self.key = key
-        self.columns = columns
-        self.varmap = varmap
+        self.variables = variables
+        self.index = index
         self.atoms = atoms
         self.estimate = estimate
         self.distinct = distinct
         self.shared = shared
+        self.pairs: Dict[_Group, _Pair] = {}
+
+
+@lru_cache(maxsize=256)
+def _column_names(width: int) -> Tuple[str, ...]:
+    """The canonical column names ``_f0 .. _f{width-1}``."""
+    return tuple(f"_f{i}" for i in range(width))
+
+
+@lru_cache(maxsize=4096)
+def _renames(column_map: Tuple[int, ...]) -> Tuple[Tuple[str, str], ...]:
+    """A join child's rename pairs: child column ``i`` -> ``column_map[i]``."""
+    targets = _column_names(max(column_map, default=-1) + 1)
+    return tuple(sorted(zip(
+        _column_names(len(column_map)), [targets[m] for m in column_map]
+    )))
 
 
 class UnionPlan:
     """A shared execution plan for the union of rewritings of one result.
 
     Rewritings are compiled incrementally from ``result.rewritings()`` the
-    first time :meth:`fragments` reaches them, each into a left-deep chain
-    over the hash-consed node table ``nodes``; already-compiled prefixes
-    are reused across rewritings and across calls.  Thread-safe: several
-    executions may iterate :meth:`fragments` concurrently.
+    first time :meth:`fragments` reaches them, each into a **bushy** tree
+    over the hash-consed node table ``nodes`` (``bushy=False`` builds the
+    left-deep comparison shape instead); fragments any earlier rewriting
+    built are reused across rewritings and across calls.  Thread-safe:
+    several executions may iterate :meth:`fragments` concurrently.
+
+    Compilation is memoised **per plan**, so a rewriting that snaps onto
+    existing fragments costs dictionary lookups instead of string
+    canonicalisation.  Structurally: one :class:`_Join` preview per
+    distinct (left fragment, right fragment, shared-column
+    correspondence) — keys and column positions, never ``Variable``
+    identity, so renaming or permuting a body changes neither the root key
+    nor the node table.  By identity, in front of that: an atom seen
+    before reuses its scan node (both tree shapes) and its leaf group with
+    the statistics read for it, and two groups meeting again reuse their
+    preview, estimate and merged group.  This is safe because atoms and
+    groups are immutable, the node table only grows and ``_LazySeq``
+    serialises compilation; it all dies with the plan.  With a feedback
+    log attached estimates depend on when they are taken, so groups are
+    rebuilt per occurrence (the structural memo still applies).
     """
 
     def __init__(
@@ -314,7 +404,12 @@ class UnionPlan:
         self.estimates: Dict[str, float] = {}
         self._cost = cost
         self._relations_cache: Dict[str, FrozenSet[str]] = {}
+        self._token_relations: Dict[str, Tuple[str, ...]] = {}
         self._scans_cache: Dict[str, Tuple[Tuple[str, Tuple[object, ...]], ...]] = {}
+        # The per-plan compile memo (see the class docstring).
+        self._scans: Dict[Atom, ScanFragment] = {}
+        self._groups: Dict[Atom, _Group] = {}
+        self._joins: Dict[Tuple[str, str, Tuple[Tuple[int, int], ...]], _Join] = {}
         # _LazySeq serialises advancement under its lock, so node-table
         # mutation inside _compile_rewriting is single-threaded even when
         # several executions iterate fragments() concurrently.
@@ -335,7 +430,12 @@ class UnionPlan:
         return iter(self._compiled)
 
     def _scan_fragment(self, atom: Atom) -> ScanFragment:
-        """The hash-consed leaf for one atom (single-atom canonical form)."""
+        """Reference the hash-consed leaf for one atom (single-atom canonical
+        form); an atom seen before skips the rendering."""
+        self.stats.fragment_references += 1
+        node = self._scans.get(atom)
+        if node is not None:
+            return node
         first_position: Dict[Variable, int] = {}
         pattern: List[object] = []
         equal_positions: List[Tuple[int, int]] = []
@@ -362,11 +462,11 @@ class UnionPlan:
                 pattern=tuple(pattern),
                 equal_positions=tuple(equal_positions),
                 keep_positions=tuple(keep_positions),
-                columns=tuple(f"_f{i}" for i in range(len(keep_positions))),
+                columns=_column_names(len(keep_positions)),
             )
             self.nodes[key] = node
             self.stats.unique_fragments += 1
-        self.stats.fragment_references += 1
+        self._scans[atom] = node
         return node
 
     def fragment_relations(self, key: str) -> FrozenSet[str]:
@@ -385,6 +485,16 @@ class UnionPlan:
                     self.fragment_relations(node.right_key)
                 )
             self._relations_cache[key] = cached
+        return cached
+
+    def token_relations(self, key: str) -> Tuple[str, ...]:
+        """:meth:`fragment_relations` of ``key``, sorted — the order version
+        tokens list them in (sorted once per fragment, not once per probe)."""
+        cached = self._token_relations.get(key)
+        if cached is None:
+            cached = self._token_relations[key] = tuple(
+                sorted(self.fragment_relations(key))
+            )
         return cached
 
     def scan_requests(
@@ -489,65 +599,104 @@ class UnionPlan:
             )
         if self.bushy:
             root = self._compile_bushy(atoms)
-            return self._finish_rewriting(rewriting, root.key, root.varmap)
+            return self._finish_rewriting(
+                rewriting,
+                root.key,
+                dict(zip(root.variables, _column_names(len(root.variables)))),
+            )
         return self._compile_left_deep(rewriting)
 
     # -- bushy compilation -------------------------------------------------
 
     def _leaf_group(self, atom: Atom) -> _Group:
         """A single-atom group over the (hash-consed) scan fragment."""
+        group = self._groups.get(atom)
+        if group is not None:
+            self.stats.fragment_references += 1
+            return group
         key, varmap = _render_atom(atom, {})
         shared = key in self.nodes
         node = self._scan_fragment(atom)
+        variables = tuple(varmap)
         estimate = 0.0
-        distinct: Dict[Variable, float] = {}
+        distinct: Tuple[float, ...] = ()
         if self._cost is not None:
             estimate = float(self._cost.atom_estimate(atom))
             estimate = self._apply_correction(
-                node.key, frozenset((atom.predicate,)), estimate
+                key, frozenset((atom.predicate,)), estimate
             )
-            first_position: Dict[Variable, int] = {}
-            for position, arg in enumerate(atom.args):
-                if is_variable(arg) and arg not in first_position:
-                    first_position[arg] = position
-            for variable, position in first_position.items():
-                distinct[variable] = min(
-                    float(self._cost.column_distinct(atom.predicate, position)),
-                    max(estimate, 1.0),
-                )
-        self.estimates[node.key] = estimate
-        return _Group(
-            key=node.key,
-            columns=node.columns,
-            varmap=varmap,
-            atoms=(atom,),
-            estimate=estimate,
-            distinct=distinct,
-            shared=shared,
+            cap = max(estimate, 1.0)
+            distinct = tuple([
+                min(float(self._cost.column_distinct(atom.predicate, position)), cap)
+                for position in node.keep_positions
+            ])
+        self.estimates[key] = estimate
+        index = dict(zip(variables, range(len(variables))))
+        group = _Group(key, variables, index, (atom,), estimate, distinct, shared)
+        if self.feedback is None:
+            # Every later reference finds the fragment in place, and nothing
+            # else about the group can change: one statistics read per atom.
+            self._groups[atom] = (
+                group if shared
+                else _Group(key, variables, index, (atom,), estimate, distinct, True)
+            )
+        return group
+
+    def _preview(self, pair: _Pair, left: _Group, right: _Group) -> _Join:
+        """Fill in ``pair``: the merged fragment's preview and join estimate.
+
+        The preview is memoised per plan under (left key, right key,
+        column correspondence): those determine the merged atom multiset
+        up to variable renaming, hence the key and the column maps.
+        Renderings that explored a tie are the exception (their namespace
+        can depend on atom order) and are recomputed every time.
+        """
+        left_index, right_index = left.index, right.index
+        correspondence = tuple(
+            sorted([(left_index[v], right_index[v]) for v in pair.common])
         )
-
-    def _join_estimate(self, left: _Group, right: _Group) -> float:
-        """Estimated output rows of joining two groups (0 without a model)."""
-        if self._cost is None:
-            return 0.0
-        estimate = max(left.estimate, 1.0) * max(right.estimate, 1.0)
-        for variable in left.varmap.keys() & right.varmap.keys():
-            estimate /= max(
-                left.distinct.get(variable, 1.0),
-                right.distinct.get(variable, 1.0),
-                1.0,
+        memo_key = (left.key, right.key, correspondence)
+        join = self._joins.get(memo_key)
+        if join is None:
+            budget = [_TIE_BRANCH_BUDGET]
+            parts, namespace = _canonical_parts(left.atoms + right.atoms, {}, budget)
+            # Canonical names are handed out in insertion order.
+            position = dict(zip(namespace, range(len(namespace))))
+            join = _Join(
+                _conjunction_key(parts),
+                tuple([position[v] for v in left.variables]),
+                tuple([position[v] for v in right.variables]),
+                len(namespace),
             )
-        return estimate
+            if budget[0] == _TIE_BRANCH_BUDGET:
+                self._joins[memo_key] = join
+        pair.join = join
+        if self._cost is not None:
+            # Estimated output rows of the join.  The shared variables are
+            # visited in set order on purpose: the division order is part
+            # of the (float) estimate the merge ordering breaks ties on.
+            estimate = max(left.estimate, 1.0) * max(right.estimate, 1.0)
+            for variable in pair.common:
+                estimate /= max(
+                    left.distinct[left_index[variable]],
+                    right.distinct[right_index[variable]],
+                    1.0,
+                )
+            pair.estimate = estimate
+        return join
 
-    def _merge_groups(
-        self,
-        left: _Group,
-        right: _Group,
-        key: str,
-        namespace: Dict[Variable, str],
-    ) -> _Group:
+    def _merge_groups(self, left: _Group, right: _Group, pair: _Pair) -> _Group:
         """Commit the join of two groups as a (hash-consed) fragment node."""
-        columns = tuple(f"_f{i}" for i in range(len(namespace)))
+        self.stats.fragment_references += 1
+        merged = pair.merged
+        if merged is not None:
+            # The same two groups met before: same node, same numbers; the
+            # node has existed since then, whoever built it first.
+            merged.shared = True
+            self.estimates[merged.key] = merged.estimate
+            return merged
+        join = pair.join
+        key, width = join.key, join.width
         node = self.nodes.get(key)
         shared = node is not None
         if node is None:
@@ -555,43 +704,39 @@ class UnionPlan:
                 key=key,
                 left_key=left.key,
                 right_key=right.key,
-                left_rename=tuple(
-                    sorted((left.varmap[v], namespace[v]) for v in left.varmap)
-                ),
-                right_rename=tuple(
-                    sorted((right.varmap[v], namespace[v]) for v in right.varmap)
-                ),
-                columns=columns,
+                left_rename=_renames(join.left_map),
+                right_rename=_renames(join.right_map),
+                columns=_column_names(width),
             )
             self.nodes[key] = node
             self.stats.unique_fragments += 1
-        self.stats.fragment_references += 1
-        estimate = self._join_estimate(left, right)
+        estimate = pair.estimate
+        distinct: Sequence[float] = ()
         if self._cost is not None:
-            estimate = self._apply_correction(
-                key,
-                frozenset(a.predicate for a in left.atoms + right.atoms),
-                estimate,
-            )
+            if self.feedback is not None:
+                relations = frozenset(a.predicate for a in left.atoms + right.atoms)
+                estimate = self._apply_correction(key, relations, estimate)
+            distinct = [max(estimate, 1.0)] * width
+            for side, column_map in (
+                (left.distinct, join.left_map), (right.distinct, join.right_map)
+            ):
+                for count, column in zip(side, column_map):
+                    if count < distinct[column]:
+                        distinct[column] = count
         self.estimates[key] = estimate
-        distinct: Dict[Variable, float] = {}
-        if self._cost is not None:
-            for variable in namespace:
-                candidates = [
-                    group.distinct[variable]
-                    for group in (left, right)
-                    if variable in group.distinct
-                ]
-                distinct[variable] = min(min(candidates), max(estimate, 1.0))
-        return _Group(
-            key=key,
-            columns=node.columns,
-            varmap=dict(namespace),
-            atoms=left.atoms + right.atoms,
-            estimate=estimate,
-            distinct=distinct,
-            shared=shared,
+        placed: List[Variable] = [None] * width  # type: ignore[list-item]
+        for variable, column in zip(left.variables, join.left_map):
+            placed[column] = variable
+        for variable, column in zip(right.variables, join.right_map):
+            placed[column] = variable
+        variables = tuple(placed)
+        index = dict(zip(variables, range(width)))
+        merged = _Group(
+            key, variables, index, left.atoms + right.atoms, estimate, distinct, shared
         )
+        if self.feedback is None:
+            pair.merged = merged
+        return merged
 
     def _compile_bushy(self, atoms: Sequence[Atom]) -> _Group:
         """Fold a rewriting's atoms into a bushy tree of shared fragments.
@@ -609,65 +754,48 @@ class UnionPlan:
         sub-conjunctions of *any* shape into shared fragments.
         """
         groups = [self._leaf_group(atom) for atom in atoms]
-        # Pair previews survive across merge rounds, so each surviving
-        # pair is canonicalised once per rewriting, not once per round.
-        # Keyed by group identity (not fragment key — two groups may share
-        # a key yet bind different rewriting variables); `created` pins
-        # every group so ids stay unique for the compile's duration.
-        previews: Dict[Tuple[int, int], Tuple[str, Dict[Variable, str]]] = {}
-        created = list(groups)
-
-        def preview(left: _Group, right: _Group):
-            pair_key = (id(left), id(right))
-            cached = previews.get(pair_key)
-            if cached is None:
-                parts, namespace = _canonical_parts(left.atoms + right.atoms, {})
-                cached = previews[pair_key] = (_conjunction_key(parts), namespace)
-            return cached
-
+        nodes = self.nodes
+        feedback = self.feedback
         while len(groups) > 1:
-            connected = [
-                (i, j)
-                for i in range(len(groups))
-                for j in range(i + 1, len(groups))
-                if groups[i].varmap.keys() & groups[j].varmap.keys()
-            ]
-            candidates = connected or [
-                (i, j)
-                for i in range(len(groups))
-                for j in range(i + 1, len(groups))
-            ]
-
-            def score(pair: Tuple[int, int]):
-                i, j = pair
-                key, _ = preview(groups[i], groups[j])
-                exists = 0 if key in self.nodes else 1
-                both_shared = 0 if groups[i].shared and groups[j].shared else 1
-                estimate = self._join_estimate(groups[i], groups[j])
-                if self.feedback is not None:
+            every = []
+            for i, left in enumerate(groups):
+                pairs = left.pairs
+                for j in range(i + 1, len(groups)):
+                    right = groups[j]
+                    pair = pairs.get(right)
+                    if pair is None:
+                        pair = pairs[right] = _Pair(
+                            left.index.keys() & right.index.keys()
+                        )
+                    every.append((i, j, pair))
+            candidates = [entry for entry in every if entry[2].common] or every
+            best = None
+            for i, j, pair in candidates:
+                left, right = groups[i], groups[j]
+                key = (pair.join or self._preview(pair, left, right)).key
+                if len(candidates) == 1:
+                    break  # nothing to order
+                estimate = pair.estimate
+                if feedback is not None:
                     estimate = self._apply_correction(
                         key,
-                        frozenset(
-                            a.predicate
-                            for a in groups[i].atoms + groups[j].atoms
-                        ),
+                        frozenset(a.predicate for a in left.atoms + right.atoms),
                         estimate,
                         count=False,
                     )
-                return (
-                    exists,
-                    both_shared,
+                score = (
+                    key not in nodes,
+                    not (left.shared and right.shared),
                     estimate,
                     key,
-                    pair,
+                    (i, j),
                 )
-
-            i, j = min(candidates, key=score)
-            merged = self._merge_groups(
-                groups[i], groups[j], *preview(groups[i], groups[j])
-            )
-            created.append(merged)
-            groups = [g for k, g in enumerate(groups) if k not in (i, j)]
+                if best is None or score < best[0]:
+                    best = (score, pair)
+            else:
+                (_, _, _, _, (i, j)), pair = best
+            merged = self._merge_groups(groups[i], groups[j], pair)
+            groups = [g for k, g in enumerate(groups) if k != i and k != j]
             groups.append(merged)
         return groups[0]
 
@@ -680,22 +808,17 @@ class UnionPlan:
         """Wrap a compiled root fragment in the per-rewriting plan."""
 
         def operand(term) -> Operand:
-            if is_variable(term):
+            if isinstance(term, Variable):
                 return ("col", canonical[term])
             return ("const", term.value)
 
-        comparisons = tuple(
+        comparisons = tuple([
             (operand(comp.left), comp.op, operand(comp.right))
             for comp in rewriting.comparison_body()
-        )
-        head = tuple(operand(term) for term in rewriting.head.args)
+        ])
+        head = tuple([operand(term) for term in rewriting.head.args])
         self.stats.rewritings += 1
-        return RewritingPlan(
-            rewriting=rewriting,
-            root_key=root_key,
-            comparisons=comparisons,
-            head=head,
-        )
+        return RewritingPlan(rewriting, root_key, comparisons, head)
 
     # -- left-deep compilation (the PR 3 shape, kept for comparison) --------
 
@@ -805,15 +928,25 @@ _ENSURE_LOCK = threading.Lock()
 
 
 def ensure_plan(
-    result: ReformulationResult, data: Optional[FactsLike] = None
+    result: ReformulationResult,
+    data: Optional[FactsLike] = None,
+    plan: Optional[UnionPlan] = None,
 ) -> UnionPlan:
     """The compiled plan for ``result``, built once and cached on it.
 
     The plan is attached to the result object itself, so its lifetime —
     and therefore its invalidation — exactly tracks the result's: a
     service cache that evicts the reformulation on a provenance signal
-    drops the compiled plan with it.
+    drops the compiled plan with it.  A caller-held ``plan`` is returned
+    instead, after checking that it was compiled for ``result``.
     """
+    if plan is not None:
+        if plan.result is not result:
+            raise EvaluationError(
+                "the supplied union plan was compiled for a different "
+                "reformulation result"
+            )
+        return plan
     plan = result._shared_plan
     if plan is None:
         with _ENSURE_LOCK:
@@ -842,7 +975,9 @@ class _OnceMap:
 
     The first caller of a key computes it; concurrent callers block on an
     event and read the stored value (or re-raise the stored error).  Waits
-    only ever go *down* the fragment DAG, so there is no deadlock.
+    only ever go *down* the fragment DAG, so there is no deadlock.  The
+    event exists only if somebody actually waits: an uncontended key costs
+    two dictionary writes under the lock and a lock-free read ever after.
     """
 
     __slots__ = ("_lock", "_values", "_pending")
@@ -850,45 +985,54 @@ class _OnceMap:
     def __init__(self):
         self._lock = threading.Lock()
         self._values: Dict[str, Tuple[str, object]] = {}
-        self._pending: Dict[str, threading.Event] = {}
+        #: Keys being computed -> the event their waiters block on (``None``
+        #: while nobody waits).
+        self._pending: Dict[str, Optional[threading.Event]] = {}
 
-    def get_or_compute(self, key: str, compute) -> Table:
+    def get_or_compute(self, key: str, compute, *args):
+        """The value of ``key``, from ``compute(*args)`` on first request."""
         while True:
+            entry = self._values.get(key)
+            if entry is not None:
+                break
             with self._lock:
                 entry = self._values.get(key)
                 if entry is not None:
-                    kind, value = entry
                     break
-                event = self._pending.get(key)
-                if event is None:
-                    self._pending[key] = threading.Event()
-                    event = None
-            if event is None:
-                entry = None
-                try:
-                    value = compute()
-                    entry = ("table", value)
-                except Exception as exc:
-                    entry = ("error", exc)
-                except BaseException:
-                    # Mirror _LazySeq: an interrupt must not be cached and
-                    # re-raised at sibling waiters as a stale Ctrl-C; they
-                    # get a fresh, diagnosable error instead while the
-                    # interrupt propagates to the interrupted thread.
-                    entry = ("error", EvaluationError(
-                        "fragment evaluation was interrupted before completing"
-                    ))
-                    raise
-                finally:
-                    with self._lock:
-                        self._values[key] = entry
-                        self._pending.pop(key).set()
-                kind, value = entry
-                break
-            event.wait()
+                computing = key not in self._pending
+                if computing:
+                    self._pending[key] = event = None
+                else:
+                    event = self._pending[key]
+                    if event is None:
+                        event = self._pending[key] = threading.Event()
+            if not computing:
+                event.wait()
+                continue
+            try:
+                entry = ("table", compute(*args))
+            except Exception as exc:
+                entry = ("error", exc)
+            except BaseException:
+                # Mirror _LazySeq: an interrupt must not be cached and
+                # re-raised at sibling waiters as a stale Ctrl-C; they
+                # get a fresh, diagnosable error instead while the
+                # interrupt propagates to the interrupted thread.
+                entry = ("error", EvaluationError(
+                    "fragment evaluation was interrupted before completing"
+                ))
+                raise
+            finally:
+                with self._lock:
+                    self._values[key] = entry
+                    event = self._pending.pop(key)
+                if event is not None:
+                    event.set()
+            break
+        kind, value = entry
         if kind == "error":
             raise value  # type: ignore[misc]
-        return value  # type: ignore[return-value]
+        return value
 
 
 def _scan_table(node: ScanFragment, source) -> Table:
@@ -921,14 +1065,6 @@ def _scan_columnar(node: ScanFragment, source) -> ColumnTable:
     return ct.project_positions(node.keep_positions, node.columns)
 
 
-def _as_row_table(value) -> Table:
-    return value.to_table() if isinstance(value, ColumnTable) else value
-
-
-def _as_columnar(value) -> ColumnTable:
-    return value if isinstance(value, ColumnTable) else ColumnTable.from_table(value)
-
-
 def _worth_caching(node: PlanFragment) -> bool:
     """Is a fragment's table worth offering to the cross-call cache?
 
@@ -957,87 +1093,141 @@ def _join_fragment_tables(node: JoinFragment, left, right):
     return joined.project(node.columns)
 
 
-def _fragment_table(
-    plan: UnionPlan,
-    key: str,
-    source,
-    memo: _OnceMap,
-    cache: Optional[FragmentCache] = None,
-    columnar: bool = False,
-    feedback: Optional[QErrorLog] = None,
-):
-    """The table of fragment ``key``: a :class:`ColumnTable` in columnar
-    mode, a row :class:`Table` otherwise.
+class _Evaluation:
+    """One answer's evaluation of a plan: the compute-once fragment memo
+    plus everything resolved once at the engine boundary.
 
-    Memo and cross-call cache entries store whichever representation the
-    computing call ran in; readers coerce on the way out, so a cache
-    shared between modes stays correct (at a one-off conversion cost).
+    **Version snapshot.**  A relation's data version is read from the
+    source at most once per answer (``versions``, filled on first use) and
+    every fragment token is assembled from that snapshot, so a token is
+    never newer than the rows under it: a fragment computed after a
+    concurrent write is stored under the older token, dropped at the next
+    answer's mismatch, and never served for the new version.  (Reading
+    versions afresh per fragment could pair a parent's *new* token with a
+    child table memoised before the write.)  Clearing ``versions``
+    restarts the snapshot, for sources whose versions can be *withdrawn*
+    mid-answer (a remote relation degrading after a failed scan).
+    """
 
-    ``feedback`` (optional) receives one ``(estimated, actual)``
-    observation per fragment *freshly computed* here — memo and
-    cross-call cache hits are reuses of an already-measured evaluation,
-    not new evidence, so they do not record."""
-    node = plan.nodes[key]
+    __slots__ = (
+        "plan", "source", "cache", "columnar", "feedback", "memo", "versions",
+    )
 
-    def build():
-        span = current_span().child(
-            "fragment.eval",
-            key=key[:80],
-            kind="scan" if isinstance(node, ScanFragment) else "join",
+    def __init__(
+        self,
+        plan: UnionPlan,
+        source,
+        cache: Optional[FragmentCache] = None,
+        columnar: bool = False,
+        feedback: Optional[QErrorLog] = None,
+    ):
+        self.plan = plan
+        self.source = source
+        self.cache = cache
+        self.columnar = columnar
+        self.feedback = feedback
+        self.memo = _OnceMap()
+        self.versions: Dict[str, object] = {}
+
+    def token(self, key: str):
+        """Fragment ``key``'s data-version token under this answer's
+        snapshot (``None``: the source has no version for a relation)."""
+        relations = self.plan.token_relations(key)
+        versions = self.versions
+        for relation in relations:
+            if relation not in versions:
+                versions[relation] = source_data_version(self.source, relation)
+        values = [versions[relation] for relation in relations]
+        return None if None in values else tuple(zip(relations, values))
+
+    def cached(self, key: str) -> bool:
+        """Would :meth:`table` be served without computing (or scanning)?"""
+        if self.cache is None or not _worth_caching(self.plan.nodes[key]):
+            return False
+        token = self.token(key)
+        return token is not None and self.cache.peek(
+            key, token, self.plan.fragment_relations(key)
         )
+
+    def table(self, key: str):
+        """The table of fragment ``key``: a :class:`ColumnTable` in columnar
+        mode, a row :class:`Table` otherwise.
+
+        Memo and cross-call cache entries store whichever representation
+        the computing call ran in; readers coerce on the way out, so a
+        cache shared between modes stays correct (at a one-off conversion
+        cost)."""
+        value = self.memo.get_or_compute(key, self._lookup, key)
+        if isinstance(value, ColumnTable) == self.columnar:
+            return value
+        return ColumnTable.from_table(value) if self.columnar else value.to_table()
+
+    def _lookup(self, key: str):
+        node = self.plan.nodes[key]
+        if self.cache is not None and _worth_caching(node):
+            token = self.token(key)
+            if token is not None:
+                relations = self.plan.fragment_relations(key)
+                return self.cache.get_or_compute(
+                    key, token, relations, self._build, key, node
+                )
+        return self._build(key, node)
+
+    def _build(self, key: str, node: PlanFragment):
+        """Evaluate ``node`` from its children's tables (or the source).
+
+        The feedback log receives one ``(estimated, actual)`` observation
+        per fragment *freshly computed* here — memo and cross-call cache
+        hits are reuses of an already-measured evaluation, not new
+        evidence, so they do not record."""
+        scan = isinstance(node, ScanFragment)
+        span = current_span()
+        if span.recording:
+            span = span.child(
+                "fragment.eval", key=key[:80], kind="scan" if scan else "join"
+            )
         with span:
-            if isinstance(node, ScanFragment):
-                if columnar:
-                    value = _scan_columnar(node, source)
-                else:
-                    value = _scan_table(node, source)
+            if not scan:
+                value = _join_fragment_tables(
+                    node, self.table(node.left_key), self.table(node.right_key)
+                )
+            elif self.columnar:
+                value = _scan_columnar(node, self.source)
             else:
-                left = _fragment_table(
-                    plan, node.left_key, source, memo, cache, columnar, feedback
-                )
-                right = _fragment_table(
-                    plan, node.right_key, source, memo, cache, columnar, feedback
-                )
-                value = _join_fragment_tables(node, left, right)
+                value = _scan_table(node, self.source)
             if span.recording:
                 span.set("rows", result_row_count(value))
-        if feedback is not None:
-            relations = plan.fragment_relations(key)
+        if self.feedback is not None:
             columns: Tuple[Tuple[str, int], ...] = ()
-            if isinstance(node, ScanFragment):
+            if scan:
                 columns = tuple(
                     (node.relation, position)
                     for position, constant in enumerate(node.pattern)
                     if constant is not WILDCARD
                 )
-            feedback.record(
+            self.feedback.record(
                 key,
-                relations,
-                data_version_token(source, relations),
-                plan.estimates.get(key),
+                self.plan.fragment_relations(key),
+                self.token(key),
+                self.plan.estimates.get(key),
                 result_row_count(value),
                 columns,
             )
         return value
 
-    def compute():
-        if cache is not None and _worth_caching(node):
-            relations = plan.fragment_relations(key)
-            token = data_version_token(source, relations)
-            if token is not None:
-                return cache.get_or_compute(key, token, relations, build)
-        return build()
-
-    value = memo.get_or_compute(key, compute)
-    return _as_columnar(value) if columnar else _as_row_table(value)
+    def root_rows(self, rewriting_plan: RewritingPlan) -> Iterable[Row]:
+        """One rewriting's answer rows: comparisons + head projection over
+        its root fragment (a batch; it may repeat a row)."""
+        table = self.table(rewriting_plan.root_key)
+        if self.columnar:
+            return _columnar_root_rows(table, rewriting_plan)
+        return _row_root_rows(table, rewriting_plan)
 
 
 _FLIPPED_OPS = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-def _columnar_root_answers(
-    ct: ColumnTable, rewriting_plan: RewritingPlan
-) -> Set[Row]:
+def _columnar_root_rows(ct: ColumnTable, rewriting_plan: RewritingPlan) -> List[Row]:
     """Comparisons + head projection of one rewriting root, in batch."""
     mask = None
     for left, op, right in rewriting_plan.comparisons:
@@ -1055,55 +1245,33 @@ def _columnar_root_answers(
         else:
             if compare_values(lpayload, op, rpayload):
                 continue
-            return set()
+            return []
         mask = _combine_masks(mask, part)
     if mask is not None:
         ct = ct.select_mask(mask)
     if not rewriting_plan.head:
-        return {()} if len(ct) else set()
-    out_cols = []
-    for kind, payload in rewriting_plan.head:
-        if kind == "col":
-            out_cols.append(_pylist(ct.column(payload)))
-        else:
-            out_cols.append([payload] * len(ct))
-    return set(zip(*out_cols))
+        return [()] if len(ct) else []
+    return list(zip(*[
+        _pylist(ct.column(payload)) if kind == "col" else [payload] * len(ct)
+        for kind, payload in rewriting_plan.head
+    ]))
 
 
-def _row_root_answers(table: Table, rewriting_plan: RewritingPlan) -> Set[Row]:
+def _row_root_rows(table: Table, rewriting_plan: RewritingPlan) -> List[Row]:
     index = {column: i for i, column in enumerate(table.columns)}
 
     def value(row: Row, operand: Operand) -> object:
         kind, payload = operand
         return row[index[payload]] if kind == "col" else payload
 
-    answers: Set[Row] = set()
-    for row in table.rows:
+    return [
+        tuple(value(row, operand) for operand in rewriting_plan.head)
+        for row in table.rows
         if all(
             compare_values(value(row, left), op, value(row, right))
             for left, op, right in rewriting_plan.comparisons
-        ):
-            answers.add(tuple(value(row, operand) for operand in rewriting_plan.head))
-    return answers
-
-
-def _evaluate_rewriting_plan(
-    plan: UnionPlan,
-    rewriting_plan: RewritingPlan,
-    source,
-    memo: _OnceMap,
-    cache: Optional[FragmentCache] = None,
-    columnar: Optional[bool] = None,
-    feedback: Optional[QErrorLog] = None,
-) -> Set[Row]:
-    if columnar is None:
-        columnar = columnar_enabled()
-    table = _fragment_table(
-        plan, rewriting_plan.root_key, source, memo, cache, columnar, feedback
-    )
-    if columnar:
-        return _columnar_root_answers(table, rewriting_plan)
-    return _row_root_answers(table, rewriting_plan)
+        )
+    ]
 
 
 def shared_workers_from_env() -> int:
@@ -1134,7 +1302,7 @@ def _collect_subplan(plan: UnionPlan, root_key: str) -> Dict[str, PlanFragment]:
     return nodes
 
 
-def _evaluate_payload(payload) -> Set[Row]:
+def _evaluate_payload(payload) -> List[Row]:
     """Process-pool worker: joins + comparisons + head for one root.
 
     ``payload`` carries the root's fragment subgraph, the pre-evaluated
@@ -1142,7 +1310,7 @@ def _evaluate_payload(payload) -> Set[Row]:
     never crosses the process boundary), the rewriting root, and the
     representation flag.  Runs in a worker process — everything it touches
     must stay picklable, which :class:`ColumnTable` (``__reduce__``) and
-    the frozen fragment dataclasses are.
+    the fragment tuples are.
     """
     nodes, rewriting_plan, scans, columnar = payload
     memo: Dict[str, object] = dict(scans)
@@ -1158,11 +1326,11 @@ def _evaluate_payload(payload) -> Set[Row]:
 
     root = table_of(rewriting_plan.root_key)
     if columnar:
-        return _columnar_root_answers(_as_columnar(root), rewriting_plan)
-    return _row_root_answers(_as_row_table(root), rewriting_plan)
+        return _columnar_root_rows(root, rewriting_plan)
+    return _row_root_rows(root, rewriting_plan)
 
 
-def stream_plan_answers(
+def plan_answer_batches(
     plan: UnionPlan,
     data: FactsLike,
     max_workers: Optional[int] = None,
@@ -1170,49 +1338,59 @@ def stream_plan_answers(
     columnar: Optional[bool] = None,
     executor: Optional[str] = None,
     feedback: Optional[QErrorLog] = None,
-) -> Iterator[Row]:
-    """Yield distinct answer rows of the union plan as fragments evaluate.
+    before_root=None,
+) -> Iterator[Iterable[Row]]:
+    """Evaluate the union plan root by root: one *batch* of answer rows per
+    rewriting, in enumeration order, as its fragments evaluate.
 
-    Sequentially (``max_workers`` 0/None/1), rewriting roots are evaluated
-    in enumeration order and shared fragments are served from the per-call
-    memo.  With ``max_workers`` > 1, up to that many rewriting roots are
+    This is the one root loop every plan-consuming engine runs.  A batch
+    is whatever iterable of rows the root produced (rows may repeat within
+    and across batches); consumers union batches with C-level set
+    operations (:func:`union_rows`) or flatten them lazily
+    (:func:`distinct_rows`).  Consuming a prefix never forces the
+    remaining roots — nor their compilation, which tracks the rewriting
+    stream.
+
+    Sequentially (``max_workers`` 0/None/1), roots are evaluated in
+    enumeration order; with ``max_workers`` > 1, up to that many roots are
     evaluated concurrently (a bounded window keeps the first-k contract:
-    abandoning the iterator cancels unstarted work).  Answers are
-    identical either way — only completion order differs, and the dedup
-    set makes the yielded row set equal.
+    abandoning the iterator cancels unstarted work).  Shared fragments
+    come from the per-call memo and answers are identical either way.
 
     ``columnar`` selects the fragment representation (``None`` follows
-    ``REPRO_COLUMNAR``): column-wise batches run the
+    ``REPRO_COLUMNAR``, read once here): column-wise batches run the
     :mod:`repro.database.columnar` kernels, whose NumPy ops release the
-    GIL — the thread-pooled path then scales on multicore.  ``executor``
-    (``"thread"``/``"process"``; ``None`` follows ``REPRO_SHARED_EXECUTOR``)
-    picks the worker pool: with ``"process"``, the parent evaluates each
-    root's *scans* (they need the live source) and ships the join tree to
-    worker processes, so even the pure-Python kernel fallback scales with
-    cores — at the price of per-task serialisation and no cross-root join
-    sharing (join fragments are rebuilt per task; scans still share the
-    parent-side memo and cache).
+    GIL.  ``executor`` (``"thread"``/``"process"``; ``None`` follows
+    ``REPRO_SHARED_EXECUTOR``) picks the worker pool: with ``"process"``,
+    the parent evaluates each root's *scans* (they need the live source)
+    and ships the join tree to worker processes — per-task serialisation,
+    no cross-root join sharing, but the pure-Python kernel fallback scales
+    with cores (see ``docs/columnar.md``).
 
     ``cache`` (optional) is a cross-call
     :class:`~repro.pdms.materialization.FragmentCache`: fragment tables
-    are then served from (and offered to) it under their data-version
-    tokens, on top of the per-call memo.  Sources without per-relation
-    data versions bypass the cache automatically.
+    are served from (and offered to) it under data-version tokens
+    assembled from one version snapshot per call (see
+    :class:`_Evaluation`), on top of the per-call memo.  Sources without
+    per-relation data versions bypass the cache automatically.
 
     ``feedback`` (optional) is a :class:`~repro.database.feedback.QErrorLog`
     measuring every freshly computed fragment.  On the sequential path a
     *blown* estimate (actual ≫ estimated, per the log's ``blowup_factor``)
     additionally triggers mid-union re-optimization: the remaining
     rewritings are recompiled against the just-learned corrections
-    (bounded to two re-plans per call; shared fragments already computed
-    are served from the per-call memo, so no work is repeated).
+    (bounded to two re-plans per call; fragments already computed are
+    served from the per-call memo, so no work is repeated).
+
+    ``before_root`` (optional; forces the sequential path) is called as
+    ``before_root(evaluation, root_key)`` before each root is evaluated —
+    the hook a distributed engine prefetches the root's scans through.
     """
     source = ensure_indexed(as_fact_source(data))
-    memo = _OnceMap()
-    seen: Set[Row] = set()
     if columnar is None:
         columnar = columnar_enabled()
-    if not max_workers or max_workers <= 1:
+    evaluation = _Evaluation(plan, source, cache, columnar, feedback)
+    if before_root is not None or not max_workers or max_workers <= 1:
         replanning = (
             feedback is not None and feedback.replan and plan._cost is not None
         )
@@ -1221,17 +1399,13 @@ def stream_plan_answers(
         fragment_iter = plan.fragments()
         consumed = 0
         while True:
-            try:
-                rewriting_plan = next(fragment_iter)
-            except StopIteration:
+            rewriting_plan = next(fragment_iter, None)
+            if rewriting_plan is None:
                 return
             consumed += 1
-            for row in _evaluate_rewriting_plan(
-                plan, rewriting_plan, source, memo, cache, columnar, feedback
-            ):
-                if row not in seen:
-                    seen.add(row)
-                    yield row
+            if before_root is not None:
+                before_root(evaluation, rewriting_plan.root_key)
+            yield evaluation.root_rows(rewriting_plan)
             if (
                 replanning
                 and replans_left > 0
@@ -1242,7 +1416,7 @@ def stream_plan_answers(
                 blown_seen = feedback.blown_events
                 replans_left -= 1
                 feedback.stats.replans += 1
-                plan = UnionPlan(
+                evaluation.plan = plan = UnionPlan(
                     plan.result, plan._cost, bushy=plan.bushy, feedback=feedback
                 )
                 fragment_iter = islice(plan.fragments(), consumed, None)
@@ -1252,14 +1426,12 @@ def stream_plan_answers(
     if executor == "process":
         from concurrent.futures import ProcessPoolExecutor
 
-        def submit_process(pool, rewriting_plan):
+        def submit(pool, rewriting_plan):
             nodes = _collect_subplan(plan, rewriting_plan.root_key)
             # Only the parent-side scans are measured: join fragments run
             # in worker processes where the feedback log cannot reach.
             scans = {
-                key: _fragment_table(
-                    plan, key, source, memo, cache, columnar, feedback
-                )
+                key: evaluation.table(key)
                 for key, node in nodes.items()
                 if isinstance(node, ScanFragment)
             }
@@ -1268,26 +1440,15 @@ def stream_plan_answers(
             )
 
         pool = ProcessPoolExecutor(max_workers=max_workers)
-        submit = submit_process
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        def submit_thread(pool, rewriting_plan):
-            return pool.submit(
-                _evaluate_rewriting_plan,
-                plan,
-                rewriting_plan,
-                source,
-                memo,
-                cache,
-                columnar,
-                feedback,
-            )
+        def submit(pool, rewriting_plan):
+            return pool.submit(evaluation.root_rows, rewriting_plan)
 
         pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-shared"
         )
-        submit = submit_thread
     try:
         window: deque = deque()
         fragment_iter = plan.fragments()
@@ -1303,12 +1464,50 @@ def stream_plan_answers(
                 window.append(submit(pool, rewriting_plan))
             if not window:
                 return
-            for row in window.popleft().result():
-                if row not in seen:
-                    seen.add(row)
-                    yield row
+            yield window.popleft().result()
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
+
+
+def distinct_rows(batches: Iterable[Iterable[Row]]) -> Iterator[Row]:
+    """Flatten ``batches`` into distinct rows, lazily: a batch is pulled
+    only when the rows before it are consumed, so first-k stays lazy."""
+    seen: Set[Row] = set()
+    for batch in batches:
+        for row in batch:
+            if row not in seen:
+                seen.add(row)
+                yield row
+
+
+def union_rows(
+    batches: Iterable[Iterable[Row]], limit: Optional[int] = None
+) -> Set[Row]:
+    """Union ``batches`` into one answer set — whole batches at a time —
+    or, with ``limit``, into the first ``limit`` distinct rows (pulling no
+    batch beyond the one that completes them)."""
+    if limit is not None:
+        return set(islice(distinct_rows(batches), limit))
+    answers: Set[Row] = set()
+    for batch in batches:
+        answers.update(batch)
+    return answers
+
+
+def stream_plan_answers(
+    plan: UnionPlan,
+    data: FactsLike,
+    max_workers: Optional[int] = None,
+    cache: Optional[FragmentCache] = None,
+    columnar: Optional[bool] = None,
+    executor: Optional[str] = None,
+    feedback: Optional[QErrorLog] = None,
+) -> Iterator[Row]:
+    """Yield distinct answer rows of the union plan as fragments evaluate:
+    the row view over :func:`plan_answer_batches` (same arguments)."""
+    return distinct_rows(plan_answer_batches(
+        plan, data, max_workers, cache, columnar, executor, feedback
+    ))
 
 
 def evaluate_plan(
@@ -1324,19 +1523,11 @@ def evaluate_plan(
     """Evaluate the whole union plan (or the first ``limit`` answers)."""
     if limit is not None and limit < 0:
         raise EvaluationError(f"limit must be non-negative, got {limit}")
-    answers: Set[Row] = set()
     if limit == 0:
-        return answers
-    for row in stream_plan_answers(
-        plan,
-        data,
-        max_workers=max_workers,
-        cache=cache,
-        columnar=columnar,
-        executor=executor,
-        feedback=feedback,
-    ):
-        answers.add(row)
-        if limit is not None and len(answers) >= limit:
-            break
-    return answers
+        return set()
+    return union_rows(
+        plan_answer_batches(
+            plan, data, max_workers, cache, columnar, executor, feedback
+        ),
+        limit,
+    )

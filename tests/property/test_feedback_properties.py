@@ -29,7 +29,7 @@ from repro.pdms import (
     evaluate_reformulation,
     reformulate,
 )
-from repro.pdms.planning import _OnceMap, _fragment_table
+from repro.pdms.planning import _Evaluation
 
 from .strategies import churn_specs, data_mutation_specs, pdms_specs
 from .test_materialization_properties import _apply_mutation
@@ -60,8 +60,7 @@ class TestMeasurementTruthfulness:
                 pass  # force full compilation so every key resolves
             for obs in log.observations():
                 if obs.key in plan.nodes:
-                    table = _fragment_table(
-                        plan, obs.key, source, _OnceMap())
+                    table = _Evaluation(plan, source).table(obs.key)
                     assert len(table.rows) == obs.actual, (engine, obs.key)
                 else:
                     # Whole-rewriting observations (per-rewriting engines
@@ -86,7 +85,7 @@ class TestMeasurementTruthfulness:
                 pass
             for obs in log.observations():
                 if obs.key in plan.nodes:
-                    table = _fragment_table(plan, obs.key, source, _OnceMap())
+                    table = _Evaluation(plan, source).table(obs.key)
                     assert len(table.rows) == obs.actual
 
 

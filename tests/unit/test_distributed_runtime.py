@@ -30,6 +30,7 @@ from repro.pdms import (
     PDMS,
     FragmentCache,
     LoopbackTransport,
+    PeerFactSource,
     ProcessTransport,
     QueryService,
     RemotePeerFactSource,
@@ -368,6 +369,50 @@ class TestDistributedEngine:
         with pytest.raises(EvaluationError):
             engine.stream(second, data, plan=plan)
 
+    def test_knobs_are_read_once_per_call_not_once_per_rewriting(self, monkeypatch):
+        """The representation (``REPRO_COLUMNAR``), like every other knob,
+        is resolved at the engine boundary: a union of 12 rewritings reads
+        the environment exactly as often as a union of 2."""
+        import os
+
+        def fan_out(width):
+            pdms = PDMS(f"fan-{width}")
+            pdms.add_peer("T").add_relation("A", ["x", "y"])
+            data = {}
+            for index in range(width):
+                peer = f"P{index}"
+                pdms.add_peer(peer)
+                pdms.add_storage_description(StorageDescription(
+                    peer, f"s{index}", parse_query("V(x, y) :- T:A(x, y)"),
+                    exact=False, name=f"store_{index}",
+                ))
+                data[peer] = Instance.from_dict({f"s{index}": [(index, index + 1)]})
+            return pdms, data, parse_query("Q(x, y) :- T:A(x, y)")
+
+        reads = []
+        environ = type(os.environ)
+        original = environ.__getitem__
+
+        def counting(self, name):
+            if name.startswith("REPRO_"):
+                reads.append(name)
+            return original(self, name)
+
+        counts = {}
+        for width in (2, 12):
+            pdms, data, query = fan_out(width)
+            result = reformulate(pdms, query)
+            assert len(result.first_rewritings(100)) == width
+            with monkeypatch.context() as patch:
+                patch.setattr(environ, "__getitem__", counting)
+                del reads[:]
+                rows = set(get_engine("distributed").stream(
+                    result, PeerFactSource(data)))
+                counts[width] = sorted(reads)
+            assert len(rows) == width
+        assert "REPRO_COLUMNAR" in counts[2]
+        assert counts[2] == counts[12]
+
     def test_flat_source_falls_back_to_shared_path(self):
         pdms, data, query = two_peer_system()
         combined = combine_peer_instances(data)
@@ -409,6 +454,40 @@ class TestDistributedEngine:
         assert not faulty.complete
         transport.restore_peer("P2")
         healed = evaluate_distributed(reformulate(pdms, query), source, cache=cache)
+        assert healed.complete and healed.rows == frozenset(oracle)
+
+    def test_scan_failing_mid_answer_is_not_cached_under_the_snapshot(self):
+        """The describe round and the cost model's statistics scan succeed
+        (so the answer's version snapshot holds valid tokens) and only the
+        root's own scan fails: the relation degrades *mid-answer*, its
+        versions are withdrawn, and nothing computed from the partial rows
+        may be stored under the token the snapshot read before the fault."""
+
+        class LaterScansFail(LoopbackTransport):
+            scans, broken = 0, True
+
+            def scan_batch_since(self, peer, requests):
+                if peer == "P2":
+                    self.scans += 1
+                    if self.broken and self.scans > 1:
+                        raise TransportError("injected scan fault")
+                return super().scan_batch_since(peer, requests)
+
+        pdms, data, _ = two_peer_system()
+        # The constant makes the fragment's scan a different wire request
+        # from the statistics pass over the whole relation.
+        query = parse_query("Q(x) :- T:A(x, y), T:B(y, 10)")
+        transport = LaterScansFail(data)
+        source = RemotePeerFactSource(transport)
+        cache = FragmentCache(max_bytes=1 << 20)
+        oracle = certain_answers(pdms, query, combine_peer_instances(data))
+        assert oracle
+        result = reformulate(pdms, query)
+        faulty = evaluate_distributed(result, source, cache=cache)
+        assert transport.scans > 1 and not faulty.complete and not faulty.rows
+        assert not any("sb(" in key for key in cache.cached_keys())
+        transport.broken = False
+        healed = evaluate_distributed(result, source, cache=cache)
         assert healed.complete and healed.rows == frozenset(oracle)
 
     def test_process_transport_end_to_end(self):

@@ -10,6 +10,7 @@ the exact counter arithmetic that unsynchronised updates would break.
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -173,3 +174,60 @@ def test_concurrent_answers_during_catalogue_churn():
     final = service.answer(queries[0])
     assert final == certain_answers(
         service.pdms, queries[0], combine_peer_instances(data))
+
+
+def test_worker_pool_computes_each_fragment_once_per_answer(monkeypatch):
+    """Concurrent ``answer`` calls, each fanning its rewriting roots over
+    four pool threads: within one answer every fragment is still built
+    exactly once (the compute-once memo's contract — its waiters block on
+    an event that only exists while somebody waits), and the answers are
+    right.  The cross-call cache is off so nothing else can absorb a
+    duplicate build."""
+    from repro.pdms import planning
+
+    monkeypatch.setenv("REPRO_SHARED_WORKERS", "4")
+    monkeypatch.setenv("REPRO_SHARED_EXECUTOR", "thread")
+    pdms = PDMS("wide")
+    top = pdms.add_peer("T")
+    data = {}
+    for relation in ("A", "B", "C"):
+        top.add_relation(relation, ["x", "y"])
+        for index in range(4):
+            peer, stored = f"P{relation}{index}", f"s{relation.lower()}{index}"
+            pdms.add_peer(peer)
+            pdms.add_storage_description(StorageDescription(
+                peer, stored, parse_query(f"V(x, y) :- T:{relation}(x, y)"),
+                exact=False, name=f"store_{stored}",
+            ))
+            data[peer] = Instance.from_dict(
+                {stored: [(i, (i + index) % 5) for i in range(10)]})
+    query = parse_query("Q(x, w) :- T:A(x, y), T:B(y, z), T:C(z, w)")
+    service = QueryService(
+        pdms, data=data, engine="shared", fragment_cache_bytes=0, adaptive=False)
+    expected = certain_answers(pdms, query, combine_peer_instances(data))
+
+    builds = {}
+    lock = threading.Lock()
+    original = planning._Evaluation._build
+
+    def counting(self, key, node):
+        with lock:
+            # Keyed by the evaluation itself: that pins it, so ids cannot recycle.
+            builds[(self, key)] = builds.get((self, key), 0) + 1
+        return original(self, key, node)
+
+    monkeypatch.setattr(planning._Evaluation, "_build", counting)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # force interleavings inside the memo
+    try:
+        with ThreadPoolExecutor(max_workers=THREADS) as pool:
+            answers = list(pool.map(
+                lambda _: service.answer(query), range(THREADS * 3), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(rows == expected for rows in answers)
+    assert builds and set(builds.values()) == {1}
+    # 64 rewritings share far fewer fragments than they reference.
+    plan = planning.ensure_plan(service.reformulate(query))
+    assert plan.stats.rewritings == 64
+    assert len(builds) == THREADS * 3 * plan.stats.unique_fragments

@@ -458,6 +458,50 @@ class TestConcurrentConsumers:
         with pytest.raises(EvaluationError, match="interrupted"):
             memo.get_or_compute("k", lambda: None)
 
+    def test_once_map_allocates_an_event_only_for_waiters(self, monkeypatch):
+        import threading
+
+        from repro.pdms import planning
+
+        memo = planning._OnceMap()
+        started, release = threading.Event(), threading.Event()
+        calls, results = [], []
+
+        def slow():
+            calls.append(1)
+            started.set()
+            release.wait(timeout=30)
+            return "value"
+
+        # Threads make events of their own: build them before counting.
+        threads = [
+            threading.Thread(
+                target=lambda: results.append(memo.get_or_compute("slow", slow)))
+            for _ in range(4)
+        ]
+        created = []
+        real_event = threading.Event
+
+        def counting_event():
+            created.append(1)
+            return real_event()
+
+        monkeypatch.setattr(planning.threading, "Event", counting_event)
+        assert [memo.get_or_compute(k, str.upper, k) for k in "abca"] == list("ABCA")
+        assert not created
+
+        threads[0].start()
+        started.wait(timeout=30)
+        for thread in threads[1:]:
+            thread.start()
+        while not created:  # the first waiter to arrive makes the one event
+            pass
+        release.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert results == ["value"] * 4
+        assert calls == [1] and created == [1]
+
     def test_concurrent_plan_streams_agree(self, fan_out_pdms):
         import threading
 
