@@ -500,8 +500,14 @@ def _self_codes(cols):
     key = None
     card_bound = 1
     for col in cols:
-        _, code = np.unique(col, return_inverse=True)
-        card = int(code.max()) + 1 if len(code) else 1
+        ranged = col.dtype.kind == "i" and len(col)
+        low = int(col.min()) if ranged else 0
+        card = int(col.max()) - low + 1 if ranged else 0
+        if 0 < card <= 2 ** 31:
+            code = col - low  # integers in a narrow range code themselves, unsorted
+        else:
+            _, code = np.unique(col, return_inverse=True)
+            card = int(code.max()) + 1 if len(code) else 1
         if key is None:
             key, card_bound = code, card
             continue

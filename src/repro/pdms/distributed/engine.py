@@ -147,8 +147,9 @@ class DistributedEngine(ExecutionEngine):
 
     Evaluation is the shared root loop
     (:func:`~repro.pdms.planning.plan_answer_batches`); this engine only
-    decides what the data source is and, before each root, scatters the
-    root's scans unless the root is already warm in the cache.
+    decides what the data source is and, before each root — the one
+    factored root of a whole answer, whose scans thus go out in a single
+    wave — scatters the root's scans unless it is warm in the cache.
     """
 
     uses_plans = True
@@ -163,12 +164,13 @@ class DistributedEngine(ExecutionEngine):
         plan: Optional[UnionPlan] = None,
         cache: Optional[FragmentCache] = None,
         feedback: Optional[QErrorLog] = None,
+        whole: bool = False,
     ) -> Iterator[Iterable[Row]]:
         if plan is not None:
             ensure_plan(result, data, plan)  # fail on a foreign plan now, not lazily
-        return self._generate(result, data, plan, cache, feedback)
+        return self._generate(result, data, plan, cache, feedback, whole)
 
-    def _generate(self, result, data, plan, cache, feedback):
+    def _generate(self, result, data, plan, cache, feedback, whole):
         remote: Optional[RemotePeerFactSource] = None
         owns_source = False
         if isinstance(data, RemotePeerFactSource):
@@ -189,13 +191,22 @@ class DistributedEngine(ExecutionEngine):
             if remote is None:
                 # No peer structure to scatter over: identical to "shared".
                 yield from plan_answer_batches(
-                    plan, source, cache=cache, feedback=feedback
+                    plan, source, cache=cache, feedback=feedback, whole=whole
                 )
                 return
             failures_seen = remote.failure_count
 
-            def prefetch(evaluation, root_key):
+            def faulted(evaluation):
+                # A failed scan (ours or a concurrent call's) withdraws the
+                # versions of the relations it degraded: stop trusting the
+                # snapshot, or partial rows would be cached as complete.
                 nonlocal failures_seen
+                failures = remote.failure_count
+                if failures != failures_seen:
+                    failures_seen = failures
+                    evaluation.restart()
+
+            def prefetch(evaluation, root_key):
                 # A fragment already warm in the cache (locally or in the
                 # shared tier) will be served without touching the wire, so
                 # its whole scatter round can be skipped — this is where a
@@ -211,16 +222,13 @@ class DistributedEngine(ExecutionEngine):
                             root_key, shard_map=remote.shard_map
                         )
                     )
-                # A failed scan (ours or a concurrent call's) withdraws the
-                # versions of the relations it degraded: stop trusting the
-                # snapshot, or partial rows would be cached as complete.
-                failures = remote.failure_count
-                if failures != failures_seen:
-                    failures_seen = failures
-                    evaluation.versions.clear()
+                faulted(evaluation)
 
+            # A whole answer has one root: check again after every scan the
+            # evaluation performs itself (one the scatter did not cover).
             yield from plan_answer_batches(
-                plan, remote, cache=cache, feedback=feedback, before_root=prefetch
+                plan, remote, cache=cache, feedback=feedback, whole=whole,
+                before_root=prefetch, after_scan=faulted,
             )
         finally:
             if owns_source and remote is not None:

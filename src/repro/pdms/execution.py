@@ -90,8 +90,10 @@ class ExecutionEngine(Protocol):
     ``batches`` yields one *batch* of answer rows per rewriting as the
     enumeration progresses (rows may repeat within and across batches);
     consuming only a prefix must not force the full rewriting enumeration.
-    Whole-answer callers union the batches; ``stream`` is the thin row view
-    over them, so first-k consumers stay lazy.  Engines that consume
+    Whole-answer callers union the batches and say so (``whole=True``: the
+    plan engines then evaluate one factored root instead of enumerating);
+    ``stream`` is the thin row view over the lazy batches, so first-k
+    consumers stay lazy.  Engines that consume
     compiled union plans set ``uses_plans`` so callers holding a plan
     cache (the service layer) can pass one in.  ``cache`` (optional)
     is a cross-call :class:`~repro.pdms.materialization.FragmentCache`;
@@ -115,6 +117,7 @@ class ExecutionEngine(Protocol):
         plan: Optional[UnionPlan] = None,
         cache: Optional[FragmentCache] = None,
         feedback: Optional[QErrorLog] = None,
+        whole: bool = False,
     ) -> Iterator[Iterable[Row]]:  # pragma: no cover - protocol
         ...
 
@@ -185,6 +188,7 @@ class PerRewritingEngine(ExecutionEngine):
         plan: Optional[UnionPlan] = None,
         cache: Optional[FragmentCache] = None,
         feedback: Optional[QErrorLog] = None,
+        whole: bool = False,
     ) -> Iterator[Iterable[Row]]:
         for rewriting in result.rewritings():
             yield self._rows(rewriting, data, cache, feedback)
@@ -227,6 +231,7 @@ class SharedPlanEngine(ExecutionEngine):
         plan: Optional[UnionPlan] = None,
         cache: Optional[FragmentCache] = None,
         feedback: Optional[QErrorLog] = None,
+        whole: bool = False,
     ) -> Iterator[Iterable[Row]]:
         workers = (
             self._max_workers
@@ -240,6 +245,7 @@ class SharedPlanEngine(ExecutionEngine):
             cache=cache,
             columnar=self._columnar,
             feedback=feedback,
+            whole=whole,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -577,11 +583,10 @@ def evaluate_reformulation(
 ) -> Set[Row]:
     """Evaluate the rewritings of ``result`` over ``data`` (set semantics).
 
-    Streaming evaluation: rewritings are evaluated as they are produced,
-    so answers from the first rewritings are found before the enumeration
-    completes.  With ``limit``, evaluation stops as soon as ``limit``
-    distinct answers are known and returns that subset; without it the
-    per-rewriting batches are merged whole.
+    With ``limit``, evaluation streams: rewritings are evaluated as they
+    are produced and it stops as soon as ``limit`` distinct answers are
+    known, returning that subset.  Without it the batches are merged whole
+    and the plan engines evaluate the rule-goal tree as one factored plan.
 
     ``engine`` selects the evaluation path (see :func:`registered_engines`;
     ``"backtracking"``, ``"plan"``, and ``"shared"`` ship by default); all
@@ -593,7 +598,7 @@ def evaluate_reformulation(
     if limit == 0:
         return set()
     batches = get_engine(engine).batches(
-        result, federate_if_per_peer(data), plan=plan, cache=cache, feedback=feedback
+        result, federate_if_per_peer(data), plan, cache, feedback, whole=limit is None
     )
     return union_rows(batches, limit)
 

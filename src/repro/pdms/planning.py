@@ -1,37 +1,37 @@
 """Shared union-plan IR: compile a reformulation into a common-subplan DAG.
 
-The reformulation algorithm (Section 4 of the paper) emits a union of
-conjunctive rewritings assembled from *one* rule-goal tree, so rewritings
-overwhelmingly share sub-conjunctions: sibling rewritings differ in the
-storage description chosen for one goal while agreeing on every other
-stored atom.  Evaluating each rewriting from scratch therefore recomputes
-the same joins over and over.  This module compiles a
+The reformulation algorithm (Section 4 of the paper) builds *one* rule-goal
+tree and reads a union of conjunctive rewritings off it, so rewritings
+overwhelmingly share sub-conjunctions.  This module compiles a
 :class:`~repro.pdms.reformulation.ReformulationResult` into a **union
-plan**: a DAG of hash-consed, canonically named sub-conjunction fragments
-shared across rewritings, with per-rewriting selection/projection roots on
-top.
+plan**: a DAG of hash-consed, canonically named fragments in one node
+table, filled by two compile front-ends.
+
+*Whole answers* compile the tree itself (:meth:`UnionPlan.factored_root`):
+a stored leaf is a :class:`ScanFragment`, a goal node the
+:class:`UnionFragment` of its rule children, a rule node the
+:class:`JoinFragment` tree of its goal children — cost proportional to the
+tree, never to the (possibly exponentially larger) union it encodes, and
+one root to evaluate.  *First-k* calls (``limit``, streams) compile
+rewriting by rewriting, lazily (:meth:`UnionPlan.fragments`), with a
+selection/projection root per rewriting; that enumerated compile is also
+the fallback for trees the factored compile declines.
 
 Sharing model
 -------------
-Each rewriting's relational atoms are folded into a tree of
-:class:`ScanFragment` / :class:`JoinFragment` nodes.  Every fragment is
+A conjunction is folded into a tree of scan/join nodes, every fragment
 keyed by the *canonical rendering* of its atom multiset — atoms committed
 in greedy-lexicographic canonical order, variables positionally renamed,
 constants and repeated-variable equalities spelled out — so
-alpha-equivalent sub-conjunctions from different rewritings hash to the
-same node regardless of the join tree that first built them, and each
-shared fragment's result table is computed **once per execution** and
-reused by every rewriting containing it.
-
-Two tree shapes are supported.  The default is **bushy**: groups of atoms
-are merged pairwise bottom-up (greedy-operator-ordering style), preferring
-merges whose canonical key already exists in the plan's node table, then
-the smallest estimated join output per the stats-driven
-:class:`~repro.database.planner.CardinalityCostModel`.  Sub-conjunctions
-of *any* shape — not just cost-order prefixes — are therefore shared
-across rewritings.  ``bushy=False`` keeps the PR 3 behaviour (left-deep
-cost-ordered chains, sharing restricted to common prefixes) for
-comparison; both shapes produce identical answers.
+alpha-equivalent sub-conjunctions hash to the same node whatever join tree
+first built them, and each fragment's table is computed **once per
+execution**.  A union is keyed by a digest of its canonical branch list
+and joins like a stored atom over its columns.  The default shape is
+**bushy**: groups are merged pairwise bottom-up, preferring merges whose
+key already exists in the node table, then the smallest estimated join
+output per the :class:`~repro.database.planner.CardinalityCostModel`.
+``bushy=False`` keeps the PR 3 behaviour (left-deep cost-ordered chains,
+sharing restricted to common prefixes; enumerated only) for comparison.
 
 Execution
 ---------
@@ -39,29 +39,22 @@ Execution
 evaluates fragments against any fact source (upgraded to an
 :class:`~repro.datalog.indexing.IndexedFactSource` so leaf scans probe
 hash indexes) with a compute-once memo and yields one *batch* of answer
-rows per rewriting root; rewriting roots can be evaluated on an optional
-worker pool (``max_workers``).  :func:`evaluate_plan` unions the batches
-with C-level set operations; :func:`stream_plan_answers` is the thin row
-view over the same loop and keeps the first-k streaming contract:
-consuming a prefix never forces the remaining fragments.  Compilation
-itself is incremental — the plan ingests rewritings lazily from the
-(memoized, thread-safe) rewriting stream, so a ``limit=k`` call compiles
-only the prefix it evaluates — and memoised per plan (see
-:class:`UnionPlan`), so it costs what the plan's distinct fragments cost.
-
-A :class:`~repro.pdms.materialization.FragmentCache` (optional ``cache``
-argument) adds a second memo level that persists **across** calls: each
-fragment's table is keyed by its canonical key plus the data-version
-token of the relations it reads — assembled from one version snapshot
-per answer (:class:`_Evaluation`) — so repeated queries over unchanged
-data reuse materialised fragments and a write to one predicate
-invalidates only the fragments that read it.
+rows per root: the factored root's for a whole answer, else one per
+rewriting, optionally on a worker pool (``max_workers``), compiling only
+the prefix a ``limit=k`` consumer reaches.  :func:`evaluate_plan` unions
+the batches; :func:`stream_plan_answers` is the lazy row view.  An
+optional :class:`~repro.pdms.materialization.FragmentCache` persists
+fragment tables **across** calls under the data-version token of the
+relations they read — assembled from one version snapshot per answer
+(:class:`_Evaluation`) — so repeated queries over unchanged data reuse
+them and a write invalidates only the path from the written scan upward.
 
 See ``docs/execution.md`` for the architecture notes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -72,10 +65,10 @@ from typing import Optional, Sequence, Set, Tuple, Union
 
 from ..config import columnar_enabled, shared_executor
 from ..config import shared_workers as _config_shared_workers
-from ..database.algebra import Table
+from ..database.algebra import Table, union_many
 from ..database.columnar import ColumnTable, compare_cols_mask, compare_mask
 from ..database.columnar import _mask_and as _combine_masks
-from ..database.columnar import _pylist
+from ..database.columnar import const_column, union_distinct
 from ..database.feedback import QErrorLog
 from ..database.planner import CardinalityCostModel
 from ..datalog.atoms import Atom, compare_values
@@ -88,6 +81,7 @@ from ..obs.trace import current_span
 from ..database.statistics import source_data_version
 from .materialization import FragmentCache, data_version_token, result_row_count
 from .reformulation import ReformulationResult, _LazySeq
+from .rule_goal_tree import GoalNode, RuleNode
 
 Row = Tuple[object, ...]
 
@@ -139,7 +133,36 @@ class JoinFragment(NamedTuple):
     left_rename: Tuple[Tuple[str, str], ...] = ()
 
 
-PlanFragment = Union[ScanFragment, JoinFragment]
+class UnionBranch(NamedTuple):
+    """One alternative of a :class:`UnionFragment`: fragment ``key``'s rows
+    that pass ``comparisons``, projected to ``head`` (a :class:`RewritingPlan`
+    root's shape); ``origin`` names the rule node it came from."""
+
+    key: str
+    comparisons: Tuple[Tuple[Operand, str, Operand], ...]
+    head: Tuple[Operand, ...]
+    origin: str
+
+
+class UnionFragment(NamedTuple):
+    """An n-ary interior node of the factored plan: the distinct union of
+    its ``branches``, each mapped onto this node's ``columns``."""
+
+    key: str
+    branches: Tuple[UnionBranch, ...]
+    columns: Tuple[str, ...]
+
+
+PlanFragment = Union[ScanFragment, JoinFragment, UnionFragment]
+
+
+def _child_keys(node: PlanFragment) -> Tuple[str, ...]:
+    """The fragments ``node`` reads directly (none for a scan)."""
+    if isinstance(node, JoinFragment):
+        return (node.left_key, node.right_key)
+    if isinstance(node, UnionFragment):
+        return tuple([branch.key for branch in node.branches])
+    return ()
 
 
 class RewritingPlan(NamedTuple):
@@ -153,11 +176,15 @@ class RewritingPlan(NamedTuple):
 
 @dataclass
 class PlanStatistics:
-    """How much structure the plan shares across its compiled rewritings."""
+    """How much structure the plan shares across its compiled rewritings,
+    and what the tree compile (:meth:`UnionPlan.factored_root`) made."""
 
     rewritings: int = 0
     unique_fragments: int = 0
     fragment_references: int = 0
+    tree_nodes: int = 0  #: goal + rule nodes of the tree the factored compile read
+    factored: int = 0  #: plan nodes under the factored root (0: none yet, or declined)
+    declined: Optional[str] = None  #: why the factored compile declined, if it did
 
     @property
     def reused_references(self) -> int:
@@ -345,6 +372,14 @@ class _Group:
         self.pairs: Dict[_Group, _Pair] = {}
 
 
+_UNCOMPILED = object()
+
+
+class _Declined(Exception):
+    """The tree compile met a node it does not factor; ``args[0]`` is the
+    reason the plan falls back to the enumerated compile under."""
+
+
 @lru_cache(maxsize=256)
 def _column_names(width: int) -> Tuple[str, ...]:
     """The canonical column names ``_f0 .. _f{width-1}``."""
@@ -367,8 +402,10 @@ class UnionPlan:
     first time :meth:`fragments` reaches them, each into a **bushy** tree
     over the hash-consed node table ``nodes`` (``bushy=False`` builds the
     left-deep comparison shape instead); fragments any earlier rewriting
-    built are reused across rewritings and across calls.  Thread-safe:
-    several executions may iterate :meth:`fragments` concurrently.
+    built are reused across rewritings and across calls.  Whole answers
+    compile ``result.tree`` into the same table instead, once
+    (:meth:`factored_root`).  Thread-safe: several executions may drive
+    either compile concurrently.
 
     Compilation is memoised **per plan**, so a rewriting that snaps onto
     existing fragments costs dictionary lookups instead of string
@@ -403,6 +440,8 @@ class UnionPlan:
         #: against reality and a converged plan measures q-errors near 1.
         self.estimates: Dict[str, float] = {}
         self._cost = cost
+        #: Factored join -> the ``<kind:origin>`` rule whose goals it joins.
+        self.origins: Dict[str, str] = {}
         self._relations_cache: Dict[str, FrozenSet[str]] = {}
         self._token_relations: Dict[str, Tuple[str, ...]] = {}
         self._scans_cache: Dict[str, Tuple[Tuple[str, Tuple[object, ...]], ...]] = {}
@@ -410,13 +449,12 @@ class UnionPlan:
         self._scans: Dict[Atom, ScanFragment] = {}
         self._groups: Dict[Atom, _Group] = {}
         self._joins: Dict[Tuple[str, str, Tuple[Tuple[int, int], ...]], _Join] = {}
-        # _LazySeq serialises advancement under its lock, so node-table
-        # mutation inside _compile_rewriting is single-threaded even when
-        # several executions iterate fragments() concurrently.
-        self._compiled = _LazySeq(
-            self._compile_rewriting(rewriting)
-            for rewriting in result.rewritings()
-        )
+        # One lock serialises every node-table write — _LazySeq advances
+        # _compile_rewriting under its lock, and factored_root() borrows it
+        # to compile the tree — whichever front-end executions drive.
+        self._compiled = _LazySeq(self._compile_stream())
+        self._lock = self._compiled._lock
+        self._root: object = _UNCOMPILED  # then the root's key, or None: declined
 
     # -- compilation (incremental) ---------------------------------------------
 
@@ -429,10 +467,14 @@ class UnionPlan:
         """
         return iter(self._compiled)
 
+    def _compile_stream(self) -> Iterator[RewritingPlan]:
+        # A generator, so the enumeration starts with the first consumer.
+        for rewriting in self.result.rewritings():
+            yield self._compile_rewriting(rewriting)
+
     def _scan_fragment(self, atom: Atom) -> ScanFragment:
         """Reference the hash-consed leaf for one atom (single-atom canonical
         form); an atom seen before skips the rendering."""
-        self.stats.fragment_references += 1
         node = self._scans.get(atom)
         if node is not None:
             return node
@@ -465,7 +507,6 @@ class UnionPlan:
                 columns=_column_names(len(keep_positions)),
             )
             self.nodes[key] = node
-            self.stats.unique_fragments += 1
         self._scans[atom] = node
         return node
 
@@ -481,8 +522,8 @@ class UnionPlan:
             if isinstance(node, ScanFragment):
                 cached = frozenset((node.relation,))
             else:
-                cached = self.fragment_relations(node.left_key) | (
-                    self.fragment_relations(node.right_key)
+                cached = frozenset().union(
+                    *[self.fragment_relations(child) for child in _child_keys(node)]
                 )
             self._relations_cache[key] = cached
         return cached
@@ -521,13 +562,11 @@ class UnionPlan:
             if isinstance(node, ScanFragment):
                 cached = ((node.relation, node.pattern),)
             else:
-                merged = list(self.scan_requests(node.left_key))
-                seen = set(merged)
-                for request in self.scan_requests(node.right_key):
-                    if request not in seen:
-                        seen.add(request)
-                        merged.append(request)
-                cached = tuple(merged)
+                cached = tuple(dict.fromkeys(
+                    request
+                    for child in _child_keys(node)
+                    for request in self.scan_requests(child)
+                ))
             self._scans_cache[key] = cached
         if shard_map is None:
             return cached
@@ -573,17 +612,15 @@ class UnionPlan:
     def estimated_cost(self) -> float:
         """The plan's total estimated fragment output, corrections applied.
 
-        Forces full compilation, then sums one (corrected) row estimate
-        per unique fragment node.  Because corrections are keyed by
+        Sums one (corrected) row estimate per node a whole answer
+        evaluates (:meth:`answer_nodes`).  Because corrections are keyed by
         canonical fragment key, a champion whose blown fragment has since
         been measured re-costs *high* here while a challenger avoiding
         that fragment does not — which is exactly the comparison the
         racing policy needs.  Every fragment contributes at least 1.
         """
-        for _ in self.fragments():
-            pass
         total = 0.0
-        for key in self.nodes:
+        for key in self.answer_nodes():
             fallback = self.estimates.get(key, 1.0)
             corrected = self._apply_correction(
                 key, self.fragment_relations(key), fallback, count=False
@@ -597,14 +634,19 @@ class UnionPlan:
             raise EvaluationError(
                 "cannot compile a rewriting with no relational atoms"
             )
+        stats, before = self.stats, len(self.nodes)
         if self.bushy:
             root = self._compile_bushy(atoms)
-            return self._finish_rewriting(
-                rewriting,
-                root.key,
-                dict(zip(root.variables, _column_names(len(root.variables)))),
-            )
-        return self._compile_left_deep(rewriting)
+            canonical = dict(zip(root.variables, _column_names(len(root.variables))))
+            plan = self._finish_rewriting(rewriting, root.key, canonical)
+        else:
+            plan = self._compile_left_deep(rewriting)
+        # The sharing counters describe this compile only: every atom
+        # references its scan and every merge its join, and what the node
+        # table grew by is what no earlier compile had built.
+        stats.fragment_references += 2 * len(atoms) - 1
+        stats.unique_fragments += len(self.nodes) - before
+        return plan
 
     # -- bushy compilation -------------------------------------------------
 
@@ -612,7 +654,6 @@ class UnionPlan:
         """A single-atom group over the (hash-consed) scan fragment."""
         group = self._groups.get(atom)
         if group is not None:
-            self.stats.fragment_references += 1
             return group
         key, varmap = _render_atom(atom, {})
         shared = key in self.nodes
@@ -687,7 +728,6 @@ class UnionPlan:
 
     def _merge_groups(self, left: _Group, right: _Group, pair: _Pair) -> _Group:
         """Commit the join of two groups as a (hash-consed) fragment node."""
-        self.stats.fragment_references += 1
         merged = pair.merged
         if merged is not None:
             # The same two groups met before: same node, same numbers; the
@@ -709,12 +749,13 @@ class UnionPlan:
                 columns=_column_names(width),
             )
             self.nodes[key] = node
-            self.stats.unique_fragments += 1
         estimate = pair.estimate
         distinct: Sequence[float] = ()
         if self._cost is not None:
             if self.feedback is not None:
-                relations = frozenset(a.predicate for a in left.atoms + right.atoms)
+                relations = self.fragment_relations(left.key) | (
+                    self.fragment_relations(right.key)
+                )
                 estimate = self._apply_correction(key, relations, estimate)
             distinct = [max(estimate, 1.0)] * width
             for side, column_map in (
@@ -753,7 +794,10 @@ class UnionPlan:
         (and the cost ties) established, which is what turns shared
         sub-conjunctions of *any* shape into shared fragments.
         """
-        groups = [self._leaf_group(atom) for atom in atoms]
+        return self._merge_all([self._leaf_group(atom) for atom in atoms])
+
+    def _merge_all(self, groups: List[_Group]) -> _Group:
+        """Merge ``groups`` pairwise, in :meth:`_compile_bushy`'s order, into one."""
         nodes = self.nodes
         feedback = self.feedback
         while len(groups) > 1:
@@ -779,7 +823,8 @@ class UnionPlan:
                 if feedback is not None:
                     estimate = self._apply_correction(
                         key,
-                        frozenset(a.predicate for a in left.atoms + right.atoms),
+                        self.fragment_relations(left.key)
+                        | self.fragment_relations(right.key),
                         estimate,
                         count=False,
                     )
@@ -819,6 +864,251 @@ class UnionPlan:
         head = tuple([operand(term) for term in rewriting.head.args])
         self.stats.rewritings += 1
         return RewritingPlan(rewriting, root_key, comparisons, head)
+
+    # -- tree compilation (the factored root) ------------------------------
+
+    def factored_root(self) -> Optional[str]:
+        """The key of the one root a whole answer evaluates — the rule-goal
+        tree compiled node for node, on first use — or ``None`` when the
+        compile declined the tree (``stats.declined`` says why) and the
+        answer is the union of :meth:`fragments` instead."""
+        if self._root is _UNCOMPILED:
+            with self._lock:
+                if self._root is _UNCOMPILED:
+                    self._root = self._compile_tree()
+        return self._root  # type: ignore[return-value]
+
+    def answer_nodes(self) -> Dict[str, PlanFragment]:
+        """The nodes a whole answer evaluates: those under the factored
+        root, or — forcing the enumerated compile — every node."""
+        root = self.factored_root()
+        if root is None:
+            for _ in self.fragments():
+                pass
+        return self.nodes if root is None else _collect_subplan(self, root)
+
+    def _compile_tree(self) -> Optional[str]:
+        stats = self.stats
+        tree = getattr(self.result, "tree", None)
+        try:
+            if tree is None or not self.bushy:
+                raise _Declined("no-tree" if tree is None else "left-deep")
+            stats.tree_nodes = tree.statistics.total_nodes
+            head = tree.root.label
+            need = tuple(dict.fromkeys(filter(is_variable, head.args)))
+            alternatives = [
+                alternative
+                for rule in tree.root.children
+                for alternative in self._tree_alternatives(rule, need)
+            ]
+            root = self._union_node(head.predicate, head.args, alternatives).key
+        except _Declined as declined:
+            stats.declined = declined.args[0]
+            return None
+        stats.factored = len(_collect_subplan(self, root))
+        return root
+
+    def _tree_alternatives(self, rule: RuleNode, need: Tuple[Variable, ...]) -> list:
+        """The ways to satisfy ``rule`` while exporting ``need``: one
+        ``(group, constraint label, origin)`` per cover of its goal children.
+        A child's options are grouped by the siblings they cover (its own
+        bit, plus an inclusion's ``unc`` label); each group is one union
+        over the variables the rest of the rule can see, and Step 3's
+        ``cover()`` runs over the groups, not over partial rewritings: a
+        cover is the join of its groups."""
+        if not rule.children:
+            raise _Declined("childless-rule")
+        outside = set(need).union(*[c.variable_set() for c in rule.constraint])
+        ranked = sorted(rule.children, key=lambda goal: goal.id)
+        bit_of = {goal: 1 << rank for rank, goal in enumerate(ranked)}
+        grouped: Dict[Tuple[int, int], list] = {}
+        for child in rule.children:
+            bit = bit_of[child]
+            if child.is_stored:
+                grouped[bit, bit] = [child]
+            for option in child.children:
+                mask = bit
+                for goal in option.covers:
+                    mask |= bit_of[goal]
+                grouped.setdefault((bit, mask), []).append(option)
+        covering: Dict[int, list] = {bit: [] for bit in bit_of.values()}
+        for (bit, mask), options in grouped.items():
+            inside = [goal for goal in ranked if bit_of[goal] & mask]
+            visible = outside.union(*[
+                goal.label.variable_set() for goal in ranked if goal not in inside
+            ])
+            group = self._tree_union(
+                ranked[bit.bit_length() - 1].label.predicate,
+                tuple(dict.fromkeys(
+                    arg for goal in inside for arg in goal.label.args if arg in visible
+                )),
+                options,
+            )
+            if group is not None:
+                for target in covering:
+                    if target & mask:
+                        covering[target].append((bit, mask, group))
+        full = (1 << len(ranked)) - 1
+
+        def cover(remaining: int, used: int, chosen: List[_Group]):
+            if not remaining:
+                yield chosen
+                return
+            for bit, mask, group in covering[remaining & -remaining]:
+                if bit & used:
+                    continue
+                if mask & full & ~remaining:
+                    # Step 3 joins such a cover on variables private to the
+                    # goals covered twice, which no group exports.
+                    raise _Declined("overlapping-covers")
+                yield from cover(remaining & ~mask, used | bit, chosen + [group])
+
+        origin = f"<{rule.kind}:{rule.origin}>"
+        alternatives = []
+        for chosen in cover(full, 0, []):
+            joined = self._merge_all(chosen)
+            if len(chosen) > 1:
+                self.origins.setdefault(joined.key, origin)
+            alternatives.append((joined, rule.constraint, origin))
+        return alternatives
+
+    def _tree_union(
+        self, label: str, need: Tuple[Variable, ...], options: Sequence[object]
+    ) -> Optional[_Group]:
+        """The union over ``need`` of ``options`` — the rule nodes expanding
+        one goal, or the stored goal itself; ``None`` if all are dead."""
+        alternatives: list = []
+        for option in options:
+            if isinstance(option, GoalNode):
+                group = self._leaf_group(option.label)
+                group.shared = True  # ours, or the memo's copy (already true)
+                alternatives.append((group, (), "<stored>"))
+            else:
+                alternatives.extend(self._tree_alternatives(option, need))
+        if not alternatives:
+            return None
+        group, constraint, _ = alternatives[0]
+        if len(alternatives) == 1 and not constraint and group.index.keys() >= set(need):
+            return group  # a single unconstrained alternative is the goal
+        key = self._union_node(label, need, alternatives).key
+        estimate, distinct = 0.0, ()
+        if self._cost is not None:
+            groups = [group for group, _, _ in alternatives]
+            estimate = self._apply_correction(
+                key, self.fragment_relations(key), float(sum([g.estimate for g in groups]))
+            )
+            distinct = tuple([
+                min(max(estimate, 1.0), sum([
+                    g.distinct[g.index[term]] if term in g.index else 1.0 for g in groups
+                ]))
+                for term in need
+            ])
+        self.estimates[key] = estimate
+        # A virtual relation: one pseudo-atom over the union's columns, so
+        # the join compiler names and orders it like a stored atom — one that
+        # is never ``shared``: stored leaves are (above), so a rule joins its
+        # stable leaves first and a write to one alternative recomputes the
+        # union and the joins above it, not the joins among the leaves.
+        atom = Atom.trusted(key.rpartition("(")[0], need)
+        index = dict(zip(need, range(len(need))))
+        return _Group(key, need, index, (atom,), estimate, distinct, False)
+
+    def _union_node(
+        self, label: str, terms: Sequence[object], alternatives: list
+    ) -> UnionFragment:
+        """Reference the hash-consed union of ``alternatives``, one output
+        column per term of ``terms``: keyed by a readable head plus a digest
+        of the canonical (sorted, deduplicated) branch list."""
+        unique: Dict[str, UnionBranch] = {}
+        for group, constraint, origin in alternatives:
+            branch = self._branch(terms, group, constraint, origin)
+            unique.setdefault(repr(branch[:3]), branch)
+        ordered = sorted(unique)
+        digest = hashlib.blake2b("\n".join(ordered).encode(), digest_size=8).hexdigest()
+        columns = _column_names(len(terms))
+        key = f"\u222a{label}#{digest}({','.join(columns)})"
+        node = self.nodes.get(key)
+        if node is None:
+            branches = tuple([unique[rendering] for rendering in ordered])
+            node = self.nodes[key] = UnionFragment(key, branches, columns)
+        return node  # type: ignore[return-value]
+
+    @staticmethod
+    def _branch(terms: Sequence[object], group: _Group, constraint, origin: str) -> UnionBranch:
+        """One alternative as a union branch: each term of ``terms`` and of
+        ``constraint`` is a column of ``group``, a constant, or derived by an
+        equality of ``constraint`` (a head's ``skill = "Doctor"``, an MCD's
+        ``f1 = f2``)."""
+        names = _column_names(len(group.variables))
+        operands: Dict[object, Operand] = {
+            variable: ("col", names[column]) for variable, column in group.index.items()
+        }
+        for _ in constraint:  # a pass per comparison settles every equality chain
+            for comparison in constraint:
+                sides = (comparison.left, comparison.right)
+                for unknown, known in (sides, sides[::-1]) if comparison.op == "=" else ():
+                    if is_variable(unknown) and unknown not in operands and (
+                        not is_variable(known) or known in operands
+                    ):
+                        operands[unknown] = operands.get(known) or ("const", known.value)
+
+        def operand(term, reason: str) -> Operand:
+            found = operands.get(term) if is_variable(term) else ("const", term.value)
+            if found is None:
+                raise _Declined(reason)
+            return found
+
+        comparisons = []
+        for comparison in constraint:
+            left = operand(comparison.left, "constraint")
+            right = operand(comparison.right, "constraint")
+            if left != right or comparison.op != "=":
+                comparisons.append((left, comparison.op, right))
+        head = tuple([operand(term, "unexported") for term in terms])
+        return UnionBranch(group.key, tuple(sorted(comparisons, key=repr)), head, origin)
+
+    def pretty(self) -> str:
+        """An indented rendering of the factored plan; union branches and
+        joins carry the rule-goal origin they came from."""
+        root = self.factored_root()
+        if root is None:
+            return f"(enumerated: {self.stats.declined})"
+        lines: List[str] = []
+        seen: Set[str] = set()
+
+        def show(operand: Operand) -> str:
+            return str(operand[1]) if operand[0] == "col" else repr(operand[1])
+
+        def branch_note(branch: UnionBranch) -> str:
+            note = f"  {branch.origin}"
+            if branch.head != tuple([("col", c) for c in self.nodes[branch.key].columns]):
+                note += f" as ({', '.join(map(show, branch.head))})"
+            if branch.comparisons:
+                shown = [f"{show(l)} {op} {show(r)}" for l, op, r in branch.comparisons]
+                note += " where " + " and ".join(shown)
+            return note
+
+        def visit(key: str, depth: int, note: str = "") -> None:
+            node = self.nodes[key]
+            if isinstance(node, JoinFragment):
+                on = {new for _, new in node.left_rename} & {new for _, new in node.right_rename}
+                label = f"join on ({','.join(sorted(on))})"
+                if key in self.origins and self.origins[key] not in note:
+                    label += f" {self.origins[key]}"
+            else:
+                label = ("scan " if isinstance(node, ScanFragment) else "union ") + key
+            children = _child_keys(node)
+            if children and key in seen:
+                lines.append("  " * depth + label + note + "  (shown above)")
+                return
+            seen.add(key)
+            lines.append("  " * depth + label + note)
+            notes = map(branch_note, node.branches) if isinstance(node, UnionFragment) else ("", "")
+            for child, child_note in zip(children, notes):
+                visit(child, depth + 1, child_note)
+
+        visit(root, 0)
+        return "\n".join(lines)
 
     # -- left-deep compilation (the PR 3 shape, kept for comparison) --------
 
@@ -885,8 +1175,6 @@ class UnionPlan:
                     columns=columns,
                 )
                 self.nodes[key] = node
-                self.stats.unique_fragments += 1
-            self.stats.fragment_references += 1
             root_key = key
             prefix_columns = node.columns
 
@@ -1068,12 +1356,12 @@ def _scan_columnar(node: ScanFragment, source) -> ColumnTable:
 def _worth_caching(node: PlanFragment) -> bool:
     """Is a fragment's table worth offering to the cross-call cache?
 
-    Joins always are.  Unrestricted scans are not: their "table" is a bare
-    copy of rows the base index already serves in O(1), so materialising
-    them only burns budget.  Selective scans (constants or repeated-
-    variable equalities) do real filtering work and qualify.
+    Joins and unions always are.  Unrestricted scans are not: their "table"
+    is a bare copy of rows the base index already serves in O(1), so
+    materialising them only burns budget.  Selective scans (constants or
+    repeated-variable equalities) do real filtering work and qualify.
     """
-    if isinstance(node, JoinFragment):
+    if not isinstance(node, ScanFragment):
         return True
     return bool(node.equal_positions) or any(
         value is not WILDCARD for value in node.pattern
@@ -1093,6 +1381,30 @@ def _join_fragment_tables(node: JoinFragment, left, right):
     return joined.project(node.columns)
 
 
+def _combine_tables(node: PlanFragment, tables: Sequence, columnar: bool):
+    """An interior fragment's table from its children's tables, in
+    :func:`_child_keys` order (both representations, and pool workers)."""
+    if isinstance(node, JoinFragment):
+        return _join_fragment_tables(node, *tables)
+    pairs = zip(tables, node.branches)
+    if columnar:
+        parts = [_columnar_branch(table, branch, node.columns) for table, branch in pairs]
+        # An empty part has untyped (list) columns; without it the rest
+        # concatenates on the array path.
+        return union_distinct([part for part in parts if len(part)], node.columns)
+    parts = [Table._trusted(node.columns, _row_root_rows(*pair)) for pair in pairs]
+    return union_many(parts, node.columns)
+
+
+class _Degraded(Exception):
+    """Carries a fragment table whose build spanned a snapshot restart past
+    the cross-call cache (a raising ``compute`` is never admitted)."""
+
+    def __init__(self, value):
+        super().__init__("built across a version-snapshot restart")
+        self.value = value
+
+
 class _Evaluation:
     """One answer's evaluation of a plan: the compute-once fragment memo
     plus everything resolved once at the engine boundary.
@@ -1106,11 +1418,16 @@ class _Evaluation:
     versions afresh per fragment could pair a parent's *new* token with a
     child table memoised before the write.)  Clearing ``versions``
     restarts the snapshot, for sources whose versions can be *withdrawn*
-    mid-answer (a remote relation degrading after a failed scan).
+    mid-answer (a remote relation degrading after a failed scan):
+    :meth:`restart`, which ``after_scan(evaluation)`` — called after every
+    scan performed here — may invoke.  A fragment whose build spanned a
+    restart was tokenised before the fault and may hold partial rows: it
+    serves this answer only and is never offered to the cache.
     """
 
     __slots__ = (
         "plan", "source", "cache", "columnar", "feedback", "memo", "versions",
+        "after_scan", "restarts",
     )
 
     def __init__(
@@ -1120,6 +1437,7 @@ class _Evaluation:
         cache: Optional[FragmentCache] = None,
         columnar: bool = False,
         feedback: Optional[QErrorLog] = None,
+        after_scan=None,
     ):
         self.plan = plan
         self.source = source
@@ -1128,6 +1446,13 @@ class _Evaluation:
         self.feedback = feedback
         self.memo = _OnceMap()
         self.versions: Dict[str, object] = {}
+        self.after_scan = after_scan
+        self.restarts = 0
+
+    def restart(self) -> None:
+        """Stop trusting the version snapshot (see the class docstring)."""
+        self.versions.clear()
+        self.restarts += 1
 
     def token(self, key: str):
         """Fragment ``key``'s data-version token under this answer's
@@ -1164,14 +1489,17 @@ class _Evaluation:
 
     def _lookup(self, key: str):
         node = self.plan.nodes[key]
-        if self.cache is not None and _worth_caching(node):
-            token = self.token(key)
-            if token is not None:
-                relations = self.plan.fragment_relations(key)
-                return self.cache.get_or_compute(
-                    key, token, relations, self._build, key, node
-                )
-        return self._build(key, node)
+        try:
+            if self.cache is not None and _worth_caching(node):
+                token = self.token(key)
+                if token is not None:
+                    relations = self.plan.fragment_relations(key)
+                    return self.cache.get_or_compute(
+                        key, token, relations, self._build, key, node
+                    )
+            return self._build(key, node)
+        except _Degraded as degraded:
+            return degraded.value
 
     def _build(self, key: str, node: PlanFragment):
         """Evaluate ``node`` from its children's tables (or the source).
@@ -1179,24 +1507,28 @@ class _Evaluation:
         The feedback log receives one ``(estimated, actual)`` observation
         per fragment *freshly computed* here — memo and cross-call cache
         hits are reuses of an already-measured evaluation, not new
-        evidence, so they do not record."""
+        evidence, so they do not record.  A build the snapshot restarted
+        beneath raises its table as :class:`_Degraded`, past cache and log."""
         scan = isinstance(node, ScanFragment)
+        restarts = self.restarts
         span = current_span()
         if span.recording:
-            span = span.child(
-                "fragment.eval", key=key[:80], kind="scan" if scan else "join"
-            )
+            kind = "scan" if scan else "join" if isinstance(node, JoinFragment) else "union"
+            span = span.child("fragment.eval", key=key[:80], kind=kind)
         with span:
             if not scan:
-                value = _join_fragment_tables(
-                    node, self.table(node.left_key), self.table(node.right_key)
+                value = _combine_tables(
+                    node, [self.table(child) for child in _child_keys(node)], self.columnar
                 )
-            elif self.columnar:
-                value = _scan_columnar(node, self.source)
             else:
-                value = _scan_table(node, self.source)
+                scanner = _scan_columnar if self.columnar else _scan_table
+                value = scanner(node, self.source)
+                if self.after_scan is not None:
+                    self.after_scan(self)
             if span.recording:
                 span.set("rows", result_row_count(value))
+        if self.restarts != restarts:
+            raise _Degraded(value)
         if self.feedback is not None:
             columns: Tuple[Tuple[str, int], ...] = ()
             if scan:
@@ -1218,19 +1550,17 @@ class _Evaluation:
     def root_rows(self, rewriting_plan: RewritingPlan) -> Iterable[Row]:
         """One rewriting's answer rows: comparisons + head projection over
         its root fragment (a batch; it may repeat a row)."""
-        table = self.table(rewriting_plan.root_key)
-        if self.columnar:
-            return _columnar_root_rows(table, rewriting_plan)
-        return _row_root_rows(table, rewriting_plan)
+        return _root_rows(self.table(rewriting_plan.root_key), rewriting_plan, self.columnar)
 
 
 _FLIPPED_OPS = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-def _columnar_root_rows(ct: ColumnTable, rewriting_plan: RewritingPlan) -> List[Row]:
-    """Comparisons + head projection of one rewriting root, in batch."""
+def _columnar_branch(ct: ColumnTable, branch, columns: Sequence[str]) -> ColumnTable:
+    """Comparisons + head projection of one rewriting root or union branch
+    (``branch.comparisons`` / ``branch.head``), in batch, as ``columns``."""
     mask = None
-    for left, op, right in rewriting_plan.comparisons:
+    for left, op, right in branch.comparisons:
         (lkind, lpayload), (rkind, rpayload) = left, right
         if lkind == "col" and rkind == "col":
             part = compare_cols_mask(
@@ -1245,19 +1575,31 @@ def _columnar_root_rows(ct: ColumnTable, rewriting_plan: RewritingPlan) -> List[
         else:
             if compare_values(lpayload, op, rpayload):
                 continue
-            return []
+            return ColumnTable(columns, [[] for _ in columns], 0)
         mask = _combine_masks(mask, part)
     if mask is not None:
         ct = ct.select_mask(mask)
-    if not rewriting_plan.head:
-        return [()] if len(ct) else []
-    return list(zip(*[
-        _pylist(ct.column(payload)) if kind == "col" else [payload] * len(ct)
-        for kind, payload in rewriting_plan.head
-    ]))
+    length = len(ct)
+    return ColumnTable(
+        columns,
+        [
+            ct.column(payload) if kind == "col" else const_column(payload, length)
+            for kind, payload in branch.head
+        ],
+        length,
+    )
 
 
-def _row_root_rows(table: Table, rewriting_plan: RewritingPlan) -> List[Row]:
+def _root_rows(table, rewriting_plan: RewritingPlan, columnar: bool) -> List[Row]:
+    """One rewriting root's answer rows (a batch; it may repeat a row)."""
+    if not columnar:
+        return _row_root_rows(table, rewriting_plan)
+    head = _column_names(len(rewriting_plan.head))
+    return list(_columnar_branch(table, rewriting_plan, head).iter_rows())
+
+
+def _row_root_rows(table: Table, rewriting_plan) -> List[Row]:
+    """The row path of :func:`_columnar_branch` (a root or a union branch)."""
     index = {column: i for i, column in enumerate(table.columns)}
 
     def value(row: Row, operand: Operand) -> object:
@@ -1296,9 +1638,7 @@ def _collect_subplan(plan: UnionPlan, root_key: str) -> Dict[str, PlanFragment]:
             continue
         node = plan.nodes[key]
         nodes[key] = node
-        if isinstance(node, JoinFragment):
-            stack.append(node.left_key)
-            stack.append(node.right_key)
+        stack.extend(_child_keys(node))
     return nodes
 
 
@@ -1319,15 +1659,12 @@ def _evaluate_payload(payload) -> List[Row]:
         value = memo.get(key)
         if value is None:
             node = nodes[key]
-            value = memo[key] = _join_fragment_tables(
-                node, table_of(node.left_key), table_of(node.right_key)
+            value = memo[key] = _combine_tables(
+                node, [table_of(child) for child in _child_keys(node)], columnar
             )
         return value
 
-    root = table_of(rewriting_plan.root_key)
-    if columnar:
-        return _columnar_root_rows(root, rewriting_plan)
-    return _row_root_rows(root, rewriting_plan)
+    return _root_rows(table_of(rewriting_plan.root_key), rewriting_plan, columnar)
 
 
 def plan_answer_batches(
@@ -1339,9 +1676,17 @@ def plan_answer_batches(
     executor: Optional[str] = None,
     feedback: Optional[QErrorLog] = None,
     before_root=None,
+    whole: bool = False,
+    after_scan=None,
 ) -> Iterator[Iterable[Row]]:
     """Evaluate the union plan root by root: one *batch* of answer rows per
     rewriting, in enumeration order, as its fragments evaluate.
+
+    ``whole`` promises that the caller consumes every batch (a whole
+    answer): unless the factored compile declined the tree, the plan's one
+    :meth:`~UnionPlan.factored_root` is evaluated in the calling thread and
+    its distinct rows are the only batch (``max_workers`` has no roots to
+    spread).
 
     This is the one root loop every plan-consuming engine runs.  A batch
     is whatever iterable of rows the root produced (rows may repeat within
@@ -1384,12 +1729,20 @@ def plan_answer_batches(
 
     ``before_root`` (optional; forces the sequential path) is called as
     ``before_root(evaluation, root_key)`` before each root is evaluated —
-    the hook a distributed engine prefetches the root's scans through.
+    the hook a distributed engine prefetches the root's scans through;
+    ``after_scan(evaluation)`` runs after every scan evaluation performs.
     """
     source = ensure_indexed(as_fact_source(data))
     if columnar is None:
         columnar = columnar_enabled()
-    evaluation = _Evaluation(plan, source, cache, columnar, feedback)
+    evaluation = _Evaluation(plan, source, cache, columnar, feedback, after_scan)
+    root_key = plan.factored_root() if whole else None
+    if root_key is not None:
+        if before_root is not None:
+            before_root(evaluation, root_key)
+        table = evaluation.table(root_key)
+        yield table.row_set() if columnar else table.rows
+        return
     if before_root is not None or not max_workers or max_workers <= 1:
         replanning = (
             feedback is not None and feedback.replan and plan._cost is not None
@@ -1488,10 +1841,14 @@ def union_rows(
     batch beyond the one that completes them)."""
     if limit is not None:
         return set(islice(distinct_rows(batches), limit))
-    answers: Set[Row] = set()
+    answers: Optional[Set[Row]] = None
     for batch in batches:
-        answers.update(batch)
-    return answers
+        if answers is not None:
+            answers.update(batch)
+        else:
+            # A plain set was made for this answer (cached ones are frozen).
+            answers = batch if type(batch) is set else set(batch)
+    return answers if answers is not None else set()
 
 
 def stream_plan_answers(
@@ -1527,7 +1884,8 @@ def evaluate_plan(
         return set()
     return union_rows(
         plan_answer_batches(
-            plan, data, max_workers, cache, columnar, executor, feedback
+            plan, data, max_workers, cache, columnar, executor, feedback,
+            whole=limit is None,
         ),
         limit,
     )

@@ -122,6 +122,10 @@ class ServiceStats:
     plans_compiled: int = 0
     #: Plans dropped because their reformulation entry was dropped.
     plan_invalidations: int = 0
+    #: Plans by how their whole answers compile, named like the registry's
+    #: ``plan.*`` counters: ``factored`` (the rule-goal tree as one root) or
+    #: ``enumerated.<reason>`` (the tree compile declined).
+    plan_kinds: Dict[str, int] = field(default_factory=dict)
     #: Fragment-cache counters (hits/misses/admissions/evictions/…).
     fragments: FragmentCacheStats = field(default_factory=FragmentCacheStats)
     #: Self-tuning loop counters (q-error percentiles, corrections, races,
@@ -149,6 +153,7 @@ class ServiceStats:
             "evictions": self.evictions,
             "plans_compiled": self.plans_compiled,
             "plan_invalidations": self.plan_invalidations,
+            "plan_kinds": dict(self.plan_kinds),
             "fragments": self.fragments.as_dict(),
             "adaptive": self.adaptive.as_dict(),
         }
@@ -365,6 +370,7 @@ class QueryService:
                 evictions=s.evictions,
                 plans_compiled=s.plans_compiled,
                 plan_invalidations=s.plan_invalidations,
+                plan_kinds=dict(s.plan_kinds),
                 fragments=replace(s.fragments),
                 adaptive=s.adaptive.snapshot(),
             )
@@ -618,22 +624,38 @@ class QueryService:
             return canonical.signature, result
 
     def _plan_for(
-        self, signature: str, result: ReformulationResult, source: FactsLike
+        self, signature: str, result: ReformulationResult, source: FactsLike, whole: bool
     ) -> UnionPlan:
         """The compiled union plan for a cached reformulation entry.
 
-        Compiled lazily (incrementally — compilation tracks the rewriting
-        stream) and cached under the entry's signature; a stale plan
-        (whose result was invalidated and re-reformulated) is recompiled.
+        Cached under the entry's signature; a stale plan (whose result was
+        invalidated and re-reformulated) is recompiled.  The enumerated
+        compile is lazy — it tracks the rewriting stream — but a ``whole``
+        answer's factored root is compiled here, inside ``plan.compile``.
         """
         with self._mutex:
             plan = self._plans.get(signature)
             if plan is None or plan.result is not result:
-                with current_span().child("plan.compile"):
-                    plan = ensure_plan(result, source)
-                self._plans[signature] = plan
+                plan = self._plans[signature] = ensure_plan(result, source)
                 self._stats.plans_compiled += 1
+            if whole:
+                self._compile_factored(plan)
             return plan
+
+    def _compile_factored(self, plan: UnionPlan, **attrs: object) -> None:
+        """Compile ``plan``'s factored root (first whole answer only) and
+        count the outcome.  Called under the service mutex."""
+        stats, kinds = plan.stats, self._stats.plan_kinds
+        if stats.factored or stats.declined is not None:
+            return
+        with current_span().child("plan.compile", **attrs) as span:
+            plan.factored_root()
+            span.set("tree_nodes", stats.tree_nodes)
+            span.set("factored", stats.declined or stats.factored)
+        kind = "factored" if stats.declined is None else f"enumerated.{stats.declined}"
+        kinds[kind] = kinds.get(kind, 0) + 1
+        self.metrics.counter(f"plan.{kind}").inc()
+        self.metrics.counter("plan.tree_nodes").inc(stats.tree_nodes)
 
     def _adaptive_plan(
         self,
@@ -659,26 +681,25 @@ class QueryService:
         feedback = self._feedback
         state = self._champions.get(signature)
         if state is None or state.plan.result is not result:
-            with current_span().child("plan.compile", adaptive=True):
-                plan = UnionPlan(
-                    result,
-                    CardinalityCostModel.pinless(source),
-                    feedback=feedback,
-                )
+            plan = UnionPlan(
+                result, CardinalityCostModel.pinless(source), feedback=feedback
+            )
             state = _AdaptiveState(plan=plan, generation=feedback.generation)
             self._champions[signature] = state
             self._stats.plans_compiled += 1
+        if not racing:
             return state.plan, None
-        if not racing or feedback.generation == state.generation:
+        self._compile_factored(state.plan, adaptive=True)
+        if feedback.generation == state.generation:
             return state.plan, None
         state.generation = feedback.generation
-        with current_span().child("plan.compile", adaptive=True, candidate=True):
-            candidate = UnionPlan(
-                result, CardinalityCostModel.pinless(source), feedback=feedback
-            )
+        candidate = UnionPlan(
+            result, CardinalityCostModel.pinless(source), feedback=feedback
+        )
+        self._compile_factored(candidate, adaptive=True, candidate=True)
         candidate_cost = candidate.estimated_cost()
         champion_cost = state.plan.estimated_cost()
-        if set(candidate.nodes) == set(state.plan.nodes):
+        if candidate.answer_nodes().keys() == state.plan.answer_nodes().keys():
             # Same shape — corrections did not change the plan, so the
             # candidate is the same execution with refreshed estimates.
             # Adopt it without racing: future observations then measure
@@ -794,7 +815,7 @@ class QueryService:
         started = time.perf_counter()
         try:
             with span:
-                prepared = self._prepare(query, engine, data, racing=limit is None)
+                prepared = self._prepare(query, engine, data, whole=limit is None)
                 engine, source, result, plan, cache, feedback, sig, challenger = (
                     prepared
                 )
@@ -828,16 +849,18 @@ class QueryService:
         query: ConjunctiveQuery,
         engine: Optional[str],
         data: Union[FactsLike, Mapping[str, Instance], None],
-        racing: bool = False,
+        whole: bool = False,
     ):
         """Resolve engine/data/reformulation/plan/cache for one call.
 
         Runs entirely under the service mutex so concurrent callers see a
         consistent (source, reformulation, plan) triple; the evaluation
-        itself happens outside the lock.  Returns
+        itself happens outside the lock.  ``whole`` says the call is a
+        whole answer (no ``limit``): its factored root is compiled here,
+        and only such calls race.  Returns
         ``(engine, source, result, plan, cache, feedback, signature,
-        challenger)``; ``challenger`` is non-``None`` only when
-        ``racing`` and the adaptive loop proposed a plan to race.
+        challenger)``; ``challenger`` is non-``None`` only when the
+        adaptive loop proposed a plan to race.
         """
         engine = validate_engine(engine if engine is not None else self._engine)
         with self._mutex:
@@ -860,10 +883,10 @@ class QueryService:
             if getattr(get_engine(engine), "uses_plans", False):
                 if self._adaptive and feedback is not None:
                     plan, challenger = self._adaptive_plan(
-                        signature, result, source, racing
+                        signature, result, source, whole
                     )
                 else:
-                    plan = self._plan_for(signature, result, source)
+                    plan = self._plan_for(signature, result, source, whole)
             return engine, source, result, plan, cache, feedback, signature, challenger
 
     def stream(

@@ -22,6 +22,13 @@ Two guards around ``UnionPlan`` compilation:
   answers (an oracle that shares no code with reformulation or planning;
   affordable here because the seeded relations hold 14 rows each).
 
+The digests are of **enumerated** plans — what ``plan.fragments()``
+compiles, rewriting by rewriting — so both guards drive that compile
+explicitly (a whole answer evaluates the factored root instead, pinned as
+text in ``test_factored_plan_pinned.py``): the digest exhausts
+``fragments()`` on a fresh plan, and the evaluation goes through the lazy
+row stream, which runs the enumerated roots.
+
 The digests do not depend on ``PYTHONHASHSEED`` (recorded identically
 under seeds 0, 1 and random).
 """
@@ -47,6 +54,7 @@ from repro.pdms import (
     evaluate_reformulation,
     federate_if_per_peer,
     reformulate,
+    stream_plan_answers,
 )
 from repro.pdms.planning import JoinFragment
 from repro.workload import (
@@ -340,10 +348,12 @@ class TestPinnedPlansEvaluate:
         result = reformulate(pdms, query)
         expected = evaluate_reformulation(result, source, engine="backtracking")
         plan = compile_reformulation(result, source if costed else None)
-        assert evaluate_plan(plan, source, columnar=False) == expected
-        assert evaluate_plan(plan, source, columnar=True) == expected
+        assert set(stream_plan_answers(plan, source, columnar=False)) == expected
+        assert set(stream_plan_answers(plan, source, columnar=True)) == expected
+        assert plan.stats.rewritings == PINNED_PLANS[name][2][0]
         bounded = evaluate_plan(plan, source, limit=3)
         assert bounded <= expected and len(bounded) == min(3, len(expected))
+        assert evaluate_plan(plan, source) == expected  # the factored root
 
     @pytest.mark.parametrize("name", CASES)
     def test_plan_answers_are_the_certain_answers(self, name):
@@ -351,4 +361,5 @@ class TestPinnedPlansEvaluate:
         source = federate_if_per_peer(data)
         plan = compile_reformulation(reformulate(pdms, query), source)
         stored = combine_peer_instances(data) if isinstance(data, dict) else data
-        assert evaluate_plan(plan, source) == certain_answers(pdms, query, stored)
+        answers = set(stream_plan_answers(plan, source))
+        assert answers == certain_answers(pdms, query, stored)

@@ -57,7 +57,8 @@ class TestMeasurementTruthfulness:
                 result, source, engine=engine, feedback=log)
             plan = compile_reformulation(result, source)
             for _ in plan.fragments():
-                pass  # force full compilation so every key resolves
+                pass  # force full compilation so every key resolves ...
+            assert plan.factored_root()  # ... a whole answer's unions included
             for obs in log.observations():
                 if obs.key in plan.nodes:
                     table = _Evaluation(plan, source).table(obs.key)
@@ -83,6 +84,7 @@ class TestMeasurementTruthfulness:
             plan = compile_reformulation(result, source)
             for _ in plan.fragments():
                 pass
+            assert plan.factored_root()
             for obs in log.observations():
                 if obs.key in plan.nodes:
                     table = _Evaluation(plan, source).table(obs.key)

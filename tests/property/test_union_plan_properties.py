@@ -161,6 +161,10 @@ class TestFirstKLaziness:
             plan = ensure_plan(service.reformulate(query))
             # (a worker pool keeps a window of 2 x workers roots in flight)
             assert 1 <= plan.stats.rewritings <= self.WIDTH, engine
+            # The whole answer evaluates the tree: no further rewriting.
             full = service.answer(query)
             assert first <= full and len(full) > 1
+            assert plan.stats.rewritings <= self.WIDTH, engine
+            # The exhausted row stream is what compiles them all.
+            assert set(service.stream(query)) == full
             assert plan.stats.rewritings == self.WIDTH ** 2, engine

@@ -453,8 +453,10 @@ class TestDistributedEngine:
         faulty = evaluate_distributed(reformulate(pdms, query), source, cache=cache)
         assert not faulty.complete
         transport.restore_peer("P2")
-        healed = evaluate_distributed(reformulate(pdms, query), source, cache=cache)
+        result = reformulate(pdms, query)
+        healed = evaluate_distributed(result, source, cache=cache)
         assert healed.complete and healed.rows == frozenset(oracle)
+        assert result._shared_plan.stats.factored  # one root, one scatter wave
 
     def test_scan_failing_mid_answer_is_not_cached_under_the_snapshot(self):
         """The describe round and the cost model's statistics scan succeed
@@ -486,6 +488,51 @@ class TestDistributedEngine:
         faulty = evaluate_distributed(result, source, cache=cache)
         assert transport.scans > 1 and not faulty.complete and not faulty.rows
         assert not any("sb(" in key for key in cache.cached_keys())
+        plan = result._shared_plan
+        assert plan.stats.factored and plan.factored_root() not in cache.cached_keys()
+        transport.broken = False
+        healed = evaluate_distributed(result, source, cache=cache)
+        assert healed.complete and healed.rows == frozenset(oracle)
+
+    def test_scan_failing_outside_the_scatter_is_not_cached_either(self):
+        """The one root of a whole answer is prefetched once, so a fault can
+        also hit a scan the scatter did not cover: evaluation then scans
+        cold, mid-build, *below* fragments that were tokenised from the
+        still-valid snapshot.  Nothing whose build spanned the fault may be
+        cached — scan, join or root — while fragments of the healthy
+        relation may; the answer is an honest sound subset and heals."""
+
+        class LaterScansFail(LoopbackTransport):
+            scans, broken = 0, True
+
+            def scan_batch_since(self, peer, requests):
+                if peer == "P2":
+                    self.scans += 1
+                    if self.broken and self.scans > 1:
+                        raise TransportError("injected scan fault")
+                return super().scan_batch_since(peer, requests)
+
+        class PartialScatter(RemotePeerFactSource):
+            def prefetch(self, requests, parallel=True):
+                covered = [request for request in requests if request[0] != "sb"]
+                return super().prefetch(covered, parallel)
+
+        pdms, data, _ = two_peer_system()
+        query = parse_query("Q(x) :- T:A(x, 2), T:B(2, 10)")
+        transport = LaterScansFail(data)
+        source = PartialScatter(transport)
+        cache = FragmentCache(max_bytes=1 << 20)
+        oracle = certain_answers(pdms, query, combine_peer_instances(data))
+        assert oracle
+        result = reformulate(pdms, query)
+        faulty = evaluate_distributed(result, source, cache=cache)
+        assert transport.scans > 1 and not faulty.complete
+        assert faulty.rows <= frozenset(oracle)
+        plan = result._shared_plan
+        assert plan.stats.factored
+        cached = cache.cached_keys()
+        assert not any("sb" in plan.fragment_relations(key) for key in cached)
+        assert any("sa(" in key for key in cached)  # the healthy side is kept
         transport.broken = False
         healed = evaluate_distributed(result, source, cache=cache)
         assert healed.complete and healed.rows == frozenset(oracle)

@@ -413,8 +413,12 @@ class TestReplan:
         static = QueryService(pdms, data={"P": instance}, engine="shared",
                               fragment_cache_bytes=0)
         expected = static.answer(query)
+        # Re-planning the rewritings not yet evaluated is a property of the
+        # lazy root-by-root loop (a whole answer has one root and nothing
+        # left to re-plan), so drive that loop: the row stream.
         for _ in range(4):
-            assert service.answer(query) == expected
+            assert set(service.stream(query)) == expected
+        assert service.answer(query) == expected
         assert service.feedback.blown_events > 0
         assert service.stats.adaptive.replans > 0
 
@@ -425,7 +429,7 @@ class TestReplan:
                                adaptive=True, feedback=log,
                                fragment_cache_bytes=0)
         for _ in range(4):
-            service.answer(query)
+            set(service.stream(query))
         assert service.feedback.blown_events > 0
         assert service.stats.adaptive.replans == 0
 

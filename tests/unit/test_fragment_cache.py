@@ -372,6 +372,9 @@ class TestBushySharing:
         result = reformulate(pdms, query)
         bushy = compile_reformulation(result, data, bushy=True)
         left = compile_reformulation(result, data, bushy=False)
+        # Sharing across rewritings is a property of the enumerated
+        # compile: drive it (a whole answer evaluates the factored root).
+        assert len(list(bushy.fragments())) == len(list(left.fragments())) == 4
         assert evaluate_plan(bushy, data) == evaluate_plan(left, data)
         assert any(
             key.startswith("s_m(") and "s_r(" in key for key in bushy.nodes

@@ -498,3 +498,49 @@ class TestDescribeSnapshot:
         snapshot = service.metrics_snapshot()
         assert snapshot["histograms"]["service.answer_seconds"]["count"] >= 1
         assert snapshot["collected"]["service"]["schema_version"] == 1
+
+    def test_whole_answers_compile_inside_the_plan_compile_span(self):
+        """The factored root is compiled in ``plan.compile`` (not lazily,
+        inside ``plan.execute``), evaluated as ``fragment.eval kind=union``,
+        and counted: ``plan_kinds`` / the ``plan.*`` registry counters."""
+        from repro.datalog import parse_query
+        from repro.obs import set_tracer
+        from repro.pdms import QueryService, StorageDescription
+
+        pdms = PDMS("obs-plan")
+        pdms.add_peer("T").add_relation("A", ["x", "y"])
+        data = {}
+        for index in range(2):
+            pdms.add_peer(f"P{index}")
+            pdms.add_storage_description(StorageDescription(
+                f"P{index}", f"s{index}", parse_query("V(x, y) :- T:A(x, y)"),
+                exact=False, name=f"store_{index}",
+            ))
+            data[f"P{index}"] = Instance.from_dict({f"s{index}": [(index, 2)]})
+        service = QueryService(pdms, data=data, engine="columnar", adaptive=False)
+        query = parse_query("Q(x) :- T:A(x, y)")
+        tracer = make_tracer()
+        set_tracer(tracer)
+        try:
+            assert service.answer(query, limit=1)  # first-k: nothing factored yet
+            assert service.stats_snapshot().plan_kinds == {}
+            assert service.answer(query) == {(0,), (1,)}
+            assert service.answer(query) == {(0,), (1,)}
+        finally:
+            set_tracer(None)
+        first_k, cold, warm = [tracer.trace(tid) for tid in tracer.trace_ids()]
+        assert "plan.compile" not in {span["name"] for span in first_k + warm}
+        (compiled,) = [span for span in cold if span["name"] == "plan.compile"]
+        assert compiled["attrs"] == {"tree_nodes": 7, "factored": 4}
+        kinds = [s["attrs"]["kind"] for s in cold if s["name"] == "fragment.eval"]
+        assert sorted(kinds) == ["scan", "scan", "union", "union"]
+        assert service.stats_snapshot().plan_kinds == {"factored": 1}
+        counters = service.metrics_snapshot()["counters"]
+        assert counters["plan.factored"] == 1 and counters["plan.tree_nodes"] == 7
+        # A tree the compile declines is counted under its reason.
+        pdms.add_storage_description(StorageDescription(
+            "P0", "sx", parse_query("V(x) :- T:A(x, y)"), exact=False, name="store_x"))
+        service.answer(parse_query("Q(x) :- T:A(x, y), y > 1"))
+        assert service.stats_snapshot().plan_kinds == {
+            "factored": 1, "enumerated.constraint": 1}
+        assert service.metrics_snapshot()["counters"]["plan.enumerated.constraint"] == 1

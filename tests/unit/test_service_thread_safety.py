@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -176,17 +177,8 @@ def test_concurrent_answers_during_catalogue_churn():
         service.pdms, queries[0], combine_peer_instances(data))
 
 
-def test_worker_pool_computes_each_fragment_once_per_answer(monkeypatch):
-    """Concurrent ``answer`` calls, each fanning its rewriting roots over
-    four pool threads: within one answer every fragment is still built
-    exactly once (the compute-once memo's contract — its waiters block on
-    an event that only exists while somebody waits), and the answers are
-    right.  The cross-call cache is off so nothing else can absorb a
-    duplicate build."""
-    from repro.pdms import planning
-
-    monkeypatch.setenv("REPRO_SHARED_WORKERS", "4")
-    monkeypatch.setenv("REPRO_SHARED_EXECUTOR", "thread")
+def wide_service(**options):
+    """A 3-atom chain with four stored alternatives per atom (64 rewritings)."""
     pdms = PDMS("wide")
     top = pdms.add_peer("T")
     data = {}
@@ -202,9 +194,23 @@ def test_worker_pool_computes_each_fragment_once_per_answer(monkeypatch):
             data[peer] = Instance.from_dict(
                 {stored: [(i, (i + index) % 5) for i in range(10)]})
     query = parse_query("Q(x, w) :- T:A(x, y), T:B(y, z), T:C(z, w)")
-    service = QueryService(
-        pdms, data=data, engine="shared", fragment_cache_bytes=0, adaptive=False)
-    expected = certain_answers(pdms, query, combine_peer_instances(data))
+    service = QueryService(pdms, data=data, engine="shared", adaptive=False, **options)
+    return service, query, certain_answers(pdms, query, combine_peer_instances(data))
+
+
+def test_worker_pool_computes_each_fragment_once_per_answer(monkeypatch):
+    """Concurrent exhausted ``stream`` calls — the lazy root-by-root loop,
+    the one a worker pool serves (a whole ``answer`` has a single root) —
+    each fanning its rewriting roots over four pool threads: within one
+    call every fragment is still built exactly once (the compute-once
+    memo's contract — its waiters block on an event that only exists while
+    somebody waits), and the answers are right.  The cross-call cache is
+    off so nothing else can absorb a duplicate build."""
+    from repro.pdms import planning
+
+    monkeypatch.setenv("REPRO_SHARED_WORKERS", "4")
+    monkeypatch.setenv("REPRO_SHARED_EXECUTOR", "thread")
+    service, query, expected = wide_service(fragment_cache_bytes=0)
 
     builds = {}
     lock = threading.Lock()
@@ -222,7 +228,8 @@ def test_worker_pool_computes_each_fragment_once_per_answer(monkeypatch):
     try:
         with ThreadPoolExecutor(max_workers=THREADS) as pool:
             answers = list(pool.map(
-                lambda _: service.answer(query), range(THREADS * 3), timeout=120))
+                lambda _: set(service.stream(query)), range(THREADS * 3),
+                timeout=120))
     finally:
         sys.setswitchinterval(interval)
     assert all(rows == expected for rows in answers)
@@ -231,3 +238,53 @@ def test_worker_pool_computes_each_fragment_once_per_answer(monkeypatch):
     plan = planning.ensure_plan(service.reformulate(query))
     assert plan.stats.rewritings == 64
     assert len(builds) == THREADS * 3 * plan.stats.unique_fragments
+    assert service.answer(query) == expected
+
+
+def test_whole_and_first_k_compiles_of_one_plan_share_one_lock(monkeypatch):
+    """``answer(q)`` compiles the rule-goal tree and ``answer(q, limit=1)``
+    the first rewritings into the *same* node table and compile memo: run
+    concurrently on one plan they must never be inside the compiler
+    together (one lock serialises both front-ends), and both answer right."""
+    from repro.pdms import planning
+
+    inside, overlaps, gauge = [0], [], threading.Lock()
+
+    def guarded(method):
+        def wrapper(self, *args):
+            with gauge:
+                inside[0] += 1
+                if inside[0] > 1:
+                    overlaps.append(method.__name__)
+            try:
+                time.sleep(0.002)  # widen the window an unserialised peer needs
+                return method(self, *args)
+            finally:
+                with gauge:
+                    inside[0] -= 1
+        return wrapper
+
+    for name in ("_compile_tree", "_compile_rewriting"):
+        monkeypatch.setattr(
+            planning.UnionPlan, name, guarded(getattr(planning.UnionPlan, name)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(6):  # a fresh plan each round: both compiles are cold
+            service, query, expected = wide_service()
+            barrier = threading.Barrier(THREADS)
+
+            def call(seed):
+                barrier.wait(timeout=30)
+                return service.answer(query, limit=1 if seed % 2 else None)
+
+            with ThreadPoolExecutor(max_workers=THREADS) as pool:
+                answers = list(pool.map(call, range(THREADS), timeout=120))
+            for seed, rows in enumerate(answers):
+                assert rows == expected if seed % 2 == 0 else (
+                    len(rows) == 1 and rows <= expected)
+            plan = planning.ensure_plan(service.reformulate(query))
+            assert plan.stats.factored and 1 <= plan.stats.rewritings < 64
+    finally:
+        sys.setswitchinterval(interval)
+    assert not overlaps

@@ -96,8 +96,11 @@ class TestUnionPlanSharing:
     def test_rewritings_share_prefix_fragments(self, fan_out_pdms):
         result = reformulate(fan_out_pdms, parse_query(FAN_OUT_QUERY))
         plan = compile_reformulation(result)
-        answers = evaluate_plan(plan, fan_out_data())
+        # The lazy row stream is what compiles rewriting by rewriting (a
+        # whole answer evaluates the factored root and enumerates nothing).
+        answers = set(stream_plan_answers(plan, fan_out_data()))
         assert answers  # sanity: the chain joins do produce rows
+        assert evaluate_plan(plan, fan_out_data()) == answers
         stats = plan.stats
         assert stats.rewritings == 3
         # Each rewriting references 3 atoms => 3 spine fragments; the
@@ -127,9 +130,13 @@ class TestUnionPlanSharing:
         limited = evaluate_plan(plan, fan_out_data(), limit=1)
         assert len(limited) == 1
         assert plan.stats.rewritings == 1
+        # A whole answer compiles the tree, not the remaining rewritings ...
         full = evaluate_plan(plan, fan_out_data())
-        assert plan.stats.rewritings == 3
+        assert plan.stats.rewritings == 1 and plan.stats.factored
         assert limited <= full
+        # ... which the exhausted row stream does.
+        assert set(stream_plan_answers(plan, fan_out_data())) == full
+        assert plan.stats.rewritings == 3
 
     def test_plan_cached_on_result_survives_reuse(self, fan_out_pdms):
         from repro.pdms import ensure_plan
