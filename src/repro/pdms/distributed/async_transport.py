@@ -8,15 +8,23 @@ story is the one peers on other hosts would use:
 
 * one background thread runs a private asyncio event loop hosting both
   the **server** (a single ``asyncio.start_server`` endpoint serving
-  every peer; requests carry the peer name) and the **client pools**
-  (per-peer queues of pooled connections, opened on demand, capped at
-  ``pool_size``);
-* frames are 4-byte big-endian length-prefixed pickles; one request
-  frame ``(op, peer, payload)`` yields one response frame
-  ``(status, value)`` with the same ``ok`` / ``data_error`` / ``error``
-  statuses the process backend uses, so data errors re-raise as the
-  same ``ValueError`` / :class:`~repro.errors.InstanceError` a local
-  probe would produce;
+  every peer; requests carry the peer name) and the **client pool**
+  (one stack of pooled connections to that endpoint, opened on demand,
+  capped at ``pool_size`` per served peer);
+* frames are 4-byte big-endian length-prefixed pickles of at most
+  :data:`MAX_FRAME_BYTES`; one request frame ``(op, peer, payload)``
+  yields one response frame ``(status, value)`` with the same ``ok`` /
+  ``data_error`` / ``error`` statuses the process backend uses, so data
+  errors re-raise as the same ``ValueError`` /
+  :class:`~repro.errors.InstanceError` a local probe would produce;
+* a **batch frame** ``("batch", [(op, peer, payload, ctx), …])`` carries
+  many such requests in one round trip: the server runs the
+  sub-requests concurrently through the same dispatch and replies
+  ``("ok", [(status, value), …])``, one pair per sub-request with the
+  lone frame's statuses.  :meth:`AsyncSocketTransport.describe_many`
+  (the catalogue round of a refresh) and
+  :meth:`AsyncSocketTransport.scan_many` (the first attempts of a
+  scatter wave) ride it, so each costs one RPC instead of one per peer;
 * callers see the ordinary *blocking* methods (each submits a coroutine
   to the loop and waits), but in-flight RPCs to different peers — and
   hedged duplicates to the same shard's replicas — genuinely overlap on
@@ -42,13 +50,14 @@ import asyncio
 import concurrent.futures
 import pickle
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ...database.instance import Instance
 from ...errors import InstanceError, TransportError
 from ...config import transport_timeout_seconds as _config_transport_timeout
 from ...obs.trace import ServeSpan, current_wire_context
 from .transport import (
+    Catalogs,
     RelationInfo,
     Row,
     ScanRequest,
@@ -65,30 +74,66 @@ from .transport import (
 __all__ = ["AsyncSocketTransport"]
 
 
+#: Largest frame either end will write or read.  The 4-byte header can
+#: announce up to 4 GiB; without a cap a garbled or hostile one makes the
+#: reader wait for (and buffer) that much.
+MAX_FRAME_BYTES = 256 * 1024 * 1024
+
+#: One sub-request of a batch frame: ``(op, peer, payload, trace context)``.
+SubRequest = Tuple[str, str, object, object]
+
+
 async def _write_frame(writer: asyncio.StreamWriter, obj: object) -> None:
     data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    if len(data) > MAX_FRAME_BYTES:
+        raise TransportError(
+            f"frame of {len(data)} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
+        )
     writer.write(len(data).to_bytes(4, "big"))
     writer.write(data)
     await writer.drain()
 
 
 async def _read_frame(reader: asyncio.StreamReader) -> object:
-    """One length-prefixed pickle frame; ``None`` on orderly EOF."""
+    """One length-prefixed pickle frame; ``None`` on orderly EOF.
+
+    A frame that announces more than :data:`MAX_FRAME_BYTES`, ends before
+    its announced length, or does not unpickle raises
+    :class:`~repro.errors.TransportError`: the stream is out of step and
+    the connection must be dropped, not read further.
+    """
     try:
         header = await reader.readexactly(4)
     except (asyncio.IncompleteReadError, ConnectionError):
         return None
     size = int.from_bytes(header, "big")
-    data = await reader.readexactly(size)
-    return pickle.loads(data)
+    if size > MAX_FRAME_BYTES:
+        raise TransportError(
+            f"frame header announces {size} bytes, over the "
+            f"{MAX_FRAME_BYTES}-byte cap"
+        )
+    try:
+        data = await reader.readexactly(size)
+    except (asyncio.IncompleteReadError, ConnectionError) as exc:
+        raise TransportError(f"frame truncated: {exc}") from None
+    try:
+        return pickle.loads(data)
+    except Exception as exc:
+        raise TransportError(
+            f"undecodable frame: {type(exc).__name__}: {exc}"
+        ) from None
 
 
-class _PooledConnection:
-    __slots__ = ("reader", "writer")
-
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        self.reader = reader
-        self.writer = writer
+def _decode_reply(peer: str, status: str, value: object) -> object:
+    """A reply pair as the value it carries, or the exception it stands for."""
+    if status == "ok":
+        # A traced reply arrives enveloped with the server's serve span;
+        # adopt it into the live trace and hand back the value.
+        return unwrap_envelope(value)
+    if status == "data_error":
+        kind, message = value
+        raise (InstanceError if kind == "InstanceError" else ValueError)(message)
+    raise TransportError(f"peer {peer!r} RPC failed: {value}", peer=peer)
 
 
 class AsyncSocketTransport(TransportBase):
@@ -115,9 +160,13 @@ class AsyncSocketTransport(TransportBase):
         self.drop_every_n = drop_every_n
         self.row_cost = row_cost
         self._scan_rpc_count = 0
-        self._pool_size = max(1, pool_size)
+        #: ``pool_size`` is per served peer, as when each had its own pool.
+        self._pool_cap = max(1, pool_size) * max(1, len(self._instances))
         self._timeout = timeout if timeout is not None else _config_transport_timeout()
-        self._pools: Dict[str, asyncio.Queue] = {}
+        #: Idle ``(reader, writer)`` connections to the one endpoint every
+        #: peer is served from, reused last-in first-out so a quiet client
+        #: keeps one warm.
+        self._pool: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
         self._handler_tasks: set = set()
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
@@ -150,28 +199,54 @@ class AsyncSocketTransport(TransportBase):
                 frame = await _read_frame(reader)
                 if frame is None:
                     break
-                # Tolerant unpacking: a traced request appends the wire
-                # trace context as a fourth element; servers that ignore
-                # trailing elements keep serving either shape — the
-                # forward-compatibility contract.
-                op, peer, payload = frame[0], frame[1], frame[2]
-                ctx = frame[3] if len(frame) > 3 else None
+                response = await self._respond(frame)
                 try:
-                    response = ("ok", await self._serve(op, peer, payload, ctx))
-                except (ValueError, InstanceError) as exc:
-                    response = ("data_error", (type(exc).__name__, str(exc)))
-                except TransportError as exc:
-                    response = ("error", str(exc))
-                except Exception as exc:  # pragma: no cover - defensive
-                    response = ("error", f"{type(exc).__name__}: {exc}")
-                await _write_frame(writer, response)
+                    await _write_frame(writer, response)
+                except TransportError as exc:  # reply over the frame cap
+                    await _write_frame(writer, ("error", str(exc)))
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client vanished (e.g. a cancelled hedge) — fine
+        except TransportError:
+            pass  # oversized, truncated or garbled frame: drop the connection
         except asyncio.CancelledError:
             pass  # transport shutdown
         finally:
             self._handler_tasks.discard(task)
             writer.close()
+
+    async def _respond(self, request: Sequence[object]) -> Tuple[str, object]:
+        """Serve one request — a lone frame, a batch frame, or a sub-request."""
+        try:
+            if request[0] == "batch":
+                return ("ok", await self._respond_all(request[1]))
+            # Tolerant unpacking: a traced request appends the wire trace
+            # context as a fourth element; servers that ignore trailing
+            # elements keep serving either shape — the
+            # forward-compatibility contract.
+            op, peer, payload = request[0], request[1], request[2]
+            ctx = request[3] if len(request) > 3 else None
+            return ("ok", await self._serve(op, peer, payload, ctx))
+        except (ValueError, InstanceError) as exc:
+            return ("data_error", (type(exc).__name__, str(exc)))
+        except TransportError as exc:
+            return ("error", str(exc))
+        except Exception as exc:  # pragma: no cover - defensive
+            return ("error", f"{type(exc).__name__}: {exc}")
+
+    async def _respond_all(
+        self, requests: Sequence[Sequence[object]]
+    ) -> List[Tuple[str, object]]:
+        """Serve a batch frame's sub-requests concurrently, replies in order.
+
+        Concurrency only buys anything when serving waits, and serving
+        waits only on injected latency; without any, each sub-request runs
+        straight through and a task apiece would be pure scheduling cost.
+        """
+        if self.delay > 0 or self.row_cost > 0 or self._peer_delays:
+            return await asyncio.gather(
+                *(self._respond(request) for request in requests)
+            )
+        return [await self._respond(request) for request in requests]
 
     async def _serve(
         self, op: str, peer: str, payload: object, ctx: object = None
@@ -235,66 +310,65 @@ class AsyncSocketTransport(TransportBase):
 
     # -- client side -------------------------------------------------------
 
-    async def _acquire(self, peer: str) -> _PooledConnection:
-        pool = self._pools.get(peer)
-        if pool is None:
-            pool = self._pools[peer] = asyncio.Queue()
+    async def _exchange(self, frame: object) -> Tuple[str, object]:
+        """One request frame out and its reply frame back, on a pooled connection."""
+        reader, writer = (
+            self._pool.pop() if self._pool
+            else await asyncio.open_connection(*self._address[:2])
+        )
+        reply = None
         try:
-            return pool.get_nowait()
-        except asyncio.QueueEmpty:
-            reader, writer = await asyncio.open_connection(*self._address[:2])
-            return _PooledConnection(reader, writer)
-
-    def _release(self, peer: str, conn: _PooledConnection) -> None:
-        pool = self._pools.get(peer)
-        if pool is not None and pool.qsize() < self._pool_size:
-            pool.put_nowait(conn)
-        else:
-            conn.writer.close()
+            await _write_frame(writer, frame)
+            reply = await _read_frame(reader)
+        finally:
+            # A cancelled or failed exchange leaves an unpaired response in
+            # flight or the stream out of step: discard the connection
+            # rather than repooling it.
+            if reply is not None and len(self._pool) < self._pool_cap:
+                self._pool.append((reader, writer))
+            else:
+                writer.close()
+        if reply is None:
+            raise TransportError("connection closed mid-RPC")
+        return reply
 
     async def _rpc(
         self, peer: str, op: str, payload: object, trace: object = None
     ) -> object:
-        conn = await self._acquire(peer)
-        clean = False
+        # The frame only grows a fourth element when a trace context rides
+        # along — untraced requests stay byte-identical to the pre-tracing
+        # wire format.
+        frame = (op, peer, payload) if trace is None else (op, peer, payload, trace)
         try:
-            # The frame only grows a fourth element when a trace context
-            # rides along — untraced requests stay byte-identical to the
-            # pre-tracing wire format.
-            await _write_frame(
-                conn.writer,
-                (op, peer, payload) if trace is None
-                else (op, peer, payload, trace),
-            )
-            frame = await _read_frame(conn.reader)
-            clean = frame is not None
-        finally:
-            # A cancelled or failed RPC leaves an unpaired response in
-            # flight: discard the connection rather than repooling it.
-            if clean:
-                self._release(peer, conn)
-            else:
-                conn.writer.close()
-        if frame is None:
-            raise TransportError(
-                f"peer {peer!r} connection closed mid-RPC", peer=peer
-            )
-        status, value = frame
-        if status == "ok":
-            # A traced reply arrives enveloped with the server's serve
-            # span; adopt it into the live trace and hand back the value.
-            return unwrap_envelope(value)
-        if status == "data_error":
-            kind, message = value
-            raise (InstanceError if kind == "InstanceError" else ValueError)(message)
-        raise TransportError(f"peer {peer!r} RPC failed: {value}", peer=peer)
+            status, value = await self._exchange(frame)
+        except TransportError as exc:
+            raise TransportError(f"peer {peer!r} {exc}", peer=peer) from None
+        return _decode_reply(peer, status, value)
 
-    def _precheck(self, peer: str, scan: bool = False) -> None:
-        """Client-side chaos + accounting, mirroring the loopback harness."""
+    async def _rpc_batch(self, subs: Sequence[SubRequest]) -> List[object]:
+        """One batch frame: per sub-request its value, or the exception it raised."""
+        status, replies = await self._exchange(("batch", subs))
+        if status != "ok":
+            raise TransportError(f"batch frame failed: {replies}")
+        outcomes: List[object] = []
+        for (_, peer, _, _), (sub_status, value) in zip(subs, replies):
+            try:
+                outcomes.append(_decode_reply(peer, sub_status, value))
+            except (TransportError, ValueError, InstanceError) as exc:
+                outcomes.append(exc)
+        return outcomes
+
+    def _precheck(self, peer: str, scan: bool = False, frame: bool = True) -> None:
+        """Client-side chaos + accounting, mirroring the loopback harness.
+
+        ``frame=False`` admits a batch sub-request: chaos applies to it as
+        to a lone RPC, but its frame is counted once, by :meth:`_batch`.
+        """
         if self._closed:
             raise TransportError("transport is closed", peer=peer)
         with self._lock:
-            self._rpc_count += 1
+            if frame:
+                self._rpc_count += 1
             if peer in self._failed:
                 raise TransportError(f"peer {peer!r} is unreachable", peer=peer)
             if peer not in self._instances:
@@ -306,21 +380,60 @@ class AsyncSocketTransport(TransportBase):
                         f"scan RPC to {peer!r} dropped (injected)", peer=peer
                     )
 
-    def _run(self, peer: str, op: str, payload: object) -> object:
-        # Capture the caller thread's wire context here: _rpc executes on
-        # the event-loop thread, where the thread-local is not visible.
-        future = asyncio.run_coroutine_threadsafe(
-            self._rpc(peer, op, payload, trace=current_wire_context()),
-            self._loop,
-        )
+    def _wait(self, coro, what: str, peer: Optional[str] = None) -> object:
+        """Run ``coro`` on the event loop; block for it under the RPC timeout."""
+        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
         try:
             return future.result(self._timeout if self._timeout else None)
         except concurrent.futures.TimeoutError:
             future.cancel()
             raise TransportError(
-                f"peer {peer!r}: RPC {op!r} timed out after {self._timeout}s",
-                peer=peer,
+                f"{what} timed out after {self._timeout}s", peer=peer
             ) from None
+
+    def _run(self, peer: str, op: str, payload: object) -> object:
+        # Capture the caller thread's wire context here: _rpc executes on
+        # the event-loop thread, where the thread-local is not visible.
+        return self._wait(
+            self._rpc(peer, op, payload, trace=current_wire_context()),
+            f"peer {peer!r}: RPC {op!r}",
+            peer,
+        )
+
+    def _batch(self, subs: Sequence[SubRequest], scan: bool = False) -> List[object]:
+        """Send ``subs`` as one batch frame; one outcome per sub-request.
+
+        An outcome is the value the lone RPC would have returned or the
+        exception it would have raised.  Client-side chaos applies per
+        sub-request and a refused one is not sent; a fault of the frame
+        itself (timeout, lost connection) fails every sub-request it
+        carried.  The frame counts as one RPC.
+        """
+        outcomes: List[object] = [None] * len(subs)
+        sent: List[int] = []
+        for index, (_, peer, _, _) in enumerate(subs):
+            try:
+                self._precheck(peer, scan=scan, frame=False)
+            except TransportError as exc:
+                outcomes[index] = exc
+            else:
+                sent.append(index)
+        if sent:
+            with self._lock:
+                self._rpc_count += 1
+            try:
+                replies = self._wait(
+                    self._rpc_batch([subs[index] for index in sent]),
+                    f"batch of {len(sent)} RPCs",
+                )
+            except TransportError as exc:
+                replies = [
+                    TransportError(f"peer {subs[index][1]!r} {exc}", peer=subs[index][1])
+                    for index in sent
+                ]
+            for index, reply in zip(sent, replies):
+                outcomes[index] = reply
+        return outcomes
 
     # -- the Transport surface ---------------------------------------------
 
@@ -349,6 +462,14 @@ class AsyncSocketTransport(TransportBase):
     def describe(self, peer: str) -> Dict[str, RelationInfo]:
         self._precheck(peer)
         return self._run(peer, "describe", None)
+
+    def describe_many(self, peers: Iterable[str]) -> Catalogs:
+        """Every listed peer's catalog (or its fault) in one batch frame."""
+        names = list(peers)
+        return dict(zip(
+            names,
+            self._batch([("describe", peer, None, None) for peer in names]),
+        ))
 
     def scan_batch(
         self, peer: str, requests: Sequence[ScanRequest]
@@ -388,6 +509,27 @@ class AsyncSocketTransport(TransportBase):
 
         return asyncio.run_coroutine_threadsafe(go(), self._loop)
 
+    def scan_many(
+        self, batches: Sequence[Tuple[str, Sequence[SinceScanRequest], object]]
+    ) -> List[Union[List[ScanSinceResult], Exception]]:
+        """Many peers' delta-capable scan batches in one batch frame.
+
+        Each entry is ``(peer, requests, wire trace context)``; the result
+        holds, in order, what :meth:`scan_batch_since` would have returned
+        for it or the exception it would have raised.  The context is per
+        entry (not the thread's) so every sub-request's serve span parents
+        under its own attempt; ``drop_every_n`` counts sub-requests.
+        """
+        outcomes = self._batch(
+            [("scan_since", peer, list(requests), ctx)
+             for peer, requests, ctx in batches],
+            scan=True,
+        )
+        for (peer, requests, _), outcome in zip(batches, outcomes):
+            if not isinstance(outcome, Exception):
+                self._count_scans(peer, len(requests))
+        return outcomes
+
     def insert(self, peer: str, relation: str, rows: Iterable[Row]) -> int:
         self._precheck(peer)
         return self._run(
@@ -411,9 +553,8 @@ class AsyncSocketTransport(TransportBase):
         async def shutdown() -> None:
             self._server.close()
             await self._server.wait_closed()
-            for pool in self._pools.values():
-                while not pool.empty():
-                    pool.get_nowait().writer.close()
+            while self._pool:
+                self._pool.pop()[1].close()
             # Server-side handlers for still-open client connections park
             # on their next read forever; cancel them so the loop can be
             # closed without orphaned tasks.

@@ -17,9 +17,11 @@ Three mechanisms keep the RPC count sane and the semantics honest:
   version token move.  The join engine's inner loop repeats identical
   probes constantly; each distinct probe crosses the wire once per data
   version, and batched prefetch (:meth:`prefetch`) fetches a whole
-  rewriting's scans in one scatter-gather round.
-* **Version tokens over the wire** — ``describe`` ships each relation's
-  data-version token from the owning peer, and the combined token keeps
+  rewriting's scans in one scatter-gather round — one round trip, where
+  the transport has a batch frame and no unit needs a timer.
+* **Version tokens over the wire** — ``describe_many`` ships each
+  relation's data-version token from every owning peer in one round (one
+  frame over sockets), and the combined token keeps
   the :class:`~repro.pdms.materialization.FragmentCache` invalidation
   contract: a remote write moves the token, peer churn changes the owner
   set, and stale fragments stop being served.
@@ -66,6 +68,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, CancelledError
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ...datalog.indexing import WILDCARD, Pattern
@@ -74,7 +77,14 @@ from ...config import distributed_workers as _config_distributed_workers
 from ...obs.metrics import METRICS_SCHEMA_VERSION
 from ...obs.trace import NULL_SPAN, current_span, wire_context
 from .hedging import PeerLatencyTracker, ScanPolicy
-from .transport import EncodedPattern, RelationInfo, Row, Transport, encode_pattern
+from .transport import (
+    EncodedPattern,
+    RelationInfo,
+    Row,
+    Transport,
+    describe_each,
+    encode_pattern,
+)
 
 
 class _DeadlineExpired(Exception):
@@ -88,6 +98,35 @@ class ScanFailure:
     peer: str
     relation: str
     error: str
+
+
+class _FirstAttempt:
+    """Attempt 0 of one scan unit, as carried by its wave's batch frame.
+
+    :meth:`RemotePeerFactSource._batched_first_attempts` opens the unit's
+    span and the attempt's span (the attempt's wire context has to ride
+    the frame), sends the frame, and stores each outcome here;
+    :meth:`RemotePeerFactSource._scan_unit` takes it over, spans included,
+    in place of issuing the attempt itself.
+    """
+
+    __slots__ = ("unit_span", "span", "baselines", "outcome", "elapsed")
+
+    def __init__(self, unit_span, span, baselines):
+        self.unit_span = unit_span
+        self.span = span
+        self.baselines = baselines
+        self.outcome: object = None
+        self.elapsed = 0.0
+
+    @property
+    def failed(self) -> bool:
+        return isinstance(self.outcome, Exception)
+
+    def abandon(self) -> None:
+        """Close the spans of an attempt no unit took over."""
+        self.span.close("cancelled")
+        self.unit_span.close("cancelled")
 
 
 def distributed_workers_from_env() -> int:
@@ -126,8 +165,8 @@ class RemotePeerFactSource:
         token as a ``since`` cursor so peers can ship deltas instead of
         full rescans; ``False`` forces full rescans (benchmark baseline).
 
-    Construction performs the first :meth:`refresh` — one ``describe``
-    round per peer establishing the relation routing table (with the same
+    Construction performs the first :meth:`refresh` — one
+    ``describe_many`` round establishing the relation routing table (with the same
     eager cross-peer arity-clash check the in-process federated source
     performs), per-relation cardinalities for the cost model, and the
     version tokens the scan memo and fragment caches key on.
@@ -197,7 +236,8 @@ class RemotePeerFactSource:
     def refresh(self) -> None:
         """Re-fetch peer catalogs; drop memo entries whose version moved.
 
-        The describe round happens outside the lock, so concurrent
+        The describe round (one ``describe_many`` for all peers, the failed
+        subset retried as a batch) happens outside the lock, so concurrent
         refreshes overlap on the wire; the commit — routing table, version
         tokens, memo invalidation, clearing the degraded set — is atomic.
         An unreachable peer is recorded as a :class:`ScanFailure` (its
@@ -207,13 +247,7 @@ class RemotePeerFactSource:
         peers, exactly like the in-process federated source.
         """
         self._check_open()
-        catalogs: Dict[str, Dict[str, RelationInfo]] = {}
-        unreachable: Dict[str, str] = {}
-        for peer in self._peer_names:
-            try:
-                catalogs[peer] = self._describe_with_retry(peer)
-            except TransportError as exc:
-                unreachable[peer] = str(exc)
+        catalogs, unreachable = self._describe_all()
         routes: Dict[str, List[str]] = {}
         arities: Dict[str, int] = {}
         cards: Dict[str, int] = {}
@@ -272,19 +306,38 @@ class RemotePeerFactSource:
                     if cursor_key[1] in live
                 }
 
-    def _describe_with_retry(self, peer: str) -> Dict[str, RelationInfo]:
-        """One peer's catalog, with the policy's transient-fault retries."""
+    def _describe_all(
+        self,
+    ) -> Tuple[Dict[str, Dict[str, RelationInfo]], Dict[str, str]]:
+        """(catalog per reachable peer, error per unreachable one).
+
+        One ``describe_many`` round for every peer; the subset that
+        faulted is retried as one round per backoff step of the policy, so
+        dead peers share one backoff ladder instead of each climbing its
+        own.  Catalogs come back in peer order whatever round fetched them.
+        """
+        describe_many = getattr(
+            self._transport, "describe_many", None
+        ) or partial(describe_each, self._transport)
         policy = self._policy
-        last_error: Optional[TransportError] = None
+        fetched: Dict[str, Dict[str, RelationInfo]] = {}
+        errors: Dict[str, str] = {}
+        pending: Sequence[str] = self._peer_names
         for attempt in range(policy.retries + 1):
             if attempt:
                 time.sleep(policy.backoff_delay(attempt - 1))
-            try:
-                return self._transport.describe(peer)
-            except TransportError as exc:
-                last_error = exc
-        assert last_error is not None
-        raise last_error
+            for peer, outcome in describe_many(pending).items():
+                if isinstance(outcome, TransportError):
+                    errors[peer] = str(outcome)
+                else:
+                    fetched[peer] = outcome
+            pending = [peer for peer in pending if peer not in fetched]
+            if not pending:
+                break
+        return (
+            {peer: fetched[peer] for peer in self._peer_names if peer in fetched},
+            {peer: errors[peer] for peer in pending},
+        )
 
     @property
     def shard_map(self) -> Optional[object]:
@@ -558,6 +611,20 @@ class RemotePeerFactSource:
         ]
         return requests, baselines
 
+    def _open_attempt(
+        self,
+        peer: str,
+        keys: Sequence[Tuple[str, EncodedPattern]],
+        parent_span,
+        kind: str,
+    ):
+        """(wire batch, delta baselines, open ``scan.attempt`` span) for ``peer``."""
+        requests, baselines = self._build_since_requests(peer, keys)
+        span = parent_span.child(
+            "scan.attempt", peer=peer, kind=kind, scans=len(requests)
+        )
+        return requests, baselines, span
+
     def _finish_scan(
         self,
         peer: str,
@@ -605,9 +672,8 @@ class RemotePeerFactSource:
         kind: str = "primary",
     ) -> Dict[Tuple[str, EncodedPattern], Tuple[Row, ...]]:
         """One blocking scan attempt (raises ``TransportError`` on fault)."""
-        requests, baselines = self._build_since_requests(peer, keys)
-        span = parent_span.child(
-            "scan.attempt", peer=peer, kind=kind, scans=len(requests)
+        requests, baselines, span = self._open_attempt(
+            peer, keys, parent_span, kind
         )
         start = time.monotonic()
         # The wire context installed around the transport call is what
@@ -644,9 +710,8 @@ class RemotePeerFactSource:
         attempt's outcome (``ok`` / ``error`` / ``cancelled``).  On a
         submit fault the span is closed here and the fault re-raised.
         """
-        requests, baselines = self._build_since_requests(peer, keys)
-        span = parent_span.child(
-            "scan.attempt", peer=peer, kind=kind, scans=len(requests)
+        requests, baselines, span = self._open_attempt(
+            peer, keys, parent_span, kind
         )
         start = time.monotonic()
         submit = getattr(self._transport, "submit_scan", None)
@@ -781,12 +846,84 @@ class RemotePeerFactSource:
                 leftover.cancel()
                 loser_span.close("cancelled")
 
+    @staticmethod
+    def _unit_span(parent_span, candidates, keys):
+        return parent_span.child(
+            "scan.unit",
+            replicas=len(candidates),
+            primary=candidates[0],
+            relations=",".join(sorted({key[0] for key in keys})),
+            scans=len(keys),
+        )
+
+    def _batched_first_attempts(
+        self,
+        unit_items: Sequence[
+            Tuple[Tuple[str, ...], List[Tuple[str, EncodedPattern]]]
+        ],
+        deadline_at: Optional[float],
+        wave,
+    ) -> Dict[Tuple[str, ...], _FirstAttempt]:
+        """Attempt 0 of every timer-free unit of a wave, in one batch frame.
+
+        A unit has a timer when its first attempt may have to be raced or
+        cut short: a hedge candidate under a hedging policy, or a wave
+        deadline.  Those keep the per-unit submission, whose futures the
+        timer can wait on and cancel; so does every unit of a transport
+        without a batch frame (``scan_many``).  The rest need nothing but
+        the reply, so their requests share one round trip and each unit is
+        handed its own outcome.
+        """
+        scan_many = getattr(self._transport, "scan_many", None)
+        if scan_many is None or deadline_at is not None:
+            return {}
+        hedging = self._policy.hedging
+        firsts: Dict[Tuple[str, ...], _FirstAttempt] = {}
+        frame = []
+        for group, keys in unit_items:
+            if hedging and len(group) > 1:
+                continue
+            unit_span = self._unit_span(wave, group, keys)
+            requests, baselines, span = self._open_attempt(
+                group[0], keys, unit_span, "primary"
+            )
+            firsts[group] = _FirstAttempt(unit_span, span, baselines)
+            frame.append((group[0], requests, span.wire_context()))
+        if firsts:
+            start = time.monotonic()
+            outcomes = scan_many(frame)
+            # Every sub-request waited for the whole frame: that is the
+            # latency its peer is charged with.
+            elapsed = time.monotonic() - start
+            for first, outcome in zip(firsts.values(), outcomes):
+                first.outcome = outcome
+                first.elapsed = elapsed
+        return firsts
+
+    def _take_first_attempt(
+        self,
+        first: _FirstAttempt,
+        peer: str,
+        keys: Sequence[Tuple[str, EncodedPattern]],
+    ) -> Dict[Tuple[str, EncodedPattern], Tuple[Row, ...]]:
+        """Finish a batched attempt as :meth:`_attempt_scan` finishes its own."""
+        outcome = first.outcome
+        if isinstance(outcome, Exception):
+            first.span.set("error", f"{type(outcome).__name__}: {outcome}")
+            first.span.close("error")
+            raise outcome
+        first.span.close()
+        return self._finish_scan(
+            peer, keys, first.baselines, outcome, first.elapsed
+        )
+
     def _scan_unit(
         self,
         candidates: Tuple[str, ...],
         keys: Sequence[Tuple[str, EncodedPattern]],
         deadline_at: Optional[float],
         parent_span=NULL_SPAN,
+        first: Optional[_FirstAttempt] = None,
     ) -> Optional[Dict[Tuple[str, EncodedPattern], Tuple[Row, ...]]]:
         """Scan one replica group under the full policy envelope.
 
@@ -796,6 +933,11 @@ class RemotePeerFactSource:
         after exhausting the policy — in which case exactly **one**
         :class:`ScanFailure` per relation is recorded, regardless of how
         many attempts were made.
+
+        ``first`` is the unit's first attempt when the wave's batch frame
+        already made it (:meth:`_batched_first_attempts`): its outcome
+        stands in for attempt 0, and every later attempt is issued here,
+        per unit, exactly as without it.
 
         ``parent_span`` is threaded explicitly because units run on the
         scatter pool, where the submitting thread's ambient span is not
@@ -807,12 +949,9 @@ class RemotePeerFactSource:
         expired = False
         succeeded = False
         attempts = 0
-        span = parent_span.child(
-            "scan.unit",
-            replicas=count,
-            primary=candidates[0],
-            relations=",".join(sorted({key[0] for key in keys})),
-            scans=len(keys),
+        span = (
+            first.unit_span if first is not None
+            else self._unit_span(parent_span, candidates, keys)
         )
         try:
             for attempt in range(policy.retries + 1):
@@ -839,14 +978,17 @@ class RemotePeerFactSource:
                     else None
                 )
                 try:
-                    result = self._attempt_with_hedge(
-                        primary,
-                        hedge_peer,
-                        keys,
-                        deadline_at,
-                        parent_span=span,
-                        kind="primary" if attempt == 0 else "retry",
-                    )
+                    if first is not None and attempt == 0:
+                        result = self._take_first_attempt(first, primary, keys)
+                    else:
+                        result = self._attempt_with_hedge(
+                            primary,
+                            hedge_peer,
+                            keys,
+                            deadline_at,
+                            parent_span=span,
+                            kind="primary" if attempt == 0 else "retry",
+                        )
                     succeeded = True
                     return result
                 except _DeadlineExpired:
@@ -869,6 +1011,61 @@ class RemotePeerFactSource:
             span.close(
                 None if succeeded else ("deadline" if expired else "error")
             )
+
+    def _run_units(
+        self,
+        unit_items: Sequence[
+            Tuple[Tuple[str, ...], List[Tuple[str, EncodedPattern]]]
+        ],
+        deadline_at: Optional[float],
+        wave,
+        parallel: bool,
+    ) -> List[Optional[Dict[Tuple[str, EncodedPattern], Tuple[Row, ...]]]]:
+        """Every unit of one wave, each under the policy; results in order.
+
+        Units whose first attempt came back on the wave's batch frame
+        finish right here, with no thread hop.  The others — units with a
+        timer, units whose batched attempt faulted and now retry — still
+        have wire time to overlap and run on the scatter pool.
+        """
+        firsts = self._batched_first_attempts(unit_items, deadline_at, wave)
+
+        def unit_args(index: int):
+            # Popping hands the first attempt (and its open spans) over
+            # to the unit; what is left at the end, nobody took.
+            group, batch = unit_items[index]
+            return group, batch, deadline_at, wave, firsts.pop(group, None)
+
+        results: List[
+            Optional[Dict[Tuple[str, EncodedPattern], Tuple[Row, ...]]]
+        ] = [None] * len(unit_items)
+        on_wire: List[int] = []
+        try:
+            for index, (group, _) in enumerate(unit_items):
+                first = firsts.get(group)
+                if first is None or first.failed:
+                    on_wire.append(index)
+                else:
+                    results[index] = self._scan_unit(*unit_args(index))
+            if (
+                parallel
+                and len(on_wire) > 1
+                and getattr(self._transport, "prefers_parallel", True)
+            ):
+                pool = self._pool()
+                futures = [
+                    pool.submit(self._scan_unit, *unit_args(index))
+                    for index in on_wire
+                ]
+                for index, future in zip(on_wire, futures):
+                    results[index] = future.result()
+            else:
+                for index in on_wire:
+                    results[index] = self._scan_unit(*unit_args(index))
+        finally:
+            for first in firsts.values():
+                first.abandon()
+        return results
 
     def prefetch(
         self,
@@ -946,25 +1143,7 @@ class RemotePeerFactSource:
             pruned=pruned_in_wave,
             fanout=fanout_in_wave,
         ) as wave:
-            results: List[
-                Optional[Dict[Tuple[str, EncodedPattern], Tuple[Row, ...]]]
-            ]
-            if (
-                parallel
-                and len(unit_items) > 1
-                and getattr(self._transport, "prefers_parallel", True)
-            ):
-                pool = self._pool()
-                futures = [
-                    pool.submit(self._scan_unit, group, batch, deadline_at, wave)
-                    for group, batch in unit_items
-                ]
-                results = [future.result() for future in futures]
-            else:
-                results = [
-                    self._scan_unit(group, batch, deadline_at, wave)
-                    for group, batch in unit_items
-                ]
+            results = self._run_units(unit_items, deadline_at, wave, parallel)
             if wave.recording:
                 wave.set(
                     "failed_units", sum(1 for per in results if per is None)

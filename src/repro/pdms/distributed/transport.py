@@ -2,8 +2,9 @@
 
 A :class:`Transport` connects a query processor to a set of named peers,
 each hosting the stored relations it contributed to the PDMS.  The
-contract is deliberately tiny — four RPCs — so backends range from a
-zero-copy in-process loopback to one worker process per peer
+contract is deliberately tiny — four RPCs, plus one batched form with a
+per-peer default — so backends range from a zero-copy in-process
+loopback to one worker process per peer
 (:class:`~repro.pdms.distributed.process.ProcessTransport`) without the
 planner or cache layers noticing:
 
@@ -14,6 +15,16 @@ planner or cache layers noticing:
     wire*, so version-keyed caches (the
     :class:`~repro.pdms.materialization.FragmentCache`) keep working
     across the process boundary.
+
+``describe_many(peers)``
+    The catalogue round of a whole refresh: ``{peer: catalog}``, with a
+    :class:`~repro.errors.TransportError` *as the value* for a peer that
+    could not be described, so one dead peer never hides the others.
+    :class:`TransportBase` supplies the default — ``describe`` peer by
+    peer (:func:`describe_each`) — and a backend with a batch frame
+    (:class:`~repro.pdms.distributed.async_transport.AsyncSocketTransport`)
+    answers it in one round trip.  A transport that has no such method at
+    all is served through the same per-peer default.
 
 ``scan_batch(peer, requests)``
     The workhorse: a batch of pattern-level scans, one round trip.  Each
@@ -45,7 +56,9 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple
+from typing import (
+    Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple, Union,
+)
 
 from ...database.instance import Instance
 from ...datalog.indexing import WILDCARD, Pattern
@@ -78,6 +91,10 @@ ScanSinceResult = Tuple[bool, object, Tuple[Row, ...]]
 
 #: ``describe`` response entry: ``(arity, cardinality, version token)``.
 RelationInfo = Tuple[int, int, object]
+
+#: ``describe_many`` response: per peer its catalog, or the fault that
+#: kept it from being described.
+Catalogs = Dict[str, Union[Dict[str, RelationInfo], TransportError]]
 
 
 class TraceEnvelope:
@@ -170,6 +187,23 @@ def describe_instance(instance: Instance) -> Dict[str, RelationInfo]:
             instance.data_version(relation),
         )
     return info
+
+
+def describe_each(transport: "Transport", peers: Iterable[str]) -> Catalogs:
+    """The per-peer ``describe_many``: one ``describe`` call per peer.
+
+    Routes through ``transport.describe``, so subclass overrides and
+    chaos hooks see every catalogue fetch exactly as before the batched
+    form existed.  Only transport faults become values; anything else
+    (a bug, a data error) propagates.
+    """
+    catalogs: Catalogs = {}
+    for peer in peers:
+        try:
+            catalogs[peer] = transport.describe(peer)
+        except TransportError as exc:
+            catalogs[peer] = exc
+    return catalogs
 
 
 def scan_instance_since(
@@ -320,7 +354,11 @@ class TransportBase:
 
     @property
     def rpc_count(self) -> int:
-        """Total RPCs attempted across all peers and operations."""
+        """Total RPCs attempted across all peers and operations.
+
+        Counts round trips: a batch frame is one, however many
+        sub-requests it carries.
+        """
         return self._rpc_count
 
     def transport_metrics(self) -> Dict[str, object]:
@@ -339,6 +377,12 @@ class TransportBase:
                     self._failed | set(self._broken_peers())
                 ),
             }
+
+    # -- batched catalogues ------------------------------------------------
+
+    def describe_many(self, peers: Iterable[str]) -> Catalogs:
+        """Every listed peer's catalog (or its fault); the per-peer default."""
+        return describe_each(self, peers)
 
     # -- delta scans -------------------------------------------------------
 
