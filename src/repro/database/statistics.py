@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 Row = Tuple[object, ...]
 
@@ -287,3 +287,29 @@ def shared_statistics(source: object) -> StatisticsCatalog:
     except (AttributeError, TypeError):
         pass
     return catalog
+
+
+def cached_statistics(source: object) -> Dict[str, RelationStats]:
+    """The entries ``source``'s shared catalog holds right now.
+
+    Plain values stamped with the versions they describe, holding no
+    reference to the source, so they can outlive it.
+    """
+    catalog = getattr(source, _CATALOG_ATTRIBUTE, None)
+    return dict(catalog._cache) if isinstance(catalog, StatisticsCatalog) else {}
+
+
+def adopt_statistics(source: object, entries: Mapping[str, RelationStats]) -> None:
+    """Seed ``source``'s shared catalog with ``entries`` taken from another
+    source over mostly the same data (a federated view rebuilt after a
+    peer joined or left).
+
+    Every entry is still revalidated against ``source``'s own data
+    version on read, so only relations whose version differs there — new
+    rows, or a changed owner set — are rescanned.  Unversioned entries
+    could never be revalidated and are not adopted.
+    """
+    catalog = shared_statistics(source)
+    for relation, stats in entries.items():
+        if stats.version is not None:
+            catalog._cache.setdefault(relation, stats)

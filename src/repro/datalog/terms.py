@@ -17,7 +17,6 @@ variables that do not occur anywhere else in the tree").
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -128,10 +127,20 @@ class FreshVariableFactory:
     ?v2
     """
 
-    def __init__(self, prefix: str = "_v", used: Iterable[str] = ()) -> None:
+    def __init__(self, prefix: str = "_v", used: Iterable[str] = (), start: int = 0) -> None:
         self._prefix = prefix
         self._used: set[str] = set(used)
-        self._counter = itertools.count()
+        self._position = start
+
+    @property
+    def position(self) -> int:
+        """The number the next fresh name is tried with.
+
+        A name is its stem followed by this number, so while no stem ends
+        in a digit, a factory started at another one's ``position``
+        (``start=``) never produces a name that one already produced.
+        """
+        return self._position
 
     def reserve(self, names: Iterable[str]) -> None:
         """Mark ``names`` as already in use."""
@@ -150,12 +159,14 @@ class FreshVariableFactory:
             Optional readable stem; the fresh name will start with it.
         """
         stem = hint if hint is not None else self._prefix
-        for i in self._counter:
-            name = f"{stem}{i}"
-            if name not in self._used:
-                self._used.add(name)
+        used, position = self._used, self._position
+        while True:
+            name = f"{stem}{position}"
+            position += 1
+            if name not in used:
+                self._position = position
+                used.add(name)
                 return Variable(name)
-        raise RuntimeError("unreachable")  # pragma: no cover
 
     def fresh_many(self, count: int, hint: str | None = None) -> list[Variable]:
         """Return ``count`` distinct fresh variables."""

@@ -421,6 +421,15 @@ class UnionPlan:
     serialises compilation; it all dies with the plan.  With a feedback
     log attached estimates depend on when they are taken, so groups are
     rebuilt per occurrence (the structural memo still applies).
+
+    One memo is read by the plan after this one: the factored compile's
+    alternatives per rule node.  A result rebuilt from this plan's
+    (``reformulate(previous=...)``) carries this plan as its
+    ``_seed_plan``; the new plan's factored compile takes the alternatives
+    of every rule node the rebuild copied with an unchanged subtree
+    (``RuleNode.source``), copying in the nodes under them, recompiles only
+    the rules on a changed path, and drops the seed when it ends.  Plans
+    with a feedback log compile from scratch.
     """
 
     def __init__(
@@ -449,6 +458,11 @@ class UnionPlan:
         self._scans: Dict[Atom, ScanFragment] = {}
         self._groups: Dict[Atom, _Group] = {}
         self._joins: Dict[Tuple[str, str, Tuple[Tuple[int, int], ...]], _Join] = {}
+        #: (rule node, exported variables) -> the factored compile's
+        #: alternatives for it: what a plan for a rebuilt tree reuses.
+        self._alternatives: Dict[Tuple[RuleNode, Tuple[Variable, ...]], list] = {}
+        #: The previous tree's plan, while the factored compile carries from it.
+        self._seed: Optional[UnionPlan] = None
         # One lock serialises every node-table write — _LazySeq advances
         # _compile_rewriting under its lock, and factored_root() borrows it
         # to compile the tree — whichever front-end executions drive.
@@ -890,6 +904,10 @@ class UnionPlan:
     def _compile_tree(self) -> Optional[str]:
         stats = self.stats
         tree = getattr(self.result, "tree", None)
+        if self.feedback is None and getattr(self.result, "_seed_plan", None) is not None:
+            # Taken by the first factored compile of a plain plan, and
+            # dropped with it: nothing survives two catalogue states.
+            self._seed, self.result._seed_plan = self.result._seed_plan, None
         try:
             if tree is None or not self.bushy:
                 raise _Declined("no-tree" if tree is None else "left-deep")
@@ -904,9 +922,37 @@ class UnionPlan:
             root = self._union_node(head.predicate, head.args, alternatives).key
         except _Declined as declined:
             stats.declined = declined.args[0]
+            if self._seed is not None:
+                for rule in tree.rule_nodes():
+                    rule.source = None  # the ones the compile did not reach
             return None
+        finally:
+            self._seed = None
         stats.factored = len(_collect_subplan(self, root))
+        if self.feedback is None and getattr(self.result, "_shared_plan", None) is self:
+            self.result._factored_plan = self
         return root
+
+    def _carried(self, group: _Group) -> _Group:
+        """``group`` of the seed plan, made this plan's: the nodes under it
+        copied into this node table with their estimates and origins, and a
+        new group object, so no merge memo is shared between the plans."""
+        seed, nodes = self._seed, self.nodes
+        stack = [group.key]
+        while stack:
+            key = stack.pop()
+            if key in nodes:
+                continue  # with everything under it
+            node = nodes[key] = seed.nodes[key]
+            if key in seed.estimates:
+                self.estimates[key] = seed.estimates[key]
+            if key in seed.origins:
+                self.origins.setdefault(key, seed.origins[key])
+            stack.extend(_child_keys(node))
+        return _Group(
+            group.key, group.variables, group.index, group.atoms,
+            group.estimate, group.distinct, group.shared,
+        )
 
     def _tree_alternatives(self, rule: RuleNode, need: Tuple[Variable, ...]) -> list:
         """The ways to satisfy ``rule`` while exporting ``need``: one
@@ -915,7 +961,27 @@ class UnionPlan:
         bit, plus an inclusion's ``unc`` label); each group is one union
         over the variables the rest of the rule can see, and Step 3's
         ``cover()`` runs over the groups, not over partial rewritings: a
-        cover is the join of its groups."""
+        cover is the join of its groups.
+
+        A rule a rebuild copied with its subtree unchanged (``source``) takes
+        the seed plan's alternatives for its original instead, carried over
+        with the nodes under them."""
+        source, rule.source = rule.source, None
+        if source is not None and self._seed is not None:
+            carried = self._seed._alternatives.get((source, need))
+            if carried is not None:
+                alternatives = [
+                    (self._carried(group), constraint, origin)
+                    for group, constraint, origin in carried
+                ]
+                self._alternatives[rule, need] = alternatives
+                return alternatives
+        alternatives = self._rule_alternatives(rule, need)
+        self._alternatives[rule, need] = alternatives
+        return alternatives
+
+    def _rule_alternatives(self, rule: RuleNode, need: Tuple[Variable, ...]) -> list:
+        """:meth:`_tree_alternatives`, compiled."""
         if not rule.children:
             raise _Declined("childless-rule")
         outside = set(need).union(*[c.variable_set() for c in rule.constraint])

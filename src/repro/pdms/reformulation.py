@@ -205,7 +205,7 @@ def _unproductive_closure(
             continue
         closure.add(predicate)
         for rule in catalogue.definitional_for(predicate):
-            for body_predicate in rule.rule.predicates():
+            for body_predicate in rule.body_predicates():
                 if body_predicate not in productive and body_predicate not in closure:
                     worklist.append(body_predicate)
         for inclusion in catalogue.inclusions_mentioning(predicate):
@@ -247,6 +247,16 @@ class ReformulationResult:
     #: result, so plan validity automatically tracks the provenance signal
     #: that governs the result itself.
     _shared_plan: Optional[object] = field(default=None, repr=False, compare=False)
+    #: What the tree was built against, for a later rebuild replaying it.
+    _basis: Optional["_BuildBasis"] = field(default=None, repr=False, compare=False)
+    #: The shared plan once its factored root compiled (set by
+    #: :mod:`repro.pdms.planning`): what a rebuild replaying this result's
+    #: tree hands the new result as its ``_seed_plan``.
+    _factored_plan: Optional[object] = field(default=None, repr=False, compare=False)
+    #: The plan of the result this one was rebuilt from: the first factored
+    #: compile of this result reuses its compile of the subtrees the
+    #: ``source``-marked rule nodes reproduce, then drops it.
+    _seed_plan: Optional[object] = field(default=None, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def rewritings(self) -> Iterator[ConjunctiveQuery]:
@@ -305,20 +315,123 @@ class _MCDContext(NamedTuple):
     originals: Dict[Variable, Variable]
 
 
-class _TreeBuilder:
-    """Builds the rule-goal tree for one query."""
+class _BuildBasis(NamedTuple):
+    """What a tree was built against, besides the catalogue entries its
+    goals recorded: all a rebuild replaying it needs to know."""
 
-    def __init__(self, pdms: PDMS, query: ConjunctiveQuery, config: ReformulationConfig):
+    productive: Optional[frozenset]
+    coverable: frozenset
+    #: Where the builder's fresh-variable counter stopped.
+    fresh_position: int
+
+
+class _Replay:
+    """A stale goal's expansion, indexed by catalogue entry (by identity)."""
+
+    __slots__ = ("stale", "considered", "rules", "pruned", "kept", "expanded", "_siblings")
+
+    def __init__(self, stale: GoalNode):
+        self.stale = stale
+        definitional, inclusions = stale.considered or ((), ())
+        self.considered = {id(entry) for entry in definitional}
+        self.considered.update(id(entry) for entry in inclusions)
+        self.rules: Dict[int, List[RuleNode]] = {}
+        for rule in stale.children:
+            self.rules.setdefault(id(rule.description), []).append(rule)
+        self.pruned: Dict[int, List[Optional[str]]] = {}
+        for entry, dead_end in stale.pruned:
+            self.pruned.setdefault(id(entry), []).append(dead_end)
+        self.kept = 0  #: entries whose stale outcome was copied
+        self.expanded = False  #: whether some entry was expanded afresh
+        self._siblings: Optional[Dict[GoalNode, GoalNode]] = None
+
+    def replays(self, entry: object, moved: frozenset) -> bool:
+        """May ``entry``'s outcome on the stale goal be copied?  Only if the
+        stale goal considered it, and no predicate the outcome depends on
+        (``moved``) changed its productive or coverable status since."""
+        if moved or id(entry) not in self.considered:
+            self.expanded = True
+            return False
+        self.kept += 1
+        return True
+
+    def changed(self) -> bool:
+        """Do the goal's children differ from the stale goal's (or may they)?"""
+        return self.expanded or self.kept < len(self.considered)
+
+    def sibling(self, goal: GoalNode, stale_sibling: GoalNode) -> GoalNode:
+        """``goal``'s sibling in the place ``stale_sibling`` has among the
+        stale goal's siblings (a copied rule keeps its children's order)."""
+        if self._siblings is None:
+            self._siblings = dict(zip(self.stale.siblings(), goal.siblings()))
+        return self._siblings[stale_sibling]
+
+
+class _TreeBuilder:
+    """Builds the rule-goal tree for one query — from nothing, or by
+    replaying the tree of an earlier reformulation of it (``previous``)
+    against the current catalogue.
+
+    A goal's expansion depends on its label, constraint, blocked origins,
+    siblings and external variables — all copied with it — and on the
+    catalogue: the entries for its predicate, the productive and coverable
+    predicates (dead-end pruning), and which child predicates are stored.
+    So a replayed goal copies, entry by entry, what the stale goal did with
+    each entry it also considered (identity: catalogue entries are
+    immutable, and an entry survives churn as the same object), and runs
+    the expansion code a fresh build runs for the rest: entries added
+    since, and definitional entries whose body meets a predicate whose
+    productive or coverable status moved.  A copied child whose stored
+    status flipped is expanded afresh.  A fresh build is the replay of
+    nothing — every goal takes the second branch — and either way the
+    tree equals a fresh build's up to the names of fresh variables, which
+    continue from the stale builder's counter.  Nothing is cached across
+    catalogue states: every goal is re-validated against the catalogue of
+    this build.
+
+    Copied nodes are new objects (``covers`` remapped onto the new
+    siblings), so the stale result stays a valid snapshot.  When the stale
+    result's plan compiled its factored root, the topmost copied rule
+    nodes with an unchanged subtree record their ``source`` and the new
+    result carries that plan as ``_seed_plan``, for the new plan to reuse
+    the compile of those subtrees (see ``UnionPlan``).
+    """
+
+    def __init__(
+        self,
+        pdms: PDMS,
+        query: ConjunctiveQuery,
+        config: ReformulationConfig,
+        previous: Optional["ReformulationResult"] = None,
+    ):
         self._pdms = pdms
         self._query = query
         self._config = config
         self._catalogue = pdms.catalogue()
-        self._fresh = FreshVariableFactory(prefix="_r")
-        self._fresh.reserve(v.name for v in query.all_variables())
         self._productive: Optional[frozenset] = None
         if config.prune_dead_ends:
             self._productive = self._catalogue.productive_predicates()
         self._coverable = self._catalogue.coverable_predicates()
+        if previous is not None and (
+            previous._basis is None
+            or previous.config != config
+            or previous.query != query
+        ):
+            previous = None
+        self._previous = previous
+        #: Predicates whose productive or coverable status differs from
+        #: what the stale tree was built against.
+        self._moved: frozenset = frozenset()
+        start = 0
+        if previous is not None:
+            basis = previous._basis
+            start = basis.fresh_position
+            if config.prune_dead_ends:
+                self._moved = (basis.productive ^ self._productive) | (
+                    basis.coverable ^ self._coverable
+                )
+        self._fresh = FreshVariableFactory(prefix="_r", start=start)
+        self._fresh.reserve(v.name for v in query.all_variables())
         self._mcd_cache: Dict[tuple, List[MCD]] = {}
         #: Positional variables ``_x0, _x1, ...`` MCD queries are posed over.
         self._canonical_vars: List[Variable] = []
@@ -328,8 +441,21 @@ class _TreeBuilder:
         self._used_origins: Set[str] = set()
         self._touched_predicates: Set[str] = set()
         self._dead_end_frontier: Set[str] = set()
+        # Replay state: goals still to replay -> the stale goal each copies;
+        # copied rule nodes -> the stale rule node each copies; the nodes on
+        # a path from the root to a goal whose children differ from the
+        # stale tree's.
+        self._twins: Dict[GoalNode, GoalNode] = {}
+        self._copies: Dict[RuleNode, RuleNode] = {}
+        self._dirty: Set[object] = set()
+        #: The stale result's plan, once the new tree's rules point into it.
+        self.seed_plan: Optional[object] = None
 
     # -- public ------------------------------------------------------------------
+
+    def basis(self) -> _BuildBasis:
+        """What the built tree was built against (call after :meth:`build`)."""
+        return _BuildBasis(self._productive, self._coverable, self._fresh.position)
 
     def build(self) -> RuleGoalTree:
         root = GoalNode(
@@ -353,10 +479,14 @@ class _TreeBuilder:
         )
         root.add_child(query_rule)
         self._count_rule()
+        stale_rule: Optional[RuleNode] = None
+        if self._previous is not None:
+            stale_rule = self._previous.tree.root.children[0]
+            self._copies[query_rule] = stale_rule
 
         body_atoms = self._query.relational_body()
         frontier: List[GoalNode] = []
-        for atom in body_atoms:
+        for index, atom in enumerate(body_atoms):
             other_vars: Set[Variable] = set()
             for other in body_atoms:
                 if other is not atom:
@@ -372,13 +502,86 @@ class _TreeBuilder:
                 ),
             )
             query_rule.add_child(child)
+            if stale_rule is not None:
+                self._adopt(child, stale_rule.children[index])
             if not child.is_stored:
                 frontier.append(child)
 
         self._expand_all(frontier)
         tree.statistics = self._stats
         tree.count_nodes()
+        seed = self._previous._factored_plan if self._previous is not None else None
+        if seed is not None and self._mark_sources(root):
+            self.seed_plan = seed
         return tree
+
+    # -- replay --------------------------------------------------------------------
+
+    def _adopt(self, goal: GoalNode, stale: GoalNode) -> None:
+        """Let ``goal`` replay ``stale``, its copy's original — unless its
+        stored status flipped, which makes it a new goal, expanded afresh."""
+        if goal.is_stored != stale.is_stored:
+            self._mark_dirty(goal)
+        elif not goal.is_stored:
+            self._twins[goal] = stale
+
+    def _mark_dirty(self, node) -> None:
+        """``node`` (a goal) differs from the stale tree; so does every
+        ancestor's subtree."""
+        dirty = self._dirty
+        while node is not None and node not in dirty:
+            dirty.add(node)
+            node = node.parent
+
+    def _mark_sources(self, root: GoalNode) -> bool:
+        """Point the topmost copied rule nodes whose subtree is unchanged at
+        their originals; returns whether any was.  Deeper ones are left
+        alone: a plan reusing a subtree's compile never looks below it."""
+        marked = False
+        stack = [root]
+        while stack:
+            goal = stack.pop()
+            for rule in goal.children:
+                if rule in self._dirty:
+                    stack.extend(rule.children)
+                else:
+                    rule.source = self._copies.get(rule)
+                    marked = marked or rule.source is not None
+        return marked
+
+    def _replay_entry(self, goal: GoalNode, replay: _Replay, entry: object) -> List[GoalNode]:
+        """Copy what ``entry`` did to the stale goal under ``goal``: the
+        prunes it counted and the rule nodes it made, with their children."""
+        for dead_end in replay.pruned.get(id(entry), ()):
+            self._prune(goal, entry, dead_end)
+        produced: List[GoalNode] = []
+        for stale_rule in replay.rules.get(id(entry), ()):
+            covers = frozenset([replay.sibling(goal, g) for g in stale_rule.covers])
+            rule_node = RuleNode(
+                stale_rule.kind,
+                description=stale_rule.description,
+                origin=stale_rule.origin,
+                parent=goal,
+                constraint=stale_rule.constraint,
+                covers=covers,
+            )
+            goal.add_child(rule_node)
+            self._count_rule()
+            self._used_origins.add(rule_node.origin)
+            self._copies[rule_node] = stale_rule
+            for stale_child in stale_rule.children:
+                child = self._make_goal(
+                    stale_child.label,
+                    parent=rule_node,
+                    blocked=stale_child.blocked,
+                    constraint=stale_child.constraint,
+                    depth=stale_child.depth,
+                    external=stale_child.external,
+                )
+                rule_node.add_child(child)
+                self._adopt(child, stale_child)
+                produced.append(child)
+        return produced
 
     # -- bookkeeping -------------------------------------------------------------
 
@@ -494,22 +697,51 @@ class _TreeBuilder:
     # -- expansion ---------------------------------------------------------------
 
     def _expand(self, goal: GoalNode) -> List[GoalNode]:
-        """Perform every possible expansion of ``goal``; return new goal nodes."""
+        """Perform every possible expansion of ``goal``; return new goal nodes.
+
+        Each catalogue entry for the goal's predicate is either replayed
+        from the stale goal ``goal`` copies (see the class docstring) or
+        expanded by the code a fresh build runs."""
         goal.expanded = True
+        stale = self._twins.pop(goal, None)
         if self._config.prune_unsatisfiable and not goal.constraint.is_satisfiable():
             self._stats.pruned_unsatisfiable += 1
             return []
-        new_children: List[GoalNode] = []
-        new_children.extend(self._definitional_expansions(goal))
-        new_children.extend(self._inclusion_expansions(goal))
+        replay = _Replay(stale) if stale is not None else None
+        goal.considered = definitional, inclusions = self._catalogue.entries_for(
+            goal.label.predicate
+        )
+        new_children = self._definitional_expansions(goal, definitional, replay)
+        new_children.extend(self._inclusion_expansions(goal, inclusions, replay))
+        if replay is not None and replay.changed():
+            self._mark_dirty(goal)
         return new_children
+
+    def _prune(self, goal: GoalNode, entry: object, dead_end: Optional[str]) -> None:
+        """Count an expansion of ``goal`` by ``entry`` a pruner dropped — an
+        unsatisfiable one, or a dead end over ``dead_end`` — on the goal too."""
+        if dead_end is None:
+            self._stats.pruned_unsatisfiable += 1
+        else:
+            self._stats.pruned_dead_end += 1
+            # The pruning decision hinges on this predicate staying
+            # unproductive and uncoverable; record it so provenance can
+            # flag catalogue additions that would revive the expansion.
+            self._dead_end_frontier.add(dead_end)
+        goal.pruned += ((entry, dead_end),)
 
     # .. definitional (GAV-style) ..................................................
 
-    def _definitional_expansions(self, goal: GoalNode) -> List[GoalNode]:
-        predicate = goal.label.predicate
+    def _definitional_expansions(
+        self, goal: GoalNode, entries: Sequence[NormalizedRule], replay: Optional[_Replay]
+    ) -> List[GoalNode]:
         produced: List[GoalNode] = []
-        for normalized in self._catalogue.definitional_for(predicate):
+        for normalized in entries:
+            if replay is not None and replay.replays(
+                normalized, self._moved & normalized.body_predicates()
+            ):
+                produced.extend(self._replay_entry(goal, replay, normalized))
+                continue
             if not normalized.synthetic and normalized.origin in goal.blocked:
                 continue
             renamed = normalized.rule.rename_apart(self._fresh)
@@ -532,11 +764,13 @@ class _TreeBuilder:
             ]
             rule_constraint = goal.constraint.conjoin(comparisons).conjoin(bindings)
             if self._config.prune_unsatisfiable and not rule_constraint.is_satisfiable():
-                self._stats.pruned_unsatisfiable += 1
+                self._prune(goal, normalized, None)
                 continue
-            if self._config.prune_dead_ends and self._rule_is_dead_end(relational):
-                self._stats.pruned_dead_end += 1
-                continue
+            if self._config.prune_dead_ends:
+                dead_end = self._dead_end(relational)
+                if dead_end is not None:
+                    self._prune(goal, normalized, dead_end)
+                    continue
             rule_node = RuleNode(
                 RuleNode.KIND_DEFINITIONAL,
                 description=normalized,
@@ -569,46 +803,42 @@ class _TreeBuilder:
                 produced.append(child)
         return produced
 
-    def _rule_is_dead_end(self, body: Sequence[Atom]) -> bool:
+    def _dead_end(self, body: Sequence[Atom]) -> Optional[str]:
         """A definitional expansion is useless if some body goal can neither
-        reach stored data nor be covered by a sibling's inclusion expansion."""
+        reach stored data nor be covered by a sibling's inclusion expansion:
+        the first such body predicate, if any."""
         assert self._productive is not None
         for atom in body:
             predicate = atom.predicate
-            if predicate in self._productive:
-                continue
-            if predicate in self._coverable:
-                continue
-            # The pruning decision hinges on this predicate staying
-            # unproductive and uncoverable; record it so provenance can
-            # flag catalogue additions that would revive the expansion.
-            self._dead_end_frontier.add(predicate)
-            return True
-        return False
+            if predicate not in self._productive and predicate not in self._coverable:
+                return predicate
+        return None
 
     # .. inclusion (LAV-style) ......................................................
 
-    def _inclusion_expansions(self, goal: GoalNode) -> List[GoalNode]:
-        predicate = goal.label.predicate
-        applicable = self._catalogue.inclusions_mentioning(predicate)
-        if not applicable:
-            return []
-
-        siblings = goal.siblings()
-        my_index = siblings.index(goal)
-        sibling_vars: Set[Variable] = set()
-        for sibling in siblings:
-            sibling_vars |= sibling.label.variable_set()
-        outside = self._outside_vars(goal)
-        # The MCD query "exported :- sibling atoms", posed once per goal
-        # (on the first applicable inclusion) for all of its inclusions.
-        context: Optional[_MCDContext] = None
-
+    def _inclusion_expansions(
+        self,
+        goal: GoalNode,
+        applicable: Sequence[NormalizedInclusion],
+        replay: Optional[_Replay],
+    ) -> List[GoalNode]:
         produced: List[GoalNode] = []
+        # The MCD query "exported :- sibling atoms", posed once per goal
+        # (on the first inclusion expanded here) for all of its inclusions.
+        context: Optional[_MCDContext] = None
         for inclusion in applicable:
+            if replay is not None and replay.replays(inclusion, frozenset()):
+                produced.extend(self._replay_entry(goal, replay, inclusion))
+                continue
             if inclusion.origin in goal.blocked:
                 continue
             if context is None:
+                siblings = goal.siblings()
+                my_index = siblings.index(goal)
+                sibling_vars: Set[Variable] = set()
+                for sibling in siblings:
+                    sibling_vars |= sibling.label.variable_set()
+                outside = self._outside_vars(goal)
                 context = self._mcd_context(
                     [s.label for s in siblings], sorted(outside & sibling_vars)
                 )
@@ -632,7 +862,7 @@ class _TreeBuilder:
                 if self._config.prune_unsatisfiable and not rule_constraint.conjoin(
                     view_comparisons
                 ).is_satisfiable():
-                    self._stats.pruned_unsatisfiable += 1
+                    self._prune(goal, inclusion, None)
                     continue
                 rule_node = RuleNode(
                     RuleNode.KIND_INCLUSION,
@@ -1089,6 +1319,7 @@ def reformulate(
     pdms: PDMS,
     query: ConjunctiveQuery,
     config: Optional[ReformulationConfig] = None,
+    previous: Optional[ReformulationResult] = None,
 ) -> ReformulationResult:
     """Reformulate ``query`` over the PDMS's stored relations.
 
@@ -1102,6 +1333,13 @@ def reformulate(
     config:
         Optional :class:`ReformulationConfig`; defaults enable every
         optimization.
+    previous:
+        An earlier result for the same query and configuration, built
+        against an older catalogue (a cache entry the catalogue changed
+        under).  The tree is then rebuilt by replaying ``previous``'s,
+        re-expanding only what the catalogue changed; the result equals a
+        fresh one up to the names of fresh variables.  ``previous`` is
+        only read; one for another query or configuration is ignored.
 
     Returns
     -------
@@ -1110,7 +1348,7 @@ def reformulate(
         conjunctive rewritings over stored relations.
     """
     config = config if config is not None else DEFAULT_CONFIG
-    builder = _TreeBuilder(pdms, query, config)
+    builder = _TreeBuilder(pdms, query, config, previous)
     tree = builder.build()
     assembler = _RewritingAssembler(query, tree, config)
     return ReformulationResult(
@@ -1120,4 +1358,6 @@ def reformulate(
         provenance=builder.provenance(),
         catalogue_version=pdms.catalogue_version,
         _assembler=assembler,
+        _basis=builder.basis(),
+        _seed_plan=builder.seed_plan,
     )

@@ -43,6 +43,17 @@ class GoalNode:
     is_stored:
         Whether the label's predicate is a stored relation (then this node
         is a leaf that appears directly in rewritings).
+    considered:
+        Once expanded: the catalogue's ``(definitional, inclusion)`` entry
+        tuples for the label's predicate, as the expansion saw them (kept
+        by reference).
+    pruned:
+        One ``(entry, dead_end)`` pair per expansion of this goal a pruner
+        dropped: ``dead_end`` is the predicate that made it a dead end, or
+        ``None`` for an unsatisfiable constraint label.
+
+    ``considered`` and ``pruned`` are what a later rebuild of the tree
+    replays the goal from (see :mod:`repro.pdms.reformulation`).
     """
 
     __slots__ = (
@@ -56,6 +67,8 @@ class GoalNode:
         "expanded",
         "depth",
         "external",
+        "considered",
+        "pruned",
     )
 
     _ids = itertools.count()
@@ -84,6 +97,8 @@ class GoalNode:
         # expansions must export exactly these (MiniCon property C1); the
         # set is propagated downward as the tree is built.
         self.external = external
+        self.considered: Optional[Tuple[tuple, tuple]] = None
+        self.pruned: Tuple[Tuple[object, Optional[str]], ...] = ()
 
     def add_child(self, rule_node: "RuleNode") -> None:
         """Attach an expansion (rule node) to this goal."""
@@ -107,6 +122,11 @@ class RuleNode:
     rule, definitional expansions, and inclusion expansions.  For
     inclusion expansions, ``covers`` is the ``unc`` label (goal-node
     siblings of the parent covered by the MCD, parent included).
+
+    ``source`` is set on a rule node a rebuild copied from an earlier tree
+    when nothing below it changed: the rule node it reproduces, label for
+    label, so the earlier plan's compile of that subtree can be reused.
+    The first compile of the new tree clears it.
     """
 
     __slots__ = (
@@ -118,6 +138,7 @@ class RuleNode:
         "children",
         "covers",
         "constraint",
+        "source",
     )
 
     _ids = itertools.count()
@@ -143,6 +164,7 @@ class RuleNode:
         self.children: List[GoalNode] = []
         self.covers: frozenset = covers if covers is not None else frozenset()
         self.constraint = constraint
+        self.source: Optional[RuleNode] = None
 
     def add_child(self, goal_node: GoalNode) -> None:
         """Attach a child goal node."""

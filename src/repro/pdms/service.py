@@ -22,7 +22,10 @@ that scenario cheap to serve repeatedly:
   the recorded :class:`~repro.pdms.system.CatalogueChange`.  An unrelated
   peer join evicts nothing.  Direct mutations on the underlying ``PDMS``
   are picked up too: the service replays the PDMS change log before every
-  cache access.
+  cache access.  An invalidated entry is kept as the seed of its
+  signature's next miss, which rebuilds it from the stale rule-goal tree
+  and recompiles only the plan under the goals that moved
+  (``reformulate(previous=...)``, ``docs/reformulation.md``).
 
 * **Streaming first-k answers** — :meth:`answer` with ``limit=k`` threads
   the rewriting generator through :func:`~repro.pdms.execution.stream_answers`,
@@ -69,6 +72,7 @@ from ..config import race_margin as race_margin_from_env
 from ..database.feedback import AdaptiveStats, QErrorLog
 from ..database.instance import Instance
 from ..database.planner import CardinalityCostModel
+from ..database.statistics import RelationStats, adopt_statistics, cached_statistics
 from ..datalog.evaluation import FactsLike
 from ..datalog.queries import ConjunctiveQuery
 from ..errors import EvaluationError, PDMSConfigurationError
@@ -299,6 +303,10 @@ class QueryService:
         self._engine = engine
         self._max_entries = max_entries
         self._cache: "OrderedDict[str, ReformulationResult]" = OrderedDict()
+        #: Invalidated entries, kept (LRU, at most ``max_entries``) as what
+        #: the next miss on their signature rebuilds from instead of from
+        #: nothing (see ``reformulate(previous=...)``).
+        self._stale: "OrderedDict[str, ReformulationResult]" = OrderedDict()
         #: Compiled union plans, keyed like the reformulation cache and
         #: invalidated by exactly the same provenance/eviction signals.
         self._plans: Dict[str, UnionPlan] = {}
@@ -322,6 +330,8 @@ class QueryService:
         self._peer_data: Dict[str, Instance] = {}
         self._flat_data: Optional[FactsLike] = None
         self._combined: Optional[FactsLike] = None
+        #: Statistics of the last retired federated view, for the next one.
+        self._carried_stats: Dict[str, RelationStats] = {}
         #: The unified metrics registry: the existing counter objects
         #: register as weakly held pull collectors, the answer path feeds
         #: one push histogram.  :meth:`metrics_snapshot` renders it;
@@ -442,6 +452,7 @@ class QueryService:
             else:
                 self._flat_data = data  # type: ignore[assignment]
             self._combined = None
+            self._carried_stats = {}
 
     def set_peer_data(self, peer_name: str, instance: Instance) -> None:
         """Attach (or replace) one peer's stored-relation instance."""
@@ -451,6 +462,20 @@ class QueryService:
                     "service holds a flat fact source; per-peer data is unavailable"
                 )
             self._peer_data[peer_name] = instance
+            self._retire_combined()
+
+    def _retire_combined(self) -> None:
+        """Drop the federated view after the peer-data set changed.
+
+        Answers in flight keep the view they started with.  Its relation
+        statistics carry over to the next view as plain values (no
+        reference to the old view or a departed peer's instance): they are
+        revalidated there by the federated data version, which includes
+        the owner set, so only relations a peer brought or took are
+        rescanned.
+        """
+        if self._combined is not None:
+            self._carried_stats = cached_statistics(self._combined)
             self._combined = None
 
     def _data(self, override: Union[FactsLike, Mapping[str, Instance], None]) -> FactsLike:
@@ -463,6 +488,8 @@ class QueryService:
                 # No copy: probes route to the live per-peer instances.  The
                 # federated view is rebuilt whenever the peer-data set changes.
                 self._combined = PeerFactSource(self._peer_data)
+                adopt_statistics(self._combined, self._carried_stats)
+                self._carried_stats = {}
             return self._combined
 
     # -- catalogue churn -----------------------------------------------------------
@@ -508,7 +535,7 @@ class QueryService:
             change = self._pdms.remove_peer(peer_name)
             departed = self._peer_data.pop(peer_name, None)
             if departed is not None:
-                self._combined = None
+                self._retire_combined()
                 if self._fragments is not None and self._owns_fragment_cache:
                     # A shared external cache may hold other services' valid
                     # entries for identically named relations; leave those to
@@ -554,6 +581,7 @@ class QueryService:
                 self._stats.invalidations += len(self._cache)
                 self._stats.plan_invalidations += len(self._plans)
                 self._cache.clear()
+                self._stale.clear()
                 self._plans.clear()
                 self._champions.clear()
                 if self._fragments is not None and self._owns_fragment_cache:
@@ -581,8 +609,10 @@ class QueryService:
                 )
             ]
             for signature in stale:
-                del self._cache[signature]
+                self._stale[signature] = self._cache.pop(signature)
                 self._drop_plan(signature)
+            while len(self._stale) > self._max_entries:
+                self._stale.popitem(last=False)
             self._stats.invalidations += len(stale)
         self._seen_version = self._pdms.catalogue_version
 
@@ -609,9 +639,14 @@ class QueryService:
                 return canonical.signature, result
             self._stats.misses += 1
             current_span().set("reformulation", "miss")
-            with current_span().child("query.reformulate"):
+            previous = self._stale.pop(canonical.signature, None)
+            attrs = {}
+            if previous is not None:
+                attrs["replayed"] = True
+                self.metrics.counter("reformulation.replayed").inc()
+            with current_span().child("query.reformulate", **attrs):
                 result = reformulate(
-                    self._pdms, canonical.query, config=self._config
+                    self._pdms, canonical.query, config=self._config, previous=previous
                 )
             # No eager materialisation: a cold `limit=k` call consumes only a
             # prefix of the rewriting enumeration, and the result memoizes
@@ -779,6 +814,7 @@ class QueryService:
         if that is really wanted."""
         with self._mutex:
             self._cache.clear()
+            self._stale.clear()
             self._plans.clear()
             self._champions.clear()
             if self._fragments is not None and self._owns_fragment_cache:

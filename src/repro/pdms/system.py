@@ -20,7 +20,7 @@ predicates of their right-hand sides (for LAV-style *inclusion expansion*).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..datalog.atoms import Atom
 from ..datalog.queries import ConjunctiveQuery, DatalogRule
@@ -93,6 +93,14 @@ class NormalizedRule:
         """Predicate defined by the rule."""
         return self.rule.name
 
+    def body_predicates(self) -> frozenset[str]:
+        """Predicates of the rule's relational body (computed once)."""
+        predicates = self.__dict__.get("_body_predicates")
+        if predicates is None:
+            # A frozen dataclass only blocks ``__setattr__``.
+            predicates = self.__dict__["_body_predicates"] = self.rule.predicates()
+        return predicates
+
 
 @dataclass(frozen=True)
 class NormalizedInclusion:
@@ -136,18 +144,113 @@ class NormalizedInclusion:
         return prepared
 
 
+class _Productivity:
+    """The productive predicates plus the two indexes that grow the set.
+
+    Productivity propagates along a worklist: a predicate turning
+    productive fires the rules whose body mentions it (a rule fires when
+    its last body predicate turns productive) and the inclusions it is the
+    left-hand side of (their right-hand-side predicates turn productive).
+    Adding entries only ever grows the set, so :meth:`grown` seeds the
+    worklist with what the new entries make productive and leaves the rest
+    of the set alone.  Immutable: growing builds a new object, so a set
+    already handed to a reformulation never changes under it.
+    """
+
+    __slots__ = ("predicates", "rules_by_body", "inclusions_by_head")
+
+    def __init__(
+        self,
+        predicates: frozenset,
+        rules_by_body: Dict[str, Tuple[NormalizedRule, ...]],
+        inclusions_by_head: Dict[str, Tuple[NormalizedInclusion, ...]],
+    ) -> None:
+        self.predicates = predicates
+        self.rules_by_body = rules_by_body
+        self.inclusions_by_head = inclusions_by_head
+
+    def grown(
+        self,
+        rules: Sequence[NormalizedRule],
+        inclusions: Sequence[NormalizedInclusion],
+        stored: Iterable[str],
+    ) -> "_Productivity":
+        """The productivity of this catalogue plus ``rules``, ``inclusions``
+        and the stored relations ``stored``."""
+        productive = set(self.predicates)
+        worklist: List[str] = []
+
+        def mark(predicate: str) -> None:
+            if predicate not in productive:
+                productive.add(predicate)
+                worklist.append(predicate)
+
+        for predicate in stored:
+            mark(predicate)
+        # A new entry over already-productive predicates fires as it is
+        # indexed; the rest fire from the worklist once their inputs do.
+        rules_by_body = dict(self.rules_by_body)
+        for rule in rules:
+            body = rule.body_predicates()
+            for predicate in body:
+                rules_by_body[predicate] = rules_by_body.get(predicate, ()) + (rule,)
+            if body and body <= productive:
+                mark(rule.head_predicate)
+        inclusions_by_head = dict(self.inclusions_by_head)
+        for inclusion in inclusions:
+            head = inclusion.head_predicate
+            inclusions_by_head[head] = inclusions_by_head.get(head, ()) + (inclusion,)
+            if head in productive:
+                for predicate in inclusion.body_predicates():
+                    mark(predicate)
+        while worklist:
+            predicate = worklist.pop()
+            for rule in rules_by_body.get(predicate, ()):
+                if rule.head_predicate not in productive and rule.body_predicates() <= productive:
+                    mark(rule.head_predicate)
+            for inclusion in inclusions_by_head.get(predicate, ()):
+                for body_predicate in inclusion.body_predicates():
+                    mark(body_predicate)
+        return _Productivity(frozenset(productive), rules_by_body, inclusions_by_head)
+
+
 class _DerivedState:
     """What the reformulation derives from the catalogue's entries alone.
 
     Every slot is filled on first use, never eagerly, and the whole object
     is replaced when the entries change, so a mutation pays nothing for it.
+    An addition keeps the way to the new productive set short: ``growth``
+    is the last computed :class:`_Productivity` plus the entries added
+    since (a removal starts from nothing).
     """
 
-    __slots__ = ("productive", "coverable")
+    __slots__ = ("productivity", "coverable", "growth", "entries")
 
-    def __init__(self) -> None:
-        self.productive: Optional[frozenset] = None
+    def __init__(self, growth: Optional[tuple] = None) -> None:
+        self.productivity: Optional[_Productivity] = None
         self.coverable: Optional[frozenset] = None
+        self.growth = growth
+        #: predicate -> its (definitional, inclusion) entry tuples.
+        self.entries: Dict[str, Tuple[tuple, tuple]] = {}
+
+    @property
+    def productive(self) -> Optional[frozenset]:
+        """The productive predicates, once derived."""
+        return None if self.productivity is None else self.productivity.predicates
+
+    def after_adding(
+        self, rules: List[NormalizedRule], inclusions: List[NormalizedInclusion], stored: frozenset
+    ) -> "_DerivedState":
+        """The state once these entries are added: nothing derived yet, but
+        the productive set grows from this state's instead of restarting."""
+        if self.productivity is not None:
+            return _DerivedState((self.productivity, rules, inclusions, stored))
+        if self.growth is not None:
+            base, grown_rules, grown_inclusions, grown_stored = self.growth
+            return _DerivedState((
+                base, grown_rules + rules, grown_inclusions + inclusions, grown_stored | stored
+            ))
+        return _DerivedState()
 
 
 @dataclass
@@ -187,6 +290,7 @@ class NormalizedCatalogue:
         stored: Iterable[str] = (),
     ) -> None:
         """Append entries and update the indexes in place (incremental add)."""
+        rules, inclusions, stored = list(rules), list(inclusions), frozenset(stored)
         for rule in rules:
             self.rules.append(rule)
             head = rule.head_predicate
@@ -197,9 +301,9 @@ class NormalizedCatalogue:
             for predicate in inclusion.body_predicates():
                 index[predicate] = index.get(predicate, ()) + (inclusion,)
         if stored:
-            self.stored_relations = self.stored_relations | frozenset(stored)
+            self.stored_relations = self.stored_relations | stored
         # Last, so state derived while the entries were changing is dropped too.
-        self._derived = _DerivedState()
+        self._derived = self._derived.after_adding(rules, inclusions, stored)
 
     def remove_origins(self, origins: frozenset, stored: frozenset) -> None:
         """Drop every entry whose origin is in ``origins``; reset stored set."""
@@ -216,6 +320,18 @@ class NormalizedCatalogue:
         """Inclusion descriptions whose right-hand side mentions ``predicate``."""
         return self.inclusions_by_body_predicate.get(predicate, ())
 
+    def entries_for(self, predicate: str) -> Tuple[tuple, tuple]:
+        """``(definitional_for(predicate), inclusions_mentioning(predicate))``,
+        one shared pair per predicate until the entries change — what a goal
+        over ``predicate`` records as the entries its expansion considered."""
+        entries = self._derived.entries
+        pair = entries.get(predicate)
+        if pair is None:
+            pair = entries[predicate] = (
+                self.definitional_for(predicate), self.inclusions_mentioning(predicate)
+            )
+        return pair
+
     def is_stored(self, predicate: str) -> bool:
         """Is ``predicate`` a stored relation?"""
         return predicate in self.stored_relations
@@ -231,29 +347,21 @@ class NormalizedCatalogue:
         side predicate is productive.  Goal nodes over non-productive
         predicates that also cannot be covered by a sibling (they appear on no
         inclusion right-hand side) are dead ends (Section 4.3).
+
+        Computed by a worklist (:class:`_Productivity`); after additions it
+        grows from the set computed before them.
         """
         derived = self._derived
-        if derived.productive is None:
-            productive = set(self.stored_relations)
-            changed = True
-            while changed:
-                changed = False
-                for rule in self.rules:
-                    if rule.head_predicate in productive:
-                        continue
-                    body_predicates = rule.rule.predicates()
-                    if body_predicates and all(p in productive for p in body_predicates):
-                        productive.add(rule.head_predicate)
-                        changed = True
-                for inclusion in self.inclusions:
-                    if inclusion.head_predicate not in productive:
-                        continue
-                    for predicate in inclusion.body_predicates():
-                        if predicate not in productive:
-                            productive.add(predicate)
-                            changed = True
-            derived.productive = frozenset(productive)
-        return derived.productive
+        if derived.productivity is None:
+            if derived.growth is not None:
+                base, rules, inclusions, stored = derived.growth
+                derived.productivity = base.grown(rules, inclusions, stored)
+            else:
+                derived.productivity = _Productivity(frozenset(), {}, {}).grown(
+                    self.rules, self.inclusions, self.stored_relations
+                )
+            derived.growth = None
+        return derived.productivity.predicates
 
     def coverable_predicates(self) -> frozenset:
         """Predicates on some inclusion's right-hand side: a goal over one

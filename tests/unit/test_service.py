@@ -231,6 +231,111 @@ class TestInvalidationGranularity:
         assert (9, 9) not in service.answer(QUERY_R)
 
 
+def _replayed(service) -> int:
+    return service.metrics_snapshot()["counters"].get("reformulation.replayed", 0)
+
+
+class TestStaleEntries:
+    """An invalidated entry stays behind as the seed its next miss replays."""
+
+    def test_the_next_miss_replays_the_invalidated_entry(self):
+        from repro.obs import set_tracer
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.trace import Tracer
+
+        service = _service()
+        service.answer(QUERY_R)
+        signature = canonicalize_query(QUERY_R).signature
+        service.add_peer_mapping(DefinitionalMapping(
+            parse_query("A:R(x, y) :- C:T(x, y)"), name="r_more"))
+        assert service.cache_size == 0 and service._stale.keys() == {signature}
+        tracer = Tracer(enabled=True, sample_rate=1.0, sink_path=None, registry=MetricsRegistry())
+        set_tracer(tracer)
+        try:
+            assert service.answer(QUERY_R) == {(1, 2), (2, 3), (3, 4), (9, 9)}
+        finally:
+            set_tracer(None)
+        (trace,) = [tracer.trace(tid) for tid in tracer.trace_ids()]
+        (span,) = [span for span in trace if span["name"] == "query.reformulate"]
+        assert span["attrs"] == {"replayed": True}
+        # Still a miss, and still a compiled plan.
+        assert service.stats.misses == 2 and not service._stale
+        assert _replayed(service) == 1
+
+    def test_stale_entries_are_bounded_by_max_entries(self):
+        service = QueryService(
+            _service().pdms,
+            data=Instance.from_dict({"stored_s": [(1, 2)], "stored_t": [(9, 9)]}),
+            max_entries=2,
+        )
+        for round_ in range(3):
+            for query in (QUERY_R, parse_query("Q(x) :- A:R(x, y)"), QUERY_T):
+                service.answer(query)
+            service.add_peer_mapping(DefinitionalMapping(
+                parse_query("A:R(x, y) :- C:T(x, y)"), name=f"r_more_{round_}"))
+            service.add_peer_mapping(DefinitionalMapping(
+                parse_query("C:T(x, y) :- B:S(x, y)"), name=f"t_more_{round_}"))
+            assert len(service._stale) <= 2
+
+    def test_full_invalidation_and_clear_cache_drop_them(self):
+        import repro.pdms.system as system_module
+
+        service = _service()
+        service.answer(QUERY_R)
+        service.add_peer_mapping(DefinitionalMapping(
+            parse_query("A:R(x, y) :- C:T(x, y)"), name="r_more"))
+        assert service._stale
+        service.clear_cache()
+        assert not service._stale
+        service.answer(QUERY_R)
+        service.remove_peer_mapping("r_more")
+        assert service._stale
+        original = system_module.MAX_CHANGE_LOG
+        system_module.MAX_CHANGE_LOG = 2
+        try:
+            for i in range(4):
+                service.pdms.add_peer(f"F{i}")
+            assert service.answer(QUERY_R) == {(1, 2), (2, 3), (3, 4)}
+        finally:
+            system_module.MAX_CHANGE_LOG = original
+        assert not service._stale and _replayed(service) == 0
+
+    def test_a_join_rescans_only_the_relations_it_brought(self, monkeypatch):
+        """The federated view is rebuilt on churn; relation statistics carry
+        over and are revalidated by version, so only the joining peer's
+        relation is scanned for them."""
+        import repro.database.statistics as statistics_module
+
+        service = QueryService(_service().pdms, engine="columnar", data={
+            "B": Instance.from_dict({"stored_s": [(1, 2), (2, 3), (3, 4)]}),
+            "C": Instance.from_dict({"stored_t": [(9, 9), (2, 9)]}),
+        })
+        scanned = []
+        compute = statistics_module.compute_relation_stats
+
+        def counting(relation, rows, version=None):
+            scanned.append(relation)
+            return compute(relation, rows, version)
+
+        monkeypatch.setattr(statistics_module, "compute_relation_stats", counting)
+        service.answer(QUERY_R)
+        service.answer(QUERY_T)
+        assert {"stored_s", "stored_t"} <= set(scanned)
+        scanned.clear()
+        satellite = Peer("SAT")
+        satellite.add_relation("X", ["x", "y"])
+        service.add_peer(satellite)
+        service.add_peer_mapping(lav_style(
+            parse_atom("SAT:X(x, y)"), parse_query("V(x, y) :- B:S(x, y)"), name="sat_map"))
+        service.add_storage_description(StorageDescription(
+            "SAT", "sat_store", parse_query("V(x, y) :- SAT:X(x, y)"), name="sat_desc"))
+        service.set_peer_data("SAT", Instance.from_dict({"sat_store": [(3, 9)]}))
+        # A first compile reading all three relations.
+        assert service.answer(parse_query("Q(x, z) :- A:R(x, y), C:T(y, z)")) == {
+            (1, 9), (3, 9)}
+        assert set(scanned) == {"sat_store"}
+
+
 class TestLimitAndStreaming:
     def test_limit_returns_subset(self):
         service = _service()
