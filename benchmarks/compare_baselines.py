@@ -43,7 +43,6 @@ HEADLINES: Dict[str, Tuple[Tuple[str, str], ...]] = {
         ("cases.churn_throughput.hit_rate", "exact"),
     ),
     "BENCH_union_plan.json": (
-        ("cases.shared_vs_per_rewriting.speedup_vs_plan", "timing"),
         ("cases.shared_vs_per_rewriting.speedup_vs_backtracking", "timing"),
         ("cases.shared_vs_per_rewriting.shared_reference_fraction", "exact"),
         ("cases.federated_vs_combine.federation_speedup", "timing"),
@@ -51,14 +50,10 @@ HEADLINES: Dict[str, Tuple[Tuple[str, str], ...]] = {
     "BENCH_materialization.json": (
         ("cases.warm_vs_cold.warm_speedup", "timing"),
         ("cases.write_mix.fragment_hit_rate", "exact"),
-        ("cases.bushy_sharing.bushy_shared_subgoal_ratio", "exact"),
-        ("cases.bushy_sharing.bushy_speedup", "timing"),
     ),
     "BENCH_columnar.json": (
         ("cases.kernel_vs_row.join_speedup", "timing"),
         ("cases.kernel_vs_row.fused_select_speedup", "timing"),
-        ("cases.columnar_engine.end_to_end_speedup", "timing"),
-        ("cases.parallel.thread_speedup_4_workers", "timing"),
     ),
     "BENCH_distributed.json": (
         ("cases.scatter_gather.speedup_vs_serial", "timing"),

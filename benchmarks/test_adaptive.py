@@ -112,11 +112,11 @@ def _median_join_q(observations) -> float:
 def test_adaptive_converges_within_ten_executions(baseline_recorder):
     """Acceptance gates: ≥1.3× converged speedup, ≥2× median q-error drop."""
     pdms, query, instance, truth = _skewed_workload()
-    adaptive = QueryService(pdms, data={"P": instance}, engine="shared",
+    adaptive = QueryService(pdms, data={"P": instance}, engine="columnar",
                             adaptive=True, fragment_cache_bytes=0)
     # adaptive=False explicitly: under a REPRO_ADAPTIVE=1 CI leg the
     # static arm must stay the static baseline being measured against.
-    static = QueryService(pdms, data={"P": instance}, engine="shared",
+    static = QueryService(pdms, data={"P": instance}, engine="columnar",
                           adaptive=False, fragment_cache_bytes=0)
 
     static_times = []
@@ -200,9 +200,9 @@ def test_adaptive_overhead_on_well_estimated_data(baseline_recorder):
     instance.add_all("ub", [(i, i + 1) for i in range(rows)])
     query = parse_query("Q(x, z) :- P:A(x, y), P:B(y, z)")
 
-    adaptive = QueryService(pdms, data={"P": instance}, engine="shared",
+    adaptive = QueryService(pdms, data={"P": instance}, engine="columnar",
                             adaptive=True, fragment_cache_bytes=0)
-    static = QueryService(pdms, data={"P": instance}, engine="shared",
+    static = QueryService(pdms, data={"P": instance}, engine="columnar",
                           adaptive=False, fragment_cache_bytes=0)
     expected = static.answer(query)
     assert len(expected) == rows

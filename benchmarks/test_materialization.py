@@ -1,4 +1,4 @@
-"""Materialization benchmarks: warm vs cold, write-mix hit rate, bushy sharing.
+"""Materialization benchmarks: warm vs cold, write-mix hit rate.
 
 Backs the ISSUE-4 acceptance criteria:
 
@@ -8,10 +8,7 @@ Backs the ISSUE-4 acceptance criteria:
   both arms — the measured gap is pure fragment materialization);
 * under a **10% write mix** into one predicate, the fragment hit rate
   stays above 50%: a single-predicate update invalidates only the
-  fragments that read it, the rest of the working set stays warm;
-* **bushy** fragment extraction measurably increases the shared-subgoal
-  ratio over the PR 3 left-deep-prefix shape on a workload whose shared
-  pair is never a cost-order prefix.
+  fragments that read it, the rest of the working set stays warm.
 
 Like the other benchmark modules, ``BENCH_materialization.json`` is
 written next to this file when ``EVAL_BENCH_RECORD=1``, and
@@ -36,10 +33,6 @@ from repro.pdms import (
     FragmentCache,
     QueryService,
     StorageDescription,
-    compile_reformulation,
-    evaluate_plan,
-    reformulate,
-    stream_plan_answers,
 )
 
 QUICK = os.environ.get("EVAL_BENCH_QUICK") == "1"
@@ -122,7 +115,7 @@ def test_warm_cache_beats_cold_on_stable_data(baseline_recorder):
     pdms, query, instance = _chain_workload()
     cache = FragmentCache(max_bytes=256 << 20)
     service = QueryService(
-        pdms, data={"P": instance}, engine="shared", fragment_cache=cache)
+        pdms, data={"P": instance}, engine="columnar", fragment_cache=cache)
     expected = service.answer(query)  # pays reformulation + plan + fragments
     assert expected
     assert service.answer(query) == expected  # warm agrees
@@ -159,7 +152,7 @@ def test_write_mix_keeps_unrelated_fragments_warm(baseline_recorder):
     pdms, query, instance = _chain_workload()
     cache = FragmentCache(max_bytes=256 << 20)
     service = QueryService(
-        pdms, data={"P": instance}, engine="shared", fragment_cache=cache)
+        pdms, data={"P": instance}, engine="columnar", fragment_cache=cache)
     expected = service.answer(query)  # warm up
     assert expected
 
@@ -197,71 +190,4 @@ def test_write_mix_keeps_unrelated_fragments_warm(baseline_recorder):
     assert service.answer(query) >= expected
     assert hit_rate > 0.5, (
         f"fragment hit rate fell to {hit_rate:.0%} under a 10% write mix"
-    )
-
-
-def test_bushy_sharing_beats_left_deep(baseline_recorder):
-    """Bushy fragment extraction reuses the non-prefix {M,R} pair."""
-    pdms = PDMS()
-    peer = pdms.add_peer("P")
-    for relation in ("L", "M", "R"):
-        peer.add_relation(relation, ["x", "y"])
-    alternatives = ALTERNATIVES
-    for i in range(alternatives):
-        pdms.add_storage_description(StorageDescription(
-            "P", f"s_l_{i}", parse_query("V(x, y) :- P:L(x, y)")))
-    pdms.add_storage_description(StorageDescription(
-        "P", "s_m", parse_query("V(x, y) :- P:M(x, y)")))
-    pdms.add_storage_description(StorageDescription(
-        "P", "s_r", parse_query("V(x, y) :- P:R(x, y)")))
-    rng = random.Random(11)
-    rows = ROWS
-    data = {}
-    # L_i tiny (the cost order's *first atom* is always some L_i), M big
-    # with few distinct y (so L_i ⋈ M fans out) and near-unique z (so
-    # M ⋈ R is tiny): the cheapest *join* pair {M,R} — shared by every
-    # rewriting — is never a left-deep prefix.
-    for i in range(alternatives):
-        data[f"s_l_{i}"] = {
-            (rng.randrange(200), rng.randrange(50)) for _ in range(20)}
-    data["s_m"] = {
-        (rng.randrange(50), rng.randrange(DOMAIN)) for _ in range(rows)}
-    data["s_r"] = {(rng.randrange(DOMAIN), rng.randrange(200)) for _ in range(40)}
-    for j in range(10):
-        data["s_m"].add((j % 50, 2 * DOMAIN + j))
-        data["s_r"].add((2 * DOMAIN + j, j))
-    query = parse_query("Q(x, w) :- P:L(x, y), P:M(y, z), P:R(z, w)")
-    result = reformulate(pdms, query)
-    result.all_rewritings()
-
-    bushy = compile_reformulation(result, data, bushy=True)
-    left = compile_reformulation(result, data, bushy=False)
-
-    # The two shapes are shapes of the *enumerated* compile, which the lazy
-    # row stream drives (a whole answer over the bushy plan would evaluate
-    # the factored rule-goal tree and enumerate nothing).
-    def enumerated(plan):
-        return set(stream_plan_answers(plan, data))
-
-    bushy_answers = enumerated(bushy)
-    assert bushy_answers
-    assert enumerated(left) == bushy_answers == evaluate_plan(bushy, data)
-
-    rounds = 3 if QUICK else 5
-    bushy_seconds = _best_seconds(lambda: enumerated(bushy), rounds)
-    left_seconds = _best_seconds(lambda: enumerated(left), rounds)
-
-    baseline_recorder["bushy_sharing"] = {
-        "rewritings": float(bushy.stats.rewritings),
-        "bushy_shared_subgoal_ratio": bushy.stats.sharing_ratio,
-        "left_deep_shared_subgoal_ratio": left.stats.sharing_ratio,
-        "bushy_unique_fragments": float(bushy.stats.unique_fragments),
-        "left_deep_unique_fragments": float(left.stats.unique_fragments),
-        "bushy_seconds": bushy_seconds,
-        "left_deep_seconds": left_seconds,
-        "bushy_speedup": left_seconds / bushy_seconds,
-    }
-    assert bushy.stats.sharing_ratio > left.stats.sharing_ratio, (
-        f"bushy sharing {bushy.stats.sharing_ratio:.0%} did not beat "
-        f"left-deep {left.stats.sharing_ratio:.0%}"
     )

@@ -77,7 +77,7 @@ def print_fragment_counters(service):
 
 def main():
     pdms, instance = build_system()
-    service = QueryService(pdms, data={"P": instance}, engine="shared")
+    service = QueryService(pdms, data={"P": instance}, engine="columnar")
     query = parse_query(
         "Q(x0, x3) :- P:A1(x0, x1), P:A2(x1, x2), P:A3(x2, x3)")
 

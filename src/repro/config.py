@@ -7,7 +7,9 @@ drifted on error messages.  All integer knobs now flow through
 :func:`choice_from_env`, so every knob fails fast with the same message
 shape — mirroring the treatment ``REPRO_DEFAULT_ENGINE`` gets in
 :func:`repro.pdms.execution.default_engine` (that knob stays there
-because validating it needs the live engine registry).
+because validating it needs the live engine registry).  Plan evaluation
+itself has no knob: one representation (column batches), one thread (the
+caller's).
 
 The consolidated knob table lives in ``docs/distributed.md``.
 """
@@ -73,41 +75,6 @@ def float_from_env(name: str, default: float, minimum: float = 0.0) -> float:
 # ---------------------------------------------------------------------------
 # The knobs (one documented reader per REPRO_* variable)
 # ---------------------------------------------------------------------------
-
-def shared_workers() -> int:
-    """Worker count for the shared/columnar engines (``REPRO_SHARED_WORKERS``).
-
-    ``0`` (the default) means sequential in-thread execution; values > 1
-    evaluate independent rewriting roots concurrently on the executor
-    selected by :func:`shared_executor`.
-    """
-    return int_from_env("REPRO_SHARED_WORKERS", 0)
-
-
-def shared_executor() -> str:
-    """Executor kind behind ``REPRO_SHARED_WORKERS`` (``REPRO_SHARED_EXECUTOR``).
-
-    ``"thread"`` (default): a thread pool — cheap, keeps the per-call
-    fragment memo shared, and scales on multicore only where the columnar
-    kernels release the GIL (large NumPy batches).  ``"process"``: a
-    process pool — rewriting roots are evaluated in worker processes with
-    their scan rows shipped over, so even the pure-Python kernel fallback
-    scales with cores, at the price of per-task serialisation and no
-    cross-root fragment sharing.
-    """
-    return choice_from_env("REPRO_SHARED_EXECUTOR", "thread", ("thread", "process"))
-
-
-def columnar_enabled() -> bool:
-    """Whether plan execution uses the columnar kernels (``REPRO_COLUMNAR``).
-
-    On by default.  ``REPRO_COLUMNAR=0`` drops the shared engine and the
-    vectorized planner back to the row-at-a-time paths — the switch the
-    kernel-vs-row benchmarks and the equivalence suites flip.  The
-    ``"columnar"`` engine ignores this toggle (it always vectorizes).
-    """
-    return bool_from_env("REPRO_COLUMNAR", True)
-
 
 def fragment_cache_bytes() -> int:
     """Byte budget of a service fragment cache (``REPRO_FRAGMENT_CACHE_BYTES``).

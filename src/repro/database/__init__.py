@@ -13,14 +13,7 @@ from .columnar import (
 from .csvio import load_instance_directory, load_relation_csv, save_relation_csv
 from .feedback import AdaptiveStats, QErrorLog, QErrorObservation, q_error
 from .instance import Instance
-from .planner import (
-    CardinalityCostModel,
-    compile_query,
-    compile_union,
-    evaluate_query_via_plan,
-    evaluate_union_via_plan,
-    execute_plan,
-)
+from .planner import CardinalityCostModel
 from .schema import DatabaseSchema, RelationSchema
 from .statistics import RelationStats, StatisticsCatalog, compute_relation_stats
 
@@ -42,11 +35,6 @@ __all__ = [
     "compare_mask",
     "compute_relation_stats",
     "join_indices",
-    "compile_query",
-    "compile_union",
-    "evaluate_query_via_plan",
-    "evaluate_union_via_plan",
-    "execute_plan",
     "load_instance_directory",
     "load_relation_csv",
     "save_relation_csv",

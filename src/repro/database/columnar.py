@@ -1,9 +1,10 @@
 """Columnar batch execution: tables as tuples of columns, batch kernels.
 
-The row engine (:mod:`repro.database.algebra`) processes one Python tuple
-at a time over ``frozenset`` rows — clean, but every operator pays per-row
-interpreter overhead and the GIL serialises any thread-pooled execution of
-it.  This module is the batch-at-a-time alternative:
+The row algebra (:mod:`repro.database.algebra`) processes one Python
+tuple at a time over ``frozenset`` rows — clean, but every operator pays
+per-row interpreter overhead.  This module is the batch-at-a-time
+representation every plan fragment is evaluated in (the row algebra stays
+as the kernels' reference in the tests):
 
 * a :class:`ColumnTable` stores a relation as one container per column —
   a NumPy ``int64``/``float64`` array when dtype sniffing proves the
@@ -11,15 +12,13 @@ it.  This module is the batch-at-a-time alternative:
   NumPy is not installed);
 * batch kernels — hash/merge equi-join, fused selection, zero-copy
   project/rename, column-wise distinct, n-way union — operate on whole
-  columns; on the NumPy path the heavy loops run in C **with the GIL
-  released**, which is what lets thread-pooled union-plan execution
-  finally scale on multicore;
-* conversion to and from :class:`~repro.database.algebra.Table` happens
-  only at representation boundaries (scans in, answer sets out), so a
-  fragment pipeline transposes each input once and stays columnar.
+  columns; on the NumPy path the heavy loops run in C;
+* rows are transposed only at the boundaries (scans in, answer sets
+  out), so a fragment pipeline transposes each input once and stays
+  columnar.
 
 Dtype sniffing is deliberately conservative so columnar results are
-*value-identical* to the row engine under Python equality semantics:
+*value-identical* to the row algebra under Python equality semantics:
 
 * ``int``/``bool`` columns within ``int64`` range → ``int64`` (Python's
   ``True == 1`` already collapses them inside row sets);
@@ -216,7 +215,7 @@ class ColumnTable:
         return total
 
     def __reduce__(self):
-        # Ships across process boundaries for the process-pool executor;
+        # Fragment tables are pickled into the shared cache tier's entries;
         # NumPy arrays pickle natively, lists trivially.
         return (ColumnTable, (self.columns, self.data, self._length))
 
@@ -336,8 +335,8 @@ class ColumnTable:
         Column order matches :meth:`Table.natural_join`: shared, then
         left-only, then right-only.  ``build_right`` forces the build
         (sorted/hashed) side; by default the smaller input builds — a
-        caller holding cardinality estimates (the vectorized planner) can
-        override from its cost model.
+        caller holding cardinality estimates can override from its cost
+        model.
         """
         shared = [c for c in self.columns if c in other.columns]
         left_only = [c for c in self.columns if c not in shared]

@@ -1,21 +1,19 @@
 """The ``"distributed"`` execution engine: scatter-gather over peers.
 
 Registered in the :mod:`repro.pdms.execution` engine registry alongside
-``"backtracking"``, ``"plan"``, and ``"shared"``, so anything that selects
-an engine by name — the service layer, ``REPRO_DEFAULT_ENGINE``, the CI
-matrix — can run the peer boundary without code changes.
+``"backtracking"`` and ``"columnar"``, so anything that selects an engine
+by name — the service layer, ``REPRO_DEFAULT_ENGINE``, the CI matrix —
+can run the peer boundary without code changes.
 
-Evaluation rides the shared union-plan IR (:mod:`repro.pdms.planning`):
-fragments are hash-consed and memoized exactly as in the ``"shared"``
-engine, and the cross-call :class:`~repro.pdms.materialization.FragmentCache`
-keys on the same wire-fetched data-version tokens.  The distributed twist
-is **where scans run**: before a rewriting is evaluated, every stored-
-relation scan under its root fragment
+Evaluation is the ``"columnar"`` engine's (:mod:`repro.pdms.planning`):
+fragments are hash-consed and memoized, and the cross-call
+:class:`~repro.pdms.materialization.FragmentCache` keys on the same
+wire-fetched data-version tokens.  The distributed twist is **where scans
+run**: before a root is evaluated, every stored-relation scan under it
 (:meth:`~repro.pdms.planning.UnionPlan.scan_requests`) is prefetched in
-one scatter-gather round — batched per owning peer, the per-peer batches
-issued concurrently as futures over the transport.  With worker-process
-peers the scans execute outside the caller's GIL; evaluation then joins
-the memoized tables in-process.
+one scatter-gather wave — batched per owning peer, the per-peer batches
+issued concurrently over the transport.  The gathered rows land in the
+source's scan memo; evaluation then joins them in the caller's thread.
 
 Data routing:
 
@@ -26,8 +24,8 @@ Data routing:
   :class:`~repro.pdms.execution.PeerFactSource` are wrapped in a
   per-call loopback-transport source, so the whole tier-1 suite exercises
   the peer boundary when ``REPRO_DEFAULT_ENGINE=distributed``;
-* flat fact sources (no peer structure) fall back to the shared engine's
-  evaluation path unchanged.
+* flat fact sources (no peer structure) fall back to the ``"columnar"``
+  engine's evaluation path unchanged.
 
 Failure semantics: a peer that times out or is injected as failed simply
 contributes no rows — under monotone conjunctive queries the result is a
@@ -145,7 +143,7 @@ class DistributedAnswer:
 class DistributedEngine(ExecutionEngine):
     """Scatter-gather engine over a peer-boundary transport.
 
-    Evaluation is the shared root loop
+    Evaluation is the ``"columnar"`` engine's root loop
     (:func:`~repro.pdms.planning.plan_answer_batches`); this engine only
     decides what the data source is and, before each root — the one
     factored root of a whole answer, whose scans thus go out in a single
@@ -189,7 +187,7 @@ class DistributedEngine(ExecutionEngine):
         try:
             plan = ensure_plan(result, source, plan)
             if remote is None:
-                # No peer structure to scatter over: identical to "shared".
+                # No peer structure to scatter over: identical to "columnar".
                 yield from plan_answer_batches(
                     plan, source, cache=cache, feedback=feedback, whole=whole
                 )

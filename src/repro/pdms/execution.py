@@ -1,21 +1,17 @@
 """Execution of reformulated queries over the peers' stored relations.
 
 The paper leaves execution to an external (adaptive) query processor; this
-module provides five interchangeable engines behind a small registry:
+module provides three interchangeable engines behind a small registry:
 
 * ``"backtracking"`` — each rewriting through the direct indexed-join
-  conjunctive-query evaluator;
-* ``"plan"`` — each rewriting compiled to a relational-algebra plan first
-  (the route a classical database system would take);
-* ``"shared"`` — the whole union of rewritings compiled into one shared
-  union-plan DAG (:mod:`repro.pdms.planning`) with hash-consed common
-  sub-conjunctions evaluated once and an optional worker pool; fragments
-  run on the :mod:`repro.database.columnar` batch kernels unless
-  ``REPRO_COLUMNAR=0``;
-* ``"columnar"`` — the same DAG evaluation with the batch kernels pinned
-  on regardless of ``REPRO_COLUMNAR`` (the name the CI matrix and the
-  kernel benchmarks select);
-* ``"distributed"`` — the shared union plan with every stored-relation
+  conjunctive-query evaluator (the independent oracle the others are
+  checked against);
+* ``"columnar"`` — the whole union compiled into one shared union-plan DAG
+  (:mod:`repro.pdms.planning`): a whole answer evaluates the rule-goal
+  tree as one factored root, hash-consed fragments are computed once, on
+  the :mod:`repro.database.columnar` batch kernels, in the caller's
+  thread;
+* ``"distributed"`` — the same plan evaluation with every stored-relation
   scan scatter-gathered over a peer-boundary transport
   (:mod:`repro.pdms.distributed`), degrading to best-effort sound-subset
   answers when peers fail.  Registered on import of
@@ -55,7 +51,6 @@ from typing import (
 
 from ..database.feedback import QErrorLog
 from ..database.instance import Instance, relation_creation_clock
-from ..database.planner import evaluate_query_via_plan
 from ..datalog.evaluation import FactsLike, evaluate_query
 from ..datalog.indexing import Pattern
 from ..datalog.queries import ConjunctiveQuery
@@ -67,7 +62,6 @@ from .planning import (
     distinct_rows,
     ensure_plan,
     plan_answer_batches,
-    shared_workers_from_env,
     union_rows,
 )
 from .reformulation import (
@@ -200,29 +194,15 @@ class PerRewritingEngine(ExecutionEngine):
 class SharedPlanEngine(ExecutionEngine):
     """Evaluates the whole union through one shared union-plan DAG.
 
-    Common sub-conjunctions across rewritings are computed once per call;
-    ``max_workers`` (or ``REPRO_SHARED_WORKERS``) evaluates independent
-    rewriting roots on a worker pool (thread or process, per
-    ``REPRO_SHARED_EXECUTOR``).  ``columnar`` pins the fragment
-    representation: ``True`` always runs the
-    :mod:`repro.database.columnar` batch kernels, ``False`` always the
-    row path, ``None`` (the stock ``"shared"`` engine) follows the
-    ``REPRO_COLUMNAR`` knob — on by default, so ``"shared"`` uses the
-    kernels under the hood unless explicitly disabled.  Every knob is
-    resolved once per call, here, and passed down.
+    Common sub-conjunctions across rewritings are computed once per call,
+    on column batches, in the caller's thread
+    (:func:`~repro.pdms.planning.plan_answer_batches`).
     """
 
     uses_plans = True
 
-    def __init__(
-        self,
-        name: str = "shared",
-        max_workers: Optional[int] = None,
-        columnar: Optional[bool] = None,
-    ):
+    def __init__(self, name: str = "columnar"):
         self.name = name
-        self._max_workers = max_workers
-        self._columnar = columnar
 
     def batches(
         self,
@@ -233,17 +213,10 @@ class SharedPlanEngine(ExecutionEngine):
         feedback: Optional[QErrorLog] = None,
         whole: bool = False,
     ) -> Iterator[Iterable[Row]]:
-        workers = (
-            self._max_workers
-            if self._max_workers is not None
-            else shared_workers_from_env()
-        )
         return plan_answer_batches(
             ensure_plan(result, data, plan),
             data,
-            max_workers=workers,
             cache=cache,
-            columnar=self._columnar,
             feedback=feedback,
             whole=whole,
         )
@@ -589,8 +562,8 @@ def evaluate_reformulation(
     and the plan engines evaluate the rule-goal tree as one factored plan.
 
     ``engine`` selects the evaluation path (see :func:`registered_engines`;
-    ``"backtracking"``, ``"plan"``, and ``"shared"`` ship by default); all
-    engines return the same answers.
+    ``"backtracking"``, ``"columnar"`` and ``"distributed"`` ship by
+    default); all engines return the same answers.
     """
     engine = validate_engine(engine if engine is not None else default_engine())
     if limit is not None and limit < 0:
@@ -667,9 +640,5 @@ def answer_query_batch(
 # ---------------------------------------------------------------------------
 
 register_engine(PerRewritingEngine("backtracking", evaluate_query))
-register_engine(PerRewritingEngine("plan", evaluate_query_via_plan))
-register_engine(SharedPlanEngine("shared"))
-# Same DAG evaluation as "shared", but the batch kernels are pinned on —
-# the engine the CI matrix and the kernel benchmarks select by name,
-# immune to REPRO_COLUMNAR.
-register_engine(SharedPlanEngine("columnar", columnar=True))
+# The one plan engine; ``benchmarks/e2e`` and the CI matrix select it by name.
+register_engine(SharedPlanEngine("columnar"))

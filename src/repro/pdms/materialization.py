@@ -1,10 +1,10 @@
 """Cross-call fragment materialization with data-version invalidation.
 
-The shared union plan (:mod:`repro.pdms.planning`) computes every hash-
-consed sub-conjunction fragment once *per execution* and throws the table
-away when the call returns.  Repeated query traffic over slowly changing
-peer data therefore re-executes the same joins on every call.  This module
-adds the missing cache level:
+The union plan (:mod:`repro.pdms.planning`) computes every hash-consed
+fragment once *per execution* and throws the table away when the call
+returns.  Repeated query traffic over slowly changing peer data therefore
+re-executes the same joins on every call.  This module adds the missing
+cache level:
 
 * a :class:`FragmentCache` holds fragment tables **across calls**, keyed
   by ``(canonical fragment key, data-version token)`` — the token is the
@@ -21,9 +21,9 @@ adds the missing cache level:
   evictions/invalidations for the service layer's reporting.
 
 The cache stores whatever result object the caller hands it (fragment
-:class:`~repro.database.algebra.Table` objects from the shared engine,
-frozen row sets from the per-rewriting engines) — all of them immutable,
-so entries can be shared freely across calls and threads.
+:class:`~repro.database.columnar.ColumnTable` batches from the plan
+engines, frozen row sets from the per-rewriting engine) — all of them
+immutable, so entries can be shared freely across calls and threads.
 
 Correctness does not depend on explicit invalidation: a stale entry can
 never be *returned* (its token no longer matches), only linger until the
@@ -40,7 +40,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from ..database.algebra import Table
 from ..database.columnar import ColumnTable
 from ..database.statistics import source_data_version
 from ..errors import EvaluationError
@@ -103,34 +102,19 @@ def data_version_token(
     return tuple(tokens)
 
 
-def result_row_count(value: object) -> int:
-    """The row count of a fragment result, whatever shape it took.
-
-    Fragment evaluation produces :class:`Table` objects on the row path,
-    :class:`~repro.database.columnar.ColumnTable` batches on the
-    vectorized path, and frozen row sets from the per-rewriting engines —
-    all sized, but ``Table`` keeps its rows one attribute down.
-    """
-    if isinstance(value, Table):
-        return len(value.rows)
-    return len(value)  # type: ignore[arg-type]
-
-
 def estimate_result_bytes(value: object) -> int:
     """A deterministic O(1) footprint estimate of a cached result.
 
-    Accepts a :class:`Table`, a
-    :class:`~repro.database.columnar.ColumnTable` (which knows its own
-    column-storage footprint), or any sized collection of equal-width row
-    tuples.  Charges the tuple skeleton plus one pointer per cell; cell
-    payloads are shared with the base data, so they are deliberately not
-    charged twice.
+    Accepts a :class:`~repro.database.columnar.ColumnTable` (which knows
+    its own column-storage footprint) or any sized collection of
+    equal-width row tuples.  Charges the tuple skeleton plus one pointer
+    per cell; cell payloads are shared with the base data, so they are
+    deliberately not charged twice.
     """
     if isinstance(value, ColumnTable):
         return value.estimated_bytes()
-    rows = value.rows if isinstance(value, Table) else value
-    count = len(rows)  # type: ignore[arg-type]
-    width = len(next(iter(rows))) if count else 0  # type: ignore[arg-type]
+    count = len(value)  # type: ignore[arg-type]
+    width = len(next(iter(value))) if count else 0  # type: ignore[arg-type]
     return 128 + count * (56 + 16 * width)
 
 

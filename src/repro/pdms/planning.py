@@ -26,26 +26,25 @@ constants and repeated-variable equalities spelled out — so
 alpha-equivalent sub-conjunctions hash to the same node whatever join tree
 first built them, and each fragment's table is computed **once per
 execution**.  A union is keyed by a digest of its canonical branch list
-and joins like a stored atom over its columns.  The default shape is
-**bushy**: groups are merged pairwise bottom-up, preferring merges whose
-key already exists in the node table, then the smallest estimated join
-output per the :class:`~repro.database.planner.CardinalityCostModel`.
-``bushy=False`` keeps the PR 3 behaviour (left-deep cost-ordered chains,
-sharing restricted to common prefixes; enumerated only) for comparison.
+and joins like a stored atom over its columns.  The shape is **bushy**:
+groups are merged pairwise bottom-up, preferring merges whose key already
+exists in the node table, then the smallest estimated join output per the
+:class:`~repro.database.planner.CardinalityCostModel`.
 
 Execution
 ---------
 :func:`plan_answer_batches` — the one root loop every plan engine runs —
-evaluates fragments against any fact source (upgraded to an
+evaluates fragments as :class:`~repro.database.columnar.ColumnTable`
+batches, in the caller's thread, against any fact source (upgraded to an
 :class:`~repro.datalog.indexing.IndexedFactSource` so leaf scans probe
 hash indexes) with a compute-once memo and yields one *batch* of answer
 rows per root: the factored root's for a whole answer, else one per
-rewriting, optionally on a worker pool (``max_workers``), compiling only
-the prefix a ``limit=k`` consumer reaches.  :func:`evaluate_plan` unions
-the batches; :func:`stream_plan_answers` is the lazy row view.  An
-optional :class:`~repro.pdms.materialization.FragmentCache` persists
-fragment tables **across** calls under the data-version token of the
-relations they read — assembled from one version snapshot per answer
+rewriting, compiling only the prefix a ``limit=k`` consumer reaches.
+:func:`evaluate_plan` unions the batches; :func:`stream_plan_answers` is
+the lazy row view.  An optional
+:class:`~repro.pdms.materialization.FragmentCache` persists fragment
+tables **across** calls under the data-version token of the relations
+they read — assembled from one version snapshot per answer
 (:class:`_Evaluation`) — so repeated queries over unchanged data reuse
 them and a write invalidates only the path from the written scan upward.
 
@@ -56,16 +55,12 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple
 from typing import Optional, Sequence, Set, Tuple, Union
 
-from ..config import columnar_enabled, shared_executor
-from ..config import shared_workers as _config_shared_workers
-from ..database.algebra import Table, union_many
 from ..database.columnar import ColumnTable, compare_cols_mask, compare_mask
 from ..database.columnar import _mask_and as _combine_masks
 from ..database.columnar import const_column, union_distinct
@@ -79,7 +74,7 @@ from ..datalog.terms import Variable, is_variable
 from ..errors import EvaluationError
 from ..obs.trace import current_span
 from ..database.statistics import source_data_version
-from .materialization import FragmentCache, data_version_token, result_row_count
+from .materialization import FragmentCache, data_version_token
 from .reformulation import ReformulationResult, _LazySeq
 from .rule_goal_tree import GoalNode, RuleNode
 
@@ -120,9 +115,7 @@ class JoinFragment(NamedTuple):
     table.  Each child's columns are renamed into this node's canonical
     namespace (``left_rename``/``right_rename``: child column -> this
     namespace) before the natural join; the result is projected to
-    ``columns``.  In left-deep chains the left child already shares the
-    parent namespace, so ``left_rename`` stays empty (identity); bushy
-    nodes rename both children.
+    ``columns``.
     """
 
     key: str
@@ -130,7 +123,7 @@ class JoinFragment(NamedTuple):
     right_key: str
     right_rename: Tuple[Tuple[str, str], ...]
     columns: Tuple[str, ...]
-    left_rename: Tuple[Tuple[str, str], ...] = ()
+    left_rename: Tuple[Tuple[str, str], ...]
 
 
 class UnionBranch(NamedTuple):
@@ -202,15 +195,6 @@ class PlanStatistics:
 # ---------------------------------------------------------------------------
 # Compilation
 # ---------------------------------------------------------------------------
-
-def _atom_sort_key(atom: Atom, cost: Optional[CardinalityCostModel]):
-    pattern = tuple(
-        ("c", repr(arg.value)) if not is_variable(arg) else ("v",)
-        for arg in atom.args
-    )
-    estimate = cost.atom_estimate(atom) if cost is not None else 0
-    return (estimate, atom.predicate, atom.arity, pattern)
-
 
 def _render_atom(
     atom: Atom, namespace: Dict[Variable, str]
@@ -400,10 +384,9 @@ class UnionPlan:
 
     Rewritings are compiled incrementally from ``result.rewritings()`` the
     first time :meth:`fragments` reaches them, each into a **bushy** tree
-    over the hash-consed node table ``nodes`` (``bushy=False`` builds the
-    left-deep comparison shape instead); fragments any earlier rewriting
-    built are reused across rewritings and across calls.  Whole answers
-    compile ``result.tree`` into the same table instead, once
+    over the hash-consed node table ``nodes``; fragments any earlier
+    rewriting built are reused across rewritings and across calls.  Whole
+    answers compile ``result.tree`` into the same table instead, once
     (:meth:`factored_root`).  Thread-safe: several executions may drive
     either compile concurrently.
 
@@ -414,7 +397,7 @@ class UnionPlan:
     correspondence) — keys and column positions, never ``Variable``
     identity, so renaming or permuting a body changes neither the root key
     nor the node table.  By identity, in front of that: an atom seen
-    before reuses its scan node (both tree shapes) and its leaf group with
+    before reuses its scan node and its leaf group with
     the statistics read for it, and two groups meeting again reuse their
     preview, estimate and merged group.  This is safe because atoms and
     groups are immutable, the node table only grows and ``_LazySeq``
@@ -436,13 +419,11 @@ class UnionPlan:
         self,
         result: ReformulationResult,
         cost: Optional[CardinalityCostModel] = None,
-        bushy: bool = True,
         feedback: Optional[QErrorLog] = None,
     ):
         self.result = result
         self.nodes: Dict[str, PlanFragment] = {}
         self.stats = PlanStatistics()
-        self.bushy = bushy
         self.feedback = feedback
         #: Per-fragment estimated row counts as used by this compilation —
         #: after any feedback corrections, so executors can score the plan
@@ -649,12 +630,9 @@ class UnionPlan:
                 "cannot compile a rewriting with no relational atoms"
             )
         stats, before = self.stats, len(self.nodes)
-        if self.bushy:
-            root = self._compile_bushy(atoms)
-            canonical = dict(zip(root.variables, _column_names(len(root.variables))))
-            plan = self._finish_rewriting(rewriting, root.key, canonical)
-        else:
-            plan = self._compile_left_deep(rewriting)
+        root = self._compile_bushy(atoms)
+        canonical = dict(zip(root.variables, _column_names(len(root.variables))))
+        plan = self._finish_rewriting(rewriting, root.key, canonical)
         # The sharing counters describe this compile only: every atom
         # references its scan and every merge its join, and what the node
         # table grew by is what no earlier compile had built.
@@ -909,8 +887,8 @@ class UnionPlan:
             # dropped with it: nothing survives two catalogue states.
             self._seed, self.result._seed_plan = self.result._seed_plan, None
         try:
-            if tree is None or not self.bushy:
-                raise _Declined("no-tree" if tree is None else "left-deep")
+            if tree is None:
+                raise _Declined("no-tree")
             stats.tree_nodes = tree.statistics.total_nodes
             head = tree.root.label
             need = tuple(dict.fromkeys(filter(is_variable, head.args)))
@@ -1176,76 +1154,6 @@ class UnionPlan:
         visit(root, 0)
         return "\n".join(lines)
 
-    # -- left-deep compilation (the PR 3 shape, kept for comparison) --------
-
-    def _compile_left_deep(self, rewriting: ConjunctiveQuery) -> RewritingPlan:
-        remaining = list(enumerate(rewriting.relational_body()))
-        # Canonical names in the rewriting's prefix namespace, assigned at
-        # first occurrence along the chosen atom order.  Because first
-        # occurrences over a prefix do not change when the prefix grows,
-        # these names are stable across prefix extension — shared prefixes
-        # of different rewritings render (and hash) identically.
-        canonical: Dict[Variable, str] = {}
-        root_key: Optional[str] = None
-        prefix_columns: Tuple[str, ...] = ()
-
-        while remaining:
-            # Reuse-aware cost ordering: among connected candidates, prefer
-            # the extension whose prefix fragment already exists in the
-            # node table (its sub-result will come from the memo), then the
-            # smallest estimated scan.  The first rewriting thus compiles
-            # in pure cost order and later rewritings follow the prefixes
-            # it (and the cost ties) established — this is what turns
-            # shared subgoals into shared plan fragments.
-            def score(pair):
-                index, atom = pair
-                rendered, _ = _render_atom(atom, canonical)
-                key = rendered if root_key is None else f"{root_key} & {rendered}"
-                exists = 0 if key in self.nodes else 1
-                return (exists,) + _atom_sort_key(atom, self._cost) + (index,)
-
-            if root_key is not None:
-                bound = set(canonical)
-                connected = [p for p in remaining if p[1].variable_set() & bound]
-                pool = connected or remaining
-            else:
-                pool = remaining
-            chosen = min(pool, key=score)
-            remaining.remove(chosen)
-            atom = chosen[1]
-
-            leaf = self._scan_fragment(atom)
-            rendered, extended = _render_atom(atom, canonical)
-            if root_key is None:
-                # For the first atom the prefix namespace coincides with
-                # the leaf's single-atom namespace.
-                canonical = extended
-                root_key = leaf.key
-                prefix_columns = leaf.columns
-                continue
-            targets = tuple(
-                extended[atom.args[position]] for position in leaf.keep_positions
-            )
-            canonical = extended
-            key = f"{root_key} & {rendered}"
-            node = self.nodes.get(key)
-            if node is None:
-                columns = prefix_columns + tuple(
-                    t for t in targets if t not in prefix_columns
-                )
-                node = JoinFragment(
-                    key=key,
-                    left_key=root_key,
-                    right_key=leaf.key,
-                    right_rename=tuple(zip(leaf.columns, targets)),
-                    columns=columns,
-                )
-                self.nodes[key] = node
-            root_key = key
-            prefix_columns = node.columns
-
-        return self._finish_rewriting(rewriting, root_key, canonical)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         s = self.stats
         return (
@@ -1258,7 +1166,6 @@ def compile_reformulation(
     result: ReformulationResult,
     data: Optional[FactsLike] = None,
     cost: Optional[CardinalityCostModel] = None,
-    bushy: bool = True,
     feedback: Optional[QErrorLog] = None,
 ) -> UnionPlan:
     """Compile ``result`` into a (lazily populated) shared union plan.
@@ -1266,16 +1173,14 @@ def compile_reformulation(
     ``data`` (or a prebuilt ``cost`` model) steers the cost-based join
     order; without either the canonical atom order is used.  The plan stays
     correct if the data later changes — only join-order quality is tied to
-    the statistics seen at compile time.  ``bushy=False`` restricts
-    sharing to left-deep cost-order prefixes (the PR 3 shape, kept for
-    comparison benchmarks).  ``feedback`` (optional) supplies a
+    the statistics seen at compile time.  ``feedback`` (optional) supplies a
     :class:`~repro.database.feedback.QErrorLog` whose version-scoped
     cardinality corrections override the model's estimates during join
     ordering (see ``docs/adaptivity.md``).
     """
     if cost is None and data is not None:
         cost = CardinalityCostModel(data)
-    return UnionPlan(result, cost, bushy=bushy, feedback=feedback)
+    return UnionPlan(result, cost, feedback=feedback)
 
 
 _ENSURE_LOCK = threading.Lock()
@@ -1324,94 +1229,16 @@ def ensure_plan(
 # Execution
 # ---------------------------------------------------------------------------
 
-class _OnceMap:
-    """A compute-once table memo safe under concurrent fragment evaluation.
-
-    The first caller of a key computes it; concurrent callers block on an
-    event and read the stored value (or re-raise the stored error).  Waits
-    only ever go *down* the fragment DAG, so there is no deadlock.  The
-    event exists only if somebody actually waits: an uncontended key costs
-    two dictionary writes under the lock and a lock-free read ever after.
-    """
-
-    __slots__ = ("_lock", "_values", "_pending")
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._values: Dict[str, Tuple[str, object]] = {}
-        #: Keys being computed -> the event their waiters block on (``None``
-        #: while nobody waits).
-        self._pending: Dict[str, Optional[threading.Event]] = {}
-
-    def get_or_compute(self, key: str, compute, *args):
-        """The value of ``key``, from ``compute(*args)`` on first request."""
-        while True:
-            entry = self._values.get(key)
-            if entry is not None:
-                break
-            with self._lock:
-                entry = self._values.get(key)
-                if entry is not None:
-                    break
-                computing = key not in self._pending
-                if computing:
-                    self._pending[key] = event = None
-                else:
-                    event = self._pending[key]
-                    if event is None:
-                        event = self._pending[key] = threading.Event()
-            if not computing:
-                event.wait()
-                continue
-            try:
-                entry = ("table", compute(*args))
-            except Exception as exc:
-                entry = ("error", exc)
-            except BaseException:
-                # Mirror _LazySeq: an interrupt must not be cached and
-                # re-raised at sibling waiters as a stale Ctrl-C; they
-                # get a fresh, diagnosable error instead while the
-                # interrupt propagates to the interrupted thread.
-                entry = ("error", EvaluationError(
-                    "fragment evaluation was interrupted before completing"
-                ))
-                raise
-            finally:
-                with self._lock:
-                    self._values[key] = entry
-                    event = self._pending.pop(key)
-                if event is not None:
-                    event.set()
-            break
-        kind, value = entry
-        if kind == "error":
-            raise value  # type: ignore[misc]
-        return value
-
-
-def _scan_table(node: ScanFragment, source) -> Table:
-    try:
-        candidates = source.get_matching(node.relation, node.pattern)
-    except ValueError as exc:
-        raise EvaluationError(f"relation {node.relation!r}: {exc}") from exc
-    rows: List[Row] = []
-    for row in candidates:
-        if any(row[i] != row[j] for i, j in node.equal_positions):
-            continue
-        rows.append(tuple(row[p] for p in node.keep_positions))
-    return Table(node.columns, rows)
-
-
 def _scan_columnar(node: ScanFragment, source) -> ColumnTable:
-    """Columnar scan: transpose matching rows once, filter and project in
-    batch.  This is the only transpose of the columnar fragment pipeline —
+    """A leaf scan: transpose matching rows once, filter and project in
+    batch.  This is the only transpose of the fragment pipeline —
     everything above stays column-wise."""
     try:
         candidates = source.get_matching(node.relation, node.pattern)
     except ValueError as exc:
         raise EvaluationError(f"relation {node.relation!r}: {exc}") from exc
-    # Dedup like the row path's frozenset (federated sources may serve the
-    # same fact from several peers); fragments above preserve distinctness.
+    # Federated sources may serve the same fact from several peers; drop
+    # the repeats here, and fragments above preserve distinctness.
     rows = list(dict.fromkeys(candidates))
     width = len(node.pattern)
     ct = ColumnTable.from_rows(tuple(f"__p{i}" for i in range(width)), rows)
@@ -1434,32 +1261,23 @@ def _worth_caching(node: PlanFragment) -> bool:
     )
 
 
-def _join_fragment_tables(node: JoinFragment, left, right):
-    """Rename/join/project two child tables under a join fragment.
-
-    ``left``/``right`` are either both :class:`Table` or both
-    :class:`ColumnTable` — the operator surface is identical, so one
-    helper serves the row path, the columnar path, and the process-pool
-    workers."""
-    if node.left_rename:
-        left = left.rename(dict(node.left_rename))
-    joined = left.natural_join(right.rename(dict(node.right_rename)))
-    return joined.project(node.columns)
-
-
-def _combine_tables(node: PlanFragment, tables: Sequence, columnar: bool):
+def _combine_tables(node: PlanFragment, tables: Sequence[ColumnTable]) -> ColumnTable:
     """An interior fragment's table from its children's tables, in
-    :func:`_child_keys` order (both representations, and pool workers)."""
+    :func:`_child_keys` order: a join renames, joins and projects its two
+    children; a union maps each branch onto its columns and deduplicates."""
     if isinstance(node, JoinFragment):
-        return _join_fragment_tables(node, *tables)
-    pairs = zip(tables, node.branches)
-    if columnar:
-        parts = [_columnar_branch(table, branch, node.columns) for table, branch in pairs]
-        # An empty part has untyped (list) columns; without it the rest
-        # concatenates on the array path.
-        return union_distinct([part for part in parts if len(part)], node.columns)
-    parts = [Table._trusted(node.columns, _row_root_rows(*pair)) for pair in pairs]
-    return union_many(parts, node.columns)
+        left, right = tables
+        joined = left.rename(dict(node.left_rename)).natural_join(
+            right.rename(dict(node.right_rename))
+        )
+        return joined.project(node.columns)
+    parts = [
+        _columnar_branch(table, branch, node.columns)
+        for table, branch in zip(tables, node.branches)
+    ]
+    # An empty part has untyped (list) columns; without it the rest
+    # concatenates on the array path.
+    return union_distinct([part for part in parts if len(part)], node.columns)
 
 
 class _Degraded(Exception):
@@ -1474,6 +1292,10 @@ class _Degraded(Exception):
 class _Evaluation:
     """One answer's evaluation of a plan: the compute-once fragment memo
     plus everything resolved once at the engine boundary.
+
+    An evaluation belongs to the one thread that drives its answer: the
+    distributed engine's hooks run in that thread, and its scatter threads
+    only fill the source's scan memo, so the fragment memo is a plain dict.
 
     **Version snapshot.**  A relation's data version is read from the
     source at most once per answer (``versions``, filled on first use) and
@@ -1492,8 +1314,8 @@ class _Evaluation:
     """
 
     __slots__ = (
-        "plan", "source", "cache", "columnar", "feedback", "memo", "versions",
-        "after_scan", "restarts",
+        "plan", "source", "cache", "feedback", "memo", "versions", "after_scan",
+        "restarts",
     )
 
     def __init__(
@@ -1501,16 +1323,14 @@ class _Evaluation:
         plan: UnionPlan,
         source,
         cache: Optional[FragmentCache] = None,
-        columnar: bool = False,
         feedback: Optional[QErrorLog] = None,
         after_scan=None,
     ):
         self.plan = plan
         self.source = source
         self.cache = cache
-        self.columnar = columnar
         self.feedback = feedback
-        self.memo = _OnceMap()
+        self.memo: Dict[str, ColumnTable] = {}
         self.versions: Dict[str, object] = {}
         self.after_scan = after_scan
         self.restarts = 0
@@ -1540,20 +1360,14 @@ class _Evaluation:
             key, token, self.plan.fragment_relations(key)
         )
 
-    def table(self, key: str):
-        """The table of fragment ``key``: a :class:`ColumnTable` in columnar
-        mode, a row :class:`Table` otherwise.
+    def table(self, key: str) -> ColumnTable:
+        """The table of fragment ``key``, computed at most once per answer."""
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = self._lookup(key)
+        return value
 
-        Memo and cross-call cache entries store whichever representation
-        the computing call ran in; readers coerce on the way out, so a
-        cache shared between modes stays correct (at a one-off conversion
-        cost)."""
-        value = self.memo.get_or_compute(key, self._lookup, key)
-        if isinstance(value, ColumnTable) == self.columnar:
-            return value
-        return ColumnTable.from_table(value) if self.columnar else value.to_table()
-
-    def _lookup(self, key: str):
+    def _lookup(self, key: str) -> ColumnTable:
         node = self.plan.nodes[key]
         try:
             if self.cache is not None and _worth_caching(node):
@@ -1567,7 +1381,7 @@ class _Evaluation:
         except _Degraded as degraded:
             return degraded.value
 
-    def _build(self, key: str, node: PlanFragment):
+    def _build(self, key: str, node: PlanFragment) -> ColumnTable:
         """Evaluate ``node`` from its children's tables (or the source).
 
         The feedback log receives one ``(estimated, actual)`` observation
@@ -1584,15 +1398,14 @@ class _Evaluation:
         with span:
             if not scan:
                 value = _combine_tables(
-                    node, [self.table(child) for child in _child_keys(node)], self.columnar
+                    node, [self.table(child) for child in _child_keys(node)]
                 )
             else:
-                scanner = _scan_columnar if self.columnar else _scan_table
-                value = scanner(node, self.source)
+                value = _scan_columnar(node, self.source)
                 if self.after_scan is not None:
                     self.after_scan(self)
             if span.recording:
-                span.set("rows", result_row_count(value))
+                span.set("rows", len(value))
         if self.restarts != restarts:
             raise _Degraded(value)
         if self.feedback is not None:
@@ -1608,15 +1421,17 @@ class _Evaluation:
                 self.plan.fragment_relations(key),
                 self.token(key),
                 self.plan.estimates.get(key),
-                result_row_count(value),
+                len(value),
                 columns,
             )
         return value
 
-    def root_rows(self, rewriting_plan: RewritingPlan) -> Iterable[Row]:
+    def root_rows(self, rewriting_plan: RewritingPlan) -> List[Row]:
         """One rewriting's answer rows: comparisons + head projection over
         its root fragment (a batch; it may repeat a row)."""
-        return _root_rows(self.table(rewriting_plan.root_key), rewriting_plan, self.columnar)
+        head = _column_names(len(rewriting_plan.head))
+        table = self.table(rewriting_plan.root_key)
+        return list(_columnar_branch(table, rewriting_plan, head).iter_rows())
 
 
 _FLIPPED_OPS = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
@@ -1656,46 +1471,8 @@ def _columnar_branch(ct: ColumnTable, branch, columns: Sequence[str]) -> ColumnT
     )
 
 
-def _root_rows(table, rewriting_plan: RewritingPlan, columnar: bool) -> List[Row]:
-    """One rewriting root's answer rows (a batch; it may repeat a row)."""
-    if not columnar:
-        return _row_root_rows(table, rewriting_plan)
-    head = _column_names(len(rewriting_plan.head))
-    return list(_columnar_branch(table, rewriting_plan, head).iter_rows())
-
-
-def _row_root_rows(table: Table, rewriting_plan) -> List[Row]:
-    """The row path of :func:`_columnar_branch` (a root or a union branch)."""
-    index = {column: i for i, column in enumerate(table.columns)}
-
-    def value(row: Row, operand: Operand) -> object:
-        kind, payload = operand
-        return row[index[payload]] if kind == "col" else payload
-
-    return [
-        tuple(value(row, operand) for operand in rewriting_plan.head)
-        for row in table.rows
-        if all(
-            compare_values(value(row, left), op, value(row, right))
-            for left, op, right in rewriting_plan.comparisons
-        )
-    ]
-
-
-def shared_workers_from_env() -> int:
-    """Worker count for the shared engine from ``REPRO_SHARED_WORKERS``.
-
-    ``0`` (the default) means sequential in-thread execution; a
-    non-integer or negative value raises :class:`EvaluationError` at call
-    time (fail fast, like an unknown engine name).  Delegates to the
-    consolidated knob module (:func:`repro.config.shared_workers`), which
-    gives every ``REPRO_*`` knob the same treatment.
-    """
-    return _config_shared_workers()
-
-
 def _collect_subplan(plan: UnionPlan, root_key: str) -> Dict[str, PlanFragment]:
-    """The fragment nodes reachable from ``root_key`` (a picklable dict)."""
+    """The fragment nodes reachable from ``root_key``."""
     nodes: Dict[str, PlanFragment] = {}
     stack = [root_key]
     while stack:
@@ -1708,38 +1485,10 @@ def _collect_subplan(plan: UnionPlan, root_key: str) -> Dict[str, PlanFragment]:
     return nodes
 
 
-def _evaluate_payload(payload) -> List[Row]:
-    """Process-pool worker: joins + comparisons + head for one root.
-
-    ``payload`` carries the root's fragment subgraph, the pre-evaluated
-    scan tables (the parent evaluates scans against the live source, which
-    never crosses the process boundary), the rewriting root, and the
-    representation flag.  Runs in a worker process — everything it touches
-    must stay picklable, which :class:`ColumnTable` (``__reduce__``) and
-    the fragment tuples are.
-    """
-    nodes, rewriting_plan, scans, columnar = payload
-    memo: Dict[str, object] = dict(scans)
-
-    def table_of(key: str):
-        value = memo.get(key)
-        if value is None:
-            node = nodes[key]
-            value = memo[key] = _combine_tables(
-                node, [table_of(child) for child in _child_keys(node)], columnar
-            )
-        return value
-
-    return _root_rows(table_of(rewriting_plan.root_key), rewriting_plan, columnar)
-
-
 def plan_answer_batches(
     plan: UnionPlan,
     data: FactsLike,
-    max_workers: Optional[int] = None,
     cache: Optional[FragmentCache] = None,
-    columnar: Optional[bool] = None,
-    executor: Optional[str] = None,
     feedback: Optional[QErrorLog] = None,
     before_root=None,
     whole: bool = False,
@@ -1750,33 +1499,17 @@ def plan_answer_batches(
 
     ``whole`` promises that the caller consumes every batch (a whole
     answer): unless the factored compile declined the tree, the plan's one
-    :meth:`~UnionPlan.factored_root` is evaluated in the calling thread and
-    its distinct rows are the only batch (``max_workers`` has no roots to
-    spread).
+    :meth:`~UnionPlan.factored_root` is evaluated and its distinct rows are
+    the only batch.
 
-    This is the one root loop every plan-consuming engine runs.  A batch
-    is whatever iterable of rows the root produced (rows may repeat within
+    This is the one root loop every plan-consuming engine runs, in the
+    calling thread, on :mod:`repro.database.columnar` batches.  A batch is
+    whatever iterable of rows the root produced (rows may repeat within
     and across batches); consumers union batches with C-level set
     operations (:func:`union_rows`) or flatten them lazily
     (:func:`distinct_rows`).  Consuming a prefix never forces the
     remaining roots — nor their compilation, which tracks the rewriting
-    stream.
-
-    Sequentially (``max_workers`` 0/None/1), roots are evaluated in
-    enumeration order; with ``max_workers`` > 1, up to that many roots are
-    evaluated concurrently (a bounded window keeps the first-k contract:
-    abandoning the iterator cancels unstarted work).  Shared fragments
-    come from the per-call memo and answers are identical either way.
-
-    ``columnar`` selects the fragment representation (``None`` follows
-    ``REPRO_COLUMNAR``, read once here): column-wise batches run the
-    :mod:`repro.database.columnar` kernels, whose NumPy ops release the
-    GIL.  ``executor`` (``"thread"``/``"process"``; ``None`` follows
-    ``REPRO_SHARED_EXECUTOR``) picks the worker pool: with ``"process"``,
-    the parent evaluates each root's *scans* (they need the live source)
-    and ships the join tree to worker processes — per-task serialisation,
-    no cross-root join sharing, but the pure-Python kernel fallback scales
-    with cores (see ``docs/columnar.md``).
+    stream.  Shared fragments come from the per-call memo.
 
     ``cache`` (optional) is a cross-call
     :class:`~repro.pdms.materialization.FragmentCache`: fragment tables
@@ -1786,106 +1519,47 @@ def plan_answer_batches(
     per-relation data versions bypass the cache automatically.
 
     ``feedback`` (optional) is a :class:`~repro.database.feedback.QErrorLog`
-    measuring every freshly computed fragment.  On the sequential path a
-    *blown* estimate (actual ≫ estimated, per the log's ``blowup_factor``)
-    additionally triggers mid-union re-optimization: the remaining
-    rewritings are recompiled against the just-learned corrections
-    (bounded to two re-plans per call; fragments already computed are
-    served from the per-call memo, so no work is repeated).
+    measuring every freshly computed fragment.  A *blown* estimate
+    (actual ≫ estimated, per the log's ``blowup_factor``) additionally
+    triggers mid-union re-optimization: the remaining rewritings are
+    recompiled against the just-learned corrections (bounded to two
+    re-plans per call; fragments already computed are served from the
+    per-call memo, so no work is repeated).
 
-    ``before_root`` (optional; forces the sequential path) is called as
-    ``before_root(evaluation, root_key)`` before each root is evaluated —
-    the hook a distributed engine prefetches the root's scans through;
-    ``after_scan(evaluation)`` runs after every scan evaluation performs.
+    ``before_root`` (optional) is called as ``before_root(evaluation,
+    root_key)`` before each root is evaluated — the hook a distributed
+    engine prefetches the root's scans through; ``after_scan(evaluation)``
+    runs after every scan evaluation performs.
     """
     source = ensure_indexed(as_fact_source(data))
-    if columnar is None:
-        columnar = columnar_enabled()
-    evaluation = _Evaluation(plan, source, cache, columnar, feedback, after_scan)
+    evaluation = _Evaluation(plan, source, cache, feedback, after_scan)
     root_key = plan.factored_root() if whole else None
     if root_key is not None:
         if before_root is not None:
             before_root(evaluation, root_key)
-        table = evaluation.table(root_key)
-        yield table.row_set() if columnar else table.rows
+        yield evaluation.table(root_key).row_set()
         return
-    if before_root is not None or not max_workers or max_workers <= 1:
-        replanning = (
-            feedback is not None and feedback.replan and plan._cost is not None
-        )
-        blown_seen = feedback.blown_events if feedback is not None else 0
-        replans_left = 2
-        fragment_iter = plan.fragments()
-        consumed = 0
-        while True:
-            rewriting_plan = next(fragment_iter, None)
-            if rewriting_plan is None:
-                return
-            consumed += 1
-            if before_root is not None:
-                before_root(evaluation, rewriting_plan.root_key)
-            yield evaluation.root_rows(rewriting_plan)
-            if (
-                replanning
-                and replans_left > 0
-                and feedback.blown_events > blown_seen
-            ):
-                # An estimate just blew up: the corrections recorded for it
-                # may reorder the joins of everything not yet evaluated.
-                blown_seen = feedback.blown_events
-                replans_left -= 1
-                feedback.stats.replans += 1
-                evaluation.plan = plan = UnionPlan(
-                    plan.result, plan._cost, bushy=plan.bushy, feedback=feedback
-                )
-                fragment_iter = islice(plan.fragments(), consumed, None)
-
-    if executor is None:
-        executor = shared_executor()
-    if executor == "process":
-        from concurrent.futures import ProcessPoolExecutor
-
-        def submit(pool, rewriting_plan):
-            nodes = _collect_subplan(plan, rewriting_plan.root_key)
-            # Only the parent-side scans are measured: join fragments run
-            # in worker processes where the feedback log cannot reach.
-            scans = {
-                key: evaluation.table(key)
-                for key, node in nodes.items()
-                if isinstance(node, ScanFragment)
-            }
-            return pool.submit(
-                _evaluate_payload, (nodes, rewriting_plan, scans, columnar)
-            )
-
-        pool = ProcessPoolExecutor(max_workers=max_workers)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def submit(pool, rewriting_plan):
-            return pool.submit(evaluation.root_rows, rewriting_plan)
-
-        pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-shared"
-        )
-    try:
-        window: deque = deque()
-        fragment_iter = plan.fragments()
-        pending_limit = 2 * max_workers
-        exhausted = False
-        while True:
-            while not exhausted and len(window) < pending_limit:
-                try:
-                    rewriting_plan = next(fragment_iter)
-                except StopIteration:
-                    exhausted = True
-                    break
-                window.append(submit(pool, rewriting_plan))
-            if not window:
-                return
-            yield window.popleft().result()
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+    replanning = feedback is not None and feedback.replan and plan._cost is not None
+    blown_seen = feedback.blown_events if feedback is not None else 0
+    replans_left = 2
+    fragment_iter = plan.fragments()
+    consumed = 0
+    while True:
+        rewriting_plan = next(fragment_iter, None)
+        if rewriting_plan is None:
+            return
+        consumed += 1
+        if before_root is not None:
+            before_root(evaluation, rewriting_plan.root_key)
+        yield evaluation.root_rows(rewriting_plan)
+        if replanning and replans_left > 0 and feedback.blown_events > blown_seen:
+            # An estimate just blew up: the corrections recorded for it
+            # may reorder the joins of everything not yet evaluated.
+            blown_seen = feedback.blown_events
+            replans_left -= 1
+            feedback.stats.replans += 1
+            evaluation.plan = plan = UnionPlan(plan.result, plan._cost, feedback=feedback)
+            fragment_iter = islice(plan.fragments(), consumed, None)
 
 
 def distinct_rows(batches: Iterable[Iterable[Row]]) -> Iterator[Row]:
@@ -1920,38 +1594,35 @@ def union_rows(
 def stream_plan_answers(
     plan: UnionPlan,
     data: FactsLike,
-    max_workers: Optional[int] = None,
     cache: Optional[FragmentCache] = None,
-    columnar: Optional[bool] = None,
-    executor: Optional[str] = None,
     feedback: Optional[QErrorLog] = None,
 ) -> Iterator[Row]:
     """Yield distinct answer rows of the union plan as fragments evaluate:
     the row view over :func:`plan_answer_batches` (same arguments)."""
-    return distinct_rows(plan_answer_batches(
-        plan, data, max_workers, cache, columnar, executor, feedback
-    ))
+    return distinct_rows(plan_answer_batches(plan, data, cache, feedback))
 
 
 def evaluate_plan(
     plan: UnionPlan,
     data: FactsLike,
     limit: Optional[int] = None,
-    max_workers: Optional[int] = None,
     cache: Optional[FragmentCache] = None,
-    columnar: Optional[bool] = None,
-    executor: Optional[str] = None,
     feedback: Optional[QErrorLog] = None,
+    columnar: bool = True,
 ) -> Set[Row]:
-    """Evaluate the whole union plan (or the first ``limit`` answers)."""
+    """Evaluate the whole union plan (or the first ``limit`` answers).
+
+    Fragments always evaluate on column batches; ``columnar`` is kept for
+    callers that say so explicitly, and ``False`` raises."""
+    if not columnar:
+        raise EvaluationError(
+            "evaluate_plan(columnar=False): plans evaluate on column batches "
+            "only; the row fragment path no longer exists"
+        )
     if limit is not None and limit < 0:
         raise EvaluationError(f"limit must be non-negative, got {limit}")
     if limit == 0:
         return set()
     return union_rows(
-        plan_answer_batches(
-            plan, data, max_workers, cache, columnar, executor, feedback,
-            whole=limit is None,
-        ),
-        limit,
+        plan_answer_batches(plan, data, cache, feedback, whole=limit is None), limit
     )

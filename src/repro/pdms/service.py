@@ -33,8 +33,8 @@ that scenario cheap to serve repeatedly:
   :meth:`answer_batch` shares one federated source and the cache across
   a query mix.  Per-peer data is served through a no-copy
   :class:`~repro.pdms.execution.PeerFactSource`, and compiled union
-  plans for the ``"shared"`` engine are cached alongside reformulations
-  under the same invalidation signals.
+  plans for the plan engines (``"columnar"``, ``"distributed"``) are
+  cached alongside reformulations under the same invalidation signals.
 
 * **Cross-call fragment materialization** — a
   :class:`~repro.pdms.materialization.FragmentCache` (enabled by default,
@@ -122,7 +122,7 @@ class ServiceStats:
     misses: int = 0
     invalidations: int = 0
     evictions: int = 0
-    #: Union plans compiled for plan-consuming engines (e.g. ``"shared"``).
+    #: Union plans compiled for plan-consuming engines (e.g. ``"columnar"``).
     plans_compiled: int = 0
     #: Plans dropped because their reformulation entry was dropped.
     plan_invalidations: int = 0
@@ -193,7 +193,8 @@ class QueryService:
         ablations should run one service per configuration.
     engine:
         Default execution engine — any registered name
-        (``"backtracking"``, ``"plan"``, or ``"shared"`` by default).
+        (``"backtracking"``, ``"columnar"`` or ``"distributed"`` by
+        default).
     data:
         Stored-relation data: either a single fact source, or a mapping
         from peer name to that peer's :class:`Instance` (kept per peer —
@@ -834,7 +835,7 @@ class QueryService:
         With ``limit=k`` the evaluation streams: rewritings are pulled
         from the (cached) reformulation one at a time and evaluation
         stops once ``k`` distinct answers are known — a subset of the
-        full answer set.  Plan-consuming engines (``"shared"``) reuse the
+        full answer set.  Plan-consuming engines (``"columnar"``) reuse the
         compiled union plan cached alongside the reformulation.
 
         In adaptive mode a full-answer call may additionally *race* the

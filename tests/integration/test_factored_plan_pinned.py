@@ -7,8 +7,8 @@ to without a cost model, each union branch and join annotated with the
 rule node it came from.  A difference means the factored compile's output
 changed: union keys are the contract of the fragment cache and the cache
 tier, exactly like scan and join keys.  Every pinned plan is also
-evaluated (row and columnar, with and without a cost model) against the
-chase oracle, and must stay within the size of the tree it came from.
+evaluated (with and without a cost model) against the chase oracle, and
+must stay within the size of the tree it came from.
 
 Regenerate after an intended change with
 ``PYTHONPATH=src python tests/integration/test_factored_plan_pinned.py``.
@@ -53,8 +53,7 @@ def check(name, pdms, query, data):
     for cost_source in (None, source):
         result = reformulate(pdms, query)
         plan = compile_reformulation(result, cost_source)
-        assert evaluate_plan(plan, source, columnar=False) == expected
-        assert evaluate_plan(plan, source, columnar=True) == expected
+        assert evaluate_plan(plan, source) == expected
         stats = plan.stats
         assert stats.declined is None and stats.rewritings == 0
         assert 0 < stats.factored <= result.statistics.goal_nodes

@@ -96,7 +96,7 @@ class TestGoldenShape:
 
 
 class TestGoldenAnswers:
-    @pytest.mark.parametrize("engine", ["backtracking", "plan", "shared", "columnar"])
+    @pytest.mark.parametrize("engine", ["backtracking", "columnar", "distributed"])
     @pytest.mark.parametrize("name", sorted(GOLDEN_ANSWERS))
     def test_answers_under_all_engines(self, scenario, name, engine):
         pdms, data, queries = scenario

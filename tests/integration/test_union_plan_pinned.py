@@ -16,9 +16,8 @@ Two guards around ``UnionPlan`` compilation:
   the trace attributes).
 * **Pinned plans evaluated on data.**  String equality says the plan is
   the *same*, not that it is *right* (the raco-style compile tests stop
-  at the former): every pinned plan is evaluated over the seeded data on
-  the row path and on the columnar path and must equal the
-  ``backtracking`` engine's answer and the chase oracle's certain
+  at the former): every pinned plan is evaluated over the seeded data
+  and must equal the ``backtracking`` engine's answer and the chase oracle's certain
   answers (an oracle that shares no code with reformulation or planning;
   affordable here because the seeded relations hold 14 rows each).
 
@@ -348,8 +347,7 @@ class TestPinnedPlansEvaluate:
         result = reformulate(pdms, query)
         expected = evaluate_reformulation(result, source, engine="backtracking")
         plan = compile_reformulation(result, source if costed else None)
-        assert set(stream_plan_answers(plan, source, columnar=False)) == expected
-        assert set(stream_plan_answers(plan, source, columnar=True)) == expected
+        assert set(stream_plan_answers(plan, source)) == expected
         assert plan.stats.rewritings == PINNED_PLANS[name][2][0]
         bounded = evaluate_plan(plan, source, limit=3)
         assert bounded <= expected and len(bounded) == min(3, len(expected))

@@ -3,8 +3,8 @@
 Two families over random small PDMSs:
 
 * **Fault-free equivalence** — the ``"distributed"`` engine (loopback
-  transport) agrees with ``"backtracking"``, ``"plan"``, ``"shared"``,
-  and the chase oracle on every query, including under interleaved peer
+  transport) agrees with ``"backtracking"``, ``"columnar"`` and the
+  chase oracle on every query, including under interleaved peer
   join/leave and data mutation, and always reports ``complete=True``.
 * **Chaos soundness** — with injected peer failures or dropped scan RPCs,
   every distributed answer is a *subset* of the chase oracle's, and
@@ -44,7 +44,7 @@ COMMON = dict(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 
-ALL_ENGINES = ("backtracking", "plan", "shared", "columnar", "distributed")
+ALL_ENGINES = ("backtracking", "columnar", "distributed")
 
 
 def _oracle(pdms, query, data):

@@ -4,9 +4,8 @@ every other way of answering the same query (ISSUE 17).
 * **Property**, over the ``pdms_specs`` strategy: the factored root
   (whole answers) ≡ the enumerated plan (``plan.fragments()`` forced) ≡
   the ``backtracking`` engine ≡ the chase oracle's certain answers, on the
-  ``shared`` / ``columnar`` / ``distributed`` engines, on the row and the
-  columnar representation, with and without a cost model.  The compile
-  declines none of these trees.
+  ``columnar`` / ``distributed`` engines, with and without a cost model.
+  The compile declines none of these trees.
 * **Directed cases** for what the strategy does not draw: a wide fan-out
   (plan size, and the assembler never starts), Figure 2's multi-subgoal
   MCD with its induced ``f1 = f2``, Figure 1's ``skilled_people`` (a
@@ -54,7 +53,7 @@ COMMON = dict(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
-PLAN_ENGINES = ("shared", "columnar", "distributed")
+PLAN_ENGINES = ("columnar", "distributed")
 
 
 def kinds(plan):
@@ -76,10 +75,9 @@ def assert_all_paths_agree(pdms, query, data, config=None, declined=None):
     assert evaluate_reformulation(result, source, engine="backtracking") == expected
     for cost_source in (None, source):
         plan = compile_reformulation(reformulate(pdms, query, config=config), cost_source)
-        for columnar in (False, True):
-            assert evaluate_plan(plan, source, columnar=columnar) == expected
-            assert plan.stats.declined == declined, plan.stats
-            assert set(stream_plan_answers(plan, source, columnar=columnar)) == expected
+        assert evaluate_plan(plan, source) == expected
+        assert plan.stats.declined == declined, plan.stats
+        assert set(stream_plan_answers(plan, source)) == expected
         if declined is None:
             assert plan.stats.factored <= result.statistics.goal_nodes
     for engine in PLAN_ENGINES:
@@ -254,10 +252,6 @@ class TestDirectedCases:
         assert_all_paths_agree(
             pdms, parse_query("Q(x) :- A:R(x, y), y > 2"), data, declined="constraint")
         assert_all_paths_agree(pdms, parse_query("Q(x) :- A:R(x, y)"), data)
-        left_deep = compile_reformulation(
-            reformulate(pdms, parse_query("Q(x) :- A:R(x, y)")), bushy=False)
-        assert evaluate_plan(left_deep, data) == {(1,), (2,), (3,), (4,), (5,), (7,)}
-        assert left_deep.stats.declined == "left-deep" and left_deep.stats.rewritings
 
     def test_a_diameter_6_topology_is_compiled_from_its_tree_alone(self):
         workload = generate_workload(GeneratorParameters(

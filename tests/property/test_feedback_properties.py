@@ -40,7 +40,7 @@ COMMON = dict(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 
-ALL_ENGINES = ("backtracking", "plan", "shared", "columnar", "distributed")
+ALL_ENGINES = ("backtracking", "columnar", "distributed")
 
 
 class TestMeasurementTruthfulness:
@@ -62,7 +62,7 @@ class TestMeasurementTruthfulness:
             for obs in log.observations():
                 if obs.key in plan.nodes:
                     table = _Evaluation(plan, source).table(obs.key)
-                    assert len(table.rows) == obs.actual, (engine, obs.key)
+                    assert len(table) == obs.actual, (engine, obs.key)
                 else:
                     # Whole-rewriting observations (per-rewriting engines
                     # measure at rewriting granularity): bounded by the
@@ -80,7 +80,7 @@ class TestMeasurementTruthfulness:
         for query in queries:
             result = reformulate(pdms, query)
             log = QErrorLog()
-            evaluate_reformulation(result, source, engine="shared", feedback=log)
+            evaluate_reformulation(result, source, engine="columnar", feedback=log)
             plan = compile_reformulation(result, source)
             for _ in plan.fragments():
                 pass
@@ -88,19 +88,17 @@ class TestMeasurementTruthfulness:
             for obs in log.observations():
                 if obs.key in plan.nodes:
                     table = _Evaluation(plan, source).table(obs.key)
-                    assert len(table.rows) == obs.actual
+                    assert len(table) == obs.actual
 
 
 class TestAdaptiveEquivalence:
-    @given(spec=pdms_specs(), ops=data_mutation_specs(),
-           engine=st.sampled_from(("shared", "columnar")))
+    @given(spec=pdms_specs(), ops=data_mutation_specs())
     @settings(max_examples=25, **COMMON)
-    def test_adaptive_equals_fresh_and_oracle_under_mutation(
-            self, spec, ops, engine):
+    def test_adaptive_equals_fresh_and_oracle_under_mutation(self, spec, ops):
         """query → mutate → query with the full loop on, vs both oracles."""
         pdms, data, queries = build_pdms(spec)
         service = QueryService(
-            pdms, data=data, engine=engine, adaptive=True,
+            pdms, data=data, engine="columnar", adaptive=True,
             fragment_cache_bytes=0,
         )
         for _ in range(2):  # repeat pass: corrections + possible races live
@@ -117,7 +115,7 @@ class TestAdaptiveEquivalence:
         """Peer join/leave invalidates corrections, answers stay exact."""
         pdms, data, queries = build_pdms(spec)
         service = QueryService(
-            pdms, data=data, engine="shared", adaptive=True,
+            pdms, data=data, engine="columnar", adaptive=True,
             fragment_cache_bytes=0,
         )
         for query in queries:
@@ -142,9 +140,9 @@ class TestAdaptiveEquivalence:
 
         pdms, data, queries = build_pdms(spec)
         with mock.patch.dict(os.environ, {"REPRO_ADAPTIVE": "1"}):
-            adaptive = QueryService(pdms, data=data, engine="shared")
+            adaptive = QueryService(pdms, data=data, engine="columnar")
             assert adaptive.adaptive
-            static = QueryService(pdms, data=data, engine="shared",
+            static = QueryService(pdms, data=data, engine="columnar",
                                   adaptive=False)
             for _ in range(2):
                 for query in queries:
@@ -160,11 +158,11 @@ class TestChallengerIsolation:
         must never appear."""
         pdms, data, queries = build_pdms(spec)
         service = QueryService(
-            pdms, data=data, engine="shared", adaptive=True,
+            pdms, data=data, engine="columnar", adaptive=True,
             race_margin=1e9, fragment_cache_bytes=0,
             feedback=QErrorLog(correction_threshold=1.0 + 1e-9),
         )
-        static = QueryService(pdms, data=data, engine="shared")
+        static = QueryService(pdms, data=data, engine="columnar")
         champions = service._champions
         real = QueryService._evaluate_candidate.__get__(service)
 

@@ -8,8 +8,9 @@ of queries, per-peer data inserts/deletes, and peer join/leave:
 
 at *every* point of the interleaving — i.e. version-keyed fragment tables
 with admission/eviction are indistinguishable from evaluating from
-scratch.  A second family pins the bushy compiler: bushy plans, left-deep
-plans, and the backtracking evaluator agree, warm or cold.
+scratch.  A second family pins the bushy compiler: its factored root, its
+root-by-root loop and the backtracking evaluator agree, and one compiled
+plan reused with one cache across data mutations answers warm as cold.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -25,6 +26,7 @@ from repro.pdms import (
     evaluate_plan,
     evaluate_reformulation,
     reformulate,
+    stream_plan_answers,
 )
 
 from .strategies import churn_specs, data_mutation_specs, pdms_specs
@@ -35,7 +37,7 @@ COMMON = dict(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 
-ENGINES = ("backtracking", "plan", "shared", "columnar")
+ENGINES = ("backtracking", "columnar")
 
 
 def _apply_mutation(op, spec, data):
@@ -75,7 +77,7 @@ class TestCachedEqualsFresh:
         """Mutations interleaved with peer join/leave keep all three equal."""
         pdms, data, queries = build_pdms(spec)
         service = QueryService(
-            pdms, data=data, engine="shared",
+            pdms, data=data, engine="columnar",
             fragment_cache=FragmentCache(max_bytes=1 << 20),
         )
         for query in queries:
@@ -104,7 +106,7 @@ class TestCachedEqualsFresh:
             policy=AdmissionPolicy(min_misses=2, max_entry_fraction=1.0),
         )
         service = QueryService(
-            pdms, data=data, engine="shared", fragment_cache=cache)
+            pdms, data=data, engine="columnar", fragment_cache=cache)
         for _ in range(2):
             for query in queries:
                 _check_three_way(service, query, data)
@@ -117,7 +119,7 @@ class TestCachedEqualsFresh:
 class TestBushyEquivalence:
     @given(spec=pdms_specs())
     @settings(max_examples=25, **COMMON)
-    def test_bushy_equals_left_deep_equals_backtracking(self, spec):
+    def test_bushy_equals_backtracking(self, spec):
         pdms, data, queries = build_pdms(spec)
         source = PeerFactSource(data)
         combined = combine_peer_instances(data)
@@ -125,10 +127,9 @@ class TestBushyEquivalence:
             result = reformulate(pdms, query)
             expected = evaluate_reformulation(
                 result, combined, engine="backtracking")
-            bushy = compile_reformulation(result, source, bushy=True)
-            left = compile_reformulation(result, source, bushy=False)
-            assert evaluate_plan(bushy, source) == expected
-            assert evaluate_plan(left, source) == expected
+            plan = compile_reformulation(result, source)
+            assert evaluate_plan(plan, source) == expected
+            assert set(stream_plan_answers(plan, source)) == expected
 
     @given(spec=pdms_specs(), ops=data_mutation_specs(max_ops=2))
     @settings(max_examples=15, **COMMON)

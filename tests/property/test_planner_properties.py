@@ -1,18 +1,30 @@
-"""Property-based tests: the plan executor agrees with the direct evaluator.
+"""Property-based tests: the union-plan evaluator agrees with the direct one.
 
 Two completely independent evaluation paths exist for conjunctive queries —
 the backtracking evaluator in :mod:`repro.datalog.evaluation` and the
-relational-algebra plan pipeline in :mod:`repro.database.planner`.  On every
-randomly generated query and instance they must return exactly the same
-answer set; the same must hold end to end for reformulated PDMS queries.
+union-plan compile of :mod:`repro.pdms.planning`, evaluated on the
+:mod:`repro.database.columnar` kernels.  On every randomly generated query
+and instance they must return exactly the same answer set; the same must
+hold end to end for reformulated PDMS queries on every registered engine.
 """
+
+from types import SimpleNamespace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.database.planner import compile_query, evaluate_query_via_plan, execute_plan
-from repro.datalog.evaluation import evaluate_query
-from repro.pdms import evaluate_reformulation, reformulate
+from repro.database.planner import CardinalityCostModel
+from repro.datalog.evaluation import as_fact_source, evaluate_query
+from repro.datalog.indexing import ensure_indexed
+from repro.pdms import (
+    evaluate_plan,
+    evaluate_reformulation,
+    reformulate,
+    registered_engines,
+    stream_answers,
+    stream_plan_answers,
+)
+from repro.pdms.planning import UnionPlan, _Evaluation
 from repro.workload import GeneratorParameters, generate_workload, populate_workload
 
 from .strategies import conjunctive_queries, instances
@@ -23,24 +35,37 @@ COMMON = dict(
 )
 
 
+def _plan(query, facts):
+    return UnionPlan(
+        SimpleNamespace(rewritings=lambda: iter([query])), CardinalityCostModel(facts))
+
+
 class TestPlanExecutorAgreement:
     @given(query=conjunctive_queries(max_body=3), facts=instances())
     @settings(max_examples=100, **COMMON)
     def test_plan_matches_backtracking_evaluator(self, query, facts):
-        assert evaluate_query_via_plan(query, facts) == evaluate_query(query, facts)
+        expected = evaluate_query(query, facts)
+        assert evaluate_plan(_plan(query, facts), facts) == expected
+        assert set(stream_plan_answers(_plan(query, facts), facts)) == expected
 
     @given(query=conjunctive_queries(max_body=3, with_comparisons=True), facts=instances())
     @settings(max_examples=60, **COMMON)
     def test_plan_matches_with_comparisons(self, query, facts):
-        assert evaluate_query_via_plan(query, facts) == evaluate_query(query, facts)
+        assert evaluate_plan(_plan(query, facts), facts) == evaluate_query(query, facts)
 
     @given(query=conjunctive_queries(max_body=3), facts=instances())
     @settings(max_examples=40, **COMMON)
     def test_plan_arity_and_explain(self, query, facts):
-        plan = compile_query(query, facts)
-        table = execute_plan(plan, facts)
-        assert len(table.columns) == query.arity
-        assert "Project" in plan.explain()
+        """Every fragment's table carries exactly its node's columns, and
+        the root's rows have the query's arity."""
+        plan = _plan(query, facts)
+        (root,) = plan.fragments()
+        evaluation = _Evaluation(plan, ensure_indexed(as_fact_source(facts)))
+        for key, node in plan.nodes.items():
+            assert evaluation.table(key).columns == node.columns
+        assert len(root.head) == query.arity
+        assert all(len(row) == query.arity for row in evaluation.root_rows(root))
+        assert plan.pretty() == "(enumerated: no-tree)"
 
     @given(seed=st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=15, **COMMON)
@@ -50,5 +75,6 @@ class TestPlanExecutorAgreement:
         data = populate_workload(workload, rows_per_relation=5, domain_size=3)
         result = reformulate(workload.pdms, workload.query)
         backtracking = evaluate_reformulation(result, data, engine="backtracking")
-        plan = evaluate_reformulation(result, data, engine="plan")
-        assert backtracking == plan
+        for engine in registered_engines():
+            assert evaluate_reformulation(result, data, engine=engine) == backtracking
+            assert set(stream_answers(result, data, engine=engine)) == backtracking

@@ -172,4 +172,4 @@ class TestServiceEquivalence:
         backtracking = QueryService(pdms, data=data, engine="backtracking")
         for query in queries:
             assert backtracking.answer(query) == backtracking.answer(
-                query, engine="plan")
+                query, engine="columnar")

@@ -3,15 +3,15 @@
 Covers the :class:`~repro.database.columnar.ColumnTable` kernels (join,
 fused select, project/rename, distinct, union, comparison masks) against
 the row algebra as oracle, the dtype-sniffing edge cases that force the
-pure-Python fallback (mixed dtypes, NaN, big integers, NumPy absent), the
-vectorized planner mode, and the process-pool / REPRO_* knob plumbing.
+pure-Python fallback (mixed dtypes, NaN, big integers, NumPy absent), and
+the union plan's fragments evaluated on them.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from repro.config import columnar_enabled, shared_executor
 from repro.database.algebra import Table
 from repro.database import columnar
 from repro.database.columnar import (
@@ -22,17 +22,13 @@ from repro.database.columnar import (
     union_all,
     union_distinct,
 )
-from repro.database.planner import (
-    CardinalityCostModel,
-    compile_query,
-    compile_union,
-    execute_plan,
-)
+from repro.database.planner import CardinalityCostModel
 from repro.database.instance import Instance
-from repro.datalog.parser import parse_query
-from repro.datalog.queries import UnionQuery
+from repro.datalog import evaluate_query, parse_query
 from repro.errors import EvaluationError
+from repro.pdms import evaluate_plan
 from repro.pdms.materialization import estimate_result_bytes
+from repro.pdms.planning import UnionPlan, _Evaluation
 
 
 def as_rows(ct: ColumnTable):
@@ -159,6 +155,18 @@ class TestJoinKernel:
         assert as_rows(lct.natural_join(rct, build_right=True)) == \
             as_rows(lct.natural_join(rct, build_right=False))
 
+    def test_cost_model_steers_build_side_without_changing_answers(self):
+        instance = build_instance()
+        cost = CardinalityCostModel(instance)
+        r = Table(("x", "y"), instance.get_tuples("r"))
+        s = Table(("y", "z"), instance.get_tuples("s"))
+        build_right = cost.cardinality("s") < cost.cardinality("r")
+        assert build_right  # s is the smaller input by the statistics
+        rct, sct = ColumnTable.from_table(r), ColumnTable.from_table(s)
+        expected = set(r.natural_join(s).rows)
+        assert as_rows(rct.natural_join(sct, build_right=build_right)) == expected
+        assert as_rows(rct.natural_join(sct, build_right=not build_right)) == expected
+
     def test_int_float_cross_dtype_joins_exactly(self):
         # 2**53 + 1 is where float64 loses integer exactness; Python
         # equality stays exact, so the kernel must not cast.
@@ -273,55 +281,54 @@ def build_instance():
     })
 
 
+def union_plan(instance, *queries):
+    """An enumerated union plan over ``queries`` read as rewritings."""
+    return UnionPlan(
+        SimpleNamespace(rewritings=lambda: iter(queries)),
+        CardinalityCostModel(instance),
+    )
+
+
 class TestVectorizedPlanner:
     def test_vectorized_and_row_paths_agree(self):
         instance = build_instance()
         query = parse_query("Q(x, z) :- r(x, y), s(y, z), y > 1")
-        plan = compile_query(query, instance)
-        vectorized = execute_plan(plan, instance, vectorized=True)
-        row = execute_plan(plan, instance, vectorized=False)
-        assert vectorized.columns == row.columns
-        assert vectorized.rows == row.rows
+        r = Table(("x", "y"), instance.get_tuples("r"))
+        s = Table(("y", "z"), instance.get_tuples("s"))
+        row = r.natural_join(s).select(lambda row: row["y"] > 1).project(("x", "z"))
+        assert evaluate_plan(union_plan(instance, query), instance) == row.to_set()
 
     def test_union_plan_with_shared_memo(self):
         instance = build_instance()
-        union = UnionQuery([
+        queries = [
             parse_query("Q(x) :- r(x, y)"),
             parse_query("Q(x) :- s(x, y)"),
-        ])
-        plan = compile_union(union, instance, share_common=True)
-        memo: dict = {}
-        vectorized = execute_plan(plan, instance, memo, vectorized=True)
-        assert all(isinstance(value, Table) for value in memo.values())
-        assert vectorized.rows == execute_plan(
-            plan, instance, {}, vectorized=False).rows
-
-    def test_cost_model_steers_build_side_without_changing_answers(self):
-        instance = build_instance()
-        query = parse_query("Q(x, z) :- r(x, y), s(y, z)")
-        cost = CardinalityCostModel(instance)
-        plan = compile_query(query, cost=cost)
-        assert execute_plan(plan, instance, vectorized=True, cost=cost).rows \
-            == execute_plan(plan, instance, vectorized=False).rows
-
-    def test_knob_selects_default_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR", "0")
-        assert columnar_enabled() is False
-        monkeypatch.setenv("REPRO_COLUMNAR", "1")
-        assert columnar_enabled() is True
-        monkeypatch.setenv("REPRO_COLUMNAR", "yes")
-        with pytest.raises(EvaluationError):
-            columnar_enabled()
-
-    def test_executor_knob_fails_fast(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARED_EXECUTOR", "fibers")
-        with pytest.raises(EvaluationError) as excinfo:
-            shared_executor()
-        assert "REPRO_SHARED_EXECUTOR" in str(excinfo.value)
+            parse_query("Q(x) :- r(x, y), s(y, z)"),
+        ]
+        plan = union_plan(instance, *queries)
+        evaluation = _Evaluation(plan, instance)
+        rows = set()
+        for root in plan.fragments():
+            rows.update(evaluation.root_rows(root))
+        # One column batch per fragment; the join reused both scans.
+        assert set(evaluation.memo) == set(plan.nodes)
+        assert all(isinstance(value, ColumnTable) for value in evaluation.memo.values())
+        assert plan.stats.reused_references == 2
+        r = Table(("x", "y"), instance.get_tuples("r"))
+        s = Table(("x", "y"), instance.get_tuples("s"))
+        joined = r.natural_join(s.rename({"x": "y", "y": "z"}))
+        assert rows == r.project(("x",)).to_set() | s.project(("x",)).to_set() \
+            | joined.project(("x",)).to_set()
 
     def test_vectorized_planner_without_numpy(self, no_numpy):
         instance = build_instance()
         query = parse_query("Q(x, z) :- r(x, y), s(y, z), y != 2")
-        plan = compile_query(query, instance)
-        assert execute_plan(plan, instance, vectorized=True).rows == \
-            execute_plan(plan, instance, vectorized=False).rows
+        plan = union_plan(instance, query)
+        evaluation = _Evaluation(plan, instance)
+        (root,) = plan.fragments()
+        assert set(evaluation.root_rows(root)) == evaluate_query(query, instance)
+        assert all(
+            isinstance(column, list)
+            for table in evaluation.memo.values()
+            for column in table.data
+        )

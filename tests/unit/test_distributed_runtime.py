@@ -370,9 +370,9 @@ class TestDistributedEngine:
             engine.stream(second, data, plan=plan)
 
     def test_knobs_are_read_once_per_call_not_once_per_rewriting(self, monkeypatch):
-        """The representation (``REPRO_COLUMNAR``), like every other knob,
-        is resolved at the engine boundary: a union of 12 rewritings reads
-        the environment exactly as often as a union of 2."""
+        """The transport (``REPRO_TRANSPORT``), like every other knob, is
+        resolved at the engine boundary: a union of 12 rewritings reads the
+        environment exactly as often as a union of 2."""
         import os
 
         def fan_out(width):
@@ -410,14 +410,14 @@ class TestDistributedEngine:
                     result, PeerFactSource(data)))
                 counts[width] = sorted(reads)
             assert len(rows) == width
-        assert "REPRO_COLUMNAR" in counts[2]
+        assert "REPRO_TRANSPORT" in counts[2]
         assert counts[2] == counts[12]
 
-    def test_flat_source_falls_back_to_shared_path(self):
+    def test_flat_source_falls_back_to_columnar_path(self):
         pdms, data, query = two_peer_system()
         combined = combine_peer_instances(data)
         assert answer_query(pdms, query, combined, engine="distributed") == \
-            answer_query(pdms, query, combined, engine="shared")
+            answer_query(pdms, query, combined, engine="columnar")
 
     def test_evaluate_distributed_completeness_cycle(self):
         pdms, data, query = two_peer_system()
@@ -636,7 +636,7 @@ class TestServiceCluster:
 
     def test_wraps_prebuilt_service(self):
         pdms, data, query = two_peer_system()
-        service = QueryService(pdms, data=data, engine="shared")
+        service = QueryService(pdms, data=data, engine="columnar")
         cluster = ServiceCluster(service=service)
         answer = cluster.answer(query)
         assert answer.rows and answer.complete  # no transport: trivially so

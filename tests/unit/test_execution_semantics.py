@@ -144,7 +144,7 @@ class TestStreamingAndLimit:
         query = parse_query("Q(x, z) :- A:R(x, y), A:R(y, z)")
         result = reformulate(two_peer_pdms, query)
         assert evaluate_reformulation(result, data, engine="backtracking") == \
-            evaluate_reformulation(result, data, engine="plan")
+            evaluate_reformulation(result, data, engine="columnar")
 
 
 class TestAnswerBatch:

@@ -246,7 +246,7 @@ def _skewed_pdms():
 class TestAdaptiveService:
     def test_adaptive_converges_and_races(self):
         pdms, query, instance, truth = _skewed_pdms()
-        service = QueryService(pdms, data={"P": instance}, engine="shared",
+        service = QueryService(pdms, data={"P": instance}, engine="columnar",
                                adaptive=True, fragment_cache_bytes=0)
         for _ in range(6):
             assert service.answer(query) == truth
@@ -262,7 +262,7 @@ class TestAdaptiveService:
 
     def test_adaptive_matches_static_on_every_engine(self):
         pdms, query, instance, truth = _skewed_pdms()
-        for engine in ("backtracking", "plan", "shared", "columnar"):
+        for engine in ("backtracking", "columnar"):
             adaptive = QueryService(pdms, data={"P": instance}, engine=engine,
                                     adaptive=True, fragment_cache_bytes=0)
             static = QueryService(pdms, data={"P": instance}, engine=engine,
@@ -273,7 +273,7 @@ class TestAdaptiveService:
     def test_env_toggle_builds_the_same_loop(self, monkeypatch):
         monkeypatch.setenv("REPRO_ADAPTIVE", "1")
         pdms, query, instance, truth = _skewed_pdms()
-        service = QueryService(pdms, data={"P": instance}, engine="shared",
+        service = QueryService(pdms, data={"P": instance}, engine="columnar",
                                fragment_cache_bytes=0)
         assert service.adaptive and service.feedback is not None
         for _ in range(3):
@@ -283,7 +283,7 @@ class TestAdaptiveService:
     def test_disabled_service_keeps_no_log(self):
         pdms, query, instance, truth = _skewed_pdms()
         # adaptive=False beats any REPRO_ADAPTIVE in the environment.
-        service = QueryService(pdms, data={"P": instance}, engine="shared",
+        service = QueryService(pdms, data={"P": instance}, engine="columnar",
                                adaptive=False)
         assert not service.adaptive and service.feedback is None
         assert service.answer(query) == truth
@@ -294,7 +294,7 @@ class TestAdaptiveService:
         challenger evaluation; the served answer must still be the
         champion's, the mismatch counted, the champion retained."""
         pdms, query, instance, truth = _skewed_pdms()
-        service = QueryService(pdms, data={"P": instance}, engine="shared",
+        service = QueryService(pdms, data={"P": instance}, engine="columnar",
                                adaptive=True, race_margin=100.0,
                                fragment_cache_bytes=0)
         assert service.answer(query) == truth  # seeds corrections
@@ -321,7 +321,7 @@ class TestAdaptiveService:
 
     def test_race_budget_is_bounded_then_adopts_outright(self):
         pdms, query, instance, truth = _skewed_pdms()
-        service = QueryService(pdms, data={"P": instance}, engine="shared",
+        service = QueryService(pdms, data={"P": instance}, engine="columnar",
                                adaptive=True, fragment_cache_bytes=0)
         for _ in range(_RACE_BUDGET + 4):
             assert service.answer(query) == truth
@@ -329,7 +329,7 @@ class TestAdaptiveService:
 
     def test_limited_answers_never_race(self):
         pdms, query, instance, truth = _skewed_pdms()
-        service = QueryService(pdms, data={"P": instance}, engine="shared",
+        service = QueryService(pdms, data={"P": instance}, engine="columnar",
                                adaptive=True, fragment_cache_bytes=0)
         for _ in range(4):
             assert len(service.answer(query, limit=2)) == 2
@@ -337,7 +337,7 @@ class TestAdaptiveService:
 
     def test_writes_invalidate_corrections_via_version_tokens(self):
         pdms, query, instance, truth = _skewed_pdms()
-        service = QueryService(pdms, data={"P": instance}, engine="shared",
+        service = QueryService(pdms, data={"P": instance}, engine="columnar",
                                adaptive=True, fragment_cache_bytes=0)
         for _ in range(3):
             service.answer(query)
@@ -350,7 +350,7 @@ class TestAdaptiveService:
 
     def test_peer_removal_drops_dependent_corrections(self):
         pdms, query, instance, truth = _skewed_pdms()
-        service = QueryService(pdms, data={"P": instance}, engine="shared",
+        service = QueryService(pdms, data={"P": instance}, engine="columnar",
                                adaptive=True, fragment_cache_bytes=0)
         for _ in range(3):
             service.answer(query)
@@ -363,8 +363,7 @@ class TestRecordingAcrossEngines:
     def test_every_engine_records_true_fragment_counts(self):
         pdms, query, instance, truth = _skewed_pdms()
         result = reformulate(pdms, query)
-        for engine in ("backtracking", "plan", "shared", "columnar",
-                       "distributed"):
+        for engine in ("backtracking", "columnar", "distributed"):
             log = QErrorLog()
             rows = evaluate_reformulation(
                 result, {"P": instance}, engine=engine, feedback=log)
@@ -378,7 +377,7 @@ class TestRecordingAcrossEngines:
         result = reformulate(pdms, query)
         log = QErrorLog()
         evaluate_reformulation(
-            result, {"P": instance}, engine="shared", feedback=log)
+            result, {"P": instance}, engine="columnar", feedback=log)
         sizes = {name: instance.cardinality(name) for name in ("sa", "sb", "sc")}
         scans = [obs for obs in log.observations()
                  if len(obs.relations) == 1 and obs.q is not None]
@@ -408,9 +407,9 @@ def _multi_rewriting_pdms():
 class TestReplan:
     def test_blown_estimate_triggers_replan_and_answers_survive(self):
         pdms, query, instance, truth = _multi_rewriting_pdms()
-        service = QueryService(pdms, data={"P": instance}, engine="shared",
+        service = QueryService(pdms, data={"P": instance}, engine="columnar",
                                adaptive=True, fragment_cache_bytes=0)
-        static = QueryService(pdms, data={"P": instance}, engine="shared",
+        static = QueryService(pdms, data={"P": instance}, engine="columnar",
                               fragment_cache_bytes=0)
         expected = static.answer(query)
         # Re-planning the rewritings not yet evaluated is a property of the
@@ -425,7 +424,7 @@ class TestReplan:
     def test_measurement_only_log_never_replans(self):
         pdms, query, instance, truth = _multi_rewriting_pdms()
         log = QErrorLog(replan=False)
-        service = QueryService(pdms, data={"P": instance}, engine="shared",
+        service = QueryService(pdms, data={"P": instance}, engine="columnar",
                                adaptive=True, feedback=log,
                                fragment_cache_bytes=0)
         for _ in range(4):
@@ -441,7 +440,7 @@ class TestReplan:
 class TestStatsSnapshot:
     def test_snapshot_is_deep_and_independent(self):
         pdms, query, instance, truth = _skewed_pdms()
-        service = QueryService(pdms, data={"P": instance}, engine="shared",
+        service = QueryService(pdms, data={"P": instance}, engine="columnar",
                                adaptive=True)
         service.answer(query)
         snap = service.stats_snapshot()

@@ -21,7 +21,6 @@ from repro.pdms import (
     int_from_env,
     reformulate,
 )
-from repro.pdms.planning import shared_workers_from_env
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +165,6 @@ class TestEnvHandling:
         with pytest.raises(EvaluationError, match=">= 0"):
             int_from_env("REPRO_TEST_KNOB", 7)
 
-    @pytest.mark.parametrize("bad", ["abc", "-1"])
-    def test_shared_workers_fails_fast(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_SHARED_WORKERS", bad)
-        with pytest.raises(EvaluationError, match="REPRO_SHARED_WORKERS"):
-            shared_workers_from_env()
-
     @pytest.mark.parametrize("bad", ["nope", "-5"])
     def test_fragment_cache_env_fails_fast(self, monkeypatch, bad):
         monkeypatch.setenv("REPRO_FRAGMENT_CACHE_BYTES", bad)
@@ -220,7 +213,7 @@ class TestCachedExecution:
     def test_warm_answers_equal_cold_for_every_engine(self):
         pdms, query, instance = _two_hop_pdms()
         expected = None
-        for engine in ("backtracking", "plan", "shared", "columnar"):
+        for engine in ("backtracking", "columnar"):
             cache = FragmentCache(max_bytes=1 << 20)
             result = reformulate(pdms, query)
             cold = evaluate_reformulation(
@@ -237,7 +230,7 @@ class TestCachedExecution:
         pdms, query, instance = _two_hop_pdms()
         cache = FragmentCache(max_bytes=1 << 20)
         service = QueryService(
-            pdms, data={"P": instance}, engine="shared", fragment_cache=cache)
+            pdms, data={"P": instance}, engine="columnar", fragment_cache=cache)
         before = service.answer(query)
         warm = service.answer(query)
         assert warm == before
@@ -250,7 +243,7 @@ class TestCachedExecution:
 
     def test_peer_leave_evicts_dependent_fragments(self):
         pdms, query, instance = _two_hop_pdms()
-        service = QueryService(pdms, data={"P": instance}, engine="shared")
+        service = QueryService(pdms, data={"P": instance}, engine="columnar")
         cache = service.fragment_cache
         service.answer(query)
         assert len(cache) > 0
@@ -263,14 +256,14 @@ class TestCachedExecution:
         cache = FragmentCache(max_bytes=1 << 20)
         result = reformulate(pdms, query)
         data = instance.as_dict()
-        first = evaluate_reformulation(result, data, engine="shared", cache=cache)
+        first = evaluate_reformulation(result, data, engine="columnar", cache=cache)
         assert evaluate_reformulation(
-            result, data, engine="shared", cache=cache) == first
+            result, data, engine="columnar", cache=cache) == first
         assert cache.stats.lookups == 0 and len(cache) == 0
 
     def test_service_stats_report_fragment_counters(self):
         pdms, query, instance = _two_hop_pdms()
-        service = QueryService(pdms, data={"P": instance}, engine="shared")
+        service = QueryService(pdms, data={"P": instance}, engine="columnar")
         service.answer(query)
         service.answer(query)
         # A snapshot is the supported way to read counters: it is an
@@ -284,14 +277,14 @@ class TestCachedExecution:
     def test_service_fragment_cache_can_be_disabled(self):
         pdms, query, instance = _two_hop_pdms()
         service = QueryService(
-            pdms, data={"P": instance}, engine="shared", fragment_cache_bytes=0)
+            pdms, data={"P": instance}, engine="columnar", fragment_cache_bytes=0)
         assert service.fragment_cache is None
         service.answer(query)
         assert service.stats.fragments.lookups == 0
 
     def test_clear_cache_drops_fragments_too(self):
         pdms, query, instance = _two_hop_pdms()
-        service = QueryService(pdms, data={"P": instance}, engine="shared")
+        service = QueryService(pdms, data={"P": instance}, engine="columnar")
         service.answer(query)
         assert len(service.fragment_cache) > 0
         service.clear_cache()
@@ -300,7 +293,7 @@ class TestCachedExecution:
     def test_data_override_does_not_churn_warm_entries(self):
         """A one-off override answers correctly but bypasses the cache."""
         pdms, query, instance = _two_hop_pdms()
-        service = QueryService(pdms, data={"P": instance}, engine="shared")
+        service = QueryService(pdms, data={"P": instance}, engine="columnar")
         expected = service.answer(query)
         warm_keys = service.fragment_cache.cached_keys()
         before = service.stats_snapshot()
@@ -317,7 +310,7 @@ class TestCachedExecution:
     def test_external_shared_cache_is_not_cleared_by_one_service(self):
         pdms, query, instance = _two_hop_pdms()
         shared = FragmentCache(max_bytes=1 << 20)
-        a = QueryService(pdms, data={"P": instance}, engine="shared",
+        a = QueryService(pdms, data={"P": instance}, engine="columnar",
                          fragment_cache=shared)
         a.answer(query)
         warm = len(shared)
@@ -329,7 +322,7 @@ class TestCachedExecution:
 
     def test_owned_cache_is_cleared_as_before(self):
         pdms, query, instance = _two_hop_pdms()
-        service = QueryService(pdms, data={"P": instance}, engine="shared")
+        service = QueryService(pdms, data={"P": instance}, engine="columnar")
         service.answer(query)
         assert len(service.fragment_cache) > 0
         service.remove_peer("P")
@@ -337,16 +330,18 @@ class TestCachedExecution:
 
 
 class TestBushySharing:
-    def test_bushy_and_left_deep_agree_with_backtracking(self):
+    def test_bushy_agrees_with_backtracking_warm_and_cold(self):
         pdms, query, instance = _two_hop_pdms()
         result = reformulate(pdms, query)
         data = {"P": instance}
         expected = evaluate_reformulation(result, data, engine="backtracking")
         source = PeerFactSource(data)
-        bushy = compile_reformulation(result, source, bushy=True)
-        left = compile_reformulation(result, source, bushy=False)
-        assert evaluate_plan(bushy, source) == expected
-        assert evaluate_plan(left, source) == expected
+        plan = compile_reformulation(result, source)
+        cache = FragmentCache(max_bytes=1 << 20)
+        for _ in range(2):
+            assert evaluate_plan(plan, source, cache=cache) == expected
+        assert cache.stats.hits > 0
+        assert evaluate_plan(plan, source, limit=1) <= expected
 
     def test_bushy_shares_non_prefix_subconjunctions(self):
         """{M ⋈ R} is shared even though the cost order starts at L_i."""
@@ -362,7 +357,7 @@ class TestBushySharing:
         pdms.add_storage_description(StorageDescription(
             "P", "s_r", parse_query("V(x, y) :- P:R(x, y)")))
         data = {}
-        # L_i tiny (cheapest atom => left-deep prefixes start there),
+        # L_i tiny (the cheapest atom: a cost order starts there),
         # M large, R small but joining M very selectively.
         for i in range(4):
             data[f"s_l_{i}"] = {(j, j + i) for j in range(15)}
@@ -370,16 +365,15 @@ class TestBushySharing:
         data["s_r"] = {(j * 17 % 400, j) for j in range(20)}
         query = parse_query("Q(x, w) :- P:L(x, y), P:M(y, z), P:R(z, w)")
         result = reformulate(pdms, query)
-        bushy = compile_reformulation(result, data, bushy=True)
-        left = compile_reformulation(result, data, bushy=False)
+        plan = compile_reformulation(result, data)
         # Sharing across rewritings is a property of the enumerated
         # compile: drive it (a whole answer evaluates the factored root).
-        assert len(list(bushy.fragments())) == len(list(left.fragments())) == 4
-        assert evaluate_plan(bushy, data) == evaluate_plan(left, data)
+        assert len(list(plan.fragments())) == 4
+        assert evaluate_plan(plan, data) == evaluate_reformulation(
+            result, data, engine="backtracking")
         assert any(
-            key.startswith("s_m(") and "s_r(" in key for key in bushy.nodes
+            key.startswith("s_m(") and "s_r(" in key for key in plan.nodes
         ), "expected a shared {M,R} fragment"
-        assert bushy.stats.sharing_ratio > left.stats.sharing_ratio
 
     def test_alpha_equivalent_sets_share_one_node_regardless_of_order(self):
         from repro.pdms.planning import _canonical_parts, _conjunction_key

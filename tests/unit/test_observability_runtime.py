@@ -182,7 +182,7 @@ class TestNullSpan:
 class TestSpanLifecycle:
     def test_with_blocks_build_a_well_formed_tree(self):
         tracer = make_tracer()
-        with tracer.start_trace("query.answer", engine="shared") as root:
+        with tracer.start_trace("query.answer", engine="columnar") as root:
             with root.child("plan.compile"):
                 pass
             with root.child("plan.execute") as execute:
@@ -191,7 +191,7 @@ class TestSpanLifecycle:
         assert trace_id == root.trace_id
         by_name = {record["name"]: record for record in spans}
         assert by_name["query.answer"]["parent_id"] is None
-        assert by_name["query.answer"]["attrs"] == {"engine": "shared"}
+        assert by_name["query.answer"]["attrs"] == {"engine": "columnar"}
         for name in ("plan.compile", "plan.execute"):
             assert by_name[name]["parent_id"] == root.span_id
         assert by_name["plan.execute"]["attrs"]["rows"] == 3

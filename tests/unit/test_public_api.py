@@ -85,7 +85,7 @@ class TestDocstrings:
         pdms.certain_answers, pdms.analyze_pdms,
         datalog.ConjunctiveQuery, datalog.parse_query, datalog.evaluate_query,
         integration.GAVMediator, integration.LAVMediator, integration.create_mcds,
-        database.Instance, database.Table, database.compile_query,
+        database.Instance, database.Table, database.CardinalityCostModel,
         workload.GeneratorParameters, workload.generate_workload,
         workload.build_emergency_services,
     ])

@@ -31,7 +31,7 @@ THREADS = 8
 ROUNDS = 30
 
 
-def build_service(engine="shared", max_entries=1024):
+def build_service(engine="columnar", max_entries=1024):
     pdms = PDMS("hammer")
     top = pdms.add_peer("T")
     for relation in ("A", "B", "C"):
@@ -60,7 +60,7 @@ def build_service(engine="shared", max_entries=1024):
     return service, data, queries
 
 
-@pytest.mark.parametrize("engine", ["backtracking", "shared", "columnar", "distributed"])
+@pytest.mark.parametrize("engine", ["backtracking", "columnar", "distributed"])
 def test_concurrent_answers_keep_counters_exact(engine):
     """N threads x M rounds: totals must add up to the call count exactly."""
     service, data, queries = build_service(engine=engine)
@@ -101,10 +101,10 @@ def test_concurrent_answers_keep_counters_exact(engine):
 
 def test_concurrent_answers_with_lru_eviction_pressure():
     """A 1-entry cache under contention: every counter still adds up."""
-    service, data, queries = build_service(engine="shared", max_entries=1024)
+    service, data, queries = build_service(engine="columnar", max_entries=1024)
     # Rebuild with a tiny cache to force constant eviction races.
     service = QueryService(
-        service.pdms, data=data, engine="shared", max_entries=1,
+        service.pdms, data=data, engine="columnar", max_entries=1,
     )
     with ThreadPoolExecutor(max_workers=THREADS) as pool:
         list(pool.map(
@@ -124,7 +124,7 @@ def test_concurrent_answers_with_lru_eviction_pressure():
 
 def test_concurrent_answers_during_catalogue_churn():
     """Answers stay sound and the service stays consistent under churn."""
-    service, data, queries = build_service(engine="shared")
+    service, data, queries = build_service(engine="columnar")
     combined = combine_peer_instances(data)
     # The base peers and descriptions never leave, so every answer set —
     # whatever churn is in flight — must contain the base answers.
@@ -194,22 +194,19 @@ def wide_service(**options):
             data[peer] = Instance.from_dict(
                 {stored: [(i, (i + index) % 5) for i in range(10)]})
     query = parse_query("Q(x, w) :- T:A(x, y), T:B(y, z), T:C(z, w)")
-    service = QueryService(pdms, data=data, engine="shared", adaptive=False, **options)
+    service = QueryService(pdms, data=data, engine="columnar", adaptive=False, **options)
     return service, query, certain_answers(pdms, query, combine_peer_instances(data))
 
 
-def test_worker_pool_computes_each_fragment_once_per_answer(monkeypatch):
-    """Concurrent exhausted ``stream`` calls — the lazy root-by-root loop,
-    the one a worker pool serves (a whole ``answer`` has a single root) —
-    each fanning its rewriting roots over four pool threads: within one
-    call every fragment is still built exactly once (the compute-once
-    memo's contract — its waiters block on an event that only exists while
-    somebody waits), and the answers are right.  The cross-call cache is
-    off so nothing else can absorb a duplicate build."""
+def test_concurrent_streams_build_each_fragment_once_per_answer(monkeypatch):
+    """Concurrent exhausted ``stream`` calls — the lazy root-by-root loop
+    over 64 rewriting roots that share fragments — each own one
+    evaluation, driven by its caller's thread alone: within one call every
+    fragment is built exactly once (the per-answer memo is a plain dict),
+    no call sees another's memo, and the answers are right.  The
+    cross-call cache is off so nothing else can absorb a duplicate build."""
     from repro.pdms import planning
 
-    monkeypatch.setenv("REPRO_SHARED_WORKERS", "4")
-    monkeypatch.setenv("REPRO_SHARED_EXECUTOR", "thread")
     service, query, expected = wide_service(fragment_cache_bytes=0)
 
     builds = {}
@@ -224,7 +221,7 @@ def test_worker_pool_computes_each_fragment_once_per_answer(monkeypatch):
 
     monkeypatch.setattr(planning._Evaluation, "_build", counting)
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # force interleavings inside the memo
+    sys.setswitchinterval(1e-5)  # force interleavings between the calls
     try:
         with ThreadPoolExecutor(max_workers=THREADS) as pool:
             answers = list(pool.map(

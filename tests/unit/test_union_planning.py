@@ -4,27 +4,21 @@ federated :class:`PeerFactSource` (ISSUE 3).
 Covers, per layer:
 
 * ``repro.pdms.planning`` — hash-consed fragment sharing, incremental
-  compilation, sequential/parallel execution equality, worker config;
+  compilation, answers equal to the other engines', the per-answer
+  fragment memo, the batch helpers and the fragment footprints;
 * ``repro.pdms.execution`` — engine registry semantics and dynamic error
   messages, federated probe routing and the arity-clash check, the
   per-batch canonical-signature cache of ``answer_query_batch``;
-* ``repro.database.planner`` — the cardinality cost model and the new
-  distinct/materialize operators with memoized execution.
+* ``repro.database.planner`` — the cardinality cost model.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
-from repro.database import (
-    CardinalityCostModel,
-    Instance,
-    Table,
-    compile_union,
-    execute_plan,
-)
+from repro.database import CardinalityCostModel, Instance, Table
 from repro.database.algebra import union_many
-from repro.database.planner import DistinctNode, MaterializeNode
 from repro.datalog import parse_query
-from repro.datalog.queries import UnionQuery
 from repro.errors import EvaluationError, MappingError
 from repro.pdms import (
     PDMS,
@@ -44,8 +38,9 @@ from repro.pdms import (
     stream_plan_answers,
     validate_engine,
 )
+from repro.pdms import FragmentCache
 from repro.pdms import execution as execution_module
-from repro.pdms.planning import shared_workers_from_env
+from repro.pdms import planning
 
 
 @pytest.fixture
@@ -112,16 +107,19 @@ class TestUnionPlanSharing:
         data = fan_out_data()
         result = reformulate(fan_out_pdms, parse_query(FAN_OUT_QUERY))
         expected = evaluate_reformulation(result, data, engine="backtracking")
-        assert evaluate_reformulation(result, data, engine="plan") == expected
-        assert evaluate_reformulation(result, data, engine="shared") == expected
+        assert evaluate_reformulation(result, data, engine="columnar") == expected
 
-    def test_parallel_execution_matches_sequential(self, fan_out_pdms):
+    def test_stream_matches_whole_answer(self, fan_out_pdms):
+        """The root-by-root loop (streams, first-k) and the factored root
+        (whole answers) of one plan agree, and a limit takes a subset."""
         data = fan_out_data()
         result = reformulate(fan_out_pdms, parse_query(FAN_OUT_QUERY))
         plan = compile_reformulation(result, data)
-        sequential = evaluate_plan(plan, data)
-        assert evaluate_plan(plan, data, max_workers=3) == sequential
-        assert set(stream_plan_answers(plan, data, max_workers=2)) == sequential
+        whole = evaluate_plan(plan, data)
+        assert plan.factored_root() is not None
+        streamed = list(stream_plan_answers(plan, data))
+        assert len(streamed) == len(set(streamed)) and set(streamed) == whole
+        assert evaluate_plan(plan, data, limit=2) <= whole
 
     def test_compilation_is_incremental(self, fan_out_pdms):
         """A limit-satisfied consumer compiles only a prefix of the union."""
@@ -151,7 +149,7 @@ class TestUnionPlanSharing:
         result = reformulate(fan_out_pdms, parse_query(FAN_OUT_QUERY))
         with pytest.raises(EvaluationError):
             evaluate_reformulation(
-                result, fan_out_data(), engine="shared", plan=wrong_plan)
+                result, fan_out_data(), engine="columnar", plan=wrong_plan)
 
     def test_evaluate_plan_rejects_negative_limit(self, fan_out_pdms):
         result = reformulate(fan_out_pdms, parse_query(FAN_OUT_QUERY))
@@ -170,23 +168,12 @@ class TestUnionPlanSharing:
         result = reformulate(pdms, query)
         expected = evaluate_reformulation(result, data, engine="backtracking")
         assert expected == {(1, "tag"), (3, "tag")}
-        assert evaluate_reformulation(result, data, engine="shared") == expected
-
-    def test_workers_env_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARED_WORKERS", "3")
-        assert shared_workers_from_env() == 3
-        monkeypatch.setenv("REPRO_SHARED_WORKERS", "lots")
-        with pytest.raises(EvaluationError):
-            shared_workers_from_env()
-        monkeypatch.setenv("REPRO_SHARED_WORKERS", "-1")
-        with pytest.raises(EvaluationError):
-            shared_workers_from_env()
+        assert evaluate_reformulation(result, data, engine="columnar") == expected
 
 
 class TestEngineRegistry:
     def test_default_engines_registered_in_order(self):
-        assert registered_engines()[:4] == (
-            "backtracking", "plan", "shared", "columnar")
+        assert registered_engines()[:2] == ("backtracking", "columnar")
 
     def test_validate_engine_message_enumerates_dynamically(self):
         with pytest.raises(EvaluationError) as excinfo:
@@ -205,6 +192,25 @@ class TestEngineRegistry:
         assert "REPRO_DEFAULT_ENGINE" in message
         for name in registered_engines():
             assert name in message
+
+    @pytest.mark.parametrize("deleted", ["plan", "shared"])
+    def test_deleted_engines_fail_fast_listing_the_live_ones(
+        self, monkeypatch, deleted
+    ):
+        from repro.pdms import default_engine
+
+        monkeypatch.setenv("REPRO_DEFAULT_ENGINE", deleted)
+        with pytest.raises(EvaluationError) as excinfo:
+            default_engine()
+        listed = str(excinfo.value).rpartition("registered engines: ")[2]
+        assert listed == "backtracking, columnar, distributed"
+
+    def test_evaluate_plan_rejects_the_row_representation(self, fan_out_pdms):
+        plan = compile_reformulation(
+            reformulate(fan_out_pdms, parse_query(FAN_OUT_QUERY)))
+        with pytest.raises(EvaluationError, match="columnar=False"):
+            evaluate_plan(plan, fan_out_data(), columnar=False)
+        assert evaluate_plan(plan, fan_out_data(), columnar=True)
 
     def test_register_rejects_taken_name_unless_replaced(self):
         engine = get_engine("backtracking")
@@ -451,64 +457,6 @@ class TestConcurrentConsumers:
         with pytest.raises(ReformulationError, match="interrupted"):
             list(seq)
 
-    def test_once_map_interrupt_not_cached_for_waiters(self):
-        from repro.pdms.planning import _OnceMap
-
-        memo = _OnceMap()
-
-        def interrupted():
-            raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            memo.get_or_compute("k", interrupted)
-        # Later consumers of the key get a fresh error, not a stale Ctrl-C.
-        with pytest.raises(EvaluationError, match="interrupted"):
-            memo.get_or_compute("k", lambda: None)
-
-    def test_once_map_allocates_an_event_only_for_waiters(self, monkeypatch):
-        import threading
-
-        from repro.pdms import planning
-
-        memo = planning._OnceMap()
-        started, release = threading.Event(), threading.Event()
-        calls, results = [], []
-
-        def slow():
-            calls.append(1)
-            started.set()
-            release.wait(timeout=30)
-            return "value"
-
-        # Threads make events of their own: build them before counting.
-        threads = [
-            threading.Thread(
-                target=lambda: results.append(memo.get_or_compute("slow", slow)))
-            for _ in range(4)
-        ]
-        created = []
-        real_event = threading.Event
-
-        def counting_event():
-            created.append(1)
-            return real_event()
-
-        monkeypatch.setattr(planning.threading, "Event", counting_event)
-        assert [memo.get_or_compute(k, str.upper, k) for k in "abca"] == list("ABCA")
-        assert not created
-
-        threads[0].start()
-        started.wait(timeout=30)
-        for thread in threads[1:]:
-            thread.start()
-        while not created:  # the first waiter to arrive makes the one event
-            pass
-        release.set()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert results == ["value"] * 4
-        assert calls == [1] and created == [1]
-
     def test_concurrent_plan_streams_agree(self, fan_out_pdms):
         import threading
 
@@ -538,7 +486,7 @@ class TestServicePlanCache:
                 {name: rows for name, rows in fan_out_data().items()}
             )
         }
-        return QueryService(fan_out_pdms, data=data, engine="shared")
+        return QueryService(fan_out_pdms, data=data, engine="columnar")
 
     def test_plans_compiled_once_and_reused(self, fan_out_pdms):
         service = self._service(fan_out_pdms)
@@ -587,7 +535,6 @@ class TestServicePlanCache:
         query = parse_query(FAN_OUT_QUERY)
         shared = service.answer(query)
         assert shared == service.answer(query, engine="backtracking")
-        assert shared == service.answer(query, engine="plan")
         assert set(service.stream(query)) == shared
 
 
@@ -643,7 +590,7 @@ class TestPlannerAdditions:
         service = QueryService(
             fan_out_pdms,
             data={"P": Instance.from_dict(dict(fan_out_data()))},
-            engine="shared",
+            engine="columnar",
         )
         service.add_peer("Bystander", data=victim)
         service.answer(parse_query(FAN_OUT_QUERY))
@@ -656,55 +603,45 @@ class TestPlannerAdditions:
         assert service.answer(parse_query(FAN_OUT_QUERY))
 
     def test_materialize_nodes_share_work_through_memo(self):
-        union = parse_query("Q(x) :- r(x, y)")
-        other = parse_query("Q(x) :- r(x, y)")
-        plan = compile_union(UnionQuery([union, other]), share_common=True)
-        assert isinstance(plan, DistinctNode)
-        materialized = [
-            node for node in plan.child.children()
-            if isinstance(node, MaterializeNode)
-        ]
-        assert len(materialized) == 2
-        # Identical branches hash-cons to one key.
-        assert len({node.key for node in materialized}) == 1
+        """Identical rewritings hash-cons to one fragment, scanned once."""
+        rewriting = parse_query("Q(x) :- r(x, y)")
+        plan = _enumerated(rewriting, parse_query("Q(x) :- r(x, y)"))
+        first, second = plan.fragments()
+        assert first.root_key == second.root_key and len(plan.nodes) == 1
         source = _CountingSource({"r": [(1, 2), (3, 4)]})
-        memo = {}
-        table = execute_plan(plan, source, memo=memo)
-        assert table.to_set() == {(1,), (3,)}
-        assert source.scans == 1  # the duplicate branch came from the memo
+        assert evaluate_plan(plan, source) == {(1,), (3,)}
+        assert source.scans == 1  # the duplicate root came from the memo
 
     def test_materialize_keys_differ_for_different_branches(self):
-        """Content-derived keys: a memo shared across plans must never
-        serve one branch's table for a structurally different branch."""
-        first = compile_union(
-            UnionQuery([parse_query("Q(x) :- r(x, y)")]), share_common=True)
-        second = compile_union(
-            UnionQuery([parse_query("Q(x) :- r(y, x)")]), share_common=True)
-        key_of = lambda plan: next(
-            node.key for node in plan.child.children()
-            if isinstance(node, MaterializeNode)
-        )
-        assert key_of(first) != key_of(second)
-        memo = {}
-        source = {"r": [(1, 2)]}
-        assert execute_plan(first, source, memo=memo).to_set() == {(1,)}
-        assert execute_plan(second, source, memo=memo).to_set() == {(2,)}
+        """Content-derived keys: one fragment table shared through a cache
+        across plans serves each root its own head, never another's."""
+        instance = Instance.from_dict({"r": [(1, 2)], "s": [(2, 3)]})
+        cache = FragmentCache(max_bytes=1 << 20)
+        first = _enumerated(parse_query("Q(x) :- r(x, y), s(y, z)"))
+        second = _enumerated(parse_query("Q(z) :- r(x, y), s(y, z)"))
+        assert evaluate_plan(first, instance, cache=cache) == {(1,)}
+        assert evaluate_plan(second, instance, cache=cache) == {(3,)}
+        assert cache.stats.hits == 1  # the join fragment, under one key
+        third = _enumerated(parse_query("Q(x) :- r(x, y), s(x, z)"))
+        (root,) = third.fragments()
+        assert root.root_key not in first.nodes
+        assert evaluate_plan(third, instance, cache=cache) == set()
 
     def test_union_aligns_disjuncts_with_different_head_names(self):
-        union = UnionQuery([
-            parse_query("Q(x) :- r(x, y)"),
-            parse_query("Q(b) :- s(a, b)"),
-        ])
-        plan = compile_union(union)
-        table = execute_plan(plan, {"r": [(1, 2)], "s": [(3, 4)]})
-        assert table.to_set() == {(1,), (4,)}
+        plan = _enumerated(
+            parse_query("Q(x) :- r(x, y)"), parse_query("Q(b) :- s(a, b)"))
+        assert evaluate_plan(plan, {"r": [(1, 2)], "s": [(3, 4)]}) == {(1,), (4,)}
 
-    def test_materialize_without_memo_is_transparent(self):
-        node = MaterializeNode(
-            compile_union(UnionQuery([parse_query("Q(x) :- r(x, y)")])), key="k"
-        )
-        table = execute_plan(node, {"r": [(1, 2)]})
-        assert table.to_set() == {(1,)}
+    def test_materialize_without_memo_is_transparent(self, fan_out_pdms):
+        """A cross-call cache changes where tables come from, not answers."""
+        data = Instance.from_dict(fan_out_data())
+        result = reformulate(fan_out_pdms, parse_query(FAN_OUT_QUERY))
+        plan = compile_reformulation(result, data)
+        cache = FragmentCache(max_bytes=1 << 20)
+        bare = evaluate_plan(plan, data)
+        assert evaluate_plan(plan, data, cache=cache) == bare
+        assert evaluate_plan(plan, data, cache=cache) == bare
+        assert cache.stats.hits > 0
 
     def test_union_many_and_table_helpers(self):
         first = Table(("a",), [(1,), (2,)])
@@ -718,3 +655,115 @@ class TestPlannerAdditions:
         with pytest.raises(EvaluationError):
             union_many([first, Table(("b",), [(1,)])])
         assert Table.empty(("x", "y")).to_set() == set()
+
+
+def _enumerated(*rewritings):
+    """A plan over ``rewritings`` without a rule-goal tree: whole answers
+    take the enumerated compile and the root-by-root loop."""
+    return planning.UnionPlan(SimpleNamespace(rewritings=lambda: iter(rewritings)))
+
+
+class TestEvaluationMemo:
+    """One answer's :class:`~repro.pdms.planning._Evaluation`: the plain
+    per-answer memo its caller's thread drives."""
+
+    def test_each_fragment_is_built_once_per_answer(self, fan_out_pdms, monkeypatch):
+        data = fan_out_data()
+        result = reformulate(fan_out_pdms, parse_query(FAN_OUT_QUERY))
+        plan = compile_reformulation(result, data)
+        builds = []
+        original = planning._Evaluation._build
+
+        def counting(self, key, node):
+            builds.append(key)
+            return original(self, key, node)
+
+        monkeypatch.setattr(planning._Evaluation, "_build", counting)
+        streamed = set(stream_plan_answers(plan, data))
+        assert streamed == evaluate_reformulation(result, data, engine="backtracking")
+        assert plan.stats.reused_references > 0
+        assert len(builds) == len(set(builds))
+
+    def test_interrupted_build_is_not_memoised(self, monkeypatch):
+        plan = _enumerated(parse_query("Q(x) :- r(x, y)"))
+        (root,) = plan.fragments()
+        source = Instance.from_dict({"r": [(1, 2)]})
+        evaluation = planning._Evaluation(plan, source)
+        original = planning._scan_columnar
+        calls = []
+
+        def interrupted_once(node, source):
+            calls.append(node.key)
+            if len(calls) == 1:
+                raise KeyboardInterrupt
+            return original(node, source)
+
+        monkeypatch.setattr(planning, "_scan_columnar", interrupted_once)
+        with pytest.raises(KeyboardInterrupt):
+            evaluation.table(root.root_key)
+        assert root.root_key not in evaluation.memo
+        # The next read rebuilds the table rather than serving the fault.
+        assert evaluation.root_rows(root) == [(1,)]
+        assert len(calls) == 2
+
+
+class TestPlanEvaluation:
+    def test_union_rows_with_limit_pulls_no_batch_beyond(self):
+        pulled = []
+
+        def batches():
+            for batch in ([(1,), (2,)], [(2,), (3,)], [(4,)]):
+                pulled.append(batch)
+                yield batch
+
+        assert planning.union_rows(batches(), limit=3) == {(1,), (2,), (3,)}
+        assert len(pulled) == 2
+        assert planning.union_rows(iter(())) == set()
+        assert planning.union_rows(iter([[(1,)], [(1,), (2,)]])) == {(1,), (2,)}
+
+    def test_distinct_rows_is_lazy(self):
+        def batches():
+            yield [(1,), (1,), (2,)]
+            raise AssertionError("pulled a batch nobody asked for")
+
+        rows = planning.distinct_rows(batches())
+        assert [next(rows), next(rows)] == [(1,), (2,)]
+
+    def test_limit_zero_evaluates_nothing(self, fan_out_pdms):
+        result = reformulate(fan_out_pdms, parse_query(FAN_OUT_QUERY))
+        plan = compile_reformulation(result)
+        source = _CountingSource(fan_out_data())
+        assert evaluate_plan(plan, source, limit=0) == set()
+        assert source.scans == 0 and plan.stats.rewritings == 0
+
+    def test_only_selective_scans_and_interior_fragments_are_cached(self):
+        instance = Instance.from_dict({"r": [(1, 2), (2, 2)], "s": [(2, 5)]})
+        plan = _enumerated(parse_query("Q(x, z) :- r(x, y), s(y, z), r(x, 2)"))
+        cache = FragmentCache(max_bytes=1 << 20)
+        assert evaluate_plan(plan, instance, cache=cache) == {(1, 5), (2, 5)}
+        cached = set(cache.cached_keys())
+        for key, node in plan.nodes.items():
+            selective = not isinstance(node, planning.ScanFragment) or any(
+                value is not planning.WILDCARD for value in node.pattern)
+            assert (key in cached) == selective, key
+
+    def test_scan_requests_list_each_leaf_once(self):
+        plan = _enumerated(parse_query("Q(x) :- r(x, y), s(y, z), r(z, 3)"))
+        (root,) = plan.fragments()
+        requests = plan.scan_requests(root.root_key)
+        leaves = {
+            (node.relation, node.pattern)
+            for node in plan.nodes.values()
+            if isinstance(node, planning.ScanFragment)
+        }
+        assert len(requests) == len(set(requests)) == len(leaves) == 3
+        assert set(requests) == leaves
+        assert ("r", (planning.WILDCARD, 3)) in requests
+
+    def test_fragment_relations_are_the_transitive_footprint(self):
+        plan = _enumerated(
+            parse_query("Q(x) :- r(x, y), s(y, z)"), parse_query("Q(x) :- t(x, x)"))
+        first, second = plan.fragments()
+        assert plan.fragment_relations(first.root_key) == {"r", "s"}
+        assert plan.token_relations(first.root_key) == ("r", "s")
+        assert plan.fragment_relations(second.root_key) == {"t"}
