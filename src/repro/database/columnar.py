@@ -10,12 +10,12 @@ as the kernels' reference in the tests):
   a NumPy ``int64``/``float64`` array when dtype sniffing proves the
   column safely numeric, a plain Python list otherwise (and always, when
   NumPy is not installed);
-* batch kernels — hash/merge equi-join, fused selection, zero-copy
+* batch kernels — run-index/hash equi-join, fused selection, zero-copy
   project/rename, column-wise distinct, n-way union — operate on whole
   columns; on the NumPy path the heavy loops run in C;
 * rows are transposed only at the boundaries (scans in, answer sets
-  out), so a fragment pipeline transposes each input once and stays
-  columnar.
+  out), so a fragment pipeline transposes each input once per
+  evaluation and stays columnar.
 
 Dtype sniffing is deliberately conservative so columnar results are
 *value-identical* to the row algebra under Python equality semantics:
@@ -67,6 +67,13 @@ HAVE_NUMPY = np is not None
 #: Code-combination guard: pairwise key-code products stay below this, so
 #: combined join codes never overflow int64.
 _CODE_LIMIT = 2 ** 62
+
+#: Join codes stay dense: an integer key whose span is at most this many
+#: times both sides' rows codes itself as ``value - low``, and a combined
+#: code space larger than that is re-ranked.  The run index is a
+#: bincount + cumsum over the span, which at four codes a row still costs
+#: less than the ``np.unique`` sort it saves.
+_DENSE_SPAN = 4
 
 #: Largest integer magnitude that float64 represents exactly; NumPy
 #: comparisons that would cast ints past this fall back to Python.
@@ -308,11 +315,19 @@ class ColumnTable:
         if not self.columns:
             return ColumnTable(self.columns, self.data, 1)
         if np is not None and all(_is_array(col) for col in self.data):
-            codes = _self_codes(self.data)
-            _, first = np.unique(codes, return_index=True)
-            if len(first) == self._length:
+            # No run index here, so any int span up to 2**31 codes itself.
+            codes, _ = _codes(self.data, 2 ** 31)
+            # One unstable sort; each run of equal codes keeps its smallest
+            # row index, i.e. its first occurrence, in code order.
+            order = np.argsort(codes)
+            ordered = codes[order]
+            heads = np.empty(self._length, dtype=bool)
+            heads[0] = True
+            np.not_equal(ordered[1:], ordered[:-1], out=heads[1:])
+            starts = np.flatnonzero(heads)
+            if len(starts) == self._length:
                 return self
-            return self.take(first)
+            return self.take(np.minimum.reduceat(order, starts))
         seen: Set[Row] = set()
         keep: List[bool] = []
         for row in zip(*(col if isinstance(col, list) else _pylist(col) for col in self.data)):
@@ -394,9 +409,10 @@ def join_indices(
 
     Returns ``(left_indices, right_indices)`` — equal-length index
     sequences such that row ``left_indices[i]`` joins row
-    ``right_indices[i]``.  Uses the NumPy sort-merge kernel when every
-    key column pair is numeric arrays of the same kind; otherwise a
-    dict-based hash join with Python equality semantics.
+    ``right_indices[i]``.  When every key column pair is numeric arrays of
+    the same kind, both sides are encoded into one dense code space and
+    each probe row reads its match run from a run index over the build
+    side; otherwise a dict-based hash join with Python equality semantics.
     """
     if left_len == 0 or right_len == 0:
         empty = np.empty(0, dtype=np.intp) if np is not None else []
@@ -408,55 +424,49 @@ def join_indices(
     if build_right is None:
         build_right = right_len <= left_len
     if numeric:
-        lkey, rkey = _combined_codes(left_cols, right_cols, left_len)
+        key, card = _shared_codes(left_cols, right_cols)
+        lkey, rkey = key[:left_len], key[left_len:]
         if build_right:
-            probe_idx, build_idx = _sorted_probe(rkey, lkey)
+            probe_idx, build_idx = _run_probe(rkey, lkey, card)
             return probe_idx, build_idx
-        probe_idx, build_idx = _sorted_probe(lkey, rkey)
+        probe_idx, build_idx = _run_probe(lkey, rkey, card)
         return build_idx, probe_idx
     return _dict_join(left_cols, right_cols, left_len, right_len, build_right)
 
 
-def _combined_codes(left_cols, right_cols, left_len):
-    """Encode multi-column keys of both sides into one shared int64 space."""
-    if len(left_cols) == 1 and left_cols[0].dtype == right_cols[0].dtype:
-        return left_cols[0], right_cols[0]
-    lkey = rkey = None
-    card_bound = 1
-    for lcol, rcol in zip(left_cols, right_cols):
-        concat = np.concatenate([lcol, rcol])
-        uniq, inverse = np.unique(concat, return_inverse=True)
-        lcode, rcode = inverse[:left_len], inverse[left_len:]
+def _shared_codes(left_cols, right_cols):
+    """Codes of both sides' keys (left rows first) in one dense space.
+
+    Returns ``(codes, card)`` with ``card`` at most ``_DENSE_SPAN`` times
+    the rows of both sides, so a run index over it stays small.
+    """
+    both = [np.concatenate([lcol, rcol]) for lcol, rcol in zip(left_cols, right_cols)]
+    span = _DENSE_SPAN * len(both[0])
+    key, card = _codes(both, span)
+    if card > span:
+        uniq, key = np.unique(key, return_inverse=True)
         card = len(uniq)
-        if lkey is None:
-            lkey, rkey, card_bound = lcode, rcode, card
-            continue
-        if card_bound > _CODE_LIMIT // max(card, 1):
-            # Re-densify before multiplying so codes stay within int64.
-            both = np.concatenate([lkey, rkey])
-            _, inverse2 = np.unique(both, return_inverse=True)
-            lkey, rkey = inverse2[:left_len], inverse2[left_len:]
-            card_bound = len(lkey) + len(rkey)
-        lkey = lkey * card + lcode
-        rkey = rkey * card + rcode
-        card_bound *= card
-    return lkey, rkey
+    return key, card
 
 
-def _sorted_probe(build, probe):
-    """Sort-merge core: returns (probe_indices, build_indices)."""
+def _run_probe(build, probe, card):
+    """Run-index core: returns (probe_indices, build_indices).
+
+    The build side is stably sorted once; ``bincount``/``cumsum`` over the
+    ``card`` codes give every code's run (start, length) in that order, so
+    each probe row reads its matches by lookup and they come out in
+    build-row order, as a sort-merge would emit them.
+    """
     order = np.argsort(build, kind="stable")
-    sorted_build = build[order]
-    lo = np.searchsorted(sorted_build, probe, "left")
-    hi = np.searchsorted(sorted_build, probe, "right")
-    counts = hi - lo
-    total = int(counts.sum())
-    probe_idx = np.repeat(np.arange(len(probe), dtype=np.intp), counts)
-    starts = np.repeat(lo, counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    build_idx = order[starts + offsets]
+    counts = np.bincount(build, minlength=card)
+    lengths = counts[probe]
+    run_ends = np.cumsum(counts)[probe]
+    pair_ends = np.cumsum(lengths)
+    probe_idx = np.repeat(np.arange(len(probe), dtype=np.intp), lengths)
+    # Output pair k of probe row i reads sorted position
+    # k + run_ends[i] - pair_ends[i]: its run, walked from the start.
+    shift = np.repeat(run_ends - pair_ends, lengths)
+    build_idx = order[shift + np.arange(len(probe_idx))]
     return probe_idx, build_idx
 
 
@@ -491,33 +501,38 @@ def _dict_join(left_cols, right_cols, left_len, right_len, build_right):
 
 
 # ---------------------------------------------------------------------------
-# Self-encoding (distinct) helper
+# Key codes (join and distinct)
 # ---------------------------------------------------------------------------
 
-def _self_codes(cols):
-    """Combine one table's numeric columns into a single int64 code column."""
+def _codes(cols, span):
+    """Combine non-empty numeric columns into one order-preserving code.
+
+    Returns ``(codes, card)``: equal rows get equal codes, all within
+    ``range(card)``.  An integer column whose values span at most ``span``
+    codes itself as ``value - low`` (no sort); any other is ranked by
+    ``np.unique``.
+    """
     key = None
     card_bound = 1
     for col in cols:
-        ranged = col.dtype.kind == "i" and len(col)
+        ranged = col.dtype.kind == "i"
         low = int(col.min()) if ranged else 0
         card = int(col.max()) - low + 1 if ranged else 0
-        if 0 < card <= 2 ** 31:
-            code = col - low  # integers in a narrow range code themselves, unsorted
+        if 0 < card <= span:
+            code = col - low
         else:
-            _, code = np.unique(col, return_inverse=True)
-            card = int(code.max()) + 1 if len(code) else 1
+            uniq, code = np.unique(col, return_inverse=True)
+            card = len(uniq)
         if key is None:
             key, card_bound = code, card
             continue
-        if card_bound > _CODE_LIMIT // max(card, 1):
-            _, key = np.unique(key, return_inverse=True)
-            card_bound = len(key)
+        if card_bound > _CODE_LIMIT // card:
+            # Re-densify before multiplying so codes stay within int64.
+            uniq, key = np.unique(key, return_inverse=True)
+            card_bound = len(uniq)
         key = key * card + code
         card_bound *= card
-    if key is None:
-        return np.zeros(0, dtype=np.int64)
-    return key
+    return key, card_bound
 
 
 # ---------------------------------------------------------------------------

@@ -1249,10 +1249,13 @@ def _scan_columnar(node: ScanFragment, source) -> ColumnTable:
 def _worth_caching(node: PlanFragment) -> bool:
     """Is a fragment's table worth offering to the cross-call cache?
 
-    Joins and unions always are.  Unrestricted scans are not: their "table"
-    is a bare copy of rows the base index already serves in O(1), so
-    materialising them only burns budget.  Selective scans (constants or
-    repeated-variable equalities) do real filtering work and qualify.
+    Joins and unions always are.  Unrestricted scans are not.  Their table
+    is a row-to-column transpose of the base index's rows, redone whenever
+    a parent recomputes, but admitting every scan fragment moved no
+    end-to-end benchmark metric beyond run-to-run noise (numbers in
+    ``docs/materialization.md``), so they stay out of the byte budget.
+    Selective scans (constants or repeated-variable equalities) do real
+    filtering work and qualify.
     """
     if not isinstance(node, ScanFragment):
         return True
