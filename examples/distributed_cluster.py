@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""The emergency-services scenario on a real 4-peer process cluster.
+"""The emergency-services scenario on a real 4-peer socket cluster.
 
 Each data-bearing peer of the Figure-1 scenario — First Hospital (FH),
 Lakeview Hospital (LH), the Portland and Vancouver fire districts (PFD,
-VFD) — is hosted in its **own worker process** behind a
-:class:`~repro.pdms.distributed.process.ProcessTransport`.  A
+VFD) — is served over **TCP** behind an
+:class:`~repro.pdms.distributed.async_transport.AsyncSocketTransport`.  A
 :class:`~repro.pdms.distributed.cluster.ServiceCluster` answers the
 scenario's queries through the ``"distributed"`` engine: every stored-
-relation scan crosses the process boundary as a batched RPC, scattered
-concurrently across the owning peers.
+relation scan crosses the socket as a framed RPC, and the scans of one
+scatter wave share one batch frame.
 
 The second act injects a peer failure (Lakeview drops off the network)
 and shows the runtime degrading honestly: answers shrink to a *sound
@@ -22,7 +22,7 @@ Run it with::
 """
 
 from repro.datalog import parse_query
-from repro.pdms import ProcessTransport, ServiceCluster
+from repro.pdms import AsyncSocketTransport, ServiceCluster
 from repro.workload import (
     build_emergency_services,
     example_queries,
@@ -48,9 +48,9 @@ def print_traffic(transport):
 def main() -> None:
     pdms = build_emergency_services()
     per_peer = sample_peer_instances()
-    print(f"spinning up {len(per_peer)} worker processes: {sorted(per_peer)}")
-
-    with ProcessTransport(per_peer) as transport:
+    with AsyncSocketTransport(per_peer) as transport:
+        host, port = transport.address
+        print(f"serving {len(per_peer)} peers on {host}:{port}: {sorted(per_peer)}")
         with ServiceCluster(pdms=pdms, transport=transport, max_inflight=4) as cluster:
             queries = list(example_queries().items())
 

@@ -258,23 +258,6 @@ class Instance:
 
     # -- conversion ---------------------------------------------------------------
 
-    def __reduce__(self):
-        """Pickle as (rows, schema) and rebuild through :meth:`from_dict`.
-
-        Instances cross process boundaries in the distributed runtime
-        (each peer's data is shipped to its worker process).  Hash
-        indexes, version counters, and the process-unique instance id are
-        deliberately *not* shipped: the receiving process rebuilds fresh
-        indexes lazily and mints its own id, so version tokens from two
-        processes can never alias.  Empty declared relations survive via
-        the arity map.
-        """
-        data: Dict[str, list] = {
-            name: sorted(index.rows(), key=repr)
-            for name, index in self._relations.items()
-        }
-        return (_rebuild_instance, (data, dict(self._arities), self._schema))
-
     def as_dict(self) -> Dict[str, Set[Row]]:
         """Return a copy of the underlying relation->rows mapping."""
         return {name: set(index.rows()) for name, index in self._relations.items()}
@@ -318,24 +301,3 @@ class Instance:
     def __repr__(self) -> str:
         return f"Instance({self.total_rows()} rows in {len(self._relations)} relations)"
 
-
-def _rebuild_instance(
-    data: Mapping[str, Iterable[Sequence[object]]],
-    arities: Mapping[str, int],
-    schema: Optional[DatabaseSchema],
-) -> Instance:
-    """Unpickle hook for :meth:`Instance.__reduce__` (module-level so the
-    ``spawn`` start method can import it)."""
-    instance = Instance(schema)
-    if schema is None:
-        for name, arity in arities.items():
-            instance._arities.setdefault(name, arity)
-    for name, rows in data.items():
-        if name not in instance._relations:
-            # Materialise even empty relations: their declared existence
-            # (and arity) is part of the instance's observable state.
-            instance._relations[name] = PredicateIndex()
-            instance._relations_version += 1
-            relation_creation_clock.tick()
-        instance.add_all(name, rows)
-    return instance

@@ -6,12 +6,9 @@ and every answer path synchronous.  This package makes the peer boundary
 real:
 
 * :mod:`~repro.pdms.distributed.transport` — the wire contract
-  (:class:`Transport`) and the in-process :class:`LoopbackTransport`, whose
+  (:class:`Transport`), the one server dispatch and client admission both
+  backends share, and the in-process :class:`LoopbackTransport`, whose
   latency/failure injection hooks double as a chaos harness;
-* :mod:`~repro.pdms.distributed.process` — :class:`ProcessTransport`, which
-  hosts each peer's instance in a worker *process* (``multiprocessing``)
-  and serves batched pattern-level scan RPCs, sidestepping the GIL for
-  remote work;
 * :mod:`~repro.pdms.distributed.source` — :class:`RemotePeerFactSource`,
   implementing the :class:`~repro.datalog.indexing.IndexedFactSource`
   protocol over any transport so planning and the fragment cache work
@@ -34,19 +31,19 @@ real:
   its local LRU and a fresh compute;
 * :mod:`~repro.pdms.distributed.async_transport` —
   :class:`AsyncSocketTransport`, the same four-RPC contract over real
-  asyncio TCP sockets (length-prefixed frames, per-peer connection
-  pools, one background event-loop thread), selectable engine-wide with
-  ``REPRO_TRANSPORT=socket``;
+  asyncio TCP sockets (length-prefixed frames, a batch frame, one
+  connection pool, one background event-loop thread), selectable
+  engine-wide with ``REPRO_TRANSPORT=socket``;
 * :mod:`~repro.pdms.distributed.hedging` — the tail-latency toolkit:
   :class:`ScanPolicy` (bounded retries with jittered backoff, hedged
   duplicate scans to shard replicas, per-query deadline budgets),
   :class:`PeerLatencyTracker` (per-peer EWMA latency quantiles feeding
-  the adaptive hedge trigger), and :class:`HalfOpenBreaker` (the shared
-  circuit breaker that probes and recovers after a cooldown instead of
-  staying open forever).
+  the adaptive hedge trigger), and :class:`HalfOpenBreaker` (the cache
+  tier client's circuit breaker, which probes and recovers after a
+  cooldown instead of staying open forever).
 
 Every transport propagates the :mod:`repro.obs.trace` wire context
-(trace/span ids ride scan and insert RPCs out of band, so worker-side
+(trace/span ids ride scan and insert RPCs out of band, so server-side
 serve spans stitch into the caller's trace tree), and every stats
 surface in the package registers into the owning service's
 :class:`~repro.obs.metrics.MetricsRegistry` — see
@@ -68,7 +65,6 @@ from .transport import (
 )
 from .async_transport import AsyncSocketTransport
 from .hedging import HalfOpenBreaker, PeerLatencyTracker, ScanPolicy
-from .process import ProcessTransport
 from .sharding import (
     HashPartition,
     RangePartition,
@@ -101,7 +97,6 @@ __all__ = [
     "HashPartition",
     "LoopbackTransport",
     "PeerLatencyTracker",
-    "ProcessTransport",
     "RangePartition",
     "RemotePeerFactSource",
     "ScanFailure",

@@ -13,13 +13,15 @@ story is the one peers on other hosts would use:
   capped at ``pool_size`` per served peer);
 * frames are 4-byte big-endian length-prefixed pickles of at most
   :data:`MAX_FRAME_BYTES`; one request frame ``(op, peer, payload)``
-  yields one response frame ``(status, value)`` with the same ``ok`` /
-  ``data_error`` / ``error`` statuses the process backend uses, so data
-  errors re-raise as the same ``ValueError`` /
-  :class:`~repro.errors.InstanceError` a local probe would produce;
+  yields one response frame ``(status, value)``: ``ok``, ``data_error``
+  (re-raised client-side as the same ``ValueError`` /
+  :class:`~repro.errors.InstanceError` a local probe would produce) or
+  ``error`` (a :class:`~repro.errors.TransportError`);
 * a **batch frame** ``("batch", [(op, peer, payload, ctx), …])`` carries
   many such requests in one round trip: the server runs the
-  sub-requests concurrently through the same dispatch and replies
+  sub-requests concurrently through the same dispatch
+  (:func:`~repro.pdms.distributed.transport.serve_request`, the one
+  loopback runs too) and replies
   ``("ok", [(status, value), …])``, one pair per sub-request with the
   lone frame's statuses.  :meth:`AsyncSocketTransport.describe_many`
   (the catalogue round of a refresh) and
@@ -33,15 +35,16 @@ story is the one peers on other hosts would use:
   :class:`concurrent.futures.Future` whose cancellation really abandons
   the RPC (the pooled connection is discarded, never re-paired);
 * chaos parity with the loopback harness: ``fail_peer`` /
-  ``drop_every_n`` act client-side before a frame is sent, while
+  ``drop_every_n`` act client-side before a frame is sent (the shared
+  :meth:`~repro.pdms.distributed.transport.TransportBase._admit`), while
   ``delay`` / ``set_peer_delay`` / ``row_cost`` are served as
   ``asyncio.sleep`` *inside* the server — so a slowed peer delays only
   its own responses while the loop keeps serving everyone else, which
-  is exactly the one-slow-replica scenario hedging exists for.
-
-Version tokens are shipped unsalted: the served instances live in this
-process, so their :meth:`~repro.database.instance.Instance.instance_id`
-is already unique across every transport sharing them.
+  is exactly the one-slow-replica scenario hedging exists for;
+* an RPC that outlives the timeout (``REPRO_TRANSPORT_TIMEOUT_MS``, or
+  the ``timeout`` argument) raises
+  :class:`~repro.errors.TransportError`; its connection is discarded,
+  so a late reply can never pair with a later request.
 """
 
 from __future__ import annotations
@@ -50,24 +53,18 @@ import asyncio
 import concurrent.futures
 import pickle
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ...database.instance import Instance
 from ...errors import InstanceError, TransportError
 from ...config import transport_timeout_seconds as _config_transport_timeout
-from ...obs.trace import ServeSpan, current_wire_context
+from ...obs.trace import current_wire_context
 from .transport import (
     Catalogs,
-    RelationInfo,
-    Row,
-    ScanRequest,
     ScanSinceResult,
     SinceScanRequest,
     TransportBase,
-    decode_pattern,
-    describe_instance,
-    scan_instance_since,
-    traced_reply,
+    serve_request,
     unwrap_envelope,
 )
 
@@ -139,10 +136,9 @@ def _decode_reply(peer: str, status: str, value: object) -> object:
 class AsyncSocketTransport(TransportBase):
     """The four-RPC contract over asyncio TCP sockets (see module docs).
 
-    Chaos hooks mirror :class:`LoopbackTransport`: ``delay`` (seconds per
-    RPC, served remotely), ``set_peer_delay`` (extra latency for one
-    peer), ``drop_every_n`` (every n-th scan RPC fails client-side), and
-    ``row_cost`` (server-side seconds per returned row).
+    Chaos hooks are :class:`~repro.pdms.distributed.transport.TransportBase`'s:
+    ``delay``, ``set_peer_delay`` and ``row_cost`` are waited out
+    remotely, ``fail_peer`` and ``drop_every_n`` refuse client-side.
     """
 
     def __init__(
@@ -154,12 +150,7 @@ class AsyncSocketTransport(TransportBase):
         pool_size: int = 4,
         timeout: Optional[float] = None,
     ):
-        self._instances: Dict[str, Instance] = dict(instances)
-        super().__init__(self._instances)
-        self.delay = delay
-        self.drop_every_n = drop_every_n
-        self.row_cost = row_cost
-        self._scan_rpc_count = 0
+        super().__init__(instances, delay, drop_every_n, row_cost)
         #: ``pool_size`` is per served peer, as when each had its own pool.
         self._pool_cap = max(1, pool_size) * max(1, len(self._instances))
         self._timeout = timeout if timeout is not None else _config_transport_timeout()
@@ -242,7 +233,7 @@ class AsyncSocketTransport(TransportBase):
         waits only on injected latency; without any, each sub-request runs
         straight through and a task apiece would be pure scheduling cost.
         """
-        if self.delay > 0 or self.row_cost > 0 or self._peer_delays:
+        if self._latency_injected():
             return await asyncio.gather(
                 *(self._respond(request) for request in requests)
             )
@@ -251,62 +242,13 @@ class AsyncSocketTransport(TransportBase):
     async def _serve(
         self, op: str, peer: str, payload: object, ctx: object = None
     ) -> object:
-        instance = self._instances.get(peer)
-        if instance is None:
-            raise TransportError(f"unknown peer {peer!r}", peer=peer)
-        wire_delay = self.delay + self.peer_delay(peer)
-        if wire_delay > 0:
-            await asyncio.sleep(wire_delay)
-        if op == "describe":
-            return describe_instance(instance)
-        # Serve spans cover the full server-side service time, injected
-        # chaos sleeps included — which is exactly what the client-side
-        # attempt span needs subtracted to attribute time to the wire.
-        if op == "scan":
-            span = ServeSpan(ctx, "rpc.serve.scan", peer=peer, transport="socket")
-            with span:
-                results = [
-                    tuple(instance.get_matching(relation, decode_pattern(encoded)))
-                    for relation, encoded in payload
-                ]
-                if span.recording:
-                    span.set("requests", len(payload))
-                    span.set("rows", sum(len(rows) for rows in results))
-                await self._charge_rows(sum(len(rows) for rows in results))
-            return traced_reply(results, span)
-        if op == "scan_since":
-            span = ServeSpan(
-                ctx, "rpc.serve.scan_since", peer=peer, transport="socket"
-            )
-            with span:
-                results = [
-                    scan_instance_since(instance, relation, encoded, since)
-                    for relation, encoded, since in payload
-                ]
-                if span.recording:
-                    span.set("requests", len(payload))
-                    span.set("rows", sum(len(rows) for _, _, rows in results))
-                await self._charge_rows(sum(len(rows) for _, _, rows in results))
-            return traced_reply(results, span)
-        if op == "insert":
-            relation, rows = payload
-            span = ServeSpan(
-                ctx, "rpc.serve.insert", peer=peer, transport="socket",
-                relation=relation,
-            )
-            with span:
-                for row in rows:
-                    instance.add(relation, row)
-                if span.recording:
-                    span.set("rows", len(rows))
-            return traced_reply(len(rows), span)
-        if op == "ping":
-            return "pong"
-        raise TransportError(f"unknown op {op!r}", peer=peer)
-
-    async def _charge_rows(self, count: int) -> None:
-        if self.row_cost > 0 and count:
-            await asyncio.sleep(self.row_cost * count)
+        """Serve one request on the event loop; waits are ``asyncio.sleep``."""
+        steps = serve_request(self, op, peer, payload, ctx, "socket")
+        try:
+            while True:
+                await asyncio.sleep(next(steps))
+        except StopIteration as done:
+            return done.value
 
     # -- client side -------------------------------------------------------
 
@@ -358,28 +300,6 @@ class AsyncSocketTransport(TransportBase):
                 outcomes.append(exc)
         return outcomes
 
-    def _precheck(self, peer: str, scan: bool = False, frame: bool = True) -> None:
-        """Client-side chaos + accounting, mirroring the loopback harness.
-
-        ``frame=False`` admits a batch sub-request: chaos applies to it as
-        to a lone RPC, but its frame is counted once, by :meth:`_batch`.
-        """
-        if self._closed:
-            raise TransportError("transport is closed", peer=peer)
-        with self._lock:
-            if frame:
-                self._rpc_count += 1
-            if peer in self._failed:
-                raise TransportError(f"peer {peer!r} is unreachable", peer=peer)
-            if peer not in self._instances:
-                raise TransportError(f"unknown peer {peer!r}", peer=peer)
-            if scan:
-                self._scan_rpc_count += 1
-                if self.drop_every_n and self._scan_rpc_count % self.drop_every_n == 0:
-                    raise TransportError(
-                        f"scan RPC to {peer!r} dropped (injected)", peer=peer
-                    )
-
     def _wait(self, coro, what: str, peer: Optional[str] = None) -> object:
         """Run ``coro`` on the event loop; block for it under the RPC timeout."""
         future = asyncio.run_coroutine_threadsafe(coro, self._loop)
@@ -391,7 +311,7 @@ class AsyncSocketTransport(TransportBase):
                 f"{what} timed out after {self._timeout}s", peer=peer
             ) from None
 
-    def _run(self, peer: str, op: str, payload: object) -> object:
+    def _call(self, op: str, peer: str, payload: object) -> object:
         # Capture the caller thread's wire context here: _rpc executes on
         # the event-loop thread, where the thread-local is not visible.
         return self._wait(
@@ -413,7 +333,7 @@ class AsyncSocketTransport(TransportBase):
         sent: List[int] = []
         for index, (_, peer, _, _) in enumerate(subs):
             try:
-                self._precheck(peer, scan=scan, frame=False)
+                self._admit(peer, scan=scan, frame=False)
             except TransportError as exc:
                 outcomes[index] = exc
             else:
@@ -437,13 +357,6 @@ class AsyncSocketTransport(TransportBase):
 
     # -- the Transport surface ---------------------------------------------
 
-    def peers(self) -> Tuple[str, ...]:
-        return tuple(self._instances)
-
-    def instance(self, peer: str) -> Instance:
-        """The live instance behind ``peer`` (tests mutate data through it)."""
-        return self._instances[peer]
-
     @property
     def prefers_parallel(self) -> bool:
         """Scatter hint: socket RPCs always have wire latency to overlap."""
@@ -454,15 +367,6 @@ class AsyncSocketTransport(TransportBase):
         """The ``(host, port)`` the server is listening on."""
         return self._address[:2]
 
-    def ping(self, peer: str) -> bool:
-        """Round-trip liveness probe."""
-        self._precheck(peer)
-        return self._run(peer, "ping", None) == "pong"
-
-    def describe(self, peer: str) -> Dict[str, RelationInfo]:
-        self._precheck(peer)
-        return self._run(peer, "describe", None)
-
     def describe_many(self, peers: Iterable[str]) -> Catalogs:
         """Every listed peer's catalog (or its fault) in one batch frame."""
         names = list(peers)
@@ -470,22 +374,6 @@ class AsyncSocketTransport(TransportBase):
             names,
             self._batch([("describe", peer, None, None) for peer in names]),
         ))
-
-    def scan_batch(
-        self, peer: str, requests: Sequence[ScanRequest]
-    ) -> List[Tuple[Row, ...]]:
-        self._precheck(peer, scan=True)
-        results = self._run(peer, "scan", list(requests))
-        self._count_scans(peer, len(requests))
-        return results
-
-    def scan_batch_since(
-        self, peer: str, requests: Sequence[SinceScanRequest]
-    ) -> List[ScanSinceResult]:
-        self._precheck(peer, scan=True)
-        results = self._run(peer, "scan_since", list(requests))
-        self._count_scans(peer, len(requests))
-        return results
 
     def submit_scan(
         self, peer: str, requests: Sequence[SinceScanRequest]
@@ -498,7 +386,7 @@ class AsyncSocketTransport(TransportBase):
         Client-side chaos (``fail_peer``, ``drop_every_n``) is applied
         here, synchronously, before anything is sent.
         """
-        self._precheck(peer, scan=True)
+        self._admit(peer, scan=True)
         batch = list(requests)
         trace = current_wire_context()
 
@@ -529,12 +417,6 @@ class AsyncSocketTransport(TransportBase):
             if not isinstance(outcome, Exception):
                 self._count_scans(peer, len(requests))
         return outcomes
-
-    def insert(self, peer: str, relation: str, rows: Iterable[Row]) -> int:
-        self._precheck(peer)
-        return self._run(
-            peer, "insert", (relation, [tuple(row) for row in rows])
-        )
 
     # -- lifecycle ---------------------------------------------------------
 

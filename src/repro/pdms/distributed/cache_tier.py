@@ -14,9 +14,9 @@ compute — as a **cache peer**, not a new protocol:
   insert) and ``__evict__`` (arity 1: inserting a relation name evicts
   every fragment that reads it).  Because that is the whole wire surface,
   the store is hostable by :class:`~repro.pdms.distributed.transport.LoopbackTransport`
-  *and* :class:`~repro.pdms.distributed.process.ProcessTransport`
-  unchanged — one worker process can serve warm fragments to every
-  cluster on the machine;
+  *and* :class:`~repro.pdms.distributed.async_transport.AsyncSocketTransport`
+  unchanged — one socket endpoint can serve warm fragments to every
+  cluster that reaches it;
 * :class:`CacheTierClient` wraps one transport peer as the get/put/
   invalidate surface :class:`~repro.pdms.materialization.FragmentCache`
   consults (see its ``tier`` parameter).  Entries are keyed by canonical
@@ -74,13 +74,9 @@ class FragmentStore:
 
     Implements exactly the instance surface the transports serve
     (:func:`~repro.pdms.distributed.transport.describe_instance`,
-    ``get_matching``, ``add``), so both the loopback and the
-    one-process-per-peer backends can host it without modification.  One
-    entry per fragment key, LRU within a byte budget; thread-safe.
-
-    Shipping the store across a process boundary (``ProcessTransport``)
-    starts an *empty* remote store with the same budget — a cache's
-    contents are soft state, never worth serializing.
+    ``get_matching``, ``add``), so both backends can host it without
+    modification.  One entry per fragment key, LRU within a byte budget;
+    thread-safe.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_FRAGMENT_CACHE_BYTES):
@@ -96,9 +92,6 @@ class FragmentStore:
         self._version = 0
         self.evictions = 0
         self.invalidations = 0
-
-    def __reduce__(self):
-        return (FragmentStore, (self._max_bytes,))
 
     # -- the instance surface (what the transports serve) ------------------
 
@@ -254,8 +247,10 @@ class CacheTierClient:
     half-open probe, so a restored cache peer rejoins on its own;
     :meth:`reset` still force-closes the breaker immediately.
 
-    Values round-trip through :mod:`pickle` (the process backend would
-    pickle them anyway); unpicklable values silently skip the tier.
+    Values round-trip through :mod:`pickle`: the store holds opaque
+    ``bytes``, and a fragment value (a
+    :class:`~repro.database.columnar.ColumnTable`) has no other byte
+    form.  Unpicklable values silently skip the tier.
     """
 
     def __init__(

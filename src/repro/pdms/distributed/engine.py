@@ -245,7 +245,8 @@ def evaluate_distributed(
     """Evaluate ``result`` over peers, reporting completeness explicitly.
 
     ``data`` is a :class:`~repro.pdms.distributed.source.RemotePeerFactSource`
-    (typically over a :class:`~repro.pdms.distributed.process.ProcessTransport`),
+    (over a loopback or
+    :class:`~repro.pdms.distributed.async_transport.AsyncSocketTransport`),
     or per-peer instances / a :class:`~repro.pdms.execution.PeerFactSource`,
     which are wrapped in a loopback boundary for the call.  The failure
     window is the call itself: faults recorded by other threads sharing

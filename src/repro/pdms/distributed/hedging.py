@@ -4,11 +4,9 @@ Three small, independently testable components shared by the distributed
 runtime:
 
 * :class:`HalfOpenBreaker` — a circuit breaker with a half-open probe.
-  Both :class:`~repro.pdms.distributed.process.ProcessTransport` (per
-  worker) and :class:`~repro.pdms.distributed.cache_tier.CacheTierClient`
-  previously tripped *permanently* on failure; they now share this
-  helper, so a healed peer rejoins after a cooldown instead of being
-  fenced off for the life of the process.
+  :class:`~repro.pdms.distributed.cache_tier.CacheTierClient` trips it
+  on consecutive failures, and after a cooldown a healed cache peer
+  rejoins instead of being fenced off for the life of the process.
 * :class:`PeerLatencyTracker` — per-peer EWMA of scan latency (mean and
   variance), from which the adaptive hedge delay (p95) is derived.
 * :class:`ScanPolicy` — the per-scan retry/hedge/deadline envelope read

@@ -1082,8 +1082,7 @@ class RemotePeerFactSource:
         pruned against this source's own :attr:`shard_map` when it has
         one.  Requests are batched into one *scan unit* per replica
         group (see :meth:`_scan_groups`); with ``parallel`` (and a
-        transport that benefits — worker processes, sockets, or injected
-        latency) the units run concurrently on a thread pool, so a
+        transport that benefits — sockets, or injected latency) the units run concurrently on a thread pool, so a
         rewriting touching *k* groups pays one RPC round-trip instead of
         *k*.  Each unit runs under the full :class:`ScanPolicy` envelope
         (retries, hedging, deadline).  Returns the number of scans

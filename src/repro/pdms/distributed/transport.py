@@ -1,12 +1,12 @@
-"""The peer-boundary wire contract and the in-process loopback backend.
+"""The peer-boundary wire contract, its one server dispatch, and loopback.
 
 A :class:`Transport` connects a query processor to a set of named peers,
 each hosting the stored relations it contributed to the PDMS.  The
 contract is deliberately tiny — four RPCs, plus one batched form with a
-per-peer default — so backends range from a zero-copy in-process
-loopback to one worker process per peer
-(:class:`~repro.pdms.distributed.process.ProcessTransport`) without the
-planner or cache layers noticing:
+per-peer default — so the two backends, a zero-copy in-process loopback
+and asyncio TCP sockets
+(:class:`~repro.pdms.distributed.async_transport.AsyncSocketTransport`),
+are interchangeable without the planner or cache layers noticing:
 
 ``describe(peer)``
     One metadata round trip: every relation the peer serves, as
@@ -14,17 +14,16 @@ planner or cache layers noticing:
     token is the peer's per-relation data version fetched *over the
     wire*, so version-keyed caches (the
     :class:`~repro.pdms.materialization.FragmentCache`) keep working
-    across the process boundary.
+    across the peer boundary.
 
 ``describe_many(peers)``
     The catalogue round of a whole refresh: ``{peer: catalog}``, with a
     :class:`~repro.errors.TransportError` *as the value* for a peer that
     could not be described, so one dead peer never hides the others.
     :class:`TransportBase` supplies the default — ``describe`` peer by
-    peer (:func:`describe_each`) — and a backend with a batch frame
-    (:class:`~repro.pdms.distributed.async_transport.AsyncSocketTransport`)
-    answers it in one round trip.  A transport that has no such method at
-    all is served through the same per-peer default.
+    peer (:func:`describe_each`) — and the socket backend answers it in
+    one batch frame.  A transport that has no such method at all is
+    served through the same per-peer default.
 
 ``scan_batch(peer, requests)``
     The workhorse: a batch of pattern-level scans, one round trip.  Each
@@ -39,17 +38,18 @@ planner or cache layers noticing:
     through the same boundary they query through.
 
 ``close()``
-    Releases backend resources (worker processes, pipes).
+    Releases backend resources (the socket server, its event loop).
 
 Failures are reported as :class:`~repro.errors.TransportError`; *data*
 errors (an arity clash detected by the remote index) surface as
 ``ValueError`` exactly like a local probe, so the planner's error paths
 stay transport-agnostic.
 
+Both backends share one client admission (:meth:`TransportBase._admit`)
+and one server dispatch (:func:`serve_request`); each keeps only how it
+waits out injected latency and how serve spans come home.
 :class:`LoopbackTransport` serves live in-process instances with zero
-copying — and doubles as the chaos harness: ``delay`` injects per-RPC
-latency, ``fail_peer`` makes one peer unreachable, and ``drop_every_n``
-drops every n-th scan RPC.
+copying and doubles as the chaos harness.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from __future__ import annotations
 import threading
 import time
 from typing import (
-    Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple, Union,
+    Dict, Iterable, List, Mapping, Protocol, Sequence, Tuple, Union,
 )
 
 from ...database.instance import Instance
@@ -100,13 +100,14 @@ Catalogs = Dict[str, Union[Dict[str, RelationInfo], TransportError]]
 class TraceEnvelope:
     """A traced RPC reply: the real value plus worker-side span records.
 
-    Remote backends (process, socket) wrap their reply in one of these
-    *only* when the request carried a wire trace context — an untraced
-    request (the default, and everything an old client sends) gets the
-    bare value, so the reply format is exactly as before unless both
-    ends opted in.  The client-side transport method unwraps the
-    envelope and grafts the records into the caller's trace before
-    returning, so nothing above the transport layer ever sees one.
+    :func:`serve_request` wraps its reply in one of these *only* when
+    the request carried a wire trace context — an untraced request (the
+    default, and everything an old client sends) gets the bare value, so
+    the reply format is exactly as before unless both ends opted in.
+    The client-side transport unwraps the envelope and grafts the
+    records into the caller's trace before returning (loopback does so
+    in the same thread, the socket after the reply frame), so nothing
+    above the transport layer ever sees one.
     """
 
     __slots__ = ("value", "spans")
@@ -171,10 +172,9 @@ def decode_pattern(encoded: EncodedPattern) -> Pattern:
 def describe_instance(instance: Instance) -> Dict[str, RelationInfo]:
     """One instance's ``describe`` catalog — the single wire shape.
 
-    Shared by every backend (loopback serves it directly, the process
-    worker builds it remotely), so the catalog format cannot drift
-    between transports.  Relations whose arity is unknown are skipped —
-    they cannot be probed by any atom.
+    Served by :func:`serve_request` for every backend, so the catalog
+    format cannot drift between transports.  Relations whose arity is
+    unknown are skipped — they cannot be probed by any atom.
     """
     info: Dict[str, RelationInfo] = {}
     for relation in instance.relations():
@@ -211,9 +211,9 @@ def scan_instance_since(
 ) -> ScanSinceResult:
     """Serve one delta-capable scan request against a live instance.
 
-    The single server-side delta implementation, shared by every backend
-    (loopback serves it directly, the process worker and the socket
-    server run it remotely), so the delta contract cannot drift:
+    The single server-side delta implementation, run by
+    :func:`serve_request` for every backend, so the delta contract cannot
+    drift:
 
     * ``since`` matching the current token exactly → empty delta
       (``full=False``) — the near-constant-size rescan;
@@ -284,23 +284,121 @@ class Transport(Protocol):
         ...
 
 
-class TransportBase:
-    """Shared chaos-injection and traffic-accounting state for backends.
+#: The serve span each wire op records; ``describe`` and ``ping`` record none.
+_SERVE_SPANS = {
+    "scan": "rpc.serve.scan",
+    "scan_since": "rpc.serve.scan_since",
+    "insert": "rpc.serve.insert",
+}
 
-    Subclasses provide the wire; this base owns the injected-failure set
-    (:meth:`fail_peer` / :meth:`restore_peer`), the per-peer scan
-    counters, the RPC counter, and the context-manager/closed flag, so
-    failure accounting and chaos semantics cannot drift between
-    backends.  Backends with an additional notion of brokenness (e.g. a
-    tripped timeout circuit) override :meth:`_broken_peers`.
+
+def serve_request(
+    transport: "TransportBase", op: str, peer: str, payload: object,
+    ctx: object, label: str,
+):
+    """Serve one wire request: the one server dispatch of every backend.
+
+    A generator: it yields each injected wait in seconds — ``delay`` plus
+    the peer's own delay before the work, ``row_cost`` per row shipped
+    after it — for the backend to sleep its own way (``time.sleep`` on
+    loopback, ``asyncio.sleep`` on the socket's event loop), and returns
+    the reply: the bare value, or a :class:`TraceEnvelope` carrying the
+    serve span when ``ctx`` is a wire trace context.  The waits happen
+    inside the serve span, so a span covers the full server-side service
+    time — what the client's attempt span needs subtracted to attribute
+    time to the wire (``describe`` and ``ping`` record no span and reply
+    bare).  Data errors (``ValueError``, ``InstanceError``) propagate
+    as-is; an unknown peer or op is a :class:`~repro.errors.TransportError`.
+    """
+    instance = transport._instances.get(peer)
+    if instance is None:
+        raise TransportError(f"unknown peer {peer!r}", peer=peer)
+    wait = transport.delay + transport.peer_delay(peer)
+    if op == "describe" or op == "ping":
+        if wait > 0:
+            yield wait
+        return describe_instance(instance) if op == "describe" else "pong"
+    name = _SERVE_SPANS.get(op)
+    if name is None:
+        raise TransportError(f"unknown op {op!r}", peer=peer)
+    attrs = {"relation": payload[0]} if op == "insert" else {}
+    span = ServeSpan(ctx, name, peer=peer, transport=label, **attrs)
+    with span:
+        if wait > 0:
+            yield wait
+        if op == "insert":
+            relation, rows = payload
+            for row in rows:
+                instance.add(relation, row)
+            value = len(rows)
+            span.set("rows", value)
+        else:
+            # ValueError (an arity clash against the probing atom)
+            # propagates as-is: a data error, not a transport fault.
+            if op == "scan":
+                value = [
+                    tuple(instance.get_matching(relation, decode_pattern(encoded)))
+                    for relation, encoded in payload
+                ]
+                shipped = sum(len(rows) for rows in value)
+            else:
+                value = [
+                    scan_instance_since(instance, relation, encoded, since)
+                    for relation, encoded, since in payload
+                ]
+                shipped = sum(len(rows) for _, _, rows in value)
+            span.set("requests", len(payload))
+            span.set("rows", shipped)
+            if transport.row_cost > 0 and shipped:
+                yield transport.row_cost * shipped
+    # After the span closed: only a closed span has a record to ship.
+    return traced_reply(value, span)
+
+
+class TransportBase:
+    """The wire surface and chaos state both backends share.
+
+    It holds the served instances, the chaos hooks (``delay``,
+    ``drop_every_n``, ``row_cost``, :meth:`fail_peer`,
+    :meth:`set_peer_delay`), the per-peer scan counters, the RPC counter
+    and the closed flag, and it admits every RPC client-side
+    (:meth:`_admit`), so failure accounting and chaos semantics cannot
+    drift between backends.  A backend supplies :meth:`_call` — how one
+    admitted request reaches :func:`serve_request` and how its reply
+    comes home.
+
+    ``delay``
+        Seconds waited inside every RPC (simulated wire latency).
+    ``fail_peer(name)`` / ``restore_peer(name)``
+        While failed, every RPC to the peer raises
+        :class:`~repro.errors.TransportError` — an unreachable peer.
+    ``drop_every_n``
+        When set to *n* > 0, every n-th scan RPC (counted
+        transport-wide) raises — transient packet-loss-style faults.
+    ``row_cost``
+        Seconds waited per row a scan returns (simulated wire-transfer
+        time, proportional to payload).  Like ``delay`` the wait releases
+        the GIL, so scans issued concurrently overlap — which is how
+        sharding wins wall-clock time on the benchmark workloads.
     """
 
-    def __init__(self, peers: Iterable[str]):
+    def __init__(
+        self,
+        instances: Mapping[str, Instance],
+        delay: float = 0.0,
+        drop_every_n: int = 0,
+        row_cost: float = 0.0,
+    ):
+        self._instances: Dict[str, Instance] = dict(instances)
+        self.delay = delay
+        self.drop_every_n = drop_every_n
+        self.row_cost = row_cost
         self._failed: set = set()
         self._lock = threading.Lock()
-        self._scan_counts: Dict[str, int] = {name: 0 for name in peers}
+        self._scan_counts: Dict[str, int] = {name: 0 for name in self._instances}
         self._peer_delays: Dict[str, float] = {}
         self._rpc_count = 0
+        self._scan_rpc_count = 0
         self._closed = False
 
     # -- chaos hooks -------------------------------------------------------
@@ -311,7 +409,7 @@ class TransportBase:
             self._failed.add(peer)
 
     def restore_peer(self, peer: str) -> None:
-        """Bring a failed peer back (circuit-broken peers stay broken)."""
+        """Bring a failed peer back."""
         with self._lock:
             self._failed.discard(peer)
 
@@ -332,16 +430,23 @@ class TransportBase:
         with self._lock:
             return self._peer_delays.get(peer, 0.0)
 
-    def _broken_peers(self) -> Iterable[str]:
-        """Peers broken by the backend itself (beyond injected failures)."""
-        return ()
+    def _latency_injected(self) -> bool:
+        """Does serving wait on anything (per RPC or per row, any peer)?"""
+        return self.delay > 0 or self.row_cost > 0 or bool(self._peer_delays)
 
     def failed_peers(self) -> Tuple[str, ...]:
-        """Peers injected as failed or broken by the backend."""
+        """Peers injected as failed."""
         with self._lock:
-            return tuple(sorted(self._failed | set(self._broken_peers())))
+            return tuple(sorted(self._failed))
 
     # -- introspection -----------------------------------------------------
+
+    def peers(self) -> Tuple[str, ...]:
+        return tuple(self._instances)
+
+    def instance(self, peer: str) -> Instance:
+        """The live instance behind ``peer`` (tests mutate data through it)."""
+        return self._instances[peer]
 
     def scan_count(self, peer: str) -> int:
         """Individual scan requests served for ``peer`` so far."""
@@ -365,41 +470,79 @@ class TransportBase:
         """Schema-versioned traffic counters for the metrics registry.
 
         The transport's ad-hoc accounting (RPC total, per-peer scan
-        counts, injected/broken peers) in the uniform collector shape —
-        a fresh dict each call, safe to mutate.
+        counts, injected peers) in the uniform collector shape — a fresh
+        dict each call, safe to mutate.
         """
         with self._lock:
             return {
                 "schema_version": METRICS_SCHEMA_VERSION,
                 "rpc_count": self._rpc_count,
                 "scan_counts": dict(self._scan_counts),
-                "failed_peers": sorted(
-                    self._failed | set(self._broken_peers())
-                ),
+                "failed_peers": sorted(self._failed),
             }
 
-    # -- batched catalogues ------------------------------------------------
+    # -- the wire ----------------------------------------------------------
+
+    def _admit(self, peer: str, scan: bool = False, frame: bool = True) -> None:
+        """Client-side admission of one RPC: accounting plus chaos.
+
+        Refuses a closed transport, an injected-failed or unknown peer,
+        and every ``drop_every_n``-th scan, before anything is sent.
+        ``frame=False`` admits a batch sub-request: chaos applies to it
+        as to a lone RPC, but the frame carrying it is counted once.
+        """
+        if self._closed:
+            raise TransportError("transport is closed", peer=peer)
+        with self._lock:
+            if frame:
+                self._rpc_count += 1
+            if peer in self._failed:
+                raise TransportError(f"peer {peer!r} is unreachable", peer=peer)
+            if peer not in self._instances:
+                raise TransportError(f"unknown peer {peer!r}", peer=peer)
+            if scan:
+                self._scan_rpc_count += 1
+                if self.drop_every_n and self._scan_rpc_count % self.drop_every_n == 0:
+                    raise TransportError(
+                        f"scan RPC to {peer!r} dropped (injected)", peer=peer
+                    )
+
+    def _call(self, op: str, peer: str, payload: object) -> object:
+        """Send one admitted request through :func:`serve_request`."""
+        raise NotImplementedError  # pragma: no cover - backends supply it
+
+    def ping(self, peer: str) -> bool:
+        """Round-trip liveness probe."""
+        self._admit(peer)
+        return self._call("ping", peer, None) == "pong"
+
+    def describe(self, peer: str) -> Dict[str, RelationInfo]:
+        self._admit(peer)
+        return self._call("describe", peer, None)
 
     def describe_many(self, peers: Iterable[str]) -> Catalogs:
         """Every listed peer's catalog (or its fault); the per-peer default."""
         return describe_each(self, peers)
 
-    # -- delta scans -------------------------------------------------------
+    def scan_batch(
+        self, peer: str, requests: Sequence[ScanRequest]
+    ) -> List[Tuple[Row, ...]]:
+        self._admit(peer, scan=True)
+        results = self._call("scan", peer, list(requests))
+        self._count_scans(peer, len(requests))
+        return results
 
     def scan_batch_since(
         self, peer: str, requests: Sequence[SinceScanRequest]
     ) -> List[ScanSinceResult]:
-        """Delta-capable scan batch; the base falls back to full scans.
+        self._admit(peer, scan=True)
+        results = self._call("scan_since", peer, list(requests))
+        self._count_scans(peer, len(requests))
+        return results
 
-        Backends without a delta implementation serve every request as a
-        full rescan through their (possibly subclass-overridden)
-        :meth:`scan_batch`, with no version token — callers then simply
-        never send a ``since`` cursor to this backend.
-        """
-        rows = self.scan_batch(  # type: ignore[attr-defined]
-            peer, [(relation, encoded) for relation, encoded, _ in requests]
-        )
-        return [(True, None, result) for result in rows]
+    def insert(self, peer: str, relation: str, rows: Iterable[Row]) -> int:
+        self._admit(peer)
+        return self._call("insert", peer, (relation, [tuple(row) for row in rows]))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -419,51 +562,12 @@ class LoopbackTransport(TransportBase):
     The reference backend: scans route straight to the owning
     :class:`~repro.database.instance.Instance` (including its maintained
     hash indexes) with no serialization, so it is both the fastest way to
-    run the ``"distributed"`` engine and the baseline the process backend
-    is measured against.
-
-    It is also the chaos harness.  Three injection hooks, all safe to
-    flip at runtime:
-
-    ``delay``
-        Seconds slept inside every RPC (simulated wire latency; applies
-        to ``describe`` and ``scan_batch``).
-    ``fail_peer(name)`` / ``restore_peer(name)``
-        While failed, every RPC to the peer raises
-        :class:`~repro.errors.TransportError` — an unreachable peer.
-    ``drop_every_n``
-        When set to *n* > 0, every n-th ``scan_batch`` RPC (counted
-        transport-wide) raises — transient packet-loss-style faults.
-    ``row_cost``
-        Seconds slept per row returned by a ``scan_batch`` (simulated
-        wire-transfer time, proportional to payload).  Like ``delay`` the
-        sleep releases the GIL, so per-shard scans issued concurrently
-        overlap — which is exactly how sharding wins wall-clock time on
-        the benchmark workloads.
+    run the ``"distributed"`` engine and the chaos harness (see
+    :class:`TransportBase` for the hooks; waits are ``time.sleep``).
 
     Per-peer scan counters (:meth:`scan_count`) count individual scan
     requests served, for the examples' per-peer traffic reports.
     """
-
-    def __init__(
-        self,
-        instances: Mapping[str, Instance],
-        delay: float = 0.0,
-        drop_every_n: int = 0,
-        row_cost: float = 0.0,
-    ):
-        self._instances: Dict[str, Instance] = dict(instances)
-        super().__init__(self._instances)
-        self.delay = delay
-        self.drop_every_n = drop_every_n
-        self.row_cost = row_cost
-        self._scan_rpc_count = 0
-
-    # -- introspection -----------------------------------------------------
-
-    def instance(self, peer: str) -> Instance:
-        """The live instance behind ``peer`` (tests mutate data through it)."""
-        return self._instances[peer]
 
     @property
     def prefers_parallel(self) -> bool:
@@ -474,73 +578,20 @@ class LoopbackTransport(TransportBase):
         remote source scatters sequentially unless latency (per RPC or
         per row, globally or per peer) is injected.
         """
-        return self.delay > 0 or self.row_cost > 0 or bool(self._peer_delays)
+        return self._latency_injected()
 
-    # -- the wire ----------------------------------------------------------
-
-    def _enter_rpc(self, peer: str, scan: bool = False) -> None:
-        if self._closed:
-            raise TransportError("transport is closed", peer=peer)
-        with self._lock:
-            self._rpc_count += 1
-            if peer in self._failed:
-                raise TransportError(f"peer {peer!r} is unreachable", peer=peer)
-            if peer not in self._instances:
-                raise TransportError(f"unknown peer {peer!r}", peer=peer)
-            if scan:
-                self._scan_rpc_count += 1
-                if self.drop_every_n and self._scan_rpc_count % self.drop_every_n == 0:
-                    raise TransportError(
-                        f"scan RPC to {peer!r} dropped (injected)", peer=peer
-                    )
-        if self.delay > 0:
-            time.sleep(self.delay)
-        extra = self.peer_delay(peer)
-        if extra > 0:
-            time.sleep(extra)
-
-    def peers(self) -> Tuple[str, ...]:
-        return tuple(self._instances)
-
-    def describe(self, peer: str) -> Dict[str, RelationInfo]:
-        self._enter_rpc(peer)
-        return describe_instance(self._instances[peer])
-
-    def scan_batch(
-        self, peer: str, requests: Sequence[ScanRequest]
-    ) -> List[Tuple[Row, ...]]:
-        # Loopback's server side is the caller's own process, so a traced
-        # request grafts its serve span straight into the live tracer —
-        # no envelope ever crosses this "wire".
-        span = ServeSpan(
-            current_wire_context(), "rpc.serve.scan",
-            peer=peer, transport="loopback",
+    def _call(self, op: str, peer: str, payload: object) -> object:
+        # The server side is the caller's own thread: waits are plain
+        # sleeps, and a traced reply's serve span is adopted straight
+        # into the live tracer on unwrapping.
+        steps = serve_request(
+            self, op, peer, payload, current_wire_context(), "loopback"
         )
         try:
-            with span:
-                self._enter_rpc(peer, scan=True)
-                instance = self._instances[peer]
-                results: List[Tuple[Row, ...]] = []
-                for relation, encoded in requests:
-                    pattern = decode_pattern(encoded)
-                    # ValueError (arity clash against the probing atom)
-                    # propagates as-is: it is a data error, not a
-                    # transport fault.
-                    results.append(
-                        tuple(instance.get_matching(relation, pattern))
-                    )
-                self._count_scans(peer, len(requests))
-                if span.recording:
-                    span.set("requests", len(requests))
-                    span.set("rows", sum(len(rows) for rows in results))
-                if self.row_cost > 0:
-                    time.sleep(
-                        self.row_cost * sum(len(rows) for rows in results)
-                    )
-                return results
-        finally:
-            if span.record is not None:
-                get_tracer().adopt(span.records())
+            while True:
+                time.sleep(next(steps))
+        except StopIteration as done:
+            return unwrap_envelope(done.value)
 
     def scan_batch_since(
         self, peer: str, requests: Sequence[SinceScanRequest]
@@ -548,74 +599,27 @@ class LoopbackTransport(TransportBase):
         """Delta-capable scans against the live instance.
 
         When a subclass overrides :meth:`scan_batch` (the chaos and
-        probing tests do), or when no request carries a cursor, the scan
-        is routed through that polymorphic :meth:`scan_batch` so the
-        override keeps seeing every wire scan; version tokens are read
-        *before* the scan, so a racing insert can only make the token
-        stale (re-shipping rows the memo already holds — harmless after
-        the merge dedup), never too new.
+        probing tests do), every scan is routed through that override as
+        a full rescan, so it keeps seeing every wire scan; version tokens
+        are read *before* the scan, so a racing insert can only make the
+        token stale (re-shipping rows the memo already holds — harmless
+        after the merge dedup), never too new.
         """
-        uses_base_scan = type(self).scan_batch is LoopbackTransport.scan_batch
-        if not uses_base_scan or all(since is None for _, _, since in requests):
-            instance = self._instances.get(peer)
-            tokens = (
-                {relation: instance.data_version(relation)
-                 for relation, _, _ in requests}
-                if instance is not None else {}
-            )
-            rows = self.scan_batch(
-                peer, [(relation, encoded) for relation, encoded, _ in requests]
-            )
-            return [
-                (True, tokens.get(relation), result)
-                for (relation, _, _), result in zip(requests, rows)
-            ]
-        span = ServeSpan(
-            current_wire_context(), "rpc.serve.scan_since",
-            peer=peer, transport="loopback",
+        if type(self).scan_batch is TransportBase.scan_batch:
+            return super().scan_batch_since(peer, requests)
+        instance = self._instances.get(peer)
+        tokens = (
+            {relation: instance.data_version(relation)
+             for relation, _, _ in requests}
+            if instance is not None else {}
         )
-        try:
-            with span:
-                self._enter_rpc(peer, scan=True)
-                instance = self._instances[peer]
-                results = [
-                    scan_instance_since(instance, relation, encoded, since)
-                    for relation, encoded, since in requests
-                ]
-                self._count_scans(peer, len(requests))
-                if span.recording:
-                    span.set("requests", len(requests))
-                    span.set(
-                        "rows", sum(len(rows) for _, _, rows in results)
-                    )
-                if self.row_cost > 0:
-                    time.sleep(
-                        self.row_cost * sum(len(rows) for _, _, rows in results)
-                    )
-                return results
-        finally:
-            if span.record is not None:
-                get_tracer().adopt(span.records())
-
-    def insert(self, peer: str, relation: str, rows: Iterable[Row]) -> int:
-        span = ServeSpan(
-            current_wire_context(), "rpc.serve.insert",
-            peer=peer, transport="loopback", relation=relation,
+        rows = self.scan_batch(
+            peer, [(relation, encoded) for relation, encoded, _ in requests]
         )
-        try:
-            with span:
-                self._enter_rpc(peer)
-                instance = self._instances[peer]
-                count = 0
-                for row in rows:
-                    instance.add(relation, row)
-                    count += 1
-                if span.recording:
-                    span.set("rows", count)
-                return count
-        finally:
-            if span.record is not None:
-                get_tracer().adopt(span.records())
+        return [
+            (True, tokens.get(relation), result)
+            for (relation, _, _), result in zip(requests, rows)
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -432,8 +432,8 @@ def sample_peer_instances() -> Dict[str, Instance]:
     The natural shape for the distributed runtime: four data-bearing
     peers (FH, LH, PFD, VFD), each holding exactly the stored relations
     its storage descriptions declare — ready to hand to a
-    :class:`~repro.pdms.distributed.transport.LoopbackTransport` or to
-    ship into per-peer worker processes.
+    :class:`~repro.pdms.distributed.transport.LoopbackTransport` or an
+    :class:`~repro.pdms.distributed.async_transport.AsyncSocketTransport`.
     """
     combined = sample_instance()
     per_peer: Dict[str, Instance] = {}

@@ -1,7 +1,7 @@
 """Unit tests for the distributed peer runtime (ISSUE 5).
 
-Covers the wire contract (pattern encoding, loopback + process
-transports, chaos hooks), :class:`RemotePeerFactSource` (routing, scan
+Covers the wire contract (pattern encoding, one contract suite over the
+loopback and socket backends, chaos hooks), :class:`RemotePeerFactSource` (routing, scan
 memoization, version tokens over the wire, degradation), the
 ``"distributed"`` engine (registry, equivalence, completeness, fragment-
 cache safety under faults), :class:`ServiceCluster` (admission,
@@ -12,7 +12,6 @@ mid-stream.
 
 from __future__ import annotations
 
-import pickle
 import threading
 
 import pytest
@@ -28,10 +27,10 @@ from repro.errors import (
 )
 from repro.pdms import (
     PDMS,
+    AsyncSocketTransport,
     FragmentCache,
     LoopbackTransport,
     PeerFactSource,
-    ProcessTransport,
     QueryService,
     RemotePeerFactSource,
     ServiceCluster,
@@ -142,85 +141,111 @@ class TestLoopbackTransport:
             transport.describe("ghost")
 
 
-class TestProcessTransport:
-    def test_round_trip_scan_insert_and_tokens(self):
+@pytest.fixture(params=[LoopbackTransport, AsyncSocketTransport],
+                ids=["loopback", "socket"])
+def backend(request):
+    """Build transports of one backend; every one built is closed after."""
+    built = []
+
+    def build(instances):
+        built.append(request.param(instances))
+        return built[-1]
+
+    yield build
+    for transport in built:
+        transport.close()
+
+
+class TestWireContract:
+    """What every backend promises, whatever carries the bytes."""
+
+    def test_round_trip_scan_insert_and_tokens(self, backend):
         _, data, _ = two_peer_system()
-        with ProcessTransport(data) as transport:
-            assert transport.ping("P1")
-            info = transport.describe("P1")
-            assert info["sa"][:2] == (2, 3)
-            rows, = transport.scan_batch(
-                "P1", [("sa", encode_pattern((WILDCARD, 3)))])
-            assert set(rows) == {(2, 3)}
-            token_before = transport.describe("P1")["sa"][2]
-            transport.insert("P1", "sa", [(9, 9)])
-            info_after = transport.describe("P1")
-            assert info_after["sa"][1] == 4
-            assert info_after["sa"][2] != token_before
+        transport = backend(data)
+        assert transport.ping("P1")
+        info = transport.describe("P1")
+        assert info["sa"][:2] == (2, 3)
+        rows, = transport.scan_batch(
+            "P1", [("sa", encode_pattern((WILDCARD, 3)))])
+        assert set(rows) == {(2, 3)}
+        token_before = transport.describe("P1")["sa"][2]
+        assert transport.insert("P1", "sa", [(9, 9)]) == 1
+        info_after = transport.describe("P1")
+        assert info_after["sa"][1] == 4
+        assert info_after["sa"][2] != token_before
 
-    def test_tokens_are_salted_per_transport(self):
-        _, data, _ = two_peer_system()
-        with ProcessTransport({"P1": data["P1"]}) as first, \
-                ProcessTransport({"P1": data["P1"]}) as second:
-            assert first.describe("P1")["sa"][2] != second.describe("P1")["sa"][2]
+    def test_scan_data_errors_surface_as_value_error(self, backend):
+        transport = backend({"P1": Instance.from_dict({"sa": [(1, 2)]})})
+        with pytest.raises(ValueError):
+            transport.scan_batch("P1", [("sa", encode_pattern((WILDCARD,)))])
+        # The peer survives a data error: later RPCs still work.
+        assert transport.ping("P1")
 
-    def test_data_errors_surface_as_value_error(self):
-        with ProcessTransport(
-            {"P1": Instance.from_dict({"sa": [(1, 2)]})}
-        ) as transport:
-            with pytest.raises(ValueError):
-                transport.scan_batch("P1", [("sa", encode_pattern((WILDCARD,)))])
-            # The worker survives a data error: later RPCs still work.
-            assert transport.ping("P1")
-
-    def test_timeout_circuit_breaks_the_peer(self):
-        _, data, _ = two_peer_system()
-        transport = ProcessTransport({"P1": data["P1"]}, timeout=0.05)
-        try:
-            # The worker is held busy well past the deadline, so the RPC
-            # deterministically times out and trips the breaker.
-            with pytest.raises(TransportError):
-                transport.sleep("P1", 1.0)
-            assert "P1" in transport.failed_peers()
-            with pytest.raises(TransportError):
-                transport.ping("P1")
-        finally:
-            transport.close()
-
-    def test_insert_data_errors_match_loopback(self):
+    def test_insert_data_errors_are_instance_errors(self, backend):
         """Invalid remote inserts raise the same type as a local instance."""
         from repro.errors import InstanceError
 
-        local = Instance.from_dict({"sa": [(1, 2)]})
-        loopback = LoopbackTransport({"P1": local.copy()})
+        transport = backend({"P1": Instance.from_dict({"sa": [(1, 2)]})})
         with pytest.raises(InstanceError):
-            loopback.insert("P1", "sa", [(1, 2, 3)])
-        with ProcessTransport({"P1": local}) as transport:
-            with pytest.raises(InstanceError):
-                transport.insert("P1", "sa", [(1, 2, 3)])
-            assert transport.ping("P1")  # worker survives the data error
+            transport.insert("P1", "sa", [(1, 2, 3)])
+        assert transport.ping("P1")
 
-    def test_empty_declared_relation_crosses_the_wire(self):
-        """A declared-but-empty relation keeps its arity at the worker."""
+    def test_empty_declared_relation_crosses_the_wire(self, backend):
+        """A declared-but-empty relation keeps its arity at the peer."""
         holder = Instance()
         holder.add("r", (1, 2))
         holder.remove("r", (1, 2))
-        with ProcessTransport({"E": holder}) as transport:
-            info = transport.describe("E")
-            assert info["r"][0] == 2 and info["r"][1] == 0
+        info = backend({"E": holder}).describe("E")
+        assert info["r"][0] == 2 and info["r"][1] == 0
 
-    def test_instance_pickle_round_trip(self):
-        instance = Instance.from_dict({"r": [(1, None), ("a", 2.5)]})
-        clone = pickle.loads(pickle.dumps(instance))
-        assert clone == instance
-        assert clone.arity("r") == 2
-        assert clone.instance_id != instance.instance_id
-        empty = Instance()
-        empty.add("s", (1,))
-        empty.remove("s", (1,))
-        clone2 = pickle.loads(pickle.dumps(empty))
-        assert clone2.relations() == ("s",)
-        assert clone2.arity("s") == 1
+    def test_traced_rpcs_bring_their_serve_spans_home(self, backend):
+        from repro.obs import MetricsRegistry, Tracer, set_tracer, wire_context
+
+        _, data, _ = two_peer_system()
+        transport = backend(data)
+        tracer = Tracer(enabled=True, sample_rate=1.0, sink_path=None,
+                        registry=MetricsRegistry())
+        set_tracer(tracer)
+        try:
+            with tracer.start_trace("query.answer") as root:
+                with wire_context(root.wire_context()):
+                    everything = encode_pattern((WILDCARD, WILDCARD))
+                    transport.scan_batch("P1", [("sa", everything)])
+                    transport.scan_batch_since("P1", [("sa", everything, None)])
+                    transport.insert("P2", "sb", [(7, 70)])
+            _, spans = tracer.last_trace()
+        finally:
+            set_tracer(None)
+        remote = [record for record in spans if record.get("remote")]
+        assert sorted(record["name"] for record in remote) == [
+            "rpc.serve.insert", "rpc.serve.scan", "rpc.serve.scan_since",
+        ]
+        assert all(record["parent_id"] == root.span_id for record in remote)
+        rows = {record["name"]: record["attrs"]["rows"] for record in remote}
+        assert rows == {
+            "rpc.serve.insert": 1, "rpc.serve.scan": 3, "rpc.serve.scan_since": 3,
+        }
+
+    def test_arity_clash_across_the_wire(self, backend):
+        transport = backend({
+            "P1": Instance.from_dict({"shared": [(1, 2)]}),
+            "P2": Instance.from_dict({"shared": [(1, 2, 3)]}),
+        })
+        with pytest.raises(MappingError):
+            RemotePeerFactSource(transport)
+
+    def test_end_to_end_remote_write_shows_after_refresh(self, backend):
+        pdms, data, query = two_peer_system()
+        oracle = certain_answers(pdms, query, combine_peer_instances(data))
+        transport = backend(data)
+        source = RemotePeerFactSource(transport)
+        answer = evaluate_distributed(reformulate(pdms, query), source)
+        assert answer.rows == frozenset(oracle) and answer.complete
+        # A remote write becomes visible after the next call's refresh.
+        transport.insert("P2", "sb", [(6, 99)])
+        updated = evaluate_distributed(reformulate(pdms, query), source)
+        assert (5, 99) in updated.rows and updated.complete
+        source.close()
 
 
 class TestRemotePeerFactSource:
@@ -278,15 +303,6 @@ class TestRemotePeerFactSource:
             RemotePeerFactSource(LoopbackTransport(data))
         message = str(excinfo.value)
         assert "P1" in message and "P2" in message and "shared" in message
-
-    def test_arity_clash_across_process_transport(self):
-        data = {
-            "P1": Instance.from_dict({"shared": [(1, 2)]}),
-            "P2": Instance.from_dict({"shared": [(1, 2, 3)]}),
-        }
-        with ProcessTransport(data) as transport:
-            with pytest.raises(MappingError):
-                RemotePeerFactSource(transport)
 
     def test_multi_owner_relation_fans_out(self):
         data = {
@@ -536,19 +552,6 @@ class TestDistributedEngine:
         transport.broken = False
         healed = evaluate_distributed(result, source, cache=cache)
         assert healed.complete and healed.rows == frozenset(oracle)
-
-    def test_process_transport_end_to_end(self):
-        pdms, data, query = two_peer_system()
-        oracle = certain_answers(pdms, query, combine_peer_instances(data))
-        with ProcessTransport(data) as transport:
-            source = RemotePeerFactSource(transport)
-            answer = evaluate_distributed(reformulate(pdms, query), source)
-            assert answer.rows == frozenset(oracle) and answer.complete
-            # A remote write becomes visible after the next call's refresh.
-            transport.insert("P2", "sb", [(6, 99)])
-            updated = evaluate_distributed(reformulate(pdms, query), source)
-            assert (5, 99) in updated.rows
-            source.close()
 
 
 class TestServiceCluster:

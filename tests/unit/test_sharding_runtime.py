@@ -13,7 +13,6 @@ describe/insert).
 
 from __future__ import annotations
 
-import pickle
 
 import pytest
 
@@ -321,13 +320,6 @@ class TestFragmentStore:
             store.get_matching(FRAGMENTS_RELATION, ("k",))
         with pytest.raises(EvaluationError):
             FragmentStore(max_bytes=0)
-
-    def test_pickling_ships_an_empty_store(self):
-        store = FragmentStore(max_bytes=12345)
-        store.add(FRAGMENTS_RELATION, ("k", "t", (), b"x"))
-        clone = pickle.loads(pickle.dumps(store))
-        assert clone.max_bytes == 12345
-        assert len(clone) == 0  # soft state never crosses the boundary
 
 
 class TestCacheTierClient:

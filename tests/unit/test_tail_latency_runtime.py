@@ -2,10 +2,10 @@
 
 Covers the shared policy pieces (:class:`HalfOpenBreaker`,
 :class:`PeerLatencyTracker`, :class:`ScanPolicy`), the half-open breaker
-regressions in :class:`ProcessTransport` and :class:`CacheTierClient`
-(both previously tripped *permanently*), the retry / hedge / deadline /
-delta behaviour of :class:`RemotePeerFactSource`, and the
-:class:`AsyncSocketTransport` socket backend.
+of :class:`CacheTierClient` (which previously tripped *permanently*),
+the retry / hedge / deadline / delta behaviour of
+:class:`RemotePeerFactSource`, and the :class:`AsyncSocketTransport`
+socket backend, including its per-RPC timeout.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.pdms import (
     HalfOpenBreaker,
     LoopbackTransport,
     PeerLatencyTracker,
-    ProcessTransport,
     RemotePeerFactSource,
     ScanPolicy,
     ServiceCluster,
@@ -209,58 +208,7 @@ class TestScanPolicy:
 
 
 # ---------------------------------------------------------------------------
-# ProcessTransport: the breaker is no longer permanent
-# ---------------------------------------------------------------------------
-
-
-class TestProcessTransportHalfOpen:
-    def test_timed_out_peer_recovers_after_cooldown(self):
-        transport = ProcessTransport(
-            {"P1": Instance.from_dict({"r": [(1,)]})},
-            timeout=0.05,
-            breaker_cooldown=0.15,
-        )
-        try:
-            with pytest.raises(TransportError):
-                transport.sleep("P1", 0.3)
-            assert "P1" in transport.failed_peers()
-            # Still inside the cooldown: fail fast, no probe.
-            with pytest.raises(TransportError):
-                transport.ping("P1")
-            # Past the cooldown *and* past the worker's busy window: the
-            # half-open probe drains the straggling response and closes
-            # the breaker — the old behaviour fenced the peer forever.
-            time.sleep(0.45)
-            assert transport.ping("P1")
-            assert "P1" not in transport.failed_peers()
-            rows = transport.scan_batch("P1", [("r", encode_pattern((WILDCARD,)))])
-            assert rows[0] == ((1,),)
-        finally:
-            transport.close()
-
-    def test_probe_against_still_busy_worker_rearms(self):
-        transport = ProcessTransport(
-            {"P1": Instance.from_dict({"r": [(1,)]})},
-            timeout=0.05,
-            breaker_cooldown=0.1,
-        )
-        try:
-            with pytest.raises(TransportError):
-                transport.sleep("P1", 0.6)
-            time.sleep(0.15)
-            # Cooldown elapsed but the worker is still sleeping: the probe
-            # cannot drain the straggler and must re-arm, not hang.
-            with pytest.raises(TransportError):
-                transport.ping("P1")
-            assert "P1" in transport.failed_peers()
-            time.sleep(0.6)
-            assert transport.ping("P1")
-        finally:
-            transport.close()
-
-
-# ---------------------------------------------------------------------------
-# CacheTierClient: shared breaker machinery, cooldown recovery
+# CacheTierClient: the breaker recovers after a cooldown
 # ---------------------------------------------------------------------------
 
 
@@ -642,6 +590,35 @@ class TestAsyncSocketTransport:
         )
         [(full, _token, rows)] = future.result(timeout=5.0)
         assert full and len(rows) == 3
+
+    def test_rpc_timeout_raises_and_never_repools_the_connection(self):
+        transport = AsyncSocketTransport(
+            {"P1": Instance.from_dict({"r": [(1,), (2,)]})}, timeout=0.05
+        )
+        try:
+            assert transport.ping("P1")
+            assert len(transport._pool) == 1  # one warm connection
+            transport.set_peer_delay("P1", 0.5)
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="timed out") as excinfo:
+                transport.describe("P1")
+            assert time.monotonic() - start < 0.4  # the deadline, not the peer
+            assert excinfo.value.peer == "P1"
+            # The timed-out exchange held the pooled connection; it is
+            # discarded, so its late reply has nowhere to land.
+            assert len(transport._pool) == 0
+            transport.set_peer_delay("P1", 0.0)
+            assert transport.ping("P1")
+            # Outlive the slow reply, then check every answer still pairs
+            # with its own request.
+            time.sleep(0.5)
+            rows = transport.scan_batch("P1", [("r", encode_pattern((WILDCARD,)))])
+            assert set(rows[0]) == {(1,), (2,)}
+            assert transport.describe("P1")["r"][:2] == (1, 2)
+            assert transport.ping("P1")
+            assert "P1" not in transport.failed_peers()  # no breaker
+        finally:
+            transport.close()
 
     def test_closed_transport_fails_fast(self):
         transport = AsyncSocketTransport({"P": Instance.from_dict({"r": [(1,)]})})

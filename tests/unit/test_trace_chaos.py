@@ -4,7 +4,7 @@ The invariants under fault injection: every span closes exactly once
 (``Tracer.health()`` shows no double closes and nothing left open) and
 every trace is a well-formed tree (each span's parent is present in the
 record set) — across retries, hedges with cancelled losers, deadline
-expiries, and breaker trips, on all three transports.  Plus the wire
+expiries, and unreachable peers, on both transports.  Plus the wire
 compatibility contract: a legacy peer that knows nothing about trace
 contexts still serves traced queries correctly, just without worker-side
 spans.
@@ -31,7 +31,6 @@ from repro.pdms import (
     PDMS,
     AsyncSocketTransport,
     LoopbackTransport,
-    ProcessTransport,
     RemotePeerFactSource,
     ScanPolicy,
     ServiceCluster,
@@ -213,53 +212,6 @@ class TestLoopbackChaos:
 
 
 # ---------------------------------------------------------------------------
-# ProcessTransport: worker-side stitching and breaker trips
-# ---------------------------------------------------------------------------
-
-
-class TestProcessTransportChaos:
-    def test_worker_serve_spans_stitch_into_the_query_tree(self, tracer):
-        pdms, data, query, expected = two_peer_system()
-        with ProcessTransport(data) as transport:
-            with ServiceCluster(
-                pdms=pdms,
-                transport=transport,
-                scan_policy=ScanPolicy(retries=0, hedging=False, **FAST),
-            ) as cluster:
-                answer = cluster.answer(query)
-                assert answer.rows == expected and answer.complete
-        assert_well_formed(tracer)
-        spans = last_spans(tracer)
-        names = {record["name"] for record in spans}
-        assert {"query.answer", "plan.compile", "plan.execute"} <= names
-        remote = [record for record in spans if record.get("remote")]
-        assert remote, "worker-side serve spans were not shipped back"
-        for record in remote:
-            assert record["name"].startswith("rpc.serve.")
-
-    def test_breaker_tripped_worker_yields_clean_error_spans(self, tracer):
-        data, _ = _single_peer()
-        transport = ProcessTransport(data, timeout=0.05, breaker_cooldown=60.0)
-        try:
-            source = RemotePeerFactSource(
-                transport, policy=ScanPolicy(retries=1, hedging=False, **FAST)
-            )
-            source.refresh()
-            with pytest.raises(Exception):
-                transport.sleep("A", 0.3)  # times out: the breaker trips
-            assert "A" in transport.failed_peers()
-            with tracer.start_trace("query.answer"):
-                assert source.get_matching("r", ALL) == ()
-            assert_well_formed(tracer)
-            [unit] = last_spans(tracer, "scan.unit")
-            assert unit["status"] == "error"
-            attempts = last_spans(tracer, "scan.attempt")
-            assert attempts and all(r["status"] == "error" for r in attempts)
-        finally:
-            transport.close()
-
-
-# ---------------------------------------------------------------------------
 # Socket transport: the end-to-end acceptance trace
 # ---------------------------------------------------------------------------
 
@@ -345,7 +297,7 @@ class LegacyTransport(LoopbackTransport):
     """An 'old peer': serves every scan, knows nothing about tracing."""
 
     def scan_batch(self, peer, requests):
-        self._enter_rpc(peer, scan=True)
+        self._admit(peer, scan=True)
         instance = self.instance(peer)
         return [
             tuple(instance.get_matching(relation, decode_pattern(encoded)))

@@ -284,7 +284,7 @@ class TestFailedUnits:
             healed = cluster.answer(QUERY)
             assert healed.complete and healed.rows == rows_of(range(PEERS))
 
-    def test_several_broken_peers_retry_side_by_side(self):
+    def test_several_peers_with_broken_scans_retry_side_by_side(self):
         pdms, data = wide_system()
         transport = BrokenScans(data)
         with cluster_over(transport, pdms) as cluster:
