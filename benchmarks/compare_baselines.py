@@ -62,7 +62,6 @@ HEADLINES: Dict[str, Tuple[Tuple[str, str], ...]] = {
     ),
     "BENCH_sharding.json": (
         ("cases.churn_scaling.qps_scaling_1_to_4", "timing"),
-        ("cases.cache_tier_warm.warm_speedup", "timing"),
         ("cases.partition_pruning.scan_prune_factor", "exact"),
     ),
     "BENCH_adaptive.json": (

@@ -1,4 +1,4 @@
-"""Sharding benchmarks: scale-out, partition pruning, the cache tier.
+"""Sharding benchmarks: scale-out and partition pruning.
 
 Backs the ISSUE-8 acceptance criteria:
 
@@ -10,11 +10,7 @@ Backs the ISSUE-8 acceptance criteria:
   1 → 4 workers (the acceptance gate);
 * **partition_pruning** — a constant-bound point lookup must touch only
   the shard that owns the constant (per-shard scan counters), while the
-  full scan still fans out to every shard;
-* **cache_tier_warm** — a second process-shaped consumer (separate
-  transport, fresh local cache) answering a query whose fragment already
-  sits in the shared cache tier must beat recomputing it from the data
-  shards cold.
+  full scan still fans out to every shard.
 
 ``BENCH_sharding.json`` is written next to this file when
 ``EVAL_BENCH_RECORD=1``; ``EVAL_BENCH_QUICK=1`` shrinks the workloads
@@ -36,14 +32,11 @@ from repro.database import Instance
 from repro.datalog import parse_query
 from repro.pdms import (
     PDMS,
-    CacheTierClient,
-    FragmentStore,
     LoopbackTransport,
     ServiceCluster,
     StorageDescription,
     auto_shard,
 )
-from repro.pdms.distributed.cache_tier import CACHE_PEER
 
 QUICK = os.environ.get("EVAL_BENCH_QUICK") == "1"
 
@@ -99,8 +92,7 @@ def _dataset(rows: int = ROWS) -> Instance:
     return Instance.from_dict({"sr": {(i, i % 97) for i in range(rows)}})
 
 
-def _sharded_cluster(shards: int, row_cost: float = ROW_COST,
-                     cache_tier=None) -> tuple:
+def _sharded_cluster(shards: int, row_cost: float = ROW_COST) -> tuple:
     """A ServiceCluster over ``shards`` workers holding ``sr``."""
     shard_map, workers = auto_shard({"P": _dataset()}, shards)
     transport = LoopbackTransport(workers, row_cost=row_cost)
@@ -112,7 +104,7 @@ def _sharded_cluster(shards: int, row_cost: float = ROW_COST,
     cluster = ServiceCluster(
         pdms=_single_relation_pdms(), transport=transport,
         shard_map=shard_map if shards > 1 else None,
-        cache_tier=cache_tier, delta=False,
+        delta=False,
     )
     return cluster, transport, workers
 
@@ -197,72 +189,3 @@ def test_point_lookup_touches_only_owning_shard(baseline_recorder):
         "scan_prune_factor": prune_factor,
     }
     assert prune_factor == float(SHARDS)
-
-
-def test_cache_tier_warm_beats_cold_compute(baseline_recorder, monkeypatch):
-    """A tier-warm consumer skips the shard scans a cold compute pays for."""
-    # Stay hermetic under a REPRO_CACHE_TIER=1 CI leg: the cold arm must
-    # not inherit the process-global default tier.
-    monkeypatch.delenv("REPRO_CACHE_TIER", raising=False)
-    # A join fragment: always cache-worthy (unrestricted scans are not).
-    query = parse_query("Q(x, z) :- T:R(x, y), T:R(y, z)")
-    shard_map, workers = auto_shard({"P": _dataset()}, SHARDS)
-    store = FragmentStore()
-    tier_transport = LoopbackTransport({CACHE_PEER: store})
-    rounds = 3 if QUICK else 5
-
-    # Producer: separate transport over the SAME live shard instances
-    # (version tokens are instance-scoped, so tier entries transfer).
-    with ServiceCluster(
-        pdms=_single_relation_pdms(),
-        transport=LoopbackTransport(workers, row_cost=ROW_COST),
-        shard_map=shard_map,
-        cache_tier=CacheTierClient(tier_transport),
-    ) as producer:
-        assert len(producer.answer(query).rows) == ROWS
-        assert producer.stats.fragments.tier_puts >= 1
-
-    def consumer(cache_tier):
-        return ServiceCluster(
-            pdms=_single_relation_pdms(),
-            transport=LoopbackTransport(workers, row_cost=ROW_COST),
-            shard_map=shard_map,
-            cache_tier=cache_tier,
-        )
-
-    with consumer(cache_tier=None) as cold:
-        cold.answer(query)  # warm plans; scans stay cold via drop_memo
-
-        def cold_round():
-            cold.service.fragment_cache.clear()
-            cold.source.drop_memo()
-            assert len(cold.answer(query).rows) == ROWS
-        cold_seconds = _best_seconds(cold_round, rounds)
-        cold_hits = cold.stats.fragments.tier_hits
-
-    with consumer(cache_tier=CacheTierClient(tier_transport)) as warm:
-        warm.answer(query)  # warm plans + first tier fetch
-
-        def warm_round():
-            warm.service.fragment_cache.clear()
-            warm.source.drop_memo()
-            assert len(warm.answer(query).rows) == ROWS
-        warm_seconds = _best_seconds(warm_round, rounds)
-        warm_hits = warm.stats.fragments.tier_hits
-
-    assert cold_hits == 0
-    assert warm_hits >= rounds
-    speedup = cold_seconds / warm_seconds
-
-    baseline_recorder["cache_tier_warm"] = {
-        "rows": float(ROWS),
-        "workers": float(SHARDS),
-        "row_cost_seconds": ROW_COST,
-        "cold_seconds": cold_seconds,
-        "warm_seconds": warm_seconds,
-        "tier_hits": float(warm_hits),
-        "warm_speedup": speedup,
-    }
-    assert speedup > 1.5, (
-        f"tier-warm answer only {speedup:.2f}x faster than cold compute"
-    )

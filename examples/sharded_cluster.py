@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""One peer relation, hash-sharded four ways, with a shared cache tier.
+"""One peer relation, hash-sharded four ways, with a shared fragment cache.
 
 A single data-bearing peer ``P`` stores a 4,000-row relation.
 ``auto_shard`` splits it across four loopback workers under a
@@ -12,10 +12,10 @@ through the ``"distributed"`` engine with shard-aware routing:
   shard — watch the per-shard scan counters;
 * a routed insert lands on exactly the owning shard and moves the
   relation's composite version token;
-* a second cluster (a stand-in for another process) answers a join
-  query from the shared **cache tier** without rescanning the shards —
-  and when the cache peer dies, the runtime silently degrades to
-  computing locally, never to wrong answers.
+* a second cluster (its own transport over the same live shards)
+  handed the first cluster's :class:`~repro.pdms.materialization.FragmentCache`
+  answers a join query from the warm fragment, without a scatter round
+  over the shards.
 
 Run it with::
 
@@ -26,14 +26,12 @@ from repro.database import Instance
 from repro.datalog import parse_query
 from repro.pdms import (
     PDMS,
-    CacheTierClient,
-    FragmentStore,
+    FragmentCache,
     LoopbackTransport,
     ServiceCluster,
     StorageDescription,
     auto_shard,
 )
-from repro.pdms.distributed.cache_tier import CACHE_PEER
 
 ROWS = 4000
 
@@ -59,13 +57,13 @@ def main():
     shard_map, workers = auto_shard(data, 4)
     print(f"sharded {ROWS} rows of P.sr across {sorted(workers)}")
 
-    store = FragmentStore()
-    tier_transport = LoopbackTransport({CACHE_PEER: store})
+    shared = FragmentCache()
+    join = parse_query("Q(x, z) :- T:R(x, y), T:R(y, z)")
 
     transport = LoopbackTransport(workers)
     with ServiceCluster(
         pdms=build_pdms(), transport=transport, shard_map=shard_map,
-        cache_tier=CacheTierClient(tier_transport),
+        fragment_cache=shared,
     ) as cluster:
         # Act 1: full scan fans out, point lookup prunes.
         full = cluster.answer(parse_query("Q(x, y) :- T:R(x, y)"))
@@ -84,33 +82,33 @@ def main():
         lookup = cluster.answer(parse_query("Q(y) :- T:R(777777, y)"))
         print(f"\ninsert routed to {owner}; lookup -> {sorted(lookup.rows)}")
 
-        # Act 3: a join fragment is published to the cache tier.
-        join = parse_query("Q(x, z) :- T:R(x, y), T:R(y, z)")
-        cluster.answer(join)
-        tiered = cluster.stats.fragments.tier_puts
-        print(f"join answered; fragments published to the tier: {tiered}")
+        # Act 3: the join fragment is kept in the shared cache.
+        first = cluster.answer(join)
+        print(f"\njoin answered -> {len(first.rows)} rows; shared cache "
+              f"holds {len(shared)} fragments ({shared.current_bytes} bytes)")
 
-    # A second cluster (fresh transport + cold local cache) over the same
-    # live shards: the join comes straight from the shared tier.
+    # Act 4: a second cluster (its own transport) over the same live
+    # shards shares the cache; version tokens are instance-scoped, so the
+    # warm join fragment is valid for it too.
+    second_transport = LoopbackTransport(workers)
     with ServiceCluster(
-        pdms=build_pdms(), transport=LoopbackTransport(workers),
-        shard_map=shard_map, cache_tier=CacheTierClient(tier_transport),
+        pdms=build_pdms(), transport=second_transport, shard_map=shard_map,
+        fragment_cache=shared,
     ) as second:
-        join = parse_query("Q(x, z) :- T:R(x, y), T:R(y, z)")
+        hits, misses = shared.stats.hits, shared.stats.misses
         answer = second.answer(join)
-        hits = second.stats.fragments.tier_hits
-        print(f"\nsecond cluster -> {len(answer.rows)} join rows, "
-              f"tier hits {hits} (no shard rescans needed)")
-
-        # Kill the cache peer: answers survive, only the counters notice.
-        tier_transport.fail_peer(CACHE_PEER)
-        second.service.fragment_cache.clear()
-        again = second.answer(join)
-        degraded = second.stats.fragments.tier_degraded
-        flag = "complete" if again.complete else "INCOMPLETE"
-        print(f"cache peer down -> {len(again.rows)} rows [{flag}], "
-              f"tier degraded events {degraded}")
-        assert again.rows == answer.rows and again.complete
+        scatter = second.describe()["scatter"]
+        waves = scatter["pruned_waves"] + scatter["fanout_waves"]
+        print(f"second cluster -> {len(answer.rows)} join rows, "
+              f"fragment hits {shared.stats.hits - hits}, "
+              f"recomputed {shared.stats.misses - misses}, "
+              f"scatter waves {waves}")
+        # The only shard reads are planning's one-off statistics read.
+        print(f"                  per-shard scans "
+              f"{scan_counts(second_transport, workers)}")
+        assert answer.rows == first.rows and answer.complete
+        assert shared.stats.hits > hits and shared.stats.misses == misses
+        assert waves == 0
 
 
 if __name__ == "__main__":

@@ -134,19 +134,6 @@ def shards() -> int:
     return int_from_env("REPRO_SHARDS", 0)
 
 
-def cache_tier_enabled() -> bool:
-    """Whether services attach the shared cache tier (``REPRO_CACHE_TIER``).
-
-    Off by default.  When on, every :class:`repro.pdms.service.QueryService`
-    that owns its fragment cache consults the process-global cache-tier
-    peer (:func:`repro.pdms.distributed.cache_tier.default_cache_tier`)
-    between its local LRU and a fresh compute, so warm fragments are
-    shared across services.  A failed cache peer degrades to
-    compute-locally — never to wrong answers.  See ``docs/sharding.md``.
-    """
-    return bool_from_env("REPRO_CACHE_TIER", False)
-
-
 def scan_retries() -> int:
     """Extra scan attempts after a ``TransportError`` (``REPRO_SCAN_RETRIES``).
 
@@ -180,16 +167,6 @@ def hedge_seconds() -> float:
     entirely with ``REPRO_HEDGE_MS=-1``.
     """
     return int_from_env("REPRO_HEDGE_MS", 0, minimum=-1) / 1000.0
-
-
-def breaker_cooldown_seconds() -> float:
-    """Circuit-breaker half-open cooldown (``REPRO_BREAKER_COOLDOWN_MS``).
-
-    After a peer's breaker trips, one probe RPC is allowed through every
-    cooldown interval (default 1000 ms); a successful probe closes the
-    breaker and the peer rejoins, a failed one re-arms the cooldown.
-    """
-    return int_from_env("REPRO_BREAKER_COOLDOWN_MS", 1_000) / 1000.0
 
 
 def transport_backend() -> str:

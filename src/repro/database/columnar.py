@@ -221,11 +221,6 @@ class ColumnTable:
                 total += 56 + 16 * len(col)
         return total
 
-    def __reduce__(self):
-        # Fragment tables are pickled into the shared cache tier's entries;
-        # NumPy arrays pickle natively, lists trivially.
-        return (ColumnTable, (self.columns, self.data, self._length))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kinds = "".join(
             "n" if _is_array(col) else "o" for col in self.data

@@ -25,10 +25,6 @@ real:
   (hash/range partitioning of peer relations across worker shards) with
   stable cross-process routing hashes and partition-pruned scan owner
   resolution;
-* :mod:`~repro.pdms.distributed.cache_tier` — the shared fragment-cache
-  peer (:class:`FragmentStore` + :class:`CacheTierClient`) every
-  :class:`~repro.pdms.materialization.FragmentCache` can consult between
-  its local LRU and a fresh compute;
 * :mod:`~repro.pdms.distributed.async_transport` —
   :class:`AsyncSocketTransport`, the same four-RPC contract over real
   asyncio TCP sockets (length-prefixed frames, a batch frame, one
@@ -37,10 +33,8 @@ real:
 * :mod:`~repro.pdms.distributed.hedging` — the tail-latency toolkit:
   :class:`ScanPolicy` (bounded retries with jittered backoff, hedged
   duplicate scans to shard replicas, per-query deadline budgets),
-  :class:`PeerLatencyTracker` (per-peer EWMA latency quantiles feeding
-  the adaptive hedge trigger), and :class:`HalfOpenBreaker` (the cache
-  tier client's circuit breaker, which probes and recovers after a
-  cooldown instead of staying open forever).
+  and :class:`PeerLatencyTracker` (per-peer EWMA latency quantiles
+  feeding the adaptive hedge trigger).
 
 Every transport propagates the :mod:`repro.obs.trace` wire context
 (trace/span ids ride scan and insert RPCs out of band, so server-side
@@ -51,7 +45,8 @@ surface in the package registers into the owning service's
 
 See ``docs/distributed.md`` for the wire contract, failure semantics, and
 the consolidated table of every ``REPRO_*`` environment knob, and
-``docs/sharding.md`` for placement, pruning, and cache-tier semantics.
+``docs/sharding.md`` for placement, pruning, and sharing warm fragments
+across clusters.
 """
 
 # Backward-compatible alias: the reader moved into the consolidated knob
@@ -64,7 +59,7 @@ from .transport import (
     encode_pattern,
 )
 from .async_transport import AsyncSocketTransport
-from .hedging import HalfOpenBreaker, PeerLatencyTracker, ScanPolicy
+from .hedging import PeerLatencyTracker, ScanPolicy
 from .sharding import (
     HashPartition,
     RangePartition,
@@ -74,26 +69,15 @@ from .sharding import (
     shard_peer_names,
     stable_shard_hash,
 )
-from .cache_tier import (
-    CACHE_PEER,
-    CacheTierClient,
-    FragmentStore,
-    default_cache_tier,
-    reset_default_cache_tier,
-)
 from .source import RemotePeerFactSource, ScanFailure
 from .engine import DistributedAnswer, DistributedEngine, evaluate_distributed
 from .cluster import ClusterAnswer, ServiceCluster
 
 __all__ = [
     "AsyncSocketTransport",
-    "CACHE_PEER",
-    "CacheTierClient",
     "ClusterAnswer",
     "DistributedAnswer",
     "DistributedEngine",
-    "FragmentStore",
-    "HalfOpenBreaker",
     "HashPartition",
     "LoopbackTransport",
     "PeerLatencyTracker",
@@ -106,12 +90,10 @@ __all__ = [
     "Transport",
     "auto_shard",
     "decode_pattern",
-    "default_cache_tier",
     "encode_pattern",
     "evaluate_distributed",
     "insert_routed",
     "max_inflight_from_env",
-    "reset_default_cache_tier",
     "shard_peer_names",
     "stable_shard_hash",
 ]

@@ -36,6 +36,7 @@ from ...datalog.queries import ConjunctiveQuery
 from ...errors import EvaluationError, PDMSConfigurationError
 from ...obs.metrics import METRICS_SCHEMA_VERSION
 from ...obs.trace import current_span, get_tracer, wire_context
+from ..materialization import FragmentCache
 from ..optimizations import ReformulationConfig
 from ..service import QueryService, ServiceStats
 from ..system import PDMS
@@ -67,9 +68,12 @@ class ServiceCluster:
         fragment cache keys on wire-fetched version tokens.
     service:
         Alternatively, wrap a prebuilt :class:`QueryService` (mutually
-        exclusive with ``pdms``/``transport``).  Completeness reporting
-        needs the service's data to be a ``RemotePeerFactSource``;
-        otherwise every answer reports ``complete=True``.
+        exclusive with ``pdms``/``transport`` and with every setting the
+        constructed service would take: ``config``,
+        ``fragment_cache_bytes``, ``fragment_cache``, ``scan_policy``).
+        Completeness reporting needs the service's data to be a
+        ``RemotePeerFactSource``; otherwise every answer reports
+        ``complete=True``.
     config, fragment_cache_bytes:
         Forwarded to the constructed :class:`QueryService`.
     engine:
@@ -83,15 +87,15 @@ class ServiceCluster:
         how the transport's peers partition relations; enables partition
         pruning in the scatter-gather rounds and shard-aware
         :meth:`insert` routing.
-    cache_tier:
-        A :class:`~repro.pdms.distributed.cache_tier.CacheTierClient`
-        consulted by the service's fragment cache between its local LRU
-        and a fresh compute (see ``docs/sharding.md``).
+    fragment_cache:
+        A :class:`~repro.pdms.materialization.FragmentCache` forwarded to
+        the constructed :class:`QueryService`: clusters (or services)
+        handed the same cache share its warm fragments (see
+        ``docs/sharding.md``).
     scan_policy:
         The tail-latency envelope (retries, hedging, deadlines) the
         cluster's scans run under; defaults to
         :meth:`~repro.pdms.distributed.hedging.ScanPolicy.from_env`.
-        Ignored when wrapping a prebuilt ``service``.
     delta:
         ``False`` opts the cluster's source out of delta-shipping
         re-scans (every re-scan ships the full relation again).
@@ -108,7 +112,7 @@ class ServiceCluster:
         max_inflight: Optional[int] = None,
         fragment_cache_bytes: Optional[int] = None,
         shard_map: Optional[ShardMap] = None,
-        cache_tier: Optional[object] = None,
+        fragment_cache: Optional[FragmentCache] = None,
         scan_policy: Optional["ScanPolicy"] = None,
         delta: bool = True,
     ):
@@ -117,6 +121,21 @@ class ServiceCluster:
             if pdms is not None or transport is not None:
                 raise PDMSConfigurationError(
                     "pass either a prebuilt service or pdms/transport, not both"
+                )
+            ignored = [
+                name
+                for name, value in (
+                    ("config", config),
+                    ("fragment_cache_bytes", fragment_cache_bytes),
+                    ("fragment_cache", fragment_cache),
+                    ("scan_policy", scan_policy),
+                )
+                if value is not None
+            ]
+            if ignored:
+                raise PDMSConfigurationError(
+                    "a prebuilt service carries its own settings; drop "
+                    + ", ".join(ignored)
                 )
             self._service = service
             self._transport = None
@@ -143,8 +162,8 @@ class ServiceCluster:
                 config=config,
                 engine=engine,
                 data=self._source,
+                fragment_cache=fragment_cache,
                 fragment_cache_bytes=fragment_cache_bytes,
-                cache_tier=cache_tier,
             )
         if self._source is not None:
             # The source's scatter/latency/transport snapshots become pull

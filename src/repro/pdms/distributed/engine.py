@@ -205,10 +205,10 @@ class DistributedEngine(ExecutionEngine):
                     evaluation.restart()
 
             def prefetch(evaluation, root_key):
-                # A fragment already warm in the cache (locally or in the
-                # shared tier) will be served without touching the wire, so
-                # its whole scatter round can be skipped — this is where a
-                # cross-process cache-tier hit beats a cold compute.
+                # A fragment already warm in the cache (this service's, or
+                # one shared with other services) will be served without
+                # touching the wire, so its whole scatter round can be
+                # skipped.
                 if not evaluation.cached(root_key):
                     # Scatter: every stored-relation scan under this root,
                     # one batched RPC per owning peer, concurrently —

@@ -1,12 +1,8 @@
-"""Tail-latency policy pieces: breakers, latency tracking, scan policy.
+"""Tail-latency policy pieces: latency tracking and scan policy.
 
-Three small, independently testable components shared by the distributed
+Two small, independently testable components shared by the distributed
 runtime:
 
-* :class:`HalfOpenBreaker` — a circuit breaker with a half-open probe.
-  :class:`~repro.pdms.distributed.cache_tier.CacheTierClient` trips it
-  on consecutive failures, and after a cooldown a healed cache peer
-  rejoins instead of being fenced off for the life of the process.
 * :class:`PeerLatencyTracker` — per-peer EWMA of scan latency (mean and
   variance), from which the adaptive hedge delay (p95) is derived.
 * :class:`ScanPolicy` — the per-scan retry/hedge/deadline envelope read
@@ -23,121 +19,13 @@ from __future__ import annotations
 import math
 import random
 import threading
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from ... import config as _config
 from ...obs.metrics import METRICS_SCHEMA_VERSION
 
-__all__ = ["HalfOpenBreaker", "PeerLatencyTracker", "ScanPolicy"]
-
-
-class HalfOpenBreaker:
-    """A consecutive-failure circuit breaker with a half-open probe.
-
-    Closed until ``max_failures`` consecutive failures, then open: calls
-    are refused (``allow()`` is ``False``) until ``cooldown`` seconds
-    have passed, at which point exactly one caller is granted a probe.
-    A probe that succeeds closes the breaker; one that fails (or a
-    direct :meth:`trip`) re-arms the cooldown.  Thread-safe.
-    """
-
-    __slots__ = ("_lock", "_max_failures", "_cooldown", "_clock",
-                 "_failures", "_opened_at", "_probing", "_reason")
-
-    def __init__(
-        self,
-        max_failures: int = 1,
-        cooldown: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if max_failures < 1:
-            raise ValueError("max_failures must be >= 1")
-        self._lock = threading.Lock()
-        self._max_failures = max_failures
-        self._cooldown = (
-            cooldown if cooldown is not None
-            else _config.breaker_cooldown_seconds()
-        )
-        self._clock = clock
-        self._failures = 0
-        self._opened_at: Optional[float] = None
-        self._probing = False
-        self._reason: Optional[str] = None
-
-    @property
-    def tripped(self) -> bool:
-        """Whether the breaker is currently open (possibly probing)."""
-        with self._lock:
-            return self._failures >= self._max_failures
-
-    @property
-    def reason(self) -> Optional[str]:
-        """The failure message that (last) tripped the breaker."""
-        with self._lock:
-            return self._reason
-
-    @property
-    def failures(self) -> int:
-        """Current consecutive-failure count."""
-        with self._lock:
-            return self._failures
-
-    def allow(self) -> bool:
-        """Whether a call may proceed now.
-
-        Always ``True`` while closed.  While open: ``False`` until the
-        cooldown elapses, then ``True`` exactly once (the half-open
-        probe) — concurrent callers keep getting ``False`` until that
-        probe reports back via :meth:`record_success` /
-        :meth:`record_failure`.
-        """
-        with self._lock:
-            if self._failures < self._max_failures:
-                return True
-            if self._probing:
-                return False
-            if (
-                self._opened_at is not None
-                and self._clock() - self._opened_at >= self._cooldown
-            ):
-                self._probing = True
-                return True
-            return False
-
-    def record_success(self) -> None:
-        """Note a successful call: closes the breaker."""
-        with self._lock:
-            self._failures = 0
-            self._opened_at = None
-            self._probing = False
-            self._reason = None
-
-    def record_failure(self, reason: str = "") -> bool:
-        """Note a failed call; returns whether the breaker is now open."""
-        with self._lock:
-            self._failures += 1
-            self._probing = False
-            if reason:
-                self._reason = reason
-            tripped = self._failures >= self._max_failures
-            if tripped:
-                self._opened_at = self._clock()
-            return tripped
-
-    def trip(self, reason: str = "") -> None:
-        """Open the breaker immediately, regardless of the failure count."""
-        with self._lock:
-            self._failures = max(self._failures + 1, self._max_failures)
-            self._probing = False
-            self._opened_at = self._clock()
-            if reason:
-                self._reason = reason
-
-    def reset(self) -> None:
-        """Force-close the breaker (manual operator action)."""
-        self.record_success()
+__all__ = ["PeerLatencyTracker", "ScanPolicy"]
 
 
 class PeerLatencyTracker:

@@ -14,9 +14,8 @@ cache level:
   one predicate silently invalidates exactly the fragments that read it
   while every other entry stays warm, and peer join/leave churns the token
   through the owner set;
-* an :class:`AdmissionPolicy` decides which computed fragments are worth
-  keeping (cost/benefit: measured compute time vs estimated footprint),
-  and a byte-budgeted LRU bounds total memory;
+* a computed fragment is kept when it fits in half the byte budget, and
+  a byte-budgeted LRU bounds total memory;
 * :class:`FragmentCacheStats` counts hits/misses/admissions/rejections/
   evictions/invalidations for the service layer's reporting.
 
@@ -35,7 +34,6 @@ service layer's provenance signals) is memory hygiene, not correctness.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Tuple
@@ -49,9 +47,9 @@ from ..obs.trace import current_span
 #: Default byte budget for a service-level fragment cache (64 MiB).
 DEFAULT_FRAGMENT_CACHE_BYTES = 64 * 1024 * 1024
 
-#: Most distinct keys whose miss counts are remembered for admission
-#: decisions; oldest-touched keys are forgotten beyond it.
-_MISS_TRACKING_LIMIT = 4096
+#: The one admission rule: a computed table is kept when its estimated
+#: footprint is at most this fraction of the byte budget.
+_MAX_ENTRY_FRACTION = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +117,7 @@ def estimate_result_bytes(value: object) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Statistics and admission
+# Statistics
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -128,26 +126,15 @@ class FragmentCacheStats:
 
     hits: int = 0
     misses: int = 0
-    #: Computed results the admission policy decided to keep.
+    #: Computed results kept (they fit in half the byte budget).
     admissions: int = 0
-    #: Computed results the admission policy declined.
+    #: Computed results declined because they exceed half the budget.
     rejections: int = 0
     #: Entries dropped to stay within the byte budget (LRU order).
     evictions: int = 0
     #: Entries dropped because their data version moved or an explicit
     #: invalidation (peer leave, mapping change, clear) named them.
     invalidations: int = 0
-    #: Local misses served from the shared cache tier (see
-    #: :mod:`repro.pdms.distributed.cache_tier`); all tier counters stay
-    #: zero when no tier is attached.
-    tier_hits: int = 0
-    #: Tier consultations that found no matching (key, token) entry.
-    tier_misses: int = 0
-    #: Computed fragments offered to (and accepted by) the tier.
-    tier_puts: int = 0
-    #: Tier operations lost to a transport fault (or a tripped breaker):
-    #: each one degraded to a local compute, never to a wrong answer.
-    tier_degraded: int = 0
 
     @property
     def lookups(self) -> int:
@@ -170,46 +157,7 @@ class FragmentCacheStats:
             "rejections": self.rejections,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
-            "tier_hits": self.tier_hits,
-            "tier_misses": self.tier_misses,
-            "tier_puts": self.tier_puts,
-            "tier_degraded": self.tier_degraded,
         }
-
-
-@dataclass(frozen=True)
-class AdmissionPolicy:
-    """Cost/benefit gate deciding which computed fragments to keep.
-
-    A fragment is admitted when it is *worth its memory*: it must fit
-    (``max_entry_fraction`` of the budget), it must have cost enough to
-    compute (``min_benefit_seconds`` of measured wall clock — the benefit
-    a future hit buys back), and it must have been requested often enough
-    (``min_misses``; 2 admits only on the second miss, i.e. proven repeat
-    traffic).  The defaults admit everything that fits: with a byte-
-    budgeted LRU behind it, optimistic admission loses only to workloads
-    that stream many large one-shot fragments — exactly what raising
-    ``min_misses`` to 2 is for.
-    """
-
-    min_benefit_seconds: float = 0.0
-    max_entry_fraction: float = 0.5
-    min_misses: int = 1
-
-    def admit(
-        self,
-        key: str,
-        byte_size: int,
-        compute_seconds: float,
-        misses: int,
-        budget_bytes: int,
-    ) -> bool:
-        """Should a result just computed for ``key`` be materialised?"""
-        if byte_size > self.max_entry_fraction * budget_bytes:
-            return False
-        if compute_seconds < self.min_benefit_seconds:
-            return False
-        return misses >= self.min_misses
 
 
 # ---------------------------------------------------------------------------
@@ -236,25 +184,17 @@ class FragmentCache:
     callbacks run outside the lock (two racing misses on one key may both
     compute — both results are identical, the second insert wins — which
     keeps fragment evaluation deadlock-free under the per-call memo).
+    Services over the same data share warm fragments by sharing one
+    instance (``QueryService(fragment_cache=...)``).
     """
 
-    def __init__(
-        self,
-        max_bytes: int = DEFAULT_FRAGMENT_CACHE_BYTES,
-        policy: Optional[AdmissionPolicy] = None,
-        clock: Callable[[], float] = time.perf_counter,
-        tier: Optional[object] = None,
-    ):
+    def __init__(self, max_bytes: int = DEFAULT_FRAGMENT_CACHE_BYTES):
         if max_bytes < 1:
             raise EvaluationError("FragmentCache max_bytes must be at least 1")
         self._max_bytes = max_bytes
-        self._policy = policy if policy is not None else AdmissionPolicy()
-        self._clock = clock
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._current_bytes = 0
-        self._miss_counts: Dict[str, int] = {}
-        self._tier = tier
         self.stats = FragmentCacheStats()
 
     # -- introspection -----------------------------------------------------
@@ -269,24 +209,6 @@ class FragmentCache:
         """Estimated bytes currently held."""
         return self._current_bytes
 
-    @property
-    def policy(self) -> AdmissionPolicy:
-        """The admission policy in force."""
-        return self._policy
-
-    @property
-    def tier(self) -> Optional[object]:
-        """The shared cache tier consulted between the LRU and a compute
-        (``None`` when this cache is purely local).  See
-        :class:`repro.pdms.distributed.cache_tier.CacheTierClient` for the
-        get/put/invalidate surface a tier must provide.
-        """
-        return self._tier
-
-    def attach_tier(self, tier: Optional[object]) -> None:
-        """Attach (or detach, with ``None``) the shared cache tier."""
-        self._tier = tier
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -298,62 +220,26 @@ class FragmentCache:
     # -- the lookup --------------------------------------------------------
 
     def _admit(
-        self,
-        key: str,
-        token: object,
-        relations: Iterable[str],
-        value: object,
-        elapsed: float,
-        misses: int,
+        self, key: str, token: object, relations: Iterable[str], value: object
     ) -> bool:
-        """Offer a freshly obtained result to the local LRU (policy gated)."""
+        """Keep a freshly computed result if it fits in half the budget."""
         nbytes = estimate_result_bytes(value)
         with self._lock:
-            if self._policy.admit(key, nbytes, elapsed, misses, self._max_bytes):
-                if key in self._entries:
-                    self._remove_locked(key)
-                self._entries[key] = _Entry(
-                    key, token, frozenset(relations), value, nbytes
-                )
-                self._current_bytes += nbytes
-                self.stats.admissions += 1
-                self._miss_counts.pop(key, None)
-                while self._current_bytes > self._max_bytes and self._entries:
-                    evicted, _ = next(iter(self._entries.items()))
-                    self._remove_locked(evicted)
-                    self.stats.evictions += 1
-                return True
-            self.stats.rejections += 1
-            return False
-
-    def _tier_get(
-        self, key: str, token: object, relations: Iterable[str], misses: int
-    ):
-        """Consult the shared tier; ``(True, value)`` on an accepted hit.
-
-        A tier hit is admitted into the local LRU (charged at its fetch
-        cost) so repeats stay local; a transport fault counts as
-        ``tier_degraded`` and behaves exactly like a miss — the caller
-        computes locally.  Runs outside the lock: tier RPCs must never
-        stall concurrent local hits.
-        """
-        tier = self._tier
-        if tier is None or token is None:
-            return False, None
-        started = self._clock()
-        status, value = tier.get(key, token)
-        elapsed = self._clock() - started
-        with self._lock:
-            if status == "hit":
-                self.stats.tier_hits += 1
-            elif status == "miss":
-                self.stats.tier_misses += 1
-            else:
-                self.stats.tier_degraded += 1
-        if status != "hit":
-            return False, None
-        self._admit(key, token, relations, value, elapsed, misses)
-        return True, value
+            if nbytes > _MAX_ENTRY_FRACTION * self._max_bytes:
+                self.stats.rejections += 1
+                return False
+            if key in self._entries:
+                self._remove_locked(key)
+            self._entries[key] = _Entry(
+                key, token, frozenset(relations), value, nbytes
+            )
+            self._current_bytes += nbytes
+            self.stats.admissions += 1
+            while self._current_bytes > self._max_bytes and self._entries:
+                evicted, _ = next(iter(self._entries.items()))
+                self._remove_locked(evicted)
+                self.stats.evictions += 1
+            return True
 
     def get_or_compute(
         self,
@@ -368,17 +254,12 @@ class FragmentCache:
         ``relations`` names the base relations the result reads (for
         explicit invalidation); ``token`` is the caller's data-version
         token for exactly those relations (see :func:`data_version_token`);
-        a miss calls ``compute(*args)``.  On a local miss the shared tier
-        (when attached) is consulted before computing; a freshly computed
-        result that the local policy admitted is offered back to the tier,
-        so the *next* process asking for this fragment at this version
-        skips the compute too.
+        a miss calls ``compute(*args)`` and keeps the result if it fits
+        in half the byte budget.
         """
         span = current_span()
         if span.recording:
-            span = span.child(
-                "fragment.cache", key=key[:80], tier=self._tier is not None
-            )
+            span = span.child("fragment.cache", key=key[:80])
         with span:
             with self._lock:
                 entry = self._entries.get(key)
@@ -393,47 +274,20 @@ class FragmentCache:
                     self._remove_locked(key)
                     self.stats.invalidations += 1
                 self.stats.misses += 1
-                misses = self._miss_counts.get(key, 0) + 1
-                self._miss_counts.pop(key, None)  # re-insert as most recent
-                self._miss_counts[key] = misses
-                # Miss tracking only informs admission (min_misses); bound it
-                # so keys whose results are never admitted — one-shot traffic
-                # under a picky policy — cannot accumulate forever.
-                while len(self._miss_counts) > _MISS_TRACKING_LIMIT:
-                    self._miss_counts.pop(next(iter(self._miss_counts)))
-            tier_hit, tier_value = self._tier_get(key, token, relations, misses)
-            if tier_hit:
-                span.set("outcome", "tier_hit")
-                return tier_value
             span.set("outcome", "miss")
-            started = self._clock()
             value = compute(*args)
-            elapsed = self._clock() - started
-            admitted = self._admit(key, token, relations, value, elapsed, misses)
+            admitted = self._admit(key, token, relations, value)
             if span.recording:
                 span.set("admitted", admitted)
-            tier = self._tier
-            if admitted and tier is not None and token is not None:
-                # Only locally admitted results are offered on: the admission
-                # policy already judged them worth memory, and the tier's own
-                # LRU bounds what it keeps.
-                if tier.put(key, token, relations, value):
-                    with self._lock:
-                        self.stats.tier_puts += 1
-                else:
-                    with self._lock:
-                        self.stats.tier_degraded += 1
             return value
 
-    def peek(self, key: str, token: object, relations: Iterable[str]) -> bool:
+    def peek(self, key: str, token: object) -> bool:
         """Would :meth:`get_or_compute` for ``key`` avoid computing?
 
-        Checks the local LRU (without touching the hit/miss counters —
-        this is a planning probe, not a lookup) and then the shared tier;
-        a tier hit is promoted into the local LRU on the way, so a
-        subsequent :meth:`get_or_compute` is a local hit.  The distributed
-        engine uses this to skip a rewriting's scatter-gather round
-        entirely when its root fragment is already warm somewhere.
+        Checks the LRU without touching the hit/miss counters — this is a
+        planning probe, not a lookup.  The distributed engine uses it to
+        skip a rewriting's scatter-gather round entirely when its root
+        fragment is already warm.
         """
         span = current_span()
         if span.recording:
@@ -441,12 +295,9 @@ class FragmentCache:
         with span:
             with self._lock:
                 entry = self._entries.get(key)
-                if entry is not None and entry.token == token:
-                    span.set("outcome", "hit")
-                    return True
-            tier_hit, _ = self._tier_get(key, token, relations, misses=1)
-            span.set("outcome", "tier_hit" if tier_hit else "miss")
-            return tier_hit
+                hit = entry is not None and entry.token == token
+            span.set("outcome", "hit" if hit else "miss")
+            return hit
 
     # -- invalidation ------------------------------------------------------
 
@@ -461,9 +312,7 @@ class FragmentCache:
         The version-token check already guarantees stale entries are never
         *served*; this reclaims their memory eagerly when the caller knows
         a whole relation went away (peer leave) or a catalogue change made
-        a family of fragments unreachable.  The shared tier (when attached)
-        is told too, so every process's next lookup misses remotely exactly
-        as it would locally; a tier fault only costs the eager reclaim.
+        a family of fragments unreachable.
         """
         doomed = frozenset(relations)
         if not doomed:
@@ -477,24 +326,13 @@ class FragmentCache:
             for key in stale:
                 self._remove_locked(key)
             self.stats.invalidations += len(stale)
-            count = len(stale)
-        tier = self._tier
-        if tier is not None and not tier.invalidate_relations(doomed):
-            with self._lock:
-                self.stats.tier_degraded += 1
-        return count
+            return len(stale)
 
     def clear(self) -> int:
-        """Drop every entry (counters are preserved); returns the count.
-
-        Local only by design: ``clear`` is a this-process reset (tests,
-        memory pressure), not a statement that data changed, so the shared
-        tier keeps its entries for everyone else.
-        """
+        """Drop every entry (counters are preserved); returns the count."""
         with self._lock:
             dropped = len(self._entries)
             self._entries.clear()
-            self._miss_counts.clear()
             self._current_bytes = 0
             self.stats.invalidations += dropped
             return dropped

@@ -1359,9 +1359,7 @@ class _Evaluation:
         if self.cache is None or not _worth_caching(self.plan.nodes[key]):
             return False
         token = self.token(key)
-        return token is not None and self.cache.peek(
-            key, token, self.plan.fragment_relations(key)
-        )
+        return token is not None and self.cache.peek(key, token)
 
     def table(self, key: str) -> ColumnTable:
         """The table of fragment ``key``, computed at most once per answer."""

@@ -67,7 +67,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from ..config import adaptive_enabled, cache_tier_enabled
+from ..config import adaptive_enabled
 from ..config import race_margin as race_margin_from_env
 from ..database.feedback import AdaptiveStats, QErrorLog
 from ..database.instance import Instance
@@ -230,14 +230,6 @@ class QueryService:
         into (e.g. one shared across services, or a measurement-only log
         with ``adaptive`` left off).  With ``adaptive`` on and no log
         given, the service creates its own.
-    cache_tier:
-        A :class:`~repro.pdms.distributed.cache_tier.CacheTierClient` the
-        service-owned fragment cache consults between its local LRU and a
-        fresh compute (``None`` follows ``REPRO_CACHE_TIER``: when that
-        knob is on, the process-global tier is attached).  Ignored when
-        ``fragment_cache`` is supplied externally — wiring a shared cache
-        to a shared tier is its owner's decision.  See
-        ``docs/sharding.md``.
     """
 
     def __init__(
@@ -252,7 +244,6 @@ class QueryService:
         adaptive: Optional[bool] = None,
         race_margin: Optional[float] = None,
         feedback: Optional[QErrorLog] = None,
-        cache_tier: Optional[object] = None,
     ):
         try:
             engine = validate_engine(engine if engine is not None else default_engine())
@@ -271,16 +262,6 @@ class QueryService:
                 )
             else:
                 self._fragments = fragment_cache_from_env()
-            if self._fragments is not None and self._owns_fragment_cache:
-                # Only service-owned caches get the shared tier attached:
-                # an externally supplied cache is the caller's to wire up.
-                tier = cache_tier
-                if tier is None and cache_tier_enabled():
-                    from .distributed.cache_tier import default_cache_tier
-
-                    tier = default_cache_tier()
-                if tier is not None:
-                    self._fragments.attach_tier(tier)
             self._adaptive = adaptive if adaptive is not None else adaptive_enabled()
             margin = race_margin if race_margin is not None else race_margin_from_env()
             if margin < 1.0:

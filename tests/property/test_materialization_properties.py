@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.pdms import (
-    AdmissionPolicy,
     FragmentCache,
     PeerFactSource,
     QueryService,
@@ -99,12 +98,11 @@ class TestCachedEqualsFresh:
     @given(spec=pdms_specs(), ops=data_mutation_specs())
     @settings(max_examples=15, **COMMON)
     def test_tight_budget_and_picky_admission_stay_correct(self, spec, ops):
-        """Evicting and rejecting aggressively never changes answers."""
+        """Evicting and rejecting aggressively never changes answers:
+        a 512-byte budget keeps only tables under 256 bytes and turns
+        them over constantly."""
         pdms, data, queries = build_pdms(spec)
-        cache = FragmentCache(
-            max_bytes=512,
-            policy=AdmissionPolicy(min_misses=2, max_entry_fraction=1.0),
-        )
+        cache = FragmentCache(max_bytes=512)
         service = QueryService(
             pdms, data=data, engine="columnar", fragment_cache=cache)
         for _ in range(2):

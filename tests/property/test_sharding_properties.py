@@ -1,4 +1,4 @@
-"""Property-based tests for sharded placement and the cache tier (ISSUE 8).
+"""Property-based tests for sharded placement.
 
 The central invariant, over random small PDMSs:
 
@@ -8,17 +8,13 @@ at every point of an interleaved data-mutation stream and a catalogue
 churn sequence (peer join/leave) — i.e. hash-partitioning stored
 relations across worker shards, pruning scans to owning shards, and
 re-splitting when data moves are all answer-invisible.  Plus the failure
-semantics the tier promises: a cache peer dying mid-workload degrades to
-compute-locally (answers stay correct, completeness stays honest), and a
-dead *shard* yields a sound subset with ``complete=False``.
+semantics: a dead *shard* yields a sound subset with ``complete=False``.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.pdms import (
-    CacheTierClient,
-    FragmentStore,
     LoopbackTransport,
     QueryService,
     RemotePeerFactSource,
@@ -28,7 +24,6 @@ from repro.pdms import (
     certain_answers,
     combine_peer_instances,
 )
-from repro.pdms.distributed.cache_tier import CACHE_PEER
 
 from .strategies import churn_specs, data_mutation_specs, pdms_specs
 from .test_materialization_properties import _apply_mutation
@@ -42,7 +37,7 @@ COMMON = dict(
 SHARD_COUNTS = st.sampled_from([2, 3, 4])
 
 
-def _sharded_answers(pdms, data, query, shards, cache_tier=None):
+def _sharded_answers(pdms, data, query, shards):
     """Answer ``query`` over ``data`` hash-partitioned across ``shards``.
 
     Builds the sharded world from the live per-peer instances (the split
@@ -53,19 +48,17 @@ def _sharded_answers(pdms, data, query, shards, cache_tier=None):
     transport = LoopbackTransport(workers)
     source = RemotePeerFactSource(transport, shard_map=shard_map)
     try:
-        service = QueryService(
-            pdms, data=source, engine="distributed", cache_tier=cache_tier
-        )
-        return service.answer(query), source
+        service = QueryService(pdms, data=source, engine="distributed")
+        return service.answer(query)
     finally:
         source.close()
 
 
-def _check_sharded_three_way(pdms, data, query, shards, cache_tier=None):
+def _check_sharded_three_way(pdms, data, query, shards):
     combined = combine_peer_instances(data)
     fresh = answer_query(pdms, query, combined)
     oracle = certain_answers(pdms, query, combined)
-    sharded, _ = _sharded_answers(pdms, data, query, shards, cache_tier)
+    sharded = _sharded_answers(pdms, data, query, shards)
     assert sharded == fresh, f"sharded != unsharded on {query}"
     assert sharded == oracle, f"sharded != oracle on {query}"
 
@@ -134,84 +127,6 @@ class TestShardedEquivalence:
             name.startswith(f"{peer}#") and first[name] is not third[name]
             for name in first
         )
-
-
-class TestCacheTierChaos:
-    def _tier(self):
-        store = FragmentStore()
-        transport = LoopbackTransport({CACHE_PEER: store})
-        return store, transport, CacheTierClient(transport, max_failures=2)
-
-    @given(spec=pdms_specs(), shards=SHARD_COUNTS)
-    @settings(max_examples=15, **COMMON)
-    def test_cache_peer_death_mid_workload_degrades_not_corrupts(
-        self, spec, shards
-    ):
-        """Kill the cache peer between answers: answers stay correct and
-        complete; only the tier counters show the fault."""
-        pdms, data, queries = build_pdms(spec)
-        if not queries:
-            return
-        _, tier_transport, client = self._tier()
-        combined = combine_peer_instances(data)
-        for index, query in enumerate(queries):
-            oracle = certain_answers(pdms, query, combined)
-            if index == 1:
-                tier_transport.fail_peer(CACHE_PEER)
-            answer, source = _sharded_answers(
-                pdms, data, query, shards, cache_tier=client
-            )
-            assert answer == oracle
-            assert source.complete  # a cache fault is not a data fault
-
-    @given(spec=pdms_specs())
-    @settings(max_examples=10, **COMMON)
-    def test_flapping_cache_peer_is_harmless(self, spec):
-        """Drop every tier scan RPC: every get degrades, answers hold.
-
-        Puts ride the insert path and may still land; the point is that
-        a tier whose reads always fail can never corrupt an answer.
-        """
-        pdms, data, queries = build_pdms(spec)
-        store = FragmentStore()
-        tier_transport = LoopbackTransport(
-            {CACHE_PEER: store}, drop_every_n=1
-        )
-        client = CacheTierClient(tier_transport, max_failures=10_000)
-        combined = combine_peer_instances(data)
-        for query in queries:
-            answer, _ = _sharded_answers(
-                pdms, data, query, 2, cache_tier=client
-            )
-            assert answer == certain_answers(pdms, query, combined)
-
-    @given(spec=pdms_specs(), shards=SHARD_COUNTS)
-    @settings(max_examples=10, **COMMON)
-    def test_degraded_counter_surfaces_through_service_stats(
-        self, spec, shards
-    ):
-        pdms, data, queries = build_pdms(spec)
-        if not queries:
-            return
-        _, tier_transport, client = self._tier()
-        tier_transport.fail_peer(CACHE_PEER)
-        shard_map, workers = auto_shard(data, shards)
-        source = RemotePeerFactSource(
-            LoopbackTransport(workers), shard_map=shard_map
-        )
-        try:
-            service = QueryService(
-                pdms, data=source, engine="distributed", cache_tier=client
-            )
-            for query in queries:
-                service.answer(query)
-            snapshot = service.stats_snapshot().as_dict()["fragments"]
-            # Degradation is visible iff any fragment was tier-eligible;
-            # either way no tier traffic may have landed.
-            assert snapshot["tier_hits"] == 0
-            assert snapshot["tier_puts"] == 0
-        finally:
-            source.close()
 
 
 class TestShardFailureSoundness:

@@ -83,14 +83,6 @@ class TestConversions:
         ct = ColumnTable.from_rows(("a",), [(nan,), (1.0,)])
         assert as_rows(ct) == {(nan,), (1.0,)}
 
-    def test_pickle_round_trip(self):
-        import pickle
-
-        ct = ColumnTable.from_rows(("a", "b"), [(1, "x"), (2, "y")])
-        clone = pickle.loads(pickle.dumps(ct))
-        assert clone.columns == ct.columns
-        assert as_rows(clone) == as_rows(ct)
-
     def test_estimated_bytes_feeds_cache_sizing(self):
         ct = ColumnTable.from_rows(("a", "b"), [(i, str(i)) for i in range(100)])
         assert estimate_result_bytes(ct) == ct.estimated_bytes() > 0

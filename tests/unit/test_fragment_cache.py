@@ -7,7 +7,6 @@ from repro.datalog.parser import parse_query
 from repro.errors import EvaluationError, PDMSConfigurationError
 from repro.pdms import (
     PDMS,
-    AdmissionPolicy,
     FragmentCache,
     PeerFactSource,
     QueryService,
@@ -67,35 +66,28 @@ class TestFragmentCache:
         assert cache.stats.evictions == 1
         assert cache.current_bytes <= cache.max_bytes
 
-    def test_admission_policy_rejects_oversized_entries(self):
+    def test_oversized_entries_are_rejected(self):
         small = estimate_result_bytes(_table([(1, 2)]))
-        cache = FragmentCache(
-            max_bytes=4 * small, policy=AdmissionPolicy(max_entry_fraction=0.5)
-        )
+        cache = FragmentCache(max_bytes=4 * small)
         big = _table([(i, i) for i in range(100)])
         cache.get_or_compute("big", ("v",), {"r"}, lambda: big)
         assert len(cache) == 0
         assert cache.stats.rejections == 1
+        # The rule's boundary: a table is kept iff it fits in half the budget.
+        for budget, kept in ((2 * small, 1), (2 * small - 1, 0)):
+            cache = FragmentCache(max_bytes=budget)
+            cache.get_or_compute("k", ("v",), {"r"}, lambda: _table([(1, 2)]))
+            assert len(cache) == cache.stats.admissions == kept
+            assert cache.stats.rejections == 1 - kept
 
-    def test_min_misses_admits_only_proven_repeat_traffic(self):
-        cache = FragmentCache(
-            max_bytes=1 << 20, policy=AdmissionPolicy(min_misses=2)
-        )
-        cache.get_or_compute("k", ("v",), {"r"}, lambda: _table([(1, 2)]))
-        assert len(cache) == 0 and cache.stats.rejections == 1
-        cache.get_or_compute("k", ("v",), {"r"}, lambda: _table([(1, 2)]))
-        assert len(cache) == 1 and cache.stats.admissions == 1
-        assert cache.stats.hits == 0 and cache.stats.misses == 2
-        cache.get_or_compute("k", ("v",), {"r"}, lambda: _table([(1, 2)]))
-        assert cache.stats.hits == 1
-
-    def test_min_benefit_seconds_rejects_cheap_fragments(self):
-        cache = FragmentCache(
-            max_bytes=1 << 20,
-            policy=AdmissionPolicy(min_benefit_seconds=3600.0),
-        )
-        cache.get_or_compute("k", ("v",), {"r"}, lambda: _table([(1, 2)]))
-        assert len(cache) == 0 and cache.stats.rejections == 1
+    def test_peek_probes_without_counting(self):
+        cache = FragmentCache(max_bytes=1 << 20)
+        assert cache.peek("k", ("v1",)) is False
+        cache.get_or_compute("k", ("v1",), {"r"}, lambda: _table([(1, 2)]))
+        before = cache.stats.as_dict()
+        assert cache.peek("k", ("v1",)) is True
+        assert cache.peek("k", ("v2",)) is False
+        assert cache.stats.as_dict() == before
 
     def test_invalidate_relations_drops_only_readers(self):
         cache = FragmentCache(max_bytes=1 << 20)
@@ -319,6 +311,25 @@ class TestCachedExecution:
         assert len(shared) == warm  # external cache untouched
         a.remove_peer("P")  # version tokens alone keep `shared` correct
         assert len(shared) == warm
+
+    def test_second_service_answers_from_a_shared_cache(self):
+        pdms, query, instance = _two_hop_pdms()
+        shared = FragmentCache(max_bytes=1 << 20)
+        a = QueryService(pdms, data={"P": instance}, engine="columnar",
+                         fragment_cache=shared)
+        b = QueryService(pdms, data={"P": instance}, engine="columnar",
+                         fragment_cache=shared)
+        expected = a.answer(query)
+        held = shared.cached_keys()
+        hits, misses, admissions = (
+            shared.stats.hits, shared.stats.misses, shared.stats.admissions
+        )
+        assert b.answer(query) == expected
+        assert shared.stats.hits > hits
+        # B computed nothing A already holds: no miss, no new entry.
+        assert shared.stats.misses == misses
+        assert shared.stats.admissions == admissions
+        assert set(shared.cached_keys()) == set(held)
 
     def test_owned_cache_is_cleared_as_before(self):
         pdms, query, instance = _two_hop_pdms()

@@ -42,7 +42,6 @@ from repro.pdms import (
     ServiceCluster,
     ShardMap,
 )
-from repro.pdms.distributed.cache_tier import CACHE_PEER, CacheTierClient, FragmentStore
 from repro.pdms.materialization import FragmentCacheStats
 from repro.pdms.service import ServiceStats
 
@@ -417,10 +416,6 @@ class TestSchemaUnification:
             FragmentCacheStats().as_dict(),
             AdaptiveStats().as_dict(),
             ScanPolicy().as_dict(),
-            FragmentStore().stats(),
-            CacheTierClient(
-                LoopbackTransport({CACHE_PEER: FragmentStore()})
-            ).stats(),
             source.scatter_stats(),
             source.latency_stats(),
             ShardMap().shard_by_hash("r", 0, ["A"]).as_dict(),

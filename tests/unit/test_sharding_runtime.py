@@ -1,14 +1,11 @@
-"""Unit tests for shard-aware placement and the cluster cache tier (ISSUE 8).
+"""Unit tests for shard-aware placement.
 
 Covers stable cross-process routing hashes, the hash/range partition
 schemes, :class:`ShardMap` registration and the pruning rule,
 :func:`auto_shard` splitting (including its version-keyed memo), routed
-inserts, the :class:`FragmentStore` cache peer, the
-:class:`CacheTierClient` failure breaker, the
-:class:`FragmentCache`/tier integration, the new ``REPRO_SHARDS`` /
-``REPRO_CACHE_TIER`` knobs, and the sharded scatter path end to end
-(per-shard scan counters, pruned-vs-fanout accounting, cluster
-describe/insert).
+inserts, the ``REPRO_SHARDS`` knob, and the sharded scatter path end to
+end (per-shard scan counters, pruned-vs-fanout accounting, cluster
+describe/insert, two clusters sharing one :class:`FragmentCache`).
 """
 
 from __future__ import annotations
@@ -20,20 +17,16 @@ from repro import config
 from repro.database import Instance
 from repro.datalog import parse_query
 from repro.datalog.indexing import WILDCARD
-from repro.errors import (
-    EvaluationError,
-    InstanceError,
-    PDMSConfigurationError,
-)
+from repro.errors import EvaluationError, PDMSConfigurationError
 from repro.pdms import (
+    DEFAULT_CONFIG,
     PDMS,
-    CacheTierClient,
     FragmentCache,
-    FragmentStore,
     HashPartition,
     LoopbackTransport,
     RangePartition,
     RemotePeerFactSource,
+    ScanPolicy,
     ServiceCluster,
     ShardMap,
     StorageDescription,
@@ -41,13 +34,6 @@ from repro.pdms import (
     auto_shard,
 )
 from repro.pdms.distributed import insert_routed, stable_shard_hash
-from repro.pdms.distributed.cache_tier import (
-    CACHE_PEER,
-    EVICT_RELATION,
-    FRAGMENTS_RELATION,
-    default_cache_tier,
-    reset_default_cache_tier,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -250,222 +236,6 @@ class TestInsertRouted:
 
 
 # ---------------------------------------------------------------------------
-# The cache peer
-# ---------------------------------------------------------------------------
-
-class TestFragmentStore:
-    def test_instance_surface_matches_wire_expectations(self):
-        store = FragmentStore()
-        assert set(store.relations()) == {FRAGMENTS_RELATION, EVICT_RELATION}
-        assert store.arity(FRAGMENTS_RELATION) == 4
-        assert store.arity(EVICT_RELATION) == 1
-        assert store.arity("other") is None
-        assert store.cardinality(FRAGMENTS_RELATION) == 0
-
-    def test_put_then_get_exact_token(self):
-        store = FragmentStore()
-        store.add(FRAGMENTS_RELATION, ("k", ("t",), ("R",), b"payload"))
-        rows = store.get_matching(FRAGMENTS_RELATION, ("k", ("t",), WILDCARD, WILDCARD))
-        assert rows == (("k", ("t",), ("R",), b"payload"),)
-        # Token mismatch is an empty result, but the entry stays.
-        assert store.get_matching(
-            FRAGMENTS_RELATION, ("k", ("moved",), WILDCARD, WILDCARD)
-        ) == ()
-        assert len(store) == 1
-
-    def test_version_moves_on_writes(self):
-        store = FragmentStore()
-        before = store.data_version(FRAGMENTS_RELATION)
-        store.add(FRAGMENTS_RELATION, ("k", "t", ("R",), b"x"))
-        assert store.data_version(FRAGMENTS_RELATION) != before
-
-    def test_evict_relation_drops_readers(self):
-        store = FragmentStore()
-        store.add(FRAGMENTS_RELATION, ("k1", "t", ("R",), b"x"))
-        store.add(FRAGMENTS_RELATION, ("k2", "t", ("S",), b"y"))
-        store.add(EVICT_RELATION, ("R",))
-        assert store.get_matching(
-            FRAGMENTS_RELATION, ("k1", WILDCARD, WILDCARD, WILDCARD)
-        ) == ()
-        assert store.get_matching(
-            FRAGMENTS_RELATION, ("k2", WILDCARD, WILDCARD, WILDCARD)
-        )
-        assert store.invalidations == 1
-
-    def test_lru_eviction_within_budget(self):
-        store = FragmentStore(max_bytes=700)  # fits two ~256+payload entries
-        store.add(FRAGMENTS_RELATION, ("a", "t", (), b"x" * 50))
-        store.add(FRAGMENTS_RELATION, ("b", "t", (), b"y" * 50))
-        # Freshen "a" so "b" is the LRU victim.
-        assert store.get_matching(FRAGMENTS_RELATION, ("a", "t", WILDCARD, WILDCARD))
-        store.add(FRAGMENTS_RELATION, ("c", "t", (), b"z" * 50))
-        assert store.evictions == 1
-        assert store.get_matching(FRAGMENTS_RELATION, ("b", "t", WILDCARD, WILDCARD)) == ()
-        assert store.get_matching(FRAGMENTS_RELATION, ("a", "t", WILDCARD, WILDCARD))
-
-    def test_oversize_payload_dropped_silently(self):
-        store = FragmentStore(max_bytes=300)
-        store.add(FRAGMENTS_RELATION, ("big", "t", (), b"x" * 1000))
-        assert len(store) == 0
-
-    def test_misuse_raises_instance_error(self):
-        store = FragmentStore()
-        with pytest.raises(InstanceError):
-            store.add("other", ("x",))
-        with pytest.raises(InstanceError):
-            store.add(FRAGMENTS_RELATION, ("too", "few"))
-        with pytest.raises(InstanceError):
-            store.add(FRAGMENTS_RELATION, ("k", "t", (), "not-bytes"))
-        with pytest.raises(InstanceError):
-            store.get_matching(FRAGMENTS_RELATION, ("k",))
-        with pytest.raises(EvaluationError):
-            FragmentStore(max_bytes=0)
-
-
-class TestCacheTierClient:
-    def tier(self, **kwargs):
-        store = FragmentStore()
-        transport = LoopbackTransport({CACHE_PEER: store})
-        return store, transport, CacheTierClient(transport, **kwargs)
-
-    def test_round_trip(self):
-        _, _, client = self.tier()
-        assert client.get("k", ("t",)) == ("miss", None)
-        assert client.put("k", ("t",), ["R"], {"rows": (1, 2)})
-        assert client.get("k", ("t",)) == ("hit", {"rows": (1, 2)})
-        assert client.get("k", ("other",)) == ("miss", None)
-
-    def test_transport_fault_degrades(self):
-        _, transport, client = self.tier()
-        transport.fail_peer(CACHE_PEER)
-        assert client.get("k", "t") == ("error", None)
-        assert client.put("k", "t", [], 1) is False
-        assert client.invalidate_relations(["R"]) is False
-        assert client.failures == 3
-
-    def test_breaker_trips_and_resets(self):
-        store, transport, client = self.tier(max_failures=2)
-        transport.fail_peer(CACHE_PEER)
-        client.get("k", "t")
-        client.get("k", "t")
-        assert client.degraded
-        transport.restore_peer(CACHE_PEER)
-        # Tripped breaker short-circuits without touching the wire.
-        rpcs = transport.rpc_count
-        assert client.get("k", "t") == ("error", None)
-        assert transport.rpc_count == rpcs
-        client.reset()
-        assert client.get("k", "t") == ("miss", None)
-
-    def test_unpicklable_values_stay_local(self):
-        _, _, client = self.tier()
-        assert client.put("k", "t", [], lambda: None) is False
-        assert client.failures == 0  # not a cache fault
-
-
-class TestFragmentCacheTierIntegration:
-    def shared(self):
-        store = FragmentStore()
-        transport = LoopbackTransport({CACHE_PEER: store})
-        return store, CacheTierClient(transport), transport
-
-    def test_cross_cache_hit_skips_compute(self):
-        _, client, _ = self.shared()
-        first = FragmentCache(tier=client)
-        second = FragmentCache(tier=client)
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return ((1, 2),)
-
-        token = (("R", ("v", 1)),)
-        assert first.get_or_compute("k", token, ["R"], compute) == ((1, 2),)
-        assert second.get_or_compute("k", token, ["R"], compute) == ((1, 2),)
-        assert len(calls) == 1
-        assert first.stats.tier_puts == 1
-        assert second.stats.tier_hits == 1
-        # The tier hit was promoted locally: a repeat is a local hit.
-        assert second.get_or_compute("k", token, ["R"], compute) == ((1, 2),)
-        assert second.stats.hits == 1
-
-    def test_peek_probes_without_counting_local_stats(self):
-        _, client, _ = self.shared()
-        cache = FragmentCache(tier=client)
-        token = (("R", ("v", 1)),)
-        assert cache.peek("k", token, ["R"]) is False
-        cache.get_or_compute("k", token, ["R"], lambda: ((1,),))
-        misses = cache.stats.misses
-        assert cache.peek("k", token, ["R"]) is True
-        assert cache.stats.misses == misses
-        assert cache.peek("k", (("R", ("v", 2)),), ["R"]) is False
-
-    def test_peek_promotes_tier_hits(self):
-        _, client, _ = self.shared()
-        warmer = FragmentCache(tier=client)
-        token = (("R", ("v", 1)),)
-        warmer.get_or_compute("k", token, ["R"], lambda: ((1,),))
-        fresh = FragmentCache(tier=client)
-        assert fresh.peek("k", token, ["R"]) is True
-        assert fresh.stats.tier_hits == 1
-        calls = []
-        fresh.get_or_compute("k", token, ["R"], lambda: calls.append(1))
-        assert not calls  # served locally after the promotion
-
-    def test_invalidate_relations_evicts_remotely(self):
-        store, client, _ = self.shared()
-        cache = FragmentCache(tier=client)
-        token = (("R", ("v", 1)),)
-        cache.get_or_compute("k", token, ["R"], lambda: ((1,),))
-        assert len(store) == 1
-        cache.invalidate_relations(["R"])
-        assert len(store) == 0
-        assert FragmentCache(tier=client).peek("k", token, ["R"]) is False
-
-    def test_clear_stays_local(self):
-        store, client, _ = self.shared()
-        cache = FragmentCache(tier=client)
-        cache.get_or_compute("k", "t", ["R"], lambda: ((1,),))
-        cache.clear()
-        assert len(store) == 1  # other processes keep their warm entries
-
-    def test_failed_tier_degrades_to_compute(self):
-        _, client, transport = self.shared()
-        transport.fail_peer(CACHE_PEER)
-        cache = FragmentCache(tier=client)
-        value = cache.get_or_compute("k", "t", ["R"], lambda: ((9,),))
-        assert value == ((9,),)
-        assert cache.stats.tier_degraded > 0
-        assert cache.stats.tier_hits == 0
-
-    def test_stats_surface_in_as_dict(self):
-        _, client, _ = self.shared()
-        cache = FragmentCache(tier=client)
-        cache.get_or_compute("k", "t", ["R"], lambda: ((1,),))
-        snapshot = cache.stats.as_dict()
-        for counter in ("tier_hits", "tier_misses", "tier_puts", "tier_degraded"):
-            assert counter in snapshot
-
-    def test_attach_tier_later(self):
-        _, client, _ = self.shared()
-        cache = FragmentCache()
-        assert cache.tier is None
-        cache.attach_tier(client)
-        assert cache.tier is client
-        cache.attach_tier(None)
-        assert cache.tier is None
-
-
-class TestDefaultCacheTier:
-    def test_process_global_singleton(self):
-        reset_default_cache_tier()
-        try:
-            assert default_cache_tier() is default_cache_tier()
-        finally:
-            reset_default_cache_tier()
-
-
-# ---------------------------------------------------------------------------
 # Config knobs
 # ---------------------------------------------------------------------------
 
@@ -483,17 +253,6 @@ class TestShardingKnobs:
         monkeypatch.setenv("REPRO_SHARDS", "-1")
         with pytest.raises(EvaluationError):
             config.shards()
-
-    def test_cache_tier_default_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_TIER", raising=False)
-        assert config.cache_tier_enabled() is False
-
-    def test_cache_tier_parses_and_fails_fast(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_TIER", "1")
-        assert config.cache_tier_enabled() is True
-        monkeypatch.setenv("REPRO_CACHE_TIER", "yes")
-        with pytest.raises(EvaluationError):
-            config.cache_tier_enabled()
 
     def test_max_inflight_alias_still_importable(self):
         from repro.pdms.distributed import max_inflight_from_env
@@ -603,19 +362,15 @@ class TestShardedCluster:
     def build(self):
         inst = Instance.from_dict({"sr": {(i, f"v{i}") for i in range(16)}})
         shard_map, workers = auto_shard({"P": inst}, 2)
-        transport = LoopbackTransport(workers)
-        store = FragmentStore()
-        tier_transport = LoopbackTransport({CACHE_PEER: store})
         cluster = ServiceCluster(
             pdms=single_relation_pdms(),
-            transport=transport,
+            transport=LoopbackTransport(workers),
             shard_map=shard_map,
-            cache_tier=CacheTierClient(tier_transport),
         )
-        return cluster, shard_map, workers, store
+        return cluster, shard_map, workers
 
     def test_describe_reports_scatter_and_sharding(self):
-        cluster, _, _, _ = self.build()
+        cluster, _, _ = self.build()
         with cluster:
             query = parse_query("Q(y) :- T:R(3, y)")
             answer = cluster.answer(query)
@@ -624,10 +379,10 @@ class TestShardedCluster:
             assert snapshot["scatter"]["pruned_scans"] >= 1
             assert snapshot["sharding"]["sr"]["shards"] == 2
             fragments = snapshot["service"]["fragments"]
-            assert "tier_hits" in fragments
+            assert "hits" in fragments
 
     def test_insert_routes_to_owning_shard(self):
-        cluster, shard_map, workers, _ = self.build()
+        cluster, shard_map, workers = self.build()
         with cluster:
             assert cluster.insert("sr", [(500, "new")]) == 1
             owner = shard_map.owners_for_row("sr", (500, "new"))[0]
@@ -653,24 +408,51 @@ class TestShardedCluster:
         with pytest.raises(PDMSConfigurationError):
             cluster.insert("sr", [(1, "a")])
 
-    def test_warm_tier_serves_second_cluster(self):
+    def test_prebuilt_service_rejects_settings_it_would_ignore(self):
+        from repro.pdms import QueryService
+
+        service = QueryService(single_relation_pdms())
+        for setting in (
+            {"config": DEFAULT_CONFIG},
+            {"fragment_cache_bytes": 0},
+            {"fragment_cache": FragmentCache()},
+            {"scan_policy": ScanPolicy()},
+        ):
+            with pytest.raises(PDMSConfigurationError, match=next(iter(setting))):
+                ServiceCluster(service=service, **setting)
+
+    def test_shared_cache_serves_second_cluster(self):
         inst = Instance.from_dict({"sr": {(i, f"v{i}") for i in range(16)}})
         shard_map, workers = auto_shard({"P": inst}, 2)
-        store = FragmentStore()
-        tier_transport = LoopbackTransport({CACHE_PEER: store})
+        shared = FragmentCache()
         query = parse_query("Q(y) :- T:R(3, y)")
         # Separate transports over the SAME live shard instances: version
         # tokens are instance-scoped, so both clusters observe the same
-        # composite token space and may share tier entries.
+        # composite token space and may share cache entries.
         with ServiceCluster(
             pdms=single_relation_pdms(), transport=LoopbackTransport(workers),
-            shard_map=shard_map, cache_tier=CacheTierClient(tier_transport),
+            shard_map=shard_map, fragment_cache=shared,
         ) as first:
             assert set(first.answer(query).rows) == {("v3",)}
-            assert first.stats.fragments.tier_puts >= 1
+            assert shared.stats.admissions >= 1
         with ServiceCluster(
             pdms=single_relation_pdms(), transport=LoopbackTransport(workers),
-            shard_map=shard_map, cache_tier=CacheTierClient(tier_transport),
+            shard_map=shard_map, fragment_cache=shared,
         ) as second:
-            assert set(second.answer(query).rows) == {("v3",)}
-            assert second.stats.fragments.tier_hits >= 1
+            assert second.service.fragment_cache is shared
+            hits, misses = shared.stats.hits, shared.stats.misses
+            answer = second.answer(query)
+            assert answer.complete and set(answer.rows) == {("v3",)}
+            assert shared.stats.hits > hits
+            assert shared.stats.misses == misses  # nothing recomputed
+            # `peek` finds the root warm and skips the scatter round: the
+            # only scans are the first answer's one statistics read per
+            # shard, and a repeat touches no shard at all.
+            scatter = second.source.scatter_stats()
+            assert scatter["pruned_waves"] == scatter["fanout_waves"] == 0
+            assert scatter["pruned_scans"] == 0
+            transport = second.transport
+            scans = sum(transport.scan_count(p) for p in transport.peers())
+            assert scans == len(workers)
+            second.answer(query)
+            assert sum(transport.scan_count(p) for p in transport.peers()) == scans

@@ -1,9 +1,7 @@
 """Unit tests for the tail-latency layer (ISSUE 9).
 
-Covers the shared policy pieces (:class:`HalfOpenBreaker`,
-:class:`PeerLatencyTracker`, :class:`ScanPolicy`), the half-open breaker
-of :class:`CacheTierClient` (which previously tripped *permanently*),
-the retry / hedge / deadline / delta behaviour of
+Covers the shared policy pieces (:class:`PeerLatencyTracker`,
+:class:`ScanPolicy`), the retry / hedge / deadline / delta behaviour of
 :class:`RemotePeerFactSource`, and the :class:`AsyncSocketTransport`
 socket backend, including its per-RPC timeout.
 """
@@ -20,7 +18,6 @@ from repro.datalog.indexing import WILDCARD
 from repro.errors import TransportError
 from repro.pdms import (
     AsyncSocketTransport,
-    HalfOpenBreaker,
     LoopbackTransport,
     PeerLatencyTracker,
     RemotePeerFactSource,
@@ -28,89 +25,12 @@ from repro.pdms import (
     ServiceCluster,
     ShardMap,
 )
-from repro.pdms.distributed.cache_tier import (
-    CACHE_PEER,
-    CacheTierClient,
-    FragmentStore,
-)
 from repro.pdms.distributed.transport import encode_pattern
 
 ALL = (WILDCARD, WILDCARD)
 
 #: No-sleep, no-jitter policies so tests stay fast and deterministic.
 FAST = dict(backoff=0.0, backoff_cap=0.0, jitter=0.0)
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 100.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
-# ---------------------------------------------------------------------------
-# HalfOpenBreaker
-# ---------------------------------------------------------------------------
-
-
-class TestHalfOpenBreaker:
-    def test_closed_until_max_consecutive_failures(self):
-        clock = FakeClock()
-        breaker = HalfOpenBreaker(max_failures=3, cooldown=1.0, clock=clock)
-        assert breaker.allow()
-        assert not breaker.record_failure("a")
-        assert not breaker.record_failure("b")
-        assert breaker.allow() and not breaker.tripped
-        breaker.record_success()  # success resets the consecutive count
-        assert breaker.failures == 0
-        breaker.record_failure("c")
-        breaker.record_failure("d")
-        assert breaker.allow()
-        assert breaker.record_failure("e")  # third consecutive: open
-        assert breaker.tripped and breaker.reason == "e"
-        assert not breaker.allow()
-
-    def test_probe_after_cooldown_is_granted_exactly_once(self):
-        clock = FakeClock()
-        breaker = HalfOpenBreaker(max_failures=1, cooldown=2.0, clock=clock)
-        breaker.record_failure("boom")
-        assert not breaker.allow()
-        clock.advance(1.9)
-        assert not breaker.allow()
-        clock.advance(0.2)
-        assert breaker.allow()  # the half-open probe
-        assert not breaker.allow()  # concurrent callers keep waiting
-        breaker.record_success()
-        assert not breaker.tripped and breaker.allow()
-
-    def test_failed_probe_rearms_the_cooldown(self):
-        clock = FakeClock()
-        breaker = HalfOpenBreaker(max_failures=1, cooldown=2.0, clock=clock)
-        breaker.record_failure("boom")
-        clock.advance(2.1)
-        assert breaker.allow()
-        breaker.record_failure("still down")
-        assert not breaker.allow()  # fresh cooldown window
-        clock.advance(2.1)
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.allow()
-
-    def test_trip_and_reset_are_immediate(self):
-        clock = FakeClock()
-        breaker = HalfOpenBreaker(max_failures=5, cooldown=1.0, clock=clock)
-        breaker.trip("operator")
-        assert breaker.tripped and not breaker.allow()
-        breaker.reset()
-        assert not breaker.tripped and breaker.allow()
-
-    def test_max_failures_must_be_positive(self):
-        with pytest.raises(ValueError):
-            HalfOpenBreaker(max_failures=0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,44 +125,6 @@ class TestScanPolicy:
         assert policy.deadline is None  # 0 = unbounded
         monkeypatch.setenv("REPRO_HEDGE_MS", "-1")
         assert not ScanPolicy.from_env().hedging
-
-
-# ---------------------------------------------------------------------------
-# CacheTierClient: the breaker recovers after a cooldown
-# ---------------------------------------------------------------------------
-
-
-class TestCacheTierBreakerRecovery:
-    def test_restored_cache_peer_rejoins_after_cooldown(self):
-        transport = LoopbackTransport({CACHE_PEER: FragmentStore()})
-        client = CacheTierClient(transport, max_failures=2, breaker_cooldown=0.1)
-        token = ("t", 1)
-        assert client.put("k", token, ["r"], {"rows": (1,)})
-        transport.fail_peer(CACHE_PEER)
-        assert client.get("k", token) == ("error", None)
-        assert not client.degraded  # one failure, threshold is two
-        assert client.get("k", token) == ("error", None)
-        assert client.degraded and client.failures == 2
-        transport.restore_peer(CACHE_PEER)
-        # Inside the cooldown the breaker still refuses (no RPC made).
-        before = transport.rpc_count
-        assert client.get("k", token) == ("error", None)
-        assert transport.rpc_count == before
-        time.sleep(0.12)
-        status, value = client.get("k", token)  # the half-open probe
-        assert (status, value) == ("hit", {"rows": (1,)})
-        assert not client.degraded
-
-    def test_manual_reset_still_short_circuits_the_cooldown(self):
-        transport = LoopbackTransport({CACHE_PEER: FragmentStore()})
-        client = CacheTierClient(transport, max_failures=1, breaker_cooldown=60.0)
-        transport.fail_peer(CACHE_PEER)
-        assert client.get("k", ("t", 1)) == ("error", None)
-        assert client.degraded
-        transport.restore_peer(CACHE_PEER)
-        client.reset()
-        assert not client.degraded
-        assert client.get("k", ("t", 1)) == ("miss", None)
 
 
 # ---------------------------------------------------------------------------

@@ -145,14 +145,6 @@ def planned(cluster, transport) -> None:
     del transport.frames[:]
 
 
-@pytest.fixture(autouse=True)
-def no_shared_cache_tier(monkeypatch):
-    """The budget below is the wire's: under the sharded + tier CI leg a
-    cold-scan answer would be served by the process-global cache tier and
-    never scatter at all."""
-    monkeypatch.delenv("REPRO_CACHE_TIER", raising=False)
-
-
 @pytest.fixture
 def wide():
     pdms, data = wide_system()
