@@ -8,7 +8,11 @@ Backs the ISSUE-9 acceptance criteria:
   the slow primary.  Gated on what hedging guarantees under the injected
   delays, whatever the host load: the hedge wins ≥ 90 % of the scans,
   the hedged p99 stays **under** the slow primary's delay and the
-  unhedged p99 cannot be under it.  The p99 ratio (≈ 3× on an idle
+  unhedged p99 cannot be under it.  The hedged arm takes 200 samples so
+  its p99 is the second-largest latency, not the largest: one scheduler
+  stall on a loaded host is the 1 % a p99 leaves out.  Every unhedged
+  scan waits out the injected delay, so that arm's gate holds at any
+  sample count and it keeps 60.  The p99 ratio (≈ 3× on an idle
   host) is recorded, not asserted: it divides by a 15 ms wall-clock
   sample and read 2.8× whenever the host was busy;
 * **retry_completeness** — a churn workload over a transport that drops
@@ -54,8 +58,11 @@ from repro.pdms import (
 
 QUICK = os.environ.get("EVAL_BENCH_QUICK") == "1"
 
-#: Per-scan latency samples for the p99 arms.
+#: Per-scan latency samples for the unhedged p99 arm.
 SAMPLES = 24 if QUICK else 60
+#: Samples for the hedged arm: at 200, ``_p99`` is the second-largest
+#: latency, so a single stall of the test process is not its p99.
+HEDGED_SAMPLES = 200
 #: The fast replica's wire latency and the slow primary's (10× slower).
 #: Milliseconds-scale so scheduler jitter cannot swamp the p99 gap.
 FAST_DELAY = 5e-3
@@ -102,7 +109,7 @@ def _replicated_source(policy: ScanPolicy):
     cost nothing, not occupy a worker thread for its full latency.
     """
     instance = Instance.from_dict(
-        {"sr": {(i, i % 97) for i in range(SAMPLES * 2)}}
+        {"sr": {(i, i % 97) for i in range(HEDGED_SAMPLES * 2)}}
     )
     shard_map = ShardMap().shard_by_hash("sr", 0, [("A", "B")])
     transport = AsyncSocketTransport({"A": instance, "B": instance})
@@ -117,15 +124,15 @@ def test_hedged_p99_beats_unhedged_with_one_slow_peer(baseline_recorder):
     """Acceptance gate: one peer slowed 10× — the hedge wins the scans and
     keeps p99 under the slow peer's delay, which unhedged scans must pay."""
 
-    def measure(policy: ScanPolicy):
+    def measure(policy: ScanPolicy, samples: int):
         source, transport = _replicated_source(policy)
         try:
             # Unmeasured warmup: establish pooled connections and spin up
             # the executors so start-up cost never lands in a sample.
-            for key in range(SAMPLES, SAMPLES + 3):
+            for key in range(samples, samples + 3):
                 source.get_matching("sr", (key, WILDCARD))
             latencies = []
-            for key in range(SAMPLES):
+            for key in range(samples):
                 start = time.perf_counter()
                 rows = source.get_matching("sr", (key, WILDCARD))
                 latencies.append(time.perf_counter() - start)
@@ -137,17 +144,19 @@ def test_hedged_p99_beats_unhedged_with_one_slow_peer(baseline_recorder):
             transport.close()
 
     unhedged_p99, unhedged_stats = measure(
-        ScanPolicy(retries=0, hedging=False, **FAST_POLICY)
+        ScanPolicy(retries=0, hedging=False, **FAST_POLICY), SAMPLES
     )
     hedged_p99, hedged_stats = measure(
-        ScanPolicy(retries=0, hedge=HEDGE_DELAY, hedging=True, **FAST_POLICY)
+        ScanPolicy(retries=0, hedge=HEDGE_DELAY, hedging=True, **FAST_POLICY),
+        HEDGED_SAMPLES,
     )
     assert unhedged_stats["hedges_fired"] == 0
-    assert hedged_stats["hedges_fired"] >= SAMPLES * 0.9
+    assert hedged_stats["hedges_fired"] >= HEDGED_SAMPLES * 0.9
     improvement = unhedged_p99 / hedged_p99
 
     baseline_recorder["hedged_vs_unhedged"] = {
         "samples": float(SAMPLES),
+        "hedged_samples": float(HEDGED_SAMPLES),
         "slow_peer_delay_seconds": SLOW_DELAY,
         "fast_peer_delay_seconds": FAST_DELAY,
         "hedge_delay_seconds": HEDGE_DELAY,
@@ -156,7 +165,7 @@ def test_hedged_p99_beats_unhedged_with_one_slow_peer(baseline_recorder):
         "hedges_won": float(hedged_stats["hedges_won"]),
         "p99_improvement": improvement,
     }
-    assert hedged_stats["hedges_won"] >= SAMPLES * 0.9
+    assert hedged_stats["hedges_won"] >= HEDGED_SAMPLES * 0.9
     assert hedged_p99 < SLOW_DELAY <= unhedged_p99, (
         f"p99 {unhedged_p99 * 1e3:.1f}ms unhedged -> {hedged_p99 * 1e3:.1f}ms "
         f"hedged around a {SLOW_DELAY * 1e3:.0f}ms slow peer"

@@ -113,6 +113,30 @@ class TestCachedEqualsFresh:
             for query in queries:
                 _check_three_way(service, query, data)
 
+    @given(spec=pdms_specs(), ops=data_mutation_specs(),
+           engine=st.sampled_from(ENGINES))
+    @settings(max_examples=15, **COMMON)
+    def test_services_sharing_one_cache_stay_exact(self, spec, ops, engine):
+        """Two services over the same data and a third over a private copy
+        share one cache; the copy diverges under the mutations, and every
+        service keeps answering from its own data."""
+        pdms, data, queries = build_pdms(spec)
+        copied = {peer: instance.copy() for peer, instance in data.items()}
+        shared = FragmentCache(max_bytes=1 << 20)
+        same_data = [
+            QueryService(pdms, data=data, engine=engine, fragment_cache=shared)
+            for _ in range(2)
+        ]
+        on_copy = QueryService(
+            pdms, data=copied, engine=engine, fragment_cache=shared)
+        for op in [None, *ops]:
+            if op is not None:
+                _apply_mutation(op, spec, data)
+            for query in queries:
+                for service in same_data:
+                    _check_three_way(service, query, data)
+                _check_three_way(on_copy, query, copied)
+
 
 class TestBushyEquivalence:
     @given(spec=pdms_specs())

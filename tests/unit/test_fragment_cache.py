@@ -1,8 +1,11 @@
 """The cross-call fragment cache, admission/eviction, and bushy sharing."""
 
+import threading
+
 import pytest
 
 from repro.database import Instance, Table
+from repro.database.columnar import ColumnTable
 from repro.datalog.parser import parse_query
 from repro.errors import EvaluationError, PDMSConfigurationError
 from repro.pdms import (
@@ -89,6 +92,50 @@ class TestFragmentCache:
         assert cache.peek("k", ("v2",)) is False
         assert cache.stats.as_dict() == before
 
+    def test_peek_leaves_lru_order_alone(self):
+        row_bytes = estimate_result_bytes(_table([(1, 2)]))
+        cache = FragmentCache(max_bytes=2 * row_bytes)
+        for name in ("a", "b"):
+            cache.get_or_compute(name, ("v",), {"r"}, lambda: _table([(1, 2)]))
+        assert cache.peek("a", ("v",)) is True
+        cache.get_or_compute("c", ("v",), {"r"}, lambda: _table([(1, 2)]))
+        # A probe is not a use: "a" was still the least recently used.
+        assert cache.cached_keys() == ("b", "c")
+
+    def test_peek_at_a_moved_token_keeps_the_entry(self):
+        cache = FragmentCache(max_bytes=1 << 20)
+        cache.get_or_compute("k", ("v1",), {"r"}, lambda: _table([(1, 2)]))
+        assert cache.peek("k", ("v2",)) is False
+        assert cache.cached_keys() == ("k",)
+        assert cache.stats.invalidations == 0
+        # The lookup at the new token is what replaces the entry.
+        cache.get_or_compute("k", ("v2",), {"r"}, lambda: _table([(3, 4)]))
+        assert len(cache) == 1 and cache.stats.invalidations == 1
+
+    def test_racing_misses_keep_one_entry_charged_once(self):
+        cache = FragmentCache(max_bytes=1 << 20)
+        racers = 4
+        barrier = threading.Barrier(racers)
+
+        def compute():
+            # Every racer has missed before any of them admits.
+            barrier.wait(timeout=10)
+            return _table([(1, 2)])
+
+        threads = [
+            threading.Thread(
+                target=cache.get_or_compute, args=("k", ("v",), {"r"}, compute)
+            )
+            for _ in range(racers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert cache.stats.misses == cache.stats.admissions == racers
+        assert len(cache) == 1
+        assert cache.current_bytes == estimate_result_bytes(_table([(1, 2)]))
+
     def test_invalidate_relations_drops_only_readers(self):
         cache = FragmentCache(max_bytes=1 << 20)
         cache.get_or_compute("ka", ("v",), {"a"}, lambda: _table([(1, 2)]))
@@ -109,6 +156,96 @@ class TestFragmentCache:
     def test_budget_must_be_positive(self):
         with pytest.raises(EvaluationError):
             FragmentCache(max_bytes=0)
+
+
+#: The two result shapes the cache holds: row sets (per-rewriting engine)
+#: and column batches (plan engines).
+RESULT_KINDS = {
+    "rows": frozenset,
+    "columns": lambda rows: ColumnTable.from_rows(("a", "b"), rows),
+}
+
+
+class TestAdmissionRule:
+    """One rule: a computed table is kept iff it fits in half the budget."""
+
+    @pytest.mark.parametrize("slack", [-1, 0, 1])
+    @pytest.mark.parametrize("kind", sorted(RESULT_KINDS))
+    def test_kept_iff_it_fits_in_half_the_budget(self, kind, slack):
+        value = RESULT_KINDS[kind]([(i, 2 * i) for i in range(50)])
+        nbytes = estimate_result_bytes(value)
+        cache = FragmentCache(max_bytes=2 * nbytes + slack)
+        assert cache.get_or_compute("k", ("v",), {"r"}, lambda: value) is value
+        kept = slack >= 0
+        assert len(cache) == cache.stats.admissions == int(kept)
+        assert cache.stats.rejections == int(not kept)
+        assert cache.current_bytes == (nbytes if kept else 0)
+
+    def test_rejected_result_is_returned_and_recomputed_next_time(self):
+        big = _table([(i, i) for i in range(100)])
+        cache = FragmentCache(max_bytes=estimate_result_bytes(big))
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return big
+
+        for _ in range(3):
+            assert cache.get_or_compute("big", ("v",), {"r"}, compute) is big
+        assert len(calls) == 3
+        assert cache.stats.misses == cache.stats.rejections == 3
+        assert cache.stats.hits == 0 and len(cache) == 0
+
+    def test_rejection_evicts_nothing(self):
+        small = _table([(1, 2)])
+        unit = estimate_result_bytes(small)
+        cache = FragmentCache(max_bytes=4 * unit)
+        for name in ("a", "b", "c"):
+            cache.get_or_compute(name, ("v",), {"r"}, lambda: small)
+        big = _table([(i, i) for i in range(100)])
+        cache.get_or_compute("big", ("v",), {"r"}, lambda: big)
+        assert cache.cached_keys() == ("a", "b", "c")
+        assert cache.current_bytes == 3 * unit
+        assert cache.stats.evictions == 0 and cache.stats.rejections == 1
+
+    def test_one_admission_evicts_as_many_lru_entries_as_it_needs(self):
+        small = _table([(1, 2)])
+        unit = estimate_result_bytes(small)
+        medium = _table([(i, i) for i in range(10)])
+        cache = FragmentCache(max_bytes=2 * estimate_result_bytes(medium))
+        names = [f"s{i}" for i in range(cache.max_bytes // unit)]
+        for name in names:
+            cache.get_or_compute(name, ("v",), {"r"}, lambda: small)
+        assert cache.stats.evictions == 0
+        cache.get_or_compute("m", ("v",), {"r"}, lambda: medium)
+        evicted = cache.stats.evictions
+        assert evicted >= 2
+        assert cache.cached_keys() == tuple(names[evicted:]) + ("m",)
+        # Oldest first, and not one entry more than the budget needed.
+        assert cache.current_bytes <= cache.max_bytes
+        assert cache.current_bytes + unit > cache.max_bytes
+
+    def test_rejections_count_only_oversized_tables(self):
+        small = _table([(1, 2)])
+        cache = FragmentCache(max_bytes=3 * estimate_result_bytes(small))
+        cache.get_or_compute("a", ("v1",), {"r"}, lambda: small)  # admit
+        cache.get_or_compute("a", ("v1",), {"r"}, lambda: small)  # hit
+        cache.get_or_compute("a", ("v2",), {"r"}, lambda: small)  # stale
+        for name in ("b", "c", "d"):  # "d" evicts "a"
+            cache.get_or_compute(name, ("v",), {"r"}, lambda: small)
+        cache.invalidate_relations({"r"})
+        big = _table([(i, i) for i in range(100)])
+        cache.get_or_compute("big", ("v",), {"r"}, lambda: big)
+        stats = cache.stats
+        assert stats.rejections == 1
+        assert (stats.hits, stats.misses, stats.admissions) == (1, 6, 5)
+        assert (stats.evictions, stats.invalidations) == (1, 4)
+
+    def test_stats_surface_is_the_six_counters(self):
+        assert set(FragmentCache(max_bytes=1).stats.as_dict()) == {
+            "schema_version", "hits", "misses", "hit_rate", "admissions",
+            "rejections", "evictions", "invalidations",
+        }
 
 
 class TestVersionTokens:
@@ -338,6 +475,112 @@ class TestCachedExecution:
         assert len(service.fragment_cache) > 0
         service.remove_peer("P")
         assert len(service.fragment_cache) == 0
+
+
+#: Every engine reads and fills the fragment cache.
+SHARING_ENGINES = ("backtracking", "columnar", "distributed")
+
+
+@pytest.mark.parametrize("engine", SHARING_ENGINES)
+class TestSharedFragmentCache:
+    """Services share warm fragments by sharing one :class:`FragmentCache`."""
+
+    @staticmethod
+    def _pair(engine, max_bytes=1 << 20):
+        pdms, query, instance = _two_hop_pdms()
+        shared = FragmentCache(max_bytes=max_bytes)
+        a, b = (
+            QueryService(pdms, data={"P": instance}, engine=engine,
+                         fragment_cache=shared)
+            for _ in range(2)
+        )
+        return a, b, shared, query, instance
+
+    def test_second_service_computes_nothing_the_first_holds(self, engine):
+        a, b, shared, query, _ = self._pair(engine)
+        expected = a.answer(query)
+        hits, misses = shared.stats.hits, shared.stats.misses
+        admissions = shared.stats.admissions
+        assert b.answer(query) == expected
+        assert shared.stats.hits > hits
+        assert (shared.stats.misses, shared.stats.admissions) == (
+            misses, admissions)
+
+    def test_write_is_seen_through_the_other_service(self, engine):
+        a, b, shared, query, instance = self._pair(engine)
+        assert a.answer(query) == b.answer(query)
+        instance.add("s_a1", (9, 2))
+        after = a.answer(query)
+        assert {(9, 10), (9, 11), (9, 12)} <= after
+        # A recomputed what the write moved; B reads A's fresh tables.
+        misses = shared.stats.misses
+        assert b.answer(query) == after
+        assert shared.stats.misses == misses
+
+    def test_services_over_different_data_never_read_each_others_entries(
+        self, engine
+    ):
+        pdms, query, instance = _two_hop_pdms()
+        other = instance.copy()
+        other.add("s_a3_0", (5, 777))
+        result = reformulate(pdms, query)
+        expected = {
+            name: evaluate_reformulation(result, {"P": data}, engine="backtracking")
+            for name, data in (("mine", instance), ("theirs", other))
+        }
+        assert (1, 777) in expected["theirs"] - expected["mine"]
+        shared = FragmentCache(max_bytes=1 << 20)
+        services = {
+            name: QueryService(pdms, data={"P": data}, engine=engine,
+                               fragment_cache=shared)
+            for name, data in (("mine", instance), ("theirs", other))
+        }
+        for _ in range(2):
+            for name, service in services.items():
+                assert service.answer(query) == expected[name], name
+
+    def test_tight_shared_budget_keeps_answers_exact(self, engine):
+        a, b, shared, query, instance = self._pair(engine, max_bytes=512)
+        for step in range(3):
+            instance.add("s_a2", (2, 40 + step))
+            instance.add("s_a3_1", (40 + step, 500 + step))
+            expected = evaluate_reformulation(
+                reformulate(a.pdms, query), {"P": instance}, engine="backtracking")
+            assert a.answer(query) == expected
+            assert b.answer(query) == expected
+            assert shared.current_bytes <= shared.max_bytes
+        assert shared.stats.rejections + shared.stats.evictions > 0
+
+    def test_concurrent_services_agree(self, engine):
+        pdms, query, instance = _two_hop_pdms()
+        expected = evaluate_reformulation(
+            reformulate(pdms, query), {"P": instance}, engine="backtracking")
+        shared = FragmentCache(max_bytes=1 << 20)
+        services = [
+            QueryService(pdms, data={"P": instance}, engine=engine,
+                         fragment_cache=shared)
+            for _ in range(4)
+        ]
+        answers = [[] for _ in services]
+
+        def run(slot):
+            for _ in range(5):
+                answers[slot].append(services[slot].answer(query))
+
+        threads = [threading.Thread(target=run, args=(slot,))
+                   for slot in range(len(services))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert all(
+            rows == [expected] * 5 for rows in answers
+        ), "a service answered wrongly from the shared cache"
+        # One entry per fragment, however many services filled it.
+        single = FragmentCache(max_bytes=1 << 20)
+        QueryService(pdms, data={"P": instance}, engine=engine,
+                     fragment_cache=single).answer(query)
+        assert set(shared.cached_keys()) == set(single.cached_keys())
 
 
 class TestBushySharing:

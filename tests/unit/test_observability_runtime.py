@@ -36,6 +36,7 @@ from repro.obs import (
 )
 from repro.pdms import (
     PDMS,
+    FragmentCache,
     LoopbackTransport,
     RemotePeerFactSource,
     ScanPolicy,
@@ -283,6 +284,40 @@ class TestAmbientSpan:
             with tracer.start_trace("query.answer"):
                 raise ValueError("boom")
         assert current_span() is NULL_SPAN
+
+
+# ---------------------------------------------------------------------------
+# The fragment.cache span
+# ---------------------------------------------------------------------------
+
+
+class TestFragmentCacheSpans:
+    def test_lookups_record_outcome_and_admission(self):
+        cache = FragmentCache(max_bytes=1 << 20)
+        tracer = make_tracer()
+        with tracer.start_trace("query.answer"):
+            cache.get_or_compute("k", ("v",), {"r"}, lambda: frozenset({(1, 2)}))
+            cache.get_or_compute("k", ("v",), {"r"}, lambda: frozenset({(1, 2)}))
+        _, spans = tracer.last_trace()
+        lookups = [r["attrs"] for r in spans if r["name"] == "fragment.cache"]
+        assert lookups == [
+            {"key": "k", "outcome": "miss", "admitted": True},
+            {"key": "k", "outcome": "hit"},
+        ]
+
+    def test_peek_is_a_marked_probe(self):
+        cache = FragmentCache(max_bytes=1 << 20)
+        cache.get_or_compute("k", ("v",), {"r"}, lambda: frozenset({(1, 2)}))
+        tracer = make_tracer()
+        with tracer.start_trace("query.answer"):
+            cache.peek("k", ("v",))
+            cache.peek("k", ("moved",))
+        _, spans = tracer.last_trace()
+        probes = [r["attrs"] for r in spans if r["name"] == "fragment.cache"]
+        assert probes == [
+            {"key": "k", "probe": True, "outcome": "hit"},
+            {"key": "k", "probe": True, "outcome": "miss"},
+        ]
 
 
 # ---------------------------------------------------------------------------

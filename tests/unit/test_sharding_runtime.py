@@ -408,18 +408,18 @@ class TestShardedCluster:
         with pytest.raises(PDMSConfigurationError):
             cluster.insert("sr", [(1, "a")])
 
-    def test_prebuilt_service_rejects_settings_it_would_ignore(self):
+    @pytest.mark.parametrize("setting", [
+        {"config": DEFAULT_CONFIG},
+        {"fragment_cache_bytes": 0},
+        {"fragment_cache": FragmentCache()},
+        {"scan_policy": ScanPolicy()},
+    ], ids=lambda setting: next(iter(setting)))
+    def test_prebuilt_service_rejects_settings_it_would_ignore(self, setting):
         from repro.pdms import QueryService
 
         service = QueryService(single_relation_pdms())
-        for setting in (
-            {"config": DEFAULT_CONFIG},
-            {"fragment_cache_bytes": 0},
-            {"fragment_cache": FragmentCache()},
-            {"scan_policy": ScanPolicy()},
-        ):
-            with pytest.raises(PDMSConfigurationError, match=next(iter(setting))):
-                ServiceCluster(service=service, **setting)
+        with pytest.raises(PDMSConfigurationError, match=next(iter(setting))):
+            ServiceCluster(service=service, **setting)
 
     def test_shared_cache_serves_second_cluster(self):
         inst = Instance.from_dict({"sr": {(i, f"v{i}") for i in range(16)}})
@@ -456,3 +456,53 @@ class TestShardedCluster:
             assert scans == len(workers)
             second.answer(query)
             assert sum(transport.scan_count(p) for p in transport.peers()) == scans
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_clusters_sharing_a_cache_see_each_others_writes(self, shards):
+        inst = Instance.from_dict({"sr": {(i, f"v{i}") for i in range(16)}})
+        shard_map, workers = auto_shard({"P": inst}, shards)
+        shared = FragmentCache()
+        scan_all = parse_query("Q(x, y) :- T:R(x, y)")
+        clusters = [
+            ServiceCluster(
+                pdms=single_relation_pdms(), transport=LoopbackTransport(workers),
+                shard_map=shard_map, fragment_cache=shared,
+            )
+            for _ in range(2)
+        ]
+        writer, reader = clusters
+        try:
+            before = reader.answer(scan_all)
+            assert before.complete and len(before.rows) == 16
+            assert writer.answer(scan_all).rows == before.rows
+            writer.insert("sr", [(100, "new")])
+            # The shared entry was written under the pre-insert token, so
+            # the reader must not be served it.
+            after = reader.answer(scan_all)
+            assert after.complete
+            assert after.rows == before.rows | {(100, "new")}
+            assert writer.answer(scan_all).rows == after.rows
+        finally:
+            for cluster in clusters:
+                cluster.close()
+
+    def test_sharded_and_flat_clusters_sharing_a_cache_stay_apart(self):
+        """Two clusters over different instances with the same relation
+        names: version tokens are instance-scoped, so one shared cache
+        never serves one cluster's fragment to the other."""
+        flat = Instance.from_dict({"sr": {(i, f"flat{i}") for i in range(8)}})
+        split = Instance.from_dict({"sr": {(i, f"split{i}") for i in range(8)}})
+        shard_map, workers = auto_shard({"P": split}, 2)
+        shared = FragmentCache()
+        query = parse_query("Q(x, y) :- T:R(x, y)")
+        with ServiceCluster(
+            pdms=single_relation_pdms(), transport=LoopbackTransport({"P": flat}),
+            fragment_cache=shared,
+        ) as flat_cluster, ServiceCluster(
+            pdms=single_relation_pdms(), transport=LoopbackTransport(workers),
+            shard_map=shard_map, fragment_cache=shared,
+        ) as sharded_cluster:
+            for _ in range(2):
+                assert flat_cluster.answer(query).rows == set(flat.get_tuples("sr"))
+                assert sharded_cluster.answer(query).rows == set(
+                    split.get_tuples("sr"))
