@@ -14,8 +14,9 @@ as the kernels' reference in the tests):
   project/rename, column-wise distinct, n-way union — operate on whole
   columns; on the NumPy path the heavy loops run in C;
 * rows are transposed only at the boundaries (scans in, answer sets
-  out), so a fragment pipeline transposes each input once per
-  evaluation and stays columnar.
+  out).  A stored relation is transposed once per data version, where
+  it is stored (:func:`scan_block`), and a fragment pipeline stays
+  columnar from there up.
 
 Dtype sniffing is deliberately conservative so columnar results are
 *value-identical* to the row algebra under Python equality semantics:
@@ -39,6 +40,7 @@ kernel/fallback matrix.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress
 from typing import (
     Dict,
@@ -571,6 +573,46 @@ def union_all(
                 merged.extend(_pylist(part))
             out_cols.append(merged)
     return ColumnTable(first.columns, out_cols, length)
+
+
+@lru_cache(maxsize=64)
+def scan_columns(width: int) -> Tuple[str, ...]:
+    """The columns of a scan block over ``width`` positions: ``__p0, …``."""
+    return tuple(f"__p{i}" for i in range(width))
+
+
+def scan_block(source, relation: str, pattern: Sequence[object]) -> ColumnTable:
+    """The distinct rows of ``relation`` matching ``pattern``, column-wise.
+
+    The one scan boundary of the plan engine.  A source with its own
+    ``scan_block`` (an :class:`~repro.database.instance.Instance`, the
+    federated and the remote peer sources) answers directly, from blocks
+    transposed once per data version where the relation is stored.  Any
+    other indexed fact source is deduplicated and transposed here, on
+    every call.  A relation whose rows clash in width with ``pattern``
+    raises :class:`~repro.errors.EvaluationError`.
+    """
+    native = getattr(source, "scan_block", None)
+    try:
+        if native is not None:
+            return native(relation, pattern)
+        # A plain source may serve the same fact twice; drop the repeats.
+        rows = list(dict.fromkeys(source.get_matching(relation, pattern)))
+    except ValueError as exc:
+        raise EvaluationError(f"relation {relation!r}: {exc}") from exc
+    return ColumnTable.from_rows(scan_columns(len(pattern)), rows)
+
+
+def union_blocks(blocks: Sequence[ColumnTable], width: int) -> ColumnTable:
+    """The distinct union of scan blocks over ``width`` positions.
+
+    Empty blocks drop out first, so an owner or a delta without rows
+    never turns a NumPy column of the others into a list.
+    """
+    blocks = [block for block in blocks if len(block)]
+    if len(blocks) == 1:
+        return blocks[0]
+    return union_distinct(blocks, scan_columns(width))
 
 
 def union_distinct(

@@ -9,7 +9,9 @@ indexes on bound argument positions instead of scanning whole relations.
 Indexes are built lazily per (relation, position-set) on the first probe
 and maintained incrementally across inserts — important for the chase
 oracle, which interleaves inserts with many query evaluations over the
-same growing instance.
+same growing instance.  :meth:`Instance.scan_block` serves the columnar
+plan engine the same rows as a :class:`~repro.database.columnar.ColumnTable`,
+transposed once per relation version and kept like an index.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import itertools
 import threading
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
-from ..datalog.indexing import Pattern, PredicateIndex
+from ..datalog.indexing import WILDCARD, Pattern, PredicateIndex
 from ..errors import InstanceError, SchemaError
+from .columnar import ColumnTable, scan_columns
 from .schema import DatabaseSchema
 
 Row = Tuple[object, ...]
@@ -82,6 +85,9 @@ class Instance:
         self._arities: Dict[str, int] = {}
         self._relations_version = 0
         self._instance_id = next(_instance_ids)
+        #: Per relation, its all-wildcard scan block and the version it
+        #: was built at (see :meth:`tagged_block`).
+        self._blocks: Dict[str, Tuple[int, ColumnTable]] = {}
         if schema is not None:
             for relation in schema:
                 self._relations[relation.name] = PredicateIndex()
@@ -100,6 +106,43 @@ class Instance:
         """Rows of ``predicate`` matching ``pattern`` (see :mod:`repro.datalog.indexing`)."""
         index = self._relations.get(predicate)
         return index.matching(pattern) if index is not None else ()
+
+    def scan_block(self, relation: str, pattern: Pattern) -> ColumnTable:
+        """The rows :meth:`get_matching` returns, as a column table over
+        ``__p0 …`` (see :meth:`tagged_block`)."""
+        return self.tagged_block(relation, pattern)[1]
+
+    def tagged_block(
+        self, relation: str, pattern: Pattern
+    ) -> Tuple[Tuple[int, int], ColumnTable]:
+        """``(data-version token, scan block)`` of ``relation`` under ``pattern``.
+
+        Runs :meth:`get_matching`'s width check first (a clash raises
+        :class:`ValueError`).  An all-wildcard block is storage, like the
+        lazily built hash indexes: built on the first scan after the
+        relation's version moved, kept until it moves again, and tagged
+        with the version read *before* its rows were copied — so a block
+        may hold rows newer than its token, never older.  A constant
+        pattern transposes its index bucket.
+        """
+        columns = scan_columns(len(pattern))
+        index = self._relations.get(relation)
+        if index is None:
+            empty = ColumnTable.from_rows(columns, ())
+            return (self._instance_id, _ABSENT_VERSION), empty
+        version = index.version
+        rows = index.matching(pattern)
+        if any(value is not WILDCARD for value in pattern):
+            block = ColumnTable.from_rows(columns, tuple(rows))
+        else:
+            cached = self._blocks.get(relation)
+            if cached and cached[0] == version and cached[1].columns == columns:
+                block = cached[1]
+            else:
+                # Racing scans may each build one; any is right for its tag.
+                block = ColumnTable.from_rows(columns, tuple(rows))
+                self._blocks[relation] = (version, block)
+        return (self._instance_id, version), block
 
     # -- mutation ----------------------------------------------------------------
 

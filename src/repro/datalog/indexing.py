@@ -80,9 +80,11 @@ class PredicateIndex:
         if row in self._rows:
             return False
         self._rows.add(row)
+        # Row and log entry before the version: a reader on another thread
+        # that sees the new version must find the row in the delta log.
+        self._log.append(row)
         self._version += 1
         self._widths[len(row)] = self._widths.get(len(row), 0) + 1
-        self._log.append(row)
         if len(self._log) > DELTA_LOG_CAP:
             # The log is soft state: dropping it only downgrades later
             # delta requests to full rescans, it never loses rows.

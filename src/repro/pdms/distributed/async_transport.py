@@ -41,6 +41,14 @@ story is the one peers on other hosts would use:
   ``asyncio.sleep`` *inside* the server — so a slowed peer delays only
   its own responses while the loop keeps serving everyone else, which
   is exactly the one-slow-replica scenario hedging exists for;
+* a ``scan_since`` reply carries each scan's table as a **column
+  frame** ``(length, columns)``: a column is ``(dtype tag, raw bytes)``
+  for a NumPy column (tags ``<i8`` and ``<f8`` only) or a plain list of
+  scalars otherwise, so no row tuple is pickled and no class reference
+  rides the frame.  The client checks every tag, buffer length and the
+  column count against the request's pattern before
+  ``np.frombuffer`` decodes a buffer; a frame it cannot trust is a
+  :class:`~repro.errors.TransportError`, like a lost peer;
 * an RPC that outlives the timeout (``REPRO_TRANSPORT_TIMEOUT_MS``, or
   the ``timeout`` argument) raises
   :class:`~repro.errors.TransportError`; its connection is discarded,
@@ -55,6 +63,7 @@ import pickle
 import threading
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ...database.columnar import ColumnTable, np, scan_columns
 from ...database.instance import Instance
 from ...errors import InstanceError, TransportError
 from ...config import transport_timeout_seconds as _config_transport_timeout
@@ -63,6 +72,7 @@ from .transport import (
     Catalogs,
     ScanSinceResult,
     SinceScanRequest,
+    TraceEnvelope,
     TransportBase,
     serve_request,
     unwrap_envelope,
@@ -121,12 +131,92 @@ async def _read_frame(reader: asyncio.StreamReader) -> object:
         ) from None
 
 
-def _decode_reply(peer: str, status: str, value: object) -> object:
+#: NumPy column dtypes a column frame carries as raw little-endian buffers.
+_BUFFER_TAGS = ("<i8", "<f8")
+
+
+def _encode_table(table: ColumnTable) -> Tuple[int, Tuple[object, ...]]:
+    """A scan table as a column frame: ``(length, columns)``."""
+    return (len(table), tuple(
+        col if isinstance(col, list)
+        else (col.dtype.str, col.tobytes()) if col.dtype.str in _BUFFER_TAGS
+        else col.tolist()
+        for col in table.data
+    ))
+
+
+def _encode_scans(reply: object) -> object:
+    """A served ``scan_since`` reply with every table as a column frame."""
+    if isinstance(reply, TraceEnvelope):
+        return TraceEnvelope(_encode_scans(reply.value), reply.spans)
+    return [(full, token, _encode_table(table)) for full, token, table in reply]
+
+
+def _decode_column(column: object, length: int) -> object:
+    """One column of a frame: a list of ``length`` scalars, or a buffer
+    of ``length`` values under a known tag (a float buffer without NaN,
+    which sniffing keeps on lists)."""
+    if type(column) is list and len(column) == length:
+        return column
+    if (
+        np is not None
+        and type(column) is tuple
+        and len(column) == 2
+        and column[0] in _BUFFER_TAGS
+        and type(column[1]) is bytes
+        and len(column[1]) == 8 * length
+    ):
+        array = np.frombuffer(column[1], dtype=column[0])
+        if column[0] == "<i8" or not np.isnan(array).any():
+            return array
+    raise TransportError(
+        f"untrusted {type(column).__name__} column in a frame of {length} rows"
+    )
+
+
+def _decode_scans(
+    peer: str, requests: Sequence[SinceScanRequest], value: object
+) -> List[ScanSinceResult]:
+    """A ``scan_since`` reply with its column frames checked and decoded.
+
+    Anything :func:`_encode_table` would not have written is a
+    :class:`~repro.errors.TransportError` before a buffer reaches NumPy,
+    so a garbled frame never becomes a NumPy error inside a kernel.
+    """
+    try:
+        if type(value) is not list or len(value) != len(requests):
+            raise TransportError("malformed scan reply")
+        results: List[ScanSinceResult] = []
+        for (_, encoded, _), item in zip(requests, value):
+            if type(item) is not tuple or len(item) != 3:
+                raise TransportError("malformed scan reply entry")
+            full, token, frame = item
+            width = len(encoded)
+            if not (
+                type(frame) is tuple and len(frame) == 2
+                and type(frame[0]) is int and frame[0] >= 0
+                and type(frame[1]) is tuple and len(frame[1]) == width
+            ):
+                raise TransportError(
+                    f"malformed column frame for a pattern of arity {width}"
+                )
+            length, columns = frame
+            data = [_decode_column(column, length) for column in columns]
+            results.append((full, token, ColumnTable(scan_columns(width), data, length)))
+        return results
+    except TransportError as exc:
+        raise TransportError(f"peer {peer!r} {exc}", peer=peer) from None
+
+
+def _decode_reply(
+    op: str, peer: str, payload: object, status: str, value: object
+) -> object:
     """A reply pair as the value it carries, or the exception it stands for."""
     if status == "ok":
         # A traced reply arrives enveloped with the server's serve span;
         # adopt it into the live trace and hand back the value.
-        return unwrap_envelope(value)
+        value = unwrap_envelope(value)
+        return _decode_scans(peer, payload, value) if op == "scan_since" else value
     if status == "data_error":
         kind, message = value
         raise (InstanceError if kind == "InstanceError" else ValueError)(message)
@@ -248,7 +338,7 @@ class AsyncSocketTransport(TransportBase):
             while True:
                 await asyncio.sleep(next(steps))
         except StopIteration as done:
-            return done.value
+            return _encode_scans(done.value) if op == "scan_since" else done.value
 
     # -- client side -------------------------------------------------------
 
@@ -285,7 +375,7 @@ class AsyncSocketTransport(TransportBase):
             status, value = await self._exchange(frame)
         except TransportError as exc:
             raise TransportError(f"peer {peer!r} {exc}", peer=peer) from None
-        return _decode_reply(peer, status, value)
+        return _decode_reply(op, peer, payload, status, value)
 
     async def _rpc_batch(self, subs: Sequence[SubRequest]) -> List[object]:
         """One batch frame: per sub-request its value, or the exception it raised."""
@@ -293,9 +383,9 @@ class AsyncSocketTransport(TransportBase):
         if status != "ok":
             raise TransportError(f"batch frame failed: {replies}")
         outcomes: List[object] = []
-        for (_, peer, _, _), (sub_status, value) in zip(subs, replies):
+        for (op, peer, payload, _), (sub_status, value) in zip(subs, replies):
             try:
-                outcomes.append(_decode_reply(peer, sub_status, value))
+                outcomes.append(_decode_reply(op, peer, payload, sub_status, value))
             except (TransportError, ValueError, InstanceError) as exc:
                 outcomes.append(exc)
         return outcomes

@@ -13,8 +13,9 @@ boundary.
 Three mechanisms keep the RPC count sane and the semantics honest:
 
 * **Scan memoization** — every ``(relation, pattern)`` scan result is
-  memoized until :meth:`refresh` observes the relation's wire-fetched
-  version token move.  The join engine's inner loop repeats identical
+  memoized, as the column table the wire delivered, until
+  :meth:`refresh` observes the relation's wire-fetched version token
+  move.  The join engine's inner loop repeats identical
   probes constantly; each distinct probe crosses the wire once per data
   version, and batched prefetch (:meth:`prefetch`) fetches a whole
   rewriting's scans in one scatter-gather round — one round trip, where
@@ -71,6 +72,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ...database.columnar import ColumnTable, scan_columns, union_blocks
 from ...datalog.indexing import WILDCARD, Pattern
 from ...errors import MappingError, TransportError
 from ...config import distributed_workers as _config_distributed_workers
@@ -192,14 +194,16 @@ class RemotePeerFactSource:
         self._arities: Dict[str, int] = {}
         self._cards: Dict[str, int] = {}
         self._tokens: Dict[str, Tuple[object, ...]] = {}
-        self._memo: Dict[Tuple[str, EncodedPattern], Tuple[Row, ...]] = {}
+        #: Per ``(relation, encoded pattern)``: its distinct rows as one
+        #: column table, merged over the units that serve it.
+        self._memo: Dict[Tuple[str, EncodedPattern], ColumnTable] = {}
         #: Per-(peer, relation, pattern) delta cursors: the version token
-        #: of the last scan served by that peer plus the merged rows it
+        #: of the last scan served by that peer plus the merged table it
         #: covered.  Anchored to wire version tokens (not generations):
         #: the server validates the cursor against its live version, so a
         #: stale cursor can only re-ship rows, never lose them.
         self._peer_scans: Dict[
-            Tuple[str, str, EncodedPattern], Tuple[object, Tuple[Row, ...]]
+            Tuple[str, str, EncodedPattern], Tuple[object, ColumnTable]
         ] = {}
         #: Bumped by every refresh() that invalidated something; scans
         #: committed to the memo only if the generation they started under
@@ -284,8 +288,8 @@ class RemotePeerFactSource:
             stale |= self._degraded
             if stale:
                 self._memo = {
-                    key: rows
-                    for key, rows in self._memo.items()
+                    key: table
+                    for key, table in self._memo.items()
                     if key[0] not in stale
                 }
                 self._generation += 1
@@ -629,29 +633,28 @@ class RemotePeerFactSource:
         self,
         peer: str,
         keys: Sequence[Tuple[str, EncodedPattern]],
-        baselines: Dict[Tuple[str, EncodedPattern], Optional[Tuple[object, Tuple[Row, ...]]]],
+        baselines: Dict[Tuple[str, EncodedPattern], Optional[Tuple[object, ColumnTable]]],
         results,
         elapsed: float,
-    ) -> Dict[Tuple[str, EncodedPattern], Tuple[Row, ...]]:
-        """Merge one successful wire response into the delta cursors."""
+    ) -> Dict[Tuple[str, EncodedPattern], ColumnTable]:
+        """Merge one successful wire response into the delta cursors.
+
+        A delta is merged column-wise and deduplicated: a token read that
+        raced an insert re-ships rows the base already holds."""
         self._tracker.observe(peer, elapsed)
-        out: Dict[Tuple[str, EncodedPattern], Tuple[Row, ...]] = {}
+        out: Dict[Tuple[str, EncodedPattern], ColumnTable] = {}
         delta_scans = full_scans = delta_rows = full_rows = 0
         commits = []
-        for key, (full, token, rows) in zip(keys, results):
+        for key, (full, token, table) in zip(keys, results):
             base = baselines.get(key)
             if not full and base is not None:
-                base_rows = base[1]
-                known = set(base_rows)
-                merged = base_rows + tuple(
-                    row for row in rows if row not in known
-                )
+                merged = union_blocks([base[1], table], len(key[1]))
                 delta_scans += 1
-                delta_rows += len(rows)
+                delta_rows += len(table)
             else:
-                merged = tuple(rows)
+                merged = table
                 full_scans += 1
-                full_rows += len(rows)
+                full_rows += len(table)
             out[key] = merged
             if token is not None:
                 commits.append(((peer, key[0], key[1]), (token, merged)))
@@ -670,7 +673,7 @@ class RemotePeerFactSource:
         keys: Sequence[Tuple[str, EncodedPattern]],
         parent_span=NULL_SPAN,
         kind: str = "primary",
-    ) -> Dict[Tuple[str, EncodedPattern], Tuple[Row, ...]]:
+    ) -> Dict[Tuple[str, EncodedPattern], ColumnTable]:
         """One blocking scan attempt (raises ``TransportError`` on fault)."""
         requests, baselines, span = self._open_attempt(
             peer, keys, parent_span, kind
@@ -738,7 +741,7 @@ class RemotePeerFactSource:
         deadline_at: Optional[float],
         parent_span=NULL_SPAN,
         kind: str = "primary",
-    ) -> Dict[Tuple[str, EncodedPattern], Tuple[Row, ...]]:
+    ) -> Dict[Tuple[str, EncodedPattern], ColumnTable]:
         """One attempt, possibly hedged to a replica; first success wins.
 
         Raises ``TransportError`` when every in-flight request failed
@@ -905,7 +908,7 @@ class RemotePeerFactSource:
         first: _FirstAttempt,
         peer: str,
         keys: Sequence[Tuple[str, EncodedPattern]],
-    ) -> Dict[Tuple[str, EncodedPattern], Tuple[Row, ...]]:
+    ) -> Dict[Tuple[str, EncodedPattern], ColumnTable]:
         """Finish a batched attempt as :meth:`_attempt_scan` finishes its own."""
         outcome = first.outcome
         if isinstance(outcome, Exception):
@@ -924,7 +927,7 @@ class RemotePeerFactSource:
         deadline_at: Optional[float],
         parent_span=NULL_SPAN,
         first: Optional[_FirstAttempt] = None,
-    ) -> Optional[Dict[Tuple[str, EncodedPattern], Tuple[Row, ...]]]:
+    ) -> Optional[Dict[Tuple[str, EncodedPattern], ColumnTable]]:
         """Scan one replica group under the full policy envelope.
 
         Attempts rotate across ``candidates`` (retry number *k* goes to
@@ -1020,7 +1023,7 @@ class RemotePeerFactSource:
         deadline_at: Optional[float],
         wave,
         parallel: bool,
-    ) -> List[Optional[Dict[Tuple[str, EncodedPattern], Tuple[Row, ...]]]]:
+    ) -> List[Optional[Dict[Tuple[str, EncodedPattern], ColumnTable]]]:
         """Every unit of one wave, each under the policy; results in order.
 
         Units whose first attempt came back on the wave's batch frame
@@ -1037,7 +1040,7 @@ class RemotePeerFactSource:
             return group, batch, deadline_at, wave, firsts.pop(group, None)
 
         results: List[
-            Optional[Dict[Tuple[str, EncodedPattern], Tuple[Row, ...]]]
+            Optional[Dict[Tuple[str, EncodedPattern], ColumnTable]]
         ] = [None] * len(unit_items)
         on_wire: List[int] = []
         try:
@@ -1147,24 +1150,32 @@ class RemotePeerFactSource:
                 wave.set(
                     "failed_units", sum(1 for per in results if per is None)
                 )
-        merged: Dict[Tuple[str, EncodedPattern], List[Row]] = {
+        merged: Dict[Tuple[str, EncodedPattern], List[ColumnTable]] = {
             key: [] for key in wanted
         }
         for (group, batch), per_key in zip(unit_items, results):
             if per_key is None:
                 continue
             for key in batch:
-                merged[key].extend(per_key[key])
+                merged[key].append(per_key[key])
         with self._lock:
             # A concurrent refresh() that invalidated anything may have
             # dropped entries these scans would now resurrect with
             # pre-refresh rows — skip the commit; the next reader rescans.
             if self._generation == generation:
                 for key in wanted:
-                    self._memo[key] = tuple(merged[key])
+                    self._memo[key] = union_blocks(merged[key], len(key[1]))
         return len(wanted)
 
     def get_matching(self, predicate: str, pattern: Pattern) -> Tuple[Row, ...]:
+        """The rows :meth:`scan_block` holds, as tuples (for the row
+        engines and the statistics pass)."""
+        return tuple(self.scan_block(predicate, pattern).iter_rows())
+
+    def scan_block(self, predicate: str, pattern: Pattern) -> ColumnTable:
+        """The memoized table of ``(predicate, pattern)``, scanned cold
+        on a miss.  A key one unit serves keeps that unit's table as is;
+        one spanning several units keeps their distinct union."""
         self._check_open()
         key = (predicate, encode_pattern(pattern))
         with self._lock:
@@ -1178,9 +1189,9 @@ class RemotePeerFactSource:
                 self._fanout_scans += 1
             generation = self._generation
         if not groups:
-            return ()
+            return ColumnTable.from_rows(scan_columns(len(pattern)), ())
         deadline_at = self._deadline_at()
-        rows: List[Row] = []
+        tables: List[ColumnTable] = []
         with current_span().child(
             "scatter.wave",
             scans=1,
@@ -1191,8 +1202,8 @@ class RemotePeerFactSource:
             for group in groups:
                 per_key = self._scan_unit(group, [key], deadline_at, wave)
                 if per_key is not None:
-                    rows.extend(per_key[key])
-        combined = tuple(rows)
+                    tables.append(per_key[key])
+        combined = union_blocks(tables, len(pattern))
         with self._lock:
             # Same guard as prefetch: never resurrect rows across an
             # invalidating refresh boundary.

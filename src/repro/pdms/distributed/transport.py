@@ -32,6 +32,11 @@ are interchangeable without the planner or cache layers noticing:
     request, in order.  Batching is what keeps the RPC count per query at
     "one per peer per rewriting" instead of "one per index probe".
 
+``scan_batch_since(peer, requests)``
+    The delta-capable form the remote source scans through: each request
+    carries a ``since`` token, and each reply is ``(full, token, table)``
+    with the rows as a column table (see :func:`scan_instance_since`).
+
 ``insert(peer, relation, rows)``
     Appends rows at the owning peer (moves its version token).  Exists so
     live-write workloads — and the chaos tests — can mutate remote data
@@ -60,6 +65,7 @@ from typing import (
     Dict, Iterable, List, Mapping, Protocol, Sequence, Tuple, Union,
 )
 
+from ...database.columnar import ColumnTable, scan_columns
 from ...database.instance import Instance
 from ...datalog.indexing import WILDCARD, Pattern
 from ...errors import TransportError
@@ -82,12 +88,15 @@ ScanRequest = Tuple[str, EncodedPattern]
 #: ``None`` for an unconditional full scan.
 SinceScanRequest = Tuple[str, EncodedPattern, object]
 
-#: One delta-capable scan response: ``(full, token, rows)``.  ``full`` is
-#: ``True`` when ``rows`` is a complete rescan, ``False`` when it is only
-#: the rows added since the request's ``since`` token; ``token`` is the
-#: relation's version token *at or before* the scan (so merging the rows
-#: into the memo keyed by ``token`` never claims data it does not hold).
-ScanSinceResult = Tuple[bool, object, Tuple[Row, ...]]
+#: One delta-capable scan response: ``(full, token, table)``.  ``full``
+#: is ``True`` when ``table`` is a complete rescan, ``False`` when it
+#: holds only the rows added since the request's ``since`` token;
+#: ``token`` is the relation's version token *at or before* the scan (so
+#: merging the rows into the memo keyed by ``token`` never claims data it
+#: does not hold).  ``table`` is a duplicate-free
+#: :class:`~repro.database.columnar.ColumnTable` over ``__p0 …``; the
+#: socket backend carries it as a column frame.
+ScanSinceResult = Tuple[bool, object, ColumnTable]
 
 #: ``describe`` response entry: ``(arity, cardinality, version token)``.
 RelationInfo = Tuple[int, int, object]
@@ -213,20 +222,26 @@ def scan_instance_since(
 
     The single server-side delta implementation, run by
     :func:`serve_request` for every backend, so the delta contract cannot
-    drift:
+    drift.  The reply is ``(full, token, table)``, the table a
+    :class:`~repro.database.columnar.ColumnTable` over ``__p0 …``:
 
-    * ``since`` matching the current token exactly → empty delta
+    * ``since`` matching the current token exactly → an empty delta
       (``full=False``) — the near-constant-size rescan;
     * ``since`` from this instance with additive history available
       (:meth:`~repro.database.instance.Instance.rows_since`) → only the
-      rows added since, filtered by the pattern (``full=False``);
+      rows added since, filtered by the pattern and transposed
+      (``full=False``);
     * anything else (foreign token, removals, log overflow) → a full
-      rescan (``full=True``).
+      rescan (``full=True``): the instance's scan block, which storage
+      keeps per relation version, with the block's own version as the
+      token (:meth:`~repro.database.instance.Instance.tagged_block`).
 
     Delta rows whose width clashes with the probing pattern raise
     :class:`ValueError`, matching the full-scan data-error contract.
     """
     pattern = decode_pattern(encoded)
+    width = len(pattern)
+    columns = scan_columns(width)
     token = instance.data_version(relation)
     if (
         isinstance(since, tuple)
@@ -235,11 +250,9 @@ def scan_instance_since(
         and isinstance(since[1], int)
     ):
         if since[1] == token[1]:
-            return (False, token, ())
-        rows_since = getattr(instance, "rows_since", None)
-        delta = rows_since(relation, since[1]) if rows_since is not None else None
+            return (False, token, ColumnTable.from_rows(columns, ()))
+        delta = instance.rows_since(relation, since[1])
         if delta is not None:
-            width = len(pattern)
             matched: List[Row] = []
             for row in delta:
                 if len(row) != width:
@@ -252,8 +265,8 @@ def scan_instance_since(
                     for i, entry in enumerate(pattern)
                 ):
                     matched.append(row)
-            return (False, token, tuple(matched))
-    return (True, token, tuple(instance.get_matching(relation, pattern)))
+            return (False, token, ColumnTable.from_rows(columns, matched))
+    return (True, *instance.tagged_block(relation, pattern))
 
 
 class Transport(Protocol):
@@ -598,12 +611,15 @@ class LoopbackTransport(TransportBase):
     ) -> List[ScanSinceResult]:
         """Delta-capable scans against the live instance.
 
-        When a subclass overrides :meth:`scan_batch` (the chaos and
-        probing tests do), every scan is routed through that override as
-        a full rescan, so it keeps seeing every wire scan; version tokens
-        are read *before* the scan, so a racing insert can only make the
-        token stale (re-shipping rows the memo already holds — harmless
-        after the merge dedup), never too new.
+        A reply's table is handed over as is: a full scan's is the
+        owner's own scan block, shared, not copied.  When a subclass
+        overrides :meth:`scan_batch` (the chaos and probing tests do),
+        every scan is routed through that override as a full rescan, so
+        it keeps seeing every wire scan, and its rows are transposed into
+        the reply's table here; version tokens are read *before* the
+        scan, so a racing insert can only make the token stale
+        (re-shipping rows the memo already holds — harmless after the
+        merge dedup), never too new.
         """
         if type(self).scan_batch is TransportBase.scan_batch:
             return super().scan_batch_since(peer, requests)
@@ -617,8 +633,12 @@ class LoopbackTransport(TransportBase):
             peer, [(relation, encoded) for relation, encoded, _ in requests]
         )
         return [
-            (True, tokens.get(relation), result)
-            for (relation, _, _), result in zip(requests, rows)
+            (
+                True,
+                tokens.get(relation),
+                ColumnTable.from_rows(scan_columns(len(encoded)), result),
+            )
+            for (relation, encoded, _), result in zip(requests, rows)
         ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

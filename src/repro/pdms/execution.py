@@ -49,6 +49,7 @@ from typing import (
     Union,
 )
 
+from ..database.columnar import ColumnTable, union_blocks
 from ..database.feedback import QErrorLog
 from ..database.instance import Instance, relation_creation_clock
 from ..datalog.evaluation import FactsLike, evaluate_query
@@ -326,7 +327,8 @@ class PeerFactSource:
     the combined path's eager arity-clash check (a clash raises
     :class:`~repro.errors.MappingError` naming both peers).  In the rare
     case several peers expose the same relation compatibly, probes fan out
-    to all owners (set semantics downstream absorbs duplicates).
+    to all owners (set semantics downstream absorbs duplicates, and
+    :meth:`scan_block` unions the owners' blocks distinctly).
 
     Liveness: rows added to an owned instance are visible immediately, and
     the relation-routing table refreshes itself whenever a new relation is
@@ -436,6 +438,13 @@ class PeerFactSource:
         for owner in owners:
             rows.extend(owner.get_matching(predicate, pattern))
         return rows
+
+    def scan_block(self, predicate: str, pattern: Pattern) -> ColumnTable:
+        """The owner's scan block, or the distinct union of the owners'."""
+        return union_blocks(
+            [owner.scan_block(predicate, pattern) for owner in self._route(predicate)],
+            len(pattern),
+        )
 
     def cardinality(self, relation: str) -> int:
         """Total row count across owners (feeds the planner's cost model)."""

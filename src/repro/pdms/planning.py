@@ -63,7 +63,7 @@ from typing import Optional, Sequence, Set, Tuple, Union
 
 from ..database.columnar import ColumnTable, compare_cols_mask, compare_mask
 from ..database.columnar import _mask_and as _combine_masks
-from ..database.columnar import const_column, union_distinct
+from ..database.columnar import const_column, scan_block, union_distinct
 from ..database.feedback import QErrorLog
 from ..database.planner import CardinalityCostModel
 from ..datalog.atoms import Atom, compare_values
@@ -1230,18 +1230,11 @@ def ensure_plan(
 # ---------------------------------------------------------------------------
 
 def _scan_columnar(node: ScanFragment, source) -> ColumnTable:
-    """A leaf scan: transpose matching rows once, filter and project in
-    batch.  This is the only transpose of the fragment pipeline —
-    everything above stays column-wise."""
-    try:
-        candidates = source.get_matching(node.relation, node.pattern)
-    except ValueError as exc:
-        raise EvaluationError(f"relation {node.relation!r}: {exc}") from exc
-    # Federated sources may serve the same fact from several peers; drop
-    # the repeats here, and fragments above preserve distinctness.
-    rows = list(dict.fromkeys(candidates))
-    width = len(node.pattern)
-    ct = ColumnTable.from_rows(tuple(f"__p{i}" for i in range(width)), rows)
+    """A leaf scan: the relation's scan block, filtered and projected in
+    batch.  The block is the only transpose of the fragment pipeline, made
+    where the relation is stored (:func:`scan_block`) and once per data
+    version there; everything above stays column-wise."""
+    ct = scan_block(source, node.relation, node.pattern)
     ct = ct.fused_select(equal_pairs=node.equal_positions)
     return ct.project_positions(node.keep_positions, node.columns)
 
@@ -1249,11 +1242,11 @@ def _scan_columnar(node: ScanFragment, source) -> ColumnTable:
 def _worth_caching(node: PlanFragment) -> bool:
     """Is a fragment's table worth offering to the cross-call cache?
 
-    Joins and unions always are.  Unrestricted scans are not.  Their table
-    is a row-to-column transpose of the base index's rows, redone whenever
-    a parent recomputes, but admitting every scan fragment moved no
-    end-to-end benchmark metric beyond run-to-run noise (numbers in
-    ``docs/materialization.md``), so they stay out of the byte budget.
+    Joins and unions always are.  Unrestricted scans are not: their table
+    is a zero-copy projection of the relation's scan block, which the
+    source already keeps for as long as the relation's version holds
+    (storage for an instance, the scan memo for a remote source), so
+    caching it would only charge the byte budget for a second reference.
     Selective scans (constants or repeated-variable equalities) do real
     filtering work and qualify.
     """

@@ -459,12 +459,12 @@ class TestAsyncSocketTransport:
             "P1", [("sa", encoded, token)]
         )
         assert not full2 and token2 != token
-        assert delta == ((9, 9),)
+        assert delta.row_set() == {(9, 9)}
         # An unchanged token yields an empty delta.
         [(full3, token3, rows3)] = socket_transport.scan_batch_since(
             "P1", [("sa", encoded, token2)]
         )
-        assert not full3 and token3 == token2 and rows3 == ()
+        assert not full3 and token3 == token2 and rows3.row_set() == set()
 
     def test_submit_scan_returns_a_real_future(self, socket_transport):
         future = socket_transport.submit_scan(

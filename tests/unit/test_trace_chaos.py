@@ -79,6 +79,13 @@ def last_spans(tracer, name=None):
     return [record for record in spans if record["name"] == name]
 
 
+def _drain_abandoned_attempts(source) -> None:
+    """Wait out attempts a hedge or deadline abandoned: each still sleeps
+    out its peer's injected delay on a pool thread, and its serve span
+    would otherwise land in whatever trace a later test has open."""
+    source._attempt_executor.shutdown(wait=True)
+
+
 def _single_peer():
     instance = Instance.from_dict({"r": [(1, 10), (2, 20), (3, 30)]})
     return {"A": instance}, {(1, 10), (2, 20), (3, 30)}
@@ -159,6 +166,7 @@ class TestLoopbackChaos:
         statuses = [record["status"] for record in attempts]
         assert statuses.count("cancelled") == 1  # exactly the loser
         assert statuses.count("ok") == 1  # exactly the winner
+        _drain_abandoned_attempts(source)
 
     def test_deadline_expiry_closes_the_whole_subtree(self, tracer):
         data, _ = _single_peer()
@@ -173,6 +181,7 @@ class TestLoopbackChaos:
         assert_well_formed(tracer)
         [unit] = last_spans(tracer, "scan.unit")
         assert unit["status"] == "deadline"
+        _drain_abandoned_attempts(source)
         for record in last_spans(tracer, "scan.attempt"):
             assert record["status"] in ("cancelled", "error")
 
@@ -226,6 +235,11 @@ class _SlowTwin:
     def get_matching(self, relation, pattern):
         time.sleep(self._delay)
         return self._inner.get_matching(relation, pattern)
+
+    def tagged_block(self, relation, pattern):
+        # A full scan_since serves the instance's scan block.
+        time.sleep(self._delay)
+        return self._inner.tagged_block(relation, pattern)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import struct
 import sys
 import threading
 
@@ -33,7 +34,7 @@ from repro.pdms import (
 )
 from repro.pdms.distributed import async_transport
 from repro.pdms.distributed.source import ScanFailure
-from repro.pdms.distributed.transport import encode_pattern
+from repro.pdms.distributed.transport import TraceEnvelope, encode_pattern
 
 from test_trace_chaos import (  # noqa: F401 - `tracer` is a fixture
     LegacyTransport,
@@ -659,3 +660,107 @@ class TestFrameCap:
             transport.scan_batch("P00", [("s00", EVERYTHING)])
         assert transport.ping("P00")  # same connection, still in step
         assert len(transport._pool) == 1
+
+
+# ---------------------------------------------------------------------------
+# Column frames a client cannot trust
+# ---------------------------------------------------------------------------
+
+
+def _first_column(frame, column):
+    return (frame[0], (column,) + frame[1][1:])
+
+
+#: Each turns one well-formed two-column frame ``(3, columns)`` (int64
+#: buffers, or lists without NumPy) into a frame the decoder must refuse.
+GARBLED_FRAMES = {
+    "truncated buffer": lambda f: _first_column(f, ("<i8", bytes(8 * 3 - 3))),
+    "length over its buffers": lambda f: (f[0] + 1, f[1]),
+    "length under its buffers": lambda f: (f[0] - 1, f[1]),
+    "object dtype tag": lambda f: _first_column(f, ("|O", bytes(8 * 3))),
+    "unicode dtype tag": lambda f: _first_column(f, ("<U1", bytes(8 * 3))),
+    "NaN in a float buffer": lambda f: _first_column(
+        f, ("<f8", struct.pack("<3d", 0.5, float("nan"), 1.5))
+    ),
+    "one column too few": lambda f: (f[0], f[1][:1]),
+    "one column too many": lambda f: (f[0], f[1] + f[1][:1]),
+    "negative length": lambda f: (-1, f[1]),
+    "float length": lambda f: (3.0, f[1]),
+    "string length": lambda f: ("3", f[1]),
+    "bool length": lambda f: (True, f[1]),
+    "scalar column": lambda f: _first_column(f, 7),
+    "string column": lambda f: _first_column(f, "<i8"),
+    "tuple of values column": lambda f: _first_column(f, (1, 2, 3)),
+    "tag without bytes": lambda f: _first_column(f, ("<i8", list(range(3)))),
+    "short list column": lambda f: _first_column(f, [0, 1]),
+    "not a frame": lambda f: list(f),
+}
+
+
+class GarbledScans(CountingSocket):
+    """Serves every scan, but garbles ``victim``'s column frames on the way out."""
+
+    victim = None
+    garble = None
+
+    async def _serve(self, op, peer, payload, ctx=None):
+        reply = await super()._serve(op, peer, payload, ctx)
+        if op != "scan_since" or peer != self.victim:
+            return reply
+        inner = reply.value if isinstance(reply, TraceEnvelope) else reply
+        garbled = [(full, token, self.garble(frame)) for full, token, frame in inner]
+        if isinstance(reply, TraceEnvelope):
+            return TraceEnvelope(garbled, reply.spans)
+        return garbled
+
+
+class TestColumnFrames:
+    def test_a_scan_reply_carries_typed_buffers(self):
+        _, data = wide_system()
+        transport = CountingSocket(data)
+        try:
+            [(full, _token, table)] = transport.scan_batch_since(
+                "P03", [("s03", EVERYTHING, None)]
+            )
+            assert full and table.columns == ("__p0", "__p1")
+            assert table.row_set() == {(3, row) for row in range(3)}
+        finally:
+            transport.close()
+
+    @pytest.mark.parametrize("case", sorted(GARBLED_FRAMES))
+    def test_a_garbled_column_frame_is_a_transport_error(self, case):
+        _, data = wide_system()
+        transport = GarbledScans(data)
+        transport.victim, transport.garble = "P05", GARBLED_FRAMES[case]
+        try:
+            with pytest.raises(TransportError, match="peer 'P05'"):
+                transport.scan_batch_since("P05", [("s05", EVERYTHING, None)])
+            clean, garbled = transport.scan_many([
+                ("P04", [("s04", EVERYTHING, None)], None),
+                ("P05", [("s05", EVERYTHING, None)], None),
+            ])
+            assert len(clean[0][2]) == 3 and type(garbled) is TransportError
+            # The reply frame itself was whole: the stream stays paired.
+            assert transport.ping("P05")
+            assert len(transport._pool) == 1
+        finally:
+            transport.close()
+
+    @pytest.mark.parametrize("case", sorted(GARBLED_FRAMES))
+    def test_a_garbled_column_frame_degrades_the_answer(self, case):
+        pdms, data = wide_system()
+        transport = GarbledScans(data)
+        with cluster_over(transport, pdms) as cluster:
+            planned(cluster, transport)
+            transport.victim, transport.garble = "P05", GARBLED_FRAMES[case]
+            answer = cluster.answer(QUERY)
+            assert not answer.complete
+            assert answer.rows == rows_of(i for i in range(PEERS) if i != 5)
+            [failure] = answer.failures
+            assert (failure.peer, failure.relation) == ("P05", "s05")
+            assert "peer 'P05'" in failure.error
+
+            transport.victim = None
+            healed = cluster.answer(QUERY)
+            assert healed.complete and healed.rows == rows_of(range(PEERS))
+
