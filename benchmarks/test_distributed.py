@@ -1,11 +1,11 @@
 """Distributed runtime benchmarks: overhead, scatter-gather, concurrency.
 
-Backs the ISSUE-5 acceptance criteria:
+Three measurements:
 
-* **transport_overhead** — the same workload answered through the
-  in-process federated source (``"columnar"`` engine) vs through the full
-  loopback peer boundary (``"distributed"`` engine): the wire contract's
-  overhead, measured as relative throughput;
+* **transport_overhead** — the same workload answered by the plan path
+  over the in-process federated source vs over a cluster's remote source
+  behind the full loopback peer boundary: the wire contract's overhead,
+  measured as relative throughput;
 * **scatter_gather** — with injected per-RPC latency, prefetching a
   multi-peer scan set concurrently must beat issuing the same scans
   serially by **more than 2×** (the acceptance gate);

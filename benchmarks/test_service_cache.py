@@ -188,7 +188,8 @@ def test_ecc_join_invalidates_only_affected_entries(baseline_recorder):
     # Post-join, every scenario query (ECC ones included) must match a
     # from-scratch reformulation.
     for name, query in queries.items():
-        assert service.answer(query) == answer_query(pdms, query, data), name
+        assert service.answer(query) == answer_query(
+            pdms, query, data, engine="backtracking"), name
 
     # And leaving again evicts only the ECC-dependent entries.
     service.remove_peer("ECC")

@@ -5,8 +5,8 @@ Backs the ISSUE-8 acceptance criteria:
 * **churn_scaling** — a churn workload (every answer is followed by a
   routed insert, so every answer must re-scan) served by one worker vs
   the same relation hash-partitioned across four workers, on a transport
-  whose per-row cost is a GIL-released sleep.  The scatter-gather engine
-  scans the four shards concurrently, so QPS must scale **≥ 2.5×** from
+  whose per-row cost is a GIL-released sleep.  The remote source's
+  scatter wave scans the four shards concurrently, so QPS must scale **≥ 2.5×** from
   1 → 4 workers (the acceptance gate);
 * **partition_pruning** — a constant-bound point lookup must touch only
   the shard that owns the constant (per-shard scan counters), while the

@@ -6,9 +6,9 @@ Lakeview Hospital (LH), the Portland and Vancouver fire districts (PFD,
 VFD) — is served over **TCP** behind an
 :class:`~repro.pdms.distributed.async_transport.AsyncSocketTransport`.  A
 :class:`~repro.pdms.distributed.cluster.ServiceCluster` answers the
-scenario's queries through the ``"distributed"`` engine: every stored-
-relation scan crosses the socket as a framed RPC, and the scans of one
-scatter wave share one batch frame.
+scenario's queries from the factored plan over a remote source built on
+that transport: every stored-relation scan crosses the socket as a
+framed RPC, and the scans of one scatter wave share one batch frame.
 
 The second act injects a peer failure (Lakeview drops off the network)
 and shows the runtime degrading honestly: answers shrink to a *sound

@@ -5,7 +5,7 @@ A single data-bearing peer ``P`` stores a 4,000-row relation.
 ``auto_shard`` splits it across four loopback workers under a
 :class:`~repro.pdms.distributed.sharding.ShardMap`; a
 :class:`~repro.pdms.distributed.cluster.ServiceCluster` then answers
-through the ``"distributed"`` engine with shard-aware routing:
+from the factored plan over a remote source with shard-aware routing:
 
 * a full scan fans out to all four shards (scattered concurrently);
 * a constant-bound point lookup is **pruned** to the single owning

@@ -2,14 +2,13 @@
 
 Before this module existed, each subsystem read its own environment
 variables through locally re-implemented parsing helpers, and the copies
-drifted on error messages.  All integer knobs now flow through
-:func:`int_from_env` and all enumerated knobs through
-:func:`choice_from_env`, so every knob fails fast with the same message
-shape — mirroring the treatment ``REPRO_DEFAULT_ENGINE`` gets in
-:func:`repro.pdms.execution.default_engine` (that knob stays there
-because validating it needs the live engine registry).  Plan evaluation
-itself has no knob: one representation (column batches), one thread (the
-caller's).
+drifted on error messages.  Every knob now flows through one of the typed
+readers below (:func:`int_from_env`, :func:`bool_from_env`,
+:func:`float_from_env`), so every knob fails fast with the same message
+shape.  Evaluation itself has no knob: one path (the factored plan), one
+representation (column batches), one thread (the caller's).  Where scans
+run is decided by the fact source a caller builds, not by the
+environment: there is no engine, transport or shard-count knob.
 
 The consolidated knob table lives in ``docs/distributed.md``.
 """
@@ -17,7 +16,6 @@ The consolidated knob table lives in ``docs/distributed.md``.
 from __future__ import annotations
 
 import os
-from typing import Sequence
 
 from .errors import EvaluationError
 
@@ -39,18 +37,6 @@ def int_from_env(name: str, default: int, minimum: int = 0) -> int:
     if value < minimum:
         raise EvaluationError(f"{name}={raw!r} must be >= {minimum}")
     return value
-
-
-def choice_from_env(name: str, default: str, choices: Sequence[str]) -> str:
-    """Read an enumerated string knob, failing fast on unknown values."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    if raw not in choices:
-        raise EvaluationError(
-            f"{name}={raw!r} is not one of: {', '.join(choices)}"
-        )
-    return raw
 
 
 def bool_from_env(name: str, default: bool) -> bool:
@@ -121,19 +107,6 @@ def adaptive_enabled() -> bool:
     return bool_from_env("REPRO_ADAPTIVE", False)
 
 
-def shards() -> int:
-    """Shards per peer relation in the distributed engine (``REPRO_SHARDS``).
-
-    ``0`` (the default) and ``1`` mean no sharding.  Values >= 2 make the
-    distributed engine's loopback wrap path hash-partition every peer
-    relation across that many shard instances (see
-    :func:`repro.pdms.distributed.sharding.auto_shard`), enabling
-    partition-pruned scatter-gather.  Explicitly built clusters pass their
-    own :class:`~repro.pdms.distributed.sharding.ShardMap` instead.
-    """
-    return int_from_env("REPRO_SHARDS", 0)
-
-
 def scan_retries() -> int:
     """Extra scan attempts after a ``TransportError`` (``REPRO_SCAN_RETRIES``).
 
@@ -167,18 +140,6 @@ def hedge_seconds() -> float:
     entirely with ``REPRO_HEDGE_MS=-1``.
     """
     return int_from_env("REPRO_HEDGE_MS", 0, minimum=-1) / 1000.0
-
-
-def transport_backend() -> str:
-    """Transport behind the engine's wrap path (``REPRO_TRANSPORT``).
-
-    ``"loopback"`` (default): in-process :class:`LoopbackTransport`.
-    ``"socket"``: :class:`AsyncSocketTransport` — the same peers served
-    over asyncio TCP sockets on the loopback interface, exercising the
-    full framing/pooling stack.  Explicitly built clusters pass their own
-    transport and ignore this knob.
-    """
-    return choice_from_env("REPRO_TRANSPORT", "loopback", ("loopback", "socket"))
 
 
 def trace_enabled() -> bool:

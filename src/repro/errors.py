@@ -75,8 +75,8 @@ class TransportError(ReproError):
     """A peer-boundary RPC failed (peer down, timed out, or injected fault).
 
     Distinct from :class:`EvaluationError`: a transport fault does not mean
-    the query is wrong, only that a peer could not be reached.  The
-    distributed engine treats it as *missing data* — it degrades to a
+    the query is wrong, only that a peer could not be reached.  A remote
+    fact source treats it as *missing data* — the answer degrades to a
     best-effort (sound-subset) answer and clears the ``completeness`` flag
     instead of failing the whole query.
     """

@@ -6,7 +6,7 @@ records) into an indented tree with per-span durations, attributes, and
 an inline flamegraph bar scaled to the root span::
 
     trace 3f2a… · query.answer · 12.4ms · 17 spans
-    query.answer 12.4ms [engine=distributed] |####################|
+    query.answer 12.4ms [engine=plan] |####################|
     ├─ query.reformulate 1.2ms [cache=miss rewritings=4] |##      |
     ├─ plan.compile 0.8ms                                | #      |
     └─ plan.execute 9.9ms                                |  ######|

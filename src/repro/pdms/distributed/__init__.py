@@ -12,15 +12,16 @@ real:
 * :mod:`~repro.pdms.distributed.source` — :class:`RemotePeerFactSource`,
   implementing the :class:`~repro.datalog.indexing.IndexedFactSource`
   protocol over any transport so planning and the fragment cache work
-  unchanged, with per-call scan memoization and data-version tokens
-  fetched over the wire;
-* :mod:`~repro.pdms.distributed.engine` — the ``"distributed"`` execution
-  engine: scatter-gathers independent fragment scans across peers
-  concurrently and degrades to best-effort answers with an explicit
-  ``completeness`` flag when peers fail;
+  unchanged, with scan memoization and data-version tokens fetched over
+  the wire.  It is the source that decides where scans run: the one plan
+  path calls its ``answer_hooks()``, which scatter-gather each root's
+  scans across peers concurrently, and a failed peer degrades the answer
+  to a best-effort sound subset instead of failing it;
 * :mod:`~repro.pdms.distributed.cluster` — :class:`ServiceCluster`, a
   concurrency-safe front end over :class:`~repro.pdms.service.QueryService`
-  with bounded admission (``REPRO_MAX_INFLIGHT``);
+  with bounded admission (``REPRO_MAX_INFLIGHT``) and an explicit
+  ``complete`` flag per answer, and :func:`evaluate_distributed`, the
+  same flag for one reformulation without a service;
 * :mod:`~repro.pdms.distributed.sharding` — :class:`ShardMap` placement
   (hash/range partitioning of peer relations across worker shards) with
   stable cross-process routing hashes and partition-pruned scan owner
@@ -28,8 +29,7 @@ real:
 * :mod:`~repro.pdms.distributed.async_transport` —
   :class:`AsyncSocketTransport`, the same four-RPC contract over real
   asyncio TCP sockets (length-prefixed frames, a batch frame, one
-  connection pool, one background event-loop thread), selectable
-  engine-wide with ``REPRO_TRANSPORT=socket``;
+  connection pool, one background event-loop thread);
 * :mod:`~repro.pdms.distributed.hedging` — the tail-latency toolkit:
   :class:`ScanPolicy` (bounded retries with jittered backoff, hedged
   duplicate scans to shard replicas, per-query deadline budgets),
@@ -70,14 +70,17 @@ from .sharding import (
     stable_shard_hash,
 )
 from .source import RemotePeerFactSource, ScanFailure
-from .engine import DistributedAnswer, DistributedEngine, evaluate_distributed
-from .cluster import ClusterAnswer, ServiceCluster
+from .cluster import (
+    ClusterAnswer,
+    DistributedAnswer,
+    ServiceCluster,
+    evaluate_distributed,
+)
 
 __all__ = [
     "AsyncSocketTransport",
     "ClusterAnswer",
     "DistributedAnswer",
-    "DistributedEngine",
     "HashPartition",
     "LoopbackTransport",
     "PeerLatencyTracker",

@@ -18,8 +18,11 @@ both:
   (conservative under concurrency: a fault observed by an overlapping
   call also clears the flag).
 * **Fan-in** — :meth:`answer_many` evaluates a query mix on a client-side
-  thread pool; with worker-process peers the scatter-gathered scans of
-  different queries overlap on the wire.
+  thread pool; the scatter-gathered scans of different queries overlap on
+  the wire.
+
+:func:`evaluate_distributed` is the same completeness accounting for one
+reformulation over a :class:`RemotePeerFactSource`, without a service.
 
 The peer set is fixed by the transport at construction; catalogue churn
 (mappings joining or leaving) still flows through the wrapped service,
@@ -30,27 +33,78 @@ from __future__ import annotations
 
 import copy
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ...datalog.queries import ConjunctiveQuery
 from ...errors import EvaluationError, PDMSConfigurationError
 from ...obs.metrics import METRICS_SCHEMA_VERSION
 from ...obs.trace import current_span, get_tracer, wire_context
+from ..execution import evaluate_reformulation
 from ..materialization import FragmentCache
 from ..optimizations import ReformulationConfig
+from ..reformulation import ReformulationResult
 from ..service import QueryService, ServiceStats
 from ..system import PDMS
 from ...config import max_inflight as _config_max_inflight
-from .engine import DistributedAnswer
 from .hedging import ScanPolicy
 from .sharding import ShardMap, insert_routed
-from .source import RemotePeerFactSource
+from .source import RemotePeerFactSource, ScanFailure
 from .transport import Row, Transport
 
+
+@dataclass(frozen=True)
+class DistributedAnswer:
+    """A best-effort distributed answer with its completeness verdict.
+
+    ``complete`` is ``True`` only when no transport fault touched the
+    evaluation window: every peer described, every scan arrived.  When
+    ``False``, ``rows`` is still a *sound subset* of the complete answer
+    (missing peers only remove facts, and conjunctive queries are
+    monotone); ``failures`` records what was lost.
+    """
+
+    rows: frozenset
+    complete: bool
+    failures: Tuple[ScanFailure, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return iter(self.rows)
+
+
 #: One answered query with its completeness verdict — the same envelope
-#: :func:`~repro.pdms.distributed.engine.evaluate_distributed` returns,
-#: shared so enrichments (and ``isinstance`` checks) apply to both paths.
+#: :func:`evaluate_distributed` returns, shared so enrichments (and
+#: ``isinstance`` checks) apply to both paths.
 ClusterAnswer = DistributedAnswer
+
+
+def evaluate_distributed(
+    result: ReformulationResult,
+    data: RemotePeerFactSource,
+    limit: Optional[int] = None,
+    cache: Optional[FragmentCache] = None,
+) -> DistributedAnswer:
+    """Evaluate ``result`` over a remote source, reporting completeness.
+
+    ``data`` must be a :class:`RemotePeerFactSource` (over a loopback or
+    an :class:`~repro.pdms.distributed.async_transport.AsyncSocketTransport`);
+    anything else has no peer boundary to report completeness for and
+    raises.  The failure window is the call itself: faults recorded by
+    other threads sharing the source during the call conservatively clear
+    ``complete``.
+    """
+    if not isinstance(data, RemotePeerFactSource):
+        raise EvaluationError(
+            "evaluate_distributed needs a RemotePeerFactSource; in-process "
+            "data has no peer boundary to report completeness for"
+        )
+    window_start = data.failure_count
+    rows = evaluate_reformulation(result, data, limit=limit, cache=cache)
+    failures = data.failures(window_start)
+    return DistributedAnswer(frozenset(rows), not failures and data.complete, failures)
 
 
 class ServiceCluster:
@@ -63,13 +117,13 @@ class ServiceCluster:
     transport:
         The peer boundary holding the stored-relation data; a
         :class:`~repro.pdms.distributed.source.RemotePeerFactSource` is
-        built over it and installed as the service's data source, so the
-        ``"distributed"`` engine scatter-gathers straight over it and the
-        fragment cache keys on wire-fetched version tokens.
+        built over it and installed as the service's data source, so every
+        answer scatter-gathers straight over it and the fragment cache
+        keys on wire-fetched version tokens.
     service:
         Alternatively, wrap a prebuilt :class:`QueryService` (mutually
         exclusive with ``pdms``/``transport`` and with every setting the
-        constructed service would take: ``config``,
+        constructed service would take: ``config``, ``engine``,
         ``fragment_cache_bytes``, ``fragment_cache``, ``scan_policy``).
         Completeness reporting needs the service's data to be a
         ``RemotePeerFactSource``; otherwise every answer reports
@@ -77,8 +131,8 @@ class ServiceCluster:
     config, fragment_cache_bytes:
         Forwarded to the constructed :class:`QueryService`.
     engine:
-        Execution engine for the constructed service (default
-        ``"distributed"``).
+        Engine name for the constructed service (default: the plan path;
+        ``"backtracking"`` selects the oracle).
     max_inflight:
         Concurrent-answer bound; default ``REPRO_MAX_INFLIGHT`` (0 =
         unbounded).
@@ -108,7 +162,7 @@ class ServiceCluster:
         transport: Optional[Transport] = None,
         service: Optional[QueryService] = None,
         config: Optional[ReformulationConfig] = None,
-        engine: str = "distributed",
+        engine: Optional[str] = None,
         max_inflight: Optional[int] = None,
         fragment_cache_bytes: Optional[int] = None,
         shard_map: Optional[ShardMap] = None,
@@ -126,6 +180,7 @@ class ServiceCluster:
                 name
                 for name, value in (
                     ("config", config),
+                    ("engine", engine),
                     ("fragment_cache_bytes", fragment_cache_bytes),
                     ("fragment_cache", fragment_cache),
                     ("scan_policy", scan_policy),

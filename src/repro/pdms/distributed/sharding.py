@@ -28,9 +28,10 @@ first-class, planner-visible object:
   owning shard group (every group member under replication), keeping the
   placement invariant the pruning rule relies on;
 * :func:`auto_shard` hash-partitions every relation of a per-peer
-  instance map across ``n`` fresh worker instances — the helper behind
-  the ``REPRO_SHARDS`` knob (see :func:`repro.config.shards`) that lets
-  the whole tier-1 suite run sharded without any scenario changes.
+  instance map across ``n`` fresh worker instances, returning the shard
+  map to build a sharded source or cluster with.  A caller splits once
+  and keeps the result: every call mints fresh worker instances (fresh
+  version tokens).
 
 Hash placement must agree across *processes* (a client routes an insert
 that a worker-process shard later serves), and Python's builtin ``hash``
@@ -45,8 +46,6 @@ See ``docs/sharding.md`` for the full placement/pruning/failure story.
 from __future__ import annotations
 
 import hashlib
-import threading
-import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -393,7 +392,7 @@ class ShardMap:
 
 
 # ---------------------------------------------------------------------------
-# Automatic sharding of per-peer instances (the REPRO_SHARDS path)
+# Automatic sharding of per-peer instances
 # ---------------------------------------------------------------------------
 
 def shard_peer_names(peer: str, shards: int) -> Tuple[str, ...]:
@@ -401,58 +400,17 @@ def shard_peer_names(peer: str, shards: int) -> Tuple[str, ...]:
     return tuple(f"{peer}#{index}" for index in range(shards))
 
 
-#: Per-instance memo of the last split: re-splitting on every call would
-#: mint fresh shard instances (fresh ids → fresh version tokens) and
-#: silently disable every version-keyed cache, so splits are reused until
-#: the source instance's version vector moves.  Instances are unhashable
-#: by design, so the memo is keyed by ``id`` with a weakref finalizer
-#: evicting the entry when the instance dies (before its id can be
-#: recycled).
-_split_memo: Dict[int, tuple] = {}
-_split_lock = threading.Lock()
-
-
-def _split_memo_put(instance: Instance, entry: tuple) -> None:
-    key = id(instance)
-
-    def _evict(_ref, key=key):
-        with _split_lock:
-            _split_memo.pop(key, None)
-
-    with _split_lock:
-        _split_memo[key] = (weakref.ref(instance, _evict), entry)
-
-
-def _split_memo_get(instance: Instance):
-    with _split_lock:
-        slot = _split_memo.get(id(instance))
-    if slot is None or slot[0]() is not instance:
-        return None
-    return slot[1]
-
-
-def _instance_snapshot(instance: Instance) -> Tuple:
-    """A comparable fingerprint of an instance's current contents."""
-    return tuple(sorted(instance.version_vector().items()))
-
-
 def _split_instance(
     peer: str, instance: Instance, shards: int, column: int
 ) -> Dict[str, Instance]:
-    """Split one peer instance into ``shards`` worker instances (memoized).
+    """Split one peer instance into ``shards`` worker instances.
 
     Relations wide enough to carry the partition column are hash-routed
     row by row; narrower relations (e.g. arity ≤ ``column``) stay whole
     on shard 0 — they are served unsharded through normal describe-based
     routing.
     """
-    snapshot = _instance_snapshot(instance)
-    memo = _split_memo_get(instance)
-    if memo is not None and memo[0] == (shards, column, snapshot):
-        return memo[1]
     names = shard_peer_names(peer, shards)
-    # Only the cold (non-memoized) split gets a span: it hashes every row
-    # of the instance, while the memo hit above costs a dict probe.
     with current_span().child("shard.split", peer=peer, shards=shards):
         parts: Dict[str, Instance] = {name: Instance() for name in names}
         for relation in instance.relations():
@@ -468,7 +426,6 @@ def _split_instance(
             else:
                 for row in instance.get_tuples(relation):
                     parts[names[0]].add(relation, row)
-    _split_memo_put(instance, ((shards, column, snapshot), parts))
     return parts
 
 
@@ -480,10 +437,9 @@ def auto_shard(
     Returns the :class:`ShardMap` plus the worker instance map (peer
     ``P``'s shards are named ``P#0`` … ``P#{shards-1}``), ready to hand to
     any transport.  Relations too narrow for the partition column are
-    left unsharded (whole on shard 0, absent from the map).  Splits are
-    memoized per source instance until its data moves, so repeated calls
-    over unchanged data reuse the same worker instances — and therefore
-    the same version tokens, keeping fragment caches warm.
+    left unsharded (whole on shard 0, absent from the map).  The workers
+    are copies: split once, build the transport over them, and write
+    through that transport (:func:`insert_routed`) from then on.
     """
     if shards < 1:
         raise PDMSConfigurationError("auto_shard needs at least 1 shard")

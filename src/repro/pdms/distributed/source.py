@@ -1167,9 +1167,46 @@ class RemotePeerFactSource:
                     self._memo[key] = union_blocks(merged[key], len(key[1]))
         return len(wanted)
 
+    def answer_hooks(self) -> Dict[str, object]:
+        """Start one answer over this source: the plan path's scatter hooks.
+
+        The plan path (:mod:`repro.pdms.execution`) calls this once per
+        answer, before the first root.  It runs one describe round so the
+        answer sees current version tokens, then returns the keyword hooks
+        of :func:`~repro.pdms.planning.plan_answer_batches`:
+
+        * ``before_root`` scatters every stored-relation scan under the
+          root in one wave (:meth:`prefetch`, pruned by :attr:`shard_map`)
+          unless the root is warm in the answer's fragment cache, so
+          fragment evaluation never blocks on the wire;
+        * ``after_scan`` restarts the answer's version snapshot whenever
+          :attr:`failure_count` moved (a scan of this answer or of a
+          concurrent one degraded a relation), so partial rows are never
+          cached as complete.  ``before_root`` runs it too, after the wave.
+        """
+        with current_span().child("source.refresh"):
+            self.refresh()
+        failures_seen = self.failure_count
+
+        def after_scan(evaluation) -> None:
+            nonlocal failures_seen
+            failures = self.failure_count
+            if failures != failures_seen:
+                failures_seen = failures
+                evaluation.restart()
+
+        def before_root(evaluation, root_key: str) -> None:
+            if not evaluation.cached(root_key):
+                self.prefetch(
+                    evaluation.plan.scan_requests(root_key, shard_map=self._shard_map)
+                )
+            after_scan(evaluation)
+
+        return {"before_root": before_root, "after_scan": after_scan}
+
     def get_matching(self, predicate: str, pattern: Pattern) -> Tuple[Row, ...]:
-        """The rows :meth:`scan_block` holds, as tuples (for the row
-        engines and the statistics pass)."""
+        """The rows :meth:`scan_block` holds, as tuples (for the oracle
+        and the statistics pass)."""
         return tuple(self.scan_block(predicate, pattern).iter_rows())
 
     def scan_block(self, predicate: str, pattern: Pattern) -> ColumnTable:

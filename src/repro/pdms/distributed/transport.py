@@ -575,7 +575,8 @@ class LoopbackTransport(TransportBase):
     The reference backend: scans route straight to the owning
     :class:`~repro.database.instance.Instance` (including its maintained
     hash indexes) with no serialization, so it is both the fastest way to
-    run the ``"distributed"`` engine and the chaos harness (see
+    put a remote source in front of in-process data and the chaos
+    harness (see
     :class:`TransportBase` for the hooks; waits are ``time.sleep``).
 
     Per-peer scan counters (:meth:`scan_count`) count individual scan

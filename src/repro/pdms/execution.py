@@ -1,28 +1,34 @@
 """Execution of reformulated queries over the peers' stored relations.
 
-The paper leaves execution to an external (adaptive) query processor; this
-module provides three interchangeable engines behind a small registry:
+The paper hands the union of rewritings to an external query processor.
+This module has one evaluation path, the **factored plan**: the whole
+union compiled into one shared union-plan DAG (:mod:`repro.pdms.planning`),
+whose hash-consed fragments are computed once, on the
+:mod:`repro.database.columnar` batch kernels, in the caller's thread.  A
+whole answer evaluates the rule-goal tree as one factored root.
 
-* ``"backtracking"`` — each rewriting through the direct indexed-join
-  conjunctive-query evaluator (the independent oracle the others are
-  checked against);
-* ``"columnar"`` — the whole union compiled into one shared union-plan DAG
-  (:mod:`repro.pdms.planning`): a whole answer evaluates the rule-goal
-  tree as one factored root, hash-consed fragments are computed once, on
-  the :mod:`repro.database.columnar` batch kernels, in the caller's
-  thread;
-* ``"distributed"`` — the same plan evaluation with every stored-relation
-  scan scatter-gathered over a peer-boundary transport
-  (:mod:`repro.pdms.distributed`), degrading to best-effort sound-subset
-  answers when peers fail.  Registered on import of
-  :mod:`repro.pdms.distributed.engine` (the ``repro.pdms`` package does
-  this), not here, to keep the dependency arrow pointing one way.
+Where the scans run is the fact source's business.  An in-process source
+(per-peer instances behind a :class:`PeerFactSource`, or any flat fact
+source) is probed directly.  A source that can scatter scans — the
+:class:`~repro.pdms.distributed.source.RemotePeerFactSource` — exposes
+``answer_hooks()``: the plan path calls it once per answer (one describe
+round) and runs the hooks it returns, which prefetch each root's scans in
+one scatter wave and restart the version snapshot after a transport
+fault.  This module imports nothing from :mod:`repro.pdms.distributed`.
 
-Execution is *streaming*: rewritings are pulled from the reformulation
-generator one at a time and evaluated as they arrive, so the first answers
-surface before Step 3 finishes enumerating (the paper's Figure 4 measures
-exactly this time-to-first-answer shape).  ``limit`` cuts the enumeration
-short once enough distinct answers are known.
+:func:`evaluate_rewritings` is the independent oracle the plan path is
+checked against: each rewriting through the direct indexed-join
+conjunctive-query evaluator, with no cache and no feedback.
+
+Entry points take ``engine=`` as a name only, resolved by
+:func:`uses_oracle`: ``None``, ``"columnar"`` and ``"distributed"`` select
+the plan path, ``"backtracking"`` the oracle.
+
+Execution is *streaming*: with ``limit``, rewritings are pulled from the
+reformulation generator one at a time and evaluated as they arrive, so
+the first answers surface before Step 3 finishes enumerating (the paper's
+Figure 4 measures exactly this time-to-first-answer shape), and the
+enumeration stops once enough distinct answers are known.
 
 Per-peer data is served **federated**: a :class:`PeerFactSource` routes
 index probes to the owning peer's live
@@ -33,7 +39,6 @@ available for callers that genuinely want a merged copy).
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import (
     Dict,
@@ -42,7 +47,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Protocol,
     Sequence,
     Set,
     Tuple,
@@ -56,7 +60,7 @@ from ..datalog.evaluation import FactsLike, evaluate_query
 from ..datalog.indexing import Pattern
 from ..datalog.queries import ConjunctiveQuery
 from ..errors import EvaluationError, MappingError
-from .materialization import FragmentCache, data_version_token
+from .materialization import FragmentCache
 from .optimizations import ReformulationConfig
 from .planning import (
     UnionPlan,
@@ -65,229 +69,10 @@ from .planning import (
     plan_answer_batches,
     union_rows,
 )
-from .reformulation import (
-    ReformulationResult,
-    canonicalize_query,
-    reformulate,
-)
+from .reformulation import ReformulationResult, canonicalize_query, reformulate
 from .system import PDMS
 
 Row = Tuple[object, ...]
-
-
-# ---------------------------------------------------------------------------
-# Engine registry
-# ---------------------------------------------------------------------------
-
-class ExecutionEngine(Protocol):
-    """An execution strategy for a reformulated union of rewritings.
-
-    ``batches`` yields one *batch* of answer rows per rewriting as the
-    enumeration progresses (rows may repeat within and across batches);
-    consuming only a prefix must not force the full rewriting enumeration.
-    Whole-answer callers union the batches and say so (``whole=True``: the
-    plan engines then evaluate one factored root instead of enumerating);
-    ``stream`` is the thin row view over the lazy batches, so first-k
-    consumers stay lazy.  Engines that consume
-    compiled union plans set ``uses_plans`` so callers holding a plan
-    cache (the service layer) can pass one in.  ``cache`` (optional)
-    is a cross-call :class:`~repro.pdms.materialization.FragmentCache`;
-    every engine routes its repeated work through it at whatever
-    granularity fits — shared fragment tables for the union-plan engine,
-    whole-rewriting answer sets for the per-rewriting engines — and
-    ignores it when the data source exposes no data versions.
-    ``feedback`` (optional) is a
-    :class:`~repro.database.feedback.QErrorLog` recording one
-    ``(estimated, actual)`` cardinality observation per unit of work the
-    engine freshly evaluates (fragments for plan engines, whole
-    rewritings for per-rewriting engines).
-    """
-
-    name: str
-
-    def batches(
-        self,
-        result: ReformulationResult,
-        data: FactsLike,
-        plan: Optional[UnionPlan] = None,
-        cache: Optional[FragmentCache] = None,
-        feedback: Optional[QErrorLog] = None,
-        whole: bool = False,
-    ) -> Iterator[Iterable[Row]]:  # pragma: no cover - protocol
-        ...
-
-    def stream(
-        self,
-        result: ReformulationResult,
-        data: FactsLike,
-        plan: Optional[UnionPlan] = None,
-        cache: Optional[FragmentCache] = None,
-        feedback: Optional[QErrorLog] = None,
-    ) -> Iterator[Row]:
-        """Distinct answer rows, one at a time, as batches are produced."""
-        return distinct_rows(self.batches(result, data, plan, cache, feedback))
-
-
-class PerRewritingEngine(ExecutionEngine):
-    """Wraps a per-rewriting evaluator into the engine interface.
-
-    With a fragment cache, each rewriting's full answer set is cached
-    under its canonical query signature plus the data-version token of
-    the relations it reads — the whole rewriting is treated as one
-    coarse fragment, so repeated traffic over unchanged data skips the
-    evaluator entirely while a write to any read relation recomputes.
-    """
-
-    uses_plans = False
-
-    def __init__(self, name: str, evaluate):
-        self.name = name
-        self._evaluate = evaluate
-
-    def _rows(
-        self,
-        rewriting: ConjunctiveQuery,
-        data: FactsLike,
-        cache: Optional[FragmentCache],
-        feedback: Optional[QErrorLog] = None,
-    ):
-        relations = {atom.predicate for atom in rewriting.relational_body()}
-        key = "rewriting::" + canonicalize_query(rewriting).signature
-
-        def evaluate():
-            rows = frozenset(self._evaluate(rewriting, data))
-            if feedback is not None:
-                # Whole-rewriting granularity: no per-fragment estimate
-                # exists on this path, so the observation carries the true
-                # cardinality only (feeding corrections, not q-error).
-                feedback.record(
-                    key,
-                    relations,
-                    data_version_token(data, relations),
-                    None,
-                    len(rows),
-                )
-            return rows
-
-        if cache is None:
-            return evaluate()
-        token = data_version_token(data, relations)
-        if token is None:
-            return evaluate()
-        return cache.get_or_compute(key, token, relations, evaluate)
-
-    def batches(
-        self,
-        result: ReformulationResult,
-        data: FactsLike,
-        plan: Optional[UnionPlan] = None,
-        cache: Optional[FragmentCache] = None,
-        feedback: Optional[QErrorLog] = None,
-        whole: bool = False,
-    ) -> Iterator[Iterable[Row]]:
-        for rewriting in result.rewritings():
-            yield self._rows(rewriting, data, cache, feedback)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PerRewritingEngine({self.name!r})"
-
-
-class SharedPlanEngine(ExecutionEngine):
-    """Evaluates the whole union through one shared union-plan DAG.
-
-    Common sub-conjunctions across rewritings are computed once per call,
-    on column batches, in the caller's thread
-    (:func:`~repro.pdms.planning.plan_answer_batches`).
-    """
-
-    uses_plans = True
-
-    def __init__(self, name: str = "columnar"):
-        self.name = name
-
-    def batches(
-        self,
-        result: ReformulationResult,
-        data: FactsLike,
-        plan: Optional[UnionPlan] = None,
-        cache: Optional[FragmentCache] = None,
-        feedback: Optional[QErrorLog] = None,
-        whole: bool = False,
-    ) -> Iterator[Iterable[Row]]:
-        return plan_answer_batches(
-            ensure_plan(result, data, plan),
-            data,
-            cache=cache,
-            feedback=feedback,
-            whole=whole,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SharedPlanEngine({self.name!r})"
-
-
-_ENGINE_REGISTRY: Dict[str, ExecutionEngine] = {}
-
-#: Names of the registered execution engines, in registration order.
-#: Rebound by :func:`register_engine`; import the module (not the tuple)
-#: if you need to observe late registrations.
-ENGINES: Tuple[str, ...] = ()
-
-
-def register_engine(engine: ExecutionEngine, replace: bool = False) -> ExecutionEngine:
-    """Register an execution engine under ``engine.name``.
-
-    Registering a taken name raises unless ``replace`` is set (deployments
-    may swap in an instrumented or differently tuned engine).
-    """
-    global ENGINES
-    name = engine.name
-    if not name or not isinstance(name, str):
-        raise EvaluationError(f"engine name must be a non-empty string, got {name!r}")
-    if name in _ENGINE_REGISTRY and not replace:
-        raise EvaluationError(
-            f"execution engine {name!r} is already registered; "
-            f"pass replace=True to override"
-        )
-    _ENGINE_REGISTRY[name] = engine
-    ENGINES = tuple(_ENGINE_REGISTRY)
-    return engine
-
-
-def registered_engines() -> Tuple[str, ...]:
-    """Names of all registered execution engines, in registration order."""
-    return tuple(_ENGINE_REGISTRY)
-
-
-def validate_engine(engine: str) -> str:
-    """Return ``engine`` if it names a registered execution engine, else raise."""
-    if engine not in _ENGINE_REGISTRY:
-        raise EvaluationError(
-            f"unknown execution engine {engine!r}; "
-            f"registered engines: {', '.join(registered_engines())}"
-        )
-    return engine
-
-
-def get_engine(engine: str) -> ExecutionEngine:
-    """The registered engine object for ``engine`` (validates the name)."""
-    return _ENGINE_REGISTRY[validate_engine(engine)]
-
-
-def default_engine() -> str:
-    """The engine used when callers don't pass one explicitly.
-
-    Read from ``REPRO_DEFAULT_ENGINE`` so the whole test suite (and any
-    deployment) can be pointed at any registered engine without code
-    changes — the CI matrix runs tier-1 under all of them.  A
-    misconfigured value fails fast, at the first call, with the same
-    dynamically enumerated message :func:`validate_engine` produces.
-    """
-    engine = os.environ.get("REPRO_DEFAULT_ENGINE", "backtracking")
-    try:
-        return validate_engine(engine)
-    except EvaluationError as exc:
-        raise EvaluationError(f"REPRO_DEFAULT_ENGINE is misconfigured: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -403,16 +188,6 @@ class PeerFactSource:
             self._refresh()
         return tuple(self._routes)
 
-    def instances(self) -> Dict[str, Instance]:
-        """A copy of the peer-name → live-instance mapping behind this view.
-
-        The distributed runtime uses this to lift an in-process federated
-        view onto a transport boundary (e.g. wrapping it in a
-        :class:`~repro.pdms.distributed.transport.LoopbackTransport`)
-        without re-plumbing the callers that built the view.
-        """
-        return dict(self._instances)
-
     def owner_count(self, relation: str) -> int:
         """How many peer instances serve ``relation`` (0 if unknown)."""
         return len(self._route(relation))
@@ -508,22 +283,70 @@ def federate_if_per_peer(
     return data  # type: ignore[return-value]
 
 
-def combine_if_per_peer(
-    data: Union[FactsLike, Mapping[str, Instance]]
-) -> FactsLike:
-    """Collapse per-peer instances into one *copied* instance.
-
-    Kept for callers that want a materialised merge; the query-answering
-    entry points use :func:`federate_if_per_peer` instead.
-    """
-    if is_per_peer_data(data):
-        return combine_peer_instances(data)  # type: ignore[arg-type]
-    return data  # type: ignore[return-value]
-
-
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
+
+#: The accepted ``engine=`` names of the plan path; ``"backtracking"``
+#: names the oracle.
+_PLAN_NAMES = (None, "columnar", "distributed")
+
+
+def uses_oracle(engine: Optional[str]) -> bool:
+    """Resolve an ``engine=`` name: ``True`` selects the per-rewriting
+    oracle, ``False`` the plan path; any other name raises."""
+    if engine in _PLAN_NAMES:
+        return False
+    if engine == "backtracking":
+        return True
+    raise EvaluationError(
+        f"unknown execution engine {engine!r}; accepted: 'columnar' and "
+        f"'distributed' (the plan path) or 'backtracking' (the oracle)"
+    )
+
+
+def _answer_batches(
+    result: ReformulationResult,
+    data: Union[FactsLike, Mapping[str, Instance]],
+    oracle: bool,
+    plan: Optional[UnionPlan],
+    cache: Optional[FragmentCache],
+    feedback: Optional[QErrorLog],
+    whole: bool,
+) -> Iterator[Iterable[Row]]:
+    """One batch of answer rows per evaluated root (the plan path) or per
+    rewriting (the oracle); rows may repeat within and across batches.
+
+    Everything that can be refused is refused here, at call time: a plan
+    compiled for another result, or a cache or feedback log handed to the
+    oracle.  The batches themselves are lazy.
+    """
+    source = federate_if_per_peer(data)
+    if oracle:
+        if cache is not None or feedback is not None:
+            raise EvaluationError(
+                "the backtracking oracle takes no fragment cache and no "
+                "feedback log: a cached oracle is not an oracle"
+            )
+        return (evaluate_query(rewriting, source) for rewriting in result.rewritings())
+    return _plan_batches(ensure_plan(result, source, plan), source, cache, feedback, whole)
+
+
+def _plan_batches(
+    plan: UnionPlan,
+    source: FactsLike,
+    cache: Optional[FragmentCache],
+    feedback: Optional[QErrorLog],
+    whole: bool,
+) -> Iterator[Iterable[Row]]:
+    # A source that scatters scans refreshes once per answer, on the first
+    # batch pulled, and hands back the hooks its scatter wave runs through.
+    hooks = getattr(source, "answer_hooks", None)
+    yield from plan_answer_batches(
+        plan, source, cache=cache, feedback=feedback, whole=whole,
+        **(hooks() if hooks is not None else {}),
+    )
+
 
 def stream_answers(
     result: ReformulationResult,
@@ -540,17 +363,18 @@ def stream_answers(
     prefix of this iterator therefore never forces the full rewriting
     enumeration — the first-k path of the service layer rides on this.
 
-    ``plan`` (optional) hands a cached compiled union plan to engines that
-    consume one; other engines ignore it.  ``cache`` (optional) is a
-    cross-call :class:`~repro.pdms.materialization.FragmentCache` every
-    engine routes repeated work through.  ``feedback`` (optional) is a
-    :class:`~repro.database.feedback.QErrorLog` measuring the engine's
-    freshly evaluated work.  A bad ``engine`` name raises here, at call
-    time, not on first iteration.
+    ``plan`` (optional) is a cached compiled union plan for ``result``.
+    ``cache`` (optional) is a cross-call
+    :class:`~repro.pdms.materialization.FragmentCache` the plan path
+    serves fragment tables from.  ``feedback`` (optional) is a
+    :class:`~repro.database.feedback.QErrorLog` measuring freshly
+    evaluated fragments.  A bad ``engine`` name or ``plan`` raises here,
+    at call time, not on first iteration.
     """
-    impl = get_engine(engine if engine is not None else default_engine())
-    return impl.stream(
-        result, federate_if_per_peer(data), plan=plan, cache=cache, feedback=feedback
+    return distinct_rows(
+        _answer_batches(
+            result, data, uses_oracle(engine), plan, cache, feedback, whole=False
+        )
     )
 
 
@@ -567,22 +391,31 @@ def evaluate_reformulation(
 
     With ``limit``, evaluation streams: rewritings are evaluated as they
     are produced and it stops as soon as ``limit`` distinct answers are
-    known, returning that subset.  Without it the batches are merged whole
-    and the plan engines evaluate the rule-goal tree as one factored plan.
+    known, returning that subset.  Without it the plan path evaluates the
+    rule-goal tree as one factored plan.
 
-    ``engine`` selects the evaluation path (see :func:`registered_engines`;
-    ``"backtracking"``, ``"columnar"`` and ``"distributed"`` ship by
-    default); all engines return the same answers.
+    ``engine`` names the evaluation path (see :func:`uses_oracle`); both
+    return the same answers.
     """
-    engine = validate_engine(engine if engine is not None else default_engine())
+    oracle = uses_oracle(engine)
     if limit is not None and limit < 0:
         raise EvaluationError(f"limit must be non-negative, got {limit}")
     if limit == 0:
         return set()
-    batches = get_engine(engine).batches(
-        result, federate_if_per_peer(data), plan, cache, feedback, whole=limit is None
+    batches = _answer_batches(
+        result, data, oracle, plan, cache, feedback, whole=limit is None
     )
     return union_rows(batches, limit)
+
+
+def evaluate_rewritings(
+    result: ReformulationResult,
+    data: Union[FactsLike, Mapping[str, Instance]],
+    limit: Optional[int] = None,
+) -> Set[Row]:
+    """The oracle: the union of :func:`~repro.datalog.evaluation.evaluate_query`
+    over ``result.rewritings()``, stopping at ``limit`` distinct rows."""
+    return evaluate_reformulation(result, data, engine="backtracking", limit=limit)
 
 
 def answer_query(
@@ -642,12 +475,3 @@ def answer_query_batch(
             )
         )
     return answers
-
-
-# ---------------------------------------------------------------------------
-# Default engines
-# ---------------------------------------------------------------------------
-
-register_engine(PerRewritingEngine("backtracking", evaluate_query))
-# The one plan engine; ``benchmarks/e2e`` and the CI matrix select it by name.
-register_engine(SharedPlanEngine("columnar"))

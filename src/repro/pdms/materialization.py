@@ -21,8 +21,8 @@ cache level:
 
 The cache stores whatever result object the caller hands it (fragment
 :class:`~repro.database.columnar.ColumnTable` batches from the plan
-engines, frozen row sets from the per-rewriting engine) — all of them
-immutable, so entries can be shared freely across calls and threads.
+path) — immutable, so entries can be shared freely across calls and
+threads.
 
 Correctness does not depend on explicit invalidation: a stale entry can
 never be *returned* (its token no longer matches), only linger until the
@@ -285,9 +285,9 @@ class FragmentCache:
         """Would :meth:`get_or_compute` for ``key`` avoid computing?
 
         Checks the LRU without touching the hit/miss counters — this is a
-        planning probe, not a lookup.  The distributed engine uses it to
-        skip a rewriting's scatter-gather round entirely when its root
-        fragment is already warm.
+        planning probe, not a lookup.  A remote source's ``before_root``
+        hook uses it to skip a root's scatter-gather round entirely when
+        the root fragment is already warm.
         """
         span = current_span()
         if span.recording:

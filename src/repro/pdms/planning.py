@@ -33,7 +33,7 @@ exists in the node table, then the smallest estimated join output per the
 
 Execution
 ---------
-:func:`plan_answer_batches` — the one root loop every plan engine runs —
+:func:`plan_answer_batches` — the one root loop of the plan path —
 evaluates fragments as :class:`~repro.database.columnar.ColumnTable`
 batches, in the caller's thread, against any fact source (upgraded to an
 :class:`~repro.datalog.indexing.IndexedFactSource` so leaf scans probe
@@ -1287,10 +1287,10 @@ class _Degraded(Exception):
 
 class _Evaluation:
     """One answer's evaluation of a plan: the compute-once fragment memo
-    plus everything resolved once at the engine boundary.
+    plus everything resolved once at the call boundary.
 
-    An evaluation belongs to the one thread that drives its answer: the
-    distributed engine's hooks run in that thread, and its scatter threads
+    An evaluation belongs to the one thread that drives its answer: a
+    remote source's hooks run in that thread, and its scatter threads
     only fill the source's scan memo, so the fragment memo is a plain dict.
 
     **Version snapshot.**  A relation's data version is read from the
@@ -1496,7 +1496,7 @@ def plan_answer_batches(
     :meth:`~UnionPlan.factored_root` is evaluated and its distinct rows are
     the only batch.
 
-    This is the one root loop every plan-consuming engine runs, in the
+    This is the one root loop of the plan path, run in the
     calling thread, on :mod:`repro.database.columnar` batches.  A batch is
     whatever iterable of rows the root produced (rows may repeat within
     and across batches); consumers union batches with C-level set
@@ -1521,9 +1521,9 @@ def plan_answer_batches(
     per-call memo, so no work is repeated).
 
     ``before_root`` (optional) is called as ``before_root(evaluation,
-    root_key)`` before each root is evaluated — the hook a distributed
-    engine prefetches the root's scans through; ``after_scan(evaluation)``
-    runs after every scan evaluation performs.
+    root_key)`` before each root is evaluated — the hook a remote source
+    prefetches the root's scans through (its ``answer_hooks()``);
+    ``after_scan(evaluation)`` runs after every scan evaluation performs.
     """
     source = ensure_indexed(as_fact_source(data))
     evaluation = _Evaluation(plan, source, cache, feedback, after_scan)

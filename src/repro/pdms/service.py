@@ -33,8 +33,8 @@ that scenario cheap to serve repeatedly:
   :meth:`answer_batch` shares one federated source and the cache across
   a query mix.  Per-peer data is served through a no-copy
   :class:`~repro.pdms.execution.PeerFactSource`, and compiled union
-  plans for the plan engines (``"columnar"``, ``"distributed"``) are
-  cached alongside reformulations under the same invalidation signals.
+  plans are cached alongside reformulations under the same invalidation
+  signals.
 
 * **Cross-call fragment materialization** — a
   :class:`~repro.pdms.materialization.FragmentCache` (enabled by default,
@@ -83,13 +83,11 @@ from .peer import Peer
 from .execution import (
     PeerFactSource,
     Row,
-    validate_engine,
-    default_engine,
     evaluate_reformulation,
     federate_if_per_peer,
-    get_engine,
     is_per_peer_data,
     stream_answers,
+    uses_oracle,
 )
 from .mappings import StorageDescription
 from .materialization import (
@@ -122,7 +120,7 @@ class ServiceStats:
     misses: int = 0
     invalidations: int = 0
     evictions: int = 0
-    #: Union plans compiled for plan-consuming engines (e.g. ``"columnar"``).
+    #: Union plans compiled (every answer but the oracle's uses one).
     plans_compiled: int = 0
     #: Plans dropped because their reformulation entry was dropped.
     plan_invalidations: int = 0
@@ -192,9 +190,11 @@ class QueryService:
         One service instance serves one configuration — callers comparing
         ablations should run one service per configuration.
     engine:
-        Default execution engine — any registered name
-        (``"backtracking"``, ``"columnar"`` or ``"distributed"`` by
-        default).
+        Default engine name (see :func:`~repro.pdms.execution.uses_oracle`):
+        ``None``, ``"columnar"`` and ``"distributed"`` serve answers from
+        the factored plan over ``data``, ``"backtracking"`` from the
+        per-rewriting oracle, which takes neither the fragment cache nor
+        the feedback log.
     data:
         Stored-relation data: either a single fact source, or a mapping
         from peer name to that peer's :class:`Instance` (kept per peer —
@@ -246,7 +246,7 @@ class QueryService:
         feedback: Optional[QErrorLog] = None,
     ):
         try:
-            engine = validate_engine(engine if engine is not None else default_engine())
+            uses_oracle(engine)  # an unknown name fails here, not per answer
             self._owns_fragment_cache = fragment_cache is None
             if fragment_cache is not None:
                 self._fragments: Optional[FragmentCache] = fragment_cache
@@ -736,14 +736,13 @@ class QueryService:
         self,
         result: ReformulationResult,
         source: FactsLike,
-        engine: str,
         plan: UnionPlan,
         feedback: Optional[QErrorLog],
     ) -> Tuple[Set[Row], float]:
         """One timed, cache-less evaluation of a candidate plan (racing)."""
         started = time.perf_counter()
         rows = evaluate_reformulation(
-            result, source, engine=engine, plan=plan, cache=None, feedback=feedback
+            result, source, plan=plan, cache=None, feedback=feedback
         )
         return rows, time.perf_counter() - started
 
@@ -752,7 +751,6 @@ class QueryService:
         signature: str,
         result: ReformulationResult,
         source: FactsLike,
-        engine: str,
         champion: UnionPlan,
         challenger: UnionPlan,
         feedback: QErrorLog,
@@ -767,11 +765,11 @@ class QueryService:
         """
         with current_span().child("plan.execute", role="champion", racing=True):
             champion_rows, champion_seconds = self._evaluate_candidate(
-                result, source, engine, champion, feedback
+                result, source, champion, feedback
             )
         with current_span().child("plan.execute", role="challenger", racing=True):
             challenger_rows, challenger_seconds = self._evaluate_candidate(
-                result, source, engine, challenger, feedback
+                result, source, challenger, feedback
             )
         with self._mutex:
             feedback.stats.races_run += 1
@@ -816,8 +814,8 @@ class QueryService:
         With ``limit=k`` the evaluation streams: rewritings are pulled
         from the (cached) reformulation one at a time and evaluation
         stops once ``k`` distinct answers are known — a subset of the
-        full answer set.  Plan-consuming engines (``"columnar"``) reuse the
-        compiled union plan cached alongside the reformulation.
+        full answer set.  The plan path reuses the compiled union plan
+        cached alongside the reformulation.
 
         In adaptive mode a full-answer call may additionally *race* the
         cached champion plan against a freshly corrected challenger (see
@@ -837,16 +835,15 @@ class QueryService:
                 engine, source, result, plan, cache, feedback, sig, challenger = (
                     prepared
                 )
+                path = "plan" if plan is not None else "backtracking"
                 if span.recording:
-                    span.set("engine", engine)
+                    span.set("engine", path)
                     if limit is not None:
                         span.set("limit", limit)
                 if challenger is not None and plan is not None and feedback is not None:
-                    rows = self._race(
-                        sig, result, source, engine, plan, challenger, feedback
-                    )
+                    rows = self._race(sig, result, source, plan, challenger, feedback)
                 else:
-                    with span.child("plan.execute", engine=engine):
+                    with span.child("plan.execute", engine=path):
                         rows = evaluate_reformulation(
                             result,
                             source,
@@ -871,6 +868,11 @@ class QueryService:
     ):
         """Resolve engine/data/reformulation/plan/cache for one call.
 
+        The oracle (``"backtracking"``) gets no plan, no fragment cache and
+        no feedback log; every other accepted name gets a plan, and the
+        cache and log whenever the call answers over the service's own
+        data.
+
         Runs entirely under the service mutex so concurrent callers see a
         consistent (source, reformulation, plan) triple; the evaluation
         itself happens outside the lock.  ``whole`` says the call is a
@@ -880,7 +882,8 @@ class QueryService:
         challenger)``; ``challenger`` is non-``None`` only when the
         adaptive loop proposed a plan to race.
         """
-        engine = validate_engine(engine if engine is not None else self._engine)
+        engine = engine if engine is not None else self._engine
+        oracle = uses_oracle(engine)
         with self._mutex:
             source = self._data(data)
             signature, result = self._lookup(canonicalize_query(query))
@@ -891,14 +894,14 @@ class QueryService:
             # cache; the identity checks keep answer_batch's pre-resolved
             # shared source on the cached path.  Feedback follows the same
             # rule: corrections must describe the service's own data.
-            own_data = (
+            own_data = not oracle and (
                 data is None or source is self._flat_data or source is self._combined
             )
             cache = self._fragments if own_data else None
             feedback = self._feedback if own_data else None
             plan = None
             challenger = None
-            if getattr(get_engine(engine), "uses_plans", False):
+            if not oracle:
                 if self._adaptive and feedback is not None:
                     plan, challenger = self._adaptive_plan(
                         signature, result, source, whole

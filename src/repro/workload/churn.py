@@ -21,7 +21,8 @@ Two satellite flavours mirror the two roles a newcomer can play:
 :meth:`ChurnScenario.replay` drives a
 :class:`~repro.pdms.service.QueryService` through it, optionally
 cross-checking every answer against a from-scratch
-:func:`~repro.pdms.execution.answer_query` — the scenario-level oracle
+:func:`~repro.pdms.execution.answer_query` under the ``backtracking``
+oracle — the scenario-level oracle
 the service-layer benchmarks and property tests build on.
 """
 
@@ -163,9 +164,9 @@ class ChurnScenario:
         """Drive ``service`` through the event stream.
 
         With ``verify=True`` every query's answers are compared against a
-        from-scratch :func:`answer_query` on the service's own (mutated)
-        PDMS — the post-churn ground truth; an :class:`AssertionError`
-        reports the first mismatch.
+        from-scratch :func:`answer_query` (the ``backtracking`` oracle) on
+        the service's own (mutated) PDMS — the post-churn ground truth; an
+        :class:`AssertionError` reports the first mismatch.
 
         Satellites still joined when the event stream ends are removed
         again afterwards (not counted as ``leaves``), so the service is
@@ -206,7 +207,9 @@ class ChurnScenario:
                 report.queries += 1
                 report.answers_total += len(answers)
                 if verify:
-                    fresh = answer_query(service.pdms, event.query, data)
+                    fresh = answer_query(
+                        service.pdms, event.query, data, engine="backtracking"
+                    )
                     if limit is None:
                         assert answers == fresh, (
                             f"service/fresh mismatch on {event.query}: "

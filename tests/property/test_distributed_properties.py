@@ -1,17 +1,18 @@
-"""Property tests for the distributed peer runtime (ISSUE 5).
+"""Property tests for the distributed peer runtime.
 
-Two families over random small PDMSs:
+Three families over random small PDMSs:
 
-* **Fault-free equivalence** — the ``"distributed"`` engine (loopback
-  transport) agrees with ``"backtracking"``, ``"columnar"`` and the
-  chase oracle on every query, including under interleaved peer
-  join/leave and data mutation, and always reports ``complete=True``.
+* **Fault-free equivalence** — the plan path over an explicitly built
+  loopback :class:`RemotePeerFactSource` agrees with the in-process plan
+  path, the ``"backtracking"`` oracle and the chase on every query,
+  including under interleaved peer join/leave and data mutation, and
+  always reports ``complete=True``.
 * **Chaos soundness** — with injected peer failures or dropped scan RPCs,
   every distributed answer is a *subset* of the chase oracle's, and
   whenever anything was actually lost the ``completeness`` flag is
   ``False``; restoring the peers restores exact answers (the fragment
   cache never launders a degraded partial into a complete one).
-* **Tail-latency chaos** (ISSUE 9) — under the retry/hedge policy,
+* **Tail-latency chaos** — under the retry/hedge policy,
   transient dropped RPCs are *healed*: answers equal the chase oracle
   exactly and ``complete`` is truthfully re-earned; hedged scans against
   replicated placements stay exact; and an expired deadline budget
@@ -44,11 +45,22 @@ COMMON = dict(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 
-ALL_ENGINES = ("backtracking", "columnar", "distributed")
-
-
 def _oracle(pdms, query, data):
     return certain_answers(pdms, query, combine_peer_instances(data))
+
+
+def _check_over_wire(service, cache, query, data):
+    """Service ≡ backtracking ≡ chase in-process, then the same
+    reformulation over a loopback boundary around the live instances,
+    sharing the service's fragment cache."""
+    _check_three_way(service, query, data)
+    source = RemotePeerFactSource(LoopbackTransport(data))
+    try:
+        answer = evaluate_distributed(service.reformulate(query), source, cache=cache)
+    finally:
+        source.close()
+    assert answer.complete
+    assert answer.rows == frozenset(_oracle(service.pdms, query, data))
 
 
 class TestFaultFreeEquivalence:
@@ -59,8 +71,9 @@ class TestFaultFreeEquivalence:
         transport = LoopbackTransport(data)
         source = RemotePeerFactSource(transport)
         services = {
-            engine: QueryService(pdms, data=data, engine=engine)
-            for engine in ALL_ENGINES
+            "backtracking": QueryService(pdms, data=data, engine="backtracking"),
+            "plan in-process": QueryService(pdms, data=data),
+            "plan over loopback": QueryService(pdms, data=source),
         }
         for query in queries:
             oracle = _oracle(pdms, query, data)
@@ -74,27 +87,26 @@ class TestFaultFreeEquivalence:
            ops=data_mutation_specs(max_ops=2))
     @settings(max_examples=20, **COMMON)
     def test_equivalence_under_interleaved_churn(self, spec, churn, ops):
-        """Distributed service ≡ oracle across join/leave + data mutation."""
+        """Service ≡ oracle ≡ loopback answer across join/leave + data
+        mutation, one fragment cache shared by all of them."""
         pdms, data, queries = build_pdms(spec)
-        service = QueryService(
-            pdms, data=data, engine="distributed",
-            fragment_cache=FragmentCache(max_bytes=1 << 20),
-        )
+        cache = FragmentCache(max_bytes=1 << 20)
+        service = QueryService(pdms, data=data, fragment_cache=cache)
         for query in queries:
-            _check_three_way(service, query, data)
+            _check_over_wire(service, cache, query, data)
         for satellite in churn:
             extra_query = _join_satellite(
                 service, satellite, spec["top_relations"], data)
             for op in ops:
                 _apply_mutation(op, spec, data)
                 for query in queries:
-                    _check_three_way(service, query, data)
+                    _check_over_wire(service, cache, query, data)
             if extra_query is not None:
-                _check_three_way(service, extra_query, data)
+                _check_over_wire(service, cache, extra_query, data)
             service.remove_peer(satellite["peer"])
             data.pop(satellite["peer"], None)
             for query in queries:
-                _check_three_way(service, query, data)
+                _check_over_wire(service, cache, query, data)
 
     @given(spec=pdms_specs())
     @settings(max_examples=15, **COMMON)

@@ -1,12 +1,12 @@
-"""Property tests for the self-tuning loop (ISSUE 7).
+"""Property tests for the self-tuning loop.
 
 Three invariants, over random small PDMSs with random data mutations and
 catalogue churn:
 
 * **Measurement is truthful** — every ``(estimated, actual)`` observation
   a :class:`~repro.database.feedback.QErrorLog` records during plan
-  execution reports the *true* row count of that fragment, under every
-  engine (re-evaluating the fragment from scratch reproduces ``actual``).
+  execution reports the *true* row count of that fragment
+  (re-evaluating the fragment from scratch reproduces ``actual``).
 
 * **Adaptivity is invisible in answers** — a service with
   ``REPRO_ADAPTIVE=1`` (corrections, racing, re-planning all live) stays
@@ -40,34 +40,24 @@ COMMON = dict(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 
-ALL_ENGINES = ("backtracking", "columnar", "distributed")
-
-
 class TestMeasurementTruthfulness:
-    @given(spec=pdms_specs(), engine=st.sampled_from(ALL_ENGINES))
+    @given(spec=pdms_specs())
     @settings(max_examples=25, **COMMON)
-    def test_recorded_actuals_are_true_fragment_counts(self, spec, engine):
+    def test_recorded_actuals_are_true_fragment_counts(self, spec):
         """Re-evaluating any observed fragment reproduces its ``actual``."""
         pdms, data, queries = build_pdms(spec)
         source = PeerFactSource(data)
         for query in queries:
             result = reformulate(pdms, query)
             log = QErrorLog()
-            rows = evaluate_reformulation(
-                result, source, engine=engine, feedback=log)
+            evaluate_reformulation(result, source, feedback=log)
             plan = compile_reformulation(result, source)
             for _ in plan.fragments():
                 pass  # force full compilation so every key resolves ...
             assert plan.factored_root()  # ... a whole answer's unions included
             for obs in log.observations():
-                if obs.key in plan.nodes:
-                    table = _Evaluation(plan, source).table(obs.key)
-                    assert len(table) == obs.actual, (engine, obs.key)
-                else:
-                    # Whole-rewriting observations (per-rewriting engines
-                    # measure at rewriting granularity): bounded by the
-                    # final answer only when the rewriting is the union.
-                    assert obs.actual <= len(rows) or len(log.observations()) > 1
+                table = _Evaluation(plan, source).table(obs.key)
+                assert len(table) == obs.actual, obs.key
 
     @given(spec=pdms_specs(), ops=data_mutation_specs(max_ops=2))
     @settings(max_examples=15, **COMMON)

@@ -14,7 +14,6 @@ plan reused with one cache across data mutations answers warm as cold.
 """
 
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.pdms import (
     FragmentCache,
@@ -36,9 +35,6 @@ COMMON = dict(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 
-ENGINES = ("backtracking", "columnar")
-
-
 def _apply_mutation(op, spec, data):
     """Apply one insert/delete op to the spec'd bottom peer's instance."""
     bottom = spec["bottom"]
@@ -52,14 +48,13 @@ def _apply_mutation(op, spec, data):
 
 
 class TestCachedEqualsFresh:
-    @given(spec=pdms_specs(), ops=data_mutation_specs(),
-           engine=st.sampled_from(ENGINES))
+    @given(spec=pdms_specs(), ops=data_mutation_specs())
     @settings(max_examples=30, **COMMON)
-    def test_interleaved_data_mutation(self, spec, ops, engine):
+    def test_interleaved_data_mutation(self, spec, ops):
         """query → mutate → query, warm cache vs fresh vs oracle throughout."""
         pdms, data, queries = build_pdms(spec)
         service = QueryService(
-            pdms, data=data, engine=engine,
+            pdms, data=data,
             fragment_cache=FragmentCache(max_bytes=1 << 20),
         )
         for query in queries:
@@ -113,10 +108,9 @@ class TestCachedEqualsFresh:
             for query in queries:
                 _check_three_way(service, query, data)
 
-    @given(spec=pdms_specs(), ops=data_mutation_specs(),
-           engine=st.sampled_from(ENGINES))
+    @given(spec=pdms_specs(), ops=data_mutation_specs())
     @settings(max_examples=15, **COMMON)
-    def test_services_sharing_one_cache_stay_exact(self, spec, ops, engine):
+    def test_services_sharing_one_cache_stay_exact(self, spec, ops):
         """Two services over the same data and a third over a private copy
         share one cache; the copy diverges under the mutations, and every
         service keeps answering from its own data."""
@@ -124,11 +118,10 @@ class TestCachedEqualsFresh:
         copied = {peer: instance.copy() for peer, instance in data.items()}
         shared = FragmentCache(max_bytes=1 << 20)
         same_data = [
-            QueryService(pdms, data=data, engine=engine, fragment_cache=shared)
+            QueryService(pdms, data=data, fragment_cache=shared)
             for _ in range(2)
         ]
-        on_copy = QueryService(
-            pdms, data=copied, engine=engine, fragment_cache=shared)
+        on_copy = QueryService(pdms, data=copied, fragment_cache=shared)
         for op in [None, *ops]:
             if op is not None:
                 _apply_mutation(op, spec, data)

@@ -5,7 +5,7 @@ the backtracking evaluator in :mod:`repro.datalog.evaluation` and the
 union-plan compile of :mod:`repro.pdms.planning`, evaluated on the
 :mod:`repro.database.columnar` kernels.  On every randomly generated query
 and instance they must return exactly the same answer set; the same must
-hold end to end for reformulated PDMS queries on every registered engine.
+hold end to end for reformulated PDMS queries under every engine name.
 """
 
 from types import SimpleNamespace
@@ -20,7 +20,6 @@ from repro.pdms import (
     evaluate_plan,
     evaluate_reformulation,
     reformulate,
-    registered_engines,
     stream_answers,
     stream_plan_answers,
 )
@@ -75,6 +74,6 @@ class TestPlanExecutorAgreement:
         data = populate_workload(workload, rows_per_relation=5, domain_size=3)
         result = reformulate(workload.pdms, workload.query)
         backtracking = evaluate_reformulation(result, data, engine="backtracking")
-        for engine in registered_engines():
+        for engine in (None, "columnar", "distributed"):
             assert evaluate_reformulation(result, data, engine=engine) == backtracking
             assert set(stream_answers(result, data, engine=engine)) == backtracking

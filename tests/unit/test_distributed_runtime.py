@@ -1,10 +1,10 @@
-"""Unit tests for the distributed peer runtime (ISSUE 5).
+"""Unit tests for the distributed peer runtime.
 
 Covers the wire contract (pattern encoding, one contract suite over the
 loopback and socket backends, chaos hooks), :class:`RemotePeerFactSource` (routing, scan
-memoization, version tokens over the wire, degradation), the
-``"distributed"`` engine (registry, equivalence, completeness, fragment-
-cache safety under faults), :class:`ServiceCluster` (admission,
+memoization, version tokens over the wire, degradation), the plan path
+over an explicitly built remote source (equivalence, completeness,
+fragment-cache safety under faults), :class:`ServiceCluster` (admission,
 concurrent fan-in), and the RPC-boundary edge cases the peer source must
 survive: cross-transport arity clashes, empty-peer scans, and peer leave
 mid-stream.
@@ -39,9 +39,8 @@ from repro.pdms import (
     certain_answers,
     combine_peer_instances,
     evaluate_distributed,
-    get_engine,
     reformulate,
-    registered_engines,
+    stream_answers,
 )
 from repro.pdms.distributed.transport import decode_pattern, encode_pattern
 from repro.workload import (
@@ -353,26 +352,40 @@ class TestRemotePeerFactSource:
 
 
 class TestDistributedEngine:
-    def test_registered_fourth(self):
-        assert "distributed" in registered_engines()
-        assert getattr(get_engine("distributed"), "uses_plans", False)
+    """The plan path over a remote source built explicitly: where the scans
+    run is the source's choice, not the engine name's."""
+
+    def test_distributed_name_over_instances_evaluates_in_process(self, monkeypatch):
+        pdms, data, query = two_peer_system()
+
+        def no_wire(*args, **kwargs):
+            raise AssertionError("in-process data must not cross a transport")
+
+        monkeypatch.setattr(LoopbackTransport, "__init__", no_wire)
+        assert answer_query(pdms, query, data, engine="distributed") == \
+            answer_query(pdms, query, data, engine="columnar")
 
     def test_matches_other_engines_on_the_scenario(self):
         pdms = build_emergency_services()
         data = sample_peer_instances()
         combined = combine_peer_instances(data)
-        for name, query in example_queries().items():
-            expected = answer_query(pdms, query, combined, engine="backtracking")
-            assert answer_query(
-                pdms, query, data, engine="distributed"
-            ) == expected, name
+        source = RemotePeerFactSource(LoopbackTransport(data))
+        try:
+            for name, query in example_queries().items():
+                expected = answer_query(pdms, query, combined, engine="backtracking")
+                assert answer_query(pdms, query, source) == expected, name
+            assert source.scatter_stats()["fanout_waves"] > 0
+        finally:
+            source.close()
 
     def test_limit_streams_a_subset(self):
         pdms, data, query = two_peer_system()
-        full = answer_query(pdms, query, data, engine="distributed")
+        source = RemotePeerFactSource(LoopbackTransport(data))
+        full = answer_query(pdms, query, source)
         assert len(full) >= 2
-        partial = answer_query(pdms, query, data, engine="distributed", limit=1)
+        partial = answer_query(pdms, query, source, limit=1)
         assert len(partial) == 1 and partial <= full
+        source.close()
 
     def test_plan_for_wrong_result_raises(self):
         pdms, data, query = two_peer_system()
@@ -381,14 +394,16 @@ class TestDistributedEngine:
         from repro.pdms.planning import ensure_plan
 
         plan = ensure_plan(first, None)
-        engine = get_engine("distributed")
+        source = RemotePeerFactSource(LoopbackTransport(data))
+        # At call time, not on first iteration.
         with pytest.raises(EvaluationError):
-            engine.stream(second, data, plan=plan)
+            stream_answers(second, source, plan=plan)
+        source.close()
 
     def test_knobs_are_read_once_per_call_not_once_per_rewriting(self, monkeypatch):
-        """The transport (``REPRO_TRANSPORT``), like every other knob, is
-        resolved at the engine boundary: a union of 12 rewritings reads the
-        environment exactly as often as a union of 2."""
+        """Every knob is resolved at the call boundary: a union of 12
+        rewritings over a remote source reads the environment exactly as
+        often as a union of 2."""
         import os
 
         def fan_out(width):
@@ -422,11 +437,11 @@ class TestDistributedEngine:
             with monkeypatch.context() as patch:
                 patch.setattr(environ, "__getitem__", counting)
                 del reads[:]
-                rows = set(get_engine("distributed").stream(
-                    result, PeerFactSource(data)))
+                source = RemotePeerFactSource(LoopbackTransport(data))
+                rows = set(stream_answers(result, source))
                 counts[width] = sorted(reads)
+            source.close()
             assert len(rows) == width
-        assert "REPRO_TRANSPORT" in counts[2]
         assert counts[2] == counts[12]
 
     def test_flat_source_falls_back_to_columnar_path(self):
@@ -452,11 +467,12 @@ class TestDistributedEngine:
         recovered = evaluate_distributed(reformulate(pdms, query), source)
         assert recovered.complete and recovered.rows == frozenset(oracle)
 
-    def test_evaluate_distributed_rejects_flat_sources(self):
+    def test_evaluate_distributed_rejects_in_process_data(self):
         pdms, data, query = two_peer_system()
         result = reformulate(pdms, query)
-        with pytest.raises(EvaluationError):
-            evaluate_distributed(result, combine_peer_instances(data))
+        for local in (combine_peer_instances(data), data, PeerFactSource(data)):
+            with pytest.raises(EvaluationError):
+                evaluate_distributed(result, local)
 
     def test_fragment_cache_never_serves_degraded_fragments(self):
         """A fault-free call after a faulty one must not see cached partials."""

@@ -89,7 +89,7 @@ class TestCacheBasics:
                 service.pdms, query, Instance.from_dict({
                     "stored_s": [(1, 2), (2, 3), (3, 4)],
                     "stored_t": [(9, 9)],
-                }))
+                }), engine="backtracking")
 
     def test_lru_eviction_respects_max_entries(self):
         pdms = _service().pdms

@@ -2,10 +2,10 @@
 
 Covers stable cross-process routing hashes, the hash/range partition
 schemes, :class:`ShardMap` registration and the pruning rule,
-:func:`auto_shard` splitting (including its version-keyed memo), routed
-inserts, the ``REPRO_SHARDS`` knob, and the sharded scatter path end to
-end (per-shard scan counters, pruned-vs-fanout accounting, cluster
-describe/insert, two clusters sharing one :class:`FragmentCache`).
+:func:`auto_shard` splitting, routed inserts, and the sharded scatter
+path end to end (per-shard scan counters, pruned-vs-fanout accounting,
+answers over an explicitly sharded source, cluster describe/insert, two
+clusters sharing one :class:`FragmentCache`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro import config
 from repro.database import Instance
 from repro.datalog import parse_query
 from repro.datalog.indexing import WILDCARD
-from repro.errors import EvaluationError, PDMSConfigurationError
+from repro.errors import PDMSConfigurationError
 from repro.pdms import (
     DEFAULT_CONFIG,
     PDMS,
@@ -187,16 +187,16 @@ class TestAutoShard:
             owner = f"P#{part.shard_of(i)}"
             assert (i, "v") in workers[owner].get_tuples("R")
 
-    def test_split_is_memoized_until_data_moves(self):
+    def test_a_split_copies_the_data_of_its_call(self):
         inst = Instance.from_dict({"R": {(1, 2)}})
         _, first = auto_shard({"P": inst}, 2)
-        _, second = auto_shard({"P": inst}, 2)
-        assert all(first[name] is second[name] for name in first)
         inst.add("R", (9, 9))
-        _, third = auto_shard({"P": inst}, 2)
-        assert any(first[name] is not third[name] for name in first)
+        _, second = auto_shard({"P": inst}, 2)
+        assert (9, 9) not in set().union(
+            *(set(w.get_tuples("R")) for w in first.values())
+        )
         assert (9, 9) in set().union(
-            *(set(w.get_tuples("R")) for w in third.values())
+            *(set(w.get_tuples("R")) for w in second.values())
         )
 
     def test_shard_count_change_resplits(self):
@@ -240,20 +240,6 @@ class TestInsertRouted:
 # ---------------------------------------------------------------------------
 
 class TestShardingKnobs:
-    def test_shards_default_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        assert config.shards() == 0
-
-    def test_shards_parses_and_fails_fast(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "4")
-        assert config.shards() == 4
-        monkeypatch.setenv("REPRO_SHARDS", "banana")
-        with pytest.raises(EvaluationError):
-            config.shards()
-        monkeypatch.setenv("REPRO_SHARDS", "-1")
-        with pytest.raises(EvaluationError):
-            config.shards()
-
     def test_max_inflight_alias_still_importable(self):
         from repro.pdms.distributed import max_inflight_from_env
 
@@ -338,24 +324,34 @@ def single_relation_pdms():
     return pdms
 
 
+def sharded_source(data, shards=4):
+    """A remote source over ``data`` split once across ``shards`` workers."""
+    shard_map, workers = auto_shard(data, shards)
+    return RemotePeerFactSource(LoopbackTransport(workers), shard_map=shard_map)
+
+
 class TestShardedEngine:
-    def test_repro_shards_answers_match_unsharded(self, monkeypatch):
+    def test_sharded_answers_match_unsharded(self):
         pdms = single_relation_pdms()
         data = {"P": Instance.from_dict({"sr": {(i, i % 5) for i in range(30)}})}
         query = parse_query("Q(x, y) :- T:R(x, y)")
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        plain = answer_query(pdms, query, data, engine="distributed")
-        monkeypatch.setenv("REPRO_SHARDS", "4")
-        sharded = answer_query(pdms, query, data, engine="distributed")
+        plain = answer_query(pdms, query, data, engine="backtracking")
+        source = sharded_source(data)
+        sharded = answer_query(pdms, query, source)
         assert set(sharded) == set(plain)
+        assert source.scatter_stats()["fanout_scans"] >= 1
+        source.close()
 
-    def test_point_query_is_pruned_under_repro_shards(self, monkeypatch):
+    def test_point_query_is_pruned_on_a_sharded_source(self):
         pdms = single_relation_pdms()
         data = {"P": Instance.from_dict({"sr": {(i, i % 5) for i in range(30)}})}
         query = parse_query("Q(y) :- T:R(3, y)")
-        monkeypatch.setenv("REPRO_SHARDS", "4")
-        rows = answer_query(pdms, query, data, engine="distributed")
+        source = sharded_source(data)
+        rows = answer_query(pdms, query, source)
         assert set(rows) == {(3,)}
+        stats = source.scatter_stats()
+        assert stats["pruned_waves"] == 1 and stats["fanout_waves"] == 0
+        source.close()
 
 
 class TestShardedCluster:
@@ -410,6 +406,7 @@ class TestShardedCluster:
 
     @pytest.mark.parametrize("setting", [
         {"config": DEFAULT_CONFIG},
+        {"engine": "columnar"},
         {"fragment_cache_bytes": 0},
         {"fragment_cache": FragmentCache()},
         {"scan_policy": ScanPolicy()},

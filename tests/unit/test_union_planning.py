@@ -1,13 +1,14 @@
-"""Unit tests for the shared union-plan IR, the engine registry, and the
-federated :class:`PeerFactSource` (ISSUE 3).
+"""Unit tests for the shared union-plan IR, the engine names, and the
+federated :class:`PeerFactSource`.
 
 Covers, per layer:
 
 * ``repro.pdms.planning`` — hash-consed fragment sharing, incremental
   compilation, answers equal to the other engines', the per-answer
   fragment memo, the batch helpers and the fragment footprints;
-* ``repro.pdms.execution`` — engine registry semantics and dynamic error
-  messages, federated probe routing and the arity-clash check, the
+* ``repro.pdms.execution`` — how ``engine=`` names resolve (plan path by
+  default, the oracle by name, anything else refused), federated probe
+  routing and the arity-clash check, the
   per-batch canonical-signature cache of ``answer_query_batch``;
 * ``repro.database.planner`` — the cardinality cost model.
 """
@@ -24,19 +25,16 @@ from repro.pdms import (
     PDMS,
     DefinitionalMapping,
     PeerFactSource,
-    PerRewritingEngine,
     StorageDescription,
     answer_query,
     answer_query_batch,
     compile_reformulation,
     evaluate_plan,
     evaluate_reformulation,
-    get_engine,
+    evaluate_rewritings,
     reformulate,
-    register_engine,
-    registered_engines,
+    stream_answers,
     stream_plan_answers,
-    validate_engine,
 )
 from repro.pdms import FragmentCache
 from repro.pdms import execution as execution_module
@@ -171,39 +169,59 @@ class TestUnionPlanSharing:
         assert evaluate_reformulation(result, data, engine="columnar") == expected
 
 
-class TestEngineRegistry:
-    def test_default_engines_registered_in_order(self):
-        assert registered_engines()[:2] == ("backtracking", "columnar")
-
-    def test_validate_engine_message_enumerates_dynamically(self):
-        with pytest.raises(EvaluationError) as excinfo:
-            validate_engine("warp-drive")
-        message = str(excinfo.value)
-        for name in registered_engines():
-            assert name in message
-
-    def test_default_engine_misconfiguration_fails_fast(self, monkeypatch):
-        from repro.pdms import default_engine
-
-        monkeypatch.setenv("REPRO_DEFAULT_ENGINE", "warp-drive")
-        with pytest.raises(EvaluationError) as excinfo:
-            default_engine()
-        message = str(excinfo.value)
-        assert "REPRO_DEFAULT_ENGINE" in message
-        for name in registered_engines():
-            assert name in message
-
-    @pytest.mark.parametrize("deleted", ["plan", "shared"])
-    def test_deleted_engines_fail_fast_listing_the_live_ones(
-        self, monkeypatch, deleted
+class TestEngineNames:
+    @pytest.mark.parametrize("name", ["warp-drive", "plan", "shared"])
+    def test_unknown_name_fails_fast_naming_the_three_accepted(
+        self, two_peer_pdms, name
     ):
-        from repro.pdms import default_engine
+        """Deleted engines (``plan``, ``shared``) are unknown names too."""
+        query = parse_query("Q(x) :- A:R(x, y)")
+        result = reformulate(two_peer_pdms, query)
+        data = {"stored_s": [(1, 2)]}
+        for call in (
+            lambda: answer_query(two_peer_pdms, query, data, engine=name),
+            lambda: evaluate_reformulation(result, data, engine=name),
+            lambda: stream_answers(result, data, engine=name),
+        ):
+            with pytest.raises(EvaluationError) as excinfo:
+                call()
+            message = str(excinfo.value)
+            for accepted in ("columnar", "distributed", "backtracking"):
+                assert repr(accepted) in message
 
-        monkeypatch.setenv("REPRO_DEFAULT_ENGINE", deleted)
-        with pytest.raises(EvaluationError) as excinfo:
-            default_engine()
-        listed = str(excinfo.value).rpartition("registered engines: ")[2]
-        assert listed == "backtracking, columnar, distributed"
+    def test_default_is_the_plan_path_and_backtracking_the_oracle(
+        self, two_peer_pdms, monkeypatch
+    ):
+        calls = []
+        original = execution_module.evaluate_query
+
+        def counting(query, data):
+            calls.append(query)
+            return original(query, data)
+
+        monkeypatch.setattr(execution_module, "evaluate_query", counting)
+        query = parse_query("Q(x) :- A:R(x, y)")
+        data = {"stored_s": [(1, 2), (3, 4)]}
+        for name in (None, "columnar", "distributed"):
+            assert answer_query(two_peer_pdms, query, data, engine=name) == {
+                (1,), (3,)}
+        assert calls == []
+        assert answer_query(
+            two_peer_pdms, query, data, engine="backtracking") == {(1,), (3,)}
+        assert calls
+        assert evaluate_rewritings(reformulate(two_peer_pdms, query), data) == {
+            (1,), (3,)}
+
+    def test_oracle_refuses_a_cache_and_a_feedback_log(self, two_peer_pdms):
+        from repro.database.feedback import QErrorLog
+
+        result = reformulate(two_peer_pdms, parse_query("Q(x) :- A:R(x, y)"))
+        data = {"stored_s": [(1, 2)]}
+        for memory in ({"cache": FragmentCache()}, {"feedback": QErrorLog()}):
+            with pytest.raises(EvaluationError, match="oracle"):
+                evaluate_reformulation(result, data, engine="backtracking", **memory)
+            # The plan path takes both.
+            assert evaluate_reformulation(result, data, **memory) == {(1,)}
 
     def test_evaluate_plan_rejects_the_row_representation(self, fan_out_pdms):
         plan = compile_reformulation(
@@ -211,36 +229,6 @@ class TestEngineRegistry:
         with pytest.raises(EvaluationError, match="columnar=False"):
             evaluate_plan(plan, fan_out_data(), columnar=False)
         assert evaluate_plan(plan, fan_out_data(), columnar=True)
-
-    def test_register_rejects_taken_name_unless_replaced(self):
-        engine = get_engine("backtracking")
-        with pytest.raises(EvaluationError):
-            register_engine(PerRewritingEngine("backtracking", lambda q, d: set()))
-        # Restore the original under replace=True (also exercises replace).
-        assert register_engine(engine, replace=True) is engine
-        assert get_engine("backtracking") is engine
-
-    def test_custom_engine_round_trip(self, two_peer_pdms):
-        calls = []
-
-        def noisy(query, data):
-            calls.append(query)
-            from repro.datalog.evaluation import evaluate_query
-
-            return evaluate_query(query, data)
-
-        name = "test-noisy"
-        register_engine(PerRewritingEngine(name, noisy), replace=True)
-        try:
-            answers = answer_query(
-                two_peer_pdms, parse_query("Q(x) :- A:R(x, y)"),
-                {"stored_s": [(1, 2)]}, engine=name)
-            assert answers == {(1,)}
-            assert calls
-            assert name in registered_engines()
-        finally:
-            execution_module._ENGINE_REGISTRY.pop(name, None)
-            execution_module.ENGINES = tuple(execution_module._ENGINE_REGISTRY)
 
 
 class TestPeerFactSource:
@@ -351,7 +339,7 @@ class TestPeerFactSource:
     def test_answer_query_federates_per_peer_data(self, two_peer_pdms):
         per_peer = {"B": Instance.from_dict({"stored_s": [(1, 2), (2, 3)]})}
         query = parse_query("Q(x, y) :- A:R(x, y)")
-        for engine in registered_engines()[:3]:
+        for engine in ("backtracking", "columnar", "distributed"):
             assert answer_query(two_peer_pdms, query, per_peer, engine=engine) == {
                 (1, 2), (2, 3)}
 
