@@ -10,7 +10,8 @@ names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from ..database.schema import RelationSchema
@@ -74,6 +75,9 @@ class Peer:
         self.name = name
         self._peer_relations: Dict[str, RelationSchema] = {}
         self._stored_relations: Dict[str, StoredRelation] = {}
+        #: Weak reference to the PDMS the peer is registered with, which
+        #: counts the stored relations declared here.
+        self._registry: Optional[weakref.ref] = None
 
     # -- peer relations ----------------------------------------------------------
 
@@ -118,7 +122,20 @@ class Peer:
     def add_stored_relation(
         self, name: str, attributes: Sequence[str]
     ) -> StoredRelation:
-        """Declare a stored relation contributed by this peer."""
+        """Declare a stored relation contributed by this peer (a registered
+        peer reports it to its PDMS)."""
+        stored = self._store(name, attributes)
+        self._report(name, True)
+        return stored
+
+    def remove_stored_relation(self, name: str) -> StoredRelation:
+        """Undeclare a stored relation (a registered peer reports it to its
+        PDMS)."""
+        stored = self._unstore(name)
+        self._report(name, False)
+        return stored
+
+    def _store(self, name: str, attributes: Sequence[str]) -> StoredRelation:
         if name in self._stored_relations:
             raise PDMSConfigurationError(
                 f"peer {self.name} already stores relation {name!r}"
@@ -131,14 +148,19 @@ class Peer:
         self._stored_relations[name] = stored
         return stored
 
-    def remove_stored_relation(self, name: str) -> StoredRelation:
-        """Undeclare a stored relation (e.g. when its last description goes)."""
+    def _unstore(self, name: str) -> StoredRelation:
         try:
             return self._stored_relations.pop(name)
         except KeyError as exc:
             raise PDMSConfigurationError(
                 f"peer {self.name} stores no relation {name!r}"
             ) from exc
+
+    def _report(self, name: str, declared: bool) -> None:
+        """Tell the PDMS this peer is registered with, if it still exists."""
+        pdms = self._registry() if self._registry is not None else None
+        if pdms is not None:
+            pdms._peer_declared(self.name, name, declared)
 
     def stored_relations(self) -> Tuple[StoredRelation, ...]:
         """All stored relations contributed by this peer."""

@@ -19,7 +19,8 @@ predicates of their right-hand sides (for LAV-style *inclusion expansion*).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..datalog.atoms import Atom
@@ -48,7 +49,7 @@ def _renamed_query(query: ConjunctiveQuery, predicate: str) -> ConjunctiveQuery:
 
 @dataclass(frozen=True)
 class CatalogueChange:
-    """One catalogue mutation, as recorded in the PDMS change log.
+    """One catalogue mutation, as reported from the PDMS change log.
 
     ``affected_predicates`` over-approximates the predicates whose
     reformulation behaviour may differ after the change: goal nodes over
@@ -67,6 +68,28 @@ class CatalogueChange:
     #: history has been pruned from the bounded log: the caller cannot
     #: invalidate selectively and must treat *everything* as affected.
     full: bool = False
+
+
+def _directions(mapping: AnyPeerMapping) -> Tuple[InclusionMapping, ...]:
+    """The inclusions a mapping stands for: itself, an equality's two
+    directions, none for a definitional mapping."""
+    if isinstance(mapping, InclusionMapping):
+        return (mapping,)
+    if isinstance(mapping, EqualityMapping):
+        return mapping.as_inclusions()
+    return ()
+
+
+def _synthetic_predicate(inclusion: InclusionMapping) -> str:
+    """The fresh predicate ``V`` normalising a non-atomic left-hand side
+    introduces."""
+    return f"__ppl_{inclusion.name}"
+
+
+def _as_change(record: tuple) -> CatalogueChange:
+    """The :class:`CatalogueChange` of one change-log record."""
+    version, kind, affected, removed = record
+    return CatalogueChange(version, kind, frozenset(affected), frozenset(removed))
 
 
 #: Retained change-log length; older entries are pruned and reads that
@@ -128,6 +151,15 @@ class NormalizedInclusion:
             # A frozen dataclass only blocks ``__setattr__``.
             predicates = self.__dict__["_body_predicates"] = self.view.definition.predicates()
         return predicates
+
+    def with_stored(self, stored: bool) -> "NormalizedInclusion":
+        """This entry with its ``stored`` flag set to ``stored`` (what it
+        prepared so far carries over)."""
+        flipped = NormalizedInclusion(self.view, self.origin, stored)
+        flipped.__dict__.update(
+            (key, value) for key, value in self.__dict__.items() if key.startswith("_")
+        )
+        return flipped
 
     def prepared_view(self) -> PreparedView:
         """The view renamed apart for MCD formation (prepared once).
@@ -253,64 +285,125 @@ class _DerivedState:
         return _DerivedState()
 
 
-@dataclass
 class NormalizedCatalogue:
-    """The complete normalised PPL catalogue of a PDMS."""
+    """The complete normalised PPL catalogue of a PDMS.
 
-    rules: List[NormalizedRule] = field(default_factory=list)
-    inclusions: List[NormalizedInclusion] = field(default_factory=list)
-    stored_relations: frozenset = frozenset()
-    rules_by_head: Dict[str, Tuple[NormalizedRule, ...]] = field(default_factory=dict)
-    inclusions_by_body_predicate: Dict[str, Tuple[NormalizedInclusion, ...]] = field(
-        default_factory=dict
-    )
-    _derived: _DerivedState = field(
-        default_factory=_DerivedState, init=False, repr=False, compare=False
-    )
+    Entries are held per origin, origins in the order they were added, and
+    indexed by predicate: definitional rules by head, inclusions by the
+    predicates of their right-hand sides.  Every mutation touches only the
+    origins and predicates it names, and an index tuple lists its entries
+    in the order their origins were added, whatever was removed between.
+    """
 
-    def index(self) -> None:
-        """(Re)build the by-predicate indexes."""
-        rules_by_head: Dict[str, List[NormalizedRule]] = {}
-        for rule in self.rules:
-            rules_by_head.setdefault(rule.head_predicate, []).append(rule)
-        by_body_predicate: Dict[str, List[NormalizedInclusion]] = {}
-        for inclusion in self.inclusions:
-            for predicate in inclusion.body_predicates():
-                by_body_predicate.setdefault(predicate, []).append(inclusion)
-        self.rules_by_head = {p: tuple(rs) for p, rs in rules_by_head.items()}
-        self.inclusions_by_body_predicate = {
-            p: tuple(entries) for p, entries in by_body_predicate.items()
-        }
+    def __init__(
+        self,
+        rules: Iterable[NormalizedRule] = (),
+        inclusions: Iterable[NormalizedInclusion] = (),
+        stored_relations: Iterable[str] = frozenset(),
+    ) -> None:
+        self.stored_relations = frozenset(stored_relations)
+        self.rules_by_head: Dict[str, Tuple[NormalizedRule, ...]] = {}
+        self.inclusions_by_body_predicate: Dict[str, Tuple[NormalizedInclusion, ...]] = {}
+        #: origin -> (its rules, its inclusions).
+        self._by_origin: Dict[str, Tuple[tuple, tuple]] = {}
         self._derived = _DerivedState()
+        self._insert(rules, inclusions)
+
+    @property
+    def rules(self) -> List[NormalizedRule]:
+        """Every definitional rule, grouped by origin."""
+        return [rule for rules, _ in self._by_origin.values() for rule in rules]
+
+    @property
+    def inclusions(self) -> List[NormalizedInclusion]:
+        """Every inclusion description, grouped by origin."""
+        return [
+            inclusion for _, inclusions in self._by_origin.values() for inclusion in inclusions
+        ]
+
+    def _insert(
+        self, rules: Iterable[NormalizedRule], inclusions: Iterable[NormalizedInclusion]
+    ) -> None:
+        by_origin = self._by_origin
+        for rule in rules:
+            own_rules, own_inclusions = by_origin.get(rule.origin, ((), ()))
+            by_origin[rule.origin] = (own_rules + (rule,), own_inclusions)
+            head = rule.head_predicate
+            self.rules_by_head[head] = self.rules_by_head.get(head, ()) + (rule,)
+        index = self.inclusions_by_body_predicate
+        for inclusion in inclusions:
+            own_rules, own_inclusions = by_origin.get(inclusion.origin, ((), ()))
+            by_origin[inclusion.origin] = (own_rules, own_inclusions + (inclusion,))
+            for predicate in inclusion.body_predicates():
+                index[predicate] = index.get(predicate, ()) + (inclusion,)
 
     def add_entries(
         self,
         rules: Iterable[NormalizedRule] = (),
         inclusions: Iterable[NormalizedInclusion] = (),
-        stored: Iterable[str] = (),
     ) -> None:
         """Append entries and update the indexes in place (incremental add)."""
-        rules, inclusions, stored = list(rules), list(inclusions), frozenset(stored)
-        for rule in rules:
-            self.rules.append(rule)
-            head = rule.head_predicate
-            self.rules_by_head[head] = self.rules_by_head.get(head, ()) + (rule,)
-        for inclusion in inclusions:
-            self.inclusions.append(inclusion)
-            index = self.inclusions_by_body_predicate
-            for predicate in inclusion.body_predicates():
-                index[predicate] = index.get(predicate, ()) + (inclusion,)
-        if stored:
-            self.stored_relations = self.stored_relations | stored
+        rules, inclusions = list(rules), list(inclusions)
+        self._insert(rules, inclusions)
         # Last, so state derived while the entries were changing is dropped too.
-        self._derived = self._derived.after_adding(rules, inclusions, stored)
+        self._derived = self._derived.after_adding(rules, inclusions, frozenset())
 
-    def remove_origins(self, origins: frozenset, stored: frozenset) -> None:
-        """Drop every entry whose origin is in ``origins``; reset stored set."""
-        self.rules = [r for r in self.rules if r.origin not in origins]
-        self.inclusions = [i for i in self.inclusions if i.origin not in origins]
-        self.stored_relations = stored
-        self.index()
+    def remove_origins(self, origins: Iterable[str]) -> None:
+        """Drop every entry whose origin is in ``origins``.
+
+        Only the index tuples of the dropped entries' predicates are
+        rebuilt; each keeps its surviving entries in their order.
+        """
+        gone = frozenset(origins)
+        heads: set = set()
+        bodies: set = set()
+        for origin in gone:
+            rules, inclusions = self._by_origin.pop(origin, ((), ()))
+            heads.update(rule.head_predicate for rule in rules)
+            for inclusion in inclusions:
+                bodies.update(inclusion.body_predicates())
+        for index, predicates in (
+            (self.rules_by_head, heads), (self.inclusions_by_body_predicate, bodies)
+        ):
+            for predicate in predicates:
+                kept = tuple(entry for entry in index[predicate] if entry.origin not in gone)
+                if kept:
+                    index[predicate] = kept
+                else:
+                    del index[predicate]
+        self._derived = _DerivedState()
+
+    def mark_stored(
+        self, predicates: Iterable[str], stored: bool, origins_by_head: Dict[str, Iterable[str]]
+    ) -> None:
+        """Add ``predicates`` to the stored relations (``stored``) or take
+        them out, and flip the ``stored`` flag of the single-atom
+        inclusions headed by one of them: ``origins_by_head`` names their
+        origins.  A flipped entry is a new object in the old one's place.
+        """
+        predicates = frozenset(predicates)
+        flipped: Dict[int, NormalizedInclusion] = {}
+        for predicate in predicates:
+            for origin in origins_by_head.get(predicate, ()):
+                rules, inclusions = self._by_origin[origin]
+                replaced = []
+                for inclusion in inclusions:
+                    if inclusion.head_predicate == predicate and inclusion.stored != stored:
+                        flipped[id(inclusion)] = inclusion.with_stored(stored)
+                    replaced.append(flipped.get(id(inclusion), inclusion))
+                self._by_origin[origin] = (rules, tuple(replaced))
+        index = self.inclusions_by_body_predicate
+        for inclusion in flipped.values():
+            for predicate in inclusion.body_predicates():
+                index[predicate] = tuple(
+                    flipped.get(id(entry), entry) for entry in index[predicate]
+                )
+        if stored:
+            self.stored_relations = self.stored_relations | predicates
+            self._derived = self._derived.after_adding([], [], predicates)
+        else:
+            self.stored_relations = self.stored_relations - predicates
+            self._derived = _DerivedState()
 
     def definitional_for(self, predicate: str) -> Tuple[NormalizedRule, ...]:
         """Definitional rules whose head is ``predicate``."""
@@ -378,32 +471,48 @@ class PDMS:
     The methods mirror Section 2's formal definition: a PDMS is a set of
     peers with schemas, stored relations at each peer, peer mappings
     ``L_N``, and storage descriptions ``D_N``.
+
+    Every mutation costs what it touches: the indexes below are filled
+    when a peer, description or mapping is added, so no mutation scans
+    the peers or the descriptions, and once :meth:`catalogue` has been
+    built it is maintained in place and never rebuilt.
     """
 
     def __init__(self, name: str = "pdms"):
         self.name = name
         self._peers: Dict[str, Peer] = {}
-        self._storage_descriptions: List[StorageDescription] = []
-        self._peer_mappings: List[AnyPeerMapping] = []
+        #: Descriptions and mappings by name, in the order they were added.
+        #: Names double as catalogue *origins* (provenance, no-reuse rule,
+        #: removal by origin), so they are unique across both.
+        self._storage_descriptions: Dict[str, StorageDescription] = {}
+        self._peer_mappings: Dict[str, AnyPeerMapping] = {}
+        #: origin -> (the peers whose removal removes it, the predicates its
+        #: removal affects, the heads of its single-atom inclusions).
+        self._footprints: Dict[str, Tuple[tuple, tuple, tuple]] = {}
+        #: peer -> the origins that reference it, in the order they were added.
+        self._referencing: Dict[str, Dict[str, None]] = {}
+        #: stored relation -> the number of registered peers declaring it.
+        self._stored: Dict[str, int] = {}
+        #: predicate -> the mappings with a single-atom inclusion headed by
+        #: it: the entries whose ``stored`` flag flips with the predicate.
+        self._heads: Dict[str, Dict[str, None]] = {}
+        #: Stored relations declared implicitly by add_storage_description,
+        #: as (peer, relation) -> the number of descriptions defining it:
+        #: undeclared again when the last one goes, unlike explicitly
+        #: declared stored relations.
+        self._auto_declared: Dict[Tuple[str, str], int] = {}
         self._catalogue: Optional[NormalizedCatalogue] = None
         self._version: int = 0
-        self._changes: List[CatalogueChange] = []
-        #: Description/mapping names in use.  Names double as catalogue
-        #: *origins* (provenance, no-reuse rule, removal by origin), so
-        #: they must be unique across mappings and storage descriptions.
-        self._origins: set = set()
-        #: Stored relations declared implicitly by add_storage_description,
-        #: as (peer, relation) — removed again when their last description
-        #: disappears, unlike explicitly declared stored relations.
-        self._auto_declared: set = set()
+        #: (version, kind, affected predicates, removed origins) per change;
+        #: tuples of strings, which the cyclic collector stops tracking.
+        self._changes: List[tuple] = []
 
     def _claim_origin(self, name: str) -> None:
-        if name in self._origins:
+        if name in self._peer_mappings or name in self._storage_descriptions:
             raise MappingError(
                 f"description name {name!r} is already in use; names are "
                 f"catalogue origins and must be unique"
             )
-        self._origins.add(name)
 
     # -- versioning ----------------------------------------------------------------
 
@@ -423,32 +532,60 @@ class PDMS:
         """
         if version >= self._version or not self._changes:
             return ()
-        first_retained = self._changes[0].version
+        first_retained = self._changes[0][0]
         if version < first_retained - 1:
             return (
                 CatalogueChange(
                     version=self._version, kind="history-truncated", full=True
                 ),
             )
-        return tuple(self._changes[version + 1 - first_retained:])
+        return tuple(map(_as_change, self._changes[version + 1 - first_retained:]))
 
     def _record_change(
         self,
         kind: str,
         affected: Iterable[str] = (),
         removed_origins: Iterable[str] = (),
-    ) -> CatalogueChange:
+    ) -> tuple:
         self._version += 1
-        change = CatalogueChange(
-            version=self._version,
-            kind=kind,
-            affected_predicates=frozenset(affected),
-            removed_origins=frozenset(removed_origins),
-        )
-        self._changes.append(change)
+        record = (self._version, kind, tuple(affected), tuple(removed_origins))
+        self._changes.append(record)
         if len(self._changes) > MAX_CHANGE_LOG:
             del self._changes[: len(self._changes) - MAX_CHANGE_LOG]
-        return change
+        return record
+
+    # -- stored relations and their owners -------------------------------------------
+
+    def _count_owners(self, relations: Iterable[str], delta: int) -> List[str]:
+        """Add ``delta`` (±1) to the owner count of each of ``relations``;
+        returns those whose stored status this flips."""
+        counts = self._stored
+        flipped = []
+        for relation in relations:
+            count = counts.get(relation, 0) + delta
+            if count:
+                counts[relation] = count
+            else:
+                del counts[relation]
+            if count == (1 if delta > 0 else 0):
+                flipped.append(relation)
+        return flipped
+
+    def _flip_stored(self, relations: List[str], stored: bool) -> None:
+        """Tell the catalogue, if built, that ``relations`` became stored
+        relations (``stored``) or stopped being ones."""
+        if relations and self._catalogue is not None:
+            self._catalogue.mark_stored(relations, stored, self._heads)
+
+    def _peer_declared(self, peer_name: str, relation: str, declared: bool) -> None:
+        """A registered peer declared (or undeclared) a stored relation
+        itself: counted, and recorded like any other mutation."""
+        if not declared:
+            self._auto_declared.pop((peer_name, relation), None)
+        self._flip_stored(self._count_owners((relation,), 1 if declared else -1), declared)
+        self._record_change(
+            "declare-stored" if declared else "undeclare-stored", affected=(relation,)
+        )
 
     # -- peers ---------------------------------------------------------------------
 
@@ -465,12 +602,10 @@ class PDMS:
         if peer.name in self._peers:
             raise PDMSConfigurationError(f"duplicate peer name {peer.name!r}")
         self._peers[peer.name] = peer
-        new_stored = frozenset(peer.stored_relation_names())
-        if new_stored and self._catalogue is not None:
-            if self._stored_flags_stale(new_stored):
-                self._catalogue = None
-            else:
-                self._catalogue.add_entries(stored=new_stored)
+        # Weak, so that a dropped PDMS is freed by reference counting.
+        peer._registry = weakref.ref(self)
+        new_stored = peer.stored_relation_names()
+        self._flip_stored(self._count_owners(new_stored, 1), True)
         self._record_change("add-peer", affected=new_stored)
         return peer
 
@@ -487,92 +622,71 @@ class PDMS:
             peer = self._peers.pop(peer_name)
         except KeyError as exc:
             raise PDMSConfigurationError(f"no peer named {peer_name!r}") from exc
-
-        removed_origins: set = set()
+        if peer._registry is not None and peer._registry() is self:
+            peer._registry = None
+        stored = peer.stored_relation_names()
         affected: set = set(peer.peer_relation_names())
-        affected.update(peer.stored_relation_names())
-
-        kept_descriptions: List[StorageDescription] = []
-        removed_descriptions: List[StorageDescription] = []
-        for description in self._storage_descriptions:
-            if description.peer == peer_name or peer_name in description.references_peers():
-                removed_origins.add(description.name)
-                affected.add(description.relation)
-                affected.update(description.query.predicates())
-                removed_descriptions.append(description)
-            else:
-                kept_descriptions.append(description)
-        self._storage_descriptions = kept_descriptions
-        self._auto_declared = {
-            (owner, relation)
-            for owner, relation in self._auto_declared
-            if owner != peer_name
-        }
-        # A cross-peer description may have auto-declared its stored
-        # relation on a *surviving* owner peer; undeclare it again unless
-        # another description still defines it, so no phantom stored
-        # relation outlives its descriptions.
-        still_defined = {
-            (d.peer, d.relation) for d in kept_descriptions
-        }
-        for description in removed_descriptions:
-            key = (description.peer, description.relation)
-            if (
-                description.peer != peer_name
-                and key in self._auto_declared
-                and key not in still_defined
-            ):
-                self._peers[description.peer].remove_stored_relation(description.relation)
-                self._auto_declared.discard(key)
-
-        kept_mappings: List[AnyPeerMapping] = []
-        for mapping in self._peer_mappings:
-            if peer_name in mapping.references_peers():
-                removed_origins.add(mapping.name)
-                # Only goals over these predicates can gain or lose
-                # expansions from this mapping's presence; reformulations
-                # that merely mention the mapping's other predicates are
-                # untouched by its removal (they are caught through
-                # ``used_origins`` when they actually applied it).
-                affected.update(self._mapping_expansion_predicates(mapping))
-            else:
-                kept_mappings.append(mapping)
-        self._peer_mappings = kept_mappings
-
-        self._origins -= removed_origins
+        affected.update(stored)
+        unstored = self._count_owners(stored, -1)
+        for relation in stored:
+            self._auto_declared.pop((peer_name, relation), None)
+        removed_origins = tuple(self._referencing.pop(peer_name, ()))
+        for origin in removed_origins:
+            affected.update(self._forget(origin, unstored))
         if self._catalogue is not None:
-            remaining_stored = self.stored_relation_names()
-            self._catalogue.remove_origins(frozenset(removed_origins), remaining_stored)
-            if any(
-                inclusion.stored and inclusion.head_predicate not in remaining_stored
-                for inclusion in self._catalogue.inclusions
-            ):
-                self._catalogue = None
-        return self._record_change(
+            self._catalogue.remove_origins(removed_origins)
+        self._flip_stored(unstored, False)
+        return _as_change(self._record_change(
             "remove-peer", affected=affected, removed_origins=removed_origins
-        )
+        ))
 
-    def _mapping_expansion_predicates(self, mapping: AnyPeerMapping) -> frozenset:
-        """Predicates whose goal nodes this mapping can expand.
+    def _forget(self, origin: str, unstored: List[str]) -> tuple:
+        """Unregister the description or mapping ``origin`` from every
+        index; returns the predicates its removal affects.  A stored
+        relation it had auto-declared on a surviving peer is undeclared
+        once no description defines it any more (appended to
+        ``unstored`` if that flips it), so no phantom stored relation
+        outlives its descriptions."""
+        peers, affected, heads = self._footprints.pop(origin)
+        for peer_name in peers:
+            referencing = self._referencing.get(peer_name)
+            if referencing is not None:
+                del referencing[origin]
+                if not referencing:
+                    del self._referencing[peer_name]
+        for head in heads:
+            origins = self._heads[head]
+            del origins[origin]
+            if not origins:
+                del self._heads[head]
+        description = self._storage_descriptions.pop(origin, None)
+        if description is None:
+            del self._peer_mappings[origin]
+            return affected
+        key = (description.peer, description.relation)
+        defining = self._auto_declared.get(key)
+        if defining is not None:
+            if defining > 1:
+                self._auto_declared[key] = defining - 1
+            else:
+                del self._auto_declared[key]
+                owner = self._peers.get(description.peer)
+                if owner is not None:
+                    owner._unstore(description.relation)
+                    unstored.extend(self._count_owners((description.relation,), -1))
+        return affected
 
-        This is the invalidation footprint a cache needs for both adding
-        and removing the mapping.
-        """
-        return self._entry_expansion_predicates(*self._normalised_mapping_entries(mapping))
-
-    @staticmethod
-    def _entry_expansion_predicates(
-        rules: Iterable[NormalizedRule], inclusions: Iterable[NormalizedInclusion]
-    ) -> frozenset:
-        """Expansion footprint of normalised entries: definitional rules
-        expand goals over their head predicate, inclusions expand goals
-        over their right-hand-side (body) predicates."""
-        affected: set = set()
-        for rule in rules:
-            affected.add(rule.head_predicate)
-        for inclusion in inclusions:
-            affected.update(inclusion.body_predicates())
-        return frozenset(affected)
+    def _register(
+        self, origin: str, peers: Iterable[str], affected: Iterable[str], heads: Iterable[str] = ()
+    ) -> None:
+        """Index a new description or mapping under the peers whose removal
+        removes it, with the footprint its own removal will report."""
+        peers = tuple(peers)
+        self._footprints[origin] = (peers, tuple(affected), tuple(heads))
+        for peer_name in peers:
+            self._referencing.setdefault(peer_name, {})[origin] = None
+        for head in heads:
+            self._heads.setdefault(head, {})[origin] = None
 
     def peer(self, name: str) -> Peer:
         """Look up a peer by name."""
@@ -592,10 +706,7 @@ class PDMS:
 
     def stored_relation_names(self) -> frozenset[str]:
         """Names of every stored relation in the system."""
-        names = set()
-        for peer in self._peers.values():
-            names.update(peer.stored_relation_names())
-        return frozenset(names)
+        return frozenset(self._stored)
 
     def peer_relation_names(self) -> frozenset[str]:
         """Qualified names of every peer relation in the system."""
@@ -606,7 +717,7 @@ class PDMS:
 
     def is_stored_relation(self, predicate: str) -> bool:
         """Is ``predicate`` a stored relation of some peer?"""
-        return predicate in self.stored_relation_names()
+        return predicate in self._stored
 
     def is_peer_relation(self, predicate: str) -> bool:
         """Is ``predicate`` a declared peer relation?"""
@@ -622,29 +733,23 @@ class PDMS:
             )
         self._claim_origin(description.name)
         owner = self._peers[description.peer]
+        key = (description.peer, description.relation)
         if description.relation not in owner.stored_relation_names():
             # Auto-declare the stored relation with positional attributes so
             # small examples and generated workloads stay concise.
-            owner.add_stored_relation(
-                description.relation,
-                [f"a{i}" for i in range(description.arity)],
-            )
-            self._auto_declared.add((description.peer, description.relation))
-        self._storage_descriptions.append(description)
-        if self._catalogue is not None:
-            if self._stored_flags_stale(frozenset({description.relation})):
-                # A pre-existing entry's head just became a stored relation;
-                # its frozen ``stored`` flag is stale — rebuild lazily.
-                self._catalogue = None
-            else:
-                self._catalogue.add_entries(
-                    inclusions=[self._normalised_storage_entry(description)],
-                    stored={description.relation},
-                )
-        self._record_change(
-            "add-storage",
-            affected=description.query.predicates() | {description.relation},
+            owner._store(description.relation, [f"a{i}" for i in range(description.arity)])
+            self._auto_declared[key] = 0
+            self._flip_stored(self._count_owners((description.relation,), 1), True)
+        if key in self._auto_declared:
+            self._auto_declared[key] += 1
+        self._storage_descriptions[description.name] = description
+        affected = tuple(description.query.predicates() | {description.relation})
+        self._register(
+            description.name, {description.peer} | description.references_peers(), affected
         )
+        if self._catalogue is not None:
+            self._catalogue.add_entries(inclusions=[self._normalised_storage_entry(description)])
+        self._record_change("add-storage", affected=affected)
         return description
 
     def add_peer_mapping(self, mapping: AnyPeerMapping) -> AnyPeerMapping:
@@ -654,103 +759,95 @@ class PDMS:
         ):
             raise MappingError(f"unsupported peer mapping type {type(mapping).__name__}")
         self._claim_origin(mapping.name)
-        self._peer_mappings.append(mapping)
-        rules, inclusions = self._normalised_mapping_entries(mapping)
-        if self._catalogue is not None:
-            self._catalogue.add_entries(rules=rules, inclusions=inclusions)
-        self._record_change(
-            "add-mapping", affected=self._entry_expansion_predicates(rules, inclusions)
+        self._peer_mappings[mapping.name] = mapping
+        affected, mentioned, heads = self._mapping_footprint(mapping)
+        affected = tuple(affected)
+        self._register(
+            mapping.name, {p.partition(":")[0] for p in mentioned if ":" in p}, affected, heads
         )
+        if self._catalogue is not None:
+            self._catalogue.add_entries(*self._normalised_mapping_entries(mapping))
+        self._record_change("add-mapping", affected=affected)
         return mapping
 
     def remove_peer_mapping(self, name: str) -> CatalogueChange:
         """Remove the peer mapping called ``name`` (its stable origin)."""
-        for index, mapping in enumerate(self._peer_mappings):
-            if mapping.name == name:
-                del self._peer_mappings[index]
-                self._origins.discard(name)
-                if self._catalogue is not None:
-                    self._catalogue.remove_origins(
-                        frozenset({name}), self.stored_relation_names()
-                    )
-                return self._record_change(
-                    "remove-mapping",
-                    affected=self._mapping_expansion_predicates(mapping),
-                    removed_origins={name},
-                )
-        raise MappingError(f"no peer mapping named {name!r}")
-
-    def _stored_flags_stale(self, new_stored: frozenset) -> bool:
-        """Would marking ``new_stored`` as stored relations invalidate the
-        frozen ``stored`` flags of already-normalised catalogue entries?"""
-        assert self._catalogue is not None
-        return any(
-            not inclusion.stored and inclusion.head_predicate in new_stored
-            for inclusion in self._catalogue.inclusions
+        if name not in self._peer_mappings:
+            raise MappingError(f"no peer mapping named {name!r}")
+        affected = self._forget(name, [])
+        if self._catalogue is not None:
+            self._catalogue.remove_origins((name,))
+        return _as_change(
+            self._record_change("remove-mapping", affected=affected, removed_origins=(name,))
         )
 
     def storage_descriptions(self) -> Tuple[StorageDescription, ...]:
         """All storage descriptions (D_N)."""
-        return tuple(self._storage_descriptions)
+        return tuple(self._storage_descriptions.values())
 
     def peer_mappings(self) -> Tuple[AnyPeerMapping, ...]:
         """All peer mappings (L_N)."""
-        return tuple(self._peer_mappings)
+        return tuple(self._peer_mappings.values())
 
     # -- normalisation -----------------------------------------------------------------
 
     def catalogue(self) -> NormalizedCatalogue:
-        """Return the normalised PPL catalogue (cached until the PDMS changes)."""
+        """Return the normalised PPL catalogue: built on first use, then
+        maintained in place by every mutation."""
         if self._catalogue is None:
             self._catalogue = self._normalise()
         return self._catalogue
 
     def _normalise(self) -> NormalizedCatalogue:
-        stored = self.stored_relation_names()
-        catalogue = NormalizedCatalogue(stored_relations=stored)
-
-        for mapping in self._peer_mappings:
-            rules, inclusions = self._normalised_mapping_entries(mapping, stored)
-            catalogue.rules.extend(rules)
-            catalogue.inclusions.extend(inclusions)
-
-        for description in self._storage_descriptions:
-            catalogue.inclusions.append(self._normalised_storage_entry(description))
-
-        catalogue.index()
+        catalogue = NormalizedCatalogue(stored_relations=self._stored)
+        for mapping in self._peer_mappings.values():
+            catalogue._insert(*self._normalised_mapping_entries(mapping))
+        descriptions = self._storage_descriptions.values()
+        catalogue._insert((), map(self._normalised_storage_entry, descriptions))
         return catalogue
 
-    def _normalised_mapping_entries(
-        self, mapping: AnyPeerMapping, stored: Optional[frozenset] = None
-    ) -> Tuple[List[NormalizedRule], List[NormalizedInclusion]]:
-        """Normalise one peer mapping into catalogue entries (Step 1).
+    @staticmethod
+    def _mapping_footprint(mapping: AnyPeerMapping) -> Tuple[set, set, Dict[str, None]]:
+        """What normalising ``mapping`` yields, read off the mapping: the
+        predicates of the goals its entries expand (rule heads, inclusion
+        right-hand sides), the predicates it mentions, and the heads of its
+        single-atom inclusions.  The expanded predicates are what a cache
+        must invalidate when the mapping is added or removed."""
+        affected: set = set()
+        mentioned: set = set()
+        heads: Dict[str, None] = {}
+        if isinstance(mapping, DefinitionalMapping):
+            affected.add(mapping.head_predicate)
+            mentioned.add(mapping.head_predicate)
+            mentioned.update(mapping.body_predicates())
+        for inclusion in _directions(mapping):
+            right = inclusion.right_predicates()
+            affected.update(right)
+            mentioned.update(right)
+            left = inclusion.left_predicates()
+            mentioned.update(left)
+            if inclusion.left_is_single_atom():
+                heads.update(dict.fromkeys(left))
+            else:
+                affected.add(_synthetic_predicate(inclusion))
+        return affected, mentioned, heads
 
-        ``stored`` is the system's stored-relation names when the caller
-        already has them (normalising a whole catalogue would otherwise
-        rescan every peer per inclusion).
-        """
+    def _normalised_mapping_entries(
+        self, mapping: AnyPeerMapping
+    ) -> Tuple[List[NormalizedRule], List[NormalizedInclusion]]:
+        """Normalise one peer mapping into catalogue entries (Step 1)."""
         rules: List[NormalizedRule] = []
         inclusions: List[NormalizedInclusion] = []
         if isinstance(mapping, DefinitionalMapping):
             rules.append(
                 NormalizedRule(mapping.rule, origin=mapping.name, synthetic=False)
             )
-        elif isinstance(mapping, InclusionMapping):
+        # Both directions of an equality share its origin so the
+        # termination rule treats them as one description.
+        exact = isinstance(mapping, EqualityMapping)
+        for inclusion in _directions(mapping):
             self._normalise_inclusion(
-                mapping, mapping.name, exact=False, stored=stored,
-                rules=rules, inclusions=inclusions,
-            )
-        elif isinstance(mapping, EqualityMapping):
-            forward, backward = mapping.as_inclusions()
-            # Both directions share the equality's origin so the
-            # termination rule treats them as one description.
-            self._normalise_inclusion(
-                forward, mapping.name, exact=True, stored=stored,
-                rules=rules, inclusions=inclusions,
-            )
-            self._normalise_inclusion(
-                backward, mapping.name, exact=True, stored=stored,
-                rules=rules, inclusions=inclusions,
+                inclusion, mapping.name, exact=exact, rules=rules, inclusions=inclusions
             )
         return rules, inclusions
 
@@ -769,7 +866,6 @@ class PDMS:
         mapping: InclusionMapping,
         origin: str,
         exact: bool,
-        stored: Optional[frozenset],
         rules: List[NormalizedRule],
         inclusions: List[NormalizedInclusion],
     ) -> None:
@@ -777,18 +873,16 @@ class PDMS:
         if mapping.left_is_single_atom():
             head_predicate = mapping.left.relational_body()[0].predicate
             view = View(_renamed_query(mapping.right, head_predicate), kind)
-            if stored is None:
-                stored = self.stored_relation_names()
             inclusions.append(
                 NormalizedInclusion(
                     view,
                     origin=origin,
-                    stored=head_predicate in stored,
+                    stored=head_predicate in self._stored,
                 )
             )
             return
         # General left-hand side: introduce a synthetic predicate V.
-        synthetic_predicate = f"__ppl_{mapping.name}"
+        synthetic_predicate = _synthetic_predicate(mapping)
         view = View(_renamed_query(mapping.right, synthetic_predicate), kind)
         inclusions.append(NormalizedInclusion(view, origin=origin, stored=False))
         rule_head = Atom(synthetic_predicate, mapping.left.head.args)

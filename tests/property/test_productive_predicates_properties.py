@@ -1,8 +1,9 @@
 """The productive-predicate worklist against the whole-catalogue fixpoint.
 
 :meth:`NormalizedCatalogue.productive_predicates` grows its set along a
-worklist and, after ``add_entries``, from the set computed before the
-addition; ``remove_origins`` starts it over.  The oracle below is the
+worklist and, after ``add_entries`` or relations turning stored
+(``mark_stored``), from the set computed before; ``remove_origins`` and a
+relation ceasing to be stored start it over.  The oracle below is the
 fixpoint the worklist replaced — loop over every entry until nothing
 changes — and the two must agree after every step of a random sequence of
 additions and removals, whether or not the set was asked for in between.
@@ -109,15 +110,17 @@ def test_worklist_matches_the_fixpoint_through_adds_and_removes(
         inclusions=list(initial_inclusions),
         stored_relations=frozenset(initial_stored),
     )
-    catalogue.index()
     assert catalogue.productive_predicates() == naive_productive(catalogue)
     for step in steps:
         if step[0] == "add":
             _, added_rules, added_inclusions, stored = step
-            catalogue.add_entries(added_rules, added_inclusions, stored)
+            catalogue.add_entries(added_rules, added_inclusions)
+            catalogue.mark_stored(stored - catalogue.stored_relations, True, {})
         elif step[0] == "remove":
             _, origins, stored = step
-            catalogue.remove_origins(frozenset(origins), frozenset(stored))
+            catalogue.remove_origins(origins)
+            catalogue.mark_stored(catalogue.stored_relations - stored, False, {})
+            catalogue.mark_stored(stored - catalogue.stored_relations, True, {})
         else:
             assert catalogue.productive_predicates() == naive_productive(catalogue)
     assert catalogue.productive_predicates() == naive_productive(catalogue)

@@ -1,8 +1,13 @@
 """Unit tests for repro.pdms.system (PDMS object and PPL normalisation)."""
 
+import gc
+
 import pytest
 
 from repro.datalog import parse_atom, parse_query
+from repro.datalog.atoms import Atom
+from repro.datalog.queries import ConjunctiveQuery
+from repro.datalog.terms import Variable
 from repro.errors import MappingError, PDMSConfigurationError
 from repro.pdms import (
     PDMS,
@@ -14,6 +19,8 @@ from repro.pdms import (
     lav_style,
     replication,
 )
+from repro.pdms import mappings as mappings_module
+from repro.workload import GeneratorParameters, generate_workload
 
 
 def _small_pdms() -> PDMS:
@@ -266,6 +273,39 @@ class TestPeerRemoval:
         # The description dies with B, but the user-declared relation stays.
         assert pdms.is_stored_relation("explicit")
 
+    def test_stored_relation_declared_on_a_registered_peer_reaches_the_catalogue(self):
+        pdms = _small_pdms()
+        pdms.add_peer_mapping(lav_style(
+            parse_atom("s(x, y)"), parse_query("V(x, y) :- A:R(x, y)"), name="into_s"))
+        catalogue = pdms.catalogue()
+        assert not catalogue.inclusions[0].stored
+        version = pdms.catalogue_version
+        pdms.peer("A").add_stored_relation("s", ["x", "y"])
+        assert pdms.is_stored_relation("s")
+        assert pdms.catalogue() is catalogue and catalogue.is_stored("s")
+        # The inclusion headed by ``s`` now ends a path at stored data.
+        (flipped,) = catalogue.inclusions
+        assert flipped.stored
+        assert catalogue.inclusions_mentioning("A:R") == (flipped,)
+        assert "A:R" in catalogue.productive_predicates()
+        (change,) = pdms.changes_since(version)
+        assert change.kind == "declare-stored"
+        assert "s" in change.affected_predicates
+        pdms.peer("A").remove_stored_relation("s")
+        assert not pdms.is_stored_relation("s") and not catalogue.is_stored("s")
+        assert not catalogue.inclusions[0].stored
+        assert "A:R" not in catalogue.productive_predicates()
+        assert pdms.catalogue_version == version + 2
+
+    def test_a_removed_peer_no_longer_reports_its_declarations(self):
+        pdms = _small_pdms()
+        peer = pdms.peer("B")
+        pdms.remove_peer("B")
+        version = pdms.catalogue_version
+        peer.add_stored_relation("late", ["x"])
+        assert pdms.catalogue_version == version
+        assert not pdms.is_stored_relation("late")
+
     def test_change_log_reports_affected_predicates(self):
         pdms = _small_pdms()
         version = pdms.catalogue_version
@@ -282,3 +322,89 @@ class TestPeerRemoval:
             parse_atom("B:S(x, y)"), parse_query("R(x, y) :- A:R(x, y)"), name="i"))
         (change,) = pdms.changes_since(version)
         assert change.affected_predicates == frozenset({"A:R"})
+
+
+class TestMutationCost:
+    """A mutation inspects what it touches, not the whole PDMS: the work
+    is counted (peers asked for their relations, mappings and
+    descriptions asked for the peers they reference), not timed."""
+
+    @pytest.fixture
+    def inspections(self, monkeypatch):
+        """``(peers, references)``: the names of the peers asked for their
+        relations and the number of ``references_peers`` calls, while
+        ``counting[0]`` is true."""
+        peers, references, counting = [], [], [False]
+
+        def watch_peer(name):
+            original = getattr(Peer, name)
+
+            def watched(self):
+                if counting[0]:
+                    peers.append(self.name)
+                return original(self)
+            monkeypatch.setattr(Peer, name, watched)
+
+        def watch_references(cls):
+            original = cls.references_peers
+
+            def watched(self):
+                if counting[0]:
+                    references.append(self.name)
+                return original(self)
+            monkeypatch.setattr(cls, "references_peers", watched)
+
+        for name in ("stored_relation_names", "stored_relations", "peer_relation_names"):
+            watch_peer(name)
+        for cls in (
+            mappings_module.InclusionMapping, mappings_module.EqualityMapping,
+            mappings_module.DefinitionalMapping, mappings_module.StorageDescription,
+        ):
+            watch_references(cls)
+        return peers, references, counting
+
+    @pytest.mark.parametrize("num_peers", [96, 384])
+    def test_mutations_inspect_only_what_they_touch(self, num_peers, inspections):
+        peers, references, counting = inspections
+        workload = generate_workload(GeneratorParameters(num_peers=num_peers, diameter=4, seed=1))
+        pdms = workload.pdms
+        pdms.catalogue().productive_predicates()
+        x, y = Variable("x"), Variable("y")
+        top, bottom = workload.strata[0][0], workload.strata[-1][0]
+
+        counting[0] = True
+        pdms.add_peer_mapping(lav_style(
+            Atom(top, [x, y]), ConjunctiveQuery(Atom("V", [x, y]), [Atom(bottom, [x, y])]),
+            name="probe",
+        ))
+        counting[0] = False
+        assert (peers, references) == ([], [])
+
+        leaving = workload.strata[1][0].partition(":")[0]
+        referencing = {
+            d.name for d in pdms.storage_descriptions()
+            if d.peer == leaving or leaving in d.references_peers()
+        } | {m.name for m in pdms.peer_mappings() if leaving in m.references_peers()}
+        del references[:]
+        counting[0] = True
+        change = pdms.remove_peer(leaving)
+        counting[0] = False
+        assert change.removed_origins == referencing
+        assert set(peers) == {leaving}
+        assert references == []
+
+    def test_a_dropped_pdms_is_freed_by_reference_counting(self):
+        """Registered peers reach their PDMS weakly, so dropping a PDMS
+        leaves no cycle for the collector (reformulation results are left
+        out: their rule-goal trees are cyclic by design)."""
+        gc.collect()
+        gc.disable()
+        try:
+            pdms = generate_workload(GeneratorParameters(num_peers=96, diameter=4, seed=2)).pdms
+            pdms.catalogue().productive_predicates()
+            pdms.remove_peer(pdms.peers()[40].name)
+            pdms.changes_since(0)
+            del pdms
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
