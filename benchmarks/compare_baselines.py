@@ -64,10 +64,6 @@ HEADLINES: Dict[str, Tuple[Tuple[str, str], ...]] = {
         ("cases.churn_scaling.qps_scaling_1_to_4", "timing"),
         ("cases.partition_pruning.scan_prune_factor", "exact"),
     ),
-    "BENCH_adaptive.json": (
-        ("cases.convergence.adaptive_speedup", "timing"),
-        ("cases.convergence.q_error_drop", "exact"),
-    ),
     "BENCH_tail_latency.json": (
         ("cases.hedged_vs_unhedged.p99_improvement", "timing"),
         ("cases.retry_completeness.healed_complete", "exact"),

@@ -8,7 +8,9 @@ readers below (:func:`int_from_env`, :func:`bool_from_env`,
 shape.  Evaluation itself has no knob: one path (the factored plan), one
 representation (column batches), one thread (the caller's).  Where scans
 run is decided by the fact source a caller builds, not by the
-environment: there is no engine, transport or shard-count knob.
+environment: there is no engine, transport or shard-count knob.  Nor is
+any plan tuned at run time: the cost model orders every join, so there
+is no adaptivity knob either.
 
 The consolidated knob table lives in ``docs/distributed.md``.
 """
@@ -94,19 +96,6 @@ def max_inflight() -> int:
     return int_from_env("REPRO_MAX_INFLIGHT", 0)
 
 
-def adaptive_enabled() -> bool:
-    """Whether services run the self-tuning loop (``REPRO_ADAPTIVE``).
-
-    Off by default.  When on, every :class:`repro.pdms.service.QueryService`
-    owns a :class:`repro.database.feedback.QErrorLog`: fragment
-    evaluations over the service's own data are measured, estimation
-    errors become version-scoped cardinality corrections, and plans are
-    re-compiled and raced champion/challenger as corrections accumulate.
-    See ``docs/adaptivity.md``.
-    """
-    return bool_from_env("REPRO_ADAPTIVE", False)
-
-
 def scan_retries() -> int:
     """Extra scan attempts after a ``TransportError`` (``REPRO_SCAN_RETRIES``).
 
@@ -184,13 +173,3 @@ def trace_sink_path() -> "str | None":
     raw = os.environ.get("REPRO_TRACE_SINK")
     return raw if raw else None
 
-
-def race_margin() -> float:
-    """Cost ratio that makes a challenger raceable (``REPRO_RACE_MARGIN``).
-
-    A challenger plan is raced against the incumbent champion when its
-    corrected cost estimate is within ``margin`` times the champion's
-    (default 2.0; must be >= 1.0).  Larger values race more aggressively;
-    1.0 races only challengers that already estimate no worse.
-    """
-    return float_from_env("REPRO_RACE_MARGIN", 2.0, minimum=1.0)

@@ -11,26 +11,21 @@ from .columnar import (
     union_distinct,
 )
 from .csvio import load_instance_directory, load_relation_csv, save_relation_csv
-from .feedback import AdaptiveStats, QErrorLog, QErrorObservation, q_error
 from .instance import Instance
 from .planner import CardinalityCostModel
 from .schema import DatabaseSchema, RelationSchema
 from .statistics import RelationStats, StatisticsCatalog, compute_relation_stats
 
 __all__ = [
-    "AdaptiveStats",
     "CardinalityCostModel",
     "ColumnTable",
     "DatabaseSchema",
     "HAVE_NUMPY",
     "Instance",
-    "QErrorLog",
-    "QErrorObservation",
     "RelationSchema",
     "RelationStats",
     "StatisticsCatalog",
     "Table",
-    "q_error",
     "compare_cols_mask",
     "compare_mask",
     "compute_relation_stats",

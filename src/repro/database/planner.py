@@ -24,9 +24,7 @@ class CardinalityCostModel:
     besides per-relation cardinalities, the model now knows per-column
     distinct counts, so a pushed-down constant filter is priced at its
     real point selectivity (``cardinality / distinct``) and a
-    repeated-variable or join equality at ``1 / max(d_i, d_j)`` — instead
-    of the old fixed shrink-one-notch-per-restriction heuristic (which
-    survives as the fallback when no statistics are available).  Stats
+    repeated-variable or join equality at ``1 / max(d_i, d_j)``.  Stats
     are version-validated against the source's per-relation data
     versions, so repeated compilations over slowly changing data rescan
     only the relations that moved.
@@ -100,30 +98,6 @@ class CardinalityCostModel:
     def column_distinct(self, relation: str, position: int) -> int:
         """Distinct values at one column position (>= 1)."""
         return self._statistics.column_distinct(relation, position)
-
-    def live_source(self) -> Optional[object]:
-        """The statistics catalog's live source, if it is still alive.
-
-        ``None`` for frozen/snapshot models — consumers that need current
-        data-version tokens (cardinality-feedback corrections) then simply
-        stand down.
-        """
-        return self._statistics.live_source()
-
-    def scan_estimate(self, relation: str, filters: int = 0, equalities: int = 0) -> int:
-        """Positionless estimate: the legacy shrink-per-restriction heuristic.
-
-        Kept for callers that only know *how many* restrictions a scan
-        carries; :meth:`restriction_estimate` prices known positions with
-        real selectivities.  Non-empty relations floor at 1 — like
-        :meth:`restriction_estimate` — so a heavily restricted scan of a
-        populated relation never ties with a genuinely empty one and
-        misorders the join greedily built on these numbers.
-        """
-        cardinality = self.cardinality(relation)
-        if cardinality <= 0:
-            return 0
-        return max(cardinality // (1 + filters + equalities), 1)
 
     def restriction_estimate(
         self,

@@ -117,16 +117,6 @@ class StatisticsCatalog:
         """The live source (``None`` once frozen or constructed without one)."""
         return self._source
 
-    def live_source(self) -> Optional[object]:
-        """The source this catalog currently reads, if it is still alive.
-
-        This is what version-scoped consumers (cardinality-feedback
-        corrections) use to compute current data-version tokens; a frozen
-        catalog returns ``None`` — no live source, no valid token, no
-        correction served.
-        """
-        return self._source
-
     def stats(self, relation: str) -> RelationStats:
         """Current statistics for ``relation`` (empty stats when unknown)."""
         cached = self._cache.get(relation)
@@ -241,9 +231,6 @@ class WeakStatisticsCatalog(StatisticsCatalog):
 
     def _live(self) -> Optional[object]:
         return self._source_ref() if self._source_ref is not None else None
-
-    def live_source(self) -> Optional[object]:
-        return self._live()
 
     def stats(self, relation: str) -> RelationStats:
         source = self._live()

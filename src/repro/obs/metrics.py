@@ -48,8 +48,9 @@ __all__ = [
 
 #: Version stamped on every registry snapshot (and on the unified
 #: ``as_dict()`` stats shapes that register into it).  Bump when a key
-#: is renamed or its meaning changes; additions are compatible.
-METRICS_SCHEMA_VERSION = 1
+#: is renamed, removed or its meaning changes; additions are compatible.
+#: Version 2 removed the service's ``adaptive`` block.
+METRICS_SCHEMA_VERSION = 2
 
 
 class Counter:

@@ -7,6 +7,7 @@ algorithm of Section 4 with its optimizations, execution over stored
 relations, and the certain-answer semantics of Section 2.2.
 """
 
+from ..config import int_from_env
 from .analysis import ComplexityClass, ComplexityReport, analyze_pdms, build_inclusion_graph
 from .execution import (
     PeerFactSource,
@@ -25,7 +26,6 @@ from .materialization import (
     data_version_token,
     estimate_result_bytes,
     fragment_cache_from_env,
-    int_from_env,
 )
 from .planning import (
     PlanStatistics,

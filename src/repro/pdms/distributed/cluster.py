@@ -304,7 +304,7 @@ class ServiceCluster:
             }
         snapshot["peer_scan_counts"] = peers
         # Snapshot, not the live stats object: concurrent answers keep
-        # mutating the aliased fragment/adaptive counters mid-render.
+        # mutating the aliased fragment counters mid-render.
         snapshot["service"] = self._service.stats_snapshot().as_dict()
         if self._source is not None:
             snapshot["unreachable_peers"] = self._source.unreachable_peers

@@ -18,7 +18,7 @@ fault.  This module imports nothing from :mod:`repro.pdms.distributed`.
 
 :func:`evaluate_rewritings` is the independent oracle the plan path is
 checked against: each rewriting through the direct indexed-join
-conjunctive-query evaluator, with no cache and no feedback.
+conjunctive-query evaluator, with no cache.
 
 Entry points take ``engine=`` as a name only, resolved by
 :func:`uses_oracle`: ``None``, ``"columnar"`` and ``"distributed"`` select
@@ -54,7 +54,6 @@ from typing import (
 )
 
 from ..database.columnar import ColumnTable, union_blocks
-from ..database.feedback import QErrorLog
 from ..database.instance import Instance, relation_creation_clock
 from ..datalog.evaluation import FactsLike, evaluate_query
 from ..datalog.indexing import Pattern
@@ -311,39 +310,37 @@ def _answer_batches(
     oracle: bool,
     plan: Optional[UnionPlan],
     cache: Optional[FragmentCache],
-    feedback: Optional[QErrorLog],
     whole: bool,
 ) -> Iterator[Iterable[Row]]:
     """One batch of answer rows per evaluated root (the plan path) or per
     rewriting (the oracle); rows may repeat within and across batches.
 
     Everything that can be refused is refused here, at call time: a plan
-    compiled for another result, or a cache or feedback log handed to the
-    oracle.  The batches themselves are lazy.
+    compiled for another result, or a cache handed to the oracle.  The
+    batches themselves are lazy.
     """
     source = federate_if_per_peer(data)
     if oracle:
-        if cache is not None or feedback is not None:
+        if cache is not None:
             raise EvaluationError(
-                "the backtracking oracle takes no fragment cache and no "
-                "feedback log: a cached oracle is not an oracle"
+                "the backtracking oracle takes no fragment cache: a cached "
+                "oracle is not an oracle"
             )
         return (evaluate_query(rewriting, source) for rewriting in result.rewritings())
-    return _plan_batches(ensure_plan(result, source, plan), source, cache, feedback, whole)
+    return _plan_batches(ensure_plan(result, source, plan), source, cache, whole)
 
 
 def _plan_batches(
     plan: UnionPlan,
     source: FactsLike,
     cache: Optional[FragmentCache],
-    feedback: Optional[QErrorLog],
     whole: bool,
 ) -> Iterator[Iterable[Row]]:
     # A source that scatters scans refreshes once per answer, on the first
     # batch pulled, and hands back the hooks its scatter wave runs through.
     hooks = getattr(source, "answer_hooks", None)
     yield from plan_answer_batches(
-        plan, source, cache=cache, feedback=feedback, whole=whole,
+        plan, source, cache=cache, whole=whole,
         **(hooks() if hooks is not None else {}),
     )
 
@@ -354,7 +351,6 @@ def stream_answers(
     engine: Optional[str] = None,
     plan: Optional[UnionPlan] = None,
     cache: Optional[FragmentCache] = None,
-    feedback: Optional[QErrorLog] = None,
 ) -> Iterator[Row]:
     """Yield distinct answer rows as the rewriting enumeration progresses.
 
@@ -366,14 +362,12 @@ def stream_answers(
     ``plan`` (optional) is a cached compiled union plan for ``result``.
     ``cache`` (optional) is a cross-call
     :class:`~repro.pdms.materialization.FragmentCache` the plan path
-    serves fragment tables from.  ``feedback`` (optional) is a
-    :class:`~repro.database.feedback.QErrorLog` measuring freshly
-    evaluated fragments.  A bad ``engine`` name or ``plan`` raises here,
-    at call time, not on first iteration.
+    serves fragment tables from.  A bad ``engine`` name or ``plan``
+    raises here, at call time, not on first iteration.
     """
     return distinct_rows(
         _answer_batches(
-            result, data, uses_oracle(engine), plan, cache, feedback, whole=False
+            result, data, uses_oracle(engine), plan, cache, whole=False
         )
     )
 
@@ -385,7 +379,6 @@ def evaluate_reformulation(
     limit: Optional[int] = None,
     plan: Optional[UnionPlan] = None,
     cache: Optional[FragmentCache] = None,
-    feedback: Optional[QErrorLog] = None,
 ) -> Set[Row]:
     """Evaluate the rewritings of ``result`` over ``data`` (set semantics).
 
@@ -402,9 +395,7 @@ def evaluate_reformulation(
         raise EvaluationError(f"limit must be non-negative, got {limit}")
     if limit == 0:
         return set()
-    batches = _answer_batches(
-        result, data, oracle, plan, cache, feedback, whole=limit is None
-    )
+    batches = _answer_batches(result, data, oracle, plan, cache, whole=limit is None)
     return union_rows(batches, limit)
 
 

@@ -38,6 +38,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
+from ..config import fragment_cache_bytes
 from ..database.columnar import ColumnTable
 from ..database.statistics import source_data_version
 from ..errors import EvaluationError
@@ -52,27 +53,15 @@ DEFAULT_FRAGMENT_CACHE_BYTES = 64 * 1024 * 1024
 _MAX_ENTRY_FRACTION = 0.5
 
 
-# ---------------------------------------------------------------------------
-# Environment handling (fail fast on malformed values)
-# ---------------------------------------------------------------------------
-
-# Re-exported from the consolidated knob module (every subsystem used to
-# carry its own drifting copy of this parser); existing importers of
-# ``repro.pdms.materialization.int_from_env`` keep working.
-from ..config import int_from_env  # noqa: E402  (re-export)
-
-
 def fragment_cache_from_env() -> Optional["FragmentCache"]:
     """A fragment cache sized by ``REPRO_FRAGMENT_CACHE_BYTES``.
 
     Unset uses :data:`DEFAULT_FRAGMENT_CACHE_BYTES`; ``0`` disables
     cross-call fragment caching entirely (returns ``None``); malformed
     values raise :class:`EvaluationError` (see
-    :func:`repro.config.int_from_env`).
+    :func:`repro.config.fragment_cache_bytes`).
     """
-    budget = int_from_env(
-        "REPRO_FRAGMENT_CACHE_BYTES", DEFAULT_FRAGMENT_CACHE_BYTES
-    )
+    budget = fragment_cache_bytes()
     return FragmentCache(max_bytes=budget) if budget > 0 else None
 
 

@@ -64,7 +64,6 @@ from typing import Optional, Sequence, Set, Tuple, Union
 from ..database.columnar import ColumnTable, compare_cols_mask, compare_mask
 from ..database.columnar import _mask_and as _combine_masks
 from ..database.columnar import const_column, scan_block, union_distinct
-from ..database.feedback import QErrorLog
 from ..database.planner import CardinalityCostModel
 from ..datalog.atoms import Atom, compare_values
 from ..datalog.evaluation import FactsLike, as_fact_source
@@ -74,7 +73,7 @@ from ..datalog.terms import Variable, is_variable
 from ..errors import EvaluationError
 from ..obs.trace import current_span
 from ..database.statistics import source_data_version
-from .materialization import FragmentCache, data_version_token
+from .materialization import FragmentCache
 from .reformulation import ReformulationResult, _LazySeq
 from .rule_goal_tree import GoalNode, RuleNode
 
@@ -308,8 +307,7 @@ class _Join(NamedTuple):
 class _Pair:
     """Two groups considered for a merge: their common variables and — once
     previewed — the merged fragment, its estimate and, after the first
-    commit, the merged group itself (reused while no feedback log makes
-    estimates occurrence-dependent)."""
+    commit, the merged group itself."""
 
     __slots__ = ("common", "join", "estimate", "merged")
 
@@ -401,9 +399,7 @@ class UnionPlan:
     the statistics read for it, and two groups meeting again reuse their
     preview, estimate and merged group.  This is safe because atoms and
     groups are immutable, the node table only grows and ``_LazySeq``
-    serialises compilation; it all dies with the plan.  With a feedback
-    log attached estimates depend on when they are taken, so groups are
-    rebuilt per occurrence (the structural memo still applies).
+    serialises compilation; it all dies with the plan.
 
     One memo is read by the plan after this one: the factored compile's
     alternatives per rule node.  A result rebuilt from this plan's
@@ -411,24 +407,17 @@ class UnionPlan:
     ``_seed_plan``; the new plan's factored compile takes the alternatives
     of every rule node the rebuild copied with an unchanged subtree
     (``RuleNode.source``), copying in the nodes under them, recompiles only
-    the rules on a changed path, and drops the seed when it ends.  Plans
-    with a feedback log compile from scratch.
+    the rules on a changed path, and drops the seed when it ends.
     """
 
     def __init__(
         self,
         result: ReformulationResult,
         cost: Optional[CardinalityCostModel] = None,
-        feedback: Optional[QErrorLog] = None,
     ):
         self.result = result
         self.nodes: Dict[str, PlanFragment] = {}
         self.stats = PlanStatistics()
-        self.feedback = feedback
-        #: Per-fragment estimated row counts as used by this compilation —
-        #: after any feedback corrections, so executors can score the plan
-        #: against reality and a converged plan measures q-errors near 1.
-        self.estimates: Dict[str, float] = {}
         self._cost = cost
         #: Factored join -> the ``<kind:origin>`` rule whose goals it joins.
         self.origins: Dict[str, str] = {}
@@ -570,59 +559,6 @@ class UnionPlan:
             for relation, pattern in cached
         )
 
-    # -- feedback corrections ----------------------------------------------
-
-    def _apply_correction(
-        self,
-        key: str,
-        relations: FrozenSet[str],
-        fallback: float,
-        count: bool = True,
-    ) -> float:
-        """``key``'s observed cardinality if a valid correction is held.
-
-        Falls back to the model's ``fallback`` estimate whenever the
-        feedback log holds nothing for the fragment, the correction was
-        observed at a different data version, or no current version token
-        can be computed (frozen/source-less cost model, unversioned
-        source).  ``count=False`` suppresses the corrections-applied
-        counter for speculative lookups (candidate scoring previews).
-        """
-        feedback = self.feedback
-        if feedback is None or self._cost is None:
-            return fallback
-        source = self._cost.live_source()
-        if source is None:
-            return fallback
-        token = data_version_token(source, relations)
-        if token is None:
-            return fallback
-        actual = feedback.correction(key, token)
-        if actual is None:
-            return fallback
-        if count:
-            feedback.note_applied()
-        return float(actual)
-
-    def estimated_cost(self) -> float:
-        """The plan's total estimated fragment output, corrections applied.
-
-        Sums one (corrected) row estimate per node a whole answer
-        evaluates (:meth:`answer_nodes`).  Because corrections are keyed by
-        canonical fragment key, a champion whose blown fragment has since
-        been measured re-costs *high* here while a challenger avoiding
-        that fragment does not — which is exactly the comparison the
-        racing policy needs.  Every fragment contributes at least 1.
-        """
-        total = 0.0
-        for key in self.answer_nodes():
-            fallback = self.estimates.get(key, 1.0)
-            corrected = self._apply_correction(
-                key, self.fragment_relations(key), fallback, count=False
-            )
-            total += max(corrected, 1.0)
-        return total
-
     def _compile_rewriting(self, rewriting: ConjunctiveQuery) -> RewritingPlan:
         atoms = rewriting.relational_body()
         if not atoms:
@@ -655,24 +591,19 @@ class UnionPlan:
         distinct: Tuple[float, ...] = ()
         if self._cost is not None:
             estimate = float(self._cost.atom_estimate(atom))
-            estimate = self._apply_correction(
-                key, frozenset((atom.predicate,)), estimate
-            )
             cap = max(estimate, 1.0)
             distinct = tuple([
                 min(float(self._cost.column_distinct(atom.predicate, position)), cap)
                 for position in node.keep_positions
             ])
-        self.estimates[key] = estimate
         index = dict(zip(variables, range(len(variables))))
         group = _Group(key, variables, index, (atom,), estimate, distinct, shared)
-        if self.feedback is None:
-            # Every later reference finds the fragment in place, and nothing
-            # else about the group can change: one statistics read per atom.
-            self._groups[atom] = (
-                group if shared
-                else _Group(key, variables, index, (atom,), estimate, distinct, True)
-            )
+        # Every later reference finds the fragment in place, and nothing
+        # else about the group can change: one statistics read per atom.
+        self._groups[atom] = (
+            group if shared
+            else _Group(key, variables, index, (atom,), estimate, distinct, True)
+        )
         return group
 
     def _preview(self, pair: _Pair, left: _Group, right: _Group) -> _Join:
@@ -725,7 +656,6 @@ class UnionPlan:
             # The same two groups met before: same node, same numbers; the
             # node has existed since then, whoever built it first.
             merged.shared = True
-            self.estimates[merged.key] = merged.estimate
             return merged
         join = pair.join
         key, width = join.key, join.width
@@ -744,11 +674,6 @@ class UnionPlan:
         estimate = pair.estimate
         distinct: Sequence[float] = ()
         if self._cost is not None:
-            if self.feedback is not None:
-                relations = self.fragment_relations(left.key) | (
-                    self.fragment_relations(right.key)
-                )
-                estimate = self._apply_correction(key, relations, estimate)
             distinct = [max(estimate, 1.0)] * width
             for side, column_map in (
                 (left.distinct, join.left_map), (right.distinct, join.right_map)
@@ -756,7 +681,6 @@ class UnionPlan:
                 for count, column in zip(side, column_map):
                     if count < distinct[column]:
                         distinct[column] = count
-        self.estimates[key] = estimate
         placed: List[Variable] = [None] * width  # type: ignore[list-item]
         for variable, column in zip(left.variables, join.left_map):
             placed[column] = variable
@@ -764,12 +688,10 @@ class UnionPlan:
             placed[column] = variable
         variables = tuple(placed)
         index = dict(zip(variables, range(width)))
-        merged = _Group(
+        pair.merged = _Group(
             key, variables, index, left.atoms + right.atoms, estimate, distinct, shared
         )
-        if self.feedback is None:
-            pair.merged = merged
-        return merged
+        return pair.merged
 
     def _compile_bushy(self, atoms: Sequence[Atom]) -> _Group:
         """Fold a rewriting's atoms into a bushy tree of shared fragments.
@@ -791,7 +713,6 @@ class UnionPlan:
     def _merge_all(self, groups: List[_Group]) -> _Group:
         """Merge ``groups`` pairwise, in :meth:`_compile_bushy`'s order, into one."""
         nodes = self.nodes
-        feedback = self.feedback
         while len(groups) > 1:
             every = []
             for i, left in enumerate(groups):
@@ -811,19 +732,10 @@ class UnionPlan:
                 key = (pair.join or self._preview(pair, left, right)).key
                 if len(candidates) == 1:
                     break  # nothing to order
-                estimate = pair.estimate
-                if feedback is not None:
-                    estimate = self._apply_correction(
-                        key,
-                        self.fragment_relations(left.key)
-                        | self.fragment_relations(right.key),
-                        estimate,
-                        count=False,
-                    )
                 score = (
                     key not in nodes,
                     not (left.shared and right.shared),
-                    estimate,
+                    pair.estimate,
                     key,
                     (i, j),
                 )
@@ -882,8 +794,8 @@ class UnionPlan:
     def _compile_tree(self) -> Optional[str]:
         stats = self.stats
         tree = getattr(self.result, "tree", None)
-        if self.feedback is None and getattr(self.result, "_seed_plan", None) is not None:
-            # Taken by the first factored compile of a plain plan, and
+        if getattr(self.result, "_seed_plan", None) is not None:
+            # Taken by the first factored compile of a plan, and
             # dropped with it: nothing survives two catalogue states.
             self._seed, self.result._seed_plan = self.result._seed_plan, None
         try:
@@ -907,13 +819,13 @@ class UnionPlan:
         finally:
             self._seed = None
         stats.factored = len(_collect_subplan(self, root))
-        if self.feedback is None and getattr(self.result, "_shared_plan", None) is self:
+        if getattr(self.result, "_shared_plan", None) is self:
             self.result._factored_plan = self
         return root
 
     def _carried(self, group: _Group) -> _Group:
         """``group`` of the seed plan, made this plan's: the nodes under it
-        copied into this node table with their estimates and origins, and a
+        copied into this node table with their origins, and a
         new group object, so no merge memo is shared between the plans."""
         seed, nodes = self._seed, self.nodes
         stack = [group.key]
@@ -922,8 +834,6 @@ class UnionPlan:
             if key in nodes:
                 continue  # with everything under it
             node = nodes[key] = seed.nodes[key]
-            if key in seed.estimates:
-                self.estimates[key] = seed.estimates[key]
             if key in seed.origins:
                 self.origins.setdefault(key, seed.origins[key])
             stack.extend(_child_keys(node))
@@ -1038,16 +948,13 @@ class UnionPlan:
         estimate, distinct = 0.0, ()
         if self._cost is not None:
             groups = [group for group, _, _ in alternatives]
-            estimate = self._apply_correction(
-                key, self.fragment_relations(key), float(sum([g.estimate for g in groups]))
-            )
+            estimate = float(sum([g.estimate for g in groups]))
             distinct = tuple([
                 min(max(estimate, 1.0), sum([
                     g.distinct[g.index[term]] if term in g.index else 1.0 for g in groups
                 ]))
                 for term in need
             ])
-        self.estimates[key] = estimate
         # A virtual relation: one pseudo-atom over the union's columns, so
         # the join compiler names and orders it like a stored atom — one that
         # is never ``shared``: stored leaves are (above), so a rule joins its
@@ -1166,21 +1073,17 @@ def compile_reformulation(
     result: ReformulationResult,
     data: Optional[FactsLike] = None,
     cost: Optional[CardinalityCostModel] = None,
-    feedback: Optional[QErrorLog] = None,
 ) -> UnionPlan:
     """Compile ``result`` into a (lazily populated) shared union plan.
 
     ``data`` (or a prebuilt ``cost`` model) steers the cost-based join
     order; without either the canonical atom order is used.  The plan stays
     correct if the data later changes — only join-order quality is tied to
-    the statistics seen at compile time.  ``feedback`` (optional) supplies a
-    :class:`~repro.database.feedback.QErrorLog` whose version-scoped
-    cardinality corrections override the model's estimates during join
-    ordering (see ``docs/adaptivity.md``).
+    the statistics seen at compile time.
     """
     if cost is None and data is not None:
         cost = CardinalityCostModel(data)
-    return UnionPlan(result, cost, feedback=feedback)
+    return UnionPlan(result, cost)
 
 
 _ENSURE_LOCK = threading.Lock()
@@ -1310,8 +1213,7 @@ class _Evaluation:
     """
 
     __slots__ = (
-        "plan", "source", "cache", "feedback", "memo", "versions", "after_scan",
-        "restarts",
+        "plan", "source", "cache", "memo", "versions", "after_scan", "restarts",
     )
 
     def __init__(
@@ -1319,13 +1221,11 @@ class _Evaluation:
         plan: UnionPlan,
         source,
         cache: Optional[FragmentCache] = None,
-        feedback: Optional[QErrorLog] = None,
         after_scan=None,
     ):
         self.plan = plan
         self.source = source
         self.cache = cache
-        self.feedback = feedback
         self.memo: Dict[str, ColumnTable] = {}
         self.versions: Dict[str, object] = {}
         self.after_scan = after_scan
@@ -1378,11 +1278,8 @@ class _Evaluation:
     def _build(self, key: str, node: PlanFragment) -> ColumnTable:
         """Evaluate ``node`` from its children's tables (or the source).
 
-        The feedback log receives one ``(estimated, actual)`` observation
-        per fragment *freshly computed* here — memo and cross-call cache
-        hits are reuses of an already-measured evaluation, not new
-        evidence, so they do not record.  A build the snapshot restarted
-        beneath raises its table as :class:`_Degraded`, past cache and log."""
+        A build the snapshot restarted beneath raises its table as
+        :class:`_Degraded`, past the cache."""
         scan = isinstance(node, ScanFragment)
         restarts = self.restarts
         span = current_span()
@@ -1402,22 +1299,6 @@ class _Evaluation:
                 span.set("rows", len(value))
         if self.restarts != restarts:
             raise _Degraded(value)
-        if self.feedback is not None:
-            columns: Tuple[Tuple[str, int], ...] = ()
-            if scan:
-                columns = tuple(
-                    (node.relation, position)
-                    for position, constant in enumerate(node.pattern)
-                    if constant is not WILDCARD
-                )
-            self.feedback.record(
-                key,
-                self.plan.fragment_relations(key),
-                self.token(key),
-                self.plan.estimates.get(key),
-                len(value),
-                columns,
-            )
         return value
 
     def root_rows(self, rewriting_plan: RewritingPlan) -> List[Row]:
@@ -1483,7 +1364,6 @@ def plan_answer_batches(
     plan: UnionPlan,
     data: FactsLike,
     cache: Optional[FragmentCache] = None,
-    feedback: Optional[QErrorLog] = None,
     before_root=None,
     whole: bool = False,
     after_scan=None,
@@ -1512,48 +1392,23 @@ def plan_answer_batches(
     :class:`_Evaluation`), on top of the per-call memo.  Sources without
     per-relation data versions bypass the cache automatically.
 
-    ``feedback`` (optional) is a :class:`~repro.database.feedback.QErrorLog`
-    measuring every freshly computed fragment.  A *blown* estimate
-    (actual ≫ estimated, per the log's ``blowup_factor``) additionally
-    triggers mid-union re-optimization: the remaining rewritings are
-    recompiled against the just-learned corrections (bounded to two
-    re-plans per call; fragments already computed are served from the
-    per-call memo, so no work is repeated).
-
     ``before_root`` (optional) is called as ``before_root(evaluation,
     root_key)`` before each root is evaluated — the hook a remote source
     prefetches the root's scans through (its ``answer_hooks()``);
     ``after_scan(evaluation)`` runs after every scan evaluation performs.
     """
     source = ensure_indexed(as_fact_source(data))
-    evaluation = _Evaluation(plan, source, cache, feedback, after_scan)
+    evaluation = _Evaluation(plan, source, cache, after_scan)
     root_key = plan.factored_root() if whole else None
     if root_key is not None:
         if before_root is not None:
             before_root(evaluation, root_key)
         yield evaluation.table(root_key).row_set()
         return
-    replanning = feedback is not None and feedback.replan and plan._cost is not None
-    blown_seen = feedback.blown_events if feedback is not None else 0
-    replans_left = 2
-    fragment_iter = plan.fragments()
-    consumed = 0
-    while True:
-        rewriting_plan = next(fragment_iter, None)
-        if rewriting_plan is None:
-            return
-        consumed += 1
+    for rewriting_plan in plan.fragments():
         if before_root is not None:
             before_root(evaluation, rewriting_plan.root_key)
         yield evaluation.root_rows(rewriting_plan)
-        if replanning and replans_left > 0 and feedback.blown_events > blown_seen:
-            # An estimate just blew up: the corrections recorded for it
-            # may reorder the joins of everything not yet evaluated.
-            blown_seen = feedback.blown_events
-            replans_left -= 1
-            feedback.stats.replans += 1
-            evaluation.plan = plan = UnionPlan(plan.result, plan._cost, feedback=feedback)
-            fragment_iter = islice(plan.fragments(), consumed, None)
 
 
 def distinct_rows(batches: Iterable[Iterable[Row]]) -> Iterator[Row]:
@@ -1589,11 +1444,10 @@ def stream_plan_answers(
     plan: UnionPlan,
     data: FactsLike,
     cache: Optional[FragmentCache] = None,
-    feedback: Optional[QErrorLog] = None,
 ) -> Iterator[Row]:
     """Yield distinct answer rows of the union plan as fragments evaluate:
     the row view over :func:`plan_answer_batches` (same arguments)."""
-    return distinct_rows(plan_answer_batches(plan, data, cache, feedback))
+    return distinct_rows(plan_answer_batches(plan, data, cache))
 
 
 def evaluate_plan(
@@ -1601,7 +1455,6 @@ def evaluate_plan(
     data: FactsLike,
     limit: Optional[int] = None,
     cache: Optional[FragmentCache] = None,
-    feedback: Optional[QErrorLog] = None,
     columnar: bool = True,
 ) -> Set[Row]:
     """Evaluate the whole union plan (or the first ``limit`` answers).
@@ -1618,5 +1471,5 @@ def evaluate_plan(
     if limit == 0:
         return set()
     return union_rows(
-        plan_answer_batches(plan, data, cache, feedback, whole=limit is None), limit
+        plan_answer_batches(plan, data, cache, whole=limit is None), limit
     )

@@ -67,11 +67,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from ..config import adaptive_enabled
-from ..config import race_margin as race_margin_from_env
-from ..database.feedback import AdaptiveStats, QErrorLog
 from ..database.instance import Instance
-from ..database.planner import CardinalityCostModel
 from ..database.statistics import RelationStats, adopt_statistics, cached_statistics
 from ..datalog.evaluation import FactsLike
 from ..datalog.queries import ConjunctiveQuery
@@ -130,9 +126,6 @@ class ServiceStats:
     plan_kinds: Dict[str, int] = field(default_factory=dict)
     #: Fragment-cache counters (hits/misses/admissions/evictions/…).
     fragments: FragmentCacheStats = field(default_factory=FragmentCacheStats)
-    #: Self-tuning loop counters (q-error percentiles, corrections, races,
-    #: re-plans; all zeros when ``REPRO_ADAPTIVE`` is off).
-    adaptive: AdaptiveStats = field(default_factory=AdaptiveStats)
 
     @property
     def lookups(self) -> int:
@@ -157,25 +150,7 @@ class ServiceStats:
             "plan_invalidations": self.plan_invalidations,
             "plan_kinds": dict(self.plan_kinds),
             "fragments": self.fragments.as_dict(),
-            "adaptive": self.adaptive.as_dict(),
         }
-
-
-#: Champion/challenger races a cached plan may run per adopted champion —
-#: racing doubles the evaluation work, so it has to be bounded.
-_RACE_BUDGET = 3
-
-
-@dataclass
-class _AdaptiveState:
-    """Per-signature adaptive planning state (guarded by the service mutex)."""
-
-    #: The incumbent plan live traffic is served with.
-    plan: UnionPlan
-    #: Feedback-log generation the champion was last (re)validated at.
-    generation: int
-    #: Remaining championship races for this champion.
-    races_left: int = _RACE_BUDGET
 
 
 class QueryService:
@@ -193,8 +168,7 @@ class QueryService:
         Default engine name (see :func:`~repro.pdms.execution.uses_oracle`):
         ``None``, ``"columnar"`` and ``"distributed"`` serve answers from
         the factored plan over ``data``, ``"backtracking"`` from the
-        per-rewriting oracle, which takes neither the fragment cache nor
-        the feedback log.
+        per-rewriting oracle, which takes no fragment cache.
     data:
         Stored-relation data: either a single fact source, or a mapping
         from peer name to that peer's :class:`Instance` (kept per peer —
@@ -213,23 +187,6 @@ class QueryService:
         Byte budget for a service-owned fragment cache; ``0`` disables
         cross-call fragment caching.  When neither parameter is given the
         budget comes from ``REPRO_FRAGMENT_CACHE_BYTES`` (64 MiB default).
-    adaptive:
-        Whether the self-tuning loop runs (``None`` follows
-        ``REPRO_ADAPTIVE``, off by default): fragment evaluations over
-        the service's own data are measured into a
-        :class:`~repro.database.feedback.QErrorLog`, estimation errors
-        become version-scoped cardinality corrections, and plans are
-        recompiled and raced champion/challenger as corrections
-        accumulate.  See ``docs/adaptivity.md``.
-    race_margin:
-        Cost ratio within which a challenger plan is raced against the
-        champion (``None`` follows ``REPRO_RACE_MARGIN``, default 2.0;
-        must be >= 1.0).
-    feedback:
-        A prebuilt :class:`~repro.database.feedback.QErrorLog` to record
-        into (e.g. one shared across services, or a measurement-only log
-        with ``adaptive`` left off).  With ``adaptive`` on and no log
-        given, the service creates its own.
     """
 
     def __init__(
@@ -241,9 +198,6 @@ class QueryService:
         max_entries: int = 1024,
         fragment_cache: Optional[FragmentCache] = None,
         fragment_cache_bytes: Optional[int] = None,
-        adaptive: Optional[bool] = None,
-        race_margin: Optional[float] = None,
-        feedback: Optional[QErrorLog] = None,
     ):
         try:
             uses_oracle(engine)  # an unknown name fails here, not per answer
@@ -262,13 +216,6 @@ class QueryService:
                 )
             else:
                 self._fragments = fragment_cache_from_env()
-            self._adaptive = adaptive if adaptive is not None else adaptive_enabled()
-            margin = race_margin if race_margin is not None else race_margin_from_env()
-            if margin < 1.0:
-                raise EvaluationError(
-                    f"race_margin must be >= 1.0, got {margin}"
-                )
-            self._race_margin = float(margin)
         except EvaluationError as exc:
             # Construction-time mistakes are configuration errors.
             raise PDMSConfigurationError(str(exc)) from exc
@@ -298,17 +245,6 @@ class QueryService:
             # Alias the live cache's counters so `stats.fragments` is
             # always current without copying.
             self._stats.fragments = self._fragments.stats
-        self._feedback = (
-            feedback
-            if feedback is not None
-            else (QErrorLog() if self._adaptive else None)
-        )
-        if self._feedback is not None:
-            # Same aliasing treatment for the feedback counters.
-            self._stats.adaptive = self._feedback.stats
-        #: Per-signature champion plans (adaptive mode only), invalidated
-        #: together with the plan cache.
-        self._champions: Dict[str, _AdaptiveState] = {}
         self._peer_data: Dict[str, Instance] = {}
         self._flat_data: Optional[FactsLike] = None
         self._combined: Optional[FactsLike] = None
@@ -336,10 +272,9 @@ class QueryService:
     def stats(self) -> ServiceStats:
         """Cache behaviour counters (the **live**, mutating object).
 
-        ``stats.fragments`` and ``stats.adaptive`` alias the underlying
-        caches' counters, so values read here move while the service is
-        answering.  Before/after comparisons should use
-        :meth:`stats_snapshot`.
+        ``stats.fragments`` aliases the fragment cache's counters, so
+        values read here move while the service is answering.
+        Before/after comparisons should use :meth:`stats_snapshot`.
         """
         return self._stats
 
@@ -347,13 +282,10 @@ class QueryService:
         """An independent copy of every counter, frozen at this moment.
 
         Unlike :attr:`stats`, nothing in the returned object aliases live
-        state: ``fragments`` and ``adaptive`` are copied, so two snapshots
-        taken around an operation diff cleanly.  q-error percentiles are
-        refreshed from the feedback log's sample reservoir first.
+        state: ``fragments`` is copied, so two snapshots taken around an
+        operation diff cleanly.
         """
         with self._mutex:
-            if self._feedback is not None:
-                self._feedback.refresh_percentiles()
             s = self._stats
             return ServiceStats(
                 hits=s.hits,
@@ -364,7 +296,6 @@ class QueryService:
                 plan_invalidations=s.plan_invalidations,
                 plan_kinds=dict(s.plan_kinds),
                 fragments=replace(s.fragments),
-                adaptive=s.adaptive.snapshot(),
             )
 
     def _collect_service_metrics(self) -> Dict[str, object]:
@@ -383,16 +314,6 @@ class QueryService:
         return self.metrics.snapshot()
 
     @property
-    def feedback(self) -> Optional[QErrorLog]:
-        """The estimation-feedback log (``None`` unless adaptive or supplied)."""
-        return self._feedback
-
-    @property
-    def adaptive(self) -> bool:
-        """Whether the self-tuning loop is on for this service."""
-        return self._adaptive
-
-    @property
     def catalogue_version(self) -> int:
         """The underlying PDMS's catalogue version."""
         return self._pdms.catalogue_version
@@ -404,13 +325,8 @@ class QueryService:
 
     @property
     def plan_cache_size(self) -> int:
-        """Number of currently cached compiled union plans.
-
-        Adaptive services keep their plans as champions (one per query
-        signature, possibly racing challengers); static plans and
-        champions never coexist for one signature, so the sum counts
-        each cached query once."""
-        return len(self._plans) + len(self._champions)
+        """Number of currently cached compiled union plans."""
+        return len(self._plans)
 
     @property
     def fragment_cache(self) -> Optional[FragmentCache]:
@@ -523,11 +439,6 @@ class QueryService:
                     # entries for identically named relations; leave those to
                     # version-token staleness and the LRU.
                     self._fragments.invalidate_relations(departed.relations())
-                if self._feedback is not None:
-                    # Cardinality corrections over the departed peer's
-                    # relations would be token-rejected anyway; drop them
-                    # eagerly like the fragment entries above.
-                    self._feedback.invalidate_relations(departed.relations())
             self._sync()
             return change
 
@@ -539,8 +450,7 @@ class QueryService:
             return change
 
     def _drop_plan(self, signature: str) -> None:
-        champion = self._champions.pop(signature, None)
-        if self._plans.pop(signature, None) is not None or champion is not None:
+        if self._plans.pop(signature, None) is not None:
             self._stats.plan_invalidations += 1
 
     def _sync(self) -> None:
@@ -565,7 +475,6 @@ class QueryService:
                 self._cache.clear()
                 self._stale.clear()
                 self._plans.clear()
-                self._champions.clear()
                 if self._fragments is not None and self._owns_fragment_cache:
                     self._fragments.clear()
                 break
@@ -581,8 +490,6 @@ class QueryService:
                 # evicts the dependent entries.  Peer-relation predicates
                 # simply never intersect, making this a cheap no-op.
                 self._fragments.invalidate_relations(change.affected_predicates)
-            if self._feedback is not None and change.affected_predicates:
-                self._feedback.invalidate_relations(change.affected_predicates)
             stale = [
                 signature
                 for signature, result in self._cache.items()
@@ -659,13 +566,13 @@ class QueryService:
                 self._compile_factored(plan)
             return plan
 
-    def _compile_factored(self, plan: UnionPlan, **attrs: object) -> None:
+    def _compile_factored(self, plan: UnionPlan) -> None:
         """Compile ``plan``'s factored root (first whole answer only) and
         count the outcome.  Called under the service mutex."""
         stats, kinds = plan.stats, self._stats.plan_kinds
         if stats.factored or stats.declined is not None:
             return
-        with current_span().child("plan.compile", **attrs) as span:
+        with current_span().child("plan.compile") as span:
             plan.factored_root()
             span.set("tree_nodes", stats.tree_nodes)
             span.set("factored", stats.declined or stats.factored)
@@ -673,117 +580,6 @@ class QueryService:
         kinds[kind] = kinds.get(kind, 0) + 1
         self.metrics.counter(f"plan.{kind}").inc()
         self.metrics.counter("plan.tree_nodes").inc(stats.tree_nodes)
-
-    def _adaptive_plan(
-        self,
-        signature: str,
-        result: ReformulationResult,
-        source: FactsLike,
-        racing: bool,
-    ) -> Tuple[UnionPlan, Optional[UnionPlan]]:
-        """The champion plan for ``signature`` and, possibly, a challenger.
-
-        The champion is compiled with the feedback log attached, so its
-        join ordering applies the corrections known at compile time and
-        its execution keeps measuring.  Whenever the log's ``generation``
-        moved since the champion was validated (new or materially changed
-        corrections), a candidate is recompiled against the current
-        corrections: a differently shaped candidate within
-        ``race_margin`` of the champion's corrected cost becomes a
-        *challenger* to race (budgeted per champion); a candidate cheaper
-        than the champion after the budget is spent is adopted outright
-        (its shape already proved itself or corrections are unambiguous).
-        Called under the service mutex.
-        """
-        feedback = self._feedback
-        state = self._champions.get(signature)
-        if state is None or state.plan.result is not result:
-            plan = UnionPlan(
-                result, CardinalityCostModel.pinless(source), feedback=feedback
-            )
-            state = _AdaptiveState(plan=plan, generation=feedback.generation)
-            self._champions[signature] = state
-            self._stats.plans_compiled += 1
-        if not racing:
-            return state.plan, None
-        self._compile_factored(state.plan, adaptive=True)
-        if feedback.generation == state.generation:
-            return state.plan, None
-        state.generation = feedback.generation
-        candidate = UnionPlan(
-            result, CardinalityCostModel.pinless(source), feedback=feedback
-        )
-        self._compile_factored(candidate, adaptive=True, candidate=True)
-        candidate_cost = candidate.estimated_cost()
-        champion_cost = state.plan.estimated_cost()
-        if candidate.answer_nodes().keys() == state.plan.answer_nodes().keys():
-            # Same shape — corrections did not change the plan, so the
-            # candidate is the same execution with refreshed estimates.
-            # Adopt it without racing: future observations then measure
-            # q-error against current knowledge, not the original guess.
-            state.plan = candidate
-            return state.plan, None
-        if state.races_left <= 0:
-            if candidate_cost < champion_cost:
-                state.plan = candidate
-            return state.plan, None
-        if candidate_cost <= champion_cost * self._race_margin:
-            state.races_left -= 1
-            return state.plan, candidate
-        return state.plan, None
-
-    def _evaluate_candidate(
-        self,
-        result: ReformulationResult,
-        source: FactsLike,
-        plan: UnionPlan,
-        feedback: Optional[QErrorLog],
-    ) -> Tuple[Set[Row], float]:
-        """One timed, cache-less evaluation of a candidate plan (racing)."""
-        started = time.perf_counter()
-        rows = evaluate_reformulation(
-            result, source, plan=plan, cache=None, feedback=feedback
-        )
-        return rows, time.perf_counter() - started
-
-    def _race(
-        self,
-        signature: str,
-        result: ReformulationResult,
-        source: FactsLike,
-        champion: UnionPlan,
-        challenger: UnionPlan,
-        feedback: QErrorLog,
-    ) -> Set[Row]:
-        """Race champion vs challenger on one live query.
-
-        Both plans evaluate fully (no cross-call cache, so the timing is
-        the plans' own); the challenger is adopted only when its answer
-        set is *identical* and it was faster.  The champion's rows are
-        what the caller is served either way — a losing or mismatching
-        challenger never contributes rows to an answer.
-        """
-        with current_span().child("plan.execute", role="champion", racing=True):
-            champion_rows, champion_seconds = self._evaluate_candidate(
-                result, source, champion, feedback
-            )
-        with current_span().child("plan.execute", role="challenger", racing=True):
-            challenger_rows, challenger_seconds = self._evaluate_candidate(
-                result, source, challenger, feedback
-            )
-        with self._mutex:
-            feedback.stats.races_run += 1
-            if challenger_rows != champion_rows:
-                # Should be impossible (all plans of one reformulation are
-                # answer-equivalent); counted loudly, champion kept.
-                feedback.stats.races_mismatched += 1
-            elif challenger_seconds < champion_seconds:
-                state = self._champions.get(signature)
-                if state is not None and state.plan is champion:
-                    state.plan = challenger
-                    state.races_left = _RACE_BUDGET
-                    feedback.stats.races_won += 1
-        return champion_rows
 
     def clear_cache(self) -> None:
         """Drop every cached reformulation, plan, and fragment table
@@ -796,7 +592,6 @@ class QueryService:
             self._cache.clear()
             self._stale.clear()
             self._plans.clear()
-            self._champions.clear()
             if self._fragments is not None and self._owns_fragment_cache:
                 self._fragments.clear()
 
@@ -816,11 +611,6 @@ class QueryService:
         stops once ``k`` distinct answers are known — a subset of the
         full answer set.  The plan path reuses the compiled union plan
         cached alongside the reformulation.
-
-        In adaptive mode a full-answer call may additionally *race* the
-        cached champion plan against a freshly corrected challenger (see
-        ``docs/adaptivity.md``); the served rows always come from the
-        champion.
         """
         parent = current_span()
         span = (
@@ -831,28 +621,23 @@ class QueryService:
         started = time.perf_counter()
         try:
             with span:
-                prepared = self._prepare(query, engine, data, whole=limit is None)
-                engine, source, result, plan, cache, feedback, sig, challenger = (
-                    prepared
+                engine, source, result, plan, cache = self._prepare(
+                    query, engine, data, whole=limit is None
                 )
                 path = "plan" if plan is not None else "backtracking"
                 if span.recording:
                     span.set("engine", path)
                     if limit is not None:
                         span.set("limit", limit)
-                if challenger is not None and plan is not None and feedback is not None:
-                    rows = self._race(sig, result, source, plan, challenger, feedback)
-                else:
-                    with span.child("plan.execute", engine=path):
-                        rows = evaluate_reformulation(
-                            result,
-                            source,
-                            engine=engine,
-                            limit=limit,
-                            plan=plan,
-                            cache=cache,
-                            feedback=feedback,
-                        )
+                with span.child("plan.execute", engine=path):
+                    rows = evaluate_reformulation(
+                        result,
+                        source,
+                        engine=engine,
+                        limit=limit,
+                        plan=plan,
+                        cache=cache,
+                    )
                 if span.recording:
                     span.set("rows", len(rows))
                 return rows
@@ -868,19 +653,15 @@ class QueryService:
     ):
         """Resolve engine/data/reformulation/plan/cache for one call.
 
-        The oracle (``"backtracking"``) gets no plan, no fragment cache and
-        no feedback log; every other accepted name gets a plan, and the
-        cache and log whenever the call answers over the service's own
-        data.
+        The oracle (``"backtracking"``) gets no plan and no fragment cache;
+        every other accepted name gets a plan, and the cache whenever the
+        call answers over the service's own data.
 
         Runs entirely under the service mutex so concurrent callers see a
         consistent (source, reformulation, plan) triple; the evaluation
         itself happens outside the lock.  ``whole`` says the call is a
-        whole answer (no ``limit``): its factored root is compiled here,
-        and only such calls race.  Returns
-        ``(engine, source, result, plan, cache, feedback, signature,
-        challenger)``; ``challenger`` is non-``None`` only when the
-        adaptive loop proposed a plan to race.
+        whole answer (no ``limit``): its factored root is compiled here.
+        Returns ``(engine, source, result, plan, cache)``.
         """
         engine = engine if engine is not None else self._engine
         oracle = uses_oracle(engine)
@@ -892,23 +673,13 @@ class QueryService:
             # override would churn those warm entries (admit under its own
             # tokens, evicting same-key entries), so overrides bypass the
             # cache; the identity checks keep answer_batch's pre-resolved
-            # shared source on the cached path.  Feedback follows the same
-            # rule: corrections must describe the service's own data.
+            # shared source on the cached path.
             own_data = not oracle and (
                 data is None or source is self._flat_data or source is self._combined
             )
             cache = self._fragments if own_data else None
-            feedback = self._feedback if own_data else None
-            plan = None
-            challenger = None
-            if not oracle:
-                if self._adaptive and feedback is not None:
-                    plan, challenger = self._adaptive_plan(
-                        signature, result, source, whole
-                    )
-                else:
-                    plan = self._plan_for(signature, result, source, whole)
-            return engine, source, result, plan, cache, feedback, signature, challenger
+            plan = None if oracle else self._plan_for(signature, result, source, whole)
+            return engine, source, result, plan, cache
 
     def stream(
         self,
@@ -924,12 +695,8 @@ class QueryService:
         being consumed.  Callers who need post-churn answers should call
         :meth:`answer` (or :meth:`stream` again) after the change.
         """
-        engine, source, result, plan, cache, feedback, _, _ = self._prepare(
-            query, engine, data
-        )
-        return stream_answers(
-            result, source, engine=engine, plan=plan, cache=cache, feedback=feedback
-        )
+        engine, source, result, plan, cache = self._prepare(query, engine, data)
+        return stream_answers(result, source, engine=engine, plan=plan, cache=cache)
 
     def answer_batch(
         self,

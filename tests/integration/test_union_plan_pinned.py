@@ -12,8 +12,8 @@ Two guards around ``UnionPlan`` compilation:
   without a cost model and with one over seeded data.  All digests were
   recorded on commit 62d4612, before compilation was memoised per plan;
   a difference means the compiler's output changed (fragment keys are the
-  contract of the fragment cache, the cache tier's wire, ``QErrorLog`` and
-  the trace attributes).
+  contract of the fragment cache, the cache tier's wire and the trace
+  attributes).
 * **Pinned plans evaluated on data.**  String equality says the plan is
   the *same*, not that it is *right* (the raco-style compile tests stop
   at the former): every pinned plan is evaluated over the seeded data

@@ -140,7 +140,7 @@ class World:
     """One random PDMS behind a ``QueryService``, the live per-peer data,
     and the random changes that drive both."""
 
-    def __init__(self, seed: int, direct: bool = False, adaptive=None):
+    def __init__(self, seed: int, direct: bool = False):
         self.rng = rng = random.Random(seed)
         self.config = CONFIGS[seed % len(CONFIGS)]
         #: Apply mapping changes to the PDMS behind the service's back (the
@@ -168,7 +168,7 @@ class World:
         self.queries = rng.sample(QUERIES, 3)
         # A plan engine, so rebuilt plans compile (and carry) too.
         self.service = QueryService(
-            pdms, config=self.config, engine="columnar", data=dict(self.data), adaptive=adaptive
+            pdms, config=self.config, engine="columnar", data=dict(self.data)
         )
         self.serial = 0
         self.satellites = []  # peers a leave may remove
@@ -383,9 +383,8 @@ def test_a_pure_reformulate_keeps_nothing_between_calls(monkeypatch):
 
 def _toggle_world():
     """The benchmark's churn shape in small: a satellite that maps onto the
-    first goal of a two-goal query.  Not adaptive: adaptive plans compile
-    from scratch, carrying nothing."""
-    world = World(1, adaptive=False)
+    first goal of a two-goal query."""
+    world = World(1)
     for name in ("up_0_0", "up_1_1", "top_0_0", "top_1_1", "pair_2_01", "tdef_0_1"):
         if name not in world.present:
             world.service.add_peer_mapping(world.pool[name])

@@ -143,8 +143,8 @@ class TestFirstKLaziness:
 
         for engine in ("columnar", "distributed"):
             pdms, data, query = self._fan_out()
-            # adaptive=False: the static path keeps its plan on the result.
-            service = QueryService(pdms, data=data, engine=engine, adaptive=False)
+            # The service's plan is the one kept on the result.
+            service = QueryService(pdms, data=data, engine=engine)
             first = service.answer(query, limit=1)
             assert len(first) == 1
             plan = ensure_plan(service.reformulate(query))

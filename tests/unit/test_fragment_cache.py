@@ -23,6 +23,7 @@ from repro.pdms import (
     int_from_env,
     reformulate,
 )
+from repro.config import float_from_env, trace_sample_rate
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +294,24 @@ class TestEnvHandling:
         monkeypatch.setenv("REPRO_TEST_KNOB", "-3")
         with pytest.raises(EvaluationError, match=">= 0"):
             int_from_env("REPRO_TEST_KNOB", 7)
+
+    def test_float_from_env_parses_and_fails_fast(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE_SAMPLE", raising=False)
+        assert trace_sample_rate() == 1.0
+        monkeypatch.setenv("REPRO_TRACE_SAMPLE", "0.25")
+        assert trace_sample_rate() == 0.25
+        monkeypatch.setenv("REPRO_TRACE_SAMPLE", "often")
+        with pytest.raises(EvaluationError, match="REPRO_TRACE_SAMPLE"):
+            trace_sample_rate()
+        monkeypatch.setenv("REPRO_TRACE_SAMPLE", "-0.5")
+        with pytest.raises(EvaluationError, match=">= 0.0"):
+            trace_sample_rate()
+        monkeypatch.setenv("REPRO_TRACE_SAMPLE", "1.5")
+        with pytest.raises(EvaluationError, match="within"):
+            trace_sample_rate()
+        monkeypatch.setenv("SOME_FLOAT", "-3")
+        with pytest.raises(EvaluationError, match="SOME_FLOAT"):
+            float_from_env("SOME_FLOAT", 0.0)
 
     @pytest.mark.parametrize("bad", ["nope", "-5"])
     def test_fragment_cache_env_fails_fast(self, monkeypatch, bad):

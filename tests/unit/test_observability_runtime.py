@@ -17,7 +17,6 @@ import threading
 import pytest
 
 from repro.database import Instance
-from repro.database.feedback import AdaptiveStats
 from repro.obs import (
     METRICS_SCHEMA_VERSION,
     NULL_SPAN,
@@ -449,7 +448,6 @@ class TestSchemaUnification:
         shapes = [
             ServiceStats().as_dict(),
             FragmentCacheStats().as_dict(),
-            AdaptiveStats().as_dict(),
             ScanPolicy().as_dict(),
             source.scatter_stats(),
             source.latency_stats(),
@@ -457,6 +455,9 @@ class TestSchemaUnification:
         ]
         for shape in shapes:
             assert shape["schema_version"] == METRICS_SCHEMA_VERSION
+        # Version 2 removed the service's `adaptive` block.
+        assert METRICS_SCHEMA_VERSION == 2
+        assert "adaptive" not in shapes[0]
 
     def test_shard_map_as_dict_wraps_the_legacy_describe_shape(self):
         shard_map = ShardMap().shard_by_hash("r", 0, ["A", "B"])
@@ -487,10 +488,10 @@ class TestDescribeSnapshot:
             metrics = snapshot["metrics"]
             assert metrics["schema_version"] == METRICS_SCHEMA_VERSION
             collected = metrics["collected"]
-            assert collected["scatter"]["schema_version"] == 1
-            assert collected["peer_latency"]["schema_version"] == 1
+            assert collected["scatter"]["schema_version"] == METRICS_SCHEMA_VERSION
+            assert collected["peer_latency"]["schema_version"] == METRICS_SCHEMA_VERSION
             assert collected["scan_policy"]["retries"] == 0
-            assert collected["service"]["schema_version"] == 1
+            assert collected["service"]["schema_version"] == METRICS_SCHEMA_VERSION
 
     def test_mutating_a_snapshot_never_perturbs_live_state(self):
         from repro.datalog.indexing import WILDCARD
@@ -527,7 +528,7 @@ class TestDescribeSnapshot:
         assert service.answer(query)
         snapshot = service.metrics_snapshot()
         assert snapshot["histograms"]["service.answer_seconds"]["count"] >= 1
-        assert snapshot["collected"]["service"]["schema_version"] == 1
+        assert snapshot["collected"]["service"]["schema_version"] == METRICS_SCHEMA_VERSION
 
     def test_whole_answers_compile_inside_the_plan_compile_span(self):
         """The factored root is compiled in ``plan.compile`` (not lazily,
@@ -547,7 +548,7 @@ class TestDescribeSnapshot:
                 exact=False, name=f"store_{index}",
             ))
             data[f"P{index}"] = Instance.from_dict({f"s{index}": [(index, 2)]})
-        service = QueryService(pdms, data=data, engine="columnar", adaptive=False)
+        service = QueryService(pdms, data=data, engine="columnar")
         query = parse_query("Q(x) :- T:A(x, y)")
         tracer = make_tracer()
         set_tracer(tracer)

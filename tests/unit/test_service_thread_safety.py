@@ -194,7 +194,7 @@ def wide_service(**options):
             data[peer] = Instance.from_dict(
                 {stored: [(i, (i + index) % 5) for i in range(10)]})
     query = parse_query("Q(x, w) :- T:A(x, y), T:B(y, z), T:C(z, w)")
-    service = QueryService(pdms, data=data, engine="columnar", adaptive=False, **options)
+    service = QueryService(pdms, data=data, engine="columnar", **options)
     return service, query, certain_answers(pdms, query, combine_peer_instances(data))
 
 

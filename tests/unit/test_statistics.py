@@ -160,6 +160,17 @@ class TestStatsDrivenCostModel:
         model = CardinalityCostModel.pinless({"r": [(1, 2), (3, 4)]})
         assert model.cardinality("r") == 2
 
+    def test_populated_relation_never_ties_with_an_empty_one(self):
+        """However restricted, a scan of real data ranks strictly above a
+        genuinely empty relation, so join ordering can tell them apart."""
+        instance = Instance()
+        instance.add_all("tiny", [(1, 1), (2, 2), (3, 3)])
+        model = CardinalityCostModel(instance)
+        for args in ("x, y", "1, y", "x, 1", "1, 1", "x, x", "7, 7"):
+            populated = model.atom_estimate(_atom(f"Q() :- tiny({args})"))
+            empty = model.atom_estimate(_atom(f"Q() :- void({args})"))
+            assert populated >= 1 > empty, args
+
     def test_modelless_estimates_are_zero(self):
         model = CardinalityCostModel()
         assert model.cardinality("r") == 0

@@ -16,6 +16,7 @@ import pytest
 from repro.database import Instance
 from repro.datalog.indexing import WILDCARD
 from repro.errors import TransportError
+from repro.obs.metrics import METRICS_SCHEMA_VERSION
 from repro.pdms import (
     AsyncSocketTransport,
     LoopbackTransport,
@@ -544,7 +545,7 @@ class TestClusterTailStats:
             ):
                 assert key in scatter
             latency = snapshot["peer_latency"]
-            assert latency["schema_version"] == 1
+            assert latency["schema_version"] == METRICS_SCHEMA_VERSION
             peers = latency["peers"]
             assert "A" in peers and peers["A"]["count"] >= 1.0
 

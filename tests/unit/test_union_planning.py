@@ -10,7 +10,8 @@ Covers, per layer:
   default, the oracle by name, anything else refused), federated probe
   routing and the arity-clash check, the
   per-batch canonical-signature cache of ``answer_query_batch``;
-* ``repro.database.planner`` — the cardinality cost model.
+* ``repro.database.planner`` — the cardinality cost model, and a
+  correlated workload whose join order it misjudges.
 """
 
 from types import SimpleNamespace
@@ -212,16 +213,15 @@ class TestEngineNames:
         assert evaluate_rewritings(reformulate(two_peer_pdms, query), data) == {
             (1,), (3,)}
 
-    def test_oracle_refuses_a_cache_and_a_feedback_log(self, two_peer_pdms):
-        from repro.database.feedback import QErrorLog
-
+    def test_oracle_refuses_a_cache(self, two_peer_pdms):
         result = reformulate(two_peer_pdms, parse_query("Q(x) :- A:R(x, y)"))
         data = {"stored_s": [(1, 2)]}
-        for memory in ({"cache": FragmentCache()}, {"feedback": QErrorLog()}):
-            with pytest.raises(EvaluationError, match="oracle"):
-                evaluate_reformulation(result, data, engine="backtracking", **memory)
-            # The plan path takes both.
-            assert evaluate_reformulation(result, data, **memory) == {(1,)}
+        with pytest.raises(EvaluationError, match="oracle"):
+            evaluate_reformulation(
+                result, data, engine="backtracking", cache=FragmentCache()
+            )
+        # The plan path takes it.
+        assert evaluate_reformulation(result, data, cache=FragmentCache()) == {(1,)}
 
     def test_evaluate_plan_rejects_the_row_representation(self, fan_out_pdms):
         plan = compile_reformulation(
@@ -546,7 +546,6 @@ class TestPlannerAdditions:
         assert cost.cardinality("r") == 2
         assert source.scans == 1
         assert cost.cardinality("missing") == 0
-        assert cost.scan_estimate("r", filters=1) == 1
 
     def test_cost_model_without_source(self):
         cost = CardinalityCostModel()
@@ -755,3 +754,112 @@ class TestPlanEvaluation:
         assert plan.fragment_relations(first.root_key) == {"r", "s"}
         assert plan.token_relations(first.root_key) == ("r", "s")
         assert plan.fragment_relations(second.root_key) == {"t"}
+
+
+def _skewed_pdms():
+    """A three-way chain join whose cheap-looking first join is a trap.
+
+    ``A |><| B`` estimates tiny under independence (B's y column is
+    almost all distinct) but the 50 hot ``y=0`` rows of A each match
+    B's 1000 hot rows — 50k intermediate rows.  ``B |><| C`` estimates
+    large (B's z column has ~1000 distinct values against 10k rows) but
+    actually yields 5 rows.  The cost model therefore joins A-B first.
+    """
+    pdms = PDMS()
+    peer = pdms.add_peer("P")
+    peer.add_relation("A", ["x", "y"])
+    peer.add_relation("B", ["y", "z"])
+    peer.add_relation("C", ["z", "w"])
+    pdms.add_storage_description(
+        StorageDescription("P", "sa", parse_query("V(x, y) :- P:A(x, y)")))
+    pdms.add_storage_description(
+        StorageDescription("P", "sb", parse_query("V(y, z) :- P:B(y, z)")))
+    pdms.add_storage_description(
+        StorageDescription("P", "sc", parse_query("V(z, w) :- P:C(z, w)")))
+    instance = Instance()
+    a_rows = [(i, 0) for i in range(50)]
+    a_rows += [(150 + i, 20000 + i) for i in range(5)]
+    a_rows += [(50 + i, 30000 + i) for i in range(95)]
+    instance.add_all("sa", a_rows)
+    b_rows = [(0, z) for z in range(1000)]
+    b_rows += [(20000 + i, 2000 + i) for i in range(5)]
+    b_rows += [(40000 + i, i % 1000) for i in range(3995)]
+    instance.add_all("sb", b_rows)
+    # C is wide enough that the B-C estimate out-prices A-B, yet only
+    # B's five rare rows actually reach its range.
+    instance.add_all("sc", [(2000 + i, i) for i in range(200)])
+    query = parse_query("Q(x, w) :- P:A(x, y), P:B(y, z), P:C(z, w)")
+    truth = frozenset((150 + i, i) for i in range(5))
+    return pdms, query, instance, truth
+
+
+class TestCorrelatedWorkload:
+    """The cost model orders every join, including the ones it misjudges:
+    a misestimated plan is slower, never wrong, and its estimates for
+    what it can see exactly (the scans) match what evaluation reports."""
+
+    @pytest.mark.parametrize("engine", [None, "columnar", "distributed", "backtracking"])
+    def test_every_engine_name_returns_the_certain_answers(self, engine):
+        pdms, query, instance, truth = _skewed_pdms()
+        result = reformulate(pdms, query)
+        assert evaluate_reformulation(result, {"P": instance}, engine=engine) == truth
+
+    def test_repeated_service_answers_reuse_one_plan(self):
+        from repro.pdms import QueryService
+
+        pdms, query, instance, truth = _skewed_pdms()
+        service = QueryService(pdms, data={"P": instance}, fragment_cache_bytes=0)
+        for _ in range(3):
+            assert service.answer(query) == truth
+        assert set(service.stream(query)) == truth
+        assert service.stats_snapshot().plans_compiled == 1
+
+    def test_scan_estimates_match_the_traced_scan_rows(self):
+        """A scan's compile-time estimate (``_Group.estimate``) against the
+        ``rows`` its ``fragment.eval`` span reports: exact here, q-error 1."""
+        from repro.obs import MetricsRegistry, Tracer, set_tracer
+        from repro.pdms import QueryService
+
+        pdms, query, instance, truth = _skewed_pdms()
+        sizes = {name: instance.cardinality(name) for name in ("sa", "sb", "sc")}
+        plan = compile_reformulation(reformulate(pdms, query), instance)
+        assert list(plan.fragments())
+        estimates = {}
+        for group in plan._groups.values():
+            (atom,) = group.atoms
+            assert group.estimate == sizes[atom.predicate], atom
+            estimates[group.key] = group.estimate
+        assert len(estimates) == 3
+
+        service = QueryService(pdms, data={"P": instance}, fragment_cache_bytes=0)
+        tracer = Tracer(enabled=True, sample_rate=1.0, sink_path=None,
+                        registry=MetricsRegistry())
+        set_tracer(tracer)
+        try:
+            assert service.answer(query) == truth
+        finally:
+            set_tracer(None)
+        (trace_id,) = tracer.trace_ids()
+        scans = [span["attrs"] for span in tracer.trace(trace_id)
+                 if span["name"] == "fragment.eval" and span["attrs"]["kind"] == "scan"]
+        assert sorted(attrs["rows"] for attrs in scans) == sorted(sizes.values())
+        for attrs in scans:
+            assert estimates[attrs["key"]] == attrs["rows"], attrs["key"]
+
+    def test_stats_snapshot_is_deep_and_independent(self):
+        from repro.pdms import QueryService
+
+        pdms, query, instance, truth = _skewed_pdms()
+        service = QueryService(pdms, data={"P": instance})
+        service.answer(query)
+        snap = service.stats_snapshot()
+        before = (snap.hits, snap.misses, snap.fragments.lookups, dict(snap.plan_kinds))
+        service.answer(query)
+        service.answer(query)
+        assert (snap.hits, snap.misses, snap.fragments.lookups,
+                dict(snap.plan_kinds)) == before
+        assert snap.fragments is not service.stats.fragments
+        assert snap.plan_kinds is not service.stats.plan_kinds
+        live = service.stats_snapshot()
+        assert live.hits > snap.hits
+        assert live.fragments.lookups > snap.fragments.lookups
