@@ -60,12 +60,7 @@ HEADLINES: Dict[str, Tuple[Tuple[str, str], ...]] = {
         ("cases.transport_overhead.loopback_relative_throughput", "timing"),
         ("cases.concurrent_clients.concurrency_speedup", "timing"),
     ),
-    "BENCH_sharding.json": (
-        ("cases.churn_scaling.qps_scaling_1_to_4", "timing"),
-        ("cases.partition_pruning.scan_prune_factor", "exact"),
-    ),
     "BENCH_tail_latency.json": (
-        ("cases.hedged_vs_unhedged.p99_improvement", "timing"),
         ("cases.retry_completeness.healed_complete", "exact"),
         ("cases.delta_vs_full.rows_ratio", "exact"),
     ),

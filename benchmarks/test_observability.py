@@ -91,7 +91,7 @@ def _two_peer_cluster():
         pdms=pdms,
         transport=LoopbackTransport(data),
         scan_policy=ScanPolicy(
-            retries=0, hedging=False, backoff=0.0, backoff_cap=0.0, jitter=0.0,
+            retries=0, backoff=0.0, backoff_cap=0.0, jitter=0.0,
         ),
     )
     return cluster, query, expected

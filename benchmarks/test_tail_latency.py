@@ -1,20 +1,7 @@
-"""Tail-latency benchmarks: hedging, retry completeness, delta re-scans.
+"""Scan-path benchmarks: retry completeness and delta re-scans.
 
-Backs the ISSUE-9 acceptance criteria:
+Backs the two survivors of the remote scan path's policy:
 
-* **hedged_vs_unhedged** — the acceptance gate: with one replica of a
-  two-member placement group slowed 10×, the hedge duplicates the request
-  to the fast replica after a small fixed delay instead of waiting out
-  the slow primary.  Gated on what hedging guarantees under the injected
-  delays, whatever the host load: the hedge wins ≥ 90 % of the scans,
-  the hedged p99 stays **under** the slow primary's delay and the
-  unhedged p99 cannot be under it.  The hedged arm takes 200 samples so
-  its p99 is the second-largest latency, not the largest: one scheduler
-  stall on a loaded host is the 1 % a p99 leaves out.  Every unhedged
-  scan waits out the injected delay, so that arm's gate holds at any
-  sample count and it keeps 60.  The p99 ratio (≈ 3× on an idle
-  host) is recorded, not asserted: it divides by a 15 ms wall-clock
-  sample and read 2.8× whenever the host was busy;
 * **retry_completeness** — a churn workload over a transport that drops
   every n-th scan RPC, run under the bounded-retry policy, must end with
   **every** answer ``complete=True``: transient faults are healed, not
@@ -36,7 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
 from typing import Dict
 
@@ -47,29 +33,15 @@ from repro.datalog import parse_query
 from repro.datalog.indexing import WILDCARD
 from repro.pdms import (
     PDMS,
-    AsyncSocketTransport,
     LoopbackTransport,
     RemotePeerFactSource,
     ScanPolicy,
     ServiceCluster,
-    ShardMap,
     StorageDescription,
 )
 
 QUICK = os.environ.get("EVAL_BENCH_QUICK") == "1"
 
-#: Per-scan latency samples for the unhedged p99 arm.
-SAMPLES = 24 if QUICK else 60
-#: Samples for the hedged arm: at 200, ``_p99`` is the second-largest
-#: latency, so a single stall of the test process is not its p99.
-HEDGED_SAMPLES = 200
-#: The fast replica's wire latency and the slow primary's (10× slower).
-#: Milliseconds-scale so scheduler jitter cannot swamp the p99 gap.
-FAST_DELAY = 5e-3
-SLOW_DELAY = 50e-3
-#: Fixed hedge delay: fire the duplicate once the primary exceeds the
-#: fast replica's expected latency.
-HEDGE_DELAY = 5e-3
 #: answer+insert iterations for the retry-completeness churn run.
 CHURN_STEPS = 12 if QUICK else 30
 #: Base relation size and growth rounds for the delta arm.
@@ -96,82 +68,6 @@ def baseline_recorder():
     )
 
 
-def _p99(samples) -> float:
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))]
-
-
-def _replicated_source(policy: ScanPolicy):
-    """One relation on a two-replica placement group; ``A`` is the primary.
-
-    Served over :class:`AsyncSocketTransport`: the hedging race needs
-    genuinely cancellable in-flight RPCs — an abandoned slow primary must
-    cost nothing, not occupy a worker thread for its full latency.
-    """
-    instance = Instance.from_dict(
-        {"sr": {(i, i % 97) for i in range(HEDGED_SAMPLES * 2)}}
-    )
-    shard_map = ShardMap().shard_by_hash("sr", 0, [("A", "B")])
-    transport = AsyncSocketTransport({"A": instance, "B": instance})
-    source = RemotePeerFactSource(transport, shard_map=shard_map, policy=policy)
-    # Chaos after construction so the describe round stays fast.
-    transport.set_peer_delay("A", SLOW_DELAY)
-    transport.set_peer_delay("B", FAST_DELAY)
-    return source, transport
-
-
-def test_hedged_p99_beats_unhedged_with_one_slow_peer(baseline_recorder):
-    """Acceptance gate: one peer slowed 10× — the hedge wins the scans and
-    keeps p99 under the slow peer's delay, which unhedged scans must pay."""
-
-    def measure(policy: ScanPolicy, samples: int):
-        source, transport = _replicated_source(policy)
-        try:
-            # Unmeasured warmup: establish pooled connections and spin up
-            # the executors so start-up cost never lands in a sample.
-            for key in range(samples, samples + 3):
-                source.get_matching("sr", (key, WILDCARD))
-            latencies = []
-            for key in range(samples):
-                start = time.perf_counter()
-                rows = source.get_matching("sr", (key, WILDCARD))
-                latencies.append(time.perf_counter() - start)
-                assert rows == ((key, key % 97),)
-            assert source.complete
-            return _p99(latencies), source.scatter_stats()
-        finally:
-            source.close()
-            transport.close()
-
-    unhedged_p99, unhedged_stats = measure(
-        ScanPolicy(retries=0, hedging=False, **FAST_POLICY), SAMPLES
-    )
-    hedged_p99, hedged_stats = measure(
-        ScanPolicy(retries=0, hedge=HEDGE_DELAY, hedging=True, **FAST_POLICY),
-        HEDGED_SAMPLES,
-    )
-    assert unhedged_stats["hedges_fired"] == 0
-    assert hedged_stats["hedges_fired"] >= HEDGED_SAMPLES * 0.9
-    improvement = unhedged_p99 / hedged_p99
-
-    baseline_recorder["hedged_vs_unhedged"] = {
-        "samples": float(SAMPLES),
-        "hedged_samples": float(HEDGED_SAMPLES),
-        "slow_peer_delay_seconds": SLOW_DELAY,
-        "fast_peer_delay_seconds": FAST_DELAY,
-        "hedge_delay_seconds": HEDGE_DELAY,
-        "unhedged_p99_ms": unhedged_p99 * 1000.0,
-        "hedged_p99_ms": hedged_p99 * 1000.0,
-        "hedges_won": float(hedged_stats["hedges_won"]),
-        "p99_improvement": improvement,
-    }
-    assert hedged_stats["hedges_won"] >= HEDGED_SAMPLES * 0.9
-    assert hedged_p99 < SLOW_DELAY <= unhedged_p99, (
-        f"p99 {unhedged_p99 * 1e3:.1f}ms unhedged -> {hedged_p99 * 1e3:.1f}ms "
-        f"hedged around a {SLOW_DELAY * 1e3:.0f}ms slow peer"
-    )
-
-
 def test_transient_faults_end_complete_under_retries(baseline_recorder):
     """Acceptance gate: a churn run over a drop-every-3rd-scan transport
     ends with every answer ``complete=True`` — retries heal the faults."""
@@ -191,7 +87,7 @@ def test_transient_faults_end_complete_under_retries(baseline_recorder):
     with ServiceCluster(
         pdms=pdms,
         transport=transport,
-        scan_policy=ScanPolicy(retries=2, hedging=False, **FAST_POLICY),
+        scan_policy=ScanPolicy(retries=2, **FAST_POLICY),
     ) as cluster:
         next_key = 200
         for _ in range(CHURN_STEPS):

@@ -8,7 +8,7 @@ readers below (:func:`int_from_env`, :func:`bool_from_env`,
 shape.  Evaluation itself has no knob: one path (the factored plan), one
 representation (column batches), one thread (the caller's).  Where scans
 run is decided by the fact source a caller builds, not by the
-environment: there is no engine, transport or shard-count knob.  Nor is
+environment: there is no engine, transport or placement knob.  Nor is
 any plan tuned at run time: the cost model orders every join, so there
 is no adaptivity knob either.
 
@@ -99,36 +99,11 @@ def max_inflight() -> int:
 def scan_retries() -> int:
     """Extra scan attempts after a ``TransportError`` (``REPRO_SCAN_RETRIES``).
 
-    Default 2 (so up to three attempts per scan unit).  ``0`` disables
-    retries: the first transport fault degrades the answer, as before the
-    tail-latency layer existed.  Attempts rotate across the replicas of
-    the owning placement group, so retries double as replica failover.
+    Default 2 (so up to three attempts per scan unit, each to the one
+    peer that owns it).  ``0`` disables retries: the first transport
+    fault degrades the answer.
     """
     return int_from_env("REPRO_SCAN_RETRIES", 2)
-
-
-def scan_deadline_seconds() -> float:
-    """Per-query scan deadline budget (``REPRO_SCAN_DEADLINE_MS``).
-
-    ``0`` (the default) means no deadline.  When set, each prefetch wave
-    (and each cold ``get_matching``) gets this much wall-clock time for
-    retries and hedges combined; scan units still pending at expiry are
-    abandoned and recorded as failures, degrading the answer honestly.
-    """
-    return int_from_env("REPRO_SCAN_DEADLINE_MS", 0) / 1000.0
-
-
-def hedge_seconds() -> float:
-    """Fixed hedge delay for scans (``REPRO_HEDGE_MS``).
-
-    ``0`` (the default) means *adaptive*: hedge when the primary replica
-    exceeds the p95 of its per-peer latency EWMA (once enough
-    observations exist).  A positive value hedges after that fixed delay
-    instead.  Hedging needs a replica to duplicate the request to, so it
-    only engages for placement groups with >= 2 live members; disable it
-    entirely with ``REPRO_HEDGE_MS=-1``.
-    """
-    return int_from_env("REPRO_HEDGE_MS", 0, minimum=-1) / 1000.0
 
 
 def trace_enabled() -> bool:

@@ -11,10 +11,10 @@ an inline flamegraph bar scaled to the root span::
     ├─ plan.compile 0.8ms                                | #      |
     └─ plan.execute 9.9ms                                |  ######|
        └─ scatter.wave 4.1ms [wave=0 peers=3]
-          └─ scan.unit 2.0ms [relation=r attempts=2]
+          └─ scan.unit 2.0ms [peer=p0 relations=r attempts=2]
              ├─ scan.attempt 1.1ms [peer=p0 kind=primary status=error]
-             ├─ scan.attempt 0.9ms [peer=p1 kind=retry]
-             └─ ~ rpc.serve.scan 0.7ms [peer=p1]
+             ├─ scan.attempt 0.9ms [peer=p0 kind=retry]
+             └─ ~ rpc.serve.scan_since 0.7ms [peer=p0]
 
 Worker-side spans (``remote: true``) carry a foreign monotonic epoch, so
 they are marked ``~`` and get no timeline bar — their duration is exact,

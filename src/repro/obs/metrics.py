@@ -50,7 +50,9 @@ __all__ = [
 #: ``as_dict()`` stats shapes that register into it).  Bump when a key
 #: is renamed, removed or its meaning changes; additions are compatible.
 #: Version 2 removed the service's ``adaptive`` block.
-METRICS_SCHEMA_VERSION = 2
+#: Version 3 removed the ``peer_latency`` / ``sharding`` blocks, the hedge
+#: and deadline keys of ``scan_policy``, and four ``scatter`` counters.
+METRICS_SCHEMA_VERSION = 3
 
 
 class Counter:

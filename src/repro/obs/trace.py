@@ -1,7 +1,7 @@
 """Query-lifecycle tracing: spans, trace trees, wire context, JSONL sink.
 
 One query's life — reformulation, plan compile, fragment evaluation,
-scatter waves, every remote scan attempt with its retries/hedges — is
+scatter waves, every remote scan attempt with its retries — is
 recorded as a tree of :class:`Span` records keyed by a shared trace id.
 Design constraints, in order:
 
@@ -12,9 +12,9 @@ Design constraints, in order:
    attribute computation with ``if span.recording:``.
 2. **Spans close exactly once, by the code that opened them.**  Every
    instrumentation site opens its span in a ``with`` block (or closes in
-   a ``finally``), including cancelled hedge losers and deadline-
-   abandoned scan units; :meth:`Tracer.health` counts double-closes so
-   the chaos suite can assert none happen.
+   a ``finally``), including retried attempts and the batched first
+   attempts no scan unit took over; :meth:`Tracer.health` counts
+   double-closes so the chaos suite can assert none happen.
 3. **Worker-side time is stitched in, compatibly.**  A span's
    :meth:`~Span.wire_context` (a two-key dict) rides scan/insert
    requests across the transports; the serving side — possibly another
@@ -113,8 +113,8 @@ class Span:
 
     Timings use ``time.monotonic_ns``.  Exiting the ``with`` block on an
     exception marks ``status="error"`` (without swallowing it); sites
-    with richer outcomes (``cancelled``, ``deadline``) pass an explicit
-    status to :meth:`close`.
+    with richer outcomes (``cancelled``) pass an explicit status to
+    :meth:`close`.
     """
 
     __slots__ = ("_tracer", "name", "trace_id", "span_id", "parent_id",
@@ -163,8 +163,8 @@ class Span:
     def __enter__(self) -> "Span":
         # Entering a span makes it the thread's ambient span (see
         # current_span) so downstream modules can parent to it without
-        # signature changes; manually open/closed spans (the hedge-race
-        # attempt spans) never touch the ambient state.
+        # signature changes; manually open/closed spans (the scan-unit
+        # and batched-attempt spans) never touch the ambient state.
         self._prev_active = getattr(_ACTIVE, "span", None)
         _ACTIVE.span = self
         return self

@@ -60,16 +60,11 @@ from .distributed import (
     AsyncSocketTransport,
     ClusterAnswer,
     DistributedAnswer,
-    HashPartition,
     LoopbackTransport,
-    PeerLatencyTracker,
-    RangePartition,
     RemotePeerFactSource,
     ScanFailure,
     ScanPolicy,
     ServiceCluster,
-    ShardMap,
-    auto_shard,
     evaluate_distributed,
 )
 from .system import (
@@ -86,15 +81,11 @@ __all__ = [
     "ClusterAnswer",
     "DistributedAnswer",
     "AsyncSocketTransport",
-    "HashPartition",
     "LoopbackTransport",
-    "PeerLatencyTracker",
-    "RangePartition",
     "RemotePeerFactSource",
     "ScanFailure",
     "ScanPolicy",
     "ServiceCluster",
-    "ShardMap",
     "ComplexityClass",
     "ComplexityReport",
     "DEFAULT_CONFIG",
@@ -126,7 +117,6 @@ __all__ = [
     "analyze_pdms",
     "answer_query",
     "answer_query_batch",
-    "auto_shard",
     "build_canonical_instance",
     "build_inclusion_graph",
     "canonicalize_query",

@@ -16,25 +16,17 @@ real:
   the wire.  It is the source that decides where scans run: the one plan
   path calls its ``answer_hooks()``, which scatter-gather each root's
   scans across peers concurrently, and a failed peer degrades the answer
-  to a best-effort sound subset instead of failing it;
+  to a best-effort sound subset instead of failing it.  Its
+  :class:`ScanPolicy` bounds the retries of each peer's scans;
 * :mod:`~repro.pdms.distributed.cluster` — :class:`ServiceCluster`, a
   concurrency-safe front end over :class:`~repro.pdms.service.QueryService`
   with bounded admission (``REPRO_MAX_INFLIGHT``) and an explicit
   ``complete`` flag per answer, and :func:`evaluate_distributed`, the
   same flag for one reformulation without a service;
-* :mod:`~repro.pdms.distributed.sharding` — :class:`ShardMap` placement
-  (hash/range partitioning of peer relations across worker shards) with
-  stable cross-process routing hashes and partition-pruned scan owner
-  resolution;
 * :mod:`~repro.pdms.distributed.async_transport` —
   :class:`AsyncSocketTransport`, the same four-RPC contract over real
   asyncio TCP sockets (length-prefixed frames, a batch frame, one
-  connection pool, one background event-loop thread);
-* :mod:`~repro.pdms.distributed.hedging` — the tail-latency toolkit:
-  :class:`ScanPolicy` (bounded retries with jittered backoff, hedged
-  duplicate scans to shard replicas, per-query deadline budgets),
-  and :class:`PeerLatencyTracker` (per-peer EWMA latency quantiles
-  feeding the adaptive hedge trigger).
+  connection pool, one background event-loop thread).
 
 Every transport propagates the :mod:`repro.obs.trace` wire context
 (trace/span ids ride scan and insert RPCs out of band, so server-side
@@ -43,10 +35,9 @@ surface in the package registers into the owning service's
 :class:`~repro.obs.metrics.MetricsRegistry` — see
 ``docs/observability.md``.
 
-See ``docs/distributed.md`` for the wire contract, failure semantics, and
-the consolidated table of every ``REPRO_*`` environment knob, and
-``docs/sharding.md`` for placement, pruning, and sharing warm fragments
-across clusters.
+See ``docs/distributed.md`` for the wire contract, failure semantics,
+sharing warm fragments across clusters, and the consolidated table of
+every ``REPRO_*`` environment knob.
 """
 
 # Backward-compatible alias: the reader moved into the consolidated knob
@@ -59,17 +50,7 @@ from .transport import (
     encode_pattern,
 )
 from .async_transport import AsyncSocketTransport
-from .hedging import PeerLatencyTracker, ScanPolicy
-from .sharding import (
-    HashPartition,
-    RangePartition,
-    ShardMap,
-    auto_shard,
-    insert_routed,
-    shard_peer_names,
-    stable_shard_hash,
-)
-from .source import RemotePeerFactSource, ScanFailure
+from .source import RemotePeerFactSource, ScanFailure, ScanPolicy
 from .cluster import (
     ClusterAnswer,
     DistributedAnswer,
@@ -81,22 +62,14 @@ __all__ = [
     "AsyncSocketTransport",
     "ClusterAnswer",
     "DistributedAnswer",
-    "HashPartition",
     "LoopbackTransport",
-    "PeerLatencyTracker",
-    "RangePartition",
     "RemotePeerFactSource",
     "ScanFailure",
     "ScanPolicy",
     "ServiceCluster",
-    "ShardMap",
     "Transport",
-    "auto_shard",
     "decode_pattern",
     "encode_pattern",
     "evaluate_distributed",
-    "insert_routed",
     "max_inflight_from_env",
-    "shard_peer_names",
-    "stable_shard_hash",
 ]

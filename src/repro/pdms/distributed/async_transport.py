@@ -28,19 +28,14 @@ story is the one peers on other hosts would use:
   :meth:`AsyncSocketTransport.scan_many` (the first attempts of a
   scatter wave) ride it, so each costs one RPC instead of one per peer;
 * callers see the ordinary *blocking* methods (each submits a coroutine
-  to the loop and waits), but in-flight RPCs to different peers — and
-  hedged duplicates to the same shard's replicas — genuinely overlap on
-  the event loop, no thread-per-peer pool required.  :meth:`submit_scan`
-  exposes the non-blocking form directly: it returns a
-  :class:`concurrent.futures.Future` whose cancellation really abandons
-  the RPC (the pooled connection is discarded, never re-paired);
+  to the loop and waits), but in-flight RPCs to different peers
+  genuinely overlap on the event loop, no thread-per-peer pool required;
 * chaos parity with the loopback harness: ``fail_peer`` /
   ``drop_every_n`` act client-side before a frame is sent (the shared
   :meth:`~repro.pdms.distributed.transport.TransportBase._admit`), while
-  ``delay`` / ``set_peer_delay`` / ``row_cost`` are served as
-  ``asyncio.sleep`` *inside* the server — so a slowed peer delays only
-  its own responses while the loop keeps serving everyone else, which
-  is exactly the one-slow-replica scenario hedging exists for;
+  ``delay`` / ``set_peer_delay`` are served as ``asyncio.sleep``
+  *inside* the server — so a slowed peer delays only its own responses
+  while the loop keeps serving everyone else;
 * a ``scan_since`` reply carries each scan's table as a **column
   frame** ``(length, columns)``: a column is ``(dtype tag, raw bytes)``
   for a NumPy column (tags ``<i8`` and ``<f8`` only) or a plain list of
@@ -227,8 +222,8 @@ class AsyncSocketTransport(TransportBase):
     """The four-RPC contract over asyncio TCP sockets (see module docs).
 
     Chaos hooks are :class:`~repro.pdms.distributed.transport.TransportBase`'s:
-    ``delay``, ``set_peer_delay`` and ``row_cost`` are waited out
-    remotely, ``fail_peer`` and ``drop_every_n`` refuse client-side.
+    ``delay`` and ``set_peer_delay`` are waited out remotely,
+    ``fail_peer`` and ``drop_every_n`` refuse client-side.
     """
 
     def __init__(
@@ -236,11 +231,10 @@ class AsyncSocketTransport(TransportBase):
         instances: Mapping[str, Instance],
         delay: float = 0.0,
         drop_every_n: int = 0,
-        row_cost: float = 0.0,
         pool_size: int = 4,
         timeout: Optional[float] = None,
     ):
-        super().__init__(instances, delay, drop_every_n, row_cost)
+        super().__init__(instances, delay, drop_every_n)
         #: ``pool_size`` is per served peer, as when each had its own pool.
         self._pool_cap = max(1, pool_size) * max(1, len(self._instances))
         self._timeout = timeout if timeout is not None else _config_transport_timeout()
@@ -286,7 +280,7 @@ class AsyncSocketTransport(TransportBase):
                 except TransportError as exc:  # reply over the frame cap
                     await _write_frame(writer, ("error", str(exc)))
         except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client vanished (e.g. a cancelled hedge) — fine
+            pass  # client vanished (e.g. a timed-out RPC) — fine
         except TransportError:
             pass  # oversized, truncated or garbled frame: drop the connection
         except asyncio.CancelledError:
@@ -464,28 +458,6 @@ class AsyncSocketTransport(TransportBase):
             names,
             self._batch([("describe", peer, None, None) for peer in names]),
         ))
-
-    def submit_scan(
-        self, peer: str, requests: Sequence[SinceScanRequest]
-    ) -> "concurrent.futures.Future[List[ScanSinceResult]]":
-        """Fire a delta-capable scan batch without blocking.
-
-        The hedging hook: the returned future resolves to the same
-        result :meth:`scan_batch_since` would return, and cancelling it
-        genuinely abandons the RPC (the losing connection is discarded).
-        Client-side chaos (``fail_peer``, ``drop_every_n``) is applied
-        here, synchronously, before anything is sent.
-        """
-        self._admit(peer, scan=True)
-        batch = list(requests)
-        trace = current_wire_context()
-
-        async def go() -> List[ScanSinceResult]:
-            results = await self._rpc(peer, "scan_since", batch, trace=trace)
-            self._count_scans(peer, len(batch))
-            return results
-
-        return asyncio.run_coroutine_threadsafe(go(), self._loop)
 
     def scan_many(
         self, batches: Sequence[Tuple[str, Sequence[SinceScanRequest], object]]

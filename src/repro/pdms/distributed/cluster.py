@@ -47,9 +47,7 @@ from ..reformulation import ReformulationResult
 from ..service import QueryService, ServiceStats
 from ..system import PDMS
 from ...config import max_inflight as _config_max_inflight
-from .hedging import ScanPolicy
-from .sharding import ShardMap, insert_routed
-from .source import RemotePeerFactSource, ScanFailure
+from .source import RemotePeerFactSource, ScanFailure, ScanPolicy
 from .transport import Row, Transport
 
 
@@ -136,24 +134,14 @@ class ServiceCluster:
     max_inflight:
         Concurrent-answer bound; default ``REPRO_MAX_INFLIGHT`` (0 =
         unbounded).
-    shard_map:
-        A :class:`~repro.pdms.distributed.sharding.ShardMap` describing
-        how the transport's peers partition relations; enables partition
-        pruning in the scatter-gather rounds and shard-aware
-        :meth:`insert` routing.
     fragment_cache:
         A :class:`~repro.pdms.materialization.FragmentCache` forwarded to
         the constructed :class:`QueryService`: clusters (or services)
         handed the same cache share its warm fragments (see
-        ``docs/sharding.md``).
+        ``docs/distributed.md``).
     scan_policy:
-        The tail-latency envelope (retries, hedging, deadlines) the
-        cluster's scans run under; defaults to
-        :meth:`~repro.pdms.distributed.hedging.ScanPolicy.from_env`.
-    delta:
-        ``False`` opts the cluster's source out of delta-shipping
-        re-scans (every re-scan ships the full relation again).
-        Ignored when wrapping a prebuilt ``service``.
+        The retry envelope the cluster's scans run under; defaults to
+        :meth:`~repro.pdms.distributed.source.ScanPolicy.from_env`.
     """
 
     def __init__(
@@ -165,12 +153,9 @@ class ServiceCluster:
         engine: Optional[str] = None,
         max_inflight: Optional[int] = None,
         fragment_cache_bytes: Optional[int] = None,
-        shard_map: Optional[ShardMap] = None,
         fragment_cache: Optional[FragmentCache] = None,
-        scan_policy: Optional["ScanPolicy"] = None,
-        delta: bool = True,
+        scan_policy: Optional[ScanPolicy] = None,
     ):
-        self._shard_map = shard_map
         if service is not None:
             if pdms is not None or transport is not None:
                 raise PDMSConfigurationError(
@@ -203,14 +188,11 @@ class ServiceCluster:
                 )
             self._transport = transport
             try:
-                self._source = RemotePeerFactSource(
-                    transport, shard_map=shard_map, policy=scan_policy,
-                    delta=delta,
-                )
+                self._source = RemotePeerFactSource(transport, policy=scan_policy)
             except EvaluationError as exc:
-                # A malformed REPRO_SCAN_RETRIES / REPRO_HEDGE_MS /
-                # REPRO_SCAN_DEADLINE_MS read by ScanPolicy.from_env is a
-                # construction-time mistake, exactly as max_inflight below.
+                # A malformed REPRO_SCAN_RETRIES read by ScanPolicy.from_env
+                # is a construction-time mistake, exactly as max_inflight
+                # below.
                 raise PDMSConfigurationError(str(exc)) from exc
             self._service = QueryService(
                 pdms,
@@ -221,7 +203,7 @@ class ServiceCluster:
                 fragment_cache_bytes=fragment_cache_bytes,
             )
         if self._source is not None:
-            # The source's scatter/latency/transport snapshots become pull
+            # The source's scatter/policy/transport snapshots become pull
             # collectors in the service's unified registry (weakly held).
             self._source.bind_metrics(self._service.metrics)
         if max_inflight is not None:
@@ -258,11 +240,6 @@ class ServiceCluster:
     def transport(self) -> Optional[Transport]:
         """The transport the cluster fronts, when it built its own source."""
         return self._transport
-
-    @property
-    def shard_map(self) -> Optional[ShardMap]:
-        """The placement map scans are pruned against (``None`` = unsharded)."""
-        return self._shard_map
 
     @property
     def stats(self) -> ServiceStats:
@@ -310,9 +287,6 @@ class ServiceCluster:
             snapshot["unreachable_peers"] = self._source.unreachable_peers
             snapshot["transport_failures"] = self._source.failure_count
             snapshot["scatter"] = self._source.scatter_stats()
-            snapshot["peer_latency"] = self._source.latency_stats()
-        if self._shard_map is not None:
-            snapshot["sharding"] = self._shard_map.describe()
         snapshot["metrics"] = self._service.metrics_snapshot()
         # Every contributor above builds fresh containers today, but one
         # returning a live dict would hand callers a mutable alias into
@@ -324,24 +298,24 @@ class ServiceCluster:
     # -- writes ------------------------------------------------------------
 
     def insert(self, relation: str, rows: Iterable[Row]) -> int:
-        """Route ``rows`` to their owning peers and insert them.
+        """Insert ``rows`` at every peer that currently owns ``relation``.
 
-        With a shard map, each row goes to the shard group its partition
-        column hashes (or ranges) into; otherwise every current owner of
-        ``relation`` receives the batch (single-owner in practice).
-        Returns the number of distinct rows routed.  Transport faults
-        propagate — a write that did not land must not look like one that
-        did.
+        The batch is deduplicated once, so each owner receives one copy
+        of each row.  Returns the number of distinct rows written; raises
+        :class:`~repro.errors.PDMSConfigurationError` when no peer owns
+        the relation.  Transport faults propagate — a write that did not
+        land must not look like one that did.
         """
         if self._transport is None:
             raise PDMSConfigurationError(
                 "insert needs a cluster that fronts its own transport"
             )
-        fallback: Sequence[str] = ()
-        if self._source is not None and (
-            self._shard_map is None or not self._shard_map.is_sharded(relation)
-        ):
-            fallback = self._source.owners(relation)
+        batch = list(dict.fromkeys(tuple(row) for row in rows))
+        if not batch:
+            return 0
+        owners = self._source.owners(relation)
+        if not owners:
+            raise PDMSConfigurationError(f"no peer owns relation {relation!r}")
         parent = current_span()
         span = (
             parent.child("cluster.insert", relation=relation)
@@ -351,18 +325,12 @@ class ServiceCluster:
         # The wire context installed here parents the per-peer
         # ``rpc.serve.insert`` spans under this write.
         with span, wire_context(span.wire_context()):
-            count = insert_routed(
-                self._transport,
-                self._shard_map,
-                relation,
-                rows,
-                fallback_peers=fallback,
-            )
+            for peer in owners:
+                self._transport.insert(peer, relation, batch)
             if span.recording:
-                span.set("rows", count)
-            if self._source is not None:
-                self._source.refresh()
-        return count
+                span.set("rows", len(batch))
+            self._source.refresh()
+        return len(batch)
 
     # -- answering ---------------------------------------------------------
 

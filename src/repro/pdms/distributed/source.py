@@ -19,7 +19,7 @@ Three mechanisms keep the RPC count sane and the semantics honest:
   probes constantly; each distinct probe crosses the wire once per data
   version, and batched prefetch (:meth:`prefetch`) fetches a whole
   rewriting's scans in one scatter-gather round — one round trip, where
-  the transport has a batch frame and no unit needs a timer.
+  the transport has a batch frame.
 * **Version tokens over the wire** — ``describe_many`` ships each
   relation's data-version token from every owning peer in one round (one
   frame over sockets), and the combined token keeps
@@ -35,23 +35,16 @@ Three mechanisms keep the RPC count sane and the semantics honest:
   partial memo entry is discarded at the next :meth:`refresh`.  Data
   errors (arity clashes) still raise, exactly like a local probe.
 
-The tail-latency layer sits on top (see ``docs/distributed.md``, "Tail
-latency").  Scans are organised into *units* — one per shard placement
-group, each listing the replicas that can serve it — and every unit runs
-under a :class:`~repro.pdms.distributed.hedging.ScanPolicy`:
+Two more mechanisms sit on the scan path (see ``docs/distributed.md``,
+"Retries and delta re-scans").  Scans are organised into *units* — one
+per owning peer, carrying every scan of the wave that peer serves — and
+every unit runs under a :class:`ScanPolicy`:
 
 * **retries** — a unit lost to a ``TransportError`` is re-attempted
-  (bounded, exponential backoff + jitter), rotating across the group's
-  replicas; a scan that succeeds on retry records *no* failure, so
-  ``complete`` is re-earned instead of permanently degraded, and a unit
-  that exhausts its attempts is counted **once**, not once per attempt;
-* **hedging** — when a replica exists and the primary exceeds the hedge
-  delay (fixed ``REPRO_HEDGE_MS``, or the primary's tracked p95), a
-  duplicate request is fired at the next replica; first success wins and
-  the loser is cancelled;
-* **deadlines** — ``REPRO_SCAN_DEADLINE_MS`` bounds a whole prefetch
-  wave; units still unfinished at expiry degrade honestly, exactly like
-  a transport fault;
+  (bounded, exponential backoff + jitter); a scan that succeeds on retry
+  records *no* failure, so ``complete`` is re-earned instead of
+  permanently degraded, and a unit that exhausts its attempts is counted
+  **once**, not once per attempt;
 * **delta re-scans** — per-peer scan results are memoized with their
   version token, and re-scans send that token as a ``since`` cursor so
   an advanced peer ships only its newly added rows
@@ -64,21 +57,19 @@ executions (see :class:`~repro.pdms.distributed.cluster.ServiceCluster`).
 
 from __future__ import annotations
 
+import random
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, CancelledError
-from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ... import config as _config
 from ...database.columnar import ColumnTable, scan_columns, union_blocks
 from ...datalog.indexing import WILDCARD, Pattern
 from ...errors import MappingError, TransportError
-from ...config import distributed_workers as _config_distributed_workers
 from ...obs.metrics import METRICS_SCHEMA_VERSION
-from ...obs.trace import NULL_SPAN, current_span, wire_context
-from .hedging import PeerLatencyTracker, ScanPolicy
+from ...obs.trace import current_span, wire_context
 from .transport import (
     EncodedPattern,
     RelationInfo,
@@ -88,9 +79,8 @@ from .transport import (
     encode_pattern,
 )
 
-
-class _DeadlineExpired(Exception):
-    """Internal: the wave's deadline budget ran out mid-unit."""
+#: One memoized scan: ``(relation, encoded pattern)``.
+ScanKey = Tuple[str, EncodedPattern]
 
 
 @dataclass(frozen=True)
@@ -100,6 +90,41 @@ class ScanFailure:
     peer: str
     relation: str
     error: str
+
+
+@dataclass(frozen=True)
+class ScanPolicy:
+    """The retry envelope applied to every scan unit and describe round.
+
+    ``retries`` extra attempts are made on ``TransportError``, each after
+    an exponential backoff (``backoff * 2**attempt``, capped at
+    ``backoff_cap``, plus up to ``jitter`` relative random slack).
+    """
+
+    retries: int = 2
+    backoff: float = 0.01
+    backoff_cap: float = 0.25
+    jitter: float = 0.25
+
+    @classmethod
+    def from_env(cls) -> "ScanPolicy":
+        """The policy ``REPRO_SCAN_RETRIES`` selects (see :mod:`repro.config`)."""
+        return cls(retries=_config.scan_retries())
+
+    def as_dict(self) -> Dict[str, object]:
+        """The policy as a JSON-friendly snapshot (stats surfaces embed it)."""
+        return {
+            "schema_version": METRICS_SCHEMA_VERSION,
+            "retries": self.retries,
+            "backoff_s": self.backoff,
+            "backoff_cap_s": self.backoff_cap,
+            "jitter": self.jitter,
+        }
+
+    def backoff_delay(self, attempt: int, rng=random) -> float:
+        """Sleep before retry number ``attempt`` (0-based), jittered."""
+        base = min(self.backoff_cap, self.backoff * (2 ** attempt))
+        return base * (1.0 + self.jitter * rng.random())
 
 
 class _FirstAttempt:
@@ -112,14 +137,13 @@ class _FirstAttempt:
     in place of issuing the attempt itself.
     """
 
-    __slots__ = ("unit_span", "span", "baselines", "outcome", "elapsed")
+    __slots__ = ("unit_span", "span", "baselines", "outcome")
 
     def __init__(self, unit_span, span, baselines):
         self.unit_span = unit_span
         self.span = span
         self.baselines = baselines
         self.outcome: object = None
-        self.elapsed = 0.0
 
     @property
     def failed(self) -> bool:
@@ -138,7 +162,7 @@ def distributed_workers_from_env() -> int:
     values fail fast like every ``REPRO_*`` knob — delegates to the
     consolidated reader (:func:`repro.config.distributed_workers`).
     """
-    return _config_distributed_workers()
+    return _config.distributed_workers()
 
 
 class RemotePeerFactSource:
@@ -150,18 +174,9 @@ class RemotePeerFactSource:
         The peer boundary to probe through.
     peers:
         Subset of the transport's peers to serve (default: all).
-    shard_map:
-        Optional :class:`~repro.pdms.distributed.sharding.ShardMap`
-        describing how relations are horizontally partitioned across the
-        transport's peers.  When present, scans whose pattern binds the
-        partition column to a constant are *pruned* to the owning shard
-        group instead of fanning out to every owner; everything else is
-        unchanged — per-shard version tokens already combine into the
-        composite token via the sorted-token aggregation below.
     policy:
-        The :class:`~repro.pdms.distributed.hedging.ScanPolicy` governing
-        retries, hedging, and deadlines (default: from the ``REPRO_*``
-        environment knobs).
+        The :class:`ScanPolicy` governing retries (default: from
+        ``REPRO_SCAN_RETRIES``).
     delta:
         When ``True`` (the default), re-scans send the memoized version
         token as a ``since`` cursor so peers can ship deltas instead of
@@ -178,12 +193,10 @@ class RemotePeerFactSource:
         self,
         transport: Transport,
         peers: Optional[Iterable[str]] = None,
-        shard_map: Optional[object] = None,
         policy: Optional[ScanPolicy] = None,
         delta: bool = True,
     ):
         self._transport = transport
-        self._shard_map = shard_map
         self._policy = policy if policy is not None else ScanPolicy.from_env()
         self._delta = delta
         self._peer_names: Tuple[str, ...] = (
@@ -195,8 +208,8 @@ class RemotePeerFactSource:
         self._cards: Dict[str, int] = {}
         self._tokens: Dict[str, Tuple[object, ...]] = {}
         #: Per ``(relation, encoded pattern)``: its distinct rows as one
-        #: column table, merged over the units that serve it.
-        self._memo: Dict[Tuple[str, EncodedPattern], ColumnTable] = {}
+        #: column table, merged over the owners that serve it.
+        self._memo: Dict[ScanKey, ColumnTable] = {}
         #: Per-(peer, relation, pattern) delta cursors: the version token
         #: of the last scan served by that peer plus the merged table it
         #: covered.  Anchored to wire version tokens (not generations):
@@ -213,21 +226,13 @@ class RemotePeerFactSource:
         self._degraded: Set[str] = set()
         self._unreachable: Set[str] = set()
         self._failures: List[ScanFailure] = []
-        self._tracker = PeerLatencyTracker()
-        self._pruned_scans = 0
-        self._fanout_scans = 0
-        self._pruned_waves = 0
-        self._fanout_waves = 0
+        self._waves = 0
         self._retries = 0
-        self._hedges_fired = 0
-        self._hedges_won = 0
-        self._deadline_expiries = 0
         self._delta_scans = 0
         self._full_scans = 0
         self._delta_rows = 0
         self._full_rows = 0
         self._executor = None
-        self._attempt_executor = None
         self._closed = False
         self.refresh()
 
@@ -343,49 +348,29 @@ class RemotePeerFactSource:
             {peer: errors[peer] for peer in pending},
         )
 
-    @property
-    def shard_map(self) -> Optional[object]:
-        """The placement map scans are pruned against (``None`` = unsharded)."""
-        return self._shard_map
-
     def scatter_stats(self) -> Dict[str, int]:
-        """Scatter and tail-latency counters (monotone since construction).
+        """Scatter counters (monotone since construction).
 
-        ``pruned_scans`` / ``fanout_scans`` count individual wire scans by
-        whether shard pruning narrowed the owner set below the full route;
-        ``pruned_waves`` / ``fanout_waves`` count :meth:`prefetch` rounds
-        that fetched anything, a wave being *pruned* only when every scan
-        in it was.  The tail-latency layer adds: ``retries`` (re-attempts
-        after a transport fault), ``hedges_fired`` / ``hedges_won``
-        (duplicate requests issued, and how many beat the primary),
-        ``deadline_expiries`` (scan units abandoned at the wave
-        deadline), ``delta_scans`` / ``full_scans`` (wire scans answered
-        as a delta vs a full rescan) and ``delta_rows_shipped`` /
-        ``full_rows_shipped`` (rows carried by each kind).
+        ``fanout_waves`` counts :meth:`prefetch` rounds that fetched
+        anything; ``retries`` re-attempts after a transport fault;
+        ``delta_scans`` / ``full_scans`` wire scans answered as a delta vs
+        a full rescan, and ``delta_rows_shipped`` / ``full_rows_shipped``
+        the rows each kind carried.  ``pruned_waves`` and ``hedges_fired``
+        are always 0: they exist only because the end-to-end benchmark
+        harness still reads them.
         """
         with self._lock:
             return {
                 "schema_version": METRICS_SCHEMA_VERSION,
-                "pruned_scans": self._pruned_scans,
-                "fanout_scans": self._fanout_scans,
-                "pruned_waves": self._pruned_waves,
-                "fanout_waves": self._fanout_waves,
+                "pruned_waves": 0,
+                "fanout_waves": self._waves,
                 "retries": self._retries,
-                "hedges_fired": self._hedges_fired,
-                "hedges_won": self._hedges_won,
-                "deadline_expiries": self._deadline_expiries,
+                "hedges_fired": 0,
                 "delta_scans": self._delta_scans,
                 "full_scans": self._full_scans,
                 "delta_rows_shipped": self._delta_rows,
                 "full_rows_shipped": self._full_rows,
             }
-
-    def latency_stats(self) -> Dict[str, object]:
-        """Per-peer scan-latency EWMA snapshot (count, mean, p95; ms)."""
-        return {
-            "schema_version": METRICS_SCHEMA_VERSION,
-            "peers": self._tracker.snapshot(),
-        }
 
     def bind_metrics(self, registry) -> None:
         """Register this source's snapshots as pull collectors.
@@ -396,12 +381,7 @@ class RemotePeerFactSource:
         source simply drops out of later snapshots.
         """
         registry.register_collector("scatter", self.scatter_stats)
-        registry.register_collector("peer_latency", self.latency_stats)
         registry.register_collector("scan_policy", self._policy.as_dict)
-        if self._shard_map is not None:
-            as_dict = getattr(self._shard_map, "as_dict", None)
-            if callable(as_dict):
-                registry.register_collector("sharding", as_dict)
         transport_metrics = getattr(self._transport, "transport_metrics", None)
         if callable(transport_metrics):
             registry.register_collector("transport", transport_metrics)
@@ -509,95 +489,22 @@ class RemotePeerFactSource:
                 )
             return self._executor
 
-    def _attempt_pool(self):
-        """A second executor for hedged attempts.
-
-        Hedged duplicates must not share the scatter pool: a wave that
-        fills the scatter pool with units would deadlock waiting for its
-        own attempts.  Transports with a native :meth:`submit_scan`
-        (the async socket backend) bypass this pool entirely.
-        """
-        with self._lock:
-            self._check_open()
-            if self._attempt_executor is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._attempt_executor = ThreadPoolExecutor(
-                    max_workers=max(4, self._scatter_width() * 2),
-                    thread_name_prefix="repro-hedge",
-                )
-            return self._attempt_executor
-
     def _record_failure(self, peer: str, relations: Iterable[str], error: str) -> None:
         with self._lock:
             for relation in relations:
                 self._failures.append(ScanFailure(peer, relation, error))
                 self._degraded.add(relation)
 
-    def _restricted_owners(
+    # -- one scan unit: one owning peer, bounded retries -------------------
+
+    def _open_attempt(
         self,
-        relation: str,
-        owners_restriction: Optional[Iterable[str]],
-    ) -> Tuple[Tuple[str, ...], bool]:
-        """(owners to scan, was the route set narrowed?) — lock held.
-
-        ``owners_restriction`` is a shard-pruning hint (the peer group a
-        constant bound on the partition column resolves to); owners
-        outside the current routing table are dropped — a peer that left
-        holds no rows, so intersecting stays a sound *complete* scan of
-        what remains reachable (degradation is tracked separately).
-        """
-        routes = self._routes.get(relation, ())
-        if owners_restriction is None:
-            return routes, False
-        allowed = set(owners_restriction)
-        owners = tuple(owner for owner in routes if owner in allowed)
-        return owners, len(owners) < len(routes)
-
-    def _scan_groups(
-        self,
-        relation: str,
-        pattern: Pattern,
-        owners_restriction: Optional[Iterable[str]],
-    ) -> Tuple[Tuple[Tuple[str, ...], ...], bool]:
-        """(replica groups to scan, was the route set narrowed?) — lock held.
-
-        Each returned group lists the live replicas of one shard; any
-        one member answers for the whole group, which is what makes
-        hedging and retry-rotation across the group sound.  Unsharded
-        relations degenerate to one single-member group per owner (every
-        owner may hold distinct rows, so all must be scanned).
-        """
-        routes = self._routes.get(relation, ())
-        shard_map = self._shard_map
-        if shard_map is not None:
-            raw_groups = shard_map.groups_for_pattern(relation, pattern)
-            if raw_groups is not None:
-                live = set(routes)
-                groups = tuple(
-                    live_group
-                    for group in raw_groups
-                    if (live_group := tuple(p for p in group if p in live))
-                )
-                covered = {peer for group in groups for peer in group}
-                return groups, len(covered) < len(routes)
-        owners, pruned = self._restricted_owners(relation, owners_restriction)
-        return tuple((owner,) for owner in owners), pruned
-
-    # -- one scan unit: retries, hedging, deadline -------------------------
-
-    def _deadline_at(self) -> Optional[float]:
-        deadline = self._policy.deadline
-        return time.monotonic() + deadline if deadline else None
-
-    @staticmethod
-    def _remaining(deadline_at: Optional[float]) -> Optional[float]:
-        return None if deadline_at is None else deadline_at - time.monotonic()
-
-    def _build_since_requests(
-        self, peer: str, keys: Sequence[Tuple[str, EncodedPattern]]
+        peer: str,
+        keys: Sequence[ScanKey],
+        parent_span,
+        kind: str,
     ):
-        """The wire batch for ``peer`` plus the delta baselines it rides on."""
+        """(wire batch, delta baselines, open ``scan.attempt`` span) for ``peer``."""
         with self._lock:
             baselines = {
                 key: self._peer_scans.get((peer, key[0], key[1]))
@@ -613,17 +520,6 @@ class RemotePeerFactSource:
             )
             for key in keys
         ]
-        return requests, baselines
-
-    def _open_attempt(
-        self,
-        peer: str,
-        keys: Sequence[Tuple[str, EncodedPattern]],
-        parent_span,
-        kind: str,
-    ):
-        """(wire batch, delta baselines, open ``scan.attempt`` span) for ``peer``."""
-        requests, baselines = self._build_since_requests(peer, keys)
         span = parent_span.child(
             "scan.attempt", peer=peer, kind=kind, scans=len(requests)
         )
@@ -632,17 +528,15 @@ class RemotePeerFactSource:
     def _finish_scan(
         self,
         peer: str,
-        keys: Sequence[Tuple[str, EncodedPattern]],
-        baselines: Dict[Tuple[str, EncodedPattern], Optional[Tuple[object, ColumnTable]]],
+        keys: Sequence[ScanKey],
+        baselines: Dict[ScanKey, Optional[Tuple[object, ColumnTable]]],
         results,
-        elapsed: float,
-    ) -> Dict[Tuple[str, EncodedPattern], ColumnTable]:
+    ) -> Dict[ScanKey, ColumnTable]:
         """Merge one successful wire response into the delta cursors.
 
         A delta is merged column-wise and deduplicated: a token read that
         raced an insert re-ships rows the base already holds."""
-        self._tracker.observe(peer, elapsed)
-        out: Dict[Tuple[str, EncodedPattern], ColumnTable] = {}
+        out: Dict[ScanKey, ColumnTable] = {}
         delta_scans = full_scans = delta_rows = full_rows = 0
         commits = []
         for key, (full, token, table) in zip(keys, results):
@@ -668,247 +562,56 @@ class RemotePeerFactSource:
         return out
 
     def _attempt_scan(
-        self,
-        peer: str,
-        keys: Sequence[Tuple[str, EncodedPattern]],
-        parent_span=NULL_SPAN,
-        kind: str = "primary",
-    ) -> Dict[Tuple[str, EncodedPattern], ColumnTable]:
+        self, peer: str, keys: Sequence[ScanKey], parent_span, kind: str
+    ) -> Dict[ScanKey, ColumnTable]:
         """One blocking scan attempt (raises ``TransportError`` on fault)."""
         requests, baselines, span = self._open_attempt(
             peer, keys, parent_span, kind
         )
-        start = time.monotonic()
         # The wire context installed around the transport call is what
         # parents the serve-side span under this attempt.
         with span, wire_context(span.wire_context()):
             results = self._transport.scan_batch_since(peer, requests)
-        return self._finish_scan(
-            peer, keys, baselines, results, time.monotonic() - start
-        )
-
-    def _traced_scan_since(self, peer: str, requests, ctx):
-        """Transport scan with the caller's wire context re-installed.
-
-        Hedge-pool threads do not inherit the submitting thread's wire
-        context (it is thread-local), so it travels as an argument.
-        """
-        with wire_context(ctx):
-            return self._transport.scan_batch_since(peer, requests)
-
-    def _submit_attempt(
-        self,
-        peer: str,
-        keys: Sequence[Tuple[str, EncodedPattern]],
-        parent_span=NULL_SPAN,
-        kind: str = "primary",
-    ):
-        """Fire one scan attempt without blocking; returns (future, baselines, start, span).
-
-        Uses the transport's native :meth:`submit_scan` when it has one
-        (genuinely cancellable), else the hedge thread pool (cancellation
-        is then best-effort abandonment — the losing response is simply
-        discarded).  The returned ``scan.attempt`` span is owned by the
-        caller racing the future: it must close it exactly once with the
-        attempt's outcome (``ok`` / ``error`` / ``cancelled``).  On a
-        submit fault the span is closed here and the fault re-raised.
-        """
-        requests, baselines, span = self._open_attempt(
-            peer, keys, parent_span, kind
-        )
-        start = time.monotonic()
-        submit = getattr(self._transport, "submit_scan", None)
-        try:
-            if submit is not None:
-                # submit_scan captures the wire context on this thread
-                # before hopping to the transport's event loop.
-                with wire_context(span.wire_context()):
-                    future = submit(peer, requests)
-            else:
-                future = self._attempt_pool().submit(
-                    self._traced_scan_since, peer, requests, span.wire_context()
-                )
-        except Exception:
-            span.close("error")
-            raise
-        return future, baselines, start, span
-
-    def _attempt_with_hedge(
-        self,
-        primary: str,
-        hedge_peer: Optional[str],
-        keys: Sequence[Tuple[str, EncodedPattern]],
-        deadline_at: Optional[float],
-        parent_span=NULL_SPAN,
-        kind: str = "primary",
-    ) -> Dict[Tuple[str, EncodedPattern], ColumnTable]:
-        """One attempt, possibly hedged to a replica; first success wins.
-
-        Raises ``TransportError`` when every in-flight request failed
-        (the caller's retry loop handles it) and :class:`_DeadlineExpired`
-        when the wave budget ran out; data errors propagate as-is.
-
-        Span ownership: this racing loop owns every ``scan.attempt`` span
-        :meth:`_submit_attempt` returns, and closes each exactly once —
-        on its future's outcome, or as ``cancelled`` in the ``finally``
-        sweep that cancels the losers (including deadline expiry, where
-        every in-flight attempt is a loser).
-        """
-        policy = self._policy
-        hedge_delay = (
-            policy.hedge_delay(self._tracker, primary)
-            if hedge_peer is not None
-            else None
-        )
-        if hedge_delay is None and deadline_at is None:
-            return self._attempt_scan(primary, keys, parent_span, kind)
-        future, baselines, start, span = self._submit_attempt(
-            primary, keys, parent_span, kind
-        )
-        in_flight = {future: (primary, baselines, start, span)}
-        hedge_pending = hedge_delay is not None
-        errors: List[TransportError] = []
-        try:
-            while True:
-                wait_timeout = hedge_delay if hedge_pending else None
-                remaining = self._remaining(deadline_at)
-                if remaining is not None:
-                    if remaining <= 0:
-                        raise _DeadlineExpired()
-                    wait_timeout = (
-                        remaining
-                        if wait_timeout is None
-                        else min(wait_timeout, remaining)
-                    )
-                done, _ = futures_wait(
-                    list(in_flight),
-                    timeout=wait_timeout,
-                    return_when=FIRST_COMPLETED,
-                )
-                if not done:
-                    if hedge_pending:
-                        # The primary exceeded its hedge delay: duplicate
-                        # the request to the replica and race them.
-                        hedge_pending = False
-                        with self._lock:
-                            self._hedges_fired += 1
-                        try:
-                            h_future, h_base, h_start, h_span = (
-                                self._submit_attempt(
-                                    hedge_peer, keys, parent_span, "hedge"
-                                )
-                            )
-                            in_flight[h_future] = (
-                                hedge_peer, h_base, h_start, h_span
-                            )
-                        except TransportError:
-                            pass  # hedge target down; primary may answer yet
-                        continue
-                    raise _DeadlineExpired()
-                for finished in done:
-                    peer, peer_baselines, peer_start, peer_span = (
-                        in_flight.pop(finished)
-                    )
-                    try:
-                        results = finished.result()
-                    except TransportError as exc:
-                        peer_span.set("error", str(exc))
-                        peer_span.close("error")
-                        errors.append(exc)
-                        continue
-                    except CancelledError:
-                        peer_span.close("cancelled")
-                        errors.append(
-                            TransportError(
-                                f"scan to {peer!r} cancelled", peer=peer
-                            )
-                        )
-                        continue
-                    except Exception:
-                        # Data errors (ValueError/InstanceError) propagate,
-                        # cancelling the other attempt below.
-                        peer_span.close("error")
-                        raise
-                    peer_span.close()
-                    if peer != primary:
-                        with self._lock:
-                            self._hedges_won += 1
-                    return self._finish_scan(
-                        peer,
-                        keys,
-                        peer_baselines,
-                        results,
-                        time.monotonic() - peer_start,
-                    )
-                if not in_flight:
-                    raise errors[-1] if errors else TransportError(
-                        f"scan to {primary!r} failed", peer=primary
-                    )
-        finally:
-            for leftover, (_, _, _, loser_span) in in_flight.items():
-                leftover.cancel()
-                loser_span.close("cancelled")
+        return self._finish_scan(peer, keys, baselines, results)
 
     @staticmethod
-    def _unit_span(parent_span, candidates, keys):
+    def _unit_span(parent_span, peer: str, keys: Sequence[ScanKey]):
         return parent_span.child(
             "scan.unit",
-            replicas=len(candidates),
-            primary=candidates[0],
+            peer=peer,
             relations=",".join(sorted({key[0] for key in keys})),
             scans=len(keys),
         )
 
     def _batched_first_attempts(
-        self,
-        unit_items: Sequence[
-            Tuple[Tuple[str, ...], List[Tuple[str, EncodedPattern]]]
-        ],
-        deadline_at: Optional[float],
-        wave,
-    ) -> Dict[Tuple[str, ...], _FirstAttempt]:
-        """Attempt 0 of every timer-free unit of a wave, in one batch frame.
+        self, unit_items: Sequence[Tuple[str, List[ScanKey]]], wave
+    ) -> Dict[str, _FirstAttempt]:
+        """Attempt 0 of every unit of a wave, in one batch frame.
 
-        A unit has a timer when its first attempt may have to be raced or
-        cut short: a hedge candidate under a hedging policy, or a wave
-        deadline.  Those keep the per-unit submission, whose futures the
-        timer can wait on and cancel; so does every unit of a transport
-        without a batch frame (``scan_many``).  The rest need nothing but
-        the reply, so their requests share one round trip and each unit is
-        handed its own outcome.
+        Each unit is handed its own outcome, so a peer that faulted in the
+        frame retries on its own while the others are done.  A transport
+        without a batch frame (``scan_many``) gets none: every unit then
+        issues its own first attempt.
         """
         scan_many = getattr(self._transport, "scan_many", None)
-        if scan_many is None or deadline_at is not None:
+        if scan_many is None or not unit_items:
             return {}
-        hedging = self._policy.hedging
-        firsts: Dict[Tuple[str, ...], _FirstAttempt] = {}
+        firsts: Dict[str, _FirstAttempt] = {}
         frame = []
-        for group, keys in unit_items:
-            if hedging and len(group) > 1:
-                continue
-            unit_span = self._unit_span(wave, group, keys)
+        for peer, keys in unit_items:
+            unit_span = self._unit_span(wave, peer, keys)
             requests, baselines, span = self._open_attempt(
-                group[0], keys, unit_span, "primary"
+                peer, keys, unit_span, "primary"
             )
-            firsts[group] = _FirstAttempt(unit_span, span, baselines)
-            frame.append((group[0], requests, span.wire_context()))
-        if firsts:
-            start = time.monotonic()
-            outcomes = scan_many(frame)
-            # Every sub-request waited for the whole frame: that is the
-            # latency its peer is charged with.
-            elapsed = time.monotonic() - start
-            for first, outcome in zip(firsts.values(), outcomes):
-                first.outcome = outcome
-                first.elapsed = elapsed
+            firsts[peer] = _FirstAttempt(unit_span, span, baselines)
+            frame.append((peer, requests, span.wire_context()))
+        for first, outcome in zip(firsts.values(), scan_many(frame)):
+            first.outcome = outcome
         return firsts
 
     def _take_first_attempt(
-        self,
-        first: _FirstAttempt,
-        peer: str,
-        keys: Sequence[Tuple[str, EncodedPattern]],
-    ) -> Dict[Tuple[str, EncodedPattern], ColumnTable]:
+        self, first: _FirstAttempt, peer: str, keys: Sequence[ScanKey]
+    ) -> Dict[ScanKey, ColumnTable]:
         """Finish a batched attempt as :meth:`_attempt_scan` finishes its own."""
         outcome = first.outcome
         if isinstance(outcome, Exception):
@@ -916,26 +619,20 @@ class RemotePeerFactSource:
             first.span.close("error")
             raise outcome
         first.span.close()
-        return self._finish_scan(
-            peer, keys, first.baselines, outcome, first.elapsed
-        )
+        return self._finish_scan(peer, keys, first.baselines, outcome)
 
     def _scan_unit(
         self,
-        candidates: Tuple[str, ...],
-        keys: Sequence[Tuple[str, EncodedPattern]],
-        deadline_at: Optional[float],
-        parent_span=NULL_SPAN,
+        peer: str,
+        keys: Sequence[ScanKey],
+        parent_span,
         first: Optional[_FirstAttempt] = None,
-    ) -> Optional[Dict[Tuple[str, EncodedPattern], ColumnTable]]:
-        """Scan one replica group under the full policy envelope.
+    ) -> Optional[Dict[ScanKey, ColumnTable]]:
+        """Scan ``keys`` at ``peer``, retrying under the policy.
 
-        Attempts rotate across ``candidates`` (retry number *k* goes to
-        replica ``k mod n``, so retries double as failover); each attempt
-        may hedge to the next replica.  Returns per-key rows, or ``None``
-        after exhausting the policy — in which case exactly **one**
-        :class:`ScanFailure` per relation is recorded, regardless of how
-        many attempts were made.
+        Returns per-key rows, or ``None`` after exhausting the policy — in
+        which case exactly **one** :class:`ScanFailure` per relation is
+        recorded, regardless of how many attempts were made.
 
         ``first`` is the unit's first attempt when the wave's batch frame
         already made it (:meth:`_batched_first_attempts`): its outcome
@@ -947,105 +644,70 @@ class RemotePeerFactSource:
         visible.
         """
         policy = self._policy
-        count = len(candidates)
-        last_error = "no live replica"
-        expired = False
-        succeeded = False
+        last_error = ""
         attempts = 0
+        succeeded = False
         span = (
             first.unit_span if first is not None
-            else self._unit_span(parent_span, candidates, keys)
+            else self._unit_span(parent_span, peer, keys)
         )
         try:
             for attempt in range(policy.retries + 1):
                 if attempt:
                     with self._lock:
                         self._retries += 1
-                    delay = policy.backoff_delay(attempt - 1)
-                    remaining = self._remaining(deadline_at)
-                    if remaining is not None:
-                        if remaining <= 0:
-                            expired = True
-                            break
-                        delay = min(delay, remaining)
-                    time.sleep(delay)
-                remaining = self._remaining(deadline_at)
-                if remaining is not None and remaining <= 0:
-                    expired = True
-                    break
+                    time.sleep(policy.backoff_delay(attempt - 1))
                 attempts = attempt + 1
-                primary = candidates[attempt % count]
-                hedge_peer = (
-                    candidates[(attempt + 1) % count]
-                    if count > 1 and policy.hedging
-                    else None
-                )
                 try:
                     if first is not None and attempt == 0:
-                        result = self._take_first_attempt(first, primary, keys)
+                        result = self._take_first_attempt(first, peer, keys)
                     else:
-                        result = self._attempt_with_hedge(
-                            primary,
-                            hedge_peer,
-                            keys,
-                            deadline_at,
-                            parent_span=span,
-                            kind="primary" if attempt == 0 else "retry",
+                        result = self._attempt_scan(
+                            peer, keys, span, "primary" if attempt == 0 else "retry"
                         )
                     succeeded = True
                     return result
-                except _DeadlineExpired:
-                    expired = True
-                    break
                 except TransportError as exc:
                     last_error = str(exc)
-            if expired:
-                with self._lock:
-                    self._deadline_expiries += 1
-                last_error = "scan deadline expired"
             relations = sorted({key[0] for key in keys})
-            self._record_failure(candidates[0], relations, last_error)
+            self._record_failure(peer, relations, last_error)
             return None
         finally:
             if span.recording:
                 span.set("attempts", attempts)
                 if not succeeded:
                     span.set("error", last_error)
-            span.close(
-                None if succeeded else ("deadline" if expired else "error")
-            )
+            span.close(None if succeeded else "error")
 
     def _run_units(
         self,
-        unit_items: Sequence[
-            Tuple[Tuple[str, ...], List[Tuple[str, EncodedPattern]]]
-        ],
-        deadline_at: Optional[float],
+        unit_items: Sequence[Tuple[str, List[ScanKey]]],
         wave,
         parallel: bool,
-    ) -> List[Optional[Dict[Tuple[str, EncodedPattern], ColumnTable]]]:
+    ) -> List[Optional[Dict[ScanKey, ColumnTable]]]:
         """Every unit of one wave, each under the policy; results in order.
 
         Units whose first attempt came back on the wave's batch frame
-        finish right here, with no thread hop.  The others — units with a
-        timer, units whose batched attempt faulted and now retry — still
-        have wire time to overlap and run on the scatter pool.
+        finish right here, with no thread hop.  The others — every unit of
+        a transport without a batch frame, units whose batched attempt
+        faulted and now retry — still have wire time to overlap and run
+        on the scatter pool.
         """
-        firsts = self._batched_first_attempts(unit_items, deadline_at, wave)
+        firsts = self._batched_first_attempts(unit_items, wave)
 
         def unit_args(index: int):
             # Popping hands the first attempt (and its open spans) over
             # to the unit; what is left at the end, nobody took.
-            group, batch = unit_items[index]
-            return group, batch, deadline_at, wave, firsts.pop(group, None)
+            peer, batch = unit_items[index]
+            return peer, batch, wave, firsts.pop(peer, None)
 
-        results: List[
-            Optional[Dict[Tuple[str, EncodedPattern], ColumnTable]]
-        ] = [None] * len(unit_items)
+        results: List[Optional[Dict[ScanKey, ColumnTable]]] = (
+            [None] * len(unit_items)
+        )
         on_wire: List[int] = []
         try:
-            for index, (group, _) in enumerate(unit_items):
-                first = firsts.get(group)
+            for index, (peer, _) in enumerate(unit_items):
+                first = firsts.get(peer)
                 if first is None or first.failed:
                     on_wire.append(index)
                 else:
@@ -1072,88 +734,50 @@ class RemotePeerFactSource:
 
     def prefetch(
         self,
-        requests: Iterable[Sequence[object]],
+        requests: Iterable[Tuple[str, Pattern]],
         parallel: bool = True,
     ) -> int:
         """Scatter-gather every not-yet-memoized scan in ``requests``.
 
-        Each request is ``(relation, pattern)`` or — as produced by
-        :meth:`UnionPlan.scan_requests(key, shard_map=...)
-        <repro.pdms.planning.UnionPlan.scan_requests>` —
-        ``(relation, pattern, owners)`` where a non-``None`` ``owners``
-        prunes the scan to that shard group.  Two-element requests are
-        pruned against this source's own :attr:`shard_map` when it has
-        one.  Requests are batched into one *scan unit* per replica
-        group (see :meth:`_scan_groups`); with ``parallel`` (and a
-        transport that benefits — sockets, or injected latency) the units run concurrently on a thread pool, so a
-        rewriting touching *k* groups pays one RPC round-trip instead of
-        *k*.  Each unit runs under the full :class:`ScanPolicy` envelope
-        (retries, hedging, deadline).  Returns the number of scans
-        fetched.  Transport faults degrade (see the module docstring);
-        data errors propagate.
+        Each request is a ``(relation, pattern)`` pair, as
+        :meth:`UnionPlan.scan_requests
+        <repro.pdms.planning.UnionPlan.scan_requests>` produces them.
+        Requests are batched into one *scan unit* per owning peer; with
+        ``parallel`` (and a transport that benefits — sockets, or injected
+        latency) the units run concurrently on a thread pool, so a
+        rewriting touching *k* peers pays one RPC round-trip instead of
+        *k*.  Each unit retries under the :class:`ScanPolicy`.  Returns
+        the number of scans fetched.  Transport faults degrade (see the
+        module docstring); data errors propagate.
         """
         self._check_open()
-        wanted: List[Tuple[str, EncodedPattern]] = []
-        seen: Set[Tuple[str, EncodedPattern]] = set()
-        patterns: Dict[Tuple[str, EncodedPattern], Pattern] = {}
-        restrictions: Dict[Tuple[str, EncodedPattern], Optional[Tuple[str, ...]]] = {}
-        pruned_in_wave = 0
-        fanout_in_wave = 0
+        wanted: List[ScanKey] = []
+        seen: Set[ScanKey] = set()
+        units: Dict[str, List[ScanKey]] = {}
         with self._lock:
             generation = self._generation
-            for request in requests:
-                if len(request) == 3:
-                    relation, pattern, restriction = request
-                else:
-                    relation, pattern = request
-                    restriction = None
+            for relation, pattern in requests:
                 key = (relation, encode_pattern(pattern))
                 if key in self._memo or key in seen:
                     continue
                 seen.add(key)
                 wanted.append(key)
-                patterns[key] = pattern
-                restrictions[key] = restriction
-            units: Dict[
-                Tuple[str, ...], List[Tuple[str, EncodedPattern]]
-            ] = {}
-            for key in wanted:
-                unit_groups, pruned = self._scan_groups(
-                    key[0], patterns[key], restrictions[key]
-                )
-                if pruned:
-                    pruned_in_wave += 1
-                else:
-                    fanout_in_wave += 1
-                for group in unit_groups:
-                    units.setdefault(group, []).append(key)
-            self._pruned_scans += pruned_in_wave
-            self._fanout_scans += fanout_in_wave
-            if wanted:
-                if fanout_in_wave == 0:
-                    self._pruned_waves += 1
-                else:
-                    self._fanout_waves += 1
-        if not wanted:
-            return 0
-        deadline_at = self._deadline_at()
+                for peer in self._routes.get(relation, ()):
+                    units.setdefault(peer, []).append(key)
+            if not wanted:
+                return 0
+            self._waves += 1
         unit_items = list(units.items())
         with current_span().child(
-            "scatter.wave",
-            scans=len(wanted),
-            units=len(unit_items),
-            pruned=pruned_in_wave,
-            fanout=fanout_in_wave,
+            "scatter.wave", scans=len(wanted), units=len(unit_items)
         ) as wave:
-            results = self._run_units(unit_items, deadline_at, wave, parallel)
+            results = self._run_units(unit_items, wave, parallel)
             if wave.recording:
                 wave.set(
                     "failed_units", sum(1 for per in results if per is None)
                 )
-        merged: Dict[Tuple[str, EncodedPattern], List[ColumnTable]] = {
-            key: [] for key in wanted
-        }
-        for (group, batch), per_key in zip(unit_items, results):
+        merged: Dict[ScanKey, List[ColumnTable]] = {key: [] for key in wanted}
+        for (_, batch), per_key in zip(unit_items, results):
             if per_key is None:
                 continue
             for key in batch:
@@ -1176,9 +800,9 @@ class RemotePeerFactSource:
         of :func:`~repro.pdms.planning.plan_answer_batches`:
 
         * ``before_root`` scatters every stored-relation scan under the
-          root in one wave (:meth:`prefetch`, pruned by :attr:`shard_map`)
-          unless the root is warm in the answer's fragment cache, so
-          fragment evaluation never blocks on the wire;
+          root in one wave (:meth:`prefetch`) unless the root is warm in
+          the answer's fragment cache, so fragment evaluation never blocks
+          on the wire;
         * ``after_scan`` restarts the answer's version snapshot whenever
           :attr:`failure_count` moved (a scan of this answer or of a
           concurrent one degraded a relation), so partial rows are never
@@ -1197,9 +821,7 @@ class RemotePeerFactSource:
 
         def before_root(evaluation, root_key: str) -> None:
             if not evaluation.cached(root_key):
-                self.prefetch(
-                    evaluation.plan.scan_requests(root_key, shard_map=self._shard_map)
-                )
+                self.prefetch(evaluation.plan.scan_requests(root_key))
             after_scan(evaluation)
 
         return {"before_root": before_root, "after_scan": after_scan}
@@ -1211,33 +833,28 @@ class RemotePeerFactSource:
 
     def scan_block(self, predicate: str, pattern: Pattern) -> ColumnTable:
         """The memoized table of ``(predicate, pattern)``, scanned cold
-        on a miss.  A key one unit serves keeps that unit's table as is;
-        one spanning several units keeps their distinct union."""
+        on a miss.  A key one owner serves keeps that owner's table as
+        is; one spanning several owners keeps their distinct union."""
         self._check_open()
         key = (predicate, encode_pattern(pattern))
         with self._lock:
             cached = self._memo.get(key)
             if cached is not None:
                 return cached
-            groups, pruned = self._scan_groups(predicate, pattern, None)
-            if pruned:
-                self._pruned_scans += 1
-            else:
-                self._fanout_scans += 1
+            owners = self._routes.get(predicate, ())
             generation = self._generation
-        if not groups:
+        if not owners:
             return ColumnTable.from_rows(scan_columns(len(pattern)), ())
-        deadline_at = self._deadline_at()
         tables: List[ColumnTable] = []
         with current_span().child(
             "scatter.wave",
             scans=1,
-            units=len(groups),
+            units=len(owners),
             cold=True,
             relation=predicate,
         ) as wave:
-            for group in groups:
-                per_key = self._scan_unit(group, [key], deadline_at, wave)
+            for peer in owners:
+                per_key = self._scan_unit(peer, [key], wave)
                 if per_key is not None:
                     tables.append(per_key[key])
         combined = union_blocks(tables, len(pattern))
@@ -1265,12 +882,9 @@ class RemotePeerFactSource:
         """
         with self._lock:
             self._closed = True
-            executors = (self._executor, self._attempt_executor)
-            self._executor = None
-            self._attempt_executor = None
-        for executor in executors:
-            if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=False, cancel_futures=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         with self._lock:

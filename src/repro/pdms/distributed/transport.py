@@ -311,16 +311,15 @@ def serve_request(
 ):
     """Serve one wire request: the one server dispatch of every backend.
 
-    A generator: it yields each injected wait in seconds — ``delay`` plus
-    the peer's own delay before the work, ``row_cost`` per row shipped
-    after it — for the backend to sleep its own way (``time.sleep`` on
-    loopback, ``asyncio.sleep`` on the socket's event loop), and returns
-    the reply: the bare value, or a :class:`TraceEnvelope` carrying the
-    serve span when ``ctx`` is a wire trace context.  The waits happen
-    inside the serve span, so a span covers the full server-side service
-    time — what the client's attempt span needs subtracted to attribute
-    time to the wire (``describe`` and ``ping`` record no span and reply
-    bare).  Data errors (``ValueError``, ``InstanceError``) propagate
+    A generator: it yields the injected wait in seconds — ``delay`` plus
+    the peer's own delay, before the work — for the backend to sleep its
+    own way (``time.sleep`` on loopback, ``asyncio.sleep`` on the socket's
+    event loop), and returns the reply: the bare value, or a
+    :class:`TraceEnvelope` carrying the serve span when ``ctx`` is a wire
+    trace context.  The wait happens inside the serve span, so a span
+    covers the full server-side service time — what the client's attempt
+    span needs subtracted to attribute time to the wire (``describe`` and
+    ``ping`` record no span and reply bare).  Data errors (``ValueError``, ``InstanceError``) propagate
     as-is; an unknown peer or op is a :class:`~repro.errors.TransportError`.
     """
     instance = transport._instances.get(peer)
@@ -362,8 +361,6 @@ def serve_request(
                 shipped = sum(len(rows) for _, _, rows in value)
             span.set("requests", len(payload))
             span.set("rows", shipped)
-            if transport.row_cost > 0 and shipped:
-                yield transport.row_cost * shipped
     # After the span closed: only a closed span has a record to ship.
     return traced_reply(value, span)
 
@@ -372,7 +369,7 @@ class TransportBase:
     """The wire surface and chaos state both backends share.
 
     It holds the served instances, the chaos hooks (``delay``,
-    ``drop_every_n``, ``row_cost``, :meth:`fail_peer`,
+    ``drop_every_n``, :meth:`fail_peer`,
     :meth:`set_peer_delay`), the per-peer scan counters, the RPC counter
     and the closed flag, and it admits every RPC client-side
     (:meth:`_admit`), so failure accounting and chaos semantics cannot
@@ -388,11 +385,6 @@ class TransportBase:
     ``drop_every_n``
         When set to *n* > 0, every n-th scan RPC (counted
         transport-wide) raises — transient packet-loss-style faults.
-    ``row_cost``
-        Seconds waited per row a scan returns (simulated wire-transfer
-        time, proportional to payload).  Like ``delay`` the wait releases
-        the GIL, so scans issued concurrently overlap — which is how
-        sharding wins wall-clock time on the benchmark workloads.
     """
 
     def __init__(
@@ -400,12 +392,10 @@ class TransportBase:
         instances: Mapping[str, Instance],
         delay: float = 0.0,
         drop_every_n: int = 0,
-        row_cost: float = 0.0,
     ):
         self._instances: Dict[str, Instance] = dict(instances)
         self.delay = delay
         self.drop_every_n = drop_every_n
-        self.row_cost = row_cost
         self._failed: set = set()
         self._lock = threading.Lock()
         self._scan_counts: Dict[str, int] = {name: 0 for name in self._instances}
@@ -429,8 +419,8 @@ class TransportBase:
     def set_peer_delay(self, peer: str, seconds: float) -> None:
         """Inject extra per-RPC latency for one peer (0 clears it).
 
-        The chaos hook behind the tail-latency scenarios: slow exactly
-        one replica and watch hedging route around it.
+        The chaos hook behind the slow-peer scenarios: one slowed peer
+        delays only its own replies.
         """
         with self._lock:
             if seconds > 0:
@@ -444,8 +434,8 @@ class TransportBase:
             return self._peer_delays.get(peer, 0.0)
 
     def _latency_injected(self) -> bool:
-        """Does serving wait on anything (per RPC or per row, any peer)?"""
-        return self.delay > 0 or self.row_cost > 0 or bool(self._peer_delays)
+        """Does serving wait on anything (any RPC, any peer)?"""
+        return self.delay > 0 or bool(self._peer_delays)
 
     def failed_peers(self) -> Tuple[str, ...]:
         """Peers injected as failed."""
@@ -589,8 +579,8 @@ class LoopbackTransport(TransportBase):
 
         Zero-latency loopback RPCs are plain function calls under the
         GIL — a thread pool adds overhead and wins nothing — so the
-        remote source scatters sequentially unless latency (per RPC or
-        per row, globally or per peer) is injected.
+        remote source scatters sequentially unless latency (globally or
+        per peer) is injected.
         """
         return self._latency_injected()
 

@@ -67,7 +67,7 @@ from ..database.columnar import const_column, scan_block, union_distinct
 from ..database.planner import CardinalityCostModel
 from ..datalog.atoms import Atom, compare_values
 from ..datalog.evaluation import FactsLike, as_fact_source
-from ..datalog.indexing import WILDCARD, ensure_indexed
+from ..datalog.indexing import WILDCARD, Pattern, ensure_indexed
 from ..datalog.queries import ConjunctiveQuery
 from ..datalog.terms import Variable, is_variable
 from ..errors import EvaluationError
@@ -522,9 +522,7 @@ class UnionPlan:
             )
         return cached
 
-    def scan_requests(
-        self, key: str, shard_map: Optional[object] = None
-    ) -> Tuple[Tuple[object, ...], ...]:
+    def scan_requests(self, key: str) -> Tuple[Tuple[str, Pattern], ...]:
         """The stored-relation scans under fragment ``key`` (transitively).
 
         One ``(relation, pattern)`` pair per distinct
@@ -532,13 +530,6 @@ class UnionPlan:
         *wire footprint*: a distributed executor can issue exactly these
         scans — batched per owning peer, concurrently — before evaluating
         the fragment, so the joins above never block on a remote probe.
-
-        With a ``shard_map`` (see :mod:`repro.pdms.distributed.sharding`)
-        each request becomes ``(relation, pattern, owners)`` where
-        ``owners`` is the peer group a constant bound on the partition
-        column prunes the scan to, or ``None`` when the relation is
-        unsharded or the pattern leaves the partition column unbound —
-        those scans must still fan out to every shard to stay sound.
         """
         cached = self._scans_cache.get(key)
         if cached is None:
@@ -552,12 +543,7 @@ class UnionPlan:
                     for request in self.scan_requests(child)
                 ))
             self._scans_cache[key] = cached
-        if shard_map is None:
-            return cached
-        return tuple(
-            (relation, pattern, shard_map.owners_for_pattern(relation, pattern))
-            for relation, pattern in cached
-        )
+        return cached
 
     def _compile_rewriting(self, rewriting: ConjunctiveQuery) -> RewritingPlan:
         atoms = rewriting.relational_body()

@@ -52,8 +52,8 @@ that scenario cheap to serve repeatedly:
   :class:`~repro.pdms.distributed.cluster.ServiceCluster` — never corrupt
   the LRU order, lose invalidations, or double-count stats.
 
-This module is the substrate later scaling work (sharding, async,
-multi-backend execution) plugs into; see ``docs/pdms.md`` for the design
+This module is the substrate later scaling work (remote sources, async
+transports, a cluster front end) plugs into; see ``docs/pdms.md`` for the design
 notes and invalidation rules, ``docs/materialization.md`` for the
 fragment-cache design, and ``docs/distributed.md`` for the peer-boundary
 runtime layered on top.

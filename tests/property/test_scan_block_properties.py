@@ -12,7 +12,7 @@ twice, on:
   share rows (the owners' blocks unioned distinctly);
 * a plain-mapping source (the adapter's dedup-and-transpose fallback);
 * a :class:`~repro.pdms.RemotePeerFactSource` over loopback, over
-  sockets and sharded 2-way, through full → delta → delta rescans, and a
+  sockets and split 2-way, through full → delta → delta rescans, and a
   full rescan that races inserts on a second thread.
 
 A pattern whose width clashes with the relation stays an
@@ -35,8 +35,9 @@ from repro.datalog.evaluation import as_fact_source
 from repro.datalog.indexing import WILDCARD
 from repro.errors import EvaluationError
 from repro.pdms import AsyncSocketTransport, LoopbackTransport, RemotePeerFactSource
-from repro.pdms.distributed.sharding import auto_shard
 from repro.pdms.execution import PeerFactSource
+
+from .test_transport_matrix import split_round_robin
 
 SEEDS = range(12)
 STEPS = 12
@@ -225,15 +226,20 @@ def test_plain_sources_take_the_fallback(seed):
 
 def _remote(kind: str, data):
     """(transport, source, instances a test may mutate, row router)."""
-    if kind == "sharded":
-        shard_map, workers = auto_shard(data, 2)
+    if kind == "split":
+        workers = split_round_robin(data)
         transport = LoopbackTransport(workers)
-        source = RemotePeerFactSource(transport, shard_map=shard_map)
+        source = RemotePeerFactSource(transport)
+        parts = list(workers.values())
+        dealt = []
 
         def route(relation, row):
-            return [workers[peer] for peer in shard_map.owners_for_row(relation, row)]
+            # A new row lands on one of the relation's owners, dealt in turn.
+            owners = [part for part in parts if relation in part.relations()]
+            dealt.append(row)
+            return [owners[len(dealt) % len(owners)]]
 
-        return transport, source, list(workers.values()), route
+        return transport, source, parts, route
     transport = (AsyncSocketTransport if kind == "socket" else LoopbackTransport)(data)
     source = RemotePeerFactSource(transport)
     owner = {rel: inst for inst in data.values() for rel in inst.relations()}
@@ -250,7 +256,7 @@ def _remote_schema(rng: random.Random):
     return schema, data
 
 
-@pytest.mark.parametrize("kind", ["loopback", "socket", "sharded"])
+@pytest.mark.parametrize("kind", ["loopback", "socket", "split"])
 @pytest.mark.parametrize("seed", range(6))
 def test_remote_full_then_deltas(kind, seed):
     rng = random.Random(seed)
@@ -291,7 +297,7 @@ def test_remote_full_then_deltas(kind, seed):
         transport.close()
 
 
-@pytest.mark.parametrize("kind", ["loopback", "socket", "sharded"])
+@pytest.mark.parametrize("kind", ["loopback", "socket", "split"])
 def test_full_rescan_racing_inserts_stays_duplicate_free(kind):
     rng = random.Random(7)
     schema, data = _remote_schema(rng)

@@ -10,9 +10,10 @@ offers, each built explicitly:
   :class:`LoopbackTransport` serving the same instances;
 * ``socket`` — the same over an :class:`AsyncSocketTransport` (real TCP
   on 127.0.0.1, column frames on the wire);
-* ``sharded`` — the same over a loopback serving a 2-way
-  :func:`auto_shard` split of the instances, with its :class:`ShardMap`
-  (pruned scans, composite version tokens).
+* ``split`` — the same over a loopback serving each peer's rows dealt
+  round-robin across two worker peers (:func:`split_round_robin`): every
+  relation has two owners, so every scan fans out and unions, and every
+  version token combines two.
 
 On every source, for the paper's emergency-services scenario and for
 random :func:`pdms_specs` systems, the plan path (a whole answer, the
@@ -32,7 +33,6 @@ from repro.pdms import (
     PeerFactSource,
     QueryService,
     RemotePeerFactSource,
-    auto_shard,
     certain_answers,
     combine_peer_instances,
     evaluate_distributed,
@@ -50,7 +50,26 @@ from repro.workload import (
 from .strategies import pdms_specs
 from .test_service_properties import build_pdms
 
-SOURCES = ("in-process", "loopback", "socket", "sharded")
+SOURCES = ("in-process", "loopback", "socket", "split")
+
+
+def split_round_robin(data, ways=2):
+    """Each peer's rows dealt round-robin across ``ways`` worker peers.
+
+    Peer ``P``'s workers are ``P#0`` … and each declares every relation
+    ``P`` declares (empty or not), so each relation has ``ways`` owners
+    per peer that stores it.  The workers are copies of the data.
+    """
+    workers = {}
+    for peer, instance in data.items():
+        parts = [instance.copy() for _ in range(ways)]
+        for part in parts:
+            part.clear()
+        for relation in instance.relations():
+            for index, row in enumerate(instance.get_tuples(relation)):
+                parts[index % ways].add(relation, row)
+        workers.update((f"{peer}#{index}", part) for index, part in enumerate(parts))
+    return workers
 
 
 @contextmanager
@@ -59,13 +78,13 @@ def open_source(kind, data):
     if kind == "in-process":
         yield PeerFactSource(data)
         return
-    shard_map, instances = auto_shard(data, 2) if kind == "sharded" else (None, data)
+    instances = split_round_robin(data) if kind == "split" else data
     transport = (
         AsyncSocketTransport(instances) if kind == "socket"
         else LoopbackTransport(instances)
     )
     try:
-        source = RemotePeerFactSource(transport, shard_map=shard_map)
+        source = RemotePeerFactSource(transport)
         try:
             yield source
         finally:

@@ -43,11 +43,6 @@ KNOBS = [
          10.0, "250", 0.25, "1.5", "-1"),
     Knob(config.scan_retries, "REPRO_SCAN_RETRIES",
          2, "0", 0, "two", "-1"),
-    # -1 is the "never hedge" sentinel, so the floor sits one lower.
-    Knob(config.hedge_seconds, "REPRO_HEDGE_MS",
-         0.0, "-1", -0.001, "fast", "-2"),
-    Knob(config.scan_deadline_seconds, "REPRO_SCAN_DEADLINE_MS",
-         0.0, "1500", 1.5, "1s", "-1"),
     Knob(config.max_inflight, "REPRO_MAX_INFLIGHT",
          0, "8", 8, "many", "-1"),
     Knob(config.trace_enabled, "REPRO_TRACE",
@@ -98,6 +93,75 @@ class TestEveryKnob:
         clean_env.setenv(knob.env, knob.below_floor)
         with pytest.raises(EvaluationError, match=f"{knob.env}.*>="):
             knob.reader()
+
+
+#: A variable no knob reads, for driving the typed readers directly.
+PROBE = "REPRO_READER_PROBE"
+
+
+@pytest.fixture
+def probe(monkeypatch):
+    monkeypatch.delenv(PROBE, raising=False)
+    return monkeypatch
+
+
+class TestTypedReaders:
+    """The three readers every knob goes through, at their edges."""
+
+    @pytest.mark.parametrize("raw,minimum,expected", [
+        ("0", 0, 0), ("42", 0, 42), ("-3", -5, -3), ("5", 5, 5),
+    ])
+    def test_int_reader_accepts_values_at_or_above_its_minimum(
+        self, probe, raw, minimum, expected
+    ):
+        probe.setenv(PROBE, raw)
+        assert config.int_from_env(PROBE, 99, minimum=minimum) == expected
+
+    @pytest.mark.parametrize("raw,minimum,message", [
+        ("4", 5, "must be >= 5"),
+        ("x", 0, "is not an integer"),
+        ("1.5", 0, "is not an integer"),
+    ])
+    def test_int_reader_rejects_what_it_cannot_use(
+        self, probe, raw, minimum, message
+    ):
+        probe.setenv(PROBE, raw)
+        with pytest.raises(EvaluationError, match=message):
+            config.int_from_env(PROBE, 0, minimum=minimum)
+
+    @pytest.mark.parametrize("default", [False, True])
+    def test_unset_toggle_reads_its_default(self, probe, default):
+        assert config.bool_from_env(PROBE, default) is default
+
+    @pytest.mark.parametrize("raw,expected", [
+        ("0", False), ("1", True), ("7", True),
+    ])
+    def test_toggle_is_off_at_zero_and_on_above(self, probe, raw, expected):
+        probe.setenv(PROBE, raw)
+        assert config.bool_from_env(PROBE, not expected) is expected
+
+    def test_negative_toggle_is_rejected(self, probe):
+        probe.setenv(PROBE, "-1")
+        with pytest.raises(EvaluationError, match=f"{PROBE}.*>= 0"):
+            config.bool_from_env(PROBE, False)
+
+    @pytest.mark.parametrize("raw,expected", [("0", 0.0), ("2.5", 2.5), ("3", 3.0)])
+    def test_float_reader_parses_numbers(self, probe, raw, expected):
+        probe.setenv(PROBE, raw)
+        assert config.float_from_env(PROBE, 1.0) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("raw,message", [
+        ("fast", "is not a number"), ("-0.1", "must be >= 0.0"),
+    ])
+    def test_float_reader_rejects_what_it_cannot_use(self, probe, raw, message):
+        probe.setenv(PROBE, raw)
+        with pytest.raises(EvaluationError, match=message):
+            config.float_from_env(PROBE, 1.0)
+
+    def test_sample_rate_above_one_is_rejected(self, clean_env):
+        clean_env.setenv("REPRO_TRACE_SAMPLE", "1.5")
+        with pytest.raises(EvaluationError, match=r"REPRO_TRACE_SAMPLE.*\[0, 1\]"):
+            config.trace_sample_rate()
 
 
 class TestKnobInventory:

@@ -5,9 +5,10 @@ loopback and socket backends, chaos hooks), :class:`RemotePeerFactSource` (routi
 memoization, version tokens over the wire, degradation), the plan path
 over an explicitly built remote source (equivalence, completeness,
 fragment-cache safety under faults), :class:`ServiceCluster` (admission,
-concurrent fan-in), and the RPC-boundary edge cases the peer source must
-survive: cross-transport arity clashes, empty-peer scans, and peer leave
-mid-stream.
+concurrent fan-in, writes to every owner, clusters sharing one
+:class:`FragmentCache`), and the RPC-boundary edge cases the peer source
+must survive: cross-transport arity clashes, empty-peer scans, and peer
+leave mid-stream.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import threading
 
 import pytest
 
+from repro import config
 from repro.database import Instance
 from repro.datalog import parse_query
 from repro.datalog.indexing import WILDCARD
@@ -26,6 +28,7 @@ from repro.errors import (
     TransportError,
 )
 from repro.pdms import (
+    DEFAULT_CONFIG,
     PDMS,
     AsyncSocketTransport,
     FragmentCache,
@@ -33,6 +36,7 @@ from repro.pdms import (
     PeerFactSource,
     QueryService,
     RemotePeerFactSource,
+    ScanPolicy,
     ServiceCluster,
     StorageDescription,
     answer_query,
@@ -671,6 +675,187 @@ class TestServiceCluster:
         assert snapshot["served"] == 1
         assert set(snapshot["peer_scan_counts"]) == {"P1", "P2"}
         assert snapshot["service"]["misses"] == 1
+
+    @pytest.mark.parametrize("setting", [
+        {"config": DEFAULT_CONFIG},
+        {"engine": "columnar"},
+        {"fragment_cache_bytes": 0},
+        {"fragment_cache": FragmentCache()},
+        {"scan_policy": ScanPolicy()},
+    ], ids=lambda setting: next(iter(setting)))
+    def test_prebuilt_service_rejects_settings_it_would_ignore(self, setting):
+        service = QueryService(single_relation_pdms())
+        with pytest.raises(PDMSConfigurationError, match=next(iter(setting))):
+            ServiceCluster(service=service, **setting)
+
+    def test_max_inflight_alias_still_importable(self):
+        from repro.pdms.distributed import max_inflight_from_env
+
+        assert max_inflight_from_env() == config.max_inflight()
+
+
+def single_relation_pdms():
+    """``T:R`` stored as ``sr``, at whichever peers serve ``sr``."""
+    pdms = PDMS("single-relation")
+    pdms.add_peer("T").add_relation("R", ["x", "y"])
+    pdms.add_peer("P")
+    pdms.add_storage_description(StorageDescription(
+        "P", "sr", parse_query("V(x, y) :- T:R(x, y)"),
+        exact=False, name="store_sr",
+    ))
+    return pdms
+
+
+def split_owners(rows, owners):
+    """``sr``'s rows dealt round-robin across ``owners`` worker peers."""
+    rows = sorted(rows)
+    return {
+        f"W{index}": Instance.from_dict({"sr": rows[index::owners]})
+        for index in range(owners)
+    }
+
+
+class TestClusterInsert:
+    def test_writes_reach_every_owner_and_show_in_answers(self):
+        workers = split_owners({(i, f"v{i}") for i in range(8)}, 2)
+        with ServiceCluster(
+            pdms=single_relation_pdms(), transport=LoopbackTransport(workers)
+        ) as cluster:
+            assert cluster.insert("sr", [(500, "new"), (501, "new")]) == 2
+            for worker in workers.values():
+                assert {(500, "new"), (501, "new")} <= set(worker.get_tuples("sr"))
+            answer = cluster.answer(parse_query("Q(y) :- T:R(500, y)"))
+            assert answer.complete and set(answer.rows) == {("new",)}
+
+    def test_single_owner_receives_the_batch(self):
+        inst = Instance.from_dict({"sr": {(1, "a")}})
+        with ServiceCluster(
+            pdms=single_relation_pdms(), transport=LoopbackTransport({"P": inst})
+        ) as cluster:
+            assert cluster.insert("sr", [(2, "b")]) == 1
+            assert (2, "b") in inst.get_tuples("sr")
+
+    def test_duplicate_rows_are_counted_and_shipped_once(self):
+        inst = Instance.from_dict({"sr": {(1, "a")}})
+
+        class Recording(LoopbackTransport):
+            def insert(self, peer, relation, rows):
+                shipped.append((peer, list(rows)))
+                return super().insert(peer, relation, rows)
+
+        shipped = []
+        with ServiceCluster(
+            pdms=single_relation_pdms(), transport=Recording({"P": inst})
+        ) as cluster:
+            assert cluster.insert("sr", [(2, "b"), (2, "b")]) == 1
+        assert shipped == [("P", [(2, "b")])]
+
+    def test_a_relation_no_peer_owns_is_a_configuration_error(self):
+        with ServiceCluster(
+            pdms=single_relation_pdms(),
+            transport=LoopbackTransport({"P": Instance.from_dict({"sr": [(1, "a")]})}),
+        ) as cluster:
+            with pytest.raises(PDMSConfigurationError, match="no peer owns"):
+                cluster.insert("nowhere", [(1,)])
+
+    def test_empty_rows_are_free(self):
+        transport = LoopbackTransport({"P": Instance.from_dict({"sr": [(1, "a")]})})
+        with ServiceCluster(
+            pdms=single_relation_pdms(), transport=transport
+        ) as cluster:
+            frames = transport.rpc_count
+            assert cluster.insert("sr", []) == 0
+            assert transport.rpc_count == frames
+
+    def test_insert_needs_a_transport(self):
+        cluster = ServiceCluster(service=QueryService(single_relation_pdms()))
+        with pytest.raises(PDMSConfigurationError):
+            cluster.insert("sr", [(1, "a")])
+
+
+class TestSharedFragmentCache:
+    """Clusters handed one :class:`FragmentCache` share its warm fragments;
+    version tokens are instance-scoped, so sharing is safe."""
+
+    def test_shared_cache_serves_second_cluster(self):
+        workers = split_owners({(i, f"v{i}") for i in range(16)}, 2)
+        shared = FragmentCache()
+        query = parse_query("Q(y) :- T:R(3, y)")
+        # Separate transports over the SAME live instances: both clusters
+        # observe the same token space and may share cache entries.
+        with ServiceCluster(
+            pdms=single_relation_pdms(), transport=LoopbackTransport(workers),
+            fragment_cache=shared,
+        ) as first:
+            assert set(first.answer(query).rows) == {("v3",)}
+            assert shared.stats.admissions >= 1
+        with ServiceCluster(
+            pdms=single_relation_pdms(), transport=LoopbackTransport(workers),
+            fragment_cache=shared,
+        ) as second:
+            assert second.service.fragment_cache is shared
+            hits, misses = shared.stats.hits, shared.stats.misses
+            answer = second.answer(query)
+            assert answer.complete and set(answer.rows) == {("v3",)}
+            assert shared.stats.hits > hits
+            assert shared.stats.misses == misses  # nothing recomputed
+            # `peek` finds the root warm and skips the scatter round: the
+            # only scans are the first answer's one statistics read per
+            # owner, and a repeat touches no owner at all.
+            assert second.source.scatter_stats()["fanout_waves"] == 0
+            transport = second.transport
+            scans = sum(transport.scan_count(p) for p in transport.peers())
+            assert scans == len(workers)
+            second.answer(query)
+            assert sum(transport.scan_count(p) for p in transport.peers()) == scans
+
+    @pytest.mark.parametrize("owners", [1, 2, 4])
+    def test_clusters_sharing_a_cache_see_each_others_writes(self, owners):
+        workers = split_owners({(i, f"v{i}") for i in range(16)}, owners)
+        shared = FragmentCache()
+        scan_all = parse_query("Q(x, y) :- T:R(x, y)")
+        clusters = [
+            ServiceCluster(
+                pdms=single_relation_pdms(), transport=LoopbackTransport(workers),
+                fragment_cache=shared,
+            )
+            for _ in range(2)
+        ]
+        writer, reader = clusters
+        try:
+            before = reader.answer(scan_all)
+            assert before.complete and len(before.rows) == 16
+            assert writer.answer(scan_all).rows == before.rows
+            writer.insert("sr", [(100, "new")])
+            # The shared entry was written under the pre-insert token, so
+            # the reader must not be served it.
+            after = reader.answer(scan_all)
+            assert after.complete
+            assert after.rows == before.rows | {(100, "new")}
+            assert writer.answer(scan_all).rows == after.rows
+        finally:
+            for cluster in clusters:
+                cluster.close()
+
+    def test_split_and_flat_clusters_sharing_a_cache_stay_apart(self):
+        """Two clusters over different instances with the same relation
+        names: one shared cache never serves one cluster's fragment to
+        the other."""
+        flat = Instance.from_dict({"sr": {(i, f"flat{i}") for i in range(8)}})
+        split_rows = {(i, f"split{i}") for i in range(8)}
+        workers = split_owners(split_rows, 2)
+        shared = FragmentCache()
+        query = parse_query("Q(x, y) :- T:R(x, y)")
+        with ServiceCluster(
+            pdms=single_relation_pdms(), transport=LoopbackTransport({"P": flat}),
+            fragment_cache=shared,
+        ) as flat_cluster, ServiceCluster(
+            pdms=single_relation_pdms(), transport=LoopbackTransport(workers),
+            fragment_cache=shared,
+        ) as split_cluster:
+            for _ in range(2):
+                assert flat_cluster.answer(query).rows == set(flat.get_tuples("sr"))
+                assert split_cluster.answer(query).rows == split_rows
 
 
 class TestPeerLeaveMidStream:

@@ -40,7 +40,6 @@ from repro.pdms import (
     RemotePeerFactSource,
     ScanPolicy,
     ServiceCluster,
-    ShardMap,
 )
 from repro.pdms.materialization import FragmentCacheStats
 from repro.pdms.service import ServiceStats
@@ -261,7 +260,7 @@ class TestAmbientSpan:
     def test_manually_closed_spans_never_touch_the_ambient(self):
         tracer = make_tracer()
         with tracer.start_trace("query.answer") as root:
-            attempt = root.child("scan.attempt")  # hedge-race style: no with
+            attempt = root.child("scan.attempt")  # batched-attempt style: no with
             assert current_span() is root
             attempt.close("cancelled")
             assert current_span() is root
@@ -380,7 +379,7 @@ class TestExporters:
         tracer = make_tracer()
         with tracer.start_trace("query.answer", engine="distributed") as root:
             with root.child("plan.execute") as execute:
-                attempt = execute.child("scan.attempt", peer="A", kind="hedge")
+                attempt = execute.child("scan.attempt", peer="A", kind="primary")
                 attempt.close("cancelled")
             serve = ServeSpan(root.wire_context(), "rpc.serve.scan")
             with serve:
@@ -450,20 +449,18 @@ class TestSchemaUnification:
             FragmentCacheStats().as_dict(),
             ScanPolicy().as_dict(),
             source.scatter_stats(),
-            source.latency_stats(),
-            ShardMap().shard_by_hash("r", 0, ["A"]).as_dict(),
         ]
         for shape in shapes:
             assert shape["schema_version"] == METRICS_SCHEMA_VERSION
-        # Version 2 removed the service's `adaptive` block.
-        assert METRICS_SCHEMA_VERSION == 2
+        # Version 2 removed the service's `adaptive` block; version 3 the
+        # sharding, hedging and deadline keys.
+        assert METRICS_SCHEMA_VERSION == 3
         assert "adaptive" not in shapes[0]
-
-    def test_shard_map_as_dict_wraps_the_legacy_describe_shape(self):
-        shard_map = ShardMap().shard_by_hash("r", 0, ["A", "B"])
-        wrapped = shard_map.as_dict()
-        assert wrapped["relations"] == shard_map.describe()
-        assert wrapped["relations"]["r"]["shards"] == 2
+        removed = {"pruned_scans", "fanout_scans", "hedges_won", "deadline_expiries"}
+        assert not removed & set(source.scatter_stats())
+        assert set(ScanPolicy().as_dict()) == {
+            "schema_version", "retries", "backoff_s", "backoff_cap_s", "jitter",
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +473,7 @@ def _single_peer_cluster():
     return ServiceCluster(
         pdms=PDMS("obs"),
         transport=LoopbackTransport(data),
-        scan_policy=ScanPolicy(retries=0, hedging=False),
+        scan_policy=ScanPolicy(retries=0),
     )
 
 
@@ -489,7 +486,7 @@ class TestDescribeSnapshot:
             assert metrics["schema_version"] == METRICS_SCHEMA_VERSION
             collected = metrics["collected"]
             assert collected["scatter"]["schema_version"] == METRICS_SCHEMA_VERSION
-            assert collected["peer_latency"]["schema_version"] == METRICS_SCHEMA_VERSION
+            assert "peer_latency" not in collected
             assert collected["scan_policy"]["retries"] == 0
             assert collected["service"]["schema_version"] == METRICS_SCHEMA_VERSION
 
@@ -501,12 +498,12 @@ class TestDescribeSnapshot:
             first = cluster.describe()
             # Vandalize every nested container we can reach.
             first["scatter"]["full_scans"] = 10_000
-            first["peer_latency"]["peers"].clear()
+            first["peer_scan_counts"].clear()
             first["metrics"]["collected"].clear()
             first["stats"] = None
             second = cluster.describe()
             assert second["scatter"]["full_scans"] != 10_000
-            assert "A" in second["peer_latency"]["peers"]
+            assert "A" in second["peer_scan_counts"]
             assert "scatter" in second["metrics"]["collected"]
 
     def test_service_metrics_snapshot_tracks_answer_latency(self):

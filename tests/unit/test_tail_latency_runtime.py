@@ -1,7 +1,6 @@
-"""Unit tests for the tail-latency layer (ISSUE 9).
+"""Unit tests for the scan policy, retries and delta re-scans.
 
-Covers the shared policy pieces (:class:`PeerLatencyTracker`,
-:class:`ScanPolicy`), the retry / hedge / deadline / delta behaviour of
+Covers :class:`ScanPolicy`, the retry and delta behaviour of
 :class:`RemotePeerFactSource`, and the :class:`AsyncSocketTransport`
 socket backend, including its per-RPC timeout.
 """
@@ -20,11 +19,9 @@ from repro.obs.metrics import METRICS_SCHEMA_VERSION
 from repro.pdms import (
     AsyncSocketTransport,
     LoopbackTransport,
-    PeerLatencyTracker,
     RemotePeerFactSource,
     ScanPolicy,
     ServiceCluster,
-    ShardMap,
 )
 from repro.pdms.distributed.transport import encode_pattern
 
@@ -32,44 +29,6 @@ ALL = (WILDCARD, WILDCARD)
 
 #: No-sleep, no-jitter policies so tests stay fast and deterministic.
 FAST = dict(backoff=0.0, backoff_cap=0.0, jitter=0.0)
-
-
-# ---------------------------------------------------------------------------
-# PeerLatencyTracker
-# ---------------------------------------------------------------------------
-
-
-class TestPeerLatencyTracker:
-    def test_p95_needs_min_samples(self):
-        tracker = PeerLatencyTracker()
-        assert tracker.p95("A", min_samples=3) is None
-        tracker.observe("A", 0.010)
-        tracker.observe("A", 0.010)
-        assert tracker.p95("A", min_samples=3) is None
-        tracker.observe("A", 0.010)
-        assert tracker.p95("A", min_samples=3) == pytest.approx(0.010, abs=1e-6)
-
-    def test_constant_latency_gives_tight_p95(self):
-        tracker = PeerLatencyTracker()
-        for _ in range(50):
-            tracker.observe("A", 0.020)
-        assert tracker.mean("A") == pytest.approx(0.020, abs=1e-6)
-        assert tracker.p95("A") == pytest.approx(0.020, abs=1e-4)
-
-    def test_variance_pushes_p95_above_mean(self):
-        tracker = PeerLatencyTracker()
-        for i in range(100):
-            tracker.observe("A", 0.010 if i % 2 else 0.030)
-        assert tracker.p95("A") > tracker.mean("A")
-
-    def test_snapshot_shape(self):
-        tracker = PeerLatencyTracker()
-        tracker.observe("A", 0.005)
-        snap = tracker.snapshot()
-        assert set(snap) == {"A"}
-        assert set(snap["A"]) == {"count", "mean_ms", "p95_ms"}
-        assert snap["A"]["count"] == 1.0
-        assert snap["A"]["mean_ms"] == pytest.approx(5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -97,39 +56,69 @@ class TestScanPolicy:
         policy = ScanPolicy(backoff=0.01, jitter=0.5)
         assert policy.backoff_delay(0, rng=_FixedRng(1.0)) == pytest.approx(0.015)
 
-    def test_hedge_delay_fixed_adaptive_and_disabled(self):
-        tracker = PeerLatencyTracker()
-        assert ScanPolicy(hedging=False).hedge_delay(tracker, "A") is None
-        assert ScanPolicy(hedge=0.02).hedge_delay(tracker, "A") == 0.02
-        # Adaptive: no estimate yet -> no hedging.
-        adaptive = ScanPolicy(hedge=None, min_hedge_samples=2)
-        assert adaptive.hedge_delay(tracker, "A") is None
-        tracker.observe("A", 0.010)
-        tracker.observe("A", 0.010)
-        assert adaptive.hedge_delay(tracker, "A") == pytest.approx(0.010, abs=1e-4)
-
-    def test_from_env_reads_the_three_knobs(self, monkeypatch):
+    def test_from_env_reads_scan_retries(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SCAN_RETRIES", raising=False)
+        assert ScanPolicy.from_env() == ScanPolicy()
         monkeypatch.setenv("REPRO_SCAN_RETRIES", "5")
-        monkeypatch.setenv("REPRO_HEDGE_MS", "25")
-        monkeypatch.setenv("REPRO_SCAN_DEADLINE_MS", "250")
-        policy = ScanPolicy.from_env()
-        assert policy.retries == 5
-        assert policy.hedging and policy.hedge == pytest.approx(0.025)
-        assert policy.deadline == pytest.approx(0.25)
+        assert ScanPolicy.from_env().retries == 5
 
-    def test_from_env_defaults_and_sentinels(self, monkeypatch):
-        for knob in ("REPRO_SCAN_RETRIES", "REPRO_HEDGE_MS", "REPRO_SCAN_DEADLINE_MS"):
-            monkeypatch.delenv(knob, raising=False)
+    @pytest.mark.parametrize(
+        "attempt,expected",
+        list(enumerate([0.01, 0.02, 0.04, 0.08, 0.1, 0.1])),
+    )
+    def test_unjittered_delay_doubles_up_to_the_cap(self, attempt, expected):
+        policy = ScanPolicy(backoff=0.01, backoff_cap=0.1, jitter=0.0)
+        assert policy.backoff_delay(attempt, rng=_FixedRng(1.0)) == pytest.approx(
+            expected
+        )
+
+    @pytest.mark.parametrize("draw", [0.0, 0.5, 1.0])
+    def test_jitter_stretches_the_capped_delay_by_at_most_its_fraction(self, draw):
+        policy = ScanPolicy(backoff=0.01, backoff_cap=0.03, jitter=0.25)
+        # Attempt 2 would be 0.04 uncapped: jitter applies to the cap.
+        assert policy.backoff_delay(2, rng=_FixedRng(draw)) == pytest.approx(
+            0.03 * (1.0 + 0.25 * draw)
+        )
+
+    def test_the_default_policy_sleeps_between_bounds(self):
+        policy = ScanPolicy()
+        for attempt in range(8):
+            delay = policy.backoff_delay(attempt)
+            base = min(policy.backoff_cap, policy.backoff * 2 ** attempt)
+            assert base <= delay <= base * (1.0 + policy.jitter)
+
+    def test_as_dict_is_the_four_fields_and_the_schema_version(self):
+        import json
+
+        policy = ScanPolicy(retries=4, backoff=0.5, backoff_cap=2.0, jitter=0.1)
+        snapshot = policy.as_dict()
+        assert snapshot == {
+            "schema_version": METRICS_SCHEMA_VERSION,
+            "retries": 4,
+            "backoff_s": 0.5,
+            "backoff_cap_s": 2.0,
+            "jitter": 0.1,
+        }
+        assert json.loads(json.dumps(snapshot)) == snapshot
+
+    @pytest.mark.parametrize("raw", ["0", "1", "9"])
+    def test_from_env_keeps_the_other_fields_at_their_defaults(
+        self, monkeypatch, raw
+    ):
+        monkeypatch.setenv("REPRO_SCAN_RETRIES", raw)
         policy = ScanPolicy.from_env()
-        assert policy.retries == 2
-        assert policy.hedging and policy.hedge is None  # 0 = adaptive
-        assert policy.deadline is None  # 0 = unbounded
-        monkeypatch.setenv("REPRO_HEDGE_MS", "-1")
-        assert not ScanPolicy.from_env().hedging
+        assert policy == ScanPolicy(retries=int(raw))
+
+    def test_a_policy_is_immutable(self):
+        import dataclasses
+
+        policy = ScanPolicy()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            policy.retries = 5
 
 
 # ---------------------------------------------------------------------------
-# RemotePeerFactSource: retries, hedging, deadlines
+# RemotePeerFactSource: retries
 # ---------------------------------------------------------------------------
 
 
@@ -138,19 +127,12 @@ def _single_peer():
     return {"A": instance}, {(1, 10), (2, 20), (3, 30)}
 
 
-def _replicated_pair():
-    """Two transport peers sharing one live instance: perfect replicas."""
-    instance = Instance.from_dict({"r": [(1, 10), (2, 20), (3, 30)]})
-    shard_map = ShardMap().shard_by_hash("r", 0, [("A", "B")])
-    return {"A": instance, "B": instance}, shard_map, {(1, 10), (2, 20), (3, 30)}
-
-
 class TestRetries:
     def test_retry_heals_a_transient_drop_and_reearns_complete(self):
         data, expected = _single_peer()
         transport = LoopbackTransport(data, drop_every_n=2)
         source = RemotePeerFactSource(
-            transport, policy=ScanPolicy(retries=2, hedging=False, **FAST)
+            transport, policy=ScanPolicy(retries=2, **FAST)
         )
         assert set(source.get_matching("r", ALL)) == expected  # scan #1: fine
         # Scan #2 is dropped by the chaos hook; the retry (#3) heals it.
@@ -165,7 +147,7 @@ class TestRetries:
         data, _ = _single_peer()
         transport = LoopbackTransport(data)
         source = RemotePeerFactSource(
-            transport, policy=ScanPolicy(retries=3, hedging=False, **FAST)
+            transport, policy=ScanPolicy(retries=3, **FAST)
         )
         transport.fail_peer("A")
         assert source.prefetch([("r", ALL)]) == 1
@@ -179,7 +161,7 @@ class TestRetries:
         data, _ = _single_peer()
         transport = LoopbackTransport(data)
         source = RemotePeerFactSource(
-            transport, policy=ScanPolicy(retries=1, hedging=False, **FAST)
+            transport, policy=ScanPolicy(retries=1, **FAST)
         )
 
         calls = {"n": 0}
@@ -195,113 +177,6 @@ class TestRetries:
         source.refresh()
         assert source.unreachable_peers == ()
         assert calls["n"] == 2
-
-
-class TestHedging:
-    def test_hedge_beats_a_slow_primary(self):
-        data, shard_map, expected = _replicated_pair()
-        transport = LoopbackTransport(data)
-        source = RemotePeerFactSource(
-            transport,
-            shard_map=shard_map,
-            policy=ScanPolicy(retries=0, hedge=0.01, **FAST),
-        )
-        transport.set_peer_delay("A", 0.5)
-        start = time.monotonic()
-        rows = source.get_matching("r", ALL)
-        elapsed = time.monotonic() - start
-        assert set(rows) == expected
-        assert elapsed < 0.4  # did not wait out the slow primary
-        stats = source.scatter_stats()
-        assert stats["hedges_fired"] == 1
-        assert stats["hedges_won"] == 1
-        assert source.complete and source.failure_count == 0
-
-    def test_fast_primary_never_hedges(self):
-        data, shard_map, expected = _replicated_pair()
-        transport = LoopbackTransport(data)
-        source = RemotePeerFactSource(
-            transport,
-            shard_map=shard_map,
-            policy=ScanPolicy(retries=0, hedge=0.5, **FAST),
-        )
-        assert set(source.get_matching("r", ALL)) == expected
-        assert source.scatter_stats()["hedges_fired"] == 0
-
-    def test_adaptive_hedging_waits_for_latency_samples(self):
-        data, shard_map, expected = _replicated_pair()
-        transport = LoopbackTransport(data)
-        source = RemotePeerFactSource(
-            transport,
-            shard_map=shard_map,
-            policy=ScanPolicy(retries=0, hedge=None, min_hedge_samples=50, **FAST),
-        )
-        for bound in (1, 2, 3):
-            source.get_matching("r", (bound, WILDCARD))
-        # Too few samples for a p95 estimate: no hedge ever fired.
-        assert source.scatter_stats()["hedges_fired"] == 0
-        assert set(source.get_matching("r", ALL)) == expected
-
-    def test_retry_rotates_to_the_replica(self):
-        data, shard_map, expected = _replicated_pair()
-        transport = LoopbackTransport(data)
-        source = RemotePeerFactSource(
-            transport,
-            shard_map=shard_map,
-            policy=ScanPolicy(retries=1, hedging=False, **FAST),
-        )
-        transport.fail_peer("A")
-        # Attempt 0 hits the failed primary; attempt 1 rotates to B.
-        assert set(source.get_matching("r", ALL)) == expected
-        assert source.failure_count == 0
-        assert source.complete
-
-
-class TestDeadlines:
-    def test_deadline_expiry_degrades_honestly(self):
-        data, _ = _single_peer()
-        transport = LoopbackTransport(data)
-        source = RemotePeerFactSource(
-            transport,
-            policy=ScanPolicy(retries=2, hedging=False, deadline=0.05, **FAST),
-        )
-        transport.set_peer_delay("A", 0.5)
-        start = time.monotonic()
-        rows = source.get_matching("r", ALL)
-        elapsed = time.monotonic() - start
-        assert rows == ()
-        assert elapsed < 0.4  # gave up at the deadline, not the peer's pace
-        stats = source.scatter_stats()
-        assert stats["deadline_expiries"] == 1  # counted once, not per retry
-        assert source.failure_count == 1
-        assert not source.complete
-        assert source.data_version("r") is None  # degraded: cache-barred
-        failure = source.failures()[-1]
-        assert "deadline" in failure.error
-
-    def test_deadline_bounds_a_whole_prefetch_wave(self):
-        instance = Instance.from_dict({"r": [(1,)], "s": [(2,)]})
-        transport = LoopbackTransport({"A": instance})
-        source = RemotePeerFactSource(
-            transport,
-            policy=ScanPolicy(retries=1, hedging=False, deadline=0.05, **FAST),
-        )
-        transport.set_peer_delay("A", 0.5)
-        start = time.monotonic()
-        source.prefetch([("r", (WILDCARD,)), ("s", (WILDCARD,))])
-        assert time.monotonic() - start < 0.45
-        assert source.scatter_stats()["deadline_expiries"] >= 1
-        assert not source.complete
-
-    def test_generous_deadline_changes_nothing(self):
-        data, expected = _single_peer()
-        source = RemotePeerFactSource(
-            LoopbackTransport(data),
-            policy=ScanPolicy(retries=0, hedging=False, deadline=30.0, **FAST),
-        )
-        assert set(source.get_matching("r", ALL)) == expected
-        assert source.scatter_stats()["deadline_expiries"] == 0
-        assert source.complete
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +342,6 @@ class TestAsyncSocketTransport:
         )
         assert not full3 and token3 == token2 and rows3.row_set() == set()
 
-    def test_submit_scan_returns_a_real_future(self, socket_transport):
-        future = socket_transport.submit_scan(
-            "P1", [("sa", encode_pattern(ALL), None)]
-        )
-        [(full, _token, rows)] = future.result(timeout=5.0)
-        assert full and len(rows) == 3
-
     def test_rpc_timeout_raises_and_never_repools_the_connection(self):
         transport = AsyncSocketTransport(
             {"P1": Instance.from_dict({"r": [(1,), (2,)]})}, timeout=0.05
@@ -523,7 +391,7 @@ class TestAsyncSocketTransport:
 
 
 class TestClusterTailStats:
-    def test_describe_exposes_tail_counters_and_latency(self):
+    def test_describe_exposes_the_scatter_counters(self):
         from repro.pdms import PDMS
 
         data, _ = _single_peer()
@@ -533,27 +401,23 @@ class TestClusterTailStats:
             cluster.source.get_matching("r", ALL)
             snapshot = cluster.describe()
             scatter = snapshot["scatter"]
+            assert scatter["schema_version"] == METRICS_SCHEMA_VERSION
             for key in (
                 "retries",
-                "hedges_fired",
-                "hedges_won",
-                "deadline_expiries",
                 "delta_scans",
                 "full_scans",
                 "delta_rows_shipped",
                 "full_rows_shipped",
             ):
                 assert key in scatter
-            latency = snapshot["peer_latency"]
-            assert latency["schema_version"] == METRICS_SCHEMA_VERSION
-            peers = latency["peers"]
-            assert "A" in peers and peers["A"]["count"] >= 1.0
+            assert scatter["full_scans"] >= 1
+            assert "peer_latency" not in snapshot
 
     def test_cluster_accepts_an_explicit_scan_policy(self):
         from repro.pdms import PDMS
 
         data, expected = _single_peer()
-        policy = ScanPolicy(retries=0, hedging=False, **FAST)
+        policy = ScanPolicy(retries=0, **FAST)
         with ServiceCluster(
             pdms=PDMS("tail"),
             transport=LoopbackTransport(data),
@@ -562,9 +426,7 @@ class TestClusterTailStats:
             assert set(cluster.source.get_matching("r", ALL)) == expected
             assert cluster.source.scatter_stats()["retries"] == 0
 
-    @pytest.mark.parametrize(
-        "knob", ["REPRO_SCAN_RETRIES", "REPRO_HEDGE_MS", "REPRO_SCAN_DEADLINE_MS"]
-    )
+    @pytest.mark.parametrize("knob", ["REPRO_SCAN_RETRIES"])
     def test_malformed_tail_knobs_fail_fast_at_construction(
         self, knob, monkeypatch
     ):

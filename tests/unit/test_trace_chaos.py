@@ -3,16 +3,14 @@
 The invariants under fault injection: every span closes exactly once
 (``Tracer.health()`` shows no double closes and nothing left open) and
 every trace is a well-formed tree (each span's parent is present in the
-record set) — across retries, hedges with cancelled losers, deadline
-expiries, and unreachable peers, on both transports.  Plus the wire
+record set) — across retries, exhausted retries, unreachable peers and
+scan units scattered on the pool, on both transports.  Plus the wire
 compatibility contract: a legacy peer that knows nothing about trace
 contexts still serves traced queries correctly, just without worker-side
 spans.
 """
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
@@ -34,7 +32,6 @@ from repro.pdms import (
     RemotePeerFactSource,
     ScanPolicy,
     ServiceCluster,
-    ShardMap,
     StorageDescription,
 )
 from repro.pdms.distributed.transport import decode_pattern
@@ -79,22 +76,17 @@ def last_spans(tracer, name=None):
     return [record for record in spans if record["name"] == name]
 
 
-def _drain_abandoned_attempts(source) -> None:
-    """Wait out attempts a hedge or deadline abandoned: each still sleeps
-    out its peer's injected delay on a pool thread, and its serve span
-    would otherwise land in whatever trace a later test has open."""
-    source._attempt_executor.shutdown(wait=True)
-
-
 def _single_peer():
     instance = Instance.from_dict({"r": [(1, 10), (2, 20), (3, 30)]})
     return {"A": instance}, {(1, 10), (2, 20), (3, 30)}
 
 
-def _replicated_pair():
-    instance = Instance.from_dict({"r": [(1, 10), (2, 20), (3, 30)]})
-    shard_map = ShardMap().shard_by_hash("r", 0, [("A", "B")])
-    return {"A": instance, "B": instance}, shard_map, {(1, 10), (2, 20), (3, 30)}
+def _split_pair():
+    """``r``'s rows split across two owners: every scan fans out to both."""
+    return {
+        "A": Instance.from_dict({"r": [(1, 10), (3, 30)]}),
+        "B": Instance.from_dict({"r": [(2, 20)]}),
+    }
 
 
 def two_peer_system():
@@ -120,7 +112,7 @@ def two_peer_system():
 
 
 # ---------------------------------------------------------------------------
-# Loopback: retries, hedges, deadlines, unreachable peers
+# Loopback: retries, unreachable peers, the scatter pool
 # ---------------------------------------------------------------------------
 
 
@@ -129,7 +121,7 @@ class TestLoopbackChaos:
         data, expected = _single_peer()
         transport = LoopbackTransport(data, drop_every_n=2)
         source = RemotePeerFactSource(
-            transport, policy=ScanPolicy(retries=2, hedging=False, **FAST)
+            transport, policy=ScanPolicy(retries=2, **FAST)
         )
         with tracer.start_trace("query.answer"):
             assert set(source.get_matching("r", ALL)) == expected  # scan #1
@@ -146,50 +138,11 @@ class TestLoopbackChaos:
         )
         assert unit["status"] == "ok"
 
-    def test_hedge_loser_closes_as_cancelled(self, tracer):
-        data, shard_map, expected = _replicated_pair()
-        transport = LoopbackTransport(data)
-        source = RemotePeerFactSource(
-            transport,
-            shard_map=shard_map,
-            policy=ScanPolicy(retries=0, hedge=0.01, **FAST),
-        )
-        transport.set_peer_delay("A", 0.3)
-        with tracer.start_trace("query.answer"):
-            assert set(source.get_matching("r", ALL)) == expected
-        assert source.scatter_stats()["hedges_won"] == 1
-        health = assert_well_formed(tracer)
-        assert health["double_closes"] == 0
-        attempts = last_spans(tracer, "scan.attempt")
-        kinds = {record["attrs"].get("kind") for record in attempts}
-        assert "hedge" in kinds
-        statuses = [record["status"] for record in attempts]
-        assert statuses.count("cancelled") == 1  # exactly the loser
-        assert statuses.count("ok") == 1  # exactly the winner
-        _drain_abandoned_attempts(source)
-
-    def test_deadline_expiry_closes_the_whole_subtree(self, tracer):
-        data, _ = _single_peer()
-        transport = LoopbackTransport(data)
-        source = RemotePeerFactSource(
-            transport,
-            policy=ScanPolicy(retries=2, hedging=False, deadline=0.05, **FAST),
-        )
-        transport.set_peer_delay("A", 0.4)
-        with tracer.start_trace("query.answer"):
-            assert source.get_matching("r", ALL) == ()
-        assert_well_formed(tracer)
-        [unit] = last_spans(tracer, "scan.unit")
-        assert unit["status"] == "deadline"
-        _drain_abandoned_attempts(source)
-        for record in last_spans(tracer, "scan.attempt"):
-            assert record["status"] in ("cancelled", "error")
-
     def test_unreachable_peer_exhausts_retries_with_error_spans(self, tracer):
         data, _ = _single_peer()
         transport = LoopbackTransport(data)
         source = RemotePeerFactSource(
-            transport, policy=ScanPolicy(retries=1, hedging=False, **FAST)
+            transport, policy=ScanPolicy(retries=1, **FAST)
         )
         source.refresh()  # learn the routes while the peer is up
         transport.fail_peer("A")
@@ -202,22 +155,21 @@ class TestLoopbackChaos:
         assert attempts and all(r["status"] == "error" for r in attempts)
 
     def test_pool_scattered_prefetch_keeps_the_tree_stitched(self, tracer):
-        data, shard_map, _ = _replicated_pair()
-        transport = LoopbackTransport(data, delay=0.001)  # forces the pool
+        transport = LoopbackTransport(_split_pair(), delay=0.001)  # forces the pool
         source = RemotePeerFactSource(
-            transport,
-            shard_map=shard_map,
-            policy=ScanPolicy(retries=0, hedging=False, **FAST),
+            transport, policy=ScanPolicy(retries=0, **FAST)
         )
         with tracer.start_trace("query.answer"):
             assert source.prefetch([("r", ALL)]) == 1
         assert_well_formed(tracer)
         [wave] = last_spans(tracer, "scatter.wave")
-        assert wave["attrs"]["units"] == 1
+        assert wave["attrs"]["units"] == 2
         # Pool threads cannot see the thread-ambient span; the wave is
-        # threaded through explicitly, so the unit still parents to it.
-        [unit] = last_spans(tracer, "scan.unit")
-        assert unit["parent_id"] == wave["span_id"]
+        # threaded through explicitly, so each unit still parents to it.
+        units = last_spans(tracer, "scan.unit")
+        assert sorted(unit["attrs"]["peer"] for unit in units) == ["A", "B"]
+        assert all(unit["parent_id"] == wave["span_id"] for unit in units)
+        assert set(source.get_matching("r", ALL)) == {(1, 10), (2, 20), (3, 30)}
 
 
 # ---------------------------------------------------------------------------
@@ -225,60 +177,25 @@ class TestLoopbackChaos:
 # ---------------------------------------------------------------------------
 
 
-class _SlowTwin:
-    """A replica that serves scans slowly (forces the hedge to fire)."""
-
-    def __init__(self, inner, delay=0.08):
-        self._inner = inner
-        self._delay = delay
-
-    def get_matching(self, relation, pattern):
-        time.sleep(self._delay)
-        return self._inner.get_matching(relation, pattern)
-
-    def tagged_block(self, relation, pattern):
-        # A full scan_since serves the instance's scan block.
-        time.sleep(self._delay)
-        return self._inner.tagged_block(relation, pattern)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
 class TestSocketAcceptanceTrace:
-    def test_traced_query_over_sockets_with_a_hedged_duplicate(
-        self, monkeypatch
-    ):
-        """The ISSUE acceptance scenario: REPRO_TRACE=1, socket transport,
-        one query, one well-formed renderable tree with a hedged scan."""
+    def test_traced_query_over_sockets(self, monkeypatch):
+        """REPRO_TRACE=1, socket transport, one query: one well-formed,
+        renderable tree with the worker-side serve spans stitched in."""
         monkeypatch.setenv("REPRO_TRACE", "1")
         monkeypatch.delenv("REPRO_TRACE_SAMPLE", raising=False)
         monkeypatch.delenv("REPRO_TRACE_SINK", raising=False)
         reset_tracer()  # re-read the env knobs
         try:
             pdms, data, query, expected = two_peer_system()
-            instances = {
-                "P1": _SlowTwin(data["P1"]),
-                "P1r": data["P1"],
-                "P2": _SlowTwin(data["P2"]),
-                "P2r": data["P2"],
-            }
-            shard_map = (
-                ShardMap()
-                .shard_by_hash("sa", 0, [("P1", "P1r")])
-                .shard_by_hash("sb", 0, [("P2", "P2r")])
-            )
-            transport = AsyncSocketTransport(instances)
+            transport = AsyncSocketTransport(data)
             try:
                 with ServiceCluster(
                     pdms=pdms,
                     transport=transport,
-                    shard_map=shard_map,
-                    scan_policy=ScanPolicy(retries=0, hedge=0.01, **FAST),
+                    scan_policy=ScanPolicy(retries=0, **FAST),
                 ) as cluster:
                     answer = cluster.answer(query)
                     assert answer.rows == expected and answer.complete
-                    assert cluster.source.scatter_stats()["hedges_fired"] >= 1
             finally:
                 transport.close()
             tracer = get_tracer()
@@ -289,14 +206,11 @@ class TestSocketAcceptanceTrace:
                 "query.answer", "query.reformulate", "plan.compile",
                 "plan.execute", "scatter.wave", "scan.unit", "scan.attempt",
             } <= names
-            attempts = [r for r in spans if r["name"] == "scan.attempt"]
-            assert any(r["attrs"].get("kind") == "hedge" for r in attempts)
-            assert any(r["status"] == "cancelled" for r in attempts)
             remote = [r for r in spans if r.get("remote")]
             assert remote, "socket workers shipped no serve spans"
             text = render_trace(spans)
             assert "query.answer" in text
-            assert "kind=hedge" in text
+            assert "kind=primary" in text
             assert "~ rpc.serve." in text
         finally:
             set_tracer(None)
@@ -324,7 +238,7 @@ class TestLegacyPeerInterop:
         data, expected = _single_peer()
         source = RemotePeerFactSource(
             LegacyTransport(data),
-            policy=ScanPolicy(retries=0, hedging=False, **FAST),
+            policy=ScanPolicy(retries=0, **FAST),
         )
         with tracer.start_trace("query.answer"):
             assert set(source.get_matching("r", ALL)) == expected
@@ -338,6 +252,6 @@ class TestLegacyPeerInterop:
         data, expected = _single_peer()
         source = RemotePeerFactSource(
             LegacyTransport(data),
-            policy=ScanPolicy(retries=0, hedging=False, **FAST),
+            policy=ScanPolicy(retries=0, **FAST),
         )
         assert set(source.get_matching("r", ALL)) == expected

@@ -2,10 +2,10 @@
 
 A 24-peer :class:`ServiceCluster` over :class:`AsyncSocketTransport`,
 counted in frames, not milliseconds: the catalogue round of a refresh is
-one frame (``describe_many``), the timer-free first attempts of a scatter
-wave are one frame (``scan_many``), and everything that carried per-unit
-meaning before — retries, hedges, chaos, data errors, trace parenting,
-transports without a batch frame — still does.
+one frame (``describe_many``), the first attempts of a scatter wave are
+one frame (``scan_many``), and everything that carried per-unit meaning
+before — retries, chaos, data errors, trace parenting, transports
+without a batch frame — still does.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.pdms import (
     RemotePeerFactSource,
     ScanPolicy,
     ServiceCluster,
-    ShardMap,
     StorageDescription,
 )
 from repro.pdms.distributed import async_transport
@@ -49,7 +48,7 @@ EVERYTHING = encode_pattern(ALL)
 
 #: No-sleep, no-jitter policies so tests stay fast and deterministic.
 FAST = dict(backoff=0.0, backoff_cap=0.0, jitter=0.0)
-POLICY = ScanPolicy(retries=2, hedging=False, **FAST)
+POLICY = ScanPolicy(retries=2, **FAST)
 
 QUERY = parse_query("Q(x, y) :- T:R(x, y)")
 
@@ -417,44 +416,6 @@ class TestTracing:
                         parallel=False,
                     )
         assert_well_formed(tracer)
-
-
-class TestTimedUnitsStayUnbatched:
-    def test_hedge_candidates_keep_the_per_unit_path(self):
-        instance = Instance.from_dict({"r": [(1, 10), (2, 20)]})
-        solo = Instance.from_dict({"t": [(3, 30)]})
-        shard_map = ShardMap().shard_by_hash("r", 0, [("A", "B")])
-        transport = CountingSocket({"A": instance, "B": instance, "C": solo})
-        source = RemotePeerFactSource(
-            transport, shard_map=shard_map,
-            policy=ScanPolicy(retries=0, hedge=5.0, **FAST),
-        )
-        try:
-            del transport.frames[:]
-            source.prefetch([("r", ALL), ("t", ALL)])
-            # The replicated unit could be hedged, so it goes out alone;
-            # the unreplicated one has no timer and rides a (one-entry) frame.
-            assert sorted(transport.frames) == ["batch", "scan_since"]
-            assert set(source.get_matching("r", ALL)) == {(1, 10), (2, 20)}
-            assert source.complete
-        finally:
-            source.close()
-            transport.close()
-
-    def test_a_wave_deadline_keeps_every_unit_on_the_per_unit_path(self):
-        _, data = wide_system()
-        transport = CountingSocket(data)
-        source = RemotePeerFactSource(
-            transport, policy=ScanPolicy(retries=0, hedging=False, deadline=5.0, **FAST)
-        )
-        try:
-            del transport.frames[:]
-            source.prefetch([("s00", ALL), ("s01", ALL), ("s02", ALL)])
-            assert transport.frames == ["scan_since"] * 3
-            assert source.complete
-        finally:
-            source.close()
-            transport.close()
 
 
 # ---------------------------------------------------------------------------
