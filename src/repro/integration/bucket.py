@@ -7,7 +7,7 @@ then considers every element of the cross product of the buckets as a
 candidate rewriting and keeps those that are contained in the query
 (possibly after adding equality predicates).  It examines many more
 candidates than MiniCon — which is exactly the inefficiency MiniCon was
-designed to remove, and what the ablation benchmark measures.
+designed to remove.
 
 Known limitation (kept on purpose, as it reflects the original algorithm's
 candidate construction): when unifying a query subgoal with a view subgoal
@@ -107,7 +107,7 @@ def rewrite(
         # predicates* between its variables.  We search over ways of
         # equating the fresh placeholder variables with query variables of
         # the candidate — this exhaustive repair is exactly the extra work
-        # MiniCon avoids, and it is what the ablation benchmark measures.
+        # MiniCon avoids.
         repaired = _verify_with_equalities(candidate, query, view_set, fresh)
         if repaired is not None:
             candidates.append(repaired)

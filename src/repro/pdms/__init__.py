@@ -3,8 +3,9 @@
 Peers and their schemas, the PPL mapping language (storage descriptions,
 inclusion/equality/definitional peer mappings), the normalised catalogue,
 complexity analysis per Theorems 3.1–3.3, the rule-goal-tree reformulation
-algorithm of Section 4 with its optimizations, execution over stored
-relations, and the certain-answer semantics of Section 2.2.
+algorithm of Section 4 (with the pruning and memoisation of Section 4.3
+always on), execution over stored relations, and the certain-answer
+semantics of Section 2.2.
 """
 
 from ..config import int_from_env
@@ -43,10 +44,11 @@ from .mappings import (
     lav_style,
     replication,
 )
-from .optimizations import DEFAULT_CONFIG, ExpansionOrder, ReformulationConfig
 from .peer import Peer, StoredRelation, qualified_name
 from .reformulation import (
+    DEFAULT_CONFIG,
     CanonicalQuery,
+    ReformulationConfig,
     ReformulationProvenance,
     ReformulationResult,
     canonicalize_query,
@@ -91,7 +93,6 @@ __all__ = [
     "DEFAULT_CONFIG",
     "DefinitionalMapping",
     "EqualityMapping",
-    "ExpansionOrder",
     "FragmentCache",
     "FragmentCacheStats",
     "GoalNode",

@@ -42,8 +42,7 @@ from ...obs.metrics import METRICS_SCHEMA_VERSION
 from ...obs.trace import current_span, get_tracer, wire_context
 from ..execution import evaluate_reformulation
 from ..materialization import FragmentCache
-from ..optimizations import ReformulationConfig
-from ..reformulation import ReformulationResult
+from ..reformulation import ReformulationConfig, ReformulationResult
 from ..service import QueryService, ServiceStats
 from ..system import PDMS
 from ...config import max_inflight as _config_max_inflight

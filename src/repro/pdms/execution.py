@@ -60,7 +60,6 @@ from ..datalog.indexing import Pattern
 from ..datalog.queries import ConjunctiveQuery
 from ..errors import EvaluationError, MappingError
 from .materialization import FragmentCache
-from .optimizations import ReformulationConfig
 from .planning import (
     UnionPlan,
     distinct_rows,
@@ -68,7 +67,12 @@ from .planning import (
     plan_answer_batches,
     union_rows,
 )
-from .reformulation import ReformulationResult, canonicalize_query, reformulate
+from .reformulation import (
+    ReformulationConfig,
+    ReformulationResult,
+    canonicalize_query,
+    reformulate,
+)
 from .system import PDMS
 
 Row = Tuple[object, ...]

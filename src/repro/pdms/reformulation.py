@@ -29,7 +29,6 @@ oracle in :mod:`repro.pdms.semantics`.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import threading
 from collections import deque
@@ -38,8 +37,6 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 
 from ..datalog.atoms import Atom, ComparisonAtom
 from ..datalog.constraints import ConstraintSet
-from ..datalog.containment import remove_redundant_disjuncts
-from ..datalog.minimize import minimize as minimize_query
 from ..datalog.queries import ConjunctiveQuery, UnionQuery
 from ..datalog.terms import FreshVariableFactory, Term, Variable, is_variable
 from ..datalog.unify import (
@@ -49,11 +46,30 @@ from ..datalog.unify import (
 )
 from ..errors import ReformulationError
 from ..integration.minicon import MCD, form_mcds
-from .optimizations import DEFAULT_CONFIG, ExpansionOrder, ReformulationConfig
 from .rule_goal_tree import GoalNode, RuleGoalTree, RuleNode, TreeStatistics
 from .system import PDMS, NormalizedCatalogue, NormalizedInclusion, NormalizedRule
 
 _QUERY_ORIGIN = "__query__"
+
+
+@dataclass
+class ReformulationConfig:
+    """Safety caps of :func:`reformulate` (``None`` means unbounded).
+
+    The tree construction of Section 4.3 — dead-end and unsatisfiable-label
+    pruning, MCD memoisation, a breadth-first frontier — is the algorithm
+    itself, not an option; only the tree's size can be bounded.
+    """
+
+    #: Hard cap on the number of nodes in the tree (a safety net for
+    #: adversarial inputs).
+    max_nodes: Optional[int] = None
+    #: Hard cap on goal-node depth (otherwise bounded only by the no-reuse
+    #: termination rule).
+    max_depth: Optional[int] = None
+
+
+DEFAULT_CONFIG = ReformulationConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +276,8 @@ class ReformulationResult:
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def rewritings(self) -> Iterator[ConjunctiveQuery]:
-        """Stream the conjunctive rewritings (may contain subsumed duplicates
-        unless ``config.remove_redundant_rewritings`` is set).
+        """Stream the conjunctive rewritings: each distinct one once, but
+        one may be contained in another (no containment check runs).
 
         Already-produced rewritings are memoized, so repeated partial
         consumption (e.g. several ``limit=k`` calls against one cached
@@ -284,10 +300,7 @@ class ReformulationResult:
     def all_rewritings(self) -> List[ConjunctiveQuery]:
         """All conjunctive rewritings, materialised and cached."""
         if self._all is None:
-            rewritings = list(self.rewritings())
-            if self.config.remove_redundant_rewritings:
-                rewritings = remove_redundant_disjuncts(rewritings)
-            self._all = rewritings
+            self._all = list(self.rewritings())
         return self._all
 
     def union(self) -> UnionQuery:
@@ -319,7 +332,7 @@ class _BuildBasis(NamedTuple):
     """What a tree was built against, besides the catalogue entries its
     goals recorded: all a rebuild replaying it needs to know."""
 
-    productive: Optional[frozenset]
+    productive: frozenset
     coverable: frozenset
     #: Where the builder's fresh-variable counter stopped.
     fresh_position: int
@@ -408,9 +421,7 @@ class _TreeBuilder:
         self._query = query
         self._config = config
         self._catalogue = pdms.catalogue()
-        self._productive: Optional[frozenset] = None
-        if config.prune_dead_ends:
-            self._productive = self._catalogue.productive_predicates()
+        self._productive = self._catalogue.productive_predicates()
         self._coverable = self._catalogue.coverable_predicates()
         if previous is not None and (
             previous._basis is None
@@ -426,10 +437,9 @@ class _TreeBuilder:
         if previous is not None:
             basis = previous._basis
             start = basis.fresh_position
-            if config.prune_dead_ends:
-                self._moved = (basis.productive ^ self._productive) | (
-                    basis.coverable ^ self._coverable
-                )
+            self._moved = (basis.productive ^ self._productive) | (
+                basis.coverable ^ self._coverable
+            )
         self._fresh = FreshVariableFactory(prefix="_r", start=start)
         self._fresh.reserve(v.name for v in query.all_variables())
         self._mcd_cache: Dict[tuple, List[MCD]] = {}
@@ -628,9 +638,7 @@ class _TreeBuilder:
         dependencies = set(self._touched_predicates)
         if self._dead_end_frontier:
             dependencies |= _unproductive_closure(
-                self._catalogue,
-                self._dead_end_frontier,
-                self._productive if self._productive is not None else frozenset(),
+                self._catalogue, self._dead_end_frontier, self._productive
             )
         return ReformulationProvenance(
             used_origins=frozenset(self._used_origins),
@@ -658,41 +666,19 @@ class _TreeBuilder:
     # -- frontier management -------------------------------------------------------
 
     def _expand_all(self, initial: Sequence[GoalNode]) -> None:
-        order = self._config.expansion_order
-        if order is ExpansionOrder.FEWEST_OPTIONS_FIRST:
-            # Cheap heuristic on applicable descriptions: the heap pops the
-            # earliest-inserted goal among those with the fewest options.
-            frontier: list = []
-            insertion = itertools.count()
-
-            def push(goal: GoalNode) -> None:
-                heapq.heappush(frontier, (self._option_count(goal), next(insertion), goal))
-
-            def pop() -> GoalNode:
-                return heapq.heappop(frontier)[2]
-        else:
-            frontier = deque()
-            push = frontier.append
-            pop = frontier.popleft if order is ExpansionOrder.BREADTH_FIRST else frontier.pop
-
-        for goal in initial:
-            push(goal)
+        """Expand breadth-first until no goal is left to expand."""
+        max_depth = self._config.max_depth
+        frontier = deque(initial)
         while frontier:
-            goal = pop()
+            goal = frontier.popleft()
             if goal.expanded or goal.is_stored:
                 continue
-            if self._config.max_depth is not None and goal.depth >= self._config.max_depth:
+            if max_depth is not None and goal.depth >= max_depth:
                 goal.expanded = True
                 continue
             for child in self._expand(goal):
                 if not child.is_stored and not child.expanded:
-                    push(child)
-
-    def _option_count(self, goal: GoalNode) -> int:
-        predicate = goal.label.predicate
-        return len(self._catalogue.definitional_for(predicate)) + len(
-            self._catalogue.inclusions_mentioning(predicate)
-        )
+                    frontier.append(child)
 
     # -- expansion ---------------------------------------------------------------
 
@@ -704,7 +690,7 @@ class _TreeBuilder:
         expanded by the code a fresh build runs."""
         goal.expanded = True
         stale = self._twins.pop(goal, None)
-        if self._config.prune_unsatisfiable and not goal.constraint.is_satisfiable():
+        if not goal.constraint.is_satisfiable():
             self._stats.pruned_unsatisfiable += 1
             return []
         replay = _Replay(stale) if stale is not None else None
@@ -763,14 +749,13 @@ class _TreeBuilder:
                 if resolved != variable
             ]
             rule_constraint = goal.constraint.conjoin(comparisons).conjoin(bindings)
-            if self._config.prune_unsatisfiable and not rule_constraint.is_satisfiable():
+            if not rule_constraint.is_satisfiable():
                 self._prune(goal, normalized, None)
                 continue
-            if self._config.prune_dead_ends:
-                dead_end = self._dead_end(relational)
-                if dead_end is not None:
-                    self._prune(goal, normalized, dead_end)
-                    continue
+            dead_end = self._dead_end(relational)
+            if dead_end is not None:
+                self._prune(goal, normalized, dead_end)
+                continue
             rule_node = RuleNode(
                 RuleNode.KIND_DEFINITIONAL,
                 description=normalized,
@@ -807,7 +792,6 @@ class _TreeBuilder:
         """A definitional expansion is useless if some body goal can neither
         reach stored data nor be covered by a sibling's inclusion expansion:
         the first such body predicate, if any."""
-        assert self._productive is not None
         for atom in body:
             predicate = atom.predicate
             if predicate not in self._productive and predicate not in self._coverable:
@@ -842,11 +826,7 @@ class _TreeBuilder:
                 context = self._mcd_context(
                     [s.label for s in siblings], sorted(outside & sibling_vars)
                 )
-            view_comparisons = (
-                inclusion.view.definition.comparison_body()
-                if self._config.prune_unsatisfiable
-                else ()
-            )
+            view_comparisons = inclusion.view.definition.comparison_body()
             for mcd in self._mcds_for(context, inclusion, my_index):
                 covered_constraint = goal.constraint
                 for index in sorted(mcd.covered):
@@ -859,9 +839,7 @@ class _TreeBuilder:
                 # the view's contents, so they only participate in the
                 # satisfiability check, not in the output constraint.
                 rule_constraint = covered_constraint.conjoin(mcd.equalities)
-                if self._config.prune_unsatisfiable and not rule_constraint.conjoin(
-                    view_comparisons
-                ).is_satisfiable():
+                if not rule_constraint.conjoin(view_comparisons).is_satisfiable():
                     self._prune(goal, inclusion, None)
                     continue
                 rule_node = RuleNode(
@@ -929,19 +907,16 @@ class _TreeBuilder:
         self, context: _MCDContext, inclusion: NormalizedInclusion, my_index: int
     ) -> List[MCD]:
         view = inclusion.prepared_view()
-        memoize = self._config.memoize_mcds
         key = (view, my_index, context.distinguished, context.subgoals)
-        canonical_mcds = self._mcd_cache.get(key) if memoize else None
+        canonical_mcds = self._mcd_cache.get(key)
         if canonical_mcds is None:
-            canonical_mcds = form_mcds(
+            canonical_mcds = self._mcd_cache[key] = form_mcds(
                 context.subgoals,
                 context.distinguished,
                 view,
                 FreshVariableFactory(prefix="_c"),
                 only_subgoal=my_index,
             )
-            if memoize:
-                self._mcd_cache[key] = canonical_mcds
         else:
             self._stats.memoization_hits += 1
 
@@ -1001,12 +976,9 @@ class _RewritingAssembler:
     carry it.
     """
 
-    def __init__(
-        self, query: ConjunctiveQuery, tree: RuleGoalTree, config: ReformulationConfig
-    ):
+    def __init__(self, query: ConjunctiveQuery, tree: RuleGoalTree):
         self._query = query
         self._tree = tree
-        self._config = config
         self._rule_cache: Dict[int, _LazySeq] = {}
         self._cache_lock = threading.Lock()
         #: constraint -> (substitution, substituted residual comparisons),
@@ -1158,10 +1130,7 @@ class _RewritingAssembler:
                 return None
             body.append(comparison)
         # Safe by the two checks above.
-        rewriting = ConjunctiveQuery.trusted(head, tuple(body))
-        if self._config.minimize_rewritings:
-            rewriting = minimize_query(rewriting)
-        return rewriting
+        return ConjunctiveQuery.trusted(head, tuple(body))
 
     def _resolve(
         self, constraint: ConstraintSet
@@ -1173,23 +1142,26 @@ class _RewritingAssembler:
             return self._resolved[constraint]
         except KeyError:
             pass
-        resolved = None
         # Discard rewritings whose accumulated constraints are contradictory
         # (the paper: "If the resulting conjunctive query is unsatisfiable,
-        # we discard it").  This is a correctness matter, not an optimization,
-        # so it does not depend on the configuration.
-        if constraint.is_satisfiable():
-            substitution, residual = self._equalities_to_substitution(constraint)
-            if substitution is not None:
-                remaining: List[ComparisonAtom] = []
-                for comparison in residual:
-                    comparison = comparison.substitute(substitution)
-                    if not comparison.is_ground():
-                        remaining.append(comparison)
-                    elif not comparison.evaluate_ground():
-                        break
-                else:
-                    resolved = (substitution, tuple(remaining))
+        # we discard it").  Tree construction prunes unsatisfiable labels,
+        # but a label constrains one goal's subtree: the labels of sibling
+        # subtrees first meet here, so this check is a correctness matter.
+        if not constraint.is_satisfiable():
+            self._resolved[constraint] = None
+            return None
+        resolved = None
+        substitution, residual = self._equalities_to_substitution(constraint)
+        if substitution is not None:
+            remaining: List[ComparisonAtom] = []
+            for comparison in residual:
+                comparison = comparison.substitute(substitution)
+                if not comparison.is_ground():
+                    remaining.append(comparison)
+                elif not comparison.evaluate_ground():
+                    break
+            else:
+                resolved = (substitution, tuple(remaining))
         self._resolved[constraint] = resolved
         return resolved
 
@@ -1331,8 +1303,8 @@ def reformulate(
     query:
         A conjunctive query over peer relations (of any peer).
     config:
-        Optional :class:`ReformulationConfig`; defaults enable every
-        optimization.
+        Optional :class:`ReformulationConfig`: caps on the tree's size and
+        depth; unbounded by default.
     previous:
         An earlier result for the same query and configuration, built
         against an older catalogue (a cache entry the catalogue changed
@@ -1350,7 +1322,7 @@ def reformulate(
     config = config if config is not None else DEFAULT_CONFIG
     builder = _TreeBuilder(pdms, query, config, previous)
     tree = builder.build()
-    assembler = _RewritingAssembler(query, tree, config)
+    assembler = _RewritingAssembler(query, tree)
     return ReformulationResult(
         query=query,
         tree=tree,

@@ -74,7 +74,6 @@ from ..datalog.queries import ConjunctiveQuery
 from ..errors import EvaluationError, PDMSConfigurationError
 from ..obs.metrics import METRICS_SCHEMA_VERSION, MetricsRegistry
 from ..obs.trace import current_span, get_tracer
-from .optimizations import DEFAULT_CONFIG, ReformulationConfig
 from .peer import Peer
 from .execution import (
     PeerFactSource,
@@ -93,7 +92,9 @@ from .materialization import (
 )
 from .planning import UnionPlan, ensure_plan
 from .reformulation import (
+    DEFAULT_CONFIG,
     CanonicalQuery,
+    ReformulationConfig,
     ReformulationResult,
     canonicalize_query,
     reformulate,
@@ -161,9 +162,8 @@ class QueryService:
     pdms:
         The system to serve; created empty when omitted.
     config:
-        :class:`ReformulationConfig` used for every cached reformulation.
-        One service instance serves one configuration — callers comparing
-        ablations should run one service per configuration.
+        :class:`ReformulationConfig` (the tree's safety caps) used for
+        every cached reformulation.
     engine:
         Default engine name (see :func:`~repro.pdms.execution.uses_oracle`):
         ``None``, ``"columnar"`` and ``"distributed"`` serve answers from

@@ -720,8 +720,11 @@ class PDMS:
         return predicate in self._stored
 
     def is_peer_relation(self, predicate: str) -> bool:
-        """Is ``predicate`` a declared peer relation?"""
-        return predicate in self.peer_relation_names()
+        """Is ``predicate`` a declared peer relation?  Asked of the peer its
+        qualified name (``peer:relation``) names, not of every peer."""
+        peer_name, qualified, _ = predicate.partition(":")
+        peer = self._peers.get(peer_name) if qualified else None
+        return peer is not None and peer.has_relation(predicate)
 
     # -- descriptions -----------------------------------------------------------------
 

@@ -8,10 +8,10 @@ Three guards around ``pdms/reformulation.py`` + ``integration/minicon.py``:
   Figure-1 / Figure-2 fixtures: the SHA-256 of the printed
   ``first_rewritings(1000)`` sequence — every rewriting, its variable
   names and the emission order — plus the tree's ``TreeStatistics``.
-  Under ``FEWEST_OPTIONS_FIRST`` the tree itself is pinned: node ids
-  (relative to the root), labels and origins in pre-order.  All digests
-  were recorded on commit 6560fc0, before Steps 2/3 were rewritten for
-  speed; a difference means the algorithm's output changed.
+  For seven of them the tree itself is pinned too: node ids (relative to
+  the root), labels and origins in pre-order.  The sequence digests were
+  recorded on commit 6560fc0, before Steps 2/3 were rewritten for speed;
+  a difference means the algorithm's output changed.
 * **Constrained cases against the chase oracle.**  The generated
   topologies carry no comparison atoms, so the paths that do constraint
   work (comparisons, constants in definitional heads, MCD-induced
@@ -33,8 +33,6 @@ from repro.datalog import parse_atom, parse_query
 from repro.pdms import (
     PDMS,
     DefinitionalMapping,
-    ExpansionOrder,
-    ReformulationConfig,
     StorageDescription,
     answer_query,
     certain_answers,
@@ -202,37 +200,17 @@ PINNED_SEQUENCES = {
     ),
 }
 
-#: case -> (SHA-256 of the tree in pre-order, TreeStatistics tuple) when the
-#: frontier is expanded fewest-options-first.
-PINNED_FEWEST_OPTIONS_FIRST = {
-    "paper-d6-s0": (
-        "146ccf4d76989976c7e513db3af3a60640c2e8b1c9f8a585a0b6b242b0b16935",
-        (272, 249, 98, 0, 7, 0, 0, 71),
-    ),
-    "figure1-critical_beds": (
-        "3cfde56c95dd15864d143cf9d3ed8f7173ddc1d7daa0baca1c1b948d92243462",
-        (3, 2, 0, 1, 2, 0, 0, 0),
-    ),
-    "figure1-doctor_hours": (
-        "cc5ed179e320957787d78b842f8c64991a106c7d08ad29d3fc0386f5775c2874",
-        (18, 16, 7, 0, 4, 0, 0, 0),
-    ),
-    "figure1-ecc_medical_responders": (
-        "38ab1c33c2ccdc5ef696389b6c1c32c31a03f4ac67ebca797fb8f2357b4f304e",
-        (18, 15, 6, 0, 5, 0, 0, 0),
-    ),
-    "figure1-ecc_vehicles": (
-        "c2966b48a53d5c5effda7aa5cc2bab52a475ab0427da1b06b224cdef8f111d9b",
-        (12, 11, 3, 1, 5, 0, 0, 0),
-    ),
-    "figure1-skilled_doctors": (
-        "e0a5f7a275c13a14e68c05cd08466f3c9af35c99b749bac51b39a0df03882ea5",
-        (9, 8, 4, 0, 4, 0, 0, 0),
-    ),
-    "figure1-skilled_people": (
-        "22c8ccdef016ab18c131d7a9572a0829264093daa08f5eb0a7e17b70296e7c1f",
-        (24, 21, 10, 0, 4, 0, 0, 0),
-    ),
+#: case -> SHA-256 of the tree in pre-order: node ids (relative to the
+#: root), labels and origins, i.e. the order the breadth-first frontier
+#: expands goals in.
+PINNED_TREES = {
+    "figure1-critical_beds": "3cfde56c95dd15864d143cf9d3ed8f7173ddc1d7daa0baca1c1b948d92243462",
+    "figure1-doctor_hours": "cb827ddc82aa2abc553b589ca944cfdd0e702a09c7ccd22c20955b9fda370e26",
+    "figure1-ecc_medical_responders": "48f081a3b2a2522c82ba84b13ff4a1bea6112203b2a19e9558f40f9b8ee632a2",
+    "figure1-ecc_vehicles": "d4ec76463b9bc52449c5f248cab5358ef12a3edaa05515f5bac4934a777054e5",
+    "figure1-skilled_doctors": "e0a5f7a275c13a14e68c05cd08466f3c9af35c99b749bac51b39a0df03882ea5",
+    "figure1-skilled_people": "10cb2b151d132ef89e3bda2ebe20f8033620038c131c2d6546b0e6e6b9536b9c",
+    "paper-d6-s0": "1e7addb8f96aae62985900c0203d8bc65fb734cc90abdda2fbb908a8abea394d",
 }
 
 
@@ -288,16 +266,12 @@ class TestPinnedSequences:
         assert dataclasses.astuple(result.statistics) == statistics
         assert _sequence_digest(result) == digest
 
-    @pytest.mark.parametrize("name", sorted(PINNED_FEWEST_OPTIONS_FIRST))
-    def test_fewest_options_first_builds_the_same_tree(self, name):
-        """The heap-ordered frontier pops goals in the order the quadratic
-        rescan did: same node ids, labels and origins."""
+    @pytest.mark.parametrize("name", sorted(PINNED_TREES))
+    def test_breadth_first_tree(self, name):
+        """The frontier is a FIFO queue: the tree's node ids, labels and
+        origins in pre-order are pinned, not only what Step 3 reads off it."""
         pdms, query = _case(name)
-        config = ReformulationConfig(expansion_order=ExpansionOrder.FEWEST_OPTIONS_FIRST)
-        result = reformulate(pdms, query, config=config)
-        digest, statistics = PINNED_FEWEST_OPTIONS_FIRST[name]
-        assert dataclasses.astuple(result.statistics) == statistics
-        assert _tree_digest(result.tree) == digest
+        assert _tree_digest(reformulate(pdms, query).tree) == PINNED_TREES[name]
 
     def test_repeated_reformulation_is_identical(self):
         """State kept on the catalogue between calls changes no output."""
@@ -311,17 +285,6 @@ class TestPinnedSequences:
 # ---------------------------------------------------------------------------
 # Constrained cases against the chase oracle
 # ---------------------------------------------------------------------------
-
-CONFIGS = {
-    "default": ReformulationConfig(),
-    "minimized": ReformulationConfig(minimize_rewritings=True),
-    "redundancy_removed": ReformulationConfig(remove_redundant_rewritings=True),
-    "minimized_redundancy_removed": ReformulationConfig(
-        minimize_rewritings=True, remove_redundant_rewritings=True),
-    # Unsatisfiable combinations reach Step 3 and must be discarded there.
-    "unsatisfiable_not_pruned": ReformulationConfig(prune_unsatisfiable=False),
-}
-
 
 def _shop():
     """Comparisons in the query, in definitional bodies and in storage descriptions."""
@@ -383,31 +346,41 @@ CONSTRAINED_CASES = [
 
 
 class TestConstrainedAgainstOracle:
-    @pytest.mark.parametrize("config_name", sorted(CONFIGS))
     @pytest.mark.parametrize(
         "scenario, query_text, expected_count",
         CONSTRAINED_CASES,
         ids=[f"{s.__name__[1:]}-{i}" for i, (s, _, _) in enumerate(CONSTRAINED_CASES)],
     )
-    def test_answers_are_the_certain_answers(
-        self, scenario, query_text, expected_count, config_name
-    ):
+    def test_answers_are_the_certain_answers(self, scenario, query_text, expected_count):
         pdms, data = scenario()
         query = parse_query(query_text)
-        answers = answer_query(pdms, query, data, config=CONFIGS[config_name])
+        answers = answer_query(pdms, query, data)
         assert answers == certain_answers(pdms, query, data)
         assert len(answers) == expected_count
 
-    @pytest.mark.parametrize("config_name", sorted(CONFIGS))
-    def test_mcd_induced_equalities(self, figure2_pdms, figure2_query, config_name):
+    @pytest.mark.parametrize(
+        "scenario, query_text, expected_count",
+        CONSTRAINED_CASES,
+        ids=[f"{s.__name__[1:]}-{i}" for i, (s, _, _) in enumerate(CONSTRAINED_CASES)],
+    )
+    def test_step3_rewritings_answer_the_chase(self, scenario, query_text, expected_count):
+        """The same cases through the Step-3 rewritings (the oracle engine
+        evaluates them one by one), which discard the combinations whose
+        labels contradict each other (``s != t`` with ``s = t = "EMT"``)."""
+        pdms, data = scenario()
+        query = parse_query(query_text)
+        answers = answer_query(pdms, query, data, engine="backtracking")
+        assert answers == certain_answers(pdms, query, data)
+        assert len(answers) == expected_count
+
+    def test_mcd_induced_equalities(self, figure2_pdms, figure2_query):
         """Figure 2: covering both ``Skill`` goals with one view atom forces
         ``f1 = f2``, which must reach the rewriting's head and body."""
         data = {
             "S1": [("f1", "e1", 8), ("f2", "e1", 9), ("f3", "e2", 8)],
             "S2": [("f1", "f2"), ("f2", "f1"), ("f1", "f3"), ("f1", "f1"), ("f2", "f2")],
         }
-        answers = answer_query(
-            figure2_pdms, figure2_query, data, config=CONFIGS[config_name])
+        answers = answer_query(figure2_pdms, figure2_query, data)
         assert answers == certain_answers(figure2_pdms, figure2_query, data)
         assert len(answers) == 5
 

@@ -3,9 +3,9 @@
 These pin the externally observable behaviour of the reformulation
 algorithm on the paper's Figure-1 scenario — rewriting counts, rule-goal
 tree sizes, the first rewriting produced by the streaming enumeration,
-and the answer sets — under all three execution engines and every
-:class:`ReformulationConfig` optimization toggle, so the Section 4.3
-ablations can't silently regress.
+and the answer sets under every ``engine=`` name.  There is one
+reformulation algorithm (the Section 4.3 pruning and memoisation always
+on), so there is one configuration to pin.
 
 The pinned values were produced by the current implementation and
 verified stable across ``PYTHONHASHSEED`` values; a diff here means the
@@ -14,12 +14,7 @@ algorithm's output changed, which must be deliberate.
 
 import pytest
 
-from repro.pdms import (
-    ExpansionOrder,
-    ReformulationConfig,
-    evaluate_reformulation,
-    reformulate,
-)
+from repro.pdms import evaluate_reformulation, reformulate
 from repro.workload import build_emergency_services, example_queries, sample_instance
 
 #: query name -> (rewriting count, total tree nodes, first rewriting str).
@@ -50,22 +45,6 @@ GOLDEN_ANSWERS = {
         ("e1", "EMT"), ("e2", "EMT"), ("f7", "EMT"),
     },
 }
-
-#: One config per flipped optimization toggle (Section 4.3 ablations).
-TOGGLED_CONFIGS = {
-    "default": ReformulationConfig(),
-    "no_dead_end_pruning": ReformulationConfig(prune_dead_ends=False),
-    "no_unsat_pruning": ReformulationConfig(prune_unsatisfiable=False),
-    "no_mcd_memoization": ReformulationConfig(memoize_mcds=False),
-    "redundancy_removal": ReformulationConfig(remove_redundant_rewritings=True),
-    "minimized_rewritings": ReformulationConfig(minimize_rewritings=True),
-    "depth_first": ReformulationConfig(expansion_order=ExpansionOrder.DEPTH_FIRST),
-    "fewest_options_first": ReformulationConfig(
-        expansion_order=ExpansionOrder.FEWEST_OPTIONS_FIRST
-    ),
-    "no_optimizations": ReformulationConfig().without_optimizations(),
-}
-
 
 @pytest.fixture(scope="module")
 def scenario():
@@ -102,28 +81,3 @@ class TestGoldenAnswers:
         pdms, data, queries = scenario
         result = reformulate(pdms, queries[name])
         assert evaluate_reformulation(result, data, engine=engine) == GOLDEN_ANSWERS[name]
-
-    @pytest.mark.parametrize("config_name", sorted(TOGGLED_CONFIGS))
-    @pytest.mark.parametrize("name", sorted(GOLDEN_ANSWERS))
-    def test_answers_invariant_under_optimization_toggles(
-        self, scenario, name, config_name
-    ):
-        """Section 4.3 optimizations change cost, never answers."""
-        pdms, data, queries = scenario
-        result = reformulate(pdms, queries[name], config=TOGGLED_CONFIGS[config_name])
-        assert evaluate_reformulation(result, data) == GOLDEN_ANSWERS[name]
-
-    @pytest.mark.parametrize("name", sorted(GOLDEN_ANSWERS))
-    def test_rewriting_count_invariant_under_cost_only_toggles(self, scenario, name):
-        """Toggles that only change *how* the tree is built (pruning
-        order, memoization) must not change how many rewritings come out;
-        dead-end pruning removes only rewriting-free subtrees."""
-        pdms, _, queries = scenario
-        expected = GOLDEN_SHAPE[name][0]
-        for config in (
-            ReformulationConfig(prune_dead_ends=False),
-            ReformulationConfig(memoize_mcds=False),
-            ReformulationConfig(expansion_order=ExpansionOrder.DEPTH_FIRST),
-        ):
-            result = reformulate(pdms, queries[name], config=config)
-            assert len(result.all_rewritings()) == expected

@@ -10,8 +10,9 @@ every other way of answering the same query (ISSUE 17).
   (plan size, and the assembler never starts), Figure 2's multi-subgoal
   MCD with its induced ``f1 = f2``, Figure 1's ``skilled_people`` (a
   definitional head binds ``skill = "Doctor"``), constants and repeated
-  variables in query head and goal labels, comparisons, a dead-end child,
-  a cross-product rule, the trees the compile declines, and one diameter-6
+  variables in query head and goal labels, comparisons, dead leaves (under
+  a rule with a live sibling, and under a goal's only option), a
+  cross-product rule, the trees the compile declines, and one diameter-6
   Section-5 topology.
 """
 
@@ -21,18 +22,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.database import Instance
-from repro.datalog import parse_query
+from repro.datalog import parse_atom, parse_query
 from repro.pdms import (
     PDMS,
     DefinitionalMapping,
     PeerFactSource,
-    ReformulationConfig,
     StorageDescription,
     certain_answers,
     combine_peer_instances,
     compile_reformulation,
     evaluate_plan,
     evaluate_reformulation,
+    lav_style,
     reformulate,
     stream_plan_answers,
 )
@@ -65,23 +66,23 @@ def kinds(plan):
     )
 
 
-def assert_all_paths_agree(pdms, query, data, config=None, declined=None):
+def assert_all_paths_agree(pdms, query, data, declined=None):
     """Factored ≡ enumerated ≡ backtracking ≡ chase for one query; returns
     the answer.  ``declined`` is the reason the tree compile must give."""
     source = PeerFactSource(data) if isinstance(data, dict) else data
     stored = combine_peer_instances(data) if isinstance(data, dict) else data
     expected = certain_answers(pdms, query, stored)
-    result = reformulate(pdms, query, config=config)
+    result = reformulate(pdms, query)
     assert evaluate_reformulation(result, source, engine="backtracking") == expected
     for cost_source in (None, source):
-        plan = compile_reformulation(reformulate(pdms, query, config=config), cost_source)
+        plan = compile_reformulation(reformulate(pdms, query), cost_source)
         assert evaluate_plan(plan, source) == expected
         assert plan.stats.declined == declined, plan.stats
         assert set(stream_plan_answers(plan, source)) == expected
         if declined is None:
             assert plan.stats.factored <= result.statistics.goal_nodes
     for engine in PLAN_ENGINES:
-        fresh = reformulate(pdms, query, config=config)
+        fresh = reformulate(pdms, query)
         assert evaluate_reformulation(fresh, source, engine=engine) == expected, engine
     return expected
 
@@ -187,17 +188,48 @@ class TestDirectedCases:
         assert_all_paths_agree(pdms, parse_query(text), data)
 
     def test_a_rule_with_a_dead_end_child_compiles_to_nothing(self):
-        """``r_dead`` needs ``B:Dead``, which nothing stores: unpruned, its
-        rule node stays in the tree with a dead leaf under it."""
+        """``t_back`` closes a cycle through ``A:R``.  Below it, ``A:R``
+        may use neither ``r_from_t`` nor ``t_back`` again (no reuse on a
+        path), and ``r_dead`` is pruned (``B:Dead`` is stored nowhere): the
+        goal stays a dead leaf, which the factored compile drops with the
+        rule above it."""
         pdms, data = self._small()
+        pdms.add_peer_mapping(DefinitionalMapping(
+            parse_query("B:T(x, y) :- A:R(x, y)"), name="t_back"))
         query = parse_query("Q(x, y) :- A:R(x, y)")
-        config = ReformulationConfig(prune_dead_ends=False)
-        result = reformulate(pdms, query, config=config)
-        assert result.statistics.dead_leaves
-        assert_all_paths_agree(pdms, query, data, config=config)
+        result = reformulate(pdms, query)
+        assert result.statistics.dead_leaves == 1
+        assert result.statistics.pruned_dead_end == 2  # under both A:R goals
+        assert_all_paths_agree(pdms, query, data)
         plan = compile_reformulation(result)
-        assert "store_t0" in plan.pretty() and "r_dead" not in plan.pretty()
-        assert kinds(plan) == (2, 0, 2)  # R collapsed onto the union for B:T
+        assert "store_t0" in plan.pretty() and "t_back" not in plan.pretty()
+        assert kinds(plan) == (2, 0, 2)
+
+    def test_a_goal_whose_every_option_is_dead_compiles_to_nothing(self):
+        """``A:C`` is covered through ``k``, and ``B:K`` leads back to it
+        through ``k_def`` and ``g_def``; that ``A:C`` may not use ``k``
+        again, so it is a dead leaf, and ``A:G`` above it has no live
+        option: its union is empty, and ``k_def`` drops out with it."""
+        pdms = PDMS("cycle")
+        pdms.add_peer("A").add_relation("C", ["x", "y"])
+        pdms.peer("A").add_relation("G", ["x", "y"])
+        pdms.add_peer("B").add_relation("K", ["x", "y"])
+        pdms.add_peer_mapping(lav_style(
+            parse_atom("B:K(x, y)"), parse_query("R(x, y) :- A:C(x, y)"), name="k"))
+        pdms.add_peer_mapping(DefinitionalMapping(
+            parse_query("B:K(x, y) :- A:G(x, y)"), name="k_def"))
+        pdms.add_peer_mapping(DefinitionalMapping(
+            parse_query("A:G(x, y) :- A:C(x, y)"), name="g_def"))
+        pdms.add_storage_description(StorageDescription(
+            "B", "k0", parse_query("V(x, y) :- B:K(x, y)"), exact=False, name="store_k"))
+        data = Instance.from_dict({"k0": [(1, 2), (2, 3)]})
+        query = parse_query("Q(x, y) :- A:C(x, y)")
+        result = reformulate(pdms, query)
+        assert result.statistics.dead_leaves == 1
+        assert assert_all_paths_agree(pdms, query, data) == {(1, 2), (2, 3)}
+        plan = compile_reformulation(result)
+        assert "k_def" not in plan.pretty() and "g_def" not in plan.pretty()
+        assert kinds(plan) == (1, 0, 1)
 
     def test_a_rule_joins_its_stored_leaves_before_its_unions(self):
         """Two big single-alternative goals and one small goal with three

@@ -49,9 +49,13 @@ from repro.pdms import (
 )
 from repro.pdms import reformulation as reformulation_module
 from repro.pdms import system as system_module
-from repro.pdms.optimizations import ExpansionOrder, ReformulationConfig
 from repro.pdms.planning import UnionPlan
-from repro.pdms.reformulation import _TreeBuilder, canonicalize_query, reformulate
+from repro.pdms.reformulation import (
+    ReformulationConfig,
+    _TreeBuilder,
+    canonicalize_query,
+    reformulate,
+)
 
 A, B, C = Variable("a"), Variable("b"), Variable("c")
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
@@ -59,15 +63,6 @@ X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 BOTTOM = ("B0:r", "B1:r", "B2:r")
 MIDDLE = ("M:m0", "M:m1", "M:m2")
 TOP = ("T:t0", "T:t1")
-
-CONFIGS = (
-    ReformulationConfig(),
-    # Dead ends stay in the tree, so a copied goal can flip to stored.
-    ReformulationConfig(prune_dead_ends=False),
-    ReformulationConfig(expansion_order=ExpansionOrder.DEPTH_FIRST),
-    ReformulationConfig(expansion_order=ExpansionOrder.FEWEST_OPTIONS_FIRST),
-)
-
 
 def _atom(predicate, *terms):
     return Atom(predicate, list(terms))
@@ -142,7 +137,6 @@ class World:
 
     def __init__(self, seed: int, direct: bool = False):
         self.rng = rng = random.Random(seed)
-        self.config = CONFIGS[seed % len(CONFIGS)]
         #: Apply mapping changes to the PDMS behind the service's back (the
         #: service replays its change log, which may have been truncated).
         self.direct = direct
@@ -167,9 +161,7 @@ class World:
             self.present.add(name)
         self.queries = rng.sample(QUERIES, 3)
         # A plan engine, so rebuilt plans compile (and carry) too.
-        self.service = QueryService(
-            pdms, config=self.config, engine="columnar", data=dict(self.data)
-        )
+        self.service = QueryService(pdms, engine="columnar", data=dict(self.data))
         self.serial = 0
         self.satellites = []  # peers a leave may remove
         self.checked = 0
@@ -270,7 +262,7 @@ class World:
         for query in self.queries:
             self.check_answer(query)
             served = self.service.reformulate(query)
-            assert_same_as_fresh(served, reformulate(self.pdms, served.query, self.config))
+            assert_same_as_fresh(served, reformulate(self.pdms, served.query))
             self.checked += 1
 
 
@@ -337,8 +329,55 @@ def test_rebuilding_from_a_result_of_another_query_or_config_is_a_fresh_build():
     world.join()
     rebuilt = reformulate(world.pdms, other, previous=stale)
     assert_same_as_fresh(rebuilt, reformulate(world.pdms, other))
-    rebuilt = reformulate(world.pdms, one, ReformulationConfig(prune_dead_ends=False), previous=stale)
-    assert_same_as_fresh(rebuilt, reformulate(world.pdms, one, ReformulationConfig(prune_dead_ends=False)))
+    capped = ReformulationConfig(max_depth=8)
+    rebuilt = reformulate(world.pdms, one, capped, previous=stale)
+    assert_same_as_fresh(rebuilt, reformulate(world.pdms, one, capped))
+
+
+def test_a_copied_goal_that_turned_stored_is_not_replayed():
+    """``w`` is productive whether stored or not (``wdef`` defines it), so
+    no predicate's status moves when peer W starts storing it: ``mdef`` is
+    copied, and its copied goal ``w`` — a stored leaf now — differs from
+    the stale goal it copies.  The rebuilt tree, and the plan compiled
+    from the stale plan, must not reuse what the stale tree expanded
+    under ``w``; and the same holds when W leaves again."""
+    pdms = PDMS("stored-flip")
+    pdms.add_peer("M").add_relation("m", ["a", "b"])
+    pdms.add_peer("B0").add_relation("r", ["a", "b"])
+    pdms.add_storage_description(StorageDescription(
+        "B0", "s0", ConjunctiveQuery(_atom("s0", A, B), [_atom("B0:r", A, B)]), name="store_0"))
+    pdms.add_peer_mapping(DefinitionalMapping(
+        ConjunctiveQuery(_atom("M:m", X, Y), [_atom("B0:r", X, Z), _atom("w", Z, Y)]),
+        name="mdef"))
+    pdms.add_peer_mapping(DefinitionalMapping(
+        ConjunctiveQuery(_atom("w", X, Y), [_atom("B0:r", X, Y)]), name="wdef"))
+    data = {"B0": Instance.from_dict({"s0": {(1, 2), (2, 3), (3, 1)}})}
+    service = QueryService(pdms, engine="columnar", data=dict(data))
+    query = _query((X, Y), _atom("M:m", X, Y))
+
+    def check(stored: bool) -> None:
+        served = service.reformulate(query)
+        assert_same_as_fresh(served, reformulate(pdms, served.query))
+        (goal,) = [g for g in served.tree.goal_nodes() if g.label.predicate == "w"]
+        assert goal.is_stored is stored and bool(goal.children) is not stored
+        assert ("wdef" in served.provenance.used_origins) is not stored
+        rows = service.answer(query)
+        combined = combine_peer_instances(data)
+        assert rows == answer_query(pdms, query, combined, engine="backtracking")
+        assert rows
+
+    check(stored=False)
+    for _ in range(2):
+        replayed = _replayed(service)
+        peer = Peer("W")
+        peer.add_stored_relation("w", ["a", "b"])
+        data["W"] = Instance.from_dict({"w": {(2, 7), (1, 8)}})
+        service.add_peer(peer, data=data["W"])
+        check(stored=True)
+        service.remove_peer("W")
+        data.pop("W")
+        check(stored=False)
+        assert _replayed(service) > replayed
 
 
 class _Work:
@@ -405,7 +444,7 @@ def test_toggling_a_satellite_repeats_the_same_work_and_the_node_table_holds(mon
     )
 
     fresh_work = _Work(monkeypatch)
-    reformulate(world.pdms, world.service.reformulate(query).query, world.config)
+    reformulate(world.pdms, world.service.reformulate(query).query)
     full_expansions, _ = fresh_work.take()
 
     work, tables = [], []
@@ -423,7 +462,7 @@ def test_toggling_a_satellite_repeats_the_same_work_and_the_node_table_holds(mon
         work.append(fresh_work.take())
         result = world.service.reformulate(query)
         tables.append(len(result._shared_plan.nodes))
-        assert_same_as_fresh(result, reformulate(world.pdms, result.query, world.config))
+        assert_same_as_fresh(result, reformulate(world.pdms, result.query))
         fresh_work.take()
         assert result._seed_plan is None  # taken, and dropped, by the compile
         assert not any(rule.source for rule in result.tree.rule_nodes())

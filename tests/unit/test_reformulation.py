@@ -79,6 +79,13 @@ class TestFigure2Example:
         assert stats.stored_leaves > 0
         assert stats.max_depth >= 3
 
+    def test_first_rewritings_prefix_of_all(self, figure2_pdms, figure2_query):
+        result = reformulate(figure2_pdms, figure2_query)
+        first_two = result.first_rewritings(2)
+        assert len(first_two) == 2
+        everything = result.all_rewritings()
+        assert [str(r) for r in everything[:2]] == [str(r) for r in first_two]
+
 
 class TestDefinitionalChaining:
     def test_gav_chain_through_two_peers(self):
@@ -272,6 +279,28 @@ class TestComparisonPredicates:
         assert predicates == {"cheap_store"}
         assert result.statistics.pruned_unsatisfiable >= 1
 
+    def test_sibling_labels_that_contradict_are_discarded_in_step3(self):
+        """Each goal's label is satisfiable on its own (``p < 5``, ``p > 10``),
+        so tree construction prunes nothing; the labels first meet in Step 3,
+        which must discard the contradictory combination."""
+        pdms = PDMS()
+        a = pdms.add_peer("A")
+        a.add_relation("Low", ["x", "p"])
+        a.add_relation("High", ["x", "p"])
+        pdms.add_peer("B").add_relation("L", ["x", "p"])
+        pdms.add_peer_mapping(DefinitionalMapping(
+            parse_query("A:Low(x, p) :- B:L(x, p), p < 5")))
+        pdms.add_peer_mapping(DefinitionalMapping(
+            parse_query("A:High(x, p) :- B:L(x, p), p > 10")))
+        pdms.add_storage_description(
+            StorageDescription("B", "l_store", parse_query("V(x, p) :- B:L(x, p)")))
+        both = reformulate(pdms, parse_query("Q(x) :- A:Low(x, p), A:High(x, p)"))
+        assert both.statistics.pruned_unsatisfiable == 0
+        assert both.statistics.stored_leaves == 2
+        assert both.all_rewritings() == []
+        apart = reformulate(pdms, parse_query("Q(x) :- A:Low(x, p), A:High(x, q)"))
+        assert len(apart.all_rewritings()) == 1
+
     def test_comparisons_appear_in_rewriting(self):
         pdms = PDMS()
         a = pdms.add_peer("A")
@@ -295,63 +324,30 @@ class TestProductivePredicates:
         # Sched appears only inside a storage description body: reachable too.
         assert "FS:Sched" in productive
 
-    def test_dead_end_pruning_reduces_tree(self):
-        pdms = PDMS()
-        a = pdms.add_peer("A")
-        a.add_relation("P", ["x"])
-        b = pdms.add_peer("B")
-        b.add_relation("Good", ["x"])
-        b.add_relation("Dead", ["x"])
-        pdms.add_peer_mapping(DefinitionalMapping(parse_query("A:P(x) :- B:Good(x)")))
-        pdms.add_peer_mapping(DefinitionalMapping(
-            parse_query("A:P(x) :- B:Dead(x), B:Good(x)")))
-        pdms.add_storage_description(
-            StorageDescription("B", "good_store", parse_query("V(x) :- B:Good(x)")))
-        query = parse_query("Q(x) :- A:P(x)")
-        with_pruning = reformulate(pdms, query, ReformulationConfig(prune_dead_ends=True))
-        without_pruning = reformulate(pdms, query, ReformulationConfig(prune_dead_ends=False))
-        assert with_pruning.statistics.total_nodes < without_pruning.statistics.total_nodes
-        assert with_pruning.statistics.pruned_dead_end >= 1
-        # Pruning must not change the produced answers.
-        assert {str(r) for r in with_pruning.all_rewritings()} == {
-            str(r) for r in without_pruning.all_rewritings()
-        }
+    def test_dead_end_expansion_leaves_no_node(self):
+        def build(with_dead_mapping):
+            pdms = PDMS()
+            a = pdms.add_peer("A")
+            a.add_relation("P", ["x"])
+            b = pdms.add_peer("B")
+            b.add_relation("Good", ["x"])
+            b.add_relation("Dead", ["x"])
+            pdms.add_peer_mapping(DefinitionalMapping(parse_query("A:P(x) :- B:Good(x)")))
+            if with_dead_mapping:
+                pdms.add_peer_mapping(DefinitionalMapping(
+                    parse_query("A:P(x) :- B:Dead(x), B:Good(x)")))
+            pdms.add_storage_description(
+                StorageDescription("B", "good_store", parse_query("V(x) :- B:Good(x)")))
+            return reformulate(pdms, parse_query("Q(x) :- A:P(x)"))
+
+        pruned, without = build(True), build(False)
+        assert pruned.statistics.pruned_dead_end == 1
+        # The dead expansion leaves no node behind, and no rewriting.
+        assert pruned.statistics.total_nodes == without.statistics.total_nodes
+        assert len(pruned.all_rewritings()) == len(without.all_rewritings()) == 1
 
 
-class TestConfigurationKnobs:
-    # Fresh-variable names and the choice of representative for equated
-    # variables legitimately differ between configurations, so agreement is
-    # checked semantically: same answers over the same stored data.
-    _DATA = {
-        "S1": [("alice", "e1", 17), ("bob", "e1", 18), ("carol", "e2", 17)],
-        "S2": [("alice", "bob"), ("carol", "dave")],
-    }
-
-    def _answers(self, pdms, query, config=None):
-        from repro.pdms import evaluate_reformulation
-
-        return evaluate_reformulation(reformulate(pdms, query, config), self._DATA)
-
-    def test_configurations_agree_on_answers(self, figure2_pdms, figure2_query):
-        default = self._answers(figure2_pdms, figure2_query)
-        bare = self._answers(
-            figure2_pdms, figure2_query, ReformulationConfig().without_optimizations()
-        )
-        assert default == bare
-
-    def test_expansion_orders_agree_on_answers(self, figure2_pdms, figure2_query):
-        from repro.pdms import ExpansionOrder
-
-        answer_sets = {
-            order: frozenset(
-                self._answers(
-                    figure2_pdms, figure2_query, ReformulationConfig(expansion_order=order)
-                )
-            )
-            for order in ExpansionOrder
-        }
-        assert len(set(answer_sets.values())) == 1
-
+class TestSafetyCaps:
     def test_max_nodes_budget_enforced(self, figure2_pdms, figure2_query):
         from repro.errors import ReformulationError
 
@@ -363,23 +359,11 @@ class TestConfigurationKnobs:
         result = reformulate(figure2_pdms, figure2_query, config)
         assert result.statistics.max_depth <= 2
 
-    def test_first_rewritings_prefix_of_all(self, figure2_pdms, figure2_query):
-        result = reformulate(figure2_pdms, figure2_query)
-        first_two = result.first_rewritings(2)
-        assert len(first_two) == 2
-        everything = result.all_rewritings()
-        assert [str(r) for r in everything[:2]] == [str(r) for r in first_two]
+    def test_only_the_caps_are_configurable(self):
+        import dataclasses
 
-    def test_minimize_rewritings_option(self, figure2_pdms, figure2_query):
-        config = ReformulationConfig(minimize_rewritings=True)
-        result = reformulate(figure2_pdms, figure2_query, config)
-        assert result.all_rewritings()
-
-    def test_remove_redundant_rewritings_option(self, figure2_pdms, figure2_query):
-        config = ReformulationConfig(remove_redundant_rewritings=True)
-        slim = reformulate(figure2_pdms, figure2_query, config)
-        full = reformulate(figure2_pdms, figure2_query)
-        assert len(slim.all_rewritings()) <= len(full.all_rewritings())
+        assert [f.name for f in dataclasses.fields(ReformulationConfig)] == [
+            "max_nodes", "max_depth"]
 
 
 class TestNoRewritingCases:

@@ -53,6 +53,38 @@ class TestPDMSBasics:
         assert pdms.is_stored_relation("stored_r")
         assert pdms.stored_relation_names() == frozenset({"stored_r"})
 
+    @pytest.mark.parametrize("predicate", [
+        "Z:R",       # no peer Z
+        "R",         # unqualified, though A declares R
+        "stored_r",  # a stored relation name
+        "B:R",       # R is A's, not B's
+        "A:",
+    ])
+    def test_is_peer_relation_rejects(self, predicate):
+        pdms = _small_pdms()
+        pdms.add_storage_description(
+            StorageDescription("A", "stored_r", parse_query("V(x, y) :- A:R(x, y)")))
+        assert not pdms.is_peer_relation(predicate)
+
+    def test_is_peer_relation_after_remove_peer(self):
+        pdms = _small_pdms()
+        pdms.remove_peer("A")
+        assert not pdms.is_peer_relation("A:R")
+        assert pdms.is_peer_relation("B:S")
+        pdms.add_peer("A").add_relation("T", ["x"])
+        assert pdms.is_peer_relation("A:T") and not pdms.is_peer_relation("A:R")
+
+    def test_is_peer_relation_asks_only_the_named_peer(self, monkeypatch):
+        pdms = _small_pdms()
+
+        def enumerated(self):
+            raise AssertionError("is_peer_relation listed every peer's relations")
+
+        monkeypatch.setattr(Peer, "peer_relation_names", enumerated)
+        monkeypatch.setattr(PDMS, "peer_relation_names", enumerated)
+        assert pdms.is_peer_relation("A:R") and pdms.is_peer_relation("B:S")
+        assert not pdms.is_peer_relation("A:S")
+
     def test_storage_description_requires_known_peer(self):
         pdms = _small_pdms()
         with pytest.raises(PDMSConfigurationError):
