@@ -21,6 +21,8 @@ Run it with::
     python examples/distributed_cluster.py
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 from repro.datalog import parse_query
 from repro.pdms import AsyncSocketTransport, ServiceCluster
 from repro.workload import (
@@ -51,11 +53,14 @@ def main() -> None:
     with AsyncSocketTransport(per_peer) as transport:
         host, port = transport.address
         print(f"serving {len(per_peer)} peers on {host}:{port}: {sorted(per_peer)}")
-        with ServiceCluster(pdms=pdms, transport=transport, max_inflight=4) as cluster:
+        with ServiceCluster(pdms=pdms, transport=transport) as cluster:
             queries = list(example_queries().items())
 
-            # Act 1: the whole prepared query mix, fanned out concurrently.
-            answers = cluster.answer_many([query for _, query in queries])
+            # Act 1: the whole prepared query mix, answered concurrently from
+            # four client threads sharing the one (thread-safe) cluster.
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                answers = list(pool.map(cluster.answer,
+                                        [query for _, query in queries]))
             print_answers("fault-free cluster answers",
                           [(name, answer) for (name, _), answer
                            in zip(queries, answers)])
@@ -79,12 +84,12 @@ def main() -> None:
             assert healed.complete and degraded.rows <= healed.rows
 
             print_traffic(transport)
-            snapshot = cluster.describe()
-            print(f"\ncluster: served={snapshot['served']} "
-                  f"peak_inflight={snapshot['peak_inflight']} "
-                  f"(bound {snapshot['max_inflight']}), "
-                  f"transport failures={snapshot['transport_failures']}")
-            service = snapshot["service"]
+            metrics = cluster.service.metrics_snapshot()
+            answered = metrics["histograms"]["service.answer_seconds"]
+            print(f"\ncluster: answered={answered['count']} "
+                  f"(p50 {answered['p50_ms']:.2f} ms), "
+                  f"transport failures={cluster.source.failure_count}")
+            service = metrics["collected"]["service"]
             print(f"service cache: {service['hits']} hits / "
                   f"{service['misses']} misses; fragment hit rate "
                   f"{service['fragments']['hit_rate']:.0%}")

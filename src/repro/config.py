@@ -91,11 +91,6 @@ def transport_timeout_seconds() -> float:
     return int_from_env("REPRO_TRANSPORT_TIMEOUT_MS", 10_000) / 1000.0
 
 
-def max_inflight() -> int:
-    """Cluster admission bound (``REPRO_MAX_INFLIGHT``; 0 = unbounded)."""
-    return int_from_env("REPRO_MAX_INFLIGHT", 0)
-
-
 def scan_retries() -> int:
     """Extra scan attempts after a ``TransportError`` (``REPRO_SCAN_RETRIES``).
 

@@ -11,8 +11,8 @@ Three small modules with one job each:
 * :mod:`repro.obs.metrics` — counters, gauges, log-bucketed latency
   histograms (p50/p95/p99) and the :class:`MetricsRegistry` the existing
   ad-hoc stats objects register into, surfaced via
-  ``QueryService.metrics_snapshot()`` and
-  ``ServiceCluster.describe()["metrics"]``.
+  ``QueryService.metrics_snapshot()`` (a ``ServiceCluster``'s remote
+  source registers into its service's registry).
 * :mod:`repro.obs.export` — the text explain-analyze renderer
   (:func:`render_trace`) and the JSONL sink CLI
   (``python -m repro.obs.export``).

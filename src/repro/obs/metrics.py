@@ -23,8 +23,8 @@ gives them one registry to surface through:
   ``QueryService`` silently drops out of snapshots instead of leaking.
 
 ``MetricsRegistry.snapshot()`` is the single uniform surface: it is what
-``QueryService.metrics_snapshot()`` returns and what
-``ServiceCluster.describe()["metrics"]`` embeds.  Snapshots are plain
+``QueryService.metrics_snapshot()`` returns, a ``ServiceCluster``'s
+remote source included.  Snapshots are plain
 data (fresh dicts of ints/floats) — mutating one never perturbs live
 instruments.  See ``docs/observability.md``.
 """

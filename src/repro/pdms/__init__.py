@@ -61,13 +61,11 @@ from .service import QueryService, ServiceStats
 from .distributed import (
     AsyncSocketTransport,
     ClusterAnswer,
-    DistributedAnswer,
     LoopbackTransport,
     RemotePeerFactSource,
     ScanFailure,
     ScanPolicy,
     ServiceCluster,
-    evaluate_distributed,
 )
 from .system import (
     PDMS,
@@ -81,7 +79,6 @@ __all__ = [
     "CanonicalQuery",
     "CatalogueChange",
     "ClusterAnswer",
-    "DistributedAnswer",
     "AsyncSocketTransport",
     "LoopbackTransport",
     "RemotePeerFactSource",
@@ -128,7 +125,6 @@ __all__ = [
     "data_version_token",
     "ensure_plan",
     "estimate_result_bytes",
-    "evaluate_distributed",
     "evaluate_plan",
     "evaluate_reformulation",
     "evaluate_rewritings",

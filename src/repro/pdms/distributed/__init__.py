@@ -19,10 +19,9 @@ real:
   to a best-effort sound subset instead of failing it.  Its
   :class:`ScanPolicy` bounds the retries of each peer's scans;
 * :mod:`~repro.pdms.distributed.cluster` — :class:`ServiceCluster`, a
-  concurrency-safe front end over :class:`~repro.pdms.service.QueryService`
-  with bounded admission (``REPRO_MAX_INFLIGHT``) and an explicit
-  ``complete`` flag per answer, and :func:`evaluate_distributed`, the
-  same flag for one reformulation without a service;
+  :class:`~repro.pdms.service.QueryService` over a remote source built on
+  one transport, with an explicit ``complete`` flag per answer and writes
+  to every owning peer;
 * :mod:`~repro.pdms.distributed.async_transport` —
   :class:`AsyncSocketTransport`, the same four-RPC contract over real
   asyncio TCP sockets (length-prefixed frames, a batch frame, one
@@ -40,9 +39,6 @@ sharing warm fragments across clusters, and the consolidated table of
 every ``REPRO_*`` environment knob.
 """
 
-# Backward-compatible alias: the reader moved into the consolidated knob
-# module (repro.config) with every other REPRO_* reader.
-from ...config import max_inflight as max_inflight_from_env
 from .transport import (
     LoopbackTransport,
     Transport,
@@ -51,17 +47,11 @@ from .transport import (
 )
 from .async_transport import AsyncSocketTransport
 from .source import RemotePeerFactSource, ScanFailure, ScanPolicy
-from .cluster import (
-    ClusterAnswer,
-    DistributedAnswer,
-    ServiceCluster,
-    evaluate_distributed,
-)
+from .cluster import ClusterAnswer, ServiceCluster
 
 __all__ = [
     "AsyncSocketTransport",
     "ClusterAnswer",
-    "DistributedAnswer",
     "LoopbackTransport",
     "RemotePeerFactSource",
     "ScanFailure",
@@ -70,6 +60,4 @@ __all__ = [
     "Transport",
     "decode_pattern",
     "encode_pattern",
-    "evaluate_distributed",
-    "max_inflight_from_env",
 ]

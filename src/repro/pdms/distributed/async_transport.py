@@ -12,7 +12,9 @@ story is the one peers on other hosts would use:
   (one stack of pooled connections to that endpoint, opened on demand,
   capped at ``pool_size`` per served peer);
 * frames are 4-byte big-endian length-prefixed pickles of at most
-  :data:`MAX_FRAME_BYTES`; one request frame ``(op, peer, payload)``
+  :data:`MAX_FRAME_BYTES`, decoded by an unpickler that refuses every
+  global but :class:`~repro.pdms.distributed.transport.TraceEnvelope`, so
+  no frame can name code to run; one request frame ``(op, peer, payload)``
   yields one response frame ``(status, value)``: ``ok``, ``data_error``
   (re-raised client-side as the same ``ValueError`` /
   :class:`~repro.errors.InstanceError` a local probe would produce) or
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import io
 import pickle
 import threading
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -96,11 +99,27 @@ async def _write_frame(writer: asyncio.StreamWriter, obj: object) -> None:
     await writer.drain()
 
 
+class _FrameUnpickler(pickle.Unpickler):
+    """Unpickles a frame, refusing every global but the trace envelope.
+
+    A frame comes from any local process that connects, and a pickle can
+    name any callable to run while it loads.  Every value the protocol
+    sends is built from tuples, lists, dicts, sets and scalars, which need
+    no global, except the :class:`TraceEnvelope` of a traced reply.
+    """
+
+    def find_class(self, module: str, name: str) -> object:
+        if module == TraceEnvelope.__module__ and name == "TraceEnvelope":
+            return TraceEnvelope
+        raise pickle.UnpicklingError(f"global {module}.{name} is not allowed")
+
+
 async def _read_frame(reader: asyncio.StreamReader) -> object:
     """One length-prefixed pickle frame; ``None`` on orderly EOF.
 
     A frame that announces more than :data:`MAX_FRAME_BYTES`, ends before
-    its announced length, or does not unpickle raises
+    its announced length, or does not unpickle under
+    :class:`_FrameUnpickler` raises
     :class:`~repro.errors.TransportError`: the stream is out of step and
     the connection must be dropped, not read further.
     """
@@ -119,7 +138,7 @@ async def _read_frame(reader: asyncio.StreamReader) -> object:
     except (asyncio.IncompleteReadError, ConnectionError) as exc:
         raise TransportError(f"frame truncated: {exc}") from None
     try:
-        return pickle.loads(data)
+        return _FrameUnpickler(io.BytesIO(data)).load()
     except Exception as exc:
         raise TransportError(
             f"undecodable frame: {type(exc).__name__}: {exc}"

@@ -52,7 +52,8 @@ every unit runs under a :class:`ScanPolicy`:
   merged result equals a full rescan by the monotone-log contract.
 
 The source is thread-safe; one instance may serve many concurrent query
-executions (see :class:`~repro.pdms.distributed.cluster.ServiceCluster`).
+executions (threads sharing one
+:class:`~repro.pdms.distributed.cluster.ServiceCluster`, say).
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ that scenario cheap to serve repeatedly:
 * **Concurrency safety** — every cache structure and counter is guarded
   by one reentrant mutex: reformulation and plan compilation (which
   mutate the shared caches) run inside it, evaluation runs outside, so
-  concurrent callers — e.g. through a
+  concurrent callers — threads sharing one service, or one
   :class:`~repro.pdms.distributed.cluster.ServiceCluster` — never corrupt
   the LRU order, lose invalidations, or double-count stats.
 
@@ -252,8 +252,8 @@ class QueryService:
         self._carried_stats: Dict[str, RelationStats] = {}
         #: The unified metrics registry: the existing counter objects
         #: register as weakly held pull collectors, the answer path feeds
-        #: one push histogram.  :meth:`metrics_snapshot` renders it;
-        #: ``ServiceCluster.describe()["metrics"]`` surfaces it.
+        #: one push histogram.  :meth:`metrics_snapshot` renders it, a
+        #: ``ServiceCluster``'s remote source included.
         self.metrics = MetricsRegistry()
         self.metrics.register_collector("service", self._collect_service_metrics)
         self._answer_latency = self.metrics.histogram("service.answer_seconds")

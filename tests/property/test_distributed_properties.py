@@ -17,10 +17,13 @@ Three families over random small PDMSs:
   truthfully re-earned.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.pdms import (
+    ClusterAnswer,
     FragmentCache,
     LoopbackTransport,
     QueryService,
@@ -29,7 +32,7 @@ from repro.pdms import (
     ServiceCluster,
     certain_answers,
     combine_peer_instances,
-    evaluate_distributed,
+    evaluate_reformulation,
     reformulate,
 )
 
@@ -42,6 +45,15 @@ COMMON = dict(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 
+def _over_window(result, source, cache=None):
+    """``result`` evaluated over ``source``, with the source's failure
+    window read around the call: ``complete`` only if no fault touched it."""
+    start = source.failure_count
+    rows = evaluate_reformulation(result, source, cache=cache)
+    failures = source.failures(start)
+    return ClusterAnswer(frozenset(rows), not failures and source.complete, failures)
+
+
 def _oracle(pdms, query, data):
     return certain_answers(pdms, query, combine_peer_instances(data))
 
@@ -53,7 +65,7 @@ def _check_over_wire(service, cache, query, data):
     _check_three_way(service, query, data)
     source = RemotePeerFactSource(LoopbackTransport(data))
     try:
-        answer = evaluate_distributed(service.reformulate(query), source, cache=cache)
+        answer = _over_window(service.reformulate(query), source, cache=cache)
     finally:
         source.close()
     assert answer.complete
@@ -76,7 +88,7 @@ class TestFaultFreeEquivalence:
             oracle = _oracle(pdms, query, data)
             for engine, service in services.items():
                 assert service.answer(query) == oracle, engine
-            answer = evaluate_distributed(reformulate(pdms, query), source)
+            answer = _over_window(reformulate(pdms, query), source)
             assert answer.rows == frozenset(oracle)
             assert answer.complete and not answer.failures
 
@@ -111,8 +123,8 @@ class TestFaultFreeEquivalence:
         pdms, data, queries = build_pdms(spec)
         with ServiceCluster(
             pdms=pdms, transport=LoopbackTransport(data)
-        ) as cluster:
-            for answer, query in zip(cluster.answer_many(queries), queries):
+        ) as cluster, ThreadPoolExecutor(max_workers=4) as pool:
+            for answer, query in zip(pool.map(cluster.answer, queries), queries):
                 assert answer.rows == frozenset(_oracle(pdms, query, data))
                 assert answer.complete
 
@@ -130,7 +142,7 @@ class TestChaosSoundness:
         for query in queries:
             oracle = frozenset(_oracle(pdms, query, data))
             window = source.failure_count
-            answer = evaluate_distributed(reformulate(pdms, query), source)
+            answer = _over_window(reformulate(pdms, query), source)
             assert answer.rows <= oracle
             if source.failure_count > window or not source.complete:
                 assert not answer.complete
@@ -139,7 +151,7 @@ class TestChaosSoundness:
                 assert answer.complete and answer.rows == oracle
         transport.restore_peer(doomed)
         for query in queries:
-            healed = evaluate_distributed(reformulate(pdms, query), source)
+            healed = _over_window(reformulate(pdms, query), source)
             assert healed.complete
             assert healed.rows == frozenset(_oracle(pdms, query, data))
 
@@ -152,7 +164,7 @@ class TestChaosSoundness:
         for query in queries:
             oracle = frozenset(_oracle(pdms, query, data))
             window = source.failure_count
-            answer = evaluate_distributed(reformulate(pdms, query), source)
+            answer = _over_window(reformulate(pdms, query), source)
             assert answer.rows <= oracle
             if answer.failures or source.failure_count > window:
                 assert not answer.complete
@@ -160,7 +172,7 @@ class TestChaosSoundness:
         # were never admitted to any cache under a valid token.
         transport.drop_every_n = 0
         for query in queries:
-            healed = evaluate_distributed(reformulate(pdms, query), source)
+            healed = _over_window(reformulate(pdms, query), source)
             assert healed.complete
             assert healed.rows == frozenset(_oracle(pdms, query, data))
 
@@ -173,17 +185,17 @@ class TestChaosSoundness:
         source = RemotePeerFactSource(transport)
         cache = FragmentCache(max_bytes=1 << 20)
         for query in queries:  # warm, fault-free
-            answer = evaluate_distributed(
+            answer = _over_window(
                 reformulate(pdms, query), source, cache=cache)
             assert answer.rows == frozenset(_oracle(pdms, query, data))
         transport.drop_every_n = drop_every
         for query in queries:  # chaos window
-            answer = evaluate_distributed(
+            answer = _over_window(
                 reformulate(pdms, query), source, cache=cache)
             assert answer.rows <= frozenset(_oracle(pdms, query, data))
         transport.drop_every_n = 0
         for query in queries:  # healed: exact again through the same cache
-            healed = evaluate_distributed(
+            healed = _over_window(
                 reformulate(pdms, query), source, cache=cache)
             assert healed.complete
             assert healed.rows == frozenset(_oracle(pdms, query, data))
@@ -206,7 +218,7 @@ class TestTailLatencyChaos:
             transport, policy=ScanPolicy(retries=3, **_FAST)
         )
         for query in queries:
-            answer = evaluate_distributed(reformulate(pdms, query), source)
+            answer = _over_window(reformulate(pdms, query), source)
             assert answer.rows == frozenset(_oracle(pdms, query, data))
             assert answer.complete and not answer.failures
         assert source.failure_count == 0

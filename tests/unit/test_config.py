@@ -43,8 +43,6 @@ KNOBS = [
          10.0, "250", 0.25, "1.5", "-1"),
     Knob(config.scan_retries, "REPRO_SCAN_RETRIES",
          2, "0", 0, "two", "-1"),
-    Knob(config.max_inflight, "REPRO_MAX_INFLIGHT",
-         0, "8", 8, "many", "-1"),
     Knob(config.trace_enabled, "REPRO_TRACE",
          False, "1", True, "yes", "-1"),
     Knob(config.trace_sample_rate, "REPRO_TRACE_SAMPLE",

@@ -4,20 +4,21 @@ Covers the wire contract (pattern encoding, one contract suite over the
 loopback and socket backends, chaos hooks), :class:`RemotePeerFactSource` (routing, scan
 memoization, version tokens over the wire, degradation), the plan path
 over an explicitly built remote source (equivalence, completeness,
-fragment-cache safety under faults), :class:`ServiceCluster` (admission,
-concurrent fan-in, writes to every owner, clusters sharing one
-:class:`FragmentCache`), and the RPC-boundary edge cases the peer source
-must survive: cross-transport arity clashes, empty-peer scans, and peer
-leave mid-stream.
+fragment-cache safety under faults), :class:`ServiceCluster`
+(completeness, callers on their own threads, writes to every owner, a
+write that half-lands, clusters sharing one :class:`FragmentCache`), and
+the RPC-boundary edge cases the peer source must survive:
+cross-transport arity clashes, empty-peer scans, and peer leave
+mid-stream.
 """
 
 from __future__ import annotations
 
-import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError
 
 import pytest
 
-from repro import config
 from repro.database import Instance
 from repro.datalog import parse_query
 from repro.datalog.indexing import WILDCARD
@@ -28,21 +29,20 @@ from repro.errors import (
     TransportError,
 )
 from repro.pdms import (
-    DEFAULT_CONFIG,
     PDMS,
     AsyncSocketTransport,
     FragmentCache,
     LoopbackTransport,
-    PeerFactSource,
     QueryService,
     RemotePeerFactSource,
     ScanPolicy,
+    ClusterAnswer,
     ServiceCluster,
     StorageDescription,
     answer_query,
     certain_answers,
     combine_peer_instances,
-    evaluate_distributed,
+    evaluate_reformulation,
     reformulate,
     stream_answers,
 )
@@ -53,6 +53,17 @@ from repro.workload import (
     sample_instance,
     sample_peer_instances,
 )
+
+from test_trace_chaos import last_spans, tracer  # noqa: F401 - a fixture
+
+
+def over_window(result, source, cache=None):
+    """``result`` evaluated over ``source``, with the source's failure
+    window read around the call: ``complete`` only if no fault touched it."""
+    start = source.failure_count
+    rows = evaluate_reformulation(result, source, cache=cache)
+    failures = source.failures(start)
+    return ClusterAnswer(frozenset(rows), not failures and source.complete, failures)
 
 
 def two_peer_system():
@@ -242,11 +253,11 @@ class TestWireContract:
         oracle = certain_answers(pdms, query, combine_peer_instances(data))
         transport = backend(data)
         source = RemotePeerFactSource(transport)
-        answer = evaluate_distributed(reformulate(pdms, query), source)
+        answer = over_window(reformulate(pdms, query), source)
         assert answer.rows == frozenset(oracle) and answer.complete
         # A remote write becomes visible after the next call's refresh.
         transport.insert("P2", "sb", [(6, 99)])
-        updated = evaluate_distributed(reformulate(pdms, query), source)
+        updated = over_window(reformulate(pdms, query), source)
         assert (5, 99) in updated.rows and updated.complete
         source.close()
 
@@ -454,29 +465,22 @@ class TestDistributedEngine:
         assert answer_query(pdms, query, combined, engine="distributed") == \
             answer_query(pdms, query, combined, engine="columnar")
 
-    def test_evaluate_distributed_completeness_cycle(self):
+    def test_plan_path_completeness_cycle(self):
         pdms, data, query = two_peer_system()
         transport = LoopbackTransport(data)
         source = RemotePeerFactSource(transport)
         result = reformulate(pdms, query)
         oracle = certain_answers(pdms, query, combine_peer_instances(data))
-        answer = evaluate_distributed(result, source)
+        answer = over_window(result, source)
         assert answer.rows == frozenset(oracle) and answer.complete
         transport.fail_peer("P2")
-        degraded = evaluate_distributed(reformulate(pdms, query), source)
+        degraded = over_window(reformulate(pdms, query), source)
         assert not degraded.complete
         assert degraded.rows <= frozenset(oracle)
         assert degraded.failures
         transport.restore_peer("P2")
-        recovered = evaluate_distributed(reformulate(pdms, query), source)
+        recovered = over_window(reformulate(pdms, query), source)
         assert recovered.complete and recovered.rows == frozenset(oracle)
-
-    def test_evaluate_distributed_rejects_in_process_data(self):
-        pdms, data, query = two_peer_system()
-        result = reformulate(pdms, query)
-        for local in (combine_peer_instances(data), data, PeerFactSource(data)):
-            with pytest.raises(EvaluationError):
-                evaluate_distributed(result, local)
 
     def test_fragment_cache_never_serves_degraded_fragments(self):
         """A fault-free call after a faulty one must not see cached partials."""
@@ -486,11 +490,11 @@ class TestDistributedEngine:
         cache = FragmentCache(max_bytes=1 << 20)
         oracle = certain_answers(pdms, query, combine_peer_instances(data))
         transport.fail_peer("P2")
-        faulty = evaluate_distributed(reformulate(pdms, query), source, cache=cache)
+        faulty = over_window(reformulate(pdms, query), source, cache=cache)
         assert not faulty.complete
         transport.restore_peer("P2")
         result = reformulate(pdms, query)
-        healed = evaluate_distributed(result, source, cache=cache)
+        healed = over_window(result, source, cache=cache)
         assert healed.complete and healed.rows == frozenset(oracle)
         assert result._shared_plan.stats.factored  # one root, one scatter wave
 
@@ -521,13 +525,13 @@ class TestDistributedEngine:
         oracle = certain_answers(pdms, query, combine_peer_instances(data))
         assert oracle
         result = reformulate(pdms, query)
-        faulty = evaluate_distributed(result, source, cache=cache)
+        faulty = over_window(result, source, cache=cache)
         assert transport.scans > 1 and not faulty.complete and not faulty.rows
         assert not any("sb(" in key for key in cache.cached_keys())
         plan = result._shared_plan
         assert plan.stats.factored and plan.factored_root() not in cache.cached_keys()
         transport.broken = False
-        healed = evaluate_distributed(result, source, cache=cache)
+        healed = over_window(result, source, cache=cache)
         assert healed.complete and healed.rows == frozenset(oracle)
 
     def test_scan_failing_outside_the_scatter_is_not_cached_either(self):
@@ -561,7 +565,7 @@ class TestDistributedEngine:
         oracle = certain_answers(pdms, query, combine_peer_instances(data))
         assert oracle
         result = reformulate(pdms, query)
-        faulty = evaluate_distributed(result, source, cache=cache)
+        faulty = over_window(result, source, cache=cache)
         assert transport.scans > 1 and not faulty.complete
         assert faulty.rows <= frozenset(oracle)
         plan = result._shared_plan
@@ -570,7 +574,7 @@ class TestDistributedEngine:
         assert not any("sb" in plan.fragment_relations(key) for key in cached)
         assert any("sa(" in key for key in cached)  # the healthy side is kept
         transport.broken = False
-        healed = evaluate_distributed(result, source, cache=cache)
+        healed = over_window(result, source, cache=cache)
         assert healed.complete and healed.rows == frozenset(oracle)
 
 
@@ -583,8 +587,8 @@ class TestServiceCluster:
         ) as cluster:
             answer = cluster.answer(query)
             assert answer.rows == frozenset(oracle)
-            assert answer.complete
-            assert cluster.served == 1
+            assert answer.complete and answer.failures == ()
+            assert len(answer) == len(oracle) and set(answer) == oracle
 
     def test_incomplete_under_injected_failure(self):
         pdms, data, query = two_peer_system()
@@ -595,36 +599,31 @@ class TestServiceCluster:
             answer = cluster.answer(query)
             assert not answer.complete
             assert answer.rows <= frozenset(oracle)
+            assert {failure.peer for failure in answer.failures} == {"P1"}
             transport.restore_peer("P1")
             healed = cluster.answer(query)
             assert healed.complete and healed.rows == frozenset(oracle)
+            assert healed.failures == ()
 
-    def test_admission_bounds_concurrency(self):
+    def test_a_fault_before_the_call_stays_out_of_its_window(self):
+        """A fault recorded by an earlier call does not clear a later
+        call's flag: the window opens at the call."""
         pdms, data, query = two_peer_system()
-        observed = []
-        gauge_lock = threading.Lock()
-        live = [0]
-
-        class Probe(LoopbackTransport):
-            def scan_batch(self, peer, requests):
-                with gauge_lock:
-                    live[0] += 1
-                    observed.append(live[0])
-                try:
-                    return super().scan_batch(peer, requests)
-                finally:
-                    with gauge_lock:
-                        live[0] -= 1
-
+        transport = LoopbackTransport(data)
+        oracle = frozenset(certain_answers(pdms, query, combine_peer_instances(data)))
         with ServiceCluster(
-            pdms=pdms, transport=Probe(data, delay=0.002), max_inflight=2
+            pdms=pdms, transport=transport, scan_policy=ScanPolicy(retries=0),
+            fragment_cache_bytes=0,
         ) as cluster:
-            answers = cluster.answer_many([query] * 12, workers=8)
-        assert all(a.rows for a in answers)
-        assert cluster.peak_inflight <= 2
-        assert cluster.served == 12
+            transport.drop_every_n = 1
+            assert not cluster.answer(query).complete
+            transport.drop_every_n = 0
+            cluster.source.refresh()
+            assert cluster.source.failure_count > 0
+            answer = cluster.answer(query)
+            assert answer.complete and answer.rows == oracle
 
-    def test_concurrent_mix_stays_correct(self):
+    def test_callers_on_their_own_threads_stay_correct(self):
         pdms = build_emergency_services()
         data = sample_peer_instances()
         combined = combine_peer_instances(data)
@@ -635,63 +634,84 @@ class TestServiceCluster:
         ]
         with ServiceCluster(
             pdms=pdms, transport=LoopbackTransport(data)
-        ) as cluster:
-            answers = cluster.answer_many(queries * 3, workers=6)
+        ) as cluster, ThreadPoolExecutor(max_workers=6) as pool:
+            answers = list(pool.map(cluster.answer, queries * 3))
         for index, answer in enumerate(answers):
             assert answer.rows == frozenset(expected[index % len(queries)])
             assert answer.complete
 
-    def test_env_knob_and_validation(self, monkeypatch):
+    def test_construction_errors(self, monkeypatch):
         pdms, data, _ = two_peer_system()
-        monkeypatch.setenv("REPRO_MAX_INFLIGHT", "3")
-        cluster = ServiceCluster(pdms=pdms, transport=LoopbackTransport(data))
-        assert cluster.max_inflight == 3
-        monkeypatch.setenv("REPRO_MAX_INFLIGHT", "banana")
-        with pytest.raises(PDMSConfigurationError):
+        monkeypatch.setenv("REPRO_SCAN_RETRIES", "banana")
+        with pytest.raises(PDMSConfigurationError, match="REPRO_SCAN_RETRIES"):
             ServiceCluster(pdms=pdms, transport=LoopbackTransport(data))
-        monkeypatch.delenv("REPRO_MAX_INFLIGHT")
-        with pytest.raises(PDMSConfigurationError):
-            ServiceCluster(
-                pdms=pdms, transport=LoopbackTransport(data), max_inflight=-1
-            )
-        with pytest.raises(PDMSConfigurationError):
-            ServiceCluster()
+        monkeypatch.delenv("REPRO_SCAN_RETRIES")
+        with pytest.raises(TypeError):
+            ServiceCluster(pdms)  # the transport is not optional
 
-    def test_wraps_prebuilt_service(self):
+    def test_settings_reach_the_service_and_the_source(self):
         pdms, data, query = two_peer_system()
-        service = QueryService(pdms, data=data, engine="columnar")
-        cluster = ServiceCluster(service=service)
-        answer = cluster.answer(query)
-        assert answer.rows and answer.complete  # no transport: trivially so
-        assert cluster.source is None
+        with ServiceCluster(
+            pdms=pdms, transport=LoopbackTransport(data), engine="backtracking",
+            fragment_cache_bytes=0, scan_policy=ScanPolicy(retries=0),
+        ) as cluster:
+            assert cluster.service.pdms is pdms
+            assert cluster.service.fragment_cache is None
+            oracle = certain_answers(pdms, query, combine_peer_instances(data))
+            assert cluster.answer(query).rows == frozenset(oracle)
+            # The plan path would have compiled a plan; the oracle does not.
+            assert cluster.service.stats_snapshot().plans_compiled == 0
+            collected = cluster.service.metrics_snapshot()["collected"]
+            assert collected["scan_policy"]["retries"] == 0
 
-    def test_describe_snapshot(self):
+    def test_service_metrics_cover_the_source(self):
         pdms, data, query = two_peer_system()
         with ServiceCluster(
             pdms=pdms, transport=LoopbackTransport(data)
         ) as cluster:
             cluster.answer(query)
-            snapshot = cluster.describe()
-        assert snapshot["served"] == 1
-        assert set(snapshot["peer_scan_counts"]) == {"P1", "P2"}
-        assert snapshot["service"]["misses"] == 1
+            assert cluster.service.stats_snapshot().misses == 1
+            collected = cluster.service.metrics_snapshot()["collected"]
+        assert {"service", "scatter", "scan_policy", "transport"} <= set(collected)
+        assert collected["scatter"]["full_scans"] >= 2
 
-    @pytest.mark.parametrize("setting", [
-        {"config": DEFAULT_CONFIG},
-        {"engine": "columnar"},
-        {"fragment_cache_bytes": 0},
-        {"fragment_cache": FragmentCache()},
-        {"scan_policy": ScanPolicy()},
-    ], ids=lambda setting: next(iter(setting)))
-    def test_prebuilt_service_rejects_settings_it_would_ignore(self, setting):
-        service = QueryService(single_relation_pdms())
-        with pytest.raises(PDMSConfigurationError, match=next(iter(setting))):
-            ServiceCluster(service=service, **setting)
+    def test_answer_forwards_the_limit(self):
+        workers = split_owners({(i, f"v{i}") for i in range(8)}, 2)
+        query = parse_query("Q(x, y) :- T:R(x, y)")
+        with ServiceCluster(
+            pdms=single_relation_pdms(), transport=LoopbackTransport(workers)
+        ) as cluster:
+            whole = cluster.answer(query)
+            first = cluster.answer(query, limit=3)
+        assert len(whole) == 8
+        assert len(first) == 3 and first.rows <= whole.rows and first.complete
 
-    def test_max_inflight_alias_still_importable(self):
-        from repro.pdms.distributed import max_inflight_from_env
+    def test_an_answer_is_immutable(self):
+        pdms, data, query = two_peer_system()
+        transport = LoopbackTransport(data)
+        with ServiceCluster(pdms=pdms, transport=transport) as cluster:
+            transport.fail_peer("P2")
+            answer = cluster.answer(query)
+        with pytest.raises(FrozenInstanceError):
+            answer.complete = True
+        assert not answer.complete and hash(answer.failures)
 
-        assert max_inflight_from_env() == config.max_inflight()
+    def test_close_releases_the_scatter_pool(self):
+        pdms, data, query = two_peer_system()
+        cluster = ServiceCluster(pdms=pdms, transport=LoopbackTransport(data))
+        cluster.answer(query)
+        cluster.close()
+        with pytest.raises(TransportError, match="RemotePeerFactSource is closed"):
+            cluster.source.refresh()
+
+    def test_close_closes_the_transport(self):
+        pdms, data, query = two_peer_system()
+        transport = LoopbackTransport(data)
+        cluster = ServiceCluster(pdms=pdms, transport=transport)
+        cluster.answer(query)
+        cluster.close()
+        with pytest.raises(TransportError, match="closed"):
+            transport.describe("P1")
 
 
 def single_relation_pdms():
@@ -767,10 +787,61 @@ class TestClusterInsert:
             assert cluster.insert("sr", []) == 0
             assert transport.rpc_count == frames
 
-    def test_insert_needs_a_transport(self):
-        cluster = ServiceCluster(service=QueryService(single_relation_pdms()))
-        with pytest.raises(PDMSConfigurationError):
-            cluster.insert("sr", [(1, "a")])
+    def test_insert_moves_the_version_token_at_once(self):
+        """The write refreshes the source, so the relation's token moves
+        before any answer reads it."""
+        workers = split_owners({(i, f"v{i}") for i in range(4)}, 2)
+        with ServiceCluster(
+            pdms=single_relation_pdms(), transport=LoopbackTransport(workers)
+        ) as cluster:
+            before = cluster.source.data_version("sr")
+            cluster.insert("sr", [(500, "new")])
+            assert cluster.source.data_version("sr") != before
+
+    def test_rows_may_be_any_iterable(self):
+        inst = Instance.from_dict({"sr": {(1, "a")}})
+        with ServiceCluster(
+            pdms=single_relation_pdms(), transport=LoopbackTransport({"P": inst})
+        ) as cluster:
+            assert cluster.insert("sr", [[2, "b"], (2, "b"), iter((3, "c"))]) == 2
+        assert {(2, "b"), (3, "c")} <= set(inst.get_tuples("sr"))
+
+    def test_a_write_is_one_span_over_every_owner(self, tracer):
+        workers = split_owners({(i, f"v{i}") for i in range(4)}, 2)
+        with ServiceCluster(
+            pdms=single_relation_pdms(), transport=LoopbackTransport(workers)
+        ) as cluster:
+            cluster.insert("sr", [(9, "x"), (9, "x"), (10, "y")])
+        (write,) = last_spans(tracer, "cluster.insert")
+        assert write["parent_id"] is None
+        assert write["attrs"] == {"relation": "sr", "rows": 2}
+        served = last_spans(tracer, "rpc.serve.insert")
+        assert sorted(span["attrs"]["peer"] for span in served) == ["W0", "W1"]
+        assert {span["parent_id"] for span in served} == {write["span_id"]}
+
+    def test_a_write_that_half_lands_raises_and_shows_after_recovery(
+        self, backend
+    ):
+        """The second owner is down: the first takes the batch, the write
+        raises, and once the owner is back the next answer shows the rows
+        the first owner took, complete."""
+        workers = split_owners({(i, f"v{i}") for i in range(8)}, 2)
+        transport = backend(workers)
+        query = parse_query("Q(x, y) :- T:R(x, y)")
+        with ServiceCluster(
+            pdms=single_relation_pdms(), transport=transport,
+            scan_policy=ScanPolicy(retries=0),
+        ) as cluster:
+            before = cluster.answer(query)
+            assert before.complete and len(before) == 8
+            assert cluster.source.owners("sr") == ("W0", "W1")
+            transport.fail_peer("W1")
+            with pytest.raises(TransportError, match="W1"):
+                cluster.insert("sr", [(500, "new")])
+            transport.restore_peer("W1")
+            after = cluster.answer(query)
+            assert after.complete
+            assert after.rows == before.rows | {(500, "new")}
 
 
 class TestSharedFragmentCache:
@@ -789,8 +860,9 @@ class TestSharedFragmentCache:
         ) as first:
             assert set(first.answer(query).rows) == {("v3",)}
             assert shared.stats.admissions >= 1
+        transport = LoopbackTransport(workers)
         with ServiceCluster(
-            pdms=single_relation_pdms(), transport=LoopbackTransport(workers),
+            pdms=single_relation_pdms(), transport=transport,
             fragment_cache=shared,
         ) as second:
             assert second.service.fragment_cache is shared
@@ -803,7 +875,6 @@ class TestSharedFragmentCache:
             # only scans are the first answer's one statistics read per
             # owner, and a repeat touches no owner at all.
             assert second.source.scatter_stats()["fanout_waves"] == 0
-            transport = second.transport
             scans = sum(transport.scan_count(p) for p in transport.peers())
             assert scans == len(workers)
             second.answer(query)

@@ -464,7 +464,7 @@ class TestSchemaUnification:
 
 
 # ---------------------------------------------------------------------------
-# Cluster describe(): metrics surface + snapshot isolation (satellite)
+# A cluster's metrics: the source in the service's snapshot, isolation
 # ---------------------------------------------------------------------------
 
 
@@ -477,12 +477,11 @@ def _single_peer_cluster():
     )
 
 
-class TestDescribeSnapshot:
-    def test_describe_embeds_the_unified_metrics_snapshot(self):
+class TestClusterMetricsSnapshot:
+    def test_service_snapshot_embeds_the_source(self):
         with _single_peer_cluster() as cluster:
             cluster.source.get_matching("r", (1, object()))
-            snapshot = cluster.describe()
-            metrics = snapshot["metrics"]
+            metrics = cluster.service.metrics_snapshot()
             assert metrics["schema_version"] == METRICS_SCHEMA_VERSION
             collected = metrics["collected"]
             assert collected["scatter"]["schema_version"] == METRICS_SCHEMA_VERSION
@@ -495,16 +494,16 @@ class TestDescribeSnapshot:
 
         with _single_peer_cluster() as cluster:
             cluster.source.get_matching("r", (WILDCARD, WILDCARD))
-            first = cluster.describe()
+            first = cluster.service.metrics_snapshot()
             # Vandalize every nested container we can reach.
-            first["scatter"]["full_scans"] = 10_000
-            first["peer_scan_counts"].clear()
-            first["metrics"]["collected"].clear()
-            first["stats"] = None
-            second = cluster.describe()
-            assert second["scatter"]["full_scans"] != 10_000
-            assert "A" in second["peer_scan_counts"]
-            assert "scatter" in second["metrics"]["collected"]
+            first["collected"]["scatter"]["full_scans"] = 10_000
+            first["collected"]["transport"]["scan_counts"].clear()
+            first["histograms"] = None
+            first["collected"].clear()
+            second = cluster.service.metrics_snapshot()
+            assert second["collected"]["scatter"]["full_scans"] == 1
+            assert "A" in second["collected"]["transport"]["scan_counts"]
+            assert second["histograms"] is not None
 
     def test_service_metrics_snapshot_tracks_answer_latency(self):
         from repro.datalog import parse_query

@@ -391,7 +391,7 @@ class TestAsyncSocketTransport:
 
 
 class TestClusterTailStats:
-    def test_describe_exposes_the_scatter_counters(self):
+    def test_metrics_snapshot_exposes_the_scatter_counters(self):
         from repro.pdms import PDMS
 
         data, _ = _single_peer()
@@ -399,8 +399,8 @@ class TestClusterTailStats:
             pdms=PDMS("tail"), transport=LoopbackTransport(data)
         ) as cluster:
             cluster.source.get_matching("r", ALL)
-            snapshot = cluster.describe()
-            scatter = snapshot["scatter"]
+            collected = cluster.service.metrics_snapshot()["collected"]
+            scatter = collected["scatter"]
             assert scatter["schema_version"] == METRICS_SCHEMA_VERSION
             for key in (
                 "retries",
@@ -411,7 +411,7 @@ class TestClusterTailStats:
             ):
                 assert key in scatter
             assert scatter["full_scans"] >= 1
-            assert "peer_latency" not in snapshot
+            assert "peer_latency" not in collected
 
     def test_cluster_accepts_an_explicit_scan_policy(self):
         from repro.pdms import PDMS

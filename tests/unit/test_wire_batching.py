@@ -11,6 +11,7 @@ without a batch frame — still does.
 from __future__ import annotations
 
 import asyncio
+import pickle
 import socket
 import struct
 import sys
@@ -549,8 +550,31 @@ def read_frame_from(data: bytes, eof: bool = True):
     return asyncio.run(go())
 
 
+#: Calls of :func:`marker`: a frame decoder that runs code from a frame
+#: appends here.
+MARKER_CALLS = []
+
+
+def marker(*args):
+    MARKER_CALLS.append(args)
+    return ("ping", "P00", None)
+
+
+class RunsMarker:
+    """Pickles to a call of :func:`marker`, as a hostile frame would."""
+
+    def __reduce__(self):
+        return (marker, ("ran",))
+
+
+def framed(obj) -> bytes:
+    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    return len(data).to_bytes(4, "big") + data
+
+
 class TestFrameCap:
     def test_read_frame_rejects_what_it_cannot_trust(self):
+        MARKER_CALLS.clear()
         assert read_frame_from(b"") is None  # orderly EOF between frames
         with pytest.raises(TransportError, match="over the .*-byte cap"):
             read_frame_from(b"\xff\xff\xff\xff", eof=False)
@@ -558,19 +582,65 @@ class TestFrameCap:
             read_frame_from((100).to_bytes(4, "big") + b"short")
         with pytest.raises(TransportError, match="undecodable"):
             read_frame_from((4).to_bytes(4, "big") + b"junk")
+        with pytest.raises(TransportError, match="undecodable.*marker"):
+            read_frame_from(framed(RunsMarker()))
+        assert MARKER_CALLS == []
+
+    def test_read_frame_admits_the_trace_envelope(self):
+        frame = read_frame_from(framed(("ok", TraceEnvelope([(1, None)], ()))))
+        status, envelope = frame
+        assert status == "ok" and isinstance(envelope, TraceEnvelope)
+        assert envelope.value == [(1, None)] and envelope.spans == ()
+
+    def test_client_refuses_a_reply_that_names_code(self, wide):
+        _, transport = wide
+        MARKER_CALLS.clear()
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def hostile_server():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(framed(("ok", RunsMarker())))
+                conn.recv(1)  # hold the line until the client hangs up
+
+        thread = threading.Thread(target=hostile_server, daemon=True)
+        thread.start()
+        real_address = transport._address
+        try:
+            async def drop_idle_connections():
+                while transport._pool:
+                    transport._pool.pop()[1].close()
+
+            asyncio.run_coroutine_threadsafe(
+                drop_idle_connections(), transport._loop
+            ).result(5.0)
+            transport._address = listener.getsockname()
+            with pytest.raises(TransportError, match="undecodable"):
+                transport.ping("P00")
+            assert transport._pool == []
+        finally:
+            transport._address = real_address
+            listener.close()
+        thread.join(timeout=5.0)
+        assert MARKER_CALLS == []
+        assert transport.ping("P00")
 
     @pytest.mark.parametrize("garbage", [
         b"\xff\xff\xff\xff",                      # announces 4 GiB
         b"GET / HTTP/1.1\r\n\r\n",                # not this protocol at all
         (100).to_bytes(4, "big") + b"short",      # truncated, then hangs up
         (4).to_bytes(4, "big") + b"junk",         # framed, not a pickle
+        framed(RunsMarker()),                     # a pickle that runs code
     ])
     def test_server_drops_a_bad_connection_and_keeps_serving(self, wide, garbage):
         cluster, transport = wide
+        MARKER_CALLS.clear()
         with socket.create_connection(transport.address, timeout=5.0) as raw:
             raw.sendall(garbage)
             raw.shutdown(socket.SHUT_WR)
             assert raw.recv(1024) == b""  # closed on us, nothing served
+        assert MARKER_CALLS == []
         assert transport.ping("P00")
         assert cluster.answer(QUERY).complete
 
