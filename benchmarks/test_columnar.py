@@ -1,9 +1,10 @@
 """Columnar batch-execution benchmarks (ISSUE 6).
 
 Backs the acceptance criterion: the vectorized equi-join / fused-select
-kernels are at least 5× faster than the row algebra on a large join whose
-inputs are already columnar (asserted only when NumPy is installed — the
-pure-Python fallback is a compatibility path, not a fast path).
+kernels are at least 5× faster than the row algebra (the test oracle
+``tests.oracles.Table``) on a large join whose inputs are already columnar
+(asserted only when NumPy is installed — the pure-Python fallback is a
+compatibility path, not a fast path).
 
 ``BENCH_columnar.json`` is written next to this file when
 ``EVAL_BENCH_RECORD=1``; ``EVAL_BENCH_QUICK=1`` shrinks the workloads.
@@ -20,7 +21,8 @@ from typing import Callable, Dict
 
 import pytest
 
-from repro.database import HAVE_NUMPY, ColumnTable, Table
+from repro.database import HAVE_NUMPY
+from tests.oracles import Table, from_table
 
 QUICK = os.environ.get("EVAL_BENCH_QUICK") == "1"
 
@@ -71,8 +73,8 @@ def test_kernels_beat_row_algebra(baseline_recorder):
     }
     left = Table(("k", "a"), left_rows)
     right = Table(("k", "b"), right_rows)
-    left_ct = ColumnTable.from_table(left)
-    right_ct = ColumnTable.from_table(right)
+    left_ct = from_table(left)
+    right_ct = from_table(right)
 
     expected = left.natural_join(right)
     joined = left_ct.natural_join(right_ct)
@@ -90,7 +92,7 @@ def test_kernels_beat_row_algebra(baseline_recorder):
         {(rng.randrange(64), rng.randrange(64), rng.randrange(64))
          for _ in range(KERNEL_ROWS)},
     )
-    wide_ct = ColumnTable.from_table(wide)
+    wide_ct = from_table(wide)
     assert wide_ct.fused_select(
         const_filters=[(0, 7)], equal_pairs=[(1, 2)]
     ).row_set() == set(wide.select_eq("x", 7).select_columns_equal("y", "z").rows)

@@ -7,7 +7,10 @@ definitional peer mappings), its certain-answer semantics, the complexity
 classification of query answering, the rule-goal-tree reformulation
 algorithm that interleaves GAV- and LAV-style rewriting, the optimizations
 described in the paper, and the synthetic workload generator behind its
-experiments (Figures 3 and 4).
+experiments (Figures 3 and 4).  The two-tier mediators the PDMS
+generalises (GAV unfolding, LAV rewriting with MiniCon or the Bucket
+algorithm, inverse rules) and the row algebra behind the columnar kernels
+are test oracles under ``tests/oracles/``, not part of the library.
 
 Quick taste
 -----------
@@ -35,7 +38,7 @@ from .datalog import (
     parse_query,
     parse_rule,
 )
-from .database import DatabaseSchema, Instance, RelationSchema, Table
+from .database import DatabaseSchema, Instance, RelationSchema
 from .errors import (
     EvaluationError,
     MalformedQueryError,
@@ -69,7 +72,6 @@ __all__ = [
     "RelationSchema",
     "ReproError",
     "SchemaError",
-    "Table",
     "UnionQuery",
     "Variable",
     "parse_atom",

@@ -1,6 +1,5 @@
-"""Relational database substrate: schemas, instances, and a relational algebra."""
+"""Relational database substrate: schemas, instances, and columnar batches."""
 
-from .algebra import Table, table_from_instance, union_many
 from .columnar import (
     HAVE_NUMPY,
     ColumnTable,
@@ -10,7 +9,6 @@ from .columnar import (
     union_all,
     union_distinct,
 )
-from .csvio import load_instance_directory, load_relation_csv, save_relation_csv
 from .instance import Instance
 from .planner import CardinalityCostModel
 from .schema import DatabaseSchema, RelationSchema
@@ -25,16 +23,10 @@ __all__ = [
     "RelationSchema",
     "RelationStats",
     "StatisticsCatalog",
-    "Table",
     "compare_cols_mask",
     "compare_mask",
     "compute_relation_stats",
     "join_indices",
-    "load_instance_directory",
-    "load_relation_csv",
-    "save_relation_csv",
-    "table_from_instance",
     "union_all",
     "union_distinct",
-    "union_many",
 ]

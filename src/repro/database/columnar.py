@@ -1,10 +1,10 @@
 """Columnar batch execution: tables as tuples of columns, batch kernels.
 
-The row algebra (:mod:`repro.database.algebra`) processes one Python
-tuple at a time over ``frozenset`` rows — clean, but every operator pays
-per-row interpreter overhead.  This module is the batch-at-a-time
-representation every plan fragment is evaluated in (the row algebra stays
-as the kernels' reference in the tests):
+A row algebra processes one Python tuple at a time over ``frozenset``
+rows — clean, but every operator pays per-row interpreter overhead.  This
+module is the batch-at-a-time representation every plan fragment is
+evaluated in (a row algebra is the kernels' reference in the tests,
+``tests/oracles/algebra.py``):
 
 * a :class:`ColumnTable` stores a relation as one container per column —
   a NumPy ``int64``/``float64`` array when dtype sniffing proves the
@@ -56,12 +56,13 @@ from typing import (
 
 from ..datalog.atoms import compare_values
 from ..errors import EvaluationError
-from .algebra import Row, Table
 
 try:  # NumPy is optional: every kernel has a pure-Python fallback.
     import numpy as np  # type: ignore
 except Exception:  # pragma: no cover - exercised via monkeypatched import
     np = None  # type: ignore
+
+Row = Tuple[object, ...]
 
 #: True when the NumPy fast path is available in this process.
 HAVE_NUMPY = np is not None
@@ -150,9 +151,9 @@ class ColumnTable:
     tuple holds that column's values — a NumPy array or a Python list
     (see :func:`_sniff_column`).  Operators share column objects freely
     (project/rename are zero-copy), so instances must be treated as
-    immutable, exactly like :class:`~repro.database.algebra.Table`.
+    immutable.
 
-    Rows are *not* implicitly deduplicated the way ``Table``'s frozenset
+    Rows are *not* implicitly deduplicated the way a ``frozenset`` of rows
     is; kernels that can introduce duplicates (projection to fewer
     columns, union) call :meth:`distinct` explicitly.
     """
@@ -182,15 +183,6 @@ class ColumnTable:
             len(rows),
         )
 
-    @classmethod
-    def from_table(cls, table: Table) -> "ColumnTable":
-        """Columnar view of a row table (rows are already distinct)."""
-        return cls.from_rows(table.columns, list(table.rows))
-
-    def to_table(self) -> Table:
-        """Row-table conversion (dedups via the frozenset representation)."""
-        return Table._trusted(self.columns, frozenset(self.row_set()))
-
     def row_set(self) -> Set[Row]:
         """The rows as a set of plain Python tuples."""
         if not self.columns:
@@ -214,7 +206,7 @@ class ColumnTable:
             raise EvaluationError(f"unknown column {name!r}") from None
 
     def estimated_bytes(self) -> int:
-        """O(1)-ish footprint estimate (mirrors ``estimate_result_bytes``)."""
+        """O(1)-ish footprint estimate (what the fragment cache charges)."""
         total = 128
         for col in self.data:
             if _is_array(col):
@@ -344,11 +336,10 @@ class ColumnTable:
     ) -> "ColumnTable":
         """Natural join on all shared column names.
 
-        Column order matches :meth:`Table.natural_join`: shared, then
-        left-only, then right-only.  ``build_right`` forces the build
-        (sorted/hashed) side; by default the smaller input builds — a
-        caller holding cardinality estimates can override from its cost
-        model.
+        Output columns are the shared ones, then left-only, then
+        right-only.  ``build_right`` forces the build (sorted/hashed)
+        side; by default the smaller input builds — a caller holding
+        cardinality estimates can override from its cost model.
         """
         shared = [c for c in self.columns if c in other.columns]
         left_only = [c for c in self.columns if c not in shared]
@@ -541,9 +532,8 @@ def union_all(
 ) -> ColumnTable:
     """Bag concatenation of column-compatible tables (no dedup).
 
-    Inputs must share the first table's column list (like
-    :func:`repro.database.algebra.union_many`); ``columns`` names the
-    output of an empty union.
+    Inputs must share the first table's column list; ``columns`` names
+    the output of an empty union.
     """
     tables = [t for t in tables if t is not None]
     if not tables:

@@ -3,7 +3,7 @@
 This package provides the logical foundation the rest of the library is
 built on: terms, atoms, conjunctive queries, unions of conjunctive
 queries, datalog rules and programs, a textual parser, unification,
-homomorphism search, query containment and minimization, comparison
+homomorphism search, query containment, comparison
 constraints, and query/program evaluation over fact sources.
 """
 
@@ -19,7 +19,6 @@ from .containment import (
 from .evaluation import evaluate_program, evaluate_program_query, evaluate_query, evaluate_union
 from .homomorphism import find_homomorphism, find_homomorphisms, has_homomorphism
 from .indexing import WILDCARD, IndexedFactSource, PredicateIndex
-from .minimize import is_minimal, minimize
 from .parser import parse_atom, parse_program, parse_query, parse_rule, parse_union
 from .queries import (
     ConjunctiveQuery,
@@ -58,10 +57,8 @@ __all__ = [
     "find_homomorphisms",
     "has_homomorphism",
     "is_contained_in",
-    "is_minimal",
     "make_chain_query",
     "match_atom",
-    "minimize",
     "parse_atom",
     "parse_program",
     "parse_query",

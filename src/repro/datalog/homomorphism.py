@@ -8,11 +8,10 @@ the existence of a *containment mapping*: a homomorphism from the body of
 the containing query to the body of the contained query that maps head to
 head.
 
-This is the engine behind:
-
-* CQ containment and equivalence (:mod:`repro.datalog.containment`),
-* CQ minimization (:mod:`repro.datalog.minimize`),
-* detection of redundant rewritings in the PDMS reformulation step.
+This is the engine behind CQ containment and equivalence
+(:mod:`repro.datalog.containment`).  The reformulation does not minimise
+its rewritings; the test oracles build CQ minimization and the removal of
+redundant rewritings (MiniCon, Bucket) on containment.
 
 The search is a straightforward backtracking over candidate target atoms
 per source atom, with the most-constrained-first atom ordering; bodies in

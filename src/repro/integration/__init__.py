@@ -1,39 +1,21 @@
-"""Classic two-tier data-integration substrate (GAV, LAV, MiniCon, Bucket).
+"""What the PDMS takes from classic LAV mediation: views and MiniCon's MCDs.
 
-The PDMS of the paper generalises this two-tier picture; the PDMS package
-reuses the MiniCon MCD construction implemented here for its inclusion
-expansions, and the GAV unfolding logic for its definitional expansions.
+A PDMS generalises the two-tier data-integration picture; its
+reformulation expands inclusion mappings with MiniCon descriptions
+(:func:`form_mcds` over a :class:`PreparedView`) and normalises every
+storage description and inclusion into a :class:`View`.  The two-tier
+mediators themselves (GAV unfolding, LAV rewriting with MiniCon or the
+Bucket algorithm, inverse rules) are test oracles, not part of the
+library.
 """
 
-from .bucket import rewrite as bucket_rewrite
-from .certain import certain_answers_by_freezing, freeze_canonical_instance
-from .gav import GAVMediator
-from .inverse_rules import (
-    SkolemValue,
-    build_canonical_instance,
-    certain_answers,
-    contains_skolem,
-)
-from .lav import LAVMediator, RewritingAlgorithm
-from .minicon import MCD, create_mcds
-from .minicon import rewrite as minicon_rewrite
-from .views import View, ViewKind, ViewSet
+from .minicon import MCD, PreparedView, form_mcds
+from .views import View, ViewKind
 
 __all__ = [
-    "GAVMediator",
-    "LAVMediator",
     "MCD",
-    "RewritingAlgorithm",
-    "SkolemValue",
+    "PreparedView",
     "View",
     "ViewKind",
-    "ViewSet",
-    "bucket_rewrite",
-    "build_canonical_instance",
-    "certain_answers",
-    "certain_answers_by_freezing",
-    "contains_skolem",
-    "create_mcds",
-    "freeze_canonical_instance",
-    "minicon_rewrite",
+    "form_mcds",
 ]

@@ -1,46 +1,42 @@
-"""The MiniCon algorithm for answering queries using views.
+"""MiniCon descriptions (MCDs): the construction the PDMS expands inclusions with.
 
 MiniCon (Pottinger & Halevy, VLDB Journal 2001) is the LAV rewriting
 algorithm the paper builds its *inclusion expansion* on (Section 4.1
-recalls it explicitly).  It has two phases:
+recalls it explicitly).  Of its two phases only the first lives here:
 
-1. **MCD construction.**  For every query subgoal ``g`` and every view
-   ``V`` containing a subgoal unifiable with ``g``, try to build a
-   *MiniCon description* (MCD).  The MCD records which query subgoals the
-   view atom covers; the defining properties are
+**MCD construction.**  For every query subgoal ``g`` and every view ``V``
+containing a subgoal unifiable with ``g``, try to build a *MiniCon
+description* (MCD).  The MCD records which query subgoals the view atom
+covers; the defining properties are
 
-   * C1 — a distinguished (head) variable of the query that occurs in a
-     covered subgoal must be mapped to a distinguished variable of the
-     view (or to a constant), and
-   * C2 — if a query variable is mapped to an *existential* variable of
-     the view, then **every** query subgoal mentioning that variable must
-     be covered by this same MCD.
+* C1 — a distinguished (head) variable of the query that occurs in a
+  covered subgoal must be mapped to a distinguished variable of the
+  view (or to a constant), and
+* C2 — if a query variable is mapped to an *existential* variable of
+  the view, then **every** query subgoal mentioning that variable must
+  be covered by this same MCD.
 
-   Property C2 is why an MCD "may tell us that it covers more than the
-   original subgoal for which it was created" — exactly the behaviour the
-   PDMS reformulation algorithm records in its ``unc`` labels.
+Property C2 is why an MCD "may tell us that it covers more than the
+original subgoal for which it was created" — exactly the behaviour the
+PDMS reformulation algorithm records in its ``unc`` labels.
 
-2. **Combination.**  Rewritings are produced by combining MCDs whose
-   covered-subgoal sets are *disjoint* and together cover every relational
-   subgoal of the query.
-
-The same MCD construction is reused by :mod:`repro.pdms.reformulation` for
-inclusion expansions, where the "query" is the parent rule node's head and
-children and the "view" is the normalised inclusion description ``V ⊆ Q2``.
+:mod:`repro.pdms.reformulation` forms MCDs for inclusion expansions, where
+the "query" is the parent rule node's head and children and the "view" is
+the normalised inclusion description ``V ⊆ Q2``; the rule-goal tree does
+the combination itself.  MiniCon's second phase (combining MCDs with
+disjoint coverage into rewritings) is a test oracle, beside the other
+two-tier algorithms the PDMS generalises.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import count
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..datalog.atoms import Atom, ComparisonAtom
-from ..datalog.containment import remove_redundant_disjuncts
-from ..datalog.queries import ConjunctiveQuery, UnionQuery
-from ..datalog.terms import Constant, FreshVariableFactory, Term, Variable, is_variable
+from ..datalog.terms import FreshVariableFactory, Term, Variable
 from ..datalog.unify import Substitution, apply_substitution_term, unify_atoms
-from .views import View, ViewSet
+from .views import View
 
 
 @dataclass(frozen=True)
@@ -314,144 +310,3 @@ def form_mcds(
                 seen.add(key)
                 results.append(mcd)
     return results
-
-
-def create_mcds(
-    query: ConjunctiveQuery,
-    view: View,
-    fresh: Optional[FreshVariableFactory] = None,
-    only_subgoal: Optional[int] = None,
-) -> List[MCD]:
-    """Create all MCDs for ``query`` with respect to a single ``view``.
-
-    Parameters
-    ----------
-    only_subgoal:
-        When given, only MCDs *created for* that relational-subgoal index
-        are returned.
-    """
-    if fresh is None:
-        fresh = FreshVariableFactory()
-        fresh.reserve(v.name for v in query.all_variables())
-    return form_mcds(
-        query.relational_body(),
-        query.head_variables(),
-        PreparedView(view, fresh),
-        fresh,
-        only_subgoal,
-    )
-
-
-def _equalities_to_substitution(
-    equalities: Sequence[ComparisonAtom],
-) -> Optional[Dict[Variable, Term]]:
-    """Resolve MCD-induced equalities into a substitution.
-
-    Returns ``None`` when the equalities are contradictory (two distinct
-    constants forced equal).  The substitution is flattened so a single
-    application suffices.
-    """
-    from ..datalog.unify import apply_substitution_term
-
-    substitution: Dict[Variable, Term] = {}
-    for equality in equalities:
-        left = apply_substitution_term(equality.left, substitution)
-        right = apply_substitution_term(equality.right, substitution)
-        if left == right:
-            continue
-        if is_variable(left):
-            substitution[left] = right  # type: ignore[index]
-        elif is_variable(right):
-            substitution[right] = left  # type: ignore[index]
-        else:
-            return None
-    return {
-        variable: apply_substitution_term(variable, substitution)
-        for variable in substitution
-    }
-
-
-def _combinations_covering(
-    mcds: Sequence[MCD], total_subgoals: int
-) -> Iterator[Tuple[MCD, ...]]:
-    """Yield combinations of MCDs with disjoint coverage that cover everything."""
-    all_goals = frozenset(range(total_subgoals))
-
-    def backtrack(remaining: FrozenSet[int], chosen: Tuple[MCD, ...], start: int) -> Iterator[Tuple[MCD, ...]]:
-        if not remaining:
-            yield chosen
-            return
-        target = min(remaining)
-        for index in range(start, len(mcds)):
-            mcd = mcds[index]
-            if target not in mcd.covered:
-                continue
-            if not mcd.covered <= remaining:
-                continue  # must be disjoint from already-covered goals
-            yield from backtrack(remaining - mcd.covered, chosen + (mcd,), 0)
-
-    yield from backtrack(all_goals, (), 0)
-
-
-def rewrite(
-    query: ConjunctiveQuery,
-    views: ViewSet | Iterable[View],
-    minimize_result: bool = True,
-) -> UnionQuery:
-    """Compute the MiniCon rewriting of ``query`` using ``views``.
-
-    Returns the union of conjunctive rewritings over the view predicates.
-    Comparison atoms of the query are appended to each rewriting; a
-    rewriting that cannot express one of them (because a variable it
-    mentions is not exported by any chosen view) is discarded, which keeps
-    the result sound.
-    """
-    view_set = views if isinstance(views, ViewSet) else ViewSet(views)
-    fresh = FreshVariableFactory()
-    fresh.reserve(v.name for v in query.all_variables())
-
-    subgoals = query.relational_body()
-    all_mcds: List[MCD] = []
-    for view in view_set:
-        all_mcds.extend(create_mcds(query, view, fresh))
-
-    rewritings: List[ConjunctiveQuery] = []
-    comparisons = query.comparison_body()
-    for combo in _combinations_covering(all_mcds, len(subgoals)):
-        equalities: List[ComparisonAtom] = []
-        for mcd in combo:
-            equalities.extend(mcd.equalities)
-        substitution = _equalities_to_substitution(equalities)
-        if substitution is None:
-            continue
-        head = query.head.substitute(substitution)
-        body: List = [mcd.view_atom.substitute(substitution) for mcd in combo]
-        available = set()
-        for atom in body:
-            available.update(atom.variable_set())
-        # Every query comparison must be expressible over the chosen view
-        # atoms; otherwise the combination would be unsound and is discarded.
-        ok = True
-        applied_comparisons = []
-        for comparison in comparisons:
-            comparison = comparison.substitute(substitution)
-            if comparison.is_ground():
-                if not comparison.evaluate_ground():
-                    ok = False
-                    break
-                continue
-            if not all(v in available for v in comparison.variables()):
-                ok = False
-                break
-            applied_comparisons.append(comparison)
-        if not ok:
-            continue
-        body.extend(applied_comparisons)
-        # Head variables must be present (guaranteed by C1, but verify).
-        if not all(v in available for v in head.variables()):
-            continue
-        rewritings.append(ConjunctiveQuery(head, body))
-
-    if minimize_result:
-        rewritings = remove_redundant_disjuncts(rewritings)
-    return UnionQuery(rewritings, name=query.name, arity=query.arity)

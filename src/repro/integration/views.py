@@ -1,4 +1,4 @@
-"""View definitions shared by the GAV and LAV mediators.
+"""Views: named conjunctive queries, the unit MCD formation reads.
 
 A *view* is a named conjunctive query.  In GAV, views define mediated-schema
 relations over source relations ("the relations in the mediated schema are
@@ -6,17 +6,16 @@ defined as views over the relations in the sources"); in LAV, views describe
 source relations over the mediated schema ("the relations in the sources are
 specified as views over the mediated schema"), optionally as containment
 (open-world) rather than equality (closed-world) — Section 2.1.1 of the
-paper.
+paper.  The PDMS wraps the view of every normalised storage description
+and inclusion mapping in a :class:`repro.pdms.system.NormalizedInclusion`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
 
 from ..datalog.queries import ConjunctiveQuery
-from ..errors import MappingError
 
 
 class ViewKind(str, Enum):
@@ -60,48 +59,3 @@ class View:
         symbol = "=" if self.kind is ViewKind.EXACT else "⊆"
         body = ", ".join(str(a) for a in self.definition.body)
         return f"{self.definition.head} {symbol} {body}"
-
-
-class ViewSet:
-    """A collection of views indexed by name and by body predicate.
-
-    The index by body predicate is what both MiniCon and the Bucket
-    algorithm iterate over: "find the views that contain an atom of this
-    predicate".
-    """
-
-    def __init__(self, views: Iterable[View] = ()):
-        self._views: list[View] = []
-        self._by_name: dict[str, View] = {}
-        self._by_predicate: dict[str, list[View]] = {}
-        for view in views:
-            self.add(view)
-
-    def add(self, view: View) -> None:
-        """Add a view; duplicate view names are rejected."""
-        if view.name in self._by_name:
-            raise MappingError(f"duplicate view name {view.name!r}")
-        self._views.append(view)
-        self._by_name[view.name] = view
-        for predicate in view.definition.predicates():
-            self._by_predicate.setdefault(predicate, []).append(view)
-
-    def by_name(self, name: str) -> View:
-        """Look up a view by its name."""
-        try:
-            return self._by_name[name]
-        except KeyError as exc:
-            raise MappingError(f"no view named {name!r}") from exc
-
-    def with_predicate(self, predicate: str) -> Sequence[View]:
-        """All views whose definition body mentions ``predicate``."""
-        return tuple(self._by_predicate.get(predicate, ()))
-
-    def __iter__(self) -> Iterator[View]:
-        return iter(self._views)
-
-    def __len__(self) -> int:
-        return len(self._views)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name

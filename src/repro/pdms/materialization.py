@@ -19,10 +19,9 @@ cache level:
 * :class:`FragmentCacheStats` counts hits/misses/admissions/rejections/
   evictions/invalidations for the service layer's reporting.
 
-The cache stores whatever result object the caller hands it (fragment
-:class:`~repro.database.columnar.ColumnTable` batches from the plan
-path) — immutable, so entries can be shared freely across calls and
-threads.
+The cache holds fragment :class:`~repro.database.columnar.ColumnTable`
+batches from the plan path — immutable, so entries can be shared freely
+across calls and threads.
 
 Correctness does not depend on explicit invalidation: a stale entry can
 never be *returned* (its token no longer matches), only linger until the
@@ -89,20 +88,14 @@ def data_version_token(
     return tuple(tokens)
 
 
-def estimate_result_bytes(value: object) -> int:
-    """A deterministic O(1) footprint estimate of a cached result.
+def estimate_result_bytes(value: ColumnTable) -> int:
+    """A deterministic O(1) footprint estimate of a cached fragment table.
 
-    Accepts a :class:`~repro.database.columnar.ColumnTable` (which knows
-    its own column-storage footprint) or any sized collection of
-    equal-width row tuples.  Charges the tuple skeleton plus one pointer
-    per cell; cell payloads are shared with the base data, so they are
-    deliberately not charged twice.
+    Charges the column storage (array bytes, or one pointer per cell of a
+    list column); cell payloads are shared with the base data, so they
+    are deliberately not charged twice.
     """
-    if isinstance(value, ColumnTable):
-        return value.estimated_bytes()
-    count = len(value)  # type: ignore[arg-type]
-    width = len(next(iter(value))) if count else 0  # type: ignore[arg-type]
-    return 128 + count * (56 + 16 * width)
+    return value.estimated_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +202,7 @@ class FragmentCache:
     # -- the lookup --------------------------------------------------------
 
     def _admit(
-        self, key: str, token: object, relations: Iterable[str], value: object
+        self, key: str, token: object, relations: Iterable[str], value: ColumnTable
     ) -> bool:
         """Keep a freshly computed result if it fits in half the budget."""
         nbytes = estimate_result_bytes(value)
@@ -235,9 +228,9 @@ class FragmentCache:
         key: str,
         token: object,
         relations: Iterable[str],
-        compute: Callable[..., object],
+        compute: Callable[..., ColumnTable],
         *args: object,
-    ):
+    ) -> ColumnTable:
         """The cached result for ``key`` at ``token``, computing on miss.
 
         ``relations`` names the base relations the result reads (for

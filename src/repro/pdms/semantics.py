@@ -12,13 +12,16 @@ Two pieces live here:
   nulls (Skolem values), evaluates the query over it, and keeps the
   null-free answers.  For the tractable PPL fragment of Theorem 3.2 — the
   fragment on which the paper's algorithm is complete — this yields
-  exactly the certain answers of Definition 2.2; for cyclic mappings with
-  existential variables the chase may be cut off by ``max_rounds`` and the
-  result is then a sound under-approximation.
+  exactly the certain answers of Definition 2.2.  Cyclic mappings with
+  existential variables can keep the chase minting labelled nulls forever;
+  a chase that reaches no fixpoint within ``max_rounds`` rounds raises
+  :class:`~repro.errors.EvaluationError` rather than answer from a
+  truncated instance.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..database.instance import Instance
@@ -27,7 +30,6 @@ from ..datalog.evaluation import FactsLike, as_fact_source, evaluate_query
 from ..datalog.queries import ConjunctiveQuery
 from ..datalog.terms import Constant, Variable, is_variable
 from ..errors import EvaluationError
-from ..integration.inverse_rules import SkolemValue, contains_skolem
 from .mappings import (
     DefinitionalMapping,
     EqualityMapping,
@@ -37,6 +39,27 @@ from .mappings import (
 from .system import PDMS
 
 Row = Tuple[object, ...]
+
+
+@dataclass(frozen=True)
+class SkolemValue:
+    """A labelled null: the value of an existential for one chase step.
+
+    ``function`` identifies the description and existential variable;
+    ``args`` is the tuple of head values the Skolem term depends on.
+    """
+
+    function: str
+    args: Tuple[object, ...]
+
+    def __str__(self) -> str:
+        inner = ", ".join(str(a) for a in self.args)
+        return f"{self.function}({inner})"
+
+
+def contains_skolem(row: Sequence[object]) -> bool:
+    """Return ``True`` iff any position of the row is a labelled null."""
+    return any(isinstance(value, SkolemValue) for value in row)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +170,9 @@ def build_canonical_instance(
     Returns an instance over stored *and* peer relations whose unknown
     values are labelled nulls.  The chase fires every storage description
     once per stored tuple and every inclusion/equality/definitional
-    mapping to fixpoint (bounded by ``max_rounds``).
+    mapping to fixpoint.  A chase still adding facts after ``max_rounds``
+    rounds raises :class:`EvaluationError`: its instance would be cut off
+    at an arbitrary point.
     """
     source = as_fact_source(stored_data)
     canonical = Instance()
@@ -206,8 +231,11 @@ def build_canonical_instance(
                     changed = True
 
         if not changed:
-            break
-    return canonical
+            return canonical
+    raise EvaluationError(
+        f"the chase reached no fixpoint within max_rounds={max_rounds} rounds "
+        "(a cyclic mapping keeps minting labelled nulls)"
+    )
 
 
 def certain_answers(
@@ -220,8 +248,10 @@ def certain_answers(
 
     Exact for the tractable fragment (acyclic inclusions, projection-free
     equalities, definitional mappings, comparisons only in storage
-    descriptions / definitional bodies); a sound under-approximation
-    otherwise (the chase is cut off after ``max_rounds`` rounds).
+    descriptions / definitional bodies).  Outside it the chase may not
+    terminate; when it reaches no fixpoint within ``max_rounds`` rounds
+    this raises :class:`EvaluationError` instead of returning answers of
+    a truncated instance.
     """
     canonical = build_canonical_instance(pdms, stored_data, max_rounds=max_rounds)
     answers = evaluate_query(query, canonical)

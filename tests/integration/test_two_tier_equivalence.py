@@ -2,14 +2,14 @@
 
 The paper: "A data integration system can be viewed as a special case of a
 PDMS."  These tests build the same mediation scenario twice — once with the
-classic GAV/LAV mediators of :mod:`repro.integration`, once as a two-peer
+classic GAV/LAV mediators of :mod:`tests.oracles`, once as a two-peer
 PDMS — and check that query answers coincide.
 """
 
 import pytest
 
 from repro.datalog import evaluate_union, parse_atom, parse_query
-from repro.integration import GAVMediator, LAVMediator, View
+from repro.integration import View
 from repro.pdms import (
     PDMS,
     DefinitionalMapping,
@@ -17,6 +17,7 @@ from repro.pdms import (
     answer_query,
     lav_style,
 )
+from tests.oracles import GAVMediator, LAVMediator
 
 
 SOURCE_DATA = {

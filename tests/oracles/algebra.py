@@ -1,16 +1,16 @@
-"""A small relational-algebra layer over named relations.
+"""The row algebra: the columnar kernels' reference.
 
-The reformulation algorithm outputs a union of conjunctive queries; to
-execute it we could evaluate each CQ with the backtracking evaluator in
-:mod:`repro.datalog.evaluation`, but a relational-algebra pipeline is how a
-real system would run it and it gives us a second, independent evaluation
-path to cross-check against in tests.  The operators work over
-:class:`Table` objects: an ordered list of column names plus a set of rows.
+Every plan fragment is evaluated on :class:`repro.database.ColumnTable`
+batches.  This module keeps the plain one-tuple-at-a-time algebra over
+:class:`Table` objects (an ordered list of column names plus a frozenset
+of rows) so the tests can check each kernel against an independent
+evaluation path, and so the columnar benchmark has a baseline to beat.
 
 Provided operators: selection (by predicate or by column/constant and
-column/column equality), projection, renaming, natural join, theta join on
-explicit column pairs, union, difference, and distinct (implicit — tables
-are sets).
+column/column equality), projection, renaming, natural join, union,
+difference, cross product and distinct (implicit — tables are sets);
+:func:`from_table` / :func:`to_table` convert to and from the columnar
+representation.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..errors import EvaluationError
+from repro.database.columnar import ColumnTable
+from repro.errors import EvaluationError
 
 Row = Tuple[object, ...]
 
@@ -239,3 +240,13 @@ def table_from_instance(instance, relation: str, columns: Optional[Sequence[str]
             width = len(rows[0]) if rows else 0
             columns = [f"c{i}" for i in range(width)]
     return Table(columns, rows)
+
+
+def from_table(table: Table) -> ColumnTable:
+    """Columnar view of a row table (rows are already distinct)."""
+    return ColumnTable.from_rows(table.columns, list(table.rows))
+
+
+def to_table(table: ColumnTable) -> Table:
+    """Row-table conversion (dedups via the frozenset representation)."""
+    return Table._trusted(table.columns, frozenset(table.row_set()))

@@ -1,7 +1,7 @@
 """The Bucket algorithm — the classical baseline for LAV rewriting.
 
 The Bucket algorithm (Levy, Rajaraman, Ordille; VLDB 1996) predates
-MiniCon and serves here as the comparison baseline: for every query
+MiniCon and serves here as a second, independent LAV oracle: for every query
 subgoal it builds a *bucket* of view atoms that could cover that subgoal,
 then considers every element of the cross product of the buckets as a
 candidate rewriting and keeps those that are contained in the query
@@ -22,14 +22,16 @@ suite pins exactly that relationship (``bucket ⊆ minicon = certain``).
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
-from ..datalog.atoms import Atom
-from ..datalog.containment import is_contained_in, remove_redundant_disjuncts
-from ..datalog.queries import ConjunctiveQuery, UnionQuery
-from ..datalog.terms import FreshVariableFactory, Term, Variable, is_variable
-from ..datalog.unify import apply_substitution_term, unify_atoms
-from .views import View, ViewSet
+from repro.datalog.atoms import Atom
+from repro.datalog.containment import is_contained_in, remove_redundant_disjuncts
+from repro.datalog.queries import ConjunctiveQuery, UnionQuery
+from repro.datalog.terms import FreshVariableFactory, Term, is_variable
+from repro.datalog.unify import apply_substitution_term, unify_atoms
+from repro.integration import View
+
+from .views import ViewSet
 
 
 def _bucket_entries(
@@ -62,11 +64,7 @@ def _bucket_entries(
     return entries
 
 
-def rewrite(
-    query: ConjunctiveQuery,
-    views: ViewSet | Iterable[View],
-    minimize_result: bool = True,
-) -> UnionQuery:
+def rewrite(query: ConjunctiveQuery, views: ViewSet | Iterable[View]) -> UnionQuery:
     """Compute a maximally-contained rewriting with the Bucket algorithm.
 
     Returns a union of conjunctive queries over the view predicates, each
@@ -112,9 +110,9 @@ def rewrite(
         if repaired is not None:
             candidates.append(repaired)
 
-    if minimize_result:
-        candidates = remove_redundant_disjuncts(candidates)
-    return UnionQuery(candidates, name=query.name, arity=query.arity)
+    return UnionQuery(
+        remove_redundant_disjuncts(candidates), name=query.name, arity=query.arity
+    )
 
 
 def _verify_with_equalities(

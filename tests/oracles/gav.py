@@ -12,19 +12,14 @@ sources.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..datalog.atoms import Atom, BodyAtom, ComparisonAtom
-from ..datalog.queries import ConjunctiveQuery, UnionQuery
-from ..datalog.terms import FreshVariableFactory, Variable
-from ..datalog.unify import (
-    Substitution,
-    apply_substitution_atom,
-    apply_substitution_body,
-    unify_atoms,
-)
-from ..errors import MappingError, ReformulationError
-from .views import View, ViewKind, ViewSet
+from repro.datalog.atoms import Atom, BodyAtom
+from repro.datalog.queries import ConjunctiveQuery, UnionQuery
+from repro.datalog.terms import FreshVariableFactory
+from repro.datalog.unify import apply_substitution_atom, apply_substitution_body, unify_atoms
+from repro.errors import ReformulationError
+from repro.integration import View
 
 
 class GAVMediator:

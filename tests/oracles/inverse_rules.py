@@ -16,45 +16,33 @@ view extensions yields a canonical database containing labelled nulls
 containing a null gives exactly the certain answers for conjunctive
 queries over sound (⊆) views.
 
-We represent Skolem terms as :class:`SkolemValue` objects living in the
-*value* space (not the term space), so the standard evaluation engine
-handles them without modification.
+Skolem terms are :class:`repro.pdms.semantics.SkolemValue` objects (the
+PDMS chase mints the same labelled nulls) living in the *value* space,
+not the term space, so the standard evaluation engine handles them
+without modification.
+
+:func:`certain_answers_by_freezing` is a second path to the same answers
+that follows the definition more literally: it replaces every labelled
+null with a fresh, distinct constant ("freezing"), which turns the
+canonical instance into one particular consistent world, and keeps the
+answers over it that mention no frozen null.  For conjunctive queries
+(monotonic) the two agree; the tests assert that they do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
-from ..database.instance import Instance
-from ..datalog.atoms import Atom
-from ..datalog.evaluation import FactsLike, as_fact_source, evaluate_query
-from ..datalog.queries import ConjunctiveQuery
-from ..datalog.terms import Constant, Variable, is_variable
-from .views import View, ViewSet
+from repro.database.instance import Instance
+from repro.datalog.evaluation import FactsLike, as_fact_source, evaluate_query
+from repro.datalog.queries import ConjunctiveQuery
+from repro.datalog.terms import Constant, Variable, is_variable
+from repro.integration import View
+from repro.pdms.semantics import SkolemValue, contains_skolem
+
+from .views import ViewSet
 
 Row = Tuple[object, ...]
-
-
-@dataclass(frozen=True)
-class SkolemValue:
-    """A labelled null: the value of a view existential for one view tuple.
-
-    ``function`` identifies the view and existential variable; ``args`` is
-    the tuple of head values the Skolem term depends on.
-    """
-
-    function: str
-    args: Tuple[object, ...]
-
-    def __str__(self) -> str:
-        inner = ", ".join(str(a) for a in self.args)
-        return f"{self.function}({inner})"
-
-
-def contains_skolem(row: Sequence[object]) -> bool:
-    """Return ``True`` iff any position of the row is a labelled null."""
-    return any(isinstance(value, SkolemValue) for value in row)
 
 
 def build_canonical_instance(
@@ -134,3 +122,49 @@ def certain_answers(
     canonical = build_canonical_instance(views, view_extensions)
     answers = evaluate_query(query, canonical)
     return {row for row in answers if not contains_skolem(row)}
+
+
+def freeze_canonical_instance(canonical: Instance) -> Instance:
+    """Replace every labelled null with a fresh, distinct frozen constant.
+
+    Freezing turns the canonical instance into an ordinary instance that
+    is one particular consistent world; evaluating a CQ on it and keeping
+    only null-free answers yields the certain answers (monotonicity).
+    """
+    frozen = Instance()
+    replacements: Dict[SkolemValue, str] = {}
+
+    def frozen_value(value: object) -> object:
+        if isinstance(value, SkolemValue):
+            if value not in replacements:
+                replacements[value] = f"⊥{len(replacements)}"
+            return replacements[value]
+        return value
+
+    for relation in canonical.relations():
+        for row in canonical.get_tuples(relation):
+            frozen.add(relation, tuple(frozen_value(v) for v in row))
+    return frozen
+
+
+def certain_answers_by_freezing(
+    query: ConjunctiveQuery,
+    views: ViewSet | Iterable[View],
+    view_extensions: FactsLike,
+) -> Set[Row]:
+    """Certain answers computed on the frozen canonical instance.
+
+    An answer is certain iff it is produced over the frozen instance and
+    contains no frozen null.  This is an independent implementation path
+    from :func:`certain_answers` (which evaluates over the unfrozen
+    instance); tests assert the two agree.
+    """
+    view_set = views if isinstance(views, ViewSet) else ViewSet(views)
+    canonical = build_canonical_instance(view_set, view_extensions)
+    frozen = freeze_canonical_instance(canonical)
+    answers = evaluate_query(query, frozen)
+    return {
+        row
+        for row in answers
+        if not any(isinstance(v, str) and v.startswith("⊥") for v in row)
+    }

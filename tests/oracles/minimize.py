@@ -1,15 +1,10 @@
 """Conjunctive-query minimization (computing the core).
 
 A CQ is *minimal* if no body atom can be removed while preserving
-equivalence.  Minimization matters in two places in the reproduction:
-
-* rewritings produced by the reformulation algorithm can contain redundant
-  atoms (the paper's Remark 4.1 notes that covering "cousins or uncles"
-  conservatively may leave redundant atoms — "In the worst case, we obtain
-  conjunctive rewritings that contain redundant atoms"); minimizing them
-  gives cleaner output and faster execution;
-* the equivalence tests used in tests/benchmarks are faster on minimized
-  queries.
+equivalence.  The reformulation does not minimise its rewritings, so
+nothing in the library computes a core; the containment properties use
+this one (a core is contained in its query both ways and answers the same
+over any instance).
 
 The algorithm is the textbook one: repeatedly try to drop a relational
 body atom and check that the smaller query still contains the original
@@ -20,9 +15,9 @@ are dropped as well.
 
 from __future__ import annotations
 
-from .atoms import Atom, ComparisonAtom, atoms_variables
-from .containment import is_contained_in
-from .queries import ConjunctiveQuery
+from repro.datalog.atoms import Atom, atoms_variables
+from repro.datalog.containment import is_contained_in
+from repro.datalog.queries import ConjunctiveQuery
 
 
 def minimize(query: ConjunctiveQuery) -> ConjunctiveQuery:

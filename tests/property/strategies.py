@@ -199,7 +199,8 @@ def data_mutation_specs(draw, max_ops=4):
 @st.composite
 def lav_views(draw, max_views=3):
     """A set of LAV views over the fixed vocabulary, with distinct names."""
-    from repro.integration.views import View, ViewSet
+    from repro.integration import View
+    from tests.oracles import ViewSet
 
     count = draw(st.integers(min_value=1, max_value=max_views))
     views = []

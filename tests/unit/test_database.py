@@ -1,18 +1,10 @@
-"""Unit tests for repro.database (schema, instance, algebra, csvio)."""
+"""Unit tests for repro.database (schema, instance) and the row-algebra oracle."""
 
 import pytest
 
-from repro.database import (
-    DatabaseSchema,
-    Instance,
-    RelationSchema,
-    Table,
-    load_relation_csv,
-    save_relation_csv,
-    table_from_instance,
-)
-from repro.database.csvio import load_instance_directory
+from repro.database import DatabaseSchema, Instance, RelationSchema
 from repro.errors import EvaluationError, InstanceError, SchemaError
+from tests.oracles import Table, table_from_instance
 
 
 class TestRelationSchema:
@@ -163,27 +155,3 @@ class TestTable:
         instance.add("R", (1, 2))
         table = table_from_instance(instance, "R")
         assert table.columns == ("x", "y")
-
-
-class TestCsvIO:
-    def test_roundtrip(self, tmp_path):
-        instance = Instance.from_dict({"R": [(1, "a"), (2, "b")]})
-        path = tmp_path / "R.csv"
-        written = save_relation_csv(instance, "R", path, header=["n", "s"])
-        assert written == 2
-        loaded = Instance()
-        count = load_relation_csv(loaded, "R", path)
-        assert count == 2
-        assert set(loaded.get_tuples("R")) == {(1, "a"), (2, "b")}
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(InstanceError):
-            load_relation_csv(Instance(), "R", tmp_path / "nope.csv")
-
-    def test_load_directory(self, tmp_path):
-        instance = Instance.from_dict({"R": [(1, 2)], "S": [("a", "b")]})
-        save_relation_csv(instance, "R", tmp_path / "R.csv", header=["x", "y"])
-        save_relation_csv(instance, "S", tmp_path / "S.csv", header=["x", "y"])
-        loaded = load_instance_directory(tmp_path)
-        assert set(loaded.relations()) == {"R", "S"}
-        assert set(loaded.get_tuples("R")) == {(1, 2)}

@@ -1,10 +1,11 @@
 """The documents under ``docs/`` name only what exists.
 
 Every ``REPRO_*`` environment variable a document mentions is one that
-:mod:`repro.config` reads, and every dotted ``repro.…`` name resolves in
+:mod:`repro.config` reads, every dotted ``repro.…`` name resolves in
 the importable tree (the longest importable module prefix, then
-attributes).  A retired knob or symbol leaves the docs with its code; its
-history is in CHANGES.md.
+attributes), and every ``*.py`` path names a file that exists.  A retired
+knob, symbol or module leaves the docs with its code; its history is in
+CHANGES.md.
 """
 
 import ast
@@ -22,6 +23,16 @@ DOCS = sorted((REPO_ROOT / "docs").glob("*.md"))
 #: A knob name; ``REPRO_*`` (the family, not a knob) does not match.
 KNOB = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]\b")
 DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+PY_PATH = re.compile(r"(?<![\w./-])[\w./-]*\w\.py\b")
+
+#: A path resolves from one of these directories ...
+PATH_ROOTS = (REPO_ROOT, REPO_ROOT / "src", REPO_ROOT / "src" / "repro")
+#: ... or as the trailing path of exactly one Python file in these trees.
+PYTHON_FILES = [
+    path.relative_to(REPO_ROOT).as_posix()
+    for tree in ("src", "tests", "benchmarks", "examples")
+    for path in (REPO_ROOT / tree).rglob("*.py")
+]
 
 
 def config_knobs() -> set:
@@ -51,6 +62,16 @@ def resolves(dotted: str) -> bool:
     return False
 
 
+def path_resolves(named: str) -> bool:
+    """Does ``named`` (``integration/minicon.py``, ``e2e/run.py``, …) name
+    one file: under the repo root, ``src/`` or ``src/repro/``, or as the
+    tail of exactly one path under ``src/``, ``tests/``, ``benchmarks/``
+    or ``examples/``?"""
+    if any((root / named).is_file() for root in PATH_ROOTS):
+        return True
+    return sum(path.endswith("/" + named) for path in PYTHON_FILES) == 1
+
+
 def _text(doc: Path) -> str:
     return doc.read_text(encoding="utf-8")
 
@@ -66,6 +87,12 @@ def test_every_dotted_name_a_doc_mentions_resolves(doc):
     assert unresolved == []
 
 
+@pytest.mark.parametrize("doc", DOCS, ids=[doc.name for doc in DOCS])
+def test_every_python_path_a_doc_names_exists(doc):
+    unresolved = sorted({path for path in PY_PATH.findall(_text(doc)) if not path_resolves(path)})
+    assert unresolved == []
+
+
 def test_the_checks_reject_what_does_not_exist():
     assert {"REPRO_TRACE", "REPRO_SCAN_RETRIES"} <= config_knobs()
     assert "REPRO_SHARDS" not in config_knobs()
@@ -74,3 +101,16 @@ def test_the_checks_reject_what_does_not_exist():
     assert resolves("repro.obs.export")
     assert not resolves("repro.pdms.optimizations")
     assert not resolves("repro.pdms.ExpansionOrder")
+    assert resolves("repro.integration.form_mcds")
+    for module in ("repro.integration.gav", "repro.database.csvio",
+                   "repro.database.algebra", "repro.datalog.minimize"):
+        assert not resolves(module)
+    assert PY_PATH.findall("`pdms/system.py:30`, e2e/run.py and x.pyc") == [
+        "pdms/system.py", "e2e/run.py"]
+    assert path_resolves("integration/minicon.py")
+    assert path_resolves("e2e/run.py")
+    assert path_resolves("test_factored_plan_pinned.py")
+    assert not path_resolves("integration/gav.py")
+    assert not path_resolves("datalog/minimize.py")
+    # Ambiguous: the library's MCD formation and the MiniCon oracle.
+    assert not path_resolves("minicon.py")

@@ -8,6 +8,7 @@ from repro.errors import EvaluationError, MappingError
 from repro.pdms import (
     PDMS,
     DefinitionalMapping,
+    InclusionMapping,
     StorageDescription,
     answer_query,
     answer_query_batch,
@@ -246,3 +247,18 @@ class TestCertainAnswerOracle:
             StorageDescription("B", "sb", parse_query("V(x) :- B:V(x)")))
         answers = certain_answers(pdms, parse_query("Q(x) :- A:V(x)"), {"sb": [(1,)]})
         assert answers == {(1,)}
+
+    def test_chase_without_fixpoint_raises_naming_the_rounds(self):
+        # Every A:R(x, y) implies A:R(y, z) for some z: each round mints a
+        # fresh labelled null, so the chase never reaches a fixpoint.
+        pdms = PDMS()
+        pdms.add_peer("A").add_relation("R", ["x", "y"])
+        pdms.add_peer_mapping(InclusionMapping(
+            parse_query("L(y) :- A:R(x, y)"), parse_query("L(y) :- A:R(y, z)")))
+        pdms.add_storage_description(
+            StorageDescription("A", "sr", parse_query("V(x, y) :- A:R(x, y)")))
+        data = {"sr": [(1, 2)]}
+        with pytest.raises(EvaluationError, match="max_rounds=5 rounds"):
+            build_canonical_instance(pdms, data, max_rounds=5)
+        with pytest.raises(EvaluationError, match="max_rounds=64 rounds"):
+            certain_answers(pdms, parse_query("Q(x) :- A:R(x, y)"), data)

@@ -1,11 +1,10 @@
-"""Unit tests for the MiniCon algorithm (repro.integration.minicon)."""
+"""Unit tests for MCD formation (repro.integration.minicon) and the MiniCon oracle."""
 
 from repro.datalog import evaluate_union, parse_query
 from repro.datalog.containment import is_contained_in
 from repro.datalog.terms import FreshVariableFactory, Variable
-from repro.integration import View, ViewSet, create_mcds, minicon_rewrite
-from repro.integration.minicon import PreparedView, form_mcds
-from repro.integration.bucket import expand_view_atoms
+from repro.integration import PreparedView, View, form_mcds
+from tests.oracles import ViewSet, create_mcds, expand_view_atoms, minicon_rewrite
 
 
 def _views_from_paper():
@@ -136,7 +135,7 @@ class TestMiniConRewriting:
         assert union.is_empty()
 
     def test_rewriting_answers_match_certain_answers(self):
-        from repro.integration import certain_answers
+        from tests.oracles import certain_answers
 
         query = parse_query("Q(x, y) :- e1(x, z), e2(z, y)")
         views = ViewSet([

@@ -1,8 +1,8 @@
-"""Unit tests for repro.datalog.minimize."""
+"""Unit tests for the minimization oracle (tests.oracles.minimize)."""
 
 from repro.datalog.containment import are_equivalent
-from repro.datalog.minimize import is_minimal, minimize
 from repro.datalog.parser import parse_query
+from tests.oracles import is_minimal, minimize
 
 
 class TestMinimize:

@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-from repro.database import Instance
+from repro.database import ColumnTable, Instance
 from repro.obs import (
     METRICS_SCHEMA_VERSION,
     NULL_SPAN,
@@ -289,13 +289,16 @@ class TestAmbientSpan:
 # ---------------------------------------------------------------------------
 
 
+_TABLE = ColumnTable.from_rows(("a", "b"), [(1, 2)])
+
+
 class TestFragmentCacheSpans:
     def test_lookups_record_outcome_and_admission(self):
         cache = FragmentCache(max_bytes=1 << 20)
         tracer = make_tracer()
         with tracer.start_trace("query.answer"):
-            cache.get_or_compute("k", ("v",), {"r"}, lambda: frozenset({(1, 2)}))
-            cache.get_or_compute("k", ("v",), {"r"}, lambda: frozenset({(1, 2)}))
+            cache.get_or_compute("k", ("v",), {"r"}, lambda: _TABLE)
+            cache.get_or_compute("k", ("v",), {"r"}, lambda: _TABLE)
         _, spans = tracer.last_trace()
         lookups = [r["attrs"] for r in spans if r["name"] == "fragment.cache"]
         assert lookups == [
@@ -305,7 +308,7 @@ class TestFragmentCacheSpans:
 
     def test_peek_is_a_marked_probe(self):
         cache = FragmentCache(max_bytes=1 << 20)
-        cache.get_or_compute("k", ("v",), {"r"}, lambda: frozenset({(1, 2)}))
+        cache.get_or_compute("k", ("v",), {"r"}, lambda: _TABLE)
         tracer = make_tracer()
         with tracer.start_trace("query.answer"):
             cache.peek("k", ("v",))

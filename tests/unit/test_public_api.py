@@ -84,8 +84,8 @@ class TestDocstrings:
         pdms.EqualityMapping, pdms.DefinitionalMapping, pdms.reformulate,
         pdms.certain_answers, pdms.analyze_pdms,
         datalog.ConjunctiveQuery, datalog.parse_query, datalog.evaluate_query,
-        integration.GAVMediator, integration.LAVMediator, integration.create_mcds,
-        database.Instance, database.Table, database.CardinalityCostModel,
+        integration.form_mcds, integration.PreparedView,
+        database.Instance, database.CardinalityCostModel,
         workload.GeneratorParameters, workload.generate_workload,
         workload.build_emergency_services,
     ])

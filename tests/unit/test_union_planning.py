@@ -18,8 +18,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.database import CardinalityCostModel, Instance, Table
-from repro.database.algebra import union_many
+from repro.database import CardinalityCostModel, Instance
 from repro.datalog import parse_query
 from repro.errors import EvaluationError, MappingError
 from repro.pdms import (
@@ -40,6 +39,7 @@ from repro.pdms import (
 from repro.pdms import FragmentCache
 from repro.pdms import execution as execution_module
 from repro.pdms import planning
+from tests.oracles import Table, union_many
 
 
 @pytest.fixture

@@ -1,10 +1,11 @@
-"""Unit tests for repro.integration.views and repro.integration.gav."""
+"""Unit tests for views and the GAV oracle (tests.oracles.gav)."""
 
 import pytest
 
 from repro.datalog import evaluate_union, parse_query
 from repro.errors import MappingError, ReformulationError
-from repro.integration import GAVMediator, View, ViewKind, ViewSet
+from repro.integration import View, ViewKind
+from tests.oracles import GAVMediator, ViewSet
 
 
 class TestViewSet:
