@@ -78,7 +78,7 @@ def test_kernels_beat_row_algebra(baseline_recorder):
 
     expected = left.natural_join(right)
     joined = left_ct.natural_join(right_ct)
-    assert joined.row_set() == set(expected.rows)
+    assert set(joined.iter_rows()) == set(expected.rows)
 
     rounds = 3 if QUICK else 5
     row_join = _best_seconds(lambda: left.natural_join(right), rounds)
@@ -93,9 +93,9 @@ def test_kernels_beat_row_algebra(baseline_recorder):
          for _ in range(KERNEL_ROWS)},
     )
     wide_ct = from_table(wide)
-    assert wide_ct.fused_select(
+    assert set(wide_ct.fused_select(
         const_filters=[(0, 7)], equal_pairs=[(1, 2)]
-    ).row_set() == set(wide.select_eq("x", 7).select_columns_equal("y", "z").rows)
+    ).iter_rows()) == set(wide.select_eq("x", 7).select_columns_equal("y", "z").rows)
     row_select = _best_seconds(
         lambda: wide.select_eq("x", 7).select_columns_equal("y", "z"), rounds)
     kernel_select = _best_seconds(

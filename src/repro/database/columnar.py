@@ -16,7 +16,9 @@ evaluated in (a row algebra is the kernels' reference in the tests,
 * rows are transposed only at the boundaries (scans in, answer sets
   out).  A stored relation is transposed once per data version, where
   it is stored (:func:`scan_block`), and a fragment pipeline stays
-  columnar from there up.
+  columnar from there up; an answer kept from an earlier root table is
+  updated by only the rows the two tables differ in
+  (:func:`row_difference`).
 
 Dtype sniffing is deliberately conservative so columnar results are
 *value-identical* to the row algebra under Python equality semantics:
@@ -182,12 +184,6 @@ class ColumnTable:
             tuple(_sniff_column(list(col)) for col in transposed),
             len(rows),
         )
-
-    def row_set(self) -> Set[Row]:
-        """The rows as a set of plain Python tuples."""
-        if not self.columns:
-            return {()} if self._length else set()
-        return set(zip(*(_pylist(col) for col in self.data)))
 
     def iter_rows(self) -> Iterator[Row]:
         """Iterate rows as Python tuples (duplicates included)."""
@@ -435,6 +431,59 @@ def _shared_codes(left_cols, right_cols):
         uniq, key = np.unique(key, return_inverse=True)
         card = len(uniq)
     return key, card
+
+
+def row_difference(
+    old: ColumnTable, new: ColumnTable
+) -> Optional[Tuple[ColumnTable, ColumnTable]]:
+    """``(removed, added)``: the rows of ``old`` that ``new`` lacks and the
+    rows of ``new`` that ``old`` lacks — an anti-join in each direction.
+
+    Both tables' concatenated columns are coded into one lossless int64
+    key per row (:func:`_codes`, which ranks only columns too wide to code
+    by offset).  The keys, tagged with their side in the low bit, are
+    sorted together and deduplicated: a key that then has no neighbour
+    with the same key is on one side only, and only its rows are kept.
+
+    ``None`` when the pair has no exact NumPy encoding, and the caller
+    compares rows instead: no columns, different widths, a list column, or
+    two columns of differing dtypes (concatenating ``int64`` with
+    ``float64`` would compare big integers through float).
+    """
+    if (
+        np is None
+        or not new.columns
+        or len(old.columns) != len(new.columns)
+        or not all(
+            _is_array(o) and _is_array(n) and o.dtype == n.dtype
+            for o, n in zip(old.data, new.data)
+        )
+    ):
+        return None
+    if not len(old) or not len(new):
+        return old, new
+    both = [np.concatenate(pair) for pair in zip(old.data, new.data)]
+    # As in distinct: an int span up to 2**31 codes itself, a wider column
+    # is ranked, so no column's codes outgrow what the combination re-ranks.
+    key, _ = _codes(both, 2 ** 31)  # below 2**62, so 2 * key + 1 fits
+    old_key, new_key = key[: len(old)], key[len(old):]
+    tagged = np.sort(np.concatenate([old_key * 2, new_key * 2 + 1]))
+    tagged = tagged[np.concatenate(([True], tagged[1:] != tagged[:-1]))]
+    shared = (tagged[1:] >> 1) == (tagged[:-1] >> 1)
+    alone = np.ones(len(tagged), dtype=bool)
+    alone[1:] &= ~shared
+    alone[:-1] &= ~shared
+    lone = tagged[alone]
+    gone, came = lone[(lone & 1) == 0] >> 1, lone[(lone & 1) == 1] >> 1
+    return old.select_mask(_among(old_key, gone)), new.select_mask(_among(new_key, came))
+
+
+def _among(keys, sorted_keys):
+    """Mask of the ``keys`` found in the sorted array ``sorted_keys``."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    found = np.searchsorted(sorted_keys, keys)
+    return sorted_keys[np.minimum(found, len(sorted_keys) - 1)] == keys
 
 
 def _run_probe(build, probe, card):

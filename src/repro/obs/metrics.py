@@ -258,10 +258,8 @@ class MetricsRegistry:
         mutating it never perturbs live metrics.
         """
         with self._lock:
-            counters = {name: c.value for name, c in self._counters.items()}
-            gauges = {name: g.value for name, g in self._gauges.items()}
-            histograms = list(self._histograms.items())
             collectors = list(self._collectors.items())
+        # Collectors run first, so one may refresh a gauge its owner keeps.
         collected: Dict[str, object] = {}
         dead: List[str] = []
         for name, (ref, func) in collectors:
@@ -273,10 +271,12 @@ class MetricsRegistry:
                     dead.append(name)
                 else:
                     collected[name] = func(owner)
-        if dead:
-            with self._lock:
-                for name in dead:
-                    self._collectors.pop(name, None)
+        with self._lock:
+            for name in dead:
+                self._collectors.pop(name, None)
+            counters = {name: c.value for name, c in self._counters.items()}
+            gauges = {name: g.value for name, g in self._gauges.items()}
+            histograms = list(self._histograms.items())
         return {
             "schema_version": METRICS_SCHEMA_VERSION,
             "counters": counters,

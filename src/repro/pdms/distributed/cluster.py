@@ -160,9 +160,7 @@ class ServiceCluster:
         window_start = self._source.failure_count
         rows = self._service.answer(query, limit=limit)
         failures = self._source.failures(window_start)
-        return ClusterAnswer(
-            frozenset(rows), not failures and self._source.complete, failures
-        )
+        return ClusterAnswer(rows, not failures and self._source.complete, failures)
 
     def close(self) -> None:
         """Release the source's scatter pool and the owned transport."""

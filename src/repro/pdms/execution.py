@@ -42,13 +42,13 @@ from __future__ import annotations
 import threading
 from typing import (
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -238,9 +238,10 @@ class PeerFactSource:
         churn as naturally as data writes.  Unknown relations yield the
         empty tuple.
         """
-        return tuple(
-            sorted(owner.data_version(relation) for owner in self._route(relation))
-        )
+        owners = self._route(relation)
+        if len(owners) == 1:  # the usual case, on every answer's root token
+            return (owners[0].data_version(relation),)
+        return tuple(sorted(owner.data_version(relation) for owner in owners))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PeerFactSource({len(self._routes)} relations)"
@@ -315,6 +316,7 @@ def _answer_batches(
     plan: Optional[UnionPlan],
     cache: Optional[FragmentCache],
     whole: bool,
+    metrics=None,
 ) -> Iterator[Iterable[Row]]:
     """One batch of answer rows per evaluated root (the plan path) or per
     rewriting (the oracle); rows may repeat within and across batches.
@@ -331,7 +333,9 @@ def _answer_batches(
                 "oracle is not an oracle"
             )
         return (evaluate_query(rewriting, source) for rewriting in result.rewritings())
-    return _plan_batches(ensure_plan(result, source, plan), source, cache, whole)
+    return _plan_batches(
+        ensure_plan(result, source, plan), source, cache, whole, metrics
+    )
 
 
 def _plan_batches(
@@ -339,12 +343,13 @@ def _plan_batches(
     source: FactsLike,
     cache: Optional[FragmentCache],
     whole: bool,
+    metrics,
 ) -> Iterator[Iterable[Row]]:
     # A source that scatters scans refreshes once per answer, on the first
     # batch pulled, and hands back the hooks its scatter wave runs through.
     hooks = getattr(source, "answer_hooks", None)
     yield from plan_answer_batches(
-        plan, source, cache=cache, whole=whole,
+        plan, source, cache=cache, whole=whole, metrics=metrics,
         **(hooks() if hooks is not None else {}),
     )
 
@@ -383,7 +388,8 @@ def evaluate_reformulation(
     limit: Optional[int] = None,
     plan: Optional[UnionPlan] = None,
     cache: Optional[FragmentCache] = None,
-) -> Set[Row]:
+    metrics=None,
+) -> FrozenSet[Row]:
     """Evaluate the rewritings of ``result`` over ``data`` (set semantics).
 
     With ``limit``, evaluation streams: rewritings are evaluated as they
@@ -392,14 +398,18 @@ def evaluate_reformulation(
     rule-goal tree as one factored plan.
 
     ``engine`` names the evaluation path (see :func:`uses_oracle`); both
-    return the same answers.
+    return the same answers.  ``metrics`` (optional) is the
+    :class:`~repro.obs.metrics.MetricsRegistry` a whole answer counts its
+    ``answer.*`` outcome in (see :func:`~repro.pdms.planning.plan_answer_batches`).
     """
     oracle = uses_oracle(engine)
     if limit is not None and limit < 0:
         raise EvaluationError(f"limit must be non-negative, got {limit}")
     if limit == 0:
-        return set()
-    batches = _answer_batches(result, data, oracle, plan, cache, whole=limit is None)
+        return frozenset()
+    batches = _answer_batches(
+        result, data, oracle, plan, cache, whole=limit is None, metrics=metrics
+    )
     return union_rows(batches, limit)
 
 
@@ -407,7 +417,7 @@ def evaluate_rewritings(
     result: ReformulationResult,
     data: Union[FactsLike, Mapping[str, Instance]],
     limit: Optional[int] = None,
-) -> Set[Row]:
+) -> FrozenSet[Row]:
     """The oracle: the union of :func:`~repro.datalog.evaluation.evaluate_query`
     over ``result.rewritings()``, stopping at ``limit`` distinct rows."""
     return evaluate_reformulation(result, data, engine="backtracking", limit=limit)
@@ -421,7 +431,7 @@ def answer_query(
     engine: Optional[str] = None,
     limit: Optional[int] = None,
     cache: Optional[FragmentCache] = None,
-) -> Set[Row]:
+) -> FrozenSet[Row]:
     """Reformulate ``query`` and evaluate it over stored-relation data.
 
     ``data`` is either a single fact source over stored relations, or a
@@ -443,7 +453,7 @@ def answer_query_batch(
     engine: Optional[str] = None,
     limit: Optional[int] = None,
     cache: Optional[FragmentCache] = None,
-) -> List[Set[Row]]:
+) -> List[FrozenSet[Row]]:
     """Answer a mix of queries over one shared federated source.
 
     Per-peer data is wrapped exactly once for the whole batch, and the
@@ -457,7 +467,7 @@ def answer_query_batch(
     """
     source = federate_if_per_peer(data)
     results: Dict[str, ReformulationResult] = {}
-    answers: List[Set[Row]] = []
+    answers: List[FrozenSet[Row]] = []
     for query in queries:
         canonical = canonicalize_query(query)
         result = results.get(canonical.signature)

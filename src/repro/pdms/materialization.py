@@ -194,6 +194,11 @@ class FragmentCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def admits(self, nbytes: int) -> bool:
+        """The one admission rule: does an entry of ``nbytes`` fit in half
+        the budget?  (A plan's kept whole answer is held to it too.)"""
+        return nbytes <= _MAX_ENTRY_FRACTION * self._max_bytes
+
     def cached_keys(self) -> Tuple[str, ...]:
         """Fragment keys currently cached (LRU order, oldest first)."""
         with self._lock:
@@ -207,7 +212,7 @@ class FragmentCache:
         """Keep a freshly computed result if it fits in half the budget."""
         nbytes = estimate_result_bytes(value)
         with self._lock:
-            if nbytes > _MAX_ENTRY_FRACTION * self._max_bytes:
+            if not self.admits(nbytes):
                 self.stats.rejections += 1
                 return False
             if key in self._entries:

@@ -47,6 +47,10 @@ tables **across** calls under the data-version token of the relations
 they read — assembled from one version snapshot per answer
 (:class:`_Evaluation`) — so repeated queries over unchanged data reuse
 them and a write invalidates only the path from the written scan upward.
+With a cache, a plan also keeps its last whole answer, as a ``frozenset``
+beside the root table it was built from: the next whole answer over the
+same root table is that set, and over another one it is maintained by the
+rows the two tables differ in (:func:`_whole_answer`).
 
 See ``docs/execution.md`` for the architecture notes.
 """
@@ -54,6 +58,7 @@ See ``docs/execution.md`` for the architecture notes.
 from __future__ import annotations
 
 import hashlib
+import sys
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -63,7 +68,8 @@ from typing import Optional, Sequence, Set, Tuple, Union
 
 from ..database.columnar import ColumnTable, compare_cols_mask, compare_mask
 from ..database.columnar import _mask_and as _combine_masks
-from ..database.columnar import const_column, scan_block, union_distinct
+from ..database.columnar import const_column, row_difference, scan_block
+from ..database.columnar import union_distinct
 from ..database.planner import CardinalityCostModel
 from ..datalog.atoms import Atom, compare_values
 from ..datalog.evaluation import FactsLike, as_fact_source
@@ -407,7 +413,9 @@ class UnionPlan:
     ``_seed_plan``; the new plan's factored compile takes the alternatives
     of every rule node the rebuild copied with an unchanged subtree
     (``RuleNode.source``), copying in the nodes under them, recompiles only
-    the rules on a changed path, and drops the seed when it ends.
+    the rules on a changed path, and drops the seed when it ends.  It also
+    takes the seed's kept whole answer as the base its own first whole
+    answer is maintained from (:func:`_whole_answer`).
     """
 
     def __init__(
@@ -433,6 +441,8 @@ class UnionPlan:
         self._alternatives: Dict[Tuple[RuleNode, Tuple[Variable, ...]], list] = {}
         #: The previous tree's plan, while the factored compile carries from it.
         self._seed: Optional[UnionPlan] = None
+        #: The last whole answer: (root table, its rows, estimated bytes).
+        self._answer: Optional[Tuple[ColumnTable, FrozenSet[Row], int]] = None
         # One lock serialises every node-table write — _LazySeq advances
         # _compile_rewriting under its lock, and factored_root() borrows it
         # to compile the tree — whichever front-end executions drive.
@@ -777,6 +787,12 @@ class UnionPlan:
                 pass
         return self.nodes if root is None else _collect_subplan(self, root)
 
+    @property
+    def held_bytes(self) -> int:
+        """Estimated bytes of the kept whole answer (0 when none is kept)."""
+        kept = self._answer
+        return kept[2] if kept is not None else 0
+
     def _compile_tree(self) -> Optional[str]:
         stats = self.stats
         tree = getattr(self.result, "tree", None)
@@ -784,6 +800,7 @@ class UnionPlan:
             # Taken by the first factored compile of a plan, and
             # dropped with it: nothing survives two catalogue states.
             self._seed, self.result._seed_plan = self.result._seed_plan, None
+            self._answer = self._seed._answer
         try:
             if tree is None:
                 raise _Declined("no-tree")
@@ -1353,6 +1370,7 @@ def plan_answer_batches(
     before_root=None,
     whole: bool = False,
     after_scan=None,
+    metrics=None,
 ) -> Iterator[Iterable[Row]]:
     """Evaluate the union plan root by root: one *batch* of answer rows per
     rewriting, in enumeration order, as its fragments evaluate.
@@ -1360,7 +1378,7 @@ def plan_answer_batches(
     ``whole`` promises that the caller consumes every batch (a whole
     answer): unless the factored compile declined the tree, the plan's one
     :meth:`~UnionPlan.factored_root` is evaluated and its distinct rows are
-    the only batch.
+    the only batch, a ``frozenset`` (:func:`_whole_answer`).
 
     This is the one root loop of the plan path, run in the
     calling thread, on :mod:`repro.database.columnar` batches.  A batch is
@@ -1382,6 +1400,8 @@ def plan_answer_batches(
     root_key)`` before each root is evaluated — the hook a remote source
     prefetches the root's scans through (its ``answer_hooks()``);
     ``after_scan(evaluation)`` runs after every scan evaluation performs.
+    ``metrics`` (optional) is the registry a factored whole answer counts
+    itself in (``answer.reused`` / ``.maintained`` / ``.built``).
     """
     source = ensure_indexed(as_fact_source(data))
     evaluation = _Evaluation(plan, source, cache, after_scan)
@@ -1389,7 +1409,7 @@ def plan_answer_batches(
     if root_key is not None:
         if before_root is not None:
             before_root(evaluation, root_key)
-        yield evaluation.table(root_key).row_set()
+        yield _whole_answer(plan, evaluation.table(root_key), cache, metrics)
         return
     for rewriting_plan in plan.fragments():
         if before_root is not None:
@@ -1410,20 +1430,77 @@ def distinct_rows(batches: Iterable[Iterable[Row]]) -> Iterator[Row]:
 
 def union_rows(
     batches: Iterable[Iterable[Row]], limit: Optional[int] = None
-) -> Set[Row]:
+) -> FrozenSet[Row]:
     """Union ``batches`` into one answer set — whole batches at a time —
     or, with ``limit``, into the first ``limit`` distinct rows (pulling no
     batch beyond the one that completes them)."""
     if limit is not None:
-        return set(islice(distinct_rows(batches), limit))
-    answers: Optional[Set[Row]] = None
+        return frozenset(islice(distinct_rows(batches), limit))
+    answers: Union[FrozenSet[Row], Set[Row], None] = None
     for batch in batches:
-        if answers is not None:
-            answers.update(batch)
+        if answers is None:
+            # A whole answer is handed on as it is; a plain set was made
+            # for this answer and may be extended in place.
+            answers = batch if type(batch) in (set, frozenset) else set(batch)
         else:
-            # A plain set was made for this answer (cached ones are frozen).
-            answers = batch if type(batch) is set else set(batch)
-    return answers if answers is not None else set()
+            if type(answers) is frozenset:
+                answers = set(answers)
+            answers.update(batch)
+    if answers is None:
+        return frozenset()
+    return answers if type(answers) is frozenset else frozenset(answers)
+
+
+def _answer_bytes(table: ColumnTable, rows: FrozenSet[Row]) -> int:
+    """Estimated footprint of a kept answer: its root table, the set, and
+    per row one tuple (40 bytes + 8 a slot) of fresh values (~28 bytes)."""
+    width = len(table.columns)
+    return (
+        table.estimated_bytes() + sys.getsizeof(rows) + len(rows) * (40 + 36 * width)
+    )
+
+
+def _whole_answer(
+    plan: UnionPlan, table: ColumnTable, cache: Optional[FragmentCache], metrics
+) -> FrozenSet[Row]:
+    """The rows of ``table``, the factored root's table in a whole answer.
+
+    The plan's kept answer is *reused* when it was built from ``table``
+    itself (a fragment-cache hit), and otherwise *maintained* from it by
+    the rows the two root tables differ in (:func:`row_difference`): only
+    those rows become tuples.  Every row is *built* when no answer is kept
+    or the tables have no exact difference.  Correctness does not depend
+    on which answer is kept: the difference is taken on content.
+
+    With a fragment cache the result becomes the kept answer, if its
+    estimate passes the cache's admission rule; each plan keeps one.
+    Concurrent answers may overwrite each other's: the slot is replaced
+    whole, so whichever wins is a consistent (table, rows) pair.
+    """
+    kept = plan._answer
+    if kept is not None and kept[0] is table:
+        outcome, rows, delta = "reused", kept[1], 0
+    else:
+        diff = row_difference(kept[0], table) if kept is not None else None
+        if diff is None:
+            outcome, rows, delta = "built", frozenset(table.iter_rows()), len(table)
+        else:
+            removed, added = diff
+            outcome, rows, delta = "maintained", kept[1], len(removed) + len(added)
+            if len(removed):
+                rows = rows.difference(removed.iter_rows())
+            if len(added):
+                rows = rows.union(added.iter_rows())
+        if cache is not None:
+            nbytes = _answer_bytes(table, rows)
+            plan._answer = (table, rows, nbytes) if cache.admits(nbytes) else None
+    span = current_span()
+    if span.recording:
+        span.set("answer", outcome)
+        span.set("answer.delta_rows", delta)
+    if metrics is not None:
+        metrics.counter(f"answer.{outcome}").inc()
+    return rows
 
 
 def stream_plan_answers(
@@ -1442,7 +1519,7 @@ def evaluate_plan(
     limit: Optional[int] = None,
     cache: Optional[FragmentCache] = None,
     columnar: bool = True,
-) -> Set[Row]:
+) -> FrozenSet[Row]:
     """Evaluate the whole union plan (or the first ``limit`` answers).
 
     Fragments always evaluate on column batches; ``columnar`` is kept for
@@ -1455,7 +1532,7 @@ def evaluate_plan(
     if limit is not None and limit < 0:
         raise EvaluationError(f"limit must be non-negative, got {limit}")
     if limit == 0:
-        return set()
+        return frozenset()
     return union_rows(
         plan_answer_batches(plan, data, cache, whole=limit is None), limit
     )

@@ -156,7 +156,8 @@ def _chase_step_from_view(
         if grounded is None:
             continue
         predicate, row = grounded
-        if row not in set(instance.get_tuples(predicate)):
+        # An instance's get_tuples is its live row set: probe it, no copy.
+        if row not in instance.get_tuples(predicate):
             instance.add(predicate, row)
             added = True
     return added

@@ -65,7 +65,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..database.instance import Instance
 from ..database.statistics import RelationStats, adopt_statistics, cached_statistics
@@ -257,6 +257,8 @@ class QueryService:
         self.metrics = MetricsRegistry()
         self.metrics.register_collector("service", self._collect_service_metrics)
         self._answer_latency = self.metrics.histogram("service.answer_seconds")
+        #: What the plans' kept whole answers hold (refreshed per snapshot).
+        self._held_bytes = self.metrics.gauge("answer.held_bytes")
         if data is not None:
             self.set_data(data)
 
@@ -299,7 +301,12 @@ class QueryService:
             )
 
     def _collect_service_metrics(self) -> Dict[str, object]:
-        """Pull collector feeding the registry the cache counters."""
+        """Pull collector feeding the registry the cache counters; it also
+        refreshes the ``answer.held_bytes`` gauge."""
+        with self._mutex:
+            plans = list(self._plans.values())
+            plans.extend(result._shared_plan for result in self._stale.values())
+        self._held_bytes.set(sum(plan.held_bytes for plan in plans if plan is not None))
         return self.stats_snapshot().as_dict()
 
     def metrics_snapshot(self) -> Dict[str, object]:
@@ -603,14 +610,18 @@ class QueryService:
         limit: Optional[int] = None,
         engine: Optional[str] = None,
         data: Union[FactsLike, Mapping[str, Instance], None] = None,
-    ) -> Set[Row]:
+    ) -> FrozenSet[Row]:
         """Answer ``query`` over the service's data (set semantics).
 
         With ``limit=k`` the evaluation streams: rewritings are pulled
         from the (cached) reformulation one at a time and evaluation
         stops once ``k`` distinct answers are known — a subset of the
         full answer set.  The plan path reuses the compiled union plan
-        cached alongside the reformulation.
+        cached alongside the reformulation, and a whole answer the plan's
+        kept answer: the same ``frozenset`` while the root fragment is a
+        cache hit, maintained by the changed rows otherwise (the
+        ``plan.execute`` span's ``answer`` / ``answer.delta_rows``, the
+        registry's ``answer.*`` counters).
         """
         parent = current_span()
         span = (
@@ -637,6 +648,7 @@ class QueryService:
                         limit=limit,
                         plan=plan,
                         cache=cache,
+                        metrics=self.metrics,
                     )
                 if span.recording:
                     span.set("rows", len(rows))
@@ -704,7 +716,7 @@ class QueryService:
         limit: Optional[int] = None,
         engine: Optional[str] = None,
         data: Union[FactsLike, Mapping[str, Instance], None] = None,
-    ) -> List[Set[Row]]:
+    ) -> List[FrozenSet[Row]]:
         """Answer a query mix over one shared federated source and cache.
 
         The data source is resolved once for the whole batch and every

@@ -249,4 +249,4 @@ def from_table(table: Table) -> ColumnTable:
 
 def to_table(table: ColumnTable) -> Table:
     """Row-table conversion (dedups via the frozenset representation)."""
-    return Table._trusted(table.columns, frozenset(table.row_set()))
+    return Table._trusted(table.columns, frozenset(table.iter_rows()))

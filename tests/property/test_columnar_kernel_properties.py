@@ -186,7 +186,7 @@ class TestJoinKernel:
             Table(right.columns, right_rows))
         got = left.natural_join(right, build_right=build_right)
         assert got.columns == expected.columns
-        assert got.row_set() == set(expected.rows)
+        assert set(got.iter_rows()) == set(expected.rows)
 
     @given(inputs=sides(2), build_right=st.booleans())
     @settings(max_examples=300, **COMMON)
@@ -224,7 +224,7 @@ class TestDistinctKernel:
         keys, (rows,) = inputs
         table = ColumnTable.from_rows(keys + ("a",), rows)
         got = table.distinct()
-        assert got.row_set() == set(Table(table.columns, rows).rows)
+        assert set(got.iter_rows()) == set(Table(table.columns, rows).rows)
         assert repr_rows(got) == repr_rows(reference_distinct(table))
         key_only = table.project(keys)
         assert repr_rows(key_only.distinct()) == repr_rows(reference_distinct(key_only))
@@ -238,7 +238,7 @@ class TestDistinctKernel:
         second = ColumnTable.from_rows(columns, second_rows)
         got = union_distinct([first, second])
         expected = Table(columns, first_rows).union(Table(columns, second_rows))
-        assert got.row_set() == set(expected.rows)
+        assert set(got.iter_rows()) == set(expected.rows)
         merged = union_all([first, second])
         if all(isinstance(col, np.ndarray) for col in merged.data):
             assert repr_rows(got) == repr_rows(reference_distinct(merged))
@@ -264,10 +264,10 @@ class TestListPath:
             joined = left.natural_join(right, build_right=build_right)
             expected = left_table.natural_join(right_table)
             assert joined.columns == expected.columns
-            assert joined.row_set() == set(expected.rows)
-            assert left.distinct().row_set() == set(left_table.rows)
+            assert set(joined.iter_rows()) == set(expected.rows)
+            assert set(left.distinct().iter_rows()) == set(left_table.rows)
             assert len(left.distinct()) == len(left_table)
             union = union_distinct([left, ColumnTable.from_rows(left_columns, right_rows)])
-            assert union.row_set() == set(
+            assert set(union.iter_rows()) == set(
                 left_table.union(Table(left_columns, right_rows)).rows)
-            assert len(union) == len(union.row_set())
+            assert len(union) == len(set(union.iter_rows()))

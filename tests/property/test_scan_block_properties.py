@@ -357,9 +357,9 @@ def test_a_delta_reshipping_held_rows_merges_duplicate_free():
     transport = Reships({"P": instance})
     source = RemotePeerFactSource(transport)
     pattern = (WILDCARD, WILDCARD)
-    assert scan_block(source, "r", pattern).row_set() == set(instance.get_tuples("r"))
+    assert set(scan_block(source, "r", pattern).iter_rows()) == set(instance.get_tuples("r"))
     instance.add("r", (4, "d"))
     source.refresh()
     block = scan_block(source, "r", pattern)
     assert source.scatter_stats()["delta_scans"] == 1
-    assert len(block) == 4 and block.row_set() == set(instance.get_tuples("r"))
+    assert len(block) == 4 and set(block.iter_rows()) == set(instance.get_tuples("r"))

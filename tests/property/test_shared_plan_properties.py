@@ -134,7 +134,7 @@ class TestEngineEquivalence:
             plan.factored_root()
             evaluation = _Evaluation(plan, combined)
             for key in plan.nodes:
-                assert evaluation.table(key).row_set() == \
+                assert set(evaluation.table(key).iter_rows()) == \
                     _row_table(plan, key, combined).to_set(), key
             for root in roots:
                 head = tuple(f"h{i}" for i in range(len(root.head)))

@@ -32,7 +32,7 @@ from tests.oracles import Table, from_table, to_table
 
 
 def as_rows(ct: ColumnTable):
-    return ct.row_set()
+    return set(ct.iter_rows())
 
 
 @pytest.fixture
@@ -64,7 +64,7 @@ class TestConversions:
             pytest.skip("NumPy not installed")
         ct = ColumnTable.from_rows(("a",), [(1,), (2,)])
         assert isinstance(ct.data[0], columnar.np.ndarray)
-        for row in ct.row_set():
+        for row in set(ct.iter_rows()):
             assert type(row[0]) is int
 
     def test_dtype_sniffing_fallbacks(self):

@@ -221,6 +221,42 @@ class TestCertainAnswerOracle:
         assert (1, 2) in set(canonical.get_tuples("B:S"))
         assert (1, 2) in set(canonical.get_tuples("A:R"))
 
+    def test_chase_steps_probe_the_live_rows_instead_of_copying_them(
+        self, two_peer_pdms, monkeypatch
+    ):
+        """Each chased fact is checked against the relation's live row set:
+        the number of full passes over a relation does not grow with it."""
+        passes = []
+
+        class CountingRows:
+            def __init__(self, rows):
+                self.rows = rows
+
+            def __iter__(self):
+                passes.append(1)
+                return iter(self.rows)
+
+            def __contains__(self, row):
+                return row in self.rows
+
+            def __len__(self):
+                return len(self.rows)
+
+        get_tuples = Instance.get_tuples
+        monkeypatch.setattr(
+            Instance, "get_tuples",
+            lambda self, predicate: CountingRows(get_tuples(self, predicate)),
+        )
+
+        def count(rows):
+            passes.clear()
+            data = Instance.from_dict({"stored_s": [(i, i + 1) for i in range(rows)]})
+            canonical = build_canonical_instance(two_peer_pdms, data)
+            assert len(get_tuples(canonical, "A:R")) == rows
+            return len(passes)
+
+        assert count(40) == count(80) == count(1)
+
     def test_oracle_matches_reformulation_on_tractable_pdms(self, two_peer_pdms):
         data = {"stored_s": [(1, 2), (2, 3)]}
         query = parse_query("Q(x, z) :- A:R(x, y), A:R(y, z)")

@@ -52,7 +52,7 @@ class TestFragmentCache:
         cache = FragmentCache(max_bytes=1 << 20)
         cache.get_or_compute("k", ("v1",), {"r"}, lambda: _table([(1, 2)]))
         fresh = cache.get_or_compute("k", ("v2",), {"r"}, lambda: _table([(3, 4)]))
-        assert fresh.row_set() == {(3, 4)}
+        assert set(fresh.iter_rows()) == {(3, 4)}
         assert cache.stats.invalidations == 1
         assert cache.stats.misses == 2
         assert len(cache) == 1  # the stale version was replaced, not kept
@@ -262,6 +262,18 @@ class TestVersionTokens:
         two_owners = PeerFactSource({"A": a, "B": b}).data_version("r")
         assert two_owners != after_write
         assert PeerFactSource({}).data_version("r") == ()
+
+    def test_the_single_owner_token_is_the_sorted_one(self):
+        """One owner takes a fast path; its token must not change."""
+        a, b = Instance(), Instance()
+        a.add("r", (1, 2))
+        b.add("r", (3, 4))
+        for instances in ({}, {"A": a}, {"B": b}, {"A": a, "B": b}, {"B": b, "A": a}):
+            source = PeerFactSource(instances)
+            owners = instances.values()
+            assert source.data_version("r") == tuple(
+                sorted(owner.data_version("r") for owner in owners)
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import threading
 import pytest
 
 from repro.database import ColumnTable, Instance
+from repro.database.columnar import HAVE_NUMPY
 from repro.obs import (
     METRICS_SCHEMA_VERSION,
     NULL_SPAN,
@@ -574,3 +575,54 @@ class TestClusterMetricsSnapshot:
         assert service.stats_snapshot().plan_kinds == {
             "factored": 1, "enumerated.constraint": 1}
         assert service.metrics_snapshot()["counters"]["plan.enumerated.constraint"] == 1
+
+
+class TestAnswerObservability:
+    def test_whole_answers_say_how_they_were_assembled(self):
+        """``plan.execute`` records ``answer`` ∈ {reused, maintained, built}
+        and ``answer.delta_rows``; the registry counts the three outcomes
+        and gauges the bytes the kept answers hold."""
+        from repro.datalog import parse_query
+        from repro.obs import set_tracer
+        from repro.pdms import QueryService, StorageDescription
+
+        pdms = PDMS("obs-answer")
+        pdms.add_peer("T").add_relation("A", ["x", "y"])
+        pdms.add_peer("P1")
+        pdms.add_storage_description(StorageDescription(
+            "P1", "sa", parse_query("V(x, y) :- T:A(x, y)"),
+            exact=False, name="store_sa",
+        ))
+        stored = Instance.from_dict({"sa": [(1, 2), (2, 3)]})
+        service = QueryService(pdms, data={"P1": stored})
+        query = parse_query("Q(x, y) :- T:A(x, y)")
+        assert service.metrics_snapshot()["gauges"]["answer.held_bytes"] == 0
+        tracer = make_tracer()
+        set_tracer(tracer)
+        try:
+            service.answer(query)
+            service.answer(query)
+            stored.add("sa", (5, 8))
+            assert service.answer(query) == {(1, 2), (2, 3), (5, 8)}
+        finally:
+            set_tracer(None)
+        executed = [
+            span["attrs"]
+            for tid in tracer.trace_ids()
+            for span in tracer.trace(tid)
+            if span["name"] == "plan.execute"
+        ]
+        # Without NumPy the difference kernel declines and the read builds.
+        third = ("maintained", 1) if HAVE_NUMPY else ("built", 3)
+        assert [(a["answer"], a["answer.delta_rows"]) for a in executed] == [
+            ("built", 2), ("reused", 0), third,
+        ]
+        snapshot = service.metrics_snapshot()
+        counters = snapshot["counters"]
+        assert counters["answer.reused"] == 1
+        assert counters["answer.built"] + counters.get("answer.maintained", 0) == 2
+        assert counters.get("answer.maintained", 0) == HAVE_NUMPY
+        (plan,) = service._plans.values()
+        assert snapshot["gauges"]["answer.held_bytes"] == plan.held_bytes > 0
+        service.clear_cache()
+        assert service.metrics_snapshot()["gauges"]["answer.held_bytes"] == 0

@@ -10,6 +10,7 @@ bounds, and change-log pickup of direct PDMS mutations.
 import pytest
 
 from repro.database import Instance
+from repro.database.columnar import HAVE_NUMPY
 from repro.datalog import parse_atom, parse_query
 from repro.errors import PDMSConfigurationError
 from repro.pdms import (
@@ -443,3 +444,107 @@ class TestBatchAndData:
         assert misses == 2
         service.answer(QUERY_R)
         assert service.stats.hits >= 2
+
+
+def _outcome(service, query):
+    """``(rows, answer outcome, answer.delta_rows)`` of one traced answer."""
+    from repro.obs import set_tracer
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.trace import Tracer
+
+    tracer = Tracer(enabled=True, sample_rate=1.0, sink_path=None, registry=MetricsRegistry())
+    set_tracer(tracer)
+    try:
+        rows = service.answer(query)
+    finally:
+        set_tracer(None)
+    (trace,) = [tracer.trace(tid) for tid in tracer.trace_ids()]
+    (span,) = [span for span in trace if span["name"] == "plan.execute"]
+    return rows, span["attrs"].get("answer"), span["attrs"].get("answer.delta_rows")
+
+
+def _per_peer_service(**kwargs) -> QueryService:
+    return QueryService(_service().pdms, data={
+        "B": Instance.from_dict({"stored_s": [(1, 2), (2, 3), (3, 4)]}),
+        "C": Instance.from_dict({"stored_t": [(9, 9)]}),
+    }, **kwargs)
+
+
+def _oracle(service, query):
+    data = dict(service._peer_data)
+    return answer_query(service.pdms, query, data, engine="backtracking")
+
+
+def _maintained(before, after):
+    """The outcome and delta a read maintained from ``before`` reports:
+    without NumPy the difference kernel declines and every row is built."""
+    if HAVE_NUMPY:
+        return "maintained", len(after ^ before)
+    return "built", len(after)
+
+
+class TestMaintainedAnswers:
+    """A plan keeps its last whole answer: reused while the root fragment
+    is a cache hit, maintained by the changed rows when it is not."""
+
+    def test_a_warm_read_returns_the_same_object(self):
+        service = _per_peer_service()
+        first, built, _ = _outcome(service, QUERY_R)
+        second, reused, delta = _outcome(service, QUERY_R)
+        assert (built, reused, delta) == ("built", "reused", 0)
+        assert second is first and isinstance(first, frozenset)
+
+    def test_a_read_after_an_insert_builds_only_the_new_row(self):
+        service = _per_peer_service()
+        before, _, _ = _outcome(service, QUERY_R)
+        service._peer_data["B"].add("stored_s", (7, 8))
+        after, outcome, delta = _outcome(service, QUERY_R)
+        expected = _oracle(service, QUERY_R)
+        assert after == expected and len(expected ^ before) == 1
+        assert (outcome, delta) == _maintained(before, expected)
+
+    def test_a_removal_is_maintained_too(self):
+        service = _per_peer_service()
+        before, _, _ = _outcome(service, QUERY_R)
+        service._peer_data["B"].remove("stored_s", (2, 3))
+        service._peer_data["B"].add("stored_s", (4, 4))
+        after, outcome, delta = _outcome(service, QUERY_R)
+        expected = _oracle(service, QUERY_R)
+        assert after == expected and len(expected ^ before) == 2
+        assert (outcome, delta) == _maintained(before, expected)
+
+    def test_the_first_read_after_a_satellite_joins_is_maintained_from_the_seed(self):
+        service = _per_peer_service()
+        before, _, _ = _outcome(service, QUERY_R)
+        satellite = Peer("SAT")
+        satellite.add_relation("X", ["x", "y"])
+        service.add_peer(satellite)
+        service.add_peer_mapping(DefinitionalMapping(
+            parse_query("A:R(x, y) :- SAT:X(x, y)"), name="sat_map"))
+        service.add_storage_description(StorageDescription(
+            "SAT", "stored_x", parse_query("V(x, y) :- SAT:X(x, y)"), name="x_store"))
+        service.set_peer_data("SAT", Instance.from_dict({"stored_x": [(5, 5), (1, 2)]}))
+        after, outcome, delta = _outcome(service, QUERY_R)
+        expected = _oracle(service, QUERY_R)
+        assert _replayed(service) == 1
+        assert after == expected and len(expected ^ before) == 1
+        assert (outcome, delta) == _maintained(before, expected)
+
+    def test_without_a_fragment_cache_nothing_is_kept(self):
+        service = _per_peer_service(fragment_cache_bytes=0)
+        outcomes = [_outcome(service, QUERY_R)[1] for _ in range(2)]
+        assert outcomes == ["built", "built"]
+        assert service.metrics_snapshot()["gauges"]["answer.held_bytes"] == 0
+
+    def test_an_answer_over_half_the_budget_is_not_kept(self):
+        service = _per_peer_service(fragment_cache_bytes=64)
+        outcomes = [_outcome(service, QUERY_R)[1] for _ in range(2)]
+        assert outcomes == ["built", "built"]
+        assert all(plan.held_bytes == 0 for plan in service._plans.values())
+
+    def test_every_answer_is_a_frozenset(self):
+        service = _per_peer_service()
+        assert isinstance(service.answer(QUERY_R, limit=1), frozenset)
+        assert isinstance(service.answer(QUERY_R, limit=0), frozenset)
+        assert isinstance(service.answer(QUERY_R, engine="backtracking"), frozenset)
+        assert isinstance(service.answer(QUERY_T), frozenset)

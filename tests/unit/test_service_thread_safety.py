@@ -285,3 +285,47 @@ def test_whole_and_first_k_compiles_of_one_plan_share_one_lock(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not overlaps
+
+
+def test_kept_answers_stay_exact_under_concurrent_writes():
+    """Askers share one plan's kept answer while a writer appends rows.
+
+    Rows are appended one at a time, so every answer must be the initial
+    rows plus a *prefix* of the appended ones; a kept answer paired with
+    the wrong root table, or a lost maintenance step, breaks that."""
+    service, data, _ = build_service(engine="columnar")
+    query = parse_query("Q(x, y) :- T:A(x, y)")
+    initial = frozenset(data["P1"].get_tuples("sa"))
+    appended = [(100 + i, i) for i in range(200)]
+    errors = []
+    stop = threading.Event()
+
+    def asker(seed: int):
+        try:
+            while not stop.is_set():
+                rows = service.answer(query)
+                count = len(rows) - len(initial)
+                if rows != initial.union(appended[:count]):
+                    errors.append(f"asker {seed}: not a prefix of the writes")
+        except Exception as exc:  # pragma: no cover - failure reporting
+            errors.append(f"asker {seed}: {type(exc).__name__}: {exc}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        askers = [threading.Thread(target=asker, args=(seed,)) for seed in range(THREADS)]
+        for thread in askers:
+            thread.start()
+        for row in appended:
+            data["P1"].add("sa", row)
+            time.sleep(0.0005)
+        stop.set()
+        for thread in askers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in askers)
+    assert not errors, errors[:5]
+    assert service.answer(query) == initial.union(appended)
+    counters = service.metrics_snapshot()["counters"]
+    assert counters.get("answer.maintained", 0) + counters["answer.built"] > 1

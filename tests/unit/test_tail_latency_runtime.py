@@ -335,12 +335,12 @@ class TestAsyncSocketTransport:
             "P1", [("sa", encoded, token)]
         )
         assert not full2 and token2 != token
-        assert delta.row_set() == {(9, 9)}
+        assert set(delta.iter_rows()) == {(9, 9)}
         # An unchanged token yields an empty delta.
         [(full3, token3, rows3)] = socket_transport.scan_batch_since(
             "P1", [("sa", encoded, token2)]
         )
-        assert not full3 and token3 == token2 and rows3.row_set() == set()
+        assert not full3 and token3 == token2 and set(rows3.iter_rows()) == set()
 
     def test_rpc_timeout_raises_and_never_repools_the_connection(self):
         transport = AsyncSocketTransport(

@@ -754,7 +754,7 @@ class TestColumnFrames:
                 "P03", [("s03", EVERYTHING, None)]
             )
             assert full and table.columns == ("__p0", "__p1")
-            assert table.row_set() == {(3, row) for row in range(3)}
+            assert set(table.iter_rows()) == {(3, row) for row in range(3)}
         finally:
             transport.close()
 
