@@ -4,9 +4,10 @@ A small PDMS serves the same chain query repeatedly while a background
 trickle of writes lands in *one* stored relation.  The service's
 :class:`~repro.pdms.materialization.FragmentCache` keeps every fragment
 that does not read the written relation warm across calls, so repeated
-queries pay only the head projection — and a write invalidates exactly
-the dependent fragments, visible in the ``ServiceStats`` counters this
-script prints.
+queries pay only the head projection — and a write reaches exactly the
+dependent fragments: an append steps each of them forward by its new
+rows instead of recomputing it, visible in the ``ServiceStats`` counters
+this script prints.
 
 Run with::
 
@@ -71,7 +72,7 @@ def print_fragment_counters(service):
         f"  fragment cache: {fragments.hits} hits / {fragments.misses} misses "
         f"(hit rate {fragments.hit_rate:.0%}), "
         f"{fragments.admissions} admitted, {fragments.evictions} evicted, "
-        f"{fragments.invalidations} invalidated"
+        f"{fragments.deltas} stepped, {fragments.invalidations} invalidated"
     )
 
 
@@ -98,9 +99,9 @@ def main():
               lambda: service.answer(query))
     print_fragment_counters(service)
     print("  (the big shared A1⋈A2 fragment stayed warm: only fragments")
-    print("   reading s_a3_0 were recomputed)")
+    print("   reading s_a3_0 were stepped forward by the appended row)")
 
-    print("\n== a write into a *shared* relation invalidates the big join ==")
+    print("\n== a write into a *shared* relation steps the big join too ==")
     instance.add("s_a1", (DOMAIN - 1, DOMAIN + 1))
     timed("answer after shared write", lambda: service.answer(query))
     print_fragment_counters(service)

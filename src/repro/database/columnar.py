@@ -478,6 +478,36 @@ def row_difference(
     return old.select_mask(_among(old_key, gone)), new.select_mask(_among(new_key, came))
 
 
+def rows_absent(table: ColumnTable, other: ColumnTable) -> ColumnTable:
+    """The rows of ``table`` that ``other`` lacks, in ``table``'s order —
+    an anti-join on every column (what a union's delta keeps).
+
+    On exact NumPy encodings (:func:`row_difference`'s condition) both
+    tables' columns are coded into one key space and ``table``'s keys
+    probed against ``other``'s; otherwise membership is tested against a
+    set of ``other``'s rows, Python equality throughout.
+    """
+    if not len(table) or not len(other):
+        return table
+    if not table.columns:
+        return table.take([])
+    if np is not None and all(
+        _is_array(mine) and _is_array(theirs) and mine.dtype == theirs.dtype
+        for mine, theirs in zip(table.data, other.data)
+    ):
+        both = [np.concatenate(pair) for pair in zip(table.data, other.data)]
+        key, _ = _codes(both, 2 ** 31)
+        mine, theirs = key[: len(table)], key[len(table):]
+        # Probe ``other``'s keys into ``table``'s sorted ones: O(n log d)
+        # for the usual small ``table``, no hashing of the large side.
+        sorted_mine = np.sort(mine)
+        found = np.searchsorted(sorted_mine, theirs)
+        hit = sorted_mine[np.minimum(found, len(mine) - 1)] == theirs
+        return table.select_mask(~_among(mine, np.sort(theirs[hit])))
+    present = set(other.iter_rows())
+    return table.select_mask([row not in present for row in table.iter_rows()])
+
+
 def _among(keys, sorted_keys):
     """Mask of the ``keys`` found in the sorted array ``sorted_keys``."""
     if not len(sorted_keys):
@@ -659,6 +689,14 @@ def union_distinct(
 ) -> ColumnTable:
     """Set union of many column-compatible tables."""
     return union_all(tables, columns).distinct()
+
+
+def distinct_count(col) -> int:
+    """How many distinct values a column holds, under Python set
+    semantics (``-0.0 == 0.0``; a NumPy column holds no NaN)."""
+    if _is_array(col):
+        return len(np.unique(col))
+    return len(set(col))
 
 
 def const_column(value, length: int):

@@ -20,7 +20,7 @@ import itertools
 import threading
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
-from ..datalog.indexing import WILDCARD, Pattern, PredicateIndex
+from ..datalog.indexing import WILDCARD, Pattern, PredicateIndex, rows_matching
 from ..errors import InstanceError, SchemaError
 from .columnar import ColumnTable, scan_columns
 from .schema import DatabaseSchema
@@ -114,35 +114,69 @@ class Instance:
 
     def tagged_block(
         self, relation: str, pattern: Pattern
-    ) -> Tuple[Tuple[int, int], ColumnTable]:
+    ) -> Tuple[Tuple[int, Optional[int]], ColumnTable]:
         """``(data-version token, scan block)`` of ``relation`` under ``pattern``.
 
         Runs :meth:`get_matching`'s width check first (a clash raises
-        :class:`ValueError`).  An all-wildcard block is storage, like the
-        lazily built hash indexes: built on the first scan after the
-        relation's version moved, kept until it moves again, and tagged
-        with the version read *before* its rows were copied — so a block
-        may hold rows newer than its token, never older.  A constant
-        pattern transposes its index bucket.
+        :class:`ValueError`).  The block holds exactly the rows at the
+        token's version, even while another thread appends
+        (:meth:`~repro.datalog.indexing.PredicateIndex.tagged_rows`); when
+        a removal raced the copy the token's version is ``None``, which
+        matches no data version.  An all-wildcard block is storage, like
+        the lazily built hash indexes: built on the first scan after the
+        relation's version moved and kept until it moves again.  A
+        constant pattern transposes its index bucket.
         """
         columns = scan_columns(len(pattern))
         index = self._relations.get(relation)
         if index is None:
             empty = ColumnTable.from_rows(columns, ())
             return (self._instance_id, _ABSENT_VERSION), empty
-        version = index.version
-        rows = index.matching(pattern)
-        if any(value is not WILDCARD for value in pattern):
-            block = ColumnTable.from_rows(columns, tuple(rows))
-        else:
+        stored = all(value is WILDCARD for value in pattern)
+        if stored:
             cached = self._blocks.get(relation)
+            version = index.version
             if cached and cached[0] == version and cached[1].columns == columns:
-                block = cached[1]
-            else:
-                # Racing scans may each build one; any is right for its tag.
-                block = ColumnTable.from_rows(columns, tuple(rows))
-                self._blocks[relation] = (version, block)
+                return (self._instance_id, version), cached[1]
+        version, rows = index.tagged_rows(pattern)
+        block = ColumnTable.from_rows(columns, rows)
+        if stored and version is not None:
+            # Racing scans may each build one; any is right for its tag.
+            self._blocks[relation] = (version, block)
         return (self._instance_id, version), block
+
+    def delta_block(
+        self,
+        relation: str,
+        pattern: Pattern,
+        since: Tuple[int, int],
+        until: Tuple[int, int],
+    ) -> Optional[ColumnTable]:
+        """The scan block of the rows matching ``pattern`` that appends
+        added to ``relation`` after data-version token ``since`` and up to
+        token ``until`` — never a row newer than ``until``.
+
+        ``None`` unless the change between the tokens is provably appends
+        only: both tokens from this instance, in order, with the additive
+        history between them still logged
+        (:meth:`~repro.datalog.indexing.PredicateIndex.rows_since`).  With
+        :meth:`data_version` this backs the delta-shipping scan protocol
+        and the steps of cached fragments.
+        """
+        index = self._relations.get(relation)
+        if (
+            index is None
+            or since[0] != self._instance_id
+            or until[0] != self._instance_id
+            or until[1] is None
+        ):
+            return None
+        rows = index.rows_since(since[1], until[1])
+        if rows is None:
+            return None
+        return ColumnTable.from_rows(
+            scan_columns(len(pattern)), rows_matching(rows, pattern)
+        )
 
     # -- mutation ----------------------------------------------------------------
 
@@ -251,21 +285,6 @@ class Instance:
         index = self._relations.get(relation)
         version = index.version if index is not None else _ABSENT_VERSION
         return (self._instance_id, version)
-
-    def rows_since(self, relation: str, version: int) -> Optional[Tuple[Row, ...]]:
-        """Rows added to ``relation`` after index-version ``version``.
-
-        ``None`` when the additive history is unavailable (removals,
-        clears, log overflow, unknown relation) and the caller must take
-        a full rescan.  Together with :meth:`data_version` this backs the
-        delta-shipping scan protocol: a caller holding the token
-        ``(instance_id, v)`` asks for ``rows_since(relation, v)`` and
-        unions the result into its memoized full scan at ``v``.
-        """
-        index = self._relations.get(relation)
-        if index is None:
-            return None
-        return index.rows_since(version)
 
     def version_vector(
         self, relations: Optional[Iterable[str]] = None

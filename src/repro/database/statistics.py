@@ -29,7 +29,10 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+
+from ..datalog.indexing import WILDCARD
+from .columnar import ColumnTable, distinct_count
 
 Row = Tuple[object, ...]
 
@@ -73,13 +76,21 @@ class RelationStats:
 
 
 def compute_relation_stats(
-    relation: str, rows: Iterable[Row], version: object = None
+    relation: str, rows: Union[Iterable[Row], ColumnTable], version: object = None
 ) -> RelationStats:
-    """One-pass cardinality + per-column distinct counts over ``rows``.
+    """Cardinality + per-column distinct counts over ``rows``.
 
-    Tolerates ragged widths (a malformed relation still gets stats for the
+    ``rows`` is the relation's scan block (a
+    :class:`~repro.database.columnar.ColumnTable` of distinct rows, counted
+    column by column with :func:`~repro.database.columnar.distinct_count`)
+    or any iterable of rows, counted in one Python pass that tolerates
+    ragged widths (a malformed relation still gets stats for the
     positions it has; probes on it fail elsewhere with a real error).
+    Both count with Python set semantics.
     """
+    if isinstance(rows, ColumnTable):
+        distinct = [distinct_count(col) for col in rows.data] if len(rows) else []
+        return RelationStats(relation, len(rows), tuple(distinct), version)
     cardinality = 0
     seen: list = []
     for row in rows:
@@ -94,6 +105,24 @@ def compute_relation_stats(
         distinct=tuple(len(values) for values in seen),
         version=version,
     )
+
+
+def _scan_block(source: object, relation: str) -> Optional[ColumnTable]:
+    """The all-wildcard scan block of ``relation``, when ``source`` keeps
+    scan blocks and knows the relation's arity (instances, the federated
+    and the remote peer sources); ``None`` sends the caller to a row pass,
+    as does a relation whose rows clash in width."""
+    arity = getattr(source, "arity", None)
+    scan = getattr(source, "scan_block", None)
+    if not callable(arity) or not callable(scan):
+        return None
+    width = arity(relation)
+    if width is None:
+        return None
+    try:
+        return scan(relation, (WILDCARD,) * width)
+    except ValueError:
+        return None
 
 
 class StatisticsCatalog:
@@ -127,7 +156,9 @@ class StatisticsCatalog:
         version = source_data_version(self._source, relation)
         if cached is not None and (version is None or cached.version == version):
             return cached
-        rows = self._source.get_tuples(relation)  # type: ignore[attr-defined]
+        rows = _scan_block(self._source, relation)
+        if rows is None:
+            rows = self._source.get_tuples(relation)  # type: ignore[attr-defined]
         computed = compute_relation_stats(relation, rows, version)
         self._cache[relation] = computed
         return computed

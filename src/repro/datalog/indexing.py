@@ -79,10 +79,11 @@ class PredicateIndex:
         """Add ``row``; returns ``True`` iff it was new."""
         if row in self._rows:
             return False
-        self._rows.add(row)
-        # Row and log entry before the version: a reader on another thread
-        # that sees the new version must find the row in the delta log.
+        # Log entry, then row, then version: a reader on another thread
+        # that sees the new version finds the row in the delta log, and
+        # one that copied the row finds it there too (see tagged_rows).
         self._log.append(row)
+        self._rows.add(row)
         self._version += 1
         self._widths[len(row)] = self._widths.get(len(row), 0) + 1
         if len(self._log) > DELTA_LOG_CAP:
@@ -139,18 +140,45 @@ class PredicateIndex:
         """The live row set (treat as read-only)."""
         return self._rows
 
-    def rows_since(self, version: int) -> "Tuple[Row, ...] | None":
-        """Rows added after ``version``, or ``None`` if unanswerable.
+    def rows_since(self, version: int, until: int) -> "Tuple[Row, ...] | None":
+        """Rows added after ``version`` and up to ``until``, or ``None`` if
+        unanswerable.
 
-        ``None`` means the additive history back to ``version`` is gone
-        (a removal or ``clear`` happened, the log overflowed, or the
-        version is from the future) and the caller must take a full
-        rescan.  A non-``None`` result is exactly the rows whose ``add``
-        moved the version past ``version``, in insertion order.
+        ``None`` means the additive history from ``version`` to ``until``
+        is gone (a removal or ``clear`` happened, the log overflowed),
+        ``until`` precedes ``version`` or lies in the future, or a reset
+        raced the read; the caller must take a full rescan.  A
+        non-``None`` result is exactly the rows whose ``add`` moved the
+        version past ``version`` and not past ``until``, in insertion
+        order — never a row newer than ``until``.
         """
-        if version < self._log_floor or version > self._version:
+        log, floor = self._log, self._log_floor
+        if version < floor or version > until or until > self._version:
             return None
-        return tuple(self._log[version - self._log_floor:])
+        rows = log[version - floor:until - floor]
+        # A reset between reading the log and its floor shows as a short
+        # slice: each add up to ``until`` logged exactly one row.
+        return tuple(rows) if len(rows) == until - version else None
+
+    def tagged_rows(self, pattern: Pattern) -> "Tuple[int | None, Tuple[Row, ...]]":
+        """``(version, rows)``: :meth:`matching` copied *exactly* at
+        ``version``, even while another thread appends.
+
+        A row appended after the version was read and copied anyway is in
+        the log by then (:meth:`add` logs before it inserts), so it is
+        taken out again.  The version is ``None`` when a removal or
+        ``clear`` raced the copy and no version describes the rows.
+        """
+        version = self._version
+        rows = tuple(self.matching(pattern))
+        log, floor = self._log, self._log_floor
+        newer = log[version - floor:] if floor <= version else None
+        if newer is None or len(newer) < self._version - version:
+            return None, rows
+        if newer:
+            drop = set(newer)
+            rows = tuple([row for row in rows if row not in drop])
+        return version, rows
 
     def matching(self, pattern: Pattern) -> Collection[Row]:
         """Rows whose values equal ``pattern`` at every non-wildcard position.
@@ -192,6 +220,26 @@ class PredicateIndex:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PredicateIndex({len(self._rows)} rows, {len(self._indexes)} indexes)"
+
+
+def rows_matching(rows: Iterable[Row], pattern: Pattern) -> List[Row]:
+    """The ``rows`` that agree with ``pattern`` at every non-wildcard position.
+
+    Raises :class:`ValueError` on a row whose width differs from the
+    pattern's, like :meth:`PredicateIndex.matching` (delta rows are
+    filtered here, outside any index)."""
+    width = len(pattern)
+    bound = [(i, value) for i, value in enumerate(pattern) if value is not WILDCARD]
+    matched: List[Row] = []
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(
+                f"holds a row of width {len(row)} but the probing atom has "
+                f"arity {width}"
+            )
+        if all(row[i] == value for i, value in bound):
+            matched.append(row)
+    return matched
 
 
 def _bucket_key(row: Row, positions: Tuple[int, ...]) -> Tuple[object, ...]:

@@ -66,7 +66,8 @@ from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ... import config as _config
-from ...database.columnar import ColumnTable, scan_columns, union_blocks
+from ...database.columnar import ColumnTable, rows_absent, scan_columns
+from ...database.columnar import union_all, union_blocks
 from ...datalog.indexing import WILDCARD, Pattern
 from ...errors import MappingError, TransportError
 from ...obs.metrics import METRICS_SCHEMA_VERSION
@@ -82,6 +83,25 @@ from .transport import (
 
 #: One memoized scan: ``(relation, encoded pattern)``.
 ScanKey = Tuple[str, EncodedPattern]
+
+#: Deltas kept per scan key (see :meth:`RemotePeerFactSource.delta_block`):
+#: a fragment up to this many writes behind steps without a round trip.
+#: The chain holds only rows its relation gained, so it is bounded by
+#: this many write batches per scanned ``(relation, pattern)``.
+DELTA_CHAIN_LINKS = 16
+
+
+def _merge_owners(
+    tagged: Sequence[Tuple[object, Optional[ColumnTable]]], width: int
+) -> Tuple[object, ColumnTable]:
+    """One scan key's ``(token, table)`` from its owners' replies, the
+    token in :meth:`RemotePeerFactSource.data_version`'s shape; a lost
+    reply (``(None, None)``) contributes no rows and voids the token."""
+    tokens = [token for token, _ in tagged]
+    table = union_blocks([table for _, table in tagged if table is not None], width)
+    if None in tokens:
+        return None, table
+    return tuple(sorted(tokens, key=repr)), table
 
 
 @dataclass(frozen=True)
@@ -209,8 +229,10 @@ class RemotePeerFactSource:
         self._cards: Dict[str, int] = {}
         self._tokens: Dict[str, Tuple[object, ...]] = {}
         #: Per ``(relation, encoded pattern)``: its distinct rows as one
-        #: column table, merged over the owners that serve it.
-        self._memo: Dict[ScanKey, ColumnTable] = {}
+        #: column table, merged over the owners that serve it, with the
+        #: token (:meth:`data_version`'s shape) the rows are exactly at —
+        #: ``None`` when no token describes them.
+        self._memo: Dict[ScanKey, Tuple[object, ColumnTable]] = {}
         #: Per-(peer, relation, pattern) delta cursors: the version token
         #: of the last scan served by that peer plus the merged table it
         #: covered.  Anchored to wire version tokens (not generations):
@@ -219,6 +241,11 @@ class RemotePeerFactSource:
         self._peer_scans: Dict[
             Tuple[str, str, EncodedPattern], Tuple[object, ColumnTable]
         ] = {}
+        #: Per scan key of a one-owner relation, the last
+        #: :data:`DELTA_CHAIN_LINKS` deltas its cursor shipped, as
+        #: ``(from token, to token, rows new to the merged block)``: what
+        #: :meth:`delta_block` steps a fragment forward by.
+        self._chains: Dict[ScanKey, List[Tuple[object, object, ColumnTable]]] = {}
         #: Bumped by every refresh() that invalidated something; scans
         #: committed to the memo only if the generation they started under
         #: is still current, so rows fetched before an invalidating
@@ -314,6 +341,11 @@ class RemotePeerFactSource:
                     cursor_key: value
                     for cursor_key, value in self._peer_scans.items()
                     if cursor_key[1] in live
+                }
+                self._chains = {
+                    key: links
+                    for key, links in self._chains.items()
+                    if len(live.get(key[0], ())) == 1
                 }
 
     def _describe_all(
@@ -468,6 +500,7 @@ class RemotePeerFactSource:
             dropped = len(self._memo)
             self._memo.clear()
             self._peer_scans.clear()
+            self._chains.clear()
             return dropped
 
     # -- scanning ----------------------------------------------------------
@@ -532,25 +565,35 @@ class RemotePeerFactSource:
         keys: Sequence[ScanKey],
         baselines: Dict[ScanKey, Optional[Tuple[object, ColumnTable]]],
         results,
-    ) -> Dict[ScanKey, ColumnTable]:
-        """Merge one successful wire response into the delta cursors.
+    ) -> Dict[ScanKey, Tuple[object, ColumnTable]]:
+        """Merge one successful wire response into the delta cursors;
+        per key, ``(token, merged table)``.
 
         A delta is merged column-wise and deduplicated: a token read that
-        raced an insert re-ships rows the base already holds."""
-        out: Dict[ScanKey, ColumnTable] = {}
+        raced an insert can re-ship rows the base already holds.  The rows
+        new to the merged block extend the key's delta chain when ``peer``
+        is the relation's only owner."""
+        out: Dict[ScanKey, Tuple[object, ColumnTable]] = {}
         delta_scans = full_scans = delta_rows = full_rows = 0
         commits = []
+        links = []
         for key, (full, token, table) in zip(keys, results):
             base = baselines.get(key)
             if not full and base is not None:
                 merged = union_blocks([base[1], table], len(key[1]))
                 delta_scans += 1
                 delta_rows += len(table)
+                if token != base[0]:
+                    added = (
+                        table if len(merged) == len(base[1]) + len(table)
+                        else rows_absent(table, base[1])
+                    )
+                    links.append((key, ((base[0],), (token,), added)))
             else:
                 merged = table
                 full_scans += 1
                 full_rows += len(table)
-            out[key] = merged
+            out[key] = (token, merged)
             if token is not None:
                 commits.append(((peer, key[0], key[1]), (token, merged)))
         with self._lock:
@@ -560,11 +603,16 @@ class RemotePeerFactSource:
             self._full_rows += full_rows
             for cursor_key, value in commits:
                 self._peer_scans[cursor_key] = value
+            for key, link in links:
+                if self._routes.get(key[0]) == (peer,):
+                    chain = self._chains.setdefault(key, [])
+                    chain.append(link)
+                    del chain[:-DELTA_CHAIN_LINKS]
         return out
 
     def _attempt_scan(
         self, peer: str, keys: Sequence[ScanKey], parent_span, kind: str
-    ) -> Dict[ScanKey, ColumnTable]:
+    ) -> Dict[ScanKey, Tuple[object, ColumnTable]]:
         """One blocking scan attempt (raises ``TransportError`` on fault)."""
         requests, baselines, span = self._open_attempt(
             peer, keys, parent_span, kind
@@ -612,7 +660,7 @@ class RemotePeerFactSource:
 
     def _take_first_attempt(
         self, first: _FirstAttempt, peer: str, keys: Sequence[ScanKey]
-    ) -> Dict[ScanKey, ColumnTable]:
+    ) -> Dict[ScanKey, Tuple[object, ColumnTable]]:
         """Finish a batched attempt as :meth:`_attempt_scan` finishes its own."""
         outcome = first.outcome
         if isinstance(outcome, Exception):
@@ -628,12 +676,12 @@ class RemotePeerFactSource:
         keys: Sequence[ScanKey],
         parent_span,
         first: Optional[_FirstAttempt] = None,
-    ) -> Optional[Dict[ScanKey, ColumnTable]]:
+    ) -> Optional[Dict[ScanKey, Tuple[object, ColumnTable]]]:
         """Scan ``keys`` at ``peer``, retrying under the policy.
 
-        Returns per-key rows, or ``None`` after exhausting the policy — in
-        which case exactly **one** :class:`ScanFailure` per relation is
-        recorded, regardless of how many attempts were made.
+        Returns per-key ``(token, rows)``, or ``None`` after exhausting
+        the policy — in which case exactly **one** :class:`ScanFailure` per
+        relation is recorded, regardless of how many attempts were made.
 
         ``first`` is the unit's first attempt when the wave's batch frame
         already made it (:meth:`_batched_first_attempts`): its outcome
@@ -685,7 +733,7 @@ class RemotePeerFactSource:
         unit_items: Sequence[Tuple[str, List[ScanKey]]],
         wave,
         parallel: bool,
-    ) -> List[Optional[Dict[ScanKey, ColumnTable]]]:
+    ) -> List[Optional[Dict[ScanKey, Tuple[object, ColumnTable]]]]:
         """Every unit of one wave, each under the policy; results in order.
 
         Units whose first attempt came back on the wave's batch frame
@@ -702,7 +750,7 @@ class RemotePeerFactSource:
             peer, batch = unit_items[index]
             return peer, batch, wave, firsts.pop(peer, None)
 
-        results: List[Optional[Dict[ScanKey, ColumnTable]]] = (
+        results: List[Optional[Dict[ScanKey, Tuple[object, ColumnTable]]]] = (
             [None] * len(unit_items)
         )
         on_wire: List[int] = []
@@ -777,19 +825,19 @@ class RemotePeerFactSource:
                 wave.set(
                     "failed_units", sum(1 for per in results if per is None)
                 )
-        merged: Dict[ScanKey, List[ColumnTable]] = {key: [] for key in wanted}
+        merged: Dict[ScanKey, List[Tuple[object, ColumnTable]]] = {
+            key: [] for key in wanted
+        }
         for (_, batch), per_key in zip(unit_items, results):
-            if per_key is None:
-                continue
             for key in batch:
-                merged[key].append(per_key[key])
+                merged[key].append(per_key[key] if per_key is not None else (None, None))
         with self._lock:
             # A concurrent refresh() that invalidated anything may have
             # dropped entries these scans would now resurrect with
             # pre-refresh rows — skip the commit; the next reader rescans.
             if self._generation == generation:
                 for key in wanted:
-                    self._memo[key] = union_blocks(merged[key], len(key[1]))
+                    self._memo[key] = _merge_owners(merged[key], len(key[1]))
         return len(wanted)
 
     def answer_hooks(self) -> Dict[str, object]:
@@ -836,6 +884,14 @@ class RemotePeerFactSource:
         """The memoized table of ``(predicate, pattern)``, scanned cold
         on a miss.  A key one owner serves keeps that owner's table as
         is; one spanning several owners keeps their distinct union."""
+        return self.tagged_block(predicate, pattern)[1]
+
+    def tagged_block(
+        self, predicate: str, pattern: Pattern
+    ) -> Tuple[object, ColumnTable]:
+        """:meth:`scan_block` with the token its rows are exactly at, in
+        :meth:`data_version`'s shape (``None``: no token describes them,
+        as after a lost scan)."""
         self._check_open()
         key = (predicate, encode_pattern(pattern))
         with self._lock:
@@ -845,8 +901,8 @@ class RemotePeerFactSource:
             owners = self._routes.get(predicate, ())
             generation = self._generation
         if not owners:
-            return ColumnTable.from_rows(scan_columns(len(pattern)), ())
-        tables: List[ColumnTable] = []
+            return (), ColumnTable.from_rows(scan_columns(len(pattern)), ())
+        tagged: List[Tuple[object, ColumnTable]] = []
         with current_span().child(
             "scatter.wave",
             scans=1,
@@ -856,15 +912,41 @@ class RemotePeerFactSource:
         ) as wave:
             for peer in owners:
                 per_key = self._scan_unit(peer, [key], wave)
-                if per_key is not None:
-                    tables.append(per_key[key])
-        combined = union_blocks(tables, len(pattern))
+                tagged.append(per_key[key] if per_key is not None else (None, None))
+        combined = _merge_owners(tagged, len(pattern))
         with self._lock:
             # Same guard as prefetch: never resurrect rows across an
             # invalidating refresh boundary.
             if self._generation == generation:
                 self._memo[key] = combined
         return combined
+
+    def delta_block(
+        self, predicate: str, pattern: Pattern, since: object, until: object
+    ) -> Optional[ColumnTable]:
+        """The rows appends added to ``(predicate, pattern)`` between two
+        :meth:`data_version` tokens, read off the key's delta chain — the
+        deltas its cursor already shipped, so no frame is sent.
+
+        ``None`` unless the chain links ``since`` to ``until``: a full
+        rescan, a relation with several owners, a degraded relation, or a
+        fragment more than :data:`DELTA_CHAIN_LINKS` deltas behind."""
+        key = (predicate, encode_pattern(pattern))
+        with self._lock:
+            if predicate in self._degraded:
+                return None
+            links = list(self._chains.get(key, ()))
+        parts: List[ColumnTable] = []
+        at = since
+        for start, end, added in links:
+            if at == until:
+                break
+            if start == at:
+                parts.append(added)
+                at = end
+        if at != until:
+            return None
+        return union_all(parts, scan_columns(len(pattern)))
 
     def get_tuples(self, predicate: str) -> Tuple[Row, ...]:
         arity = self.arity(predicate)

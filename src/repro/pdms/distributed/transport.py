@@ -228,9 +228,9 @@ def scan_instance_since(
     * ``since`` matching the current token exactly → an empty delta
       (``full=False``) — the near-constant-size rescan;
     * ``since`` from this instance with additive history available
-      (:meth:`~repro.database.instance.Instance.rows_since`) → only the
-      rows added since, filtered by the pattern and transposed
-      (``full=False``);
+      (:meth:`~repro.database.instance.Instance.delta_block`) → only the
+      rows added after ``since`` and up to the reply's token, filtered by
+      the pattern and transposed (``full=False``);
     * anything else (foreign token, removals, log overflow) → a full
       rescan (``full=True``): the instance's scan block, which storage
       keeps per relation version, with the block's own version as the
@@ -240,32 +240,13 @@ def scan_instance_since(
     :class:`ValueError`, matching the full-scan data-error contract.
     """
     pattern = decode_pattern(encoded)
-    width = len(pattern)
-    columns = scan_columns(width)
     token = instance.data_version(relation)
-    if (
-        isinstance(since, tuple)
-        and len(since) == 2
-        and since[0] == token[0]
-        and isinstance(since[1], int)
-    ):
-        if since[1] == token[1]:
-            return (False, token, ColumnTable.from_rows(columns, ()))
-        delta = instance.rows_since(relation, since[1])
+    if isinstance(since, tuple) and len(since) == 2 and isinstance(since[1], int):
+        # Bounded to the token read above: a racing insert is left for
+        # the next delta, so the reply never holds rows newer than it.
+        delta = instance.delta_block(relation, pattern, since, token)
         if delta is not None:
-            matched: List[Row] = []
-            for row in delta:
-                if len(row) != width:
-                    raise ValueError(
-                        f"relation {relation!r} holds a row of width "
-                        f"{len(row)} but the probing atom has arity {width}"
-                    )
-                if all(
-                    entry is WILDCARD or row[i] == entry
-                    for i, entry in enumerate(pattern)
-                ):
-                    matched.append(row)
-            return (False, token, ColumnTable.from_rows(columns, matched))
+            return (False, token, delta)
     return (True, *instance.tagged_block(relation, pattern))
 
 

@@ -219,10 +219,43 @@ class PeerFactSource:
 
     def scan_block(self, predicate: str, pattern: Pattern) -> ColumnTable:
         """The owner's scan block, or the distinct union of the owners'."""
-        return union_blocks(
-            [owner.scan_block(predicate, pattern) for owner in self._route(predicate)],
-            len(pattern),
+        return self.tagged_block(predicate, pattern)[1]
+
+    def tagged_block(
+        self, predicate: str, pattern: Pattern
+    ) -> Tuple[Tuple[object, ...], ColumnTable]:
+        """:meth:`scan_block` with the token its rows are exactly at, in
+        :meth:`data_version`'s shape (see
+        :meth:`~repro.database.instance.Instance.tagged_block`)."""
+        tagged = [
+            owner.tagged_block(predicate, pattern) for owner in self._route(predicate)
+        ]
+        if len(tagged) == 1:
+            return (tagged[0][0],), tagged[0][1]
+        return (
+            tuple(sorted([token for token, _ in tagged])),
+            union_blocks([block for _, block in tagged], len(pattern)),
         )
+
+    def delta_block(
+        self, predicate: str, pattern: Pattern, since: tuple, until: tuple
+    ) -> Optional[ColumnTable]:
+        """The rows appends added between two :meth:`data_version` tokens,
+        as the owner's :meth:`~repro.database.instance.Instance.delta_block`.
+
+        ``None`` when the owner set changed between the tokens, or when
+        several peers own the relation: a row one owner appends may be
+        one another owner already served, so it is not provably new."""
+        owners = self._route(predicate)
+        if len(owners) != 1 or len(since) != 1 or len(until) != 1:
+            return None
+        return owners[0].delta_block(predicate, pattern, since[0], until[0])
+
+    def arity(self, relation: str) -> Optional[int]:
+        """The owners' arity of ``relation`` (``None`` if unknown)."""
+        for owner in self._route(relation):
+            return owner.arity(relation)
+        return None
 
     def cardinality(self, relation: str) -> int:
         """Total row count across owners (feeds the planner's cost model)."""

@@ -11,13 +11,15 @@ cache level:
   sorted vector of per-relation data versions under the fragment (see
   :meth:`repro.database.instance.Instance.data_version` and the federated
   :meth:`repro.pdms.execution.PeerFactSource.data_version`), so a write to
-  one predicate silently invalidates exactly the fragments that read it
-  while every other entry stays warm, and peer join/leave churns the token
-  through the owner set;
+  one predicate makes exactly the fragments that read it stale while
+  every other entry stays warm — a stale entry is stepped forward by the
+  rows appends added when its caller can prove that is all that changed,
+  and recomputed otherwise — and peer join/leave churns the token through
+  the owner set;
 * a computed fragment is kept when it fits in half the byte budget, and
   a byte-budgeted LRU bounds total memory;
 * :class:`FragmentCacheStats` counts hits/misses/admissions/rejections/
-  evictions/invalidations for the service layer's reporting.
+  evictions/invalidations/deltas for the service layer's reporting.
 
 The cache holds fragment :class:`~repro.database.columnar.ColumnTable`
 batches from the plan path — immutable, so entries can be shared freely
@@ -114,9 +116,13 @@ class FragmentCacheStats:
     rejections: int = 0
     #: Entries dropped to stay within the byte budget (LRU order).
     evictions: int = 0
-    #: Entries dropped because their data version moved or an explicit
-    #: invalidation (peer leave, mapping change, clear) named them.
+    #: Entries dropped because their data version moved and they could
+    #: not be stepped, or an explicit invalidation (peer leave, mapping
+    #: change, clear) named them.
     invalidations: int = 0
+    #: Stale entries stepped forward by the rows appends added under them
+    #: instead of being recomputed (see :meth:`FragmentCache.get_or_compute`).
+    deltas: int = 0
 
     @property
     def lookups(self) -> int:
@@ -139,6 +145,7 @@ class FragmentCacheStats:
             "rejections": self.rejections,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
+            "deltas": self.deltas,
         }
 
 
@@ -161,8 +168,8 @@ class FragmentCache:
     """Cross-call fragment tables keyed by ``(fragment key, data version)``.
 
     One entry per fragment key: a lookup whose token no longer matches
-    drops the stale entry and recomputes, so versions churn in place
-    instead of accumulating.  All operations are thread-safe; ``compute``
+    steps the stale entry forward or drops it and recomputes, so versions
+    churn in place instead of accumulating.  All operations are thread-safe; ``compute``
     callbacks run outside the lock (two racing misses on one key may both
     compute — both results are identical, the second insert wins — which
     keeps fragment evaluation deadlock-free under the per-call memo).
@@ -207,7 +214,11 @@ class FragmentCache:
     # -- the lookup --------------------------------------------------------
 
     def _admit(
-        self, key: str, token: object, relations: Iterable[str], value: ColumnTable
+        self,
+        key: str,
+        token: object,
+        relations: Iterable[str],
+        value: ColumnTable,
     ) -> bool:
         """Keep a freshly computed result if it fits in half the budget."""
         nbytes = estimate_result_bytes(value)
@@ -235,6 +246,7 @@ class FragmentCache:
         relations: Iterable[str],
         compute: Callable[..., ColumnTable],
         *args: object,
+        step: Optional[Callable[..., Optional[Tuple[ColumnTable, ColumnTable]]]] = None,
     ) -> ColumnTable:
         """The cached result for ``key`` at ``token``, computing on miss.
 
@@ -243,11 +255,19 @@ class FragmentCache:
         token for exactly those relations (see :func:`data_version_token`);
         a miss calls ``compute(*args)`` and keeps the result if it fits
         in half the byte budget.
+
+        ``step`` (optional) brings a stale entry forward instead: it is
+        called as ``step(old token, old value, token, *args)`` and returns
+        ``(new value, delta)`` — the new value being the old one plus the
+        rows ``delta`` — or ``None`` when the change under the entry is not
+        provably appends, and ``compute`` runs as on a miss.  The stale
+        entry is kept while the step runs.
         """
         span = current_span()
         if span.recording:
             span = span.child("fragment.cache", key=key[:80])
         with span:
+            stale = None
             with self._lock:
                 entry = self._entries.get(key)
                 if entry is not None:
@@ -256,11 +276,31 @@ class FragmentCache:
                         self._entries.move_to_end(key)
                         span.set("outcome", "hit")
                         return entry.value
-                    # The data moved underneath: drop the stale version now so
-                    # it stops occupying budget while we recompute.
-                    self._remove_locked(key)
-                    self.stats.invalidations += 1
+                    if step is None:
+                        # The data moved underneath: drop the stale version
+                        # now so it stops occupying budget while we recompute.
+                        self._remove_locked(key)
+                        self.stats.invalidations += 1
+                    else:
+                        stale = entry
                 self.stats.misses += 1
+            if stale is not None:
+                stepped = step(stale.token, stale.value, token, *args)
+                with self._lock:
+                    if stepped is None:
+                        if self._entries.get(key) is stale:
+                            self._remove_locked(key)
+                        self.stats.invalidations += 1
+                    else:
+                        self.stats.deltas += 1
+                if stepped is not None:
+                    value, delta = stepped
+                    span.set("outcome", "delta")
+                    admitted = self._admit(key, token, relations, value)
+                    if span.recording:
+                        span.set("delta_rows", len(delta))
+                        span.set("admitted", admitted)
+                    return value
             span.set("outcome", "miss")
             value = compute(*args)
             admitted = self._admit(key, token, relations, value)

@@ -46,11 +46,14 @@ the lazy row view.  An optional
 tables **across** calls under the data-version token of the relations
 they read — assembled from one version snapshot per answer
 (:class:`_Evaluation`) — so repeated queries over unchanged data reuse
-them and a write invalidates only the path from the written scan upward.
-With a cache, a plan also keeps its last whole answer, as a ``frozenset``
-beside the root table it was built from: the next whole answer over the
-same root table is that set, and over another one it is maintained by the
-rows the two tables differ in (:func:`_whole_answer`).
+them, and after appends a stale table is stepped forward by the rows the
+appends added (:meth:`_Evaluation._step`) instead of recomputing the path
+from the written scan upward.  With a cache, a plan also keeps its last
+whole answer, as a ``frozenset`` beside the root table it was built
+from: the next whole answer over the same root table is that set, one
+whose root was stepped from it gains the step's rows, and over another
+root table it is maintained by the rows the two tables differ in
+(:func:`_whole_answer`).
 
 See ``docs/execution.md`` for the architecture notes.
 """
@@ -68,8 +71,8 @@ from typing import Optional, Sequence, Set, Tuple, Union
 
 from ..database.columnar import ColumnTable, compare_cols_mask, compare_mask
 from ..database.columnar import _mask_and as _combine_masks
-from ..database.columnar import const_column, row_difference, scan_block
-from ..database.columnar import union_distinct
+from ..database.columnar import const_column, row_difference, rows_absent
+from ..database.columnar import scan_block, union_all, union_distinct
 from ..database.planner import CardinalityCostModel
 from ..datalog.atoms import Atom, compare_values
 from ..datalog.evaluation import FactsLike, as_fact_source
@@ -1135,14 +1138,23 @@ def ensure_plan(
 # Execution
 # ---------------------------------------------------------------------------
 
-def _scan_columnar(node: ScanFragment, source) -> ColumnTable:
-    """A leaf scan: the relation's scan block, filtered and projected in
-    batch.  The block is the only transpose of the fragment pipeline, made
-    where the relation is stored (:func:`scan_block`) and once per data
-    version there; everything above stays column-wise."""
-    ct = scan_block(source, node.relation, node.pattern)
-    ct = ct.fused_select(equal_pairs=node.equal_positions)
+def _scan_columnar(node: ScanFragment, block: ColumnTable) -> ColumnTable:
+    """A leaf scan: the relation's scan block (or the block of the rows it
+    gained), filtered and projected in batch.  The block is the only
+    transpose of the fragment pipeline, made where the relation is stored
+    (:func:`scan_block`) and once per data version there; everything
+    above stays column-wise."""
+    ct = block.fused_select(equal_pairs=node.equal_positions)
     return ct.project_positions(node.keep_positions, node.columns)
+
+
+def _source_block(source, method: str, relation: str, *args):
+    """``source.<method>(relation, *args)`` with the scan boundary's
+    data-error contract: a width clash raises :class:`EvaluationError`."""
+    try:
+        return getattr(source, method)(relation, *args)
+    except ValueError as exc:
+        raise EvaluationError(f"relation {relation!r}: {exc}") from exc
 
 
 def _worth_caching(node: PlanFragment) -> bool:
@@ -1201,22 +1213,31 @@ class _Evaluation:
 
     **Version snapshot.**  A relation's data version is read from the
     source at most once per answer (``versions``, filled on first use) and
-    every fragment token is assembled from that snapshot, so a token is
-    never newer than the rows under it: a fragment computed after a
-    concurrent write is stored under the older token, dropped at the next
-    answer's mismatch, and never served for the new version.  (Reading
-    versions afresh per fragment could pair a parent's *new* token with a
-    child table memoised before the write.)  Clearing ``versions``
-    restarts the snapshot, for sources whose versions can be *withdrawn*
-    mid-answer (a remote relation degrading after a failed scan):
-    :meth:`restart`, which ``after_scan(evaluation)`` — called after every
-    scan performed here — may invoke.  A fragment whose build spanned a
-    restart was tokenised before the fault and may hold partial rows: it
-    serves this answer only and is never offered to the cache.
+    every fragment token is assembled from that snapshot.  A scan takes
+    its rows at the snapshot: a source with ``tagged_block`` says which
+    version its rows are exactly at, and a scan whose rows are at another
+    version (a write landed after the snapshot was read) restarts it, so
+    no table is ever kept under a token its rows are not at.  Clearing
+    ``versions`` restarts the snapshot — :meth:`restart`, which
+    ``after_scan(evaluation)`` (called after every scan performed here)
+    may also invoke, for sources whose versions can be *withdrawn*
+    mid-answer (a remote relation degrading after a failed scan).  A
+    fragment whose build spanned a restart may hold rows of two
+    snapshots: it serves this answer only and is never offered to the
+    cache.
+
+    **Steps.**  A cached entry whose token is behind the snapshot is
+    stepped forward rather than recomputed when what moved under it is
+    provably appends (:meth:`_step`): the source's ``delta_block`` hands
+    over exactly the rows added between the entry's token and the
+    snapshot, and the factored plan's delta rules carry them to the
+    entry.  ``stepped`` keeps each step's old table and delta, for the
+    whole answer built on the root (:func:`_whole_answer`).
     """
 
     __slots__ = (
         "plan", "source", "cache", "memo", "versions", "after_scan", "restarts",
+        "stepped",
     )
 
     def __init__(
@@ -1233,6 +1254,7 @@ class _Evaluation:
         self.versions: Dict[str, object] = {}
         self.after_scan = after_scan
         self.restarts = 0
+        self.stepped: Dict[str, Tuple[ColumnTable, ColumnTable]] = {}
 
     def restart(self) -> None:
         """Stop trusting the version snapshot (see the class docstring)."""
@@ -1272,7 +1294,8 @@ class _Evaluation:
                 if token is not None:
                     relations = self.plan.fragment_relations(key)
                     return self.cache.get_or_compute(
-                        key, token, relations, self._build, key, node
+                        key, token, relations, self._build, key, node,
+                        step=self._step,
                     )
             return self._build(key, node)
         except _Degraded as degraded:
@@ -1295,7 +1318,7 @@ class _Evaluation:
                     node, [self.table(child) for child in _child_keys(node)]
                 )
             else:
-                value = _scan_columnar(node, self.source)
+                value = _scan_columnar(node, self._scan_block(node))
                 if self.after_scan is not None:
                     self.after_scan(self)
             if span.recording:
@@ -1303,6 +1326,112 @@ class _Evaluation:
         if self.restarts != restarts:
             raise _Degraded(value)
         return value
+
+    def _scan_block(self, node: ScanFragment) -> ColumnTable:
+        """The scan block of ``node``'s relation at this answer's snapshot."""
+        if not hasattr(self.source, "tagged_block"):
+            return scan_block(self.source, node.relation, node.pattern)
+        tag, block = _source_block(self.source, "tagged_block", node.relation, node.pattern)
+        snapshot = self.versions.setdefault(node.relation, tag)
+        if snapshot is not None and snapshot != tag:
+            self.restart()
+        return block
+
+    # -- steps ---------------------------------------------------------------
+
+    def _step(self, old_token, old_value: ColumnTable, token, key: str, node: PlanFragment):
+        """``(new table, delta)`` of the cached entry ``old_value`` of ``key``
+        at ``old_token``, stepped to ``token`` by the rows appends added in
+        between, or ``None`` when that change is not provably appends.
+
+        The delta is :meth:`_delta`'s, stripped of the rows the entry
+        already holds unless it is exact — probed against the plan's kept
+        answer when the entry is the root that answer was built from."""
+        restarts = self.restarts
+        found = self._delta(key, dict(old_token), dict(token))
+        if found is None:
+            return None
+        delta, exact = found
+        if len(delta) and not exact:
+            delta = self._new_rows(delta, old_value)
+        value = union_all([old_value, delta]) if len(delta) else old_value
+        self.stepped[key] = (old_value, delta)
+        if self.restarts != restarts:
+            raise _Degraded(value)
+        return value, delta
+
+    def _moved(self, key: str, since: Dict[str, object], now: Dict[str, object]) -> bool:
+        """Did a relation under ``key`` move between the two version maps?"""
+        return any(since[r] != now[r] for r in self.plan.token_relations(key))
+
+    def _delta(self, key: str, since: Dict[str, object], now: Dict[str, object]):
+        """``(rows, exact)``: rows fragment ``key`` gained between the two
+        version maps, or ``None`` when the change is not provably appends.
+
+        The factored plan's delta rules.  A scan gains the rows the source
+        says appends added, filtered and projected (exact).  A join whose
+        one side moved gains that side's delta joined with the other side
+        at the snapshot — exact as a bag when the side's delta is.  When
+        both sides moved it gains ``ΔL ⋈ R ∪ L ⋈ ΔR`` over the sides at
+        the snapshot, deduplicated: every new row, plus rows of ``ΔL ⋈
+        ΔR``'s kind counted once — a superset, so not exact.  A union
+        gains its moved branches' deltas, mapped and deduplicated: a
+        superset of its new rows (a row may have been derivable before
+        through another branch), so not exact.  Every row of a delta is in
+        the fragment at the snapshot, so stripping the rows the old table
+        holds (:meth:`_new_rows`) makes any of them exact."""
+        node = self.plan.nodes[key]
+        if isinstance(node, ScanFragment):
+            delta = self._scan_delta(node, since[node.relation], now[node.relation])
+            return None if delta is None else (delta, True)
+        children = _child_keys(node)
+        moved = [child for child in children if self._moved(child, since, now)]
+        if isinstance(node, JoinFragment):
+            parts = []
+            exact = len(moved) == 1
+            for side, child in enumerate(children):
+                if child not in moved:
+                    continue
+                found = self._delta(child, since, now)
+                if found is None:
+                    return None
+                exact = exact and found[1]
+                parts.append(_combine_tables(node, [
+                    found[0] if position == side else self.table(sibling)
+                    for position, sibling in enumerate(children)
+                ]))
+            if len(parts) == 1:
+                return parts[0], exact
+            return union_distinct([part for part in parts if len(part)], node.columns), False
+        parts = []
+        for branch in node.branches:
+            if branch.key in moved:
+                found = self._delta(branch.key, since, now)
+                if found is None:
+                    return None
+                if len(found[0]):
+                    parts.append(_columnar_branch(found[0], branch, node.columns))
+        return union_distinct([part for part in parts if len(part)], node.columns), False
+
+    def _scan_delta(self, node: ScanFragment, since, now) -> Optional[ColumnTable]:
+        """The scan's rows appends added between versions ``since`` and
+        ``now`` of its relation (``None``: the source cannot say)."""
+        if not hasattr(self.source, "delta_block"):
+            return None
+        block = _source_block(
+            self.source, "delta_block", node.relation, node.pattern, since, now
+        )
+        return None if block is None else _scan_columnar(node, block)
+
+    def _new_rows(self, delta: ColumnTable, old_value: ColumnTable) -> ColumnTable:
+        """The rows of ``delta`` the entry's ``old_value`` lacks: probed
+        against the kept answer's rows when that answer was built from
+        ``old_value`` (O(delta)), else anti-joined with ``old_value``."""
+        kept = self.plan._answer
+        if kept is not None and kept[0] is old_value:
+            rows = kept[1]
+            return delta.select_mask([row not in rows for row in delta.iter_rows()])
+        return rows_absent(delta, old_value)
 
     def root_rows(self, rewriting_plan: RewritingPlan) -> List[Row]:
         """One rewriting's answer rows: comparisons + head projection over
@@ -1409,7 +1538,10 @@ def plan_answer_batches(
     if root_key is not None:
         if before_root is not None:
             before_root(evaluation, root_key)
-        yield _whole_answer(plan, evaluation.table(root_key), cache, metrics)
+        table = evaluation.table(root_key)
+        yield _whole_answer(
+            plan, table, cache, metrics, evaluation.stepped.get(root_key)
+        )
         return
     for rewriting_plan in plan.fragments():
         if before_root is not None:
@@ -1461,16 +1593,23 @@ def _answer_bytes(table: ColumnTable, rows: FrozenSet[Row]) -> int:
 
 
 def _whole_answer(
-    plan: UnionPlan, table: ColumnTable, cache: Optional[FragmentCache], metrics
+    plan: UnionPlan,
+    table: ColumnTable,
+    cache: Optional[FragmentCache],
+    metrics,
+    stepped: Optional[Tuple[ColumnTable, ColumnTable]] = None,
 ) -> FrozenSet[Row]:
     """The rows of ``table``, the factored root's table in a whole answer.
 
     The plan's kept answer is *reused* when it was built from ``table``
-    itself (a fragment-cache hit), and otherwise *maintained* from it by
-    the rows the two root tables differ in (:func:`row_difference`): only
-    those rows become tuples.  Every row is *built* when no answer is kept
-    or the tables have no exact difference.  Correctness does not depend
-    on which answer is kept: the difference is taken on content.
+    itself (a fragment-cache hit).  When this answer *stepped* the root
+    from the kept answer's table (``stepped``: that old table and the rows
+    the step added, none of them in it), the kept rows gain exactly those
+    rows.  Otherwise the kept answer is *maintained* by the rows the two
+    root tables differ in (:func:`row_difference`): only those rows become
+    tuples.  Every row is *built* when no answer is kept or the tables
+    have no exact difference.  Correctness does not depend on which
+    answer is kept: the difference is taken on content.
 
     With a fragment cache the result becomes the kept answer, if its
     estimate passes the cache's admission rule; each plan keeps one.
@@ -1480,20 +1619,21 @@ def _whole_answer(
     kept = plan._answer
     if kept is not None and kept[0] is table:
         outcome, rows, delta = "reused", kept[1], 0
+    elif kept is not None and stepped is not None and kept[0] is stepped[0]:
+        added = stepped[1]
+        outcome, rows, delta = "stepped", kept[1].union(added.iter_rows()), len(added)
+    elif kept is not None and (diff := row_difference(kept[0], table)) is not None:
+        removed, added = diff
+        outcome, rows, delta = "maintained", kept[1], len(removed) + len(added)
+        if len(removed):
+            rows = rows.difference(removed.iter_rows())
+        if len(added):
+            rows = rows.union(added.iter_rows())
     else:
-        diff = row_difference(kept[0], table) if kept is not None else None
-        if diff is None:
-            outcome, rows, delta = "built", frozenset(table.iter_rows()), len(table)
-        else:
-            removed, added = diff
-            outcome, rows, delta = "maintained", kept[1], len(removed) + len(added)
-            if len(removed):
-                rows = rows.difference(removed.iter_rows())
-            if len(added):
-                rows = rows.union(added.iter_rows())
-        if cache is not None:
-            nbytes = _answer_bytes(table, rows)
-            plan._answer = (table, rows, nbytes) if cache.admits(nbytes) else None
+        outcome, rows, delta = "built", frozenset(table.iter_rows()), len(table)
+    if outcome != "reused" and cache is not None:
+        nbytes = _answer_bytes(table, rows)
+        plan._answer = (table, rows, nbytes) if cache.admits(nbytes) else None
     span = current_span()
     if span.recording:
         span.set("answer", outcome)

@@ -245,23 +245,99 @@ class _Productivity:
                     mark(body_predicate)
         return _Productivity(frozenset(productive), rules_by_body, inclusions_by_head)
 
+    def shrunk(
+        self,
+        catalogue: "NormalizedCatalogue",
+        gone: frozenset,
+        rules: Sequence[NormalizedRule],
+        inclusions: Sequence[NormalizedInclusion],
+        unstored: Iterable[str],
+    ) -> "_Productivity":
+        """The productivity once the entries of the origins ``gone`` —
+        ``rules`` and ``inclusions`` — are removed and the predicates
+        ``unstored`` stopped being stored relations.
+
+        Delete and re-derive: every productive predicate the removed
+        entries or relations could have made productive, directly or
+        along the indexes, is taken out; of those, the ones the remaining
+        entries of ``catalogue`` still derive from what is left are put
+        back, and the worklist grows the set from them."""
+        productive = self.predicates
+        lost: set = set()
+        worklist: List[str] = []
+
+        def lose(predicate: str) -> None:
+            if predicate in productive and predicate not in lost:
+                lost.add(predicate)
+                worklist.append(predicate)
+
+        for predicate in unstored:
+            lose(predicate)
+        for rule in rules:
+            lose(rule.head_predicate)
+        for inclusion in inclusions:
+            for predicate in inclusion.body_predicates():
+                lose(predicate)
+        while worklist:
+            predicate = worklist.pop()
+            for rule in self.rules_by_body.get(predicate, ()):
+                lose(rule.head_predicate)
+            for inclusion in self.inclusions_by_head.get(predicate, ()):
+                for body_predicate in inclusion.body_predicates():
+                    lose(body_predicate)
+        rules_by_body = _without(
+            self.rules_by_body, gone, [p for rule in rules for p in rule.body_predicates()]
+        )
+        inclusions_by_head = _without(
+            self.inclusions_by_head, gone, [inclusion.head_predicate for inclusion in inclusions]
+        )
+        left = frozenset(productive - lost)
+        revived = [
+            predicate for predicate in lost
+            if catalogue.is_stored(predicate)
+            or any(
+                rule.body_predicates() and rule.body_predicates() <= left
+                for rule in catalogue.definitional_for(predicate)
+            )
+            or any(
+                inclusion.head_predicate in left
+                for inclusion in catalogue.inclusions_mentioning(predicate)
+            )
+        ]
+        return _Productivity(left, rules_by_body, inclusions_by_head).grown((), (), revived)
+
+
+def _without(index: Dict[str, tuple], gone: frozenset, keys: Iterable[str]) -> Dict[str, tuple]:
+    """A copy of ``index`` whose tuples under ``keys`` drop the entries of
+    the origins ``gone``."""
+    index = dict(index)
+    for key in set(keys):
+        kept = tuple([entry for entry in index.get(key, ()) if entry.origin not in gone])
+        if kept:
+            index[key] = kept
+        else:
+            index.pop(key, None)
+    return index
+
 
 class _DerivedState:
     """What the reformulation derives from the catalogue's entries alone.
 
     Every slot is filled on first use, never eagerly, and the whole object
     is replaced when the entries change, so a mutation pays nothing for it.
-    An addition keeps the way to the new productive set short: ``growth``
+    A change keeps the way to the new productive set short: ``growth``
     is the last computed :class:`_Productivity` plus the entries added
-    since (a removal starts from nothing).
+    since, ``shrink`` the same plus what was removed since
+    (:meth:`_Productivity.shrunk`); a mix of the two starts from nothing.
     """
 
-    __slots__ = ("productivity", "coverable", "growth", "entries")
+    __slots__ = ("productivity", "coverable", "growth", "shrink", "entries")
 
-    def __init__(self, growth: Optional[tuple] = None) -> None:
+    def __init__(self, growth: Optional[tuple] = None, shrink: Optional[tuple] = None) -> None:
         self.productivity: Optional[_Productivity] = None
         self.coverable: Optional[frozenset] = None
         self.growth = growth
+        self.shrink = shrink
         #: predicate -> its (definitional, inclusion) entry tuples.
         self.entries: Dict[str, Tuple[tuple, tuple]] = {}
 
@@ -281,6 +357,25 @@ class _DerivedState:
             base, grown_rules, grown_inclusions, grown_stored = self.growth
             return _DerivedState((
                 base, grown_rules + rules, grown_inclusions + inclusions, grown_stored | stored
+            ))
+        return _DerivedState()
+
+    def after_removing(
+        self,
+        gone: frozenset,
+        rules: List[NormalizedRule],
+        inclusions: List[NormalizedInclusion],
+        unstored: frozenset,
+    ) -> "_DerivedState":
+        """The state once these entries or stored relations are gone: the
+        productive set shrinks from this state's instead of restarting."""
+        if self.productivity is not None:
+            return _DerivedState(shrink=(self.productivity, gone, rules, inclusions, unstored))
+        if self.shrink is not None:
+            base, shrunk_gone, shrunk_rules, shrunk_inclusions, shrunk_unstored = self.shrink
+            return _DerivedState(shrink=(
+                base, shrunk_gone | gone, shrunk_rules + rules,
+                shrunk_inclusions + inclusions, shrunk_unstored | unstored,
             ))
         return _DerivedState()
 
@@ -357,8 +452,12 @@ class NormalizedCatalogue:
         gone = frozenset(origins)
         heads: set = set()
         bodies: set = set()
+        removed_rules: List[NormalizedRule] = []
+        removed_inclusions: List[NormalizedInclusion] = []
         for origin in gone:
             rules, inclusions = self._by_origin.pop(origin, ((), ()))
+            removed_rules.extend(rules)
+            removed_inclusions.extend(inclusions)
             heads.update(rule.head_predicate for rule in rules)
             for inclusion in inclusions:
                 bodies.update(inclusion.body_predicates())
@@ -371,7 +470,9 @@ class NormalizedCatalogue:
                     index[predicate] = kept
                 else:
                     del index[predicate]
-        self._derived = _DerivedState()
+        self._derived = self._derived.after_removing(
+            gone, removed_rules, removed_inclusions, frozenset()
+        )
 
     def mark_stored(
         self, predicates: Iterable[str], stored: bool, origins_by_head: Dict[str, Iterable[str]]
@@ -403,7 +504,7 @@ class NormalizedCatalogue:
             self._derived = self._derived.after_adding([], [], predicates)
         else:
             self.stored_relations = self.stored_relations - predicates
-            self._derived = _DerivedState()
+            self._derived = self._derived.after_removing(frozenset(), [], [], predicates)
 
     def definitional_for(self, predicate: str) -> Tuple[NormalizedRule, ...]:
         """Definitional rules whose head is ``predicate``."""
@@ -442,18 +543,23 @@ class NormalizedCatalogue:
         inclusion right-hand side) are dead ends (Section 4.3).
 
         Computed by a worklist (:class:`_Productivity`); after additions it
-        grows from the set computed before them.
+        grows from the set computed before them, after removals it shrinks
+        from it (delete what they could have made productive, re-derive
+        that over the remaining entries).
         """
         derived = self._derived
         if derived.productivity is None:
             if derived.growth is not None:
                 base, rules, inclusions, stored = derived.growth
                 derived.productivity = base.grown(rules, inclusions, stored)
+            elif derived.shrink is not None:
+                base, gone, rules, inclusions, unstored = derived.shrink
+                derived.productivity = base.shrunk(self, gone, rules, inclusions, unstored)
             else:
                 derived.productivity = _Productivity(frozenset(), {}, {}).grown(
                     self.rules, self.inclusions, self.stored_relations
                 )
-            derived.growth = None
+            derived.growth = derived.shrink = None
         return derived.productivity.predicates
 
     def coverable_predicates(self) -> frozenset:

@@ -74,8 +74,16 @@ def split_round_robin(data, ways=2):
 @contextmanager
 def open_source(kind, data):
     """The ``kind`` source over per-peer ``data``, closed on exit."""
+    with open_served(kind, data) as (source, _):
+        yield source
+
+
+@contextmanager
+def open_served(kind, data):
+    """``(source, the instances it serves)`` for the ``kind`` source over
+    per-peer ``data`` — the split source serves copies — closed on exit."""
     if kind == "in-process":
-        yield PeerFactSource(data)
+        yield PeerFactSource(data), data
         return
     instances = split_round_robin(data) if kind == "split" else data
     transport = (
@@ -85,7 +93,7 @@ def open_source(kind, data):
     try:
         source = RemotePeerFactSource(transport)
         try:
-            yield source
+            yield source, instances
         finally:
             source.close()
     finally:
@@ -118,6 +126,43 @@ def test_golden_scenario(kind):
     data = sample_peer_instances()
     with open_source(kind, data) as source:
         check_queries(pdms, list(example_queries().values()), source, data)
+
+
+@pytest.mark.parametrize("kind", SOURCES)
+def test_writes_between_reads(kind):
+    """Rows appended between the reads of a warm service — new rows, a
+    row already stored, both sides of a join — are in the next answer
+    (≡ oracle ≡ chase over the grown data).  Where every relation has
+    one owner the stale fragments are stepped by the new rows; the split
+    source's relations have two, so a row is not provably new to their
+    union and every stale fragment is recomputed."""
+    pdms = build_emergency_services()
+    data = sample_peer_instances()
+    queries = list(example_queries().values())
+    with open_served(kind, data) as (source, served):
+        service = QueryService(pdms, data=source)
+        for query in queries:
+            service.answer(query)
+        written = [
+            (instance, relation)
+            for instance in served.values()
+            for relation in instance.relations()
+            if instance.cardinality(relation)
+        ]
+        for round_number in range(3):
+            for instance, relation in written[round_number::3]:
+                stored = sorted(instance.get_tuples(relation), key=repr)
+                fresh = tuple(f"new{round_number}" for _ in stored[0])
+                instance.add_all(relation, [stored[0], fresh, stored[-1][:1] + fresh[1:]])
+            combined = combine_peer_instances(served)
+            for query in queries:
+                chase = certain_answers(pdms, query, combined)
+                result = reformulate(pdms, query)
+                assert service.answer(query) == evaluate_rewritings(result, source) == chase
+        if isinstance(source, RemotePeerFactSource):
+            assert source.complete and source.failure_count == 0
+        deltas = service.fragment_cache.stats.deltas
+        assert (deltas == 0) if kind == "split" else (deltas > 0)
 
 
 @pytest.mark.parametrize("kind", SOURCES)

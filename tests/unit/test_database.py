@@ -3,6 +3,7 @@
 import pytest
 
 from repro.database import DatabaseSchema, Instance, RelationSchema
+from repro.datalog.indexing import WILDCARD
 from repro.errors import EvaluationError, InstanceError, SchemaError
 from tests.oracles import Table, table_from_instance
 
@@ -104,6 +105,44 @@ class TestInstance:
     def test_instances_are_unhashable(self):
         with pytest.raises(TypeError):
             hash(Instance())
+
+
+class TestDeltaBlocks:
+    """What an instance hands a step: the rows appends added between two
+    tokens, never one newer than the second, and nothing it cannot prove."""
+
+    def test_a_delta_is_bounded_by_its_second_token(self):
+        instance = Instance.from_dict({"r": [(1, 2)]})
+        since = instance.data_version("r")
+        instance.add_all("r", [(2, 3), (1, 2), (5, 3)])  # (1, 2): a no-op
+        until = instance.data_version("r")
+        instance.add("r", (7, 3))
+        block = instance.delta_block("r", (WILDCARD, 3), since, until)
+        assert sorted(block.iter_rows()) == [(2, 3), (5, 3)]
+        assert instance.delta_block("r", (WILDCARD, WILDCARD), until, until).columns
+
+    def test_what_is_not_an_append_has_no_delta(self):
+        instance = Instance.from_dict({"r": [(1, 2), (2, 3)]})
+        other = Instance.from_dict({"r": [(1, 2)]})
+        pattern = (WILDCARD, WILDCARD)
+        since = instance.data_version("r")
+        instance.add("r", (3, 4))
+        until = instance.data_version("r")
+        assert instance.delta_block("r", pattern, until, since) is None  # backwards
+        assert instance.delta_block("r", pattern, other.data_version("r"), until) is None
+        instance.remove("r", (1, 2))
+        assert instance.delta_block("r", pattern, since, instance.data_version("r")) is None
+
+    def test_a_block_holds_exactly_the_rows_of_its_token(self):
+        """A row a writer has logged and inserted but whose version bump
+        has not landed yet is left out of the block tagged before it."""
+        instance = Instance.from_dict({"r": [(1, 2)]})
+        index = instance._relations["r"]
+        index._log.append((9, 9))  # add() mid-way: logged and inserted,
+        index._rows.add((9, 9))  # but the version not yet moved
+        token, block = instance.tagged_block("r", (WILDCARD, WILDCARD))
+        assert token == instance.data_version("r")
+        assert list(block.iter_rows()) == [(1, 2)]
 
 
 class TestTable:

@@ -233,10 +233,10 @@ class TestAdmissionRule:
         assert (stats.hits, stats.misses, stats.admissions) == (1, 6, 5)
         assert (stats.evictions, stats.invalidations) == (1, 4)
 
-    def test_stats_surface_is_the_six_counters(self):
+    def test_stats_surface_is_the_seven_counters(self):
         assert set(FragmentCache(max_bytes=1).stats.as_dict()) == {
             "schema_version", "hits", "misses", "hit_rate", "admissions",
-            "rejections", "evictions", "invalidations",
+            "rejections", "evictions", "invalidations", "deltas",
         }
 
 
@@ -386,6 +386,47 @@ class TestCachedExecution:
         after = service.answer(query)
         assert (1, 99) in after
         assert cache.stats.hits > hits_before  # shared prefix still served
+
+    def test_a_write_after_the_snapshot_keeps_its_rows_out_of_the_cache(self):
+        """A scan whose rows are newer than the answer's version snapshot
+        (a write landed between the two) is served but never cached under
+        the snapshot's token."""
+        from tests.oracles.fragments import VersionHistory, check_cached_fragments
+
+        pdms, query, instance = _two_hop_pdms()
+        history = VersionHistory({"P": instance})
+
+        class Racing(PeerFactSource):
+            __slots__ = ("writes",)
+
+            def tagged_block(self, predicate, pattern):
+                if predicate == "s_a1" and self.writes:
+                    instance.add("s_a1", self.writes.pop())
+                    history.record()
+                return super().tagged_block(predicate, pattern)
+
+        source = Racing({"P": instance})
+        source.writes = [(1, 3)]
+        cache = FragmentCache(max_bytes=1 << 20)
+        result = reformulate(pdms, query)
+        assert (1, 20) in evaluate_reformulation(result, source, cache=cache)
+        assert check_cached_fragments(cache, [result._shared_plan], history) > 0
+        assert evaluate_reformulation(result, source, cache=cache) == (
+            evaluate_reformulation(result, {"P": instance}, engine="backtracking"))
+
+    def test_an_append_steps_the_path_above_it(self):
+        pdms, query, instance = _two_hop_pdms()
+        service = QueryService(pdms, data={"P": instance}, engine="columnar")
+        cache = service.fragment_cache
+        service.answer(query)
+        invalidations, misses = cache.stats.invalidations, cache.stats.misses
+        instance.add("s_a1", (3, 2))
+        assert (3, 10) in service.answer(query)
+        assert cache.stats.invalidations == invalidations
+        assert cache.stats.deltas == cache.stats.misses - misses > 0
+        instance.remove("s_a1", (3, 2))
+        assert (3, 10) not in service.answer(query)
+        assert cache.stats.invalidations > invalidations
 
     def test_peer_leave_evicts_dependent_fragments(self):
         pdms, query, instance = _two_hop_pdms()

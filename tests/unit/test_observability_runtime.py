@@ -579,9 +579,11 @@ class TestClusterMetricsSnapshot:
 
 class TestAnswerObservability:
     def test_whole_answers_say_how_they_were_assembled(self):
-        """``plan.execute`` records ``answer`` ∈ {reused, maintained, built}
-        and ``answer.delta_rows``; the registry counts the three outcomes
-        and gauges the bytes the kept answers hold."""
+        """``plan.execute`` records ``answer`` ∈ {reused, stepped,
+        maintained, built} and ``answer.delta_rows``; the registry counts
+        the four outcomes and gauges the bytes the kept answers hold.  An
+        append steps the root by its row; a removal is no append, so the
+        root is recomputed and the answer maintained by the difference."""
         from repro.datalog import parse_query
         from repro.obs import set_tracer
         from repro.pdms import QueryService, StorageDescription
@@ -604,6 +606,8 @@ class TestAnswerObservability:
             service.answer(query)
             stored.add("sa", (5, 8))
             assert service.answer(query) == {(1, 2), (2, 3), (5, 8)}
+            stored.remove("sa", (1, 2))
+            assert service.answer(query) == {(2, 3), (5, 8)}
         finally:
             set_tracer(None)
         executed = [
@@ -613,13 +617,14 @@ class TestAnswerObservability:
             if span["name"] == "plan.execute"
         ]
         # Without NumPy the difference kernel declines and the read builds.
-        third = ("maintained", 1) if HAVE_NUMPY else ("built", 3)
+        fourth = ("maintained", 1) if HAVE_NUMPY else ("built", 2)
         assert [(a["answer"], a["answer.delta_rows"]) for a in executed] == [
-            ("built", 2), ("reused", 0), third,
+            ("built", 2), ("reused", 0), ("stepped", 1), fourth,
         ]
         snapshot = service.metrics_snapshot()
         counters = snapshot["counters"]
         assert counters["answer.reused"] == 1
+        assert counters["answer.stepped"] == 1
         assert counters["answer.built"] + counters.get("answer.maintained", 0) == 2
         assert counters.get("answer.maintained", 0) == HAVE_NUMPY
         (plan,) = service._plans.values()

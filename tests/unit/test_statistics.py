@@ -32,6 +32,22 @@ class TestRelationStats:
         assert stats.cardinality == 2
         assert stats.distinct == (1, 1)
 
+    def test_scan_block_counts_equal_python_set_semantics(self):
+        """Statistics read off a relation's scan block (NumPy ``int64`` /
+        ``float64`` columns, or lists) count like Python sets: ``-0.0 ==
+        0.0``, ``1 == 1.0 == True``, strings as they are."""
+        rows = [
+            (1, 0.0, "a", 1), (2, -0.0, "b", 1.0), (2, 1.5, "a", True),
+            (-3, 2.0 ** 53, "c", "x"), (7, 2.0 ** 53 + 2, "a", None),
+        ]
+        instance = Instance.from_dict({"r": rows})
+        stats = StatisticsCatalog(instance).stats("r")
+        columns = list(zip(*rows))
+        assert stats.cardinality == len(set(rows)) == 5
+        assert stats.distinct == tuple(len(set(column)) for column in columns) == (4, 4, 3, 3)
+        assert compute_relation_stats("r", rows).distinct == stats.distinct
+        assert StatisticsCatalog(Instance()).stats("r").distinct == ()
+
 
 class TestStatisticsCatalog:
     def test_revalidates_only_when_version_moves(self):
