@@ -324,7 +324,7 @@ def adopt_statistics(source: object, entries: Mapping[str, RelationStats]) -> No
 
     Every entry is still revalidated against ``source``'s own data
     version on read, so only relations whose version differs there — new
-    rows, or a changed owner set — are rescanned.  Unversioned entries
+    rows, or a relation that changed owner — are rescanned.  Unversioned entries
     could never be revalidated and are not adopted.
     """
     catalog = shared_statistics(source)

@@ -11,8 +11,9 @@ service alone does not do:
   :class:`ClusterAnswer` whose ``complete`` flag says whether any peer
   fault touched the window (conservative under concurrency: a fault
   observed by an overlapping call also clears the flag);
-* **writes** — :meth:`~ServiceCluster.insert` writes one batch to every
-  peer that owns the relation, and a write that did not land raises.
+* **writes** — :meth:`~ServiceCluster.insert` writes one batch to the
+  peer that owns the relation (a stored relation has one owner), and a
+  write that did not land raises.
 
 The service is safe under concurrent callers, so callers that want
 concurrency call :meth:`~ServiceCluster.answer` from their own threads.
@@ -123,10 +124,10 @@ class ServiceCluster:
         return self._source
 
     def insert(self, relation: str, rows: Iterable[Row]) -> int:
-        """Insert ``rows`` at every peer that currently owns ``relation``.
+        """Insert ``rows`` at the peer that currently owns ``relation``.
 
-        The batch is deduplicated once, so each owner receives one copy
-        of each row.  Returns the number of distinct rows written; raises
+        The batch is deduplicated, so the owner receives one copy of each
+        row.  Returns the number of distinct rows written; raises
         :class:`~repro.errors.PDMSConfigurationError` when no peer owns
         the relation.  Transport faults propagate — a write that did not
         land must not look like one that did.
@@ -134,8 +135,8 @@ class ServiceCluster:
         batch = list(dict.fromkeys(tuple(row) for row in rows))
         if not batch:
             return 0
-        owners = self._source.owners(relation)
-        if not owners:
+        owner = self._source.owner(relation)
+        if owner is None:
             raise PDMSConfigurationError(f"no peer owns relation {relation!r}")
         parent = current_span()
         span = (
@@ -143,11 +144,10 @@ class ServiceCluster:
             if parent.recording
             else get_tracer().start_trace("cluster.insert", relation=relation)
         )
-        # The wire context installed here parents the per-peer
-        # ``rpc.serve.insert`` spans under this write.
+        # The wire context installed here parents the owner's
+        # ``rpc.serve.insert`` span under this write.
         with span, wire_context(span.wire_context()):
-            for peer in owners:
-                self._transport.insert(peer, relation, batch)
+            self._transport.insert(owner, relation, batch)
             if span.recording:
                 span.set("rows", len(batch))
             self._source.refresh()

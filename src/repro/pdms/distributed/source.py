@@ -13,27 +13,29 @@ boundary.
 Three mechanisms keep the RPC count sane and the semantics honest:
 
 * **Scan memoization** — every ``(relation, pattern)`` scan result is
-  memoized, as the column table the wire delivered, until
-  :meth:`refresh` observes the relation's wire-fetched version token
-  move.  The join engine's inner loop repeats identical
+  memoized, as the column table the wire delivered, and served while
+  its token is the relation's wire-fetched version token as of the last
+  :meth:`refresh`.  The join engine's inner loop repeats identical
   probes constantly; each distinct probe crosses the wire once per data
   version, and batched prefetch (:meth:`prefetch`) fetches a whole
   rewriting's scans in one scatter-gather round — one round trip, where
   the transport has a batch frame.
 * **Version tokens over the wire** — ``describe_many`` ships each
-  relation's data-version token from every owning peer in one round (one
-  frame over sockets), and the combined token keeps
-  the :class:`~repro.pdms.materialization.FragmentCache` invalidation
-  contract: a remote write moves the token, peer churn changes the owner
-  set, and stale fragments stop being served.
+  relation's data-version token from its one owning peer in one round
+  (one frame over sockets; a relation two peers serve raises, see
+  :func:`~repro.pdms.execution.owners_of`).  :meth:`data_version` is
+  that token in a one-tuple (``()``: no reachable peer serves it), so a
+  remote write or a relation changing hands moves it and the
+  :class:`~repro.pdms.materialization.FragmentCache` stops serving
+  stale fragments.
 * **Degradation, not failure** — a scan lost to a
   :class:`~repro.errors.TransportError` contributes no rows (a *sound
   subset* under monotone conjunctive queries), records a
   :class:`ScanFailure`, and marks the relation *degraded*:
   :meth:`data_version` answers ``None`` for degraded relations so no
   partial fragment can be admitted to a version-keyed cache, and the
-  partial memo entry is discarded at the next :meth:`refresh`.  Data
-  errors (arity clashes) still raise, exactly like a local probe.
+  relation's unscanned keys read as no rows until the next
+  :meth:`refresh`.  Data errors still raise, exactly like a local probe.
 
 Two more mechanisms sit on the scan path (see ``docs/distributed.md``,
 "Retries and delta re-scans").  Scans are organised into *units* — one
@@ -45,9 +47,10 @@ every unit runs under a :class:`ScanPolicy`:
   records *no* failure, so ``complete`` is re-earned instead of
   permanently degraded, and a unit that exhausts its attempts is counted
   **once**, not once per attempt;
-* **delta re-scans** — per-peer scan results are memoized with their
-  version token, and re-scans send that token as a ``since`` cursor so
-  an advanced peer ships only its newly added rows
+* **delta re-scans** — a memoized scan whose token is no longer the
+  described one is not served, but it is the *cursor* of the key's next
+  scan: the re-scan sends its token as ``since``, so an advanced peer
+  ships only its newly added rows
   (:func:`~repro.pdms.distributed.transport.scan_instance_since`); the
   merged result equals a full rescan by the monotone-log contract.
 
@@ -69,9 +72,10 @@ from ... import config as _config
 from ...database.columnar import ColumnTable, rows_absent, scan_columns
 from ...database.columnar import union_all, union_blocks
 from ...datalog.indexing import WILDCARD, Pattern
-from ...errors import MappingError, TransportError
+from ...errors import TransportError
 from ...obs.metrics import METRICS_SCHEMA_VERSION
 from ...obs.trace import current_span, wire_context
+from ..execution import owners_of
 from .transport import (
     EncodedPattern,
     RelationInfo,
@@ -91,17 +95,9 @@ ScanKey = Tuple[str, EncodedPattern]
 DELTA_CHAIN_LINKS = 16
 
 
-def _merge_owners(
-    tagged: Sequence[Tuple[object, Optional[ColumnTable]]], width: int
-) -> Tuple[object, ColumnTable]:
-    """One scan key's ``(token, table)`` from its owners' replies, the
-    token in :meth:`RemotePeerFactSource.data_version`'s shape; a lost
-    reply (``(None, None)``) contributes no rows and voids the token."""
-    tokens = [token for token, _ in tagged]
-    table = union_blocks([table for _, table in tagged if table is not None], width)
-    if None in tokens:
-        return None, table
-    return tuple(sorted(tokens, key=repr)), table
+def _empty(width: int) -> ColumnTable:
+    """The scan table of no rows."""
+    return ColumnTable.from_rows(scan_columns(width), ())
 
 
 @dataclass(frozen=True)
@@ -176,16 +172,6 @@ class _FirstAttempt:
         self.unit_span.close("cancelled")
 
 
-def distributed_workers_from_env() -> int:
-    """Scatter width from ``REPRO_DISTRIBUTED_WORKERS`` (0 = auto).
-
-    Auto sizes the pool to the peer count (capped at 16).  Malformed
-    values fail fast like every ``REPRO_*`` knob — delegates to the
-    consolidated reader (:func:`repro.config.distributed_workers`).
-    """
-    return _config.distributed_workers()
-
-
 class RemotePeerFactSource:
     """Indexed fact source federating probes over a transport.
 
@@ -204,10 +190,10 @@ class RemotePeerFactSource:
         full rescans; ``False`` forces full rescans (benchmark baseline).
 
     Construction performs the first :meth:`refresh` — one
-    ``describe_many`` round establishing the relation routing table (with the same
-    eager cross-peer arity-clash check the in-process federated source
-    performs), per-relation cardinalities for the cost model, and the
-    version tokens the scan memo and fragment caches key on.
+    ``describe_many`` round establishing each relation's owner (with the
+    same one-owner check the in-process federated source performs), its
+    cardinality for the cost model, and the version tokens the scan memo
+    and fragment caches key on.
     """
 
     def __init__(
@@ -224,33 +210,25 @@ class RemotePeerFactSource:
             tuple(peers) if peers is not None else tuple(transport.peers())
         )
         self._lock = threading.RLock()
-        self._routes: Dict[str, Tuple[str, ...]] = {}
-        self._arities: Dict[str, int] = {}
-        self._cards: Dict[str, int] = {}
-        self._tokens: Dict[str, Tuple[object, ...]] = {}
-        #: Per ``(relation, encoded pattern)``: its distinct rows as one
-        #: column table, merged over the owners that serve it, with the
-        #: token (:meth:`data_version`'s shape) the rows are exactly at —
-        #: ``None`` when no token describes them.
-        self._memo: Dict[ScanKey, Tuple[object, ColumnTable]] = {}
-        #: Per-(peer, relation, pattern) delta cursors: the version token
-        #: of the last scan served by that peer plus the merged table it
-        #: covered.  Anchored to wire version tokens (not generations):
-        #: the server validates the cursor against its live version, so a
-        #: stale cursor can only re-ship rows, never lose them.
-        self._peer_scans: Dict[
-            Tuple[str, str, EncodedPattern], Tuple[object, ColumnTable]
-        ] = {}
-        #: Per scan key of a one-owner relation, the last
-        #: :data:`DELTA_CHAIN_LINKS` deltas its cursor shipped, as
-        #: ``(from token, to token, rows new to the merged block)``: what
-        #: :meth:`delta_block` steps a fragment forward by.
+        #: relation -> its owning peer, and what that peer last described
+        #: of it: ``(arity, cardinality, wire token)``.
+        self._routes: Dict[str, str] = {}
+        self._infos: Dict[str, RelationInfo] = {}
+        #: Per ``(relation, encoded pattern)``, the last scan that arrived:
+        #: its token (:meth:`data_version`'s shape) and its distinct rows,
+        #: exactly at that token, as one column table.  An entry is served
+        #: only while its token is the relation's described one
+        #: (:meth:`_served`), so a refresh that moves a token drops
+        #: nothing, and rows scanned before a refresh are never served
+        #: after it under a newer token.  An entry that is not served is
+        #: the key's delta cursor: the server validates it against its
+        #: live version, so a stale cursor can only re-ship rows, never
+        #: lose them.
+        self._scans: Dict[ScanKey, Tuple[tuple, ColumnTable]] = {}
+        #: Per scan key, the last :data:`DELTA_CHAIN_LINKS` deltas its
+        #: cursor shipped, as ``(from token, to token, rows new to the
+        #: table)``: what :meth:`delta_block` steps a fragment forward by.
         self._chains: Dict[ScanKey, List[Tuple[object, object, ColumnTable]]] = {}
-        #: Bumped by every refresh() that invalidated something; scans
-        #: committed to the memo only if the generation they started under
-        #: is still current, so rows fetched before an invalidating
-        #: refresh can never be re-inserted after it dropped them.
-        self._generation = 0
         self._degraded: Set[str] = set()
         self._unreachable: Set[str] = set()
         self._failures: List[ScanFailure] = []
@@ -271,82 +249,41 @@ class RemotePeerFactSource:
             raise TransportError("RemotePeerFactSource is closed")
 
     def refresh(self) -> None:
-        """Re-fetch peer catalogs; drop memo entries whose version moved.
+        """Re-fetch peer catalogs: the owners and their version tokens.
 
         The describe round (one ``describe_many`` for all peers, the failed
         subset retried as a batch) happens outside the lock, so concurrent
         refreshes overlap on the wire; the commit — routing table, version
-        tokens, memo invalidation, clearing the degraded set — is atomic.
+        tokens, clearing the degraded set — is atomic.
         An unreachable peer is recorded as a :class:`ScanFailure` (its
         relations drop out of the routing table, which itself moves the
-        affected version tokens) rather than raising.  A cross-peer arity
-        clash raises :class:`~repro.errors.MappingError` naming both
-        peers, exactly like the in-process federated source.
+        affected version tokens) rather than raising.  A relation two
+        peers serve raises :class:`~repro.errors.MappingError` naming both,
+        exactly like the in-process federated source, and changes nothing.
         """
         self._check_open()
         catalogs, unreachable = self._describe_all()
-        routes: Dict[str, List[str]] = {}
-        arities: Dict[str, int] = {}
-        cards: Dict[str, int] = {}
-        tokens: Dict[str, List[object]] = {}
-        first_seen: Dict[str, Tuple[str, int]] = {}
-        for peer, catalog in catalogs.items():
-            for relation, (arity, cardinality, token) in catalog.items():
-                earlier = first_seen.get(relation)
-                if earlier is None:
-                    first_seen[relation] = (peer, arity)
-                elif earlier[1] != arity:
-                    raise MappingError(
-                        f"stored relation {relation!r} has arity {earlier[1]} "
-                        f"at peer {earlier[0]!r} but arity {arity} at peer "
-                        f"{peer!r}"
-                    )
-                routes.setdefault(relation, []).append(peer)
-                arities[relation] = arity
-                cards[relation] = cards.get(relation, 0) + cardinality
-                tokens.setdefault(relation, []).append(token)
+        routes = owners_of(catalogs.items())
+        infos = {relation: catalogs[peer][relation] for relation, peer in routes.items()}
         with self._lock:
             for peer, error in unreachable.items():
                 self._failures.append(ScanFailure(peer, "*", error))
             self._unreachable = set(unreachable)
-            new_tokens = {
-                relation: tuple(sorted(per_peer, key=repr))
-                for relation, per_peer in tokens.items()
-            }
-            stale = {
-                relation
-                for relation in set(self._tokens) | set(new_tokens)
-                if self._tokens.get(relation) != new_tokens.get(relation)
-            }
-            stale |= self._degraded
-            if stale:
-                self._memo = {
-                    key: table
-                    for key, table in self._memo.items()
-                    if key[0] not in stale
-                }
-                self._generation += 1
             self._degraded = set()
-            self._routes = {rel: tuple(owners) for rel, owners in routes.items()}
-            self._arities = arities
-            self._cards = cards
-            self._tokens = new_tokens
-            # Delta cursors for vanished relations are dead weight (and a
-            # relation that later returns may be different data); drop
-            # them.  Cursors for live relations survive refresh — they
-            # are what turns the post-refresh rescan into a delta.
-            if self._peer_scans:
-                live = self._routes
-                self._peer_scans = {
-                    cursor_key: value
-                    for cursor_key, value in self._peer_scans.items()
-                    if cursor_key[1] in live
+            # Scans of vanished relations are dead weight (and a relation
+            # that later returns may be different data); drop them.  The
+            # others stay: one whose token moved is the cursor that turns
+            # the next scan into a delta.
+            gone = self._routes.keys() - routes.keys()
+            if gone:
+                self._scans = {
+                    key: scan for key, scan in self._scans.items() if key[0] not in gone
                 }
                 self._chains = {
-                    key: links
-                    for key, links in self._chains.items()
-                    if len(live.get(key[0], ())) == 1
+                    key: links for key, links in self._chains.items() if key[0] not in gone
                 }
+            self._routes = routes
+            self._infos = infos
 
     def _describe_all(
         self,
@@ -424,39 +361,52 @@ class RemotePeerFactSource:
         with self._lock:
             return tuple(self._routes)
 
-    def owner_count(self, relation: str) -> int:
-        """How many peers serve ``relation`` (0 if unknown/unreachable)."""
+    def owner(self, relation: str) -> Optional[str]:
+        """The peer serving ``relation`` (``None`` if unknown/unreachable);
+        write routing uses this."""
         with self._lock:
-            return len(self._routes.get(relation, ()))
-
-    def owners(self, relation: str) -> Tuple[str, ...]:
-        """The peers currently serving ``relation`` (write routing uses this)."""
-        with self._lock:
-            return self._routes.get(relation, ())
+            return self._routes.get(relation)
 
     def arity(self, relation: str) -> Optional[int]:
-        """Arity of ``relation`` as described by its owners, if known."""
+        """Arity of ``relation`` as its owner described it, if known."""
         with self._lock:
-            return self._arities.get(relation)
+            info = self._infos.get(relation)
+            return info[0] if info is not None else None
 
     def cardinality(self, relation: str) -> int:
-        """Total row count across owners, as of the last refresh."""
+        """The owner's row count, as of the last refresh."""
         with self._lock:
-            return self._cards.get(relation, 0)
+            info = self._infos.get(relation)
+            return info[1] if info is not None else 0
 
     def data_version(self, relation: str) -> Optional[Tuple[object, ...]]:
-        """The combined wire-fetched version token of ``relation``.
+        """The owner's wire-fetched version token of ``relation``.
 
         ``None`` for *degraded* relations (a scan failed since the last
         refresh) — version-keyed caches must bypass them, because a
         fragment computed from partial rows under an unchanged token
-        would later be served as complete.  Unknown relations yield the
-        empty tuple, like the in-process federated source.
+        would later be served as complete.
         """
         with self._lock:
             if relation in self._degraded:
                 return None
-            return self._tokens.get(relation, ())
+            return self._described(relation)
+
+    def _described(self, relation: str) -> tuple:
+        info = self._infos.get(relation)
+        return (info[2],) if info is not None else ()
+
+    def _served(self, key: ScanKey) -> Optional[Tuple[object, ColumnTable]]:
+        """What a read of ``key`` is served without a scan (lock held):
+        its scan while the token is current; no rows under no token while
+        its relation is degraded (a lost scan is not retried until the
+        next refresh); otherwise ``None``, a scan is due."""
+        scan = self._scans.get(key)
+        if scan is not None and scan[0] == self._described(key[0]):
+            return scan
+        if key[0] in self._degraded:
+            return None, _empty(len(key[1]))
+        return None
 
     # -- health ------------------------------------------------------------
 
@@ -492,21 +442,20 @@ class RemotePeerFactSource:
     def drop_memo(self) -> int:
         """Forget every memoized scan (testing/benchmark hook).
 
-        Simulates a genuinely cold consumer, so the delta cursors go
-        too — otherwise the next "cold" scan would ride a surviving
-        cursor and ship an empty delta instead of the full relation.
+        Simulates a genuinely cold consumer: a memoized scan is also its
+        key's delta cursor, so the next scan ships the full relation
+        instead of an empty delta, and the delta chains go too.
         """
         with self._lock:
-            dropped = len(self._memo)
-            self._memo.clear()
-            self._peer_scans.clear()
+            dropped = len(self._scans)
+            self._scans.clear()
             self._chains.clear()
             return dropped
 
     # -- scanning ----------------------------------------------------------
 
     def _scatter_width(self) -> int:
-        configured = distributed_workers_from_env()
+        configured = _config.distributed_workers()
         if configured:
             return configured
         return min(16, max(2, len(self._peer_names)))
@@ -540,17 +489,17 @@ class RemotePeerFactSource:
     ):
         """(wire batch, delta baselines, open ``scan.attempt`` span) for ``peer``."""
         with self._lock:
+            # A scan under the empty token (no owner then) is no cursor.
             baselines = {
-                key: self._peer_scans.get((peer, key[0], key[1]))
+                key: scan
                 for key in keys
+                if (scan := self._scans.get(key)) is not None and scan[0]
             }
         requests = [
             (
                 key[0],
                 key[1],
-                baselines[key][0]
-                if (self._delta and baselines[key] is not None)
-                else None,
+                baselines[key][0][0] if self._delta and key in baselines else None,
             )
             for key in keys
         ]
@@ -561,21 +510,18 @@ class RemotePeerFactSource:
 
     def _finish_scan(
         self,
-        peer: str,
         keys: Sequence[ScanKey],
-        baselines: Dict[ScanKey, Optional[Tuple[object, ColumnTable]]],
+        baselines: Dict[ScanKey, Tuple[tuple, ColumnTable]],
         results,
     ) -> Dict[ScanKey, Tuple[object, ColumnTable]]:
-        """Merge one successful wire response into the delta cursors;
-        per key, ``(token, merged table)``.
+        """Merge one successful wire response into the scans; per key,
+        ``(token, merged table)`` in :meth:`data_version`'s shape.
 
         A delta is merged column-wise and deduplicated: a token read that
         raced an insert can re-ship rows the base already holds.  The rows
-        new to the merged block extend the key's delta chain when ``peer``
-        is the relation's only owner."""
+        new to the merged block extend the key's delta chain."""
         out: Dict[ScanKey, Tuple[object, ColumnTable]] = {}
         delta_scans = full_scans = delta_rows = full_rows = 0
-        commits = []
         links = []
         for key, (full, token, table) in zip(keys, results):
             base = baselines.get(key)
@@ -583,31 +529,27 @@ class RemotePeerFactSource:
                 merged = union_blocks([base[1], table], len(key[1]))
                 delta_scans += 1
                 delta_rows += len(table)
-                if token != base[0]:
+                if (token,) != base[0]:
                     added = (
                         table if len(merged) == len(base[1]) + len(table)
                         else rows_absent(table, base[1])
                     )
-                    links.append((key, ((base[0],), (token,), added)))
+                    links.append((key, (base[0], (token,), added)))
             else:
                 merged = table
                 full_scans += 1
                 full_rows += len(table)
-            out[key] = (token, merged)
-            if token is not None:
-                commits.append(((peer, key[0], key[1]), (token, merged)))
+            out[key] = ((token,), merged)
         with self._lock:
             self._delta_scans += delta_scans
             self._full_scans += full_scans
             self._delta_rows += delta_rows
             self._full_rows += full_rows
-            for cursor_key, value in commits:
-                self._peer_scans[cursor_key] = value
+            self._scans.update(out)
             for key, link in links:
-                if self._routes.get(key[0]) == (peer,):
-                    chain = self._chains.setdefault(key, [])
-                    chain.append(link)
-                    del chain[:-DELTA_CHAIN_LINKS]
+                chain = self._chains.setdefault(key, [])
+                chain.append(link)
+                del chain[:-DELTA_CHAIN_LINKS]
         return out
 
     def _attempt_scan(
@@ -621,7 +563,7 @@ class RemotePeerFactSource:
         # parents the serve-side span under this attempt.
         with span, wire_context(span.wire_context()):
             results = self._transport.scan_batch_since(peer, requests)
-        return self._finish_scan(peer, keys, baselines, results)
+        return self._finish_scan(keys, baselines, results)
 
     @staticmethod
     def _unit_span(parent_span, peer: str, keys: Sequence[ScanKey]):
@@ -659,7 +601,7 @@ class RemotePeerFactSource:
         return firsts
 
     def _take_first_attempt(
-        self, first: _FirstAttempt, peer: str, keys: Sequence[ScanKey]
+        self, first: _FirstAttempt, keys: Sequence[ScanKey]
     ) -> Dict[ScanKey, Tuple[object, ColumnTable]]:
         """Finish a batched attempt as :meth:`_attempt_scan` finishes its own."""
         outcome = first.outcome
@@ -668,7 +610,7 @@ class RemotePeerFactSource:
             first.span.close("error")
             raise outcome
         first.span.close()
-        return self._finish_scan(peer, keys, first.baselines, outcome)
+        return self._finish_scan(keys, first.baselines, outcome)
 
     def _scan_unit(
         self,
@@ -709,7 +651,7 @@ class RemotePeerFactSource:
                 attempts = attempt + 1
                 try:
                     if first is not None and attempt == 0:
-                        result = self._take_first_attempt(first, peer, keys)
+                        result = self._take_first_attempt(first, keys)
                     else:
                         result = self._attempt_scan(
                             peer, keys, span, "primary" if attempt == 0 else "retry"
@@ -804,15 +746,17 @@ class RemotePeerFactSource:
         seen: Set[ScanKey] = set()
         units: Dict[str, List[ScanKey]] = {}
         with self._lock:
-            generation = self._generation
             for relation, pattern in requests:
                 key = (relation, encode_pattern(pattern))
-                if key in self._memo or key in seen:
+                if key in seen or self._served(key) is not None:
                     continue
                 seen.add(key)
                 wanted.append(key)
-                for peer in self._routes.get(relation, ()):
-                    units.setdefault(peer, []).append(key)
+                owner = self._routes.get(relation)
+                if owner is None:  # no rows, under the empty token
+                    self._scans[key] = ((), _empty(len(key[1])))
+                else:
+                    units.setdefault(owner, []).append(key)
             if not wanted:
                 return 0
             self._waves += 1
@@ -825,19 +769,6 @@ class RemotePeerFactSource:
                 wave.set(
                     "failed_units", sum(1 for per in results if per is None)
                 )
-        merged: Dict[ScanKey, List[Tuple[object, ColumnTable]]] = {
-            key: [] for key in wanted
-        }
-        for (_, batch), per_key in zip(unit_items, results):
-            for key in batch:
-                merged[key].append(per_key[key] if per_key is not None else (None, None))
-        with self._lock:
-            # A concurrent refresh() that invalidated anything may have
-            # dropped entries these scans would now resurrect with
-            # pre-refresh rows — skip the commit; the next reader rescans.
-            if self._generation == generation:
-                for key in wanted:
-                    self._memo[key] = _merge_owners(merged[key], len(key[1]))
         return len(wanted)
 
     def answer_hooks(self) -> Dict[str, object]:
@@ -882,8 +813,7 @@ class RemotePeerFactSource:
 
     def scan_block(self, predicate: str, pattern: Pattern) -> ColumnTable:
         """The memoized table of ``(predicate, pattern)``, scanned cold
-        on a miss.  A key one owner serves keeps that owner's table as
-        is; one spanning several owners keeps their distinct union."""
+        on a miss."""
         return self.tagged_block(predicate, pattern)[1]
 
     def tagged_block(
@@ -895,31 +825,17 @@ class RemotePeerFactSource:
         self._check_open()
         key = (predicate, encode_pattern(pattern))
         with self._lock:
-            cached = self._memo.get(key)
-            if cached is not None:
-                return cached
-            owners = self._routes.get(predicate, ())
-            generation = self._generation
-        if not owners:
-            return (), ColumnTable.from_rows(scan_columns(len(pattern)), ())
-        tagged: List[Tuple[object, ColumnTable]] = []
+            served = self._served(key)
+            if served is not None:
+                return served
+            owner = self._routes.get(predicate)
+        if owner is None:
+            return (), _empty(len(pattern))
         with current_span().child(
-            "scatter.wave",
-            scans=1,
-            units=len(owners),
-            cold=True,
-            relation=predicate,
+            "scatter.wave", scans=1, units=1, cold=True, relation=predicate
         ) as wave:
-            for peer in owners:
-                per_key = self._scan_unit(peer, [key], wave)
-                tagged.append(per_key[key] if per_key is not None else (None, None))
-        combined = _merge_owners(tagged, len(pattern))
-        with self._lock:
-            # Same guard as prefetch: never resurrect rows across an
-            # invalidating refresh boundary.
-            if self._generation == generation:
-                self._memo[key] = combined
-        return combined
+            per_key = self._scan_unit(owner, [key], wave)
+        return per_key[key] if per_key is not None else (None, _empty(len(pattern)))
 
     def delta_block(
         self, predicate: str, pattern: Pattern, since: object, until: object
@@ -929,8 +845,8 @@ class RemotePeerFactSource:
         deltas its cursor already shipped, so no frame is sent.
 
         ``None`` unless the chain links ``since`` to ``until``: a full
-        rescan, a relation with several owners, a degraded relation, or a
-        fragment more than :data:`DELTA_CHAIN_LINKS` deltas behind."""
+        rescan, a degraded relation, or a fragment more than
+        :data:`DELTA_CHAIN_LINKS` deltas behind."""
         key = (predicate, encode_pattern(pattern))
         with self._lock:
             if predicate in self._degraded:
@@ -973,6 +889,6 @@ class RemotePeerFactSource:
         with self._lock:
             return (
                 f"RemotePeerFactSource({len(self._peer_names)} peers, "
-                f"{len(self._routes)} relations, {len(self._memo)} memoized, "
+                f"{len(self._routes)} relations, {len(self._scans)} scans, "
                 f"{len(self._failures)} failures)"
             )

@@ -34,7 +34,9 @@ Per-peer data is served **federated**: a :class:`PeerFactSource` routes
 index probes to the owning peer's live
 :class:`~repro.database.instance.Instance` instead of eagerly copying
 every row into a combined instance (:func:`combine_peer_instances` remains
-available for callers that genuinely want a merged copy).
+available for callers that genuinely want a merged copy).  A stored
+relation has one owner (:func:`owners_of`): one that two peers serve is
+refused, here and in the remote source alike.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from typing import (
     Union,
 )
 
-from ..database.columnar import ColumnTable, union_blocks
+from ..database.columnar import ColumnTable, scan_columns
 from ..database.instance import Instance, relation_creation_clock
 from ..datalog.evaluation import FactsLike, evaluate_query
 from ..datalog.indexing import Pattern
@@ -82,25 +84,31 @@ Row = Tuple[object, ...]
 # Stored-relation data: federated per-peer sources and combined instances
 # ---------------------------------------------------------------------------
 
-def _check_arity_clashes(instances: Mapping[str, Instance]) -> Dict[str, List[Instance]]:
-    """Route stored relations to owners, raising on cross-peer arity clashes."""
-    routes: Dict[str, List[Instance]] = {}
-    first_seen: Dict[str, Tuple[str, int]] = {}
-    for peer_name, instance in instances.items():
-        for relation in instance.relations():
-            arity = instance.arity(relation)
-            if arity is None:
-                continue
-            earlier = first_seen.get(relation)
-            if earlier is None:
-                first_seen[relation] = (peer_name, arity)
-            elif earlier[1] != arity:
+def owners_of(relations_by_peer: Iterable[Tuple[str, Iterable[str]]]) -> Dict[str, str]:
+    """Each stored relation's owning peer, from ``(peer, its relations)``
+    pairs.  A stored relation belongs to one peer (the paper's PPL), so one
+    two peers serve raises :class:`~repro.errors.MappingError` naming both,
+    whatever their arities."""
+    owners: Dict[str, str] = {}
+    for peer, relations in relations_by_peer:
+        for relation in relations:
+            earlier = owners.setdefault(relation, peer)
+            if earlier != peer:
                 raise MappingError(
-                    f"stored relation {relation!r} has arity {earlier[1]} at peer "
-                    f"{earlier[0]!r} but arity {arity} at peer {peer_name!r}"
+                    f"stored relation {relation!r} is served by peer {earlier!r} "
+                    f"and by peer {peer!r}; a stored relation has one owner"
                 )
-            routes.setdefault(relation, []).append(instance)
-    return routes
+    return owners
+
+
+def _route(instances: Mapping[str, Instance]) -> Dict[str, Instance]:
+    """Each stored relation's owning instance (relations of unknown arity
+    are not served); a second owner raises."""
+    owners = owners_of(
+        (peer, [r for r in instance.relations() if instance.arity(r) is not None])
+        for peer, instance in instances.items()
+    )
+    return {relation: instances[peer] for relation, peer in owners.items()}
 
 
 class PeerFactSource:
@@ -110,13 +118,13 @@ class PeerFactSource:
     protocol by routing each probe to the *owning* peer's live
     :class:`~repro.database.instance.Instance` — including its maintained
     hash indexes — instead of eagerly merging every row into a combined
-    copy the way :func:`combine_peer_instances` does.  Stored-relation
-    names are globally unique in a well-formed PDMS; the constructor keeps
-    the combined path's eager arity-clash check (a clash raises
-    :class:`~repro.errors.MappingError` naming both peers).  In the rare
-    case several peers expose the same relation compatibly, probes fan out
-    to all owners (set semantics downstream absorbs duplicates, and
-    :meth:`scan_block` unions the owners' blocks distinctly).
+    copy the way :func:`combine_peer_instances` does.  A relation two peers
+    serve raises (:func:`owners_of`).
+
+    Tokens: :meth:`data_version` is the owner's
+    :meth:`~repro.database.instance.Instance.data_version` in a one-tuple,
+    ``()`` for a relation no peer serves; instance ids are process-unique,
+    so a relation changing hands moves the token as a write does.
 
     Liveness: rows added to an owned instance are visible immediately, and
     the relation-routing table refreshes itself whenever a new relation is
@@ -125,7 +133,7 @@ class PeerFactSource:
     :data:`~repro.database.instance.relation_creation_clock` (a single
     attribute access per probe, so the join engine's inner loop pays O(1)
     for change detection).  The view therefore never goes stale in either
-    direction, and the arity-clash check re-runs on every refresh exactly
+    direction, and the one-owner check re-runs on every refresh exactly
     as it would on a fresh construction.
     """
 
@@ -146,7 +154,7 @@ class PeerFactSource:
     def __init__(self, instances: Mapping[str, Instance]):
         self._instances: Dict[str, Instance] = dict(instances)
         self._lock = threading.Lock()
-        self._routes: Dict[str, Tuple[Instance, ...]] = {}
+        self._routes: Dict[str, Instance] = {}
         self._clock_stamp = -1
         self._version_stamp = -1
         self._refresh()
@@ -171,19 +179,14 @@ class PeerFactSource:
             # re-derive the routes when one of the owned instances did.
             versions = self._owned_versions()
             if versions != self._version_stamp:
-                self._routes = {
-                    relation: tuple(owners)
-                    for relation, owners in _check_arity_clashes(
-                        self._instances
-                    ).items()
-                }
+                self._routes = _route(self._instances)
                 self._version_stamp = versions
             self._clock_stamp = clock
 
-    def _route(self, relation: str) -> Tuple[Instance, ...]:
+    def _owner(self, relation: str) -> Optional[Instance]:
         if relation_creation_clock.read() != self._clock_stamp:
             self._refresh()
-        return self._routes.get(relation, ())
+        return self._routes.get(relation)
 
     def relations(self) -> Tuple[str, ...]:
         """Stored relations currently reachable through this source."""
@@ -191,90 +194,55 @@ class PeerFactSource:
             self._refresh()
         return tuple(self._routes)
 
-    def owner_count(self, relation: str) -> int:
-        """How many peer instances serve ``relation`` (0 if unknown)."""
-        return len(self._route(relation))
-
     def get_tuples(self, predicate: str) -> Iterable[Row]:
-        owners = self._route(predicate)
-        if not owners:
-            return ()
-        if len(owners) == 1:
-            return owners[0].get_tuples(predicate)
-        rows: List[Row] = []
-        for owner in owners:
-            rows.extend(owner.get_tuples(predicate))
-        return rows
+        owner = self._owner(predicate)
+        return owner.get_tuples(predicate) if owner is not None else ()
 
     def get_matching(self, predicate: str, pattern: Pattern) -> Iterable[Row]:
-        owners = self._route(predicate)
-        if not owners:
-            return ()
-        if len(owners) == 1:
-            return owners[0].get_matching(predicate, pattern)
-        rows = []
-        for owner in owners:
-            rows.extend(owner.get_matching(predicate, pattern))
-        return rows
+        owner = self._owner(predicate)
+        return owner.get_matching(predicate, pattern) if owner is not None else ()
 
     def scan_block(self, predicate: str, pattern: Pattern) -> ColumnTable:
-        """The owner's scan block, or the distinct union of the owners'."""
+        """The owner's scan block (empty for a relation no peer serves)."""
         return self.tagged_block(predicate, pattern)[1]
 
     def tagged_block(
         self, predicate: str, pattern: Pattern
     ) -> Tuple[Tuple[object, ...], ColumnTable]:
-        """:meth:`scan_block` with the token its rows are exactly at, in
-        :meth:`data_version`'s shape (see
+        """:meth:`scan_block` with the token its rows are exactly at (see
         :meth:`~repro.database.instance.Instance.tagged_block`)."""
-        tagged = [
-            owner.tagged_block(predicate, pattern) for owner in self._route(predicate)
-        ]
-        if len(tagged) == 1:
-            return (tagged[0][0],), tagged[0][1]
-        return (
-            tuple(sorted([token for token, _ in tagged])),
-            union_blocks([block for _, block in tagged], len(pattern)),
-        )
+        owner = self._owner(predicate)
+        if owner is None:
+            return (), ColumnTable.from_rows(scan_columns(len(pattern)), ())
+        token, block = owner.tagged_block(predicate, pattern)
+        return (token,), block
 
     def delta_block(
         self, predicate: str, pattern: Pattern, since: tuple, until: tuple
     ) -> Optional[ColumnTable]:
         """The rows appends added between two :meth:`data_version` tokens,
-        as the owner's :meth:`~repro.database.instance.Instance.delta_block`.
-
-        ``None`` when the owner set changed between the tokens, or when
-        several peers own the relation: a row one owner appends may be
-        one another owner already served, so it is not provably new."""
-        owners = self._route(predicate)
-        if len(owners) != 1 or len(since) != 1 or len(until) != 1:
+        as the owner's :meth:`~repro.database.instance.Instance.delta_block`
+        (``None`` when no owner served both tokens)."""
+        owner = self._owner(predicate)
+        if owner is None or len(since) != 1 or len(until) != 1:
             return None
-        return owners[0].delta_block(predicate, pattern, since[0], until[0])
+        return owner.delta_block(predicate, pattern, since[0], until[0])
 
     def arity(self, relation: str) -> Optional[int]:
-        """The owners' arity of ``relation`` (``None`` if unknown)."""
-        for owner in self._route(relation):
-            return owner.arity(relation)
-        return None
+        """The owner's arity of ``relation`` (``None`` if unknown)."""
+        owner = self._owner(relation)
+        return owner.arity(relation) if owner is not None else None
 
     def cardinality(self, relation: str) -> int:
-        """Total row count across owners (feeds the planner's cost model)."""
-        return sum(owner.cardinality(relation) for owner in self._route(relation))
+        """The owner's row count (feeds the planner's cost model)."""
+        owner = self._owner(relation)
+        return owner.cardinality(relation) if owner is not None else 0
 
     def data_version(self, relation: str) -> Tuple[Tuple[int, int], ...]:
-        """The federated data-version token of ``relation``.
-
-        A sorted tuple of the owning instances' per-relation tokens — it
-        changes whenever any owner's rows change *and* whenever the owner
-        set itself changes (a peer joining or leaving swaps instances, and
-        instance ids are process-unique), so version-keyed caches see peer
-        churn as naturally as data writes.  Unknown relations yield the
-        empty tuple.
-        """
-        owners = self._route(relation)
-        if len(owners) == 1:  # the usual case, on every answer's root token
-            return (owners[0].data_version(relation),)
-        return tuple(sorted(owner.data_version(relation) for owner in owners))
+        """The owner's data-version token in a one-tuple; ``()`` for a
+        relation no peer serves."""
+        owner = self._owner(relation)
+        return (owner.data_version(relation),) if owner is not None else ()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PeerFactSource({len(self._routes)} relations)"
@@ -283,18 +251,16 @@ class PeerFactSource:
 def combine_peer_instances(instances: Mapping[str, Instance]) -> Instance:
     """Merge per-peer instances of stored relations into one instance.
 
-    Stored-relation names are globally unique in a well-formed PDMS, so
-    merging is a plain union; a clash with different arities raises a
-    :class:`MappingError` naming both peers involved.  Query answering no
-    longer needs this copy — :class:`PeerFactSource` federates probes to
-    the live per-peer instances — but it remains the right tool when a
-    materialised merged instance is wanted (e.g. the chase oracle).
+    A stored relation has one owner, so merging is a plain copy of each
+    owner's rows; a relation two peers serve raises a
+    :class:`MappingError` naming both.  Query answering does not need
+    this copy — :class:`PeerFactSource` federates probes to the live
+    per-peer instances — but it is the right tool when a materialised
+    merged instance is wanted (e.g. the chase oracle).
     """
     combined = Instance()
-    for relation, owners in _check_arity_clashes(instances).items():
-        for owner in owners:
-            for row in owner.get_tuples(relation):
-                combined.add(relation, row)
+    for relation, owner in _route(instances).items():
+        combined.add_all(relation, owner.get_tuples(relation))
     return combined
 
 

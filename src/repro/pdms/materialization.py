@@ -15,7 +15,7 @@ cache level:
   every other entry stays warm — a stale entry is stepped forward by the
   rows appends added when its caller can prove that is all that changed,
   and recomputed otherwise — and peer join/leave churns the token through
-  the owner set;
+  the owning instance;
 * a computed fragment is kept when it fits in half the byte budget, and
   a byte-budgeted LRU bounds total memory;
 * :class:`FragmentCacheStats` counts hits/misses/admissions/rejections/
@@ -118,7 +118,8 @@ class FragmentCacheStats:
     evictions: int = 0
     #: Entries dropped because their data version moved and they could
     #: not be stepped, or an explicit invalidation (peer leave, mapping
-    #: change, clear) named them.
+    #: change, a truncated change log) named them; :meth:`FragmentCache.clear`
+    #: counts none.
     invalidations: int = 0
     #: Stale entries stepped forward by the rows appends added under them
     #: instead of being recomputed (see :meth:`FragmentCache.get_or_compute`).
@@ -356,13 +357,22 @@ class FragmentCache:
             return len(stale)
 
     def clear(self) -> int:
-        """Drop every entry (counters are preserved); returns the count."""
+        """Drop every entry; returns the count.  Counters are preserved,
+        and a clear counts no invalidation: nothing moved."""
         with self._lock:
             dropped = len(self._entries)
             self._entries.clear()
             self._current_bytes = 0
-            self.stats.invalidations += dropped
             return dropped
+
+    def invalidate_all(self) -> int:
+        """:meth:`clear`, each dropped entry counted as an invalidation:
+        the catalogue moved in ways the caller cannot name (a truncated
+        change log)."""
+        dropped = self.clear()
+        with self._lock:
+            self.stats.invalidations += dropped
+        return dropped
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

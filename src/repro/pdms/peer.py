@@ -76,7 +76,8 @@ class Peer:
         self._peer_relations: Dict[str, RelationSchema] = {}
         self._stored_relations: Dict[str, StoredRelation] = {}
         #: Weak reference to the PDMS the peer is registered with, which
-        #: counts the stored relations declared here.
+        #: records this peer as the owner of the stored relations declared
+        #: here.
         self._registry: Optional[weakref.ref] = None
 
     # -- peer relations ----------------------------------------------------------
@@ -123,7 +124,11 @@ class Peer:
         self, name: str, attributes: Sequence[str]
     ) -> StoredRelation:
         """Declare a stored relation contributed by this peer (a registered
-        peer reports it to its PDMS)."""
+        peer reports it to its PDMS, which first refuses a relation another
+        of its peers stores)."""
+        pdms = self._registry() if self._registry is not None else None
+        if pdms is not None:
+            pdms._check_unowned(self.name, (name,))
         stored = self._store(name, attributes)
         self._report(name, True)
         return stored

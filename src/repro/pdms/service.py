@@ -375,8 +375,8 @@ class QueryService:
         Answers in flight keep the view they started with.  Its relation
         statistics carry over to the next view as plain values (no
         reference to the old view or a departed peer's instance): they are
-        revalidated there by the federated data version, which includes
-        the owner set, so only relations a peer brought or took are
+        revalidated there by the federated data version, the owning
+        instance's token, so only relations a peer brought or took are
         rescanned.
         """
         if self._combined is not None:
@@ -433,7 +433,7 @@ class QueryService:
 
         Fragments whose tables read the departed peer's stored relations
         are evicted eagerly — the version tokens would stop them being
-        *served* anyway (the owner set changed), but reclaiming the bytes
+        *served* anyway (the owner is gone), but reclaiming the bytes
         now keeps the budget for fragments that can still hit.
         """
         with self._mutex:
@@ -483,7 +483,7 @@ class QueryService:
                 self._stale.clear()
                 self._plans.clear()
                 if self._fragments is not None and self._owns_fragment_cache:
-                    self._fragments.clear()
+                    self._fragments.invalidate_all()
                 break
             if not (change.affected_predicates or change.removed_origins):
                 continue

@@ -597,8 +597,9 @@ class PDMS:
         self._footprints: Dict[str, Tuple[tuple, tuple, tuple]] = {}
         #: peer -> the origins that reference it, in the order they were added.
         self._referencing: Dict[str, Dict[str, None]] = {}
-        #: stored relation -> the number of registered peers declaring it.
-        self._stored: Dict[str, int] = {}
+        #: stored relation -> the registered peer declaring it: a stored
+        #: relation has one owner, and a second declaring peer is refused.
+        self._stored: Dict[str, str] = {}
         #: predicate -> the mappings with a single-atom inclusion headed by
         #: it: the entries whose ``stored`` flag flips with the predicate.
         self._heads: Dict[str, Dict[str, None]] = {}
@@ -662,20 +663,31 @@ class PDMS:
 
     # -- stored relations and their owners -------------------------------------------
 
-    def _count_owners(self, relations: Iterable[str], delta: int) -> List[str]:
-        """Add ``delta`` (±1) to the owner count of each of ``relations``;
-        returns those whose stored status this flips."""
-        counts = self._stored
-        flipped = []
+    def _check_unowned(self, peer_name: str, relations: Iterable[str]) -> None:
+        """Refuse ``peer_name`` a stored relation another peer stores."""
         for relation in relations:
-            count = counts.get(relation, 0) + delta
-            if count:
-                counts[relation] = count
-            else:
-                del counts[relation]
-            if count == (1 if delta > 0 else 0):
-                flipped.append(relation)
-        return flipped
+            owner = self._stored.get(relation, peer_name)
+            if owner != peer_name:
+                raise PDMSConfigurationError(
+                    f"stored relation {relation!r} is already stored at peer "
+                    f"{owner!r}; peer {peer_name!r} cannot store it too (a "
+                    f"stored relation has one owner)"
+                )
+
+    def _claim(self, peer_name: str, relations: Iterable[str]) -> None:
+        """Make ``peer_name`` the owner of ``relations``, or refuse before
+        anything changes."""
+        relations = list(relations)
+        self._check_unowned(peer_name, relations)
+        self._stored.update(dict.fromkeys(relations, peer_name))
+        self._flip_stored(relations, True)
+
+    def _release(self, relations: Iterable[str]) -> List[str]:
+        """Forget the owner of each of ``relations``; returns them."""
+        relations = list(relations)
+        for relation in relations:
+            del self._stored[relation]
+        return relations
 
     def _flip_stored(self, relations: List[str], stored: bool) -> None:
         """Tell the catalogue, if built, that ``relations`` became stored
@@ -685,10 +697,12 @@ class PDMS:
 
     def _peer_declared(self, peer_name: str, relation: str, declared: bool) -> None:
         """A registered peer declared (or undeclared) a stored relation
-        itself: counted, and recorded like any other mutation."""
-        if not declared:
+        itself: claimed or released, and recorded like any other mutation."""
+        if declared:
+            self._claim(peer_name, (relation,))
+        else:
             self._auto_declared.pop((peer_name, relation), None)
-        self._flip_stored(self._count_owners((relation,), 1 if declared else -1), declared)
+            self._flip_stored(self._release((relation,)), False)
         self._record_change(
             "declare-stored" if declared else "undeclare-stored", affected=(relation,)
         )
@@ -701,17 +715,19 @@ class PDMS:
         The normalised catalogue is maintained incrementally: joining a
         peer that brings no descriptions yet affects no catalogue entry,
         so existing reformulations stay valid (the paper's ad hoc ECC
-        join only becomes visible once its mappings are added).
+        join only becomes visible once its mappings are added).  A peer
+        declaring a stored relation another peer stores is refused with
+        :class:`PDMSConfigurationError`, and nothing changes.
         """
         if isinstance(peer, str):
             peer = Peer(peer)
         if peer.name in self._peers:
             raise PDMSConfigurationError(f"duplicate peer name {peer.name!r}")
+        new_stored = peer.stored_relation_names()
+        self._claim(peer.name, new_stored)
         self._peers[peer.name] = peer
         # Weak, so that a dropped PDMS is freed by reference counting.
         peer._registry = weakref.ref(self)
-        new_stored = peer.stored_relation_names()
-        self._flip_stored(self._count_owners(new_stored, 1), True)
         self._record_change("add-peer", affected=new_stored)
         return peer
 
@@ -733,7 +749,7 @@ class PDMS:
         stored = peer.stored_relation_names()
         affected: set = set(peer.peer_relation_names())
         affected.update(stored)
-        unstored = self._count_owners(stored, -1)
+        unstored = self._release(stored)
         for relation in stored:
             self._auto_declared.pop((peer_name, relation), None)
         removed_origins = tuple(self._referencing.pop(peer_name, ()))
@@ -779,7 +795,7 @@ class PDMS:
                 owner = self._peers.get(description.peer)
                 if owner is not None:
                     owner._unstore(description.relation)
-                    unstored.extend(self._count_owners((description.relation,), -1))
+                    unstored.extend(self._release((description.relation,)))
         return affected
 
     def _register(
@@ -835,7 +851,11 @@ class PDMS:
     # -- descriptions -----------------------------------------------------------------
 
     def add_storage_description(self, description: StorageDescription) -> StorageDescription:
-        """Register a storage description; the owning peer must exist."""
+        """Register a storage description; the owning peer must exist.
+
+        A stored relation the peer does not declare is declared for it,
+        unless another peer stores it: that raises
+        :class:`PDMSConfigurationError`, and nothing changes."""
         if description.peer not in self._peers:
             raise PDMSConfigurationError(
                 f"storage description references unknown peer {description.peer!r}"
@@ -846,9 +866,9 @@ class PDMS:
         if description.relation not in owner.stored_relation_names():
             # Auto-declare the stored relation with positional attributes so
             # small examples and generated workloads stay concise.
+            self._claim(description.peer, (description.relation,))
             owner._store(description.relation, [f"a{i}" for i in range(description.arity)])
             self._auto_declared[key] = 0
-            self._flip_stored(self._count_owners((description.relation,), 1), True)
         if key in self._auto_declared:
             self._auto_declared[key] += 1
         self._storage_descriptions[description.name] = description

@@ -1,12 +1,13 @@
 """The maintained catalogue against a fresh normalisation.
 
 Once built, :meth:`PDMS.catalogue` is never rebuilt: every mutation edits
-it in place through the PDMS's indexes (owners per stored relation,
-origins per peer, mapping origins per single-atom head).  Over random
-sequences of joins (with and without stored relations), the three mapping
-kinds (some with a stored relation on the left), storage descriptions
-(some querying other peers), leaves, mapping removals and stored relations
-declared or undeclared directly on a registered peer, after every step:
+it in place through the PDMS's indexes (the owner of each stored
+relation, origins per peer, mapping origins per single-atom head).  Over
+random sequences of joins (with and without stored relations), the three
+mapping kinds (some with a stored relation on the left), storage
+descriptions (some querying other peers), leaves, mapping removals and
+stored relations declared or undeclared directly on a registered peer,
+after every step:
 
 * the catalogue has the content of ``pdms._normalise()``;
 * each predicate's index tuple lists its entries in the order their
@@ -15,6 +16,13 @@ declared or undeclared directly on a registered peer, after every step:
 * the productive and coverable predicates are the naive fixpoints;
 * ``changes_since(v)``, for every earlier ``v``, is the suffix of the
   changes a reference model of each mutation expects.
+
+The pool of stored-relation names is shared by every peer, and draws keep
+naming relations another peer already stores: a join, an auto-declaring
+storage description or a declaration on a registered peer that would give
+one a second owner is refused with :class:`PDMSConfigurationError` naming
+both peers, and changes nothing (version, stored relations, peers,
+origins, the built catalogue's content).
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from hypothesis import strategies as st
 from repro.datalog.atoms import Atom
 from repro.datalog.queries import ConjunctiveQuery
 from repro.datalog.terms import Variable
+from repro.errors import PDMSConfigurationError
 from repro.pdms import (
     PDMS,
     DefinitionalMapping,
@@ -188,6 +197,36 @@ class World:
         if self.built():
             self.order.append(origin)
 
+    def owner_of(self, relation: str):
+        """The registered peer storing ``relation``, if any."""
+        for peer in self.pdms.peers():
+            if relation in peer.stored_relation_names():
+                return peer.name
+        return None
+
+    def state(self) -> tuple:
+        pdms = self.pdms
+        return (
+            pdms.catalogue_version,
+            pdms.stored_relation_names(),
+            self.registered(),
+            self.origins(),
+            _content(pdms.catalogue()) if self.built() else None,
+        )
+
+    def refused(self, mutate, relation: str, peer_name: str) -> None:
+        """``mutate`` would make ``peer_name`` a second owner of
+        ``relation``: it raises naming both peers, and nothing changes."""
+        owner = self.owner_of(relation)
+        assert owner is not None and owner != peer_name
+        before = self.state()
+        with pytest.raises(PDMSConfigurationError) as excinfo:
+            mutate()
+        message = str(excinfo.value)
+        assert repr(relation) in message
+        assert repr(owner) in message and repr(peer_name) in message
+        assert self.state() == before
+
     def add_mapping(self, mapping) -> None:
         self.pdms.add_peer_mapping(mapping)
         self.expected.append(("add-mapping", frozenset(expected_footprint(mapping)), frozenset()))
@@ -207,6 +246,10 @@ class World:
             for index, relation in enumerate(STORED):
                 if b >> index & 1:
                     peer.add_stored_relation(relation, ["x", "y"])
+            owned = [r for r in peer.stored_relation_names() if self.owner_of(r)]
+            if owned:
+                self.refused(lambda: pdms.add_peer(peer), owned[0], peer_name)
+                return
             pdms.add_peer(peer)
             self.expected.append(
                 ("add-peer", frozenset(peer.stored_relation_names()), frozenset())
@@ -233,9 +276,15 @@ class World:
                 return
             owner, relation = peers[a % len(peers)], STORED[b % len(STORED)]
             query = _chain(relation, _body(c, d, a + b))
-            pdms.add_storage_description(
-                StorageDescription(owner, relation, query, exact=bool(d % 2), name=name)
+            description = StorageDescription(
+                owner, relation, query, exact=bool(d % 2), name=name
             )
+            if self.owner_of(relation) not in (None, owner):
+                self.refused(
+                    lambda: pdms.add_storage_description(description), relation, owner
+                )
+                return
+            pdms.add_storage_description(description)
             self.expected.append(
                 ("add-storage", frozenset(query.predicates() | {relation}), frozenset())
             )
@@ -270,6 +319,12 @@ class World:
             if relation in peer.stored_relation_names():
                 peer.remove_stored_relation(relation)
                 self.expected.append(("undeclare-stored", frozenset({relation}), frozenset()))
+            elif self.owner_of(relation) is not None:
+                self.refused(
+                    lambda: peer.add_stored_relation(relation, ["x", "y"]),
+                    relation, peer.name,
+                )
+                assert relation not in peer.stored_relation_names()
             else:
                 peer.add_stored_relation(relation, ["x", "y"])
                 self.expected.append(("declare-stored", frozenset({relation}), frozenset()))

@@ -8,12 +8,14 @@ hold, as a row set, exactly what ``get_matching`` returns, with no row
 twice, on:
 
 * a bare :class:`~repro.database.Instance` (blocks kept per version);
-* a :class:`~repro.pdms.execution.PeerFactSource` over two owners that
-  share rows (the owners' blocks unioned distinctly);
+* a :class:`~repro.pdms.execution.PeerFactSource` over two peers, each
+  relation at one of them;
 * a plain-mapping source (the adapter's dedup-and-transpose fallback);
 * a :class:`~repro.pdms.RemotePeerFactSource` over loopback, over
-  sockets and split 2-way, through full → delta → delta rescans, and a
-  full rescan that races inserts on a second thread.
+  sockets, and over loopback with every relation dealt into two at two
+  worker peers (the transport matrix's PPL split), through full → delta
+  → delta rescans, and a full rescan that races inserts on a second
+  thread.
 
 A pattern whose width clashes with the relation stays an
 :class:`~repro.errors.EvaluationError` on every source.  NaN compares
@@ -37,7 +39,7 @@ from repro.errors import EvaluationError
 from repro.pdms import AsyncSocketTransport, LoopbackTransport, RemotePeerFactSource
 from repro.pdms.execution import PeerFactSource
 
-from .test_transport_matrix import split_round_robin
+from .test_transport_matrix import deal_round_robin
 
 SEEDS = range(12)
 STEPS = 12
@@ -176,22 +178,22 @@ def test_instance_blocks_match_get_matching(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_federated_owners_sharing_rows(seed):
+def test_federated_peers_each_serving_their_relations(seed):
     rng = random.Random(seed)
     schema = _schema(rng)
-    owners = [Instance(), Instance()]
+    peers = {"A": Instance(), "B": Instance()}
+    homes = {"A": {}, "B": {}}  # peer -> the part of the schema it stores
+    for index, (relation, kinds) in enumerate(schema.items()):
+        homes["AB"[index % 2]][relation] = kinds
     pool = {}
-    _populate(rng, schema, owners, pool)
-    for relation in schema:  # every relation on both owners, some rows on both
-        for row in list(owners[0].get_tuples(relation))[::2]:
-            owners[1].add(relation, row)
-        if relation not in owners[1]:
-            owners[1].add(relation, _row(rng, schema[relation]))
-    source = PeerFactSource({"A": owners[0], "B": owners[1]})
-    truth = _truth_over(owners)
+    for name, instance in peers.items():
+        _populate(rng, homes[name], [instance], pool)
+    source = PeerFactSource(peers)
+    truth = _truth_over(list(peers.values()))
     _check(source, schema, rng, truth)
     for _ in range(STEPS):
-        _mutate(rng, schema, owners, pool)
+        name = rng.choice(sorted(peers))
+        _mutate(rng, homes[name], [peers[name]], pool)
         _check(source, schema, rng, truth)
 
 
@@ -224,26 +226,16 @@ def test_plain_sources_take_the_fallback(seed):
         _check(_Twice(instance), schema, rng, truth)
 
 
-def _remote(kind: str, data):
-    """(transport, source, instances a test may mutate, row router)."""
+def _remote(kind: str, schema, data):
+    """(transport, source, the schema it serves, instances a test may
+    mutate, relation -> its owning instance)."""
     if kind == "split":
-        workers = split_round_robin(data)
-        transport = LoopbackTransport(workers)
-        source = RemotePeerFactSource(transport)
-        parts = list(workers.values())
-        dealt = []
-
-        def route(relation, row):
-            # A new row lands on one of the relation's owners, dealt in turn.
-            owners = [part for part in parts if relation in part.relations()]
-            dealt.append(row)
-            return [owners[len(dealt) % len(owners)]]
-
-        return transport, source, parts, route
+        data = deal_round_robin(data)
+        schema = {f"{rel}#{part}": kinds for rel, kinds in schema.items() for part in "01"}
+    owner = {rel: inst for inst in data.values() for rel in inst.relations()}
     transport = (AsyncSocketTransport if kind == "socket" else LoopbackTransport)(data)
     source = RemotePeerFactSource(transport)
-    owner = {rel: inst for inst in data.values() for rel in inst.relations()}
-    return transport, source, list(data.values()), lambda relation, row: [owner[relation]]
+    return transport, source, schema, list(data.values()), owner.__getitem__
 
 
 def _remote_schema(rng: random.Random):
@@ -261,7 +253,7 @@ def _remote_schema(rng: random.Random):
 def test_remote_full_then_deltas(kind, seed):
     rng = random.Random(seed)
     schema, data = _remote_schema(rng)
-    transport, source, instances, route = _remote(kind, data)
+    transport, source, schema, instances, owner = _remote(kind, schema, data)
     truth = _truth_over(instances)
     try:
         _check(source, schema, rng, truth)  # full scans
@@ -270,9 +262,8 @@ def test_remote_full_then_deltas(kind, seed):
             for _ in range(rng.randint(1, 5)):
                 relation = rng.choice(sorted(schema))
                 row = _row(rng, schema[relation])
-                for instance in route(relation, row):
-                    added += row not in set(instance.get_tuples(relation))
-                    instance.add(relation, row)
+                added += row not in set(owner(relation).get_tuples(relation))
+                owner(relation).add(relation, row)
             before = source.scatter_stats()["delta_scans"]
             source.refresh()
             _check(source, schema, rng, truth)
@@ -301,7 +292,7 @@ def test_remote_full_then_deltas(kind, seed):
 def test_full_rescan_racing_inserts_stays_duplicate_free(kind):
     rng = random.Random(7)
     schema, data = _remote_schema(rng)
-    transport, source, instances, route = _remote(kind, data)
+    transport, source, schema, instances, owner = _remote(kind, schema, data)
     truth = _truth_over(instances)
     relation = sorted(schema)[0]
     kinds = schema[relation]
@@ -312,8 +303,7 @@ def test_full_rescan_racing_inserts_stays_duplicate_free(kind):
         for row in rows:
             if stop.is_set():
                 return
-            for instance in route(relation, row):
-                instance.add(relation, row)
+            owner(relation).add(relation, row)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

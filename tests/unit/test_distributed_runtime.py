@@ -2,14 +2,17 @@
 
 Covers the wire contract (pattern encoding, one contract suite over the
 loopback and socket backends, chaos hooks), :class:`RemotePeerFactSource` (routing, scan
-memoization, version tokens over the wire, degradation), the plan path
-over an explicitly built remote source (equivalence, completeness,
-fragment-cache safety under faults), :class:`ServiceCluster`
-(completeness, callers on their own threads, writes to every owner, a
-write that half-lands, clusters sharing one :class:`FragmentCache`), and
-the RPC-boundary edge cases the peer source must survive:
-cross-transport arity clashes, empty-peer scans, and peer leave
-mid-stream.
+memoization, version tokens over the wire, degradation, the refusal of
+a relation two peers serve), the plan path over an explicitly built
+remote source (equivalence, completeness, fragment-cache safety under
+faults), :class:`ServiceCluster` (completeness, callers on their own
+threads, a write to its one owner, a write whose owner is down, clusters
+sharing one :class:`FragmentCache`), and the RPC-boundary edge cases the
+peer source must survive: empty-peer scans and peer leave mid-stream.
+
+Data split over several stores is written the PPL way
+(:func:`split_owners`): one stored relation per store, each with its own
+storage description into the same peer relation.
 """
 
 from __future__ import annotations
@@ -268,7 +271,7 @@ class TestRemotePeerFactSource:
         transport = LoopbackTransport(data)
         source = RemotePeerFactSource(transport)
         assert sorted(source.relations()) == ["sa", "sb"]
-        assert source.owner_count("sa") == 1
+        assert source.owner("sa") == "P1" and source.owner("nope") is None
         assert source.cardinality("sa") == 3
         rows = source.get_matching("sa", (1, WILDCARD))
         assert set(rows) == {(1, 2)}
@@ -318,15 +321,36 @@ class TestRemotePeerFactSource:
         message = str(excinfo.value)
         assert "P1" in message and "P2" in message and "shared" in message
 
-    def test_multi_owner_relation_fans_out(self):
+    def test_a_relation_two_peers_serve_is_refused_naming_both(self, backend):
         data = {
             "P1": Instance.from_dict({"shared": [(1, 1)]}),
             "P2": Instance.from_dict({"shared": [(2, 2)]}),
         }
-        source = RemotePeerFactSource(LoopbackTransport(data))
-        assert source.owner_count("shared") == 2
-        assert set(source.get_tuples("shared")) == {(1, 1), (2, 2)}
-        assert source.cardinality("shared") == 2
+        with pytest.raises(MappingError) as excinfo:
+            RemotePeerFactSource(backend(data))
+        message = str(excinfo.value)
+        assert "'P1'" in message and "'P2'" in message and "'shared'" in message
+
+    def test_a_second_owner_is_refused_at_refresh_and_changes_nothing(
+        self, backend
+    ):
+        _, data, _ = two_peer_system()
+        source = RemotePeerFactSource(backend(data))
+        try:
+            rows = set(source.get_tuples("sa"))
+            before = (source.relations(), source.data_version("sa"), source.owner("sa"))
+            data["P2"].add("sa", (7, 7))
+            with pytest.raises(MappingError) as excinfo:
+                source.refresh()
+            message = str(excinfo.value)
+            assert "'P1'" in message and "'P2'" in message and "'sa'" in message
+            assert (
+                source.relations(), source.data_version("sa"), source.owner("sa")
+            ) == before
+            assert set(source.get_tuples("sa")) == rows
+            assert source.complete and source.failure_count == 0
+        finally:
+            source.close()
 
     def test_failed_scan_degrades_and_blocks_version_tokens(self):
         _, data, _ = two_peer_system()
@@ -679,7 +703,8 @@ class TestServiceCluster:
         workers = split_owners({(i, f"v{i}") for i in range(8)}, 2)
         query = parse_query("Q(x, y) :- T:R(x, y)")
         with ServiceCluster(
-            pdms=single_relation_pdms(), transport=LoopbackTransport(workers)
+            pdms=single_relation_pdms(*workers_relations(workers)),
+            transport=LoopbackTransport(workers),
         ) as cluster:
             whole = cluster.answer(query)
             first = cluster.answer(query, limit=3)
@@ -714,36 +739,47 @@ class TestServiceCluster:
             transport.describe("P1")
 
 
-def single_relation_pdms():
-    """``T:R`` stored as ``sr``, at whichever peers serve ``sr``."""
+def single_relation_pdms(*stored):
+    """``T:R`` stored at peer ``P`` as ``sr`` or, for data split over
+    several stores, as each of ``stored``: one sound storage description
+    apiece, so ``T:R`` holds their union."""
     pdms = PDMS("single-relation")
     pdms.add_peer("T").add_relation("R", ["x", "y"])
     pdms.add_peer("P")
-    pdms.add_storage_description(StorageDescription(
-        "P", "sr", parse_query("V(x, y) :- T:R(x, y)"),
-        exact=False, name="store_sr",
-    ))
+    for relation in stored or ("sr",):
+        pdms.add_storage_description(StorageDescription(
+            "P", relation, parse_query("V(x, y) :- T:R(x, y)"),
+            exact=False, name=f"store_{relation}",
+        ))
     return pdms
 
 
 def split_owners(rows, owners):
-    """``sr``'s rows dealt round-robin across ``owners`` worker peers."""
+    """``T:R``'s rows dealt round-robin into the stored relations ``sr0``
+    … ``sr{owners-1}``, each at its own worker peer ``W0`` … (describe
+    them with :func:`single_relation_pdms` over :func:`workers_relations`)."""
     rows = sorted(rows)
     return {
-        f"W{index}": Instance.from_dict({"sr": rows[index::owners]})
+        f"W{index}": Instance.from_dict({f"sr{index}": rows[index::owners]})
         for index in range(owners)
     }
 
 
+def workers_relations(workers):
+    """The stored relations the ``workers`` of :func:`split_owners` hold."""
+    return [relation for worker in workers.values() for relation in worker.relations()]
+
+
 class TestClusterInsert:
-    def test_writes_reach_every_owner_and_show_in_answers(self):
+    def test_a_write_reaches_its_owner_and_shows_in_answers(self):
         workers = split_owners({(i, f"v{i}") for i in range(8)}, 2)
         with ServiceCluster(
-            pdms=single_relation_pdms(), transport=LoopbackTransport(workers)
+            pdms=single_relation_pdms(*workers_relations(workers)),
+            transport=LoopbackTransport(workers),
         ) as cluster:
-            assert cluster.insert("sr", [(500, "new"), (501, "new")]) == 2
-            for worker in workers.values():
-                assert {(500, "new"), (501, "new")} <= set(worker.get_tuples("sr"))
+            assert cluster.insert("sr1", [(500, "new"), (501, "new")]) == 2
+            assert {(500, "new"), (501, "new")} <= set(workers["W1"].get_tuples("sr1"))
+            assert workers["W0"].relations() == ("sr0",)
             answer = cluster.answer(parse_query("Q(y) :- T:R(500, y)"))
             assert answer.complete and set(answer.rows) == {("new",)}
 
@@ -789,14 +825,16 @@ class TestClusterInsert:
 
     def test_insert_moves_the_version_token_at_once(self):
         """The write refreshes the source, so the relation's token moves
-        before any answer reads it."""
+        before any answer reads it; its sibling's stays put."""
         workers = split_owners({(i, f"v{i}") for i in range(4)}, 2)
         with ServiceCluster(
-            pdms=single_relation_pdms(), transport=LoopbackTransport(workers)
+            pdms=single_relation_pdms(*workers_relations(workers)),
+            transport=LoopbackTransport(workers),
         ) as cluster:
-            before = cluster.source.data_version("sr")
-            cluster.insert("sr", [(500, "new")])
-            assert cluster.source.data_version("sr") != before
+            before = [cluster.source.data_version(r) for r in ("sr0", "sr1")]
+            cluster.insert("sr0", [(500, "new")])
+            assert cluster.source.data_version("sr0") != before[0]
+            assert cluster.source.data_version("sr1") == before[1]
 
     def test_rows_may_be_any_iterable(self):
         inst = Instance.from_dict({"sr": {(1, "a")}})
@@ -806,42 +844,42 @@ class TestClusterInsert:
             assert cluster.insert("sr", [[2, "b"], (2, "b"), iter((3, "c"))]) == 2
         assert {(2, "b"), (3, "c")} <= set(inst.get_tuples("sr"))
 
-    def test_a_write_is_one_span_over_every_owner(self, tracer):
+    def test_a_write_is_one_span_at_its_owner(self, tracer):
         workers = split_owners({(i, f"v{i}") for i in range(4)}, 2)
         with ServiceCluster(
-            pdms=single_relation_pdms(), transport=LoopbackTransport(workers)
+            pdms=single_relation_pdms(*workers_relations(workers)),
+            transport=LoopbackTransport(workers),
         ) as cluster:
-            cluster.insert("sr", [(9, "x"), (9, "x"), (10, "y")])
+            cluster.insert("sr1", [(9, "x"), (9, "x"), (10, "y")])
         (write,) = last_spans(tracer, "cluster.insert")
         assert write["parent_id"] is None
-        assert write["attrs"] == {"relation": "sr", "rows": 2}
+        assert write["attrs"] == {"relation": "sr1", "rows": 2}
         served = last_spans(tracer, "rpc.serve.insert")
-        assert sorted(span["attrs"]["peer"] for span in served) == ["W0", "W1"]
+        assert [span["attrs"]["peer"] for span in served] == ["W1"]
         assert {span["parent_id"] for span in served} == {write["span_id"]}
 
-    def test_a_write_that_half_lands_raises_and_shows_after_recovery(
-        self, backend
-    ):
-        """The second owner is down: the first takes the batch, the write
-        raises, and once the owner is back the next answer shows the rows
-        the first owner took, complete."""
+    def test_a_write_to_a_down_owner_raises_and_lands_nothing(self, backend):
+        """The owner is down: the write raises, nothing lands anywhere, and
+        once the owner is back the next answer is the old one, complete,
+        and a retried write shows."""
         workers = split_owners({(i, f"v{i}") for i in range(8)}, 2)
         transport = backend(workers)
         query = parse_query("Q(x, y) :- T:R(x, y)")
         with ServiceCluster(
-            pdms=single_relation_pdms(), transport=transport,
-            scan_policy=ScanPolicy(retries=0),
+            pdms=single_relation_pdms(*workers_relations(workers)),
+            transport=transport, scan_policy=ScanPolicy(retries=0),
         ) as cluster:
             before = cluster.answer(query)
             assert before.complete and len(before) == 8
-            assert cluster.source.owners("sr") == ("W0", "W1")
+            assert cluster.source.owner("sr1") == "W1"
             transport.fail_peer("W1")
             with pytest.raises(TransportError, match="W1"):
-                cluster.insert("sr", [(500, "new")])
+                cluster.insert("sr1", [(500, "new")])
             transport.restore_peer("W1")
             after = cluster.answer(query)
-            assert after.complete
-            assert after.rows == before.rows | {(500, "new")}
+            assert after.complete and after.rows == before.rows
+            cluster.insert("sr1", [(500, "new")])
+            assert cluster.answer(query).rows == before.rows | {(500, "new")}
 
 
 class TestSharedFragmentCache:
@@ -855,15 +893,15 @@ class TestSharedFragmentCache:
         # Separate transports over the SAME live instances: both clusters
         # observe the same token space and may share cache entries.
         with ServiceCluster(
-            pdms=single_relation_pdms(), transport=LoopbackTransport(workers),
-            fragment_cache=shared,
+            pdms=single_relation_pdms(*workers_relations(workers)),
+            transport=LoopbackTransport(workers), fragment_cache=shared,
         ) as first:
             assert set(first.answer(query).rows) == {("v3",)}
             assert shared.stats.admissions >= 1
         transport = LoopbackTransport(workers)
         with ServiceCluster(
-            pdms=single_relation_pdms(), transport=transport,
-            fragment_cache=shared,
+            pdms=single_relation_pdms(*workers_relations(workers)),
+            transport=transport, fragment_cache=shared,
         ) as second:
             assert second.service.fragment_cache is shared
             hits, misses = shared.stats.hits, shared.stats.misses
@@ -873,7 +911,8 @@ class TestSharedFragmentCache:
             assert shared.stats.misses == misses  # nothing recomputed
             # `peek` finds the root warm and skips the scatter round: the
             # only scans are the first answer's one statistics read per
-            # owner, and a repeat touches no owner at all.
+            # stored relation (one per worker), and a repeat touches no
+            # worker at all.
             assert second.source.scatter_stats()["fanout_waves"] == 0
             scans = sum(transport.scan_count(p) for p in transport.peers())
             assert scans == len(workers)
@@ -887,8 +926,8 @@ class TestSharedFragmentCache:
         scan_all = parse_query("Q(x, y) :- T:R(x, y)")
         clusters = [
             ServiceCluster(
-                pdms=single_relation_pdms(), transport=LoopbackTransport(workers),
-                fragment_cache=shared,
+                pdms=single_relation_pdms(*workers_relations(workers)),
+                transport=LoopbackTransport(workers), fragment_cache=shared,
             )
             for _ in range(2)
         ]
@@ -897,7 +936,7 @@ class TestSharedFragmentCache:
             before = reader.answer(scan_all)
             assert before.complete and len(before.rows) == 16
             assert writer.answer(scan_all).rows == before.rows
-            writer.insert("sr", [(100, "new")])
+            writer.insert("sr0", [(100, "new")])
             # The shared entry was written under the pre-insert token, so
             # the reader must not be served it.
             after = reader.answer(scan_all)
@@ -910,22 +949,23 @@ class TestSharedFragmentCache:
 
     def test_split_and_flat_clusters_sharing_a_cache_stay_apart(self):
         """Two clusters over different instances with the same relation
-        names: one shared cache never serves one cluster's fragment to
-        the other."""
-        flat = Instance.from_dict({"sr": {(i, f"flat{i}") for i in range(8)}})
+        names (``sr0`` is the flat cluster's one store and the split
+        cluster's first): one shared cache never serves one cluster's
+        fragment to the other."""
+        flat = Instance.from_dict({"sr0": {(i, f"flat{i}") for i in range(8)}})
         split_rows = {(i, f"split{i}") for i in range(8)}
         workers = split_owners(split_rows, 2)
         shared = FragmentCache()
         query = parse_query("Q(x, y) :- T:R(x, y)")
         with ServiceCluster(
-            pdms=single_relation_pdms(), transport=LoopbackTransport({"P": flat}),
+            pdms=single_relation_pdms("sr0"), transport=LoopbackTransport({"P": flat}),
             fragment_cache=shared,
         ) as flat_cluster, ServiceCluster(
-            pdms=single_relation_pdms(), transport=LoopbackTransport(workers),
-            fragment_cache=shared,
+            pdms=single_relation_pdms(*workers_relations(workers)),
+            transport=LoopbackTransport(workers), fragment_cache=shared,
         ) as split_cluster:
             for _ in range(2):
-                assert flat_cluster.answer(query).rows == set(flat.get_tuples("sr"))
+                assert flat_cluster.answer(query).rows == set(flat.get_tuples("sr0"))
                 assert split_cluster.answer(query).rows == split_rows
 
 

@@ -39,11 +39,12 @@ def two_peer_pdms():
 
 class TestExecution:
     def test_combine_peer_instances(self):
-        first = Instance.from_dict({"r1": [(1,)]})
-        second = Instance.from_dict({"r2": [(2,)], "r1": [(3,)]})
+        first = Instance.from_dict({"r1": [(1,), (3,)]})
+        second = Instance.from_dict({"r2": [(2,)], "r3": [(4, 5)]})
         combined = combine_peer_instances({"A": first, "B": second})
         assert set(combined.get_tuples("r1")) == {(1,), (3,)}
         assert set(combined.get_tuples("r2")) == {(2,)}
+        assert set(combined.get_tuples("r3")) == {(4, 5)}
 
     def test_answer_query_with_plain_dict(self, two_peer_pdms):
         data = {"stored_s": [(1, 2), (3, 4)]}
@@ -67,22 +68,25 @@ class TestExecution:
 
 
 class TestCombinePeerInstances:
-    def test_no_clash_same_relation_same_arity(self):
-        """Identical relation names with matching arity union cleanly."""
+    def test_same_relation_same_arity_is_refused_naming_both_peers(self):
+        """A stored relation has one owner: two peers serving one name is
+        refused even when the arities match."""
         first = Instance.from_dict({"shared": [(1, 2)], "only_a": [(7,)]})
         second = Instance.from_dict({"shared": [(3, 4)]})
-        combined = combine_peer_instances({"A": first, "B": second})
-        assert set(combined.get_tuples("shared")) == {(1, 2), (3, 4)}
-        assert set(combined.get_tuples("only_a")) == {(7,)}
+        with pytest.raises(MappingError) as excinfo:
+            combine_peer_instances({"A": first, "B": second})
+        message = str(excinfo.value)
+        assert "'A'" in message and "'B'" in message and "'shared'" in message
+        assert "one owner" in message
 
     def test_arity_clash_raises_naming_both_peers(self):
+        """An arity clash is one case of a second owner."""
         first = Instance.from_dict({"s": [(1, 2)]})
         second = Instance.from_dict({"s": [(3,)]})
         with pytest.raises(MappingError) as excinfo:
             combine_peer_instances({"A": first, "B": second})
         message = str(excinfo.value)
         assert "'A'" in message and "'B'" in message and "'s'" in message
-        assert "arity 2" in message and "arity 1" in message
 
     def test_arity_clash_detected_eagerly_even_for_empty_overlap(self):
         """The clash is detected from declared arities, before any row merge."""

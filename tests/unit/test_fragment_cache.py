@@ -154,6 +154,21 @@ class TestFragmentCache:
         assert len(cache) == 0 and cache.current_bytes == 0
         assert cache.stats.misses == 1
 
+    def test_a_clear_is_no_invalidation_but_invalidate_all_is(self):
+        """Nothing moved under a clear (a cold-scan probe drops the warm
+        set), so it counts no invalidation; dropping everything because
+        the catalogue moved unnamed counts each entry."""
+        cache = FragmentCache(max_bytes=1 << 20)
+        for key in ("ka", "kb"):
+            cache.get_or_compute(key, ("v",), {"r"}, lambda: _table([(1, 2)]))
+        assert cache.clear() == 2
+        assert cache.stats.invalidations == 0
+        for key in ("ka", "kb", "kc"):
+            cache.get_or_compute(key, ("v",), {"r"}, lambda: _table([(1, 2)]))
+        assert cache.invalidate_all() == 3
+        assert len(cache) == 0 and cache.current_bytes == 0
+        assert cache.stats.invalidations == 3
+
     def test_budget_must_be_positive(self):
         with pytest.raises(EvaluationError):
             FragmentCache(max_bytes=0)
@@ -251,6 +266,8 @@ class TestVersionTokens:
         assert data_version_token({"r": [(1, 2)]}, {"r"}) is None
 
     def test_peer_fact_source_token_sees_writes_and_owner_changes(self):
+        """A write moves the token, and so does the relation changing
+        hands (a peer leaving and another serving the same rows)."""
         a, b = Instance(), Instance()
         a.add("r", (1, 2))
         source = PeerFactSource({"A": a})
@@ -258,21 +275,22 @@ class TestVersionTokens:
         a.add("r", (3, 4))
         after_write = source.data_version("r")
         assert after_write != before
-        b.add("r", (1, 2))
-        two_owners = PeerFactSource({"A": a, "B": b}).data_version("r")
-        assert two_owners != after_write
+        b.add_all("r", a.get_tuples("r"))
+        moved = PeerFactSource({"B": b}).data_version("r")
+        assert moved != after_write
         assert PeerFactSource({}).data_version("r") == ()
 
-    def test_the_single_owner_token_is_the_sorted_one(self):
-        """One owner takes a fast path; its token must not change."""
+    def test_the_token_is_the_owner_token_in_a_one_tuple(self):
+        """One token shape: the owner's token in a one-tuple, ``()`` for a
+        relation no peer serves."""
         a, b = Instance(), Instance()
         a.add("r", (1, 2))
-        b.add("r", (3, 4))
+        b.add("q", (3, 4))
         for instances in ({}, {"A": a}, {"B": b}, {"A": a, "B": b}, {"B": b, "A": a}):
             source = PeerFactSource(instances)
-            owners = instances.values()
+            owners = [owner for owner in instances.values() if "r" in owner]
             assert source.data_version("r") == tuple(
-                sorted(owner.data_version("r") for owner in owners)
+                owner.data_version("r") for owner in owners
             )
 
 
@@ -476,6 +494,7 @@ class TestCachedExecution:
         assert len(service.fragment_cache) > 0
         service.clear_cache()
         assert len(service.fragment_cache) == 0
+        assert service.fragment_cache.stats.invalidations == 0
 
     def test_data_override_does_not_churn_warm_entries(self):
         """A one-off override answers correctly but bypasses the cache."""

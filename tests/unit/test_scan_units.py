@@ -8,18 +8,20 @@ retry is a per-unit RPC:
 * a unit retries up to ``ScanPolicy.retries`` times, then degrades with
   exactly one :class:`ScanFailure` per relation, however many attempts
   it made;
-* a faulting unit retries alone: the other owners of the same relation
-  are scanned once;
-* a dead owner costs only its own rows (a sound subset), and a refresh
-  after it returns re-earns ``complete``;
+* a faulting unit retries alone: the other peers of the same wave are
+  scanned once;
+* a dead owner costs only its own relation's rows (a sound subset), and a
+  refresh after it returns re-earns ``complete``;
 * a re-scan ships the rows added since the peer's cursor and nothing
   else, unless delta shipping is off;
 * the describe round spends the same retry budget;
 * a wave costs one batch frame on the socket and one RPC per unit on a
   transport without one, plus one RPC per retry.
 
-Faults are scripted client-side (the next *n* admissions to a peer
-raise), so every count asserted here is exact.
+Each peer owns its own relation (a stored relation has one owner), so a
+wave over several peers is a wave over several relations.  Faults are
+scripted client-side (the next *n* admissions to a peer raise), so every
+count asserted here is exact.
 """
 
 from __future__ import annotations
@@ -99,20 +101,42 @@ def backend(request):
         transport.close()
 
 
-def owners_of_r(*peers):
-    """``r`` stored piecewise on ``peers``: three distinct rows each."""
+def relation_of(peer):
+    """The stored relation ``peer`` owns."""
+    return f"r{peer}"
+
+
+def owners(*peers):
+    """Each of ``peers`` storing its own relation: three distinct rows each."""
     return {
-        peer: Instance.from_dict({"r": [(index, row) for row in range(3)]})
+        peer: Instance.from_dict({relation_of(peer): [(index, row) for row in range(3)]})
         for index, peer in enumerate(peers)
     }
 
 
+def scans(data):
+    """One all-wildcard scan per peer's relation: the wave over ``data``."""
+    return [(relation_of(peer), ALL) for peer in data]
+
+
 def rows_at(data, peers=None):
+    """``(relation, row)`` for every row the listed ``peers`` (default:
+    all) store."""
     return {
-        row
+        (relation_of(peer), row)
         for peer, instance in data.items()
         if peers is None or peer in peers
-        for row in instance.get_matching("r", ALL)
+        for row in instance.get_matching(relation_of(peer), ALL)
+    }
+
+
+def rows_read(source, data):
+    """``(relation, row)`` for every row ``source`` serves of ``data``'s
+    relations."""
+    return {
+        (relation, row)
+        for relation, pattern in scans(data)
+        for row in source.get_matching(relation, pattern)
     }
 
 
@@ -132,50 +156,50 @@ BUDGETS = [
 def test_a_unit_retries_within_its_budget_then_degrades_once(
     backend, retries, faults
 ):
-    data = owners_of_r("A")
+    data = owners("A")
     transport = backend(data)
     source = RemotePeerFactSource(
         transport, policy=ScanPolicy(retries=retries, **FAST)
     )
     transport.scan_faults["A"] = faults
-    assert source.prefetch([("r", ALL)]) == 1
+    assert source.prefetch(scans(data)) == 1
     spent = min(faults, retries)
     assert transport.scan_attempts["A"] == spent + 1
     assert source.scatter_stats()["retries"] == spent
     if faults <= retries:
-        assert set(source.get_matching("r", ALL)) == rows_at(data)
+        assert rows_read(source, data) == rows_at(data)
         assert source.failure_count == 0
         assert source.complete
-        assert source.data_version("r") == (data["A"].data_version("r"),)
+        assert source.data_version("rA") == (data["A"].data_version("rA"),)
         return
     # Out of budget: one failure for the unit, not one per attempt.
-    assert source.get_matching("r", ALL) == ()
+    assert source.get_matching("rA", ALL) == ()
     [failure] = source.failures()
-    assert (failure.peer, failure.relation) == ("A", "r")
+    assert (failure.peer, failure.relation) == ("A", "rA")
     assert "scripted" in failure.error
-    assert source.degraded_relations == ("r",)
+    assert source.degraded_relations == ("rA",)
     assert not source.complete
-    assert source.data_version("r") is None
+    assert source.data_version("rA") is None
     # The peer answers again: a refresh drops the partial memo entry.
     source.refresh()
-    assert set(source.get_matching("r", ALL)) == rows_at(data)
+    assert rows_read(source, data) == rows_at(data)
     assert source.complete
     assert source.failure_count == 1
 
 
 # ---------------------------------------------------------------------------
-# Units of one relation are independent
+# Units of one wave are independent
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("faulty", ["A", "B", "C"])
 def test_a_faulting_owner_retries_alone(backend, faulty):
-    data = owners_of_r("A", "B", "C")
+    data = owners("A", "B", "C")
     transport = backend(data)
     source = RemotePeerFactSource(transport, policy=ScanPolicy(retries=1, **FAST))
     transport.scan_faults[faulty] = 1
-    source.prefetch([("r", ALL)])
-    assert set(source.get_matching("r", ALL)) == rows_at(data)
+    source.prefetch(scans(data))
+    assert rows_read(source, data) == rows_at(data)
     assert source.scatter_stats()["retries"] == 1
     assert transport.scan_attempts == Counter(
         {peer: 2 if peer == faulty else 1 for peer in data}
@@ -191,26 +215,24 @@ DEAD = [(), ("A",), ("A", "C"), ("A", "B", "C")]
     "dead", DEAD, ids=["none"] + ["+".join(peers) for peers in DEAD[1:]]
 )
 def test_dead_owners_cost_only_their_own_rows(backend, dead):
-    data = owners_of_r("A", "B", "C")
+    data = owners("A", "B", "C")
     transport = backend(data)
     source = RemotePeerFactSource(transport, policy=ScanPolicy(retries=1, **FAST))
     for peer in dead:
         transport.fail_peer(peer)
-    source.prefetch([("r", ALL)])
-    assert set(source.get_matching("r", ALL)) == rows_at(
-        data, set(data) - set(dead)
-    )
+    source.prefetch(scans(data))
+    assert rows_read(source, data) == rows_at(data, set(data) - set(dead))
     assert sorted((f.peer, f.relation) for f in source.failures()) == [
-        (peer, "r") for peer in dead
+        (peer, relation_of(peer)) for peer in dead
     ]
     for peer in dead:
         assert transport.scan_attempts[peer] == 2
-    assert source.degraded_relations == (("r",) if dead else ())
+    assert source.degraded_relations == tuple(map(relation_of, dead))
     assert source.complete is (not dead)
     for peer in dead:
         transport.restore_peer(peer)
     source.refresh()
-    assert set(source.get_matching("r", ALL)) == rows_at(data)
+    assert rows_read(source, data) == rows_at(data)
     assert source.complete
 
 
@@ -251,21 +273,22 @@ def test_a_rescan_ships_only_what_was_added(backend, added, delta, path):
 
 @pytest.mark.parametrize("advanced", ["A", "B"])
 def test_each_owner_ships_its_own_delta(backend, advanced):
-    data = owners_of_r("A", "B")
+    data = owners("A", "B")
     transport = backend(data)
     source = RemotePeerFactSource(transport)
-    source.prefetch([("r", ALL)])
+    source.prefetch(scans(data))
     still = "B" if advanced == "A" else "A"
-    token_still = data[still].data_version("r")
-    data[advanced].add("r", (50, 1))
-    data[advanced].add("r", (50, 2))
+    token_still = source.data_version(relation_of(still))
+    data[advanced].add(relation_of(advanced), (50, 1))
+    data[advanced].add(relation_of(advanced), (50, 2))
     source.refresh()
-    assert data[still].data_version("r") == token_still
-    source.prefetch([("r", ALL)])
-    assert set(source.get_matching("r", ALL)) == rows_at(data)
+    assert source.data_version(relation_of(still)) == token_still
+    # The advanced relation's memo entry is dropped, so the wave re-scans
+    # it alone, on its cursor, and ships only the two new rows.
+    source.prefetch(scans(data))
+    assert rows_read(source, data) == rows_at(data)
     stats = source.scatter_stats()
-    # Both owners ride their cursors; only the advanced one has rows to send.
-    assert (stats["delta_scans"], stats["delta_rows_shipped"]) == (2, 2)
+    assert (stats["delta_scans"], stats["delta_rows_shipped"]) == (1, 2)
     assert (stats["full_scans"], stats["full_rows_shipped"]) == (2, 6)
 
 
@@ -308,22 +331,22 @@ def test_the_describe_round_spends_the_same_budget(backend, faults):
 
 
 @pytest.mark.parametrize("fault", [False, True], ids=["clean", "one-retry"])
-@pytest.mark.parametrize("owners", [1, 4])
-def test_a_wave_costs_one_frame_or_one_rpc_per_unit(backend, owners, fault):
-    data = owners_of_r(*[f"P{index}" for index in range(owners)])
+@pytest.mark.parametrize("peers", [1, 4])
+def test_a_wave_costs_one_frame_or_one_rpc_per_unit(backend, peers, fault):
+    data = owners(*[f"P{index}" for index in range(peers)])
     transport = backend(data)
     source = RemotePeerFactSource(transport, policy=ScanPolicy(retries=1, **FAST))
     if fault:
         transport.scan_faults["P0"] = 1
     before = transport.rpc_count
-    source.prefetch([("r", ALL)])
+    source.prefetch(scans(data))
     if hasattr(transport, "scan_many"):
         # One frame carries the admitted first attempts; a first attempt
         # refused at admission is not sent, so a frame of none is no RPC.
-        first_attempts = int(owners > int(fault))
+        first_attempts = int(peers > int(fault))
     else:
         # Every unit is its own RPC, counted even when refused.
-        first_attempts = owners
+        first_attempts = peers
     assert transport.rpc_count - before == first_attempts + int(fault)
-    assert set(source.get_matching("r", ALL)) == rows_at(data)
+    assert rows_read(source, data) == rows_at(data)
     assert transport.rpc_count - before == first_attempts + int(fault)

@@ -379,6 +379,27 @@ class TestLimitAndStreaming:
         assert service.stats.invalidations == 2
         assert service.answer(QUERY_R) == {(1, 2), (2, 3), (3, 4)}
 
+    def test_change_log_truncation_counts_dropped_fragments_as_invalidations(self):
+        """The catalogue moved past the log: the fragments are dropped
+        because of it, so each counts as an invalidation."""
+        import repro.pdms.system as system_module
+
+        service = _service()
+        service.answer(QUERY_R)
+        service.answer(QUERY_T)
+        cached = len(service.fragment_cache)
+        assert cached > 0 and service.fragment_cache.stats.invalidations == 0
+        original = system_module.MAX_CHANGE_LOG
+        system_module.MAX_CHANGE_LOG = 2
+        try:
+            for i in range(4):
+                service.pdms.add_peer(f"F{i}")
+            service.reformulate(QUERY_R)  # syncs with the catalogue
+        finally:
+            system_module.MAX_CHANGE_LOG = original
+        assert len(service.fragment_cache) == 0
+        assert service.fragment_cache.stats.invalidations == cached
+
     def test_limit_uses_cache_too(self):
         service = _service()
         service.answer(QUERY_R, limit=1)

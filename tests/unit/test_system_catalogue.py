@@ -356,6 +356,77 @@ class TestPeerRemoval:
         assert change.affected_predicates == frozenset({"A:R"})
 
 
+class TestOneOwnerPerStoredRelation:
+    """A stored relation has one owner (the paper's PPL): a second peer
+    declaring it is refused at every catalogue entry point, naming both
+    peers, and the refused mutation changes nothing."""
+
+    @staticmethod
+    def _owned() -> PDMS:
+        """``s`` stored at ``A`` and mapped into ``B:S``; catalogue built."""
+        pdms = _small_pdms()
+        pdms.add_storage_description(StorageDescription(
+            "A", "s", parse_query("V(x, y) :- A:R(x, y)"), name="store_s"))
+        pdms.add_peer_mapping(lav_style(
+            parse_atom("s(x, y)"), parse_query("V(x, y) :- B:S(x, y)"), name="s_in_b"))
+        pdms.catalogue()
+        return pdms
+
+    @staticmethod
+    def _state(pdms: PDMS) -> tuple:
+        return (
+            pdms.catalogue_version,
+            pdms.stored_relation_names(),
+            _catalogue_fingerprint(pdms.catalogue()),
+            _catalogue_fingerprint(pdms._normalise()),
+            [peer.name for peer in pdms.peers()],
+            [d.name for d in pdms.storage_descriptions()],
+        )
+
+    def _assert_refused(self, pdms: PDMS, mutate, second: str) -> None:
+        before = self._state(pdms)
+        with pytest.raises(PDMSConfigurationError) as excinfo:
+            mutate()
+        message = str(excinfo.value)
+        assert "'s'" in message and "'A'" in message and repr(second) in message
+        assert self._state(pdms) == before
+
+    def test_add_peer(self):
+        pdms = self._owned()
+        peer = Peer("C")
+        peer.add_stored_relation("t", ["x"])
+        peer.add_stored_relation("s", ["x", "y"])
+        self._assert_refused(pdms, lambda: pdms.add_peer(peer), "C")
+        assert "C" not in pdms and not pdms.is_stored_relation("t")
+
+    def test_add_stored_relation_on_a_registered_peer(self):
+        pdms = self._owned()
+        peer = pdms.peer("B")
+        self._assert_refused(pdms, lambda: peer.add_stored_relation("s", ["x", "y"]), "B")
+        assert peer.stored_relation_names() == ()
+
+    def test_an_auto_declaring_storage_description(self):
+        pdms = self._owned()
+        description = StorageDescription(
+            "B", "s", parse_query("V(x, y) :- B:S(x, y)"), name="b_store_s")
+        self._assert_refused(
+            pdms, lambda: pdms.add_storage_description(description), "B")
+        assert pdms.peer("B").stored_relation_names() == ()
+        # The refused description claimed no name.
+        pdms.add_storage_description(StorageDescription(
+            "B", "sb", parse_query("V(x, y) :- B:S(x, y)"), name="b_store_s"))
+
+    def test_the_owner_adds_descriptions_freely_and_a_released_name_is_free(self):
+        pdms = self._owned()
+        pdms.add_storage_description(StorageDescription(
+            "A", "s", parse_query("V(y, x) :- A:R(x, y)"), name="store_s_again"))
+        pdms.remove_peer("A")
+        assert not pdms.is_stored_relation("s")
+        pdms.peer("B").add_stored_relation("s", ["x", "y"])
+        assert pdms.is_stored_relation("s")
+        assert pdms.catalogue().is_stored("s")
+
+
 class TestMutationCost:
     """A mutation inspects what it touches, not the whole PDMS: the work
     is counted (peers asked for their relations, mappings and

@@ -82,10 +82,10 @@ def _single_peer():
 
 
 def _split_pair():
-    """``r``'s rows split across two owners: every scan fans out to both."""
+    """Two peers, each owning one relation: a wave over both is two units."""
     return {
-        "A": Instance.from_dict({"r": [(1, 10), (3, 30)]}),
-        "B": Instance.from_dict({"r": [(2, 20)]}),
+        "A": Instance.from_dict({"ra": [(1, 10), (3, 30)]}),
+        "B": Instance.from_dict({"rb": [(2, 20)]}),
     }
 
 
@@ -160,7 +160,7 @@ class TestLoopbackChaos:
             transport, policy=ScanPolicy(retries=0, **FAST)
         )
         with tracer.start_trace("query.answer"):
-            assert source.prefetch([("r", ALL)]) == 1
+            assert source.prefetch([("ra", ALL), ("rb", ALL)]) == 2
         assert_well_formed(tracer)
         [wave] = last_spans(tracer, "scatter.wave")
         assert wave["attrs"]["units"] == 2
@@ -169,7 +169,8 @@ class TestLoopbackChaos:
         units = last_spans(tracer, "scan.unit")
         assert sorted(unit["attrs"]["peer"] for unit in units) == ["A", "B"]
         assert all(unit["parent_id"] == wave["span_id"] for unit in units)
-        assert set(source.get_matching("r", ALL)) == {(1, 10), (2, 20), (3, 30)}
+        assert set(source.get_matching("ra", ALL)) == {(1, 10), (3, 30)}
+        assert set(source.get_matching("rb", ALL)) == {(2, 20)}
 
 
 # ---------------------------------------------------------------------------

@@ -244,8 +244,8 @@ class TestPeerFactSource:
 
         assert set(source.get_matching("r1", (3, WILDCARD))) == {(3, 4)}
         assert source.get_matching("missing", (WILDCARD,)) == ()
-        assert source.owner_count("r1") == 1
-        assert source.owner_count("missing") == 0
+        assert source.data_version("r1") == (first.data_version("r1"),)
+        assert source.data_version("missing") == ()
         assert sorted(source.relations()) == ["r1", "r2"]
 
     def test_no_copy_probes_see_live_updates(self):
@@ -255,16 +255,16 @@ class TestPeerFactSource:
         instance.add("r", (2,))
         assert set(source.get_tuples("r")) == {(1,), (2,)}
 
-    def test_shared_relation_fans_out_to_all_owners(self):
-        from repro.datalog.indexing import WILDCARD
-
+    def test_a_relation_two_peers_serve_is_refused_naming_both(self):
+        """A stored relation has one owner, whether or not the arities
+        agree."""
         first = Instance.from_dict({"shared": [(1, 2)]})
         second = Instance.from_dict({"shared": [(3, 4)]})
-        source = PeerFactSource({"A": first, "B": second})
-        assert source.owner_count("shared") == 2
-        assert set(source.get_tuples("shared")) == {(1, 2), (3, 4)}
-        assert set(source.get_matching("shared", (WILDCARD, 4))) == {(3, 4)}
-        assert source.cardinality("shared") == 2
+        with pytest.raises(MappingError) as excinfo:
+            PeerFactSource({"A": first, "B": second})
+        message = str(excinfo.value)
+        assert "'A'" in message and "'B'" in message and "'shared'" in message
+        assert "one owner" in message
 
     def test_relation_created_after_construction_is_discovered(self):
         instance = Instance.from_dict({"r": [(1,)]})
@@ -273,7 +273,7 @@ class TestPeerFactSource:
         instance.add("late", (7, 8))
         assert set(source.get_tuples("late")) == {(7, 8)}
         assert source.cardinality("late") == 1
-        assert source.owner_count("late") == 1
+        assert source.data_version("late") == (instance.data_version("late"),)
         assert "late" in source.relations()
         from repro.datalog.indexing import WILDCARD
 
@@ -288,23 +288,19 @@ class TestPeerFactSource:
         with pytest.raises(MappingError):
             source.get_tuples("late")
 
-    def test_second_owner_of_known_relation_becomes_visible(self):
-        """A relation routed at construction gains a new owner later: the
-        stamp-based refresh must pick it up (the half-live-view bug)."""
+    def test_a_second_owner_of_a_known_relation_is_refused_on_the_next_probe(self):
+        """A relation routed at construction gains a second owner later:
+        the stamp-based refresh sees it (no half-live view) and refuses it
+        exactly as a fresh construction would, naming both peers."""
         first = Instance.from_dict({"s": [(1, 1)]})
         second = Instance.from_dict({"other": [(9,)]})
         source = PeerFactSource({"A": first, "B": second})
         assert set(source.get_tuples("s")) == {(1, 1)}
         second.add("s", (2, 2))
-        assert set(source.get_tuples("s")) == {(1, 1), (2, 2)}
-        assert source.owner_count("s") == 2
-        # And a late clash on an already-routed relation raises, exactly
-        # as a fresh construction would.
-        third = Instance.from_dict({"t": [(5, 6)]})
-        clashing = PeerFactSource({"A": first, "C": third})
-        third.add("s", (7,))
-        with pytest.raises(MappingError):
-            clashing.get_tuples("s")
+        with pytest.raises(MappingError) as excinfo:
+            source.get_tuples("s")
+        message = str(excinfo.value)
+        assert "'A'" in message and "'B'" in message and "'s'" in message
 
     def test_unrelated_instance_creation_does_not_rebuild_routes(self):
         """The global clock is only a fast gate: creations on instances a
@@ -327,7 +323,6 @@ class TestPeerFactSource:
             PeerFactSource({"A": first, "B": second})
         message = str(excinfo.value)
         assert "'A'" in message and "'B'" in message and "'s'" in message
-        assert "arity 2" in message and "arity 1" in message
 
     def test_arity_clash_detected_eagerly_even_for_empty_overlap(self):
         schema_less = Instance()

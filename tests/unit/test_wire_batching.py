@@ -487,8 +487,8 @@ class TestRefreshRetry:
             )
             assert not source.complete
             # Their relations dropped out of the routing table ...
-            assert source.owners("s03") == () and source.data_version("s03") == ()
-            assert source.owners("s04") == ("P04",)
+            assert source.owner("s03") is None and source.data_version("s03") == ()
+            assert source.owner("s04") == "P04"
             before = source.data_version("s04")
 
             # ... and coming back moves exactly their version tokens.
@@ -506,8 +506,9 @@ class TestRefreshRetry:
             transport.close()
 
     def test_a_peer_that_answers_on_retry_keeps_its_place_in_the_routes(self):
-        shared = {"r": [(1, 1)]}
-        data = {name: Instance.from_dict(shared) for name in ("A", "B", "C")}
+        data = {
+            name: Instance.from_dict({f"r{name}": [(1, 1)]}) for name in ("A", "B", "C")
+        }
 
         class FlakyOnce(LoopbackTransport):
             flaked = False
@@ -519,7 +520,8 @@ class TestRefreshRetry:
                 return super().describe(peer)
 
         source = RemotePeerFactSource(FlakyOnce(data), policy=POLICY)
-        assert source.owners("r") == ("A", "B", "C")
+        assert source.relations() == ("rA", "rB", "rC")
+        assert [source.owner(f"r{name}") for name in "ABC"] == ["A", "B", "C"]
         assert source.complete and source.failure_count == 0
 
     def test_cross_peer_arity_clash_still_names_both_peers(self):
@@ -528,7 +530,7 @@ class TestRefreshRetry:
             "B": Instance.from_dict({"r": [(1, 2, 3)]}),
         })
         try:
-            with pytest.raises(MappingError, match="arity 2 at peer 'A' but arity 3 at peer 'B'"):
+            with pytest.raises(MappingError, match="served by peer 'A' and by peer 'B'"):
                 RemotePeerFactSource(transport, policy=POLICY)
         finally:
             transport.close()
