@@ -121,8 +121,9 @@ class FragmentCacheStats:
     #: change, a truncated change log) named them; :meth:`FragmentCache.clear`
     #: counts none.
     invalidations: int = 0
-    #: Stale entries stepped forward by the rows appends added under them
-    #: instead of being recomputed (see :meth:`FragmentCache.get_or_compute`).
+    #: Stale entries stepped forward by the rows appends added under them,
+    #: and missing ones stepped from the fragment their definition grew
+    #: from, instead of being recomputed (see :meth:`FragmentCache.get_or_compute`).
     deltas: int = 0
 
     @property
@@ -248,6 +249,7 @@ class FragmentCache:
         compute: Callable[..., ColumnTable],
         *args: object,
         step: Optional[Callable[..., Optional[Tuple[ColumnTable, ColumnTable]]]] = None,
+        since: Optional[Tuple[str, object]] = None,
     ) -> ColumnTable:
         """The cached result for ``key`` at ``token``, computing on miss.
 
@@ -263,6 +265,12 @@ class FragmentCache:
         rows ``delta`` — or ``None`` when the change under the entry is not
         provably appends, and ``compute`` runs as on a miss.  The stale
         entry is kept while the step runs.
+
+        ``since`` (optional, with ``step``) is ``(key, token)`` of the
+        fragment ``key``'s definition grew from (a plan seeded by an earlier
+        one): when ``key`` has no entry but that key has one — at ``token``,
+        unless it is ``None`` — ``step`` is called with no old token and
+        value, to step ``key`` from that fragment's table instead.
         """
         span = current_span()
         if span.recording:
@@ -284,21 +292,29 @@ class FragmentCache:
                         self.stats.invalidations += 1
                     else:
                         stale = entry
+                elif step is not None and since is not None:
+                    held = self._entries.get(since[0])
+                    if held is not None and since[1] in (None, held.token):
+                        stale = since
                 self.stats.misses += 1
             if stale is not None:
-                stepped = step(stale.token, stale.value, token, *args)
+                grown = stale is since
+                old = (None, None) if grown else (stale.token, stale.value)
+                stepped = step(*old, token, *args)
                 with self._lock:
-                    if stepped is None:
+                    if stepped is not None:
+                        self.stats.deltas += 1
+                    elif not grown:
                         if self._entries.get(key) is stale:
                             self._remove_locked(key)
                         self.stats.invalidations += 1
-                    else:
-                        self.stats.deltas += 1
                 if stepped is not None:
                     value, delta = stepped
                     span.set("outcome", "delta")
                     admitted = self._admit(key, token, relations, value)
                     if span.recording:
+                        if grown:
+                            span.set("since", since[0][:80])
                         span.set("delta_rows", len(delta))
                         span.set("admitted", admitted)
                     return value

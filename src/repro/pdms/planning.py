@@ -48,10 +48,12 @@ they read — assembled from one version snapshot per answer
 (:class:`_Evaluation`) — so repeated queries over unchanged data reuse
 them, and after appends a stale table is stepped forward by the rows the
 appends added (:meth:`_Evaluation._step`) instead of recomputing the path
-from the written scan upward.  With a cache, a plan also keeps its last
-whole answer, as a ``frozenset`` beside the root table it was built
-from: the next whole answer over the same root table is that set, one
-whose root was stepped from it gains the step's rows, and over another
+from the written scan upward; after a peer joins, a fragment whose
+definition grew is stepped from the one it replaces by the rows its new
+branches add.  With a cache, a plan also keeps its last whole answer, and
+the one before it, as frozen sets beside the root tables they were built
+from: the next whole answer over such a root table is that set, one
+whose root was stepped from it gains the steps' rows, and over another
 root table it is maintained by the rows the two tables differ in
 (:func:`_whole_answer`).
 
@@ -415,10 +417,15 @@ class UnionPlan:
     (``reformulate(previous=...)``) carries this plan as its
     ``_seed_plan``; the new plan's factored compile takes the alternatives
     of every rule node the rebuild copied with an unchanged subtree
-    (``RuleNode.source``), copying in the nodes under them, recompiles only
-    the rules on a changed path, and drops the seed when it ends.  It also
-    takes the seed's kept whole answer as the base its own first whole
-    answer is maintained from (:func:`_whole_answer`).
+    (``RuleNode.source``), copying in the nodes under them and their
+    content-keyed memos, recompiles only the rules on a changed path, and
+    drops the seed when it ends.  On that path, a union holding every
+    branch of a seed union of its label and columns (or a grown version of
+    it) grew from that union; joins above it keep the seed's order, so
+    each grew from the seed's join of its children's predecessors.
+    ``_since`` maps such fragments to their predecessors, whose nodes are
+    copied in, for an evaluation to step from (:meth:`_Evaluation._step`).
+    The plan also takes the seed's two kept answers (:func:`_whole_answer`).
     """
 
     def __init__(
@@ -444,8 +451,15 @@ class UnionPlan:
         self._alternatives: Dict[Tuple[RuleNode, Tuple[Variable, ...]], list] = {}
         #: The previous tree's plan, while the factored compile carries from it.
         self._seed: Optional[UnionPlan] = None
-        #: The last whole answer: (root table, its rows, estimated bytes).
+        #: The seed's joins and unions, indexed while the compile uses it.
+        self._seed_index: Optional[Dict[tuple, object]] = None
+        #: Fragment -> (its predecessor: the seed's fragment its definition
+        #: grew from, the positions of the union branches it adds).
+        self._since: Dict[str, Tuple[str, FrozenSet[int]]] = {}
+        #: The last whole answer: (root table, its rows, estimated bytes);
+        #: and the base, the one kept before it (see :func:`_whole_answer`).
         self._answer: Optional[Tuple[ColumnTable, FrozenSet[Row], int]] = None
+        self._base: Optional[Tuple[ColumnTable, FrozenSet[Row], int]] = None
         # One lock serialises every node-table write — _LazySeq advances
         # _compile_rewriting under its lock, and factored_root() borrows it
         # to compile the tree — whichever front-end executions drive.
@@ -670,6 +684,8 @@ class UnionPlan:
                 columns=_column_names(width),
             )
             self.nodes[key] = node
+            if self._seed is not None:
+                self._join_predecessor(node)
         estimate = pair.estimate
         distinct: Sequence[float] = ()
         if self._cost is not None:
@@ -710,8 +726,10 @@ class UnionPlan:
         return self._merge_all([self._leaf_group(atom) for atom in atoms])
 
     def _merge_all(self, groups: List[_Group]) -> _Group:
-        """Merge ``groups`` pairwise, in :meth:`_compile_bushy`'s order, into one."""
-        nodes = self.nodes
+        """Merge ``groups`` pairwise, in :meth:`_compile_bushy`'s order, into
+        one — with a seed, pairs it joined first: a join above a grown union
+        keeps the seed's order, so it has a predecessor."""
+        nodes, seeded = self.nodes, self._seed is not None
         while len(groups) > 1:
             every = []
             for i, left in enumerate(groups):
@@ -732,6 +750,7 @@ class UnionPlan:
                 if len(candidates) == 1:
                     break  # nothing to order
                 score = (
+                    seeded and not self._seed_joined(left.key, right.key),
                     key not in nodes,
                     not (left.shared and right.shared),
                     pair.estimate,
@@ -741,7 +760,7 @@ class UnionPlan:
                 if best is None or score < best[0]:
                     best = (score, pair)
             else:
-                (_, _, _, _, (i, j)), pair = best
+                (*_, (i, j)), pair = best
             merged = self._merge_groups(groups[i], groups[j], pair)
             groups = [g for k, g in enumerate(groups) if k != i and k != j]
             groups.append(merged)
@@ -792,9 +811,8 @@ class UnionPlan:
 
     @property
     def held_bytes(self) -> int:
-        """Estimated bytes of the kept whole answer (0 when none is kept)."""
-        kept = self._answer
-        return kept[2] if kept is not None else 0
+        """Estimated bytes of the kept whole answers (0 when none is kept)."""
+        return sum([kept[2] for kept in (self._answer, self._base) if kept is not None])
 
     def _compile_tree(self) -> Optional[str]:
         stats = self.stats
@@ -803,7 +821,7 @@ class UnionPlan:
             # Taken by the first factored compile of a plan, and
             # dropped with it: nothing survives two catalogue states.
             self._seed, self.result._seed_plan = self.result._seed_plan, None
-            self._answer = self._seed._answer
+            self._answer, self._base = self._seed._answer, self._seed._base
         try:
             if tree is None:
                 raise _Declined("no-tree")
@@ -816,14 +834,17 @@ class UnionPlan:
                 for alternative in self._tree_alternatives(rule, need)
             ]
             root = self._union_node(head.predicate, head.args, alternatives).key
+            for before, _ in self._since.values():
+                self._carry(before)
         except _Declined as declined:
             stats.declined = declined.args[0]
+            self._since.clear()
             if self._seed is not None:
                 for rule in tree.rule_nodes():
                     rule.source = None  # the ones the compile did not reach
             return None
         finally:
-            self._seed = None
+            self._seed = self._seed_index = None
         stats.factored = len(_collect_subplan(self, root))
         if getattr(self.result, "_shared_plan", None) is self:
             self.result._factored_plan = self
@@ -831,10 +852,25 @@ class UnionPlan:
 
     def _carried(self, group: _Group) -> _Group:
         """``group`` of the seed plan, made this plan's: the nodes under it
-        copied into this node table with their origins, and a
-        new group object, so no merge memo is shared between the plans."""
+        carried over (:meth:`_carry`), and a new group object, so no merge
+        memo is shared between the plans."""
+        self._carry(group.key)
+        return _Group(
+            group.key, group.variables, group.index, group.atoms,
+            group.estimate, group.distinct, group.shared,
+        )
+
+    def _carry(self, key: str) -> None:
+        """Copy the seed's node ``key`` and the nodes under it into this
+        node table, with their origins and the content-keyed memos (a key
+        names the same subtree in every plan)."""
         seed, nodes = self._seed, self.nodes
-        stack = [group.key]
+        memos = (
+            (self._relations_cache, seed._relations_cache),
+            (self._token_relations, seed._token_relations),
+            (self._scans_cache, seed._scans_cache),
+        )
+        stack = [key]
         while stack:
             key = stack.pop()
             if key in nodes:
@@ -842,11 +878,66 @@ class UnionPlan:
             node = nodes[key] = seed.nodes[key]
             if key in seed.origins:
                 self.origins.setdefault(key, seed.origins[key])
+            for mine, theirs in memos:
+                if key in theirs:
+                    mine[key] = theirs[key]
             stack.extend(_child_keys(node))
-        return _Group(
-            group.key, group.variables, group.index, group.atoms,
-            group.estimate, group.distinct, group.shared,
-        )
+
+    def _seeded(self) -> Dict[tuple, object]:
+        """The seed's joins by ``(left, right)`` child keys and its unions
+        by ``(label, columns)``, indexed on first use in a compile."""
+        index = self._seed_index
+        if index is None:
+            index = self._seed_index = {}
+            for key, node in self._seed.nodes.items():
+                if isinstance(node, JoinFragment):
+                    index[node.left_key, node.right_key] = key
+                elif isinstance(node, UnionFragment):
+                    index.setdefault((key.rpartition("#")[0], node.columns), []).append(key)
+        return index
+
+    def _before(self, key: str) -> str:
+        """The key fragment ``key``'s table grew from: its predecessor's, or its own."""
+        found = self._since.get(key)
+        return key if found is None else found[0]
+
+    def _seed_joined(self, left: str, right: str) -> bool:
+        """Did the seed join the fragments ``left`` and ``right`` grew from?"""
+        index = self._seeded()
+        left, right = self._before(left), self._before(right)
+        return (left, right) in index or (right, left) in index
+
+    def _join_predecessor(self, node: JoinFragment) -> None:
+        """Record the seed's join ``node`` grew from: the join of its
+        children's predecessors, each side mapped as in ``node``."""
+        left, right = self._before(node.left_key), self._before(node.right_key)
+        if (left, right) == (node.left_key, node.right_key):
+            return
+        index, seed = self._seeded(), self._seed.nodes
+        sides = ((left, node.left_rename), (right, node.right_rename))
+        for (first, first_rename), (second, second_rename) in (sides, sides[::-1]):
+            found = index.get((first, second))
+            if found is not None and seed[found][3:] == (
+                second_rename, node.columns, first_rename
+            ):
+                self._since[node.key] = (found, frozenset())
+                return
+
+    def _union_predecessor(self, node: UnionFragment) -> None:
+        """Record the seed's union ``node`` grew from: the one of the same
+        label and columns, with the most branches, whose every branch is a
+        branch of ``node`` over the same key or that key's predecessor."""
+        mine = {
+            (self._before(branch.key),) + branch[1:3]: position
+            for position, branch in enumerate(node.branches)
+        }
+        best: Optional[Tuple[str, Set[int]]] = None
+        for key in self._seeded().get((node.key.rpartition("#")[0], node.columns), ()):
+            paired = {mine.get(branch[:3]) for branch in self._seed.nodes[key].branches}
+            if None not in paired and (best is None or len(paired) > len(best[1])):
+                best = (key, paired)
+        if best is not None:
+            self._since[node.key] = (best[0], frozenset(range(len(node.branches))) - best[1])
 
     def _tree_alternatives(self, rule: RuleNode, need: Tuple[Variable, ...]) -> list:
         """The ways to satisfy ``rule`` while exporting ``need``: one
@@ -988,6 +1079,8 @@ class UnionPlan:
         if node is None:
             branches = tuple([unique[rendering] for rendering in ordered])
             node = self.nodes[key] = UnionFragment(key, branches, columns)
+            if self._seed is not None and key not in self._seed.nodes:
+                self._union_predecessor(node)
         return node  # type: ignore[return-value]
 
     @staticmethod
@@ -1231,8 +1324,12 @@ class _Evaluation:
     provably appends (:meth:`_step`): the source's ``delta_block`` hands
     over exactly the rows added between the entry's token and the
     snapshot, and the factored plan's delta rules carry them to the
-    entry.  ``stepped`` keeps each step's old table and delta, for the
-    whole answer built on the root (:func:`_whole_answer`).
+    entry.  A fragment a seeded plan grew from a predecessor
+    (``UnionPlan._since``) and the cache lacks is stepped from the
+    predecessor's entry instead, by the rows its new definition adds.
+    ``stepped`` keeps each step's old table, delta and
+    predecessor, for the whole answer built on the root
+    (:func:`_whole_answer`).
     """
 
     __slots__ = (
@@ -1254,7 +1351,7 @@ class _Evaluation:
         self.versions: Dict[str, object] = {}
         self.after_scan = after_scan
         self.restarts = 0
-        self.stepped: Dict[str, Tuple[ColumnTable, ColumnTable]] = {}
+        self.stepped: Dict[str, Tuple[ColumnTable, ColumnTable, Optional[str]]] = {}
 
     def restart(self) -> None:
         """Stop trusting the version snapshot (see the class docstring)."""
@@ -1295,11 +1392,20 @@ class _Evaluation:
                     relations = self.plan.fragment_relations(key)
                     return self.cache.get_or_compute(
                         key, token, relations, self._build, key, node,
-                        step=self._step,
+                        step=self._step, since=self._since(key),
                     )
             return self._build(key, node)
         except _Degraded as degraded:
             return degraded.value
+
+    def _since(self, key: str) -> Optional[Tuple[str, object]]:
+        """``(predecessor, token)`` fragment ``key`` may step from: current
+        (an entry off the answers' path may be far behind), or at any token
+        for the factored root, whose predecessor was the last answers' root."""
+        found = self.plan._since.get(key)
+        if found is None:
+            return None
+        return found[0], None if key == self.plan._root else self.token(found[0])
 
     def _build(self, key: str, node: PlanFragment) -> ColumnTable:
         """Evaluate ``node`` from its children's tables (or the source).
@@ -1339,26 +1445,77 @@ class _Evaluation:
 
     # -- steps ---------------------------------------------------------------
 
-    def _step(self, old_token, old_value: ColumnTable, token, key: str, node: PlanFragment):
+    def _step(self, old_token, old_value: Optional[ColumnTable], token, key: str, node):
         """``(new table, delta)`` of the cached entry ``old_value`` of ``key``
         at ``old_token``, stepped to ``token`` by the rows appends added in
         between, or ``None`` when that change is not provably appends.
+        With no ``old_value``, ``key`` is stepped from its predecessor's
+        table at the snapshot instead, by the rows its definition grew by
+        (:meth:`_growth_rules`).
 
-        The delta is :meth:`_delta`'s, stripped of the rows the entry
-        already holds unless it is exact — probed against the plan's kept
-        answer when the entry is the root that answer was built from."""
+        The delta is stripped of the rows the old table already holds
+        unless it is exact — probed against a kept answer's rows when the
+        old table is one a kept answer was built from (:meth:`_new_rows`)."""
         restarts = self.restarts
-        found = self._delta(key, dict(old_token), dict(token))
-        if found is None:
-            return None
-        delta, exact = found
+        since = None
+        if old_value is None:
+            since = self.plan._since[key][0]
+            delta, exact = self._growth_rules(key, node)
+            old_value = self.table(since)
+        else:
+            found = self._delta(key, dict(old_token), dict(token))
+            if found is None:
+                return None
+            delta, exact = found
         if len(delta) and not exact:
-            delta = self._new_rows(delta, old_value)
+            delta = self._new_rows(delta, old_value, since or key)
         value = union_all([old_value, delta]) if len(delta) else old_value
-        self.stepped[key] = (old_value, delta)
+        self.stepped[key] = (old_value, delta, since)
         if self.restarts != restarts:
             raise _Degraded(value)
         return value, delta
+
+    def _growth(self, key: str) -> Tuple[ColumnTable, bool]:
+        """``(rows, exact)``: the rows fragment ``key``'s table adds to its
+        predecessor's — the step's, if this answer stepped ``key`` from
+        there; else by the rules, leaving ``key`` unbuilt."""
+        stepped = self.stepped.get(key)
+        if stepped is not None and stepped[2] == self.plan._since[key][0]:
+            return stepped[1], True
+        return self._growth_rules(key, self.plan.nodes[key])
+
+    def _growth_rules(self, key: str, node: PlanFragment) -> Tuple[ColumnTable, bool]:
+        """:meth:`_growth` by the definition ``key`` grew by, without the
+        predecessor's table.  A union adds its new branches and its grown
+        branches' growth, mapped: a superset (a row may be in the
+        predecessor through another branch).  A join adds each grown side's
+        growth joined with the other side, exact as :meth:`_delta`'s is."""
+        since = self.plan._since
+        parts = []
+        if isinstance(node, JoinFragment):
+            children = _child_keys(node)
+            grown = [side for side, child in enumerate(children) if child in since]
+            exact = len(grown) == 1
+            for side in grown:
+                rows, child_exact = self._growth(children[side])
+                exact = exact and child_exact
+                parts.append(_combine_tables(node, [
+                    rows if position == side else self.table(sibling)
+                    for position, sibling in enumerate(children)
+                ]))
+            if len(parts) == 1:
+                return parts[0], exact
+        else:
+            added = since[key][1]
+            for position, branch in enumerate(node.branches):
+                if position in added:
+                    part = self.table(branch.key)
+                elif branch.key in since:
+                    part = self._growth(branch.key)[0]
+                else:
+                    continue
+                parts.append(_columnar_branch(part, branch, node.columns))
+        return union_distinct([part for part in parts if len(part)], node.columns), False
 
     def _moved(self, key: str, since: Dict[str, object], now: Dict[str, object]) -> bool:
         """Did a relation under ``key`` move between the two version maps?"""
@@ -1423,14 +1580,20 @@ class _Evaluation:
         )
         return None if block is None else _scan_columnar(node, block)
 
-    def _new_rows(self, delta: ColumnTable, old_value: ColumnTable) -> ColumnTable:
-        """The rows of ``delta`` the entry's ``old_value`` lacks: probed
-        against the kept answer's rows when that answer was built from
-        ``old_value`` (O(delta)), else anti-joined with ``old_value``."""
-        kept = self.plan._answer
-        if kept is not None and kept[0] is old_value:
-            rows = kept[1]
-            return delta.select_mask([row not in rows for row in delta.iter_rows()])
+    def _new_rows(self, delta: ColumnTable, old_value: ColumnTable, key: str) -> ColumnTable:
+        """The rows of ``delta`` that ``old_value``, fragment ``key``'s
+        table, lacks: probed against a kept answer's rows when that answer
+        was built from ``old_value`` — or from the table this answer
+        stepped ``key`` from, plus the step's rows — (O(delta)), else
+        anti-joined with ``old_value``."""
+        stepped = self.stepped.get(key)
+        for table, extra in ((old_value, None), stepped[:2] if stepped else (None, None)):
+            kept = [k for k in (self.plan._answer, self.plan._base) if k and k[0] is table]
+            if kept:
+                rows, more = kept[0][1], frozenset(extra.iter_rows()) if extra else ()
+                return delta.select_mask([
+                    row not in rows and row not in more for row in delta.iter_rows()
+                ])
         return rows_absent(delta, old_value)
 
     def root_rows(self, rewriting_plan: RewritingPlan) -> List[Row]:
@@ -1539,9 +1702,7 @@ def plan_answer_batches(
         if before_root is not None:
             before_root(evaluation, root_key)
         table = evaluation.table(root_key)
-        yield _whole_answer(
-            plan, table, cache, metrics, evaluation.stepped.get(root_key)
-        )
+        yield _whole_answer(plan, table, cache, metrics, root_key, evaluation.stepped)
         return
     for rewriting_plan in plan.fragments():
         if before_root is not None:
@@ -1597,43 +1758,66 @@ def _whole_answer(
     table: ColumnTable,
     cache: Optional[FragmentCache],
     metrics,
-    stepped: Optional[Tuple[ColumnTable, ColumnTable]] = None,
+    root_key: Optional[str] = None,
+    stepped: Optional[Dict[str, Tuple[ColumnTable, ColumnTable, Optional[str]]]] = None,
 ) -> FrozenSet[Row]:
     """The rows of ``table``, the factored root's table in a whole answer.
 
-    The plan's kept answer is *reused* when it was built from ``table``
-    itself (a fragment-cache hit).  When this answer *stepped* the root
-    from the kept answer's table (``stepped``: that old table and the rows
-    the step added, none of them in it), the kept rows gain exactly those
-    rows.  Otherwise the kept answer is *maintained* by the rows the two
-    root tables differ in (:func:`row_difference`): only those rows become
-    tuples.  Every row is *built* when no answer is kept or the tables
-    have no exact difference.  Correctness does not depend on which
-    answer is kept: the difference is taken on content.
+    A plan keeps up to two answers: its last one and a *base*.  A kept
+    answer is *reused* when it was built from ``table`` itself (a
+    fragment-cache hit).  When this answer *stepped* the root to
+    ``table`` from a kept answer's table — directly, or through the
+    predecessor it was stepped from (``stepped``: per fragment, the old
+    table, the rows added, none of them in it, and the predecessor) — the
+    kept rows gain exactly the steps' rows.  Otherwise the last answer is
+    *maintained* by the rows the two root tables differ in
+    (:func:`row_difference`): only those rows become tuples.  Every row
+    is *built* when no answer is kept or the tables have no exact
+    difference.  Correctness does not depend on which answers are kept:
+    the difference is taken on content.
 
-    With a fragment cache the result becomes the kept answer, if its
-    estimate passes the cache's admission rule; each plan keeps one.
-    Concurrent answers may overwrite each other's: the slot is replaced
-    whole, so whichever wins is a consistent (table, rows) pair.
+    With a fragment cache the result becomes the last answer; the base is
+    the predecessor's answer a step passed, else the kept answer not
+    started from — after a peer leaves, the one kept from before it
+    joined.  Each is kept if it passes the cache's admission rule, and
+    each slot is replaced whole, so concurrent answers leave consistent
+    (table, rows) pairs.
     """
-    kept = plan._answer
-    if kept is not None and kept[0] is table:
-        outcome, rows, delta = "reused", kept[1], 0
-    elif kept is not None and stepped is not None and kept[0] is stepped[0]:
-        added = stepped[1]
-        outcome, rows, delta = "stepped", kept[1].union(added.iter_rows()), len(added)
-    elif kept is not None and (diff := row_difference(kept[0], table)) is not None:
-        removed, added = diff
-        outcome, rows, delta = "maintained", kept[1], len(removed) + len(added)
+    kept = [answer for answer in (plan._answer, plan._base) if answer is not None]
+    steps, key, current = [], root_key, table
+    while True:
+        match = next((answer for answer in kept if answer[0] is current), None)
+        step = stepped.get(key) if match is None and stepped else None
+        if step is None:
+            break
+        steps.append(step)
+        current, key = step[0], step[2]
+    base = None
+    if match is not None:
+        outcome, rows, delta = "stepped" if steps else "reused", match[1], 0
+        for old, added, since in reversed(steps):
+            if since is not None:
+                base = (old, rows, _answer_bytes(old, rows))
+            if len(added):
+                rows = rows.union(added.iter_rows())
+            delta += len(added)
+    elif kept and (diff := row_difference(kept[0][0], table)) is not None:
+        match, (removed, added) = kept[0], diff
+        outcome, rows, delta = "maintained", match[1], len(removed) + len(added)
         if len(removed):
             rows = rows.difference(removed.iter_rows())
         if len(added):
             rows = rows.union(added.iter_rows())
     else:
         outcome, rows, delta = "built", frozenset(table.iter_rows()), len(table)
-    if outcome != "reused" and cache is not None:
-        nbytes = _answer_bytes(table, rows)
-        plan._answer = (table, rows, nbytes) if cache.admits(nbytes) else None
+    if cache is not None and not (outcome == "reused" and match is plan._answer):
+        if base is None:
+            base = next((answer for answer in kept if answer is not match), None)
+        answer = match if outcome == "reused" else (table, rows, _answer_bytes(table, rows))
+        plan._answer, plan._base = [
+            held if held is not None and cache.admits(held[2]) else None
+            for held in (answer, base)
+        ]
     span = current_span()
     if span.recording:
         span.set("answer", outcome)

@@ -89,7 +89,7 @@ def _declines(old: ColumnTable, new: ColumnTable) -> bool:
 @example(WIDE_SPANS)
 def test_the_maintained_answer_is_the_new_tables_rows(pair):
     old, new = pair
-    plan = SimpleNamespace(_answer=None)
+    plan = SimpleNamespace(_answer=None, _base=None)
     cache = FragmentCache()
     metrics = MetricsRegistry()
     first = _whole_answer(plan, old, cache, metrics)

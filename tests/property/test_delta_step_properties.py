@@ -7,8 +7,11 @@ them.  This suite drives one service through random interleavings of
 * appends — to one relation, to both sides of a join at once, of rows
   already stored (no-ops), of string and float values (list columns);
 * removals, which are not appends and must fall back to a recompute;
-* a satellite peer joining and leaving (the catalogue changes, the data
-  does not);
+* satellite peers joining and leaving (the catalogue changes, the data
+  does not): one gives a goal that had one stored alternative a second,
+  the other grows a union of two, so a read after it joins steps the new
+  fragments from the ones they replace and a read after it leaves steps
+  from what was kept before the join;
 * reads of queries that share fragments — a join, the same join through
   a definitional mapping, a self-join, a union, a constant selection —
   so that entries sit at different tokens when they are stepped;
@@ -19,7 +22,8 @@ recompute from scratch at its token as a multiset
 (:func:`tests.oracles.fragments.check_cached_fragments`), and that a read
 right after a removal under its root recomputed that root.  It runs over
 an in-process federated source and over a loopback remote source (whose
-deltas come from its cursors' chains).
+deltas come from its cursors' chains); the churn sequences also run on
+the list kernels, with NumPy hidden.
 """
 
 import random
@@ -28,7 +32,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.database import Instance
+from repro.database import Instance, columnar
 from repro.datalog import parse_query
 from repro.pdms import (
     PDMS,
@@ -80,6 +84,13 @@ def join_satellite(service):
         "SAT", "sx", parse_query("V(x, y) :- T:B(x, y)"), exact=False, name="store_sx"))
 
 
+def join_union_satellite(service):
+    """A second store of ``T:A``, whose goal is already a union of two."""
+    service.add_peer("SATA")
+    service.add_storage_description(StorageDescription(
+        "SATA", "sy", parse_query("V(x, y) :- T:A(x, y)"), exact=False, name="store_sy"))
+
+
 def build_data(rng):
     data = {
         peer: Instance.from_dict({stored: [
@@ -88,6 +99,7 @@ def build_data(rng):
         for stored, (peer, _) in STORES.items()
     }
     data["SAT"] = Instance.from_dict({"sx": [(1, 2), (3, 4), (2, 2)]})
+    data["SATA"] = Instance.from_dict({"sy": [(0, 1), (4, 4), (2, 3)]})
     return data
 
 
@@ -99,6 +111,7 @@ class World:
         self.history = VersionHistory(data)
         self.plans = []
         self.joined = False
+        self.union_joined = False
         #: (stored relation, its instance token right after a removal)
         self.removals = []
 
@@ -128,6 +141,13 @@ class World:
         else:
             join_satellite(self.service)
         self.joined = not self.joined
+
+    def churn_union(self):
+        if self.union_joined:
+            self.service.remove_peer("SATA")
+        else:
+            join_union_satellite(self.service)
+        self.union_joined = not self.union_joined
 
     def removed_since(self, token) -> bool:
         """Did a row leave a relation of ``token`` after it was taken?"""
@@ -217,3 +237,54 @@ def test_appends_between_reads_are_stepped(kind, seed):
     ops.append(("append-both", ""))
     _, stepped = run(kind, seed, ops)
     assert stepped > 0
+
+
+def traced_read(world, index) -> int:
+    """``world.read(index)``, traced; returns how many fragments it
+    stepped from a predecessor."""
+    from repro.obs import set_tracer
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.trace import Tracer
+
+    tracer = Tracer(enabled=True, sample_rate=1.0, sink_path=None, registry=MetricsRegistry())
+    set_tracer(tracer)
+    try:
+        world.read(index)
+    finally:
+        set_tracer(None)
+    return sum(
+        1
+        for tid in tracer.trace_ids()
+        for span in tracer.trace(tid)
+        if span["name"] == "fragment.cache" and "since" in span["attrs"]
+    )
+
+
+@pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "lists"])
+@pytest.mark.parametrize("kind", ["in-process", "loopback"])
+@pytest.mark.parametrize("seed", range(3))
+def test_churn_steps_equal_their_recompute(kind, seed, numpy, monkeypatch):
+    """Seeded sequences of both satellites joining and leaving between
+    appends and reads: every answer equals the oracle and every cached
+    fragment — those stepped from a predecessor too — its recompute, and
+    the union satellite's joins are stepped."""
+    if not numpy:
+        monkeypatch.setattr(columnar, "np", None)
+    rng = random.Random(seed)
+    data = build_data(rng)
+    with open_source(kind, data) as source:
+        world = World(source, data, rng)
+        for index in range(len(QUERIES)):
+            world.read(index)
+        grown = 0
+        for _ in range(16):
+            op = rng.choice(["union", "union", "satellite", "append", "append"])
+            if op == "union":
+                world.churn_union()
+            elif op == "satellite":
+                world.churn()
+            else:
+                world.append(rng.choice(sorted(STORES)))
+            for index in rng.sample(range(len(QUERIES)), 3) + [0]:
+                grown += traced_read(world, index)
+        assert grown > 0

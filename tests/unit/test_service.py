@@ -571,3 +571,123 @@ class TestMaintainedAnswers:
         assert isinstance(service.answer(QUERY_R, limit=0), frozenset)
         assert isinstance(service.answer(QUERY_R, engine="backtracking"), frozenset)
         assert isinstance(service.answer(QUERY_T), frozenset)
+
+
+def _traced(service, query):
+    """``(rows, plan.execute attributes, every span)`` of one traced answer."""
+    from repro.obs import set_tracer
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.trace import Tracer
+
+    tracer = Tracer(enabled=True, sample_rate=1.0, sink_path=None, registry=MetricsRegistry())
+    set_tracer(tracer)
+    try:
+        rows = service.answer(query)
+    finally:
+        set_tracer(None)
+    spans = [span for tid in tracer.trace_ids() for span in tracer.trace(tid)]
+    (execute,) = [span["attrs"] for span in spans if span["name"] == "plan.execute"]
+    return rows, execute, spans
+
+
+#: ``A:R`` is stored by two peers, so its goal is a union the satellite's
+#: inclusion grows by a third branch; the join with ``C:T`` sits above it.
+QUERY_JOIN = parse_query("Q(x, z) :- A:R(x, y), C:T(y, z)")
+
+
+def _union_service() -> QueryService:
+    pdms = PDMS("churn-steps")
+    pdms.add_peer("A").add_relation("R", ["x", "y"])
+    pdms.add_peer("C").add_relation("T", ["x", "y"])
+    pdms.add_peer("B1")
+    pdms.add_peer("B2")
+    for peer, stored, relation in (("B1", "s1", "A:R"), ("B2", "s2", "A:R"), ("C", "st", "C:T")):
+        pdms.add_storage_description(StorageDescription(
+            peer, stored, parse_query(f"V(x, y) :- {relation}(x, y)"),
+            exact=False, name=f"{stored}_store"))
+    return QueryService(pdms, data={
+        "B1": Instance.from_dict({"s1": [(1, 2), (2, 3)]}),
+        "B2": Instance.from_dict({"s2": [(3, 4), (1, 5)]}),
+        "C": Instance.from_dict({"st": [(2, 7), (3, 8), (4, 9), (5, 1), (6, 6)]}),
+    })
+
+
+def _toggle_satellite(service, joined: bool) -> None:
+    if joined:
+        service.remove_peer("SAT")
+        return
+    satellite = Peer("SAT")
+    satellite.add_relation("X", ["a", "b"])
+    service.add_peer(satellite)
+    service.add_peer_mapping(lav_style(
+        parse_atom("SAT:X(a, b)"), parse_query("R(a, b) :- A:R(a, b)"), name="sat_incl"))
+    service.add_storage_description(StorageDescription(
+        "SAT", "sx", parse_query("V(a, b) :- SAT:X(a, b)"), exact=False, name="sx_store"))
+    service.set_peer_data("SAT", Instance.from_dict({"sx": [(9, 4), (4, 2), (1, 2)]}))
+
+
+class TestChurnSteps:
+    """A read after a peer joins steps the seed plan's answer by the rows
+    the new branches add; a read after it leaves steps from the answer
+    kept from before the join; a removal still falls back."""
+
+    def test_reads_after_every_join_and_leave_are_stepped(self):
+        service = _union_service()
+        _traced(service, QUERY_JOIN)
+        stored = service._peer_data
+        for toggle in range(8):
+            # An append first, so the predecessor is stepped too.
+            stored["B1"].add("s1", (toggle + 10, 3))
+            stored["C"].add("st", (3, toggle + 20))
+            joined = toggle % 2 == 1
+            _toggle_satellite(service, joined)
+            counters = dict(service.metrics_snapshot()["counters"])
+            rows, execute, spans = _traced(service, QUERY_JOIN)
+            after = service.metrics_snapshot()["counters"]
+            assert rows == _oracle(service, QUERY_JOIN)
+            root = service.reformulate(QUERY_JOIN)._shared_plan.factored_root()
+            assert not [
+                span for span in spans if span["name"] == "fragment.eval"
+                and span["attrs"]["kind"] == "union" and span["attrs"]["key"] == root[:80]
+            ]
+            if toggle < 2:
+                continue
+            assert execute["answer"] == "stepped", (toggle, execute)
+            assert after["answer.stepped"] == counters["answer.stepped"] + 1
+            assert after.get("answer.maintained", 0) == counters.get("answer.maintained", 0)
+            if not joined:
+                # The new root steps from the one it replaces.
+                plan = service.reformulate(QUERY_JOIN)._shared_plan
+                (grown,) = [
+                    span["attrs"] for span in spans if span["name"] == "fragment.cache"
+                    and span["attrs"]["key"] == root[:80]
+                ]
+                assert grown["outcome"] == "delta"
+                assert grown["since"] == plan._since[root][0][:80]
+        assert service.stats.fragments.deltas > 0
+        before, _, _ = _traced(service, QUERY_JOIN)
+        stored["B1"].remove("s1", (1, 2))
+        after, execute, _ = _traced(service, QUERY_JOIN)
+        expected = _oracle(service, QUERY_JOIN)
+        assert after == expected
+        assert (execute["answer"], execute["answer.delta_rows"]) == _maintained(before, expected)
+
+    def test_a_plan_keeps_at_most_two_answers_and_the_gauge_counts_both(self):
+        service = _union_service()
+        service.answer(QUERY_JOIN)
+        for toggle in range(8):
+            _toggle_satellite(service, toggle % 2 == 1)
+            service.answer(QUERY_JOIN)
+            plans = list(service._plans.values())
+            plans += [result._shared_plan for result in service._stale.values()]
+            plans = [plan for plan in plans if plan is not None]
+            for plan in plans:
+                kept = [answer for answer in (plan._answer, plan._base) if answer is not None]
+                assert plan.held_bytes == sum(answer[2] for answer in kept)
+            # From the first join on, the answer kept before it is the base.
+            (plan,) = service._plans.values()
+            assert plan._answer is not None and plan._base is not None
+            gauge = service.metrics_snapshot()["gauges"]["answer.held_bytes"]
+            assert gauge == sum(plan.held_bytes for plan in plans) > 0
+        service.clear_cache()
+        assert service.metrics_snapshot()["gauges"]["answer.held_bytes"] == 0
