@@ -6,7 +6,9 @@ emergency-services PDMS serves a stream of repeated queries from its
 reformulation cache; the Earthquake Command Center joins ad hoc (evicting
 *nothing*, because no cached rule-goal tree touched ECC predicates),
 immediately answers queries through transitive mappings, and leaves again
-(evicting only the two ECC-dependent entries).  A synthetic churn
+(evicting only the two ECC-dependent entries).  When it comes back, the
+catalogue is the one those two entries were built for: they are revived,
+compiled plans and all, with no reformulation.  A synthetic churn
 scenario then shows the same machinery under sustained join/leave load.
 
 Run it with::
@@ -57,6 +59,18 @@ def emergency_story() -> None:
           f"(total invalidations={service.stats.invalidations})")
     print(f"  skilled_doctors still matches a from-scratch reformulation: "
           f"{sorted(answers)}")
+
+    print("\n=== the ECC comes back")
+    compiled = service.stats.plans_compiled
+    add_earthquake_command_center(pdms)
+    for name in ("ecc_vehicles", "ecc_medical_responders"):
+        answers = service.answer(queries[name])
+        assert answers == answer_query(pdms, queries[name], sample_instance())
+        print(f"  {name:24s} {len(answers)} answers, matching a from-scratch reformulation")
+    revived = service.metrics_snapshot()["counters"].get("reformulation.revived", 0)
+    compiled = service.stats.plans_compiled - compiled
+    assert (revived, compiled) == (2, 0)
+    print(f"  reformulations revived: {revived}, plans compiled: {compiled}")
 
     print("\n=== first-k streaming")
     first_two = service.answer(queries["skilled_people"], limit=2)

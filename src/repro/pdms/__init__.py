@@ -52,7 +52,6 @@ from .reformulation import (
     ReformulationProvenance,
     ReformulationResult,
     canonicalize_query,
-    compute_productive_predicates,
     reformulate,
 )
 from .rule_goal_tree import GoalNode, RuleGoalTree, RuleNode, TreeStatistics
@@ -121,7 +120,6 @@ __all__ = [
     "certain_answers",
     "combine_peer_instances",
     "compile_reformulation",
-    "compute_productive_predicates",
     "data_version_token",
     "ensure_plan",
     "estimate_result_bytes",

@@ -163,17 +163,6 @@ class _LazySeq:
 
 
 # ---------------------------------------------------------------------------
-# Productive-predicate analysis (dead-end detection, Section 4.3)
-# ---------------------------------------------------------------------------
-
-def compute_productive_predicates(catalogue: NormalizedCatalogue) -> frozenset:
-    """Predicates from which the reformulation can possibly reach stored data
-    (see :meth:`NormalizedCatalogue.productive_predicates`, which computes
-    the set once per catalogue state)."""
-    return catalogue.productive_predicates()
-
-
-# ---------------------------------------------------------------------------
 # Provenance: which descriptions and predicates a reformulation depends on
 # ---------------------------------------------------------------------------
 
@@ -229,6 +218,28 @@ def _unproductive_closure(
             if head not in productive and head not in closure:
                 worklist.append(head)
     return closure
+
+
+def dependency_state(
+    catalogue: NormalizedCatalogue, predicates: Iterable[str]
+) -> Dict[str, tuple]:
+    """What a rule-goal tree's build reads of each of ``predicates`` (its
+    provenance ``dependencies``): the entries for it, and whether it is
+    stored and productive — ``(definitional, inclusions, stored,
+    productive)``.  Whether it is coverable is whether ``inclusions`` is
+    empty.  Entries compare by value (a re-joined mapping normalises to
+    new, equal entries), and an unchanged index tuple is the same object,
+    so the comparison starts by identity.
+    """
+    predicates = list(predicates)
+    if not predicates:
+        return {}
+    productive = catalogue.productive_predicates()
+    return {
+        predicate: catalogue.entries_for(predicate)
+        + (catalogue.is_stored(predicate), predicate in productive)
+        for predicate in predicates
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +409,12 @@ class _TreeBuilder:
     status flipped is expanded afresh.  A fresh build is the replay of
     nothing — every goal takes the second branch — and either way the
     tree equals a fresh build's up to the names of fresh variables, which
-    continue from the stale builder's counter.  Nothing is cached across
-    catalogue states: every goal is re-validated against the catalogue of
-    this build.
+    continue from the stale builder's counter.  The builder itself keeps
+    nothing across catalogue states: every goal is re-validated against
+    the catalogue of this build.  What it read of that catalogue is
+    :func:`dependency_state` over the provenance's ``dependencies``; a
+    service keeps recent results with that state, and hands one back
+    unbuilt when the catalogue returns to it.
 
     Copied nodes are new objects (``covers`` remapped onto the new
     siblings), so the stale result stays a valid snapshot.  When the stale

@@ -22,9 +22,12 @@ that scenario cheap to serve repeatedly:
   the recorded :class:`~repro.pdms.system.CatalogueChange`.  An unrelated
   peer join evicts nothing.  Direct mutations on the underlying ``PDMS``
   are picked up too: the service replays the PDMS change log before every
-  cache access.  An invalidated entry is kept as the seed of its
-  signature's next miss, which rebuilds it from the stale rule-goal tree
-  and recompiles only the plan under the goals that moved
+  cache access.  Each signature keeps its last few results with the
+  catalogue state they were built against (:func:`~repro.pdms.reformulation.dependency_state`).
+  A miss on a catalogue that has returned to one of those states — a peer
+  that left and came back — revives that result and its compiled plan;
+  any other miss rebuilds from the newest one's rule-goal tree and
+  recompiles only the plan under the goals that moved
   (``reformulate(previous=...)``, ``docs/reformulation.md``).
 
 * **Streaming first-k answers** — :meth:`answer` with ``limit=k`` threads
@@ -97,9 +100,13 @@ from .reformulation import (
     ReformulationConfig,
     ReformulationResult,
     canonicalize_query,
+    dependency_state,
     reformulate,
 )
 from .system import PDMS, AnyPeerMapping, CatalogueChange
+
+#: Results kept per signature: its live one and the last few it replaced.
+_KEPT_PER_SIGNATURE = 4
 
 
 @dataclass
@@ -232,10 +239,14 @@ class QueryService:
         self._engine = engine
         self._max_entries = max_entries
         self._cache: "OrderedDict[str, ReformulationResult]" = OrderedDict()
-        #: Invalidated entries, kept (LRU, at most ``max_entries``) as what
-        #: the next miss on their signature rebuilds from instead of from
-        #: nothing (see ``reformulate(previous=...)``).
-        self._stale: "OrderedDict[str, ReformulationResult]" = OrderedDict()
+        #: Signature -> its last results, oldest first, each as ``(version,
+        #: state, result)``: the dependency state it was built for, checked
+        #: by the changes after ``version``.  The newest is the live entry,
+        #: or what the next miss revives from or rebuilds from; at most
+        #: ``max_entries`` signatures without a live entry are kept (LRU).
+        self._kept: "OrderedDict[str, List[tuple]]" = OrderedDict()
+        #: Predicate -> the catalogue version that last named it.
+        self._named: Dict[str, int] = {}
         #: Compiled union plans, keyed like the reformulation cache and
         #: invalidated by exactly the same provenance/eviction signals.
         self._plans: Dict[str, UnionPlan] = {}
@@ -304,8 +315,8 @@ class QueryService:
         """Pull collector feeding the registry the cache counters; it also
         refreshes the ``answer.held_bytes`` gauge."""
         with self._mutex:
-            plans = list(self._plans.values())
-            plans.extend(result._shared_plan for result in self._stale.values())
+            # Every live result is kept too: each plan counts once.
+            plans = {state[2]._shared_plan for states in self._kept.values() for state in states}
         self._held_bytes.set(sum(plan.held_bytes for plan in plans if plan is not None))
         return self.stats_snapshot().as_dict()
 
@@ -480,13 +491,15 @@ class QueryService:
                 self._stats.invalidations += len(self._cache)
                 self._stats.plan_invalidations += len(self._plans)
                 self._cache.clear()
-                self._stale.clear()
+                self._kept.clear()
+                self._named.clear()
                 self._plans.clear()
                 if self._fragments is not None and self._owns_fragment_cache:
                     self._fragments.invalidate_all()
                 break
             if not (change.affected_predicates or change.removed_origins):
                 continue
+            self._named.update(dict.fromkeys(change.affected_predicates, change.version))
             if (
                 self._fragments is not None
                 and self._owns_fragment_cache
@@ -505,12 +518,14 @@ class QueryService:
                 )
             ]
             for signature in stale:
-                self._stale[signature] = self._cache.pop(signature)
+                del self._cache[signature]
                 self._drop_plan(signature)
-            while len(self._stale) > self._max_entries:
-                self._stale.popitem(last=False)
             self._stats.invalidations += len(stale)
         self._seen_version = self._pdms.catalogue_version
+        excess = len(self._kept) - len(self._cache) - self._max_entries
+        if excess > 0:
+            for signature in [s for s in self._kept if s not in self._cache][:excess]:
+                del self._kept[signature]
 
     # -- the reformulation cache -----------------------------------------------------
 
@@ -534,16 +549,27 @@ class QueryService:
                 self._cache.move_to_end(canonical.signature)
                 return canonical.signature, result
             self._stats.misses += 1
-            current_span().set("reformulation", "miss")
-            previous = self._stale.pop(canonical.signature, None)
-            attrs = {}
-            if previous is not None:
-                attrs["replayed"] = True
-                self.metrics.counter("reformulation.replayed").inc()
-            with current_span().child("query.reformulate", **attrs):
-                result = reformulate(
-                    self._pdms, canonical.query, config=self._config, previous=previous
-                )
+            kept = self._kept.setdefault(canonical.signature, [])
+            self._kept.move_to_end(canonical.signature)
+            with current_span().child("query.reformulate") as span:
+                result = self._revive(kept)
+                if result is not None:
+                    how = "revived"
+                else:
+                    previous = kept[-1][2] if kept else None
+                    how = None if previous is None else "replayed"
+                    result = reformulate(
+                        self._pdms, canonical.query, config=self._config, previous=previous
+                    )
+                    state = dependency_state(
+                        self._pdms.catalogue(), result.provenance.dependencies
+                    )
+                    kept.append((result.catalogue_version, state, result))
+                    del kept[:-_KEPT_PER_SIGNATURE]
+                if how is not None:
+                    span.set(how, True)
+                    self.metrics.counter(f"reformulation.{how}").inc()
+            current_span().set("reformulation", "revived" if how == "revived" else "miss")
             # No eager materialisation: a cold `limit=k` call consumes only a
             # prefix of the rewriting enumeration, and the result memoizes
             # whatever it produced so future hits continue where it stopped.
@@ -551,8 +577,35 @@ class QueryService:
             while len(self._cache) > self._max_entries:
                 evicted, _ = self._cache.popitem(last=False)
                 self._drop_plan(evicted)
+                self._kept.pop(evicted, None)
                 self._stats.evictions += 1
             return canonical.signature, result
+
+    def _revive(self, kept: List[tuple]) -> Optional[ReformulationResult]:
+        """The newest of a signature's ``kept`` results built for the
+        current catalogue, made its newest; ``None`` when there is none.
+
+        A kept state is compared only on the dependencies some change
+        named since it was checked.  The revived result's plan takes the
+        outgoing plan's kept answers, as a plan rebuilt from it would."""
+        catalogue, named = self._pdms.catalogue(), self._named
+        for index in range(len(kept) - 1, -1, -1):
+            version, state, result = kept[index]
+            now = dependency_state(
+                catalogue, [p for p in state.keys() & named.keys() if named[p] > version]
+            )
+            if all(state[p] == value for p, value in now.items()):
+                state.update(now)  # equal: the next check starts by identity
+                break
+        else:
+            return None
+        outgoing, plan = kept[-1][2]._shared_plan, result._shared_plan
+        if plan is not None and outgoing not in (None, plan) and outgoing._answer is not None:
+            plan._answer, plan._base = outgoing._answer, outgoing._base
+            outgoing._answer = outgoing._base = None
+        del kept[index]
+        kept.append((self._pdms.catalogue_version, state, result))
+        return result
 
     def _plan_for(
         self, signature: str, result: ReformulationResult, source: FactsLike, whole: bool
@@ -560,15 +613,20 @@ class QueryService:
         """The compiled union plan for a cached reformulation entry.
 
         Cached under the entry's signature; a stale plan (whose result was
-        invalidated and re-reformulated) is recompiled.  The enumerated
-        compile is lazy — it tracks the rewriting stream — but a ``whole``
-        answer's factored root is compiled here, inside ``plan.compile``.
+        invalidated and re-reformulated) is replaced by the new result's:
+        a revived result brings its compiled plan, any other is compiled
+        (``plans_compiled``).  The enumerated compile is lazy — it tracks
+        the rewriting stream — but a ``whole`` answer's factored root is
+        compiled here, inside ``plan.compile``.
         """
         with self._mutex:
             plan = self._plans.get(signature)
             if plan is None or plan.result is not result:
-                plan = self._plans[signature] = ensure_plan(result, source)
-                self._stats.plans_compiled += 1
+                plan = result._shared_plan  # a revived result brings its own
+                if plan is None:
+                    plan = ensure_plan(result, source)
+                    self._stats.plans_compiled += 1
+                self._plans[signature] = plan
             if whole:
                 self._compile_factored(plan)
             return plan
@@ -597,7 +655,8 @@ class QueryService:
         if that is really wanted."""
         with self._mutex:
             self._cache.clear()
-            self._stale.clear()
+            self._kept.clear()
+            self._named.clear()
             self._plans.clear()
             if self._fragments is not None and self._owns_fragment_cache:
                 self._fragments.clear()

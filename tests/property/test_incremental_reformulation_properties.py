@@ -20,6 +20,13 @@ proportional to the change: toggling one satellite in and out repeats the
 same expansion and compile work every second toggle, with a node table
 that does not grow.
 
+A miss whose catalogue is back in a state a kept result was built for
+revives that result instead, with no work at all.  Over seeded sequences
+of satellites joining, leaving and re-joining — as they were, with new
+data, or under the same names with a changed mapping or description —
+every revived result must equal a fresh build in the same three ways,
+every answer the oracle's, and a changed re-join must not revive.
+
 Each case is one seed of ``random.Random``: a failure names the seed, and
 rerunning that parameter replays it exactly.
 """
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from typing import Optional
 
 import pytest
 
@@ -164,6 +172,9 @@ class World:
         self.service = QueryService(pdms, engine="columnar", data=dict(self.data))
         self.serial = 0
         self.satellites = []  # peers a leave may remove
+        #: Joined satellites, and departed ones a re-join may bring back:
+        #: name -> (the relation its mapping targets, its stored relation).
+        self.joined, self.departed = {}, {}
         self.checked = 0
 
     @property
@@ -176,17 +187,38 @@ class World:
         """A satellite provider: ``SATn:x ⊆ <middle or top relation>``."""
         self.serial += 1
         name, target = f"SAT{self.serial}", self.rng.choice(MIDDLE + TOP)
+        self.enter(name, target, f"sat_store_{self.serial}")
+
+    def rejoin(self, changed: bool = False, name: Optional[str] = None) -> None:
+        """A departed satellite comes back under its name, with new data,
+        and with the mapping and description it had or (``changed``) with a
+        mapping onto another relation or a description of another stored
+        relation."""
+        if self.departed:
+            name = name if name is not None else self.rng.choice(sorted(self.departed))
+            target, stored = self.departed.pop(name)
+            if changed and self.rng.random() < 0.5:
+                target = self.rng.choice([t for t in MIDDLE + TOP if t != target])
+            elif changed:
+                stored = f"{stored}_r"
+            self.enter(name, target, stored)
+
+    def rejoin_changed(self) -> None:
+        self.rejoin(changed=True)
+
+    def enter(self, name: str, target: str, stored: str) -> None:
+        """Satellite ``name`` joins, storing ``stored`` and mapped onto ``target``."""
         peer = Peer(name)
         peer.add_relation("x", ["a", "b"])
         self.service.add_peer(peer)
         self.service.add_peer_mapping(lav_style(
             _atom(f"{name}:x", A, B), _query((A, B), _atom(target, A, B)), name=f"sat_map_{name}"))
-        stored = f"sat_store_{self.serial}"
         self.service.add_storage_description(StorageDescription(
             name, stored, ConjunctiveQuery(_atom(stored, A, B), [_atom(f"{name}:x", A, B)]),
             name=f"sat_desc_{name}",
         ))
         self.attach(name, Instance.from_dict({stored: _rows(self.rng)}))
+        self.joined[name] = (target, stored)
 
     def provide(self) -> None:
         """A peer storing a middle or top relation directly: a predicate
@@ -216,11 +248,17 @@ class World:
         self.data[name] = instance
         self.satellites.append(name)
 
-    def leave(self) -> None:
-        if self.satellites:
+    def leave(self, name: Optional[str] = None) -> None:
+        """A random peer leaves, or the one called ``name``."""
+        if name is not None:
+            self.satellites.remove(name)
+        elif self.satellites:
             name = self.satellites.pop(self.rng.randrange(len(self.satellites)))
+        if name is not None:
             self.service.remove_peer(name)
             self.data.pop(name, None)
+            if name in self.joined:
+                self.departed[name] = self.joined.pop(name)
 
     def add_mapping(self) -> None:
         absent = sorted(set(self.pool) - self.present)
@@ -305,6 +343,86 @@ def _replayed(service) -> int:
     return service.metrics_snapshot()["counters"].get("reformulation.replayed", 0)
 
 
+def _revived(service) -> int:
+    return service.metrics_snapshot()["counters"].get("reformulation.revived", 0)
+
+
+def _forget_older_states(service) -> None:
+    """Keep only each signature's newest result, so that the next miss
+    replays it instead of reviving an older one."""
+    for kept in service._kept.values():
+        del kept[:-1]
+
+
+def churn_sequence(seed: int, steps: int = 16) -> World:
+    """Satellites joining, leaving and re-joining — unchanged, or with a
+    changed mapping or description under the same names — every step
+    checked."""
+    world = World(seed)
+    world.check()
+    for _ in range(steps):
+        world.rng.choice((
+            world.join, world.leave, world.leave, world.rejoin, world.rejoin,
+            world.rejoin_changed,
+        ))()
+        world.check()
+    return world
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_revived_reformulations_equal_fresh_ones_and_answers_the_chase(seed):
+    # World.check holds every served result, revived ones included, ≡ a
+    # fresh build, and every answer ≡ backtracking (and the chase).
+    world = churn_sequence(seed)
+    assert world.checked
+    if not world.joined:
+        world.join()
+        world.check()
+    # The last satellite to join leaves and comes back as it was: every
+    # miss after it returns is a catalogue state read before it left.
+    (name, _), service = list(world.joined.items())[-1], world.service
+    world.leave(name)
+    world.check()
+    misses, revived = service.stats.misses, _revived(service)
+    world.rejoin(name=name)
+    world.check()
+    assert _revived(service) - revived == service.stats.misses - misses
+
+
+def test_a_rejoin_revives_only_an_unchanged_catalogue():
+    """A satellite that comes back as it was — with other data — revives
+    the results built while it was joined; one that comes back under the
+    same names with a changed mapping or a changed description does not."""
+    world = _toggle_world()
+    query = QUERIES[1]
+    service = world.service
+
+    def read(revives: bool) -> None:
+        counters = (_revived(service), _replayed(service), service.stats.plans_compiled)
+        world.check_answer(query)
+        served = service.reformulate(query)
+        assert_same_as_fresh(served, reformulate(world.pdms, served.query))
+        if revives:
+            assert (_revived(service), _replayed(service), service.stats.plans_compiled) == (
+                counters[0] + 1, counters[1], counters[2])
+        else:
+            assert _revived(service) == counters[0] and _replayed(service) == counters[1] + 1
+
+    world.check_answer(query)
+    world.enter("SAT", "T:t0", "sat_store")
+    read(revives=False)
+    for target, stored, revives in (
+        ("T:t0", "sat_store", True),  # as it was, with new rows
+        ("T:t1", "sat_store", False),  # a changed mapping, same name
+        ("T:t1", "sat_other", False),  # a changed description and stored relation
+        ("T:t1", "sat_other", True),  # the changed one again, as it was
+    ):
+        world.leave()
+        read(revives=True)  # the catalogue is the one before the join
+        world.enter("SAT", target, stored)
+        read(revives=revives)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_a_truncated_change_log_rebuilds_from_nothing(seed, monkeypatch):
     # Mapping changes bypass the service; with a log of two entries its
@@ -318,7 +436,9 @@ def test_a_truncated_change_log_rebuilds_from_nothing(seed, monkeypatch):
             world.add_mapping()
         assert world.pdms.changes_since(world.service._seen_version)[0].full
         world.check()
-        assert _replayed(world.service) == replayed and not world.service._stale
+        assert _replayed(world.service) == replayed
+        # Nothing from before the truncation is kept.
+        assert all(len(kept) == 1 for kept in world.service._kept.values())
     run_sequence(seed, direct=True)
 
 
@@ -369,15 +489,18 @@ def test_a_copied_goal_that_turned_stored_is_not_replayed():
     check(stored=False)
     for _ in range(2):
         replayed = _replayed(service)
+        # Each change replays, in either direction: nothing older is revived.
+        _forget_older_states(service)
         peer = Peer("W")
         peer.add_stored_relation("w", ["a", "b"])
         data["W"] = Instance.from_dict({"w": {(2, 7), (1, 8)}})
         service.add_peer(peer, data=data["W"])
         check(stored=True)
+        _forget_older_states(service)
         service.remove_peer("W")
         data.pop("W")
         check(stored=False)
-        assert _replayed(service) > replayed
+        assert _replayed(service) == replayed + 2
 
 
 class _Work:
@@ -431,9 +554,11 @@ def _toggle_world():
     return world
 
 
-def test_toggling_a_satellite_repeats_the_same_work_and_the_node_table_holds(monkeypatch):
-    world = _toggle_world()
-    query = QUERIES[1]
+def _toggles(world, query, monkeypatch, replay: bool):
+    """Toggle one satellite in and out eight times, reading ``query``
+    after each; with ``replay`` every read rebuilds from the result it
+    replaces.  Returns the full build's expansions, and per toggle the
+    work done and the size of the plan's node table."""
     world.service.answer(query)
     satellite = Peer("SAT")
     satellite.add_relation("x", ["a", "b"])
@@ -449,6 +574,8 @@ def test_toggling_a_satellite_repeats_the_same_work_and_the_node_table_holds(mon
 
     work, tables = [], []
     for toggle in range(8):
+        if replay:
+            _forget_older_states(world.service)
         if toggle % 2 == 0:
             world.service.add_peer(satellite)
             world.service.add_peer_mapping(mapping)
@@ -466,8 +593,27 @@ def test_toggling_a_satellite_repeats_the_same_work_and_the_node_table_holds(mon
         fresh_work.take()
         assert result._seed_plan is None  # taken, and dropped, by the compile
         assert not any(rule.source for rule in result.tree.rule_nodes())
+    world.check_answer(query)
+    return full_expansions, work, tables
+
+
+def test_toggling_a_satellite_repeats_the_same_work_and_the_node_table_holds(monkeypatch):
+    world = _toggle_world()
+    full_expansions, work, tables = _toggles(world, QUERIES[1], monkeypatch, replay=True)
     assert all(expansions < full_expansions for expansions, _ in work)
     for toggle in range(2, 8):
         assert work[toggle] == work[toggle - 2], work
         assert tables[toggle] == tables[toggle - 2], tables
-    world.check_answer(query)
+    assert _replayed(world.service) == 8 and _revived(world.service) == 0
+
+
+def test_a_toggled_satellite_costs_no_work_from_the_second_toggle_on(monkeypatch):
+    """Every catalogue state after the first join recurs: each read after
+    a toggle revives the result (and the compiled plan) built for it."""
+    world = _toggle_world()
+    full_expansions, work, tables = _toggles(world, QUERIES[1], monkeypatch, replay=False)
+    assert 0 < work[0][0] < full_expansions
+    assert work[1:] == [(0, 0)] * 7, work
+    for toggle in range(2, 8):
+        assert tables[toggle] == tables[toggle - 2], tables
+    assert _replayed(world.service) == 1 and _revived(world.service) == 7

@@ -10,7 +10,6 @@ from repro.pdms import (
     InclusionMapping,
     ReformulationConfig,
     StorageDescription,
-    compute_productive_predicates,
     lav_style,
     reformulate,
     replication,
@@ -316,7 +315,7 @@ class TestComparisonPredicates:
 
 class TestProductivePredicates:
     def test_productive_set(self, figure2_pdms):
-        productive = compute_productive_predicates(figure2_pdms.catalogue())
+        productive = figure2_pdms.catalogue().productive_predicates()
         assert "S1" in productive and "S2" in productive
         assert "FS:AssignedTo" in productive
         assert "FS:SameEngine" in productive

@@ -236,6 +236,15 @@ def _replayed(service) -> int:
     return service.metrics_snapshot()["counters"].get("reformulation.replayed", 0)
 
 
+def _stale(service) -> set:
+    """Signatures whose newest kept result is not live: an invalidated
+    entry, kept as what the next miss revives or replays."""
+    return {
+        signature for signature, kept in service._kept.items()
+        if service._cache.get(signature) is not kept[-1][2]
+    }
+
+
 class TestStaleEntries:
     """An invalidated entry stays behind as the seed its next miss replays."""
 
@@ -249,7 +258,7 @@ class TestStaleEntries:
         signature = canonicalize_query(QUERY_R).signature
         service.add_peer_mapping(DefinitionalMapping(
             parse_query("A:R(x, y) :- C:T(x, y)"), name="r_more"))
-        assert service.cache_size == 0 and service._stale.keys() == {signature}
+        assert service.cache_size == 0 and _stale(service) == {signature}
         tracer = Tracer(enabled=True, sample_rate=1.0, sink_path=None, registry=MetricsRegistry())
         set_tracer(tracer)
         try:
@@ -260,7 +269,7 @@ class TestStaleEntries:
         (span,) = [span for span in trace if span["name"] == "query.reformulate"]
         assert span["attrs"] == {"replayed": True}
         # Still a miss, and still a compiled plan.
-        assert service.stats.misses == 2 and not service._stale
+        assert service.stats.misses == 2 and not _stale(service)
         assert _replayed(service) == 1
 
     def test_stale_entries_are_bounded_by_max_entries(self):
@@ -276,7 +285,7 @@ class TestStaleEntries:
                 parse_query("A:R(x, y) :- C:T(x, y)"), name=f"r_more_{round_}"))
             service.add_peer_mapping(DefinitionalMapping(
                 parse_query("C:T(x, y) :- B:S(x, y)"), name=f"t_more_{round_}"))
-            assert len(service._stale) <= 2
+            assert len(_stale(service)) <= 2
 
     def test_full_invalidation_and_clear_cache_drop_them(self):
         import repro.pdms.system as system_module
@@ -285,12 +294,12 @@ class TestStaleEntries:
         service.answer(QUERY_R)
         service.add_peer_mapping(DefinitionalMapping(
             parse_query("A:R(x, y) :- C:T(x, y)"), name="r_more"))
-        assert service._stale
+        assert _stale(service)
         service.clear_cache()
-        assert not service._stale
+        assert not _stale(service) and not service._kept
         service.answer(QUERY_R)
         service.remove_peer_mapping("r_more")
-        assert service._stale
+        assert _stale(service)
         original = system_module.MAX_CHANGE_LOG
         system_module.MAX_CHANGE_LOG = 2
         try:
@@ -299,7 +308,9 @@ class TestStaleEntries:
             assert service.answer(QUERY_R) == {(1, 2), (2, 3), (3, 4)}
         finally:
             system_module.MAX_CHANGE_LOG = original
-        assert not service._stale and _replayed(service) == 0
+        assert not _stale(service) and _replayed(service) == 0
+        # Nothing from before the truncation is kept.
+        assert [len(kept) for kept in service._kept.values()] == [1]
 
     def test_a_join_rescans_only_the_relations_it_brought(self, monkeypatch):
         """The federated view is rebuilt on churn; relation statistics carry
@@ -672,6 +683,36 @@ class TestChurnSteps:
         assert after == expected
         assert (execute["answer"], execute["answer.delta_rows"]) == _maintained(before, expected)
 
+    def test_from_the_second_toggle_on_every_read_revives(self):
+        """Each toggle returns the catalogue to a state a read saw before:
+        the read revives the result and the plan built for it — no replay,
+        no compile — and steps the answer its plan takes over."""
+        service = _union_service()
+        service.answer(QUERY_JOIN)
+        stored = service._peer_data
+        for toggle in range(8):
+            stored["B1"].add("s1", (toggle + 10, 3))
+            stored["C"].add("st", (3, toggle + 20))
+            _toggle_satellite(service, toggle % 2 == 1)
+            counters = dict(service.metrics_snapshot()["counters"])
+            compiled = service.stats.plans_compiled
+            rows, execute, spans = _traced(service, QUERY_JOIN)
+            after = service.metrics_snapshot()["counters"]
+            assert rows == _oracle(service, QUERY_JOIN)
+            if toggle == 0:
+                assert after["reformulation.replayed"] == 1
+                continue
+            (answer,) = [span["attrs"] for span in spans if span["name"] == "query.answer"]
+            (reformulated,) = [span for span in spans if span["name"] == "query.reformulate"]
+            assert answer["reformulation"] == "revived"
+            assert reformulated["attrs"] == {"revived": True}
+            assert after["reformulation.revived"] == counters.get("reformulation.revived", 0) + 1
+            assert after["reformulation.replayed"] == counters["reformulation.replayed"] == 1
+            assert service.stats.plans_compiled == compiled
+            assert not [span for span in spans if span["name"] == "plan.compile"]
+            assert execute["answer"] == "stepped", (toggle, execute)
+            assert after.get("answer.maintained", 0) == counters.get("answer.maintained", 0)
+
     def test_a_plan_keeps_at_most_two_answers_and_the_gauge_counts_both(self):
         service = _union_service()
         service.answer(QUERY_JOIN)
@@ -679,8 +720,9 @@ class TestChurnSteps:
             _toggle_satellite(service, toggle % 2 == 1)
             service.answer(QUERY_JOIN)
             plans = list(service._plans.values())
-            plans += [result._shared_plan for result in service._stale.values()]
-            plans = [plan for plan in plans if plan is not None]
+            plans += [kept[2]._shared_plan for states in service._kept.values() for kept in states]
+            # A live plan is kept too; it is held, and counted, once.
+            plans = list({id(plan): plan for plan in plans if plan is not None}.values())
             for plan in plans:
                 kept = [answer for answer in (plan._answer, plan._base) if answer is not None]
                 assert plan.held_bytes == sum(answer[2] for answer in kept)
