@@ -24,8 +24,8 @@ real:
   to every owning peer;
 * :mod:`~repro.pdms.distributed.async_transport` —
   :class:`AsyncSocketTransport`, the same four-RPC contract over real
-  asyncio TCP sockets (length-prefixed frames, a batch frame, one
-  connection pool, one background event-loop thread).
+  TCP sockets (length-prefixed frames, batch and catalogue frames, an
+  asyncio server on one thread, blocking clients on the callers' threads).
 
 Every transport propagates the :mod:`repro.obs.trace` wire context
 (trace/span ids ride scan and insert RPCs out of band, so server-side

@@ -1,4 +1,4 @@
-"""Asyncio TCP sockets behind the blocking ``Transport`` surface.
+"""TCP sockets behind the blocking ``Transport`` surface.
 
 :class:`AsyncSocketTransport` serves the same wire contract as
 :class:`~repro.pdms.distributed.transport.LoopbackTransport` — describe /
@@ -6,38 +6,41 @@ scan_batch / scan_batch_since / insert — over real TCP sockets on the
 loopback interface, so the framing, connection-pooling, and concurrency
 story is the one peers on other hosts would use:
 
-* one background thread runs a private asyncio event loop hosting both
-  the **server** (a single ``asyncio.start_server`` endpoint serving
-  every peer; requests carry the peer name) and the **client pool**
-  (one stack of pooled connections to that endpoint, opened on demand,
-  capped at ``pool_size`` per served peer);
+* one background thread runs a private asyncio event loop hosting the
+  **server**: a single ``asyncio.start_server`` endpoint serving every
+  peer (requests carry the peer name);
+* the **client** is blocking sockets on the caller's own thread: an RPC
+  checks out an idle connection to that endpoint (or opens one) and
+  hands it back after the reply (at most ``pool_size`` per served peer
+  kept idle), so a call costs one round trip and no thread hop, and
+  calls from different threads overlap on the wire;
 * frames are 4-byte big-endian length-prefixed pickles of at most
   :data:`MAX_FRAME_BYTES`, decoded by an unpickler that refuses every
   global but :class:`~repro.pdms.distributed.transport.TraceEnvelope`, so
-  no frame can name code to run; one request frame ``(op, peer, payload)``
-  yields one response frame ``(status, value)``: ``ok``, ``data_error``
-  (re-raised client-side as the same ``ValueError`` /
-  :class:`~repro.errors.InstanceError` a local probe would produce) or
-  ``error`` (a :class:`~repro.errors.TransportError`);
+  no frame can name code to run; both ends read through the same checks
+  (the cap, truncation, the unpickler).  One request frame
+  ``(op, peer, payload)`` yields one response frame ``(status, value)``:
+  ``ok``, ``data_error`` (re-raised client-side as the same
+  ``ValueError`` / :class:`~repro.errors.InstanceError` a local probe
+  would produce) or ``error`` (a :class:`~repro.errors.TransportError`);
 * a **batch frame** ``("batch", [(op, peer, payload, ctx), …])`` carries
   many such requests in one round trip: the server runs the
-  sub-requests concurrently through the same dispatch
+  sub-requests through the same dispatch
   (:func:`~repro.pdms.distributed.transport.serve_request`, the one
-  loopback runs too) and replies
+  loopback runs too), concurrently when latency is injected, and replies
   ``("ok", [(status, value), …])``, one pair per sub-request with the
-  lone frame's statuses.  :meth:`AsyncSocketTransport.describe_many`
-  (the catalogue round of a refresh) and
-  :meth:`AsyncSocketTransport.scan_many` (the first attempts of a
-  scatter wave) ride it, so each costs one RPC instead of one per peer;
-* callers see the ordinary *blocking* methods (each submits a coroutine
-  to the loop and waits), but in-flight RPCs to different peers
-  genuinely overlap on the event loop, no thread-per-peer pool required;
+  lone frame's statuses.  :meth:`AsyncSocketTransport.scan_many` (the
+  first attempts of a scatter wave) rides it.  A **catalogue frame**
+  ``("describe_many", [peer, …])`` is the catalogue round of a refresh
+  (:meth:`AsyncSocketTransport.describe_many`): served in one pass, each
+  peer's injected delay waited out, and answered like a batch;
 * chaos parity with the loopback harness: ``fail_peer`` /
   ``drop_every_n`` act client-side before a frame is sent (the shared
-  :meth:`~repro.pdms.distributed.transport.TransportBase._admit`), while
-  ``delay`` / ``set_peer_delay`` are served as ``asyncio.sleep``
-  *inside* the server — so a slowed peer delays only its own responses
-  while the loop keeps serving everyone else;
+  :meth:`~repro.pdms.distributed.transport.TransportBase._admit`, per
+  peer even inside a batch or catalogue frame), while ``delay`` /
+  ``set_peer_delay`` are served as ``asyncio.sleep`` *inside* the server
+  — so a slowed peer delays only its own responses while the loop keeps
+  serving everyone else;
 * a ``scan_since`` reply carries each scan's table as a **column
   frame** ``(length, columns)``: a column is ``(dtype tag, raw bytes)``
   for a NumPy column (tags ``<i8`` and ``<f8`` only) or a plain list of
@@ -46,19 +49,22 @@ story is the one peers on other hosts would use:
   column count against the request's pattern before
   ``np.frombuffer`` decodes a buffer; a frame it cannot trust is a
   :class:`~repro.errors.TransportError`, like a lost peer;
-* an RPC that outlives the timeout (``REPRO_TRANSPORT_TIMEOUT_MS``, or
-  the ``timeout`` argument) raises
-  :class:`~repro.errors.TransportError`; its connection is discarded,
-  so a late reply can never pair with a later request.
+* the timeout (``REPRO_TRANSPORT_TIMEOUT_MS``, or the ``timeout``
+  argument) is a deadline for the whole RPC, however its reply is
+  chunked; an RPC that outlives it raises
+  :class:`~repro.errors.TransportError`, and a connection that timed out
+  or failed is closed, never re-pooled, so a late reply can never pair
+  with a later request.
 """
 
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import io
 import pickle
+import socket
 import threading
+import time
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ...database.columnar import ColumnTable, np, scan_columns
@@ -72,6 +78,7 @@ from .transport import (
     SinceScanRequest,
     TraceEnvelope,
     TransportBase,
+    describe_instance,
     serve_request,
     unwrap_envelope,
 )
@@ -88,15 +95,14 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 SubRequest = Tuple[str, str, object, object]
 
 
-async def _write_frame(writer: asyncio.StreamWriter, obj: object) -> None:
+def _encode_frame(obj: object) -> bytes:
+    """``obj`` as one frame, header included; refused over the cap."""
     data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     if len(data) > MAX_FRAME_BYTES:
         raise TransportError(
             f"frame of {len(data)} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
         )
-    writer.write(len(data).to_bytes(4, "big"))
-    writer.write(data)
-    await writer.drain()
+    return len(data).to_bytes(4, "big") + data
 
 
 class _FrameUnpickler(pickle.Unpickler):
@@ -114,35 +120,72 @@ class _FrameUnpickler(pickle.Unpickler):
         raise pickle.UnpicklingError(f"global {module}.{name} is not allowed")
 
 
-async def _read_frame(reader: asyncio.StreamReader) -> object:
-    """One length-prefixed pickle frame; ``None`` on orderly EOF.
-
-    A frame that announces more than :data:`MAX_FRAME_BYTES`, ends before
-    its announced length, or does not unpickle under
-    :class:`_FrameUnpickler` raises
-    :class:`~repro.errors.TransportError`: the stream is out of step and
-    the connection must be dropped, not read further.
-    """
-    try:
-        header = await reader.readexactly(4)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
+def _frame_size(header: bytes) -> int:
+    """The payload length a header announces; both ends check it here."""
     size = int.from_bytes(header, "big")
     if size > MAX_FRAME_BYTES:
         raise TransportError(
             f"frame header announces {size} bytes, over the "
             f"{MAX_FRAME_BYTES}-byte cap"
         )
-    try:
-        data = await reader.readexactly(size)
-    except (asyncio.IncompleteReadError, ConnectionError) as exc:
-        raise TransportError(f"frame truncated: {exc}") from None
+    return size
+
+
+def _frame_value(data: bytes, size: int) -> object:
+    """A frame's value; both ends read it here.  A payload that ends
+    before its ``size`` or does not unpickle under :class:`_FrameUnpickler`
+    is a :class:`~repro.errors.TransportError`: the stream is out of step
+    and the connection must be dropped, not read further."""
+    if len(data) < size:
+        raise TransportError(f"frame truncated: {len(data)} of {size} bytes")
     try:
         return _FrameUnpickler(io.BytesIO(data)).load()
     except Exception as exc:
         raise TransportError(
             f"undecodable frame: {type(exc).__name__}: {exc}"
         ) from None
+
+
+async def _read_frame(reader: asyncio.StreamReader) -> object:
+    """The server's read of one frame; ``None`` on EOF before a header."""
+    try:
+        header = await reader.readexactly(4)
+    except (asyncio.IncompleteReadError, ConnectionError):
+        return None
+    size = _frame_size(header)
+    try:
+        data = await reader.readexactly(size)
+    except asyncio.IncompleteReadError as exc:
+        data = exc.partial
+    except ConnectionError:
+        data = b""
+    return _frame_value(data, size)
+
+
+def _time_left(deadline: Optional[float]) -> Optional[float]:
+    """Seconds to a ``time.monotonic`` deadline (``None``: no deadline)."""
+    if deadline is None:
+        return None
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise socket.timeout("deadline passed")
+    return left
+
+
+def _recv_exactly(sock: socket.socket, size: int, deadline: Optional[float]) -> bytes:
+    """Up to ``size`` bytes (fewer where the stream ended) by ``deadline``,
+    read 256 KiB at most at a time: memory grows with what arrives, not
+    with what a header announces."""
+    chunks: List[bytes] = []
+    got = 0
+    while got < size:
+        sock.settimeout(_time_left(deadline))
+        chunk = sock.recv(min(size - got, 1 << 18))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        got += len(chunk)
+    return chunks[0] if len(chunks) == 1 else b"".join(chunks)
 
 
 #: NumPy column dtypes a column frame carries as raw little-endian buffers.
@@ -222,10 +265,12 @@ def _decode_scans(
         raise TransportError(f"peer {peer!r} {exc}", peer=peer) from None
 
 
-def _decode_reply(
-    op: str, peer: str, payload: object, status: str, value: object
-) -> object:
+def _decode_reply(op: str, peer: str, payload: object, reply: object) -> object:
     """A reply pair as the value it carries, or the exception it stands for."""
+    status, value = (
+        reply if type(reply) is tuple and len(reply) == 2
+        else ("error", "malformed reply")
+    )
     if status == "ok":
         # A traced reply arrives enveloped with the server's serve span;
         # adopt it into the live trace and hand back the value.
@@ -238,7 +283,8 @@ def _decode_reply(
 
 
 class AsyncSocketTransport(TransportBase):
-    """The four-RPC contract over asyncio TCP sockets (see module docs).
+    """The four-RPC contract over TCP sockets: an asyncio server, and a
+    blocking client on each caller's thread (see module docs).
 
     Chaos hooks are :class:`~repro.pdms.distributed.transport.TransportBase`'s:
     ``delay`` and ``set_peer_delay`` are waited out remotely,
@@ -257,10 +303,9 @@ class AsyncSocketTransport(TransportBase):
         #: ``pool_size`` is per served peer, as when each had its own pool.
         self._pool_cap = max(1, pool_size) * max(1, len(self._instances))
         self._timeout = timeout if timeout is not None else _config_transport_timeout()
-        #: Idle ``(reader, writer)`` connections to the one endpoint every
-        #: peer is served from, reused last-in first-out so a quiet client
-        #: keeps one warm.
-        self._pool: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
+        #: Idle client sockets to the one endpoint every peer is served
+        #: from, reused last-in first-out so a quiet client keeps one warm.
+        self._pool: List[socket.socket] = []
         self._handler_tasks: set = set()
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
@@ -295,10 +340,12 @@ class AsyncSocketTransport(TransportBase):
                     break
                 response = await self._respond(frame)
                 try:
-                    await _write_frame(writer, response)
+                    data = _encode_frame(response)
                 except TransportError as exc:  # reply over the frame cap
-                    await _write_frame(writer, ("error", str(exc)))
-        except (ConnectionError, asyncio.IncompleteReadError):
+                    data = _encode_frame(("error", str(exc)))
+                writer.write(data)
+                await writer.drain()
+        except ConnectionError:
             pass  # client vanished (e.g. a timed-out RPC) — fine
         except TransportError:
             pass  # oversized, truncated or garbled frame: drop the connection
@@ -309,10 +356,12 @@ class AsyncSocketTransport(TransportBase):
             writer.close()
 
     async def _respond(self, request: Sequence[object]) -> Tuple[str, object]:
-        """Serve one request — a lone frame, a batch frame, or a sub-request."""
+        """Serve one request: a lone, batch or catalogue frame, or a sub-request."""
         try:
             if request[0] == "batch":
                 return ("ok", await self._respond_all(request[1]))
+            if request[0] == "describe_many":
+                return ("ok", await self._describe_all(request[1]))
             # Tolerant unpacking: a traced request appends the wire trace
             # context as a fourth element; servers that ignore trailing
             # elements keep serving either shape — the
@@ -330,7 +379,7 @@ class AsyncSocketTransport(TransportBase):
     async def _respond_all(
         self, requests: Sequence[Sequence[object]]
     ) -> List[Tuple[str, object]]:
-        """Serve a batch frame's sub-requests concurrently, replies in order.
+        """Serve a frame's sub-requests concurrently, replies in order.
 
         Concurrency only buys anything when serving waits, and serving
         waits only on injected latency; without any, each sub-request runs
@@ -341,6 +390,18 @@ class AsyncSocketTransport(TransportBase):
                 *(self._respond(request) for request in requests)
             )
         return [await self._respond(request) for request in requests]
+
+    async def _describe_all(self, peers: Sequence[str]) -> List[Tuple[str, object]]:
+        """A catalogue frame's replies, one per peer.  Injected latency is
+        waited out per peer through the one dispatch; without any, what
+        it would serve is read in one pass."""
+        if self._latency_injected():
+            return await self._respond_all([("describe", peer, None) for peer in peers])
+        return [
+            ("ok", describe_instance(self._instances[peer])) if peer in self._instances
+            else ("error", f"unknown peer {peer!r}")
+            for peer in peers
+        ]
 
     async def _serve(
         self, op: str, peer: str, payload: object, ctx: object = None
@@ -353,78 +414,59 @@ class AsyncSocketTransport(TransportBase):
         except StopIteration as done:
             return _encode_scans(done.value) if op == "scan_since" else done.value
 
-    # -- client side -------------------------------------------------------
+    # -- client side (runs on the caller's thread) --------------------------
 
-    async def _exchange(self, frame: object) -> Tuple[str, object]:
-        """One request frame out and its reply frame back, on a pooled connection."""
-        reader, writer = (
-            self._pool.pop() if self._pool
-            else await asyncio.open_connection(*self._address[:2])
-        )
-        reply = None
+    def _exchange(self, frame: object) -> object:
+        """One request frame out and its reply frame back, on a pooled
+        connection, within one deadline for the whole exchange."""
+        deadline = time.monotonic() + self._timeout if self._timeout else None
+        sock = reply = None
         try:
-            await _write_frame(writer, frame)
-            reply = await _read_frame(reader)
+            with self._lock:
+                sock = self._pool.pop() if self._pool else None
+            if sock is None:
+                sock = socket.create_connection(self._address[:2], _time_left(deadline))
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(_time_left(deadline))
+            sock.sendall(_encode_frame(frame))
+            header = _recv_exactly(sock, 4, deadline)
+            if len(header) == 4:
+                size = _frame_size(header)
+                reply = _frame_value(_recv_exactly(sock, size, deadline), size)
+        except socket.timeout:
+            raise TransportError(f"RPC timed out after {self._timeout}s") from None
+        except OSError as exc:
+            raise TransportError(f"connection failed: {exc}") from None
         finally:
-            # A cancelled or failed exchange leaves an unpaired response in
-            # flight or the stream out of step: discard the connection
-            # rather than repooling it.
-            if reply is not None and len(self._pool) < self._pool_cap:
-                self._pool.append((reader, writer))
-            else:
-                writer.close()
+            # A failed exchange leaves the stream out of step: its
+            # connection is closed, never re-pooled.
+            with self._lock:
+                if reply is not None and not self._closed and len(self._pool) < self._pool_cap:
+                    self._pool.append(sock)
+                    sock = None
+            if sock is not None:
+                sock.close()
         if reply is None:
             raise TransportError("connection closed mid-RPC")
         return reply
 
-    async def _rpc(
-        self, peer: str, op: str, payload: object, trace: object = None
-    ) -> object:
+    def _call(self, op: str, peer: str, payload: object) -> object:
         # The frame only grows a fourth element when a trace context rides
         # along — untraced requests stay byte-identical to the pre-tracing
         # wire format.
+        trace = current_wire_context()
         frame = (op, peer, payload) if trace is None else (op, peer, payload, trace)
         try:
-            status, value = await self._exchange(frame)
+            reply = self._exchange(frame)
         except TransportError as exc:
             raise TransportError(f"peer {peer!r} {exc}", peer=peer) from None
-        return _decode_reply(op, peer, payload, status, value)
+        return _decode_reply(op, peer, payload, reply)
 
-    async def _rpc_batch(self, subs: Sequence[SubRequest]) -> List[object]:
-        """One batch frame: per sub-request its value, or the exception it raised."""
-        status, replies = await self._exchange(("batch", subs))
-        if status != "ok":
-            raise TransportError(f"batch frame failed: {replies}")
-        outcomes: List[object] = []
-        for (op, peer, payload, _), (sub_status, value) in zip(subs, replies):
-            try:
-                outcomes.append(_decode_reply(op, peer, payload, sub_status, value))
-            except (TransportError, ValueError, InstanceError) as exc:
-                outcomes.append(exc)
-        return outcomes
-
-    def _wait(self, coro, what: str, peer: Optional[str] = None) -> object:
-        """Run ``coro`` on the event loop; block for it under the RPC timeout."""
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        try:
-            return future.result(self._timeout if self._timeout else None)
-        except concurrent.futures.TimeoutError:
-            future.cancel()
-            raise TransportError(
-                f"{what} timed out after {self._timeout}s", peer=peer
-            ) from None
-
-    def _call(self, op: str, peer: str, payload: object) -> object:
-        # Capture the caller thread's wire context here: _rpc executes on
-        # the event-loop thread, where the thread-local is not visible.
-        return self._wait(
-            self._rpc(peer, op, payload, trace=current_wire_context()),
-            f"peer {peer!r}: RPC {op!r}",
-            peer,
-        )
-
-    def _batch(self, subs: Sequence[SubRequest], scan: bool = False) -> List[object]:
-        """Send ``subs`` as one batch frame; one outcome per sub-request.
+    def _batch(
+        self, subs: Sequence[SubRequest], scan: bool = False, kind: str = "batch"
+    ) -> List[object]:
+        """Send ``subs`` in one frame (a catalogue frame, naming only the
+        peers, for ``kind="describe_many"``); one outcome per sub-request.
 
         An outcome is the value the lone RPC would have returned or the
         exception it would have raised.  Client-side chaos applies per
@@ -441,21 +483,29 @@ class AsyncSocketTransport(TransportBase):
                 outcomes[index] = exc
             else:
                 sent.append(index)
-        if sent:
-            with self._lock:
-                self._rpc_count += 1
-            try:
-                replies = self._wait(
-                    self._rpc_batch([subs[index] for index in sent]),
-                    f"batch of {len(sent)} RPCs",
+        if not sent:
+            return outcomes
+        with self._lock:
+            self._rpc_count += 1
+        carried = [subs[index] for index in sent]
+        try:
+            reply = self._exchange(
+                (kind, carried if kind == "batch" else [sub[1] for sub in carried])
+            )
+            replies = reply[1] if type(reply) is tuple and reply[:1] == ("ok",) else None
+            if type(replies) is not list or len(replies) != len(sent):
+                raise TransportError(f"{kind} frame failed: {reply!r}")
+        except TransportError as exc:
+            for index in sent:
+                outcomes[index] = TransportError(
+                    f"peer {subs[index][1]!r} {exc}", peer=subs[index][1]
                 )
-            except TransportError as exc:
-                replies = [
-                    TransportError(f"peer {subs[index][1]!r} {exc}", peer=subs[index][1])
-                    for index in sent
-                ]
-            for index, reply in zip(sent, replies):
-                outcomes[index] = reply
+            return outcomes
+        for index, (op, peer, payload, _), reply in zip(sent, carried, replies):
+            try:
+                outcomes[index] = _decode_reply(op, peer, payload, reply)
+            except (TransportError, ValueError, InstanceError) as exc:
+                outcomes[index] = exc
         return outcomes
 
     # -- the Transport surface ---------------------------------------------
@@ -471,12 +521,11 @@ class AsyncSocketTransport(TransportBase):
         return self._address[:2]
 
     def describe_many(self, peers: Iterable[str]) -> Catalogs:
-        """Every listed peer's catalog (or its fault) in one batch frame."""
+        """Every listed peer's catalog (or its fault) in one catalogue frame."""
         names = list(peers)
-        return dict(zip(
-            names,
-            self._batch([("describe", peer, None, None) for peer in names]),
-        ))
+        return dict(zip(names, self._batch(
+            [("describe", peer, None, None) for peer in names], kind="describe_many"
+        )))
 
     def scan_many(
         self, batches: Sequence[Tuple[str, Sequence[SinceScanRequest], object]]
@@ -508,16 +557,18 @@ class AsyncSocketTransport(TransportBase):
             self._loop.close()
 
     def close(self) -> None:
-        """Stop the server, drain the pools, and stop the loop (idempotent)."""
+        """Close the idle connections, stop the server and the loop
+        (idempotent)."""
         if self._closed:
             return
         super().close()
+        with self._lock:
+            idle, self._pool = self._pool, []
+        for sock in idle:
+            sock.close()
 
         async def shutdown() -> None:
             self._server.close()
-            await self._server.wait_closed()
-            while self._pool:
-                self._pool.pop()[1].close()
             # Server-side handlers for still-open client connections park
             # on their next read forever; cancel them so the loop can be
             # closed without orphaned tasks.
@@ -526,6 +577,7 @@ class AsyncSocketTransport(TransportBase):
                 task.cancel()
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
+            await self._server.wait_closed()
             # One tick for the transports' connection_lost callbacks.
             await asyncio.sleep(0)
 

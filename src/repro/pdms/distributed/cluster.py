@@ -12,7 +12,7 @@ service alone does not do:
   fault touched the window (conservative under concurrency: a fault
   observed by an overlapping call also clears the flag);
 * **writes** — :meth:`~ServiceCluster.insert` writes one batch to the
-  peer that owns the relation (a stored relation has one owner), and a
+  owning peer in one frame (the next answer's refresh reads it), and a
   write that did not land raises.
 
 The service is safe under concurrent callers, so callers that want
@@ -150,7 +150,6 @@ class ServiceCluster:
             self._transport.insert(owner, relation, batch)
             if span.recording:
                 span.set("rows", len(batch))
-            self._source.refresh()
         return len(batch)
 
     def answer(

@@ -11,9 +11,9 @@ Where the scans run is the fact source's business.  An in-process source
 (per-peer instances behind a :class:`PeerFactSource`, or any flat fact
 source) is probed directly.  A source that can scatter scans — the
 :class:`~repro.pdms.distributed.source.RemotePeerFactSource` — exposes
-``answer_hooks()``: the plan path calls it once per answer (one describe
-round) and runs the hooks it returns, which prefetch each root's scans in
-one scatter wave and restart the version snapshot after a transport
+``answer_hooks()``: every answer calls it once (one describe round) and
+the plan path runs the hooks it returns, which prefetch each root's scans
+in one scatter wave and restart the version snapshot after a transport
 fault.  This module imports nothing from :mod:`repro.pdms.distributed`.
 
 :func:`evaluate_rewritings` is the independent oracle the plan path is
@@ -331,10 +331,19 @@ def _answer_batches(
                 "the backtracking oracle takes no fragment cache: a cached "
                 "oracle is not an oracle"
             )
-        return (evaluate_query(rewriting, source) for rewriting in result.rewritings())
+        return _oracle_batches(result, source)
     return _plan_batches(
         ensure_plan(result, source, plan), source, cache, whole, metrics
     )
+
+
+def _oracle_batches(result: ReformulationResult, source: FactsLike) -> Iterator[Iterable[Row]]:
+    # A source that refreshes once per answer does so for the oracle too.
+    hooks = getattr(source, "answer_hooks", None)
+    if hooks is not None:
+        hooks()
+    for rewriting in result.rewritings():
+        yield evaluate_query(rewriting, source)
 
 
 def _plan_batches(

@@ -823,18 +823,52 @@ class TestClusterInsert:
             assert cluster.insert("sr", []) == 0
             assert transport.rpc_count == frames
 
-    def test_insert_moves_the_version_token_at_once(self):
-        """The write refreshes the source, so the relation's token moves
-        before any answer reads it; its sibling's stays put."""
+    def test_insert_moves_the_version_token_by_the_next_answer(self):
+        """The write is one frame and refreshes nothing; the next answer's
+        refresh moves the relation's token, and its sibling's stays put."""
         workers = split_owners({(i, f"v{i}") for i in range(4)}, 2)
+        transport = LoopbackTransport(workers)
         with ServiceCluster(
             pdms=single_relation_pdms(*workers_relations(workers)),
-            transport=LoopbackTransport(workers),
+            transport=transport,
         ) as cluster:
             before = [cluster.source.data_version(r) for r in ("sr0", "sr1")]
+            frames = transport.rpc_count
             cluster.insert("sr0", [(500, "new")])
+            assert transport.rpc_count == frames + 1
+            assert cluster.source.data_version("sr0") == before[0]
+            assert (500, "new") in cluster.answer(parse_query("Q(x, y) :- T:R(x, y)")).rows
             assert cluster.source.data_version("sr0") != before[0]
             assert cluster.source.data_version("sr1") == before[1]
+
+    @pytest.mark.parametrize("engine", [None, "backtracking"])
+    @pytest.mark.parametrize("limit", [None, 1])
+    def test_the_next_answer_reads_the_write(self, backend, engine, limit):
+        """Read-your-writes with a one-frame write, on every answer path:
+        the plan path and the oracle, whole and first-k, each refresh
+        before they read; a row written straight into the owner's
+        instance shows the same way."""
+        workers = split_owners({(i, f"v{i}") for i in range(4)}, 2)
+        transport = backend(workers)
+
+        def read(text):
+            return cluster.answer(parse_query(text), limit=limit).rows
+
+        with ServiceCluster(
+            pdms=single_relation_pdms(*workers_relations(workers)),
+            transport=transport, engine=engine,
+        ) as cluster:
+            assert len(read("Q(x, y) :- T:R(x, y)")) == (4 if limit is None else 1)
+            assert read("Q(y) :- T:R(500, y)") == frozenset()
+            frames = transport.rpc_count
+            cluster.insert("sr0", [(500, "new")])
+            assert transport.rpc_count == frames + 1
+            assert read("Q(y) :- T:R(500, y)") == {("new",)}
+            assert read("Q(y) :- T:R(600, y)") == frozenset()
+            transport.instance("W1").add("sr1", (600, "direct"))
+            assert read("Q(y) :- T:R(600, y)") == {("direct",)}
+            if limit is None:
+                assert {(500, "new"), (600, "direct")} <= read("Q(x, y) :- T:R(x, y)")
 
     def test_rows_may_be_any_iterable(self):
         inst = Instance.from_dict({"sr": {(1, "a")}})

@@ -5,17 +5,22 @@ counted in frames, not milliseconds: the catalogue round of a refresh is
 one frame (``describe_many``), the first attempts of a scatter wave are
 one frame (``scan_many``), and everything that carried per-unit meaning
 before — retries, chaos, data errors, trace parenting, transports
-without a batch frame — still does.
+without a batch frame — still does.  The client sends every frame from
+the caller's thread: one deadline per RPC, every reply paired with its
+own request under concurrent callers, and a mangled reply read back as
+a value or a ``TransportError``, never anything else.
 """
 
 from __future__ import annotations
 
 import asyncio
 import pickle
+import random
 import socket
 import struct
 import sys
 import threading
+import time
 
 import pytest
 
@@ -87,9 +92,9 @@ class CountingSocket(AsyncSocketTransport):
         self.frames = []
         super().__init__(*args, **kwargs)
 
-    async def _exchange(self, frame):
+    def _exchange(self, frame):
         self.frames.append(frame[0])
-        return await super()._exchange(frame)
+        return super()._exchange(frame)
 
 
 class BrokenScans(CountingSocket):
@@ -162,7 +167,7 @@ def wide():
 class TestFrameBudget:
     def test_construction_describes_every_peer_in_one_frame(self, wide):
         _, transport = wide
-        assert transport.frames == ["batch"]
+        assert transport.frames == ["describe_many"]
         assert transport.rpc_count == 1
 
     def test_cold_answer_is_two_frames_and_warm_is_one(self, wide):
@@ -170,28 +175,28 @@ class TestFrameBudget:
         planned(cluster, transport)
         first = cluster.answer(QUERY)
         assert first.rows == rows_of(range(PEERS)) and first.complete
-        assert transport.frames == ["batch", "batch"]  # catalogues, scan wave
+        assert transport.frames == ["describe_many", "batch"]  # catalogues, scan wave
 
         del transport.frames[:]
         assert cluster.answer(QUERY) == first
-        assert transport.frames == ["batch"]  # catalogues only
+        assert transport.frames == ["describe_many"]  # catalogues only
 
         drop_scans(cluster)
         del transport.frames[:]
         assert cluster.answer(QUERY) == first
-        assert transport.frames == ["batch", "batch"]
+        assert transport.frames == ["describe_many", "batch"]
         # Every peer's scan was served, each counted for its own peer:
         # one for the plan's statistics, two cold waves.
         assert all(
             transport.scan_count(peer_name(index)) == 3 for index in range(PEERS)
         )
 
-    def test_insert_is_the_write_plus_one_catalogue_frame(self, wide):
+    def test_insert_is_one_frame(self, wide):
         cluster, transport = wide
         cluster.answer(QUERY)
         del transport.frames[:]
         cluster.insert("s07", [(7, 99)])
-        assert transport.frames == ["insert", "batch"]
+        assert transport.frames == ["insert"]
         answer = cluster.answer(QUERY)
         assert (7, 99) in answer.rows and answer.complete
 
@@ -204,8 +209,9 @@ class TestFrameBudget:
         cluster.insert("s00", [(0, 77)])
         drop_scans(cluster)
         cluster.answer(QUERY)
-        assert transport.frames.count("batch") == 6  # 4 catalogue rounds, 2 waves
-        assert transport.rpc_count - before == len(transport.frames) == 7
+        assert transport.frames.count("describe_many") == 3  # catalogue rounds
+        assert transport.frames.count("batch") == 2  # the two cold waves
+        assert transport.rpc_count - before == len(transport.frames) == 6
         assert transport.transport_metrics()["rpc_count"] == transport.rpc_count
 
     def test_one_connection_serves_the_whole_sequence(self, wide):
@@ -270,7 +276,9 @@ class TestFailedUnits:
                 ScanFailure("P05", "s05", "peer 'P05' RPC failed: disk on fire"),
             )
             # The wave's frame, then this unit's own retries, one frame each.
-            assert transport.frames == ["batch", "batch", "scan_since", "scan_since"]
+            assert transport.frames == [
+                "describe_many", "batch", "scan_since", "scan_since"
+            ]
             assert cluster.source.scatter_stats()["retries"] == POLICY.retries
 
             transport.broken = frozenset()
@@ -341,7 +349,7 @@ class TestFailedUnits:
             transport.drop_every_n = 5
             answer = cluster.answer(QUERY)
             assert answer.complete and answer.rows == rows_of(range(PEERS))
-            assert transport.frames[:2] == ["batch", "batch"]
+            assert transport.frames[:2] == ["describe_many", "batch"]
             assert cluster.source.scatter_stats()["retries"] >= 4
 
 
@@ -378,7 +386,7 @@ class TestTracing:
             planned(cluster, transport)
             answer = cluster.answer(QUERY)
             assert answer.complete
-            assert transport.frames == ["batch", "batch"]
+            assert transport.frames == ["describe_many", "batch"]
         assert_well_formed(tracer)
         spans = last_spans(tracer)
         by_id = {record["span_id"]: record for record in spans}
@@ -574,6 +582,16 @@ def framed(obj) -> bytes:
     return len(data).to_bytes(4, "big") + data
 
 
+def swap_in_server(transport, address):
+    """Point ``transport``'s client at ``address`` with no idle connection
+    left to the real server; returns the real address."""
+    real = transport._address
+    while transport._pool:
+        transport._pool.pop().close()
+    transport._address = address
+    return real
+
+
 class TestFrameCap:
     def test_read_frame_rejects_what_it_cannot_trust(self):
         MARKER_CALLS.clear()
@@ -608,16 +626,8 @@ class TestFrameCap:
 
         thread = threading.Thread(target=hostile_server, daemon=True)
         thread.start()
-        real_address = transport._address
+        real_address = swap_in_server(transport, listener.getsockname())
         try:
-            async def drop_idle_connections():
-                while transport._pool:
-                    transport._pool.pop()[1].close()
-
-            asyncio.run_coroutine_threadsafe(
-                drop_idle_connections(), transport._loop
-            ).result(5.0)
-            transport._address = listener.getsockname()
             with pytest.raises(TransportError, match="undecodable"):
                 transport.ping("P00")
             assert transport._pool == []
@@ -660,16 +670,8 @@ class TestFrameCap:
 
         thread = threading.Thread(target=hostile_server, daemon=True)
         thread.start()
-        real_address = transport._address
+        real_address = swap_in_server(transport, listener.getsockname())
         try:
-            async def drop_idle_connections():
-                while transport._pool:
-                    transport._pool.pop()[1].close()
-
-            asyncio.run_coroutine_threadsafe(
-                drop_idle_connections(), transport._loop
-            ).result(5.0)
-            transport._address = listener.getsockname()
             with pytest.raises(TransportError, match="over the .*-byte cap"):
                 transport.ping("P00")
             assert transport._pool == []
@@ -693,6 +695,214 @@ class TestFrameCap:
             transport.scan_batch("P00", [("s00", EVERYTHING)])
         assert transport.ping("P00")  # same connection, still in step
         assert len(transport._pool) == 1
+
+
+# ---------------------------------------------------------------------------
+# The caller-thread client: one deadline, many callers, a reader fuzzed
+# ---------------------------------------------------------------------------
+
+
+class TestWholeRpcDeadline:
+    def test_a_trickled_reply_times_out_at_the_deadline_not_per_chunk(self):
+        # Every byte arrives well inside the timeout, the whole reply well
+        # after it: a read that re-armed the timeout per chunk would wait
+        # out the trickle and pair the late bytes with this call.
+        _, data = wide_system()
+        transport = AsyncSocketTransport(data, timeout=0.2)
+        listener = socket.create_server(("127.0.0.1", 0))
+        reply = framed(("ok", "pong" + "x" * 200))
+
+        def trickler():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                for byte in reply:
+                    try:
+                        conn.sendall(bytes([byte]))
+                    except OSError:
+                        return  # the client hung up: done
+                    time.sleep(0.02)
+
+        thread = threading.Thread(target=trickler, daemon=True)
+        thread.start()
+        try:
+            real = swap_in_server(transport, listener.getsockname())
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="timed out") as excinfo:
+                transport.ping("P00")
+            elapsed = time.monotonic() - start
+            assert 0.15 < elapsed < 1.0  # the trickle would take ≈ 4.3 s
+            assert excinfo.value.peer == "P00"
+            assert transport._pool == []  # never re-pooled
+            transport._address = real
+            assert transport.ping("P00")
+        finally:
+            listener.close()
+            transport.close()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
+
+class TestManyCallers:
+    CALLERS = 7  # with the server's loop, the eight threads this test starts
+    PEERS = 4
+
+    def test_every_reply_pairs_with_its_own_request(self, monkeypatch):
+        # Caller c owns relation t{c} at peer P{c % 4}: it alone writes
+        # it, so every scan and catalogue it reads back is exact.
+        opened = []
+        connect = socket.create_connection
+
+        def recording(*args, **kwargs):
+            sock = connect(*args, **kwargs)
+            opened.append(sock)
+            return sock
+
+        monkeypatch.setattr(socket, "create_connection", recording)
+        data = {f"P{p}": Instance() for p in range(self.PEERS)}
+        for caller in range(self.CALLERS):
+            data[f"P{caller % self.PEERS}"].add_all(f"t{caller}", [(caller, -1)])
+        threads_before = set(threading.enumerate())
+        transport = AsyncSocketTransport(data, pool_size=1)
+        assert set(threading.enumerate()) - threads_before == {transport._thread}
+        assert transport._pool_cap == self.PEERS < self.CALLERS
+        wrong, over_cap = [], []
+        one_column = encode_pattern((WILDCARD, WILDCARD))
+
+        def caller(index):
+            peer, relation = f"P{index % self.PEERS}", f"t{index}"
+            expected = {(index, -1)}
+            for step in range(25):
+                if transport.insert(peer, relation, [(index, step)]) != 1:
+                    wrong.append((index, "insert"))
+                expected.add((index, step))
+                [scan] = transport.scan_many([(peer, [(relation, one_column, None)], None)])
+                if set(scan[0][2].iter_rows()) != expected:
+                    wrong.append((index, "scan", step))
+                catalogs = transport.describe_many([peer, "P0"])
+                if catalogs[peer][relation][1] != len(expected) or set(catalogs["P0"]) != {
+                    f"t{c}" for c in range(0, self.CALLERS, self.PEERS)
+                }:
+                    wrong.append((index, "describe", step))
+                if len(transport._pool) > transport._pool_cap:
+                    over_cap.append(len(transport._pool))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=caller, args=(index,))
+                for index in range(self.CALLERS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(thread.is_alive() for thread in threads)
+            # The callers ran on their own threads: the loop is still the
+            # only thread the transport started.
+            assert set(threading.enumerate()) - threads_before == {transport._thread}
+            assert wrong == [] and over_cap == []
+            assert 0 < len(transport._pool) <= transport._pool_cap
+            assert transport.rpc_count == self.CALLERS * 25 * 3
+        finally:
+            transport.close()
+        assert set(threading.enumerate()) <= threads_before
+        assert opened and all(sock.fileno() == -1 for sock in opened)
+
+
+def recorded_reply(address, request) -> bytes:
+    """The bytes the server answers ``request`` with: one whole frame."""
+    with socket.create_connection(address, timeout=5.0) as raw:
+        raw.sendall(framed(request))
+        header = raw.recv(4, socket.MSG_WAITALL)
+        return header + raw.recv(int.from_bytes(header, "big"), socket.MSG_WAITALL)
+
+
+class TestClientReaderFuzz:
+    def test_mangled_replies_give_the_value_or_a_transport_error(self, tracer):
+        """Recorded replies, truncated, over the cap and bit-flipped, fed
+        to the client through a socket pair.
+
+        An intact reply reads back as itself, and a truncated or
+        over-cap one is a ``TransportError``.  A flipped one may also
+        read back as some other well-formed value (a flip inside a string
+        or a number decodes; only a checksum could tell, and TCP carries
+        its own).  Nothing else escapes, nothing hangs, a failed read is
+        never re-pooled, and no frame runs code.
+        """
+        rng = random.Random(20261019)
+        MARKER_CALLS.clear()
+        _, data = wide_system()
+        transport = AsyncSocketTransport(data, timeout=1.0)
+        try:
+            with tracer.start_trace("fuzz") as span:
+                context = span.wire_context()
+            names = [peer_name(index) for index in range(PEERS)]
+            replies = [
+                recorded_reply(transport.address, ("describe_many", names)),
+                recorded_reply(
+                    transport.address, ("scan_since", "P03", [("s03", EVERYTHING, None)])
+                ),
+                recorded_reply(
+                    transport.address,
+                    ("scan_since", "P04", [("s04", EVERYTHING, None)], context),
+                ),
+            ]
+            assert isinstance(pickle.loads(replies[2][4:])[1], TraceEnvelope)
+
+            def read(data: bytes):
+                ours, theirs = socket.socketpair()
+                theirs.settimeout(2.0)
+                with ours, theirs:
+                    ours.sendall(data)
+                    ours.shutdown(socket.SHUT_WR)
+                    transport._pool[:] = [theirs]
+                    try:
+                        value = transport._exchange(("ping", "P00", None))
+                    except TransportError as exc:
+                        assert "timed out" not in str(exc)  # the stream ended: no wait
+                        assert transport._pool == []
+                        return exc
+                    assert transport._pool == [theirs]
+                    return value
+
+            cases = 0
+            for reply in replies:
+                assert unwrapped(read(reply)) == unwrapped(pickle.loads(reply[4:]))
+            assert "undecodable" in str(read(framed(RunsMarker())))
+            for reply in replies + [framed(RunsMarker())]:
+                cuts = range(len(reply)) if len(reply) < 64 else sorted(
+                    rng.sample(range(len(reply)), 60) + [0, 3, 4]
+                )
+                for cut in cuts:
+                    assert isinstance(read(reply[:cut]), TransportError)
+                for header in (b"\xff\xff\xff\xff",
+                               (async_transport.MAX_FRAME_BYTES + 1).to_bytes(4, "big")):
+                    assert isinstance(read(header + reply[4:]), TransportError)
+                for _ in range(120):
+                    flipped = bytearray(reply)
+                    for _ in range(rng.randint(1, 3)):
+                        flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(8)
+                    read(bytes(flipped))  # a value or a TransportError
+                cases += len(cuts) + 122
+            assert cases > 500
+        finally:
+            transport._pool.clear()
+            transport.close()
+        assert MARKER_CALLS == []
+
+
+def unwrapped(value):
+    """A frame's value with its trace envelopes opened, to compare by ``==``."""
+    if isinstance(value, TraceEnvelope):
+        return ("envelope", unwrapped(value.value), value.spans)
+    if type(value) is tuple:
+        return tuple(unwrapped(item) for item in value)
+    return value
 
 
 # ---------------------------------------------------------------------------
