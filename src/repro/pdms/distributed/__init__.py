@@ -13,19 +13,21 @@ real:
   implementing the :class:`~repro.datalog.indexing.IndexedFactSource`
   protocol over any transport so planning and the fragment cache work
   unchanged, with scan memoization and data-version tokens fetched over
-  the wire.  It is the source that decides where scans run: the one plan
-  path calls its ``answer_hooks()``, which scatter-gather each root's
-  scans across peers concurrently, and a failed peer degrades the answer
-  to a best-effort sound subset instead of failing it.  Its
-  :class:`ScanPolicy` bounds the retries of each peer's scans;
+  the wire.  It is the source that decides where scans run: every answer
+  calls its ``answer_hooks()`` (a refresh, so the answer reads the last
+  write), and the plan path runs the hooks it returns, which
+  scatter-gather each root's scans across peers concurrently, and a
+  failed peer degrades the answer to a best-effort sound subset instead
+  of failing it.  Its :class:`ScanPolicy` bounds the retries of each
+  peer's scans;
 * :mod:`~repro.pdms.distributed.cluster` — :class:`ServiceCluster`, a
   :class:`~repro.pdms.service.QueryService` over a remote source built on
   one transport, with an explicit ``complete`` flag per answer and writes
   to every owning peer;
 * :mod:`~repro.pdms.distributed.async_transport` —
   :class:`AsyncSocketTransport`, the same four-RPC contract over real
-  TCP sockets (length-prefixed frames, batch and catalogue frames, an
-  asyncio server on one thread, blocking clients on the callers' threads).
+  TCP sockets (length-prefixed frames, a batch frame, an asyncio server
+  on one thread, blocking clients on the callers' threads).
 
 Every transport propagates the :mod:`repro.obs.trace` wire context
 (trace/span ids ride scan and insert RPCs out of band, so server-side

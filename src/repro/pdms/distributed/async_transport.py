@@ -29,15 +29,14 @@ story is the one peers on other hosts would use:
   (:func:`~repro.pdms.distributed.transport.serve_request`, the one
   loopback runs too), concurrently when latency is injected, and replies
   ``("ok", [(status, value), …])``, one pair per sub-request with the
-  lone frame's statuses.  :meth:`AsyncSocketTransport.scan_many` (the
-  first attempts of a scatter wave) rides it.  A **catalogue frame**
-  ``("describe_many", [peer, …])`` is the catalogue round of a refresh
-  (:meth:`AsyncSocketTransport.describe_many`): served in one pass, each
-  peer's injected delay waited out, and answered like a batch;
+  lone frame's statuses.  :meth:`AsyncSocketTransport.describe_many`
+  (the catalogue round of a refresh) and
+  :meth:`AsyncSocketTransport.scan_many` (the first attempts of a
+  scatter wave) ride it;
 * chaos parity with the loopback harness: ``fail_peer`` /
   ``drop_every_n`` act client-side before a frame is sent (the shared
   :meth:`~repro.pdms.distributed.transport.TransportBase._admit`, per
-  peer even inside a batch or catalogue frame), while ``delay`` /
+  peer even inside a batch frame), while ``delay`` /
   ``set_peer_delay`` are served as ``asyncio.sleep`` *inside* the server
   — so a slowed peer delays only its own responses while the loop keeps
   serving everyone else;
@@ -78,7 +77,6 @@ from .transport import (
     SinceScanRequest,
     TraceEnvelope,
     TransportBase,
-    describe_instance,
     serve_request,
     unwrap_envelope,
 )
@@ -356,12 +354,10 @@ class AsyncSocketTransport(TransportBase):
             writer.close()
 
     async def _respond(self, request: Sequence[object]) -> Tuple[str, object]:
-        """Serve one request: a lone, batch or catalogue frame, or a sub-request."""
+        """Serve one request: a lone frame, a batch frame, or a sub-request."""
         try:
             if request[0] == "batch":
                 return ("ok", await self._respond_all(request[1]))
-            if request[0] == "describe_many":
-                return ("ok", await self._describe_all(request[1]))
             # Tolerant unpacking: a traced request appends the wire trace
             # context as a fourth element; servers that ignore trailing
             # elements keep serving either shape — the
@@ -390,18 +386,6 @@ class AsyncSocketTransport(TransportBase):
                 *(self._respond(request) for request in requests)
             )
         return [await self._respond(request) for request in requests]
-
-    async def _describe_all(self, peers: Sequence[str]) -> List[Tuple[str, object]]:
-        """A catalogue frame's replies, one per peer.  Injected latency is
-        waited out per peer through the one dispatch; without any, what
-        it would serve is read in one pass."""
-        if self._latency_injected():
-            return await self._respond_all([("describe", peer, None) for peer in peers])
-        return [
-            ("ok", describe_instance(self._instances[peer])) if peer in self._instances
-            else ("error", f"unknown peer {peer!r}")
-            for peer in peers
-        ]
 
     async def _serve(
         self, op: str, peer: str, payload: object, ctx: object = None
@@ -462,11 +446,8 @@ class AsyncSocketTransport(TransportBase):
             raise TransportError(f"peer {peer!r} {exc}", peer=peer) from None
         return _decode_reply(op, peer, payload, reply)
 
-    def _batch(
-        self, subs: Sequence[SubRequest], scan: bool = False, kind: str = "batch"
-    ) -> List[object]:
-        """Send ``subs`` in one frame (a catalogue frame, naming only the
-        peers, for ``kind="describe_many"``); one outcome per sub-request.
+    def _batch(self, subs: Sequence[SubRequest], scan: bool = False) -> List[object]:
+        """Send ``subs`` in one batch frame; one outcome per sub-request.
 
         An outcome is the value the lone RPC would have returned or the
         exception it would have raised.  Client-side chaos applies per
@@ -489,12 +470,10 @@ class AsyncSocketTransport(TransportBase):
             self._rpc_count += 1
         carried = [subs[index] for index in sent]
         try:
-            reply = self._exchange(
-                (kind, carried if kind == "batch" else [sub[1] for sub in carried])
-            )
+            reply = self._exchange(("batch", carried))
             replies = reply[1] if type(reply) is tuple and reply[:1] == ("ok",) else None
             if type(replies) is not list or len(replies) != len(sent):
-                raise TransportError(f"{kind} frame failed: {reply!r}")
+                raise TransportError(f"batch frame failed: {reply!r}")
         except TransportError as exc:
             for index in sent:
                 outcomes[index] = TransportError(
@@ -521,11 +500,12 @@ class AsyncSocketTransport(TransportBase):
         return self._address[:2]
 
     def describe_many(self, peers: Iterable[str]) -> Catalogs:
-        """Every listed peer's catalog (or its fault) in one catalogue frame."""
+        """Every listed peer's catalog (or its fault) in one batch frame."""
         names = list(peers)
-        return dict(zip(names, self._batch(
-            [("describe", peer, None, None) for peer in names], kind="describe_many"
-        )))
+        return dict(zip(
+            names,
+            self._batch([("describe", peer, None, None) for peer in names]),
+        ))
 
     def scan_many(
         self, batches: Sequence[Tuple[str, Sequence[SinceScanRequest], object]]

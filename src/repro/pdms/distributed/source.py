@@ -772,12 +772,17 @@ class RemotePeerFactSource:
         return len(wanted)
 
     def answer_hooks(self) -> Dict[str, object]:
-        """Start one answer over this source: the plan path's scatter hooks.
+        """Start one answer over this source: a refresh, then the plan
+        path's scatter hooks.
 
-        The plan path (:mod:`repro.pdms.execution`) calls this once per
-        answer, before the first root.  It runs one describe round so the
-        answer sees current version tokens, then returns the keyword hooks
-        of :func:`~repro.pdms.planning.plan_answer_batches`:
+        Every answer (:mod:`repro.pdms.execution`, the plan path and the
+        oracle alike) calls this once, before its first rewriting.  It runs
+        one describe round so the answer sees current version tokens; that
+        refresh is what makes a one-frame write
+        (:meth:`~repro.pdms.distributed.cluster.ServiceCluster.insert`)
+        visible to the next answer.  Only the plan path uses the keyword
+        hooks it returns, those of
+        :func:`~repro.pdms.planning.plan_answer_batches`:
 
         * ``before_root`` scatters every stored-relation scan under the
           root in one wave (:meth:`prefetch`) unless the root is warm in

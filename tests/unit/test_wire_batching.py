@@ -167,7 +167,7 @@ def wide():
 class TestFrameBudget:
     def test_construction_describes_every_peer_in_one_frame(self, wide):
         _, transport = wide
-        assert transport.frames == ["describe_many"]
+        assert transport.frames == ["batch"]
         assert transport.rpc_count == 1
 
     def test_cold_answer_is_two_frames_and_warm_is_one(self, wide):
@@ -175,16 +175,16 @@ class TestFrameBudget:
         planned(cluster, transport)
         first = cluster.answer(QUERY)
         assert first.rows == rows_of(range(PEERS)) and first.complete
-        assert transport.frames == ["describe_many", "batch"]  # catalogues, scan wave
+        assert transport.frames == ["batch", "batch"]  # catalogues, scan wave
 
         del transport.frames[:]
         assert cluster.answer(QUERY) == first
-        assert transport.frames == ["describe_many"]  # catalogues only
+        assert transport.frames == ["batch"]  # catalogues only
 
         drop_scans(cluster)
         del transport.frames[:]
         assert cluster.answer(QUERY) == first
-        assert transport.frames == ["describe_many", "batch"]
+        assert transport.frames == ["batch", "batch"]
         # Every peer's scan was served, each counted for its own peer:
         # one for the plan's statistics, two cold waves.
         assert all(
@@ -209,8 +209,7 @@ class TestFrameBudget:
         cluster.insert("s00", [(0, 77)])
         drop_scans(cluster)
         cluster.answer(QUERY)
-        assert transport.frames.count("describe_many") == 3  # catalogue rounds
-        assert transport.frames.count("batch") == 2  # the two cold waves
+        assert transport.frames.count("batch") == 5  # 3 catalogue rounds, 2 waves
         assert transport.rpc_count - before == len(transport.frames) == 6
         assert transport.transport_metrics()["rpc_count"] == transport.rpc_count
 
@@ -276,9 +275,7 @@ class TestFailedUnits:
                 ScanFailure("P05", "s05", "peer 'P05' RPC failed: disk on fire"),
             )
             # The wave's frame, then this unit's own retries, one frame each.
-            assert transport.frames == [
-                "describe_many", "batch", "scan_since", "scan_since"
-            ]
+            assert transport.frames == ["batch", "batch", "scan_since", "scan_since"]
             assert cluster.source.scatter_stats()["retries"] == POLICY.retries
 
             transport.broken = frozenset()
@@ -349,7 +346,7 @@ class TestFailedUnits:
             transport.drop_every_n = 5
             answer = cluster.answer(QUERY)
             assert answer.complete and answer.rows == rows_of(range(PEERS))
-            assert transport.frames[:2] == ["describe_many", "batch"]
+            assert transport.frames[:2] == ["batch", "batch"]
             assert cluster.source.scatter_stats()["retries"] >= 4
 
 
@@ -386,7 +383,7 @@ class TestTracing:
             planned(cluster, transport)
             answer = cluster.answer(QUERY)
             assert answer.complete
-            assert transport.frames == ["describe_many", "batch"]
+            assert transport.frames == ["batch", "batch"]
         assert_well_formed(tracer)
         spans = last_spans(tracer)
         by_id = {record["span_id"]: record for record in spans}
@@ -843,7 +840,10 @@ class TestClientReaderFuzz:
                 context = span.wire_context()
             names = [peer_name(index) for index in range(PEERS)]
             replies = [
-                recorded_reply(transport.address, ("describe_many", names)),
+                recorded_reply(
+                    transport.address,
+                    ("batch", [("describe", name, None, None) for name in names]),
+                ),
                 recorded_reply(
                     transport.address, ("scan_since", "P03", [("s03", EVERYTHING, None)])
                 ),
