@@ -354,7 +354,7 @@ class AsyncSocketTransport(TransportBase):
             writer.close()
 
     async def _respond(self, request: Sequence[object]) -> Tuple[str, object]:
-        """Serve one request: a lone frame, a batch frame, or a sub-request."""
+        """Serve one request — a lone frame, a batch frame, or a sub-request."""
         try:
             if request[0] == "batch":
                 return ("ok", await self._respond_all(request[1]))
@@ -375,7 +375,7 @@ class AsyncSocketTransport(TransportBase):
     async def _respond_all(
         self, requests: Sequence[Sequence[object]]
     ) -> List[Tuple[str, object]]:
-        """Serve a frame's sub-requests concurrently, replies in order.
+        """Serve a batch frame's sub-requests concurrently, replies in order.
 
         Concurrency only buys anything when serving waits, and serving
         waits only on injected latency; without any, each sub-request runs
@@ -447,7 +447,7 @@ class AsyncSocketTransport(TransportBase):
         return _decode_reply(op, peer, payload, reply)
 
     def _batch(self, subs: Sequence[SubRequest], scan: bool = False) -> List[object]:
-        """Send ``subs`` in one batch frame; one outcome per sub-request.
+        """Send ``subs`` as one batch frame; one outcome per sub-request.
 
         An outcome is the value the lone RPC would have returned or the
         exception it would have raised.  Client-side chaos applies per
