@@ -6,9 +6,11 @@ Three measurements:
   over the in-process federated source vs over a cluster's remote source
   behind the full loopback peer boundary: the wire contract's overhead,
   measured as relative throughput;
-* **scatter_gather** — with injected per-RPC latency, prefetching a
-  multi-peer scan set concurrently must beat issuing the same scans
-  serially by **more than 2×** (the acceptance gate);
+* **scatter_gather** — over sockets with injected per-RPC latency, one
+  wave (``prefetch``) over a multi-peer scan set must beat the same scans
+  issued as one cold scan each by **more than 2×** (the acceptance
+  gate): the wave's frame waits out its peers' latencies side by side on
+  the server, so *k* latent peers cost one latency, not *k*;
 * **concurrent_clients** — N clients hammering one
   :class:`~repro.pdms.distributed.cluster.ServiceCluster` over a
   latency-injected transport vs the same mix issued sequentially.
@@ -36,6 +38,7 @@ from repro.datalog import parse_query
 from repro.datalog.indexing import WILDCARD
 from repro.pdms import (
     PDMS,
+    AsyncSocketTransport,
     LoopbackTransport,
     QueryService,
     RemotePeerFactSource,
@@ -153,9 +156,10 @@ def test_transport_overhead_vs_in_process(baseline_recorder):
 
 
 def test_scatter_gather_beats_serial_remote_scans(baseline_recorder):
-    """Acceptance gate: concurrent scatter > 2× serial on latent transports."""
+    """Acceptance gate: one wave > 2× one cold scan per relation, on
+    latent sockets."""
     pdms, data, queries = _fanout_workload()
-    transport = LoopbackTransport(data, delay=DELAY)
+    transport = AsyncSocketTransport(data, delay=DELAY)
     source = RemotePeerFactSource(transport)
     requests = [
         (f"s_r{index}", (WILDCARD, WILDCARD)) for index in range(PEERS)
@@ -165,23 +169,28 @@ def test_scatter_gather_beats_serial_remote_scans(baseline_recorder):
 
     def serial():
         source.drop_memo()
-        source.prefetch(requests, parallel=False)
+        for request in requests:
+            source.scan_block(*request)
 
     def scattered():
         source.drop_memo()
-        source.prefetch(requests, parallel=True)
+        source.prefetch(requests)
 
-    serial_seconds = _best_seconds(serial, rounds)
-    scatter_seconds = _best_seconds(scattered, rounds)
-    speedup = serial_seconds / scatter_seconds
+    try:
+        serial_seconds = _best_seconds(serial, rounds)
+        scatter_seconds = _best_seconds(scattered, rounds)
+        speedup = serial_seconds / scatter_seconds
 
-    # Both paths fetched identical rows.
-    source.drop_memo()
-    source.prefetch(requests)
-    total = sum(len(source.get_matching(*request)) for request in requests)
-    assert total == sum(
-        instance.total_rows() for instance in data.values()
-    )
+        # Both paths fetched identical rows.
+        source.drop_memo()
+        source.prefetch(requests)
+        total = sum(len(source.get_matching(*request)) for request in requests)
+        assert total == sum(
+            instance.total_rows() for instance in data.values()
+        )
+    finally:
+        source.close()
+        transport.close()
 
     baseline_recorder["scatter_gather"] = {
         "peers": float(PEERS),
@@ -194,7 +203,6 @@ def test_scatter_gather_beats_serial_remote_scans(baseline_recorder):
     assert speedup > 2.0, (
         f"scatter-gather only {speedup:.2f}x over serial remote scans"
     )
-    source.close()
 
 
 def test_throughput_under_concurrent_clients(baseline_recorder):

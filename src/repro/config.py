@@ -75,14 +75,6 @@ def fragment_cache_bytes() -> int:
     return int_from_env("REPRO_FRAGMENT_CACHE_BYTES", DEFAULT_FRAGMENT_CACHE_BYTES)
 
 
-def distributed_workers() -> int:
-    """Scatter width for per-peer scan batches (``REPRO_DISTRIBUTED_WORKERS``).
-
-    ``0`` (the default) sizes the pool automatically (peer count, capped).
-    """
-    return int_from_env("REPRO_DISTRIBUTED_WORKERS", 0)
-
-
 def transport_timeout_seconds() -> float:
     """Per-RPC deadline in seconds (``REPRO_TRANSPORT_TIMEOUT_MS``).
 

@@ -16,10 +16,10 @@ real:
   the wire.  It is the source that decides where scans run: every answer
   calls its ``answer_hooks()`` (a refresh, so the answer reads the last
   write), and the plan path runs the hooks it returns, which
-  scatter-gather each root's scans across peers concurrently, and a
-  failed peer degrades the answer to a best-effort sound subset instead
-  of failing it.  Its :class:`ScanPolicy` bounds the retries of each
-  peer's scans;
+  scatter-gather each root's scans across peers in one frame per round,
+  and a failed peer degrades the answer to a best-effort sound subset
+  instead of failing it.  Its :class:`ScanPolicy` bounds the retries of
+  each peer's scans;
 * :mod:`~repro.pdms.distributed.cluster` — :class:`ServiceCluster`, a
   :class:`~repro.pdms.service.QueryService` over a remote source built on
   one transport, with an explicit ``complete`` flag per answer and writes

@@ -31,8 +31,8 @@ story is the one peers on other hosts would use:
   ``("ok", [(status, value), …])``, one pair per sub-request with the
   lone frame's statuses.  :meth:`AsyncSocketTransport.describe_many`
   (the catalogue round of a refresh) and
-  :meth:`AsyncSocketTransport.scan_many` (the first attempts of a
-  scatter wave) ride it;
+  :meth:`AsyncSocketTransport.scan_many` (every round of a scatter
+  wave, retries and cold single-key scans included) ride it;
 * chaos parity with the loopback harness: ``fail_peer`` /
   ``drop_every_n`` act client-side before a frame is sent (the shared
   :meth:`~repro.pdms.distributed.transport.TransportBase._admit`, per
@@ -73,6 +73,7 @@ from ...config import transport_timeout_seconds as _config_transport_timeout
 from ...obs.trace import current_wire_context
 from .transport import (
     Catalogs,
+    ScanBatch,
     ScanSinceResult,
     SinceScanRequest,
     TraceEnvelope,
@@ -275,6 +276,9 @@ def _decode_reply(op: str, peer: str, payload: object, reply: object) -> object:
         value = unwrap_envelope(value)
         return _decode_scans(peer, payload, value) if op == "scan_since" else value
     if status == "data_error":
+        if not (type(value) is tuple and len(value) == 2
+                and all(type(part) is str for part in value)):
+            raise TransportError(f"peer {peer!r} sent a malformed data error", peer=peer)
         kind, message = value
         raise (InstanceError if kind == "InstanceError" else ValueError)(message)
     raise TransportError(f"peer {peer!r} RPC failed: {value}", peer=peer)
@@ -490,11 +494,6 @@ class AsyncSocketTransport(TransportBase):
     # -- the Transport surface ---------------------------------------------
 
     @property
-    def prefers_parallel(self) -> bool:
-        """Scatter hint: socket RPCs always have wire latency to overlap."""
-        return True
-
-    @property
     def address(self) -> Tuple[str, int]:
         """The ``(host, port)`` the server is listening on."""
         return self._address[:2]
@@ -508,9 +507,9 @@ class AsyncSocketTransport(TransportBase):
         ))
 
     def scan_many(
-        self, batches: Sequence[Tuple[str, Sequence[SinceScanRequest], object]]
+        self, batches: Sequence[ScanBatch]
     ) -> List[Union[List[ScanSinceResult], Exception]]:
-        """Many peers' delta-capable scan batches in one batch frame.
+        """One wave round: many peers' scan batches in one batch frame.
 
         Each entry is ``(peer, requests, wire trace context)``; the result
         holds, in order, what :meth:`scan_batch_since` would have returned

@@ -162,7 +162,7 @@ class ServiceCluster:
         return ClusterAnswer(rows, not failures and self._source.complete, failures)
 
     def close(self) -> None:
-        """Release the source's scatter pool and the owned transport."""
+        """Close the source and the owned transport."""
         self._source.close()
         self._transport.close()
 

@@ -40,10 +40,12 @@ Three mechanisms keep the RPC count sane and the semantics honest:
 Two more mechanisms sit on the scan path (see ``docs/distributed.md``,
 "Retries and delta re-scans").  Scans are organised into *units* — one
 per owning peer, carrying every scan of the wave that peer serves — and
-every unit runs under a :class:`ScanPolicy`:
+a wave is one loop of rounds under a :class:`ScanPolicy`:
 
-* **retries** — a unit lost to a ``TransportError`` is re-attempted
-  (bounded, exponential backoff + jitter); a scan that succeeds on retry
+* **retries** — each round sends every pending unit's attempt in one
+  ``scan_many`` call (one frame over sockets); the units lost to a
+  ``TransportError`` wait one shared backoff (exponential + jitter) and
+  go again together in the next round.  A scan that succeeds on retry
   records *no* failure, so ``complete`` is re-earned instead of
   permanently degraded, and a unit that exhausts its attempts is counted
   **once**, not once per attempt;
@@ -54,9 +56,10 @@ every unit runs under a :class:`ScanPolicy`:
   (:func:`~repro.pdms.distributed.transport.scan_instance_since`); the
   merged result equals a full rescan by the monotone-log contract.
 
-The source is thread-safe; one instance may serve many concurrent query
-executions (threads sharing one
-:class:`~repro.pdms.distributed.cluster.ServiceCluster`, say).
+Every scan runs on the caller's thread; the source is thread-safe, and
+one instance may serve many concurrent query executions (threads
+sharing one :class:`~repro.pdms.distributed.cluster.ServiceCluster`,
+say).
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ from ...database.columnar import union_all, union_blocks
 from ...datalog.indexing import WILDCARD, Pattern
 from ...errors import TransportError
 from ...obs.metrics import METRICS_SCHEMA_VERSION
-from ...obs.trace import current_span, wire_context
+from ...obs.trace import current_span
 from ..execution import owners_of
 from .transport import (
     EncodedPattern,
@@ -83,6 +86,7 @@ from .transport import (
     Transport,
     describe_each,
     encode_pattern,
+    scan_each,
 )
 
 #: One memoized scan: ``(relation, encoded pattern)``.
@@ -142,34 +146,6 @@ class ScanPolicy:
         """Sleep before retry number ``attempt`` (0-based), jittered."""
         base = min(self.backoff_cap, self.backoff * (2 ** attempt))
         return base * (1.0 + self.jitter * rng.random())
-
-
-class _FirstAttempt:
-    """Attempt 0 of one scan unit, as carried by its wave's batch frame.
-
-    :meth:`RemotePeerFactSource._batched_first_attempts` opens the unit's
-    span and the attempt's span (the attempt's wire context has to ride
-    the frame), sends the frame, and stores each outcome here;
-    :meth:`RemotePeerFactSource._scan_unit` takes it over, spans included,
-    in place of issuing the attempt itself.
-    """
-
-    __slots__ = ("unit_span", "span", "baselines", "outcome")
-
-    def __init__(self, unit_span, span, baselines):
-        self.unit_span = unit_span
-        self.span = span
-        self.baselines = baselines
-        self.outcome: object = None
-
-    @property
-    def failed(self) -> bool:
-        return isinstance(self.outcome, Exception)
-
-    def abandon(self) -> None:
-        """Close the spans of an attempt no unit took over."""
-        self.span.close("cancelled")
-        self.unit_span.close("cancelled")
 
 
 class RemotePeerFactSource:
@@ -238,7 +214,6 @@ class RemotePeerFactSource:
         self._full_scans = 0
         self._delta_rows = 0
         self._full_rows = 0
-        self._executor = None
         self._closed = False
         self.refresh()
 
@@ -291,38 +266,53 @@ class RemotePeerFactSource:
         """(catalog per reachable peer, error per unreachable one).
 
         One ``describe_many`` round for every peer; the subset that
-        faulted is retried as one round per backoff step of the policy, so
-        dead peers share one backoff ladder instead of each climbing its
-        own.  Catalogs come back in peer order whatever round fetched them.
+        faulted goes again together on the policy's backoff ladder
+        (:meth:`_retry_rounds`).  Catalogs come back in peer order
+        whatever round fetched them.
         """
         describe_many = getattr(
             self._transport, "describe_many", None
         ) or partial(describe_each, self._transport)
-        policy = self._policy
         fetched: Dict[str, Dict[str, RelationInfo]] = {}
         errors: Dict[str, str] = {}
-        pending: Sequence[str] = self._peer_names
-        for attempt in range(policy.retries + 1):
-            if attempt:
-                time.sleep(policy.backoff_delay(attempt - 1))
+
+        def send(pending: Sequence[str], attempt: int) -> List[str]:
             for peer, outcome in describe_many(pending).items():
                 if isinstance(outcome, TransportError):
                     errors[peer] = str(outcome)
                 else:
                     fetched[peer] = outcome
-            pending = [peer for peer in pending if peer not in fetched]
-            if not pending:
-                break
+            return [peer for peer in pending if peer not in fetched]
+
+        unreachable = self._retry_rounds(self._peer_names, send)
         return (
             {peer: fetched[peer] for peer in self._peer_names if peer in fetched},
-            {peer: errors[peer] for peer in pending},
+            {peer: errors[peer] for peer in unreachable},
         )
+
+    def _retry_rounds(self, pending: Sequence, send) -> Sequence:
+        """Run ``send(pending, attempt)`` round after round on the policy's
+        backoff ladder; what is left pending when the budget is spent.
+
+        ``send`` returns what it must send again.  Everything that faulted
+        in a round waits out one shared backoff and goes in the next round
+        together, so k faulted peers climb one ladder, not k of their own.
+        """
+        policy = self._policy
+        for attempt in range(policy.retries + 1):
+            if attempt:
+                time.sleep(policy.backoff_delay(attempt - 1))
+            pending = send(pending, attempt)
+            if not pending:
+                break
+        return pending
 
     def scatter_stats(self) -> Dict[str, int]:
         """Scatter counters (monotone since construction).
 
-        ``fanout_waves`` counts :meth:`prefetch` rounds that fetched
-        anything; ``retries`` re-attempts after a transport fault;
+        ``fanout_waves`` counts :meth:`prefetch` waves that fetched
+        anything; ``retries`` one per unit re-attempt after a transport
+        fault;
         ``delta_scans`` / ``full_scans`` wire scans answered as a delta vs
         a full rescan, and ``delta_rows_shipped`` / ``full_rows_shipped``
         the rows each kind carried.  ``pruned_waves`` and ``hedges_fired``
@@ -452,33 +442,13 @@ class RemotePeerFactSource:
             self._chains.clear()
             return dropped
 
-    # -- scanning ----------------------------------------------------------
-
-    def _scatter_width(self) -> int:
-        configured = _config.distributed_workers()
-        if configured:
-            return configured
-        return min(16, max(2, len(self._peer_names)))
-
-    def _pool(self):
-        with self._lock:
-            self._check_open()
-            if self._executor is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self._scatter_width(),
-                    thread_name_prefix="repro-scatter",
-                )
-            return self._executor
+    # -- the scan wave: one frame per round ---------------------------------
 
     def _record_failure(self, peer: str, relations: Iterable[str], error: str) -> None:
         with self._lock:
             for relation in relations:
                 self._failures.append(ScanFailure(peer, relation, error))
                 self._degraded.add(relation)
-
-    # -- one scan unit: one owning peer, bounded retries -------------------
 
     def _open_attempt(
         self,
@@ -552,194 +522,106 @@ class RemotePeerFactSource:
                 del chain[:-DELTA_CHAIN_LINKS]
         return out
 
-    def _attempt_scan(
-        self, peer: str, keys: Sequence[ScanKey], parent_span, kind: str
+    def _scan_wave(
+        self, units: Sequence[Tuple[str, List[ScanKey]]], wave
     ) -> Dict[ScanKey, Tuple[object, ColumnTable]]:
-        """One blocking scan attempt (raises ``TransportError`` on fault)."""
-        requests, baselines, span = self._open_attempt(
-            peer, keys, parent_span, kind
-        )
-        # The wire context installed around the transport call is what
-        # parents the serve-side span under this attempt.
-        with span, wire_context(span.wire_context()):
-            results = self._transport.scan_batch_since(peer, requests)
-        return self._finish_scan(keys, baselines, results)
+        """Scan every unit of one wave; ``(token, table)`` per key scanned.
 
-    @staticmethod
-    def _unit_span(parent_span, peer: str, keys: Sequence[ScanKey]):
-        return parent_span.child(
-            "scan.unit",
-            peer=peer,
-            relations=",".join(sorted({key[0] for key in keys})),
-            scans=len(keys),
-        )
-
-    def _batched_first_attempts(
-        self, unit_items: Sequence[Tuple[str, List[ScanKey]]], wave
-    ) -> Dict[str, _FirstAttempt]:
-        """Attempt 0 of every unit of a wave, in one batch frame.
-
-        Each unit is handed its own outcome, so a peer that faulted in the
-        frame retries on its own while the others are done.  A transport
-        without a batch frame (``scan_many``) gets none: every unit then
-        issues its own first attempt.
+        Each round sends every pending unit's attempt in one ``scan_many``
+        call (one batch frame over sockets; the per-peer default
+        :func:`~repro.pdms.distributed.transport.scan_each` elsewhere),
+        each entry carrying its own attempt's trace context.  A unit that
+        gets rows is finished on the spot; the units lost to a
+        ``TransportError`` go again together after one shared backoff
+        (:meth:`_retry_rounds`), and a unit out of budget records exactly
+        one :class:`ScanFailure` per relation, however many attempts it
+        made.  A data error raises once every span of the wave is closed.
         """
-        scan_many = getattr(self._transport, "scan_many", None)
-        if scan_many is None or not unit_items:
-            return {}
-        firsts: Dict[str, _FirstAttempt] = {}
-        frame = []
-        for peer, keys in unit_items:
-            unit_span = self._unit_span(wave, peer, keys)
-            requests, baselines, span = self._open_attempt(
-                peer, keys, unit_span, "primary"
+        scan_many = getattr(self._transport, "scan_many", None) or partial(
+            scan_each, self._transport
+        )
+        #: The ``scan.unit`` span of every unit not yet finished.
+        open_units = {
+            peer: wave.child(
+                "scan.unit",
+                peer=peer,
+                relations=",".join(sorted({key[0] for key in keys})),
+                scans=len(keys),
             )
-            firsts[peer] = _FirstAttempt(unit_span, span, baselines)
-            frame.append((peer, requests, span.wire_context()))
-        for first, outcome in zip(firsts.values(), scan_many(frame)):
-            first.outcome = outcome
-        return firsts
+            for peer, keys in units
+        }
+        attempts: Dict[str, int] = {}
+        errors: Dict[str, str] = {}
+        data_errors: List[Exception] = []
+        done: Dict[ScanKey, Tuple[object, ColumnTable]] = {}
 
-    def _take_first_attempt(
-        self, first: _FirstAttempt, keys: Sequence[ScanKey]
-    ) -> Dict[ScanKey, Tuple[object, ColumnTable]]:
-        """Finish a batched attempt as :meth:`_attempt_scan` finishes its own."""
-        outcome = first.outcome
-        if isinstance(outcome, Exception):
-            first.span.set("error", f"{type(outcome).__name__}: {outcome}")
-            first.span.close("error")
-            raise outcome
-        first.span.close()
-        return self._finish_scan(keys, first.baselines, outcome)
-
-    def _scan_unit(
-        self,
-        peer: str,
-        keys: Sequence[ScanKey],
-        parent_span,
-        first: Optional[_FirstAttempt] = None,
-    ) -> Optional[Dict[ScanKey, Tuple[object, ColumnTable]]]:
-        """Scan ``keys`` at ``peer``, retrying under the policy.
-
-        Returns per-key ``(token, rows)``, or ``None`` after exhausting
-        the policy — in which case exactly **one** :class:`ScanFailure` per
-        relation is recorded, regardless of how many attempts were made.
-
-        ``first`` is the unit's first attempt when the wave's batch frame
-        already made it (:meth:`_batched_first_attempts`): its outcome
-        stands in for attempt 0, and every later attempt is issued here,
-        per unit, exactly as without it.
-
-        ``parent_span`` is threaded explicitly because units run on the
-        scatter pool, where the submitting thread's ambient span is not
-        visible.
-        """
-        policy = self._policy
-        last_error = ""
-        attempts = 0
-        succeeded = False
-        span = (
-            first.unit_span if first is not None
-            else self._unit_span(parent_span, peer, keys)
-        )
-        try:
-            for attempt in range(policy.retries + 1):
-                if attempt:
-                    with self._lock:
-                        self._retries += 1
-                    time.sleep(policy.backoff_delay(attempt - 1))
-                attempts = attempt + 1
-                try:
-                    if first is not None and attempt == 0:
-                        result = self._take_first_attempt(first, keys)
+        def send(pending, attempt: int):
+            if attempt:
+                with self._lock:
+                    self._retries += len(pending)
+            kind = "retry" if attempt else "primary"
+            sent = [
+                (peer, keys, *self._open_attempt(peer, keys, open_units[peer], kind))
+                for peer, keys in pending
+            ]
+            try:
+                outcomes = scan_many([
+                    (peer, requests, span.wire_context())
+                    for peer, _, requests, _, span in sent
+                ])
+            except BaseException:
+                for *_, span in sent:
+                    span.close("cancelled")
+                raise
+            faulted = []
+            for (peer, keys, _, baselines, span), outcome in zip(sent, outcomes):
+                attempts[peer] = attempt + 1
+                if isinstance(outcome, Exception):
+                    errors[peer] = str(outcome)
+                    span.set("error", f"{type(outcome).__name__}: {outcome}")
+                    span.close("error")
+                    if isinstance(outcome, TransportError):
+                        faulted.append((peer, keys))
                     else:
-                        result = self._attempt_scan(
-                            peer, keys, span, "primary" if attempt == 0 else "retry"
-                        )
-                    succeeded = True
-                    return result
-                except TransportError as exc:
-                    last_error = str(exc)
-            relations = sorted({key[0] for key in keys})
-            self._record_failure(peer, relations, last_error)
-            return None
-        finally:
-            if span.recording:
-                span.set("attempts", attempts)
-                if not succeeded:
-                    span.set("error", last_error)
-            span.close(None if succeeded else "error")
+                        data_errors.append(outcome)
+                    continue
+                span.close()
+                done.update(self._finish_scan(keys, baselines, outcome))
+                unit = open_units.pop(peer)
+                if unit.recording:
+                    unit.set("attempts", attempt + 1)
+                unit.close()
+            return [] if data_errors else faulted
 
-    def _run_units(
-        self,
-        unit_items: Sequence[Tuple[str, List[ScanKey]]],
-        wave,
-        parallel: bool,
-    ) -> List[Optional[Dict[ScanKey, Tuple[object, ColumnTable]]]]:
-        """Every unit of one wave, each under the policy; results in order.
-
-        Units whose first attempt came back on the wave's batch frame
-        finish right here, with no thread hop.  The others — every unit of
-        a transport without a batch frame, units whose batched attempt
-        faulted and now retry — still have wire time to overlap and run
-        on the scatter pool.
-        """
-        firsts = self._batched_first_attempts(unit_items, wave)
-
-        def unit_args(index: int):
-            # Popping hands the first attempt (and its open spans) over
-            # to the unit; what is left at the end, nobody took.
-            peer, batch = unit_items[index]
-            return peer, batch, wave, firsts.pop(peer, None)
-
-        results: List[Optional[Dict[ScanKey, Tuple[object, ColumnTable]]]] = (
-            [None] * len(unit_items)
-        )
-        on_wire: List[int] = []
         try:
-            for index, (peer, _) in enumerate(unit_items):
-                first = firsts.get(peer)
-                if first is None or first.failed:
-                    on_wire.append(index)
-                else:
-                    results[index] = self._scan_unit(*unit_args(index))
-            if (
-                parallel
-                and len(on_wire) > 1
-                and getattr(self._transport, "prefers_parallel", True)
-            ):
-                pool = self._pool()
-                futures = [
-                    pool.submit(self._scan_unit, *unit_args(index))
-                    for index in on_wire
-                ]
-                for index, future in zip(on_wire, futures):
-                    results[index] = future.result()
-            else:
-                for index in on_wire:
-                    results[index] = self._scan_unit(*unit_args(index))
+            lost = self._retry_rounds(units, send)
         finally:
-            for first in firsts.values():
-                first.abandon()
-        return results
+            # Units that got no rows: out of budget, or cut short.
+            for peer, unit in open_units.items():
+                error = errors.get(peer)
+                if unit.recording:
+                    unit.set("attempts", attempts.get(peer, 0))
+                    if error is not None:
+                        unit.set("error", error)
+                unit.close("cancelled" if error is None else "error")
+        if data_errors:
+            raise data_errors[0]
+        for peer, keys in lost:
+            self._record_failure(peer, sorted({key[0] for key in keys}), errors[peer])
+        return done
 
-    def prefetch(
-        self,
-        requests: Iterable[Tuple[str, Pattern]],
-        parallel: bool = True,
-    ) -> int:
+    def prefetch(self, requests: Iterable[Tuple[str, Pattern]]) -> int:
         """Scatter-gather every not-yet-memoized scan in ``requests``.
 
         Each request is a ``(relation, pattern)`` pair, as
         :meth:`UnionPlan.scan_requests
         <repro.pdms.planning.UnionPlan.scan_requests>` produces them.
-        Requests are batched into one *scan unit* per owning peer; with
-        ``parallel`` (and a transport that benefits — sockets, or injected
-        latency) the units run concurrently on a thread pool, so a
-        rewriting touching *k* peers pays one RPC round-trip instead of
-        *k*.  Each unit retries under the :class:`ScanPolicy`.  Returns
-        the number of scans fetched.  Transport faults degrade (see the
-        module docstring); data errors propagate.
+        Requests are batched into one *scan unit* per owning peer, and the
+        wave sends every unit's attempt in one frame per round
+        (:meth:`_scan_wave`), so a rewriting touching *k* peers pays one
+        round trip instead of *k*.  Returns the number of scans fetched.
+        Transport faults degrade (see the module docstring); data errors
+        propagate.
         """
         self._check_open()
         wanted: List[ScanKey] = []
@@ -760,15 +642,14 @@ class RemotePeerFactSource:
             if not wanted:
                 return 0
             self._waves += 1
-        unit_items = list(units.items())
         with current_span().child(
-            "scatter.wave", scans=len(wanted), units=len(unit_items)
+            "scatter.wave", scans=len(wanted), units=len(units)
         ) as wave:
-            results = self._run_units(unit_items, wave, parallel)
+            done = self._scan_wave(list(units.items()), wave)
             if wave.recording:
-                wave.set(
-                    "failed_units", sum(1 for per in results if per is None)
-                )
+                wave.set("failed_units", sum(
+                    1 for keys in units.values() if keys[0] not in done
+                ))
         return len(wanted)
 
     def answer_hooks(self) -> Dict[str, object]:
@@ -839,8 +720,8 @@ class RemotePeerFactSource:
         with current_span().child(
             "scatter.wave", scans=1, units=1, cold=True, relation=predicate
         ) as wave:
-            per_key = self._scan_unit(owner, [key], wave)
-        return per_key[key] if per_key is not None else (None, _empty(len(pattern)))
+            done = self._scan_wave([(owner, [key])], wave)
+        return done.get(key, (None, _empty(len(pattern))))
 
     def delta_block(
         self, predicate: str, pattern: Pattern, since: object, until: object
@@ -878,17 +759,14 @@ class RemotePeerFactSource:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the scatter pool (the transport is the caller's).
+        """Close the source (the transport is the caller's).
 
         Later scans and refreshes fail fast with
         :class:`~repro.errors.TransportError` instead of silently
-        degrading or re-creating the pool.
+        degrading.
         """
         with self._lock:
             self._closed = True
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         with self._lock:

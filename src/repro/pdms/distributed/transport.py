@@ -33,9 +33,18 @@ are interchangeable without the planner or cache layers noticing:
     "one per peer per rewriting" instead of "one per index probe".
 
 ``scan_batch_since(peer, requests)``
-    The delta-capable form the remote source scans through: each request
-    carries a ``since`` token, and each reply is ``(full, token, table)``
-    with the rows as a column table (see :func:`scan_instance_since`).
+    The delta-capable form: each request carries a ``since`` token, and
+    each reply is ``(full, token, table)`` with the rows as a column
+    table (see :func:`scan_instance_since`).
+
+``scan_many(batches)``
+    One round of a scatter wave, the only way the remote source scans:
+    many peers' ``scan_batch_since`` batches, each with its own wire
+    trace context, and per entry its replies or the exception it raised,
+    *as a value*.  :class:`TransportBase` supplies the default — one
+    ``scan_batch_since`` per entry (:func:`scan_each`) — and the socket
+    backend sends the round as one batch frame.  A transport that has no
+    such method is served through the same default.
 
 ``insert(peer, relation, rows)``
     Appends rows at the owning peer (moves its version token).  Exists so
@@ -65,12 +74,12 @@ from typing import (
     Dict, Iterable, List, Mapping, Protocol, Sequence, Tuple, Union,
 )
 
-from ...database.columnar import ColumnTable, scan_columns
+from ...database.columnar import ColumnTable
 from ...database.instance import Instance
 from ...datalog.indexing import WILDCARD, Pattern
-from ...errors import TransportError
+from ...errors import InstanceError, TransportError
 from ...obs.metrics import METRICS_SCHEMA_VERSION
-from ...obs.trace import ServeSpan, current_wire_context, get_tracer
+from ...obs.trace import ServeSpan, current_wire_context, get_tracer, wire_context
 
 Row = Tuple[object, ...]
 
@@ -97,6 +106,9 @@ SinceScanRequest = Tuple[str, EncodedPattern, object]
 #: :class:`~repro.database.columnar.ColumnTable` over ``__p0 …``; the
 #: socket backend carries it as a column frame.
 ScanSinceResult = Tuple[bool, object, ColumnTable]
+
+#: One entry of a ``scan_many`` round: ``(peer, requests, trace context)``.
+ScanBatch = Tuple[str, Sequence[SinceScanRequest], object]
 
 #: ``describe`` response entry: ``(arity, cardinality, version token)``.
 RelationInfo = Tuple[int, int, object]
@@ -213,6 +225,28 @@ def describe_each(transport: "Transport", peers: Iterable[str]) -> Catalogs:
         except TransportError as exc:
             catalogs[peer] = exc
     return catalogs
+
+
+def scan_each(
+    transport: "Transport", batches: Sequence[ScanBatch]
+) -> List[Union[List[ScanSinceResult], Exception]]:
+    """The per-peer ``scan_many``: one ``scan_batch_since`` call per entry.
+
+    Each call runs under its entry's wire trace context, so its serve
+    span parents under its own attempt, and routes through
+    ``transport.scan_batch_since``, so subclass overrides and chaos hooks
+    see every scan.  A transport fault or a data error (``ValueError``,
+    :class:`~repro.errors.InstanceError`) becomes the entry's value, as
+    the socket's batch frame reports it; anything else propagates.
+    """
+    outcomes: List[Union[List[ScanSinceResult], Exception]] = []
+    for peer, requests, ctx in batches:
+        try:
+            with wire_context(ctx):
+                outcomes.append(transport.scan_batch_since(peer, requests))
+        except (TransportError, ValueError, InstanceError) as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def scan_instance_since(
@@ -524,6 +558,12 @@ class TransportBase:
         self._count_scans(peer, len(requests))
         return results
 
+    def scan_many(
+        self, batches: Sequence[ScanBatch]
+    ) -> List[Union[List[ScanSinceResult], Exception]]:
+        """One wave round's scans (or faults); the per-peer default."""
+        return scan_each(self, batches)
+
     def insert(self, peer: str, relation: str, rows: Iterable[Row]) -> int:
         self._admit(peer)
         return self._call("insert", peer, (relation, [tuple(row) for row in rows]))
@@ -548,22 +588,15 @@ class LoopbackTransport(TransportBase):
     hash indexes) with no serialization, so it is both the fastest way to
     put a remote source in front of in-process data and the chaos
     harness (see
-    :class:`TransportBase` for the hooks; waits are ``time.sleep``).
+    :class:`TransportBase` for the hooks; waits are ``time.sleep``).  A
+    full scan's reply table is the owner's own scan block, shared, not
+    copied.  Every RPC runs in the caller's thread, so a wave round
+    (:meth:`scan_many`) over latency-injected peers waits them out one
+    after another.
 
     Per-peer scan counters (:meth:`scan_count`) count individual scan
     requests served, for the examples' per-peer traffic reports.
     """
-
-    @property
-    def prefers_parallel(self) -> bool:
-        """Scatter hint: threads only pay off once RPCs have latency.
-
-        Zero-latency loopback RPCs are plain function calls under the
-        GIL — a thread pool adds overhead and wins nothing — so the
-        remote source scatters sequentially unless latency (globally or
-        per peer) is injected.
-        """
-        return self._latency_injected()
 
     def _call(self, op: str, peer: str, payload: object) -> object:
         # The server side is the caller's own thread: waits are plain
@@ -577,41 +610,6 @@ class LoopbackTransport(TransportBase):
                 time.sleep(next(steps))
         except StopIteration as done:
             return unwrap_envelope(done.value)
-
-    def scan_batch_since(
-        self, peer: str, requests: Sequence[SinceScanRequest]
-    ) -> List[ScanSinceResult]:
-        """Delta-capable scans against the live instance.
-
-        A reply's table is handed over as is: a full scan's is the
-        owner's own scan block, shared, not copied.  When a subclass
-        overrides :meth:`scan_batch` (the chaos and probing tests do),
-        every scan is routed through that override as a full rescan, so
-        it keeps seeing every wire scan, and its rows are transposed into
-        the reply's table here; version tokens are read *before* the
-        scan, so a racing insert can only make the token stale
-        (re-shipping rows the memo already holds — harmless after the
-        merge dedup), never too new.
-        """
-        if type(self).scan_batch is TransportBase.scan_batch:
-            return super().scan_batch_since(peer, requests)
-        instance = self._instances.get(peer)
-        tokens = (
-            {relation: instance.data_version(relation)
-             for relation, _, _ in requests}
-            if instance is not None else {}
-        )
-        rows = self.scan_batch(
-            peer, [(relation, encoded) for relation, encoded, _ in requests]
-        )
-        return [
-            (
-                True,
-                tokens.get(relation),
-                ColumnTable.from_rows(scan_columns(len(encoded)), result),
-            )
-            for (relation, encoded, _), result in zip(requests, rows)
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

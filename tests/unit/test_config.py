@@ -20,6 +20,8 @@ from repro import config
 from repro.errors import EvaluationError
 from repro.pdms.materialization import DEFAULT_FRAGMENT_CACHE_BYTES
 
+from test_docs_references import config_knobs
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SOURCE_ROOT = Path(repro.__file__).resolve().parent
 
@@ -37,8 +39,6 @@ class Knob(NamedTuple):
 KNOBS = [
     Knob(config.fragment_cache_bytes, "REPRO_FRAGMENT_CACHE_BYTES",
          DEFAULT_FRAGMENT_CACHE_BYTES, "4096", 4096, "lots", "-1"),
-    Knob(config.distributed_workers, "REPRO_DISTRIBUTED_WORKERS",
-         0, "3", 3, "auto", "-1"),
     Knob(config.transport_timeout_seconds, "REPRO_TRANSPORT_TIMEOUT_MS",
          10.0, "250", 0.25, "1.5", "-1"),
     Knob(config.scan_retries, "REPRO_SCAN_RETRIES",
@@ -163,6 +163,9 @@ class TestTypedReaders:
 
 
 class TestKnobInventory:
+    def test_the_knob_rows_are_exactly_what_config_reads(self):
+        assert KNOB_NAMES == config_knobs()
+
     def test_documented_table_lists_exactly_the_knobs(self):
         text = (REPO_ROOT / "docs" / "distributed.md").read_text(encoding="utf-8")
         documented = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", text, re.MULTILINE))

@@ -577,9 +577,9 @@ class TestDistributedEngine:
                 return super().scan_batch_since(peer, requests)
 
         class PartialScatter(RemotePeerFactSource):
-            def prefetch(self, requests, parallel=True):
+            def prefetch(self, requests):
                 covered = [request for request in requests if request[0] != "sb"]
-                return super().prefetch(covered, parallel)
+                return super().prefetch(covered)
 
         pdms, data, _ = two_peer_system()
         query = parse_query("Q(x) :- T:A(x, 2), T:B(2, 10)")

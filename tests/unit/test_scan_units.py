@@ -1,22 +1,22 @@
 """A scan unit is one owning peer: its retry budget, its isolation, its deltas.
 
 Each grid below pins one contract of :class:`RemotePeerFactSource` on
-both backends — the loopback reference, and the socket wire, where the
-first attempts of a wave ride one ``scan_many`` batch frame and every
-retry is a per-unit RPC:
+both backends — the loopback reference, and the socket wire.  Every
+round of a wave is one ``scan_many`` call: one batch frame on the
+socket, one RPC per pending unit on loopback:
 
 * a unit retries up to ``ScanPolicy.retries`` times, then degrades with
   exactly one :class:`ScanFailure` per relation, however many attempts
   it made;
-* a faulting unit retries alone: the other peers of the same wave are
+* only a faulting unit retries: the other peers of the same wave are
   scanned once;
 * a dead owner costs only its own relation's rows (a sound subset), and a
   refresh after it returns re-earns ``complete``;
 * a re-scan ships the rows added since the peer's cursor and nothing
   else, unless delta shipping is off;
 * the describe round spends the same retry budget;
-* a wave costs one batch frame on the socket and one RPC per unit on a
-  transport without one, plus one RPC per retry.
+* a round of a wave costs one batch frame on the socket and one RPC per
+  unit on loopback.
 
 Each peer owns its own relation (a stored relation has one owner), so a
 wave over several peers is a wave over several relations.  Faults are
@@ -27,6 +27,7 @@ count asserted here is exact.
 from __future__ import annotations
 
 import threading
+import types
 from collections import Counter
 
 import pytest
@@ -40,6 +41,7 @@ from repro.pdms import (
     RemotePeerFactSource,
     ScanPolicy,
 )
+from repro.pdms.distributed import source as source_module
 
 ALL = (WILDCARD, WILDCARD)
 
@@ -208,6 +210,25 @@ def test_a_faulting_owner_retries_alone(backend, faulty):
     assert source.complete
 
 
+def test_faulted_units_share_one_backoff_per_round(backend, monkeypatch):
+    data = owners("A", "B", "C", "D")
+    transport = backend(data)
+    source = RemotePeerFactSource(
+        transport, policy=ScanPolicy(retries=2, backoff=0.01, jitter=0.0)
+    )
+    slept = []
+    monkeypatch.setattr(source_module, "time", types.SimpleNamespace(sleep=slept.append))
+    transport.scan_faults.update({"A": 1, "B": 9, "C": 9})
+    source.prefetch(scans(data))
+    # Three units fault in round 0 and two in round 1: one sleep per
+    # round, on the policy's ladder, not one per faulted unit.
+    assert slept == [0.01, 0.02]
+    assert transport.scan_attempts == Counter({"A": 2, "B": 3, "C": 3, "D": 1})
+    assert source.scatter_stats()["retries"] == 3 + 2
+    assert source.degraded_relations == ("rB", "rC")
+    assert [(f.peer, f.relation) for f in source.failures()] == [("B", "rB"), ("C", "rC")]
+
+
 DEAD = [(), ("A",), ("A", "C"), ("A", "B", "C")]
 
 
@@ -340,13 +361,13 @@ def test_a_wave_costs_one_frame_or_one_rpc_per_unit(backend, peers, fault):
         transport.scan_faults["P0"] = 1
     before = transport.rpc_count
     source.prefetch(scans(data))
-    if hasattr(transport, "scan_many"):
-        # One frame carries the admitted first attempts; a first attempt
+    if isinstance(transport, AsyncSocketTransport):
+        # One frame per round carries the admitted attempts; an attempt
         # refused at admission is not sent, so a frame of none is no RPC.
-        first_attempts = int(peers > int(fault))
+        expected = int(peers > int(fault)) + int(fault)
     else:
-        # Every unit is its own RPC, counted even when refused.
-        first_attempts = peers
-    assert transport.rpc_count - before == first_attempts + int(fault)
+        # Every unit is its own RPC in every round, counted even when refused.
+        expected = peers + int(fault)
+    assert transport.rpc_count - before == expected
     assert rows_read(source, data) == rows_at(data)
-    assert transport.rpc_count - before == first_attempts + int(fault)
+    assert transport.rpc_count - before == expected

@@ -4,7 +4,7 @@ The invariants under fault injection: every span closes exactly once
 (``Tracer.health()`` shows no double closes and nothing left open) and
 every trace is a well-formed tree (each span's parent is present in the
 record set) — across retries, exhausted retries, unreachable peers and
-scan units scattered on the pool, on both transports.  Plus the wire
+the units of one wave, on both transports.  Plus the wire
 compatibility contract: a legacy peer that knows nothing about trace
 contexts still serves traced queries correctly, just without worker-side
 spans.
@@ -34,7 +34,7 @@ from repro.pdms import (
     ServiceCluster,
     StorageDescription,
 )
-from repro.pdms.distributed.transport import decode_pattern
+from repro.obs.trace import wire_context
 
 ALL = (WILDCARD, WILDCARD)
 
@@ -112,7 +112,7 @@ def two_peer_system():
 
 
 # ---------------------------------------------------------------------------
-# Loopback: retries, unreachable peers, the scatter pool
+# Loopback: retries, unreachable peers, the units of one wave
 # ---------------------------------------------------------------------------
 
 
@@ -154,8 +154,8 @@ class TestLoopbackChaos:
         attempts = last_spans(tracer, "scan.attempt")
         assert attempts and all(r["status"] == "error" for r in attempts)
 
-    def test_pool_scattered_prefetch_keeps_the_tree_stitched(self, tracer):
-        transport = LoopbackTransport(_split_pair(), delay=0.001)  # forces the pool
+    def test_a_waves_units_parent_under_the_wave(self, tracer):
+        transport = LoopbackTransport(_split_pair())
         source = RemotePeerFactSource(
             transport, policy=ScanPolicy(retries=0, **FAST)
         )
@@ -164,11 +164,15 @@ class TestLoopbackChaos:
         assert_well_formed(tracer)
         [wave] = last_spans(tracer, "scatter.wave")
         assert wave["attrs"]["units"] == 2
-        # Pool threads cannot see the thread-ambient span; the wave is
-        # threaded through explicitly, so each unit still parents to it.
+        # Unit spans are opened off the wave, not the thread's ambient
+        # span, and each attempt off its unit.
         units = last_spans(tracer, "scan.unit")
         assert sorted(unit["attrs"]["peer"] for unit in units) == ["A", "B"]
         assert all(unit["parent_id"] == wave["span_id"] for unit in units)
+        attempts = last_spans(tracer, "scan.attempt")
+        assert sorted(a["parent_id"] for a in attempts) == sorted(
+            unit["span_id"] for unit in units
+        )
         assert set(source.get_matching("ra", ALL)) == {(1, 10), (3, 30)}
         assert set(source.get_matching("rb", ALL)) == {(2, 20)}
 
@@ -223,15 +227,15 @@ class TestSocketAcceptanceTrace:
 
 
 class LegacyTransport(LoopbackTransport):
-    """An 'old peer': serves every scan, knows nothing about tracing."""
+    """An 'old peer': serves every request, knows nothing about tracing.
 
-    def scan_batch(self, peer, requests):
-        self._admit(peer, scan=True)
-        instance = self.instance(peer)
-        return [
-            tuple(instance.get_matching(relation, decode_pattern(encoded)))
-            for relation, encoded in requests
-        ]
+    Its server never sees a trace context, so it replies bare, with no
+    serve span to ship back.
+    """
+
+    def _call(self, op, peer, payload):
+        with wire_context(None):
+            return super()._call(op, peer, payload)
 
 
 class TestLegacyPeerInterop:

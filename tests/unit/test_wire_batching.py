@@ -2,10 +2,11 @@
 
 A 24-peer :class:`ServiceCluster` over :class:`AsyncSocketTransport`,
 counted in frames, not milliseconds: the catalogue round of a refresh is
-one frame (``describe_many``), the first attempts of a scatter wave are
-one frame (``scan_many``), and everything that carried per-unit meaning
-before — retries, chaos, data errors, trace parenting, transports
-without a batch frame — still does.  The client sends every frame from
+one frame (``describe_many``), every round of a scatter wave is one
+frame (``scan_many``) — its first attempts, then the faulted units'
+retries together — and everything that carried per-unit meaning — retry
+budgets, chaos, data errors, trace parenting, transports without a
+batch frame — still does.  The client sends every frame from
 the caller's thread: one deadline per RPC, every reply paired with its
 own request under concurrent callers, and a mangled reply read back as
 a value or a ``TransportError``, never anything else.
@@ -14,6 +15,7 @@ a value or a ``TransportError``, never anything else.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import pickle
 import random
 import socket
@@ -262,7 +264,7 @@ class TestConcurrentCallers:
 
 
 class TestFailedUnits:
-    def test_one_broken_peer_loses_only_its_rows_and_retries_per_unit(self):
+    def test_one_broken_peer_loses_only_its_rows_and_retries_in_frames(self):
         pdms, data = wide_system()
         transport = BrokenScans(data)
         with cluster_over(transport, pdms) as cluster:
@@ -274,8 +276,8 @@ class TestFailedUnits:
             assert answer.failures == (
                 ScanFailure("P05", "s05", "peer 'P05' RPC failed: disk on fire"),
             )
-            # The wave's frame, then this unit's own retries, one frame each.
-            assert transport.frames == ["batch", "batch", "scan_since", "scan_since"]
+            # The catalogues, the wave's first frame, then one frame per retry.
+            assert transport.frames == ["batch"] * (2 + POLICY.retries)
             assert cluster.source.scatter_stats()["retries"] == POLICY.retries
 
             transport.broken = frozenset()
@@ -293,10 +295,12 @@ class TestFailedUnits:
             assert answer.rows == rows_of(range(4, PEERS)) | rows_of([0])
             assert {failure.peer for failure in answer.failures} == transport.broken
             assert cluster.source.scatter_stats()["retries"] == 3 * POLICY.retries
+            # The three retry together: one frame per round, not one per unit.
+            assert transport.frames == ["batch"] * (2 + POLICY.retries)
 
-    def test_a_peer_failed_before_the_wave_is_retried_unbatched(self):
+    def test_a_peer_failed_before_the_wave_never_rides_a_frame(self):
         # Catalogues arrive, then the peer goes down: its sub-request is
-        # refused client-side and never rides the frame.
+        # refused client-side in every round and never rides a frame.
         pdms, data = wide_system()
         transport = CountingSocket(data)
         with cluster_over(transport, pdms) as cluster:
@@ -418,14 +422,13 @@ class TestTracing:
             with tracer.start_trace("query.answer"):
                 with pytest.raises(ValueError):
                     cluster.source.prefetch(
-                        [("s00", (WILDCARD,)), ("s01", ALL), ("s02", ALL)],
-                        parallel=False,
+                        [("s00", (WILDCARD,)), ("s01", ALL), ("s02", ALL)]
                     )
         assert_well_formed(tracer)
 
 
 # ---------------------------------------------------------------------------
-# Transports without a batch frame
+# The per-peer defaults: loopback subclasses, and a transport with no base
 # ---------------------------------------------------------------------------
 
 
@@ -811,6 +814,19 @@ class TestManyCallers:
         assert opened and all(sock.fileno() == -1 for sock in opened)
 
 
+@contextlib.contextmanager
+def replying(transport, data: bytes):
+    """Make ``transport``'s one idle connection a socket pair whose far
+    end has sent ``data`` and hung up: the next RPC reads ``data`` back."""
+    ours, theirs = socket.socketpair()
+    theirs.settimeout(2.0)
+    with ours, theirs:
+        ours.sendall(data)
+        ours.shutdown(socket.SHUT_WR)
+        transport._pool[:] = [theirs]
+        yield theirs
+
+
 def recorded_reply(address, request) -> bytes:
     """The bytes the server answers ``request`` with: one whole frame."""
     with socket.create_connection(address, timeout=5.0) as raw:
@@ -855,12 +871,7 @@ class TestClientReaderFuzz:
             assert isinstance(pickle.loads(replies[2][4:])[1], TraceEnvelope)
 
             def read(data: bytes):
-                ours, theirs = socket.socketpair()
-                theirs.settimeout(2.0)
-                with ours, theirs:
-                    ours.sendall(data)
-                    ours.shutdown(socket.SHUT_WR)
-                    transport._pool[:] = [theirs]
+                with replying(transport, data) as theirs:
                     try:
                         value = transport._exchange(("ping", "P00", None))
                     except TransportError as exc:
@@ -894,6 +905,38 @@ class TestClientReaderFuzz:
             transport._pool.clear()
             transport.close()
         assert MARKER_CALLS == []
+
+
+    @pytest.mark.parametrize("payload", [
+        5, None, "clash", ("a", "b", "c"), ("ValueError",), (1, "clash"),
+        ("ValueError", None), ["ValueError", "clash"],
+    ], ids=repr)
+    def test_a_malformed_data_error_is_a_transport_error_naming_the_peer(
+        self, payload
+    ):
+        _, data = wide_system()
+        transport = AsyncSocketTransport(data, timeout=1.0)
+        scans = [("s03", EVERYTHING, None)]
+        try:
+            with replying(transport, framed(("data_error", payload))):
+                with pytest.raises(TransportError, match="peer 'P03'") as lone:
+                    transport.scan_batch_since("P03", scans)
+            assert lone.value.peer == "P03"
+            with replying(transport, framed(("ok", [("data_error", payload)]))):
+                [batched] = transport.scan_many([("P03", scans, None)])
+            assert type(batched) is TransportError and batched.peer == "P03"
+            # A well-formed one is still the data error it names.
+            for kind, error in (("ValueError", ValueError), ("InstanceError", InstanceError)):
+                reply = ("data_error", (kind, "clash"))
+                with replying(transport, framed(reply)):
+                    with pytest.raises(error, match="clash"):
+                        transport.scan_batch_since("P03", scans)
+                with replying(transport, framed(("ok", [reply]))):
+                    [batched] = transport.scan_many([("P03", scans, None)])
+                assert type(batched) is error
+        finally:
+            transport._pool.clear()
+            transport.close()
 
 
 def unwrapped(value):
