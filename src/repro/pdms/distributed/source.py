@@ -721,7 +721,7 @@ class RemotePeerFactSource:
             "scatter.wave", scans=1, units=1, cold=True, relation=predicate
         ) as wave:
             done = self._scan_wave([(owner, [key])], wave)
-        return done.get(key, (None, _empty(len(pattern))))
+        return done[key] if key in done else (None, _empty(len(pattern)))
 
     def delta_block(
         self, predicate: str, pattern: Pattern, since: object, until: object
