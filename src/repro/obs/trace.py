@@ -281,7 +281,7 @@ def current_wire_context() -> Optional[Dict[str, str]]:
     Transports read this at their RPC boundary and attach it to the
     outgoing message (and unwrap the worker spans shipped back).  The
     out-of-band channel is what keeps the ``Transport`` protocol — and
-    every subclass override of ``scan_batch`` in the chaos suites —
+    every subclass override of ``scan_batch_since`` in the chaos suites —
     signature-compatible: a transport that never reads it simply ignores
     the field, which is exactly the old-peer interop contract.
     """
@@ -291,9 +291,9 @@ def current_wire_context() -> Optional[Dict[str, str]]:
 class wire_context:
     """Install a wire trace context around nested transport RPCs.
 
-    ``with wire_context(span.wire_context()): transport.scan_batch(...)``
-    — the context is thread-local (each scan attempt runs its RPC in one
-    pool thread), restored on exit, and ``None`` is a valid installation
+    ``with wire_context(span.wire_context()): transport.scan_batch_since(...)``
+    — the context is thread-local (an RPC runs on its caller's thread),
+    restored on exit, and ``None`` is a valid installation
     meaning "untraced" (the tracing-off fast path installs nothing).
     """
 

@@ -2,8 +2,8 @@
 
 A :class:`Transport` connects a query processor to a set of named peers,
 each hosting the stored relations it contributed to the PDMS.  The
-contract is deliberately tiny — four RPCs, plus one batched form with a
-per-peer default — so the two backends, a zero-copy in-process loopback
+contract is deliberately tiny — four RPCs, plus two batched forms with
+per-peer defaults — so the two backends, a zero-copy in-process loopback
 and asyncio TCP sockets
 (:class:`~repro.pdms.distributed.async_transport.AsyncSocketTransport`),
 are interchangeable without the planner or cache layers noticing:
@@ -26,11 +26,11 @@ are interchangeable without the planner or cache layers noticing:
     served through the same per-peer default.
 
 ``scan_batch(peer, requests)``
-    The workhorse: a batch of pattern-level scans, one round trip.  Each
-    request is ``(relation, encoded pattern)`` (see
-    :func:`encode_pattern`); the response carries one row tuple list per
-    request, in order.  Batching is what keeps the RPC count per query at
-    "one per peer per rewriting" instead of "one per index probe".
+    A batch of pattern-level scans, one round trip.  Each request is
+    ``(relation, encoded pattern)`` (see :func:`encode_pattern`); the
+    response carries one row tuple list per request, in order.  The
+    remote source does not use it (it scans through ``scan_many``); the
+    end-to-end benchmark times it.
 
 ``scan_batch_since(peer, requests)``
     The delta-capable form: each request carries a ``since`` token, and
