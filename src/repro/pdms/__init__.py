@@ -13,7 +13,6 @@ from .analysis import ComplexityClass, ComplexityReport, analyze_pdms, build_inc
 from .execution import (
     PeerFactSource,
     answer_query,
-    answer_query_batch,
     combine_peer_instances,
     evaluate_reformulation,
     evaluate_rewritings,
@@ -28,14 +27,8 @@ from .materialization import (
     estimate_result_bytes,
     fragment_cache_from_env,
 )
-from .planning import (
-    PlanStatistics,
-    UnionPlan,
-    compile_reformulation,
-    ensure_plan,
-    evaluate_plan,
-    stream_plan_answers,
-)
+from .evaluator import evaluate_plan
+from .planning import PlanStatistics, UnionPlan, compile_reformulation, ensure_plan
 from .mappings import (
     DefinitionalMapping,
     EqualityMapping,
@@ -113,7 +106,6 @@ __all__ = [
     "UnionPlan",
     "analyze_pdms",
     "answer_query",
-    "answer_query_batch",
     "build_canonical_instance",
     "build_inclusion_graph",
     "canonicalize_query",
@@ -135,6 +127,5 @@ __all__ = [
     "reformulate",
     "replication",
     "stream_answers",
-    "stream_plan_answers",
     "uses_oracle",
 ]

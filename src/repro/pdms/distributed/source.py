@@ -663,7 +663,7 @@ class RemotePeerFactSource:
         (:meth:`~repro.pdms.distributed.cluster.ServiceCluster.insert`)
         visible to the next answer.  Only the plan path uses the keyword
         hooks it returns, those of
-        :func:`~repro.pdms.planning.plan_answer_batches`:
+        :func:`~repro.pdms.evaluator.plan_answer_batches`:
 
         * ``before_root`` scatters every stored-relation scan under the
           root in one wave (:meth:`prefetch`) unless the root is warm in

@@ -2,7 +2,8 @@
 
 The paper hands the union of rewritings to an external query processor.
 This module has one evaluation path, the **factored plan**: the whole
-union compiled into one shared union-plan DAG (:mod:`repro.pdms.planning`),
+union compiled into one shared union-plan DAG (:mod:`repro.pdms.planning`,
+evaluated by :mod:`repro.pdms.evaluator`),
 whose hash-consed fragments are computed once, on the
 :mod:`repro.database.columnar` batch kernels, in the caller's thread.  A
 whole answer evaluates the rule-goal tree as one factored root.
@@ -42,18 +43,7 @@ refused, here and in the remote source alike.
 from __future__ import annotations
 
 import threading
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from ..database.columnar import ColumnTable, scan_columns
 from ..database.instance import Instance, relation_creation_clock
@@ -62,19 +52,9 @@ from ..datalog.indexing import Pattern
 from ..datalog.queries import ConjunctiveQuery
 from ..errors import EvaluationError, MappingError
 from .materialization import FragmentCache
-from .planning import (
-    UnionPlan,
-    distinct_rows,
-    ensure_plan,
-    plan_answer_batches,
-    union_rows,
-)
-from .reformulation import (
-    ReformulationConfig,
-    ReformulationResult,
-    canonicalize_query,
-    reformulate,
-)
+from .evaluator import distinct_rows, plan_answer_batches, union_rows
+from .planning import UnionPlan, ensure_plan
+from .reformulation import ReformulationConfig, ReformulationResult, reformulate
 from .system import PDMS
 
 Row = Tuple[object, ...]
@@ -408,7 +388,7 @@ def evaluate_reformulation(
     ``engine`` names the evaluation path (see :func:`uses_oracle`); both
     return the same answers.  ``metrics`` (optional) is the
     :class:`~repro.obs.metrics.MetricsRegistry` a whole answer counts its
-    ``answer.*`` outcome in (see :func:`~repro.pdms.planning.plan_answer_batches`).
+    ``answer.*`` outcome in (see :func:`~repro.pdms.evaluator.plan_answer_batches`).
     """
     oracle = uses_oracle(engine)
     if limit is not None and limit < 0:
@@ -451,40 +431,3 @@ def answer_query(
     data = federate_if_per_peer(data)
     result = reformulate(pdms, query, config=config)
     return evaluate_reformulation(result, data, engine=engine, limit=limit, cache=cache)
-
-
-def answer_query_batch(
-    pdms: PDMS,
-    queries: Sequence[ConjunctiveQuery],
-    data: Union[FactsLike, Mapping[str, Instance]],
-    config: Optional[ReformulationConfig] = None,
-    engine: Optional[str] = None,
-    limit: Optional[int] = None,
-    cache: Optional[FragmentCache] = None,
-) -> List[FrozenSet[Row]]:
-    """Answer a mix of queries over one shared federated source.
-
-    Per-peer data is wrapped exactly once for the whole batch, and the
-    batch shares one cache of canonical query signatures: structurally
-    isomorphic queries in the mix (identical up to variable renaming, body
-    order, and head name) are reformulated once and re-evaluated from the
-    memoized rewritings.  Returns the answer sets in query order.  For a
-    cache that persists *across* batches, use
-    :class:`repro.pdms.service.QueryService`, which layers provenance
-    invalidation on top.
-    """
-    source = federate_if_per_peer(data)
-    results: Dict[str, ReformulationResult] = {}
-    answers: List[FrozenSet[Row]] = []
-    for query in queries:
-        canonical = canonicalize_query(query)
-        result = results.get(canonical.signature)
-        if result is None:
-            result = reformulate(pdms, canonical.query, config=config)
-            results[canonical.signature] = result
-        answers.append(
-            evaluate_reformulation(
-                result, source, engine=engine, limit=limit, cache=cache
-            )
-        )
-    return answers

@@ -1,8 +1,8 @@
 """Cross-call fragment materialization with data-version invalidation.
 
-The union plan (:mod:`repro.pdms.planning`) computes every hash-consed
-fragment once *per execution* and throws the table away when the call
-returns.  Repeated query traffic over slowly changing peer data therefore
+The plan evaluator (:mod:`repro.pdms.evaluator`) computes every
+hash-consed fragment of a union plan once *per execution* and throws the
+table away when the call returns.  Repeated query traffic over slowly changing peer data therefore
 re-executes the same joins on every call.  This module adds the missing
 cache level:
 

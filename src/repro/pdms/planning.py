@@ -31,31 +31,13 @@ groups are merged pairwise bottom-up, preferring merges whose key already
 exists in the node table, then the smallest estimated join output per the
 :class:`~repro.database.planner.CardinalityCostModel`.
 
-Execution
+Operators
 ---------
-:func:`plan_answer_batches` — the one root loop of the plan path —
-evaluates fragments as :class:`~repro.database.columnar.ColumnTable`
-batches, in the caller's thread, against any fact source (upgraded to an
-:class:`~repro.datalog.indexing.IndexedFactSource` so leaf scans probe
-hash indexes) with a compute-once memo and yields one *batch* of answer
-rows per root: the factored root's for a whole answer, else one per
-rewriting, compiling only the prefix a ``limit=k`` consumer reaches.
-:func:`evaluate_plan` unions the batches; :func:`stream_plan_answers` is
-the lazy row view.  An optional
-:class:`~repro.pdms.materialization.FragmentCache` persists fragment
-tables **across** calls under the data-version token of the relations
-they read — assembled from one version snapshot per answer
-(:class:`_Evaluation`) — so repeated queries over unchanged data reuse
-them, and after appends a stale table is stepped forward by the rows the
-appends added (:meth:`_Evaluation._step`) instead of recomputing the path
-from the written scan upward; after a peer joins, a fragment whose
-definition grew is stepped from the one it replaces by the rows its new
-branches add.  With a cache, a plan also keeps its last whole answer, and
-the one before it, as frozen sets beside the root tables they were built
-from: the next whole answer over such a root table is that set, one
-whose root was stepped from it gains the steps' rows, and over another
-root table it is maintained by the rows the two tables differ in
-(:func:`_whole_answer`).
+Each fragment type carries its own rules: ``children()`` (the fragments
+it reads), ``combine(tables)`` (its table from theirs) and ``delta`` (the
+rows it gains when they gain rows).  :mod:`repro.pdms.evaluator` runs
+them: it evaluates a plan, keeps its tables across calls and steps them
+forward after appends and peer joins.
 
 See ``docs/execution.md`` for the architecture notes.
 """
@@ -63,28 +45,22 @@ See ``docs/execution.md`` for the architecture notes.
 from __future__ import annotations
 
 import hashlib
-import sys
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
-from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple
 from typing import Optional, Sequence, Set, Tuple, Union
 
 from ..database.columnar import ColumnTable, compare_cols_mask, compare_mask
 from ..database.columnar import _mask_and as _combine_masks
-from ..database.columnar import const_column, row_difference, rows_absent
-from ..database.columnar import scan_block, union_all, union_distinct
+from ..database.columnar import const_column, union_distinct
 from ..database.planner import CardinalityCostModel
 from ..datalog.atoms import Atom, compare_values
-from ..datalog.evaluation import FactsLike, as_fact_source
-from ..datalog.indexing import WILDCARD, Pattern, ensure_indexed
+from ..datalog.evaluation import FactsLike
+from ..datalog.indexing import WILDCARD, Pattern
 from ..datalog.queries import ConjunctiveQuery
 from ..datalog.terms import Variable, is_variable
 from ..errors import EvaluationError
-from ..obs.trace import current_span
-from ..database.statistics import source_data_version
-from .materialization import FragmentCache
 from .reformulation import ReformulationResult, _LazySeq
 from .rule_goal_tree import GoalNode, RuleNode
 
@@ -117,6 +93,43 @@ class ScanFragment(NamedTuple):
     keep_positions: Tuple[int, ...]
     columns: Tuple[str, ...]
 
+    kind = "scan"
+
+    def children(self) -> Tuple[str, ...]:
+        """The fragments this one reads: none."""
+        return ()
+
+    def combine(self, tables: Sequence[ColumnTable]) -> ColumnTable:
+        """The scan of ``tables[0]``, its relation's scan block (or the
+        block of the rows it gained), filtered and projected in batch.  The
+        block is the only transpose of the fragment pipeline, made where the
+        relation is stored (:func:`scan_block`) and once per data version
+        there; everything above stays column-wise."""
+        (block,) = tables
+        selected = block.fused_select(equal_pairs=self.equal_positions)
+        return selected.project_positions(self.keep_positions, self.columns)
+
+    def delta(self, deltas, table) -> Tuple[ColumnTable, bool]:
+        """The rows the scan gains from ``deltas[0]``, the block of the rows
+        appends added to its relation: exact."""
+        return self.combine((deltas[0][0],)), True
+
+    @property
+    def worth_caching(self) -> bool:
+        """Is the scan's table worth offering to the cross-call cache?
+
+        Not when unrestricted: its table is then a zero-copy projection of
+        the relation's scan block, which the source already keeps for as
+        long as the relation's version holds (storage for an instance, the
+        scan memo for a remote source), so caching it would only charge the
+        byte budget for a second reference.  Selective scans (constants or
+        repeated-variable equalities) do real filtering work and qualify.
+        Joins and unions always are.
+        """
+        return bool(self.equal_positions) or any(
+            value is not WILDCARD for value in self.pattern
+        )
+
 
 class JoinFragment(NamedTuple):
     """An interior node: two child fragments joined on their shared variables.
@@ -134,6 +147,44 @@ class JoinFragment(NamedTuple):
     right_rename: Tuple[Tuple[str, str], ...]
     columns: Tuple[str, ...]
     left_rename: Tuple[Tuple[str, str], ...]
+
+    kind = "join"
+    worth_caching = True
+
+    def children(self) -> Tuple[str, ...]:
+        """The two fragments joined, left first."""
+        return (self.left_key, self.right_key)
+
+    def combine(self, tables: Sequence[ColumnTable]) -> ColumnTable:
+        """The children's tables renamed, joined and projected."""
+        left, right = tables
+        joined = left.rename(dict(self.left_rename)).natural_join(
+            right.rename(dict(self.right_rename))
+        )
+        return joined.project(self.columns)
+
+    def delta(self, deltas, table) -> Tuple[ColumnTable, bool]:
+        """``(rows, exact)``: the rows the join gains when its children gain
+        ``deltas`` (per child, ``(rows, exact)``, or ``None``: unchanged);
+        ``table(key)`` is a child's table now.
+
+        Each moved side's delta joins the other side as it is now.  With one
+        side moved that is every new row, exact as a bag when the side's
+        delta is.  With both moved it is ``ΔL ⋈ R ∪ L ⋈ ΔR``, deduplicated:
+        every new row, plus rows of ``ΔL ⋈ ΔR``'s kind counted once — a
+        superset, so not exact."""
+        children = self.children()
+        parts = [
+            (self.combine([
+                found[0] if position == side else table(child)
+                for position, child in enumerate(children)
+            ]), found[1])
+            for side, found in enumerate(deltas)
+            if found is not None
+        ]
+        if len(parts) == 1:
+            return parts[0]
+        return union_distinct([part for part, _ in parts if len(part)], self.columns), False
 
 
 class UnionBranch(NamedTuple):
@@ -155,17 +206,35 @@ class UnionFragment(NamedTuple):
     branches: Tuple[UnionBranch, ...]
     columns: Tuple[str, ...]
 
+    kind = "union"
+    worth_caching = True
+
+    def children(self) -> Tuple[str, ...]:
+        """The branches' fragments, in branch order."""
+        return tuple([branch.key for branch in self.branches])
+
+    def combine(self, tables: Sequence[Optional[ColumnTable]]) -> ColumnTable:
+        """Each branch's table mapped onto the columns, deduplicated; a
+        ``None`` table adds nothing."""
+        parts = [
+            _columnar_branch(table, branch, self.columns)
+            for table, branch in zip(tables, self.branches)
+            if table is not None
+        ]
+        # An empty part has untyped (list) columns; without it the rest
+        # concatenates on the array path.
+        return union_distinct([part for part in parts if len(part)], self.columns)
+
+    def delta(self, deltas, table) -> Tuple[ColumnTable, bool]:
+        """The rows the union gains when its branches gain ``deltas`` (as
+        :meth:`JoinFragment.delta` takes them): the changed branches'
+        rows, mapped and deduplicated.  A superset of its new rows (a row
+        may have been derivable before through another branch), so not
+        exact."""
+        return self.combine([None if found is None else found[0] for found in deltas]), False
+
 
 PlanFragment = Union[ScanFragment, JoinFragment, UnionFragment]
-
-
-def _child_keys(node: PlanFragment) -> Tuple[str, ...]:
-    """The fragments ``node`` reads directly (none for a scan)."""
-    if isinstance(node, JoinFragment):
-        return (node.left_key, node.right_key)
-    if isinstance(node, UnionFragment):
-        return tuple([branch.key for branch in node.branches])
-    return ()
 
 
 class RewritingPlan(NamedTuple):
@@ -424,8 +493,9 @@ class UnionPlan:
     it) grew from that union; joins above it keep the seed's order, so
     each grew from the seed's join of its children's predecessors.
     ``_since`` maps such fragments to their predecessors, whose nodes are
-    copied in, for an evaluation to step from (:meth:`_Evaluation._step`).
-    The plan also takes the seed's two kept answers (:func:`_whole_answer`).
+    copied in, for an evaluation to step from
+    (:meth:`~repro.pdms.evaluator._Evaluation._step`).  The plan also takes
+    the seed's two kept answers (:func:`~repro.pdms.evaluator._whole_answer`).
     """
 
     def __init__(
@@ -457,7 +527,8 @@ class UnionPlan:
         #: grew from, the positions of the union branches it adds).
         self._since: Dict[str, Tuple[str, FrozenSet[int]]] = {}
         #: The last whole answer: (root table, its rows, estimated bytes);
-        #: and the base, the one kept before it (see :func:`_whole_answer`).
+        #: and the base, the one kept before it (see
+        #: :func:`~repro.pdms.evaluator._whole_answer`).
         self._answer: Optional[Tuple[ColumnTable, FrozenSet[Row], int]] = None
         self._base: Optional[Tuple[ColumnTable, FrozenSet[Row], int]] = None
         # One lock serialises every node-table write — _LazySeq advances
@@ -529,14 +600,9 @@ class UnionPlan:
         """
         cached = self._relations_cache.get(key)
         if cached is None:
-            node = self.nodes[key]
-            if isinstance(node, ScanFragment):
-                cached = frozenset((node.relation,))
-            else:
-                cached = frozenset().union(
-                    *[self.fragment_relations(child) for child in _child_keys(node)]
-                )
-            self._relations_cache[key] = cached
+            cached = self._relations_cache[key] = frozenset(
+                [relation for relation, _ in self.scan_requests(key)]
+            )
         return cached
 
     def token_relations(self, key: str) -> Tuple[str, ...]:
@@ -566,7 +632,7 @@ class UnionPlan:
             else:
                 cached = tuple(dict.fromkeys(
                     request
-                    for child in _child_keys(node)
+                    for child in node.children()
                     for request in self.scan_requests(child)
                 ))
             self._scans_cache[key] = cached
@@ -800,15 +866,6 @@ class UnionPlan:
                     self._root = self._compile_tree()
         return self._root  # type: ignore[return-value]
 
-    def answer_nodes(self) -> Dict[str, PlanFragment]:
-        """The nodes a whole answer evaluates: those under the factored
-        root, or — forcing the enumerated compile — every node."""
-        root = self.factored_root()
-        if root is None:
-            for _ in self.fragments():
-                pass
-        return self.nodes if root is None else _collect_subplan(self, root)
-
     @property
     def held_bytes(self) -> int:
         """Estimated bytes of the kept whole answers (0 when none is kept)."""
@@ -881,7 +938,7 @@ class UnionPlan:
             for mine, theirs in memos:
                 if key in theirs:
                     mine[key] = theirs[key]
-            stack.extend(_child_keys(node))
+            stack.extend(node.children())
 
     def _seeded(self) -> Dict[tuple, object]:
         """The seed's joins by ``(left, right)`` child keys and its unions
@@ -890,10 +947,10 @@ class UnionPlan:
         if index is None:
             index = self._seed_index = {}
             for key, node in self._seed.nodes.items():
-                if isinstance(node, JoinFragment):
-                    index[node.left_key, node.right_key] = key
-                elif isinstance(node, UnionFragment):
+                if isinstance(node, UnionFragment):
                     index.setdefault((key.rpartition("#")[0], node.columns), []).append(key)
+                elif node.children():  # a join
+                    index[node.children()] = key
         return index
 
     def _before(self, key: str) -> str:
@@ -1140,20 +1197,21 @@ class UnionPlan:
 
         def visit(key: str, depth: int, note: str = "") -> None:
             node = self.nodes[key]
+            children, notes = node.children(), ("", "")
             if isinstance(node, JoinFragment):
                 on = {new for _, new in node.left_rename} & {new for _, new in node.right_rename}
                 label = f"join on ({','.join(sorted(on))})"
                 if key in self.origins and self.origins[key] not in note:
                     label += f" {self.origins[key]}"
             else:
-                label = ("scan " if isinstance(node, ScanFragment) else "union ") + key
-            children = _child_keys(node)
+                label = f"{node.kind} {key}"
+                if children:  # a union's branches carry their origins
+                    notes = map(branch_note, node.branches)
             if children and key in seen:
                 lines.append("  " * depth + label + note + "  (shown above)")
                 return
             seen.add(key)
             lines.append("  " * depth + label + note)
-            notes = map(branch_note, node.branches) if isinstance(node, UnionFragment) else ("", "")
             for child, child_note in zip(children, notes):
                 visit(child, depth + 1, child_note)
 
@@ -1228,381 +1286,8 @@ def ensure_plan(
 
 
 # ---------------------------------------------------------------------------
-# Execution
+# Union branches and subplans
 # ---------------------------------------------------------------------------
-
-def _scan_columnar(node: ScanFragment, block: ColumnTable) -> ColumnTable:
-    """A leaf scan: the relation's scan block (or the block of the rows it
-    gained), filtered and projected in batch.  The block is the only
-    transpose of the fragment pipeline, made where the relation is stored
-    (:func:`scan_block`) and once per data version there; everything
-    above stays column-wise."""
-    ct = block.fused_select(equal_pairs=node.equal_positions)
-    return ct.project_positions(node.keep_positions, node.columns)
-
-
-def _source_block(source, method: str, relation: str, *args):
-    """``source.<method>(relation, *args)`` with the scan boundary's
-    data-error contract: a width clash raises :class:`EvaluationError`."""
-    try:
-        return getattr(source, method)(relation, *args)
-    except ValueError as exc:
-        raise EvaluationError(f"relation {relation!r}: {exc}") from exc
-
-
-def _worth_caching(node: PlanFragment) -> bool:
-    """Is a fragment's table worth offering to the cross-call cache?
-
-    Joins and unions always are.  Unrestricted scans are not: their table
-    is a zero-copy projection of the relation's scan block, which the
-    source already keeps for as long as the relation's version holds
-    (storage for an instance, the scan memo for a remote source), so
-    caching it would only charge the byte budget for a second reference.
-    Selective scans (constants or repeated-variable equalities) do real
-    filtering work and qualify.
-    """
-    if not isinstance(node, ScanFragment):
-        return True
-    return bool(node.equal_positions) or any(
-        value is not WILDCARD for value in node.pattern
-    )
-
-
-def _combine_tables(node: PlanFragment, tables: Sequence[ColumnTable]) -> ColumnTable:
-    """An interior fragment's table from its children's tables, in
-    :func:`_child_keys` order: a join renames, joins and projects its two
-    children; a union maps each branch onto its columns and deduplicates."""
-    if isinstance(node, JoinFragment):
-        left, right = tables
-        joined = left.rename(dict(node.left_rename)).natural_join(
-            right.rename(dict(node.right_rename))
-        )
-        return joined.project(node.columns)
-    parts = [
-        _columnar_branch(table, branch, node.columns)
-        for table, branch in zip(tables, node.branches)
-    ]
-    # An empty part has untyped (list) columns; without it the rest
-    # concatenates on the array path.
-    return union_distinct([part for part in parts if len(part)], node.columns)
-
-
-class _Degraded(Exception):
-    """Carries a fragment table whose build spanned a snapshot restart past
-    the cross-call cache (a raising ``compute`` is never admitted)."""
-
-    def __init__(self, value):
-        super().__init__("built across a version-snapshot restart")
-        self.value = value
-
-
-class _Evaluation:
-    """One answer's evaluation of a plan: the compute-once fragment memo
-    plus everything resolved once at the call boundary.
-
-    An evaluation belongs to the one thread that drives its answer: a
-    remote source's hooks run in that thread, and its scatter threads
-    only fill the source's scan memo, so the fragment memo is a plain dict.
-
-    **Version snapshot.**  A relation's data version is read from the
-    source at most once per answer (``versions``, filled on first use) and
-    every fragment token is assembled from that snapshot.  A scan takes
-    its rows at the snapshot: a source with ``tagged_block`` says which
-    version its rows are exactly at, and a scan whose rows are at another
-    version (a write landed after the snapshot was read) restarts it, so
-    no table is ever kept under a token its rows are not at.  Clearing
-    ``versions`` restarts the snapshot — :meth:`restart`, which
-    ``after_scan(evaluation)`` (called after every scan performed here)
-    may also invoke, for sources whose versions can be *withdrawn*
-    mid-answer (a remote relation degrading after a failed scan).  A
-    fragment whose build spanned a restart may hold rows of two
-    snapshots: it serves this answer only and is never offered to the
-    cache.
-
-    **Steps.**  A cached entry whose token is behind the snapshot is
-    stepped forward rather than recomputed when what moved under it is
-    provably appends (:meth:`_step`): the source's ``delta_block`` hands
-    over exactly the rows added between the entry's token and the
-    snapshot, and the factored plan's delta rules carry them to the
-    entry.  A fragment a seeded plan grew from a predecessor
-    (``UnionPlan._since``) and the cache lacks is stepped from the
-    predecessor's entry instead, by the rows its new definition adds.
-    ``stepped`` keeps each step's old table, delta and
-    predecessor, for the whole answer built on the root
-    (:func:`_whole_answer`).
-    """
-
-    __slots__ = (
-        "plan", "source", "cache", "memo", "versions", "after_scan", "restarts",
-        "stepped",
-    )
-
-    def __init__(
-        self,
-        plan: UnionPlan,
-        source,
-        cache: Optional[FragmentCache] = None,
-        after_scan=None,
-    ):
-        self.plan = plan
-        self.source = source
-        self.cache = cache
-        self.memo: Dict[str, ColumnTable] = {}
-        self.versions: Dict[str, object] = {}
-        self.after_scan = after_scan
-        self.restarts = 0
-        self.stepped: Dict[str, Tuple[ColumnTable, ColumnTable, Optional[str]]] = {}
-
-    def restart(self) -> None:
-        """Stop trusting the version snapshot (see the class docstring)."""
-        self.versions.clear()
-        self.restarts += 1
-
-    def token(self, key: str):
-        """Fragment ``key``'s data-version token under this answer's
-        snapshot (``None``: the source has no version for a relation)."""
-        relations = self.plan.token_relations(key)
-        versions = self.versions
-        for relation in relations:
-            if relation not in versions:
-                versions[relation] = source_data_version(self.source, relation)
-        values = [versions[relation] for relation in relations]
-        return None if None in values else tuple(zip(relations, values))
-
-    def cached(self, key: str) -> bool:
-        """Would :meth:`table` be served without computing (or scanning)?"""
-        if self.cache is None or not _worth_caching(self.plan.nodes[key]):
-            return False
-        token = self.token(key)
-        return token is not None and self.cache.peek(key, token)
-
-    def table(self, key: str) -> ColumnTable:
-        """The table of fragment ``key``, computed at most once per answer."""
-        value = self.memo.get(key)
-        if value is None:
-            value = self.memo[key] = self._lookup(key)
-        return value
-
-    def _lookup(self, key: str) -> ColumnTable:
-        node = self.plan.nodes[key]
-        try:
-            if self.cache is not None and _worth_caching(node):
-                token = self.token(key)
-                if token is not None:
-                    relations = self.plan.fragment_relations(key)
-                    return self.cache.get_or_compute(
-                        key, token, relations, self._build, key, node,
-                        step=self._step, since=self._since(key),
-                    )
-            return self._build(key, node)
-        except _Degraded as degraded:
-            return degraded.value
-
-    def _since(self, key: str) -> Optional[Tuple[str, object]]:
-        """``(predecessor, token)`` fragment ``key`` may step from: current
-        (an entry off the answers' path may be far behind), or at any token
-        for the factored root, whose predecessor was the last answers' root."""
-        found = self.plan._since.get(key)
-        if found is None:
-            return None
-        return found[0], None if key == self.plan._root else self.token(found[0])
-
-    def _build(self, key: str, node: PlanFragment) -> ColumnTable:
-        """Evaluate ``node`` from its children's tables (or the source).
-
-        A build the snapshot restarted beneath raises its table as
-        :class:`_Degraded`, past the cache."""
-        scan = isinstance(node, ScanFragment)
-        restarts = self.restarts
-        span = current_span()
-        if span.recording:
-            kind = "scan" if scan else "join" if isinstance(node, JoinFragment) else "union"
-            span = span.child("fragment.eval", key=key[:80], kind=kind)
-        with span:
-            if not scan:
-                value = _combine_tables(
-                    node, [self.table(child) for child in _child_keys(node)]
-                )
-            else:
-                value = _scan_columnar(node, self._scan_block(node))
-                if self.after_scan is not None:
-                    self.after_scan(self)
-            if span.recording:
-                span.set("rows", len(value))
-        if self.restarts != restarts:
-            raise _Degraded(value)
-        return value
-
-    def _scan_block(self, node: ScanFragment) -> ColumnTable:
-        """The scan block of ``node``'s relation at this answer's snapshot."""
-        if not hasattr(self.source, "tagged_block"):
-            return scan_block(self.source, node.relation, node.pattern)
-        tag, block = _source_block(self.source, "tagged_block", node.relation, node.pattern)
-        snapshot = self.versions.setdefault(node.relation, tag)
-        if snapshot is not None and snapshot != tag:
-            self.restart()
-        return block
-
-    # -- steps ---------------------------------------------------------------
-
-    def _step(self, old_token, old_value: Optional[ColumnTable], token, key: str, node):
-        """``(new table, delta)`` of the cached entry ``old_value`` of ``key``
-        at ``old_token``, stepped to ``token`` by the rows appends added in
-        between, or ``None`` when that change is not provably appends.
-        With no ``old_value``, ``key`` is stepped from its predecessor's
-        table at the snapshot instead, by the rows its definition grew by
-        (:meth:`_growth_rules`).
-
-        The delta is stripped of the rows the old table already holds
-        unless it is exact — probed against a kept answer's rows when the
-        old table is one a kept answer was built from (:meth:`_new_rows`)."""
-        restarts = self.restarts
-        since = None
-        if old_value is None:
-            since = self.plan._since[key][0]
-            delta, exact = self._growth_rules(key, node)
-            old_value = self.table(since)
-        else:
-            found = self._delta(key, dict(old_token), dict(token))
-            if found is None:
-                return None
-            delta, exact = found
-        if len(delta) and not exact:
-            delta = self._new_rows(delta, old_value, since or key)
-        value = union_all([old_value, delta]) if len(delta) else old_value
-        self.stepped[key] = (old_value, delta, since)
-        if self.restarts != restarts:
-            raise _Degraded(value)
-        return value, delta
-
-    def _growth(self, key: str) -> Tuple[ColumnTable, bool]:
-        """``(rows, exact)``: the rows fragment ``key``'s table adds to its
-        predecessor's — the step's, if this answer stepped ``key`` from
-        there; else by the rules, leaving ``key`` unbuilt."""
-        stepped = self.stepped.get(key)
-        if stepped is not None and stepped[2] == self.plan._since[key][0]:
-            return stepped[1], True
-        return self._growth_rules(key, self.plan.nodes[key])
-
-    def _growth_rules(self, key: str, node: PlanFragment) -> Tuple[ColumnTable, bool]:
-        """:meth:`_growth` by the definition ``key`` grew by, without the
-        predecessor's table.  A union adds its new branches and its grown
-        branches' growth, mapped: a superset (a row may be in the
-        predecessor through another branch).  A join adds each grown side's
-        growth joined with the other side, exact as :meth:`_delta`'s is."""
-        since = self.plan._since
-        parts = []
-        if isinstance(node, JoinFragment):
-            children = _child_keys(node)
-            grown = [side for side, child in enumerate(children) if child in since]
-            exact = len(grown) == 1
-            for side in grown:
-                rows, child_exact = self._growth(children[side])
-                exact = exact and child_exact
-                parts.append(_combine_tables(node, [
-                    rows if position == side else self.table(sibling)
-                    for position, sibling in enumerate(children)
-                ]))
-            if len(parts) == 1:
-                return parts[0], exact
-        else:
-            added = since[key][1]
-            for position, branch in enumerate(node.branches):
-                if position in added:
-                    part = self.table(branch.key)
-                elif branch.key in since:
-                    part = self._growth(branch.key)[0]
-                else:
-                    continue
-                parts.append(_columnar_branch(part, branch, node.columns))
-        return union_distinct([part for part in parts if len(part)], node.columns), False
-
-    def _moved(self, key: str, since: Dict[str, object], now: Dict[str, object]) -> bool:
-        """Did a relation under ``key`` move between the two version maps?"""
-        return any(since[r] != now[r] for r in self.plan.token_relations(key))
-
-    def _delta(self, key: str, since: Dict[str, object], now: Dict[str, object]):
-        """``(rows, exact)``: rows fragment ``key`` gained between the two
-        version maps, or ``None`` when the change is not provably appends.
-
-        The factored plan's delta rules.  A scan gains the rows the source
-        says appends added, filtered and projected (exact).  A join whose
-        one side moved gains that side's delta joined with the other side
-        at the snapshot — exact as a bag when the side's delta is.  When
-        both sides moved it gains ``ΔL ⋈ R ∪ L ⋈ ΔR`` over the sides at
-        the snapshot, deduplicated: every new row, plus rows of ``ΔL ⋈
-        ΔR``'s kind counted once — a superset, so not exact.  A union
-        gains its moved branches' deltas, mapped and deduplicated: a
-        superset of its new rows (a row may have been derivable before
-        through another branch), so not exact.  Every row of a delta is in
-        the fragment at the snapshot, so stripping the rows the old table
-        holds (:meth:`_new_rows`) makes any of them exact."""
-        node = self.plan.nodes[key]
-        if isinstance(node, ScanFragment):
-            delta = self._scan_delta(node, since[node.relation], now[node.relation])
-            return None if delta is None else (delta, True)
-        children = _child_keys(node)
-        moved = [child for child in children if self._moved(child, since, now)]
-        if isinstance(node, JoinFragment):
-            parts = []
-            exact = len(moved) == 1
-            for side, child in enumerate(children):
-                if child not in moved:
-                    continue
-                found = self._delta(child, since, now)
-                if found is None:
-                    return None
-                exact = exact and found[1]
-                parts.append(_combine_tables(node, [
-                    found[0] if position == side else self.table(sibling)
-                    for position, sibling in enumerate(children)
-                ]))
-            if len(parts) == 1:
-                return parts[0], exact
-            return union_distinct([part for part in parts if len(part)], node.columns), False
-        parts = []
-        for branch in node.branches:
-            if branch.key in moved:
-                found = self._delta(branch.key, since, now)
-                if found is None:
-                    return None
-                if len(found[0]):
-                    parts.append(_columnar_branch(found[0], branch, node.columns))
-        return union_distinct([part for part in parts if len(part)], node.columns), False
-
-    def _scan_delta(self, node: ScanFragment, since, now) -> Optional[ColumnTable]:
-        """The scan's rows appends added between versions ``since`` and
-        ``now`` of its relation (``None``: the source cannot say)."""
-        if not hasattr(self.source, "delta_block"):
-            return None
-        block = _source_block(
-            self.source, "delta_block", node.relation, node.pattern, since, now
-        )
-        return None if block is None else _scan_columnar(node, block)
-
-    def _new_rows(self, delta: ColumnTable, old_value: ColumnTable, key: str) -> ColumnTable:
-        """The rows of ``delta`` that ``old_value``, fragment ``key``'s
-        table, lacks: probed against a kept answer's rows when that answer
-        was built from ``old_value`` — or from the table this answer
-        stepped ``key`` from, plus the step's rows — (O(delta)), else
-        anti-joined with ``old_value``."""
-        stepped = self.stepped.get(key)
-        for table, extra in ((old_value, None), stepped[:2] if stepped else (None, None)):
-            kept = [k for k in (self.plan._answer, self.plan._base) if k and k[0] is table]
-            if kept:
-                rows, more = kept[0][1], frozenset(extra.iter_rows()) if extra else ()
-                return delta.select_mask([
-                    row not in rows and row not in more for row in delta.iter_rows()
-                ])
-        return rows_absent(delta, old_value)
-
-    def root_rows(self, rewriting_plan: RewritingPlan) -> List[Row]:
-        """One rewriting's answer rows: comparisons + head projection over
-        its root fragment (a batch; it may repeat a row)."""
-        head = _column_names(len(rewriting_plan.head))
-        table = self.table(rewriting_plan.root_key)
-        return list(_columnar_branch(table, rewriting_plan, head).iter_rows())
-
 
 _FLIPPED_OPS = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
@@ -1651,212 +1336,5 @@ def _collect_subplan(plan: UnionPlan, root_key: str) -> Dict[str, PlanFragment]:
             continue
         node = plan.nodes[key]
         nodes[key] = node
-        stack.extend(_child_keys(node))
+        stack.extend(node.children())
     return nodes
-
-
-def plan_answer_batches(
-    plan: UnionPlan,
-    data: FactsLike,
-    cache: Optional[FragmentCache] = None,
-    before_root=None,
-    whole: bool = False,
-    after_scan=None,
-    metrics=None,
-) -> Iterator[Iterable[Row]]:
-    """Evaluate the union plan root by root: one *batch* of answer rows per
-    rewriting, in enumeration order, as its fragments evaluate.
-
-    ``whole`` promises that the caller consumes every batch (a whole
-    answer): unless the factored compile declined the tree, the plan's one
-    :meth:`~UnionPlan.factored_root` is evaluated and its distinct rows are
-    the only batch, a ``frozenset`` (:func:`_whole_answer`).
-
-    This is the one root loop of the plan path, run in the
-    calling thread, on :mod:`repro.database.columnar` batches.  A batch is
-    whatever iterable of rows the root produced (rows may repeat within
-    and across batches); consumers union batches with C-level set
-    operations (:func:`union_rows`) or flatten them lazily
-    (:func:`distinct_rows`).  Consuming a prefix never forces the
-    remaining roots — nor their compilation, which tracks the rewriting
-    stream.  Shared fragments come from the per-call memo.
-
-    ``cache`` (optional) is a cross-call
-    :class:`~repro.pdms.materialization.FragmentCache`: fragment tables
-    are served from (and offered to) it under data-version tokens
-    assembled from one version snapshot per call (see
-    :class:`_Evaluation`), on top of the per-call memo.  Sources without
-    per-relation data versions bypass the cache automatically.
-
-    ``before_root`` (optional) is called as ``before_root(evaluation,
-    root_key)`` before each root is evaluated — the hook a remote source
-    prefetches the root's scans through (its ``answer_hooks()``);
-    ``after_scan(evaluation)`` runs after every scan evaluation performs.
-    ``metrics`` (optional) is the registry a factored whole answer counts
-    itself in (``answer.reused`` / ``.maintained`` / ``.built``).
-    """
-    source = ensure_indexed(as_fact_source(data))
-    evaluation = _Evaluation(plan, source, cache, after_scan)
-    root_key = plan.factored_root() if whole else None
-    if root_key is not None:
-        if before_root is not None:
-            before_root(evaluation, root_key)
-        table = evaluation.table(root_key)
-        yield _whole_answer(plan, table, cache, metrics, root_key, evaluation.stepped)
-        return
-    for rewriting_plan in plan.fragments():
-        if before_root is not None:
-            before_root(evaluation, rewriting_plan.root_key)
-        yield evaluation.root_rows(rewriting_plan)
-
-
-def distinct_rows(batches: Iterable[Iterable[Row]]) -> Iterator[Row]:
-    """Flatten ``batches`` into distinct rows, lazily: a batch is pulled
-    only when the rows before it are consumed, so first-k stays lazy."""
-    seen: Set[Row] = set()
-    for batch in batches:
-        for row in batch:
-            if row not in seen:
-                seen.add(row)
-                yield row
-
-
-def union_rows(
-    batches: Iterable[Iterable[Row]], limit: Optional[int] = None
-) -> FrozenSet[Row]:
-    """Union ``batches`` into one answer set — whole batches at a time —
-    or, with ``limit``, into the first ``limit`` distinct rows (pulling no
-    batch beyond the one that completes them)."""
-    if limit is not None:
-        return frozenset(islice(distinct_rows(batches), limit))
-    answers: Union[FrozenSet[Row], Set[Row], None] = None
-    for batch in batches:
-        if answers is None:
-            # A whole answer is handed on as it is; a plain set was made
-            # for this answer and may be extended in place.
-            answers = batch if type(batch) in (set, frozenset) else set(batch)
-        else:
-            if type(answers) is frozenset:
-                answers = set(answers)
-            answers.update(batch)
-    if answers is None:
-        return frozenset()
-    return answers if type(answers) is frozenset else frozenset(answers)
-
-
-def _answer_bytes(table: ColumnTable, rows: FrozenSet[Row]) -> int:
-    """Estimated footprint of a kept answer: its root table, the set, and
-    per row one tuple (40 bytes + 8 a slot) of fresh values (~28 bytes)."""
-    width = len(table.columns)
-    return (
-        table.estimated_bytes() + sys.getsizeof(rows) + len(rows) * (40 + 36 * width)
-    )
-
-
-def _whole_answer(
-    plan: UnionPlan,
-    table: ColumnTable,
-    cache: Optional[FragmentCache],
-    metrics,
-    root_key: Optional[str] = None,
-    stepped: Optional[Dict[str, Tuple[ColumnTable, ColumnTable, Optional[str]]]] = None,
-) -> FrozenSet[Row]:
-    """The rows of ``table``, the factored root's table in a whole answer.
-
-    A plan keeps up to two answers: its last one and a *base*.  A kept
-    answer is *reused* when it was built from ``table`` itself (a
-    fragment-cache hit).  When this answer *stepped* the root to
-    ``table`` from a kept answer's table — directly, or through the
-    predecessor it was stepped from (``stepped``: per fragment, the old
-    table, the rows added, none of them in it, and the predecessor) — the
-    kept rows gain exactly the steps' rows.  Otherwise the last answer is
-    *maintained* by the rows the two root tables differ in
-    (:func:`row_difference`): only those rows become tuples.  Every row
-    is *built* when no answer is kept or the tables have no exact
-    difference.  Correctness does not depend on which answers are kept:
-    the difference is taken on content.
-
-    With a fragment cache the result becomes the last answer; the base is
-    the predecessor's answer a step passed, else the kept answer not
-    started from — after a peer leaves, the one kept from before it
-    joined.  Each is kept if it passes the cache's admission rule, and
-    each slot is replaced whole, so concurrent answers leave consistent
-    (table, rows) pairs.
-    """
-    kept = [answer for answer in (plan._answer, plan._base) if answer is not None]
-    steps, key, current = [], root_key, table
-    while True:
-        match = next((answer for answer in kept if answer[0] is current), None)
-        step = stepped.get(key) if match is None and stepped else None
-        if step is None:
-            break
-        steps.append(step)
-        current, key = step[0], step[2]
-    base = None
-    if match is not None:
-        outcome, rows, delta = "stepped" if steps else "reused", match[1], 0
-        for old, added, since in reversed(steps):
-            if since is not None:
-                base = (old, rows, _answer_bytes(old, rows))
-            if len(added):
-                rows = rows.union(added.iter_rows())
-            delta += len(added)
-    elif kept and (diff := row_difference(kept[0][0], table)) is not None:
-        match, (removed, added) = kept[0], diff
-        outcome, rows, delta = "maintained", match[1], len(removed) + len(added)
-        if len(removed):
-            rows = rows.difference(removed.iter_rows())
-        if len(added):
-            rows = rows.union(added.iter_rows())
-    else:
-        outcome, rows, delta = "built", frozenset(table.iter_rows()), len(table)
-    if cache is not None and not (outcome == "reused" and match is plan._answer):
-        if base is None:
-            base = next((answer for answer in kept if answer is not match), None)
-        answer = match if outcome == "reused" else (table, rows, _answer_bytes(table, rows))
-        plan._answer, plan._base = [
-            held if held is not None and cache.admits(held[2]) else None
-            for held in (answer, base)
-        ]
-    span = current_span()
-    if span.recording:
-        span.set("answer", outcome)
-        span.set("answer.delta_rows", delta)
-    if metrics is not None:
-        metrics.counter(f"answer.{outcome}").inc()
-    return rows
-
-
-def stream_plan_answers(
-    plan: UnionPlan,
-    data: FactsLike,
-    cache: Optional[FragmentCache] = None,
-) -> Iterator[Row]:
-    """Yield distinct answer rows of the union plan as fragments evaluate:
-    the row view over :func:`plan_answer_batches` (same arguments)."""
-    return distinct_rows(plan_answer_batches(plan, data, cache))
-
-
-def evaluate_plan(
-    plan: UnionPlan,
-    data: FactsLike,
-    limit: Optional[int] = None,
-    cache: Optional[FragmentCache] = None,
-    columnar: bool = True,
-) -> FrozenSet[Row]:
-    """Evaluate the whole union plan (or the first ``limit`` answers).
-
-    Fragments always evaluate on column batches; ``columnar`` is kept for
-    callers that say so explicitly, and ``False`` raises."""
-    if not columnar:
-        raise EvaluationError(
-            "evaluate_plan(columnar=False): plans evaluate on column batches "
-            "only; the row fragment path no longer exists"
-        )
-    if limit is not None and limit < 0:
-        raise EvaluationError(f"limit must be non-negative, got {limit}")
-    if limit == 0:
-        return frozenset()
-    return union_rows(
-        plan_answer_batches(plan, data, cache, whole=limit is None), limit
-    )

@@ -53,7 +53,7 @@ from repro.pdms import (
     evaluate_reformulation,
     federate_if_per_peer,
     reformulate,
-    stream_plan_answers,
+    stream_answers,
 )
 from repro.pdms.planning import JoinFragment
 from repro.workload import (
@@ -347,7 +347,7 @@ class TestPinnedPlansEvaluate:
         result = reformulate(pdms, query)
         expected = evaluate_reformulation(result, source, engine="backtracking")
         plan = compile_reformulation(result, source if costed else None)
-        assert set(stream_plan_answers(plan, source)) == expected
+        assert set(stream_answers(plan.result, source, plan=plan)) == expected
         assert plan.stats.rewritings == PINNED_PLANS[name][2][0]
         bounded = evaluate_plan(plan, source, limit=3)
         assert bounded <= expected and len(bounded) == min(3, len(expected))
@@ -359,5 +359,5 @@ class TestPinnedPlansEvaluate:
         source = federate_if_per_peer(data)
         plan = compile_reformulation(reformulate(pdms, query), source)
         stored = combine_peer_instances(data) if isinstance(data, dict) else data
-        answers = set(stream_plan_answers(plan, source))
+        answers = set(stream_answers(plan.result, source, plan=plan))
         assert answers == certain_answers(pdms, query, stored)

@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 from repro.database import Instance
 from repro.datalog.evaluation import as_fact_source
 from repro.datalog.indexing import ensure_indexed
-from repro.pdms.planning import _Evaluation
+from repro.pdms.evaluator import _Evaluation
 
 Row = Tuple[object, ...]
 

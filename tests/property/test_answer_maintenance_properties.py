@@ -26,7 +26,7 @@ from repro.database import columnar
 from repro.database.columnar import ColumnTable, row_difference, scan_columns
 from repro.obs.metrics import MetricsRegistry
 from repro.pdms.materialization import FragmentCache
-from repro.pdms.planning import _whole_answer
+from repro.pdms.evaluator import _whole_answer
 
 COMMON = dict(
     deadline=None,

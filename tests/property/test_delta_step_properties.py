@@ -1,7 +1,7 @@
 """Stepped fragments ≡ recomputed fragments, under seeded interleavings.
 
 A read after appends steps its stale cache entries forward by the rows
-the appends added (``planning._Evaluation._step``) instead of recomputing
+the appends added (``evaluator._Evaluation._step``) instead of recomputing
 them.  This suite drives one service through random interleavings of
 
 * appends — to one relation, to both sides of a join at once, of rows

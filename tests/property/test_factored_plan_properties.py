@@ -35,9 +35,9 @@ from repro.pdms import (
     evaluate_reformulation,
     lav_style,
     reformulate,
-    stream_plan_answers,
+    stream_answers,
 )
-from repro.pdms.planning import JoinFragment, ScanFragment, UnionFragment
+from repro.pdms.planning import JoinFragment, ScanFragment, UnionFragment, _collect_subplan
 from repro.workload import (
     GeneratorParameters,
     build_emergency_services,
@@ -59,7 +59,7 @@ PLAN_ENGINES = ("columnar", "distributed")
 
 def kinds(plan):
     """``(scans, joins, unions)`` under the plan's factored root."""
-    nodes = plan.answer_nodes().values()
+    nodes = _collect_subplan(plan, plan.factored_root()).values()
     return tuple(
         sum(isinstance(node, kind) for node in nodes)
         for kind in (ScanFragment, JoinFragment, UnionFragment)
@@ -78,7 +78,7 @@ def assert_all_paths_agree(pdms, query, data, declined=None):
         plan = compile_reformulation(reformulate(pdms, query), cost_source)
         assert evaluate_plan(plan, source) == expected
         assert plan.stats.declined == declined, plan.stats
-        assert set(stream_plan_answers(plan, source)) == expected
+        assert set(stream_answers(plan.result, source, plan=plan)) == expected
         if declined is None:
             assert plan.stats.factored <= result.statistics.goal_nodes
     for engine in PLAN_ENGINES:
@@ -250,7 +250,7 @@ class TestDirectedCases:
                 data.add_all(name, [(i % 50, (i * 7 + index) % 50) for i in range(rows)])
         query = parse_query("Q(x, w) :- P:A1(x, y), P:A2(y, z), P:A3(z, w)")
         plan = compile_reformulation(reformulate(pdms, query), data)
-        nodes = plan.answer_nodes()
+        nodes = _collect_subplan(plan, plan.factored_root())
         leaf_joins = [
             key for key, node in nodes.items() if isinstance(node, JoinFragment)
             and all(isinstance(nodes[child], ScanFragment)

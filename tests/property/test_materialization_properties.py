@@ -24,7 +24,7 @@ from repro.pdms import (
     evaluate_plan,
     evaluate_reformulation,
     reformulate,
-    stream_plan_answers,
+    stream_answers,
 )
 
 from .strategies import churn_specs, data_mutation_specs, pdms_specs
@@ -144,7 +144,7 @@ class TestBushyEquivalence:
                 result, combined, engine="backtracking")
             plan = compile_reformulation(result, source)
             assert evaluate_plan(plan, source) == expected
-            assert set(stream_plan_answers(plan, source)) == expected
+            assert set(stream_answers(plan.result, source, plan=plan)) == expected
 
     @given(spec=pdms_specs(), ops=data_mutation_specs(max_ops=2))
     @settings(max_examples=15, **COMMON)

@@ -21,9 +21,9 @@ from repro.pdms import (
     evaluate_reformulation,
     reformulate,
     stream_answers,
-    stream_plan_answers,
 )
-from repro.pdms.planning import UnionPlan, _Evaluation
+from repro.pdms.evaluator import _Evaluation
+from repro.pdms.planning import UnionPlan
 from repro.workload import GeneratorParameters, generate_workload, populate_workload
 
 from .strategies import conjunctive_queries, instances
@@ -45,7 +45,8 @@ class TestPlanExecutorAgreement:
     def test_plan_matches_backtracking_evaluator(self, query, facts):
         expected = evaluate_query(query, facts)
         assert evaluate_plan(_plan(query, facts), facts) == expected
-        assert set(stream_plan_answers(_plan(query, facts), facts)) == expected
+        plan = _plan(query, facts)
+        assert set(stream_answers(plan.result, facts, plan=plan)) == expected
 
     @given(query=conjunctive_queries(max_body=3, with_comparisons=True), facts=instances())
     @settings(max_examples=60, **COMMON)

@@ -28,9 +28,10 @@ from repro.pdms import (
     evaluate_plan,
     evaluate_reformulation,
     reformulate,
-    stream_plan_answers,
+    stream_answers,
 )
-from repro.pdms.planning import JoinFragment, ScanFragment, _Evaluation
+from repro.pdms.evaluator import _Evaluation
+from repro.pdms.planning import JoinFragment, ScanFragment
 from tests.oracles import Table, union_many
 
 from .strategies import pdms_specs
@@ -156,4 +157,4 @@ class TestEngineEquivalence:
                     result, federated, engine="backtracking")
                 plan = compile_reformulation(result, federated)
                 assert evaluate_plan(plan, federated) == expected
-                assert set(stream_plan_answers(plan, federated)) == expected
+                assert set(stream_answers(plan.result, federated, plan=plan)) == expected

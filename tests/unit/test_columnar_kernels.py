@@ -27,7 +27,8 @@ from repro.datalog import evaluate_query, parse_query
 from repro.errors import EvaluationError
 from repro.pdms import evaluate_plan
 from repro.pdms.materialization import estimate_result_bytes
-from repro.pdms.planning import UnionPlan, _Evaluation
+from repro.pdms.evaluator import _Evaluation
+from repro.pdms.planning import UnionPlan
 from tests.oracles import Table, from_table, to_table
 
 

@@ -9,9 +9,9 @@ from repro.pdms import (
     PDMS,
     DefinitionalMapping,
     InclusionMapping,
+    QueryService,
     StorageDescription,
     answer_query,
-    answer_query_batch,
     build_canonical_instance,
     certain_answers,
     combine_peer_instances,
@@ -160,13 +160,13 @@ class TestAnswerBatch:
             parse_query("Q(x) :- A:R(x, y)"),
             parse_query("Q(x, z) :- A:R(x, y), A:R(y, z)"),
         ]
-        batch = answer_query_batch(two_peer_pdms, queries, per_peer)
+        batch = QueryService(two_peer_pdms, data=per_peer).answer_batch(queries)
         assert batch == [answer_query(two_peer_pdms, q, per_peer) for q in queries]
 
     def test_batch_with_limit(self, two_peer_pdms):
         data = {"stored_s": [(i, i) for i in range(5)]}
-        batch = answer_query_batch(
-            two_peer_pdms, [parse_query("Q(x, y) :- A:R(x, y)")], data, limit=2)
+        batch = QueryService(two_peer_pdms, data=data).answer_batch(
+            [parse_query("Q(x, y) :- A:R(x, y)")], limit=2)
         assert len(batch) == 1 and len(batch[0]) == 2
 
 

@@ -29,7 +29,7 @@ from repro.pdms import (
     evaluate_plan,
     evaluate_reformulation,
     reformulate,
-    stream_plan_answers,
+    stream_answers,
 )
 from repro.pdms.planning import JoinFragment, ScanFragment, UnionFragment, UnionPlan
 
@@ -180,7 +180,7 @@ class TestExecution:
     def test_empty_union_executes_to_no_rows(self):
         plan = plan_of(facts=FACTS)
         assert evaluate_plan(plan, FACTS) == set()
-        assert set(stream_plan_answers(plan, FACTS)) == set()
+        assert set(stream_answers(plan.result, FACTS, plan=plan)) == set()
 
     def test_instance_as_fact_source(self):
         instance = Instance.from_dict(FACTS)
@@ -227,11 +227,11 @@ class TestAgreementWithBacktrackingEvaluator:
         expected = evaluate_query(query, FACTS)
         enumerated = plan_of(query, facts=FACTS)
         assert evaluate_plan(enumerated, FACTS) == expected
-        assert set(stream_plan_answers(enumerated, FACTS)) == expected
+        assert set(stream_answers(enumerated.result, FACTS, plan=enumerated)) == expected
         factored = factored_plan(query, FACTS)
         assert evaluate_plan(factored, FACTS) == expected
         assert factored.factored_root() is not None, factored.stats.declined
-        assert set(stream_plan_answers(factored, FACTS)) == expected
+        assert set(stream_answers(factored.result, FACTS, plan=factored)) == expected
 
     def test_same_answers_on_reformulated_union(self, figure2_pdms, figure2_query):
         data = {

@@ -205,13 +205,13 @@ def test_concurrent_streams_build_each_fragment_once_per_answer(monkeypatch):
     fragment is built exactly once (the per-answer memo is a plain dict),
     no call sees another's memo, and the answers are right.  The
     cross-call cache is off so nothing else can absorb a duplicate build."""
-    from repro.pdms import planning
+    from repro.pdms import evaluator, planning
 
     service, query, expected = wide_service(fragment_cache_bytes=0)
 
     builds = {}
     lock = threading.Lock()
-    original = planning._Evaluation._build
+    original = evaluator._Evaluation._build
 
     def counting(self, key, node):
         with lock:
@@ -219,7 +219,7 @@ def test_concurrent_streams_build_each_fragment_once_per_answer(monkeypatch):
             builds[(self, key)] = builds.get((self, key), 0) + 1
         return original(self, key, node)
 
-    monkeypatch.setattr(planning._Evaluation, "_build", counting)
+    monkeypatch.setattr(evaluator._Evaluation, "_build", counting)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # force interleavings between the calls
     try:

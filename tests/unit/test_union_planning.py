@@ -8,8 +8,8 @@ Covers, per layer:
   fragment memo, the batch helpers and the fragment footprints;
 * ``repro.pdms.execution`` — how ``engine=`` names resolve (plan path by
   default, the oracle by name, anything else refused), federated probe
-  routing and the arity-clash check, the
-  per-batch canonical-signature cache of ``answer_query_batch``;
+  routing and the arity-clash check, and a service batch wrapping
+  per-peer data once;
 * ``repro.database.planner`` — the cardinality cost model, and a
   correlated workload whose join order it misjudges.
 """
@@ -25,18 +25,18 @@ from repro.pdms import (
     PDMS,
     DefinitionalMapping,
     PeerFactSource,
+    QueryService,
     StorageDescription,
     answer_query,
-    answer_query_batch,
     compile_reformulation,
     evaluate_plan,
     evaluate_reformulation,
     evaluate_rewritings,
     reformulate,
     stream_answers,
-    stream_plan_answers,
 )
 from repro.pdms import FragmentCache
+from repro.pdms import evaluator
 from repro.pdms import execution as execution_module
 from repro.pdms import planning
 from tests.oracles import Table, union_many
@@ -92,7 +92,7 @@ class TestUnionPlanSharing:
         plan = compile_reformulation(result)
         # The lazy row stream is what compiles rewriting by rewriting (a
         # whole answer evaluates the factored root and enumerates nothing).
-        answers = set(stream_plan_answers(plan, fan_out_data()))
+        answers = set(stream_answers(plan.result, fan_out_data(), plan=plan))
         assert answers  # sanity: the chain joins do produce rows
         assert evaluate_plan(plan, fan_out_data()) == answers
         stats = plan.stats
@@ -116,7 +116,7 @@ class TestUnionPlanSharing:
         plan = compile_reformulation(result, data)
         whole = evaluate_plan(plan, data)
         assert plan.factored_root() is not None
-        streamed = list(stream_plan_answers(plan, data))
+        streamed = list(stream_answers(plan.result, data, plan=plan))
         assert len(streamed) == len(set(streamed)) and set(streamed) == whole
         assert evaluate_plan(plan, data, limit=2) <= whole
 
@@ -132,7 +132,7 @@ class TestUnionPlanSharing:
         assert plan.stats.rewritings == 1 and plan.stats.factored
         assert limited <= full
         # ... which the exhausted row stream does.
-        assert set(stream_plan_answers(plan, fan_out_data())) == full
+        assert set(stream_answers(plan.result, fan_out_data(), plan=plan)) == full
         assert plan.stats.rewritings == 3
 
     def test_plan_cached_on_result_survives_reuse(self, fan_out_pdms):
@@ -340,25 +340,6 @@ class TestPeerFactSource:
 
 
 class TestBatchCanonicalCache:
-    def test_isomorphic_queries_reformulate_once(self, two_peer_pdms, monkeypatch):
-        calls = []
-        original = execution_module.reformulate
-
-        def counting(pdms, query, config=None):
-            calls.append(query)
-            return original(pdms, query, config=config)
-
-        monkeypatch.setattr(execution_module, "reformulate", counting)
-        queries = [
-            parse_query("Q(x, y) :- A:R(x, y)"),
-            parse_query("Ans(u, v) :- A:R(u, v)"),   # isomorphic to the first
-            parse_query("Q(x) :- A:R(x, y)"),         # structurally different
-        ]
-        data = {"stored_s": [(1, 2), (2, 3)]}
-        batch = answer_query_batch(two_peer_pdms, queries, data)
-        assert len(calls) == 2
-        assert batch == [answer_query(two_peer_pdms, q, data) for q in queries]
-
     def test_batch_per_peer_data_wrapped_once(self, two_peer_pdms, monkeypatch):
         built = []
         original = execution_module.PeerFactSource
@@ -370,10 +351,9 @@ class TestBatchCanonicalCache:
 
         monkeypatch.setattr(execution_module, "PeerFactSource", Counting)
         per_peer = {"B": Instance.from_dict({"stored_s": [(1, 2)]})}
-        answer_query_batch(
-            two_peer_pdms,
+        QueryService(two_peer_pdms).answer_batch(
             [parse_query("Q(x) :- A:R(x, y)"), parse_query("Q(y) :- A:R(x, y)")],
-            per_peer,
+            data=per_peer,
         )
         assert built == [1]
 
@@ -450,7 +430,7 @@ class TestConcurrentConsumers:
         outcomes = {}
 
         def consume(slot):
-            outcomes[slot] = set(stream_plan_answers(plan, data))
+            outcomes[slot] = set(stream_answers(plan.result, data, plan=plan))
 
         threads = [threading.Thread(target=consume, args=(i,)) for i in range(4)]
         for thread in threads:
@@ -646,7 +626,7 @@ def _enumerated(*rewritings):
 
 
 class TestEvaluationMemo:
-    """One answer's :class:`~repro.pdms.planning._Evaluation`: the plain
+    """One answer's :class:`~repro.pdms.evaluator._Evaluation`: the plain
     per-answer memo its caller's thread drives."""
 
     def test_each_fragment_is_built_once_per_answer(self, fan_out_pdms, monkeypatch):
@@ -654,14 +634,14 @@ class TestEvaluationMemo:
         result = reformulate(fan_out_pdms, parse_query(FAN_OUT_QUERY))
         plan = compile_reformulation(result, data)
         builds = []
-        original = planning._Evaluation._build
+        original = evaluator._Evaluation._build
 
         def counting(self, key, node):
             builds.append(key)
             return original(self, key, node)
 
-        monkeypatch.setattr(planning._Evaluation, "_build", counting)
-        streamed = set(stream_plan_answers(plan, data))
+        monkeypatch.setattr(evaluator._Evaluation, "_build", counting)
+        streamed = set(stream_answers(plan.result, data, plan=plan))
         assert streamed == evaluate_reformulation(result, data, engine="backtracking")
         assert plan.stats.reused_references > 0
         assert len(builds) == len(set(builds))
@@ -670,17 +650,17 @@ class TestEvaluationMemo:
         plan = _enumerated(parse_query("Q(x) :- r(x, y)"))
         (root,) = plan.fragments()
         source = Instance.from_dict({"r": [(1, 2)]})
-        evaluation = planning._Evaluation(plan, source)
-        original = planning._scan_columnar
+        evaluation = evaluator._Evaluation(plan, source)
+        original = planning.ScanFragment.combine
         calls = []
 
-        def interrupted_once(node, source):
+        def interrupted_once(node, tables):
             calls.append(node.key)
             if len(calls) == 1:
                 raise KeyboardInterrupt
-            return original(node, source)
+            return original(node, tables)
 
-        monkeypatch.setattr(planning, "_scan_columnar", interrupted_once)
+        monkeypatch.setattr(planning.ScanFragment, "combine", interrupted_once)
         with pytest.raises(KeyboardInterrupt):
             evaluation.table(root.root_key)
         assert root.root_key not in evaluation.memo
@@ -698,17 +678,17 @@ class TestPlanEvaluation:
                 pulled.append(batch)
                 yield batch
 
-        assert planning.union_rows(batches(), limit=3) == {(1,), (2,), (3,)}
+        assert evaluator.union_rows(batches(), limit=3) == {(1,), (2,), (3,)}
         assert len(pulled) == 2
-        assert planning.union_rows(iter(())) == set()
-        assert planning.union_rows(iter([[(1,)], [(1,), (2,)]])) == {(1,), (2,)}
+        assert evaluator.union_rows(iter(())) == set()
+        assert evaluator.union_rows(iter([[(1,)], [(1,), (2,)]])) == {(1,), (2,)}
 
     def test_distinct_rows_is_lazy(self):
         def batches():
             yield [(1,), (1,), (2,)]
             raise AssertionError("pulled a batch nobody asked for")
 
-        rows = planning.distinct_rows(batches())
+        rows = evaluator.distinct_rows(batches())
         assert [next(rows), next(rows)] == [(1,), (2,)]
 
     def test_limit_zero_evaluates_nothing(self, fan_out_pdms):
