@@ -28,7 +28,12 @@ from .materialization import (
     fragment_cache_from_env,
 )
 from .evaluator import evaluate_plan
-from .planning import PlanStatistics, UnionPlan, compile_reformulation, ensure_plan
+from .planning import (
+    PlanStatistics,
+    UnionPlan,
+    compile_reformulation,
+    ensure_plan,
+)
 from .mappings import (
     DefinitionalMapping,
     EqualityMapping,

@@ -41,10 +41,8 @@ from ..datalog.indexing import ensure_indexed
 from ..errors import EvaluationError
 from ..obs.trace import current_span
 from .materialization import FragmentCache
-from .planning import PlanFragment, RewritingPlan, ScanFragment, UnionPlan
+from .planning import PlanFragment, RewritingPlan, Row, ScanFragment, UnionPlan
 from .planning import _column_names, _columnar_branch
-
-Row = Tuple[object, ...]
 
 
 def _source_block(source, method: str, relation: str, *args):
@@ -158,9 +156,8 @@ class _Evaluation:
             if self.cache is not None and node.worth_caching:
                 token = self.token(key)
                 if token is not None:
-                    relations = self.plan.fragment_relations(key)
                     return self.cache.get_or_compute(
-                        key, token, relations, self._build, key, node,
+                        key, token, self.plan.token_relations(key), self._build, key, node,
                         step=self._step, since=self._since(key),
                     )
             return self._build(key, node)

@@ -43,7 +43,16 @@ refused, here and in the remote source alike.
 from __future__ import annotations
 
 import threading
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from ..database.columnar import ColumnTable, scan_columns
 from ..database.instance import Instance, relation_creation_clock
@@ -54,7 +63,11 @@ from ..errors import EvaluationError, MappingError
 from .materialization import FragmentCache
 from .evaluator import distinct_rows, plan_answer_batches, union_rows
 from .planning import UnionPlan, ensure_plan
-from .reformulation import ReformulationConfig, ReformulationResult, reformulate
+from .reformulation import (
+    ReformulationConfig,
+    ReformulationResult,
+    reformulate,
+)
 from .system import PDMS
 
 Row = Tuple[object, ...]

@@ -237,6 +237,43 @@ class UnionFragment(NamedTuple):
 PlanFragment = Union[ScanFragment, JoinFragment, UnionFragment]
 
 
+_FLIPPED_OPS = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _columnar_branch(ct: ColumnTable, branch, columns: Sequence[str]) -> ColumnTable:
+    """Comparisons + head projection of one rewriting root or union branch
+    (``branch.comparisons`` / ``branch.head``), in batch, as ``columns``."""
+    mask = None
+    for left, op, right in branch.comparisons:
+        (lkind, lpayload), (rkind, rpayload) = left, right
+        if lkind == "col" and rkind == "col":
+            part = compare_cols_mask(
+                ct.column(lpayload), op, ct.column(rpayload), len(ct)
+            )
+        elif lkind == "col":
+            part = compare_mask(ct.column(lpayload), op, rpayload, len(ct))
+        elif rkind == "col":
+            part = compare_mask(
+                ct.column(rpayload), _FLIPPED_OPS.get(op, op), lpayload, len(ct)
+            )
+        else:
+            if compare_values(lpayload, op, rpayload):
+                continue
+            return ColumnTable(columns, [[] for _ in columns], 0)
+        mask = _combine_masks(mask, part)
+    if mask is not None:
+        ct = ct.select_mask(mask)
+    length = len(ct)
+    return ColumnTable(
+        columns,
+        [
+            ct.column(payload) if kind == "col" else const_column(payload, length)
+            for kind, payload in branch.head
+        ],
+        length,
+    )
+
+
 class RewritingPlan(NamedTuple):
     """The per-rewriting root: comparisons + head projection over a fragment."""
 
@@ -457,6 +494,20 @@ def _renames(column_map: Tuple[int, ...]) -> Tuple[Tuple[str, str], ...]:
     )))
 
 
+def _collect_subplan(plan: UnionPlan, root_key: str) -> Dict[str, PlanFragment]:
+    """The fragment nodes reachable from ``root_key``."""
+    nodes: Dict[str, PlanFragment] = {}
+    stack = [root_key]
+    while stack:
+        key = stack.pop()
+        if key in nodes:
+            continue
+        node = plan.nodes[key]
+        nodes[key] = node
+        stack.extend(node.children())
+    return nodes
+
+
 class UnionPlan:
     """A shared execution plan for the union of rewritings of one result.
 
@@ -509,7 +560,6 @@ class UnionPlan:
         self._cost = cost
         #: Factored join -> the ``<kind:origin>`` rule whose goals it joins.
         self.origins: Dict[str, str] = {}
-        self._relations_cache: Dict[str, FrozenSet[str]] = {}
         self._token_relations: Dict[str, Tuple[str, ...]] = {}
         self._scans_cache: Dict[str, Tuple[Tuple[str, Tuple[object, ...]], ...]] = {}
         # The per-plan compile memo (see the class docstring).
@@ -598,12 +648,7 @@ class UnionPlan:
         This is the fragment's invalidation footprint: its cached table is
         stale exactly when one of these relations' data versions moved.
         """
-        cached = self._relations_cache.get(key)
-        if cached is None:
-            cached = self._relations_cache[key] = frozenset(
-                [relation for relation, _ in self.scan_requests(key)]
-            )
-        return cached
+        return frozenset(self.token_relations(key))
 
     def token_relations(self, key: str) -> Tuple[str, ...]:
         """:meth:`fragment_relations` of ``key``, sorted — the order version
@@ -611,7 +656,7 @@ class UnionPlan:
         cached = self._token_relations.get(key)
         if cached is None:
             cached = self._token_relations[key] = tuple(
-                sorted(self.fragment_relations(key))
+                sorted({relation for relation, _ in self.scan_requests(key)})
             )
         return cached
 
@@ -923,7 +968,6 @@ class UnionPlan:
         names the same subtree in every plan)."""
         seed, nodes = self._seed, self.nodes
         memos = (
-            (self._relations_cache, seed._relations_cache),
             (self._token_relations, seed._token_relations),
             (self._scans_cache, seed._scans_cache),
         )
@@ -1283,58 +1327,3 @@ def ensure_plan(
                 plan = UnionPlan(result, cost)
                 result._shared_plan = plan
     return plan  # type: ignore[return-value]
-
-
-# ---------------------------------------------------------------------------
-# Union branches and subplans
-# ---------------------------------------------------------------------------
-
-_FLIPPED_OPS = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
-def _columnar_branch(ct: ColumnTable, branch, columns: Sequence[str]) -> ColumnTable:
-    """Comparisons + head projection of one rewriting root or union branch
-    (``branch.comparisons`` / ``branch.head``), in batch, as ``columns``."""
-    mask = None
-    for left, op, right in branch.comparisons:
-        (lkind, lpayload), (rkind, rpayload) = left, right
-        if lkind == "col" and rkind == "col":
-            part = compare_cols_mask(
-                ct.column(lpayload), op, ct.column(rpayload), len(ct)
-            )
-        elif lkind == "col":
-            part = compare_mask(ct.column(lpayload), op, rpayload, len(ct))
-        elif rkind == "col":
-            part = compare_mask(
-                ct.column(rpayload), _FLIPPED_OPS.get(op, op), lpayload, len(ct)
-            )
-        else:
-            if compare_values(lpayload, op, rpayload):
-                continue
-            return ColumnTable(columns, [[] for _ in columns], 0)
-        mask = _combine_masks(mask, part)
-    if mask is not None:
-        ct = ct.select_mask(mask)
-    length = len(ct)
-    return ColumnTable(
-        columns,
-        [
-            ct.column(payload) if kind == "col" else const_column(payload, length)
-            for kind, payload in branch.head
-        ],
-        length,
-    )
-
-
-def _collect_subplan(plan: UnionPlan, root_key: str) -> Dict[str, PlanFragment]:
-    """The fragment nodes reachable from ``root_key``."""
-    nodes: Dict[str, PlanFragment] = {}
-    stack = [root_key]
-    while stack:
-        key = stack.pop()
-        if key in nodes:
-            continue
-        node = plan.nodes[key]
-        nodes[key] = node
-        stack.extend(node.children())
-    return nodes
