@@ -1,5 +1,8 @@
 """Unit tests for repro.datalog.evaluation."""
 
+import random
+from collections import defaultdict
+
 import pytest
 
 from repro.datalog.evaluation import (
@@ -135,3 +138,50 @@ class TestEvaluateProgram:
         long_chain = {"E": [(i, i + 1) for i in range(30)]}
         with pytest.raises(EvaluationError):
             evaluate_program(program, long_chain, max_iterations=2)
+
+
+class TestAtSize:
+    """The engine over a few thousand random rows against a plain-Python
+    reference, with the answer counts pinned."""
+
+    @pytest.mark.parametrize("rows,values,answers", [(200, 80, 2185), (2000, 600, 61118)])
+    def test_chain_join_matches_a_dict_join(self, rows, values, answers):
+        rng = random.Random(7)
+        facts = {
+            f"R{i}": {(rng.randrange(values), rng.randrange(values)) for _ in range(rows)}
+            for i in range(4)
+        }
+        expected = set(facts["R0"])
+        for name in ("R1", "R2", "R3"):
+            successors = defaultdict(set)
+            for left, right in facts[name]:
+                successors[left].add(right)
+            expected = {(a, c) for a, b in expected for c in successors[b]}
+        query = parse_query("Q(a, e) :- R0(a, b), R1(b, c), R2(c, d), R3(d, e)")
+        assert evaluate_query(query, facts) == expected
+        assert len(expected) == answers
+
+    @pytest.mark.parametrize("nodes,edges,closure", [(60, 120, 2456), (220, 440, 30989)])
+    def test_transitive_closure_matches_a_search_from_every_node(self, nodes, edges, closure):
+        rng = random.Random(11)
+        graph = {(rng.randrange(nodes), rng.randrange(nodes)) for _ in range(edges)}
+        successors = defaultdict(set)
+        for left, right in graph:
+            successors[left].add(right)
+        expected = set()
+        for start in range(nodes):
+            reached, frontier = set(), [start]
+            while frontier:
+                for node in successors[frontier.pop()] - reached:
+                    reached.add(node)
+                    frontier.append(node)
+            expected.update((start, node) for node in reached)
+        program = parse_program(
+            """
+            T(x, y) :- E(x, y)
+            T(x, y) :- E(x, z), T(z, y)
+            """,
+            query_predicate="T",
+        )
+        assert evaluate_program_query(program, {"E": graph}) == expected
+        assert len(expected) == closure

@@ -32,6 +32,7 @@ from repro.obs import (
     current_wire_context,
     load_sink,
     render_trace,
+    set_tracer,
     wire_context,
 )
 from repro.pdms import (
@@ -631,3 +632,62 @@ class TestAnswerObservability:
         assert snapshot["gauges"]["answer.held_bytes"] == plan.held_bytes > 0
         service.clear_cache()
         assert service.metrics_snapshot()["gauges"]["answer.held_bytes"] == 0
+
+
+# ---------------------------------------------------------------------------
+# What tracing costs, counted: spans per warm answer
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def two_peer_join():
+    """``Q :- T:A ⨝ T:B`` with A on P1 and B on P2, over loopback."""
+    from repro.datalog import parse_query
+    from repro.pdms import StorageDescription
+
+    pdms = PDMS("obs-join")
+    top = pdms.add_peer("T")
+    for peer_name, relation, stored in (("P1", "A", "sa"), ("P2", "B", "sb")):
+        top.add_relation(relation, ["x", "y"])
+        pdms.add_peer(peer_name)
+        pdms.add_storage_description(StorageDescription(
+            peer_name, stored, parse_query(f"V(x, y) :- T:{relation}(x, y)"),
+            exact=False, name=f"store_{stored}",
+        ))
+    data = {
+        "P1": Instance.from_dict({"sa": [(i, i + 1) for i in range(50)]}),
+        "P2": Instance.from_dict({"sb": [(i, i + 100) for i in range(50)]}),
+    }
+    query = parse_query("Q(x, z) :- T:A(x, y), T:B(y, z)")
+    expected = frozenset((i, i + 101) for i in range(49))
+    with ServiceCluster(
+        pdms=pdms, transport=LoopbackTransport(data), scan_policy=ScanPolicy(retries=0)
+    ) as cluster:
+        try:
+            yield cluster, query, expected
+        finally:
+            set_tracer(None)
+
+
+class TestTracingCost:
+    """Time is ``obs.trace_on_ratio`` in the end-to-end benchmark; what a
+    traced answer does is counted here."""
+
+    def test_a_disabled_tracer_starts_no_span(self, two_peer_join):
+        cluster, query, expected = two_peer_join
+        tracer = make_tracer(enabled=False)
+        set_tracer(tracer)
+        for _ in range(5):
+            assert cluster.answer(query).rows == expected
+        assert tracer.health()["started"] == 0
+
+    def test_a_warm_traced_answer_opens_five_spans(self, two_peer_join):
+        cluster, query, expected = two_peer_join
+        assert cluster.answer(query).rows == expected  # cold, untraced
+        tracer = make_tracer()
+        set_tracer(tracer)
+        for _ in range(10):
+            assert cluster.answer(query).rows == expected
+        health = tracer.health()
+        assert (health["started"], health["adopted"]) == (50, 0)
+        assert health["open"] == 0 and health["double_closes"] == 0

@@ -13,15 +13,18 @@ import time
 import pytest
 
 from repro.database import Instance
+from repro.datalog import parse_query
 from repro.datalog.indexing import WILDCARD
 from repro.errors import TransportError
 from repro.obs.metrics import METRICS_SCHEMA_VERSION
 from repro.pdms import (
+    PDMS,
     AsyncSocketTransport,
     LoopbackTransport,
     RemotePeerFactSource,
     ScanPolicy,
     ServiceCluster,
+    StorageDescription,
 )
 from repro.pdms.distributed.transport import encode_pattern
 
@@ -178,6 +181,29 @@ class TestRetries:
         assert source.unreachable_peers == ()
         assert calls["n"] == 2
 
+    def test_retries_heal_every_dropped_scan_of_a_churn_run(self):
+        """Writes and reads over a transport that drops every third scan:
+        every answer is whole and complete, where degrade-on-first-fault
+        would surface each drop."""
+        pdms = PDMS("retries")
+        pdms.add_peer("T").add_relation("R", ["x", "y"])
+        pdms.add_peer("P")
+        pdms.add_storage_description(StorageDescription(
+            "P", "sr", parse_query("V(x, y) :- T:R(x, y)"), exact=False, name="store_sr"))
+        instance = Instance.from_dict({"sr": {(i, i % 97) for i in range(20)}})
+        transport = LoopbackTransport({"P": instance}, drop_every_n=3)
+        query = parse_query("Q(x, y) :- T:R(x, y)")
+        policy = ScanPolicy(retries=2, **FAST)
+        with ServiceCluster(pdms=pdms, transport=transport, scan_policy=policy) as cluster:
+            for key in range(20, 32):
+                cluster.insert("sr", [(key, key % 97)])
+                answer = cluster.answer(query)
+                assert answer.rows == frozenset(instance.get_tuples("sr"))
+                assert answer.complete
+            stats = cluster.source.scatter_stats()
+            assert cluster.source.failure_count == 0
+        assert stats["retries"] == 5
+
 
 # ---------------------------------------------------------------------------
 # Delta-shipping re-scans
@@ -246,6 +272,30 @@ class TestDeltaRescans:
         before = source.scatter_stats()["delta_scans"]
         assert set(source.get_matching("r", (WILDCARD,))) == {(1,), (2,)}
         assert source.scatter_stats()["delta_scans"] == before
+
+    def test_delta_rescans_ship_only_the_added_rows(self):
+        """A growing relation re-scanned with and without deltas: the same
+        rows, one row shipped per delta re-scan, the relation per full one."""
+        base, rounds = 100, 10
+        instance = Instance.from_dict({"sr": {(i, i % 97) for i in range(base)}})
+        delta_source = RemotePeerFactSource(LoopbackTransport({"P": instance}))
+        full_source = RemotePeerFactSource(LoopbackTransport({"P": instance}), delta=False)
+        assert set(delta_source.get_matching("sr", ALL)) == set(
+            full_source.get_matching("sr", ALL))
+        for round_no in range(rounds):
+            instance.add("sr", (base + round_no, round_no % 97))
+            delta_source.refresh()
+            full_source.refresh()
+            merged = set(delta_source.get_matching("sr", ALL))
+            assert merged == set(full_source.get_matching("sr", ALL))
+            assert len(merged) == base + round_no + 1
+        delta, full = delta_source.scatter_stats(), full_source.scatter_stats()
+        assert (delta["delta_scans"], delta["delta_rows_shipped"]) == (rounds, rounds)
+        assert (delta["full_scans"], delta["full_rows_shipped"]) == (1, base)
+        assert full["delta_scans"] == 0
+        # Each full re-scan ships the whole relation: 101 + ... + 110 rows.
+        assert full["full_rows_shipped"] == base + sum(
+            base + round_no + 1 for round_no in range(rounds)) == 1155
 
 
 # ---------------------------------------------------------------------------
