@@ -12,9 +12,9 @@ mapping percentage (0%, 10%, 25%, 50%).  Its two findings are
 
 The pytest-benchmark tests below reproduce the same series on a reduced
 diameter range so the suite stays fast; run ``python benchmarks/harness.py
---figure 3`` for the full sweep recorded in EXPERIMENTS.md.  Each test also
-asserts the *shape* facts above, so a regression in the generator or the
-reformulation algorithm fails loudly rather than silently changing curves.
+--figure 3`` for the full sweep.  Each test also asserts the *shape*
+facts above, so a regression in the generator or the reformulation
+algorithm fails loudly rather than silently changing curves.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ RUNS_PER_POINT = 3
 @pytest.mark.parametrize("definitional_ratio", DEFINITIONAL_RATIOS)
 @pytest.mark.parametrize("diameter", DIAMETERS)
 def test_fig3_tree_size(benchmark, diameter, definitional_ratio):
-    """Benchmark tree construction for one (diameter, %dd) data point."""
+    """One timed tree construction for one (diameter, %dd) data point
+    (``harness.py`` averages many runs)."""
 
     def build_tree():
         return run_reformulation(
@@ -42,7 +43,7 @@ def test_fig3_tree_size(benchmark, diameter, definitional_ratio):
             num_peers=PAPER_NUM_PEERS,
         )
 
-    sample = benchmark(build_tree)
+    sample = benchmark.pedantic(build_tree, rounds=1, iterations=1)
     benchmark.extra_info["tree_nodes"] = sample.tree_nodes
     benchmark.extra_info["diameter"] = diameter
     benchmark.extra_info["definitional_ratio"] = definitional_ratio

@@ -9,24 +9,28 @@ rewritings as the diameter grows.  Its findings:
 * producing *all* rewritings (Step 3) is the bottleneck, growing much
   faster than tree construction (Step 2).
 
-The benchmarks below reproduce the three series on a reduced diameter
-range; the full sweep lives in ``harness.py --figure 4``.  Shape
-assertions encode the two findings.
+The benchmarks below time the three series on a reduced diameter range;
+the full sweep lives in ``harness.py --figure 4``.  The two shape checks
+encode the findings in work, not time, so they hold on any host: Step 2's
+work is the tree's node count, Step 3's the partial rewritings the
+assembler forms, counted by wrapping it.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
-from bench_common import average_samples, run_reformulation
+from bench_common import PAPER_NUM_PEERS, run_reformulation
+from repro.pdms import reformulate
+from repro.pdms.reformulation import _RewritingAssembler
+from repro.workload import GeneratorParameters, generate_workload
 
 DIAMETERS = (2, 4, 6)
-#: Where time-to-first is compared with time-to-all.  Since Step 3 stopped
-#: paying per-rewriting constraint work (docs/reformulation.md) the few
-#: thousand rewritings of a diameter-6 tree cost about 4x its construction,
-#: not clear of the 5x asked for; one stratum further (tens of thousands)
-#: they cost over 10x again.  The series above stop at 6 because their
-#: seed has 2.7 million rewritings at diameter 7.
+#: Where the work to the first rewriting is compared with the work to all
+#: of them: one stratum past the series, whose seed has 2.7 million
+#: rewritings at diameter 7; seeds 0-2 have 18 000-45 000.
 FIRST_VS_ALL_DIAMETER = 7
 DEFINITIONAL_RATIO = 0.10
 RUNS_PER_POINT = 3
@@ -59,43 +63,43 @@ def test_fig4_all_rewritings(benchmark, diameter):
     benchmark.extra_info["rewriting_count"] = sample.rewriting_count
 
 
-def test_fig4_first_rewritings_are_fast(benchmark):
-    """Shape check: time-to-first stays far below time-to-all on a large
-    tree (the paper's headline observation)."""
+def step_work(diameter, seed):
+    """``(step2, first, all)`` work counts of one reformulation: Step 2's
+    is the tree's nodes, Step 3's the partial rewritings the assembler
+    forms; ``first`` and ``all`` add to Step 2 what Step 3 formed by the
+    first rewriting and by the last."""
+    formed = 0
+    assemble = _RewritingAssembler._rule_rewritings_iter
 
-    def sweep():
-        samples = [
-            run_reformulation(FIRST_VS_ALL_DIAMETER, DEFINITIONAL_RATIO, seed,
-                              measure_rewritings=True)
-            for seed in range(RUNS_PER_POINT)
-        ]
-        return average_samples(samples)
+    def counting(assembler, rule_node):
+        nonlocal formed
+        for partial in assemble(assembler, rule_node):
+            formed += 1
+            yield partial
 
-    averages = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    benchmark.extra_info.update(
-        {key: value for key, value in averages.items() if value is not None})
-    assert averages["first_rewriting_seconds"] is not None
-    assert averages["all_rewritings_seconds"] is not None
-    # First rewriting must be at least 5x cheaper than the full enumeration.
-    assert averages["first_rewriting_seconds"] * 5 < averages["all_rewritings_seconds"]
+    workload = generate_workload(GeneratorParameters(
+        num_peers=PAPER_NUM_PEERS, diameter=diameter,
+        definitional_ratio=DEFINITIONAL_RATIO, seed=seed))
+    with mock.patch.object(_RewritingAssembler, "_rule_rewritings_iter", counting):
+        result = reformulate(workload.pdms, workload.query)
+        step2 = result.statistics.total_nodes
+        result.first_rewritings(1)
+        first = step2 + formed
+        result.all_rewritings()
+    return step2, first, step2 + formed
 
 
-def test_fig4_step3_dominates_step2(benchmark):
+def test_fig4_first_rewritings_are_fast():
+    """Shape check: the work to the first rewriting stays far below the
+    work to all of them on a large tree (the paper's headline observation)."""
+    runs = [step_work(FIRST_VS_ALL_DIAMETER, seed) for seed in range(RUNS_PER_POINT)]
+    assert sum(first for _, first, _ in runs) * 5 < sum(every for _, _, every in runs)
+
+
+def test_fig4_step3_dominates_step2():
     """Shape check: at the largest diameter, enumerating all rewritings costs
     more than building the tree (the paper: "the key bottleneck of the
     algorithm is the time to find the rewritings from the rule-goal tree")."""
-
-    def sweep():
-        samples = [
-            run_reformulation(max(DIAMETERS), DEFINITIONAL_RATIO, seed,
-                              measure_rewritings=True)
-            for seed in range(RUNS_PER_POINT)
-        ]
-        return average_samples(samples)
-
-    averages = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    step2 = averages["build_seconds"]
-    step3 = averages["all_rewritings_seconds"] - averages["build_seconds"]
-    benchmark.extra_info["step2_seconds"] = step2
-    benchmark.extra_info["step3_seconds"] = step3
-    assert step3 > step2
+    runs = [step_work(max(DIAMETERS), seed) for seed in range(RUNS_PER_POINT)]
+    assert sum(every - step2 for step2, _, every in runs) > sum(
+        step2 for step2, _, _ in runs)
