@@ -4,7 +4,7 @@ Each benchmark regenerates one figure (or one in-text claim) of the paper's
 Section 5 on top of the Section-5 workload generator re-implemented in
 :mod:`repro.workload.generator`.  The pytest-benchmark tests use reduced
 parameter ranges so the suite stays fast; ``harness.py`` runs the full
-sweeps used for EXPERIMENTS.md.
+sweeps.
 """
 
 from __future__ import annotations

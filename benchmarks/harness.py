@@ -11,12 +11,11 @@ The harness prints one table per figure with the same rows/series the paper
 plots (diameter on the x axis, one column per %dd series for Figure 3; the
 first/tenth/all rewriting times for Figure 4), plus the node-generation
 rate the paper quotes in the text.  Absolute numbers differ from the 2003
-testbed; EXPERIMENTS.md records a captured run next to the paper's values
-and discusses the shapes.
+testbed; the shapes are what compares.
 
-The pytest-benchmark files in this directory cover reduced ranges of the
-same sweeps so that ``pytest benchmarks/ --benchmark-only`` stays quick;
-this script is the "full fidelity" path.
+``test_fig3_tree_size.py``, ``test_fig4_rewriting_time.py`` and
+``test_node_rate.py`` next to this file check reduced ranges of the same
+sweeps in the tier-1 suite; this script is the full-fidelity path.
 """
 
 from __future__ import annotations
@@ -124,7 +123,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="largest PDMS diameter to sweep (paper: 10)")
     parser.add_argument("--max-diameter-fig4", type=int, default=6,
                         help="largest diameter for the all-rewritings sweep "
-                             "(step 3 is exponential; see EXPERIMENTS.md)")
+                             "(step 3 is exponential in it)")
     parser.add_argument("--runs", type=int, default=5,
                         help="runs averaged per data point (paper: 100)")
     parser.add_argument("--num-peers", type=int, default=PAPER_NUM_PEERS)

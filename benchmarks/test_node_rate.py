@@ -4,17 +4,16 @@ Section 5 of the paper: "On average, the algorithm generates nodes at a
 rate of 1,000 per second (with relatively unoptimized code)."  That figure
 is bound to 2003 hardware and their implementation; the reproduction
 measures the same quantity (tree nodes produced per second of Step-2 time)
-on the same generated workloads and records it in EXPERIMENTS.md.  The
-assertion is deliberately loose: the reproduction must sustain at least
-the paper's 1,000 nodes/second (any modern machine does, by a wide
-margin).
+on the same generated workloads.  The assertion is deliberately loose:
+the reproduction must sustain at least the paper's 1,000 nodes/second
+(any modern machine does, by a wide margin).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from bench_common import average_samples, run_reformulation
+from bench_common import run_reformulation
 
 CASES = [
     # (diameter, definitional ratio)

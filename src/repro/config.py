@@ -98,11 +98,11 @@ def trace_enabled() -> bool:
 
     Off by default: :func:`repro.obs.trace.get_tracer` hands out the
     no-op :data:`~repro.obs.trace.NULL_SPAN` for every query, so
-    instrumentation sites cost ~nothing (the gate guarded by
-    ``BENCH_observability.json``).  When on, each answered query builds
-    a trace tree — reformulation, planning, fragment evaluation, scatter
-    waves, every remote scan attempt — subject to the sampling rate
-    below.  See ``docs/observability.md``.
+    instrumentation sites cost ~nothing (~140 ns each when last
+    measured).  When on, each answered query builds a trace tree —
+    reformulation, planning, fragment evaluation, scatter waves, every
+    remote scan attempt — subject to the sampling rate below.  See
+    ``docs/observability.md``.
     """
     return bool_from_env("REPRO_TRACE", False)
 

@@ -189,3 +189,18 @@ class TestKnobInventory:
         by_reader = {knob.env: knob.reader.__name__ for knob in KNOBS}
         for name, sites in readers.items():
             assert sites == {("config.py", by_reader[name])}, name
+
+    def test_no_benchmark_outside_the_end_to_end_harness_reads_the_environment(self):
+        """One benchmark, ``benchmarks/e2e``, which pins its own
+        environment: the figure checks beside it have one size and no knob."""
+        benchmarks = REPO_ROOT / "benchmarks"
+        reads = [
+            f"{path.relative_to(REPO_ROOT).as_posix()}:{node.lineno}"
+            for path in sorted(benchmarks.rglob("*.py"))
+            if "e2e" not in path.relative_to(benchmarks).parts
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name) else None)
+            in ("environ", "environb", "getenv", "getenvb")
+        ]
+        assert reads == []

@@ -3,9 +3,10 @@
 Every ``REPRO_*`` environment variable a document mentions is one that
 :mod:`repro.config` reads, every dotted ``repro.…`` name resolves in
 the importable tree (the longest importable module prefix, then
-attributes), and every ``*.py`` path names a file that exists.  A retired
-knob, symbol or module leaves the docs with its code; its history is in
-CHANGES.md.
+attributes), and every ``*.py`` or ``*.json`` path names a file that
+exists (an absolute path, such as a trace sink's, names none of the
+repository's).  A retired knob, symbol, module or benchmark baseline
+leaves the docs with its code; its history is in CHANGES.md.
 """
 
 import ast
@@ -23,15 +24,16 @@ DOCS = sorted((REPO_ROOT / "docs").glob("*.md"))
 #: A knob name; ``REPRO_*`` (the family, not a knob) does not match.
 KNOB = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]\b")
 DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
-PY_PATH = re.compile(r"(?<![\w./-])[\w./-]*\w\.py\b")
+FILE_PATH = re.compile(r"(?<![\w./-])(?!/)[\w./-]*\w\.(?:py|json)\b")
 
 #: A path resolves from one of these directories ...
 PATH_ROOTS = (REPO_ROOT, REPO_ROOT / "src", REPO_ROOT / "src" / "repro")
-#: ... or as the trailing path of exactly one Python file in these trees.
-PYTHON_FILES = [
+#: ... or as the trailing path of exactly one such file in these trees.
+FILES = [
     path.relative_to(REPO_ROOT).as_posix()
     for tree in ("src", "tests", "benchmarks", "examples")
-    for path in (REPO_ROOT / tree).rglob("*.py")
+    for pattern in ("*.py", "*.json")
+    for path in (REPO_ROOT / tree).rglob(pattern)
 ]
 
 
@@ -69,7 +71,7 @@ def path_resolves(named: str) -> bool:
     or ``examples/``?"""
     if any((root / named).is_file() for root in PATH_ROOTS):
         return True
-    return sum(path.endswith("/" + named) for path in PYTHON_FILES) == 1
+    return sum(path.endswith("/" + named) for path in FILES) == 1
 
 
 def _text(doc: Path) -> str:
@@ -88,8 +90,8 @@ def test_every_dotted_name_a_doc_mentions_resolves(doc):
 
 
 @pytest.mark.parametrize("doc", DOCS, ids=[doc.name for doc in DOCS])
-def test_every_python_path_a_doc_names_exists(doc):
-    unresolved = sorted({path for path in PY_PATH.findall(_text(doc)) if not path_resolves(path)})
+def test_every_file_path_a_doc_names_exists(doc):
+    unresolved = sorted({path for path in FILE_PATH.findall(_text(doc)) if not path_resolves(path)})
     assert unresolved == []
 
 
@@ -105,8 +107,12 @@ def test_the_checks_reject_what_does_not_exist():
     for module in ("repro.integration.gav", "repro.database.csvio",
                    "repro.database.algebra", "repro.datalog.minimize"):
         assert not resolves(module)
-    assert PY_PATH.findall("`pdms/system.py:30`, e2e/run.py and x.pyc") == [
+    assert FILE_PATH.findall("`pdms/system.py:30`, e2e/run.py and x.pyc") == [
         "pdms/system.py", "e2e/run.py"]
+    assert FILE_PATH.findall(
+        "`BENCHMARK.json`, BENCH_*.json, /tmp/traces.json and t.jsonl") == ["BENCHMARK.json"]
+    assert path_resolves("BENCHMARK.json")
+    assert not path_resolves("BENCH_columnar.json")
     assert path_resolves("integration/minicon.py")
     assert path_resolves("e2e/run.py")
     assert path_resolves("test_factored_plan_pinned.py")
