@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import pytest
 
-from bench_common import PAPER_NUM_PEERS, average_samples, run_reformulation
+from bench_common import average_samples, paper_workload, reformulation_sample
 
 #: Reduced sweep used by pytest-benchmark (full range handled by harness.py).
 DIAMETERS = (2, 4, 6)
@@ -33,15 +33,12 @@ RUNS_PER_POINT = 3
 @pytest.mark.parametrize("diameter", DIAMETERS)
 def test_fig3_tree_size(benchmark, diameter, definitional_ratio):
     """One timed tree construction for one (diameter, %dd) data point
-    (``harness.py`` averages many runs)."""
+    (``harness.py`` averages many runs); the workload is generated before
+    the timed call."""
+    workload = paper_workload(diameter, definitional_ratio, seed=17)
 
     def build_tree():
-        return run_reformulation(
-            diameter=diameter,
-            definitional_ratio=definitional_ratio,
-            seed=17,
-            num_peers=PAPER_NUM_PEERS,
-        )
+        return reformulation_sample(workload)
 
     sample = benchmark.pedantic(build_tree, rounds=1, iterations=1)
     benchmark.extra_info["tree_nodes"] = sample.tree_nodes
@@ -54,15 +51,16 @@ def test_fig3_tree_size(benchmark, diameter, definitional_ratio):
 def test_fig3_tree_grows_with_diameter(benchmark, definitional_ratio):
     """Shape check: node count increases (strongly) with the diameter."""
 
+    workloads = [
+        [paper_workload(diameter, definitional_ratio, seed) for seed in range(RUNS_PER_POINT)]
+        for diameter in DIAMETERS
+    ]
+
     def sweep():
-        sizes = []
-        for diameter in DIAMETERS:
-            samples = [
-                run_reformulation(diameter, definitional_ratio, seed)
-                for seed in range(RUNS_PER_POINT)
-            ]
-            sizes.append(average_samples(samples)["tree_nodes"])
-        return sizes
+        return [
+            average_samples([reformulation_sample(w) for w in point])["tree_nodes"]
+            for point in workloads
+        ]
 
     sizes = benchmark.pedantic(sweep, rounds=1, iterations=1)
     benchmark.extra_info["sizes_by_diameter"] = dict(zip(DIAMETERS, sizes))
@@ -75,14 +73,16 @@ def test_fig3_tree_grows_with_definitional_ratio(benchmark):
     """Shape check: more definitional mappings means a larger tree (paper's
     explanation: unions of conjunctive queries raise the branching factor)."""
 
+    workloads = {
+        ratio: [paper_workload(5, ratio, seed) for seed in range(RUNS_PER_POINT)]
+        for ratio in DEFINITIONAL_RATIOS
+    }
+
     def sweep():
-        sizes = {}
-        for ratio in DEFINITIONAL_RATIOS:
-            samples = [
-                run_reformulation(5, ratio, seed) for seed in range(RUNS_PER_POINT)
-            ]
-            sizes[ratio] = average_samples(samples)["tree_nodes"]
-        return sizes
+        return {
+            ratio: average_samples([reformulation_sample(w) for w in point])["tree_nodes"]
+            for ratio, point in workloads.items()
+        }
 
     sizes = benchmark.pedantic(sweep, rounds=1, iterations=1)
     benchmark.extra_info["sizes_by_ratio"] = {str(k): v for k, v in sizes.items()}

@@ -22,10 +22,9 @@ from unittest import mock
 
 import pytest
 
-from bench_common import PAPER_NUM_PEERS, run_reformulation
+from bench_common import paper_workload, reformulation_sample
 from repro.pdms import reformulate
 from repro.pdms.reformulation import _RewritingAssembler
-from repro.workload import GeneratorParameters, generate_workload
 
 DIAMETERS = (2, 4, 6)
 #: Where the work to the first rewriting is compared with the work to all
@@ -38,25 +37,27 @@ RUNS_PER_POINT = 3
 
 @pytest.mark.parametrize("diameter", DIAMETERS)
 def test_fig4_first_rewriting(benchmark, diameter):
-    """Time to the first rewriting (tree construction included)."""
+    """Time to the first rewriting (tree construction included); the
+    workload is generated before the timed call."""
+    workload = paper_workload(diameter, DEFINITIONAL_RATIO, seed=23)
 
     def first():
-        sample = run_reformulation(
-            diameter, DEFINITIONAL_RATIO, seed=23, measure_rewritings=False)
-        return sample
+        result = reformulate(workload.pdms, workload.query)
+        return result, result.first_rewritings(1)
 
-    sample = benchmark(first)
+    result, rewritings = benchmark(first)
     benchmark.extra_info["diameter"] = diameter
-    benchmark.extra_info["tree_nodes"] = sample.tree_nodes
+    benchmark.extra_info["tree_nodes"] = result.statistics.total_nodes
+    benchmark.extra_info["first_rewritings"] = len(rewritings)
 
 
 @pytest.mark.parametrize("diameter", DIAMETERS)
 def test_fig4_all_rewritings(benchmark, diameter):
     """Time to enumerate every rewriting (the paper's bottleneck, Step 3)."""
+    workload = paper_workload(diameter, DEFINITIONAL_RATIO, seed=23)
 
     def everything():
-        return run_reformulation(
-            diameter, DEFINITIONAL_RATIO, seed=23, measure_rewritings=True)
+        return reformulation_sample(workload, measure_rewritings=True)
 
     sample = benchmark.pedantic(everything, rounds=1, iterations=1)
     benchmark.extra_info["diameter"] = diameter
@@ -77,9 +78,7 @@ def step_work(diameter, seed):
             formed += 1
             yield partial
 
-    workload = generate_workload(GeneratorParameters(
-        num_peers=PAPER_NUM_PEERS, diameter=diameter,
-        definitional_ratio=DEFINITIONAL_RATIO, seed=seed))
+    workload = paper_workload(diameter, DEFINITIONAL_RATIO, seed)
     with mock.patch.object(_RewritingAssembler, "_rule_rewritings_iter", counting):
         result = reformulate(workload.pdms, workload.query)
         step2 = result.statistics.total_nodes

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from bench_common import run_reformulation
+from bench_common import paper_workload, reformulation_sample
 
 CASES = [
     # (diameter, definitional ratio)
@@ -25,8 +25,10 @@ CASES = [
 
 @pytest.mark.parametrize("diameter,definitional_ratio", CASES)
 def test_node_generation_rate(benchmark, diameter, definitional_ratio):
+    workload = paper_workload(diameter, definitional_ratio, seed=41)
+
     def build():
-        return run_reformulation(diameter, definitional_ratio, seed=41)
+        return reformulation_sample(workload)
 
     sample = benchmark(build)
     rate = sample.tree_nodes / sample.build_seconds if sample.build_seconds else 0.0

@@ -17,6 +17,7 @@ transposed once per relation version and kept like an index.
 from __future__ import annotations
 
 import itertools
+import operator
 import threading
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
@@ -63,6 +64,9 @@ relation_creation_clock = _RelationCreationClock()
 #: that happen to share relation names can never alias in a version-keyed
 #: cache.
 _instance_ids = itertools.count(1)
+
+#: A relation index's monotone version (see :attr:`Instance.catalogue_token`).
+_index_version = operator.attrgetter("version")
 
 #: Data-version token of a relation the instance has never created.
 _ABSENT_VERSION = -1
@@ -285,6 +289,18 @@ class Instance:
         index = self._relations.get(relation)
         version = index.version if index is not None else _ABSENT_VERSION
         return (self._instance_id, version)
+
+    @property
+    def catalogue_token(self) -> Tuple[int, int, int]:
+        """A token that moves whenever a ``describe`` catalog of this
+        instance could: ``(instance id, relations version, sum of every
+        relation's data version)``.  Each index version is monotone and
+        relations are never dropped, so any write moves it."""
+        return (
+            self._instance_id,
+            self._relations_version,
+            sum(map(_index_version, list(self._relations.values()))),
+        )
 
     def version_vector(
         self, relations: Optional[Iterable[str]] = None

@@ -30,7 +30,7 @@ story is the one peers on other hosts would use:
   loopback runs too), concurrently when latency is injected, and replies
   ``("ok", [(status, value), …])``, one pair per sub-request with the
   lone frame's statuses.  :meth:`AsyncSocketTransport.describe_many`
-  (the catalogue round of a refresh) and
+  (the conditional catalogue round of a refresh) and
   :meth:`AsyncSocketTransport.scan_many` (every round of a scatter
   wave, retries and cold single-key scans included) ride it;
 * chaos parity with the loopback harness: ``fail_peer`` /
@@ -89,6 +89,10 @@ __all__ = ["AsyncSocketTransport"]
 #: announce up to 4 GiB; without a cap a garbled or hostile one makes the
 #: reader wait for (and buffer) that much.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
+
+#: The reply pair of an "unchanged" ``describe``: one shared tuple, so a
+#: batch frame pickles it once and refers back to it for every other peer.
+_OK_UNCHANGED = ("ok", None)
 
 #: One sub-request of a batch frame: ``(op, peer, payload, trace context)``.
 SubRequest = Tuple[str, str, object, object]
@@ -368,7 +372,8 @@ class AsyncSocketTransport(TransportBase):
             # forward-compatibility contract.
             op, peer, payload = request[0], request[1], request[2]
             ctx = request[3] if len(request) > 3 else None
-            return ("ok", await self._serve(op, peer, payload, ctx))
+            value = await self._serve(op, peer, payload, ctx)
+            return _OK_UNCHANGED if value is None else ("ok", value)
         except (ValueError, InstanceError) as exc:
             return ("data_error", (type(exc).__name__, str(exc)))
         except TransportError as exc:
@@ -499,12 +504,14 @@ class AsyncSocketTransport(TransportBase):
         return self._address[:2]
 
     def describe_many(self, peers: Iterable[str]) -> Catalogs:
-        """Every listed peer's catalog (or its fault) in one batch frame."""
+        """Every listed peer's catalog (or its fault) in one batch frame;
+        asked conditionally when ``peers`` is a dict of their last tokens."""
         names = list(peers)
-        return dict(zip(
-            names,
-            self._batch([("describe", peer, None, None) for peer in names]),
-        ))
+        since = peers if isinstance(peers, dict) else None
+        return dict(zip(names, self._batch([
+            ("describe", peer, None if since is None else (since[peer],), None)
+            for peer in names
+        ])))
 
     def scan_many(
         self, batches: Sequence[ScanBatch]

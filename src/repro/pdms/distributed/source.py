@@ -22,12 +22,13 @@ Three mechanisms keep the RPC count sane and the semantics honest:
   the transport has a batch frame.
 * **Version tokens over the wire** — ``describe_many`` ships each
   relation's data-version token from its one owning peer in one round
-  (one frame over sockets; a relation two peers serve raises, see
-  :func:`~repro.pdms.execution.owners_of`).  :meth:`data_version` is
-  that token in a one-tuple (``()``: no reachable peer serves it), so a
-  remote write or a relation changing hands moves it and the
-  :class:`~repro.pdms.materialization.FragmentCache` stops serving
-  stale fragments.
+  (one frame over sockets, in which a peer whose catalogue token is the
+  one last committed answers "unchanged"; a relation two peers serve
+  raises, see :func:`~repro.pdms.execution.owners_of`).
+  :meth:`data_version` is that token in a one-tuple (``()``: no
+  reachable peer serves it), so a remote write or a relation changing
+  hands moves it and the :class:`~repro.pdms.materialization.FragmentCache`
+  stops serving stale fragments.
 * **Degradation, not failure** — a scan lost to a
   :class:`~repro.errors.TransportError` contributes no rows (a *sound
   subset* under monotone conjunctive queries), records a
@@ -97,6 +98,10 @@ ScanKey = Tuple[str, EncodedPattern]
 #: The chain holds only rows its relation gained, so it is bounded by
 #: this many write batches per scanned ``(relation, pattern)``.
 DELTA_CHAIN_LINKS = 16
+
+
+#: What a peer with no committed catalog is asked with: no token.
+_UNKNOWN = (None, None)
 
 
 def _empty(width: int) -> ColumnTable:
@@ -190,6 +195,9 @@ class RemotePeerFactSource:
         #: of it: ``(arity, cardinality, wire token)``.
         self._routes: Dict[str, str] = {}
         self._infos: Dict[str, RelationInfo] = {}
+        #: peer -> ``(catalogue token, catalog)`` the routes were built
+        #: from; the token is what the next round asks the peer with.
+        self._catalogs: Dict[str, Tuple[object, Dict[str, RelationInfo]]] = {}
         #: Per ``(relation, encoded pattern)``, the last scan that arrived:
         #: its token (:meth:`data_version`'s shape) and its distinct rows,
         #: exactly at that token, as one column table.  An entry is served
@@ -223,13 +231,19 @@ class RemotePeerFactSource:
         if self._closed:
             raise TransportError("RemotePeerFactSource is closed")
 
-    def refresh(self) -> None:
-        """Re-fetch peer catalogs: the owners and their version tokens.
+    def refresh(self) -> int:
+        """Re-fetch peer catalogs: the owners and their version tokens;
+        how many peers' catalogs came back changed.
 
         The describe round (one ``describe_many`` for all peers, the failed
         subset retried as a batch) happens outside the lock, so concurrent
         refreshes overlap on the wire; the commit — routing table, version
-        tokens, clearing the degraded set — is atomic.
+        tokens, clearing the degraded set — is atomic.  The round is
+        conditional: each peer is asked with the catalogue token committed
+        with its catalog, and when every reachable peer answers
+        "unchanged" (or, through the per-peer default, with the committed
+        catalog) the routes and tokens stand and only the degraded set
+        and the failures move.
         An unreachable peer is recorded as a :class:`ScanFailure` (its
         relations drop out of the routing table, which itself moves the
         affected version tokens) rather than raising.  A relation two
@@ -237,14 +251,24 @@ class RemotePeerFactSource:
         exactly like the in-process federated source, and changes nothing.
         """
         self._check_open()
-        catalogs, unreachable = self._describe_all()
-        routes = owners_of(catalogs.items())
-        infos = {relation: catalogs[peer][relation] for relation, peer in routes.items()}
+        known = self._catalogs
+        fetched, unreachable = self._describe_all(known)
+        changed = sum(1 for peer, entry in fetched.items() if known.get(peer) != entry)
+        same = not changed and len(fetched) == len(known)
+        if not same:
+            # In peer order, whatever round fetched them.
+            catalogs = {peer: fetched[peer] for peer in self._peer_names if peer in fetched}
+            routes = owners_of((peer, catalog) for peer, (_, catalog) in catalogs.items())
+            infos = {
+                relation: catalogs[peer][1][relation] for relation, peer in routes.items()
+            }
         with self._lock:
             for peer, error in unreachable.items():
                 self._failures.append(ScanFailure(peer, "*", error))
             self._unreachable = set(unreachable)
             self._degraded = set()
+            if same:
+                return 0
             # Scans of vanished relations are dead weight (and a relation
             # that later returns may be different data); drop them.  The
             # others stay: one whose token moved is the cursor that turns
@@ -259,36 +283,40 @@ class RemotePeerFactSource:
                 }
             self._routes = routes
             self._infos = infos
+            self._catalogs = catalogs
+        return changed
 
     def _describe_all(
-        self,
-    ) -> Tuple[Dict[str, Dict[str, RelationInfo]], Dict[str, str]]:
-        """(catalog per reachable peer, error per unreachable one).
+        self, known: Dict[str, Tuple[object, Dict[str, RelationInfo]]]
+    ) -> Tuple[Dict[str, Tuple[object, Dict[str, RelationInfo]]], Dict[str, str]]:
+        """(``(token, catalog)`` per reachable peer, error per unreachable one).
 
-        One ``describe_many`` round for every peer; the subset that
-        faulted goes again together on the policy's backoff ladder
-        (:meth:`_retry_rounds`).  Catalogs come back in peer order
-        whatever round fetched them.
+        One ``describe_many`` round for every peer, each asked with its
+        token in ``known`` (none for a peer not in it); an "unchanged"
+        reply stands for the ``known`` entry, and a bare catalog (the
+        per-peer default) comes with no token.  The subset that faulted
+        goes again together on the policy's backoff ladder
+        (:meth:`_retry_rounds`).
         """
         describe_many = getattr(
             self._transport, "describe_many", None
         ) or partial(describe_each, self._transport)
-        fetched: Dict[str, Dict[str, RelationInfo]] = {}
+        fetched: Dict[str, Tuple[object, Dict[str, RelationInfo]]] = {}
         errors: Dict[str, str] = {}
 
         def send(pending: Sequence[str], attempt: int) -> List[str]:
-            for peer, outcome in describe_many(pending).items():
-                if isinstance(outcome, TransportError):
+            asked = {peer: known.get(peer, _UNKNOWN)[0] for peer in pending}
+            for peer, outcome in describe_many(asked).items():
+                if outcome is None:
+                    fetched[peer] = known[peer]
+                elif isinstance(outcome, TransportError):
                     errors[peer] = str(outcome)
                 else:
-                    fetched[peer] = outcome
+                    fetched[peer] = outcome if type(outcome) is tuple else (None, outcome)
             return [peer for peer in pending if peer not in fetched]
 
         unreachable = self._retry_rounds(self._peer_names, send)
-        return (
-            {peer: fetched[peer] for peer in self._peer_names if peer in fetched},
-            {peer: errors[peer] for peer in unreachable},
-        )
+        return fetched, {peer: errors[peer] for peer in unreachable}
 
     def _retry_rounds(self, pending: Sequence, send) -> Sequence:
         """Run ``send(pending, attempt)`` round after round on the policy's
@@ -674,8 +702,10 @@ class RemotePeerFactSource:
           concurrent one degraded a relation), so partial rows are never
           cached as complete.  ``before_root`` runs it too, after the wave.
         """
-        with current_span().child("source.refresh"):
-            self.refresh()
+        with current_span().child("source.refresh") as span:
+            changed = self.refresh()
+            if span.recording:
+                span.set("changed", changed)
         failures_seen = self.failure_count
 
         def after_scan(evaluation) -> None:

@@ -23,7 +23,14 @@ are interchangeable without the planner or cache layers noticing:
     :class:`TransportBase` supplies the default — ``describe`` peer by
     peer (:func:`describe_each`) — and the socket backend answers it in
     one batch frame.  A transport that has no such method at all is
-    served through the same per-peer default.
+    served through the same per-peer default.  The round is conditional,
+    as an HTTP request with an entity tag is: ``peers`` may map each
+    peer to the catalogue token last seen of it
+    (:attr:`~repro.database.instance.Instance.catalogue_token`, ``None``
+    for none), and the socket backend then answers a peer whose token
+    still matches with ``None`` ("unchanged") and any other with
+    ``(token, catalog)``.  The per-peer default ignores the tokens and
+    ships whole catalogs.
 
 ``scan_batch(peer, requests)``
     A batch of pattern-level scans, one round trip.  Each request is
@@ -113,9 +120,13 @@ ScanBatch = Tuple[str, Sequence[SinceScanRequest], object]
 #: ``describe`` response entry: ``(arity, cardinality, version token)``.
 RelationInfo = Tuple[int, int, object]
 
-#: ``describe_many`` response: per peer its catalog, or the fault that
+#: ``describe_many`` response: per peer its catalog (asked with a token:
+#: ``None`` for unchanged, or ``(token, catalog)``), or the fault that
 #: kept it from being described.
-Catalogs = Dict[str, Union[Dict[str, RelationInfo], TransportError]]
+Catalogs = Dict[str, Union[
+    Dict[str, RelationInfo], None, Tuple[object, Dict[str, RelationInfo]],
+    TransportError,
+]]
 
 
 class TraceEnvelope:
@@ -334,7 +345,9 @@ def serve_request(
     trace context.  The wait happens inside the serve span, so a span
     covers the full server-side service time — what the client's attempt
     span needs subtracted to attribute time to the wire (``describe`` and
-    ``ping`` record no span and reply bare).  Data errors (``ValueError``, ``InstanceError``) propagate
+    ``ping`` record no span and reply bare).  A ``describe`` payload of
+    ``(token,)`` makes it conditional: ``None`` while the instance's
+    catalogue token is still ``token``, else ``(token, catalog)``.  Data errors (``ValueError``, ``InstanceError``) propagate
     as-is; an unknown peer or op is a :class:`~repro.errors.TransportError`.
     """
     instance = transport._instances.get(peer)
@@ -344,7 +357,14 @@ def serve_request(
     if op == "describe" or op == "ping":
         if wait > 0:
             yield wait
-        return describe_instance(instance) if op == "describe" else "pong"
+        if op == "ping":
+            return "pong"
+        if payload is None:
+            return describe_instance(instance)
+        # The token is read before the catalog, so a racing write can
+        # only make the pair re-ship next round, never hide itself.
+        token = instance.catalogue_token
+        return None if payload[0] == token else (token, describe_instance(instance))
     name = _SERVE_SPANS.get(op)
     if name is None:
         raise TransportError(f"unknown op {op!r}", peer=peer)
@@ -444,9 +464,9 @@ class TransportBase:
                 self._peer_delays.pop(peer, None)
 
     def peer_delay(self, peer: str) -> float:
-        """The injected extra latency for ``peer`` (seconds)."""
-        with self._lock:
-            return self._peer_delays.get(peer, 0.0)
+        """The injected extra latency for ``peer`` (seconds); one dict
+        read, atomic without the lock."""
+        return self._peer_delays.get(peer, 0.0)
 
     def _latency_injected(self) -> bool:
         """Does serving wait on anything (any RPC, any peer)?"""
@@ -511,19 +531,20 @@ class TransportBase:
         """
         if self._closed:
             raise TransportError("transport is closed", peer=peer)
-        with self._lock:
-            if frame:
+        if frame:
+            with self._lock:
                 self._rpc_count += 1
-            if peer in self._failed:
-                raise TransportError(f"peer {peer!r} is unreachable", peer=peer)
-            if peer not in self._instances:
-                raise TransportError(f"unknown peer {peer!r}", peer=peer)
-            if scan:
+        # Set and dict membership reads are atomic: only counters lock.
+        if peer in self._failed:
+            raise TransportError(f"peer {peer!r} is unreachable", peer=peer)
+        if peer not in self._instances:
+            raise TransportError(f"unknown peer {peer!r}", peer=peer)
+        if scan:
+            with self._lock:
                 self._scan_rpc_count += 1
-                if self.drop_every_n and self._scan_rpc_count % self.drop_every_n == 0:
-                    raise TransportError(
-                        f"scan RPC to {peer!r} dropped (injected)", peer=peer
-                    )
+                dropped = self.drop_every_n and self._scan_rpc_count % self.drop_every_n == 0
+            if dropped:
+                raise TransportError(f"scan RPC to {peer!r} dropped (injected)", peer=peer)
 
     def _call(self, op: str, peer: str, payload: object) -> object:
         """Send one admitted request through :func:`serve_request`."""

@@ -70,13 +70,14 @@ class GeneratorParameters:
     #: Number of atoms in each definitional mapping's body chain.
     chain_length: int = 2
     #: Number of atoms in each inclusion mapping's right-hand-side chain.
-    #: The default of 1 corresponds to replication-style inclusions (one
-    #: lower-stratum relation contained in one upper-stratum relation).
-    #: Longer inclusion chains are only *usable* by the reformulation
-    #: algorithm when a goal's siblings happen to match the chain (MiniCon
-    #: must be able to export the join variables), so values above 1 mostly
-    #: add mappings that the algorithm proves irrelevant — see
-    #: EXPERIMENTS.md for the discussion of this reconstruction choice.
+    #: The paper's description (quoted above) gives these chains no
+    #: length; this reconstruction defaults to 1, replication-style
+    #: inclusions (one lower-stratum relation contained in one
+    #: upper-stratum relation).  Longer inclusion chains are only *usable*
+    #: by the reformulation algorithm when a goal's siblings happen to
+    #: match the chain (MiniCon must be able to export the join
+    #: variables), so values above 1 mostly add mappings that the
+    #: algorithm proves irrelevant.
     inclusion_chain_length: int = 1
     #: Number of atoms in the benchmark query (a chain over stratum-0 relations).
     query_length: int = 2

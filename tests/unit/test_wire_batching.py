@@ -545,6 +545,178 @@ class TestRefreshRetry:
 
 
 # ---------------------------------------------------------------------------
+# The conditional catalogue round: "unchanged" instead of a whole catalog
+# ---------------------------------------------------------------------------
+
+
+#: The two ways a refresh is served: the socket's conditional batch frame,
+#: and the per-peer default (whole catalogs, compared with the committed ones).
+BACKENDS = [CountingSocket, LoopbackTransport]
+
+
+@contextlib.contextmanager
+def conditional_source(factory, data):
+    transport = factory(data)
+    source = RemotePeerFactSource(transport, policy=POLICY)
+    try:
+        yield source, transport
+    finally:
+        source.close()
+        transport.close()
+
+
+class TestConditionalRound:
+    def test_an_unchanged_round_ships_a_fifth_of_a_full_rounds_bytes(self, monkeypatch):
+        replies = []
+        encode = async_transport._encode_frame
+
+        def counting(obj):
+            data = encode(obj)
+            if obj[0] == "ok":
+                replies.append((obj[1], len(data)))
+            return data
+
+        monkeypatch.setattr(async_transport, "_encode_frame", counting)
+        pdms, data = wide_system()
+        transport = CountingSocket(data)
+        with cluster_over(transport, pdms) as cluster:
+            [(catalogs, first)] = replies  # construction: every peer in full
+            assert all(type(value) is tuple for _, value in catalogs)
+            # A full round without tokens: every catalog, nothing else.
+            transport.describe_many(transport.peers())
+            full = replies[-1][1]
+            assert full < first
+            cluster.answer(QUERY)  # compiles the plan: its statistics scans
+            del replies[:]
+            assert cluster.source.refresh() == 0
+            [(unchanged, size)] = replies
+            assert [value for _, value in unchanged] == [None] * PEERS
+            assert size * 5 <= full
+            # A write moves only its owner's token: one catalog re-ships.
+            cluster.insert("s07", [(7, 99)])
+            del replies[:]
+            assert cluster.source.refresh() == 1
+            [(after_write, _)] = replies
+            assert [index for index, (_, value) in enumerate(after_write)
+                    if value is not None] == [7]
+            # The read after it: its catalogue round, then the one delta wave.
+            del transport.frames[:]
+            assert (7, 99) in cluster.answer(QUERY).rows
+            assert transport.frames == ["batch", "batch"]
+
+    @pytest.mark.parametrize("factory", BACKENDS)
+    def test_a_refused_refresh_advances_nothing_and_is_refused_again(self, factory):
+        data = {
+            "A": Instance.from_dict({"r": [(1, 2)]}),
+            "B": Instance.from_dict({"q": [(3, 4)]}),
+        }
+        with conditional_source(factory, data) as (source, transport):
+            before = (source.relations(), source.data_version("r"),
+                      source.data_version("q"), source.cardinality("r"))
+            transport.instance("A").add("r", (5, 6))
+            transport.instance("B").add("r", (7, 8))  # a second owner of r
+            for _ in range(2):
+                with pytest.raises(MappingError, match="served by peer 'A' and by peer 'B'"):
+                    source.refresh()
+                assert (source.relations(), source.data_version("r"),
+                        source.data_version("q"), source.cardinality("r")) == before
+                assert source.owner("r") == "A"
+
+    @pytest.mark.parametrize("factory", BACKENDS)
+    def test_a_restored_peer_is_asked_without_a_token(self, factory):
+        _, data = wide_system()
+        asked = []
+
+        class Watching(factory):
+            def describe_many(self, peers):
+                asked.append(dict(peers))
+                return super().describe_many(peers)
+
+        with conditional_source(Watching, data) as (source, transport):
+            transport.fail_peer("P03")
+            source.refresh()
+            assert source.owner("s03") is None and source.unreachable_peers == ("P03",)
+            transport.restore_peer("P03")
+            del asked[:]
+            assert source.refresh() == 1
+            assert asked[0]["P03"] is None
+            if factory is CountingSocket:
+                assert all(asked[0][peer] is not None for peer in asked[0] if peer != "P03")
+            assert source.owner("s03") == "P03" and source.complete
+            assert set(source.get_matching("s03", ALL)) == {(3, row) for row in range(3)}
+
+    @pytest.mark.parametrize("factory", BACKENDS)
+    def test_a_row_added_on_the_served_instance_is_in_the_next_answer(self, factory):
+        pdms, data = wide_system()
+        with cluster_over(factory(data), pdms) as cluster:
+            first = cluster.answer(QUERY)
+            data["P05"].add("s05", (5, 99))  # not through insert
+            answer = cluster.answer(QUERY)
+            assert answer.rows == first.rows | {(5, 99)} and answer.complete
+
+    @pytest.mark.parametrize("factory", BACKENDS)
+    def test_an_unchanged_round_clears_the_degraded_relations(self, factory):
+        _, data = wide_system()
+        with conditional_source(factory, data) as (source, transport):
+            transport.drop_every_n = 1
+            assert source.get_matching("s05", ALL) == ()
+            assert source.degraded_relations == ("s05",) and not source.complete
+            transport.drop_every_n = 0
+            failures = source.failure_count
+            assert source.refresh() == 0
+            assert source.degraded_relations == () and source.complete
+            assert source.failure_count == failures
+            assert set(source.get_matching("s05", ALL)) == {(5, row) for row in range(3)}
+
+    @pytest.mark.parametrize("factory", BACKENDS)
+    def test_concurrent_refreshes_never_commit_a_token_without_its_catalog(self, factory):
+        # Writers and refreshers race on one source; a token committed
+        # with an older catalog would make the last refresh answer
+        # "unchanged" over a catalog that misses rows.
+        _, data = wide_system()
+        writers = ("P01", "P02", "P03")
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with conditional_source(factory, data) as (source, transport):
+                def write(peer):
+                    for row in range(40):
+                        transport.insert(peer, f"s{peer[1:]}", [(-1, row)])
+                        source.refresh()
+
+                def refresh():
+                    for _ in range(60):
+                        source.refresh()
+
+                threads = [threading.Thread(target=write, args=(peer,)) for peer in writers]
+                threads += [threading.Thread(target=refresh) for _ in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                source.refresh()
+                for peer in writers:
+                    relation = f"s{peer[1:]}"
+                    assert source.cardinality(relation) == 43
+                    assert source.data_version(relation) == (data[peer].data_version(relation),)
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_the_refresh_span_counts_the_changed_peers(self, tracer):
+        pdms, data = wide_system()
+        with cluster_over(CountingSocket(data), pdms) as cluster:
+            cluster.answer(QUERY)
+            cluster.answer(QUERY)
+            [span] = last_spans(tracer, "source.refresh")
+            assert span["attrs"]["changed"] == 0
+            cluster.insert("s11", [(11, 5)])
+            cluster.answer(QUERY)
+            [span] = last_spans(tracer, "source.refresh")
+            assert span["attrs"]["changed"] == 1
+
+
+# ---------------------------------------------------------------------------
 # Satellite: the frame length is capped
 # ---------------------------------------------------------------------------
 
